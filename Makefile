@@ -45,10 +45,12 @@ lint-baseline:
 	$(GO) run ./cmd/simlint -update-baseline ./...
 
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
-# couple of minutes the first time). RouterTopK/RouterTopKBatch live in
+# couple of minutes the first time). TopKSocial is the wide-support
+# regime (preferential attachment, caches off) that the copying-model
+# benchmarks never reach. RouterTopK/RouterTopKBatch live in
 # internal/router: routed queries over a real 3-shard loopback topology
 # (binary wire). WireCodec measures the binary codec round-trip alone.
-BENCH_RE := 'TopK$$|SinglePairOneSided|WalkStep|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|TopKSocial|SinglePairOneSided|SampleWalkDist|ComputeL1|WalkStep|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -83,11 +82,22 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 }
 
 // walkDist is the empirical (or exact) distribution of a vertex's walk
-// positions, P{u⁽ᵗ⁾ = w}, stored per step as parallel sorted slices:
-// verts[t] lists the support ascending and probs[t][i] the mass of
-// verts[t][i]. The flat layout replaces the old map[uint32]float64 per
-// step: tallies go through an epoch-marked dense scratch, lookups are
-// binary searches, and the backing arrays are reused across queries.
+// positions, P{u⁽ᵗ⁾ = w}, stored per step as a bucket-indexed ascending
+// support: verts[t] lists the vertices with nonzero mass ascending, and
+// dir[t] is a directory over it — bucket b = w >> shift[t] occupies
+// verts[t][dir[t][b]:dir[t][b+1]], with about one bucket per two support
+// vertices (see bucketing). "Mass of w at step t" is therefore two
+// directory reads and a scan of a vertex or two (lookup), not a binary
+// search, and the ascending order every consumer relies on (dotSeries'
+// merge join, computeL1From, forEach) is a by-product of building the
+// directory (scratch.orderTouched), not of a comparison sort.
+//
+// Masses come in two encodings behind one accessor (mass). A sampled
+// distribution stores walk counts, cnt[t][i] of the R walks at verts[t][i],
+// and mass is float64(cnt)·invR — the expression the sampler used to
+// evaluate eagerly, so every score bit is unchanged while a cached copy
+// (prolog.go) spends 4 bytes a vertex where a float64 spent 8. An exact
+// distribution (ExactScoring; never cached) stores float64 probs.
 //
 // The query phase samples one per query (the paper's Algorithm 2 already
 // performs these R = RAlpha walks for the L1 bound) and reuses it both for
@@ -96,20 +106,36 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 type walkDist struct {
 	T     int
 	verts [][]uint32
-	probs [][]float64
+	dir   [][]uint32
+	shift []uint8
+	// sampled selects the mass encoding: cnt and invR when true, probs
+	// when false.
+	sampled bool
+	invR    float64
+	cnt     [][]uint32
+	probs   [][]float64
 }
 
 // reset prepares the distribution for T steps, keeping backing arrays.
-func (wd *walkDist) reset(T int) {
+func (wd *walkDist) reset(T int, sampled bool) {
 	wd.T = T
+	wd.sampled = sampled
 	for len(wd.verts) < T {
 		wd.verts = append(wd.verts, nil)
+		wd.dir = append(wd.dir, nil)
+		wd.shift = append(wd.shift, 0)
+		wd.cnt = append(wd.cnt, nil)
 		wd.probs = append(wd.probs, nil)
 	}
 	wd.verts = wd.verts[:T]
+	wd.dir = wd.dir[:T]
+	wd.shift = wd.shift[:T]
+	wd.cnt = wd.cnt[:T]
 	wd.probs = wd.probs[:T]
 	for t := 0; t < T; t++ {
 		wd.verts[t] = wd.verts[t][:0]
+		wd.dir[t] = wd.dir[t][:0]
+		wd.cnt[t] = wd.cnt[t][:0]
 		wd.probs[t] = wd.probs[t][:0]
 	}
 }
@@ -117,21 +143,56 @@ func (wd *walkDist) reset(T int) {
 // support reports the number of vertices with nonzero mass at step t.
 func (wd *walkDist) support(t int) int { return len(wd.verts[t]) }
 
-// prob returns P{u⁽ᵗ⁾ = w} by binary search over the sorted support.
+// setSupport installs the current tally's touched list, freshly ordered,
+// as step t's support and directory.
+func (wd *walkDist) setSupport(t int, s *scratch) {
+	dir, shift := s.orderTouched()
+	wd.verts[t] = append(wd.verts[t], s.touched...)
+	wd.dir[t] = append(wd.dir[t], dir...)
+	wd.shift[t] = shift
+}
+
+// lookup returns the index of w in step t's support, or -1: w's bucket is
+// scanned up to the first vertex ≥ w. Step t must have a nonempty support.
+func (wd *walkDist) lookup(t int, w uint32) int {
+	d, vs := wd.dir[t], wd.verts[t]
+	b := w >> wd.shift[t]
+	for i, end := d[b], d[b+1]; i < end; i++ {
+		if x := vs[i]; x >= w {
+			if x == w {
+				return int(i)
+			}
+			break
+		}
+	}
+	return -1
+}
+
+// mass returns the probability mass of step t's i-th support vertex.
+func (wd *walkDist) mass(t, i int) float64 {
+	if wd.sampled {
+		return float64(wd.cnt[t][i]) * wd.invR
+	}
+	return wd.probs[t][i]
+}
+
+// prob returns P{u⁽ᵗ⁾ = w}.
 func (wd *walkDist) prob(t int, w uint32) (float64, bool) {
-	vs := wd.verts[t]
-	i, ok := slices.BinarySearch(vs, w)
-	if !ok {
+	if wd.support(t) == 0 {
 		return 0, false
 	}
-	return wd.probs[t][i], true
+	i := wd.lookup(t, w)
+	if i < 0 {
+		return 0, false
+	}
+	return wd.mass(t, i), true
 }
 
 // forEach calls fn for every (vertex, mass) of step t in ascending vertex
 // order.
 func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 	for i, w := range wd.verts[t] {
-		fn(w, wd.probs[t][i])
+		fn(w, wd.mass(t, i))
 	}
 }
 
@@ -140,11 +201,11 @@ func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 // after the backing arrays have warmed up.
 func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int, r *rng.Source) {
 	T := e.p.T
-	wd.reset(T)
+	wd.reset(T, true)
+	wd.invR = 1.0 / float64(R)
 	pos := s.walkBuf(R)
 	lane := s.laneBuf(R)
 	resetWalks(pos, u)
-	invR := 1.0 / float64(R)
 	for t := 0; t < T; t++ {
 		if t > 0 {
 			stepWalks(e.wt, r, pos, lane)
@@ -158,10 +219,9 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 		if len(s.touched) == 0 {
 			break // all walks dead; remaining steps stay empty
 		}
-		slices.Sort(s.touched)
-		for _, w := range s.touched {
-			wd.verts[t] = append(wd.verts[t], w)
-			wd.probs[t] = append(wd.probs[t], float64(s.cnt[w])*invR)
+		wd.setSupport(t, s)
+		for _, w := range wd.verts[t] {
+			wd.cnt[t] = append(wd.cnt[t], uint32(s.cnt[w]))
 		}
 	}
 }
@@ -173,32 +233,33 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 // so the floating-point result is fully deterministic.
 func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, cap int) bool {
 	T := e.p.T
-	wd.reset(T)
+	wd.reset(T, false)
 	s.ensureAcc()
-	wd.verts[0] = append(wd.verts[0], u)
-	wd.probs[0] = append(wd.probs[0], 1)
-	for t := 1; t < T; t++ {
-		prevV, prevP := wd.verts[t-1], wd.probs[t-1]
-		if len(prevV) == 0 {
-			break
-		}
+	for t := 0; t < T; t++ {
 		s.beginTally()
-		for i, w := range prevV {
-			in := e.g.In(w)
-			if len(in) == 0 {
-				continue
-			}
-			share := prevP[i] / float64(len(in))
-			for _, x := range in {
-				s.addMass(x, share)
-			}
-			if len(s.touched) > cap {
-				return false
+		if t == 0 {
+			s.addMass(u, 1)
+		} else {
+			prevV, prevP := wd.verts[t-1], wd.probs[t-1]
+			for i, w := range prevV {
+				in := e.g.In(w)
+				if len(in) == 0 {
+					continue
+				}
+				share := prevP[i] / float64(len(in))
+				for _, x := range in {
+					s.addMass(x, share)
+				}
+				if len(s.touched) > cap {
+					return false
+				}
 			}
 		}
-		slices.Sort(s.touched)
-		for _, w := range s.touched {
-			wd.verts[t] = append(wd.verts[t], w)
+		if len(s.touched) == 0 {
+			break // no mass left; remaining steps stay empty
+		}
+		wd.setSupport(t, s)
+		for _, w := range wd.verts[t] {
 			wd.probs[t] = append(wd.probs[t], s.acc[w])
 		}
 	}
@@ -219,7 +280,6 @@ func (e *Snapshot) dotSeries(x, y *walkDist) float64 {
 		if len(xv) == 0 || len(yv) == 0 {
 			break
 		}
-		xp, yp := x.probs[t], y.probs[t]
 		i, j := 0, 0
 		for i < len(xv) && j < len(yv) {
 			switch {
@@ -228,7 +288,7 @@ func (e *Snapshot) dotSeries(x, y *walkDist) float64 {
 			case xv[i] > yv[j]:
 				j++
 			default:
-				sum += ct * e.p.dval(xv[i]) * xp[i] * yp[j]
+				sum += ct * e.p.dval(xv[i]) * x.mass(t, i) * y.mass(t, j)
 				i++
 				j++
 			}
@@ -260,7 +320,7 @@ func (e *Snapshot) computeL1From(s *scratch, wd *walkDist, dist []int32, explore
 	alpha, overflow := s.alpha, s.overflow
 	for t := 0; t < T; t++ {
 		for i, w := range wd.verts[t] {
-			val := e.p.dval(w) * wd.probs[t][i]
+			val := e.p.dval(w) * wd.mass(t, i)
 			d := dist[w]
 			if d < 0 || int(d) > dmax {
 				// Distance unknown (truncated BFS) or beyond DMax:
@@ -321,20 +381,39 @@ func (l *l1Table) bound(d int) float64 {
 // at most max_w D_ww, giving Σ_{t ≥ ⌈d/2⌉} cᵗ·maxD = maxD·c^⌈d/2⌉/(1−c).
 // With the default D = (1−c)·I this is exactly c^⌈d/2⌉. (The paper states
 // s(u,v) ≤ c^d; this variant is the one provable for undirected distance.)
+//
+// Distances up to DMax — every distance a query's ball can produce — are
+// read from a table filled once per snapshot (newDistBounds).
 func (e *Snapshot) DistanceBound(d int) float64 {
 	if d <= 0 {
 		return 1
 	}
-	maxD := 1 - e.p.C
-	if e.p.D != nil {
+	if d < len(e.distBound) {
+		return e.distBound[d]
+	}
+	return e.distScale * math.Pow(e.p.C, float64((d+1)/2))
+}
+
+// newDistBounds evaluates DistanceBound's maxD/(1−c) factor and its values
+// for d = 0..DMax, so candBound neither rescans Params.D for its maximum
+// nor calls math.Pow per candidate.
+func newDistBounds(p *Params) (scale float64, table []float64) {
+	maxD := 1 - p.C
+	if p.D != nil {
 		maxD = 0
-		for _, v := range e.p.D {
+		for _, v := range p.D {
 			if v > maxD {
 				maxD = v
 			}
 		}
 	}
-	return maxD / (1 - e.p.C) * math.Pow(e.p.C, float64((d+1)/2))
+	scale = maxD / (1 - p.C)
+	table = make([]float64, p.DMax+1)
+	table[0] = 1
+	for d := 1; d <= p.DMax; d++ {
+		table[d] = scale * math.Pow(p.C, float64((d+1)/2))
+	}
+	return scale, table
 }
 
 // L1Bound computes β(u, ·) for the query vertex u and returns the bound

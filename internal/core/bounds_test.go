@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/exact"
@@ -193,5 +194,35 @@ func TestCustomDiagonalChangesBounds(t *testing.T) {
 	def := New(g, DefaultParams())
 	if e.DistanceBound(2) <= def.DistanceBound(2) {
 		t.Fatal("distance bound did not scale with larger D")
+	}
+}
+
+// The per-snapshot DistanceBound table must hold the bits of the formula
+// it replaced, for the default D and a custom one, inside and beyond DMax.
+func TestDistanceBoundTableMatchesFormula(t *testing.T) {
+	g := graph.Cycle(12)
+	custom := make([]float64, g.N())
+	for i := range custom {
+		custom[i] = 0.3 + 0.05*float64(i%7)
+	}
+	for _, D := range [][]float64{nil, custom} {
+		p := DefaultParams()
+		p.C = 0.7
+		p.DMax = 9
+		p.D = D
+		e := New(g, p)
+		maxD := 1 - e.p.C
+		if D != nil {
+			maxD = slices.Max(D)
+		}
+		for d := -1; d <= 3*p.DMax; d++ {
+			want := 1.0
+			if d > 0 {
+				want = maxD / (1 - e.p.C) * math.Pow(e.p.C, float64((d+1)/2))
+			}
+			if got := e.DistanceBound(d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("custom D=%v d=%d: DistanceBound %x, formula %x", D != nil, d, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -181,7 +182,10 @@ func (c *tallyCache) evictLocked(sh *tallyShard) int {
 			spared++
 			continue
 		}
-		sh.ring = append(sh.ring[:sh.hand], sh.ring[sh.hand+1:]...)
+		// slices.Delete zeroes the vacated tail slot; a plain append-shift
+		// would leave a stale pointer there that keeps a later-evicted
+		// entry reachable, outside the byte budget.
+		sh.ring = slices.Delete(sh.ring, sh.hand, sh.hand+1)
 		c.slots[ent.v].Store(nil)
 		c.bytes.Add(-ent.size)
 		c.evictions.Add(1)

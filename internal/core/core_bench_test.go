@@ -53,6 +53,28 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKSocial is the wide-support regime none of the copying-model
+// benchmarks reach: on a preferential-attachment graph the RAlpha query
+// walks spread over thousands of vertices per step and a query scores
+// hundreds of candidates, so the time goes to ordering supports and to
+// looking candidate tally terms up in the query-side distribution.
+// Uniform queries, one worker and no caches: every query pays the full
+// prolog and every candidate its walks.
+func BenchmarkTopKSocial(b *testing.B) {
+	g := graph.PreferentialAttachment(20000, 10, 0.4, 1)
+	p := DefaultParams()
+	p.Seed = 1
+	p.Workers = 1
+	p.PrologBytes = -1
+	e := Build(g, p)
+	n := uint32(g.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.TopK(uint32(i*7919+13)%n, 20)
+	}
+}
+
 // BenchmarkSinglePairOneSided measures the per-candidate scoring kernel:
 // one RScore-walk estimate against a prepared query-side distribution.
 func BenchmarkSinglePairOneSided(b *testing.B) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +26,9 @@ import (
 // pointer-sharing carry-forward across incremental rebuilds.
 
 // prologEntry is one cached query-side walk distribution. The wd copy
-// is flat-backed (one allocation each for vertices and masses) and
-// immutable after construction except for the CLOCK reference bit.
+// is flat-backed (one allocation holds every step's vertices, walk counts
+// and bucket directory, another the per-step slice headers) and immutable
+// after construction except for the CLOCK reference bit.
 type prologEntry struct {
 	u    uint32
 	wd   walkDist
@@ -34,33 +36,52 @@ type prologEntry struct {
 	ref  atomic.Bool
 }
 
-// prologEntryOverhead approximates the fixed per-entry footprint:
-// struct, per-step slice headers, and ring bookkeeping.
-const prologEntryOverhead = 200
+// prologEntryOverhead approximates the fixed per-entry footprint (struct
+// and ring bookkeeping), and prologStepOverhead the per-step one (three
+// slice headers and the shift byte).
+const (
+	prologEntryOverhead = 200
+	prologStepOverhead  = 76
+)
 
-// newPrologEntry deep-copies wd into a flat-backed immutable entry.
+// newPrologEntry deep-copies the sampled distribution wd into a
+// flat-backed immutable entry. It charges 8 bytes per support vertex
+// (id + walk count) plus 4 per directory offset. A step has no more buckets
+// than support vertices (bucketing) and one closing offset, so the charge
+// stays within 12 bytes a vertex — what the float64-mass layout cost
+// without a directory — plus 4 a step.
 func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
-	total := 0
-	for t := 0; t < wd.T; t++ {
-		total += len(wd.verts[t])
+	T := wd.T
+	words := 0
+	for t := 0; t < T; t++ {
+		words += 2*len(wd.verts[t]) + len(wd.dir[t])
 	}
-	verts := make([]uint32, 0, total)
-	probs := make([]float64, 0, total)
+	back := make([]uint32, 0, words)
+	clone := func(xs []uint32) []uint32 {
+		lo := len(back)
+		back = append(back, xs...)
+		return back[lo:len(back):len(back)]
+	}
+	rows := make([][]uint32, 3*T)
 	ent := &prologEntry{
 		u: u,
 		wd: walkDist{
-			T:     wd.T,
-			verts: make([][]uint32, wd.T),
-			probs: make([][]float64, wd.T),
+			T:       T,
+			verts:   rows[:T:T],
+			dir:     rows[T : 2*T : 2*T],
+			shift:   slices.Clone(wd.shift),
+			sampled: true,
+			invR:    wd.invR,
+			cnt:     rows[2*T:],
 		},
-		size: prologEntryOverhead + 12*int64(total) + 48*int64(wd.T),
+		size: prologEntryOverhead + prologStepOverhead*int64(T) + 4*int64(words),
 	}
-	for t := 0; t < wd.T; t++ {
-		lo := len(verts)
-		verts = append(verts, wd.verts[t]...)
-		probs = append(probs, wd.probs[t]...)
-		ent.wd.verts[t] = verts[lo:len(verts):len(verts)]
-		ent.wd.probs[t] = probs[lo:len(probs):len(probs)]
+	for t := 0; t < T; t++ {
+		// A step's directory, vertices and counts sit next to each other:
+		// one lookup touches all three.
+		ent.wd.dir[t] = clone(wd.dir[t])
+		ent.wd.verts[t] = clone(wd.verts[t])
+		ent.wd.cnt[t] = clone(wd.cnt[t])
 	}
 	return ent
 }
@@ -170,7 +191,8 @@ func (c *prologCache) evictLocked(sh *prologShard) {
 			spared++
 			continue
 		}
-		sh.ring = append(sh.ring[:sh.hand], sh.ring[sh.hand+1:]...)
+		// slices.Delete, not an append-shift: see tallyCache.evictLocked.
+		sh.ring = slices.Delete(sh.ring, sh.hand, sh.hand+1)
 		c.slots[ent.u].Store(nil)
 		c.bytes.Add(-ent.size)
 		c.evictions.Add(1)

@@ -162,3 +162,79 @@ func TestPrologTinyBudget(t *testing.T) {
 		t.Fatalf("over budget at quiescence: %+v", ps)
 	}
 }
+
+// An entry must charge at least the bytes it holds (supports, walk counts,
+// directories) and no more than 12 bytes a support vertex — the price of
+// the float64-mass layout this one replaced — plus the fixed overhead.
+func TestPrologEntryAccounting(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.PreferentialAttachment(4000, 10, 0.4, 2), // supports in the thousands
+		graph.CopyingModel(1500, 5, 0.3, 2),            // supports in the tens
+		graph.NewBuilder(3).Build(),                    // step 0 only
+	} {
+		p := DefaultParams()
+		p.Seed = 4
+		e := New(g, p)
+		s := e.getScratch()
+		u := uint32(g.N() - 1)
+		e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
+		ent := newPrologEntry(u, &s.wd)
+		var support, held int64
+		for step := 0; step < ent.wd.T; step++ {
+			support += int64(len(ent.wd.verts[step]))
+			held += 4*int64(len(ent.wd.verts[step])+len(ent.wd.cnt[step])+len(ent.wd.dir[step])) + 1 // + shift
+			if len(ent.wd.cnt[step]) != len(ent.wd.verts[step]) || len(ent.wd.probs) != 0 {
+				t.Fatalf("step %d: %d counts for %d vertices, %d mass rows", step, len(ent.wd.cnt[step]), len(ent.wd.verts[step]), len(ent.wd.probs))
+			}
+			for i := range ent.wd.verts[step] {
+				if ent.wd.mass(step, i) != s.wd.mass(step, i) {
+					t.Fatalf("step %d entry %d: mass %v, source %v", step, i, ent.wd.mass(step, i), s.wd.mass(step, i))
+				}
+			}
+		}
+		e.putScratch(s)
+		limit := 12*support + prologEntryOverhead + (prologStepOverhead+4)*int64(ent.wd.T)
+		if ent.size < held || ent.size > limit {
+			t.Fatalf("n=%d support=%d: size %d, want within [%d held, %d]", g.N(), support, ent.size, held, limit)
+		}
+	}
+}
+
+// Evicting from a CLOCK ring must not leave the removed pointer behind in
+// the ring's spare capacity: a stale copy there keeps an evicted entry
+// (over a megabyte for a wide prolog) reachable outside the byte budget.
+func TestEvictedEntriesUnreachableFromRings(t *testing.T) {
+	const n = 4096
+	pc := newPrologCache(n, 1<<30)
+	tc := newTallyCache(n, 1<<30)
+	for v := uint32(0); v < n/2; v++ {
+		pc.put(&prologEntry{u: v, size: 100})
+		tc.put(&tallyEntry{v: v, size: 100})
+	}
+	// Shrink the budget to nothing: every further insert drains its
+	// stripe and is then itself refused.
+	pc.maxBytes, tc.maxBytes = 0, 0
+	for v := uint32(n / 2); v < n; v++ {
+		pc.put(&prologEntry{u: v, size: 100})
+		tc.put(&tallyEntry{v: v, size: 100})
+	}
+	if ps, ts := pc.stats(), tc.stats(); ps.Entries != 0 || ts.Entries != 0 || ps.BytesInUse != 0 || ts.BytesInUse != 0 {
+		t.Fatalf("caches not drained: prolog %+v, tally %+v", ps, ts)
+	}
+	for i := range pc.shards {
+		ring := pc.shards[i].ring
+		for j, ent := range ring[len(ring):cap(ring)] {
+			if ent != nil {
+				t.Fatalf("prolog stripe %d: spare slot %d still points at evicted entry %d", i, j, ent.u)
+			}
+		}
+	}
+	for i := range tc.shards {
+		ring := tc.shards[i].ring
+		for j, ent := range ring[len(ring):cap(ring)] {
+			if ent != nil {
+				t.Fatalf("tally stripe %d: spare slot %d still points at evicted entry %d", i, j, ent.v)
+			}
+		}
+	}
+}

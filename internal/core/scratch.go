@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -28,6 +30,11 @@ type scratch struct {
 	cnt     []int32
 	acc     []float64 // lazily allocated; only exact scoring needs it
 	touched []uint32
+
+	// orderTouched's scatter target (swapped with touched after each
+	// ordering pass) and its bucket-count / directory buffer.
+	ordered []uint32
+	dir     []uint32
 
 	// Walk position buffers (one per side of a walk-pair estimate) and
 	// the batched step kernel's lane scratch (packed CSR row descriptors,
@@ -113,6 +120,83 @@ func (s *scratch) addMass(v uint32, m float64) {
 		s.touched = append(s.touched, v)
 	}
 	s.acc[v] += m
+}
+
+// singleBucketMax is the largest support kept in one bucket: below it a
+// plain insertion sort and a scan beat counting into buckets (a rough
+// tally of RRough = 10 walks never has more).
+const singleBucketMax = 12
+
+// bucketing picks the bucket directory geometry for a support of S
+// distinct vertex ids below n: nb is the largest power of two below S
+// (1 when S ≤ singleBucketMax) and vertex w falls in bucket w >> shift.
+// Every id below n maps to a bucket below nb, a bucket spans 2^shift
+// consecutive ids, and uniformly spread ids put one to two vertices in
+// each.
+func bucketing(n, S int) (nb int, shift uint8) {
+	lg := 0
+	if S > singleBucketMax {
+		lg = bits.Len(uint(S-1)) - 1
+	}
+	return 1 << lg, uint8(bits.Len32(uint32(n-1)) - lg)
+}
+
+// orderTouched sorts the current tally's touched list ascending in O(S)
+// expected time and returns the bucket directory of the sorted list:
+// bucket b = w >> shift occupies touched[dir[b]:dir[b+1]]. One counting
+// pass by bucket, a prefix sum, a scatter, and an insertion sort that
+// only ever moves a vertex inside its own bucket (buckets are already in
+// order relative to each other). Ids crowded into few buckets cost the
+// insertion sort more, never correctness. dir aliases scratch storage and
+// is valid until the next call; callers that only need the order ignore it.
+func (s *scratch) orderTouched() (dir []uint32, shift uint8) {
+	src := s.touched
+	nb, shift := bucketing(s.n, len(src))
+	if cap(s.dir) < nb+2 {
+		s.dir = make([]uint32, 2*nb+2) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+	}
+	cur := s.dir[:nb+2]
+	if nb == 1 {
+		// One bucket: nothing to count or scatter.
+		insertionSort(src)
+		cur[0], cur[1] = 0, uint32(len(src))
+		return cur[:2], shift
+	}
+	// counts live two slots up so that after the prefix sum cur[b+1] is
+	// bucket b's start, the scatter advances it to bucket b's end — which
+	// is bucket b+1's start — and cur[:nb+1] is left holding the directory.
+	clear(cur)
+	for _, w := range src {
+		cur[(w>>shift)+2]++
+	}
+	for b := 2; b < len(cur); b++ {
+		cur[b] += cur[b-1]
+	}
+	if cap(s.ordered) < len(src) {
+		s.ordered = make([]uint32, len(src), 2*len(src)) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+	}
+	dst := s.ordered[:len(src)]
+	for _, w := range src {
+		b := (w >> shift) + 1
+		dst[cur[b]] = w
+		cur[b]++
+	}
+	insertionSort(dst)
+	s.touched, s.ordered = dst, src
+	return cur[:nb+1], shift
+}
+
+// insertionSort sorts xs ascending; linear when every element is within a
+// constant distance of its place, as after orderTouched's scatter.
+func insertionSort(xs []uint32) {
+	for i := 1; i < len(xs); i++ {
+		w := xs[i]
+		j := i
+		for ; j > 0 && xs[j-1] > w; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = w
+	}
 }
 
 // checkSeen reports whether v was already marked in the current tally,

@@ -58,38 +58,54 @@ func TestTopKDuringRefreshNoStall(t *testing.T) {
 	// makes the affected set exceed n/2 and forces a full rebuild.
 	_, fullBefore := d.Refreshes()
 	var stop atomic.Bool
+	var rebuilt atomic.Int64 // full rebuilds completed since fullBefore
 	var updaterDone sync.WaitGroup
 	updaterDone.Add(1)
 	go func() {
 		defer updaterDone.Done()
+		refresh := func() bool {
+			if err := d.Refresh(); err != nil {
+				t.Error(err)
+				return false
+			}
+			_, full := d.Refreshes()
+			rebuilt.Store(int64(full - fullBefore))
+			return true
+		}
 		for !stop.Load() {
 			for v := uint32(0); v < n/2; v++ {
 				d.AddEdge(n-1, v)
 			}
-			if err := d.Refresh(); err != nil {
-				t.Error(err)
+			if !refresh() {
 				return
 			}
 			for v := uint32(0); v < n/2; v++ {
 				d.RemoveEdge(n-1, v)
 			}
-			if err := d.Refresh(); err != nil {
-				t.Error(err)
+			if !refresh() {
 				return
 			}
 		}
 	}()
 
-	const queriers, perQuerier = 3, 100
+	// Each querier issues at least minPerQuerier queries and keeps going
+	// until two full rebuilds have completed underneath it, so the overlap
+	// does not depend on queries being slower than builds. The deadline
+	// only bounds a wedged updater; the rebuild assertion below reports it.
+	const queriers, minPerQuerier = 3, 100
+	deadline := time.Now().Add(time.Minute)
 	during := make([][]time.Duration, queriers)
 	var wg sync.WaitGroup
 	for q := 0; q < queriers; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			ds := make([]time.Duration, perQuerier)
-			for i := range ds {
-				ds[i] = query(q*perQuerier + i)
+			var ds []time.Duration
+			for i := 0; i < minPerQuerier || rebuilt.Load() < 2; i++ {
+				if time.Now().After(deadline) {
+					break
+				}
+				ds = append(ds, query(i*queriers+q))
 			}
 			during[q] = ds
 		}(q)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/rng"
 )
@@ -88,8 +87,8 @@ func (e *Snapshot) singlePairR(u, v uint32, R int, r *rng.Source, s *scratch) fl
 // the walks funding p̂ were already performed for the L1 bound.
 //
 // The v-side positions are tallied through the scratch's epoch marks and
-// looked up once per distinct position (binary search in wd's sorted
-// support), so the step cost is O(R + distinct·log support) with zero
+// looked up once per distinct position through wd's bucket directory
+// (walkDist.lookup), so the step cost is O(R + distinct) with zero
 // allocations.
 func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int, r *rng.Source) float64 {
 	vpos := s.walkBuf2(R)
@@ -104,7 +103,7 @@ func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int,
 			alive = stepWalks(e.wt, r, vpos, lane)
 			ct *= e.p.C
 		}
-		if alive == 0 || t >= len(wd.verts) || len(wd.verts[t]) == 0 {
+		if alive == 0 || t >= wd.T || wd.support(t) == 0 {
 			break
 		}
 		s.beginTally()
@@ -115,10 +114,9 @@ func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int,
 		}
 		// Distinct v-side positions in first-seen order: deterministic for
 		// a fixed walk stream, independent of everything else.
-		vs, ps := wd.verts[t], wd.probs[t]
 		for _, w := range s.touched {
-			if i, ok := slices.BinarySearch(vs, w); ok {
-				sigma += ct * e.p.dval(w) * ps[i] * float64(s.cnt[w]) * invR
+			if i := wd.lookup(t, w); i >= 0 {
+				sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(s.cnt[w]) * invR
 			}
 		}
 	}

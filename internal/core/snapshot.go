@@ -30,6 +30,11 @@ type Snapshot struct {
 	// tables are degenerate and alias the graph's CSR directly).
 	wt *graph.WalkTable
 
+	// distBound[d] = DistanceBound(d) for d ≤ DMax and distScale its
+	// maxD/(1−c) factor; both depend on Params alone (bounds.go).
+	distScale float64
+	distBound []float64
+
 	// gamma[v*T + t] = γ(v, t) from Algorithm 3 (L2 bound), row-major.
 	gamma []float32
 
@@ -75,6 +80,7 @@ type PreprocessStats struct {
 
 func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	sn := &Snapshot{g: g, p: p.normalized(), wt: g.BuildWalkTable()}
+	sn.distScale, sn.distBound = newDistBounds(&sn.p)
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
 	if sn.p.CacheBytes > 0 && sn.p.RScore <= maxTallyCount {

@@ -68,7 +68,7 @@ func (e *Snapshot) buildRoughTally(s *scratch, v uint32, Rr, stride int) int {
 			}
 			return t
 		}
-		slices.Sort(s.touched)
+		s.orderTouched()
 		for _, w := range s.touched {
 			s.tallyV = append(s.tallyV, w)
 			s.tallyCnt = append(s.tallyCnt, 0)
@@ -112,7 +112,7 @@ func (e *Snapshot) buildFullTally(s *scratch, v uint32, R, Rr, stride int) int {
 			}
 			return rsteps
 		}
-		slices.Sort(s.touched)
+		s.orderTouched()
 		base := len(s.tallyV)
 		for _, w := range s.touched {
 			s.tallyV = append(s.tallyV, w)
@@ -162,8 +162,10 @@ func newTallyEntry(v uint32, rsteps int, s *scratch) *tallyEntry {
 //
 //	ŝ = Σ_{t<maxStep} cᵗ Σ_w p̂_u,t(w)·D_ww·(counts[w]/R)
 //
-// Supports are sorted ascending per step and zero counts are skipped, so
-// for any view representing the same walk multiset (scratch rough view,
+// The tally side defines the summation order — its supports are ascending
+// per step and zero counts are skipped — and each term finds its
+// query-side mass through wd's bucket directory (walkDist.lookup), so for
+// any view representing the same walk multiset (scratch rough view,
 // scratch full view, or a cached entry truncated to its rough prefix)
 // the sequence of floating-point operations — and hence the result — is
 // identical. invR is 1/R for the counts' walk population; maxStep is
@@ -178,47 +180,17 @@ func (e *Snapshot) dotTally(wd *walkDist, off []int32, verts []uint32, counts []
 			ct *= e.p.C
 		}
 		lo, hi := off[t], off[t+1]
-		if lo == hi {
+		if lo == hi || wd.support(t) == 0 {
 			break
 		}
-		vs := wd.verts[t]
-		if len(vs) == 0 {
-			break
-		}
-		ps := wd.probs[t]
-		if len(vs) > 16*int(hi-lo) {
-			// Sparse tally against a wide distribution: search each term.
-			for j := lo; j < hi; j++ {
-				c := counts[j]
-				if c == 0 {
-					continue
-				}
-				w := verts[j]
-				if i, ok := slices.BinarySearch(vs, w); ok {
-					sigma += ct * e.p.dval(w) * ps[i] * float64(c) * invR
-				}
-			}
-			continue
-		}
-		// Comparable sizes: merge the two sorted rows sequentially. The
-		// accumulation order (ascending tally verts, zero counts skipped)
-		// is identical to the search branch, so either branch produces the
-		// same float sequence.
-		i := 0
 		for j := lo; j < hi; j++ {
 			c := counts[j]
 			if c == 0 {
 				continue
 			}
 			w := verts[j]
-			for i < len(vs) && vs[i] < w {
-				i++
-			}
-			if i == len(vs) {
-				break
-			}
-			if vs[i] == w {
-				sigma += ct * e.p.dval(w) * ps[i] * float64(c) * invR
+			if i := wd.lookup(t, w); i >= 0 {
+				sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
 			}
 		}
 	}

@@ -1,0 +1,376 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/rng"
+)
+
+// The linear-time ordering must produce exactly what a comparison sort
+// does, and the directory it returns must delimit the buckets of the
+// sorted list, for every shape of id set the bucket geometry
+// distinguishes.
+func TestOrderTouchedMatchesSort(t *testing.T) {
+	r := rng.New(7)
+	for _, tc := range []struct {
+		name string
+		n, S int
+		// id maps a draw in [0, n) to a vertex id.
+		id func(x, n int) int
+	}{
+		{"random", 100000, 5000, func(x, n int) int { return x }},
+		{"random-npow2", 4096, 700, func(x, n int) int { return x }},
+		{"dense", 1000, 1000, func(x, n int) int { return x }},
+		{"clustered-low", 100000, 300, func(x, n int) int { return x % 600 }},
+		{"single-bucket", 1 << 20, 16, func(x, n int) int { return 512 + x%64 }},
+		{"top-ids", 5000, 40, func(x, n int) int { return n - 1 - x%80 }},
+		{"S=0", 77, 0, nil},
+		{"S=1", 77, 1, func(x, n int) int { return n - 1 }},
+		{"S=2", 77, 2, func(x, n int) int { return x }},
+		{"S=singleBucketMax", 900, singleBucketMax, func(x, n int) int { return x }},
+		{"S=singleBucketMax+1", 900, singleBucketMax + 1, func(x, n int) int { return x }},
+		{"n=1", 1, 1, func(x, n int) int { return 0 }},
+	} {
+		s := newScratch(tc.n)
+		for round := 0; round < 3; round++ {
+			s.beginTally()
+			for len(s.touched) < tc.S {
+				s.tallyCount(uint32(tc.id(r.Intn(tc.n), tc.n)))
+			}
+			want := slices.Clone(s.touched)
+			slices.Sort(want)
+			dir, shift := s.orderTouched()
+			if !slices.Equal(s.touched, want) {
+				t.Fatalf("%s: ordered %v, want %v", tc.name, s.touched, want)
+			}
+			if dir[0] != 0 || int(dir[len(dir)-1]) != len(want) {
+				t.Fatalf("%s: directory spans [%d, %d), want [0, %d)", tc.name, dir[0], dir[len(dir)-1], len(want))
+			}
+			if nb := len(dir) - 1; nb&(nb-1) != 0 || (tc.S <= singleBucketMax && nb != 1) || (tc.S > singleBucketMax && (2*nb < tc.S || nb >= tc.S)) || uint32(tc.n-1)>>shift >= uint32(nb) {
+				t.Fatalf("%s: %d buckets, shift %d for S=%d n=%d", tc.name, nb, shift, tc.S, tc.n)
+			}
+			for b := 0; b+1 < len(dir); b++ {
+				for _, w := range want[dir[b]:dir[b+1]] {
+					if int(w>>shift) != b {
+						t.Fatalf("%s: vertex %d filed under bucket %d, shift %d", tc.name, w, b, shift)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fanInGraph returns a graph on n vertices where vertex 0's in-neighbours
+// are exactly fan, and each of those has the next few ids as its own
+// in-neighbours, so walks from 0 have a chosen step-1 support and a
+// spread-out step-2 one before dying.
+func fanInGraph(n int, fan []uint32) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, a := range fan {
+		b.AddEdge(a, 0)
+		for k := uint32(1); k <= 3; k++ {
+			if x := (a + k*7) % uint32(n); x != a {
+				b.AddEdge(x, a)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// walkDist.lookup must agree with a binary search of the same support for
+// every vertex id, at every step, for distributions produced by both
+// builders.
+func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
+	seq := func(lo, hi, stride uint32) []uint32 {
+		var out []uint32
+		for x := lo; x < hi; x += stride {
+			out = append(out, x)
+		}
+		return out
+	}
+	selfLoop := graph.NewBuilder(1)
+	selfLoop.AddEdge(0, 0)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		u    uint32
+	}{
+		{"random", graph.ErdosRenyi(3000, 12, 5), 17},
+		{"powerlaw", graph.PreferentialAttachment(3000, 6, 0.4, 5), 2999},
+		{"clustered-low", fanInGraph(5000, seq(1, 200, 1)), 0},
+		{"single-bucket", fanInGraph(4096, seq(16, 32, 1)), 0},
+		{"with-last-vertex", fanInGraph(1000, append(seq(3, 900, 31), 999)), 0},
+		{"S=2", fanInGraph(777, []uint32{5, 776}), 0},
+		{"S=0-after-step-0", graph.NewBuilder(50).Build(), 49},
+		{"n=1", graph.NewBuilder(1).Build(), 0},
+		{"n=1-self-loop", selfLoop.Build(), 0},
+	} {
+		p := DefaultParams()
+		p.Seed = 3
+		p.RAlpha = 4000
+		e := New(tc.g, p)
+		s := e.getScratch()
+		n := uint32(tc.g.N())
+		check := func(kind string, wd *walkDist) {
+			t.Helper()
+			if wd.support(0) != 1 {
+				t.Fatalf("%s/%s: step 0 support %d, want 1", tc.name, kind, wd.support(0))
+			}
+			for step := 0; step < wd.T; step++ {
+				vs := wd.verts[step]
+				if !slices.IsSorted(vs) || len(slices.Compact(slices.Clone(vs))) != len(vs) {
+					t.Fatalf("%s/%s step %d: support not strictly ascending: %v", tc.name, kind, step, vs)
+				}
+				total := 0.0
+				for w := uint32(0); w < n; w++ {
+					want, found := slices.BinarySearch(vs, w)
+					pr, ok := wd.prob(step, w)
+					if ok != found {
+						t.Fatalf("%s/%s step %d: prob(%d) found=%v, binary search found=%v", tc.name, kind, step, w, ok, found)
+					}
+					if !found {
+						continue
+					}
+					if got := wd.lookup(step, w); got != want {
+						t.Fatalf("%s/%s step %d: lookup(%d) = %d, binary search = %d", tc.name, kind, step, w, got, want)
+					}
+					if pr != wd.mass(step, want) || pr <= 0 {
+						t.Fatalf("%s/%s step %d: prob(%d) = %v, mass = %v", tc.name, kind, step, w, pr, wd.mass(step, want))
+					}
+					total += pr
+				}
+				if total > 1+1e-9 {
+					t.Fatalf("%s/%s step %d: total mass %v", tc.name, kind, step, total)
+				}
+			}
+		}
+		var sampled, exact walkDist
+		e.sampleWalkDistInto(&sampled, s, tc.u, e.p.RAlpha, e.queryRNG(tc.u))
+		check("sampled", &sampled)
+		if !e.exactWalkDistInto(&exact, s, tc.u, 1<<20) {
+			t.Fatalf("%s: exact propagation refused", tc.name)
+		}
+		check("exact", &exact)
+		// Reusing one walkDist across encodings must not leak rows.
+		e.sampleWalkDistInto(&exact, s, tc.u, e.p.RAlpha, e.queryRNG(tc.u))
+		check("sampled-after-exact", &exact)
+		e.putScratch(s)
+	}
+}
+
+// refDist is the query-side distribution as the engine stored it before
+// the bucket directory: per step an ascending support and eagerly
+// evaluated float64 masses. refSample is that sampler, refDot the scoring
+// dot product with its two branches, and refOneSided the step-synchronous
+// kernel — each looks a tally term up by binary search (or merge join), so
+// together they are the reference the directory-indexed kernels must
+// match bit for bit.
+type refDist struct {
+	verts [][]uint32
+	probs [][]float64
+}
+
+func refSample(e *Snapshot, s *scratch, u uint32) *refDist {
+	T, R := e.p.T, e.p.RAlpha
+	rd := &refDist{verts: make([][]uint32, T), probs: make([][]float64, T)}
+	r := e.queryRNG(u)
+	pos := s.walkBuf(R)
+	lane := s.laneBuf(R)
+	resetWalks(pos, u)
+	invR := 1.0 / float64(R)
+	for t := 0; t < T; t++ {
+		if t > 0 {
+			stepWalks(e.wt, r, pos, lane)
+		}
+		s.beginTally()
+		for _, w := range pos {
+			if w != Dead {
+				s.tallyCount(w)
+			}
+		}
+		slices.Sort(s.touched)
+		for _, w := range s.touched {
+			rd.verts[t] = append(rd.verts[t], w)
+			rd.probs[t] = append(rd.probs[t], float64(s.cnt[w])*invR)
+		}
+	}
+	return rd
+}
+
+func refDot(e *Snapshot, rd *refDist, off []int32, verts []uint32, counts []uint16, invR float64, maxStep int) (sigma float64, searched bool) {
+	ct := 1.0
+	for t := 0; t < maxStep; t++ {
+		if t > 0 {
+			ct *= e.p.C
+		}
+		lo, hi := off[t], off[t+1]
+		if lo == hi {
+			break
+		}
+		vs := rd.verts[t]
+		if len(vs) == 0 {
+			break
+		}
+		ps := rd.probs[t]
+		if len(vs) > 16*int(hi-lo) {
+			searched = true
+			for j := lo; j < hi; j++ {
+				c := counts[j]
+				if c == 0 {
+					continue
+				}
+				w := verts[j]
+				if i, ok := slices.BinarySearch(vs, w); ok {
+					sigma += ct * e.p.dval(w) * ps[i] * float64(c) * invR
+				}
+			}
+			continue
+		}
+		i := 0
+		for j := lo; j < hi; j++ {
+			c := counts[j]
+			if c == 0 {
+				continue
+			}
+			w := verts[j]
+			for i < len(vs) && vs[i] < w {
+				i++
+			}
+			if i == len(vs) {
+				break
+			}
+			if vs[i] == w {
+				sigma += ct * e.p.dval(w) * ps[i] * float64(c) * invR
+			}
+		}
+	}
+	return sigma, searched
+}
+
+func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.Source) float64 {
+	vpos := s.walkBuf2(R)
+	lane := s.laneBuf(R)
+	resetWalks(vpos, v)
+	sigma, ct, invR, alive := 0.0, 1.0, 1.0/float64(R), R
+	for t := 0; t < e.p.T; t++ {
+		if t > 0 {
+			alive = stepWalks(e.wt, r, vpos, lane)
+			ct *= e.p.C
+		}
+		if alive == 0 || len(rd.verts[t]) == 0 {
+			break
+		}
+		s.beginTally()
+		for _, w := range vpos {
+			if w != Dead {
+				s.tallyCount(w)
+			}
+		}
+		for _, w := range s.touched {
+			if i, ok := slices.BinarySearch(rd.verts[t], w); ok {
+				sigma += ct * e.p.dval(w) * rd.probs[t][i] * float64(s.cnt[w]) * invR
+			}
+		}
+	}
+	return sigma
+}
+
+// refScores returns the rough and full reference estimates of candidate v.
+func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full float64, searched bool) {
+	R, Rr := e.p.RScore, e.p.RRough
+	s.rng.Seed(e.candSeed(v))
+	e.simulateCandWalks(s, v, 0, R, R)
+	rsteps := e.buildFullTally(s, v, R, Rr, R)
+	rough, s1 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
+	full, s2 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
+	return rough, full, s1 || s2
+}
+
+// On a preferential-attachment graph with the default RAlpha the query
+// supports are far more than 16× a candidate tally — the regime the old
+// per-term binary search served. Every score TopK, Threshold and the
+// one-sided single-pair kernel produce there must carry the reference's
+// bits, cache on and off, at one and two workers.
+func TestWideSupportByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four engines on a 5000-vertex graph")
+	}
+	g := graph.PreferentialAttachment(5000, 10, 0.4, 3)
+	queries := []uint32{4999, 1234, 3100, 3777, 600}
+	const theta = 0.02
+	var want [][]Scored // TopK per query, from the first configuration
+	for _, cfg := range []struct {
+		cache   int64
+		workers int
+	}{{0, 1}, {0, 2}, {64 << 20, 1}, {64 << 20, 2}} {
+		p := DefaultParams()
+		p.Seed = 9
+		p.Workers = cfg.workers
+		p.CacheBytes = cfg.cache
+		if cfg.cache == 0 {
+			p.PrologBytes = -1
+		}
+		e := Build(g, p)
+		label := "cache=" + itoa(int(cfg.cache)) + " workers=" + itoa(cfg.workers)
+		s := e.getScratch()
+		searched, widest, checked := false, 0, 0
+		for qi, u := range queries {
+			rd := refSample(e.Snapshot, s, u)
+			for _, vs := range rd.verts {
+				widest = max(widest, len(vs))
+			}
+			for pass := 0; pass < 2; pass++ { // cold, then from the caches
+				top := e.TopK(u, 20)
+				checked += len(top)
+				for _, sc := range top {
+					_, full, sr := refScores(e.Snapshot, s, rd, sc.V)
+					searched = searched || sr
+					if math.Float64bits(sc.Score) != math.Float64bits(full) {
+						t.Fatalf("%s u=%d v=%d: TopK score %x, reference %x", label, u, sc.V, math.Float64bits(sc.Score), math.Float64bits(full))
+					}
+				}
+				if len(want) == qi {
+					want = append(want, top)
+				}
+				sameResults(t, label+" u="+itoa(int(u)), top, want[qi])
+
+				// Threshold keeps the floor at theta, so the reference
+				// answer is a plain filter over the candidate set.
+				_, dist, l1, _ := e.searchProlog(s, u, e.queryRNG(u))
+				cands := slices.Clone(e.collectCandidates(s, u, dist, s.ball))
+				var ref []Scored
+				for _, v := range cands {
+					if e.candBound(u, v, dist, l1) < theta {
+						continue
+					}
+					rough, full, _ := refScores(e.Snapshot, s, rd, v)
+					if rough >= 0.3*theta && full >= theta {
+						ref = append(ref, Scored{v, full})
+					}
+				}
+				s.resetDist()
+				sortScoredDesc(ref)
+				sameResults(t, label+" threshold u="+itoa(int(u)), e.Threshold(u, theta), ref)
+			}
+
+			// One-sided single pair, against the engine's own distribution.
+			e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
+			for _, v := range []uint32{0, 1, 9, u / 2} {
+				s.rng.Seed(e.candSeed(v))
+				got := e.singlePairOneSided(s, &s.wd, v, e.p.RScore, &s.rng)
+				s.rng.Seed(e.candSeed(v))
+				ref := refOneSided(e.Snapshot, s, rd, v, e.p.RScore, &s.rng)
+				if math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("%s u=%d v=%d: one-sided %x, reference %x", label, u, v, math.Float64bits(got), math.Float64bits(ref))
+				}
+			}
+		}
+		e.putScratch(s)
+		if !searched || widest < 1600 || checked < 50 {
+			t.Fatalf("%s: widest support %d, search branch taken: %v, %d scores compared — the graph no longer reaches the wide regime", label, widest, searched, checked)
+		}
+	}
+}
