@@ -9,7 +9,10 @@
 // address until the manifests form one coherent topology, then serves.
 // A slow shard is hedged to the next server after -hedge-delay and a
 // down shard fails over immediately (every server holds the full
-// snapshot, so any server can score any vertex range).
+// snapshot, so any server can score any vertex range). Every attempt —
+// first, hedged or failed-over — picks its transport the same way:
+// the server's binary TCP listener (simserver -bin-addr) when it
+// advertises one, binary-negotiated HTTP otherwise, JSON with -wire json.
 //
 // Example:
 //

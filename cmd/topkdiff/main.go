@@ -8,6 +8,13 @@
 //
 // Both /topk (one request per corpus query, stats compared) and
 // /topk/batch (the whole corpus in one request) are exercised.
+//
+// When -a is a router, its /statusz is read after the corpus and the
+// transport every shard was reached over is checked for consistency —
+// wire_format "bin" must come with request frames encoded and TCP
+// connections accepted by the shard — and printed as wire_format=...,
+// so an identity run also says which encoding it was an identity run of
+// (scripts/ci.sh asserts the one it expects).
 package main
 
 import (
@@ -43,6 +50,52 @@ type topKResponse struct {
 
 type batchResponse struct {
 	Results []topKResponse `json:"results"`
+}
+
+// routerStatusz is the slice of a router's /statusz that wireFormat
+// reads; a stand-alone server's /statusz has no shards list.
+type routerStatusz struct {
+	Shards []struct {
+		Shard      int    `json:"shard"`
+		WireFormat string `json:"wire_format"`
+		EncodeNs   int64  `json:"encode_ns"`
+		Status     *struct {
+			Wire struct {
+				BinConnsTotal int64 `json:"bin_conns_total"`
+			} `json:"wire"`
+		} `json:"status"`
+	} `json:"shards"`
+}
+
+// wireFormat reports the transport addr's shards were reached over, ""
+// when addr is not a router. The shards must agree, and "bin" must be
+// backed by counters: frames encoded here, connections accepted there.
+func wireFormat(addr string) (string, error) {
+	body, err := get(addr + "/statusz")
+	if err != nil {
+		return "", err
+	}
+	var st routerStatusz
+	if err := json.Unmarshal(body, &st); err != nil {
+		return "", fmt.Errorf("%s/statusz: %v", addr, err)
+	}
+	format := ""
+	for i, s := range st.Shards {
+		if i > 0 && s.WireFormat != format {
+			return "", fmt.Errorf("shard %d on wire_format %q, shard 0 on %q", s.Shard, s.WireFormat, format)
+		}
+		format = s.WireFormat
+		if format != "bin" {
+			continue
+		}
+		if s.EncodeNs <= 0 {
+			return "", fmt.Errorf("shard %d: wire_format bin but encode_ns = %d: no request frame was ever encoded", s.Shard, s.EncodeNs)
+		}
+		if s.Status == nil || s.Status.Wire.BinConnsTotal <= 0 {
+			return "", fmt.Errorf("shard %d: wire_format bin but the shard accepted no TCP connection", s.Shard)
+		}
+	}
+	return format, nil
 }
 
 func get(url string) ([]byte, error) {
@@ -201,5 +254,14 @@ func main() {
 		}
 	}
 
-	fmt.Printf("topkdiff: %d queries + 1 batch identical between %s and %s\n", *count, ua, ub)
+	format, err := wireFormat(ua)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "topkdiff: TRANSPORT:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("topkdiff: %d queries + 1 batch identical between %s and %s", *count, ua, ub)
+	if format != "" {
+		fmt.Printf(" (shards reached over wire_format=%s)", format)
+	}
+	fmt.Println()
 }

@@ -41,10 +41,9 @@ import (
 // plus O(n) structural checks on the offset arrays; payload corruption
 // is left to the filesystem, exactly like any other mmapped store.
 //
-// Version 2 is the older row-wise stream format with a trailing
-// whole-file CRC; version 1 is version 2 without the trailer. Both
-// still load. Neither embeds the graph, so only v3 can detect an
-// index/graph mismatch beyond the vertex count.
+// Versions 1 and 2 were row-wise stream formats that did not embed the
+// graph; nothing has written them since v3 and their reader is gone.
+// LoadIndex rejects them, like any other version it does not know.
 
 const (
 	persistMagic    = 0x53494D52 // "SIMR"
@@ -95,30 +94,6 @@ const (
 
 // persistCRCTable is the Castagnoli polynomial table shared by save/load.
 var persistCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcWriter forwards writes and accumulates a running CRC-32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, persistCRCTable, p[:n])
-	return n, err
-}
-
-// crcReader forwards reads and accumulates a running CRC-32C.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, persistCRCTable, p[:n])
-	return n, err
-}
 
 // wordChunk is the staging buffer size (in 4-byte elements) used when
 // encoding, decoding, and checksumming sections, so large arrays never
@@ -403,11 +378,10 @@ func (e *Engine) finishLoad() {
 }
 
 // LoadIndex reads an index saved by SaveIndex into a new engine over
-// the same graph, accepting versions 1-3. The stored n, T and c must
-// match. Version 3 sections are each verified against their directory
-// CRC and the embedded graph CSR must be byte-identical to g's;
-// version 2 is verified against its whole-file CRC trailer; version 1
-// loads without integrity checking.
+// the same graph. The stored n, T and c must match, every section is
+// verified against its directory CRC, and the embedded graph CSR must
+// be byte-identical to g's. Any version but the current one is
+// rejected.
 func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 	p = p.normalized() // compare stored params against what New would use
 	br := bufio.NewReader(r)
@@ -420,14 +394,10 @@ func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 	if magic != persistMagic {
 		return nil, fmt.Errorf("core: bad index magic %#x", magic)
 	}
-	switch version {
-	case 1, 2:
-		return loadIndexLegacy(g, p, br, pre[:], version)
-	case persistVersion:
-		return loadIndexV3(g, p, br, pre[:])
-	default:
+	if version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported index version %d", version)
 	}
+	return loadIndexV3(g, p, br, pre[:])
 }
 
 // loadIndexV3 stream-reads a sectioned v3 file (magic+version already
@@ -679,136 +649,4 @@ func wordsEqual(a, b []uint32) bool {
 		}
 	}
 	return true
-}
-
-// saveIndexLegacy writes the version-2 row-wise stream format (tests
-// use it to exercise the legacy load path; new files are always v3).
-func (e *Snapshot) saveIndexLegacy(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	hdr := struct {
-		Magic, Version uint32
-		N, T           uint32
-		C              float64
-		Seed           uint64
-	}{persistMagic, 2, uint32(e.g.N()), uint32(e.p.T), e.p.C, e.p.Seed}
-	if err := binary.Write(cw, binary.LittleEndian, &hdr); err != nil {
-		return err
-	}
-	hasGamma := uint8(0)
-	if e.gamma != nil {
-		hasGamma = 1
-	}
-	if err := binary.Write(cw, binary.LittleEndian, hasGamma); err != nil {
-		return err
-	}
-	if hasGamma == 1 {
-		if err := binary.Write(cw, binary.LittleEndian, e.gamma); err != nil {
-			return err
-		}
-	}
-	hasIndex := uint8(0)
-	if e.idx != nil {
-		hasIndex = 1
-	}
-	if err := binary.Write(cw, binary.LittleEndian, hasIndex); err != nil {
-		return err
-	}
-	if hasIndex == 1 {
-		for v := 0; v < e.g.N(); v++ {
-			rs := e.idx.rightRow(uint32(v))
-			if err := binary.Write(cw, binary.LittleEndian, uint32(len(rs))); err != nil {
-				return err
-			}
-			if len(rs) > 0 {
-				if err := binary.Write(cw, binary.LittleEndian, rs); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// The trailer itself is not part of the checksummed range: write it
-	// directly to the buffered writer.
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// loadIndexLegacy reads the v1/v2 row-wise stream format. pre holds the
-// already-consumed magic+version bytes (they are part of the v2
-// checksummed range).
-func loadIndexLegacy(g *graph.Graph, p Params, br *bufio.Reader, pre []byte, version uint32) (*Engine, error) {
-	e := New(g, p)
-	cr := &crcReader{r: br, crc: crc32.Update(0, persistCRCTable, pre)}
-	var hdr struct {
-		N, T uint32
-		C    float64
-		Seed uint64
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	if err := checkHeaderParams(hdr.N, hdr.T, hdr.C, g, p); err != nil {
-		return nil, err
-	}
-	var hasGamma uint8
-	if err := binary.Read(cr, binary.LittleEndian, &hasGamma); err != nil {
-		return nil, fmt.Errorf("core: reading gamma flag: %w", err)
-	}
-	if hasGamma == 1 {
-		e.gamma = make([]float32, g.N()*e.p.T)
-		if err := binary.Read(cr, binary.LittleEndian, e.gamma); err != nil {
-			return nil, fmt.Errorf("core: reading gamma table: %w", err)
-		}
-		for _, v := range e.gamma {
-			if v < 0 || v > 1.0001 || math.IsNaN(float64(v)) {
-				return nil, fmt.Errorf("core: corrupt gamma table (entry %v)", v)
-			}
-		}
-	}
-	var hasIndex uint8
-	if err := binary.Read(cr, binary.LittleEndian, &hasIndex); err != nil {
-		return nil, fmt.Errorf("core: reading index flag: %w", err)
-	}
-	if hasIndex == 1 {
-		rows := make([][]uint32, g.N())
-		for v := 0; v < g.N(); v++ {
-			var ln uint32
-			if err := binary.Read(cr, binary.LittleEndian, &ln); err != nil {
-				return nil, fmt.Errorf("core: reading index entry %d: %w", v, err)
-			}
-			if int(ln) > g.N() {
-				return nil, fmt.Errorf("core: corrupt index entry %d (len %d)", v, ln)
-			}
-			if ln == 0 {
-				continue
-			}
-			rs := make([]uint32, ln)
-			if err := binary.Read(cr, binary.LittleEndian, rs); err != nil {
-				return nil, fmt.Errorf("core: reading index entry %d: %w", v, err)
-			}
-			for _, w := range rs {
-				if int(w) >= g.N() {
-					return nil, fmt.Errorf("core: corrupt index entry %d (vertex %d)", v, w)
-				}
-			}
-			rows[v] = rs
-		}
-		e.idx = indexFromRows(rows)
-	}
-	if version >= 2 {
-		// The payload CRC must be captured before the trailer read mixes
-		// the stored checksum bytes into the accumulator.
-		sum := cr.crc
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("core: reading checksum trailer (truncated index file?): %w", err)
-		}
-		if stored != sum {
-			return nil, fmt.Errorf("core: index checksum mismatch (stored %#08x, computed %#08x): corrupted index file", stored, sum)
-		}
-	}
-	e.finishLoad()
-	return e, nil
 }

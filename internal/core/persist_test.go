@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -191,87 +192,19 @@ func TestLoadIndexV3RejectsWrongGraph(t *testing.T) {
 	}
 }
 
-func TestLoadIndexChecksumV2(t *testing.T) {
-	g := graph.CopyingModel(150, 4, 0.3, 5)
+// TestLoadIndexRejectsLegacyVersions: the v1/v2 row-wise formats have
+// no reader any more, and a version from the future never had one; all
+// three must fail on the 8-byte prefix alone with the version error.
+func TestLoadIndexRejectsLegacyVersions(t *testing.T) {
+	g := graph.CopyingModel(20, 3, 0.3, 5)
 	p := DefaultParams()
-	p.Workers = 1
-	e := Build(g, p)
-	var buf bytes.Buffer
-	if err := e.saveIndexLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.Bytes()
-
-	// A clean v2 file still loads.
-	if _, err := LoadIndex(g, p, bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Any single bit flip in the payload must be rejected. Probe a spread
-	// of offsets: header, gamma region, index region.
-	payload := len(saved) - 4 // trailer excluded from the checksummed range
-	for _, off := range []int{9, payload / 3, payload / 2, payload - 1} {
-		bad := bytes.Clone(saved)
-		bad[off] ^= 0x10
-		_, err := LoadIndex(g, p, bytes.NewReader(bad))
-		if err == nil {
-			t.Fatalf("bit flip at offset %d loaded without error", off)
-		}
-	}
-
-	// A corrupted trailer is a checksum mismatch too.
-	bad := bytes.Clone(saved)
-	bad[len(bad)-1] ^= 0x01
-	if _, err := LoadIndex(g, p, bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupt trailer: err = %v, want checksum mismatch", err)
-	}
-
-	// A file cut right before the trailer parses as payload but must be
-	// rejected as truncated.
-	if _, err := LoadIndex(g, p, bytes.NewReader(saved[:len(saved)-4])); err == nil ||
-		!strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("missing trailer: err = %v, want truncation error", err)
-	}
-	// Likewise a partial trailer.
-	if _, err := LoadIndex(g, p, bytes.NewReader(saved[:len(saved)-2])); err == nil {
-		t.Fatal("partial trailer loaded without error")
-	}
-}
-
-func TestLoadIndexReadsLegacyVersions(t *testing.T) {
-	// New files are always v3, but v2 files (written here by the retained
-	// legacy writer) and v1 files (a v2 file with the version field
-	// patched and the CRC trailer stripped) must still load.
-	g := graph.CopyingModel(150, 4, 0.3, 5)
-	p := DefaultParams()
-	p.Workers = 1
-	e := Build(g, p)
-	var buf bytes.Buffer
-	if err := e.saveIndexLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := bytes.Clone(buf.Bytes())
-	v1 := bytes.Clone(v2)
-	v1 = v1[:len(v1)-4] // strip trailer
-	v1[4] = 1           // version field (little endian uint32 after magic)
-	v1[5], v1[6], v1[7] = 0, 0, 0
-
-	for name, file := range map[string][]byte{"v1": v1, "v2": v2} {
-		e2, err := LoadIndex(g, p, bytes.NewReader(file))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for u := uint32(0); u < 10; u++ {
-			ra, rb := e.TopK(u, 5), e2.TopK(u, 5)
-			if len(ra) != len(rb) {
-				t.Fatalf("%s u=%d: result lengths differ", name, u)
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("%s u=%d: results differ", name, u)
-				}
-			}
+	for _, version := range []uint32{1, 2, persistVersion + 1} {
+		var prefix [8]byte
+		binary.LittleEndian.PutUint32(prefix[0:], persistMagic)
+		binary.LittleEndian.PutUint32(prefix[4:], version)
+		want := fmt.Sprintf("unsupported index version %d", version)
+		if _, err := LoadIndex(g, p, bytes.NewReader(prefix[:])); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: err = %v, want %q", version, err, want)
 		}
 	}
 }
@@ -326,11 +259,10 @@ func FuzzSectionDirectory(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:persistHeaderSize+3*persistSectionSize])
-	var legacy bytes.Buffer
-	if err := e.saveIndexLegacy(&legacy); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy.Bytes())
+	// A retired version-2 header: rejected on the version field.
+	legacy := bytes.Clone(buf.Bytes()[:persistHeaderSize])
+	binary.LittleEndian.PutUint32(legacy[4:], 2)
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e2, err := LoadIndex(g, p, bytes.NewReader(data))
 		if err == nil && e2 == nil {

@@ -91,11 +91,11 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// binCall runs one framed exchange against addr: encode appends the
-// request frame, decode consumes the parsed response. A MsgError answer
-// comes back as *upstreamError (the connection stays pooled — the
-// stream is still aligned); every other failure closes the connection.
-func (rt *Router) binCall(ctx context.Context, addr string, sc *shardCounters, encode func(dst []byte) []byte, decode func(f *wire.Frame) error) error {
+// binCall runs one framed exchange of op against addr, decoding the
+// answer into rp. A MsgError answer comes back as *upstreamError (the
+// connection stays pooled — the stream is still aligned); every other
+// failure closes the connection.
+func (rt *Router) binCall(ctx context.Context, addr string, op shardOp, lo, hi int, rp *reply, x *xfer) error {
 	p := rt.binPoolFor(addr)
 	bc, err := p.get(ctx, addr)
 	if err != nil {
@@ -127,10 +127,10 @@ func (rt *Router) binCall(ctx context.Context, addr string, sc *shardCounters, e
 	wbuf := wire.GetBuf()
 	defer wire.PutBuf(wbuf)
 	t0 := time.Now()
-	wbuf.B = encode(wbuf.B[:0])
-	sc.encodeNS.Add(time.Since(t0).Nanoseconds())
+	wbuf.B = op.appendReq(wbuf.B[:0], lo, hi)
+	x.encodeNS += time.Since(t0).Nanoseconds()
 	n, err := bc.c.Write(wbuf.B)
-	sc.bytesSent.Add(int64(n))
+	x.sent += int64(n)
 	if err != nil {
 		return ctxErr(ctx, err)
 	}
@@ -139,7 +139,7 @@ func (rt *Router) binCall(ctx context.Context, addr string, sc *shardCounters, e
 	if err != nil {
 		return ctxErr(ctx, err)
 	}
-	sc.bytesRecv.Add(int64(len(data)))
+	x.recv += int64(len(data))
 	t1 := time.Now()
 	if err := bc.frame.Parse(data); err != nil {
 		return err
@@ -152,8 +152,8 @@ func (rt *Router) binCall(ctx context.Context, addr string, sc *shardCounters, e
 		}
 		return bc.frame.Err()
 	}
-	err = decode(&bc.frame)
-	sc.decodeNS.Add(time.Since(t1).Nanoseconds())
+	err = op.decodeFrame(&bc.frame, rp)
+	x.decodeNS += time.Since(t1).Nanoseconds()
 	if err != nil {
 		return err
 	}

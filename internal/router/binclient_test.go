@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 // TestBinConnPoolCancellationHammer drives binCall's pooled transport
@@ -30,16 +29,12 @@ func TestBinConnPoolCancellationHammer(t *testing.T) {
 	t.Cleanup(stopBin)
 
 	rt := New(Config{Shards: []string{"http://" + addr}})
-	sc := &rt.shards[0]
 	n := idx.Graph().NumVertices()
 
 	call := func(ctx context.Context) error {
-		var resp wire.TopKResp
-		return rt.binCall(ctx, addr, sc,
-			func(dst []byte) []byte {
-				return wire.AppendTopKReq(dst, wire.TopKReq{U: 1, Lo: 0, Hi: uint32(n)})
-			},
-			func(f *wire.Frame) error { return f.TopKResp(&resp) })
+		var rp reply
+		var x xfer
+		return rt.binCall(ctx, addr, topkOp{u: 1}, 0, n, &rp, &x)
 	}
 
 	const (

@@ -7,102 +7,117 @@ import (
 	"repro/internal/wire"
 )
 
-// gather is the pooled working set of one routed query: per-shard
-// decode targets (whose fragment capacity is reused across queries),
-// the fragment pointers the merge consumes, and the merge scratch
-// itself. Acquire with getGather, release with putGather on every
-// return path. Per-shard slots are only touched by that shard's fan-out
-// goroutine, so a gather is safe under the scatter.
-type gather struct {
-	errs []error
+// reply is one attempt's decode target and, once the attempt has won,
+// one shard's input to the merge. Every attempt decodes into a reply of
+// its own (getReply), so racing attempts never share decode state; the
+// winner's reply is handed to the gather and released by putGather, a
+// failed attempt releases its own, and a loser that finishes after the
+// race was decided is dropped to the GC. Nothing else writes a reply.
+type reply struct {
+	// Decode targets, reused across queries: the parse shell for HTTP
+	// bodies (the TCP transport parses in its connection's shell), the
+	// wire messages that own backing arrays, and the reply-owned fragment
+	// rows — JSON conversions and the one-row answer of a topk.
+	frame    wire.Frame
+	batch    wire.BatchResp
+	similar  wire.SimilarResp
+	rows     [][]simrank.ShardCand
+	rowStats []wire.Stats
 
-	// topk
-	frames  []wire.Frame
-	resps   []wire.TopKResp
-	frags   [][]simrank.ShardCand
-	stats   []simrank.QueryStats
-	results []server.ResultJSON
-	ms      simrank.MergeScratch
-
-	// batch: per shard either the wire decode target (binary) or the
-	// JSON-converted scratch fills bfrags/bstats, which the merge reads.
-	bresps []wire.BatchResp
-	bjson  []batchScratch
-	bfrags [][][]simrank.ShardCand
-	bstats [][]wire.Stats
-	qfrags [][]simrank.ShardCand
-	q32    []uint32
-
-	// similar
-	sresps []wire.SimilarResp
-	rfrags [][]shard.Ranked
+	// The view the merge reads: one fragment and one stats entry per
+	// query (a topk is a batch of one), or the ranked list of a similar.
+	frags  [][]simrank.ShardCand
+	stats  []wire.Stats
+	ranked []shard.Ranked
 }
 
-// batchScratch holds one shard's JSON-path batch conversion: every
-// frags slot is an independent allocation, so capacity reuse never
-// overlaps rows.
-type batchScratch struct {
-	frags [][]simrank.ShardCand
-	stats []wire.Stats
+// setRows sizes the reply-owned rows for q queries and points the merge
+// view at them. Every row is an independent allocation, so capacity
+// reuse never overlaps rows.
+func (rp *reply) setRows(q int) {
+	for len(rp.rows) < q {
+		rp.rows = append(rp.rows, nil)
+	}
+	rp.rows = rp.rows[:q]
+	if cap(rp.rowStats) < q {
+		rp.rowStats = make([]wire.Stats, q)
+	}
+	rp.rowStats = rp.rowStats[:q]
+	rp.frags, rp.stats = rp.rows, rp.rowStats
+}
+
+func (rt *Router) getReply() *reply {
+	return rt.replies.Get().(*reply)
+}
+
+func (rt *Router) putReply(rp *reply) {
+	rt.replies.Put(rp)
+}
+
+// gather is the pooled working set of one routed query: the winning
+// reply (or the error) of every shard, and the merge scratch. scatter
+// fills it; release it with putGather on every return path.
+type gather struct {
+	errs    []error
+	replies []*reply
+	qfrags  [][]simrank.ShardCand // query qi's fragment of every shard
+	rfrags  [][]shard.Ranked      // every shard's ranked list (similar)
+	results []server.ResultJSON
+	ms      simrank.MergeScratch
 }
 
 // ensure sizes every per-shard slice for n shards, keeping capacity.
 func (g *gather) ensure(n int) {
 	if cap(g.errs) < n {
 		g.errs = make([]error, n)
-		g.frames = make([]wire.Frame, n)
-		g.resps = make([]wire.TopKResp, n)
-		g.frags = make([][]simrank.ShardCand, n)
-		g.stats = make([]simrank.QueryStats, n)
-		g.bresps = make([]wire.BatchResp, n)
-		g.bjson = make([]batchScratch, n)
-		g.bfrags = make([][][]simrank.ShardCand, n)
-		g.bstats = make([][]wire.Stats, n)
+		g.replies = make([]*reply, n)
 		g.qfrags = make([][]simrank.ShardCand, n)
-		g.sresps = make([]wire.SimilarResp, n)
 		g.rfrags = make([][]shard.Ranked, n)
 	}
 	g.errs = g.errs[:n]
-	g.frames = g.frames[:n]
-	g.resps = g.resps[:n]
-	g.frags = g.frags[:n]
-	g.stats = g.stats[:n]
-	g.bresps = g.bresps[:n]
-	g.bjson = g.bjson[:n]
-	g.bfrags = g.bfrags[:n]
-	g.bstats = g.bstats[:n]
+	g.replies = g.replies[:n]
 	g.qfrags = g.qfrags[:n]
-	g.sresps = g.sresps[:n]
 	g.rfrags = g.rfrags[:n]
-	for i := 0; i < n; i++ {
-		g.errs[i] = nil
-		g.frags[i] = nil
-		g.stats[i] = simrank.QueryStats{}
-		g.bfrags[i] = nil
-		g.bstats[i] = nil
-		g.qfrags[i] = nil
-		g.rfrags[i] = g.rfrags[i][:0]
-	}
 }
 
-// getGather transfers a pooled gather to the caller, who must ensure()
-// it for the topology size and release it with putGather on every path.
 func (rt *Router) getGather() *gather {
 	return rt.gathers.Get().(*gather)
 }
 
+// putGather releases the replies g holds, then g itself.
 func (rt *Router) putGather(g *gather) {
+	for i, rp := range g.replies {
+		if rp != nil {
+			rt.putReply(rp)
+		}
+		g.errs[i], g.replies[i], g.qfrags[i], g.rfrags[i] = nil, nil, nil, nil
+	}
 	rt.gathers.Put(g)
 }
 
-// ensureBatch sizes one shard's JSON batch scratch for q queries.
-func (bs *batchScratch) ensureBatch(q int) {
-	for len(bs.frags) < q {
-		bs.frags = append(bs.frags, nil)
+// mergeTopK replays query qi of every shard's reply through the
+// fragment merge. The scan counters come out byte-identical to single
+// node; the cache counters are summed over the shards (cache state is
+// topology-dependent: each shard has its own tally cache).
+func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.Result, *server.QueryStatsJSON) {
+	for i, rp := range g.replies {
+		g.qfrags[i] = rp.frags[qi]
 	}
-	bs.frags = bs.frags[:q]
-	if cap(bs.stats) < q {
-		bs.stats = make([]wire.Stats, q)
+	res, st := simrank.MergeShardTopKScratch(k, theta, g.qfrags, &g.ms)
+	if !wantStats {
+		return res, nil
 	}
-	bs.stats = bs.stats[:q]
+	out := &server.QueryStatsJSON{
+		Candidates:    st.Candidates,
+		PrunedByBound: st.PrunedByBound,
+		PrunedByRough: st.PrunedByRough,
+		Refined:       st.Refined,
+	}
+	for _, rp := range g.replies {
+		s := rp.stats[qi]
+		out.CacheHits += int(s.CacheHits)
+		out.CacheMisses += int(s.CacheMisses)
+		out.CacheEvictions += int(s.CacheEvictions)
+	}
+	return res, out
 }

@@ -1,0 +1,166 @@
+package router
+
+import (
+	"encoding/json"
+	"fmt"
+	"strconv"
+
+	"repro/internal/server"
+	"repro/internal/shard"
+	"repro/internal/wire"
+)
+
+// shardOp is one kind of shard request — topk, batch or similar —
+// reduced to the four things call cannot know generically. [lo, hi) is
+// the vertex range asked for: the shard's own range, whichever server
+// the attempt goes to. An op is read-only once built and must not alias
+// pooled memory: a losing attempt may still be encoding it after the
+// query that built it has returned.
+type shardOp interface {
+	// appendReq appends the binary request frame: one message on the TCP
+	// transport, or the body of a binary HTTP POST.
+	appendReq(dst []byte, lo, hi int) []byte
+	// httpReq describes the HTTP form of the request: the endpoint path
+	// with its query string, and the POST body (nil means GET) — the
+	// binary frame when bin, the JSON shape otherwise.
+	httpReq(lo, hi int, bin bool) (path string, body []byte)
+	// decodeFrame and decodeJSON lower a 200 answer into rp's merge view.
+	decodeFrame(f *wire.Frame, rp *reply) error
+	decodeJSON(body []byte, rp *reply) error
+}
+
+func rangeQuery(lo, hi int) string {
+	return "&lo=" + strconv.Itoa(lo) + "&hi=" + strconv.Itoa(hi)
+}
+
+// statsFromJSON lowers the JSON stats shape (absent = all zero) to the
+// wire counters the merge view carries.
+func statsFromJSON(st *server.QueryStatsJSON) wire.Stats {
+	if st == nil {
+		return wire.Stats{}
+	}
+	return wire.Stats{
+		Candidates:     int64(st.Candidates),
+		PrunedByBound:  int64(st.PrunedByBound),
+		PrunedByRough:  int64(st.PrunedByRough),
+		Refined:        int64(st.Refined),
+		CacheHits:      int64(st.CacheHits),
+		CacheMisses:    int64(st.CacheMisses),
+		CacheEvictions: int64(st.CacheEvictions),
+	}
+}
+
+// topkOp fetches the fragment of one query; its reply is a batch of one.
+type topkOp struct{ u int }
+
+func (o topkOp) appendReq(dst []byte, lo, hi int) []byte {
+	return wire.AppendTopKReq(dst, wire.TopKReq{U: uint32(o.u), Lo: uint32(lo), Hi: uint32(hi)})
+}
+
+func (o topkOp) httpReq(lo, hi int, bin bool) (string, []byte) {
+	return "/shard/topk" + "?u=" + strconv.Itoa(o.u) + rangeQuery(lo, hi), nil
+}
+
+func (o topkOp) decodeFrame(f *wire.Frame, rp *reply) error {
+	rp.setRows(1)
+	resp := wire.TopKResp{Frag: rp.rows[0]}
+	if err := f.TopKResp(&resp); err != nil {
+		return err
+	}
+	rp.rows[0], rp.rowStats[0] = resp.Frag, resp.Stats
+	return nil
+}
+
+func (o topkOp) decodeJSON(body []byte, rp *reply) error {
+	var resp server.ShardTopKResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return err
+	}
+	rp.setRows(1)
+	rp.rows[0], rp.rowStats[0] = server.FromWire(rp.rows[0][:0], resp.Frag), statsFromJSON(resp.Stats)
+	return nil
+}
+
+// batchOp fetches one fragment per query, request order.
+type batchOp struct{ queries []uint32 }
+
+func (o batchOp) appendReq(dst []byte, lo, hi int) []byte {
+	return wire.AppendBatchReq(dst, &wire.BatchReq{Lo: uint32(lo), Hi: uint32(hi), Queries: o.queries})
+}
+
+func (o batchOp) httpReq(lo, hi int, bin bool) (string, []byte) {
+	const path = "/shard/topk/batch"
+	if bin {
+		return path, o.appendReq(nil, lo, hi)
+	}
+	// Marshal cannot fail on a struct of integers.
+	body, _ := json.Marshal(server.ShardBatchRequest{Queries: o.queries, Lo: &lo, Hi: &hi})
+	return path, body
+}
+
+// checkRows rejects an answer that is not one fragment per query, so a
+// short reply fails the attempt instead of reaching the merge.
+func (o batchOp) checkRows(got int) error {
+	if got != len(o.queries) {
+		return fmt.Errorf("shard answered %d fragments for %d queries", got, len(o.queries))
+	}
+	return nil
+}
+
+func (o batchOp) decodeFrame(f *wire.Frame, rp *reply) error {
+	if err := f.BatchResp(&rp.batch); err != nil {
+		return err
+	}
+	rp.frags, rp.stats = rp.batch.Frags, rp.batch.Stats
+	return o.checkRows(len(rp.frags))
+}
+
+func (o batchOp) decodeJSON(body []byte, rp *reply) error {
+	var resp server.ShardBatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return err
+	}
+	rp.setRows(len(resp.Results))
+	for qi, r := range resp.Results {
+		rp.rows[qi], rp.rowStats[qi] = server.FromWire(rp.rows[qi][:0], r.Frag), statsFromJSON(r.Stats)
+	}
+	return o.checkRows(len(rp.frags))
+}
+
+// similarOp fetches the threshold query's best-first list for a range.
+type similarOp struct {
+	u     int
+	theta float64
+}
+
+func (o similarOp) appendReq(dst []byte, lo, hi int) []byte {
+	return wire.AppendSimilarReq(dst, wire.SimilarReq{U: uint32(o.u), Lo: uint32(lo), Hi: uint32(hi), Theta: o.theta})
+}
+
+func (o similarOp) httpReq(lo, hi int, bin bool) (string, []byte) {
+	return "/shard/similar" + "?u=" + strconv.Itoa(o.u) +
+		"&theta=" + strconv.FormatFloat(o.theta, 'g', -1, 64) + rangeQuery(lo, hi), nil
+}
+
+func (o similarOp) decodeFrame(f *wire.Frame, rp *reply) error {
+	if err := f.SimilarResp(&rp.similar); err != nil {
+		return err
+	}
+	rp.ranked = rp.ranked[:0]
+	for _, sn := range rp.similar.Ranked {
+		rp.ranked = append(rp.ranked, shard.Ranked{Node: int(sn.Node), Score: sn.Score})
+	}
+	return nil
+}
+
+func (o similarOp) decodeJSON(body []byte, rp *reply) error {
+	var resp server.TopKResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return err
+	}
+	rp.ranked = rp.ranked[:0]
+	for _, res := range resp.Results {
+		rp.ranked = append(rp.ranked, shard.Ranked{Node: res.Node, Score: res.Score})
+	}
+	return nil
+}

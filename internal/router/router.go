@@ -21,18 +21,22 @@
 // server after HedgeDelay, and a failed request fails over immediately,
 // both through the lo/hi range override on the /shard/* endpoints.
 //
-// Shard traffic prefers the binary wire codec (internal/wire). A shard
+// Every shard request — topk, batch, similar — goes through one path:
+// a shardOp describes the request and how to decode its answer, and
+// call drives the attempts (failover, and hedging when HedgeDelay > 0),
+// picks each attempt's transport and keeps the per-shard counters.
+// Shard traffic prefers the binary wire codec (internal/wire): a shard
 // that advertises Manifest.BinAddr is reached over pooled persistent
 // TCP; otherwise the router negotiates binary over HTTP with
 // "Accept: application/x-simrank-bin"; Config.Wire == WireJSON forces
 // plain JSON for every exchange. All three transports carry exact
 // float64 bit patterns (the binary codec by construction, JSON via Go's
 // shortest-round-trip encoding), so the merged answers are
-// byte-identical regardless of transport.
+// byte-identical regardless of transport, and every attempt decodes
+// into a reply of its own, so hedged attempts race over any of them.
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,7 +54,6 @@ import (
 	simrank "repro"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
 
 // Wire modes (Config.Wire).
@@ -116,9 +119,11 @@ type Router struct {
 	mux    *http.ServeMux
 	top    atomic.Pointer[topology]
 
-	// gathers pools per-query scatter/merge working sets; binPools holds
-	// the persistent binary connections per shard address.
+	// gathers pools per-query scatter/merge working sets and replies the
+	// per-attempt decode targets; binPools holds the persistent binary
+	// connections per shard address.
 	gathers  sync.Pool
+	replies  sync.Pool
 	binMu    sync.Mutex
 	binPools map[string]*binPool
 
@@ -167,6 +172,7 @@ func New(cfg Config) *Router {
 		binPools: make(map[string]*binPool),
 	}
 	rt.gathers.New = func() any { return new(gather) }
+	rt.replies.New = func() any { return new(reply) }
 	if rt.client == nil {
 		// Any server can answer any range (failover/hedging), so one host
 		// may carry the whole fan-out times the attempt budget; size the
@@ -282,8 +288,9 @@ func (rt *Router) probeOne(ctx context.Context, addr string, m *shard.Manifest) 
 	return json.Unmarshal(body, m)
 }
 
-// get issues a plain GET under ctx and slurps the body (probe and
-// statusz reachability traffic — never negotiates binary).
+// get issues a plain GET under ctx and slurps the body: probe and
+// statusz reachability traffic, never a shard query (those go through
+// call).
 func (rt *Router) get(ctx context.Context, url string) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -295,48 +302,6 @@ func (rt *Router) get(ctx context.Context, url string) (int, []byte, error) {
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, body, err
-}
-
-// getWire issues a shard-endpoint GET, negotiating a binary response
-// unless JSON is forced, and counts received bytes for shard si.
-func (rt *Router) getWire(ctx context.Context, sc *shardCounters, url string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt.binEnabled() {
-		req.Header.Set("Accept", wire.ContentType)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	sc.bytesRecv.Add(int64(len(body)))
-	return resp.StatusCode, body, err
-}
-
-// postWire issues a shard-endpoint POST with the given payload and
-// content type, negotiating a binary response unless JSON is forced.
-func (rt *Router) postWire(ctx context.Context, sc *shardCounters, url string, payload []byte, contentType string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if rt.binEnabled() {
-		req.Header.Set("Accept", wire.ContentType)
-	}
-	sc.bytesSent.Add(int64(len(payload)))
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	sc.bytesRecv.Add(int64(len(body)))
 	return resp.StatusCode, body, err
 }
 
@@ -399,13 +364,18 @@ func (rt *Router) writeQueryError(w http.ResponseWriter, err error) {
 	}
 }
 
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// vertexParam reads the query vertex "u" and checks it against the
+// topology's vertex count, so malformed queries never reach a shard.
+func (rt *Router) vertexParam(w http.ResponseWriter, q url.Values, t *topology) (int, bool) {
+	u, ok := intParam(w, q, "u", -1)
+	if !ok {
+		return 0, false
 	}
-	return nil
+	if u < 0 || u >= t.vertices {
+		writeBadRequest(w, fmt.Sprintf("vertex %d out of range [0, %d)", u, t.vertices))
+		return 0, false
+	}
+	return u, true
 }
 
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -414,12 +384,8 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	u, ok := intParam(w, q, "u", -1)
+	u, ok := rt.vertexParam(w, q, t)
 	if !ok {
-		return
-	}
-	if u < 0 || u >= t.vertices {
-		writeBadRequest(w, fmt.Sprintf("vertex %d out of range [0, %d)", u, t.vertices))
 		return
 	}
 	k, ok := intParam(w, q, "k", 20)
@@ -430,157 +396,24 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, fmt.Sprintf("k must be in [1, %d]", rt.cfg.MaxK))
 		return
 	}
-	wantStats := q.Get("stats") == "1"
 	rt.queries.Add(1)
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	n := len(t.addrs)
 	g := rt.getGather()
-	g.ensure(n)
 	defer rt.putGather(g)
-	//lint:ignore poolescape fanout joins every worker before returning, so the deferred putGather runs strictly after the last goroutine touches g
-	fanout(n, func(i int) {
-		g.errs[i] = rt.fetchTopKFrag(ctx, t, i, u, g)
-	})
-	if err := firstError(g.errs); err != nil {
+	if err := rt.scatter(ctx, t, topkOp{u: u}, g); err != nil {
 		rt.writeQueryError(w, err)
 		return
 	}
-	res, st := simrank.MergeShardTopKScratch(k, t.theta, g.frags, &g.ms)
+	res, st := g.mergeTopK(0, k, t.theta, q.Get("stats") == "1")
 	g.results = appendResults(g.results[:0], res)
-	resp := server.TopKResponse{Query: u, Results: g.results}
-	if wantStats {
-		resp.Stats = mergedStats(st, g.stats)
-	}
-	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// fetchTopKFrag fetches shard si's fragment for query u into g. With
-// hedging disabled (the default) attempts run sequentially — attempt a
-// goes to server (si+a) mod S with an explicit lo/hi override — and the
-// binary transport is preferred per server. With HedgeDelay > 0
-// attempts race over HTTP (binary-negotiated unless JSON is forced),
-// because concurrent attempts must not share g's decode slots.
-func (rt *Router) fetchTopKFrag(ctx context.Context, t *topology, si, u int, g *gather) error {
-	sc := &rt.shards[si]
-	sc.requests.Add(1)
-	m := t.manifests[si]
-	if rt.cfg.HedgeDelay > 0 {
-		body, hedges, errs, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
-			func(ctx context.Context, a int) ([]byte, error) {
-				addr := t.addrs[(si+a)%len(t.addrs)]
-				return rt.getShardOK(ctx, sc, fmt.Sprintf("%s/shard/topk?u=%d&lo=%d&hi=%d", addr, u, m.Lo, m.Hi))
-			})
-		sc.hedges.Add(int64(hedges))
-		sc.attemptErrs.Add(int64(errs))
-		if err != nil {
-			sc.failures.Add(1)
-			return err
-		}
-		return rt.decodeTopKBody(body, si, g)
-	}
-	var firstErr error
-	for a := 0; a < rt.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			sc.hedges.Add(1)
-		}
-		j := (si + a) % len(t.addrs)
-		err := rt.tryTopK(ctx, t, j, si, u, m.Lo, m.Hi, g)
-		if err == nil {
-			return nil
-		}
-		sc.attemptErrs.Add(1)
-		if firstErr == nil {
-			firstErr = err
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	sc.failures.Add(1)
-	return firstErr
-}
-
-// getShardOK is a getWire that lifts non-200 answers into upstream
-// errors — the hedged-attempt shape.
-func (rt *Router) getShardOK(ctx context.Context, sc *shardCounters, url string) ([]byte, error) {
-	status, body, err := rt.getWire(ctx, sc, url)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, asUpstreamError(status, body)
-	}
-	return body, nil
-}
-
-// tryTopK runs one attempt against server j on behalf of shard si:
-// persistent binary TCP when advertised, falling back to HTTP (with
-// binary negotiation) on transport failure or when TCP is unavailable.
-func (rt *Router) tryTopK(ctx context.Context, t *topology, j, si, u, lo, hi int, g *gather) error {
-	sc := &rt.shards[si]
-	if rt.binEnabled() && t.binAddrs[j] != "" {
-		err := rt.binCall(ctx, t.binAddrs[j], sc,
-			func(dst []byte) []byte {
-				return wire.AppendTopKReq(dst, wire.TopKReq{U: uint32(u), Lo: uint32(lo), Hi: uint32(hi)})
-			},
-			func(f *wire.Frame) error {
-				if err := f.TopKResp(&g.resps[si]); err != nil {
-					return err
-				}
-				g.frags[si] = g.resps[si].Frag
-				g.stats[si] = server.StatsFromWire(g.resps[si].Stats)
-				return nil
-			})
-		var ue *upstreamError
-		if err == nil || errors.As(err, &ue) || ctx.Err() != nil {
-			return err
-		}
-		// TCP transport failed; the HTTP endpoint may still be up.
-	}
-	body, err := rt.getShardOK(ctx, sc, fmt.Sprintf("%s/shard/topk?u=%d&lo=%d&hi=%d", t.addrs[j], u, lo, hi))
-	if err != nil {
-		return err
-	}
-	return rt.decodeTopKBody(body, si, g)
-}
-
-// decodeTopKBody lowers an HTTP body — binary frame or JSON — into g's
-// slot for shard si, reusing the slot's fragment capacity.
-func (rt *Router) decodeTopKBody(body []byte, si int, g *gather) error {
-	sc := &rt.shards[si]
-	if wire.IsFrame(body) {
-		t0 := time.Now()
-		f := &g.frames[si]
-		if err := f.Parse(body); err != nil {
-			return err
-		}
-		if err := f.TopKResp(&g.resps[si]); err != nil {
-			return err
-		}
-		sc.decodeNS.Add(time.Since(t0).Nanoseconds())
-		g.frags[si] = g.resps[si].Frag
-		g.stats[si] = server.StatsFromWire(g.resps[si].Stats)
-		return nil
-	}
-	var resp server.ShardTopKResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return err
-	}
-	dst := g.resps[si].Frag[:0]
-	for _, c := range resp.Frag {
-		dst = append(dst, simrank.ShardCand{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score})
-	}
-	g.resps[si].Frag = dst
-	g.frags[si] = dst
-	if resp.Stats != nil {
-		g.stats[si] = statsFromJSON(resp.Stats)
-	} else {
-		g.stats[si] = simrank.QueryStats{}
-	}
-	return nil
+	writeJSON(w, http.StatusOK, server.TopKResponse{
+		Query:    u,
+		Results:  g.results,
+		Stats:    st,
+		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
+	})
 }
 
 func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
@@ -613,11 +446,15 @@ func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, fmt.Sprintf("k must be in [1, %d]", rt.cfg.MaxK))
 		return
 	}
-	for _, u := range req.Queries {
+	// A fresh slice per request, never pooled: the op outlives the
+	// request when a losing attempt is still encoding it.
+	queries := make([]uint32, len(req.Queries))
+	for i, u := range req.Queries {
 		if u < 0 || u >= t.vertices {
 			writeBadRequest(w, fmt.Sprintf("vertex %d out of range [0, %d)", u, t.vertices))
 			return
 		}
+		queries[i] = uint32(u)
 	}
 	rt.batches.Add(1)
 	rt.batchQs.Add(int64(len(req.Queries)))
@@ -629,183 +466,19 @@ func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	n := len(t.addrs)
 	g := rt.getGather()
-	g.ensure(n)
 	defer rt.putGather(g)
-	g.q32 = g.q32[:0]
-	for _, u := range req.Queries {
-		g.q32 = append(g.q32, uint32(u))
-	}
-	//lint:ignore poolescape fanout joins every worker before returning, so the deferred putGather runs strictly after the last goroutine touches g
-	fanout(n, func(i int) {
-		g.errs[i] = rt.fetchBatchFrags(ctx, t, i, req.Queries, g)
-	})
-	if err := firstError(g.errs); err != nil {
+	if err := rt.scatter(ctx, t, batchOp{queries: queries}, g); err != nil {
 		rt.writeQueryError(w, err)
 		return
 	}
-	for i := 0; i < n; i++ {
-		if len(g.bfrags[i]) != len(req.Queries) {
-			rt.writeQueryError(w, fmt.Errorf("shard %d answered %d fragments for %d queries",
-				i, len(g.bfrags[i]), len(req.Queries)))
-			return
-		}
-	}
 	resp := server.BatchResponse{K: req.K, Results: make([]server.TopKResponse, len(req.Queries))}
-	for qi := range req.Queries {
-		for i := 0; i < n; i++ {
-			g.qfrags[i] = g.bfrags[i][qi]
-		}
-		res, st := simrank.MergeShardTopKScratch(req.K, t.theta, g.qfrags, &g.ms)
-		resp.Results[qi] = server.TopKResponse{Query: req.Queries[qi], Results: appendResults(nil, res)}
-		if req.Stats {
-			resp.Results[qi].Stats = mergedBatchStats(st, g.bstats, qi)
-		}
+	for qi, u := range req.Queries {
+		res, st := g.mergeTopK(qi, req.K, t.theta, req.Stats)
+		resp.Results[qi] = server.TopKResponse{Query: u, Results: appendResults(nil, res), Stats: st}
 	}
 	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fetchBatchFrags fetches shard si's batch of fragments into g,
-// sequential-failover with binary preferred (or hedged HTTP when
-// HedgeDelay > 0, exactly like fetchTopKFrag).
-func (rt *Router) fetchBatchFrags(ctx context.Context, t *topology, si int, queries []int, g *gather) error {
-	sc := &rt.shards[si]
-	sc.requests.Add(1)
-	m := t.manifests[si]
-	if rt.cfg.HedgeDelay > 0 {
-		body, hedges, errs, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
-			func(ctx context.Context, a int) ([]byte, error) {
-				addr := t.addrs[(si+a)%len(t.addrs)]
-				return rt.postBatch(ctx, sc, addr, si, queries, m.Lo, m.Hi, g)
-			})
-		sc.hedges.Add(int64(hedges))
-		sc.attemptErrs.Add(int64(errs))
-		if err != nil {
-			sc.failures.Add(1)
-			return err
-		}
-		return rt.decodeBatchBody(body, si, g)
-	}
-	var firstErr error
-	for a := 0; a < rt.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			sc.hedges.Add(1)
-		}
-		j := (si + a) % len(t.addrs)
-		err := rt.tryBatch(ctx, t, j, si, queries, m.Lo, m.Hi, g)
-		if err == nil {
-			return nil
-		}
-		sc.attemptErrs.Add(1)
-		if firstErr == nil {
-			firstErr = err
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	sc.failures.Add(1)
-	return firstErr
-}
-
-// tryBatch runs one batch attempt against server j for shard si.
-func (rt *Router) tryBatch(ctx context.Context, t *topology, j, si int, queries []int, lo, hi int, g *gather) error {
-	sc := &rt.shards[si]
-	if rt.binEnabled() && t.binAddrs[j] != "" {
-		breq := wire.BatchReq{Lo: uint32(lo), Hi: uint32(hi), Queries: g.q32}
-		err := rt.binCall(ctx, t.binAddrs[j], sc,
-			func(dst []byte) []byte {
-				return wire.AppendBatchReq(dst, &breq)
-			},
-			func(f *wire.Frame) error {
-				if err := f.BatchResp(&g.bresps[si]); err != nil {
-					return err
-				}
-				g.bfrags[si] = g.bresps[si].Frags
-				g.bstats[si] = g.bresps[si].Stats
-				return nil
-			})
-		var ue *upstreamError
-		if err == nil || errors.As(err, &ue) || ctx.Err() != nil {
-			return err
-		}
-	}
-	body, err := rt.postBatch(ctx, sc, t.addrs[j], si, queries, lo, hi, g)
-	if err != nil {
-		return err
-	}
-	return rt.decodeBatchBody(body, si, g)
-}
-
-// postBatch ships one batch request over HTTP — a binary frame body
-// when the binary codec is enabled, the JSON shape otherwise — and
-// returns the raw 200 body.
-func (rt *Router) postBatch(ctx context.Context, sc *shardCounters, addr string, si int, queries []int, lo, hi int, g *gather) ([]byte, error) {
-	var payload []byte
-	contentType := "application/json"
-	if rt.binEnabled() {
-		breq := wire.BatchReq{Lo: uint32(lo), Hi: uint32(hi), Queries: g.q32}
-		t0 := time.Now()
-		payload = wire.AppendBatchReq(nil, &breq)
-		sc.encodeNS.Add(time.Since(t0).Nanoseconds())
-		contentType = wire.ContentType
-	} else {
-		var err error
-		payload, err = json.Marshal(server.ShardBatchRequest{Queries: queries, Lo: &lo, Hi: &hi})
-		if err != nil {
-			return nil, err
-		}
-	}
-	status, body, err := rt.postWire(ctx, sc, addr+"/shard/topk/batch", payload, contentType)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, asUpstreamError(status, body)
-	}
-	return body, nil
-}
-
-// decodeBatchBody lowers an HTTP batch body — binary frame or JSON —
-// into g's slots for shard si.
-func (rt *Router) decodeBatchBody(body []byte, si int, g *gather) error {
-	sc := &rt.shards[si]
-	if wire.IsFrame(body) {
-		t0 := time.Now()
-		f := &g.frames[si]
-		if err := f.Parse(body); err != nil {
-			return err
-		}
-		if err := f.BatchResp(&g.bresps[si]); err != nil {
-			return err
-		}
-		sc.decodeNS.Add(time.Since(t0).Nanoseconds())
-		g.bfrags[si] = g.bresps[si].Frags
-		g.bstats[si] = g.bresps[si].Stats
-		return nil
-	}
-	var jr server.ShardBatchResponse
-	if err := json.Unmarshal(body, &jr); err != nil {
-		return err
-	}
-	bs := &g.bjson[si]
-	bs.ensureBatch(len(jr.Results))
-	for qi := range jr.Results {
-		dst := bs.frags[qi][:0]
-		for _, c := range jr.Results[qi].Frag {
-			dst = append(dst, simrank.ShardCand{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score})
-		}
-		bs.frags[qi] = dst
-		bs.stats[qi] = wire.Stats{}
-		if st := jr.Results[qi].Stats; st != nil {
-			bs.stats[qi] = server.StatsToWire(statsFromJSON(st))
-		}
-	}
-	g.bfrags[si] = bs.frags
-	g.bstats[si] = bs.stats
-	return nil
 }
 
 func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
@@ -814,18 +487,14 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	u, ok := intParam(w, q, "u", -1)
+	u, ok := rt.vertexParam(w, q, t)
 	if !ok {
-		return
-	}
-	if u < 0 || u >= t.vertices {
-		writeBadRequest(w, fmt.Sprintf("vertex %d out of range [0, %d)", u, t.vertices))
 		return
 	}
 	theta := 0.01
 	if s := q.Get("theta"); s != "" {
 		f, err := strconv.ParseFloat(s, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) {
 			writeBadRequest(w, "theta must be a float in (0, 1]")
 			return
 		}
@@ -835,17 +504,14 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	n := len(t.addrs)
 	g := rt.getGather()
-	g.ensure(n)
 	defer rt.putGather(g)
-	//lint:ignore poolescape fanout joins every worker before returning, so the deferred putGather runs strictly after the last goroutine touches g
-	fanout(n, func(i int) {
-		g.errs[i] = rt.fetchSimilarFrag(ctx, t, i, u, theta, g)
-	})
-	if err := firstError(g.errs); err != nil {
+	if err := rt.scatter(ctx, t, similarOp{u: u, theta: theta}, g); err != nil {
 		rt.writeQueryError(w, err)
 		return
+	}
+	for i, rp := range g.replies {
+		g.rfrags[i] = rp.ranked
 	}
 	merged := shard.MergeTopK(0, g.rfrags)
 	out := make([]server.ResultJSON, len(merged))
@@ -857,109 +523,6 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		Results:  out,
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
-}
-
-// fetchSimilarFrag fetches shard si's threshold results into g.
-func (rt *Router) fetchSimilarFrag(ctx context.Context, t *topology, si, u int, theta float64, g *gather) error {
-	sc := &rt.shards[si]
-	sc.requests.Add(1)
-	m := t.manifests[si]
-	urlFor := func(addr string) string {
-		return fmt.Sprintf("%s/shard/similar?u=%d&theta=%s&lo=%d&hi=%d",
-			addr, u, strconv.FormatFloat(theta, 'g', -1, 64), m.Lo, m.Hi)
-	}
-	if rt.cfg.HedgeDelay > 0 {
-		body, hedges, errs, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
-			func(ctx context.Context, a int) ([]byte, error) {
-				return rt.getShardOK(ctx, sc, urlFor(t.addrs[(si+a)%len(t.addrs)]))
-			})
-		sc.hedges.Add(int64(hedges))
-		sc.attemptErrs.Add(int64(errs))
-		if err != nil {
-			sc.failures.Add(1)
-			return err
-		}
-		return rt.decodeSimilarBody(body, si, g)
-	}
-	var firstErr error
-	for a := 0; a < rt.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			sc.hedges.Add(1)
-		}
-		j := (si + a) % len(t.addrs)
-		err := rt.trySimilar(ctx, t, j, si, u, theta, m.Lo, m.Hi, urlFor(t.addrs[j]), g)
-		if err == nil {
-			return nil
-		}
-		sc.attemptErrs.Add(1)
-		if firstErr == nil {
-			firstErr = err
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	sc.failures.Add(1)
-	return firstErr
-}
-
-func (rt *Router) trySimilar(ctx context.Context, t *topology, j, si, u int, theta float64, lo, hi int, httpURL string, g *gather) error {
-	sc := &rt.shards[si]
-	if rt.binEnabled() && t.binAddrs[j] != "" {
-		err := rt.binCall(ctx, t.binAddrs[j], sc,
-			func(dst []byte) []byte {
-				return wire.AppendSimilarReq(dst, wire.SimilarReq{
-					U: uint32(u), Lo: uint32(lo), Hi: uint32(hi), Theta: theta,
-				})
-			},
-			func(f *wire.Frame) error {
-				if err := f.SimilarResp(&g.sresps[si]); err != nil {
-					return err
-				}
-				g.rfrags[si] = g.rfrags[si][:0]
-				for _, sn := range g.sresps[si].Ranked {
-					g.rfrags[si] = append(g.rfrags[si], shard.Ranked{Node: int(sn.Node), Score: sn.Score})
-				}
-				return nil
-			})
-		var ue *upstreamError
-		if err == nil || errors.As(err, &ue) || ctx.Err() != nil {
-			return err
-		}
-	}
-	body, err := rt.getShardOK(ctx, sc, httpURL)
-	if err != nil {
-		return err
-	}
-	return rt.decodeSimilarBody(body, si, g)
-}
-
-func (rt *Router) decodeSimilarBody(body []byte, si int, g *gather) error {
-	sc := &rt.shards[si]
-	g.rfrags[si] = g.rfrags[si][:0]
-	if wire.IsFrame(body) {
-		t0 := time.Now()
-		f := &g.frames[si]
-		if err := f.Parse(body); err != nil {
-			return err
-		}
-		if err := f.SimilarResp(&g.sresps[si]); err != nil {
-			return err
-		}
-		sc.decodeNS.Add(time.Since(t0).Nanoseconds())
-		for _, sn := range g.sresps[si].Ranked {
-			g.rfrags[si] = append(g.rfrags[si], shard.Ranked{Node: int(sn.Node), Score: sn.Score})
-		}
-		return nil
-	}
-	var resp server.TopKResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return err
-	}
-	for _, res := range resp.Results {
-		g.rfrags[si] = append(g.rfrags[si], shard.Ranked{Node: res.Node, Score: res.Score})
-	}
-	return nil
 }
 
 // ShardStatus is one shard's health as seen from the router.
@@ -1070,56 +633,6 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-// statsFromJSON lowers the JSON stats shape to QueryStats.
-func statsFromJSON(st *server.QueryStatsJSON) simrank.QueryStats {
-	return simrank.QueryStats{
-		Candidates:     st.Candidates,
-		PrunedByBound:  st.PrunedByBound,
-		PrunedByRough:  st.PrunedByRough,
-		Refined:        st.Refined,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-	}
-}
-
-// mergedStats combines the replayed scan counters (byte-identical to
-// single-node) with the per-shard cache counters summed (cache state is
-// topology-dependent: each shard has its own tally cache).
-func mergedStats(st simrank.QueryStats, perShard []simrank.QueryStats) *server.QueryStatsJSON {
-	out := &server.QueryStatsJSON{
-		Candidates:    st.Candidates,
-		PrunedByBound: st.PrunedByBound,
-		PrunedByRough: st.PrunedByRough,
-		Refined:       st.Refined,
-	}
-	for _, s := range perShard {
-		out.CacheHits += s.CacheHits
-		out.CacheMisses += s.CacheMisses
-		out.CacheEvictions += s.CacheEvictions
-	}
-	return out
-}
-
-// mergedBatchStats is mergedStats over query qi of the batch slots.
-func mergedBatchStats(st simrank.QueryStats, perShard [][]wire.Stats, qi int) *server.QueryStatsJSON {
-	out := &server.QueryStatsJSON{
-		Candidates:    st.Candidates,
-		PrunedByBound: st.PrunedByBound,
-		PrunedByRough: st.PrunedByRough,
-		Refined:       st.Refined,
-	}
-	for i := range perShard {
-		if qi < len(perShard[i]) {
-			s := perShard[i][qi]
-			out.CacheHits += int(s.CacheHits)
-			out.CacheMisses += int(s.CacheMisses)
-			out.CacheEvictions += int(s.CacheEvictions)
-		}
-	}
-	return out
 }
 
 // appendResults converts merged results into the JSON shape, reusing

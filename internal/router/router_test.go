@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,37 +41,81 @@ func (s *shardServer) Close() {
 	s.Server.Close()
 }
 
+// topoOpts shapes a loopback topology beyond the defaults.
+type topoOpts struct {
+	// noBin leaves out the binary TCP listeners: shard traffic stays on
+	// HTTP, binary-negotiated via Accept unless JSON is forced.
+	noBin bool
+	// slowDelay > 0 makes shard slowShard slow on every transport that
+	// can carry a shard request: its /shard/* HTTP handlers and every
+	// response written on its binary listener wait that long first.
+	slowShard int
+	slowDelay time.Duration
+}
+
+// slowListener delays every response written on its connections.
+type slowListener struct {
+	net.Listener
+	delay time.Duration
+}
+
+func (l slowListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return slowConn{c, l.delay}, nil
+}
+
+type slowConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowConn) Write(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(p)
+}
+
 // loopback starts shards real HTTP servers (httptest loopback) over one
 // index — each with a binary TCP listener, like production — and a
-// probed router in front of them. wrap, when non-nil, can interpose
-// per-shard middleware (slow shard, down shard).
-func loopback(tb testing.TB, idx *simrank.Index, shards int, cfg Config, wrap func(i int, h http.Handler) http.Handler) (*Router, []*shardServer) {
-	return loopbackMode(tb, idx, shards, cfg, wrap, true)
+// probed router in front of them.
+func loopback(tb testing.TB, idx *simrank.Index, shards int, cfg Config) (*Router, []*shardServer) {
+	return loopbackOpts(tb, idx, shards, cfg, topoOpts{})
 }
 
-// loopbackHTTP is loopback without binary TCP listeners: shard traffic
-// stays on HTTP, binary-negotiated via Accept unless JSON is forced.
-func loopbackHTTP(tb testing.TB, idx *simrank.Index, shards int, cfg Config) (*Router, []*shardServer) {
-	return loopbackMode(tb, idx, shards, cfg, nil, false)
-}
-
-func loopbackMode(tb testing.TB, idx *simrank.Index, shards int, cfg Config, wrap func(i int, h http.Handler) http.Handler, bin bool) (*Router, []*shardServer) {
+func loopbackOpts(tb testing.TB, idx *simrank.Index, shards int, cfg Config, o topoOpts) (*Router, []*shardServer) {
 	tb.Helper()
 	servers := make([]*shardServer, shards)
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		sh := server.NewShard(idx, i, shards)
+		slow := o.slowDelay > 0 && i == o.slowShard
 		var h http.Handler = sh
-		if wrap != nil {
-			h = wrap(i, h)
+		if slow {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, "/shard/") {
+					time.Sleep(o.slowDelay)
+				}
+				sh.ServeHTTP(w, r)
+			})
 		}
 		servers[i] = &shardServer{Server: httptest.NewServer(h)}
-		if bin {
-			_, stop, err := sh.StartBin("127.0.0.1:0")
+		if !o.noBin {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				tb.Fatalf("start bin listener: %v", err)
 			}
-			servers[i].stopBin = stop
+			servers[i].stopBin = func() { ln.Close() }
+			if slow {
+				ln = slowListener{ln, o.slowDelay}
+			}
+			// ServeBin publishes the address before it accepts, and the
+			// probe below reads it from /shardinfo; wait for it.
+			go sh.ServeBin(ln)
+			for sh.Manifest().BinAddr == "" {
+				time.Sleep(time.Millisecond)
+			}
 		}
 		addrs[i] = servers[i].URL
 		tb.Cleanup(servers[i].Close)
@@ -98,29 +144,43 @@ func routerPost(tb testing.TB, h http.Handler, path, body string) (*httptest.Res
 	return rec, rec.Body.Bytes()
 }
 
-// sameResults asserts exact equality — values and ordering — of two
-// result lists. JSON round-trips float64 exactly, so equality here is
-// byte-identity of the scores.
-func sameResults(tb testing.TB, label string, got, want []server.ResultJSON) {
-	tb.Helper()
+// diffResults reports the first difference — values or ordering —
+// between two result lists. JSON round-trips float64 exactly, so
+// equality here is byte-identity of the scores.
+func diffResults(got, want []server.ResultJSON) error {
 	if len(got) != len(want) {
-		tb.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			tb.Fatalf("%s: result %d = %+v, want %+v", label, i, got[i], want[i])
+			return fmt.Errorf("result %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+	return nil
+}
+
+func diffScanStats(got, want *server.QueryStatsJSON) error {
+	if got == nil || want == nil {
+		return fmt.Errorf("missing stats (got %v, want %v)", got, want)
+	}
+	if got.Candidates != want.Candidates || got.PrunedByBound != want.PrunedByBound ||
+		got.PrunedByRough != want.PrunedByRough || got.Refined != want.Refined {
+		return fmt.Errorf("scan stats %+v, want %+v", *got, *want)
+	}
+	return nil
+}
+
+func sameResults(tb testing.TB, label string, got, want []server.ResultJSON) {
+	tb.Helper()
+	if err := diffResults(got, want); err != nil {
+		tb.Fatalf("%s: %v", label, err)
 	}
 }
 
 func sameScanStats(tb testing.TB, label string, got, want *server.QueryStatsJSON) {
 	tb.Helper()
-	if got == nil || want == nil {
-		tb.Fatalf("%s: missing stats (got %v, want %v)", label, got, want)
-	}
-	if got.Candidates != want.Candidates || got.PrunedByBound != want.PrunedByBound ||
-		got.PrunedByRough != want.PrunedByRough || got.Refined != want.Refined {
-		tb.Fatalf("%s: scan stats %+v, want %+v", label, *got, *want)
+	if err := diffScanStats(got, want); err != nil {
+		tb.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -130,7 +190,7 @@ func sameScanStats(tb testing.TB, label string, got, want *server.QueryStatsJSON
 // snapshot.
 func TestRouterTopKMatchesSingleNode(t *testing.T) {
 	idx := buildIndex(t)
-	rt, _ := loopback(t, idx, 3, Config{}, nil)
+	rt, _ := loopback(t, idx, 3, Config{})
 	single := server.New(idx)
 	for _, u := range []int{0, 7, 42, 59, 150} {
 		for _, k := range []int{1, 5, 100} {
@@ -157,7 +217,7 @@ func TestRouterTopKMatchesSingleNode(t *testing.T) {
 
 func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	idx := buildIndex(t)
-	rt, _ := loopback(t, idx, 3, Config{}, nil)
+	rt, _ := loopback(t, idx, 3, Config{})
 	single := server.New(idx)
 	body := `{"queries":[0,7,42,59],"k":5,"stats":true}`
 	rec, rbody := routerPost(t, rt, "/topk/batch", body)
@@ -185,7 +245,7 @@ func TestRouterBatchMatchesSingleNode(t *testing.T) {
 
 func TestRouterSimilarMatchesSingleNode(t *testing.T) {
 	idx := buildIndex(t)
-	rt, _ := loopback(t, idx, 3, Config{}, nil)
+	rt, _ := loopback(t, idx, 3, Config{})
 	single := server.New(idx)
 	for _, u := range []int{0, 42} {
 		path := fmt.Sprintf("/similar?u=%d&theta=0.02", u)
@@ -211,7 +271,7 @@ func TestRouterSimilarMatchesSingleNode(t *testing.T) {
 // /statusz must report the degradation.
 func TestRouterDownShardFailover(t *testing.T) {
 	idx := buildIndex(t)
-	rt, servers := loopback(t, idx, 3, Config{QueryTimeout: 10 * time.Second}, nil)
+	rt, servers := loopback(t, idx, 3, Config{QueryTimeout: 10 * time.Second})
 	single := server.New(idx)
 	servers[1].Close()
 
@@ -246,6 +306,12 @@ func TestRouterDownShardFailover(t *testing.T) {
 	if s1.HedgesFired == 0 || s1.AttemptErrsTotal == 0 {
 		t.Fatalf("down shard not visible in statusz: %+v", s1)
 	}
+	// The dead server never got a request frame (the dial failed) and an
+	// HTTP GET has no body, so encoded request bytes for shard 1 can only
+	// come from the failed-over attempt — and only if it went over TCP.
+	if s1.EncodeNs == 0 || s1.BytesSent == 0 {
+		t.Fatalf("failed-over attempt did not use the surviving server's TCP listener: %+v", s1)
+	}
 	if s1.Reachable {
 		t.Fatalf("closed shard reported reachable: %+v", s1)
 	}
@@ -254,56 +320,174 @@ func TestRouterDownShardFailover(t *testing.T) {
 	}
 }
 
-// TestRouterSlowShardHedges makes one shard artificially slow: the
-// hedge to the next server must win within the query timeout and the
-// answer must still be byte-identical.
+// TestRouterSlowShardHedges makes one shard artificially slow on
+// whichever transport carries its requests: in every wire mode the hedge
+// to the next server must win within the query timeout, travel over the
+// same transport, and leave the answer byte-identical.
 func TestRouterSlowShardHedges(t *testing.T) {
 	idx := buildIndex(t)
-	slow := func(i int, h http.Handler) http.Handler {
-		if i != 2 {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/shard/") {
-				time.Sleep(300 * time.Millisecond)
+	single := server.New(idx)
+	const slowDelay = 300 * time.Millisecond
+	for _, m := range []struct {
+		name  string
+		wire  string
+		noBin bool
+	}{{"tcp-bin", WireBin, false}, {"http-bin", WireBin, true}, {"json", WireJSON, false}} {
+		t.Run(m.name, func(t *testing.T) {
+			rt, _ := loopbackOpts(t, idx, 3, Config{
+				HedgeDelay:   5 * time.Millisecond,
+				QueryTimeout: 5 * time.Second,
+				Wire:         m.wire,
+			}, topoOpts{noBin: m.noBin, slowShard: 2, slowDelay: slowDelay})
+
+			path := "/topk?u=7&k=5&stats=1"
+			start := time.Now()
+			rec, body := routerGet(t, rt, path)
+			elapsed := time.Since(start)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, body)
 			}
-			h.ServeHTTP(w, r)
+			var got, want server.TopKResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			_, sbody := routerGet(t, single, path)
+			if err := json.Unmarshal(sbody, &want); err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "hedged", got.Results, want.Results)
+			sameScanStats(t, "hedged", got.Stats, want.Stats)
+			if elapsed >= slowDelay {
+				t.Fatalf("hedge did not win: query took %v (slow shard waits %v)", elapsed, slowDelay)
+			}
+
+			_, body = routerGet(t, rt, "/statusz")
+			var st RouterStatusz
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			s2 := st.Shards[2]
+			if s2.HedgesFired == 0 {
+				t.Fatalf("no hedge recorded for the slow shard: %+v", s2)
+			}
+			// Only the TCP transport encodes a request frame for a topk.
+			if tcp := m.name == "tcp-bin"; (s2.EncodeNs > 0) != tcp {
+				t.Fatalf("encode_ns = %d, want > 0 exactly on tcp-bin: %+v", s2.EncodeNs, s2)
+			}
 		})
 	}
-	rt, _ := loopback(t, idx, 3, Config{
-		HedgeDelay:   5 * time.Millisecond,
-		QueryTimeout: 5 * time.Second,
-	}, slow)
+}
+
+// diffAnswer is diffResults plus, when the oracle has them, diffScanStats.
+func diffAnswer(got, want server.TopKResponse) error {
+	if err := diffResults(got.Results, want.Results); err != nil || want.Stats == nil {
+		return err
+	}
+	return diffScanStats(got.Stats, want.Stats)
+}
+
+// TestRouterHedgeRaceHammer races two attempts on nearly every shard
+// call (1µs hedge delay) over the TCP transport, from several client
+// goroutines at once, and checks every answer against the single-node
+// oracle. Run under -race it is the proof of the reply ownership rule:
+// a losing attempt that could write into anything a gather reads — a
+// shared decode slot, a recycled reply — shows up as a data race or a
+// wrong answer.
+func TestRouterHedgeRaceHammer(t *testing.T) {
+	idx := buildIndex(t)
+	rt, _ := loopback(t, idx, 3, Config{HedgeDelay: time.Microsecond, QueryTimeout: 10 * time.Second})
 	single := server.New(idx)
 
-	path := "/topk?u=7&k=5&stats=1"
-	start := time.Now()
-	rec, body := routerGet(t, rt, path)
-	elapsed := time.Since(start)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
+	type probe struct {
+		path, body string // body != "" means POST
+		want       []server.TopKResponse
 	}
-	var got, want server.TopKResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
+	var probes []probe
+	for _, u := range []int{0, 7, 42, 59, 150} {
+		probes = append(probes,
+			probe{path: fmt.Sprintf("/topk?u=%d&k=10&stats=1", u)},
+			probe{path: fmt.Sprintf("/similar?u=%d&theta=0.02", u)})
 	}
-	_, sbody := routerGet(t, single, path)
-	if err := json.Unmarshal(sbody, &want); err != nil {
-		t.Fatal(err)
+	probes = append(probes,
+		probe{path: "/topk/batch", body: `{"queries":[0,7,42,59],"k":5,"stats":true}`},
+		probe{path: "/topk/batch", body: `{"queries":[150,3,3,9,21],"k":20,"stats":true}`})
+	ask := func(h http.Handler, p probe) ([]server.TopKResponse, error) {
+		rec := httptest.NewRecorder()
+		if p.body == "" {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p.path, nil))
+		} else {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, p.path, strings.NewReader(p.body)))
+		}
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		if p.body == "" {
+			var one server.TopKResponse
+			err := json.Unmarshal(rec.Body.Bytes(), &one)
+			return []server.TopKResponse{one}, err
+		}
+		var br server.BatchResponse
+		err := json.Unmarshal(rec.Body.Bytes(), &br)
+		return br.Results, err
 	}
-	sameResults(t, "hedged", got.Results, want.Results)
-	sameScanStats(t, "hedged", got.Stats, want.Stats)
-	if elapsed >= 300*time.Millisecond {
-		t.Fatalf("hedge did not win: query took %v (slow shard sleeps 300ms)", elapsed)
+	for i := range probes {
+		want, err := ask(single, probes[i])
+		if err != nil {
+			t.Fatalf("oracle %s: %v", probes[i].path, err)
+		}
+		probes[i].want = want
 	}
 
-	_, body = routerGet(t, rt, "/statusz")
+	const (
+		clients = 4
+		rounds  = 6 // x len(probes) requests per client
+	)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(probes); i++ {
+				p := probes[(c+i)%len(probes)]
+				got, err := ask(rt, p)
+				if err == nil && len(got) != len(p.want) {
+					err = fmt.Errorf("%d answers, want %d", len(got), len(p.want))
+				}
+				for qi := 0; err == nil && qi < len(got); qi++ {
+					err = diffAnswer(got[qi], p.want[qi])
+				}
+				if err != nil {
+					t.Errorf("client %d request %d %s %s: %v", c, i, p.path, p.body, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	_, body := routerGet(t, rt, "/statusz")
 	var st RouterStatusz
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards[2].HedgesFired == 0 {
-		t.Fatalf("no hedge recorded for the slow shard: %+v", st.Shards[2])
+	for _, s := range st.Shards {
+		if s.HedgesFired == 0 || s.EncodeNs == 0 {
+			t.Fatalf("shard %d saw no hedged TCP attempts: %+v", s.Shard, s)
+		}
+		if s.FailuresTotal != 0 {
+			t.Fatalf("shard %d: %d calls failed outright", s.Shard, s.FailuresTotal)
+		}
+	}
+	// Losers close their connections instead of repooling them; what is
+	// left idle must respect the per-address cap.
+	rt.binMu.Lock()
+	defer rt.binMu.Unlock()
+	for addr, p := range rt.binPools {
+		p.mu.Lock()
+		if len(p.free) > maxIdleBinConns {
+			t.Errorf("pool %s holds %d idle connections, cap %d", addr, len(p.free), maxIdleBinConns)
+		}
+		p.mu.Unlock()
 	}
 }
 
@@ -365,7 +549,7 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 
 func TestRouterValidation(t *testing.T) {
 	idx := buildIndex(t)
-	rt, _ := loopback(t, idx, 2, Config{}, nil)
+	rt, _ := loopback(t, idx, 2, Config{})
 	for _, path := range []string{
 		"/topk?u=notanint",
 		"/topk?u=99999", // out of range, rejected locally
@@ -399,9 +583,9 @@ func TestRouterValidation(t *testing.T) {
 func TestRouterWireModesIdentical(t *testing.T) {
 	idx := buildIndex(t)
 	single := server.New(idx)
-	rtBin, _ := loopback(t, idx, 3, Config{}, nil)
-	rtHTTP, _ := loopbackHTTP(t, idx, 3, Config{})
-	rtJSON, _ := loopback(t, idx, 3, Config{Wire: WireJSON}, nil)
+	rtBin, _ := loopback(t, idx, 3, Config{})
+	rtHTTP, _ := loopbackOpts(t, idx, 3, Config{}, topoOpts{noBin: true})
+	rtJSON, _ := loopback(t, idx, 3, Config{Wire: WireJSON})
 	modes := []struct {
 		name string
 		h    http.Handler
@@ -483,7 +667,7 @@ func TestRouterWireModesIdentical(t *testing.T) {
 // loopback topology — scatter, shard-side scoring, gather, merge replay.
 func BenchmarkRouterTopK(b *testing.B) {
 	idx := buildIndex(b)
-	rt, _ := loopback(b, idx, 3, Config{}, nil)
+	rt, _ := loopback(b, idx, 3, Config{})
 	req := httptest.NewRequest(http.MethodGet, "/topk?u=42&k=20", nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -500,7 +684,7 @@ func BenchmarkRouterTopK(b *testing.B) {
 // same topology — one scatter round-trip amortized across the batch.
 func BenchmarkRouterTopKBatch(b *testing.B) {
 	idx := buildIndex(b)
-	rt, _ := loopback(b, idx, 3, Config{}, nil)
+	rt, _ := loopback(b, idx, 3, Config{})
 	body := `{"queries":[0,7,42,59],"k":10}`
 	b.ReportAllocs()
 	b.ResetTimer()

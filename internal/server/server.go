@@ -144,22 +144,31 @@ const (
 	CodeUpstream = "upstream"
 )
 
-// writeQueryError maps a query error to an HTTP status: context errors
-// become 503 with Retry-After (the query was cut short by load or
-// disconnect, not malformed — a client may retry), everything else is a
-// client error.
-func (h *Handler) writeQueryError(w http.ResponseWriter, err error) {
+// errStatus maps a request failure to the HTTP status, stable code and
+// message both error encodings carry (WriteError on HTTP, MsgError
+// frames on TCP), counting timeouts: context errors are 503s (the query
+// was cut short by load or disconnect, not malformed — a client may
+// retry), everything else is a client error.
+func (h *Handler) errStatus(err error) (status int, code, msg string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		h.counters.timeouts.Add(1)
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusServiceUnavailable, CodeTimeout, "query timed out")
+		return http.StatusServiceUnavailable, CodeTimeout, "query timed out"
 	case errors.Is(err, context.Canceled):
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusServiceUnavailable, CodeCancelled, "query cancelled")
+		return http.StatusServiceUnavailable, CodeCancelled, "query cancelled"
 	default:
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return http.StatusBadRequest, CodeBadRequest, err.Error()
 	}
+}
+
+// writeQueryError answers a failed request in the JSON error shape,
+// with Retry-After on the retryable 503s.
+func (h *Handler) writeQueryError(w http.ResponseWriter, err error) {
+	status, code, msg := h.errStatus(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteError(w, status, code, msg)
 }
 
 // ServeHTTP implements http.Handler.

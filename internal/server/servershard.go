@@ -1,14 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	simrank "repro"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // counters are the serving counters behind /statusz. They count
@@ -145,16 +151,15 @@ func ToWire(frag []simrank.ShardCand) []ShardCandJSON {
 	return out
 }
 
-// FromWire is the inverse of ToWire. Go's float64 JSON round-trip is
-// exact (shortest-representation encoding), so a decoded fragment is
-// bit-identical to the shard's — which the byte-identity guarantee of
-// the merge replay rests on.
-func FromWire(frag []ShardCandJSON) []simrank.ShardCand {
-	out := make([]simrank.ShardCand, len(frag))
-	for i, c := range frag {
-		out[i] = simrank.ShardCand{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score}
+// FromWire is the inverse of ToWire, appending to dst. Go's float64 JSON
+// round-trip is exact (shortest-representation encoding), so a decoded
+// fragment is bit-identical to the shard's — which the byte-identity
+// guarantee of the merge replay rests on.
+func FromWire(dst []simrank.ShardCand, frag []ShardCandJSON) []simrank.ShardCand {
+	for _, c := range frag {
+		dst = append(dst, simrank.ShardCand{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score})
 	}
-	return out
+	return dst
 }
 
 // ShardTopKResponse is the payload of /shard/topk: the scored fragment
@@ -168,67 +173,12 @@ type ShardTopKResponse struct {
 	ElapsedM float64         `json:"elapsed_ms"`
 }
 
-// rangeParams reads the optional lo/hi range override. Every server
-// holds the full snapshot, so it can score any vertex range on request —
-// the router uses this to hedge a slow shard or fail over a down one to
-// a different server. Defaults to the owned manifest range.
-func (h *Handler) rangeParams(w http.ResponseWriter, r *http.Request) (lo, hi int, ok bool) {
-	lo, ok = h.intParam(w, r, "lo", h.manifest.Lo)
-	if !ok {
-		return 0, 0, false
-	}
-	hi, ok = h.intParam(w, r, "hi", h.manifest.Hi)
-	if !ok {
-		return 0, 0, false
-	}
-	if lo < 0 || hi < lo || hi > h.manifest.Vertices {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("range [%d, %d) invalid for %d vertices", lo, hi, h.manifest.Vertices))
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-// handleShardTopK answers GET /shard/topk?u=42: candidates of u inside
-// the owned range (or an explicit lo/hi override), scored at the fixed
-// floor theta.
-func (h *Handler) handleShardTopK(w http.ResponseWriter, r *http.Request) {
-	u, ok := h.intParam(w, r, "u", -1)
-	if !ok {
-		return
-	}
-	lo, hi, ok := h.rangeParams(w, r)
-	if !ok {
-		return
-	}
-	h.counters.shardQueries.Add(1)
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	start := time.Now()
-	if wantBin(r) {
-		h.shardTopKBin(ctx, w, u, lo, hi, start)
-		return
-	}
-	frag, st, err := h.idx.TopKShardCtx(ctx, u, lo, hi)
-	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ShardTopKResponse{
-		Query:    u,
-		Shard:    h.manifest.Shard,
-		Frag:     ToWire(frag),
-		Stats:    toStatsJSON(st),
-		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-// ShardBatchRequest is the payload of POST /shard/topk/batch. Lo/Hi,
+// ShardBatchRequest is the JSON payload of POST /shard/topk/batch. Lo/Hi,
 // when present, override the owned range (router failover/hedging).
 type ShardBatchRequest struct {
-	Queries []int `json:"queries"`
-	Lo      *int  `json:"lo,omitempty"`
-	Hi      *int  `json:"hi,omitempty"`
+	Queries []uint32 `json:"queries"`
+	Lo      *int     `json:"lo,omitempty"`
+	Hi      *int     `json:"hi,omitempty"`
 }
 
 // ShardBatchResponse is one ShardTopKResponse per query, request order.
@@ -238,105 +188,296 @@ type ShardBatchResponse struct {
 	ElapsedM float64             `json:"elapsed_ms"`
 }
 
+// shardReq is one shard request, whichever transport carried it and
+// whichever encoding it arrived in: the three /shard/* endpoints and the
+// TCP listener all decode into it, and everything after the decode —
+// validation, the scan, both response encodings — is written once
+// against it. Every server holds the full snapshot, so lo/hi may name
+// any vertex range (the router hedges a slow shard or fails over a down
+// one to a different server); they default to the owned manifest range
+// where the encoding lets them be omitted.
+type shardReq struct {
+	kind    uint8 // wire.MsgTopKReq, wire.MsgBatchReq or wire.MsgSimilarReq
+	u       int
+	theta   float64 // similar only
+	lo, hi  int
+	queries []uint32 // batch only
+}
+
+var errTheta = errors.New("theta must be a float in (0, 1]")
+
+// intValue parses an integer query parameter; def < 0 means required.
+func intValue(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		if def >= 0 {
+			return def, nil
+		}
+		return 0, fmt.Errorf("missing required parameter %q", name)
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q must be an integer", name)
+	}
+	return v, nil
+}
+
+// shardReqFromURL decodes a GET shard request (topk or similar) from
+// its query string: u, optional lo/hi, and for similar optional theta.
+func (h *Handler) shardReqFromURL(kind uint8, q url.Values) (shardReq, error) {
+	req := shardReq{kind: kind, theta: 0.01}
+	var err error
+	if req.u, err = intValue(q, "u", -1); err != nil {
+		return req, err
+	}
+	if req.lo, err = intValue(q, "lo", h.manifest.Lo); err != nil {
+		return req, err
+	}
+	if req.hi, err = intValue(q, "hi", h.manifest.Hi); err != nil {
+		return req, err
+	}
+	if s := q.Get("theta"); s != "" && kind == wire.MsgSimilarReq {
+		if req.theta, err = strconv.ParseFloat(s, 64); err != nil {
+			return req, errTheta
+		}
+	}
+	return req, nil
+}
+
+// shardReqFromJSON decodes the JSON body of POST /shard/topk/batch.
+func (h *Handler) shardReqFromJSON(body io.Reader) (shardReq, error) {
+	var jr ShardBatchRequest
+	if err := json.NewDecoder(body).Decode(&jr); err != nil {
+		return shardReq{}, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	req := shardReq{kind: wire.MsgBatchReq, lo: h.manifest.Lo, hi: h.manifest.Hi, queries: jr.Queries}
+	if jr.Lo != nil {
+		req.lo = *jr.Lo
+	}
+	if jr.Hi != nil {
+		req.hi = *jr.Hi
+	}
+	return req, nil
+}
+
+// shardReqFromFrame decodes a parsed request frame — one message on the
+// TCP listener, or the body of a binary HTTP POST. A batch's queries
+// are copied into breq, so the frame's bytes may be reused on return.
+func shardReqFromFrame(f *wire.Frame, breq *wire.BatchReq) (shardReq, error) {
+	switch f.Type {
+	case wire.MsgTopKReq:
+		r, err := f.TopKReq()
+		return shardReq{kind: f.Type, u: int(r.U), lo: int(r.Lo), hi: int(r.Hi)}, err
+	case wire.MsgBatchReq:
+		err := f.BatchReq(breq)
+		return shardReq{kind: f.Type, lo: int(breq.Lo), hi: int(breq.Hi), queries: breq.Queries}, err
+	case wire.MsgSimilarReq:
+		r, err := f.SimilarReq()
+		return shardReq{kind: f.Type, u: int(r.U), theta: r.Theta, lo: int(r.Lo), hi: int(r.Hi)}, err
+	}
+	return shardReq{}, fmt.Errorf("unsupported message type %d", f.Type)
+}
+
+// shardReqFromBody reads a binary POST body as one request frame of the
+// given kind, parsing in f and decoding through breq.
+func (h *Handler) shardReqFromBody(kind uint8, body io.Reader, f *wire.Frame, breq *wire.BatchReq) (shardReq, error) {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	data, err := wire.ReadFrame(body, buf)
+	if err != nil {
+		return shardReq{}, fmt.Errorf("invalid binary body: %w", err)
+	}
+	h.counters.wireBytesIn.Add(int64(len(data)))
+	t0 := time.Now()
+	var req shardReq
+	if err = f.Parse(data); err == nil {
+		req, err = shardReqFromFrame(f, breq)
+	}
+	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
+	if err == nil && req.kind != kind {
+		err = fmt.Errorf("message type %d on the wrong endpoint", req.kind)
+	}
+	if err != nil {
+		return shardReq{}, fmt.Errorf("invalid binary body: %w", err)
+	}
+	return req, nil
+}
+
+// checkShardReq is the one validator between the three decoders and the
+// scans: the vertex range and every vertex against the manifest, the
+// batch size against MaxBatch, theta inside (0, 1] (written so a NaN
+// smuggled in as raw frame bits fails too).
+//
+//lint:sanitized a nil return means every field of req was range-checked against the manifest and the handler limits
+func (h *Handler) checkShardReq(req *shardReq) error {
+	n := h.manifest.Vertices
+	if req.lo < 0 || req.hi < req.lo || req.hi > n {
+		return fmt.Errorf("range [%d, %d) invalid for %d vertices", req.lo, req.hi, n)
+	}
+	if req.kind == wire.MsgBatchReq {
+		if len(req.queries) == 0 {
+			return errors.New("queries must be non-empty")
+		}
+		if len(req.queries) > h.MaxBatch {
+			return fmt.Errorf("batch size %d exceeds limit %d", len(req.queries), h.MaxBatch)
+		}
+		for _, u := range req.queries {
+			if int64(u) >= int64(n) {
+				return fmt.Errorf("vertex %d out of range [0, %d)", u, n)
+			}
+		}
+		return nil
+	}
+	if req.u < 0 || req.u >= n {
+		return fmt.Errorf("vertex %d out of range [0, %d)", req.u, n)
+	}
+	if req.kind == wire.MsgSimilarReq && !(req.theta > 0 && req.theta <= 1) {
+		return errTheta
+	}
+	return nil
+}
+
+// run executes a validated request into ss: fragments and stats per
+// query (a topk is a batch of one), or the ranked list of a similar.
+// Fixed-floor threshold results merge exactly with a plain best-first
+// k-way merge, so similar needs no fragment.
+func (h *Handler) run(ctx context.Context, req *shardReq, ss *shardScratch) error {
+	var err error
+	switch req.kind {
+	case wire.MsgTopKReq:
+		h.counters.shardQueries.Add(1)
+		ss.ensureBatch(1)
+		ss.frags[0], ss.sts[0], err = h.idx.TopKShardAppendCtx(ctx, req.u, req.lo, req.hi, ss.frags[0])
+	case wire.MsgBatchReq:
+		h.counters.shardBatches.Add(1)
+		ss.ensureBatch(len(req.queries))
+		err = h.idx.TopKShardBatchAppendCtx(ctx, req.queries, req.lo, req.hi, ss.frags, ss.sts)
+	default:
+		h.counters.shardQueries.Add(1)
+		ss.ensureBatch(1)
+		var res []simrank.Result
+		res, ss.sts[0], err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi)
+		ss.ranked = ss.ranked[:0]
+		for _, r := range res {
+			ss.ranked = append(ss.ranked, wire.ScoredNode{Node: uint32(r.Node), Score: r.Score})
+		}
+	}
+	return err
+}
+
+// encodeResp renders run's output as a response frame into buf.
+func (h *Handler) encodeResp(buf *wire.Buf, req *shardReq, ss *shardScratch, elapsed time.Duration) {
+	t0 := time.Now()
+	id, us := int32(h.manifest.Shard), elapsed.Microseconds()
+	switch req.kind {
+	case wire.MsgTopKReq:
+		buf.B = wire.AppendTopKResp(buf.B[:0], &wire.TopKResp{
+			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: StatsToWire(ss.sts[0]), Frag: ss.frags[0]})
+	case wire.MsgBatchReq:
+		for i, st := range ss.sts {
+			ss.wireSts[i] = StatsToWire(st)
+		}
+		buf.B = wire.AppendBatchResp(buf.B[:0], &wire.BatchResp{
+			Shard: id, ElapsedUS: us, Queries: req.queries, Stats: ss.wireSts, Frags: ss.frags})
+	default:
+		buf.B = wire.AppendSimilarResp(buf.B[:0], &wire.SimilarResp{
+			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: StatsToWire(ss.sts[0]), Ranked: ss.ranked})
+	}
+	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
+	h.counters.binRequests.Add(1)
+}
+
+// jsonResp renders run's output as the endpoint's JSON payload.
+func (h *Handler) jsonResp(req *shardReq, ss *shardScratch, elapsed time.Duration) any {
+	ms := float64(elapsed.Microseconds()) / 1000
+	one := func(u, i int) ShardTopKResponse {
+		return ShardTopKResponse{Query: u, Shard: h.manifest.Shard, Frag: ToWire(ss.frags[i]), Stats: toStatsJSON(ss.sts[i])}
+	}
+	switch req.kind {
+	case wire.MsgTopKReq:
+		resp := one(req.u, 0)
+		resp.ElapsedM = ms
+		return resp
+	case wire.MsgBatchReq:
+		resp := ShardBatchResponse{Shard: h.manifest.Shard, Results: make([]ShardTopKResponse, len(req.queries)), ElapsedM: ms}
+		for i, u := range req.queries {
+			resp.Results[i] = one(int(u), i)
+		}
+		return resp
+	default:
+		out := make([]ResultJSON, len(ss.ranked))
+		for i, sn := range ss.ranked {
+			out[i] = ResultJSON{Node: int(sn.Node), Score: sn.Score}
+		}
+		return TopKResponse{Query: req.u, Results: out, Stats: toStatsJSON(ss.sts[0]), ElapsedM: ms}
+	}
+}
+
+// serveShard is the HTTP face of the shard endpoints: decode → check →
+// run → encode. The request arrives as a query string, a JSON body or a
+// binary frame body (Content-Type); the answer leaves as a frame iff the
+// client negotiated one (Accept), as JSON otherwise. Errors stay JSON on
+// HTTP — status codes and the stable error body are the contract there.
+func (h *Handler) serveShard(w http.ResponseWriter, r *http.Request, kind uint8) {
+	ss := h.getShardScratch()
+	defer h.putShardScratch(ss)
+	var req shardReq
+	var err error
+	switch {
+	case kind != wire.MsgBatchReq:
+		req, err = h.shardReqFromURL(kind, r.URL.Query())
+	case binBody(r):
+		req, err = h.shardReqFromBody(kind, r.Body, &ss.frame, &ss.breq)
+	default:
+		req, err = h.shardReqFromJSON(r.Body)
+	}
+	if err != nil {
+		h.writeQueryError(w, err)
+		return
+	}
+	if err := h.checkShardReq(&req); err != nil {
+		h.writeQueryError(w, err)
+		return
+	}
+	ctx, cancel := h.queryCtx(r)
+	defer cancel()
+	start := time.Now()
+	if err := h.run(ctx, &req, ss); err != nil {
+		h.writeQueryError(w, err)
+		return
+	}
+	if !wantBin(r) {
+		writeJSON(w, http.StatusOK, h.jsonResp(&req, ss, time.Since(start)))
+		return
+	}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	h.encodeResp(buf, &req, ss, time.Since(start))
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.WriteHeader(http.StatusOK)
+	n, _ := w.Write(buf.B)
+	h.counters.wireBytesOut.Add(int64(n))
+}
+
+// handleShardTopK answers GET /shard/topk?u=42: candidates of u inside
+// the owned range (or an explicit lo/hi override), scored at the fixed
+// floor theta.
+func (h *Handler) handleShardTopK(w http.ResponseWriter, r *http.Request) {
+	h.serveShard(w, r, wire.MsgTopKReq)
+}
+
+// handleShardTopKBatch answers POST /shard/topk/batch.
 func (h *Handler) handleShardTopKBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if binBody(r) || wantBin(r) {
-		h.handleShardBatchBin(w, r)
-		return
-	}
-	var req ShardBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "queries must be non-empty")
-		return
-	}
-	if len(req.Queries) > h.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch size %d exceeds limit %d", len(req.Queries), h.MaxBatch))
-		return
-	}
-	lo, hi := h.manifest.Lo, h.manifest.Hi
-	if req.Lo != nil {
-		lo = *req.Lo
-	}
-	if req.Hi != nil {
-		hi = *req.Hi
-	}
-	if lo < 0 || hi < lo || hi > h.manifest.Vertices {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("range [%d, %d) invalid for %d vertices", lo, hi, h.manifest.Vertices))
-		return
-	}
-	h.counters.shardBatches.Add(1)
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	start := time.Now()
-	frags, sts, err := h.idx.TopKShardBatchCtx(ctx, req.Queries, lo, hi)
-	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	resp := ShardBatchResponse{
-		Shard:   h.manifest.Shard,
-		Results: make([]ShardTopKResponse, len(frags)),
-	}
-	for i := range frags {
-		resp.Results[i] = ShardTopKResponse{
-			Query: req.Queries[i],
-			Shard: h.manifest.Shard,
-			Frag:  ToWire(frags[i]),
-			Stats: toStatsJSON(sts[i]),
-		}
-	}
-	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	h.serveShard(w, r, wire.MsgBatchReq)
 }
 
 // handleShardSimilar answers GET /shard/similar?u=42&theta=0.05: the
-// threshold query restricted to the owned range. Fixed-floor mode, so
-// per-shard result lists merge exactly with a plain best-first k-way
-// merge — no fragment replay needed.
+// threshold query restricted to the owned range.
 func (h *Handler) handleShardSimilar(w http.ResponseWriter, r *http.Request) {
-	u, ok := h.intParam(w, r, "u", -1)
-	if !ok {
-		return
-	}
-	theta := 0.01
-	if s := r.URL.Query().Get("theta"); s != "" {
-		f, err := parseTheta(s)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		theta = f
-	}
-	lo, hi, ok := h.rangeParams(w, r)
-	if !ok {
-		return
-	}
-	h.counters.shardQueries.Add(1)
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	start := time.Now()
-	if wantBin(r) {
-		h.shardSimilarBin(ctx, w, u, theta, lo, hi, start)
-		return
-	}
-	res, st, err := h.idx.SimilarShardCtx(ctx, u, theta, lo, hi)
-	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TopKResponse{
-		Query:    u,
-		Results:  toJSON(res),
-		Stats:    toStatsJSON(st),
-		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	h.serveShard(w, r, wire.MsgSimilarReq)
 }

@@ -77,7 +77,7 @@ func TestShardTopKMergesToSingleNode(t *testing.T) {
 			if resp.Shard != i {
 				t.Fatalf("fragment from shard %d claims shard %d", i, resp.Shard)
 			}
-			frags[i] = FromWire(resp.Frag)
+			frags[i] = FromWire(nil, resp.Frag)
 		}
 		res, st := simrank.MergeShardTopK(5, idx.Threshold(), frags)
 		if len(res) != len(want.Results) {

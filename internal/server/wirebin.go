@@ -3,9 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -19,9 +17,10 @@ import (
 // codec (internal/wire) via the Accept header — a router that sends
 // "Accept: application/x-simrank-bin" gets a frame instead of JSON, and
 // a binary Content-Type on POST /shard/topk/batch selects binary
-// request decoding. Error responses stay JSON on HTTP (status codes and
-// the stable error body are the contract there); on the persistent TCP
-// transport (ServeBin) errors travel as MsgError frames instead.
+// request decoding — and the persistent TCP transport (ServeBin) speaks
+// frames only, with errors as MsgError frames. Both are transports for
+// the one shard-request path in servershard.go (shardReq → checkShardReq
+// → run → encodeResp/jsonResp).
 //
 // All fragment, stats and encode buffers come from per-handler pools,
 // so the steady-state shard path allocates nothing per request beyond
@@ -37,8 +36,7 @@ func binBody(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Content-Type"), wire.ContentType)
 }
 
-// StatsToWire converts query stats for the binary codec. Exported (with
-// StatsFromWire) so the router and the shard translate identically.
+// StatsToWire converts query stats for the binary codec.
 func StatsToWire(st simrank.QueryStats) wire.Stats {
 	return wire.Stats{
 		Candidates:     int64(st.Candidates),
@@ -51,34 +49,17 @@ func StatsToWire(st simrank.QueryStats) wire.Stats {
 	}
 }
 
-// StatsFromWire is the inverse of StatsToWire.
-func StatsFromWire(st wire.Stats) simrank.QueryStats {
-	return simrank.QueryStats{
-		Candidates:     int(st.Candidates),
-		PrunedByBound:  int(st.PrunedByBound),
-		PrunedByRough:  int(st.PrunedByRough),
-		Refined:        int(st.Refined),
-		CacheHits:      int(st.CacheHits),
-		CacheMisses:    int(st.CacheMisses),
-		CacheEvictions: int(st.CacheEvictions),
-	}
-}
-
 // shardScratch is the pooled working set of one shard request: fragment
-// and stats buffers the scans append into, and the reusable wire
-// message shells. Acquire with getShardScratch, release with
-// putShardScratch on every return path.
+// and stats buffers the scans append into (one row per query), the
+// ranked list of a similar, and the decode shells for binary requests.
+// Acquire with getShardScratch, release with putShardScratch on every
+// return path.
 type shardScratch struct {
-	frag    []simrank.ShardCand
 	frags   [][]simrank.ShardCand
 	sts     []simrank.QueryStats
 	wireSts []wire.Stats
 	ranked  []wire.ScoredNode
-	qbuf    []uint32
 	breq    wire.BatchReq
-	tresp   wire.TopKResp
-	bresp   wire.BatchResp
-	sresp   wire.SimilarResp
 	frame   wire.Frame
 }
 
@@ -91,12 +72,9 @@ func (ss *shardScratch) ensureBatch(n int) {
 	ss.frags = ss.frags[:n]
 	if cap(ss.sts) < n {
 		ss.sts = make([]simrank.QueryStats, n)
-	}
-	ss.sts = ss.sts[:n]
-	if cap(ss.wireSts) < n {
 		ss.wireSts = make([]wire.Stats, n)
 	}
-	ss.wireSts = ss.wireSts[:n]
+	ss.sts, ss.wireSts = ss.sts[:n], ss.wireSts[:n]
 }
 
 func (h *Handler) getShardScratch() *shardScratch {
@@ -107,242 +85,7 @@ func (h *Handler) putShardScratch(ss *shardScratch) {
 	h.shardPool.Put(ss)
 }
 
-// errStatus maps a query error to the HTTP-equivalent status and stable
-// code the JSON error path uses, counting timeouts identically.
-func (h *Handler) errStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		h.counters.timeouts.Add(1)
-		return http.StatusServiceUnavailable, CodeTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, CodeCancelled
-	default:
-		return http.StatusBadRequest, CodeBadRequest
-	}
-}
-
-// writeBinFrame writes an encoded frame as the HTTP response body.
-func (h *Handler) writeBinFrame(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(frame)
-	h.counters.wireBytesOut.Add(int64(n))
-}
-
-// shardTopKBin is the negotiated-binary tail of handleShardTopK.
-func (h *Handler) shardTopKBin(ctx context.Context, w http.ResponseWriter, u, lo, hi int, start time.Time) {
-	ss := h.getShardScratch()
-	defer h.putShardScratch(ss)
-	frag, st, err := h.idx.TopKShardAppendCtx(ctx, u, lo, hi, ss.frag)
-	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	ss.frag = frag
-	ss.tresp = wire.TopKResp{
-		Query:     uint32(u),
-		Shard:     int32(h.manifest.Shard),
-		ElapsedUS: time.Since(start).Microseconds(),
-		Stats:     StatsToWire(st),
-		Frag:      frag,
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	t0 := time.Now()
-	buf.B = wire.AppendTopKResp(buf.B[:0], &ss.tresp)
-	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
-	h.counters.binRequests.Add(1)
-	h.writeBinFrame(w, buf.B)
-}
-
-// shardBatchBin answers a batch whose response (and possibly request)
-// is binary. us aliases the caller's query slice.
-func (h *Handler) shardBatchBin(ctx context.Context, w http.ResponseWriter, us []uint32, lo, hi int, start time.Time, ss *shardScratch) {
-	ss.ensureBatch(len(us))
-	if err := h.idx.TopKShardBatchAppendCtx(ctx, us, lo, hi, ss.frags, ss.sts); err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	for i, st := range ss.sts {
-		ss.wireSts[i] = StatsToWire(st)
-	}
-	ss.bresp = wire.BatchResp{
-		Shard:     int32(h.manifest.Shard),
-		ElapsedUS: time.Since(start).Microseconds(),
-		Queries:   us,
-		Stats:     ss.wireSts,
-		Frags:     ss.frags,
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	t0 := time.Now()
-	buf.B = wire.AppendBatchResp(buf.B[:0], &ss.bresp)
-	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
-	h.counters.binRequests.Add(1)
-	h.writeBinFrame(w, buf.B)
-}
-
-// handleShardBatchBin serves POST /shard/topk/batch when either side of
-// the exchange is binary: a frame body (Content-Type), a frame response
-// (Accept), or both.
-func (h *Handler) handleShardBatchBin(w http.ResponseWriter, r *http.Request) {
-	ss := h.getShardScratch()
-	defer h.putShardScratch(ss)
-	var us []uint32
-	var lo, hi int
-	if binBody(r) {
-		var ok bool
-		lo, hi, ok = h.readBinBatchReq(w, r, ss)
-		if !ok {
-			return
-		}
-		us = ss.breq.Queries
-	} else {
-		var req ShardBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-			return
-		}
-		if len(req.Queries) == 0 {
-			writeError(w, http.StatusBadRequest, "queries must be non-empty")
-			return
-		}
-		if len(req.Queries) > h.MaxBatch {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("batch size %d exceeds limit %d", len(req.Queries), h.MaxBatch))
-			return
-		}
-		lo, hi = h.manifest.Lo, h.manifest.Hi
-		if req.Lo != nil {
-			lo = *req.Lo
-		}
-		if req.Hi != nil {
-			hi = *req.Hi
-		}
-		if lo < 0 || hi < lo || hi > h.manifest.Vertices {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("range [%d, %d) invalid for %d vertices", lo, hi, h.manifest.Vertices))
-			return
-		}
-		ss.qbuf = ss.qbuf[:0]
-		for _, u := range req.Queries {
-			if u < 0 {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("vertex %d out of range", u))
-				return
-			}
-			ss.qbuf = append(ss.qbuf, uint32(u))
-		}
-		us = ss.qbuf
-	}
-	h.counters.shardBatches.Add(1)
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	start := time.Now()
-	if wantBin(r) {
-		h.shardBatchBin(ctx, w, us, lo, hi, start, ss)
-		return
-	}
-	// Binary request, JSON response: answer in the JSON batch shape.
-	ss.ensureBatch(len(us))
-	if err := h.idx.TopKShardBatchAppendCtx(ctx, us, lo, hi, ss.frags, ss.sts); err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	resp := ShardBatchResponse{
-		Shard:   h.manifest.Shard,
-		Results: make([]ShardTopKResponse, len(us)),
-	}
-	for i := range us {
-		resp.Results[i] = ShardTopKResponse{
-			Query: int(us[i]),
-			Shard: h.manifest.Shard,
-			Frag:  ToWire(ss.frags[i]),
-			Stats: toStatsJSON(ss.sts[i]),
-		}
-	}
-	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// shardSimilarBin is the negotiated-binary tail of handleShardSimilar.
-func (h *Handler) shardSimilarBin(ctx context.Context, w http.ResponseWriter, u int, theta float64, lo, hi int, start time.Time) {
-	ss := h.getShardScratch()
-	defer h.putShardScratch(ss)
-	res, st, err := h.idx.SimilarShardCtx(ctx, u, theta, lo, hi)
-	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	ss.ranked = ss.ranked[:0]
-	for _, sc := range res {
-		ss.ranked = append(ss.ranked, wire.ScoredNode{Node: uint32(sc.Node), Score: sc.Score})
-	}
-	ss.sresp = wire.SimilarResp{
-		Query:     uint32(u),
-		Shard:     int32(h.manifest.Shard),
-		ElapsedUS: time.Since(start).Microseconds(),
-		Stats:     StatsToWire(st),
-		Ranked:    ss.ranked,
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	t0 := time.Now()
-	buf.B = wire.AppendSimilarResp(buf.B[:0], &ss.sresp)
-	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
-	h.counters.binRequests.Add(1)
-	h.writeBinFrame(w, buf.B)
-}
-
-// readBinBatchReq decodes a binary POST /shard/topk/batch body into
-// ss.breq, enforcing MaxBatch and the manifest's vertex range.
-//
-//lint:sanitized every decoded field is range-checked before ok returns true
-func (h *Handler) readBinBatchReq(w http.ResponseWriter, r *http.Request, ss *shardScratch) (lo, hi int, ok bool) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	data, err := wire.ReadFrame(r.Body, buf)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid binary body: "+err.Error())
-		return 0, 0, false
-	}
-	h.counters.wireBytesIn.Add(int64(len(data)))
-	t0 := time.Now()
-	perr := ss.frame.Parse(data)
-	if perr == nil {
-		perr = ss.frame.BatchReq(&ss.breq)
-	}
-	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "invalid binary body: "+perr.Error())
-		return 0, 0, false
-	}
-	if len(ss.breq.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "queries must be non-empty")
-		return 0, 0, false
-	}
-	if len(ss.breq.Queries) > h.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch size exceeds limit")
-		return 0, 0, false
-	}
-	lo, hi = int(ss.breq.Lo), int(ss.breq.Hi)
-	if hi < lo || hi > h.manifest.Vertices {
-		writeError(w, http.StatusBadRequest, "range invalid for graph")
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
 // --- persistent TCP transport ---
-
-// ListenAndServeBin serves the binary shard protocol on addr until the
-// listener fails. Start it alongside the HTTP server; the bound address
-// is advertised through /shardinfo once the listener is up.
-func (h *Handler) ListenAndServeBin(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return h.ServeBin(ln)
-}
 
 // StartBin begins serving the binary protocol on addr in the background
 // and returns the bound address plus a closer. Used by tests and by
@@ -374,166 +117,92 @@ func (h *Handler) ServeBin(ln net.Listener) error {
 	}
 }
 
-// binQueryCtx bounds one TCP-transport query: there is no request
-// context to inherit, so QueryTimeout alone applies.
-func (h *Handler) binQueryCtx() (context.Context, context.CancelFunc) {
-	if h.QueryTimeout > 0 {
-		return context.WithTimeout(context.Background(), h.QueryTimeout)
-	}
-	return context.Background(), func() {}
-}
-
+// serveBinConn serves one connection. A reader goroutine owns the
+// socket's read side: it reads frames into two alternating buffers and
+// hands them over an unbuffered channel, so it is at most one frame
+// ahead of the serving loop and never overwrites the frame being
+// served. Its other job is noticing the peer: a read error while a query
+// is in flight (the router closed the socket on a lost hedge or a
+// timeout) cancels ctx, and with it the scan, the way r.Context() does
+// over HTTP. A peer that half-closes after its last request is
+// indistinguishable and gets the same treatment.
 func (h *Handler) serveBinConn(conn net.Conn) {
 	defer conn.Close()
 	h.counters.binConns.Add(1)
-	rbuf := wire.GetBuf()
-	defer wire.PutBuf(rbuf)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	frames := make(chan []byte)
+	var readErr error // written before frames closes, read after
+	go func() {
+		defer close(frames)
+		defer cancel()
+		br := bufio.NewReaderSize(conn, 64<<10)
+		var bufs [2]wire.Buf
+		for i := 0; ; i++ {
+			data, err := wire.ReadFrame(br, &bufs[i%2])
+			if err != nil {
+				readErr = err
+				return
+			}
+			select {
+			case frames <- data:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 	wbuf := wire.GetBuf()
 	defer wire.PutBuf(wbuf)
 	ss := h.getShardScratch()
 	defer h.putShardScratch(ss)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	//lint:ignore ctxflow read loop lives for the connection; each query inside runs under binQueryCtx, and closing the conn unblocks the read
-	for {
-		data, err := wire.ReadFrame(br, rbuf)
-		if err != nil {
-			// io.EOF is the clean close; a frame error means the stream
-			// desynchronized — either way the connection is done. Tell a
-			// still-listening peer why before dropping it.
-			if errors.Is(err, wire.ErrFrame) {
-				wbuf.B = wire.AppendError(wbuf.B[:0], http.StatusBadRequest, CodeBadRequest, err.Error())
-				conn.Write(wbuf.B)
-			}
-			return
-		}
+	for data := range frames {
 		h.counters.wireBytesIn.Add(int64(len(data)))
-		if !h.serveBinFrame(conn, data, ss, wbuf) {
+		if !h.serveBinFrame(ctx, conn, data, ss, wbuf) {
 			return
 		}
 	}
+	// io.EOF is the clean close; a frame error means the stream
+	// desynchronized — either way the connection is done. Tell a
+	// still-listening peer why before dropping it.
+	if errors.Is(readErr, wire.ErrFrame) {
+		wbuf.B = wire.AppendError(wbuf.B[:0], http.StatusBadRequest, CodeBadRequest, readErr.Error())
+		conn.Write(wbuf.B)
+	}
 }
 
-// serveBinFrame answers one frame; false means the connection must
-// close (protocol breakdown or a dead peer).
-func (h *Handler) serveBinFrame(conn net.Conn, data []byte, ss *shardScratch, wbuf *wire.Buf) bool {
+// serveBinFrame answers one frame under ctx (the connection's, bounded
+// by QueryTimeout — there is no request context to inherit); false
+// means the connection must close (protocol breakdown or a dead peer).
+// A request that fails to decode, validate or run is answered with a
+// MsgError frame and keeps the connection: the stream is still aligned.
+func (h *Handler) serveBinFrame(ctx context.Context, conn net.Conn, data []byte, ss *shardScratch, wbuf *wire.Buf) bool {
 	t0 := time.Now()
 	if err := ss.frame.Parse(data); err != nil {
 		wbuf.B = wire.AppendError(wbuf.B[:0], http.StatusBadRequest, CodeBadRequest, err.Error())
 		conn.Write(wbuf.B)
 		return false
 	}
-	var encStart time.Time
-	switch ss.frame.Type {
-	case wire.MsgTopKReq:
-		req, err := ss.frame.TopKReq()
-		h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
-		h.counters.shardQueries.Add(1)
-		h.counters.binRequests.Add(1)
-		ctx, cancel := h.binQueryCtx()
-		start := time.Now()
-		frag, st, qerr := h.idx.TopKShardAppendCtx(ctx, int(req.U), int(req.Lo), int(req.Hi), ss.frag)
-		cancel()
-		if qerr != nil {
-			status, code := h.errStatus(qerr)
-			return h.binError(conn, wbuf, status, code, qerr.Error())
-		}
-		ss.frag = frag
-		ss.tresp = wire.TopKResp{
-			Query:     req.U,
-			Shard:     int32(h.manifest.Shard),
-			ElapsedUS: time.Since(start).Microseconds(),
-			Stats:     StatsToWire(st),
-			Frag:      frag,
-		}
-		encStart = time.Now()
-		wbuf.B = wire.AppendTopKResp(wbuf.B[:0], &ss.tresp)
-
-	case wire.MsgBatchReq:
-		err := ss.frame.BatchReq(&ss.breq)
-		h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
-		if len(ss.breq.Queries) == 0 || len(ss.breq.Queries) > h.MaxBatch {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, "batch size out of range")
-		}
-		lo, hi := int(ss.breq.Lo), int(ss.breq.Hi)
-		if hi < lo || hi > h.manifest.Vertices {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, "range invalid for graph")
-		}
-		h.counters.shardBatches.Add(1)
-		h.counters.binRequests.Add(1)
-		ctx, cancel := h.binQueryCtx()
-		start := time.Now()
-		ss.ensureBatch(len(ss.breq.Queries))
-		qerr := h.idx.TopKShardBatchAppendCtx(ctx, ss.breq.Queries, lo, hi, ss.frags, ss.sts)
-		cancel()
-		if qerr != nil {
-			status, code := h.errStatus(qerr)
-			return h.binError(conn, wbuf, status, code, qerr.Error())
-		}
-		for i, st := range ss.sts {
-			ss.wireSts[i] = StatsToWire(st)
-		}
-		ss.bresp = wire.BatchResp{
-			Shard:     int32(h.manifest.Shard),
-			ElapsedUS: time.Since(start).Microseconds(),
-			Queries:   ss.breq.Queries,
-			Stats:     ss.wireSts,
-			Frags:     ss.frags,
-		}
-		encStart = time.Now()
-		wbuf.B = wire.AppendBatchResp(wbuf.B[:0], &ss.bresp)
-
-	case wire.MsgSimilarReq:
-		req, err := ss.frame.SimilarReq()
-		h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
-		if req.Theta <= 0 || req.Theta > 1 {
-			return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, "theta must be in (0, 1]")
-		}
-		h.counters.shardQueries.Add(1)
-		h.counters.binRequests.Add(1)
-		ctx, cancel := h.binQueryCtx()
-		start := time.Now()
-		res, st, qerr := h.idx.SimilarShardCtx(ctx, int(req.U), req.Theta, int(req.Lo), int(req.Hi))
-		cancel()
-		if qerr != nil {
-			status, code := h.errStatus(qerr)
-			return h.binError(conn, wbuf, status, code, qerr.Error())
-		}
-		ss.ranked = ss.ranked[:0]
-		for _, sc := range res {
-			ss.ranked = append(ss.ranked, wire.ScoredNode{Node: uint32(sc.Node), Score: sc.Score})
-		}
-		ss.sresp = wire.SimilarResp{
-			Query:     req.U,
-			Shard:     int32(h.manifest.Shard),
-			ElapsedUS: time.Since(start).Microseconds(),
-			Stats:     StatsToWire(st),
-			Ranked:    ss.ranked,
-		}
-		encStart = time.Now()
-		wbuf.B = wire.AppendSimilarResp(wbuf.B[:0], &ss.sresp)
-
-	default:
-		return h.binError(conn, wbuf, http.StatusBadRequest, CodeBadRequest, "unsupported message type")
+	req, err := shardReqFromFrame(&ss.frame, &ss.breq)
+	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
+	if err == nil {
+		err = h.checkShardReq(&req)
 	}
-	h.counters.encodeNS.Add(time.Since(encStart).Nanoseconds())
-	n, err := conn.Write(wbuf.B)
-	h.counters.wireBytesOut.Add(int64(n))
-	return err == nil
-}
-
-// binError ships a query failure as a MsgError frame; true keeps the
-// connection serving.
-func (h *Handler) binError(conn net.Conn, wbuf *wire.Buf, status int, code, msg string) bool {
-	wbuf.B = wire.AppendError(wbuf.B[:0], status, code, msg)
+	if err == nil {
+		cancel := func() {}
+		if h.QueryTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, h.QueryTimeout)
+		}
+		start := time.Now()
+		err = h.run(ctx, &req, ss)
+		cancel()
+		if err == nil {
+			h.encodeResp(wbuf, &req, ss, time.Since(start))
+		}
+	}
+	if err != nil {
+		status, code, msg := h.errStatus(err)
+		wbuf.B = wire.AppendError(wbuf.B[:0], status, code, msg)
+	}
 	n, err := conn.Write(wbuf.B)
 	h.counters.wireBytesOut.Add(int64(n))
 	return err == nil

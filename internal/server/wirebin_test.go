@@ -2,16 +2,13 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	simrank "repro"
 	"repro/internal/wire"
 )
 
@@ -23,178 +20,6 @@ func getBin(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
-}
-
-func parseFrame(t *testing.T, body []byte) *wire.Frame {
-	t.Helper()
-	var f wire.Frame
-	if err := f.Parse(body); err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	return &f
-}
-
-// TestShardTopKBinMatchesJSON drives /shard/topk through both
-// negotiated encodings and demands bit-identical fragments and stats.
-func TestShardTopKBinMatchesJSON(t *testing.T) {
-	_, hs := shardTopology(t, 2)
-	for _, h := range hs {
-		rec, body := get(t, h, "/shard/topk?u=7")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("json status %d: %s", rec.Code, body)
-		}
-		var jr ShardTopKResponse
-		if err := json.Unmarshal(body, &jr); err != nil {
-			t.Fatal(err)
-		}
-
-		brec := getBin(t, h, "/shard/topk?u=7")
-		if brec.Code != http.StatusOK {
-			t.Fatalf("bin status %d: %s", brec.Code, brec.Body.String())
-		}
-		if ct := brec.Header().Get("Content-Type"); ct != wire.ContentType {
-			t.Fatalf("Content-Type = %q, want %q", ct, wire.ContentType)
-		}
-		var resp wire.TopKResp
-		if err := parseFrame(t, brec.Body.Bytes()).TopKResp(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if int(resp.Query) != jr.Query || int(resp.Shard) != jr.Shard {
-			t.Fatalf("identity mismatch: bin (%d, %d) vs json (%d, %d)",
-				resp.Query, resp.Shard, jr.Query, jr.Shard)
-		}
-		jfrag := FromWire(jr.Frag)
-		if len(resp.Frag) != len(jfrag) {
-			t.Fatalf("fragment length %d vs %d", len(resp.Frag), len(jfrag))
-		}
-		for i, c := range resp.Frag {
-			j := jfrag[i]
-			if c.V != j.V || c.State != j.State ||
-				math.Float64bits(c.UB) != math.Float64bits(j.UB) ||
-				math.Float64bits(c.Rough) != math.Float64bits(j.Rough) ||
-				math.Float64bits(c.Score) != math.Float64bits(j.Score) {
-				t.Fatalf("fragment row %d differs: bin %+v vs json %+v", i, c, j)
-			}
-		}
-		if got, want := StatsFromWire(resp.Stats), *jr.Stats; got != simrank.QueryStats(wireStatsForTest(want)) {
-			t.Fatalf("stats differ: bin %+v vs json %+v", got, want)
-		}
-	}
-}
-
-// wireStatsForTest lowers the JSON stats shape to QueryStats.
-func wireStatsForTest(st QueryStatsJSON) simrank.QueryStats {
-	return simrank.QueryStats{
-		Candidates:     st.Candidates,
-		PrunedByBound:  st.PrunedByBound,
-		PrunedByRough:  st.PrunedByRough,
-		Refined:        st.Refined,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-	}
-}
-
-// TestShardBatchBinRoundTrip posts a binary batch request and checks
-// the binary response against the JSON batch for the same queries.
-func TestShardBatchBinRoundTrip(t *testing.T) {
-	_, hs := shardTopology(t, 2)
-	h := hs[0]
-	m := h.Manifest()
-
-	jrec, jbody := postJSON(t, h, "/shard/topk/batch", `{"queries":[3,9,3]}`)
-	if jrec.Code != http.StatusOK {
-		t.Fatalf("json status %d: %s", jrec.Code, jbody)
-	}
-	var jr ShardBatchResponse
-	if err := json.Unmarshal(jbody, &jr); err != nil {
-		t.Fatal(err)
-	}
-
-	breq := wire.BatchReq{Lo: uint32(m.Lo), Hi: uint32(m.Hi), Queries: []uint32{3, 9, 3}}
-	frame := wire.AppendBatchReq(nil, &breq)
-	req := httptest.NewRequest(http.MethodPost, "/shard/topk/batch", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set("Accept", wire.ContentType)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("bin status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp wire.BatchResp
-	if err := parseFrame(t, rec.Body.Bytes()).BatchResp(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Frags) != len(jr.Results) {
-		t.Fatalf("%d fragments vs %d JSON results", len(resp.Frags), len(jr.Results))
-	}
-	for i, frag := range resp.Frags {
-		jfrag := FromWire(jr.Results[i].Frag)
-		if len(frag) != len(jfrag) {
-			t.Fatalf("query %d: %d rows vs %d", i, len(frag), len(jfrag))
-		}
-		for k, c := range frag {
-			if c != jfrag[k] {
-				t.Fatalf("query %d row %d differs: %+v vs %+v", i, k, c, jfrag[k])
-			}
-		}
-		if StatsFromWire(resp.Stats[i]) != wireStatsForTest(*jr.Results[i].Stats) {
-			t.Fatalf("query %d stats differ", i)
-		}
-	}
-
-	// Binary request with JSON response (no Accept header).
-	req = httptest.NewRequest(http.MethodPost, "/shard/topk/batch", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("bin-req/json-resp status %d: %s", rec.Code, rec.Body.String())
-	}
-	var jr2 ShardBatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &jr2); err != nil {
-		t.Fatal(err)
-	}
-	if len(jr2.Results) != len(jr.Results) {
-		t.Fatalf("mixed-mode result count %d vs %d", len(jr2.Results), len(jr.Results))
-	}
-	for i := range jr2.Results {
-		if len(jr2.Results[i].Frag) != len(jr.Results[i].Frag) {
-			t.Fatalf("mixed-mode query %d fragment length differs", i)
-		}
-	}
-}
-
-// TestShardSimilarBin checks the negotiated binary threshold query.
-func TestShardSimilarBin(t *testing.T) {
-	_, hs := shardTopology(t, 2)
-	h := hs[1]
-	rec, body := get(t, h, "/shard/similar?u=5&theta=0.02")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("json status %d: %s", rec.Code, body)
-	}
-	var jr TopKResponse
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatal(err)
-	}
-	brec := getBin(t, h, "/shard/similar?u=5&theta=0.02")
-	if brec.Code != http.StatusOK {
-		t.Fatalf("bin status %d: %s", brec.Code, brec.Body.String())
-	}
-	var resp wire.SimilarResp
-	if err := parseFrame(t, brec.Body.Bytes()).SimilarResp(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Ranked) != len(jr.Results) {
-		t.Fatalf("%d ranked vs %d JSON results", len(resp.Ranked), len(jr.Results))
-	}
-	for i, sn := range resp.Ranked {
-		if int(sn.Node) != jr.Results[i].Node ||
-			math.Float64bits(sn.Score) != math.Float64bits(jr.Results[i].Score) {
-			t.Fatalf("row %d differs: bin (%d, %v) vs json (%d, %v)",
-				i, sn.Node, sn.Score, jr.Results[i].Node, jr.Results[i].Score)
-		}
-	}
 }
 
 // binDial starts the TCP listener on a handler and returns a connected
@@ -260,7 +85,7 @@ func TestBinTCPRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(jbody, &jr); err != nil {
 			t.Fatal(err)
 		}
-		jfrag := FromWire(jr.Frag)
+		jfrag := FromWire(nil, jr.Frag)
 		if len(resp.Frag) != len(jfrag) {
 			t.Fatalf("try %d: %d rows vs %d", try, len(resp.Frag), len(jfrag))
 		}

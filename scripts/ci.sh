@@ -63,7 +63,12 @@ go test -run - -bench . -benchtime 1x ./...
 # seed. Run twice: once over the binary wire protocol (shards advertise
 # TCP bin listeners, the router's default) and once with the router
 # forced to JSON, so both encodings of the scatter-gather are proven
-# identical end-to-end across real processes.
+# identical end-to-end across real processes. topkdiff reads the
+# router's /statusz afterwards and prints the transport the shards were
+# reached over (wire_format bin only with request frames encoded and TCP
+# connections accepted); each run must name the one it claims to test —
+# the default router hedges, and until hedged attempts could travel over
+# TCP this smoke was diffing negotiated HTTP under the "binary" label.
 echo "==> multi-shard smoke (2 shards + router vs single node)"
 smoketmp="$(mktemp -d)"
 smoke_cleanup() {
@@ -90,16 +95,24 @@ echo $! > "$smoketmp/router.pid"
 "$smoketmp/simrouter" -shards http://127.0.0.1:19482,http://127.0.0.1:19483 \
 	-wire json -addr 127.0.0.1:19487 >"$smoketmp/router-json.log" 2>&1 &
 echo $! > "$smoketmp/router-json.pid"
-if ! "$smoketmp/topkdiff" -a http://127.0.0.1:19484 -b http://127.0.0.1:19481 -count 50 -k 20 -wait 60s; then
-	echo "multi-shard smoke (binary wire) failed; router log:"
-	cat "$smoketmp/router.log"
-	exit 1
-fi
-if ! "$smoketmp/topkdiff" -a http://127.0.0.1:19487 -b http://127.0.0.1:19481 -count 50 -k 20 -wait 60s; then
-	echo "multi-shard smoke (forced JSON) failed; router log:"
-	cat "$smoketmp/router-json.log"
-	exit 1
-fi
+# smoke_diff <router> <label> <wire_format> <router log>
+smoke_diff() {
+	if ! out="$("$smoketmp/topkdiff" -a "$1" -b http://127.0.0.1:19481 -count 50 -k 20 -wait 60s)"; then
+		echo "multi-shard smoke ($2) failed; router log:"
+		cat "$4"
+		exit 1
+	fi
+	echo "$out"
+	case "$out" in
+	*"wire_format=$3)"*) ;;
+	*)
+		echo "multi-shard smoke ($2): the shards were not reached over wire_format=$3"
+		exit 1
+		;;
+	esac
+}
+smoke_diff http://127.0.0.1:19484 "binary wire" bin "$smoketmp/router.log"
+smoke_diff http://127.0.0.1:19487 "forced JSON" json "$smoketmp/router-json.log"
 smoke_cleanup
 trap - EXIT
 
