@@ -47,10 +47,11 @@ lint-baseline:
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
 # couple of minutes the first time). TopKSocial is the wide-support
 # regime (preferential attachment, caches off) that the copying-model
-# benchmarks never reach. RouterTopK/RouterTopKBatch live in
+# benchmarks never reach; CandWalks is its walk kernel alone, one stream
+# at a time against lane-interleaved. RouterTopK/RouterTopKBatch live in
 # internal/router: routed queries over a real 3-shard loopback topology
 # (binary wire). WireCodec measures the binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKSocial|SinglePairOneSided|SampleWalkDist|ComputeL1|WalkStep|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|TopKSocial|SinglePairOneSided|SampleWalkDist|ComputeL1|WalkStep|CandWalks|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:

@@ -28,7 +28,7 @@ var GoSpawn = &Analyzer{
 var goSpawnAllow = map[string]bool{
 	"forEachIndexParallel": true, // allpairs.go: atomic-cursor work-item pool (AllTopK, TopKBatch, joins)
 	"parallelVertices":     true, // engine.go: contiguous block shards
-	"scoreBlockParallel":   true, // query.go: per-block candidate scoring
+	"scoreBlock":           true, // lanes.go: lane-group shares of one candidate block
 	"startRefresher":       true, // dynamic.go: the single background snapshot builder
 	"fanout":               true, // router/hedge.go: one goroutine per shard, counted scatter
 	"hedged":               true, // router/hedge.go: launch-on-demand attempts under a fixed cap

@@ -24,9 +24,9 @@ func fanOutPerItem(items []int, fn func(int)) {
 	}
 }
 
-// scoreBlockParallel is an approved name, but per-item spawning inside a
-// range loop is still unbounded and still flagged.
-func scoreBlockParallel(items []int, fn func(int)) {
+// scoreBlock is an approved name, but per-item spawning inside a range
+// loop is still unbounded and still flagged.
+func scoreBlock(items []int, fn func(int)) {
 	for _, it := range items {
 		go fn(it) // want "one goroutine per ranged item"
 	}

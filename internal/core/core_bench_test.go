@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -107,6 +108,34 @@ func BenchmarkWalkStep(b *testing.B) {
 		if stepWalks(e.wt, r, pos, lane) == 0 {
 			resetWalks(pos, 42)
 		}
+	}
+}
+
+// BenchmarkCandWalks measures candidate walk simulation alone, on the
+// graph of the end-to-end social workload (too large for the cache, so a
+// step is two dependent misses): one op is one candidate's RScore walks
+// of T−1 steps, from one stream at a time and from graph.MaxWalkLanes
+// streams in lockstep.
+func BenchmarkCandWalks(b *testing.B) {
+	g := graph.PreferentialAttachment(100000, 10, 0.4, 1)
+	wt := g.BuildWalkTable()
+	p := DefaultParams()
+	T, R := p.T, p.RScore
+	n := uint32(g.N())
+	for _, k := range []int{1, graph.MaxWalkLanes} {
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			lanes := newWalkLanes(k, T*R)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k {
+				for l := range lanes {
+					v := uint32((i+l)*7919+13) % n
+					lanes[l].Start = v
+					lanes[l].Rng.Seed(uint64(v))
+				}
+				wt.WalkLanes(lanes, 0, R, T-1, R)
+			}
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func TestTopKIdenticalAcrossWorkers(t *testing.T) {
 		res, stats := base.TopKStats(u, 20)
 		want[i] = result{res, stats}
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{2, 3, 5, 8} {
 		e := build(workers)
 		for i, u := range queries {
 			res, stats := e.TopKStats(u, 20)

@@ -26,13 +26,15 @@ import (
 // "file-package.name", and doubles as this test's work list.
 var hotpathKernels = []string{
 	"core.buildFullTally",
-	"core.buildRoughTally",
+	"core.dotPositions",
 	"core.dotTally",
 	"core.get",
+	"core.scoreLanes",
 	"core.simulateCandWalks",
 	"core.singleWalk",
 	"core.stepWalks",
 	"graph.StepWalks",
+	"graph.WalkLanes",
 }
 
 func TestHotpathKernelsAllocFree(t *testing.T) {
@@ -71,19 +73,42 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		singleWalk(e.wt, &s.rng, u, T, out)
 	})
 
-	check("simulateCandWalks+buildFullTally+buildRoughTally", 20, func() {
+	check("simulateCandWalks+buildFullTally", 20, func() {
 		s.rng.Seed(e.candSeed(v))
-		e.simulateCandWalks(s, v, 0, R, R)
+		e.simulateCandWalks(s, v, R)
 		e.buildFullTally(s, v, R, Rr, R)
-		e.buildRoughTally(s, v, Rr, R)
 	})
 
-	// dotTally needs a query-side distribution and a full tally view.
+	// The scoring kernels need a query-side distribution.
 	var wd walkDist
 	s.rng.Seed(e.candSeed(u))
 	e.sampleWalkDistInto(&wd, s, u, R, &s.rng)
+
+	// scoreLanes covers graph.WalkLanes and dotPositions: a block of more
+	// candidates than one lane group, a floor of zero so every one of them
+	// is refined, then a floor nothing reaches so none is.
+	block := make([]boundedCand, 3*graph.MaxWalkLanes-1)
+	pend := make([]int32, len(block))
+	for j := range block {
+		block[j].v = uint32(2 + 5*j)
+	}
+	scores := make([]candScore, len(block))
+	for _, floor := range []float64{0, 2} {
+		check("scoreLanes", 20, func() {
+			for j := range pend {
+				pend[j] = int32(j)
+			}
+			e.scoreLanes(s, &wd, block, scores, pend, floor)
+			sink += scores[0].rough
+		})
+		// The dispatcher above it must add nothing on the one-worker path
+		// (a WaitGroup declared before the fork would).
+		check("scoreBlock", 20, func() {
+			sink += e.scoreBlock(s, block, &wd, floor, false, 1)[0].rough
+		})
+	}
 	s.rng.Seed(e.candSeed(v))
-	e.simulateCandWalks(s, v, 0, R, R)
+	e.simulateCandWalks(s, v, R)
 	rsteps := e.buildFullTally(s, v, R, Rr, R)
 	invR := 1 / float64(R)
 	check("dotTally", 100, func() {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -158,10 +156,8 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 	if k == 0 {
 		acc = newTopKAcc(len(bs)) // unlimited: keep everything above theta
 	}
-	scores := qs.scores
 	for i := 0; i < len(bs); {
 		if err := ctx.Err(); err != nil {
-			qs.scores = scores
 			return nil, stats, err
 		}
 		// The pruning floor is re-evaluated once per block, from fully
@@ -185,18 +181,7 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 			end--
 		}
 		block := bs[i:end]
-		if cap(scores) < len(block) {
-			scores = make([]candScore, len(block))
-		} else {
-			scores = scores[:len(block)]
-		}
-		if workers > 1 && len(block) >= minParallelScore {
-			e.scoreBlockParallel(block, scores, u, wd, floor, exactU, workers)
-		} else {
-			for j, b := range block {
-				scores[j] = e.scoreCandidate(qs, wd, u, b.v, floor, exactU)
-			}
-		}
+		scores := e.scoreBlock(qs, block, wd, floor, exactU, workers)
 		// Merge sequentially in bound order, exactly as the sequential
 		// path would have.
 		for j, b := range block {
@@ -219,7 +204,6 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 		}
 		i = end
 	}
-	qs.scores = scores
 	return acc.result(), stats, nil
 }
 
@@ -312,120 +296,53 @@ func sortBounds(bs []boundedCand) {
 	})
 }
 
-// scoreBlockParallel fans one block of candidates out to workers. Each
-// candidate's walks come from its own vertex-seeded stream (candSeed), so
-// which goroutine scores it — and in what order — cannot change its score.
-func (e *Snapshot) scoreBlockParallel(block []boundedCand, scores []candScore, u uint32, wd *walkDist, floor float64, exactU bool, workers int) {
-	if workers > len(block) {
-		workers = len(block)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.getScratch()
-			defer e.putScratch(s)
-			//lint:ignore ctxflow the loop is bounded by len(block) (≤64 candidates) and exits within one candidate's scoring; the caller checks ctx between blocks, so a per-iteration check here would only add atomic traffic to the hot path
-			for {
-				j := int(cursor.Add(1)) - 1
-				if j >= len(block) {
-					return
-				}
-				scores[j] = e.scoreCandidate(s, wd, u, block[j].v, floor, exactU)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// scoreCandidate produces the estimate (or rough-prune verdict) for one
-// candidate v of a query at u. The candidate's RNG is seeded from v
-// alone (candSeed), never shared, so the result is a pure function of
-// the engine state — and the tally it produces is reusable across
-// queries, which the cross-query cache exploits. The cached and uncached
-// paths run the identical estimator over the identical walk stream
-// (tally.go), so enabling the cache changes work, never values.
+// scoreCandidate scores candidate v without scheduling walks of its own
+// when it can: by exact propagation (exactU, when v's support allows it
+// too) or through the tally cache. ok is false when neither applies and
+// the caller must hand v to the lane kernel (scoreLanes).
 //
-// The legacy one-sided kernel (singlePairOneSided) remains for RScore
-// beyond the uint16 tally range; it uses the same per-vertex stream but
-// a step-synchronous simulation order, so its estimates differ in
-// sampling noise only.
-func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, u, v uint32, floor float64, exactU bool) candScore {
-	if exactU {
-		// Deterministic scoring: propagate the candidate side exactly too
-		// when its support allows it.
-		if e.exactWalkDistInto(&s.wd2, s, v, e.p.ExactSupportCap) {
-			return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}
-		}
+// The candidate's walks are seeded from v alone (candSeed), never shared,
+// so its score is a pure function of the engine state — and its tally is
+// reusable across queries, which the cross-query cache exploits. The
+// cached and uncached paths evaluate the identical estimator over the
+// identical walk stream (tally.go, lanes.go), so enabling the cache
+// changes work, never values.
+func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor float64, exactU bool) (cs candScore, ok bool) {
+	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.ExactSupportCap) {
+		// Deterministic scoring: the candidate side propagates exactly too.
+		return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}, true
+	}
+	c := e.cache
+	if c == nil {
+		return candScore{}, false
 	}
 	R, Rr := e.p.RScore, e.p.RRough
-	if R > maxTallyCount {
+	cs = candScore{cache: cacheHit, state: candScoredNoRough}
+	ent := c.get(v)
+	if ent == nil {
+		// Miss: simulate the whole stream once and publish the tally. The
+		// query is then served from the new entry exactly as a hit would
+		// be — the rough estimate from the prefix counts — whether or not
+		// the insert landed.
 		s.rng.Seed(e.candSeed(v))
-		if e.p.DisableAdaptive {
-			return candScore{score: e.singlePairOneSided(s, wd, v, R, &s.rng), state: candScoredNoRough}
-		}
-		rough := e.singlePairOneSided(s, wd, v, Rr, &s.rng)
-		if rough < 0.3*floor {
-			return candScore{rough: rough, state: candRoughPruned}
-		}
-		return candScore{score: e.singlePairOneSided(s, wd, v, R, &s.rng), rough: rough, state: candScored}
-	}
-	invR, invRr := 1/float64(R), 1/float64(Rr)
-	if c := e.cache; c != nil {
-		if ent := c.get(v); ent != nil {
-			cs := candScore{cache: cacheHit, state: candScoredNoRough}
-			if !e.p.DisableAdaptive {
-				// "not small" (paper §7.2): keep the candidate when the
-				// rough estimate reaches 0.3x the pruning floor.
-				cs.rough = e.dotTally(wd, ent.off, ent.verts, ent.rcnt, invRr, int(ent.rsteps))
-				cs.state = candScored
-				if cs.rough < 0.3*floor {
-					cs.state = candRoughPruned
-					return cs
-				}
-			}
-			cs.score = e.dotTally(wd, ent.off, ent.verts, ent.cnt, invR, e.p.T)
-			return cs
-		}
-		// Miss: simulate the whole stream once, publish the tally, and
-		// serve this query from the scratch view. The rough estimate is
-		// evaluated on the prefix counts, exactly as a hit would.
-		s.rng.Seed(e.candSeed(v))
-		e.simulateCandWalks(s, v, 0, R, R)
+		e.simulateCandWalks(s, v, R)
 		rsteps := e.buildFullTally(s, v, R, Rr, R)
-		cs := candScore{cache: cacheMiss, state: candScoredNoRough}
-		cs.evicted = uint16(min(c.put(newTallyEntry(v, rsteps, s)), maxTallyCount))
-		if !e.p.DisableAdaptive {
-			cs.rough = e.dotTally(wd, s.tallyOff, s.tallyV, s.tallyRcnt, invRr, rsteps)
-			cs.state = candScored
-			if cs.rough < 0.3*floor {
-				cs.state = candRoughPruned
-				return cs
-			}
+		ent = newTallyEntry(v, rsteps, s)
+		cs.cache = cacheMiss
+		cs.evicted = uint16(min(c.put(ent), maxTallyCount))
+	}
+	if !e.p.DisableAdaptive {
+		// "not small" (paper §7.2): keep the candidate when the rough
+		// estimate reaches 0.3x the pruning floor.
+		cs.rough = e.dotTally(wd, ent.off, ent.verts, ent.rcnt, 1/float64(Rr), int(ent.rsteps))
+		cs.state = candScored
+		if cs.rough < 0.3*floor {
+			cs.state = candRoughPruned
+			return cs, true
 		}
-		cs.score = e.dotTally(wd, s.tallyOff, s.tallyV, s.tallyCnt, invR, e.p.T)
-		return cs
 	}
-	// Cache disabled: same estimator, scratch views only. The rough pass
-	// simulates just the prefix; walks Rr..R-1 continue the same stream
-	// (walk-major order makes the prefix positions identical either way).
-	s.rng.Seed(e.candSeed(v))
-	if e.p.DisableAdaptive {
-		e.simulateCandWalks(s, v, 0, R, R)
-		e.buildFullTally(s, v, R, Rr, R)
-		return candScore{score: e.dotTally(wd, s.tallyOff, s.tallyV, s.tallyCnt, invR, e.p.T), state: candScoredNoRough}
-	}
-	e.simulateCandWalks(s, v, 0, Rr, R)
-	rsteps := e.buildRoughTally(s, v, Rr, R)
-	rough := e.dotTally(wd, s.tallyOff, s.tallyV, s.tallyRcnt, invRr, rsteps)
-	if rough < 0.3*floor {
-		return candScore{rough: rough, state: candRoughPruned}
-	}
-	e.simulateCandWalks(s, v, Rr, R, R)
-	e.buildFullTally(s, v, R, Rr, R)
-	return candScore{score: e.dotTally(wd, s.tallyOff, s.tallyV, s.tallyCnt, invR, e.p.T), rough: rough, state: candScored}
+	cs.score = e.dotTally(wd, ent.off, ent.verts, ent.cnt, 1/float64(R), e.p.T)
+	return cs, true
 }
 
 // collectCandidates enumerates candidate vertices for the query according

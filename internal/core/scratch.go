@@ -73,6 +73,18 @@ type scratch struct {
 	tallyCnt  []uint16
 	tallyRcnt []uint16
 
+	// Lane kernel buffers (lanes.go): the block positions still waiting
+	// for walks, the lanes of one full-R group and of one rough section
+	// (each lane owns a fixed T-row position matrix; allocated on first
+	// use, so cached and exact scoring never pay for them), and the
+	// index-space hit tally of dotPositions — counters and a bitset over
+	// one step's support, all zero between calls.
+	pend       []int32
+	fullLanes  []graph.WalkLane
+	roughLanes []graph.WalkLane
+	hitCnt     []uint32
+	hitSet     []uint64
+
 	// L1-bound working storage (Algorithm 2's α table and β result).
 	alpha    []float64
 	overflow []float64
@@ -270,6 +282,28 @@ func (s *scratch) tallyReset(T int) {
 	s.tallyV = s.tallyV[:0]
 	s.tallyCnt = s.tallyCnt[:0]
 	s.tallyRcnt = s.tallyRcnt[:0]
+}
+
+// newWalkLanes returns n lanes whose position matrices, size entries
+// each, are cut from one backing array.
+func newWalkLanes(n, size int) []graph.WalkLane {
+	pos := make([]uint32, n*size)      //lint:ignore hotalloc allocated once per pooled scratch, on its first uncached block
+	lanes := make([]graph.WalkLane, n) //lint:ignore hotalloc allocated once per pooled scratch, on its first uncached block
+	for l := range lanes {
+		lanes[l].Out = pos[l*size : (l+1)*size]
+	}
+	return lanes
+}
+
+// hitBufs returns dotPositions' hit tally for a support of S vertices: S
+// counters and a bitset over them, all zero.
+func (s *scratch) hitBufs(S int) (cnt []uint32, set []uint64) {
+	if len(s.hitCnt) < S {
+		// The outgoing buffers are all zero, so nothing carries over.
+		s.hitCnt = make([]uint32, 2*S)         //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.hitSet = make([]uint64, (2*S+63)>>6) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+	}
+	return s.hitCnt[:S], s.hitSet[:(S+63)>>6]
 }
 
 // distBuf returns the dense distance array (all entries -1). The caller

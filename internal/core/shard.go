@@ -204,10 +204,8 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 		out[i] = ShardCand{V: bs[i].v, UB: clampUB(bs[i].ub), State: ShardUnscored}
 	}
 
-	scores := qs.scores
 	for i := 0; i < cut; {
 		if err := ctx.Err(); err != nil {
-			qs.scores = scores
 			return nil, stats, err
 		}
 		end := i + scoreBlock
@@ -215,18 +213,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 			end = cut
 		}
 		block := bs[i:end]
-		if cap(scores) < len(block) {
-			scores = make([]candScore, len(block))
-		} else {
-			scores = scores[:len(block)]
-		}
-		if workers > 1 && len(block) >= minParallelScore {
-			e.scoreBlockParallel(block, scores, u, wd, theta, exactU, workers)
-		} else {
-			for j, b := range block {
-				scores[j] = e.scoreCandidate(qs, wd, u, b.v, theta, exactU)
-			}
-		}
+		scores := e.scoreBlock(qs, block, wd, theta, exactU, workers)
 		for j, b := range block {
 			cs := scores[j]
 			switch cs.cache {
@@ -254,7 +241,6 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 		}
 		i = end
 	}
-	qs.scores = scores
 	return out, stats, nil
 }
 
@@ -289,11 +275,8 @@ func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float6
 	stats.Candidates = len(bs)
 
 	acc := newTopKAcc(len(bs))
-	scores := qs.scores
-	workers := e.p.Workers
 	for i := 0; i < len(bs); {
 		if err := ctx.Err(); err != nil {
-			qs.scores = scores
 			return nil, stats, err
 		}
 		if bs[i].ub < theta {
@@ -308,18 +291,7 @@ func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float6
 			end--
 		}
 		block := bs[i:end]
-		if cap(scores) < len(block) {
-			scores = make([]candScore, len(block))
-		} else {
-			scores = scores[:len(block)]
-		}
-		if workers > 1 && len(block) >= minParallelScore {
-			e.scoreBlockParallel(block, scores, u, wd, theta, exactU, workers)
-		} else {
-			for j, b := range block {
-				scores[j] = e.scoreCandidate(qs, wd, u, b.v, theta, exactU)
-			}
-		}
+		scores := e.scoreBlock(qs, block, wd, theta, exactU, e.p.Workers)
 		for j, b := range block {
 			switch scores[j].cache {
 			case cacheHit:
@@ -340,7 +312,6 @@ func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float6
 		}
 		i = end
 	}
-	qs.scores = scores
 	return acc.result(), stats, nil
 }
 

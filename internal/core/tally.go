@@ -2,14 +2,14 @@ package core
 
 import "slices"
 
-// This file is the candidate-scoring tally kernel shared by the cached
-// and uncached paths. A candidate v is scored by simulating R walks from
-// v (seeded by candSeed, so the stream is query-independent), tallying
-// the positions per step into a compact sorted view, and taking the dot
-// product against the query-side distribution. The same code runs with
-// and without the cache — the cache only decides whether the view comes
-// from scratch buffers or a stored tallyEntry — which is what makes
-// cache-on and cache-off results byte-identical.
+// This file is the candidate-scoring tally kernel of the cached path. A
+// candidate v is scored by simulating R walks from v (seeded by candSeed,
+// so the stream is query-independent), tallying the positions per step
+// into a compact sorted view, and taking the dot product against the
+// query-side distribution. The sorted view is what a tallyEntry stores;
+// without the cache nobody needs it, and lanes.go evaluates the same sum
+// over the same walk stream straight from the positions — term for term,
+// which is what makes cache-on and cache-off results byte-identical.
 //
 // The simulation is walk-major (each walk advanced through all T steps
 // before the next starts), not step-synchronous like stepWalks. Dead
@@ -18,73 +18,30 @@ import "slices"
 // estimate is literally a prefix restriction of the full tally, and the
 // cached rcnt counts reproduce it exactly.
 
-// simulateCandWalks advances walks [lo, hi) of candidate v's stream,
-// writing positions into s.tpos with row stride `stride` (row t holds
-// step t's positions; step 0 is implicit — every walk starts at v).
-// s.rng must already be seeded with candSeed(v) and positioned at walk
-// lo (walks are consumed in order, so a caller that simulated [0, lo)
-// first continues the same stream).
+// simulateCandWalks runs all R walks of candidate v's stream, writing
+// positions into s.tpos (row t holds step t's positions, one column per
+// walk; step 0 is implicit — every walk starts at v). s.rng must be
+// seeded with candSeed(v).
 //
-//lint:hotpath per-candidate walk simulation, runs R times per scored candidate
-func (e *Snapshot) simulateCandWalks(s *scratch, v uint32, lo, hi, stride int) {
+//lint:hotpath per-candidate walk simulation, runs R times per cache miss
+func (e *Snapshot) simulateCandWalks(s *scratch, v uint32, R int) {
 	T := e.p.T
-	tp := s.tposBuf(T, stride)
+	tp := s.tposBuf(T, R)
 	wt := e.wt
-	for i := lo; i < hi; i++ {
+	for i := 0; i < R; i++ {
 		// One strided trajectory per walk: row t of tp gets step t's
 		// position at column i. Walk-major draw order is part of the
 		// determinism contract (the rough estimate replays a prefix of
 		// the same stream), so walks batch internally — scalar rng
 		// state across the whole trajectory — but never across walks.
-		wt.WalkStrided(&s.rng, v, T-1, stride, tp[i:])
+		wt.WalkStrided(&s.rng, v, T-1, R, tp[i:])
 	}
-}
-
-// buildRoughTally tabulates walks [0, Rr) of the current tpos matrix
-// into the scratch tally view (sorted supports, counts in tallyRcnt) and
-// returns rsteps, the number of leading steps with nonempty support.
-// Used only on the cache-disabled rough pass; tallyCnt entries are
-// written but meaningless.
-//
-//lint:hotpath rough-pass tally tabulation, runs once per candidate
-func (e *Snapshot) buildRoughTally(s *scratch, v uint32, Rr, stride int) int {
-	T := e.p.T
-	s.tallyReset(T)
-	s.tallyV = append(s.tallyV, v)
-	s.tallyCnt = append(s.tallyCnt, 0)
-	s.tallyRcnt = append(s.tallyRcnt, uint16(Rr))
-	s.tallyOff[1] = 1
-	for t := 1; t < T; t++ {
-		s.beginTally()
-		row := s.tpos[t*stride:]
-		for i := 0; i < Rr; i++ {
-			if w := row[i]; w != Dead {
-				s.tallyCount(w)
-			}
-		}
-		if len(s.touched) == 0 {
-			for tt := t; tt < T; tt++ {
-				s.tallyOff[tt+1] = s.tallyOff[tt]
-			}
-			return t
-		}
-		s.orderTouched()
-		for _, w := range s.touched {
-			s.tallyV = append(s.tallyV, w)
-			s.tallyCnt = append(s.tallyCnt, 0)
-			s.tallyRcnt = append(s.tallyRcnt, uint16(s.cnt[w]))
-		}
-		s.tallyOff[t+1] = int32(len(s.tallyV))
-	}
-	return T
 }
 
 // buildFullTally tabulates all R walks into the scratch tally view: per
 // step, the sorted support with full counts (tallyCnt) and rough-prefix
 // counts over walks [0, Rr) (tallyRcnt). It returns rsteps — the first
-// step at which the rough prefix has no live walks, or T. The rough
-// counts here must match buildRoughTally on the same walk prefix, which
-// they do because both read the identical tpos columns.
+// step at which the rough prefix has no live walks, or T.
 //
 //lint:hotpath full tally tabulation, runs once per surviving candidate
 func (e *Snapshot) buildFullTally(s *scratch, v uint32, R, Rr, stride int) int {

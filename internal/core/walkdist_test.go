@@ -282,7 +282,7 @@ func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.S
 func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full float64, searched bool) {
 	R, Rr := e.p.RScore, e.p.RRough
 	s.rng.Seed(e.candSeed(v))
-	e.simulateCandWalks(s, v, 0, R, R)
+	e.simulateCandWalks(s, v, R)
 	rsteps := e.buildFullTally(s, v, R, Rr, R)
 	rough, s1 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
 	full, s2 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)

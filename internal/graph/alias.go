@@ -434,3 +434,96 @@ func (wt *WalkTable) WalkStrided(r *rng.Source, u uint32, T, stride int, out []u
 	}
 	r.SetState(s0, s1, s2, s3)
 }
+
+// MaxWalkLanes is the widest group WalkLanes advances in lockstep.
+const MaxWalkLanes = 8
+
+// WalkLane is one stream of a lane-interleaved walk batch: its own
+// generator, the vertex its walks start from, and the step×walk position
+// matrix they fill (row t at Out[t*stride:], one column per walk; row 0
+// is not written, as with WalkStrided).
+type WalkLane struct {
+	Rng   rng.Source
+	Start uint32
+	Out   []uint32
+}
+
+// laneState is one lane's generator words and position while WalkLanes
+// runs.
+type laneState struct {
+	s0, s1, s2, s3 uint64
+	v              uint32
+}
+
+// WalkLanes runs walks [lo, hi) of every lane (at most MaxWalkLanes), T
+// steps each. For each lane the positions written and the draws consumed
+// are exactly those of
+//
+//	for i := lo; i < hi; i++ {
+//		wt.WalkStrided(&lane.Rng, lane.Start, T, stride, lane.Out[i:])
+//	}
+//
+// — a lane consumes its own stream walk-major and never reads another's —
+// but the lanes advance in lockstep, one step of one walk each in turn.
+// A single walk waits out two dependent cache misses a step (its CSR row,
+// then the adjacency slot); the lanes' chains are independent, so their
+// misses are in flight together.
+//
+//lint:hotpath lane-interleaved walk kernel, every step of every uncached candidate walk
+func (wt *WalkTable) WalkLanes(lanes []WalkLane, lo, hi, T, stride int) {
+	if len(lanes) == 1 {
+		// Nothing to interleave: keep the generator in registers.
+		ln := &lanes[0]
+		for i := lo; i < hi; i++ {
+			wt.WalkStrided(&ln.Rng, ln.Start, T, stride, ln.Out[i:])
+		}
+		return
+	}
+	var st [MaxWalkLanes]laneState
+	for l := range lanes {
+		ln := &st[l]
+		ln.s0, ln.s1, ln.s2, ln.s3 = lanes[l].Rng.State()
+	}
+	start, adj := wt.start, wt.adj
+	prob, alias := wt.prob, wt.alias
+	for i := lo; i < hi; i++ {
+		for l := range lanes {
+			st[l].v = lanes[l].Start
+		}
+		for t := 1; t <= T; t++ {
+			at := t*stride + i
+			for l := range lanes {
+				ln := &st[l]
+				v := ln.v
+				if v != NoVertex {
+					rlo := start[v]
+					d := start[v+1] - rlo
+					if d == 0 {
+						v = NoVertex
+					} else {
+						s0, s1, s2, s3, x := xoshiroStep(ln.s0, ln.s1, ln.s2, ln.s3)
+						m := uint64(x) * uint64(d)
+						if uint32(m) < d {
+							for thresh := -d % d; uint32(m) < thresh; { // see drawUniform
+								s0, s1, s2, s3, x = xoshiroStep(s0, s1, s2, s3)
+								m = uint64(x) * uint64(d)
+							}
+						}
+						ln.s0, ln.s1, ln.s2, ln.s3 = s0, s1, s2, s3
+						k := rlo + uint32(m>>32)
+						if prob != nil && uint32(m) >= prob[k] {
+							k = rlo + alias[k]
+						}
+						v = adj[k]
+					}
+					ln.v = v
+				}
+				lanes[l].Out[at] = v
+			}
+		}
+	}
+	for l := range lanes {
+		ln := &st[l]
+		lanes[l].Rng.SetState(ln.s0, ln.s1, ln.s2, ln.s3)
+	}
+}

@@ -278,3 +278,131 @@ func TestAdoptSlots(t *testing.T) {
 		t.Fatal("expected nil-mismatch error")
 	}
 }
+
+// laneFixture is a walk table, the vertices its lanes start from and the
+// batch shape to run on it.
+type laneFixture struct {
+	name     string
+	wt       *WalkTable
+	starts   []uint32
+	T, walks int
+	// rejects: no walk dies and the batch is long enough that some lane
+	// must hit the Lemire rejection loop.
+	rejects bool
+}
+
+// rejectionTable is a four-vertex table built by hand: the hub's row has
+// d = 2²⁰+1 slots cycling through three leaves whose only in-neighbour
+// is the hub, so every other step draws against a bound whose Lemire
+// rejection region is 2³² mod d ≈ d wide — about one hub draw in 4100
+// is rejected and redrawn.
+func rejectionTable() *WalkTable {
+	const d = 1<<20 + 1
+	adj := make([]uint32, d+3)
+	for k := range adj[:d] {
+		adj[k] = 1 + uint32(k%3)
+	}
+	return &WalkTable{start: []uint32{0, d, d + 1, d + 2, d + 3}, adj: adj}
+}
+
+func laneFixtures(t *testing.T) []laneFixture {
+	dag := CitationDAG(300, 4, 17) // dangling-heavy: walks die; nobody cites the newest paper
+	if len(dag.In(299)) != 0 || len(dag.In(0)) == 0 {
+		t.Fatal("fixture: vertex 299 should have no in-links and vertex 0 some")
+	}
+	pa := PreferentialAttachment(300, 4, 0.3, 13)
+	r := rng.New(5)
+	weights := make([]float64, pa.M())
+	for i := range weights {
+		weights[i] = r.Float64()
+	}
+	weighted, err := BuildWeightedWalkTable(pa, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []laneFixture{
+		{"trivial", dag.BuildWalkTable(), []uint32{0, 299, 150, 298, 7, 213, 64, 31}, 12, 9, false},
+		{"weighted", weighted, []uint32{299, 3, 150, 298, 7, 213, 64, 31}, 12, 9, false},
+		{"rejection", rejectionTable(), []uint32{0, 1, 2, 3, 0, 1, 2, 3}, 200, 90, true},
+	}
+}
+
+// TestWalkLanesMatchesWalkStrided: for every lane count, each lane's
+// positions and final generator state must be those of running its walks
+// alone through WalkStrided — also when the batch is split in two calls
+// and the second continues from the state the first left.
+func TestWalkLanesMatchesWalkStrided(t *testing.T) {
+	const untouched = 0xdeadbeef
+	for _, fx := range laneFixtures(t) {
+		T, walks := fx.T, fx.walks
+		stride, split := walks+2, walks/2
+		for k := 1; k <= MaxWalkLanes; k++ {
+			lanes := make([]WalkLane, k)
+			refs := make([][]uint32, k)
+			refRng := make([]rng.Source, k)
+			for l := range lanes {
+				lanes[l].Start = fx.starts[l]
+				lanes[l].Rng.Seed(uint64(100*k + l))
+				lanes[l].Out = make([]uint32, (T+1)*stride)
+				refs[l] = make([]uint32, (T+1)*stride)
+				for i := range refs[l] {
+					lanes[l].Out[i], refs[l][i] = untouched, untouched
+				}
+				refRng[l].Seed(uint64(100*k + l))
+				for i := 0; i < walks; i++ {
+					fx.wt.WalkStrided(&refRng[l], fx.starts[l], T, stride, refs[l][i:])
+				}
+			}
+			fx.wt.WalkLanes(lanes, 0, split, T, stride)
+			fx.wt.WalkLanes(lanes, split, walks, T, stride)
+			redrew := false
+			for l := range lanes {
+				for i, want := range refs[l] {
+					if got := lanes[l].Out[i]; got != want {
+						t.Fatalf("%s lanes=%d lane %d: step %d walk %d at %d, alone at %d", fx.name, k, l, i/stride, i%stride, got, want)
+					}
+				}
+				if lanes[l].Rng != refRng[l] {
+					t.Fatalf("%s lanes=%d lane %d: generator state differs from the walk-alone stream", fx.name, k, l)
+				}
+				if fx.rejects {
+					// One draw a step when nothing is rejected.
+					var plain rng.Source
+					plain.Seed(uint64(100*k + l))
+					for i := 0; i < T*walks; i++ {
+						plain.Uint32()
+					}
+					redrew = redrew || plain != lanes[l].Rng
+				}
+			}
+			if fx.rejects && k == MaxWalkLanes && !redrew {
+				t.Fatalf("%s: no lane redrew, the fixture no longer reaches the rejection loop", fx.name)
+			}
+		}
+	}
+}
+
+// A lane parked on a vertex without in-links dies at once and must not
+// consume a draw, whatever its neighbours do.
+func TestWalkLanesDeadConsumeNothing(t *testing.T) {
+	fx := laneFixtures(t)[0]
+	lanes := make([]WalkLane, 3)
+	for l := range lanes {
+		lanes[l].Start = fx.starts[l]
+		lanes[l].Rng.Seed(uint64(l))
+		lanes[l].Out = make([]uint32, 6*4)
+	}
+	before := lanes[1].Rng
+	fx.wt.WalkLanes(lanes, 0, 4, 5, 4)
+	if lanes[1].Rng != before {
+		t.Fatal("a dead lane consumed rng draws")
+	}
+	for i, v := range lanes[1].Out[4:] {
+		if v != NoVertex {
+			t.Fatalf("dead lane position %d = %d", i, v)
+		}
+	}
+	if lanes[0].Out[4] == NoVertex {
+		t.Fatal("the live neighbour did not walk")
+	}
+}

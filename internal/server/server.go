@@ -262,19 +262,22 @@ type ErrorResponse struct {
 }
 
 func (h *Handler) handleTopK(w http.ResponseWriter, r *http.Request) {
-	u, ok := h.intParam(w, r, "u", -1)
-	if !ok {
+	q := r.URL.Query()
+	u, err := intValue(q, "u", -1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	k, ok := h.intParam(w, r, "k", 20)
-	if !ok {
+	k, err := intValue(q, "k", 20)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if k <= 0 || k > h.MaxK {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", h.MaxK))
 		return
 	}
-	wantStats := r.URL.Query().Get("stats") == "1"
+	wantStats := q.Get("stats") == "1"
 	h.counters.queries.Add(1)
 	ctx, cancel := h.queryCtx(r)
 	defer cancel()
@@ -376,12 +379,15 @@ func (h *Handler) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handlePair(w http.ResponseWriter, r *http.Request) {
-	u, ok := h.intParam(w, r, "u", -1)
-	if !ok {
+	q := r.URL.Query()
+	u, err := intValue(q, "u", -1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	v, ok := h.intParam(w, r, "v", -1)
-	if !ok {
+	v, err := intValue(q, "v", -1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	h.counters.pairs.Add(1)
@@ -396,8 +402,9 @@ func (h *Handler) handlePair(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	u, ok := h.intParam(w, r, "u", -1)
-	if !ok {
+	u, err := intValue(r.URL.Query(), "u", -1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	theta := 0.01
@@ -451,8 +458,9 @@ func (h *Handler) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		theta = f
 	}
-	max, ok := h.intParam(w, r, "max", 100)
-	if !ok {
+	max, err := intValue(r.URL.Query(), "max", 100)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if max <= 0 || max > h.MaxK {
@@ -501,24 +509,6 @@ func parseTheta(s string) (float64, error) {
 		return 0, errors.New("theta must be a float in (0, 1]")
 	}
 	return f, nil
-}
-
-// intParam parses an integer query parameter; def < 0 means required.
-func (h *Handler) intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		if def >= 0 {
-			return def, true
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("missing required parameter %q", name))
-		return 0, false
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parameter %q must be an integer", name))
-		return 0, false
-	}
-	return v, true
 }
 
 func toJSON(res []simrank.Result) []ResultJSON {
