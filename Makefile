@@ -45,13 +45,14 @@ lint-baseline:
 	$(GO) run ./cmd/simlint -update-baseline ./...
 
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
-# couple of minutes the first time). TopKSocial is the wide-support
+# couple of minutes the first time). TopKWarm is TopK with the query
+# plans cached (tally cache off and warm). TopKSocial is the wide-support
 # regime (preferential attachment, caches off) that the copying-model
 # benchmarks never reach; CandWalks is its walk kernel alone, one stream
 # at a time against lane-interleaved. RouterTopK/RouterTopKBatch live in
 # internal/router: routed queries over a real 3-shard loopback topology
 # (binary wire). WireCodec measures the binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKSocial|SinglePairOneSided|SampleWalkDist|ComputeL1|WalkStep|CandWalks|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:

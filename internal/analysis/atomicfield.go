@@ -8,7 +8,7 @@ import (
 
 // AtomicField guards fields that are published or mutated atomically:
 // the snapshot pointer in DynamicEngine (atomic.Pointer[Snapshot]) and
-// the tally cache's slot array ([]atomic.Pointer[tallyEntry]) are read
+// the caches' slot arrays ([]atomic.Pointer[cacheEntry[P]]) are read
 // lock-free on the query hot path, so a single plain load or store
 // anywhere reintroduces the data race the whole design exists to avoid.
 //

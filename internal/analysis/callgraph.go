@@ -227,7 +227,9 @@ func staticCallee(info *types.Info, call *ast.CallExpr) (callee *types.Func, dyn
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 				return nil, true // dynamic dispatch
 			}
-			return fn, false
+			// A method of an instantiated generic type is its own object;
+			// the declaration the call graph knows is its origin.
+			return fn.Origin(), false
 		}
 		// Qualified identifier: pkg.Func or pkg.Var.
 		switch o := info.Uses[f.Sel].(type) {

@@ -78,6 +78,23 @@ func box(v any) { bsink = v }
 
 func work() {}
 
+// A method of an instantiated generic type resolves to its declaration:
+// an allocation-free one is silent, an allocating one is reported through
+// the chain like any other callee.
+type slot[P any] struct{ val P }
+
+func (s *slot[P]) load() P { return s.val }
+
+func (s *slot[P]) fresh() []P {
+	return make([]P, 1) // want "genericRoot → slot.fresh"
+}
+
+//lint:hotpath fixture root calling methods of an instantiated generic type
+func genericRoot(s *slot[int]) {
+	grown = append(grown, s.load())
+	sink = s.fresh()
+}
+
 // Suppression works like every other rule.
 //
 //lint:hotpath fixture root with a suppressed site

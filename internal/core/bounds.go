@@ -42,19 +42,12 @@ func (e *Engine) computeGammaInto(v uint32, R int, r *rng.Source, s *scratch, ou
 		if t > 0 {
 			stepWalks(e.wt, r, pos, lane)
 		}
-		s.beginTally()
-		for _, w := range pos {
-			if w != Dead {
-				s.tallyCount(w)
-			}
-		}
+		pos = s.tallyLive(pos)
 		// Σ_w D_ww·c_w² accumulated in walk-slice order (each walk at w
 		// contributes D_ww·c_w once) so summation order is deterministic.
 		mu := 0.0
 		for _, w := range pos {
-			if w != Dead {
-				mu += e.p.dval(w) * float64(s.cnt[w]) * invR2
-			}
+			mu += e.p.dval(w) * float64(s.cnt[w]) * invR2
 		}
 		out[t] = float32(math.Sqrt(mu))
 	}
@@ -210,13 +203,7 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 		if t > 0 {
 			stepWalks(e.wt, r, pos, lane)
 		}
-		s.beginTally()
-		for _, w := range pos {
-			if w != Dead {
-				s.tallyCount(w)
-			}
-		}
-		if len(s.touched) == 0 {
+		if pos = s.tallyLive(pos); len(pos) == 0 {
 			break // all walks dead; remaining steps stay empty
 		}
 		wd.setSupport(t, s)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -9,114 +8,98 @@ import (
 	"repro/internal/rng"
 )
 
-// This file implements the cross-query walk-tally cache. Because
-// candidate walks are seeded per vertex (candSeed), a candidate's
-// step-t position tally at R = RScore walks is a pure function of
-// (snapshot, v): the cache stores that tally once and every later query
-// scoring v replaces its O(T·R) walk simulation with an O(T·distinct)
-// sorted dot product against the query-side distribution. The rough
-// adaptive pass is served from the same entry — the walk-major
-// simulation order guarantees the first RRough walks of the full stream
-// are exactly the walks a rough-only simulation would have produced, so
-// per-step counts restricted to that prefix (tallyEntry.rcnt) reproduce
-// the rough estimate bit for bit.
+// This file is the one memory-bounded CLOCK cache behind both
+// per-snapshot caches: candidate walk tallies keyed by candidate vertex
+// (tally.go) and query plans keyed by query vertex (prolog.go). Both hold
+// derived, deterministic data only — an entry is a pure function of
+// (snapshot, vertex) — so a lookup changes where work happens, never what
+// a query returns, and whether an insert lands is invisible in results.
+//
+// The hit path is a single atomic load from a per-vertex slot array: no
+// locks, no hashing. Inserts and evictions lock one stripe of the vertex
+// space at a time, never two. The byte budget is global, and so is
+// eviction: an insert that finds the cache full sweeps its own stripe
+// first and carries on into the others until the cache fits, so the only
+// insert ever refused is one that cannot fit an otherwise empty cache.
+// (Evicting from the inserting stripe alone — the previous rule — lets
+// the other stripes hold the whole budget: a stripe swept empty can then
+// never insert again, and its vertices are resampled on every query for
+// the rest of the snapshot's life. See DESIGN.md §9.)
 
-// tallyShardCount is the number of independently locked eviction shards.
-// Power of two so the shard index is a mask of the mixed vertex id.
-const tallyShardCount = 64
+// cacheStripes is the number of independently locked CLOCK rings. Power
+// of two so the stripe index is a mask of the mixed vertex id.
+const cacheStripes = 64
 
-// tallyEntry is one cached candidate tally: per-step sorted supports
-// with full-stream and rough-prefix counts, in the same flat layout the
-// scratch tally builders produce (tally.go). Entries are immutable after
-// construction except for the CLOCK reference bit.
-type tallyEntry struct {
-	v uint32
-	// rsteps is the number of leading steps with a nonempty rough-prefix
-	// support; the rough dot product stops there.
-	rsteps int32
-	// off[t]..off[t+1] delimit step t's slice of verts/cnt/rcnt.
-	off   []int32
-	verts []uint32
-	// cnt counts all RScore walks at each support vertex; rcnt counts
-	// only the first RRough walks (0 when the rough prefix never visits
-	// it). uint16 suffices: the cache is disabled when RScore > 65535.
-	cnt  []uint16
-	rcnt []uint16
-	// size is the approximate heap footprint, fixed at construction.
+// cacheEntry is one cached value with its CLOCK bookkeeping. val is
+// immutable once the entry is published unless P says otherwise.
+type cacheEntry[P any] struct {
+	key uint32
+	// size is the byte budget the entry charges. Once the entry is
+	// published it is read and written (grow) only under its stripe's
+	// mutex.
 	size int64
 	// ref is the CLOCK reference bit: set on hit, cleared as the
 	// eviction hand passes.
 	ref atomic.Bool
+	val P
 }
 
-// tallyEntryOverhead approximates the fixed per-entry footprint: the
-// struct itself plus slice headers and ring bookkeeping.
-const tallyEntryOverhead = 160
-
-// entrySize returns the byte budget one entry charges.
-func entrySize(T, support int) int64 {
-	return tallyEntryOverhead + 4*int64(T+1) + 8*int64(support)
-}
-
-// tallyShard serializes inserts and evictions for one stripe of the
+// cacheStripe serializes inserts and evictions for one stripe of the
 // vertex space and holds that stripe's CLOCK ring. Lookups never touch
 // it — they go straight to the slot array.
-type tallyShard struct {
+type cacheStripe[P any] struct {
 	mu   sync.Mutex
-	ring []*tallyEntry
+	ring []*cacheEntry[P]
 	hand int
 }
 
-// tallyCache is a per-Snapshot, memory-bounded cache of candidate walk
-// tallies. The hit path is a single atomic load from a per-vertex slot
-// array — no locks, no hashing; inserts and evictions serialize per
-// shard. The byte budget is enforced with reserve-then-evict accounting:
-// an insert first charges its size, then evicts from its own shard until
-// the cache fits, rolling the reservation back if the shard alone cannot
-// make room. The slot array itself (8 bytes per graph vertex) is fixed
+// clockCache is a per-Snapshot, memory-bounded cache of one value per
+// vertex. The slot array itself (8 bytes per graph vertex) is fixed
 // engine overhead, outside the budget, like the γ table.
-type tallyCache struct {
+type clockCache[P any] struct {
 	maxBytes  int64
 	bytes     atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	slots     []atomic.Pointer[tallyEntry]
-	shards    [tallyShardCount]tallyShard
+	rejected  atomic.Int64
+	slots     []atomic.Pointer[cacheEntry[P]]
+	stripes   [cacheStripes]cacheStripe[P]
 }
 
-// CacheStats is a point-in-time snapshot of the tally-cache counters.
+// CacheStats is a point-in-time snapshot of one cache's counters.
 type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Entries   int
+	// Rejected counts inserts refused because the entry could not fit the
+	// budget even with every ring empty. Anything but zero on a sanely
+	// sized cache means vertices are being recomputed on every query.
+	Rejected int64
+	Entries  int
 	// BytesInUse is the approximate heap footprint of the cached
 	// entries; it never exceeds BudgetBytes at quiescence.
 	BytesInUse  int64
 	BudgetBytes int64
 }
 
-// maxTallyCount is the largest walk count a uint16 tally can represent.
-const maxTallyCount = math.MaxUint16
-
-func newTallyCache(n int, maxBytes int64) *tallyCache {
-	return &tallyCache{
+func newClockCache[P any](n int, maxBytes int64) *clockCache[P] {
+	return &clockCache[P]{
 		maxBytes: maxBytes,
-		slots:    make([]atomic.Pointer[tallyEntry], n),
+		slots:    make([]atomic.Pointer[cacheEntry[P]], n),
 	}
 }
 
-func (c *tallyCache) shard(v uint32) *tallyShard {
-	return &c.shards[rng.Mix(uint64(v))&(tallyShardCount-1)]
+func stripeOf(key uint32) int {
+	return int(rng.Mix(uint64(key)) & (cacheStripes - 1))
 }
 
-// get returns the cached tally for v, or nil. Lock-free; counts a hit or
-// miss.
+// get returns the cached entry for key, or nil. Lock-free; counts a hit
+// or miss.
 //
-//lint:hotpath cache hit path, consulted before every candidate simulation
-func (c *tallyCache) get(v uint32) *tallyEntry {
-	if ent := c.slots[v].Load(); ent != nil {
+//lint:hotpath cache hit path: before every candidate simulation and at the top of every scan
+func (c *clockCache[P]) get(key uint32) *cacheEntry[P] {
+	if ent := c.slots[key].Load(); ent != nil {
 		if !ent.ref.Load() {
 			ent.ref.Store(true)
 		}
@@ -127,66 +110,124 @@ func (c *tallyCache) get(v uint32) *tallyEntry {
 	return nil
 }
 
-// put inserts ent unless v is already cached (concurrent scorers of the
-// same vertex build byte-identical entries, so first-in wins). It
-// returns the number of entries evicted to make room. When the shard
-// cannot free enough bytes the reservation is rolled back and the entry
-// is simply not cached — the caller has already scored from its scratch
-// copy, so correctness never depends on the insert landing.
-func (c *tallyCache) put(ent *tallyEntry) int {
-	sh := c.shard(ent.v)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.slots[ent.v].Load() != nil {
+// put inserts ent unless its vertex is already cached (concurrent
+// builders of the same vertex produce byte-identical entries, so first-in
+// wins) and returns the number of entries evicted to make room. The
+// caller has already computed from its own scratch copy, so correctness
+// never depends on the insert landing.
+func (c *clockCache[P]) put(ent *cacheEntry[P]) int {
+	if c.slots[ent.key].Load() != nil {
 		return 0
 	}
-	if c.bytes.Add(ent.size) > c.maxBytes {
-		evicted := c.evictLocked(sh)
-		if c.bytes.Load() > c.maxBytes {
-			c.bytes.Add(-ent.size)
-			return evicted
-		}
-		sh.insertLocked(c, ent)
+	home := stripeOf(ent.key)
+	evicted, ok := c.reserve(ent.size, home)
+	if !ok {
+		c.rejected.Add(1)
 		return evicted
 	}
-	sh.insertLocked(c, ent)
-	return 0
-}
-
-// insertLocked publishes ent in its vertex slot and appends it to the
-// CLOCK ring. Caller holds sh.mu.
-func (sh *tallyShard) insertLocked(c *tallyCache, ent *tallyEntry) {
+	// Room is made before the home stripe is locked for publication, so
+	// no two stripe locks are ever held together.
+	sh := &c.stripes[home]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c.slots[ent.key].Load() != nil {
+		c.bytes.Add(-ent.size)
+		return evicted
+	}
 	ent.ref.Store(true)
 	sh.ring = append(sh.ring, ent)
-	c.slots[ent.v].Store(ent)
+	c.slots[ent.key].Store(ent)
+	return evicted
 }
 
-// evictLocked runs the CLOCK hand over the shard's ring until the cache
-// fits its budget or the shard is empty, returning the number of entries
-// evicted. Entries with the reference bit set get a second chance (the
-// bit is cleared); after two full sweeps everything is evictable.
-// A reader that loaded the entry just before its slot is cleared keeps
-// scoring from it — entries are immutable, so the answer is unchanged.
-// Caller holds sh.mu.
-func (c *tallyCache) evictLocked(sh *tallyShard) int {
+// grow charges extra more bytes to ent, which has gained payload since it
+// was published (a carried prolog entry's plan), and evicts to fit. An
+// entry that has meanwhile been evicted is garbage already and charges
+// nothing.
+func (c *clockCache[P]) grow(ent *cacheEntry[P], extra int64) {
+	home := stripeOf(ent.key)
+	sh := &c.stripes[home]
+	sh.mu.Lock()
+	live := c.slots[ent.key].Load() == ent
+	if live {
+		ent.size += extra
+		c.bytes.Add(extra)
+	}
+	sh.mu.Unlock()
+	if live {
+		c.evict(home)
+	}
+}
+
+// reserve charges size bytes and makes the cache fit its budget again:
+// reserve-then-evict, so concurrent inserts can never overshoot together.
+// ok is false, and the charge rolled back, only when the entry alone
+// exceeds the budget or every ring is empty and the cache still does not
+// fit (reservations of other inserts in flight).
+func (c *clockCache[P]) reserve(size int64, home int) (evicted int, ok bool) {
+	if size > c.maxBytes {
+		return 0, false
+	}
+	if c.bytes.Add(size) <= c.maxBytes {
+		return 0, true
+	}
+	if evicted, ok = c.evict(home); !ok {
+		c.bytes.Add(-size)
+	}
+	return evicted, ok
+}
+
+// evict sweeps the stripes one at a time, starting at home, until it sees
+// the cache fit its budget (fit) or every ring empty, and returns the
+// number of entries evicted. Having seen it fit once is enough for the
+// caller's charge to stand: whatever pushes the cache over afterwards is
+// a later reservation, whose owner evicts for it. The first two rounds
+// honour reference bits — a referenced entry is spared once, its bit
+// cleared, whichever stripe's overage it is paying for — and any later
+// round (entries re-referenced as fast as they are swept) takes whatever
+// the hand finds.
+func (c *clockCache[P]) evict(home int) (evicted int, fit bool) {
+	for round := 0; ; round++ {
+		left := 0
+		for i := 0; i < cacheStripes; i++ {
+			if c.bytes.Load() <= c.maxBytes {
+				return evicted, true
+			}
+			sh := &c.stripes[(home+i)&(cacheStripes-1)]
+			sh.mu.Lock()
+			evicted += c.sweepLocked(sh, round >= 2)
+			left += len(sh.ring)
+			sh.mu.Unlock()
+		}
+		if left == 0 {
+			return evicted, c.bytes.Load() <= c.maxBytes
+		}
+	}
+}
+
+// sweepLocked moves the CLOCK hand at most once around the stripe's ring,
+// evicting until the cache fits, and returns the number evicted. Unless
+// force is set, a referenced entry gets a second chance: its bit is
+// cleared and the hand moves on. A reader that loaded an entry just
+// before its slot is cleared keeps using it — the payload is immutable,
+// so the answer is unchanged. Caller holds sh.mu.
+func (c *clockCache[P]) sweepLocked(sh *cacheStripe[P], force bool) int {
 	evicted := 0
-	spared := 0
-	for c.bytes.Load() > c.maxBytes && len(sh.ring) > 0 {
+	for steps := len(sh.ring); steps > 0 && c.bytes.Load() > c.maxBytes; steps-- {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
 		ent := sh.ring[sh.hand]
-		if ent.ref.Load() && spared < 2*len(sh.ring) {
+		if !force && ent.ref.Load() {
 			ent.ref.Store(false)
 			sh.hand++
-			spared++
 			continue
 		}
 		// slices.Delete zeroes the vacated tail slot; a plain append-shift
 		// would leave a stale pointer there that keeps a later-evicted
 		// entry reachable, outside the byte budget.
 		sh.ring = slices.Delete(sh.ring, sh.hand, sh.hand+1)
-		c.slots[ent.v].Store(nil)
+		c.slots[ent.key].Store(nil)
 		c.bytes.Add(-ent.size)
 		c.evictions.Add(1)
 		evicted++
@@ -194,44 +235,49 @@ func (c *tallyCache) evictLocked(sh *tallyShard) int {
 	return evicted
 }
 
-// stats aggregates the counters across shards.
-func (c *tallyCache) stats() CacheStats {
+// stats aggregates the counters across stripes; all zero on a nil
+// (disabled) cache.
+func (c *clockCache[P]) stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
 	st := CacheStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
+		Rejected:    c.rejected.Load(),
 		BytesInUse:  c.bytes.Load(),
 		BudgetBytes: c.maxBytes,
 	}
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		st.Entries += len(c.shards[i].ring)
-		c.shards[i].mu.Unlock()
+	for i := range c.stripes {
+		c.stripes[i].mu.Lock()
+		st.Entries += len(c.stripes[i].ring)
+		c.stripes[i].mu.Unlock()
 	}
 	return st
 }
 
-// carryForward seeds this cache with the entries of a previous
-// snapshot's cache whose vertices keep is true for — the
-// incremental-rebuild path passes the complement of the affected set, so
-// queries against the new snapshot start warm for everything the delta
-// could not have changed. Entries are shared by pointer (their payload
-// is immutable). Vertices are visited in ascending order, so the carried
-// ring order — and therefore later eviction order — is deterministic;
-// the copy stops charging once the budget is reached. The receiver is
-// fresh and unpublished, so no locks are needed.
-func (c *tallyCache) carryForward(old *tallyCache, keep func(v uint32) bool) {
-	for v := range old.slots {
-		ent := old.slots[v].Load()
-		if ent == nil || !keep(uint32(v)) {
+// carryForward seeds this cache with what carry makes of each entry of a
+// previous snapshot's cache: nil drops the entry, the entry itself shares
+// it by pointer (immutable payload), a fresh entry carries part of it.
+// The incremental-rebuild path keeps the vertices outside the affected
+// set, so queries against the new snapshot start warm for everything the
+// delta could not have changed. Vertices are visited in ascending order,
+// so the carried ring order — and therefore later eviction order — is
+// deterministic; an entry the remaining budget cannot hold is skipped.
+// The receiver is fresh and unpublished, so no locks are needed.
+func (c *clockCache[P]) carryForward(old *clockCache[P], carry func(*cacheEntry[P]) *cacheEntry[P]) {
+	for k := range old.slots {
+		ent := old.slots[k].Load()
+		if ent == nil {
 			continue
 		}
-		if c.bytes.Load()+ent.size > c.maxBytes {
+		if ent = carry(ent); ent == nil || c.bytes.Load()+ent.size > c.maxBytes {
 			continue
 		}
 		c.bytes.Add(ent.size)
-		sh := c.shard(uint32(v))
+		sh := &c.stripes[stripeOf(ent.key)]
 		sh.ring = append(sh.ring, ent)
-		c.slots[v].Store(ent)
+		c.slots[k].Store(ent)
 	}
 }

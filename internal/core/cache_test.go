@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // dropCache zeroes the cache counters of a QueryStats so the remaining
@@ -357,5 +359,184 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 	cancel()
 	if r, s, err := e.TopKBatchCtx(ctx, us, 15); err == nil || r != nil || s != nil {
 		t.Fatalf("cancelled batch returned (%v, %v, %v), want nils and an error", r, s, err)
+	}
+}
+
+// keysOfStripe returns the first count vertex ids below n that hash to the
+// given stripe (home true) or to any other (home false).
+func keysOfStripe(n uint32, stripe int, home bool, count int) []uint32 {
+	var out []uint32
+	for v := uint32(0); v < n && len(out) < count; v++ {
+		if (stripeOf(v) == stripe) == home {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// The budget is global, so eviction must be too: an insert whose own
+// stripe holds nothing to evict takes its room from the stripes that hold
+// the budget. (Evicting from the inserting stripe alone refused it — for
+// the rest of the snapshot's life, once a sweep had emptied that stripe.)
+func TestCacheInsertNeverStarvedByOtherStripes(t *testing.T) {
+	const n = 1 << 14
+	const x = uint32(0)
+	home := stripeOf(x)
+	c := newClockCache[tally](n, 100*100)
+	others := keysOfStripe(n, home, false, 100)
+	for _, v := range others {
+		c.put(&tallyEntry{key: v, size: 100})
+	}
+	if st := c.stats(); st.Entries != 100 || st.BytesInUse != st.BudgetBytes || len(c.stripes[home].ring) != 0 {
+		t.Fatalf("setup: %+v with %d entries in the home stripe, want a full budget held elsewhere", st, len(c.stripes[home].ring))
+	}
+	if evicted := c.put(&tallyEntry{key: x, size: 300}); evicted != 3 {
+		t.Fatalf("put evicted %d entries, want 3", evicted)
+	}
+	st := c.stats()
+	if c.slots[x].Load() == nil || st.Rejected != 0 || st.Evictions != 3 || st.Entries != 98 || st.BytesInUse != st.BudgetBytes {
+		t.Fatalf("insert into an empty stripe of a full cache: cached=%v, %+v", c.slots[x].Load() != nil, st)
+	}
+
+	// Only an entry no amount of eviction can fit is refused, and it
+	// costs nobody their place.
+	if evicted := c.put(&tallyEntry{key: n - 1, size: 100*100 + 1}); evicted != 0 {
+		t.Fatalf("oversize put evicted %d entries", evicted)
+	}
+	if st := c.stats(); st.Rejected != 1 || st.Entries != 98 || c.slots[n-1].Load() != nil {
+		t.Fatalf("oversize insert: %+v", st)
+	}
+}
+
+// A referenced entry in a stripe that merely pays for another stripe's
+// overage gets CLOCK's second chance like one in the inserting stripe:
+// the first round clears its bit and passes, and takes cold entries
+// wherever they are; only when nothing cold is left does it go.
+func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
+	const n = 1 << 14
+	const x = uint32(0)
+	home := stripeOf(x)
+	next := (home + 1) & (cacheStripes - 1)
+	c := newClockCache[tally](n, 4*100)
+	hot := keysOfStripe(n, next, true, 2)
+	var cold []uint32
+	for _, v := range keysOfStripe(n, home, false, 64) {
+		if stripeOf(v) != next && len(cold) < 2 {
+			cold = append(cold, v)
+		}
+	}
+	for _, v := range append(append([]uint32{}, hot...), cold...) {
+		c.put(&tallyEntry{key: v, size: 100})
+	}
+	for _, v := range cold {
+		c.slots[v].Load().ref.Store(false) // inserted referenced; never hit since
+	}
+	for _, v := range hot {
+		if c.get(v) == nil {
+			t.Fatalf("hot entry %d missing", v)
+		}
+	}
+
+	// The sweep starts at x's empty stripe and reaches the hot stripe
+	// first: it must pass over it and take a cold entry further on.
+	c.put(&tallyEntry{key: x, size: 100})
+	for _, v := range hot {
+		if c.slots[v].Load() == nil {
+			t.Fatalf("hot entry %d evicted on the first round, with cold entries left", v)
+		}
+	}
+	if st := c.stats(); st.Evictions != 1 || st.Rejected != 0 || c.slots[x].Load() == nil {
+		t.Fatalf("after one insert: %+v", st)
+	}
+
+	// With nothing cold left the once-spared entries pay.
+	c.maxBytes = 100
+	c.evict(home)
+	if st := c.stats(); st.Entries != 1 || st.BytesInUse != 100 {
+		t.Fatalf("shrunk to one entry: %+v", st)
+	}
+}
+
+// grow charges a published entry's new payload under the same budget, and
+// charges nothing for an entry that is already gone.
+func TestCacheGrow(t *testing.T) {
+	c := newClockCache[tally](1024, 1000)
+	a, b := &tallyEntry{key: 1, size: 400}, &tallyEntry{key: 2, size: 400}
+	c.put(a)
+	c.put(b)
+	a.ref.Store(false)
+	c.grow(b, 300) // 1100 > 1000: the unreferenced entry goes
+	if st := c.stats(); st.BytesInUse != 700 || st.Entries != 1 || c.slots[1].Load() != nil || b.size != 700 {
+		t.Fatalf("after growing b: %+v, b.size=%d", st, b.size)
+	}
+	c.grow(a, 300) // evicted: no charge
+	if st := c.stats(); st.BytesInUse != 700 || a.size != 400 {
+		t.Fatalf("growing an evicted entry charged the cache: %+v, a.size=%d", st, a.size)
+	}
+}
+
+// TestCacheStarvationReplica replays the benchmark's web-batch-cached
+// request stream in process — the web graph, Zipf(1.1) popularity spread
+// over the graph, TopKBatch of 16, the tally cache at 256 MiB, the prolog
+// cache at its default — for 400 000 queries. The prolog cache churns
+// the whole time (the Zipf tail overflows it), and the stream's most
+// popular vertex has by far the largest entry. With eviction confined to
+// the inserting stripe, that vertex's stripe was eventually swept empty
+// while the others held the budget, and from then on every query at it —
+// the hottest vertex of the stream — resampled its distribution and threw
+// it away: hit ratio down, hundreds of kilobytes allocated per miss. So:
+// no insert refused, and the last quarter of the run must look like the
+// second (hit ratio not lower, allocation per query flat ±20 %).
+func TestCacheStarvationReplica(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("400 000 queries on a 100 000-vertex graph")
+	}
+	const n, total, batch, span = 100000, 400000, 16, 100000
+	p := DefaultParams()
+	p.Seed = 1
+	p.Workers = 2
+	p.CacheBytes = 256 << 20
+	e := Build(graph.CopyingModel(n, 8, 0.3, 1), p)
+	stream := zipfStream(n, total, 1.1, rng.Mix(3))
+
+	type mark struct {
+		prolog CacheStats
+		alloc  uint64
+	}
+	marks := map[int]mark{}
+	var ms runtime.MemStats
+	for q := 0; q <= total; q += batch {
+		if q%span == 0 {
+			runtime.ReadMemStats(&ms)
+			marks[q] = mark{e.PrologStats(), ms.TotalAlloc}
+		}
+		if q < total {
+			e.TopKBatch(stream[q:q+batch], 20)
+		}
+	}
+	hitRatio := func(a, b mark) float64 {
+		h, m := b.prolog.Hits-a.prolog.Hits, b.prolog.Misses-a.prolog.Misses
+		return float64(h) / float64(h+m)
+	}
+	allocPerQuery := func(a, b mark) float64 { return float64(b.alloc-a.alloc) / span }
+	early, late := hitRatio(marks[span], marks[2*span]), hitRatio(marks[3*span], marks[4*span])
+	earlyB, lateB := allocPerQuery(marks[span], marks[2*span]), allocPerQuery(marks[3*span], marks[4*span])
+	ps, cs := e.PrologStats(), e.CacheStats()
+	t.Logf("prolog %+v", ps)
+	t.Logf("tally  %+v", cs)
+	t.Logf("queries [100k,200k): prolog hit ratio %.4f, %.0f B allocated a query; [300k,400k): %.4f, %.0f B", early, earlyB, late, lateB)
+	if ps.Rejected != 0 || cs.Rejected != 0 {
+		t.Errorf("refused inserts: prolog %d, tally %d", ps.Rejected, cs.Rejected)
+	}
+	if ps.Evictions == 0 {
+		t.Errorf("the prolog cache never evicted; the replica no longer overflows it: %+v", ps)
+	}
+	// The two spans draw different tails; their ratios differ by a tenth
+	// of a point either way. The hottest vertex alone is 13 % of the stream.
+	if late < early-0.01 {
+		t.Errorf("prolog hit ratio fell from %.4f to %.4f", early, late)
+	}
+	if lateB < 0.8*earlyB || lateB > 1.2*earlyB {
+		t.Errorf("allocation per query moved from %.0f B to %.0f B", earlyB, lateB)
 	}
 }

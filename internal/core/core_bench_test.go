@@ -54,6 +54,44 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKWarm is BenchmarkTopK with the query plans in the prolog
+// cache: what a popular vertex costs. With the tally cache off a query
+// still walks its candidates; with it warm a query is two cache reads and
+// a dot product per candidate.
+func BenchmarkTopKWarm(b *testing.B) {
+	e := bigBenchEngine(b)
+	n := uint32(e.Graph().N())
+	us := make([]uint32, 256)
+	for i := range us {
+		us[i] = uint32(i*7919+13) % n
+	}
+	defer func() { e.cache = nil }()
+	for _, tc := range []struct {
+		name  string
+		tally int64
+	}{{"tally=off", 0}, {"tally=warm", 64 << 20}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e.cache = nil
+			if tc.tally > 0 {
+				e.cache = newClockCache[tally](int(n), tc.tally)
+			}
+			for _, u := range us {
+				e.TopK(u, 20)
+			}
+			before := e.PrologStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.TopK(us[i%len(us)], 20)
+			}
+			b.StopTimer()
+			if after := e.PrologStats(); after.Misses != before.Misses {
+				b.Fatalf("%d prolog misses during the warm loop", after.Misses-before.Misses)
+			}
+		})
+	}
+}
+
 // BenchmarkTopKSocial is the wide-support regime none of the copying-model
 // benchmarks reach: on a preferential-attachment graph the RAlpha query
 // walks spread over thousands of vertices per step and a query scores
@@ -419,7 +457,7 @@ func BenchmarkTopKZipfThroughput(b *testing.B) {
 		if budget > 0 && e.cache == nil {
 			// The warm cache persists across benchmark invocations of this
 			// arm, so measurements are taken at steady state.
-			e.cache = newTallyCache(e.Graph().N(), budget)
+			e.cache = newClockCache[tally](e.Graph().N(), budget)
 			for _, u := range stream[:warmup] {
 				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta, 1); err != nil {
 					b.Fatal(err)

@@ -362,24 +362,27 @@ func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[u
 	ne.idx = idx
 	ne.stats = old.stats
 	ne.stats.IndexBytes = int64(len(ne.gamma))*4 + idx.bytes()
+	// `affected` is exactly the set of vertices whose T-step walks could
+	// see the delta (on either graph). Whatever a cache holds that was
+	// derived from another vertex's walks alone is still byte-exact for
+	// the new snapshot, so the new caches start warm with it.
 	if old.cache != nil && ne.cache != nil {
-		// A cached tally depends only on the candidate's T-step walk
-		// neighbourhood, and `affected` is exactly the set of vertices
-		// whose walks could see the delta (on either graph) — every
-		// other entry is still byte-exact for the new snapshot, so the
-		// new cache starts warm with them.
-		ne.cache.carryForward(old.cache, func(v uint32) bool {
-			_, hit := affected[v]
-			return !hit
+		// A candidate's tally is its walks and nothing else.
+		ne.cache.carryForward(old.cache, func(ent *tallyEntry) *tallyEntry {
+			if _, hit := affected[ent.key]; hit {
+				return nil
+			}
+			return ent
 		})
 	}
 	if old.prolog != nil && ne.prolog != nil {
-		// A prolog entry depends only on the query vertex's T-step walk
-		// neighbourhood — the same footprint as a candidate tally — so
-		// the same unaffected-set predicate keeps it valid.
-		ne.prolog.carryForward(old.prolog, func(v uint32) bool {
-			_, hit := affected[v]
-			return !hit
+		// So is a prolog entry's walk distribution; its candidate list
+		// depends on much more and is left behind (carryProlog).
+		ne.prolog.carryForward(old.prolog, func(ent *prologEntry) *prologEntry {
+			if _, hit := affected[ent.key]; hit {
+				return nil
+			}
+			return carryProlog(ent)
 		})
 	}
 	return ne.Seal(), false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -26,6 +27,7 @@ import (
 // "file-package.name", and doubles as this test's work list.
 var hotpathKernels = []string{
 	"core.buildFullTally",
+	"core.cachedPlan",
 	"core.dotPositions",
 	"core.dotTally",
 	"core.get",
@@ -116,13 +118,34 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	})
 
 	// The cache hit path.
-	c := newTallyCache(g.N(), 1<<20)
+	c := newClockCache[tally](g.N(), 1<<20)
 	c.put(newTallyEntry(v, rsteps, s))
-	check("tallyCache.get", 100, func() {
+	check("clockCache.get", 100, func() {
 		if ent := c.get(v); ent != nil {
-			sink += float64(ent.rsteps)
+			sink += float64(ent.val.rsteps)
 		}
 	})
+
+	// The plan hit path, and around it a whole warm query: at k = 1 the
+	// one-element result slice is the only allocation.
+	uq := uint32(500)
+	if res, st := e.TopKStats(uq, 1); len(res) != 1 || st.Candidates < 10 {
+		t.Fatalf("query %d: %d results of %d candidates, want a vertex with something to scan", uq, len(res), st.Candidates)
+	}
+	check("cachedPlan", 100, func() {
+		if ent, plan := e.cachedPlan(uq); plan != nil {
+			sink += float64(len(*plan)) + ent.val.wd.invR
+		}
+	})
+	// (Not under the race detector: there sync.Pool drops scratches at
+	// random, and a query that draws a fresh one allocates it.)
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(50, func() {
+		res, _, _ := e.search(ctx, uq, 1, e.p.Theta, 1)
+		sink += res[0].Score
+	}); allocs != 1 && !raceEnabled {
+		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)
+	}
 
 	if sink == 0 {
 		t.Log("scores summed to zero (fine; the sink only defeats dead-code elimination)")

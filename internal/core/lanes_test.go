@@ -53,9 +53,8 @@ func sameOutcome(a, b candScore) bool {
 		math.Float64bits(a.rough) == math.Float64bits(b.rough)
 }
 
-// refQuery is one query's prolog, bound-ordered candidates and reference
-// query side. The slices alias qs, which the caller keeps checked out
-// (and whose dist the caller resets).
+// refQuery is one query's plan and reference query side. wd may alias
+// qs, which the caller keeps checked out.
 type refQuery struct {
 	wd     *walkDist
 	rd     *refDist
@@ -64,12 +63,8 @@ type refQuery struct {
 }
 
 func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
-	wd, dist, l1, exactU := e.searchProlog(qs, u, e.queryRNG(u))
-	var bs []boundedCand
-	for _, v := range e.collectCandidates(qs, u, dist, qs.ball) {
-		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
-	}
-	sortBounds(bs)
+	pl := e.queryPlan(qs, u)
+	wd, exactU, bs := pl.wd, pl.exactU, slices.Clone(pl.cands)
 	q := refQuery{wd: wd, exactU: exactU, bs: bs}
 	if exactU {
 		q.rd = refDistOf(wd)
@@ -209,7 +204,6 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 						t.Fatalf("%s shards=%d: merged stats %+v, reference %+v", label, shards, stats, wantStats)
 					}
 				}
-				qs.resetDist()
 				e.putScratch(qs)
 			}
 			if tc.name == "exact-fallback" && fellBack < 3 {
@@ -231,7 +225,6 @@ func TestScoreBlockShapes(t *testing.T) {
 	qs := e.getScratch()
 	defer e.putScratch(qs)
 	q := newRefQuery(e, qs, 2999)
-	defer qs.resetDist()
 	if len(q.bs) < scoreBlock {
 		t.Fatalf("%d candidates, want a full block", len(q.bs))
 	}
@@ -329,7 +322,6 @@ func TestLaneBudget(t *testing.T) {
 	defer e.putScratch(qs)
 	defer es.putScratch(ss)
 	q := newRefQuery(e, qs, 7)
-	defer qs.resetDist()
 	if len(q.bs) == 0 {
 		t.Fatal("no candidates")
 	}

@@ -104,16 +104,16 @@ type Params struct {
 	// D = (1−c)·I is used.
 	D []float64
 	// CacheBytes bounds the cross-query candidate tally cache per
-	// snapshot (cache.go); 0 disables it. Because candidate walks are
+	// snapshot (tally.go); 0 disables it. Because candidate walks are
 	// seeded per vertex, enabling the cache changes which work is
 	// re-done, never the results: query output is byte-identical with
 	// the cache on or off.
 	CacheBytes int64
-	// PrologBytes bounds the per-snapshot query-prolog cache of sampled
-	// walk distributions (prolog.go). The query-side distribution is a
-	// pure function of (snapshot, query vertex), so caching it changes
-	// where the sampling work happens, never any result. 0 means the
-	// default (32 MiB); negative disables the cache.
+	// PrologBytes bounds the per-snapshot cache of query plans — sampled
+	// walk distribution plus bound-sorted candidate list (prolog.go).
+	// Both are pure functions of (snapshot, query vertex), so caching
+	// them changes where that work happens, never any result. 0 means
+	// the default (32 MiB); negative disables the cache.
 	PrologBytes int64
 	// Seed makes every Monte-Carlo component deterministic.
 	Seed uint64

@@ -2,54 +2,72 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/rng"
 )
 
-// This file implements the per-snapshot query-prolog cache. The query
-// side of every scan (search, shard scan, threshold) begins by sampling
-// RAlpha walks from the query vertex u into a per-step walk
-// distribution (sampleWalkDistInto) — the single most expensive piece
-// of query setup, and a pure function of (snapshot, u): the walks come
-// from queryRNG(u), which is derived only from Params.Seed and u, and
-// the resulting distribution is consumed strictly read-only afterwards.
-// Caching an immutable deep copy per vertex therefore changes where the
-// sampling work happens, never what any query returns — and in the
-// sharded deployment, where every shard repeats the identical prolog
-// for the same query, it removes the dominant duplicated cost.
+// This file is the per-snapshot query-plan ("prolog") cache: a clockCache
+// (cache.go) keyed by query vertex. Everything Algorithm 5 does before it
+// scores its first candidate is a pure function of (snapshot, u):
 //
-// The structure mirrors the candidate tally cache (cache.go): lock-free
-// hits through a per-vertex atomic slot array, striped mutexes for
-// insert/evict, CLOCK eviction, reserve-then-evict byte accounting, and
-// pointer-sharing carry-forward across incremental rebuilds.
+//   - the query-side walk distribution: RAlpha walks from u drawn from
+//     queryRNG(u), which is derived only from Params.Seed and u, tabulated
+//     per step (sampleWalkDistInto) and consumed strictly read-only;
+//   - the candidate list in bound order: the undirected ball around u to
+//     DMax under BallBudget (graph), Algorithm 2's α/β table over that
+//     ball and the distribution above, the candidates of
+//     Params.Strategy (H rows of u's right neighbours, the ball), each
+//     candidate's min(distance bound, β, L2 bound from γ(u,·)·γ(v,·)),
+//     and sortBounds' total order (buildPlan, query.go).
+//
+// An entry holds both, immutable, so a hit touches no graph: it replaces a
+// BFS over tens of thousands of vertices, the α/β table, the candidate
+// join, the bounds and the sort by two slice loads. In the sharded
+// deployment every shard asks for the same plan and filters it to its
+// vertex range (the restriction of a total order is the order of the
+// restriction), so on a hit the duplicated per-query work is gone. Exact
+// scoring (ExactScoring with the support under the cap) derives a
+// different distribution and is never cached.
+//
+// The two halves have different dependency footprints, which matters to
+// the incremental rebuild only (see carryProlog): the distribution
+// depends on u's T-step walk neighbourhood, the candidate list on far
+// more.
 
-// prologEntry is one cached query-side walk distribution. The wd copy
-// is flat-backed (one allocation holds every step's vertices, walk counts
-// and bucket directory, another the per-step slice headers) and immutable
-// after construction except for the CLOCK reference bit.
-type prologEntry struct {
-	u    uint32
-	wd   walkDist
-	size int64
-	ref  atomic.Bool
+// prolog is one cached query plan. wd is flat-backed (one allocation
+// holds every step's vertices, walk counts and bucket directory, another
+// the per-step slice headers) and immutable. plan points at the
+// bound-sorted candidate list, shared read-only by every query that hits;
+// nil means "not derived yet" (an entry carried across an incremental
+// rebuild), a pointer to an empty or nil slice is the valid plan of a
+// vertex with no candidates. It is set at most once.
+type prolog struct {
+	wd walkDist
+	// wdBytes is the charge for wd alone: what a carried entry costs.
+	wdBytes int64
+	plan    atomic.Pointer[[]boundedCand]
 }
 
+type prologEntry = cacheEntry[prolog]
+
 // prologEntryOverhead approximates the fixed per-entry footprint (struct
-// and ring bookkeeping), and prologStepOverhead the per-step one (three
-// slice headers and the shift byte).
+// and ring bookkeeping), prologStepOverhead the per-step one (three
+// slice headers and the shift byte), and planOverhead the plan's (slice
+// header and pointer).
 const (
 	prologEntryOverhead = 200
 	prologStepOverhead  = 76
+	planOverhead        = 32
 )
 
+// planBytes is the charge for a plan of n candidates (id, padding, bound).
+func planBytes(n int) int64 { return planOverhead + 16*int64(n) }
+
 // newPrologEntry deep-copies the sampled distribution wd into a
-// flat-backed immutable entry. It charges 8 bytes per support vertex
-// (id + walk count) plus 4 per directory offset. A step has no more buckets
-// than support vertices (bucketing) and one closing offset, so the charge
-// stays within 12 bytes a vertex — what the float64-mass layout cost
-// without a directory — plus 4 a step.
+// flat-backed immutable entry without a plan. It charges 8 bytes per
+// support vertex (id + walk count) plus 4 per directory offset. A step
+// has no more buckets than support vertices (bucketing) and one closing
+// offset, so the charge stays within 12 bytes a vertex — what the
+// float64-mass layout cost without a directory — plus 4 a step.
 func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 	T := wd.T
 	words := 0
@@ -63,8 +81,8 @@ func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 		return back[lo:len(back):len(back)]
 	}
 	rows := make([][]uint32, 3*T)
-	ent := &prologEntry{
-		u: u,
+	size := prologEntryOverhead + prologStepOverhead*int64(T) + 4*int64(words)
+	ent := &prologEntry{key: u, size: size, val: prolog{
 		wd: walkDist{
 			T:       T,
 			verts:   rows[:T:T],
@@ -74,168 +92,41 @@ func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 			invR:    wd.invR,
 			cnt:     rows[2*T:],
 		},
-		size: prologEntryOverhead + prologStepOverhead*int64(T) + 4*int64(words),
-	}
+		wdBytes: size,
+	}}
 	for t := 0; t < T; t++ {
 		// A step's directory, vertices and counts sit next to each other:
 		// one lookup touches all three.
-		ent.wd.dir[t] = clone(wd.dir[t])
-		ent.wd.verts[t] = clone(wd.verts[t])
-		ent.wd.cnt[t] = clone(wd.cnt[t])
+		ent.val.wd.dir[t] = clone(wd.dir[t])
+		ent.val.wd.verts[t] = clone(wd.verts[t])
+		ent.val.wd.cnt[t] = clone(wd.cnt[t])
 	}
 	return ent
 }
 
-// prologGet returns the cached prolog entry for u, nil-safe on a
-// disabled cache.
-func (e *Snapshot) prologGet(u uint32) *prologEntry {
-	if e.prolog == nil {
-		return nil
+// setPlan installs an immutable copy of the bound-sorted candidate list
+// bs on an entry that has none and returns its charge, or 0 when a
+// concurrent query got there first (both derive the same list).
+func (p *prolog) setPlan(bs []boundedCand) int64 {
+	plan := slices.Clone(bs)
+	if !p.plan.CompareAndSwap(nil, &plan) {
+		return 0
 	}
-	return e.prolog.get(u)
+	return planBytes(len(plan))
 }
 
-// prologPut publishes a deep copy of the freshly sampled distribution,
-// nil-safe on a disabled cache.
-func (e *Snapshot) prologPut(u uint32, wd *walkDist) {
-	if e.prolog == nil {
-		return
-	}
-	e.prolog.put(newPrologEntry(u, wd))
-}
-
-type prologShard struct {
-	mu   sync.Mutex
-	ring []*prologEntry
-	hand int
-}
-
-// prologCache is the memory-bounded per-snapshot prolog cache. See the
-// file comment; the concurrency and accounting rules are those of
-// tallyCache.
-type prologCache struct {
-	maxBytes  int64
-	bytes     atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	slots     []atomic.Pointer[prologEntry]
-	shards    [tallyShardCount]prologShard
-}
-
-func newPrologCache(n int, maxBytes int64) *prologCache {
-	return &prologCache{
-		maxBytes: maxBytes,
-		slots:    make([]atomic.Pointer[prologEntry], n),
-	}
-}
-
-func (c *prologCache) shard(u uint32) *prologShard {
-	return &c.shards[rng.Mix(uint64(u))&(tallyShardCount-1)]
-}
-
-// get returns the cached prolog for u, or nil. Lock-free; counts a hit
-// or miss.
-//
-//lint:hotpath prolog cache hit path, consulted at the top of every scan
-func (c *prologCache) get(u uint32) *prologEntry {
-	if ent := c.slots[u].Load(); ent != nil {
-		if !ent.ref.Load() {
-			ent.ref.Store(true)
-		}
-		c.hits.Add(1)
-		return ent
-	}
-	c.misses.Add(1)
-	return nil
-}
-
-// put inserts ent unless u is already cached (concurrent queries at the
-// same vertex build byte-identical entries, so first-in wins). When the
-// stripe cannot free enough bytes the reservation is rolled back and
-// the entry is not cached — the caller has already sampled into its own
-// scratch, so correctness never depends on the insert landing.
-func (c *prologCache) put(ent *prologEntry) {
-	sh := c.shard(ent.u)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.slots[ent.u].Load() != nil {
-		return
-	}
-	if c.bytes.Add(ent.size) > c.maxBytes {
-		c.evictLocked(sh)
-		if c.bytes.Load() > c.maxBytes {
-			c.bytes.Add(-ent.size)
-			return
-		}
-	}
-	ent.ref.Store(true)
-	sh.ring = append(sh.ring, ent)
-	c.slots[ent.u].Store(ent)
-}
-
-// evictLocked runs the CLOCK hand over the stripe's ring until the
-// cache fits its budget or the stripe is empty. Caller holds sh.mu.
-// A reader that loaded an entry just before its slot is cleared keeps
-// using it — entries are immutable, so the answer is unchanged.
-func (c *prologCache) evictLocked(sh *prologShard) {
-	spared := 0
-	for c.bytes.Load() > c.maxBytes && len(sh.ring) > 0 {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		ent := sh.ring[sh.hand]
-		if ent.ref.Load() && spared < 2*len(sh.ring) {
-			ent.ref.Store(false)
-			sh.hand++
-			spared++
-			continue
-		}
-		// slices.Delete, not an append-shift: see tallyCache.evictLocked.
-		sh.ring = slices.Delete(sh.ring, sh.hand, sh.hand+1)
-		c.slots[ent.u].Store(nil)
-		c.bytes.Add(-ent.size)
-		c.evictions.Add(1)
-	}
-}
-
-// stats aggregates the counters across stripes.
-func (c *prologCache) stats() CacheStats {
-	st := CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		BytesInUse:  c.bytes.Load(),
-		BudgetBytes: c.maxBytes,
-	}
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		st.Entries += len(c.shards[i].ring)
-		c.shards[i].mu.Unlock()
-	}
-	return st
-}
-
-// carryForward seeds this cache with the previous snapshot's entries
-// whose vertices keep is true for. A prolog entry depends only on the
-// query vertex's T-step walk neighbourhood — the same dependency
-// footprint as a candidate tally, so the incremental-rebuild path can
-// pass the same keep predicate it passes the tally cache. Entries are
-// shared by pointer (immutable payload); vertices are visited in
-// ascending order so the carried ring order is deterministic. The
-// receiver is fresh and unpublished, so no locks are needed.
-func (c *prologCache) carryForward(old *prologCache, keep func(u uint32) bool) {
-	for u := range old.slots {
-		ent := old.slots[u].Load()
-		if ent == nil || !keep(uint32(u)) {
-			continue
-		}
-		if c.bytes.Load()+ent.size > c.maxBytes {
-			continue
-		}
-		c.bytes.Add(ent.size)
-		sh := c.shard(uint32(u))
-		sh.ring = append(sh.ring, ent)
-		c.slots[u].Store(ent)
-	}
+// carryProlog is the prolog cache's carry rule across an incremental
+// rebuild (clockCache.carryForward), for a vertex outside the rebuild's
+// affected set: the distribution is kept, the plan is dropped. The
+// distribution depends only on u's T-step walk neighbourhood — the
+// footprint of a candidate tally, which is what the affected set covers.
+// The plan depends on the undirected ball to DMax, on the H rows of u's
+// right neighbours and on γ of u and of every candidate; an edge far
+// outside u's walk neighbourhood can change any of those. The carried
+// entry shares the distribution's backing arrays with the old one; the
+// first query to hit it derives the plan against the new snapshot and
+// publishes it (queryPlan).
+func carryProlog(old *prologEntry) *prologEntry {
+	wd, size := old.val.wd, old.val.wdBytes
+	return &prologEntry{key: old.key, size: size, val: prolog{wd: wd, wdBytes: size}}
 }

@@ -61,8 +61,8 @@ func TestPrologByteIdenticalTopK(t *testing.T) {
 	}
 }
 
-// The shard scan shares searchProlog, so fragments served with a warm
-// prolog cache must match a cold shard-less engine fragment for
+// The shard scan filters the same query plan, so fragments served with a
+// warm prolog cache must match a cold shard-less engine fragment for
 // fragment and stats alike.
 func TestPrologByteIdenticalShardScan(t *testing.T) {
 	g := graph.CopyingModel(1500, 5, 0.3, 7)
@@ -164,38 +164,59 @@ func TestPrologTinyBudget(t *testing.T) {
 }
 
 // An entry must charge at least the bytes it holds (supports, walk counts,
-// directories) and no more than 12 bytes a support vertex — the price of
-// the float64-mass layout this one replaced — plus the fixed overhead.
+// directories, the plan's candidates) and no more than 12 bytes a support
+// vertex — the price of the float64-mass layout this one replaced — plus
+// 16 a candidate and the fixed overheads.
 func TestPrologEntryAccounting(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.PreferentialAttachment(4000, 10, 0.4, 2), // supports in the thousands
 		graph.CopyingModel(1500, 5, 0.3, 2),            // supports in the tens
-		graph.NewBuilder(3).Build(),                    // step 0 only
+		graph.NewBuilder(3).Build(),                    // step 0 only, no candidates
 	} {
 		p := DefaultParams()
 		p.Seed = 4
-		e := New(g, p)
+		e := Build(g, p)
 		s := e.getScratch()
 		u := uint32(g.N() - 1)
 		e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
 		ent := newPrologEntry(u, &s.wd)
+		wd := &ent.val.wd
 		var support, held int64
-		for step := 0; step < ent.wd.T; step++ {
-			support += int64(len(ent.wd.verts[step]))
-			held += 4*int64(len(ent.wd.verts[step])+len(ent.wd.cnt[step])+len(ent.wd.dir[step])) + 1 // + shift
-			if len(ent.wd.cnt[step]) != len(ent.wd.verts[step]) || len(ent.wd.probs) != 0 {
-				t.Fatalf("step %d: %d counts for %d vertices, %d mass rows", step, len(ent.wd.cnt[step]), len(ent.wd.verts[step]), len(ent.wd.probs))
+		for step := 0; step < wd.T; step++ {
+			support += int64(len(wd.verts[step]))
+			held += 4*int64(len(wd.verts[step])+len(wd.cnt[step])+len(wd.dir[step])) + 1 // + shift
+			if len(wd.cnt[step]) != len(wd.verts[step]) || len(wd.probs) != 0 {
+				t.Fatalf("step %d: %d counts for %d vertices, %d mass rows", step, len(wd.cnt[step]), len(wd.verts[step]), len(wd.probs))
 			}
-			for i := range ent.wd.verts[step] {
-				if ent.wd.mass(step, i) != s.wd.mass(step, i) {
-					t.Fatalf("step %d entry %d: mass %v, source %v", step, i, ent.wd.mass(step, i), s.wd.mass(step, i))
+			for i := range wd.verts[step] {
+				if wd.mass(step, i) != s.wd.mass(step, i) {
+					t.Fatalf("step %d entry %d: mass %v, source %v", step, i, wd.mass(step, i), s.wd.mass(step, i))
 				}
 			}
 		}
 		e.putScratch(s)
-		limit := 12*support + prologEntryOverhead + (prologStepOverhead+4)*int64(ent.wd.T)
-		if ent.size < held || ent.size > limit {
-			t.Fatalf("n=%d support=%d: size %d, want within [%d held, %d]", g.N(), support, ent.size, held, limit)
+		limit := 12*support + prologEntryOverhead + (prologStepOverhead+4)*int64(wd.T)
+		if ent.size < held || ent.size > limit || ent.val.wdBytes != ent.size {
+			t.Fatalf("n=%d support=%d: size %d (distribution %d), want within [%d held, %d]", g.N(), support, ent.size, ent.val.wdBytes, held, limit)
+		}
+
+		// What a query publishes is that entry plus its plan, and the
+		// cache charges exactly the entry's size.
+		res, st := e.TopKStats(u, 10)
+		got := e.prolog.slots[u].Load()
+		if got == nil || got.val.plan.Load() == nil {
+			t.Fatalf("n=%d: query at %d published no plan", g.N(), u)
+		}
+		cands := int64(len(*got.val.plan.Load()))
+		if cands != int64(st.Candidates) || (g.N() == 3 && cands != 0) || (g.N() == 4000 && cands == 0) {
+			t.Fatalf("n=%d: plan of %d candidates, query saw %d (%d results)", g.N(), cands, st.Candidates, len(res))
+		}
+		planHeld := 16 * cands
+		if plan := got.size - got.val.wdBytes; got.val.wdBytes != ent.size || plan < planHeld || plan > planHeld+planOverhead {
+			t.Fatalf("n=%d: entry charges %d = %d distribution + %d plan, want %d + [%d, %d]", g.N(), got.size, got.val.wdBytes, plan, ent.size, planHeld, planHeld+planOverhead)
+		}
+		if ps := e.PrologStats(); ps.BytesInUse != got.size || ps.Entries != 1 {
+			t.Fatalf("n=%d: cache holds %+v, want one entry of %d bytes", g.N(), ps, got.size)
 		}
 	}
 }
@@ -205,35 +226,24 @@ func TestPrologEntryAccounting(t *testing.T) {
 // (over a megabyte for a wide prolog) reachable outside the byte budget.
 func TestEvictedEntriesUnreachableFromRings(t *testing.T) {
 	const n = 4096
-	pc := newPrologCache(n, 1<<30)
-	tc := newTallyCache(n, 1<<30)
+	c := newClockCache[tally](n, 1<<30)
 	for v := uint32(0); v < n/2; v++ {
-		pc.put(&prologEntry{u: v, size: 100})
-		tc.put(&tallyEntry{v: v, size: 100})
+		c.put(&tallyEntry{key: v, size: 100})
 	}
-	// Shrink the budget to nothing: every further insert drains its
-	// stripe and is then itself refused.
-	pc.maxBytes, tc.maxBytes = 0, 0
+	// Shrink the budget to one entry: every further insert sweeps the
+	// rings until only itself fits.
+	c.maxBytes = 100
 	for v := uint32(n / 2); v < n; v++ {
-		pc.put(&prologEntry{u: v, size: 100})
-		tc.put(&tallyEntry{v: v, size: 100})
+		c.put(&tallyEntry{key: v, size: 100})
 	}
-	if ps, ts := pc.stats(), tc.stats(); ps.Entries != 0 || ts.Entries != 0 || ps.BytesInUse != 0 || ts.BytesInUse != 0 {
-		t.Fatalf("caches not drained: prolog %+v, tally %+v", ps, ts)
+	if st := c.stats(); st.Entries != 1 || st.BytesInUse != 100 || st.Evictions != n-1 || st.Rejected != 0 {
+		t.Fatalf("cache not swept down to the last insert: %+v", st)
 	}
-	for i := range pc.shards {
-		ring := pc.shards[i].ring
+	for i := range c.stripes {
+		ring := c.stripes[i].ring
 		for j, ent := range ring[len(ring):cap(ring)] {
 			if ent != nil {
-				t.Fatalf("prolog stripe %d: spare slot %d still points at evicted entry %d", i, j, ent.u)
-			}
-		}
-	}
-	for i := range tc.shards {
-		ring := tc.shards[i].ring
-		for j, ent := range ring[len(ring):cap(ring)] {
-			if ent != nil {
-				t.Fatalf("tally stripe %d: spare slot %d still points at evicted entry %d", i, j, ent.v)
+				t.Fatalf("stripe %d: spare slot %d still points at evicted entry %d", i, j, ent.key)
 			}
 		}
 	}

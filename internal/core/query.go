@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-
-	"repro/internal/rng"
 )
 
 // QueryStats reports what the pruning machinery did during one query;
@@ -135,22 +133,12 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 	}
 	qs := e.getScratch()
 	defer e.putScratch(qs)
-	r := e.queryRNG(u)
 
-	wd, dist, l1, exactU := e.searchProlog(qs, u, r)
-	defer qs.resetDist()
-
-	cands := e.collectCandidates(qs, u, dist, qs.ball)
-	stats.Candidates = len(cands)
-
-	// Upper-bound each candidate and process in descending bound order,
-	// so the scan can stop at the first bound below the pruning floor.
-	bs := qs.bounds[:0]
-	for _, v := range cands {
-		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
-	}
-	qs.bounds = bs
-	sortBounds(bs)
+	// Candidates arrive bounded and in descending bound order, so the
+	// scan can stop at the first bound below the pruning floor.
+	pl := e.queryPlan(qs, u)
+	wd, bs, exactU := pl.wd, pl.cands, pl.exactU
+	stats.Candidates = len(bs)
 
 	acc := newTopKAcc(k)
 	if k == 0 {
@@ -207,19 +195,88 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 	return acc.result(), stats, nil
 }
 
-// searchProlog computes the query-local state shared by every scan mode
-// (full search and the shard-restricted variant): the bounded BFS ball
-// around u, u's walk distribution (exact when ExactScoring permits,
-// sampled otherwise), and the L1 bound table. The caller owns the
-// scratch and must defer qs.resetDist() after the returned dist slice is
-// no longer needed.
-func (e *Snapshot) searchProlog(qs *scratch, u uint32, r *rng.Source) (wd *walkDist, dist []int32, l1 *l1Table, exactU bool) {
+// queryPlan is what a scan knows before it scores its first candidate:
+// the query-side walk distribution, and every candidate with its upper
+// bound in sortBounds order. Both are pure functions of (snapshot, u) —
+// prolog.go lists the inputs — so every scan mode takes them from here
+// and, when the prolog cache holds them, from there.
+type queryPlan struct {
+	wd *walkDist
+	// cands is read-only: on a cache hit it is the cached slice, shared
+	// with every concurrent query at u. Shard scans copy their range out
+	// of it (restrict); nothing may store it in a scratch.
+	cands  []boundedCand
+	exactU bool
+}
+
+// queryPlan returns the plan of a query at u: from the prolog cache when
+// it is there, derived on qs otherwise (and published). A query that
+// scores exactly never reads or writes the cache.
+func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
+	wd := &qs.wd
+	if e.p.ExactScoring && e.exactWalkDistInto(wd, qs, u, e.p.ExactSupportCap) {
+		// The sampled distribution is replaced by the true sparse one when
+		// its support stays under the cap.
+		return queryPlan{wd: wd, cands: e.buildPlan(qs, u, wd), exactU: true}
+	}
+	ent, plan := e.cachedPlan(u)
+	if plan != nil {
+		return queryPlan{wd: &ent.val.wd, cands: *plan}
+	}
+	if ent != nil {
+		// Carried across an incremental rebuild without its plan: derive
+		// it against this snapshot from the cached distribution — what
+		// every hit cost before plans were cached.
+		wd = &ent.val.wd
+	} else {
+		// One batch of RAlpha walks from u serves double duty: Algorithm
+		// 2's α/β table and the u-side distribution of every candidate's
+		// single-pair estimate. queryRNG(u) feeds only this sampling.
+		e.sampleWalkDistInto(wd, qs, u, e.p.RAlpha, e.queryRNG(u))
+	}
+	bs := e.buildPlan(qs, u, wd)
+	switch {
+	case e.prolog == nil:
+	case ent == nil:
+		ent = newPrologEntry(u, wd)
+		ent.size += ent.val.setPlan(bs)
+		e.prolog.put(ent)
+	default:
+		if n := ent.val.setPlan(bs); n > 0 {
+			e.prolog.grow(ent, n)
+		}
+	}
+	return queryPlan{wd: wd, cands: bs}
+}
+
+// cachedPlan looks u up in the prolog cache: the entry (nil on a miss or
+// without a cache) and its plan (nil also on an entry carried without
+// one). With both in hand a scan touches no graph before it scores.
+//
+//lint:hotpath prolog cache hit path, the whole pre-scoring cost of a warm query
+func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
+	if e.prolog == nil {
+		return nil, nil
+	}
+	ent := e.prolog.get(u)
+	if ent == nil {
+		return nil, nil
+	}
+	return ent, ent.val.plan.Load()
+}
+
+// buildPlan derives the bound-sorted candidate list of a query at u whose
+// walk distribution is wd: the bounded BFS ball around u, the L1 table
+// over it, the candidates, their bounds, the sort. The result aliases
+// qs.bounds.
+func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand {
 	// Local distances around the query, used by the L1 and distance
 	// bounds and by the ball candidate strategies. The ball budget keeps
 	// this BFS local on high-expansion graphs; truncation only weakens
 	// the L1/distance bounds (candidates fall back to L2), never
 	// correctness.
-	dist = qs.distBuf()
+	dist := qs.distBuf()
+	defer qs.resetDist()
 	var truncated bool
 	qs.ball, truncated = e.g.UndirectedBallInto(u, e.p.DMax, e.p.BallBudget, dist, qs.ball[:0])
 	exploredRadius := e.p.DMax
@@ -229,29 +286,33 @@ func (e *Snapshot) searchProlog(qs *scratch, u uint32, r *rng.Source) (wd *walkD
 		// incomplete when the budget cut the search short.
 		exploredRadius = int(dist[qs.ball[len(qs.ball)-1]]) - 1
 	}
-
-	// One batch of RAlpha walks from u serves double duty: Algorithm 2's
-	// α/β table and the u-side distribution of every candidate's
-	// single-pair estimate. In exact-scoring mode the sampled
-	// distribution is replaced by the true sparse one when its support
-	// stays under the cap.
-	wd = &qs.wd
-	if e.p.ExactScoring && e.exactWalkDistInto(wd, qs, u, e.p.ExactSupportCap) {
-		exactU = true
-	} else if pe := e.prologGet(u); pe != nil {
-		// The sampled distribution is a pure function of (snapshot, u):
-		// r = queryRNG(u) feeds only this sampling and nothing after it,
-		// and wd is consumed strictly read-only downstream, so an
-		// immutable cached copy is byte-equivalent to resampling.
-		wd = &pe.wd
-	} else {
-		e.sampleWalkDistInto(wd, qs, u, e.p.RAlpha, r)
-		e.prologPut(u, wd)
-	}
+	var l1 *l1Table
 	if !e.p.DisableL1 {
 		l1 = e.computeL1From(qs, wd, dist, exploredRadius)
 	}
-	return wd, dist, l1, exactU
+	bs := qs.bounds[:0]
+	for _, v := range e.collectCandidates(qs, u, dist, qs.ball) {
+		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
+	}
+	qs.bounds = bs
+	sortBounds(bs)
+	return bs
+}
+
+// restrict copies the plan's candidates in the vertex range [lo, hi) into
+// qs.bounds, keeping their order: the restriction of sortBounds' total
+// order is the order of the restriction, which is all a shard's fragment
+// and the merge need. (On a miss cands already is qs.bounds and the copy
+// filters it in place.)
+func (pl *queryPlan) restrict(qs *scratch, lo, hi uint32) []boundedCand {
+	bs := qs.bounds[:0]
+	for _, b := range pl.cands {
+		if b.v >= lo && b.v < hi {
+			bs = append(bs, b)
+		}
+	}
+	qs.bounds = bs
+	return bs
 }
 
 // candBound is the tightest upper bound available for candidate v of a
@@ -331,17 +392,18 @@ func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor floa
 		cs.cache = cacheMiss
 		cs.evicted = uint16(min(c.put(ent), maxTallyCount))
 	}
+	tl := &ent.val
 	if !e.p.DisableAdaptive {
 		// "not small" (paper §7.2): keep the candidate when the rough
 		// estimate reaches 0.3x the pruning floor.
-		cs.rough = e.dotTally(wd, ent.off, ent.verts, ent.rcnt, 1/float64(Rr), int(ent.rsteps))
+		cs.rough = e.dotTally(wd, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
 		cs.state = candScored
 		if cs.rough < 0.3*floor {
 			cs.state = candRoughPruned
 			return cs, true
 		}
 	}
-	cs.score = e.dotTally(wd, ent.off, ent.verts, ent.cnt, 1/float64(R), e.p.T)
+	cs.score = e.dotTally(wd, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
 	return cs, true
 }
 

@@ -167,25 +167,12 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	}
 	qs := e.getScratch()
 	defer e.putScratch(qs)
-	r := e.queryRNG(u)
 
-	wd, dist, l1, exactU := e.searchProlog(qs, u, r)
-	defer qs.resetDist()
-
-	cands := e.collectCandidates(qs, u, dist, qs.ball)
-
-	// Bound only the candidates this shard owns. The ordering within the
-	// fragment is the global total order restricted to [lo, hi), which
-	// is all the merge needs.
-	bs := qs.bounds[:0]
-	for _, v := range cands {
-		if v < lo || v >= hi {
-			continue
-		}
-		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
-	}
-	qs.bounds = bs
-	sortBounds(bs)
+	// This shard's slice of the query plan: the global bound order
+	// restricted to [lo, hi), which is all the merge needs.
+	pl := e.queryPlan(qs, u)
+	wd, exactU := pl.wd, pl.exactU
+	bs := pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 
 	theta := e.p.Theta
@@ -257,21 +244,10 @@ func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float6
 	}
 	qs := e.getScratch()
 	defer e.putScratch(qs)
-	r := e.queryRNG(u)
 
-	wd, dist, l1, exactU := e.searchProlog(qs, u, r)
-	defer qs.resetDist()
-
-	cands := e.collectCandidates(qs, u, dist, qs.ball)
-	bs := qs.bounds[:0]
-	for _, v := range cands {
-		if v < lo || v >= hi {
-			continue
-		}
-		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
-	}
-	qs.bounds = bs
-	sortBounds(bs)
+	pl := e.queryPlan(qs, u)
+	wd, exactU := pl.wd, pl.exactU
+	bs := pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 
 	acc := newTopKAcc(len(bs))

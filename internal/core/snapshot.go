@@ -43,17 +43,18 @@ type Snapshot struct {
 	// inverted (right -> left) direction used for candidate joins.
 	idx *candidateIndex
 
-	// cache is the cross-query candidate tally cache (cache.go); nil
+	// cache is the cross-query candidate tally cache (tally.go); nil
 	// when Params.CacheBytes is 0 or RScore exceeds the uint16 tally
 	// range. Shared by every query against this snapshot; it holds
 	// derived, deterministic data only, so the snapshot stays logically
 	// immutable.
-	cache *tallyCache
+	cache *clockCache[tally]
 
-	// prolog caches the query-side sampled walk distribution per vertex
-	// (prolog.go); nil when Params.PrologBytes is negative. Like cache,
-	// it holds derived, deterministic data only.
-	prolog *prologCache
+	// prolog caches the query plan per vertex — the query-side sampled
+	// walk distribution and the bound-sorted candidate list (prolog.go);
+	// nil when Params.PrologBytes is negative. Like cache, it holds
+	// derived, deterministic data only.
+	prolog *clockCache[prolog]
 
 	// pool recycles query/preprocess scratch buffers (see scratch.go).
 	// poolGets/poolPuts count acquire/release round trips; they must be
@@ -84,10 +85,10 @@ func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
 	if sn.p.CacheBytes > 0 && sn.p.RScore <= maxTallyCount {
-		sn.cache = newTallyCache(g.N(), sn.p.CacheBytes)
+		sn.cache = newClockCache[tally](n, sn.p.CacheBytes)
 	}
 	if sn.p.PrologBytes > 0 {
-		sn.prolog = newPrologCache(n, sn.p.PrologBytes)
+		sn.prolog = newClockCache[prolog](n, sn.p.PrologBytes)
 	}
 	return sn
 }
@@ -109,21 +110,11 @@ func (e *Snapshot) Sealed() bool { return e.sealed }
 
 // CacheStats reports the tally-cache counters; all zero when the cache
 // is disabled.
-func (e *Snapshot) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
-}
+func (e *Snapshot) CacheStats() CacheStats { return e.cache.stats() }
 
 // PrologStats reports the query-prolog-cache counters; all zero when
 // that cache is disabled.
-func (e *Snapshot) PrologStats() CacheStats {
-	if e.prolog == nil {
-		return CacheStats{}
-	}
-	return e.prolog.stats()
-}
+func (e *Snapshot) PrologStats() CacheStats { return e.prolog.stats() }
 
 // PoolBalance reports the scratch-pool acquire/release counters; they are
 // equal whenever no query is in flight. Exposed for tests and leak

@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the candidate-scoring tally kernel of the cached path. A
 // candidate v is scored by simulating R walks from v (seeded by candSeed,
@@ -99,19 +102,58 @@ func (e *Snapshot) buildFullTally(s *scratch, v uint32, R, Rr, stride int) int {
 	return rsteps
 }
 
+// The cross-query walk-tally cache (Snapshot.cache, a clockCache keyed by
+// candidate vertex). Because candidate walks are seeded per vertex
+// (candSeed), a candidate's step-t position tally at R = RScore walks is
+// a pure function of (snapshot, v): the cache stores that tally once and
+// every later query scoring v replaces its O(T·R) walk simulation with an
+// O(T·distinct) dot product against the query-side distribution. The
+// rough adaptive pass is served from the same entry — the walk-major
+// simulation order guarantees the first RRough walks of the full stream
+// are exactly the walks a rough-only simulation would have produced, so
+// per-step counts restricted to that prefix (rcnt) reproduce the rough
+// estimate bit for bit.
+
+// tally is one cached candidate tally: per-step sorted supports with
+// full-stream and rough-prefix counts, in the same flat layout the
+// scratch tally builders produce. Immutable after construction.
+type tally struct {
+	// rsteps is the number of leading steps with a nonempty rough-prefix
+	// support; the rough dot product stops there.
+	rsteps int32
+	// off[t]..off[t+1] delimit step t's slice of verts/cnt/rcnt.
+	off   []int32
+	verts []uint32
+	// cnt counts all RScore walks at each support vertex; rcnt counts
+	// only the first RRough walks (0 when the rough prefix never visits
+	// it). uint16 suffices: the cache is disabled when RScore > 65535.
+	cnt  []uint16
+	rcnt []uint16
+}
+
+type tallyEntry = cacheEntry[tally]
+
+// maxTallyCount is the largest walk count a uint16 tally can represent.
+const maxTallyCount = math.MaxUint16
+
+// tallyEntryOverhead approximates the fixed per-entry footprint: the
+// struct itself plus slice headers and ring bookkeeping.
+const tallyEntryOverhead = 160
+
 // newTallyEntry clones the scratch tally view into an immutable cache
-// entry.
+// entry, charged 8 bytes a support vertex and 4 a step offset.
 func newTallyEntry(v uint32, rsteps int, s *scratch) *tallyEntry {
-	ent := &tallyEntry{
-		v:      v,
-		rsteps: int32(rsteps),
-		off:    slices.Clone(s.tallyOff),
-		verts:  slices.Clone(s.tallyV),
-		cnt:    slices.Clone(s.tallyCnt),
-		rcnt:   slices.Clone(s.tallyRcnt),
+	return &tallyEntry{
+		key:  v,
+		size: tallyEntryOverhead + 4*int64(len(s.tallyOff)) + 8*int64(len(s.tallyV)),
+		val: tally{
+			rsteps: int32(rsteps),
+			off:    slices.Clone(s.tallyOff),
+			verts:  slices.Clone(s.tallyV),
+			cnt:    slices.Clone(s.tallyCnt),
+			rcnt:   slices.Clone(s.tallyRcnt),
+		},
 	}
-	ent.size = entrySize(len(ent.off)-1, len(ent.verts))
-	return ent
 }
 
 // dotTally evaluates the truncated series from a tally view against the

@@ -174,9 +174,15 @@ type refDist struct {
 }
 
 func refSample(e *Snapshot, s *scratch, u uint32) *refDist {
+	return refSampleFrom(e, s, u, e.queryRNG(u))
+}
+
+// refSampleFrom is refSample drawing from r. It steps all R positions at
+// every step, dead ones included — the loop sampleWalkDistInto ran before
+// it compacted to the live walks.
+func refSampleFrom(e *Snapshot, s *scratch, u uint32, r *rng.Source) *refDist {
 	T, R := e.p.T, e.p.RAlpha
 	rd := &refDist{verts: make([][]uint32, T), probs: make([][]float64, T)}
-	r := e.queryRNG(u)
 	pos := s.walkBuf(R)
 	lane := s.laneBuf(R)
 	resetWalks(pos, u)
@@ -198,6 +204,107 @@ func refSample(e *Snapshot, s *scratch, u uint32) *refDist {
 		}
 	}
 	return rd
+}
+
+// refGammaInto is computeGammaInto as it was before it compacted to the
+// live walks: every position tested at every step.
+func refGammaInto(e *Snapshot, v uint32, R int, r *rng.Source, s *scratch, out []float32) {
+	pos := s.walkBuf(R)
+	lane := s.laneBuf(R)
+	resetWalks(pos, v)
+	invR2 := 1.0 / (float64(R) * float64(R))
+	for t := 0; t < e.p.T; t++ {
+		if t > 0 {
+			stepWalks(e.wt, r, pos, lane)
+		}
+		s.beginTally()
+		for _, w := range pos {
+			if w != Dead {
+				s.tallyCount(w)
+			}
+		}
+		mu := 0.0
+		for _, w := range pos {
+			if w != Dead {
+				mu += e.p.dval(w) * float64(s.cnt[w]) * invR2
+			}
+		}
+		out[t] = float32(math.Sqrt(mu))
+	}
+}
+
+func rngState(r *rng.Source) [4]uint64 {
+	s0, s1, s2, s3 := r.State()
+	return [4]uint64{s0, s1, s2, s3}
+}
+
+// Dead walks leave the step batch (scratch.tallyLive). They drew nothing
+// while they were in it, so the sampled distribution, the γ table and the
+// generator state after either call must be what the uncompacted loops
+// produce — on a graph where most walks die early, one where none do, and
+// the degenerate ones.
+func TestDeadWalkCompactionChangesNothing(t *testing.T) {
+	ring := graph.NewBuilder(7)
+	for v := uint32(0); v < 7; v++ {
+		ring.AddEdge(v, (v+1)%7)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"web", graph.CopyingModel(3000, 8, 0.3, 1)},
+		{"social", graph.PreferentialAttachment(2000, 10, 0.4, 1)},
+		{"ring", ring.Build()},
+		{"edgeless", graph.NewBuilder(5).Build()},
+	} {
+		p := DefaultParams()
+		p.Seed = 6
+		p.RAlpha = 3000 // more than one StepLane chunk
+		e := New(tc.g, p)
+		s := e.getScratch()
+		n := uint32(tc.g.N())
+		died := false
+		for u := uint32(0); u < n; u += 1 + n/97 {
+			r, rr := e.queryRNG(u), e.queryRNG(u)
+			var wd walkDist
+			e.sampleWalkDistInto(&wd, s, u, e.p.RAlpha, r)
+			rd := refSampleFrom(e.Snapshot, s, u, rr)
+			for step := 0; step < e.p.T; step++ {
+				if !slices.Equal(wd.verts[step], rd.verts[step]) {
+					t.Fatalf("%s u=%d step %d: support %v, reference %v", tc.name, u, step, wd.verts[step], rd.verts[step])
+				}
+				walks := 0
+				for i := range wd.verts[step] {
+					walks += int(wd.cnt[step][i])
+					if math.Float64bits(wd.mass(step, i)) != math.Float64bits(rd.probs[step][i]) {
+						t.Fatalf("%s u=%d step %d vertex %d: mass %v, reference %v", tc.name, u, step, wd.verts[step][i], wd.mass(step, i), rd.probs[step][i])
+					}
+				}
+				died = died || (walks > 0 && walks < e.p.RAlpha)
+			}
+			if rngState(r) != rngState(rr) {
+				t.Fatalf("%s u=%d: generator state differs after sampling", tc.name, u)
+			}
+
+			r.Seed(e.vertexSeed(saltGamma, u))
+			rr.Seed(e.vertexSeed(saltGamma, u))
+			got, want := make([]float32, e.p.T), make([]float32, e.p.T)
+			e.computeGammaInto(u, e.p.RGamma, r, s, got)
+			refGammaInto(e.Snapshot, u, e.p.RGamma, rr, s, want)
+			for step := range got {
+				if math.Float32bits(got[step]) != math.Float32bits(want[step]) {
+					t.Fatalf("%s v=%d: γ(·,%d) = %v, reference %v", tc.name, u, step, got[step], want[step])
+				}
+			}
+			if rngState(r) != rngState(rr) {
+				t.Fatalf("%s v=%d: generator state differs after γ", tc.name, u)
+			}
+		}
+		e.putScratch(s)
+		if tc.name == "web" && !died {
+			t.Fatal("web: no sampled step had a mix of live and dead walks")
+		}
+	}
 }
 
 func refDot(e *Snapshot, rd *refDist, off []int32, verts []uint32, counts []uint16, invR float64, maxStep int) (sigma float64, searched bool) {
@@ -339,19 +446,16 @@ func TestWideSupportByteIdentity(t *testing.T) {
 
 				// Threshold keeps the floor at theta, so the reference
 				// answer is a plain filter over the candidate set.
-				_, dist, l1, _ := e.searchProlog(s, u, e.queryRNG(u))
-				cands := slices.Clone(e.collectCandidates(s, u, dist, s.ball))
 				var ref []Scored
-				for _, v := range cands {
-					if e.candBound(u, v, dist, l1) < theta {
+				for _, b := range slices.Clone(e.queryPlan(s, u).cands) {
+					if b.ub < theta {
 						continue
 					}
-					rough, full, _ := refScores(e.Snapshot, s, rd, v)
+					rough, full, _ := refScores(e.Snapshot, s, rd, b.v)
 					if rough >= 0.3*theta && full >= theta {
-						ref = append(ref, Scored{v, full})
+						ref = append(ref, Scored{b.v, full})
 					}
 				}
-				s.resetDist()
 				sortScoredDesc(ref)
 				sameResults(t, label+" threshold u="+itoa(int(u)), e.Threshold(u, theta), ref)
 			}

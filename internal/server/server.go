@@ -222,6 +222,7 @@ type CacheStatsJSON struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Evictions   int64 `json:"evictions"`
+	Rejected    int64 `json:"rejected"`
 	Entries     int   `json:"entries"`
 	BytesInUse  int64 `json:"bytes_in_use"`
 	BudgetBytes int64 `json:"budget_bytes"`
@@ -232,6 +233,7 @@ func toCacheJSON(st simrank.CacheStats) *CacheStatsJSON {
 		Hits:        st.Hits,
 		Misses:      st.Misses,
 		Evictions:   st.Evictions,
+		Rejected:    st.Rejected,
 		Entries:     st.Entries,
 		BytesInUse:  st.BytesInUse,
 		BudgetBytes: st.BudgetBytes,

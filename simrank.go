@@ -46,12 +46,13 @@ type Options struct {
 	// it. 0 disables the cache. Results are byte-identical with the
 	// cache on or off; only throughput changes.
 	CacheBytes int64
-	// PrologCacheBytes bounds the per-index cache of query-side walk
-	// distributions: the sampled prolog of a query is a pure function of
-	// (index, query vertex), so repeat queries — and every shard of a
-	// distributed deployment answering the same query — skip the
-	// dominant per-query sampling cost. 0 means the default (32 MiB);
-	// negative disables it. Results are byte-identical either way.
+	// PrologCacheBytes bounds the per-index cache of query plans: the
+	// sampled walk distribution of a query and its bound-sorted candidate
+	// list are pure functions of (index, query vertex), so repeat queries
+	// — and every shard of a distributed deployment answering the same
+	// query — skip everything a query does before it scores a candidate.
+	// 0 means the default (32 MiB); negative disables it. Results are
+	// byte-identical either way.
 	PrologCacheBytes int64
 	// Seed makes all Monte-Carlo components deterministic. Default 1.
 	Seed uint64
@@ -180,7 +181,10 @@ type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Entries   int
+	// Rejected counts inserts refused because the entry could not fit
+	// the budget even with everything else evicted.
+	Rejected int64
+	Entries  int
 	// BytesInUse approximates the cached entries' heap footprint; it
 	// stays within BudgetBytes at quiescence.
 	BytesInUse  int64
@@ -192,6 +196,7 @@ func toCacheStats(st core.CacheStats) CacheStats {
 		Hits:        st.Hits,
 		Misses:      st.Misses,
 		Evictions:   st.Evictions,
+		Rejected:    st.Rejected,
 		Entries:     st.Entries,
 		BytesInUse:  st.BytesInUse,
 		BudgetBytes: st.BudgetBytes,
