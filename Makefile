@@ -47,19 +47,23 @@ lint-baseline:
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
 # couple of minutes the first time). TopKWarm is TopK with the query
 # plans cached (tally cache off and warm). TopKSocial is the wide-support
-# regime (preferential attachment, caches off) that the copying-model
-# benchmarks never reach; CandWalks is its walk kernel alone, one stream
-# at a time against lane-interleaved. RouterTopK/RouterTopKBatch live in
-# internal/router: routed queries over a real 3-shard loopback topology
-# (binary wire). WireCodec measures the binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+# regime (preferential attachment) that the copying-model benchmarks
+# never reach — n=20000 with one worker and the caches off, n=100000 as
+# simserver builds it for the end-to-end social workload; CandWalks is
+# its walk kernel alone, one stream at a time against lane-interleaved,
+# and WalkDistLookup one probe of each directory kind, hit and miss.
+# RouterTopK/RouterTopKBatch live in internal/router: routed queries over
+# a real 3-shard loopback topology (binary wire). WireCodec measures the
+# binary codec round-trip alone.
+BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:
 	$(GO) test -bench $(BENCH_RE) -run - $(BENCH_PKGS)
 
-# Regenerate the committed benchmark snapshot.
+# Regenerate the committed benchmark snapshot (one proc, as every row of
+# it has been taken: the numbers are per-core costs, not scaling).
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench $(BENCH_RE) -run - $(BENCH_PKGS) | \
+	$(GO) test -bench $(BENCH_RE) -run - -cpu 1 $(BENCH_PKGS) | \
 		/tmp/benchjson -meta pkg=internal/core,internal/router,internal/wire -o BENCH_core.json

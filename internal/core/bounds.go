@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/rng"
@@ -75,15 +76,25 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 }
 
 // walkDist is the empirical (or exact) distribution of a vertex's walk
-// positions, P{u⁽ᵗ⁾ = w}, stored per step as a bucket-indexed ascending
-// support: verts[t] lists the vertices with nonzero mass ascending, and
-// dir[t] is a directory over it — bucket b = w >> shift[t] occupies
-// verts[t][dir[t][b]:dir[t][b+1]], with about one bucket per two support
-// vertices (see bucketing). "Mass of w at step t" is therefore two
-// directory reads and a scan of a vertex or two (lookup), not a binary
-// search, and the ascending order every consumer relies on (dotSeries'
-// merge join, computeL1From, forEach) is a by-product of building the
-// directory (scratch.orderTouched), not of a comparison sort.
+// positions, P{u⁽ᵗ⁾ = w}, stored per step as an ascending support with a
+// directory over it: verts[t] lists the vertices with nonzero mass
+// ascending and dir[t] answers "at which index, if any, is w" (lookup)
+// without a search. The directory comes in two kinds, chosen per step by
+// the support's density alone (denseSupport):
+//
+//   - sparse steps keep bucket offsets (bucketIndex): bucket b = w >> shift[t]
+//     occupies verts[t][dir[t][b]:dir[t][b+1]], with about one bucket per two
+//     support vertices (see bucketing) — two directory reads and a scan of
+//     a vertex or two;
+//   - dense steps (shift[t] == rankStep) keep a rank bitset (rankIndex): one
+//     bit per vertex of the graph and, per 64 vertices, the number of
+//     support vertices before them — one word load and a bit test on a
+//     miss, a second load and a popcount on a hit, and no loop.
+//
+// The ascending order every consumer relies on (dotSeries' merge join,
+// computeL1From, forEach, the index sweep of dotPositions) is a by-product
+// of building the directory — scratch.orderTouched for buckets, enumerating
+// the set bits for a rank bitset — not of a comparison sort.
 //
 // Masses come in two encodings behind one accessor (mass). A sampled
 // distribution stores walk counts, cnt[t][i] of the R walks at verts[t][i],
@@ -109,6 +120,61 @@ type walkDist struct {
 	probs   [][]float64
 }
 
+// denseDiv is the density at which a step's directory becomes a rank
+// bitset: a support of S vertices on an n-vertex graph is dense when
+// S ≥ n/denseDiv. A bitset costs 12 bytes per 64 vertices of the graph
+// whatever S is, so at the threshold it spends 6 bytes a support vertex
+// against the 2 to 4 of bucket offsets, and less than they do from about
+// n/16 on; below it the price per vertex grows without bound (a 30-vertex
+// support on a 100 000-vertex web graph would pay 625 bytes a vertex),
+// which is why sparse steps keep buckets. See DESIGN.md §4 for the
+// sensitivity runs behind 32.
+const denseDiv = 32
+
+// rankStep in shift[t] marks step t's directory as a rank bitset. A bucket
+// shift is at most 32.
+const rankStep = 0xff
+
+// denseSupport reports whether a support of S of n vertices gets a rank
+// bitset: a function of (n, S) and nothing else.
+func denseSupport(n, S int) bool { return S*denseDiv >= n }
+
+// rankWords is the number of 64-vertex words of a rank bitset over n
+// vertices; the directory holds three uint32 for each.
+func rankWords(n int) int { return (n + 63) >> 6 }
+
+// bucketIndex returns the position of w in a sparse step's support verts,
+// or -1: off and shift are the step's bucket directory, and w's bucket is
+// scanned up to the first vertex ≥ w. (The two index functions take the
+// step's slices as plain arguments: a struct of them is too large for the
+// compiler to keep in registers, which doubled the cost of a probe.)
+func bucketIndex(off, verts []uint32, shift uint8, w uint32) int {
+	b := w >> shift
+	for i, end := off[b], off[b+1]; i < end; i++ {
+		if x := verts[i]; x >= w {
+			if x == w {
+				return int(i)
+			}
+			break
+		}
+	}
+	return -1
+}
+
+// rankIndex returns the position of w in a dense step's support, or -1:
+// bits holds one bit per vertex, as the low and high half of each
+// 64-vertex word in turn, rank[k] counts the support vertices below 64k,
+// and w's rank among the set bits is its index because the support is
+// ascending.
+func rankIndex(bits32, rank []uint32, w uint32) int {
+	if bits32[w>>5]>>(w&31)&1 == 0 {
+		return -1
+	}
+	k := w >> 6
+	word := uint64(bits32[2*k]) | uint64(bits32[2*k+1])<<32
+	return int(rank[k]) + bits.OnesCount64(word&(1<<(w&63)-1))
+}
+
 // reset prepares the distribution for T steps, keeping backing arrays.
 func (wd *walkDist) reset(T int, sampled bool) {
 	wd.T = T
@@ -128,6 +194,7 @@ func (wd *walkDist) reset(T int, sampled bool) {
 	for t := 0; t < T; t++ {
 		wd.verts[t] = wd.verts[t][:0]
 		wd.dir[t] = wd.dir[t][:0]
+		wd.shift[t] = 0
 		wd.cnt[t] = wd.cnt[t][:0]
 		wd.probs[t] = wd.probs[t][:0]
 	}
@@ -136,29 +203,84 @@ func (wd *walkDist) reset(T int, sampled bool) {
 // support reports the number of vertices with nonzero mass at step t.
 func (wd *walkDist) support(t int) int { return len(wd.verts[t]) }
 
-// setSupport installs the current tally's touched list, freshly ordered,
-// as step t's support and directory.
+// setSupport installs the current tally's touched list as step t's
+// support, ascending, with the directory kind its density calls for. The
+// row must be empty (reset).
 func (wd *walkDist) setSupport(t int, s *scratch) {
+	if denseSupport(s.n, len(s.touched)) {
+		wd.setRankSupport(t, s.n, s.touched)
+	} else {
+		wd.setBucketSupport(t, s)
+	}
+}
+
+// setBucketSupport orders the tally's touched list by buckets and installs
+// it with its bucket offsets as step t's support.
+func (wd *walkDist) setBucketSupport(t int, s *scratch) {
 	dir, shift := s.orderTouched()
 	wd.verts[t] = append(wd.verts[t], s.touched...)
 	wd.dir[t] = append(wd.dir[t], dir...)
 	wd.shift[t] = shift
 }
 
-// lookup returns the index of w in step t's support, or -1: w's bucket is
-// scanned up to the first vertex ≥ w. Step t must have a nonempty support.
-func (wd *walkDist) lookup(t int, w uint32) int {
+// setRankSupport builds step t's rank bitset from the unordered support
+// touched and reads the ascending support back out of it: one pass sets
+// the bits, one pass over the words writes each word's rank and lists its
+// set bits, so the order costs no counting, scatter or sort.
+//
+//lint:hotpath dense-step support ordering and directory build, up to T times per uncached prolog
+func (wd *walkDist) setRankSupport(t, n int, touched []uint32) {
+	nw := rankWords(n)
 	d, vs := wd.dir[t], wd.verts[t]
-	b := w >> wd.shift[t]
-	for i, end := d[b], d[b+1]; i < end; i++ {
-		if x := vs[i]; x >= w {
-			if x == w {
-				return int(i)
-			}
-			break
+	if cap(d) < 3*nw {
+		d = make([]uint32, 3*nw) //lint:ignore hotalloc amortized pooled growth; steady state reuses the row's capacity
+	}
+	if cap(vs) < len(touched) {
+		vs = make([]uint32, len(touched)) //lint:ignore hotalloc amortized pooled growth; steady state reuses the row's capacity
+	}
+	d, vs = d[:3*nw], vs[:len(touched)]
+	clear(d)
+	for _, w := range touched {
+		d[w>>5] |= 1 << (w & 31)
+	}
+	i := 0
+	for k := 0; k < nw; k++ {
+		d[2*nw+k] = uint32(i)
+		for b := uint64(d[2*k]) | uint64(d[2*k+1])<<32; b != 0; b &= b - 1 {
+			vs[i] = uint32(k<<6 + bits.TrailingZeros64(b))
+			i++
 		}
 	}
-	return -1
+	wd.verts[t], wd.dir[t], wd.shift[t] = vs, d, rankStep
+}
+
+// dense reports whether step t's directory is a rank bitset.
+func (wd *walkDist) dense(t int) bool { return wd.shift[t] == rankStep }
+
+// buckets returns step t's bucket directory, bucketIndex's arguments; the
+// step must be sparse.
+func (wd *walkDist) buckets(t int) (off, verts []uint32, shift uint8) {
+	return wd.dir[t], wd.verts[t], wd.shift[t]
+}
+
+// ranks returns step t's rank bitset, rankIndex's arguments; the step must
+// be dense.
+func (wd *walkDist) ranks(t int) (bits32, rank []uint32) {
+	d := wd.dir[t]
+	nw := len(d) / 3
+	return d[:2*nw], d[2*nw:]
+}
+
+// lookup returns the index of w in step t's support, or -1. Step t must
+// have a nonempty support. Loops over many vertices of one step pick the
+// directory kind once and call its index function directly.
+func (wd *walkDist) lookup(t int, w uint32) int {
+	if wd.dense(t) {
+		bits32, rank := wd.ranks(t)
+		return rankIndex(bits32, rank, w)
+	}
+	off, verts, shift := wd.buckets(t)
+	return bucketIndex(off, verts, shift, w)
 }
 
 // mass returns the probability mass of step t's i-th support vertex.

@@ -486,7 +486,11 @@ func TestCacheGrow(t *testing.T) {
 // the hottest vertex of the stream — resampled its distribution and threw
 // it away: hit ratio down, hundreds of kilobytes allocated per miss. So:
 // no insert refused, and the last quarter of the run must look like the
-// second (hit ratio not lower, allocation per query flat ±20 %).
+// second (hit ratio not lower, allocation per query flat ±20 %). One
+// worker: starvation is a property of where eviction looks, not of
+// concurrency, and with two the order in which a batch's inserts reach
+// the CLOCK hand moves the late ratio from run to run by about the margin
+// below (0.830 to 0.842 over seven runs); with one the run repeats exactly.
 func TestCacheStarvationReplica(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("400 000 queries on a 100 000-vertex graph")
@@ -494,7 +498,7 @@ func TestCacheStarvationReplica(t *testing.T) {
 	const n, total, batch, span = 100000, 400000, 16, 100000
 	p := DefaultParams()
 	p.Seed = 1
-	p.Workers = 2
+	p.Workers = 1
 	p.CacheBytes = 256 << 20
 	e := Build(graph.CopyingModel(n, 8, 0.3, 1), p)
 	stream := zipfStream(n, total, 1.1, rng.Mix(3))

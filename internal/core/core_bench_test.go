@@ -96,21 +96,80 @@ func BenchmarkTopKWarm(b *testing.B) {
 // benchmarks reach: on a preferential-attachment graph the RAlpha query
 // walks spread over thousands of vertices per step and a query scores
 // hundreds of candidates, so the time goes to ordering supports and to
-// looking candidate tally terms up in the query-side distribution.
-// Uniform queries, one worker and no caches: every query pays the full
-// prolog and every candidate its walks.
+// looking candidate positions up in the query-side distribution. Uniform
+// queries: every query pays the full prolog and every candidate its walks.
+// n=20000 runs one worker with the caches off; n=100000 is the graph and
+// the engine simserver builds for the end-to-end social-uniform-single
+// workload (its defaults: prolog cache on, never hit by this stream).
 func BenchmarkTopKSocial(b *testing.B) {
-	g := graph.PreferentialAttachment(20000, 10, 0.4, 1)
-	p := DefaultParams()
-	p.Seed = 1
-	p.Workers = 1
-	p.PrologBytes = -1
-	e := Build(g, p)
-	n := uint32(g.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.TopK(uint32(i*7919+13)%n, 20)
+	for _, n := range []int{20000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := DefaultParams()
+			p.Seed = 1
+			if n == 20000 {
+				p.Workers = 1
+				p.PrologBytes = -1
+			}
+			e := Build(graph.PreferentialAttachment(n, 10, 0.4, 1), p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.TopK(uint32(i*7919+13)%uint32(n), 20)
+			}
+		})
+	}
+}
+
+// BenchmarkWalkDistLookup measures one directory probe of each kind over
+// the same support — 5 000 of 100 000 vertices, the width of a social
+// query's middle steps — for ids inside it and ids outside it, 65 536 of
+// each drawn at random so that the branch predictor cannot learn the
+// sequence (with a few thousand ids it does, and a bucket miss reads three
+// times faster than it is).
+func BenchmarkWalkDistLookup(b *testing.B) {
+	const n, S, probes = 100000, 5000, 1 << 16
+	r := rng.New(1)
+	s := newScratch(n)
+	s.beginTally()
+	for len(s.touched) < S {
+		s.tallyCount(uint32(r.Intn(n)))
+	}
+	var hits, misses []uint32
+	for len(hits) < probes {
+		hits = append(hits, s.touched[r.Intn(S)])
+	}
+	for len(misses) < probes {
+		if w := uint32(r.Intn(n)); s.mark[w] != s.epoch {
+			misses = append(misses, w)
+		}
+	}
+	var wd walkDist
+	wd.reset(2, true)
+	wd.setRankSupport(0, n, s.touched)
+	wd.setBucketSupport(1, s)
+	bits32, rank := wd.ranks(0)
+	off, verts, shift := wd.buckets(1)
+	for _, kind := range []string{"bucket", "rank"} {
+		for _, ids := range []struct {
+			name string
+			ws   []uint32
+		}{{"hit", hits}, {"miss", misses}} {
+			b.Run(kind+"/"+ids.name, func(b *testing.B) {
+				sum := 0
+				if kind == "rank" {
+					for i := 0; i < b.N; i++ {
+						sum += rankIndex(bits32, rank, ids.ws[i%probes])
+					}
+				} else {
+					for i := 0; i < b.N; i++ {
+						sum += bucketIndex(off, verts, shift, ids.ws[i%probes])
+					}
+				}
+				if (ids.name == "miss") != (sum < 0) && b.N >= probes {
+					b.Fatalf("%s lookups summed to %d", ids.name, sum)
+				}
+			})
+		}
 	}
 }
 

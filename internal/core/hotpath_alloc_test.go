@@ -32,6 +32,7 @@ var hotpathKernels = []string{
 	"core.dotTally",
 	"core.get",
 	"core.scoreLanes",
+	"core.setRankSupport",
 	"core.simulateCandWalks",
 	"core.singleWalk",
 	"core.stepWalks",
@@ -146,6 +147,28 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	}); allocs != 1 && !raceEnabled {
 		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)
 	}
+
+	// Wide supports: a query whose steps carry both directory kinds.
+	// setRankSupport is covered by the sampler, both index kinds by
+	// dotPositions; the sampler's rows and the hit tally grow once, in
+	// AllocsPerRun's warm-up call.
+	gw := graph.PreferentialAttachment(2000, 10, 0.4, 1)
+	ew := New(gw, p)
+	sw := ew.getScratch()
+	defer ew.putScratch(sw)
+	uw, vw := uint32(gw.N()-1), uint32(gw.N()-2)
+	check("sampleWalkDistInto (dense steps)", 10, func() {
+		sw.rng.Seed(ew.candSeed(uw))
+		ew.sampleWalkDistInto(&sw.wd, sw, uw, ew.p.RAlpha, &sw.rng)
+	})
+	if dense, sparse := countKinds(&sw.wd); dense == 0 || sparse == 0 {
+		t.Fatalf("query %d: %d dense and %d sparse steps, want both kinds", uw, dense, sparse)
+	}
+	sw.rng.Seed(ew.candSeed(vw))
+	ew.simulateCandWalks(sw, vw, R)
+	check("dotPositions (dense steps)", 100, func() {
+		sink += ew.dotPositions(sw, &sw.wd, vw, sw.tpos, R, R, invR)
+	})
 
 	if sink == 0 {
 		t.Log("scores summed to zero (fine; the sink only defeats dead-code elimination)")

@@ -199,22 +199,37 @@ func (e *Snapshot) dotPositions(s *scratch, wd *walkDist, v uint32, pos []uint32
 			break
 		}
 		cnt, set := s.hitBufs(len(verts))
-		live := false
 		loW, hiW := len(set), -1
-		for _, w := range pos[t*stride : t*stride+cols] {
-			if w == Dead {
-				continue
+		row := pos[t*stride : t*stride+cols]
+		live := false
+		// The directory kind is picked here, once a step, so that each
+		// position loop inlines the one index function it calls. One loop
+		// through wd.lookup, which holds both kinds and is past the inlining
+		// budget, costs 22 % here (10.6 to 12.9 µs a candidate on the 100 000
+		// vertex social graph) and 64 % in dotTally; one loop generic over
+		// the index function 4 % and 42 %.
+		if wd.dense(t) {
+			bits32, rank := wd.ranks(t)
+			for _, w := range row {
+				if w == Dead {
+					continue
+				}
+				live = true
+				if i := rankIndex(bits32, rank, w); i >= 0 {
+					loW, hiW = countHit(cnt, set, i, loW, hiW)
+				}
 			}
-			live = true
-			i := wd.lookup(t, w)
-			if i < 0 {
-				continue
+		} else {
+			off, bverts, shift := wd.buckets(t)
+			for _, w := range row {
+				if w == Dead {
+					continue
+				}
+				live = true
+				if i := bucketIndex(off, bverts, shift, w); i >= 0 {
+					loW, hiW = countHit(cnt, set, i, loW, hiW)
+				}
 			}
-			if cnt[i] == 0 {
-				set[i>>6] |= 1 << (i & 63)
-				loW, hiW = min(loW, i>>6), max(hiW, i>>6)
-			}
-			cnt[i]++
 		}
 		if !live {
 			break
@@ -230,4 +245,16 @@ func (e *Snapshot) dotPositions(s *scratch, wd *walkDist, v uint32, pos []uint32
 		}
 	}
 	return sigma
+}
+
+// countHit counts one more position at support index i in dotPositions'
+// per-step tally: cnt by index, set marking the indices with a nonzero
+// count, [loW, hiW] the span of set's words in use, returned updated.
+func countHit(cnt []uint32, set []uint64, i, loW, hiW int) (int, int) {
+	if cnt[i] == 0 {
+		set[i>>6] |= 1 << (i & 63)
+		loW, hiW = min(loW, i>>6), max(hiW, i>>6)
+	}
+	cnt[i]++
+	return loW, hiW
 }

@@ -143,6 +143,10 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 			tc.tune(&p)
 			e := Build(tc.g, p).Snapshot
 			theta, n := e.p.Theta, uint32(tc.g.N())
+			if tc.g == wide {
+				// Both directory kinds inside one query's distribution.
+				requireBothKinds(t, tc.name, e, tc.queries)
+			}
 			fellBack := 0
 			for _, u := range tc.queries {
 				label := fmt.Sprintf("%s cache=%d u=%d", tc.name, cacheBytes, u)

@@ -130,7 +130,9 @@ func TestPlanCacheInvisible(t *testing.T) {
 				vary(&p)
 				return Build(g, p)
 			}
-			want, wantB, wantS := observeAll(t, build(-1, 0, 1).Snapshot, us)
+			ref := build(-1, 0, 1).Snapshot
+			requireBothKinds(t, name, ref, us)
+			want, wantB, wantS := observeAll(t, ref, us)
 			scanned := 0
 			for _, o := range want {
 				scanned += o.TopKStats.Candidates

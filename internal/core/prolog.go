@@ -34,9 +34,10 @@ import (
 // more.
 
 // prolog is one cached query plan. wd is flat-backed (one allocation
-// holds every step's vertices, walk counts and bucket directory, another
-// the per-step slice headers) and immutable. plan points at the
-// bound-sorted candidate list, shared read-only by every query that hits;
+// holds every step's vertices, walk counts and directory — bucket offsets
+// or rank bitset — another the per-step slice headers) and immutable.
+// plan points at the bound-sorted candidate list, shared read-only by
+// every query that hits;
 // nil means "not derived yet" (an entry carried across an incremental
 // rebuild), a pointer to an empty or nil slice is the valid plan of a
 // vertex with no candidates. It is set at most once.
@@ -64,10 +65,15 @@ func planBytes(n int) int64 { return planOverhead + 16*int64(n) }
 
 // newPrologEntry deep-copies the sampled distribution wd into a
 // flat-backed immutable entry without a plan. It charges 8 bytes per
-// support vertex (id + walk count) plus 4 per directory offset. A step
-// has no more buckets than support vertices (bucketing) and one closing
-// offset, so the charge stays within 12 bytes a vertex — what the
-// float64-mass layout cost without a directory — plus 4 a step.
+// support vertex (id + walk count) plus 4 per directory word, whichever
+// kind the step's directory is. A sparse step has no more buckets than
+// support vertices (bucketing) and one closing offset: at most 4 bytes a
+// vertex plus 4 a step. A dense step's rank bitset is 12 bytes per 64
+// graph vertices, rounded up, and a step is dense only from n/denseDiv
+// support vertices on (denseSupport): at most 6 bytes a vertex plus 12 a
+// step. So an entry stays within 14 bytes a vertex plus 12 a step (12
+// and 4 when every step is sparse, as on the web graphs, whose entries
+// this change leaves byte for byte what they were).
 func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 	T := wd.T
 	words := 0

@@ -164,13 +164,14 @@ func TestPrologTinyBudget(t *testing.T) {
 }
 
 // An entry must charge at least the bytes it holds (supports, walk counts,
-// directories, the plan's candidates) and no more than 12 bytes a support
-// vertex — the price of the float64-mass layout this one replaced — plus
-// 16 a candidate and the fixed overheads.
+// directories of either kind, the plan's candidates) and no more than 12
+// bytes a support vertex of a sparse step — the price of the float64-mass
+// layout this one replaced — 14 of a dense step, plus 16 a candidate and
+// the fixed overheads.
 func TestPrologEntryAccounting(t *testing.T) {
 	for _, g := range []*graph.Graph{
-		graph.PreferentialAttachment(4000, 10, 0.4, 2), // supports in the thousands
-		graph.CopyingModel(1500, 5, 0.3, 2),            // supports in the tens
+		graph.PreferentialAttachment(4000, 10, 0.4, 2), // supports in the thousands: dense steps
+		graph.CopyingModel(1500, 5, 0.3, 2),            // supports in the tens: none
 		graph.NewBuilder(3).Build(),                    // step 0 only, no candidates
 	} {
 		p := DefaultParams()
@@ -182,9 +183,21 @@ func TestPrologEntryAccounting(t *testing.T) {
 		ent := newPrologEntry(u, &s.wd)
 		wd := &ent.val.wd
 		var support, held int64
+		limit := int64(prologEntryOverhead)
+		dense := 0
 		for step := 0; step < wd.T; step++ {
-			support += int64(len(wd.verts[step]))
+			S := int64(len(wd.verts[step]))
+			support += S
 			held += 4*int64(len(wd.verts[step])+len(wd.cnt[step])+len(wd.dir[step])) + 1 // + shift
+			if S > 0 && wd.dense(step) {
+				dense++
+				if len(wd.dir[step]) != 3*rankWords(g.N()) {
+					t.Fatalf("step %d: rank bitset of %d words for %d vertices", step, len(wd.dir[step]), g.N())
+				}
+				limit += 14*S + prologStepOverhead + 12
+			} else {
+				limit += 12*S + prologStepOverhead + 4
+			}
 			if len(wd.cnt[step]) != len(wd.verts[step]) || len(wd.probs) != 0 {
 				t.Fatalf("step %d: %d counts for %d vertices, %d mass rows", step, len(wd.cnt[step]), len(wd.verts[step]), len(wd.probs))
 			}
@@ -195,7 +208,9 @@ func TestPrologEntryAccounting(t *testing.T) {
 			}
 		}
 		e.putScratch(s)
-		limit := 12*support + prologEntryOverhead + (prologStepOverhead+4)*int64(wd.T)
+		if (g.N() == 4000 && dense == 0) || (g.N() == 1500 && dense != 0) {
+			t.Fatalf("n=%d: %d dense steps", g.N(), dense)
+		}
 		if ent.size < held || ent.size > limit || ent.val.wdBytes != ent.size {
 			t.Fatalf("n=%d support=%d: size %d (distribution %d), want within [%d held, %d]", g.N(), support, ent.size, ent.val.wdBytes, held, limit)
 		}
@@ -218,6 +233,58 @@ func TestPrologEntryAccounting(t *testing.T) {
 		if ps := e.PrologStats(); ps.BytesInUse != got.size || ps.Entries != 1 {
 			t.Fatalf("n=%d: cache holds %+v, want one entry of %d bytes", g.N(), ps, got.size)
 		}
+	}
+}
+
+// A cached distribution must answer exactly as the scratch original it
+// was cloned from, for both directory kinds in one entry: the flat copy
+// newPrologEntry makes, and what carryProlog hands to the next snapshot,
+// agree with the original on lookup and mass for every vertex at every
+// step — and a query served from the entry returns what a fresh one does.
+func TestPrologEntryLookupMatchesOriginal(t *testing.T) {
+	g := graph.PreferentialAttachment(3000, 10, 0.4, 2)
+	p := DefaultParams()
+	p.Seed = 4
+	e := Build(g, p)
+	u := uint32(g.N() - 1)
+	requireBothKinds(t, "query", e.Snapshot, []uint32{u})
+	s := e.getScratch()
+	defer e.putScratch(s)
+	e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
+	cloned := newPrologEntry(u, &s.wd)
+	carried := carryProlog(cloned)
+	if carried.size != cloned.size || carried.val.plan.Load() != nil {
+		t.Fatalf("carried entry charges %d with plan %v, cloned %d", carried.size, carried.val.plan.Load(), cloned.size)
+	}
+	for name, ent := range map[string]*prologEntry{"cloned": cloned, "carried": carried} {
+		wd := &ent.val.wd
+		checkWalkDist(t, name, uint32(g.N()), wd)
+		for step := 0; step < s.wd.T; step++ {
+			if wd.support(step) != s.wd.support(step) || (wd.support(step) > 0 && wd.dense(step) != s.wd.dense(step)) {
+				t.Fatalf("%s step %d: support %d, original %d", name, step, wd.support(step), s.wd.support(step))
+			}
+			if wd.support(step) == 0 {
+				continue
+			}
+			for w := uint32(0); w < uint32(g.N()); w++ {
+				i := s.wd.lookup(step, w)
+				if got := wd.lookup(step, w); got != i {
+					t.Fatalf("%s step %d: lookup(%d) = %d, original %d", name, step, w, got, i)
+				}
+				if i >= 0 && wd.mass(step, i) != s.wd.mass(step, i) {
+					t.Fatalf("%s step %d vertex %d: mass %v, original %v", name, step, w, wd.mass(step, i), s.wd.mass(step, i))
+				}
+			}
+		}
+	}
+
+	pOff := p
+	pOff.PrologBytes = -1
+	fresh := Build(g, pOff).TopK(u, 20)
+	sameResults(t, "cold", e.TopK(u, 20), fresh)
+	sameResults(t, "from the entry", e.TopK(u, 20), fresh)
+	if ps := e.PrologStats(); ps.Hits == 0 || len(fresh) == 0 {
+		t.Fatalf("second query did not hit the entry (%+v) or nothing was returned (%d)", ps, len(fresh))
 	}
 }
 

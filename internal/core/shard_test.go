@@ -71,6 +71,7 @@ func TestMergeShardTopKMatchesSearch(t *testing.T) {
 	for name, p := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := Build(g, p)
+			requireBothKinds(t, name, e.Snapshot, queries)
 			for _, u := range queries {
 				for _, k := range []int{1, 20, 100000} {
 					wantRes, wantStats := e.TopKStats(u, k)
@@ -145,6 +146,7 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	e := Build(g, p)
 	n := uint32(g.N())
 	ctx := context.Background()
+	requireBothKinds(t, "threshold shards", e.Snapshot, []uint32{3, 400, 799})
 	for _, theta := range []float64{0.005, 0.05, 0.3} {
 		for _, u := range []uint32{3, 400, 799} {
 			want, wantStats, err := e.search(ctx, u, 0, theta, e.p.Workers)
@@ -193,6 +195,7 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	p.Seed = 11
 	e := Build(g, p)
 	us := []uint32{0, 7, 123, 499, 250}
+	requireBothKinds(t, "shard batch", e.Snapshot, us)
 	ctx := context.Background()
 	frags, sts, err := e.TopKShardBatchCtx(ctx, us, 100, 400)
 	if err != nil {

@@ -76,53 +76,6 @@ func (e *Snapshot) singlePairR(u, v uint32, R int, r *rng.Source, s *scratch) fl
 	return sigma
 }
 
-// singlePairOneSided estimates s⁽ᵀ⁾(u, v) using a precomputed u-side walk
-// distribution (typically from the query's RAlpha = 10000 Algorithm 2
-// walks) and R fresh walks from v:
-//
-//	ŝ = Σ_t cᵗ Σ_w p̂_u,t(w)·D_ww·(count_v,t(w)/R)
-//
-// With the u-side effectively exact, only v-side sampling noise remains,
-// roughly halving the estimator variance per candidate at no extra cost —
-// the walks funding p̂ were already performed for the L1 bound.
-//
-// The v-side positions are tallied through the scratch's epoch marks and
-// looked up once per distinct position through wd's bucket directory
-// (walkDist.lookup), so the step cost is O(R + distinct) with zero
-// allocations.
-func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int, r *rng.Source) float64 {
-	vpos := s.walkBuf2(R)
-	lane := s.laneBuf(R)
-	resetWalks(vpos, v)
-	sigma := 0.0
-	ct := 1.0
-	invR := 1.0 / float64(R)
-	alive := R
-	for t := 0; t < e.p.T; t++ {
-		if t > 0 {
-			alive = stepWalks(e.wt, r, vpos, lane)
-			ct *= e.p.C
-		}
-		if alive == 0 || t >= wd.T || wd.support(t) == 0 {
-			break
-		}
-		s.beginTally()
-		for _, w := range vpos {
-			if w != Dead {
-				s.tallyCount(w)
-			}
-		}
-		// Distinct v-side positions in first-seen order: deterministic for
-		// a fixed walk stream, independent of everything else.
-		for _, w := range s.touched {
-			if i := wd.lookup(t, w); i >= 0 {
-				sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(s.cnt[w]) * invR
-			}
-		}
-	}
-	return sigma
-}
-
 // SingleSourceMC estimates s⁽ᵀ⁾(u, v) for every v in targets by running
 // Algorithm 1 against each target with R walk pairs. Each target's walks
 // are seeded from the (u, v) pair, keeping estimates independent across

@@ -163,7 +163,7 @@ func newTallyEntry(v uint32, rsteps int, s *scratch) *tallyEntry {
 //
 // The tally side defines the summation order — its supports are ascending
 // per step and zero counts are skipped — and each term finds its
-// query-side mass through wd's bucket directory (walkDist.lookup), so for
+// query-side mass through wd's directory (walkDist.lookup), so for
 // any view representing the same walk multiset (scratch rough view,
 // scratch full view, or a cached entry truncated to its rough prefix)
 // the sequence of floating-point operations — and hence the result — is
@@ -182,14 +182,28 @@ func (e *Snapshot) dotTally(wd *walkDist, off []int32, verts []uint32, counts []
 		if lo == hi || wd.support(t) == 0 {
 			break
 		}
-		for j := lo; j < hi; j++ {
-			c := counts[j]
-			if c == 0 {
-				continue
+		// The directory kind is picked once a step, so that the term loop
+		// inlines the one index function it calls (dotPositions has what a
+		// single loop costs).
+		if wd.dense(t) {
+			bits32, rank := wd.ranks(t)
+			for j := lo; j < hi; j++ {
+				if c := counts[j]; c != 0 {
+					w := verts[j]
+					if i := rankIndex(bits32, rank, w); i >= 0 {
+						sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
+					}
+				}
 			}
-			w := verts[j]
-			if i := wd.lookup(t, w); i >= 0 {
-				sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
+		} else {
+			boff, bverts, shift := wd.buckets(t)
+			for j := lo; j < hi; j++ {
+				if c := counts[j]; c != 0 {
+					w := verts[j]
+					if i := bucketIndex(boff, bverts, shift, w); i >= 0 {
+						sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
+					}
+				}
 			}
 		}
 	}

@@ -12,7 +12,9 @@ import (
 // The linear-time ordering must produce exactly what a comparison sort
 // does, and the directory it returns must delimit the buckets of the
 // sorted list, for every shape of id set the bucket geometry
-// distinguishes.
+// distinguishes. Enumerating a rank bitset's bits must produce the same
+// order from the same unordered list, with ranks that count the support
+// below each word.
 func TestOrderTouchedMatchesSort(t *testing.T) {
 	r := rng.New(7)
 	for _, tc := range []struct {
@@ -42,6 +44,21 @@ func TestOrderTouchedMatchesSort(t *testing.T) {
 			}
 			want := slices.Clone(s.touched)
 			slices.Sort(want)
+			var wd walkDist
+			wd.reset(1, true)
+			wd.setRankSupport(0, tc.n, s.touched)
+			if !slices.Equal(wd.verts[0], want) || !wd.dense(0) {
+				t.Fatalf("%s: bit enumeration gave %v, want %v", tc.name, wd.verts[0], want)
+			}
+			bits32, rank := wd.ranks(0)
+			if len(rank) != rankWords(tc.n) || len(bits32) != 2*len(rank) {
+				t.Fatalf("%s: %d bit words, %d ranks for n=%d", tc.name, len(bits32), len(rank), tc.n)
+			}
+			for k, r := range rank {
+				if below, _ := slices.BinarySearch(want, uint32(k<<6)); int(r) != below {
+					t.Fatalf("%s: rank[%d] = %d, %d support vertices below %d", tc.name, k, r, below, k<<6)
+				}
+			}
 			dir, shift := s.orderTouched()
 			if !slices.Equal(s.touched, want) {
 				t.Fatalf("%s: ordered %v, want %v", tc.name, s.touched, want)
@@ -69,44 +86,157 @@ func TestOrderTouchedMatchesSort(t *testing.T) {
 // spread-out step-2 one before dying.
 func fanInGraph(n int, fan []uint32) *graph.Graph {
 	b := graph.NewBuilder(n)
+	addFanIn(b, n, 0, fan)
+	return b.Build()
+}
+
+// addFanIn makes fan the in-neighbours of u, as fanInGraph does for 0.
+func addFanIn(b *graph.Builder, n int, u uint32, fan []uint32) {
 	for _, a := range fan {
-		b.AddEdge(a, 0)
+		b.AddEdge(a, u)
 		for k := uint32(1); k <= 3; k++ {
 			if x := (a + k*7) % uint32(n); x != a {
 				b.AddEdge(x, a)
 			}
 		}
 	}
-	return b.Build()
+}
+
+// checkWalkDist holds every step of wd to its contract: the support is
+// strictly ascending, the directory is of the kind the support's density
+// calls for, and lookup and prob agree with a binary search of the support
+// for every vertex id below n, in it or not — which is also what catches a
+// bit, rank or offset left over from the row's previous use.
+func checkWalkDist(t *testing.T, label string, n uint32, wd *walkDist) {
+	t.Helper()
+	if wd.support(0) != 1 {
+		t.Fatalf("%s: step 0 support %d, want 1", label, wd.support(0))
+	}
+	for step := 0; step < wd.T; step++ {
+		vs := wd.verts[step]
+		if !slices.IsSorted(vs) || len(slices.Compact(slices.Clone(vs))) != len(vs) {
+			t.Fatalf("%s step %d: support not strictly ascending: %v", label, step, vs)
+		}
+		if len(vs) == 0 {
+			if wd.dense(step) {
+				t.Fatalf("%s step %d: empty step marked as a rank bitset", label, step)
+			}
+			continue
+		}
+		if dense := denseSupport(int(n), len(vs)); wd.dense(step) != dense {
+			t.Fatalf("%s step %d: support %d of %d vertices, rank bitset: %v, want %v", label, step, len(vs), n, wd.dense(step), dense)
+		}
+		total := 0.0
+		for w := uint32(0); w < n; w++ {
+			want, found := slices.BinarySearch(vs, w)
+			if !found {
+				want = -1
+			}
+			if got := wd.lookup(step, w); got != want {
+				t.Fatalf("%s step %d: lookup(%d) = %d, binary search = %d", label, step, w, got, want)
+			}
+			pr, ok := wd.prob(step, w)
+			if ok != found {
+				t.Fatalf("%s step %d: prob(%d) found=%v, binary search found=%v", label, step, w, ok, found)
+			}
+			if !found {
+				continue
+			}
+			if pr != wd.mass(step, want) || pr <= 0 {
+				t.Fatalf("%s step %d: prob(%d) = %v, mass = %v", label, step, w, pr, wd.mass(step, want))
+			}
+			total += pr
+		}
+		if total > 1+1e-9 {
+			t.Fatalf("%s step %d: total mass %v", label, step, total)
+		}
+	}
+}
+
+// countKinds counts wd's nonempty steps by directory kind.
+func countKinds(wd *walkDist) (dense, sparse int) {
+	for t := 0; t < wd.T && wd.support(t) > 0; t++ {
+		if wd.dense(t) {
+			dense++
+		} else {
+			sparse++
+		}
+	}
+	return dense, sparse
+}
+
+// stepKinds samples u's query-side distribution, as a sampled query does,
+// and counts its steps by directory kind.
+func stepKinds(e *Snapshot, u uint32) (dense, sparse int) {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	var wd walkDist
+	e.sampleWalkDistInto(&wd, s, u, e.p.RAlpha, e.queryRNG(u))
+	return countKinds(&wd)
+}
+
+// requireBothKinds fails the test unless at least one of the queries us
+// has a rank-bitset step and a bucket step in the same distribution, so a
+// byte-identity table that passes has crossed the density threshold inside
+// a query.
+func requireBothKinds(t *testing.T, label string, e *Snapshot, us []uint32) {
+	t.Helper()
+	for _, u := range us {
+		if dense, sparse := stepKinds(e, u); dense > 0 && sparse > 0 {
+			return
+		}
+	}
+	t.Fatalf("%s: no query of %v has both a dense and a sparse step", label, us)
+}
+
+func seq(lo, hi, stride uint32) []uint32 {
+	var out []uint32
+	for x := lo; x < hi; x += stride {
+		out = append(out, x)
+	}
+	return out
 }
 
 // walkDist.lookup must agree with a binary search of the same support for
 // every vertex id, at every step, for distributions produced by both
-// builders.
+// builders — with supports on either side of the density threshold and at
+// it, on graphs whose size is not a multiple of the bitset's word.
 func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
-	seq := func(lo, hi, stride uint32) []uint32 {
-		var out []uint32
-		for x := lo; x < hi; x += stride {
-			out = append(out, x)
-		}
-		return out
-	}
 	selfLoop := graph.NewBuilder(1)
+	selfLoop.KeepSelfLoops = true
 	selfLoop.AddEdge(0, 0)
+	// On 3210 vertices (50 words and a 10-bit tail) a support is dense from
+	// 101 vertices on.
+	const nThr, thr = 3210, 101
+	if denseSupport(nThr, thr-1) || !denseSupport(nThr, thr) {
+		t.Fatalf("density threshold on %d vertices is not %d", nThr, thr)
+	}
+	ends := graph.NewBuilder(nThr)
+	addFanIn(ends, nThr, 1600, append(seq(0, 21*150, 21), nThr-1))
+	full := graph.NewBuilder(130)
+	full.KeepSelfLoops = true
+	addFanIn(full, 130, 0, seq(0, 130, 1))
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
 		u    uint32
+		// s1 is the step-1 support the graph was built to give, or -1.
+		s1 int
 	}{
-		{"random", graph.ErdosRenyi(3000, 12, 5), 17},
-		{"powerlaw", graph.PreferentialAttachment(3000, 6, 0.4, 5), 2999},
-		{"clustered-low", fanInGraph(5000, seq(1, 200, 1)), 0},
-		{"single-bucket", fanInGraph(4096, seq(16, 32, 1)), 0},
-		{"with-last-vertex", fanInGraph(1000, append(seq(3, 900, 31), 999)), 0},
-		{"S=2", fanInGraph(777, []uint32{5, 776}), 0},
-		{"S=0-after-step-0", graph.NewBuilder(50).Build(), 49},
-		{"n=1", graph.NewBuilder(1).Build(), 0},
-		{"n=1-self-loop", selfLoop.Build(), 0},
+		{"random", graph.ErdosRenyi(3000, 12, 5), 17, -1},
+		{"powerlaw", graph.PreferentialAttachment(3000, 6, 0.4, 5), 2999, -1},
+		{"clustered-low", fanInGraph(5000, seq(1, 200, 1)), 0, 199},
+		{"single-bucket", fanInGraph(4096, seq(16, 32, 1)), 0, 16},
+		{"with-last-vertex", fanInGraph(1000, append(seq(3, 900, 31), 999)), 0, 30},
+		{"S=2", fanInGraph(777, []uint32{5, 776}), 0, 2},
+		{"threshold-1", fanInGraph(nThr, seq(5, 5+31*(thr-1), 31)), 0, thr - 1},
+		{"threshold", fanInGraph(nThr, seq(5, 5+31*thr, 31)), 0, thr},
+		{"threshold+1", fanInGraph(nThr, seq(5, 5+31*(thr+1), 31)), 0, thr + 1},
+		{"dense-with-0-and-last", ends.Build(), 1600, 151},
+		{"full-graph", full.Build(), 0, 130},
+		{"S=0-after-step-0", graph.NewBuilder(50).Build(), 49, 0},
+		{"n=1", graph.NewBuilder(1).Build(), 0, 0},
+		{"n=1-self-loop", selfLoop.Build(), 0, 1},
 	} {
 		p := DefaultParams()
 		p.Seed = 3
@@ -116,35 +246,9 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		n := uint32(tc.g.N())
 		check := func(kind string, wd *walkDist) {
 			t.Helper()
-			if wd.support(0) != 1 {
-				t.Fatalf("%s/%s: step 0 support %d, want 1", tc.name, kind, wd.support(0))
-			}
-			for step := 0; step < wd.T; step++ {
-				vs := wd.verts[step]
-				if !slices.IsSorted(vs) || len(slices.Compact(slices.Clone(vs))) != len(vs) {
-					t.Fatalf("%s/%s step %d: support not strictly ascending: %v", tc.name, kind, step, vs)
-				}
-				total := 0.0
-				for w := uint32(0); w < n; w++ {
-					want, found := slices.BinarySearch(vs, w)
-					pr, ok := wd.prob(step, w)
-					if ok != found {
-						t.Fatalf("%s/%s step %d: prob(%d) found=%v, binary search found=%v", tc.name, kind, step, w, ok, found)
-					}
-					if !found {
-						continue
-					}
-					if got := wd.lookup(step, w); got != want {
-						t.Fatalf("%s/%s step %d: lookup(%d) = %d, binary search = %d", tc.name, kind, step, w, got, want)
-					}
-					if pr != wd.mass(step, want) || pr <= 0 {
-						t.Fatalf("%s/%s step %d: prob(%d) = %v, mass = %v", tc.name, kind, step, w, pr, wd.mass(step, want))
-					}
-					total += pr
-				}
-				if total > 1+1e-9 {
-					t.Fatalf("%s/%s step %d: total mass %v", tc.name, kind, step, total)
-				}
+			checkWalkDist(t, tc.name+"/"+kind, n, wd)
+			if tc.s1 >= 0 && wd.support(1) != tc.s1 {
+				t.Fatalf("%s/%s: step 1 support %d, want %d", tc.name, kind, wd.support(1), tc.s1)
 			}
 		}
 		var sampled, exact walkDist
@@ -158,6 +262,44 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		e.sampleWalkDistInto(&exact, s, tc.u, e.p.RAlpha, e.queryRNG(tc.u))
 		check("sampled-after-exact", &exact)
 		e.putScratch(s)
+	}
+}
+
+// One walkDist is rebuilt query after query (scratch.wd). A step's row
+// that held a rank bitset must come back clean as bucket offsets and the
+// other way round, across both builders: no stale bit, rank or offset.
+func TestWalkDistReuseAcrossKinds(t *testing.T) {
+	const n = 3210
+	b := graph.NewBuilder(n)
+	wide, narrow, source := uint32(0), uint32(1), uint32(3)
+	addFanIn(b, n, wide, seq(2, 2+300*10, 10)) // step 1: 300 vertices, dense
+	addFanIn(b, n, narrow, seq(9, 9+20*150, 150))
+	// source has no in-neighbour: its step 1 is empty, and must not keep
+	// the kind the row had before.
+	p := DefaultParams()
+	p.Seed = 3
+	p.RAlpha = 6000
+	e := New(b.Build(), p)
+	s := e.getScratch()
+	defer e.putScratch(s)
+	var wd walkDist
+	for i, st := range []struct {
+		u       uint32
+		sampled bool
+	}{
+		{wide, true}, {narrow, true}, {wide, true},
+		{narrow, false}, {wide, false}, {narrow, true}, {wide, false}, {wide, true},
+		{source, true}, {wide, false}, {source, false},
+	} {
+		if st.sampled {
+			e.sampleWalkDistInto(&wd, s, st.u, e.p.RAlpha, e.queryRNG(st.u))
+		} else if !e.exactWalkDistInto(&wd, s, st.u, 1<<20) {
+			t.Fatalf("round %d: exact propagation refused", i)
+		}
+		if wd.dense(1) != (st.u == wide) || wd.sampled != st.sampled {
+			t.Fatalf("round %d (u=%d): step 1 support %d, rank bitset: %v, sampled: %v", i, st.u, wd.support(1), wd.dense(1), wd.sampled)
+		}
+		checkWalkDist(t, "round "+itoa(i), n, &wd)
 	}
 }
 
@@ -385,6 +527,55 @@ func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.S
 	return sigma
 }
 
+// singlePairOneSided estimates s⁽ᵀ⁾(u, v) using a precomputed u-side walk
+// distribution (typically from the query's RAlpha = 10000 Algorithm 2
+// walks) and R fresh walks from v:
+//
+//	ŝ = Σ_t cᵗ Σ_w p̂_u,t(w)·D_ww·(count_v,t(w)/R)
+//
+// With the u-side effectively exact, only v-side sampling noise remains,
+// roughly halving the estimator variance per candidate at no extra cost —
+// the walks funding p̂ were already performed for the L1 bound.
+//
+// The v-side positions are tallied through the scratch's epoch marks and
+// looked up once per distinct position through wd's directory
+// (walkDist.lookup). The engine itself scores candidates through
+// scoreLanes and the tally cache; this step-synchronous kernel remains as
+// the estimator the concentration, single-pair and byte-identity tests
+// reason about.
+func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int, r *rng.Source) float64 {
+	vpos := s.walkBuf2(R)
+	lane := s.laneBuf(R)
+	resetWalks(vpos, v)
+	sigma := 0.0
+	ct := 1.0
+	invR := 1.0 / float64(R)
+	alive := R
+	for t := 0; t < e.p.T; t++ {
+		if t > 0 {
+			alive = stepWalks(e.wt, r, vpos, lane)
+			ct *= e.p.C
+		}
+		if alive == 0 || t >= wd.T || wd.support(t) == 0 {
+			break
+		}
+		s.beginTally()
+		for _, w := range vpos {
+			if w != Dead {
+				s.tallyCount(w)
+			}
+		}
+		// Distinct v-side positions in first-seen order: deterministic for
+		// a fixed walk stream, independent of everything else.
+		for _, w := range s.touched {
+			if i := wd.lookup(t, w); i >= 0 {
+				sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(s.cnt[w]) * invR
+			}
+		}
+	}
+	return sigma
+}
+
 // refScores returns the rough and full reference estimates of candidate v.
 func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full float64, searched bool) {
 	R, Rr := e.p.RScore, e.p.RRough
@@ -422,6 +613,7 @@ func TestWideSupportByteIdentity(t *testing.T) {
 		}
 		e := Build(g, p)
 		label := "cache=" + itoa(int(cfg.cache)) + " workers=" + itoa(cfg.workers)
+		requireBothKinds(t, label, e.Snapshot, queries)
 		s := e.getScratch()
 		searched, widest, checked := false, 0, 0
 		for qi, u := range queries {

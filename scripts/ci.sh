@@ -4,7 +4,9 @@
 #
 # Sequence: gofmt cleanliness, go vet, build, full shuffled test suite,
 # race pass over every package, simlint over ./... plus a stale-
-# suppression audit, and a one-iteration benchmark smoke pass.
+# suppression audit, a one-iteration benchmark smoke pass, a short fuzz
+# of the walk-distribution directories, the multi-shard smoke and the
+# perf guards.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,6 +58,12 @@ go run ./cmd/simlint -audit -time-budget 10s ./...
 # paths without paying for real measurements.
 echo "==> bench smoke (1 iteration each)"
 go test -run - -bench . -benchtime 1x ./...
+
+# Ten seconds of fuzzing over the two walk-distribution directory kinds
+# (arbitrary id sets below arbitrary n against a binary search); the seed
+# corpus alone already runs in the test pass above.
+echo "==> fuzz smoke (FuzzWalkDistDirectory, 10s)"
+go test -run - -fuzz FuzzWalkDistDirectory -fuzztime 10s ./internal/core
 
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and
