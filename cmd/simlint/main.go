@@ -4,8 +4,7 @@
 // Usage:
 //
 //	simlint [-json] [-rules norand,seedmix,...] [-list] [-v] [-par N]
-//	        [-baseline file [-write-baseline]] [-update-baseline]
-//	        [-nosuppress] [-audit] [-time-budget d] [packages]
+//	        [-nosuppress] [-time-budget d] [packages]
 //
 // Packages are directories or "dir/..." patterns; the default is "./...".
 // The tool is its own driver (the stdlib has no vet -vettool plumbing),
@@ -16,35 +15,21 @@
 // shared, and the analyzers run over packages in parallel, bounded by
 // -par; output order is deterministic regardless of scheduling.
 //
-// With -baseline FILE, diagnostics recorded in FILE are accepted and only
-// new findings are reported — the CI mode, so a newly added analyzer's
-// pre-existing debt fails no one while new regressions fail immediately.
-// -write-baseline (re)writes FILE from the current findings instead.
-// -update-baseline is the make-target spelling: it implies -write-baseline
-// and defaults FILE to lint.baseline.json. Entries that no longer fire
-// are listed as stale under -v so the debt file shrinks over time.
-//
-// -nosuppress disables //lint:ignore and //lint:file-ignore processing,
-// surfacing every raw diagnostic — the manual audit mode for eyeballing
-// the suppression inventory (a directive whose diagnostic no longer
-// appears even with -nosuppress suppresses nothing and should be deleted).
-//
-// -audit automates that check: analyzers run with suppression disabled
-// and the reported diagnostics are the stale directives themselves (plus
-// malformed ones), so CI can fail on suppression rot directly. Audit mode
-// is incompatible with -baseline: directive hygiene has no debt file.
+// Suppress individual findings in source with //lint:ignore <rule>
+// <reason> on or directly above the flagged line. Every run also checks
+// the directives themselves: a malformed one, and a stale one — its rule
+// ran and it suppresses nothing — are diagnostics under the rule "lint".
+// -nosuppress disables directive processing instead and prints every raw
+// diagnostic: the view to review the suppression inventory with.
 //
 // -time-budget D fails the run (exit 1) if loading plus analysis exceeds
 // the duration D; CI uses it to keep the lint pass from silently growing.
 //
 // Exit status:
 //
-//	0  clean: no diagnostics, or (with -baseline) none beyond the baseline
-//	1  diagnostics found (new diagnostics, in baseline mode), or budget blown
+//	0  clean: no diagnostics
+//	1  diagnostics found, or budget blown
 //	2  usage, load, or type-checking error
-//
-// Suppress individual findings in source with //lint:ignore <rule>
-// <reason> on or directly above the flagged line.
 package main
 
 import (
@@ -55,7 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -75,26 +60,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
-	verbose := fs.Bool("v", false, "report loader warnings, per-analyzer wall time, and stale baseline entries")
+	verbose := fs.Bool("v", false, "report loader warnings and per-analyzer wall time")
 	par := fs.Int("par", runtime.NumCPU(), "max packages analyzed concurrently")
-	baselinePath := fs.String("baseline", "", "baseline JSON file: report only diagnostics not recorded in it (exit 1 = new findings)")
-	writeBaseline := fs.Bool("write-baseline", false, "write current diagnostics to the -baseline file and exit 0")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the baseline deterministically (implies -write-baseline; -baseline defaults to lint.baseline.json)")
-	noSuppress := fs.Bool("nosuppress", false, "ignore //lint:ignore and //lint:file-ignore directives (audit mode for stale suppressions)")
-	audit := fs.Bool("audit", false, "report stale suppression directives instead of findings (exit 1 = suppression rot)")
+	noSuppress := fs.Bool("nosuppress", false, "ignore //lint:ignore and //lint:file-ignore directives and print every raw diagnostic")
 	timeBudget := fs.Duration("time-budget", 0, "fail if loading+analysis exceeds this duration (0 = no budget)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	start := time.Now()
-	if *updateBaseline {
-		if *baselinePath == "" {
-			*baselinePath = "lint.baseline.json"
-		}
-		*writeBaseline = true
-	}
-
 	analyzers := analysis.Analyzers()
 	if *list {
 		for _, a := range analyzers {
@@ -110,14 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "simlint: -write-baseline requires -baseline FILE")
-		return 2
-	}
-	if *audit && (*baselinePath != "" || *writeBaseline) {
-		fmt.Fprintln(stderr, "simlint: -audit is incompatible with -baseline/-write-baseline")
-		return 2
-	}
 	if *par < 1 {
 		*par = 1
 	}
@@ -127,50 +93,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	timing := newTimingSink(*verbose, stderr)
+	var timing *timingSink
+	if *verbose {
+		timing = &timingSink{total: map[string]time.Duration{}}
+	}
 	var diags []analysis.Diagnostic
-	modRoot := ""
 	for _, pat := range patterns {
-		ds, root, err := lintPattern(pat, analyzers, *par, *verbose, *noSuppress, *audit, timing, stderr)
+		ds, err := lintPattern(pat, analyzers, *par, *verbose, *noSuppress, timing, stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "simlint: %v\n", err)
 			return 2
 		}
-		if modRoot == "" {
-			modRoot = root
-		}
 		diags = append(diags, ds...)
 	}
-	timing.report()
+	if timing != nil {
+		timing.report(stderr)
+	}
 	elapsed := time.Since(start)
 	if *timeBudget > 0 && elapsed > *timeBudget {
 		fmt.Fprintf(stderr, "simlint: analysis took %v, over the %v budget\n",
 			elapsed.Round(time.Millisecond), *timeBudget)
 		return 1
-	}
-
-	if *writeBaseline {
-		b := analysis.NewBaseline(diags, modRoot)
-		if err := b.WriteFile(*baselinePath); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "simlint: wrote %d baseline entries to %s\n", len(b.Entries), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		b, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "simlint: %v (run with -write-baseline to create it)\n", err)
-			return 2
-		}
-		var stale []analysis.BaselineEntry
-		diags, stale = b.Filter(diags, modRoot)
-		if *verbose {
-			for _, e := range stale {
-				fmt.Fprintf(stderr, "simlint: stale baseline entry: %s: %s (%s)\n", e.File, e.Message, e.Rule)
-			}
-		}
 	}
 
 	if *jsonOut {
@@ -199,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // everything the loader saw, and analyzes packages in parallel. Results
 // are collected by package index, so output order matches load order no
 // matter how the goroutines are scheduled.
-func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, noSuppress, audit bool, timing *timingSink, stderr io.Writer) ([]analysis.Diagnostic, string, error) {
+func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, noSuppress bool, timing *timingSink, stderr io.Writer) ([]analysis.Diagnostic, error) {
 	root := strings.TrimSuffix(pat, "...")
 	recursive := root != pat
 	root = filepath.Clean(strings.TrimSuffix(root, "/"))
@@ -209,7 +152,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var pkgs []*analysis.Package
 	if recursive {
@@ -220,7 +163,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 		pkgs = []*analysis.Package{pkg}
 	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 
 	if verbose {
@@ -236,6 +179,10 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 	// read-only by the per-package analyzer goroutines.
 	mod := analysis.BuildModule(loader.Packages())
 
+	opts := analysis.RunOptions{Mod: mod, NoSuppress: noSuppress}
+	if timing != nil {
+		opts.Now, opts.Observe = time.Now, timing.observe
+	}
 	results := make([][]analysis.Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
 	sem := make(chan struct{}, par)
@@ -246,13 +193,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = analysis.RunPackage(pkg, analyzers, analysis.RunOptions{
-				Mod:        mod,
-				Now:        timing.now(),
-				Observe:    timing.observe(),
-				NoSuppress: noSuppress,
-				Audit:      audit,
-			})
+			results[i], errs[i] = analysis.RunPackage(pkg, analyzers, opts)
 		}(i, pkg)
 	}
 	wg.Wait()
@@ -260,7 +201,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 	var diags []analysis.Diagnostic
 	for i := range pkgs {
 		if errs[i] != nil {
-			return nil, "", errs[i]
+			return nil, errs[i]
 		}
 		diags = append(diags, results[i]...)
 	}
@@ -269,54 +210,31 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 			fmt.Fprintf(stderr, "simlint: warning: import %q stubbed (not resolvable)\n", stub)
 		}
 	}
-	return diags, loader.ModuleRoot, nil
+	return diags, nil
 }
 
 // timingSink accumulates per-analyzer wall time across packages and
-// goroutines. The clock is injected into the analysis package from here:
-// internal/analysis sits inside its own norand scope and must not call
-// time.Now itself.
+// goroutines (-v only). The clock is injected into the analysis package
+// from here: internal/analysis sits inside its own norand scope and must
+// not call time.Now itself.
 type timingSink struct {
-	mu      sync.Mutex
-	enabled bool
-	out     io.Writer
-	total   map[string]time.Duration
+	mu    sync.Mutex
+	total map[string]time.Duration
 }
 
-func newTimingSink(enabled bool, out io.Writer) *timingSink {
-	return &timingSink{enabled: enabled, out: out, total: map[string]time.Duration{}}
-}
-
-func (t *timingSink) now() func() time.Time {
-	if !t.enabled {
-		return nil
-	}
-	return time.Now
-}
-
-func (t *timingSink) observe() func(rule string, elapsed time.Duration) {
-	if !t.enabled {
-		return nil
-	}
-	return func(rule string, elapsed time.Duration) {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		t.total[rule] += elapsed
-	}
-}
-
-func (t *timingSink) report() {
-	if !t.enabled {
-		return
-	}
+func (t *timingSink) observe(rule string, elapsed time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.total[rule] += elapsed
+}
+
+func (t *timingSink) report(out io.Writer) {
 	names := make([]string, 0, len(t.total))
 	for name := range t.total {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
-		fmt.Fprintf(t.out, "simlint: timing: %-12s %v\n", name, t.total[name].Round(time.Microsecond))
+		fmt.Fprintf(out, "simlint: timing: %-12s %v\n", name, t.total[name].Round(time.Microsecond))
 	}
 }

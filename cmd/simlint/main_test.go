@@ -46,14 +46,20 @@ func TestListRegistersAllAnalyzers(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors pins the usage exits: a bad flag and the
-// -audit/-baseline conflict both return 2 without running any analysis.
+// TestRunFlagErrors pins the usage exits: a bad flag, an unknown rule,
+// and the retired baseline and audit flags all return 2 without running
+// any analysis.
 func TestRunFlagErrors(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-definitely-not-a-flag"}, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown flag: run = %d, want 2", code)
-	}
-	if code := run([]string{"-audit", "-baseline", "x.json"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-audit with -baseline: run = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-rules", "nosuchrule"},
+		{"-audit"},
+		{"-baseline", "x.json"},
+		{"-update-baseline"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", args, code)
+		}
 	}
 }

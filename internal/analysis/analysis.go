@@ -56,24 +56,20 @@ type Pass struct {
 // Reportf records a diagnostic at pos. Suppression directives are applied
 // later, centrally, so analyzers never need to know about them.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Rule:     p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		analyzer: p.Analyzer,
-	})
+	*p.diags = append(*p.diags, newDiagnostic(p.Analyzer.Name, p.Pkg.Fset.Position(pos), fmt.Sprintf(format, args...)))
 }
 
 // A Diagnostic is one finding, positioned in the original source.
 type Diagnostic struct {
-	Rule    string         `json:"rule"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
+	Rule    string `json:"rule"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Message string `json:"message"`
+}
 
-	analyzer *Analyzer
+func newDiagnostic(rule string, pos token.Position, msg string) Diagnostic {
+	return Diagnostic{Rule: rule, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
 }
 
 // String renders the go-vet-style one-line form.
@@ -98,35 +94,31 @@ type RunOptions struct {
 	Now     func() time.Time
 	Observe func(rule string, elapsed time.Duration)
 	// NoSuppress disables //lint:ignore and //lint:file-ignore
-	// processing, surfacing every raw diagnostic. cmd/simlint uses it to
-	// audit the suppression inventory for stale directives.
+	// processing: every raw diagnostic is returned and no directive is
+	// judged. It is the view to eyeball the suppression inventory with.
 	NoSuppress bool
-	// Audit inverts the output: analyzers run with suppression disabled
-	// and the returned diagnostics describe suppression rot — directives
-	// whose rule suppresses no raw finding — plus malformed directives,
-	// all under the pseudo-rule "lint". Analyzer findings themselves are
-	// not returned; CI runs audit as a separate pass so a stale
-	// //lint:ignore fails the build even while the code it once excused
-	// stays clean.
-	Audit bool
 }
 
-// Run applies the given analyzers to the package, filters suppressed
+// RunPackage applies the given analyzers to the package — each one only
+// if the package is in its scope (ruleScope) — filters suppressed
 // findings, and returns the surviving diagnostics sorted by position.
-// Malformed ignore directives are reported under the pseudo-rule "lint".
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackage(pkg, analyzers, RunOptions{})
-}
-
-// RunPackage is Run with explicit options (shared module, timing hooks,
-// suppression control).
+// Directive hygiene is part of every run, under the pseudo-rule "lint": a
+// malformed //lint:ignore is reported, and so is a stale one — a
+// directive whose rule ran and suppresses no finding. A suppression whose
+// finding has been fixed is rot: it documents a violation that no longer
+// exists and silently excuses the next real one on that line.
 func RunPackage(pkg *Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
 	mod := opts.Mod
 	if mod == nil {
 		mod = BuildModule([]*Package{pkg})
 	}
 	var diags []Diagnostic
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		ran[a.Name] = true
+		if !inScope(a.Name, pkg) {
+			continue
+		}
 		pass := &Pass{Analyzer: a, Pkg: pkg, Mod: mod, diags: &diags}
 		var start time.Time
 		if opts.Now != nil && opts.Observe != nil {
@@ -141,38 +133,13 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnos
 		}
 	}
 	idx := buildIgnoreIndex(pkg)
-	diags = append(diags, idx.malformed...)
-	for i := range diags {
-		d := &diags[i]
-		d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
+	kept := diags
+	if !opts.NoSuppress {
+		var stale []Diagnostic
+		kept, stale = idx.filter(diags, ran)
+		kept = append(kept, stale...)
 	}
-	if opts.Audit {
-		enabled := map[string]bool{"lint": true}
-		for _, a := range analyzers {
-			enabled[a.Name] = true
-		}
-		audit := idx.stale(diags, enabled)
-		for i := range audit {
-			a := &audit[i]
-			a.File, a.Line, a.Col = a.Pos.Filename, a.Pos.Line, a.Pos.Column
-		}
-		// Malformed directives (already positioned, pseudo-rule "lint")
-		// fail the audit too.
-		for _, d := range diags {
-			if d.Rule == "lint" {
-				audit = append(audit, d)
-			}
-		}
-		sortDiagnostics(audit)
-		return audit, nil
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if !opts.NoSuppress && idx.suppressed(d) {
-			continue
-		}
-		kept = append(kept, d)
-	}
+	kept = append(kept, idx.malformed...)
 	sortDiagnostics(kept)
 	return kept, nil
 }

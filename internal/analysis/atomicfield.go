@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // AtomicField guards fields that are published or mutated atomically:
@@ -37,31 +38,22 @@ var AtomicField = &Analyzer{
 	Run: runAtomicField,
 }
 
-// atomicValueTypes are the sync/atomic value types (Go 1.19+ API).
-var atomicValueTypes = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-}
-
-// atomicFuncs are the package-level sync/atomic functions that take the
-// address of the shared word as their first argument.
+// isAtomicFuncName matches the package-level sync/atomic functions that
+// take the address of the shared word as their first argument
+// (atomic.LoadInt64, atomic.CompareAndSwapUint32, ...).
 func isAtomicFuncName(name string) bool {
 	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"} {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
+		if len(name) > len(prefix) && strings.HasPrefix(name, prefix) {
 			return true
 		}
 	}
 	return false
 }
 
-// isAtomicValueType reports whether t is a sync/atomic value type.
+// isAtomicValueType reports whether t is a sync/atomic value type (Go
+// 1.19+ API).
 func isAtomicValueType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && atomicValueTypes[obj.Name()]
+	return isNamed(t, "sync/atomic", "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value")
 }
 
 // atomicContainerKind classifies a field type: the atomic value itself,
@@ -139,16 +131,9 @@ func runAtomicField(pass *Pass) error {
 
 	// Pass 2: classify every access to a tracked field by its syntactic
 	// context, per function so the fresh-local exemption has a scope.
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fresh := freshLocals(info, fd.Body)
-			checkAtomicAccesses(pass, fd.Body, typed, opped, sanctioned, fresh)
-		}
-	}
+	eachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
+		checkAtomicAccesses(pass, fd.Body, typed, opped, sanctioned, freshLocals(info, fd.Body))
+	})
 	return nil
 }
 
@@ -263,29 +248,12 @@ func checkAtomicAccesses(pass *Pass, body *ast.BlockStmt, typed map[*types.Var]a
 // rootedAtFresh reports whether the selector chain's root identifier is a
 // fresh, goroutine-free local (constructor exemption).
 func rootedAtFresh(info *types.Info, sel *ast.SelectorExpr, fresh map[types.Object]bool) bool {
-	e := ast.Expr(sel)
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			return obj != nil && fresh[obj]
-		default:
-			return false
-		}
-	}
+	id, ok := chainRoot(sel).(*ast.Ident)
+	return ok && fresh[assignee(info, id)]
 }
 
-// parentOf returns the innermost enclosing node of interest and the node
-// directly containing child.
+// directParent returns the node directly containing the one whose
+// ancestors are parents.
 func directParent(parents []ast.Node) ast.Node {
 	if len(parents) == 0 {
 		return nil

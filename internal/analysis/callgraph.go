@@ -25,11 +25,11 @@ import (
 // one is a dynamic call, so their bodies never execute "inside" the
 // enclosing function as far as the summaries are concerned.
 
-// hotpathPrefix marks a function declaration as a hot-path root: every
+// hotpathMarker marks a function declaration as a hot-path root: every
 // allocation site reachable from it through the call graph is a hotalloc
 // diagnostic. The marker goes in the function's doc comment, optionally
 // followed by a reason.
-const hotpathPrefix = "//lint:hotpath"
+const hotpathMarker = "//lint:hotpath"
 
 // A Module is the cross-package view of one load: every package the
 // loader type-checked, every declared function body, the call edges
@@ -48,6 +48,11 @@ type Module struct {
 	// is only needed when hotalloc actually runs).
 	hotOnce  sync.Once
 	hotChain map[*FuncInfo][]*FuncInfo
+
+	// lt caches each package's lifetime verdicts (lifetime.go): three
+	// rules read them, the engine runs once.
+	ltMu sync.Mutex
+	lt   map[*Package][]ltVerdict
 }
 
 // A FuncInfo is one declared function body in the module.
@@ -75,11 +80,7 @@ type FuncInfo struct {
 // functions, "WalkTable.StepWalks" for methods.
 func (fi *FuncInfo) Name() string {
 	if recv := fi.Obj.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
+		if named, ok := deref(recv.Type()).(*types.Named); ok {
 			return named.Obj().Name() + "." + fi.Obj.Name()
 		}
 	}
@@ -105,25 +106,18 @@ func BuildModule(pkgs []*Package) *Module {
 	mod := &Module{
 		Pkgs:  append([]*Package{}, pkgs...),
 		byObj: map[*types.Func]*FuncInfo{},
+		lt:    map[*Package][]ltVerdict{},
 	}
 	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].ImportPath < mod.Pkgs[j].ImportPath })
 
 	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg, Hot: hotpathMarked(fd), Sanitized: sanitizedMarked(fd)}
+		eachFuncDecl(pkg, func(fd *ast.FuncDecl) {
+			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg, Hot: docMarked(fd, hotpathMarker), Sanitized: docMarked(fd, sanitizedMarker)}
 				mod.Funcs = append(mod.Funcs, fi)
 				mod.byObj[obj] = fi
 			}
-		}
+		})
 	}
 
 	// Second pass: with every declared function known, resolve call
@@ -145,21 +139,6 @@ func (m *Module) FuncOf(obj *types.Func) *FuncInfo {
 		return nil
 	}
 	return m.byObj[obj]
-}
-
-// hotpathMarked reports whether the declaration's doc comment carries
-// the //lint:hotpath marker.
-func hotpathMarked(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == hotpathPrefix || strings.HasPrefix(text, hotpathPrefix+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // collectCalls records fi's statically resolved call edges, in source

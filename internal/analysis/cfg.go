@@ -45,6 +45,9 @@ type CFG struct {
 	// order. Deferred calls run at every exit, so pairing analyzers treat
 	// them as covering all paths rather than as ordinary block nodes.
 	Defers []*ast.DeferStmt
+	// Conds records which bare expression nodes are branch conditions:
+	// token.IF for an if statement's, token.FOR for a loop's.
+	Conds map[ast.Expr]token.Token
 	// rbrace is the function body's closing brace, the position reported
 	// for the implicit fall-through exit.
 	rbrace token.Pos
@@ -112,7 +115,7 @@ func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 // BuildCFG constructs the control-flow graph of one function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
-		cfg:    &CFG{rbrace: body.Rbrace},
+		cfg:    &CFG{rbrace: body.Rbrace, Conds: map[ast.Expr]token.Token{}},
 		labels: map[string]*CFGBlock{},
 	}
 	b.cfg.Entry = b.newBlock()
@@ -239,6 +242,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.stmt(s.Init)
 		}
 		b.add(s.Cond)
+		b.cfg.Conds[s.Cond] = token.IF
 		cond := b.cur
 		then := b.newBlock()
 		b.edge(cond, then)
@@ -267,6 +271,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.edge(b.cur, head)
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
+			b.cfg.Conds[s.Cond] = token.FOR
 		}
 		after := b.newBlock()
 		// continue re-runs the post statement when there is one,

@@ -89,8 +89,8 @@ d()
 
 // TestCFGLoopBreakRelease is the shape the old lexical poolbalance could
 // not see: the resource is released only on the break path, yet every
-// path out of the loop goes through the release. The pairing lattice
-// over the CFG must find post() in the free state and work() held.
+// path out of the loop goes through the release. The lifetime lattice
+// over the CFG must find post() released on every path and work() held.
 func TestCFGLoopBreakRelease(t *testing.T) {
 	cfg := buildCFGFromSrc(t, `
 lock()
@@ -103,7 +103,7 @@ for {
 }
 post()
 `)
-	transfer := func(b *CFGBlock, in pairState) pairState {
+	transfer := func(b *CFGBlock, in ltState) ltState {
 		st := in
 		for _, n := range b.Nodes {
 			InspectShallow(n, func(m ast.Node) bool {
@@ -111,9 +111,9 @@ post()
 					if id, ok := call.Fun.(*ast.Ident); ok {
 						switch id.Name {
 						case "lock":
-							st = pairHeld
+							st = ltHeld
 						case "unlock":
-							st = pairFree
+							st = ltReleased
 						}
 					}
 				}
@@ -122,13 +122,13 @@ post()
 		}
 		return st
 	}
-	in := ForwardFlow(cfg, pairFree, joinPair, transfer)
+	in := ForwardFlow(cfg, ltUnacquired, joinLt, transfer)
 
-	if got := in[callBlock(t, cfg, "work")]; got != pairHeld {
+	if got := in[callBlock(t, cfg, "work")]; got != ltHeld {
 		t.Errorf("work() runs with state %v, want held:\n%s", got, cfg)
 	}
-	if got := in[callBlock(t, cfg, "post")]; got != pairFree {
-		t.Errorf("post() runs with state %v, want free (unlock dominates the break):\n%s", got, cfg)
+	if got := in[callBlock(t, cfg, "post")]; got != ltReleased {
+		t.Errorf("post() runs with state %v, want released (unlock dominates the break):\n%s", got, cfg)
 	}
 	// The loop body must loop back: work's block reaches itself.
 	work := callBlock(t, cfg, "work")

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // CtxFlow enforces the end-to-end cancellation contract (DESIGN.md §8):
@@ -45,44 +46,14 @@ var CtxFlow = &Analyzer{
 }
 
 func runCtxFlow(pass *Pass) error {
-	if !ctxScope(pass.Pkg) {
-		return nil
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCtxFunc(pass, fd.Type, fd.Body, nil)
-		}
-	}
+	eachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
+		checkCtxFunc(pass, fd.Type, fd.Body, nil)
+	})
 	return nil
 }
 
-// ctxScope: the packages on the query path — module root (public API
-// wrappers), internal/core (engine), internal/server (HTTP layer),
-// internal/router (scatter-gather tier; its hedged-request helper must
-// derive every attempt's context from the caller's so cancellation
-// reaches losing attempts).
-func ctxScope(pkg *Package) bool {
-	if fixturePkg(pkg) {
-		return true
-	}
-	rel, ok := modRelPath(pkg)
-	return ok && (rel == "." || rel == "internal/core" ||
-		rel == "internal/server" || rel == "internal/router")
-}
-
 // isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
+func isContextType(t types.Type) bool { return isNamed(t, "context", "Context") }
 
 // ctxParams extracts the context.Context parameters of a function type.
 func ctxParams(info *types.Info, ft *ast.FuncType) []*types.Var {
@@ -124,21 +95,6 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, inherite
 	// Rule 3 first: it applies even without a ctx in scope.
 	checkServingLoops(pass, body, ctxVars)
 
-	// Reaching definitions are built lazily: most functions thread ctx
-	// straight through and never need them.
-	var cfg *CFG
-	var rdEntry map[*CFGBlock]DefSet
-	var derivedVars map[*types.Var]bool
-	ensureFlow := func() {
-		if cfg != nil {
-			return
-		}
-		cfg = BuildCFG(body)
-		var all []*Definition
-		rdEntry, all = ReachingDefs(cfg, info, ctxVars)
-		derivedVars = deriveCtxVars(info, ctxVars, all)
-	}
-
 	// Recurse into directly nested closures with the extended ctx set:
 	// the ctx variables visible here plus this body's ctx-derived
 	// context locals (each recursion handles its own nested literals).
@@ -146,18 +102,17 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, inherite
 	// WithCancel(ctx) context bound in the enclosing function and
 	// captured by attempt closures still carries the caller's
 	// cancellation, so closure call sites passing it are compliant.
+	var cfg *CFG
+	var rdEntry map[*CFGBlock]DefSet
+	var derivedVars map[*types.Var]bool
 	closureCtx := ctxVars
 	if len(ctxVars) > 0 {
-		ensureFlow()
+		cfg = BuildCFG(body)
+		var all []*Definition
+		rdEntry, all = ReachingDefs(cfg, info, ctxVars)
+		derivedVars = deriveCtxVars(info, ctxVars, all)
 		for v := range derivedVars {
-			seen := false
-			for _, c := range closureCtx {
-				if c == v {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(closureCtx, v) {
 				closureCtx = append(closureCtx, v)
 			}
 		}
@@ -205,7 +160,6 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, inherite
 			if isBackgroundCall(info, arg) {
 				continue // already reported by rule 2 at the same spot
 			}
-			ensureFlow()
 			if !ctxDerived(info, arg, ctxVars, derivedVars, cfg, rdEntry, call) {
 				pass.Reportf(arg.Pos(),
 					"callee accepts a context.Context but the argument does not derive from this function's ctx; "+
@@ -256,16 +210,10 @@ func deriveCtxVars(info *types.Info, ctxVars []*types.Var, all []*Definition) ma
 }
 
 func mentionsAnyVar(info *types.Info, n ast.Node, vars map[*types.Var]bool) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if id, ok := x.(*ast.Ident); ok {
-			if v, ok := info.Uses[id].(*types.Var); ok && vars[v] {
-				found = true
-			}
-		}
-		return !found
+	return usesAny(info, n, func(o types.Object) bool {
+		v, ok := o.(*types.Var)
+		return ok && vars[v]
 	})
-	return found
 }
 
 // defDerived decides whether one reaching definition is ctx-derived.

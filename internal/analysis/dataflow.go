@@ -3,58 +3,25 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
-// dataflow.go holds the solvers that run over a CFG (cfg.go): a generic
-// forward worklist solver, the two-point pairing lattice shared by
-// poolbalance and lockbalance, reaching definitions (used by ctxflow to
-// decide whether a context variable still derives from the caller's ctx),
-// and the escape-to-goroutine fact (used by atomicfield to exempt
-// unpublished values under construction).
-
-// pairState is the lattice of a must-pair analysis: is the resource
-// (scratch buffer, mutex) held at this point on every path, no path, or
-// does it depend on the path taken?
-type pairState uint8
-
-const (
-	pairBottom pairState = iota // unvisited
-	pairFree                    // released / not yet acquired on all paths
-	pairHeld                    // acquired and not released on all paths
-	pairMixed                   // held on some paths, free on others
-)
-
-func (s pairState) String() string {
-	switch s {
-	case pairFree:
-		return "free"
-	case pairHeld:
-		return "held"
-	case pairMixed:
-		return "mixed"
-	}
-	return "bottom"
-}
-
-// joinPair merges the states flowing in from two predecessors.
-func joinPair(a, b pairState) pairState {
-	switch {
-	case a == pairBottom:
-		return b
-	case b == pairBottom:
-		return a
-	case a == b:
-		return a
-	default:
-		return pairMixed
-	}
-}
+// dataflow.go holds what runs over a CFG (cfg.go): the one forward
+// worklist solver every path-sensitive analyzer uses (the lifetime engine
+// in lifetime.go, the wiretaint reporter, reaching definitions below),
+// reaching definitions themselves (used by ctxflow to decide whether a
+// context variable still derives from the caller's ctx), and the
+// escape-to-goroutine fact (used by atomicfield to exempt unpublished
+// values under construction).
 
 // ForwardFlow solves a forward dataflow problem over the blocks of c
 // reachable from Entry and returns each visited block's entry fact.
-// transfer must be a pure function of (block, in); join must be monotone
-// over a finite lattice or the worklist will not terminate.
-func ForwardFlow[S comparable](c *CFG, entry S, join func(S, S) S, transfer func(b *CFGBlock, in S) S) map[*CFGBlock]S {
+// transfer must not modify in and must return a state it does not share
+// with in. join merges out into a successor's current fact cur (the zero
+// S on the first visit) and reports whether the fact changed; it may
+// update cur in place but must not keep a reference to out. Facts must
+// only grow over a finite lattice or the worklist will not terminate.
+func ForwardFlow[S any](c *CFG, entry S, join func(cur, out S) (S, bool), transfer func(b *CFGBlock, in S) S) map[*CFGBlock]S {
 	in := map[*CFGBlock]S{c.Entry: entry}
 	work := []*CFGBlock{c.Entry}
 	for len(work) > 0 {
@@ -63,17 +30,25 @@ func ForwardFlow[S comparable](c *CFG, entry S, join func(S, S) S, transfer func
 		out := transfer(b, in[b])
 		for _, s := range b.Succs {
 			cur, seen := in[s]
-			next := out
-			if seen {
-				next = join(cur, out)
-			}
-			if !seen || next != cur {
+			next, changed := join(cur, out)
+			if !seen || changed {
 				in[s] = next
 				work = append(work, s)
 			}
 		}
 	}
 	return in
+}
+
+// EachReached calls visit on every block the solver reached, in block
+// order, with its converged entry fact: the reporting pass that follows
+// a solve.
+func EachReached[S any](c *CFG, in map[*CFGBlock]S, visit func(b *CFGBlock, st S)) {
+	for _, b := range c.Blocks {
+		if st, ok := in[b]; ok {
+			visit(b, st)
+		}
+	}
 }
 
 // A Definition is one point where a variable receives a value: an
@@ -94,11 +69,7 @@ type DefSet map[*types.Var]map[*Definition]bool
 func (d DefSet) clone() DefSet {
 	out := make(DefSet, len(d))
 	for v, defs := range d {
-		m := make(map[*Definition]bool, len(defs))
-		for def := range defs {
-			m[def] = true
-		}
-		out[v] = m
+		out[v] = maps.Clone(defs)
 	}
 	return out
 }
@@ -147,27 +118,20 @@ func ReachingDefs(c *CFG, info *types.Info, params []*types.Var) (entry map[*CFG
 		seed.kill(&Definition{Var: p})
 	}
 
-	entry = map[*CFGBlock]DefSet{c.Entry: seed}
-	work := []*CFGBlock{c.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := entry[b].clone()
-		for _, def := range blockDefs[b] {
-			out.kill(def)
-		}
-		for _, s := range b.Succs {
-			cur, seen := entry[s]
-			if !seen {
-				entry[s] = out.clone()
-				work = append(work, s)
-				continue
+	entry = ForwardFlow(c, seed,
+		func(cur, out DefSet) (DefSet, bool) {
+			if cur == nil {
+				return out.clone(), true
 			}
-			if cur.merge(out) {
-				work = append(work, s)
+			return cur, cur.merge(out)
+		},
+		func(b *CFGBlock, in DefSet) DefSet {
+			out := in.clone()
+			for _, def := range blockDefs[b] {
+				out.kill(def)
 			}
-		}
-	}
+			return out
+		})
 	return entry, all
 }
 
@@ -216,57 +180,21 @@ func nodeDefs(info *types.Info, n ast.Node) []*Definition {
 		if id == nil || id.Name == "_" {
 			return
 		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		v, ok := obj.(*types.Var)
+		v, ok := assignee(info, id).(*types.Var)
 		if !ok {
 			return
 		}
 		defs = append(defs, &Definition{Var: v, Node: n, Rhs: rhs})
 	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range n.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			var rhs ast.Expr
-			switch {
-			case len(n.Lhs) == len(n.Rhs):
-				rhs = n.Rhs[i]
-			case len(n.Rhs) == 1:
-				// a, b := f(x): both variables derive from the one call.
-				rhs = n.Rhs[0]
-			}
+	eachAssign(n, func(lhs, rhs ast.Expr) {
+		if id, ok := lhs.(*ast.Ident); ok {
 			addIdent(id, rhs)
 		}
+	})
+	switch n := n.(type) {
 	case *ast.IncDecStmt:
 		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			addIdent(id, nil)
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return nil
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				var rhs ast.Expr
-				switch {
-				case len(vs.Names) == len(vs.Values):
-					rhs = vs.Values[i]
-				case len(vs.Values) == 1:
-					rhs = vs.Values[0]
-				}
-				addIdent(name, rhs)
-			}
 		}
 	case *ast.RangeStmt:
 		if id, ok := ast.Unparen(n.Key).(*ast.Ident); ok && n.Key != nil {
@@ -279,6 +207,41 @@ func nodeDefs(info *types.Info, n ast.Node) []*Definition {
 		}
 	}
 	return defs
+}
+
+// eachAssign calls fn for every target of an assignment or var
+// declaration, with the right-hand side that position receives: its own
+// when the counts match, the single call of a multi-value form (a, b :=
+// f(x): both derive from the one call), nil for a declaration without a
+// value.
+func eachAssign(n ast.Node, fn func(lhs, rhs ast.Expr)) {
+	paired := func(targets int, rhs []ast.Expr, i int) ast.Expr {
+		switch {
+		case targets == len(rhs):
+			return rhs[i]
+		case len(rhs) == 1:
+			return rhs[0]
+		}
+		return nil
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			fn(ast.Unparen(lhs), paired(len(n.Lhs), n.Rhs, i))
+		}
+	case *ast.DeclStmt:
+		gd, ok := n.Decl.(*ast.GenDecl)
+		if !ok {
+			return
+		}
+		for _, spec := range gd.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				for i, name := range vs.Names {
+					fn(name, paired(len(vs.Names), vs.Values, i))
+				}
+			}
+		}
+	}
 }
 
 // GoCaptured returns every object referenced from inside a goroutine

@@ -34,55 +34,36 @@ var goSpawnAllow = map[string]bool{
 	"hedged":               true, // router/hedge.go: launch-on-demand attempts under a fixed cap
 }
 
-// goSpawnScope: the packages whose concurrency shape is pinned — the
-// engine and the router's scatter-gather layer.
-func goSpawnScope(pkg *Package) bool {
-	if fixturePkg(pkg) {
-		return true
-	}
-	rel, ok := modRelPath(pkg)
-	return ok && (rel == "internal/core" || rel == "internal/router")
-}
-
 func runGoSpawn(pass *Pass) error {
-	if !goSpawnScope(pass.Pkg) {
-		return nil
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			// Track the statement path so a `go` inside a range loop can
-			// be distinguished from one inside a counted worker loop.
-			var rangeDepth int
-			var walk func(n ast.Node) bool
-			walk = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					rangeDepth++
-					ast.Inspect(n.Body, walk)
-					rangeDepth--
-					// Key/value/X already walked enough; skip re-descent.
-					return false
-				case *ast.GoStmt:
-					switch {
-					case !goSpawnAllow[name]:
-						pass.Reportf(n.Pos(),
-							"go statement outside the approved worker pools (%s); route the work through parallelVertices or forEachIndexParallel",
-							name)
-					case rangeDepth > 0:
-						pass.Reportf(n.Pos(),
-							"go statement spawns one goroutine per ranged item in %s; use a bounded worker loop instead",
-							name)
-					}
+	eachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
+		name := fd.Name.Name
+		// Track the statement path so a `go` inside a range loop can
+		// be distinguished from one inside a counted worker loop.
+		var rangeDepth int
+		var walk func(n ast.Node) bool
+		walk = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				rangeDepth++
+				ast.Inspect(n.Body, walk)
+				rangeDepth--
+				// Key/value/X already walked enough; skip re-descent.
+				return false
+			case *ast.GoStmt:
+				switch {
+				case !goSpawnAllow[name]:
+					pass.Reportf(n.Pos(),
+						"go statement outside the approved worker pools (%s); route the work through parallelVertices or forEachIndexParallel",
+						name)
+				case rangeDepth > 0:
+					pass.Reportf(n.Pos(),
+						"go statement spawns one goroutine per ranged item in %s; use a bounded worker loop instead",
+						name)
 				}
-				return true
 			}
-			ast.Inspect(fd.Body, walk)
+			return true
 		}
-	}
+		ast.Inspect(fd.Body, walk)
+	})
 	return nil
 }

@@ -74,31 +74,32 @@ func cutDirectivePrefix(text, prefix string, rest *string) bool {
 	return true
 }
 
-// placedDirective is one well-formed directive with its source position,
-// kept for the stale-suppression audit.
+// placedDirective is one well-formed directive with its source position.
 type placedDirective struct {
 	ignoreDirective
 	pos token.Position
 }
 
+// covers reports whether the directive suppresses d under one of its
+// rules: same rule in the same file, and — unless file-wide — d on the
+// directive's own line or the line directly below it (the usual "comment
+// above the statement" form).
+func (pd placedDirective) covers(rule string, d Diagnostic) bool {
+	if d.Rule != rule || d.File != pd.pos.Filename {
+		return false
+	}
+	return pd.FileWide || d.Line == pd.pos.Line || d.Line == pd.pos.Line+1
+}
+
 // ignoreIndex holds every well-formed directive of one package, plus
 // diagnostics for the malformed ones.
 type ignoreIndex struct {
-	// line maps file -> line -> rules suppressed at that line. A
-	// directive suppresses findings on its own line and on the line
-	// directly below it (the usual "comment above the statement" form).
-	line map[string]map[int][]string
-	// file maps file -> rules suppressed for the whole file.
-	file       map[string][]string
 	directives []placedDirective
 	malformed  []Diagnostic
 }
 
 func buildIgnoreIndex(pkg *Package) *ignoreIndex {
-	idx := &ignoreIndex{
-		line: map[string]map[int][]string{},
-		file: map[string][]string{},
-	}
+	idx := &ignoreIndex{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -108,96 +109,55 @@ func buildIgnoreIndex(pkg *Package) *ignoreIndex {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				if d.Malformed {
-					idx.malformed = append(idx.malformed, Diagnostic{
-						Rule:    "lint",
-						Pos:     pos,
-						Message: "malformed ignore directive: need \"//lint:ignore <rule> <reason>\"",
-					})
-					continue
+					idx.malformed = append(idx.malformed, lintDiagnostic(pos,
+						"malformed ignore directive: need \"//lint:ignore <rule> <reason>\""))
+				} else {
+					idx.directives = append(idx.directives, placedDirective{d, pos})
 				}
-				idx.directives = append(idx.directives, placedDirective{d, pos})
-				if d.FileWide {
-					idx.file[pos.Filename] = append(idx.file[pos.Filename], d.Rules...)
-					continue
-				}
-				lines := idx.line[pos.Filename]
-				if lines == nil {
-					lines = map[int][]string{}
-					idx.line[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], d.Rules...)
 			}
 		}
 	}
 	return idx
 }
 
-// covers reports whether the directive would suppress d under one of its
-// rules: same rule in the same file, and — unless file-wide — d on the
-// directive's own line or the line directly below it.
-func (pd placedDirective) covers(rule string, d Diagnostic) bool {
-	if d.Rule != rule || d.File != pd.pos.Filename {
-		return false
-	}
-	return pd.FileWide || d.Line == pd.pos.Line || d.Line == pd.pos.Line+1
+// lintDiagnostic is a finding about a directive itself, under the
+// pseudo-rule "lint".
+func lintDiagnostic(pos token.Position, msg string) Diagnostic {
+	return newDiagnostic("lint", pos, msg)
 }
 
-// stale returns one diagnostic per directive rule that suppresses none of
-// the raw (unsuppressed) findings, positioned at the directive. A
-// suppression whose finding has been fixed is rot: it documents a
-// violation that no longer exists and hides the next real one added on
-// that line. Reported under the pseudo-rule "lint", same as malformed
-// directives.
+// filter judges the raw findings and the directives against each other:
+// kept are the findings no directive covers, stale one diagnostic per
+// directive rule that covers none, positioned at the directive.
 //
-// Only directive rules present in enabled (the analyzers that actually
-// ran) are judged: under a -rules subset the other rules produced no raw
-// findings by construction, so their directives would all read as rot.
-func (idx *ignoreIndex) stale(raw []Diagnostic, enabled map[string]bool) []Diagnostic {
-	var out []Diagnostic
+// Only directive rules present in ran (the analyzers of this run) are
+// judged: under a -rules subset the other rules produced no raw findings
+// by construction, so their directives would all read as rot.
+func (idx *ignoreIndex) filter(raw []Diagnostic, ran map[string]bool) (kept, stale []Diagnostic) {
+	suppressed := make([]bool, len(raw))
 	for _, pd := range idx.directives {
 		for _, rule := range pd.Rules {
-			if !enabled[rule] {
-				continue
-			}
 			live := false
-			for _, d := range raw {
+			for i, d := range raw {
 				if pd.covers(rule, d) {
-					live = true
-					break
+					suppressed[i], live = true, true
 				}
 			}
-			if live {
+			if live || !ran[rule] {
 				continue
 			}
 			form, where := ignorePrefix, "on this or the next line"
 			if pd.FileWide {
 				form, where = fileIgnorePrefix, "in this file"
 			}
-			out = append(out, Diagnostic{
-				Rule:    "lint",
-				Pos:     pd.pos,
-				Message: fmt.Sprintf("stale %s: no raw %s finding %s; delete the directive", form, rule, where),
-			})
+			stale = append(stale, lintDiagnostic(pd.pos,
+				fmt.Sprintf("stale %s: no raw %s finding %s; delete the directive", form, rule, where)))
 		}
 	}
-	return out
-}
-
-// suppressed reports whether d is covered by a directive: same rule on
-// the same line, on the line above, or file-wide.
-func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
-	for _, r := range idx.file[d.File] {
-		if r == d.Rule {
-			return true
+	for i, d := range raw {
+		if !suppressed[i] {
+			kept = append(kept, d)
 		}
 	}
-	lines := idx.line[d.File]
-	for _, ln := range []int{d.Line, d.Line - 1} {
-		for _, r := range lines[ln] {
-			if r == d.Rule {
-				return true
-			}
-		}
-	}
-	return false
+	return kept, stale
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/token"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // the whole file.
 func TestFileIgnore(t *testing.T) {
 	pkg := loadFixture(t, "fileignore")
-	diags, err := Run(pkg, []*Analyzer{NoRand})
+	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestFileIgnore(t *testing.T) {
 // itself reported under the "lint" pseudo-rule.
 func TestMalformedDirective(t *testing.T) {
 	pkg := loadFixture(t, "malformed")
-	diags, err := Run(pkg, []*Analyzer{NoRand})
+	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,22 +35,22 @@ func TestMalformedDirective(t *testing.T) {
 	}
 }
 
-// TestAuditStaleDirectives checks audit mode: a directive whose finding
-// still fires is quiet, while a line directive with nothing to suppress
+// TestAuditStaleDirectives checks directive hygiene, part of every run:
+// a directive whose finding still fires is quiet (and suppresses it), while a line directive with nothing to suppress
 // and a file-wide directive for a rule that never fires are both reported
 // as stale, at the directive's own position.
 func TestAuditStaleDirectives(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand, SeedMix}, RunOptions{Audit: true})
+	diags, err := RunPackage(pkg, []*Analyzer{NoRand, SeedMix}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 2 {
-		t.Fatalf("got %d audit diagnostics, want 2 stale directives: %v", len(diags), diags)
+		t.Fatalf("got %d diagnostics, want 2 stale directives: %v", len(diags), diags)
 	}
 	for _, d := range diags {
 		if d.Rule != "lint" || !strings.Contains(d.Message, "stale") {
-			t.Fatalf("unexpected audit diagnostic: %v", d)
+			t.Fatalf("unexpected diagnostic: %v", d)
 		}
 	}
 	if !strings.Contains(diags[0].Message, "seedmix") || !strings.Contains(diags[0].Message, "file-ignore") {
@@ -60,29 +61,29 @@ func TestAuditStaleDirectives(t *testing.T) {
 	}
 }
 
-// TestAuditScopedToEnabledRules checks that audit with a rule subset only
+// TestAuditScopedToEnabledRules checks that a run with a rule subset only
 // judges directives for rules that ran: the stale file-wide seedmix
 // directive must not be reported when seedmix was not among the
 // analyzers, while the genuinely stale norand directive still is.
 func TestAuditScopedToEnabledRules(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{Audit: true})
+	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 {
-		t.Fatalf("got %d audit diagnostics, want only the stale norand directive: %v", len(diags), diags)
+		t.Fatalf("got %d diagnostics, want only the stale norand directive: %v", len(diags), diags)
 	}
 	if !strings.Contains(diags[0].Message, "norand") {
 		t.Errorf("diagnostic should be the stale line norand directive: %v", diags[0])
 	}
 }
 
-// TestAuditQuietWhenLive checks that audit mode returns nothing for a file
+// TestAuditQuietWhenLive checks that a run returns nothing for a file
 // whose only directive still suppresses a live finding.
 func TestAuditQuietWhenLive(t *testing.T) {
 	pkg := loadFixture(t, "fileignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{Audit: true})
+	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +95,24 @@ func TestAuditQuietWhenLive(t *testing.T) {
 // TestIgnoreIndexPlacement pins the directive placement contract: same
 // line and line-above suppress, two lines above does not.
 func TestIgnoreIndexPlacement(t *testing.T) {
-	idx := &ignoreIndex{
-		line: map[string]map[int][]string{
-			"f.go": {10: {"norand"}},
-		},
-		file: map[string][]string{},
+	idx := &ignoreIndex{directives: []placedDirective{{
+		ignoreDirective{Rules: []string{"norand"}},
+		token.Position{Filename: "f.go", Line: 10},
+	}}}
+	suppressed := func(line int, rule string) bool {
+		kept, _ := idx.filter([]Diagnostic{{Rule: rule, File: "f.go", Line: line}}, nil)
+		return len(kept) == 0
 	}
-	mk := func(line int, rule string) Diagnostic {
-		return Diagnostic{Rule: rule, File: "f.go", Line: line}
-	}
-	if !idx.suppressed(mk(10, "norand")) {
+	if !suppressed(10, "norand") {
 		t.Error("same-line directive must suppress")
 	}
-	if !idx.suppressed(mk(11, "norand")) {
+	if !suppressed(11, "norand") {
 		t.Error("line-above directive must suppress")
 	}
-	if idx.suppressed(mk(12, "norand")) {
+	if suppressed(12, "norand") {
 		t.Error("directive two lines up must not suppress")
 	}
-	if idx.suppressed(mk(10, "seedmix")) {
+	if suppressed(10, "seedmix") {
 		t.Error("other rules must not be suppressed")
 	}
 }

@@ -23,21 +23,9 @@ var MapIter = &Analyzer{
 }
 
 func runMapIter(pass *Pass) error {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkMapRanges(pass, fd.Type, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkMapRanges(pass, lit.Type, lit.Body)
-				}
-				return true
-			})
-		}
-	}
+	eachFunc(pass.Pkg, func(ftype *ast.FuncType, body *ast.BlockStmt) {
+		checkMapRanges(pass, ftype, body)
+	})
 	return nil
 }
 
@@ -68,6 +56,14 @@ type accumTarget struct {
 	obj types.Object
 	key string
 	pos token.Pos
+}
+
+// mentionedIn reports whether the subtree references the target.
+func (t accumTarget) mentionedIn(info *types.Info, n ast.Node) bool {
+	if t.obj != nil {
+		return mentionsObj(info, n, t.obj)
+	}
+	return mentionsKey(n, t.key)
 }
 
 func checkOneMapRange(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, rs *ast.RangeStmt) {
@@ -202,21 +198,11 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt, t acc
 			return !found
 		}
 		for _, arg := range call.Args {
-			if t.obj != nil && mentionsObj(info, arg, t.obj) {
-				found = true
-			}
-			if t.key != "" && mentionsKey(arg, t.key) {
-				found = true
-			}
+			found = found || t.mentionedIn(info, arg)
 		}
 		// A method receiver counts too: out.Sort().
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if t.obj != nil && mentionsObj(info, sel.X, t.obj) {
-				found = true
-			}
-			if t.key != "" && mentionsKey(sel.X, t.key) {
-				found = true
-			}
+			found = found || t.mentionedIn(info, sel.X)
 		}
 		return !found
 	})

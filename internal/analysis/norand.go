@@ -21,23 +21,6 @@ var NoRand = &Analyzer{
 	Run: runNoRand,
 }
 
-// norandScope lists the packages whose behaviour must be a pure function
-// of (graph, Params): the root API package and the algorithmic internal
-// packages. cmd/, examples/, internal/server and internal/bench exist to
-// measure and present, so clocks are their business.
-var norandScope = []string{
-	"",
-	"internal/analysis",
-	"internal/batch",
-	"internal/core",
-	"internal/eval",
-	"internal/exact",
-	"internal/fogaras",
-	"internal/graph",
-	"internal/rng",
-	"internal/yu",
-}
-
 // norandFileAllow lists timing-only files inside the scope: engine.go
 // records preprocess wall-clock in BuildStats, which is reported, never
 // consumed.
@@ -46,9 +29,6 @@ var norandFileAllow = []string{
 }
 
 func runNoRand(pass *Pass) error {
-	if !norandInScope(pass.Pkg) {
-		return nil
-	}
 	for _, f := range pass.Pkg.Files {
 		file := pass.Pkg.Fset.Position(f.Pos()).Filename
 		if norandFileAllowed(file) {
@@ -84,22 +64,6 @@ func runNoRand(pass *Pass) error {
 	return nil
 }
 
-func norandInScope(pkg *Package) bool {
-	if fixturePkg(pkg) {
-		return true
-	}
-	rel, ok := modRelPath(pkg)
-	if !ok {
-		return false
-	}
-	for _, s := range norandScope {
-		if rel == s {
-			return true
-		}
-	}
-	return false
-}
-
 func norandFileAllowed(file string) bool {
 	for _, allow := range norandFileAllow {
 		if strings.HasSuffix(filepath.ToSlash(file), allow) {
@@ -107,19 +71,4 @@ func norandFileAllowed(file string) bool {
 		}
 	}
 	return false
-}
-
-// modRelPath returns the package path relative to the module root
-// ("internal/core", "" for the root package). Non-module packages (bare
-// fixture dirs) report false.
-func modRelPath(pkg *Package) (string, bool) {
-	path := pkg.ImportPath
-	if i := strings.Index(path, "/"); i >= 0 {
-		return path[i+1:], true
-	}
-	// The module root package itself ("repro") has no slash.
-	if path != "" && !strings.Contains(path, ".") && pkg.Name != "main" {
-		return "", true
-	}
-	return "", false
 }

@@ -23,8 +23,8 @@ func TestNoRandScope(t *testing.T) {
 	}
 	for _, c := range cases {
 		pkg := &Package{ImportPath: c.importPath, Name: c.name}
-		if got := norandInScope(pkg); got != c.want {
-			t.Errorf("norandInScope(%s) = %v, want %v", c.importPath, got, c.want)
+		if got := inScope("norand", pkg); got != c.want {
+			t.Errorf("inScope(norand, %s) = %v, want %v", c.importPath, got, c.want)
 		}
 	}
 }

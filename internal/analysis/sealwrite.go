@@ -40,9 +40,6 @@ var sealAllowedFiles = map[string]bool{
 }
 
 func runSealWrite(pass *Pass) error {
-	if !corePackage(pass.Pkg) {
-		return nil
-	}
 	snapFields, builderType := sealTypes(pass.Pkg)
 	if len(snapFields) == 0 {
 		return nil
@@ -133,13 +130,9 @@ func isBuilderExpr(info *types.Info, e ast.Expr, builder types.Type) bool {
 	if builder == nil {
 		return false
 	}
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
+	t := typeOf(info, e)
+	if t == nil {
 		return false
 	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return types.Identical(t, builder)
+	return types.Identical(deref(t), builder)
 }

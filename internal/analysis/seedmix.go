@@ -35,33 +35,27 @@ var SeedMix = &Analyzer{
 
 func runSeedMix(pass *Pass) error {
 	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
-					return true
-				}
-				if isMixCall(call) {
-					checkMixPacking(pass, call)
-				} else if isSeedSink(info, call) {
-					arg := resolveLocal(info, fd.Body, call.Args[0], call.Pos())
-					ids := map[string]bool{}
-					collectRawIDs(info, arg, ids)
-					if len(ids) >= 2 {
-						pass.Reportf(call.Pos(),
-							"seed combines ids (%s) with raw arithmetic; collisions correlate their streams — pack the ids and pass them through rng.Mix",
-							idList(ids))
-					}
-				}
+	eachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
 				return true
-			})
-		}
-	}
+			}
+			if isMixCall(call) {
+				checkMixPacking(pass, call)
+			} else if isSeedSink(info, call) {
+				arg := resolveLocal(info, fd.Body, call.Args[0], call.Pos())
+				ids := map[string]bool{}
+				collectRawIDs(info, arg, ids)
+				if len(ids) >= 2 {
+					pass.Reportf(call.Pos(),
+						"seed combines ids (%s) with raw arithmetic; collisions correlate their streams — pack the ids and pass them through rng.Mix",
+						idList(ids))
+				}
+			}
+			return true
+		})
+	})
 	return nil
 }
 
@@ -198,16 +192,12 @@ func isPlainID(info *types.Info, e ast.Expr) bool {
 }
 
 func typeFromRNG(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named, ok := deref(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	obj := named.Obj()
-	return obj.Pkg() != nil &&
-		(obj.Pkg().Name() == "rng" || strings.HasSuffix(obj.Pkg().Path(), "/rng"))
+	pkg := named.Obj().Pkg()
+	return pkg.Name() == "rng" || strings.HasSuffix(pkg.Path(), "/rng")
 }
 
 func pkgIdentAny(info *types.Info, expr ast.Expr) bool {

@@ -15,11 +15,10 @@ import (
 //     literals, growing appends, interface boxing at call boundaries,
 //     string concatenation, goroutine spawns, plus calls the analysis
 //     cannot see through: dynamic calls and non-allowlisted external
-//     functions), lock acquire/release, ctx checks, clock and math/rand
-//     reads, and the scratch-pool acquire/release shapes poolbalance
-//     pairs up.
+//     functions), goroutine spawns and ctx checks.
 //   - Transitive facts, propagated through static call edges to a fixed
-//     point: every boolean is monotone (false → true only), and
+//     point, among them the pool shapes the lifetime engine pairs up
+//     (lifetime.go): every boolean is monotone (false → true only), and
 //     ReleasesParams flows through argument positions, so the worklist
 //     terminates.
 //
@@ -47,17 +46,13 @@ type Summary struct {
 	// Transitive effects (direct or through any static callee chain).
 	Allocates       bool // has an alloc site, or calls something that does
 	SpawnsGoroutine bool // executes a go statement
-	ReadsClock      bool // calls time.Now / time.Since
-	UsesMathRand    bool // references math/rand or math/rand/v2
 	ChecksCtx       bool // consults ctx.Err()/ctx.Done() on a context value
-	AcquiresLock    bool // calls Lock/RLock on a sync (RW)Mutex
-	ReleasesLock    bool // calls Unlock/RUnlock on a sync (RW)Mutex
 
-	// Pool-pairing shapes (poolbalance): AcquiresScratch marks a
-	// function whose return value is a freshly acquired scratch
-	// (directly `return e.getScratch()` or through such a helper);
-	// ReleasesParams[i] marks a function that passes its i-th parameter
-	// to putScratch/pool.Put (directly or through such a helper).
+	// Pool shapes (lifetime.go): AcquiresScratch marks a function whose
+	// return value is a freshly acquired pooled object (directly `return
+	// e.getScratch()` or through such a helper); ReleasesParams[i] marks
+	// a function that passes its i-th parameter to putScratch/pool.Put
+	// (directly or through such a helper).
 	AcquiresScratch bool
 	ReleasesParams  []bool
 
@@ -110,34 +105,13 @@ func externAllocFree(fn *types.Func) bool {
 func summarizeDirect(fi *FuncInfo, mod *Module) {
 	info := fi.Pkg.Info
 	s := &fi.Summary
-	s.ReleasesParams = make([]bool, paramCount(fi))
+	s.ReleasesParams = make([]bool, len(fi.params()))
 
 	// Appends in the canonical amortized-growth form `x = append(x, …)`
 	// reuse (and at steady state never grow) their destination; they are
-	// the one append shape the hot path is allowed. Collect them first so
-	// the expression walk below can exempt them.
+	// the one append shape the hot path is allowed. The walk meets the
+	// assignment before the call inside it.
 	amortized := map[*ast.CallExpr]bool{}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || calleeName(call) != "append" || len(call.Args) == 0 {
-				continue
-			}
-			dst := exprKey(ast.Unparen(as.Lhs[i]))
-			if dst != "" && dst == exprKey(ast.Unparen(call.Args[0])) {
-				amortized[call] = true
-			}
-		}
-		return true
-	})
-
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -167,24 +141,23 @@ func summarizeDirect(fi *FuncInfo, mod *Module) {
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(typeOf(info, n.Lhs[0])) {
 				s.alloc(n.Pos(), "string concatenation")
 			}
-		case *ast.SelectorExpr:
-			if pn, ok := info.Uses[selRootIdent(n)].(*types.PkgName); ok {
-				switch pn.Imported().Path() {
-				case "math/rand", "math/rand/v2":
-					s.UsesMathRand = true
+			eachAssign(n, func(lhs, rhs ast.Expr) {
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+				if ok && len(n.Lhs) == len(n.Rhs) && calleeName(call) == "append" && len(call.Args) > 0 {
+					dst := exprKey(lhs)
+					amortized[call] = dst != "" && dst == exprKey(ast.Unparen(call.Args[0]))
 				}
-			}
+			})
 		case *ast.CallExpr:
 			summarizeCall(fi, mod, n, amortized)
 		}
 		return true
 	})
-	summarizePairing(fi)
 }
 
 // summarizeCall classifies one call expression: builtin allocators,
-// allocating conversions, clock/ctx/lock effects, interface boxing at
-// the call boundary, and calls the analysis cannot see through.
+// allocating conversions, ctx checks, interface boxing at the call
+// boundary, and calls the analysis cannot see through.
 func summarizeCall(fi *FuncInfo, mod *Module, call *ast.CallExpr, amortized map[*ast.CallExpr]bool) {
 	info := fi.Pkg.Info
 	s := &fi.Summary
@@ -218,22 +191,9 @@ func summarizeCall(fi *FuncInfo, mod *Module, call *ast.CallExpr, amortized map[
 		}
 	}
 
-	// Clock, ctx and lock effects by shape.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") && pkgIdent(info, sel.X, "time") {
-			s.ReadsClock = true
-		}
-		if (sel.Sel.Name == "Err" || sel.Sel.Name == "Done") && isContextType(typeOf(info, sel.X)) {
-			s.ChecksCtx = true
-		}
-		if isMutexExpr(info, sel.X) {
-			switch sel.Sel.Name {
-			case "Lock", "RLock":
-				s.AcquiresLock = true
-			case "Unlock", "RUnlock":
-				s.ReleasesLock = true
-			}
-		}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
+		(sel.Sel.Name == "Err" || sel.Sel.Name == "Done") && isContextType(typeOf(info, sel.X)) {
+		s.ChecksCtx = true
 	}
 
 	callee, dynamic := staticCallee(info, call)
@@ -282,44 +242,11 @@ func summarizeCall(fi *FuncInfo, mod *Module, call *ast.CallExpr, amortized map[
 	}
 }
 
-// summarizePairing fills the scratch-pool shapes: a body that returns a
-// direct acquire, and parameters passed to a direct release. Transitive
-// helper chains are handled by propagateSummaries.
-func summarizePairing(fi *FuncInfo) {
-	info := fi.Pkg.Info
-	s := &fi.Summary
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if isDirectAcquire(info, res) {
-					s.AcquiresScratch = true
-				}
-			}
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || len(n.Args) != 1 {
-				return true
-			}
-			release := sel.Sel.Name == "putScratch" ||
-				(sel.Sel.Name == "Put" && isPoolExpr(info, sel.X))
-			if !release {
-				return true
-			}
-			if i := paramIndexOf(fi, info, n.Args[0]); i >= 0 {
-				s.ReleasesParams[i] = true
-			}
-		}
-		return true
-	})
-}
-
 // propagateSummaries runs the boolean effect lattice to a fixed point
 // over the call graph: each pass ors every callee's transitive bits into
-// its callers, and flows ReleasesParams through argument positions and
-// AcquiresScratch through returned helper calls. All facts only ever go
+// its callers, flows ReleasesParams through argument positions (from the
+// literal putScratch/pool.Put shapes up through any helper) and
+// AcquiresScratch through returned acquires. All facts only ever go
 // false → true, so the iteration terminates.
 func propagateSummaries(mod *Module) {
 	for _, fi := range mod.Funcs {
@@ -329,37 +256,29 @@ func propagateSummaries(mod *Module) {
 		changed = false
 		for _, fi := range mod.Funcs {
 			s := &fi.Summary
+			info := fi.Pkg.Info
 			for _, edge := range fi.Callees {
-				callee := edge.Info
-				if callee == nil {
-					continue
-				}
-				cs := &callee.Summary
-				changed = orInto(&s.Allocates, cs.Allocates) || changed
-				changed = orInto(&s.SpawnsGoroutine, cs.SpawnsGoroutine) || changed
-				changed = orInto(&s.ReadsClock, cs.ReadsClock) || changed
-				changed = orInto(&s.UsesMathRand, cs.UsesMathRand) || changed
-				changed = orInto(&s.AcquiresLock, cs.AcquiresLock) || changed
-				changed = orInto(&s.ReleasesLock, cs.ReleasesLock) || changed
-				// ChecksCtx flows only when the caller hands the callee a
-				// context to check.
-				if cs.ChecksCtx && callPassesContext(fi.Pkg.Info, edge.Call) {
-					changed = orInto(&s.ChecksCtx, true) || changed
-				}
-				// ReleasesParams: passing parameter i where the callee
-				// releases makes this function release parameter i too.
-				for j, arg := range edge.Call.Args {
-					if j >= len(cs.ReleasesParams) || !cs.ReleasesParams[j] {
-						continue
-					}
-					if i := paramIndexOf(fi, fi.Pkg.Info, arg); i >= 0 && !s.ReleasesParams[i] {
+				// Handing parameter i back to a pool, here or in the
+				// callee, makes this function release parameter i.
+				for _, arg := range releasedArgs(info, mod, edge.Call) {
+					if i := fi.paramIndex(arg); i >= 0 && !s.ReleasesParams[i] {
 						s.ReleasesParams[i] = true
 						changed = true
 					}
 				}
+				if edge.Info == nil {
+					continue
+				}
+				cs := &edge.Info.Summary
+				changed = orInto(&s.Allocates, cs.Allocates) || changed
+				changed = orInto(&s.SpawnsGoroutine, cs.SpawnsGoroutine) || changed
+				// ChecksCtx flows only when the caller hands the callee a
+				// context to check.
+				if cs.ChecksCtx && callPassesContext(info, edge.Call) {
+					changed = orInto(&s.ChecksCtx, true) || changed
+				}
 			}
-			// AcquiresScratch through a returned helper call.
-			if !s.AcquiresScratch && returnsAcquiringCall(fi, mod) {
+			if !s.AcquiresScratch && returnsAcquire(fi, mod) {
 				s.AcquiresScratch = true
 				changed = true
 			}
@@ -375,27 +294,15 @@ func orInto(dst *bool, src bool) bool {
 	return false
 }
 
-// returnsAcquiringCall reports whether some return statement of fi
-// returns a call to a helper whose summary says it acquires.
-func returnsAcquiringCall(fi *FuncInfo, mod *Module) bool {
-	info := fi.Pkg.Info
+// returnsAcquire reports whether some return statement of fi returns a
+// freshly acquired pooled object: the literal shapes, or a call to a
+// helper whose summary says it acquires.
+func returnsAcquire(fi *FuncInfo, mod *Module) bool {
 	found := false
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return !found
-		}
-		for _, res := range ret.Results {
-			call, ok := ast.Unparen(res).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			callee, _ := staticCallee(info, call)
-			if helper := mod.FuncOf(callee); helper != nil && helper.Summary.AcquiresScratch {
-				found = true
+	sameFuncInspect(fi.Decl.Body, func(n ast.Node) bool {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, res := range ret.Results {
+				found = found || acquireExpr(fi.Pkg.Info, mod, res)
 			}
 		}
 		return !found
@@ -414,73 +321,36 @@ func callPassesContext(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// paramIndexOf maps an argument expression to the index of the function
+// params returns the function's parameter names by position (nil for an
+// unnamed parameter; receivers are not parameters).
+func (fi *FuncInfo) params() []*ast.Ident {
+	var out []*ast.Ident
+	if fi.Decl.Type.Params == nil {
+		return nil
+	}
+	for _, field := range fi.Decl.Type.Params.List {
+		if len(field.Names) == 0 {
+			out = append(out, nil)
+		}
+		out = append(out, field.Names...)
+	}
+	return out
+}
+
+// paramIndex maps an argument expression to the index of the function
 // parameter it denotes, or -1 (receivers and locals are not parameters).
-func paramIndexOf(fi *FuncInfo, info *types.Info, arg ast.Expr) int {
+func (fi *FuncInfo) paramIndex(arg ast.Expr) int {
 	id, ok := ast.Unparen(arg).(*ast.Ident)
 	if !ok {
 		return -1
 	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return -1
-	}
-	i := 0
-	if fi.Decl.Type.Params == nil {
-		return -1
-	}
-	for _, field := range fi.Decl.Type.Params.List {
-		for _, name := range field.Names {
-			if info.Defs[name] == obj {
-				return i
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
+	obj := fi.Pkg.Info.Uses[id]
+	for i, name := range fi.params() {
+		if obj != nil && name != nil && fi.Pkg.Info.Defs[name] == obj {
+			return i
 		}
 	}
 	return -1
-}
-
-// paramCount returns the number of (named or anonymous) parameters.
-func paramCount(fi *FuncInfo) int {
-	n := 0
-	if fi.Decl.Type.Params == nil {
-		return 0
-	}
-	for _, field := range fi.Decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			n++
-			continue
-		}
-		n += len(field.Names)
-	}
-	return n
-}
-
-// isDirectAcquire matches the literal acquire shapes poolbalance knows:
-// e.getScratch() and pool.Get() (optionally type-asserted).
-func isDirectAcquire(info *types.Info, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = ast.Unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "getScratch":
-		return true
-	case "Get":
-		return isPoolExpr(info, sel.X)
-	}
-	return false
 }
 
 // externName renders an external function for diagnostics.
@@ -489,14 +359,6 @@ func externName(fn *types.Func) string {
 		return pkg.Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// typeOf returns the static type of e, or nil.
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 func isStringType(t types.Type) bool {
@@ -535,19 +397,4 @@ func isNilExpr(info *types.Info, e ast.Expr) bool {
 
 func (s *Summary) alloc(pos token.Pos, what string) {
 	s.Allocs = append(s.Allocs, AllocSite{Pos: pos, What: what})
-}
-
-// selRootIdent returns the leftmost identifier of a selector chain.
-func selRootIdent(sel *ast.SelectorExpr) *ast.Ident {
-	e := ast.Expr(sel)
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.Ident:
-			return x
-		default:
-			return nil
-		}
-	}
 }

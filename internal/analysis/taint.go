@@ -4,17 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// taint.go is the summary layer of the wiretaint analyzer (wiretaint.go):
-// per-function taint facts computed over the whole module and propagated
+// taint.go holds the two halves of wire-taint tracking that wiretaint.go
+// reports from: the lowering of a CFG node to taint events — the one
+// place that knows what a source, a guard, a sink or an assignment looks
+// like in the AST — and the module-wide summary, which closes over each
+// function's events flow-insensitively and propagates per-function facts
 // through static call edges, so helper-wrapped sources and sinks are
-// understood across functions.
+// understood across functions. The path-sensitive reporter replays the
+// same events block by block.
 //
-// The facts mirror the pool-pairing shapes in summary.go:
+// The facts mirror the pool shapes in summary.go:
 //
 //   - TaintsResults: some return value derives from an untrusted source
 //     (a binary frame read, strconv parse of a query parameter, JSON
@@ -28,11 +31,10 @@ import (
 //     without ever being bounds-checked in the body, directly or by
 //     forwarding it to another sink parameter.
 //
-// Sources are seeded only in the taint-scoped packages (the serving
-// tier: internal/wire, internal/server, internal/router, plus analyzer
-// fixtures) — binary reads in trusted persistence files are not
-// attacker-controlled. Sink and store facts are computed module-wide so
-// a scoped caller sees through helpers wherever they live.
+// Sources are seeded only in wiretaint's packages (ruleScope) — binary
+// reads in trusted persistence files are not attacker-controlled. Sink
+// and store facts are computed module-wide so a scoped caller sees
+// through helpers wherever they live.
 //
 // Sanitizers are syntactic by design: a comparison (<, <=, >, >=, ==,
 // !=) whose operand mentions a value "bare" (possibly under
@@ -40,435 +42,227 @@ import (
 // clears its taint, and a helper can be trusted wholesale with a
 // //lint:sanitized marker in its doc comment. The flow-insensitive
 // summary treats a key guarded anywhere in the body as clean
-// everywhere; the per-function reporting flow in wiretaint.go is
-// path-sensitive and stricter.
+// everywhere; the reporter is path-sensitive and stricter.
 
-// sanitizedPrefix marks a helper whose callers may trust its arguments
+// sanitizedMarker marks a helper whose callers may trust its arguments
 // and results as bounds-checked. The marker goes in the function's doc
 // comment, followed by a reason (like //lint:hotpath).
-const sanitizedPrefix = "//lint:sanitized"
+const sanitizedMarker = "//lint:sanitized"
 
-// sanitizedMarked reports whether the declaration's doc comment carries
-// the //lint:sanitized marker.
-func sanitizedMarked(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == sanitizedPrefix || strings.HasPrefix(text, sanitizedPrefix+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// taintScope reports whether the package handles untrusted wire input:
-// the binary codec, the shard server (TCP listener and HTTP bodies),
-// and the router (HTTP bodies and shard responses). Fixtures are always
-// in scope.
-func taintScope(pkg *Package) bool {
-	if fixturePkg(pkg) {
-		return true
-	}
-	rel, ok := modRelPath(pkg)
-	if !ok {
-		return false
-	}
-	switch rel {
-	case "internal/wire", "internal/server", "internal/router":
-		return true
-	}
-	return false
-}
-
-// Pseudo-keys used as assignment targets in the local taint graph.
+// Pseudo-keys the summary uses as assignment targets: the function's
+// results, and a store through its i-th parameter.
 const taintRetKey = "\x00ret"
 
 func taintParamKey(i int) string { return "\x00p" + strconv.Itoa(i) }
 
-// taintLocal is the precomputed, AST-free view of one body that the
-// module-wide fixed point re-evaluates each round: assignment edges,
-// call-argument edges, guarded keys, and sink sites.
-type taintLocal struct {
-	// assigns are the dataflow edges lhs ← rhs. lhs is an exprKey, the
-	// pseudo return key, or a pseudo param-store key.
-	assigns []taintAssign
-	// calls records every statically resolved module call argument, for
-	// TaintsParams seeding and TaintSinkParams forwarding.
-	calls []taintCallArg
-	// guarded holds every key that appears bare in a comparison (or as
-	// an argument to a //lint:sanitized helper) anywhere in the body.
-	guarded map[string]bool
-	// sinks lists the keys mentioned at each local size/index sink.
-	sinks [][]string
-	// params holds the parameter name keys by index ("" if unnamed).
-	params []string
+// A taintTerm is one piece of an expression that can carry wire data: a
+// variable chain ("h.n"), the result of a module function, or — with
+// neither set — a direct untrusted read.
+type taintTerm struct {
+	key    string
+	callee *FuncInfo
 }
 
-// taintAssign is one edge of the local taint graph.
-type taintAssign struct {
-	lhs string
-	// keys are the exprKeys mentioned in the rhs; taint flows from any
-	// tainted key.
-	keys []string
-	// callees are the statically resolved module calls in the rhs;
-	// taint flows from any callee with TaintsResults.
-	callees []*types.Func
-	// source marks an rhs containing a direct untrusted read.
-	source bool
+// taintEventKind says what a CFG node does to the taint state.
+type taintEventKind uint8
+
+const (
+	// evGuard: key was compared against something (or passed to a
+	// //lint:sanitized helper) — a bounds check.
+	evGuard taintEventKind = iota
+	// evSink: terms reach the size/index sink `what` at pos.
+	evSink
+	// evStore: key receives wire data outright (a JSON decode target).
+	evStore
+	// evAssign: key is assigned terms; a compound assignment (+=) also
+	// keeps what key held. Without terms the value is clean.
+	evAssign
+	// evCallArg: terms are argument arg of module function callee, at
+	// pos; key is the variable the callee may write through (&v → v).
+	evCallArg
+)
+
+// A taintEvent is one effect of one CFG node, with everything either
+// consumer needs and no AST left in it.
+type taintEvent struct {
+	kind     taintEventKind
+	key      string
+	terms    []taintTerm
+	compound bool
+	pos      token.Pos
+	what     string
+	callee   *FuncInfo
+	arg      int
 }
 
-// taintCallArg is one argument position of a statically resolved call.
-type taintCallArg struct {
-	callee *types.Func
-	arg    int
-	// key is the argument's exprKey with a leading & stripped — the
-	// variable the callee may write through when it TaintsParams.
-	key string
-	// keys are every key mentioned in the argument, for sink-param
-	// forwarding.
-	keys []string
+// taintLowerer lowers the CFG nodes of one function body to events,
+// appended to evs.
+type taintLowerer struct {
+	info *types.Info
+	mod  *Module
+	cfg  *CFG
+	// fn is the declared function when lowering for its summary, where
+	// returns and stores through parameters are facts about it; nil for
+	// the reporter, which has no use for them.
+	fn *FuncInfo
+	// sources: the package handles wire input, so direct reads and JSON
+	// decodes in it are untrusted (always, for the reporter).
+	sources bool
+	evs     []taintEvent
 }
 
-// taintDirect precomputes fi's local taint graph. Called from
-// BuildModule after every FuncInfo exists, so //lint:sanitized callees
-// resolve immediately.
-func taintDirect(fi *FuncInfo, mod *Module) {
-	info := fi.Pkg.Info
-	tl := &taintLocal{guarded: map[string]bool{}, params: paramKeys(fi)}
-	fi.taint = tl
-	fi.Summary.TaintsParams = make([]bool, paramCount(fi))
-	fi.Summary.TaintSinkParams = make([]bool, paramCount(fi))
-	scoped := taintScope(fi.Pkg)
-
-	addAssign := func(lhs string, rhs ast.Expr) {
-		if lhs == "" {
-			return
-		}
-		a := taintAssign{lhs: lhs}
-		taintExprFacts(info, mod, rhs, scoped, &a)
-		tl.assigns = append(tl.assigns, a)
+func (l *taintLowerer) sink(e ast.Expr, what string) {
+	if terms := l.terms(e); len(terms) > 0 {
+		l.evs = append(l.evs, taintEvent{kind: evSink, terms: terms, pos: e.Pos(), what: what})
 	}
-	addSink := func(exprs ...ast.Expr) {
-		var keys []string
-		for _, e := range exprs {
-			if e == nil {
-				continue
-			}
-			keys = append(keys, exprKeys(e)...)
-		}
-		if len(keys) > 0 {
-			tl.sinks = append(tl.sinks, keys)
+}
+
+func (l *taintLowerer) guard(keys []string) {
+	for _, k := range keys {
+		l.evs = append(l.evs, taintEvent{kind: evGuard, key: k})
+	}
+}
+
+// assign emits key ← rhs; a nil rhs is a clean value.
+func (l *taintLowerer) assign(key string, rhs ast.Expr, compound bool) {
+	if key == "" || key == "_" {
+		return
+	}
+	ev := taintEvent{kind: evAssign, key: key, compound: compound}
+	if rhs != nil {
+		ev.terms = l.terms(rhs)
+	}
+	l.evs = append(l.evs, ev)
+}
+
+// lower appends the events of one shallow CFG node, in the order the
+// reporter must apply them: guard sanitization first (`n < len(b) &&
+// b[n]` guards before it indexes), then sinks and call effects in
+// evaluation order, then definitions — the right-hand side was evaluated
+// under the state before them.
+func (l *taintLowerer) lower(n ast.Node) {
+	if e, ok := n.(ast.Expr); ok {
+		switch l.cfg.Conds[e] {
+		case token.IF:
+			l.guard(comparisonKeys(e))
+		case token.FOR:
+			l.sink(e, "a loop bound")
 		}
 	}
 
-	sameFuncInspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			for _, k := range comparisonKeys(n.Cond) {
-				tl.guarded[k] = true
-			}
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				addSink(n.Cond)
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				rhs := pairedRhs(n.Lhs, n.Rhs, i)
-				lhs := ast.Unparen(lhs)
-				addAssign(exprKey(lhs), rhs)
-				if pi := paramStoreIndex(fi, info, lhs); pi >= 0 {
-					addAssign(taintParamKey(pi), rhs)
-				}
-			}
-		case *ast.DeclStmt:
-			gd, ok := n.Decl.(*ast.GenDecl)
-			if !ok {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					var rhs ast.Expr
-					switch {
-					case len(vs.Names) == len(vs.Values):
-						rhs = vs.Values[i]
-					case len(vs.Values) == 1:
-						rhs = vs.Values[0]
-					}
-					if rhs != nil {
-						addAssign(name.Name, rhs)
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			keyBounded := rangeKeyBounded(info, n.X)
-			for _, v := range []ast.Expr{n.Key, n.Value} {
-				if v == nil || (v == n.Key && keyBounded) {
-					continue
-				}
-				if id, ok := ast.Unparen(v).(*ast.Ident); ok {
-					addAssign(id.Name, n.X)
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				addAssign(taintRetKey, res)
-			}
-			if len(n.Results) == 0 {
-				for _, name := range namedResults(fi) {
-					a := taintAssign{lhs: taintRetKey, keys: []string{name}}
-					tl.assigns = append(tl.assigns, a)
-				}
-			}
+	InspectShallow(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.CallExpr:
+			l.call(m)
 		case *ast.IndexExpr:
-			if indexableSink(info, n) {
-				addSink(n.Index)
+			if indexableSink(l.info, m) {
+				l.sink(m.Index, "an index")
 			}
 		case *ast.SliceExpr:
-			addSink(n.Low, n.High, n.Max)
-		case *ast.CallExpr:
-			taintCallFacts(fi, mod, n, scoped, addSink)
+			for _, bound := range []ast.Expr{m.Low, m.High, m.Max} {
+				if bound != nil {
+					l.sink(bound, "a slice bound")
+				}
+			}
 		}
 		return true
 	})
-}
 
-// taintCallFacts classifies one call for the local graph: sanitized
-// helpers guard their arguments, module calls contribute argument
-// edges, json decodes seed struct taint, make/io-limit shapes are
-// sinks.
-func taintCallFacts(fi *FuncInfo, mod *Module, call *ast.CallExpr, scoped bool, addSink func(...ast.Expr)) {
-	info := fi.Pkg.Info
-	tl := fi.taint
-
-	if isMakeCall(info, call) && len(call.Args) > 1 {
-		addSink(call.Args[1:]...)
-		return
-	}
-	if i := ioLimitArg(info, call); i >= 0 && i < len(call.Args) {
-		addSink(call.Args[i])
-	}
-	if scoped {
-		if i, ok := jsonDecodeArg(info, call); ok && i < len(call.Args) {
-			tl.assigns = append(tl.assigns, taintAssign{
-				lhs:    addrKey(call.Args[i]),
-				source: true,
-			})
+	as, _ := n.(*ast.AssignStmt)
+	compound := as != nil && as.Tok != token.ASSIGN && as.Tok != token.DEFINE
+	eachAssign(n, func(lhs, rhs ast.Expr) {
+		l.assign(exprKey(lhs), rhs, compound)
+		if l.fn != nil {
+			if pi := paramStoreIndex(l.fn, lhs); pi >= 0 {
+				l.assign(taintParamKey(pi), rhs, false)
+			}
+		}
+	})
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		// A range key over a slice/array/string is an index the runtime
+		// bounds for us; only the element values carry the taint. Map
+		// range keys are attacker content like the values.
+		keyBounded := rangeKeyBounded(l.info, n.X)
+		for _, v := range []ast.Expr{n.Key, n.Value} {
+			if id, ok := v.(*ast.Ident); ok {
+				if v == n.Key && keyBounded {
+					l.assign(id.Name, nil, false)
+				} else {
+					l.assign(id.Name, n.X, false)
+				}
+			}
+		}
+	case *ast.ReturnStmt:
+		if l.fn == nil {
+			break
+		}
+		for _, res := range n.Results {
+			l.assign(taintRetKey, res, false)
+		}
+		if len(n.Results) == 0 && l.fn.Decl.Type.Results != nil {
+			// A bare return returns the named results.
+			for _, field := range l.fn.Decl.Type.Results.List {
+				for _, name := range field.Names {
+					l.assign(taintRetKey, name, false)
+				}
+			}
 		}
 	}
+}
 
-	callee, _ := staticCallee(info, call)
-	cfi := mod.FuncOf(callee)
+// call lowers one call expression: make sizes and io read limits are
+// sinks, a JSON decode stores wire data through its target, a
+// //lint:sanitized helper guards its arguments, and any other module
+// function gets one evCallArg per argument for its summary to judge.
+func (l *taintLowerer) call(call *ast.CallExpr) {
+	if isBuiltinCall(l.info, call, "make") {
+		for _, arg := range call.Args[1:] {
+			l.sink(arg, "a make size")
+		}
+		return
+	}
+	callee, _ := staticCallee(l.info, call)
+	if i := ioLimitArg(callee); i >= 0 && i < len(call.Args) {
+		l.sink(call.Args[i], "an io read limit")
+	}
+	if i := jsonDecodeArg(callee); l.sources && i >= 0 && i < len(call.Args) {
+		if k := addrKey(call.Args[i]); k != "" {
+			l.evs = append(l.evs, taintEvent{kind: evStore, key: k})
+		}
+	}
+	cfi := l.mod.FuncOf(callee)
 	if cfi == nil {
 		return
 	}
-	if cfi.Sanitized {
-		for _, arg := range call.Args {
-			for _, k := range exprKeys(arg) {
-				tl.guarded[k] = true
-			}
-		}
-		return
-	}
 	for i, arg := range call.Args {
-		tl.calls = append(tl.calls, taintCallArg{
-			callee: callee,
-			arg:    i,
-			key:    addrKey(arg),
-			keys:   exprKeys(arg),
-		})
-	}
-}
-
-// propagateTaint runs the taint facts to a fixed point over the call
-// graph. Every fact is monotone (false → true only) and the local
-// graphs are precomputed, so each round is pure data flow.
-func propagateTaint(mod *Module) {
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range mod.Funcs {
-			if taintEval(fi, mod) {
-				changed = true
-			}
+		if cfi.Sanitized {
+			l.guard(exprKeys(arg))
+		} else {
+			l.evs = append(l.evs, taintEvent{kind: evCallArg, key: addrKey(arg), terms: l.terms(arg), pos: arg.Pos(), callee: cfi, arg: i})
 		}
 	}
 }
 
-// taintEval recomputes fi's taint facts from its local graph and the
-// current callee summaries, reporting whether anything changed.
-func taintEval(fi *FuncInfo, mod *Module) bool {
-	if fi.Sanitized {
-		return false
-	}
-	tl := fi.taint
-	s := &fi.Summary
-
-	tainted := map[string]bool{}
-	add := func(k string) bool {
-		if k == "" || tl.guarded[k] || tainted[k] {
-			return false
-		}
-		tainted[k] = true
-		return true
-	}
-	// Seeds: direct sources and callees that write taint through an
-	// argument we hand them.
-	for _, a := range tl.assigns {
-		if a.source {
-			add(a.lhs)
-		}
-	}
-	for _, c := range tl.calls {
-		cfi := mod.FuncOf(c.callee)
-		if cfi == nil || c.key == "" {
-			continue
-		}
-		if c.arg < len(cfi.Summary.TaintsParams) && cfi.Summary.TaintsParams[c.arg] {
-			add(c.key)
-		}
-	}
-	// Closure over the assignment edges.
-	for again := true; again; {
-		again = false
-		for _, a := range tl.assigns {
-			if tainted[a.lhs] || tl.guarded[a.lhs] || a.lhs == "" {
-				continue
-			}
-			if anyPrefixIn(a.keys, tainted, tl.guarded) || anyTaintsResults(a.callees, mod) {
-				if add(a.lhs) {
-					again = true
-				}
-			}
-		}
-	}
-
-	changed := false
-	changed = orInto(&s.TaintsResults, tainted[taintRetKey]) || changed
-
-	for i, pname := range tl.params {
-		if !s.TaintsParams[i] {
-			visible := tainted[taintParamKey(i)]
-			// A pointer parameter handed whole to a tainting callee, or
-			// a tainted selector rooted at the parameter, is a
-			// caller-visible store too.
-			for k := range tainted {
-				if pname != "" && k != pname && strings.HasPrefix(k, pname+".") {
-					visible = true
-				}
-			}
-			if !visible && pname != "" && tainted[pname] && pointerLike(paramType(fi, i)) {
-				visible = true
-			}
-			if visible {
-				s.TaintsParams[i] = true
-				changed = true
-			}
-		}
-		if !s.TaintSinkParams[i] && pname != "" && !tl.guarded[pname] {
-			if paramReachesSink(fi, mod, pname) {
-				s.TaintSinkParams[i] = true
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// paramReachesSink reports whether values derived from the named
-// parameter reach a local sink or an unguarded sink parameter of a
-// callee, never passing a guard on the way.
-func paramReachesSink(fi *FuncInfo, mod *Module, pname string) bool {
-	tl := fi.taint
-	derived := map[string]bool{pname: true}
-	for again := true; again; {
-		again = false
-		for _, a := range tl.assigns {
-			if a.lhs == "" || derived[a.lhs] || tl.guarded[a.lhs] {
-				continue
-			}
-			if anyPrefixIn(a.keys, derived, tl.guarded) {
-				derived[a.lhs] = true
-				again = true
-			}
-		}
-	}
-	for _, keys := range tl.sinks {
-		if anyPrefixIn(keys, derived, tl.guarded) {
-			return true
-		}
-	}
-	for _, c := range tl.calls {
-		cfi := mod.FuncOf(c.callee)
-		if cfi == nil || c.arg >= len(cfi.Summary.TaintSinkParams) || !cfi.Summary.TaintSinkParams[c.arg] {
-			continue
-		}
-		if anyPrefixIn(c.keys, derived, tl.guarded) {
-			return true
-		}
-	}
-	return false
-}
-
-// anyPrefixIn reports whether any key (or a dot-prefix of it) is in
-// set, with guarded keys treated as clean.
-func anyPrefixIn(keys []string, set, guarded map[string]bool) bool {
-	for _, k := range keys {
-		if keyPrefixIn(k, set, guarded) {
-			return true
-		}
-	}
-	return false
-}
-
-// keyPrefixIn walks k and its dot-prefixes from longest to shortest;
-// the first mark found decides (a guarded child overrides a tainted
-// parent).
-func keyPrefixIn(k string, set, guarded map[string]bool) bool {
-	for {
-		if guarded[k] {
-			return false
-		}
-		if set[k] {
-			return true
-		}
-		i := strings.LastIndexByte(k, '.')
-		if i < 0 {
-			return false
-		}
-		k = k[:i]
-	}
-}
-
-func anyTaintsResults(callees []*types.Func, mod *Module) bool {
-	for _, fn := range callees {
-		if cfi := mod.FuncOf(fn); cfi != nil && cfi.Summary.TaintsResults {
-			return true
-		}
-	}
-	return false
-}
-
-// taintExprFacts fills a with the keys, module callees, and source
-// flag of one rhs expression (never descending into function
-// literals).
-func taintExprFacts(info *types.Info, mod *Module, rhs ast.Expr, scoped bool, a *taintAssign) {
+// terms returns the pieces of e that can carry wire data, in evaluation
+// order. A variable chain decides for the whole chain (descending
+// further would find a tainted parent under a sanitized child). A
+// resolved call contributes its result taint, by its summary, never its
+// arguments' taint; a dynamic call contributes nothing; conversions and
+// builtins let taint through — except make and new, whose results are
+// fresh memory (a tainted size is reported at the sink instead).
+func (l *taintLowerer) terms(e ast.Expr) []taintTerm {
+	var out []taintTerm
 	seen := map[string]bool{}
-	ast.Inspect(rhs, func(n ast.Node) bool {
+	ast.Inspect(e, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		if e, ok := n.(ast.Expr); ok {
-			if k := exprKey(e); k != "" {
-				// Stop at the longest chain: a guarded h.n must not expose
-				// its tainted root h.
+		if x, ok := n.(ast.Expr); ok {
+			if k := exprKey(x); k != "" {
 				if !seen[k] {
 					seen[k] = true
-					a.keys = append(a.keys, k)
+					out = append(out, taintTerm{key: k})
 				}
 				return false
 			}
@@ -477,24 +271,169 @@ func taintExprFacts(info *types.Info, mod *Module, rhs ast.Expr, scoped bool, a 
 		if !ok {
 			return true
 		}
-		if scoped && isTaintSourceCall(info, call) {
-			a.source = true
+		if isBuiltinCall(l.info, call, "make") || isBuiltinCall(l.info, call, "new") {
 			return false
 		}
-		callee, dynamic := staticCallee(info, call)
-		if callee != nil {
-			// A resolved call contributes its result taint (via the
-			// callee's summary), never its arguments' taint.
-			if cfi := mod.FuncOf(callee); cfi != nil && !cfi.Sanitized {
-				a.callees = append(a.callees, callee)
+		if isTaintSourceCall(l.info, call) {
+			if l.sources {
+				out = append(out, taintTerm{})
 			}
 			return false
 		}
-		if dynamic {
+		callee, dynamic := staticCallee(l.info, call)
+		if callee != nil {
+			if cfi := l.mod.FuncOf(callee); cfi != nil && !cfi.Sanitized {
+				out = append(out, taintTerm{callee: cfi})
+			}
 			return false
 		}
-		return true // conversion or builtin: taint flows through
+		return !dynamic
 	})
+	return out
+}
+
+// taintLocal is the AST-free view of one declared function that the
+// module-wide fixed point re-evaluates each round.
+type taintLocal struct {
+	events []taintEvent
+	// params holds the parameter name keys by index ("" if unnamed).
+	params []string
+}
+
+// taintDirect lowers fi's body. Called from BuildModule after every
+// FuncInfo exists, so //lint:sanitized callees resolve immediately.
+func taintDirect(fi *FuncInfo, mod *Module) {
+	tl := &taintLocal{}
+	fi.taint = tl
+	for _, name := range fi.params() {
+		key := ""
+		if name != nil {
+			key = name.Name
+		}
+		tl.params = append(tl.params, key)
+	}
+	fi.Summary.TaintsParams = make([]bool, len(tl.params))
+	fi.Summary.TaintSinkParams = make([]bool, len(tl.params))
+
+	cfg := BuildCFG(fi.Decl.Body)
+	l := &taintLowerer{info: fi.Pkg.Info, mod: mod, cfg: cfg, fn: fi, sources: inScope("wiretaint", fi.Pkg)}
+	for _, b := range cfg.Blocks {
+		for _, n := range b.Nodes {
+			l.lower(n)
+		}
+	}
+	tl.events = l.evs
+}
+
+// propagateTaint runs the taint facts to a fixed point over the call
+// graph. Every fact is monotone (false → true only) and the events are
+// precomputed, so each round is pure data flow.
+func propagateTaint(mod *Module) {
+	for changed := true; changed; {
+		changed = false
+		for _, fi := range mod.Funcs {
+			if taintEval(fi) {
+				changed = true
+			}
+		}
+	}
+}
+
+// flagAt is bs[i], false out of range (variadic calls pass more
+// arguments than the callee declares parameters).
+func flagAt(bs []bool, i int) bool { return i < len(bs) && bs[i] }
+
+// close is the flow-insensitive solve: one state for the whole body, in
+// which a key guarded anywhere is clean everywhere and every key in
+// seeds is tainted; assignments then taint their unmarked targets to a
+// fixed point. With keysOnly, only variables carry taint (what derives
+// from a parameter), not callee results or direct reads.
+func (tl *taintLocal) close(seeds []string, keysOnly bool) taintFlowState {
+	st := taintFlowState{}
+	for _, ev := range tl.events {
+		if ev.kind == evGuard {
+			st[ev.key] = markSanitized
+		}
+	}
+	for _, k := range seeds {
+		if k != "" && st[k] == 0 {
+			st[k] = markTainted
+		}
+	}
+	for again := true; again; {
+		again = false
+		for _, ev := range tl.events {
+			if ev.kind == evAssign && st[ev.key] == 0 {
+				if _, ok := st.witness(ev.terms, keysOnly); ok {
+					st[ev.key] = markTainted
+					again = true
+				}
+			}
+		}
+	}
+	return st
+}
+
+// taintEval recomputes fi's taint facts from its events and the current
+// callee summaries, reporting whether anything changed.
+func taintEval(fi *FuncInfo) bool {
+	if fi.Sanitized {
+		return false
+	}
+	tl := fi.taint
+	s := &fi.Summary
+
+	// Seeds: direct stores and callees that write taint through an
+	// argument we hand them.
+	var seeds []string
+	for _, ev := range tl.events {
+		if ev.kind == evStore || ev.kind == evCallArg && flagAt(ev.callee.Summary.TaintsParams, ev.arg) {
+			seeds = append(seeds, ev.key)
+		}
+	}
+	st := tl.close(seeds, false)
+
+	changed := orInto(&s.TaintsResults, st[taintRetKey] == markTainted)
+	for i, pname := range tl.params {
+		if !s.TaintsParams[i] {
+			visible := st[taintParamKey(i)] == markTainted
+			// A pointer parameter handed whole to a tainting callee, or
+			// a tainted selector rooted at the parameter, is a
+			// caller-visible store too.
+			for k, m := range st {
+				if m == markTainted && pname != "" && strings.HasPrefix(k, pname+".") {
+					visible = true
+				}
+			}
+			if !visible && pname != "" && st[pname] == markTainted && pointerParam(fi, i) {
+				visible = true
+			}
+			if visible {
+				s.TaintsParams[i] = true
+				changed = true
+			}
+		}
+		if !s.TaintSinkParams[i] && pname != "" && st[pname] != markSanitized && tl.paramReachesSink(pname) {
+			s.TaintSinkParams[i] = true
+			changed = true
+		}
+	}
+	return changed
+}
+
+// paramReachesSink reports whether values derived from the named
+// parameter reach a local sink or an unguarded sink parameter of a
+// callee, never passing a guard on the way.
+func (tl *taintLocal) paramReachesSink(pname string) bool {
+	derived := tl.close([]string{pname}, true)
+	for _, ev := range tl.events {
+		if ev.kind == evSink || ev.kind == evCallArg && flagAt(ev.callee.Summary.TaintSinkParams, ev.arg) {
+			if _, ok := derived.witness(ev.terms, true); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // exprKeys returns every distinct exprKey mentioned in e (outside
@@ -527,56 +466,37 @@ func isTaintSourceCall(info *types.Info, call *ast.CallExpr) bool {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Uint16", "Uint32", "Uint64":
-			if t := typeOf(info, sel.X); t != nil {
-				if named, ok := t.(*types.Named); ok {
-					if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "encoding/binary" {
-						return true
-					}
-				}
+			if isNamed(typeOf(info, sel.X), "encoding/binary") {
+				return true
 			}
 		}
 	}
 	callee, _ := staticCallee(info, call)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "strconv" {
-		return false
+	return calleeArg(callee, "strconv", map[string]int{"Atoi": 0, "ParseInt": 0, "ParseUint": 0, "ParseFloat": 0}) >= 0
+}
+
+// calleeArg looks a standard-library callee up in a name → argument
+// index table of one package; -1 when it is not in it.
+func calleeArg(callee *types.Func, pkgPath string, args map[string]int) int {
+	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != pkgPath {
+		return -1
 	}
-	switch callee.Name() {
-	case "Atoi", "ParseInt", "ParseUint", "ParseFloat":
-		return true
+	if i, ok := args[callee.Name()]; ok {
+		return i
 	}
-	return false
+	return -1
 }
 
 // jsonDecodeArg returns the argument index that an encoding/json decode
 // writes through: json.Unmarshal(data, &v) → 1, dec.Decode(&v) → 0.
-func jsonDecodeArg(info *types.Info, call *ast.CallExpr) (int, bool) {
-	callee, _ := staticCallee(info, call)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "encoding/json" {
-		return 0, false
-	}
-	switch callee.Name() {
-	case "Unmarshal":
-		return 1, true
-	case "Decode":
-		return 0, true
-	}
-	return 0, false
+func jsonDecodeArg(callee *types.Func) int {
+	return calleeArg(callee, "encoding/json", map[string]int{"Unmarshal": 1, "Decode": 0})
 }
 
 // ioLimitArg returns the index of the read-limit argument of an io
 // limiting call, or -1.
-func ioLimitArg(info *types.Info, call *ast.CallExpr) int {
-	callee, _ := staticCallee(info, call)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "io" {
-		return -1
-	}
-	switch callee.Name() {
-	case "LimitReader":
-		return 1
-	case "CopyN":
-		return 2
-	}
-	return -1
+func ioLimitArg(callee *types.Func) int {
+	return calleeArg(callee, "io", map[string]int{"LimitReader": 1, "CopyN": 2})
 }
 
 // rangeKeyBounded reports whether ranging over x yields keys the
@@ -596,28 +516,15 @@ func rangeKeyBounded(info *types.Info, x ast.Expr) bool {
 	return true
 }
 
-// isMakeCall matches the builtin make.
-func isMakeCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
-}
-
 // indexableSink reports whether the index expression indexes a
 // length-bounded container (slice, array, string — not a map, whose
 // lookups cannot panic on range) with a value, not a type parameter.
 func indexableSink(info *types.Info, n *ast.IndexExpr) bool {
-	if tv, ok := info.Types[n.X]; !ok || tv.IsType() {
+	tv, ok := info.Types[n.X]
+	if !ok || tv.IsType() || tv.Type == nil {
 		return false
 	}
-	t := typeOf(info, n.X)
-	if t == nil {
-		return false
-	}
-	switch u := t.Underlying().(type) {
+	switch u := tv.Type.Underlying().(type) {
 	case *types.Slice, *types.Array:
 		return true
 	case *types.Pointer:
@@ -634,64 +541,51 @@ func indexableSink(info *types.Info, n *ast.IndexExpr) bool {
 // and other call arguments — but never from an index or slice-bound
 // position (`a[i] == 0` bounds nothing about i).
 func comparisonKeys(cond ast.Expr) []string {
-	out := map[string]bool{}
+	var keys []string
 	ast.Inspect(cond, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || !isComparisonOp(be.Op) {
-			return true
+		if be, ok := n.(*ast.BinaryExpr); ok {
+			switch be.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
+				keys = bareKeys(be.Y, bareKeys(be.X, keys))
+			}
 		}
-		collectBareKeys(be.X, out)
-		collectBareKeys(be.Y, out)
 		return true
 	})
-	keys := make([]string, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	return keys
 }
 
-func isComparisonOp(op token.Token) bool {
-	switch op {
-	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-		return true
-	}
-	return false
-}
-
-// collectBareKeys walks one comparison operand, collecting ident and
-// selector keys but skipping index/slice-bound subtrees: appearing as
-// an index inside a comparison is not a bounds check on the index.
-func collectBareKeys(e ast.Expr, out map[string]bool) {
+// bareKeys walks one comparison operand, appending ident and selector
+// keys but skipping index/slice-bound subtrees: appearing as an index
+// inside a comparison is not a bounds check on the index.
+func bareKeys(e ast.Expr, keys []string) []string {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.UnaryExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.StarExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.BinaryExpr:
-		collectBareKeys(e.X, out)
-		collectBareKeys(e.Y, out)
+		return bareKeys(e.Y, bareKeys(e.X, keys))
 	case *ast.CallExpr:
 		for _, a := range e.Args {
-			collectBareKeys(a, out)
+			keys = bareKeys(a, keys)
 		}
 	case *ast.IndexExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.SliceExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.TypeAssertExpr:
-		collectBareKeys(e.X, out)
+		return bareKeys(e.X, keys)
 	case *ast.SelectorExpr, *ast.Ident:
 		if k := exprKey(e); k != "" {
-			out[k] = true
+			keys = append(keys, k)
 		}
 	}
+	return keys
 }
 
 // addrKey returns the exprKey of an argument with a leading & stripped
@@ -704,94 +598,25 @@ func addrKey(arg ast.Expr) string {
 	return exprKey(arg)
 }
 
-// pairedRhs maps assignment position i to its right-hand side: one-to-
-// one when the counts match, the single call otherwise.
-func pairedRhs(lhs, rhs []ast.Expr, i int) ast.Expr {
-	switch {
-	case len(lhs) == len(rhs):
-		return rhs[i]
-	case len(rhs) == 1:
-		return rhs[0]
-	}
-	return nil
-}
-
 // paramStoreIndex returns the parameter index when lhs writes through a
 // parameter (a field selector, dereference, or element — not a plain
 // rebinding of the parameter name), else -1.
-func paramStoreIndex(fi *FuncInfo, info *types.Info, lhs ast.Expr) int {
+func paramStoreIndex(fi *FuncInfo, lhs ast.Expr) int {
 	switch lhs.(type) {
 	case *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return -1
+		return fi.paramIndex(chainRoot(lhs))
 	}
-	root := lhs
-	for {
-		switch x := root.(type) {
-		case *ast.SelectorExpr:
-			root = x.X
-		case *ast.StarExpr:
-			root = x.X
-		case *ast.IndexExpr:
-			root = x.X
-		case *ast.ParenExpr:
-			root = x.X
-		default:
-			return paramIndexOf(fi, info, root)
-		}
-	}
+	return -1
 }
 
-// paramKeys returns the parameter name keys by index ("" if unnamed).
-func paramKeys(fi *FuncInfo) []string {
-	var out []string
-	if fi.Decl.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fi.Decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			out = append(out, "")
-			continue
-		}
-		for _, name := range field.Names {
-			out = append(out, name.Name)
-		}
-	}
-	return out
-}
-
-// namedResults returns the declared result names (for bare returns).
-func namedResults(fi *FuncInfo) []string {
-	var out []string
-	if fi.Decl.Type.Results == nil {
-		return nil
-	}
-	for _, field := range fi.Decl.Type.Results.List {
-		for _, name := range field.Names {
-			if name.Name != "_" {
-				out = append(out, name.Name)
-			}
-		}
-	}
-	return out
-}
-
-// paramType returns the declared type of parameter i, or nil.
-func paramType(fi *FuncInfo, i int) types.Type {
-	sig, ok := fi.Obj.Type().(*types.Signature)
-	if !ok || i >= sig.Params().Len() {
-		return nil
-	}
-	return sig.Params().At(i).Type()
-}
-
-// pointerLike reports whether writes through a value of this type are
+// pointerParam reports whether writes through fi's i-th parameter are
 // visible to the caller.
-func pointerLike(t types.Type) bool {
-	if t == nil {
+func pointerParam(fi *FuncInfo, i int) bool {
+	sig := fi.Obj.Type().(*types.Signature)
+	if i >= sig.Params().Len() {
 		return false
 	}
-	switch t.Underlying().(type) {
+	switch sig.Params().At(i).Type().Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map:
 		return true
 	}

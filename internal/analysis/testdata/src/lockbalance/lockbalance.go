@@ -116,6 +116,71 @@ func (s *store) leakStripe(i int) {
 	s.shards[i].n++
 }
 
+// okBothSides: the read and the write side of one RWMutex are two
+// resources, each paired on its own.
+func (s *store) okBothSides() int {
+	s.rw.RLock()
+	v := s.val
+	s.rw.RUnlock()
+	s.rw.Lock()
+	s.val = v + 1
+	s.rw.Unlock()
+	return v
+}
+
+// leakWriteUnderRead: the deferred RUnlock covers the read side only;
+// the write side is still held at the exit.
+func (s *store) leakWriteUnderRead() {
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	s.rw.Lock() // want "not matched by Unlock"
+	s.val++
+}
+
+// --- the router's connection-pool shape: lock, pop a free connection or
+// dial, unlock — with an early return on the dial error ---
+
+type connPool struct {
+	mu   sync.Mutex
+	free []int
+}
+
+func dial(addr string) (int, error) { return len(addr), nil }
+
+func (p *connPool) leakDialError(addr string) (int, error) {
+	p.mu.Lock() // want "not matched by Unlock"
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return c, nil
+	}
+	c, err := dial(addr)
+	if err != nil {
+		return 0, err
+	}
+	p.mu.Unlock()
+	return c, nil
+}
+
+// okDialUnlocked is how binclient.go does it: the lock is dropped
+// before dialing, so the error return owes nothing.
+func (p *connPool) okDialUnlocked(addr string) (int, error) {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return c, nil
+	}
+	p.mu.Unlock()
+	c, err := dial(addr)
+	if err != nil {
+		return 0, err
+	}
+	return c, nil
+}
+
 // okTryLock: Try* makes held-ness a data question; the key is skipped.
 func (s *store) okTryLock() bool {
 	if s.mu.TryLock() {

@@ -197,6 +197,36 @@ func (e *engine) badHelperAcquire() int {
 	return s.n // want "use after Put"
 }
 
+// --- one lattice for leak, use and double Put ---
+
+// okMentionBeforeAcquire: s is declared and read before anything is
+// acquired into it. That state is "unacquired", not "released": the nil
+// check is no use after Put and the one release no double Put.
+func (e *engine) okMentionBeforeAcquire() int {
+	var s *scratch
+	n := 0
+	if s != nil {
+		n = s.n
+	}
+	s = e.getScratch()
+	n += s.n
+	e.putScratch(s)
+	return n
+}
+
+// badJoinUse hands the scratch back early on one branch and reads it
+// after the join. The deferred release covers every exit, so there is
+// no leak to report — but it must not switch the flow off either: the
+// read is one use after Put, and the only verdict.
+func (e *engine) badJoinUse(flush bool) int {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	if flush {
+		e.putScratch(s)
+	}
+	return s.n // want "use after Put"
+}
+
 // --- suppression ---
 
 func (e *engine) suppressedUse() int {

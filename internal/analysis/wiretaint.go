@@ -3,7 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
+	"maps"
+	"strings"
 )
 
 // WireTaint is a forward taint analysis over untrusted wire input. The
@@ -39,14 +40,9 @@ var WireTaint = &Analyzer{
 }
 
 func runWireTaint(pass *Pass) error {
-	if !taintScope(pass.Pkg) {
-		return nil
-	}
-	for _, f := range pass.Pkg.Files {
-		eachFunc(f, func(name string, body *ast.BlockStmt) {
-			checkWireTaint(pass, body)
-		})
-	}
+	eachFunc(pass.Pkg, func(_ *ast.FuncType, body *ast.BlockStmt) {
+		checkWireTaint(pass, body)
+	})
 	return nil
 }
 
@@ -71,21 +67,12 @@ func (st taintFlowState) eff(k string) taintMark {
 		if m, ok := st[k]; ok {
 			return m
 		}
-		i := lastDot(k)
+		i := strings.LastIndexByte(k, '.')
 		if i < 0 {
 			return 0
 		}
 		k = k[:i]
 	}
-}
-
-func lastDot(k string) int {
-	for i := len(k) - 1; i >= 0; i-- {
-		if k[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }
 
 // taint marks k tainted and drops stale child marks (a fresh value
@@ -116,13 +103,7 @@ func (st taintFlowState) dropChildren(k string) {
 	}
 }
 
-func (st taintFlowState) clone() taintFlowState {
-	out := make(taintFlowState, len(st))
-	for k, m := range st {
-		out[k] = m
-	}
-	return out
-}
+func (st taintFlowState) clone() taintFlowState { return maps.Clone(st) }
 
 // merge joins src into dst (may-taint): tainted beats sanitized beats
 // absent — the numeric taintMark order — except that a sanitized mark
@@ -153,313 +134,109 @@ func (dst taintFlowState) merge(src taintFlowState) bool {
 	return changed
 }
 
+// joinTaint is merge as the solver's join.
+func joinTaint(cur, out taintFlowState) (taintFlowState, bool) {
+	if cur == nil {
+		return out.clone(), true
+	}
+	return cur, cur.merge(out)
+}
+
 // wtReporter receives sink findings during the reporting pass; nil
 // during the solve.
 type wtReporter func(pos token.Pos, format string, args ...any)
 
-// wtFlow bundles one function's analysis context.
-type wtFlow struct {
-	pass       *Pass
-	guardConds map[ast.Expr]bool
-	forConds   map[ast.Expr]bool
-}
-
+// checkWireTaint lowers one function body to taint events (taint.go)
+// once, solves the may-taint flow over them, and replays each reachable
+// block against its converged entry state to report. Deferred calls run
+// at exit and stay out of the flow.
 func checkWireTaint(pass *Pass, body *ast.BlockStmt) {
-	w := &wtFlow{
-		pass:       pass,
-		guardConds: map[ast.Expr]bool{},
-		forConds:   map[ast.Expr]bool{},
-	}
-	sameFuncInspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			w.guardConds[n.Cond] = true
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				w.forConds[n.Cond] = true
-			}
-		}
-		return true
-	})
-
 	cfg := BuildCFG(body)
-
-	transfer := func(b *CFGBlock, st taintFlowState, rep wtReporter) {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				continue
-			}
-			w.node(n, st, rep)
-		}
-	}
-
-	// Solve to a fixed point, then re-run each reachable block's
-	// transfer against its converged entry state to emit reports.
-	in := map[*CFGBlock]taintFlowState{cfg.Entry: {}}
-	work := []*CFGBlock{cfg.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := in[b].clone()
-		transfer(b, out, nil)
-		for _, s := range b.Succs {
-			cur, seen := in[s]
-			if !seen {
-				in[s] = out.clone()
-				work = append(work, s)
-				continue
-			}
-			if cur.merge(out) {
-				work = append(work, s)
-			}
-		}
-	}
-
-	reported := map[token.Pos]bool{}
+	l := &taintLowerer{info: pass.Pkg.Info, mod: pass.Mod, cfg: cfg, sources: true}
+	events := make([][]taintEvent, len(cfg.Blocks))
 	for _, b := range cfg.Blocks {
-		st, reachable := in[b]
-		if !reachable {
-			continue
-		}
-		transfer(b, st.clone(), func(pos token.Pos, format string, args ...any) {
-			if reported[pos] {
-				return
+		l.evs = nil
+		for _, n := range b.Nodes {
+			if _, ok := n.(*ast.DeferStmt); !ok {
+				l.lower(n)
 			}
-			reported[pos] = true
-			pass.Reportf(pos, format, args...)
-		})
+		}
+		events[b.Index] = l.evs
 	}
+	run := func(b *CFGBlock, in taintFlowState, rep wtReporter) taintFlowState {
+		st := in.clone()
+		for i := range events[b.Index] {
+			st.apply(&events[b.Index][i], rep)
+		}
+		return st
+	}
+
+	in := ForwardFlow(cfg, taintFlowState{}, joinTaint, func(b *CFGBlock, st taintFlowState) taintFlowState {
+		return run(b, st, nil)
+	})
+	reported := map[token.Pos]bool{}
+	EachReached(cfg, in, func(b *CFGBlock, st taintFlowState) {
+		run(b, st, func(pos token.Pos, format string, args ...any) {
+			if !reported[pos] {
+				reported[pos] = true
+				pass.Reportf(pos, format, args...)
+			}
+		})
+	})
 }
 
-// node applies one shallow CFG node: guard sanitization, sink checks,
-// call effects, then definitions.
-func (w *wtFlow) node(n ast.Node, st taintFlowState, rep wtReporter) {
-	info := w.pass.Pkg.Info
-
-	// Guard conditions sanitize the keys they compare before anything
-	// else in the condition is considered a sink (`n < len(b) && b[n]`).
-	if e, ok := n.(ast.Expr); ok && w.guardConds[e] {
-		for _, k := range comparisonKeys(e) {
-			if st.eff(k) == markTainted {
-				st.sanitize(k)
-			}
-		}
-	}
-	if e, ok := n.(ast.Expr); ok && w.forConds[e] {
-		w.sink(e, st, rep, "a loop bound")
-	}
-
-	// Expression-level effects and sinks.
-	InspectShallow(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.CallExpr:
-			w.call(m, st, rep)
-		case *ast.IndexExpr:
-			if indexableSink(info, m) {
-				w.sink(m.Index, st, rep, "an index")
-			}
-		case *ast.SliceExpr:
-			for _, bound := range []ast.Expr{m.Low, m.High, m.Max} {
-				if bound != nil {
-					w.sink(bound, st, rep, "a slice bound")
-				}
-			}
-		}
-		return true
-	})
-
-	// Definitions last: the rhs was evaluated under the pre-state plus
-	// any call effects above.
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range n.Lhs {
-			lhs := ast.Unparen(lhs)
-			k := exprKey(lhs)
-			if k == "" {
-				continue
-			}
-			rhs := pairedRhs(n.Lhs, n.Rhs, i)
-			tainted := rhs != nil && w.exprTainted(rhs, st)
-			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-				// Compound assignment keeps existing taint.
-				tainted = tainted || st.eff(k) == markTainted
-			}
-			if tainted {
-				st.taint(k)
-			} else {
-				st.kill(k)
-			}
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
+// apply runs one event against the state of one path.
+func (st taintFlowState) apply(ev *taintEvent, rep wtReporter) {
+	sink := func(what string) {
+		if rep == nil {
 			return
 		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				var rhs ast.Expr
-				switch {
-				case len(vs.Names) == len(vs.Values):
-					rhs = vs.Values[i]
-				case len(vs.Values) == 1:
-					rhs = vs.Values[0]
-				}
-				if rhs != nil && w.exprTainted(rhs, st) {
-					st.taint(name.Name)
-				} else {
-					st.kill(name.Name)
-				}
-			}
+		if witness, ok := st.witness(ev.terms, false); ok {
+			rep(ev.pos, "wire-tainted %s reaches %s without a bounds check; compare it against a cap or len/cap first", witness, what)
 		}
-	case *ast.RangeStmt:
-		tainted := w.exprTainted(n.X, st)
-		// A range key over a slice/array/string is an index the runtime
-		// bounds for us; only the element values carry the taint. Map
-		// range keys are attacker content like the values.
-		keyBounded := rangeKeyBounded(info, n.X)
-		for _, v := range []ast.Expr{n.Key, n.Value} {
-			if v == nil {
-				continue
-			}
-			if id, ok := ast.Unparen(v).(*ast.Ident); ok && id.Name != "_" {
-				if tainted && !(v == n.Key && keyBounded) {
-					st.taint(id.Name)
-				} else {
-					st.kill(id.Name)
-				}
-			}
+	}
+	switch ev.kind {
+	case evGuard:
+		if st.eff(ev.key) == markTainted {
+			st.sanitize(ev.key)
+		}
+	case evSink:
+		sink(ev.what)
+	case evStore:
+		st.taint(ev.key)
+	case evCallArg:
+		if flagAt(ev.callee.Summary.TaintSinkParams, ev.arg) {
+			sink("a size/index sink inside " + ev.callee.Name())
+		}
+		if flagAt(ev.callee.Summary.TaintsParams, ev.arg) && ev.key != "" {
+			st.taint(ev.key)
+		}
+	case evAssign:
+		_, tainted := st.witness(ev.terms, false)
+		if tainted || ev.compound && st.eff(ev.key) == markTainted {
+			st.taint(ev.key)
+		} else {
+			st.kill(ev.key)
 		}
 	}
 }
 
-// call applies one call expression: sanitized helpers clear their
-// arguments, tainting callees write through theirs, sink-parameter
-// callees and the builtin/io sinks report.
-func (w *wtFlow) call(call *ast.CallExpr, st taintFlowState, rep wtReporter) {
-	info := w.pass.Pkg.Info
-	mod := w.pass.Mod
-
-	if isMakeCall(info, call) {
-		for _, arg := range call.Args[1:] {
-			w.sink(arg, st, rep, "a make size")
-		}
-		return
-	}
-	if i := ioLimitArg(info, call); i >= 0 && i < len(call.Args) {
-		w.sink(call.Args[i], st, rep, "an io read limit")
-	}
-	if i, ok := jsonDecodeArg(info, call); ok && i < len(call.Args) {
-		if k := addrKey(call.Args[i]); k != "" {
-			st.taint(k)
-		}
-	}
-
-	callee, _ := staticCallee(info, call)
-	cfi := mod.FuncOf(callee)
-	if cfi == nil {
-		return
-	}
-	if cfi.Sanitized {
-		for _, arg := range call.Args {
-			for _, k := range exprKeys(arg) {
-				if st.eff(k) == markTainted {
-					st.sanitize(k)
-				}
+// witness names the first wire-derived piece among terms: a tainted
+// key or, unless keysOnly, a direct source read or a helper that returns
+// taint.
+func (st taintFlowState) witness(terms []taintTerm, keysOnly bool) (string, bool) {
+	for _, t := range terms {
+		switch {
+		case t.key != "":
+			if st.eff(t.key) == markTainted {
+				return t.key, true
 			}
-		}
-		return
-	}
-	for i, arg := range call.Args {
-		if i < len(cfi.Summary.TaintSinkParams) && cfi.Summary.TaintSinkParams[i] {
-			w.sink(arg, st, rep, "a size/index sink inside "+cfi.Name())
-		}
-		if i < len(cfi.Summary.TaintsParams) && cfi.Summary.TaintsParams[i] {
-			if k := addrKey(arg); k != "" {
-				st.taint(k)
-			}
+		case keysOnly:
+		case t.callee == nil:
+			return "value", true
+		case t.callee.Summary.TaintsResults:
+			return "result of " + t.callee.Name(), true
 		}
 	}
-}
-
-// sink reports a sink expression that carries taint.
-func (w *wtFlow) sink(e ast.Expr, st taintFlowState, rep wtReporter, what string) {
-	if rep == nil {
-		return
-	}
-	if witness, ok := w.taintWitness(e, st); ok {
-		rep(e.Pos(), "wire-tainted %s reaches %s without a bounds check; compare it against a cap or len/cap first", witness, what)
-	}
-}
-
-// exprTainted reports whether e may carry wire-derived data.
-func (w *wtFlow) exprTainted(e ast.Expr, st taintFlowState) bool {
-	_, ok := w.taintWitness(e, st)
-	return ok
-}
-
-// taintWitness finds the first wire-derived piece of e: a tainted key,
-// a direct source read, or a call to a helper that returns taint.
-// make/new results are fresh memory, never tainted themselves (the
-// tainted size is reported at the sink instead).
-func (w *wtFlow) taintWitness(e ast.Expr, st taintFlowState) (string, bool) {
-	info := w.pass.Pkg.Info
-	mod := w.pass.Mod
-	witness := ""
-	ast.Inspect(e, func(n ast.Node) bool {
-		if witness != "" {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if x, ok := n.(ast.Expr); ok {
-			if k := exprKey(x); k != "" {
-				// The key decides for the whole chain: descending further
-				// would find a tainted parent under a sanitized child.
-				if st.eff(k) == markTainted {
-					witness = k
-				}
-				return false
-			}
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isMakeCall(info, call) || isNewCall(info, call) {
-			return false
-		}
-		if isTaintSourceCall(info, call) {
-			witness = "value"
-			return false
-		}
-		callee, dynamic := staticCallee(info, call)
-		if callee != nil {
-			// A resolved call's result is tainted only when its summary
-			// says so — tainted arguments do not taint the result.
-			if cfi := mod.FuncOf(callee); cfi != nil && !cfi.Sanitized && cfi.Summary.TaintsResults {
-				witness = "result of " + cfi.Name()
-			}
-			return false
-		}
-		if dynamic {
-			return false
-		}
-		return true // conversion or builtin: taint flows through
-	})
-	return witness, witness != ""
-}
-
-// isNewCall matches the builtin new.
-func isNewCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "new" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
+	return "", false
 }

@@ -127,6 +127,13 @@ func (e *Snapshot) ThresholdCtx(ctx context.Context, u uint32, theta float64) ([
 // argument is untouched. All scratch buffers are released on every return
 // path (the deferred putScratch covers cancellation too).
 func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, workers int) ([]Scored, QueryStats, error) {
+	return e.searchRange(ctx, u, k, theta, workers, 0, uint32(e.g.N()))
+}
+
+// searchRange is search over the candidates in the vertex range [lo, hi):
+// the full range scans the plan's list as it is, a shard's range its
+// restriction (a copy, in the same order).
+func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float64, workers int, lo, hi uint32) ([]Scored, QueryStats, error) {
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -138,6 +145,9 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 	// scan can stop at the first bound below the pruning floor.
 	pl := e.queryPlan(qs, u)
 	wd, bs, exactU := pl.wd, pl.cands, pl.exactU
+	if lo > 0 || int(hi) < e.g.N() {
+		bs = pl.restrict(qs, lo, hi)
+	}
 	stats.Candidates = len(bs)
 
 	acc := newTopKAcc(k)

@@ -238,57 +238,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 // lists (score desc, ties by V asc: scoredLess) reproduces the
 // single-node output. Per-shard stats sum to the single-node stats.
 func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float64, lo, hi uint32) ([]Scored, QueryStats, error) {
-	var stats QueryStats
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	qs := e.getScratch()
-	defer e.putScratch(qs)
-
-	pl := e.queryPlan(qs, u)
-	wd, exactU := pl.wd, pl.exactU
-	bs := pl.restrict(qs, lo, hi)
-	stats.Candidates = len(bs)
-
-	acc := newTopKAcc(len(bs))
-	for i := 0; i < len(bs); {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		if bs[i].ub < theta {
-			stats.PrunedByBound += len(bs) - i
-			break
-		}
-		end := i + scoreBlock
-		if end > len(bs) {
-			end = len(bs)
-		}
-		for end > i && bs[end-1].ub < theta {
-			end--
-		}
-		block := bs[i:end]
-		scores := e.scoreBlock(qs, block, wd, theta, exactU, e.p.Workers)
-		for j, b := range block {
-			switch scores[j].cache {
-			case cacheHit:
-				stats.CacheHits++
-			case cacheMiss:
-				stats.CacheMisses++
-			}
-			stats.CacheEvictions += int(scores[j].evicted)
-			switch scores[j].state {
-			case candRoughPruned:
-				stats.PrunedByRough++
-			default:
-				stats.Refined++
-				if scores[j].score >= theta {
-					acc.add(Scored{b.v, scores[j].score})
-				}
-			}
-		}
-		i = end
-	}
-	return acc.result(), stats, nil
+	return e.searchRange(ctx, u, 0, theta, e.p.Workers, lo, hi)
 }
 
 // MergeShardTopK merges per-shard fragments (each sorted by UB desc, V
