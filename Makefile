@@ -46,7 +46,7 @@ lint:
 # RouterTopK/RouterTopKBatch live in internal/router: routed queries over
 # a real 3-shard loopback topology (binary wire). WireCodec measures the
 # binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:

@@ -109,8 +109,10 @@ func summarizeDirect(fi *FuncInfo, mod *Module) {
 
 	// Appends in the canonical amortized-growth form `x = append(x, …)`
 	// reuse (and at steady state never grow) their destination; they are
-	// the one append shape the hot path is allowed. The walk meets the
-	// assignment before the call inside it.
+	// the one append shape the hot path is allowed, and x may be an
+	// element (`rows[t] = append(rows[t], …)`, a pooled row growing into
+	// its own capacity). The walk meets the assignment before the call
+	// inside it.
 	amortized := map[*ast.CallExpr]bool{}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -144,8 +146,8 @@ func summarizeDirect(fi *FuncInfo, mod *Module) {
 			eachAssign(n, func(lhs, rhs ast.Expr) {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if ok && len(n.Lhs) == len(n.Rhs) && calleeName(call) == "append" && len(call.Args) > 0 {
-					dst := exprKey(lhs)
-					amortized[call] = dst != "" && dst == exprKey(ast.Unparen(call.Args[0]))
+					dst := renderKey(lhs, true)
+					amortized[call] = dst != "" && dst == renderKey(ast.Unparen(call.Args[0]), true)
 				}
 			})
 		case *ast.CallExpr:

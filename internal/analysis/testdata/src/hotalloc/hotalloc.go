@@ -18,6 +18,7 @@ type point struct{ x, y int }
 var (
 	sink  []int
 	grown []int
+	rows  [][]int
 	bsink any
 	fsink float64
 )
@@ -71,7 +72,9 @@ func catalogue(xs []int, s1, s2 string) {
 	grown = append(grown, 1) // amortized self-append: silent
 	fresh := append(xs, 1)   // want "append"
 	_ = fresh
-	_ = strconv.Itoa(9) // want "not proven allocation-free"
+	rows[1] = append(rows[1], 1) // a row appended to itself: silent
+	rows[0] = append(rows[1], 1) // want "append"
+	_ = strconv.Itoa(9)          // want "not proven allocation-free"
 }
 
 func box(v any) { bsink = v }

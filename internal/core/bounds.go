@@ -96,29 +96,36 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 // of building the directory — scratch.orderTouched for buckets, enumerating
 // the set bits for a rank bitset — not of a comparison sort.
 //
-// Masses come in two encodings behind one accessor (mass). A sampled
-// distribution stores walk counts, cnt[t][i] of the R walks at verts[t][i],
-// and mass is float64(cnt)·invR — the expression the sampler used to
-// evaluate eagerly, so every score bit is unchanged while a cached copy
-// (prolog.go) spends 4 bytes a vertex where a float64 spent 8. An exact
-// distribution (ExactScoring; never cached) stores float64 probs.
+// Masses come in two encodings behind one accessor (mass), both rows of
+// uint32 words so that a cached copy (prolog.go) is one flat array whatever
+// built it. A sampled distribution stores walk counts, one word a vertex:
+// massw[t][i] of the R walks are at verts[t][i], and mass is
+// float64(count)·invR — the expression the sampler used to evaluate
+// eagerly, so every score bit is unchanged. An exact distribution
+// (exactWalkDistInto) stores the float64 itself, two words a vertex, low
+// half first.
 //
-// The query phase samples one per query (the paper's Algorithm 2 already
-// performs these R = RAlpha walks for the L1 bound) and reuses it both for
-// β and as the u-side of single-pair estimates, which removes the u-side
-// sampling noise from every candidate's score.
+// A query builds one (queryDistInto) — exactly where that is cheap, from
+// the R = RAlpha walks the paper's Algorithm 2 already performs for the L1
+// bound where it is not — and uses it both for β and as the u-side of
+// every candidate's single-pair estimate, which removes the u-side
+// sampling noise from the scores (all of it, when the distribution is
+// exact).
 type walkDist struct {
 	T     int
 	verts [][]uint32
 	dir   [][]uint32
 	shift []uint8
-	// sampled selects the mass encoding: cnt and invR when true, probs
-	// when false.
+	// sampled selects the encoding of massw: walk counts and invR when
+	// true, float64 bits when false.
 	sampled bool
 	invR    float64
-	cnt     [][]uint32
-	probs   [][]float64
+	massw   [][]uint32
 }
+
+// noDist is the distribution of no steps a query plan without candidates
+// stands on; nothing writes to it.
+var noDist walkDist
 
 // denseDiv is the density at which a step's directory becomes a rank
 // bitset: a support of S vertices on an n-vertex graph is dense when
@@ -183,20 +190,17 @@ func (wd *walkDist) reset(T int, sampled bool) {
 		wd.verts = append(wd.verts, nil)
 		wd.dir = append(wd.dir, nil)
 		wd.shift = append(wd.shift, 0)
-		wd.cnt = append(wd.cnt, nil)
-		wd.probs = append(wd.probs, nil)
+		wd.massw = append(wd.massw, nil)
 	}
 	wd.verts = wd.verts[:T]
 	wd.dir = wd.dir[:T]
 	wd.shift = wd.shift[:T]
-	wd.cnt = wd.cnt[:T]
-	wd.probs = wd.probs[:T]
+	wd.massw = wd.massw[:T]
 	for t := 0; t < T; t++ {
 		wd.verts[t] = wd.verts[t][:0]
 		wd.dir[t] = wd.dir[t][:0]
 		wd.shift[t] = 0
-		wd.cnt[t] = wd.cnt[t][:0]
-		wd.probs[t] = wd.probs[t][:0]
+		wd.massw[t] = wd.massw[t][:0]
 	}
 }
 
@@ -286,9 +290,10 @@ func (wd *walkDist) lookup(t int, w uint32) int {
 // mass returns the probability mass of step t's i-th support vertex.
 func (wd *walkDist) mass(t, i int) float64 {
 	if wd.sampled {
-		return float64(wd.cnt[t][i]) * wd.invR
+		return float64(wd.massw[t][i]) * wd.invR
 	}
-	return wd.probs[t][i]
+	m := wd.massw[t][2*i : 2*i+2]
+	return math.Float64frombits(uint64(m[0]) | uint64(m[1])<<32)
 }
 
 // prob returns P{u⁽ᵗ⁾ = w}.
@@ -330,37 +335,59 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 		}
 		wd.setSupport(t, s)
 		for _, w := range wd.verts[t] {
-			wd.cnt[t] = append(wd.cnt[t], uint32(s.cnt[w]))
+			wd.massw[t] = append(wd.massw[t], uint32(s.cnt[w]))
 		}
 	}
 }
 
+// pushDiv sets the relaxation budget of the exact query side: propagating
+// Pᵗe_u may relax RAlpha/pushDiv in-edges over all its steps before the
+// query falls back to the RAlpha sampled walks it was trying to avoid. The
+// budget is stated through RAlpha because that is the work it competes
+// with — RAlpha walks of up to T steps, each a draw and a tally — and a
+// relaxation is a multiply-add next to one of those. See DESIGN.md §4 for
+// the sensitivity runs behind 4.
+const pushDiv = 4
+
+// pushBudget is the number of in-edges exactWalkDistInto may relax for one
+// distribution of a served query.
+func (p *Params) pushBudget() int { return p.RAlpha / pushDiv }
+
 // exactWalkDistInto computes the exact per-step walk distributions Pᵗe_u
-// by sparse propagation into wd. It returns false when any step's support
-// exceeds cap, signalling the caller to fall back to sampling (wd is then
-// in an unspecified state). Mass is propagated in ascending vertex order,
-// so the floating-point result is fully deterministic.
-func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, cap int) bool {
+// by sparse push into wd: step t hands each support vertex's mass to its
+// in-neighbours in equal shares. It returns false as soon as the in-edges
+// relaxed, over all steps together, would number more than budget, and the
+// caller falls back to sampling (wd is then in an unspecified state); a
+// distribution that needs exactly budget relaxations succeeds. Work, not
+// support, is what is bounded: a step costs the in-degrees of its support,
+// which a hub makes large while the support is still one vertex. Vertices
+// are pushed in ascending order and a vertex's in-edges in CSR order, so
+// every mass is the same sum in the same order wherever and however often
+// it is computed — a pure function of (graph, u). The accumulator is
+// compact (scratch.pushMass): it holds one float64 per vertex touched this
+// step, never more than budget.
+//
+//lint:hotpath exact query-side propagation: the whole distribution of most web misses
+func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget int) bool {
 	T := e.p.T
 	wd.reset(T, false)
-	s.ensureAcc()
 	for t := 0; t < T; t++ {
 		s.beginTally()
+		s.push = s.push[:0]
 		if t == 0 {
-			s.addMass(u, 1)
+			s.pushMass(u, 1)
 		} else {
-			prevV, prevP := wd.verts[t-1], wd.probs[t-1]
-			for i, w := range prevV {
+			for i, w := range wd.verts[t-1] {
 				in := e.g.In(w)
 				if len(in) == 0 {
 					continue
 				}
-				share := prevP[i] / float64(len(in))
-				for _, x := range in {
-					s.addMass(x, share)
-				}
-				if len(s.touched) > cap {
+				if budget -= len(in); budget < 0 {
 					return false
+				}
+				share := wd.mass(t-1, i) / float64(len(in))
+				for _, x := range in {
+					s.pushMass(x, share)
 				}
 			}
 		}
@@ -369,10 +396,23 @@ func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, cap int
 		}
 		wd.setSupport(t, s)
 		for _, w := range wd.verts[t] {
-			wd.probs[t] = append(wd.probs[t], s.acc[w])
+			b := math.Float64bits(s.push[s.cnt[w]])
+			wd.massw[t] = append(wd.massw[t], uint32(b), uint32(b>>32))
 		}
 	}
 	return true
+}
+
+// queryDistInto builds the query-side distribution of u into wd: exact
+// when the push fits the budget, and otherwise — around hubs, on graphs
+// whose supports explode — the empirical distribution of RAlpha walks
+// drawn from queryRNG(u), which feeds nothing else. Which of the two
+// depends on the graph and u alone, so every shard, worker and repeat of a
+// query agrees on it.
+func (e *Snapshot) queryDistInto(wd *walkDist, s *scratch, u uint32) {
+	if !e.exactWalkDistInto(wd, s, u, e.p.pushBudget()) {
+		e.sampleWalkDistInto(wd, s, u, e.p.RAlpha, e.queryRNG(u))
+	}
 }
 
 // dotSeries evaluates the truncated series deterministically from two
@@ -534,7 +574,7 @@ func (e *Snapshot) L1Bound(u uint32, d int) float64 {
 	dist := s.distBuf()
 	s.ball, _ = e.g.UndirectedBallInto(u, e.p.DMax, -1, dist, s.ball[:0])
 	defer s.resetDist()
-	e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
+	e.queryDistInto(&s.wd, s, u)
 	tbl := e.computeL1From(s, &s.wd, dist, e.p.DMax)
 	return tbl.bound(d)
 }

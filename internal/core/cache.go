@@ -81,6 +81,13 @@ type CacheStats struct {
 	// entries; it never exceeds BudgetBytes at quiescence.
 	BytesInUse  int64
 	BudgetBytes int64
+	// BuiltExact, BuiltSampled and BuiltEmpty count the query plans built
+	// on a miss by what their distribution came from — the exact push, the
+	// sampled walks it fell back to, nothing at all for a vertex without
+	// candidates. Prolog cache only; they sum to the entries it was offered.
+	BuiltExact   int64
+	BuiltSampled int64
+	BuiltEmpty   int64
 }
 
 func newClockCache[P any](n int, maxBytes int64) *clockCache[P] {

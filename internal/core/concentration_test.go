@@ -13,7 +13,62 @@ import (
 // the Monte-Carlo estimators are unbiased for the truncated series and
 // concentrate as R grows. The paper notes its Hoeffding constants are
 // loose in practice; these tests assert empirical behaviour, not the
-// stated constants.
+// stated constants — except the last, which holds the sampled query side
+// to the Hoeffding radius itself.
+
+// The estimator the exact push replaces wherever it is cheap, and the one
+// every hub still gets: a cell of the sampled distribution, count/R of R
+// independent walks, is a mean of R indicator variables with expectation
+// Pᵗe_u[w], so by Hoeffding (paper §4) it is farther than
+// ε = √(ln(2/δ)/2R) from it with probability at most δ. Over many seeds
+// and every (step, vertex) cell of the exact support — no walk can be
+// anywhere else — the share of cells beyond ε must stay within δ.
+func TestSampledWalkDistWithinHoeffdingRadius(t *testing.T) {
+	g := graph.CopyingModel(2000, 5, 0.3, 21)
+	e := New(g, DefaultParams())
+	s := e.getScratch()
+	defer e.putScratch(s)
+	const delta = 0.05
+	R := e.p.RAlpha
+	eps := math.Sqrt(math.Log(2/delta) / (2 * float64(R)))
+	var exact, sampled walkDist
+	cells, beyond, worst := 0, 0, 0.0
+	// Two hubs a query samples, two vertices it pushes, one whose walks die.
+	for _, u := range []uint32{5, 17, 35, 999, 1999} {
+		if !e.exactWalkDistInto(&exact, s, u, math.MaxInt) {
+			t.Fatal("unbounded push refused")
+		}
+		for seed := uint64(1); seed <= 40; seed++ {
+			e.sampleWalkDistInto(&sampled, s, u, R, rng.New(seed))
+			for step := 0; step < e.p.T; step++ {
+				cell := func(p, q float64) {
+					cells++
+					d := math.Abs(p - q)
+					worst = max(worst, d)
+					if d > eps {
+						beyond++
+					}
+				}
+				exact.forEach(step, func(w uint32, p float64) {
+					q, _ := sampled.prob(step, w)
+					cell(p, q)
+				})
+				sampled.forEach(step, func(w uint32, q float64) {
+					if _, ok := exact.prob(step, w); !ok {
+						t.Fatalf("u=%d seed %d step %d: a walk at vertex %d, where the exact mass is zero", u, seed, step, w)
+					}
+				})
+			}
+		}
+	}
+	t.Logf("%d cells, %d beyond ε = %.5f (δ = %v), largest deviation %.5f", cells, beyond, eps, delta, worst)
+	if cells < 100000 || worst == 0 {
+		t.Fatalf("%d cells with largest deviation %v: nothing was compared", cells, worst)
+	}
+	if float64(beyond) > delta*float64(cells) {
+		t.Fatalf("%d of %d cells are farther than ε = %v from the exact mass: more than δ = %v", beyond, cells, eps, delta)
+	}
+}
 
 func TestSinglePairConcentration(t *testing.T) {
 	g := graph.Collaboration(60, 5, 0.8, 20, 3)
@@ -78,8 +133,8 @@ func TestGammaEstimatorUnbiasedness(t *testing.T) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	var wd walkDist
-	if !e.exactWalkDistInto(&wd, sc, v, 1<<20) {
-		t.Fatal("support cap hit unexpectedly")
+	if !e.exactWalkDistInto(&wd, sc, v, math.MaxInt) {
+		t.Fatal("push budget hit unexpectedly")
 	}
 	tt := 3
 	exactG2 := 0.0
@@ -137,8 +192,8 @@ func TestOneSidedVarianceReduction(t *testing.T) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	var wd walkDist
-	if !e.exactWalkDistInto(&wd, sc, u, 1<<20) {
-		t.Fatal("support cap hit")
+	if !e.exactWalkDistInto(&wd, sc, u, math.MaxInt) {
+		t.Fatal("push budget hit")
 	}
 	variance := func(f func() float64) float64 {
 		var sum, sumsq float64

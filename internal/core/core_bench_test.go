@@ -341,6 +341,26 @@ func BenchmarkSampleWalkDist(b *testing.B) {
 	}
 }
 
+// BenchmarkPushWalkDist is the exact push over the vertices
+// BenchmarkSampleWalkDist samples, under the served budget: what a miss
+// pays first, whether the push completes (the reported share) or is cut
+// off and the sampling above follows.
+func BenchmarkPushWalkDist(b *testing.B) {
+	e := coreBenchEngine(b)
+	n := uint32(e.Graph().N())
+	s := e.getScratch()
+	defer e.putScratch(s)
+	served := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.exactWalkDistInto(&s.wd, s, uint32(i)%n, e.p.pushBudget()) {
+			served++
+		}
+	}
+	b.ReportMetric(float64(served)/float64(b.N), "served")
+}
+
 func BenchmarkComputeL1(b *testing.B) {
 	e := coreBenchEngine(b)
 	r := rng.New(1)

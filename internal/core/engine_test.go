@@ -30,7 +30,7 @@ func TestParamsNormalization(t *testing.T) {
 	if p.DMax != p.T {
 		t.Fatal("DMax should default to T")
 	}
-	if p.BallBudget != 20000 || p.ExactSupportCap != 4096 {
+	if p.BallBudget != 20000 || p.pushBudget() != 2500 {
 		t.Fatalf("budget defaults wrong: %+v", p)
 	}
 	// Out-of-range values are replaced too.

@@ -30,6 +30,7 @@ var hotpathKernels = []string{
 	"core.cachedPlan",
 	"core.dotPositions",
 	"core.dotTally",
+	"core.exactWalkDistInto",
 	"core.get",
 	"core.scoreLanes",
 	"core.setRankSupport",
@@ -82,8 +83,22 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		e.buildFullTally(s, v, R, Rr, R)
 	})
 
-	// The scoring kernels need a query-side distribution.
+	// The exact push, where it succeeds (vertex 500: a few hundred
+	// relaxations over ten steps) and where it gives up at the budget.
 	var wd walkDist
+	for _, from := range []uint32{500, u} {
+		fits := pushWork(e.Snapshot, s, from) <= e.p.pushBudget()
+		if fits != (from == 500) {
+			t.Fatalf("push from %d fits the budget: %v", from, fits)
+		}
+		check("exactWalkDistInto", 20, func() {
+			if e.exactWalkDistInto(&wd, s, from, e.p.pushBudget()) != fits {
+				t.Fatalf("push from %d changed its mind", from)
+			}
+		})
+	}
+
+	// The scoring kernels need a query-side distribution.
 	s.rng.Seed(e.candSeed(u))
 	e.sampleWalkDistInto(&wd, s, u, R, &s.rng)
 
@@ -107,7 +122,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		// The dispatcher above it must add nothing on the one-worker path
 		// (a WaitGroup declared before the fork would).
 		check("scoreBlock", 20, func() {
-			sink += e.scoreBlock(s, block, &wd, floor, false, 1)[0].rough
+			sink += e.scoreBlock(s, block, &wd, floor, 1)[0].rough
 		})
 	}
 	s.rng.Seed(e.candSeed(v))

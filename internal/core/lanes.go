@@ -45,7 +45,7 @@ func laneFit(T, cols, most int) int {
 // walks come from its own vertex-seeded stream (candSeed), so which
 // goroutine scores it — and next to which lane neighbours — cannot change
 // its score.
-func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, floor float64, exactU bool, workers int) []candScore {
+func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, floor float64, workers int) []candScore {
 	if cap(qs.scores) < len(block) {
 		qs.scores = make([]candScore, len(block))
 	}
@@ -53,7 +53,7 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, fl
 	group := laneFit(e.p.T, e.p.RScore, graph.MaxWalkLanes)
 	shares := min(workers, (len(block)+group-1)/group)
 	if shares <= 1 || len(block) < minParallelScore {
-		e.scoreShare(qs, block, scores, wd, floor, exactU, 0, len(block), len(block))
+		e.scoreShare(qs, block, scores, wd, floor, 0, len(block), len(block))
 		return scores
 	}
 	var wg sync.WaitGroup
@@ -63,10 +63,10 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, fl
 			defer wg.Done()
 			s := e.getScratch()
 			defer e.putScratch(s)
-			e.scoreShare(s, block, scores, wd, floor, exactU, w*group, shares*group, group)
+			e.scoreShare(s, block, scores, wd, floor, w*group, shares*group, group)
 		}()
 	}
-	e.scoreShare(qs, block, scores, wd, floor, exactU, 0, shares*group, group)
+	e.scoreShare(qs, block, scores, wd, floor, 0, shares*group, group)
 	wg.Wait()
 	return scores
 }
@@ -76,12 +76,12 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, fl
 // candidates the exact propagation or the tally cache can answer are
 // scored one by one (scoreCandidate), the rest are collected and go
 // through the lane kernel together.
-func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, scores []candScore, wd *walkDist, floor float64, exactU bool, first, stride, group int) {
+func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, scores []candScore, wd *walkDist, floor float64, first, stride, group int) {
 	pend := s.pend[:0]
 	for lo := first; lo < len(block); lo += stride {
 		for j := lo; j < min(lo+group, len(block)); j++ {
 			var ok bool
-			if scores[j], ok = e.scoreCandidate(s, wd, block[j].v, floor, exactU); !ok {
+			if scores[j], ok = e.scoreCandidate(s, wd, block[j].v, floor); !ok {
 				pend = append(pend, int32(j))
 			}
 		}

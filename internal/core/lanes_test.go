@@ -32,7 +32,7 @@ func refDistOf(wd *walkDist) *refDist {
 }
 
 func refCandScore(e *Snapshot, s *scratch, wd *walkDist, rd *refDist, v uint32, floor float64, exactU bool) candScore {
-	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.ExactSupportCap) {
+	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
 		return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}
 	}
 	rough, full, _ := refScores(e, s, rd, v)
@@ -62,16 +62,26 @@ type refQuery struct {
 	bs     []boundedCand
 }
 
+// newRefQuery applies the query side's rule on its own: the distribution
+// is the exact one exactly when pushing it takes no more than the budget
+// (TestPushMatchesDenseReference holds the push itself to a dense
+// reference), and the reference sampler's otherwise.
 func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
 	pl := e.queryPlan(qs, u)
-	wd, exactU, bs := pl.wd, pl.exactU, slices.Clone(pl.cands)
-	q := refQuery{wd: wd, exactU: exactU, bs: bs}
-	if exactU {
+	wd, bs := pl.wd, slices.Clone(pl.cands)
+	s := e.getScratch()
+	defer e.putScratch(s)
+	exact := pushWork(e, s, u) <= e.p.pushBudget()
+	q := refQuery{wd: wd, exactU: exact && e.p.ExactScoring, bs: bs}
+	switch {
+	case len(bs) == 0:
+		q.rd = &refDist{} // nothing is scored against it
+	case exact == wd.sampled:
+		panic(fmt.Sprintf("u=%d: push within budget: %v, plan sampled: %v", u, exact, wd.sampled))
+	case exact:
 		q.rd = refDistOf(wd)
-	} else {
-		s := e.getScratch()
+	default:
 		q.rd = refSample(e, s, u)
-		e.putScratch(s)
 	}
 	return q
 }
@@ -111,14 +121,15 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 }
 
 // TestLaneKernelMatchesReference drives every way a block reaches the
-// lane kernel — adaptive, DisableAdaptive, and the sampled fallback of an
-// exactly propagated query (float masses on the query side) — through
+// lane kernel — adaptive, DisableAdaptive, sampled candidates against an
+// exact query side (float masses; the default on a web graph), and the
+// sampled fallback of ExactScoring's candidate side — through
 // search and the shard scan at 1, 2, 3 and 5 workers, cache off and on,
 // and requires results, pruning counts and every fragment entry to carry
 // the reference's bits; 2- and 3-shard merges must replay to the same.
 func TestLaneKernelMatchesReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds six engines")
+		t.Skip("builds eight engines")
 	}
 	wide := graph.PreferentialAttachment(5000, 10, 0.4, 3)
 	narrow := graph.CopyingModel(2000, 5, 0.3, 21)
@@ -131,9 +142,12 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 	}{
 		{"adaptive", wide, []uint32{4999, 1234, 3100}, func(p *Params) {}},
 		{"noadapt", wide, []uint32{4999, 3777}, func(p *Params) { p.DisableAdaptive = true }},
-		// Supports here straddle the cap: the query propagates exactly,
-		// most candidates do too, one to three of them fall back to walks.
-		{"exact-fallback", narrow, []uint32{68, 71, 74}, func(p *Params) { p.ExactScoring, p.ExactSupportCap = true, 64 }},
+		// The three miss paths: an exact query side, a sampled one, and a
+		// hub H gives no candidate.
+		{"web", narrow, []uint32{35, 17, 0}, func(p *Params) {}},
+		// The queries propagate exactly and most candidates do too; one or
+		// two of each query's are hubs the push budget sends to the walks.
+		{"exact-fallback", narrow, []uint32{26, 35, 39}, func(p *Params) { p.ExactScoring = true }},
 	} {
 		for _, cacheBytes := range []int64{0, 64 << 20} {
 			p := DefaultParams()
@@ -143,7 +157,10 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 			tc.tune(&p)
 			e := Build(tc.g, p).Snapshot
 			theta, n := e.p.Theta, uint32(tc.g.N())
-			if tc.g == wide {
+			switch tc.name {
+			case "web":
+				requireAllClasses(t, tc.name, e, tc.queries)
+			case "adaptive", "noadapt":
 				// Both directory kinds inside one query's distribution.
 				requireBothKinds(t, tc.name, e, tc.queries)
 			}
@@ -211,7 +228,7 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 				e.putScratch(qs)
 			}
 			if tc.name == "exact-fallback" && fellBack < 3 {
-				t.Fatalf("%s: %d candidates fell back to walks — the graph no longer straddles the support cap", tc.name, fellBack)
+				t.Fatalf("%s: %d candidates fell back to walks — the graph no longer straddles the push budget", tc.name, fellBack)
 			}
 		}
 	}
@@ -266,7 +283,7 @@ func TestScoreBlockShapes(t *testing.T) {
 			fewSurvivors = fewSurvivors || survivors > 0 && survivors < graph.MaxWalkLanes
 			raggedSurvivors = raggedSurvivors || survivors > graph.MaxWalkLanes && survivors%graph.MaxWalkLanes != 0
 			for _, workers := range []int{1, 2, 3, 5} {
-				got := e.scoreBlock(qs, q.bs[:L], q.wd, floor, false, workers)
+				got := e.scoreBlock(qs, q.bs[:L], q.wd, floor, workers)
 				for j := range got {
 					want := candScore{score: full[j], rough: rough[j], state: candScored}
 					if rough[j] < 0.3*floor {
@@ -330,8 +347,8 @@ func TestLaneBudget(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	q.bs = q.bs[:min(len(q.bs), 6)]
-	big := slices.Clone(e.scoreBlock(qs, q.bs, q.wd, 0, false, 1))
-	prefix := es.scoreBlock(ss, q.bs, q.wd, 0, false, 1)
+	big := slices.Clone(e.scoreBlock(qs, q.bs, q.wd, 0, 1))
+	prefix := es.scoreBlock(ss, q.bs, q.wd, 0, 1)
 	positive := 0
 	for j := range big {
 		if big[j].state != candScored || math.Float64bits(big[j].rough) != math.Float64bits(prefix[j].score) {

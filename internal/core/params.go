@@ -77,10 +77,13 @@ type Params struct {
 	// farther than DMax from the query are never top-k candidates in
 	// practice. Paper: DMax = T.
 	DMax int
-	// BallBudget caps the number of vertices the per-query local BFS
-	// may visit, keeping query work local on high-expansion graphs.
-	// Candidates beyond the explored region simply fall back to the L2
-	// bound. 0 means the default (20000); negative means unlimited.
+	// BallBudget bounds the per-query local BFS, keeping query work local
+	// on high-expansion graphs: the search stops expanding once it has
+	// visited this many vertices. The check precedes each expansion, not
+	// each visit, so the ball overshoots by the last vertex's neighbours
+	// (23 353 vertices at the default budget on the benchmark's web
+	// graph). Candidates beyond the explored region simply fall back to
+	// the L2 bound. 0 means the default (20000); negative means unlimited.
 	BallBudget int
 	// Strategy selects the candidate enumeration method.
 	Strategy CandidateStrategy
@@ -90,15 +93,13 @@ type Params struct {
 	DisableL2       bool
 	DisableAdaptive bool
 	// ExactScoring replaces Monte-Carlo candidate scores with a
-	// deterministic sparse evaluation of the truncated series whenever
-	// the walk-distribution support stays under ExactSupportCap
-	// (falling back to sampling when it explodes, e.g. around social
-	// hubs). Eliminates sampling noise on locality-friendly graphs at
-	// some query-time cost.
+	// deterministic sparse evaluation of the truncated series wherever
+	// the exact push that builds the query side (RAlpha/4 in-edge
+	// relaxations, bounds.go) reaches on the candidate side too, falling
+	// back to sampling where it does not, e.g. around social hubs.
+	// Eliminates sampling noise on locality-friendly graphs at some
+	// query-time cost.
 	ExactScoring bool
-	// ExactSupportCap bounds the sparse-propagation support per step.
-	// 0 means the default (4096).
-	ExactSupportCap int
 	// D, when non-nil, supplies a custom diagonal correction matrix
 	// (one entry per vertex). When nil the paper's approximation
 	// D = (1−c)·I is used.
@@ -109,7 +110,7 @@ type Params struct {
 	// re-done, never the results: query output is byte-identical with
 	// the cache on or off.
 	CacheBytes int64
-	// PrologBytes bounds the per-snapshot cache of query plans — sampled
+	// PrologBytes bounds the per-snapshot cache of query plans — query-side
 	// walk distribution plus bound-sorted candidate list (prolog.go).
 	// Both are pure functions of (snapshot, query vertex), so caching
 	// them changes where that work happens, never any result. 0 means
@@ -185,9 +186,6 @@ func (p Params) normalized() Params {
 	if p.BallBudget == 0 {
 		p.BallBudget = 20000
 	}
-	if p.ExactSupportCap <= 0 {
-		p.ExactSupportCap = 4096
-	}
 	if p.PrologBytes == 0 {
 		p.PrologBytes = 32 << 20
 	}
@@ -227,7 +225,6 @@ func (p Params) Fingerprint() uint64 {
 	mix(uint64(int64(p.BallBudget)))
 	mix(uint64(p.Strategy))
 	mix(bit(p.DisableL1)<<3 | bit(p.DisableL2)<<2 | bit(p.DisableAdaptive)<<1 | bit(p.ExactScoring))
-	mix(uint64(p.ExactSupportCap))
 	mix(uint64(len(p.D)))
 	for _, d := range p.D {
 		mix(math.Float64bits(d))

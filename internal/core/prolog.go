@@ -9,9 +9,12 @@ import (
 // (cache.go) keyed by query vertex. Everything Algorithm 5 does before it
 // scores its first candidate is a pure function of (snapshot, u):
 //
-//   - the query-side walk distribution: RAlpha walks from u drawn from
-//     queryRNG(u), which is derived only from Params.Seed and u, tabulated
-//     per step (sampleWalkDistInto) and consumed strictly read-only;
+//   - the query-side walk distribution (queryDistInto): Pᵗe_u pushed
+//     exactly along in-edges in ascending vertex order when that takes no
+//     more than pushBudget relaxations — a function of the graph and u —
+//     and otherwise RAlpha walks from u drawn from queryRNG(u), which is
+//     derived only from Params.Seed and u, tabulated per step; consumed
+//     strictly read-only either way;
 //   - the candidate list in bound order: the undirected ball around u to
 //     DMax under BallBudget (graph), Algorithm 2's α/β table over that
 //     ball and the distribution above, the candidates of
@@ -24,9 +27,11 @@ import (
 // join, the bounds and the sort by two slice loads. In the sharded
 // deployment every shard asks for the same plan and filters it to its
 // vertex range (the restriction of a total order is the order of the
-// restriction), so on a hit the duplicated per-query work is gone. Exact
-// scoring (ExactScoring with the support under the cap) derives a
-// different distribution and is never cached.
+// restriction), so on a hit the duplicated per-query work is gone. An
+// exact distribution is cached like a sampled one — ExactScoring reads
+// the same entries and decides from the encoding (scoreCandidate) — and a
+// vertex H gives no candidate is cached as an empty plan over no
+// distribution at all.
 //
 // The two halves have different dependency footprints, which matters to
 // the incremental rebuild only (see carryProlog): the distribution
@@ -34,10 +39,11 @@ import (
 // more.
 
 // prolog is one cached query plan. wd is flat-backed (one allocation
-// holds every step's vertices, walk counts and directory — bucket offsets
-// or rank bitset — another the per-step slice headers) and immutable.
-// plan points at the bound-sorted candidate list, shared read-only by
-// every query that hits;
+// holds every step's directory — bucket offsets or rank bitset —
+// vertices and mass words, another the per-step slice headers) and
+// immutable; an entry built for a vertex without candidates has a wd of
+// no steps and neither allocation. plan points at the bound-sorted
+// candidate list, shared read-only by every query that hits;
 // nil means "not derived yet" (an entry carried across an incremental
 // rebuild), a pointer to an empty or nil slice is the valid plan of a
 // vertex with no candidates. It is set at most once.
@@ -50,62 +56,80 @@ type prolog struct {
 
 type prologEntry = cacheEntry[prolog]
 
-// prologEntryOverhead approximates the fixed per-entry footprint (struct
-// and ring bookkeeping), prologStepOverhead the per-step one (three
-// slice headers and the shift byte), and planOverhead the plan's (slice
-// header and pointer).
+// prologEntryOverhead is the fixed footprint of an entry — the struct in
+// its 160-byte size class and its slot in a ring that grows by doubling —
+// and planOverhead the plan's slice header behind its pointer. Everything
+// else an entry holds is charged by the capacity the allocator gave it
+// (TestPrologEntryAccounting compares the charges with the heap).
 const (
-	prologEntryOverhead = 200
-	prologStepOverhead  = 76
-	planOverhead        = 32
+	prologEntryOverhead = 160 + 16
+	planOverhead        = 24
 )
 
-// planBytes is the charge for a plan of n candidates (id, padding, bound).
-func planBytes(n int) int64 { return planOverhead + 16*int64(n) }
+// The builders an entry's distribution can come from, as PrologStats
+// counts them.
+const (
+	builtExact = iota
+	builtSampled
+	builtEmpty
+)
 
-// newPrologEntry deep-copies the sampled distribution wd into a
-// flat-backed immutable entry without a plan. It charges 8 bytes per
-// support vertex (id + walk count) plus 4 per directory word, whichever
-// kind the step's directory is. A sparse step has no more buckets than
-// support vertices (bucketing) and one closing offset: at most 4 bytes a
-// vertex plus 4 a step. A dense step's rank bitset is 12 bytes per 64
-// graph vertices, rounded up, and a step is dense only from n/denseDiv
-// support vertices on (denseSupport): at most 6 bytes a vertex plus 12 a
-// step. So an entry stays within 14 bytes a vertex plus 12 a step (12
-// and 4 when every step is sparse, as on the web graphs, whose entries
-// this change leaves byte for byte what they were).
+// builderOf tells which builder produced wd.
+func builderOf(wd *walkDist) int {
+	switch {
+	case wd.T == 0:
+		return builtEmpty
+	case wd.sampled:
+		return builtSampled
+	}
+	return builtExact
+}
+
+// newPrologEntry deep-copies the distribution wd into a flat-backed
+// immutable entry without a plan and charges what that allocates: one
+// array of 4-byte words — per step the directory, the vertices and the
+// mass words next to each other, because one lookup touches all three —
+// the 3·T slice headers over it and the shift bytes. A support vertex
+// costs its id, its mass (4 bytes of walk count in a sampled distribution,
+// the 8 of a float64 in an exact one) and its share of the directory: a
+// sparse step has no more buckets than support vertices (bucketing) and
+// one closing offset, a dense step's rank bitset is 12 bytes per 64 graph
+// vertices and a step is dense only from n/denseDiv support vertices on
+// (denseSupport), so at most 6 bytes a vertex. A step-less distribution
+// copies nothing and costs the entry alone.
 func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 	T := wd.T
 	words := 0
 	for t := 0; t < T; t++ {
-		words += 2*len(wd.verts[t]) + len(wd.dir[t])
+		words += len(wd.dir[t]) + len(wd.verts[t]) + len(wd.massw[t])
 	}
-	back := make([]uint32, 0, words)
+	// Grow and Clone size a fresh array to the allocator's class, so the
+	// capacities below are what the entry really holds.
+	back := slices.Grow([]uint32(nil), words)
 	clone := func(xs []uint32) []uint32 {
 		lo := len(back)
 		back = append(back, xs...)
 		return back[lo:len(back):len(back)]
 	}
-	rows := make([][]uint32, 3*T)
-	size := prologEntryOverhead + prologStepOverhead*int64(T) + 4*int64(words)
+	rows := slices.Grow([][]uint32(nil), 3*T)[:3*T]
+	shift := slices.Clone(wd.shift)
+	size := prologEntryOverhead + 4*int64(cap(back)) + 24*int64(cap(rows)) + int64(cap(shift))
 	ent := &prologEntry{key: u, size: size, val: prolog{
 		wd: walkDist{
 			T:       T,
 			verts:   rows[:T:T],
 			dir:     rows[T : 2*T : 2*T],
-			shift:   slices.Clone(wd.shift),
-			sampled: true,
+			shift:   shift,
+			sampled: wd.sampled,
 			invR:    wd.invR,
-			cnt:     rows[2*T:],
+			massw:   rows[2*T:],
 		},
 		wdBytes: size,
 	}}
 	for t := 0; t < T; t++ {
-		// A step's directory, vertices and counts sit next to each other:
-		// one lookup touches all three.
 		ent.val.wd.dir[t] = clone(wd.dir[t])
 		ent.val.wd.verts[t] = clone(wd.verts[t])
-		ent.val.wd.cnt[t] = clone(wd.cnt[t])
+		ent.val.wd.massw[t] = clone(wd.massw[t])
 	}
 	return ent
 }
@@ -118,8 +142,12 @@ func (p *prolog) setPlan(bs []boundedCand) int64 {
 	if !p.plan.CompareAndSwap(nil, &plan) {
 		return 0
 	}
-	return planBytes(len(plan))
+	return planBytes(plan)
 }
+
+// planBytes is the charge for a cached plan: 16 bytes (id, padding, bound)
+// for each candidate its array has room for.
+func planBytes(plan []boundedCand) int64 { return planOverhead + 16*int64(cap(plan)) }
 
 // carryProlog is the prolog cache's carry rule across an incremental
 // rebuild (clockCache.carryForward), for a vertex outside the rebuild's
@@ -131,8 +159,13 @@ func (p *prolog) setPlan(bs []boundedCand) int64 {
 // outside u's walk neighbourhood can change any of those. The carried
 // entry shares the distribution's backing arrays with the old one; the
 // first query to hit it derives the plan against the new snapshot and
-// publishes it (queryPlan).
+// publishes it (queryPlan). The entry of a vertex that had no candidate
+// holds no distribution to carry — a candidate the rebuild gives it would
+// be scored against nothing — so it is dropped and built afresh.
 func carryProlog(old *prologEntry) *prologEntry {
+	if old.val.wd.T == 0 {
+		return nil
+	}
 	wd, size := old.val.wd, old.val.wdBytes
 	return &prologEntry{key: old.key, size: size, val: prolog{wd: wd, wdBytes: size}}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -163,77 +166,145 @@ func TestPrologTinyBudget(t *testing.T) {
 	}
 }
 
-// An entry must charge at least the bytes it holds (supports, walk counts,
-// directories of either kind, the plan's candidates) and no more than 12
-// bytes a support vertex of a sparse step — the price of the float64-mass
-// layout this one replaced — 14 of a dense step, plus 16 a candidate and
-// the fixed overheads.
+// An entry charges what it holds. Case by case — an exact distribution, a
+// sampled fallback with sparse steps, one with dense steps, a vertex with
+// no candidate — the charge covers the words, headers and candidates the
+// entry keeps and exceeds them by no more than the allocator's rounding;
+// and over a few thousand live entries of all three classes the charges
+// add up to what the heap grew by.
 func TestPrologEntryAccounting(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.PreferentialAttachment(4000, 10, 0.4, 2), // supports in the thousands: dense steps
-		graph.CopyingModel(1500, 5, 0.3, 2),            // supports in the tens: none
-		graph.NewBuilder(3).Build(),                    // step 0 only, no candidates
+	web := graph.CopyingModel(3000, 6, 0.3, 21)
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		u     uint32
+		class int
+		dense bool
+	}{
+		{"exact", web, 30, builtExact, false},
+		{"sampled", web, 5, builtSampled, false},
+		{"sampled-dense", graph.PreferentialAttachment(4000, 10, 0.4, 2), 3999, builtSampled, true},
+		{"empty", web, 0, builtEmpty, false}, // a hub: 100 610 relaxations or 10 000 walks, for nothing
+		{"isolated", graph.NewBuilder(3).Build(), 2, builtEmpty, false},
 	} {
 		p := DefaultParams()
 		p.Seed = 4
-		e := Build(g, p)
+		e := Build(tc.g, p)
+		u, n := tc.u, tc.g.N()
+		if got := planClass(e.Snapshot, u); got != tc.class {
+			t.Fatalf("%s: vertex %d takes miss path %d, want %d", tc.name, u, got, tc.class)
+		}
+		res, st := e.TopKStats(u, 10)
+		got := e.prolog.slots[u].Load()
+		if got == nil || got.val.plan.Load() == nil {
+			t.Fatalf("%s: query at %d published no plan", tc.name, u)
+		}
+		plan := *got.val.plan.Load()
+		if len(plan) != st.Candidates || (len(plan) == 0) != (tc.class == builtEmpty) {
+			t.Fatalf("%s: plan of %d candidates, query saw %d (%d results)", tc.name, len(plan), st.Candidates, len(res))
+		}
+		wd := &got.val.wd
+		if builderOf(wd) != tc.class || (wd.T != 0) != (tc.class != builtEmpty) {
+			t.Fatalf("%s: cached distribution of %d steps from builder %d", tc.name, wd.T, builderOf(wd))
+		}
+
+		// The source the entry was cloned from, built again.
 		s := e.getScratch()
-		u := uint32(g.N() - 1)
-		e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, e.queryRNG(u))
-		ent := newPrologEntry(u, &s.wd)
-		wd := &ent.val.wd
-		var support, held int64
-		limit := int64(prologEntryOverhead)
+		if tc.class != builtEmpty {
+			e.queryDistInto(&s.wd, s, u)
+		}
+		held := int64(0)
 		dense := 0
 		for step := 0; step < wd.T; step++ {
-			S := int64(len(wd.verts[step]))
-			support += S
-			held += 4*int64(len(wd.verts[step])+len(wd.cnt[step])+len(wd.dir[step])) + 1 // + shift
+			S := len(wd.verts[step])
+			held += 4*int64(len(wd.dir[step])+S+len(wd.massw[step])) + 3*24 + 1 // headers, shift
 			if S > 0 && wd.dense(step) {
 				dense++
-				if len(wd.dir[step]) != 3*rankWords(g.N()) {
-					t.Fatalf("step %d: rank bitset of %d words for %d vertices", step, len(wd.dir[step]), g.N())
+				if len(wd.dir[step]) != 3*rankWords(n) {
+					t.Fatalf("%s step %d: rank bitset of %d words for %d vertices", tc.name, step, len(wd.dir[step]), n)
 				}
-				limit += 14*S + prologStepOverhead + 12
-			} else {
-				limit += 12*S + prologStepOverhead + 4
 			}
-			if len(wd.cnt[step]) != len(wd.verts[step]) || len(wd.probs) != 0 {
-				t.Fatalf("step %d: %d counts for %d vertices, %d mass rows", step, len(wd.cnt[step]), len(wd.verts[step]), len(wd.probs))
+			if want := map[bool]int{true: S, false: 2 * S}[wd.sampled]; len(wd.massw[step]) != want {
+				t.Fatalf("%s step %d: %d mass words for %d vertices", tc.name, step, len(wd.massw[step]), S)
+			}
+			if !slices.Equal(wd.verts[step], s.wd.verts[step]) {
+				t.Fatalf("%s step %d: support %v, source %v", tc.name, step, wd.verts[step], s.wd.verts[step])
 			}
 			for i := range wd.verts[step] {
-				if wd.mass(step, i) != s.wd.mass(step, i) {
-					t.Fatalf("step %d entry %d: mass %v, source %v", step, i, wd.mass(step, i), s.wd.mass(step, i))
+				if math.Float64bits(wd.mass(step, i)) != math.Float64bits(s.wd.mass(step, i)) {
+					t.Fatalf("%s step %d entry %d: mass %v, source %v", tc.name, step, i, wd.mass(step, i), s.wd.mass(step, i))
 				}
 			}
 		}
 		e.putScratch(s)
-		if (g.N() == 4000 && dense == 0) || (g.N() == 1500 && dense != 0) {
-			t.Fatalf("n=%d: %d dense steps", g.N(), dense)
+		if tc.dense && dense == 0 {
+			t.Fatalf("%s: no dense step", tc.name)
 		}
-		if ent.size < held || ent.size > limit || ent.val.wdBytes != ent.size {
-			t.Fatalf("n=%d support=%d: size %d (distribution %d), want within [%d held, %d]", g.N(), support, ent.size, ent.val.wdBytes, held, limit)
+		// The allocator rounds a request up to its size class — by a fifth
+		// at the very most, or to the next 8 or 16 bytes when it is small;
+		// the entry struct and its ring slot are the fixed part.
+		if lo, hi := held, held+held/5+32+prologEntryOverhead; got.val.wdBytes < lo || got.val.wdBytes > hi {
+			t.Fatalf("%s: distribution charged %d, holds %d, want within [%d, %d]", tc.name, got.val.wdBytes, held, lo, hi)
 		}
-
-		// What a query publishes is that entry plus its plan, and the
-		// cache charges exactly the entry's size.
-		res, st := e.TopKStats(u, 10)
-		got := e.prolog.slots[u].Load()
-		if got == nil || got.val.plan.Load() == nil {
-			t.Fatalf("n=%d: query at %d published no plan", g.N(), u)
+		if tc.class == builtEmpty && got.val.wdBytes != prologEntryOverhead {
+			t.Fatalf("%s: step-less distribution charged %d, want the entry's %d alone", tc.name, got.val.wdBytes, prologEntryOverhead)
 		}
-		cands := int64(len(*got.val.plan.Load()))
-		if cands != int64(st.Candidates) || (g.N() == 3 && cands != 0) || (g.N() == 4000 && cands == 0) {
-			t.Fatalf("n=%d: plan of %d candidates, query saw %d (%d results)", g.N(), cands, st.Candidates, len(res))
+		// Only a distribution that was built is carried to the next snapshot.
+		if c := carryProlog(got); (c == nil) != (tc.class == builtEmpty) || (c != nil && c.size != got.val.wdBytes) {
+			t.Fatalf("%s: carried as %+v", tc.name, c)
 		}
-		planHeld := 16 * cands
-		if plan := got.size - got.val.wdBytes; got.val.wdBytes != ent.size || plan < planHeld || plan > planHeld+planOverhead {
-			t.Fatalf("n=%d: entry charges %d = %d distribution + %d plan, want %d + [%d, %d]", g.N(), got.size, got.val.wdBytes, plan, ent.size, planHeld, planHeld+planOverhead)
+		planHeld := 16 * int64(len(plan))
+		if c := got.size - got.val.wdBytes; c != planBytes(plan) || c < planHeld || c > planHeld+planHeld/5+planOverhead {
+			t.Fatalf("%s: plan of %d candidates charged %d", tc.name, len(plan), c)
 		}
 		if ps := e.PrologStats(); ps.BytesInUse != got.size || ps.Entries != 1 {
-			t.Fatalf("n=%d: cache holds %+v, want one entry of %d bytes", g.N(), ps, got.size)
+			t.Fatalf("%s: cache holds %+v, want one entry of %d bytes", tc.name, ps, got.size)
 		}
 	}
+
+	// The heap: every vertex of the web graph once through a warm scratch
+	// (its buffers stop growing), then again into a cache, with the
+	// collector run on either side of the second pass.
+	p := DefaultParams()
+	p.Seed = 4
+	e := Build(web, p)
+	s := e.getScratch()
+	defer e.putScratch(s)
+	c := newClockCache[prolog](web.N(), 1<<40)
+	var built [3]int
+	var before, after runtime.MemStats
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+		}
+		for u := uint32(0); u < uint32(web.N()); u++ {
+			var bs []boundedCand
+			wd := &noDist
+			if len(e.collectCandidates(s, u, nil, nil)) > 0 {
+				wd = &s.wd
+				e.queryDistInto(wd, s, u)
+				bs = e.buildPlan(s, u, wd)
+			}
+			ent := newPrologEntry(u, wd)
+			ent.size += ent.val.setPlan(bs)
+			if pass == 1 {
+				built[builderOf(wd)]++
+				c.put(ent)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown, charged := int64(after.HeapAlloc)-int64(before.HeapAlloc), c.stats().BytesInUse
+	t.Logf("%d exact, %d sampled, %d empty entries: heap grew %d bytes, charged %d", built[builtExact], built[builtSampled], built[builtEmpty], grown, charged)
+	if built[builtExact] < 500 || built[builtSampled] < 50 || built[builtEmpty] < 500 {
+		t.Fatalf("entries by builder %v: the graph no longer has enough of every class", built)
+	}
+	if diff := grown - charged; diff < -grown/20 || diff > grown/20 {
+		t.Fatalf("heap grew %d bytes for %d charged: more than 5 %% apart", grown, charged)
+	}
+	runtime.KeepAlive(c)
 }
 
 // A cached distribution must answer exactly as the scratch original it

@@ -144,7 +144,7 @@ func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float
 	// Candidates arrive bounded and in descending bound order, so the
 	// scan can stop at the first bound below the pruning floor.
 	pl := e.queryPlan(qs, u)
-	wd, bs, exactU := pl.wd, pl.cands, pl.exactU
+	wd, bs := pl.wd, pl.cands
 	if lo > 0 || int(hi) < e.g.N() {
 		bs = pl.restrict(qs, lo, hi)
 	}
@@ -179,7 +179,7 @@ func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float
 			end--
 		}
 		block := bs[i:end]
-		scores := e.scoreBlock(qs, block, wd, floor, exactU, workers)
+		scores := e.scoreBlock(qs, block, wd, floor, workers)
 		// Merge sequentially in bound order, exactly as the sequential
 		// path would have.
 		for j, b := range block {
@@ -215,41 +215,48 @@ type queryPlan struct {
 	// cands is read-only: on a cache hit it is the cached slice, shared
 	// with every concurrent query at u. Shard scans copy their range out
 	// of it (restrict); nothing may store it in a scratch.
-	cands  []boundedCand
-	exactU bool
+	cands []boundedCand
 }
 
 // queryPlan returns the plan of a query at u: from the prolog cache when
-// it is there, derived on qs otherwise (and published). A query that
-// scores exactly never reads or writes the cache.
+// it is there, derived on qs otherwise (and published). A miss is priced
+// by u's neighbourhood. Under CandidatesIndex the candidates need only H,
+// so they come first, and a vertex that has none publishes an empty plan
+// over a step-less distribution: no walks, no ball, no L1 table. Every
+// other vertex gets its distribution from queryDistInto — exact where a
+// bounded push reaches, the RAlpha sampled walks only where the support
+// explodes — and then the ball and the bounds (buildPlan).
 func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
-	wd := &qs.wd
-	if e.p.ExactScoring && e.exactWalkDistInto(wd, qs, u, e.p.ExactSupportCap) {
-		// The sampled distribution is replaced by the true sparse one when
-		// its support stays under the cap.
-		return queryPlan{wd: wd, cands: e.buildPlan(qs, u, wd), exactU: true}
-	}
 	ent, plan := e.cachedPlan(u)
 	if plan != nil {
 		return queryPlan{wd: &ent.val.wd, cands: *plan}
 	}
-	if ent != nil {
-		// Carried across an incremental rebuild without its plan: derive
-		// it against this snapshot from the cached distribution — what
-		// every hit cost before plans were cached.
-		wd = &ent.val.wd
-	} else {
-		// One batch of RAlpha walks from u serves double duty: Algorithm
-		// 2's α/β table and the u-side distribution of every candidate's
-		// single-pair estimate. queryRNG(u) feeds only this sampling.
-		e.sampleWalkDistInto(wd, qs, u, e.p.RAlpha, e.queryRNG(u))
+	byIndex := e.p.Strategy == CandidatesIndex
+	if byIndex {
+		e.collectCandidates(qs, u, nil, nil)
 	}
-	bs := e.buildPlan(qs, u, wd)
+	none := byIndex && len(qs.cands) == 0
+	wd := &qs.wd
+	switch {
+	case ent != nil:
+		// Carried across an incremental rebuild without its plan: derive
+		// it against this snapshot from the cached distribution.
+		wd = &ent.val.wd
+	case none:
+		wd = &noDist
+	default:
+		e.queryDistInto(wd, qs, u)
+	}
+	var bs []boundedCand
+	if !none {
+		bs = e.buildPlan(qs, u, wd)
+	}
 	switch {
 	case e.prolog == nil:
 	case ent == nil:
 		ent = newPrologEntry(u, wd)
 		ent.size += ent.val.setPlan(bs)
+		e.built[builderOf(wd)].Add(1)
 		e.prolog.put(ent)
 	default:
 		if n := ent.val.setPlan(bs); n > 0 {
@@ -277,7 +284,9 @@ func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
 
 // buildPlan derives the bound-sorted candidate list of a query at u whose
 // walk distribution is wd: the bounded BFS ball around u, the L1 table
-// over it, the candidates, their bounds, the sort. The result aliases
+// over it, the candidates — which under CandidatesIndex the caller has
+// already enumerated into qs.cands, and which the other strategies read
+// off the ball here — their bounds, the sort. The result aliases
 // qs.bounds.
 func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand {
 	// Local distances around the query, used by the L1 and distance
@@ -300,8 +309,11 @@ func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand 
 	if !e.p.DisableL1 {
 		l1 = e.computeL1From(qs, wd, dist, exploredRadius)
 	}
+	if e.p.Strategy != CandidatesIndex {
+		e.collectCandidates(qs, u, dist, qs.ball)
+	}
 	bs := qs.bounds[:0]
-	for _, v := range e.collectCandidates(qs, u, dist, qs.ball) {
+	for _, v := range qs.cands {
 		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
 	}
 	qs.bounds = bs
@@ -368,9 +380,10 @@ func sortBounds(bs []boundedCand) {
 }
 
 // scoreCandidate scores candidate v without scheduling walks of its own
-// when it can: by exact propagation (exactU, when v's support allows it
-// too) or through the tally cache. ok is false when neither applies and
-// the caller must hand v to the lane kernel (scoreLanes).
+// when it can: by exact propagation (under ExactScoring, when the query
+// side is exact and the same push reaches on v's side too) or through the
+// tally cache. ok is false when neither applies and the caller must hand
+// v to the lane kernel (scoreLanes).
 //
 // The candidate's walks are seeded from v alone (candSeed), never shared,
 // so its score is a pure function of the engine state — and its tally is
@@ -378,8 +391,8 @@ func sortBounds(bs []boundedCand) {
 // cached and uncached paths evaluate the identical estimator over the
 // identical walk stream (tally.go, lanes.go), so enabling the cache
 // changes work, never values.
-func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor float64, exactU bool) (cs candScore, ok bool) {
-	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.ExactSupportCap) {
+func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor float64) (cs candScore, ok bool) {
+	if e.p.ExactScoring && !wd.sampled && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
 		// Deterministic scoring: the candidate side propagates exactly too.
 		return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}, true
 	}

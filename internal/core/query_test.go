@@ -278,13 +278,14 @@ func TestBallBudgetQueriesStillFindNeighbours(t *testing.T) {
 }
 
 func TestExactScoringMatchesSeries(t *testing.T) {
-	// With ExactScoring on and supports under the cap, query scores are
-	// the deterministic truncated-series values.
+	// With ExactScoring on and both sides within the push budget (a
+	// quarter of RAlpha, here raised until the whole graph fits), query
+	// scores are the deterministic truncated-series values.
 	g := graph.Collaboration(60, 5, 0.8, 20, 11)
 	p := DefaultParams()
 	p.Seed = 6
 	p.Workers = 1
-	p.RAlpha = 500
+	p.RAlpha = 1 << 20
 	p.ExactScoring = true
 	p.Strategy = CandidatesHybrid
 	e := Build(g, p)
@@ -300,15 +301,14 @@ func TestExactScoringMatchesSeries(t *testing.T) {
 }
 
 func TestExactScoringFallsBackOnHubs(t *testing.T) {
-	// A tiny support cap forces the MC fallback; queries must still
-	// succeed.
+	// A push budget of 125 relaxations forces the MC fallback around hubs;
+	// queries must still succeed.
 	g := graph.PreferentialAttachment(300, 5, 0.3, 13)
 	p := DefaultParams()
 	p.Seed = 9
 	p.Workers = 1
 	p.RAlpha = 500
 	p.ExactScoring = true
-	p.ExactSupportCap = 2
 	e := Build(g, p)
 	for u := uint32(0); u < 10; u++ {
 		res := e.TopK(u, 5)
@@ -317,6 +317,9 @@ func TestExactScoringFallsBackOnHubs(t *testing.T) {
 				t.Fatal("unsorted results under fallback")
 			}
 		}
+	}
+	if ps := e.PrologStats(); ps.BuiltSampled == 0 {
+		t.Fatalf("no query fell back to sampling: %+v", ps)
 	}
 }
 

@@ -22,14 +22,16 @@ type scratch struct {
 	n int
 
 	// Epoch-marked dense tally. mark[v] == epoch means v is part of the
-	// current tally and cnt[v] / acc[v] is valid; bumping epoch clears the
-	// whole tally in O(1). touched lists the marked vertices, so results
-	// can be extracted (and sorted) in O(support), never O(n).
+	// current tally and cnt[v] is valid; bumping epoch clears the whole
+	// tally in O(1). touched lists the marked vertices, so results can be
+	// extracted (and sorted) in O(support), never O(n). A floating-point
+	// tally (pushMass) keeps its masses in push, in first-touch order, and
+	// cnt[v] is v's index there.
 	mark    []uint32
 	epoch   uint32
 	cnt     []int32
-	acc     []float64 // lazily allocated; only exact scoring needs it
 	touched []uint32
+	push    []float64
 
 	// orderTouched's scatter target (swapped with touched after each
 	// ordering pass) and its bucket-count / directory buffer.
@@ -142,14 +144,17 @@ func (s *scratch) tallyLive(pos []uint32) []uint32 {
 	return pos[:k]
 }
 
-// addMass adds floating-point mass at v to the current tally.
-func (s *scratch) addMass(v uint32, m float64) {
+// pushMass adds floating-point mass m at v to the current tally, whose
+// push buffer the caller emptied when it began.
+func (s *scratch) pushMass(v uint32, m float64) {
 	if s.mark[v] != s.epoch {
 		s.mark[v] = s.epoch
-		s.acc[v] = 0
+		s.cnt[v] = int32(len(s.touched))
 		s.touched = append(s.touched, v)
+		s.push = append(s.push, m)
+		return
 	}
-	s.acc[v] += m
+	s.push[s.cnt[v]] += m
 }
 
 // singleBucketMax is the largest support kept in one bucket: below it a
@@ -237,13 +242,6 @@ func (s *scratch) checkSeen(v uint32) bool {
 	}
 	s.mark[v] = s.epoch
 	return false
-}
-
-// ensureAcc allocates the float accumulator on first use.
-func (s *scratch) ensureAcc() {
-	if s.acc == nil {
-		s.acc = make([]float64, s.n)
-	}
 }
 
 // walkBuf returns the primary walk-position buffer with length R.

@@ -171,8 +171,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	// This shard's slice of the query plan: the global bound order
 	// restricted to [lo, hi), which is all the merge needs.
 	pl := e.queryPlan(qs, u)
-	wd, exactU := pl.wd, pl.exactU
-	bs := pl.restrict(qs, lo, hi)
+	wd, bs := pl.wd, pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 
 	theta := e.p.Theta
@@ -200,7 +199,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 			end = cut
 		}
 		block := bs[i:end]
-		scores := e.scoreBlock(qs, block, wd, theta, exactU, workers)
+		scores := e.scoreBlock(qs, block, wd, theta, workers)
 		for j, b := range block {
 			cs := scores[j]
 			switch cs.cache {

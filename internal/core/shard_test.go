@@ -72,6 +72,7 @@ func TestMergeShardTopKMatchesSearch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := Build(g, p)
 			requireBothKinds(t, name, e.Snapshot, queries)
+			requireAllClasses(t, name, e.Snapshot, queries)
 			for _, u := range queries {
 				for _, k := range []int{1, 20, 100000} {
 					wantRes, wantStats := e.TopKStats(u, k)
@@ -146,9 +147,13 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	e := Build(g, p)
 	n := uint32(g.N())
 	ctx := context.Background()
-	requireBothKinds(t, "threshold shards", e.Snapshot, []uint32{3, 400, 799})
+	// Three hubs of the communities, a leaf whose push is exact, a vertex
+	// without candidates.
+	us := []uint32{3, 400, 799, 1019, 46}
+	requireBothKinds(t, "threshold shards", e.Snapshot, us)
+	requireAllClasses(t, "threshold shards", e.Snapshot, us)
 	for _, theta := range []float64{0.005, 0.05, 0.3} {
-		for _, u := range []uint32{3, 400, 799} {
+		for _, u := range us {
 			want, wantStats, err := e.search(ctx, u, 0, theta, e.p.Workers)
 			if err != nil {
 				t.Fatal(err)
@@ -194,8 +199,9 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 11
 	e := Build(g, p)
-	us := []uint32{0, 7, 123, 499, 250}
+	us := []uint32{0, 7, 123, 499, 250, 72, 115}
 	requireBothKinds(t, "shard batch", e.Snapshot, us)
+	requireAllClasses(t, "shard batch", e.Snapshot, us)
 	ctx := context.Background()
 	frags, sts, err := e.TopKShardBatchCtx(ctx, us, 100, 400)
 	if err != nil {

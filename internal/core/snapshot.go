@@ -50,11 +50,13 @@ type Snapshot struct {
 	// immutable.
 	cache *clockCache[tally]
 
-	// prolog caches the query plan per vertex — the query-side sampled
-	// walk distribution and the bound-sorted candidate list (prolog.go);
-	// nil when Params.PrologBytes is negative. Like cache, it holds
-	// derived, deterministic data only.
+	// prolog caches the query plan per vertex — the query-side walk
+	// distribution and the bound-sorted candidate list (prolog.go); nil
+	// when Params.PrologBytes is negative. Like cache, it holds derived,
+	// deterministic data only. built counts the entries offered to it by
+	// the builder of their distribution (builtExact, …).
 	prolog *clockCache[prolog]
+	built  [3]atomic.Int64
 
 	// pool recycles query/preprocess scratch buffers (see scratch.go).
 	// poolGets/poolPuts count acquire/release round trips; they must be
@@ -114,7 +116,13 @@ func (e *Snapshot) CacheStats() CacheStats { return e.cache.stats() }
 
 // PrologStats reports the query-prolog-cache counters; all zero when
 // that cache is disabled.
-func (e *Snapshot) PrologStats() CacheStats { return e.prolog.stats() }
+func (e *Snapshot) PrologStats() CacheStats {
+	st := e.prolog.stats()
+	st.BuiltExact = e.built[builtExact].Load()
+	st.BuiltSampled = e.built[builtSampled].Load()
+	st.BuiltEmpty = e.built[builtEmpty].Load()
+	return st
+}
 
 // PoolBalance reports the scratch-pool acquire/release counters; they are
 // equal whenever no query is in flight. Exposed for tests and leak

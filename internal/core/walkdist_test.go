@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -189,6 +190,51 @@ func requireBothKinds(t *testing.T, label string, e *Snapshot, us []uint32) {
 	t.Fatalf("%s: no query of %v has both a dense and a sparse step", label, us)
 }
 
+// planClass tells which of the three miss paths a query at u takes
+// (builtEmpty, builtExact or builtSampled), by the rule queryPlan applies.
+func planClass(e *Snapshot, u uint32) int {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	if e.p.Strategy == CandidatesIndex && len(e.collectCandidates(s, u, nil, nil)) == 0 {
+		return builtEmpty
+	}
+	e.queryDistInto(&s.wd, s, u)
+	return builderOf(&s.wd)
+}
+
+// requireAllClasses fails the test unless the queries us take every miss
+// path between them: one whose distribution is pushed exactly, one that
+// falls back to the sampled walks and — under CandidatesIndex, where
+// candidates come first — one that has no candidate and builds nothing. A
+// byte-identity table that passes has then crossed both decisions.
+func requireAllClasses(t *testing.T, label string, e *Snapshot, us []uint32) {
+	t.Helper()
+	var seen [3]bool
+	for _, u := range us {
+		seen[planClass(e, u)] = true
+	}
+	if !seen[builtExact] || !seen[builtSampled] || (!seen[builtEmpty] && e.p.Strategy == CandidatesIndex) {
+		t.Fatalf("%s: queries %v take the miss paths exact=%v sampled=%v empty=%v, want all of them",
+			label, us, seen[builtExact], seen[builtSampled], seen[builtEmpty])
+	}
+}
+
+// pushWork counts the in-edges an exact propagation from u relaxes over
+// all its steps: the least budget exactWalkDistInto succeeds with.
+func pushWork(e *Snapshot, s *scratch, u uint32) int {
+	var wd walkDist
+	if !e.exactWalkDistInto(&wd, s, u, math.MaxInt) {
+		panic("unbounded push refused")
+	}
+	work := 0
+	for t := 0; t+1 < wd.T; t++ {
+		for _, w := range wd.verts[t] {
+			work += len(e.g.In(w))
+		}
+	}
+	return work
+}
+
 func seq(lo, hi, stride uint32) []uint32 {
 	var out []uint32
 	for x := lo; x < hi; x += stride {
@@ -254,7 +300,7 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		var sampled, exact walkDist
 		e.sampleWalkDistInto(&sampled, s, tc.u, e.p.RAlpha, e.queryRNG(tc.u))
 		check("sampled", &sampled)
-		if !e.exactWalkDistInto(&exact, s, tc.u, 1<<20) {
+		if !e.exactWalkDistInto(&exact, s, tc.u, math.MaxInt) {
 			t.Fatalf("%s: exact propagation refused", tc.name)
 		}
 		check("exact", &exact)
@@ -262,6 +308,85 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		e.sampleWalkDistInto(&exact, s, tc.u, e.p.RAlpha, e.queryRNG(tc.u))
 		check("sampled-after-exact", &exact)
 		e.putScratch(s)
+	}
+}
+
+// The exact push must produce, bit for bit, the dense recurrence it stands
+// for: p₀ = e_u and p_t[x] = Σ_w p_{t−1}[w]/|In(w)| over x's out-neighbours
+// w, each sum accumulated over w ascending and In(w) in CSR order. The
+// reference spends n floats a step and never looks at a directory or a
+// compact accumulator. A vertex that needs W relaxations is refused at a
+// budget of W−1 and served at W and W+1.
+func TestPushMatchesDenseReference(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"copying":       graph.CopyingModel(1500, 6, 0.3, 21),
+		"citation":      graph.CitationDAG(800, 4, 3),
+		"collaboration": graph.Collaboration(60, 5, 0.8, 20, 11),
+	} {
+		e := New(g, DefaultParams())
+		n, T := g.N(), e.p.T
+		s := e.getScratch()
+		var wd, again walkDist
+		kinds, refused, served := [2]int{}, 0, 0
+		for u := uint32(0); u < uint32(n); u += 7 {
+			work := pushWork(e.Snapshot, s, u)
+			for _, budget := range []int{max(work-1, 0), work, work + 1} {
+				if got := e.exactWalkDistInto(&wd, s, u, budget); got != (budget >= work) {
+					t.Fatalf("%s u=%d: %d relaxations under a budget of %d: served %v", name, u, work, budget, got)
+				}
+			}
+			if work > e.p.pushBudget() {
+				refused++
+			} else {
+				served++
+			}
+			checkWalkDist(t, fmt.Sprintf("%s u=%d", name, u), uint32(n), &wd)
+			cur, in := make([]float64, n), make([]bool, n)
+			cur[u], in[u] = 1, true
+			for step := 0; step < T; step++ {
+				i := 0
+				for w := range cur {
+					if !in[w] {
+						continue
+					}
+					if i >= wd.support(step) || wd.verts[step][i] != uint32(w) || math.Float64bits(wd.mass(step, i)) != math.Float64bits(cur[w]) {
+						t.Fatalf("%s u=%d step %d: reference has %v at vertex %d, support index %d of %v disagrees", name, u, step, cur[w], w, i, wd.verts[step])
+					}
+					i++
+				}
+				if i != wd.support(step) {
+					t.Fatalf("%s u=%d step %d: support of %d, reference %d", name, u, step, wd.support(step), i)
+				}
+				if i > 0 {
+					kinds[map[bool]int{false: 0, true: 1}[wd.dense(step)]]++
+				}
+				next, nin := make([]float64, n), make([]bool, n)
+				for w := range cur {
+					if nbrs := g.In(uint32(w)); in[w] && len(nbrs) > 0 {
+						share := cur[w] / float64(len(nbrs))
+						for _, x := range nbrs {
+							next[x] += share
+							nin[x] = true
+						}
+					}
+				}
+				cur, in = next, nin
+			}
+			// And again into a used walkDist on the same scratch: nothing
+			// of the previous vertex may survive.
+			if !e.exactWalkDistInto(&again, s, u, work) {
+				t.Fatalf("%s u=%d: second push refused", name, u)
+			}
+			for step := 0; step < T; step++ {
+				if !slices.Equal(again.verts[step], wd.verts[step]) || !slices.Equal(again.massw[step], wd.massw[step]) {
+					t.Fatalf("%s u=%d step %d: a reused walkDist differs", name, u, step)
+				}
+			}
+		}
+		e.putScratch(s)
+		if kinds[0] == 0 || kinds[1] == 0 || refused == 0 || served == 0 {
+			t.Fatalf("%s: %d sparse and %d dense steps, %d vertices within the served budget and %d past it", name, kinds[0], kinds[1], served, refused)
+		}
 	}
 }
 
@@ -293,7 +418,7 @@ func TestWalkDistReuseAcrossKinds(t *testing.T) {
 	} {
 		if st.sampled {
 			e.sampleWalkDistInto(&wd, s, st.u, e.p.RAlpha, e.queryRNG(st.u))
-		} else if !e.exactWalkDistInto(&wd, s, st.u, 1<<20) {
+		} else if !e.exactWalkDistInto(&wd, s, st.u, math.MaxInt) {
 			t.Fatalf("round %d: exact propagation refused", i)
 		}
 		if wd.dense(1) != (st.u == wide) || wd.sampled != st.sampled {
@@ -417,7 +542,7 @@ func TestDeadWalkCompactionChangesNothing(t *testing.T) {
 				}
 				walks := 0
 				for i := range wd.verts[step] {
-					walks += int(wd.cnt[step][i])
+					walks += int(wd.massw[step][i])
 					if math.Float64bits(wd.mass(step, i)) != math.Float64bits(rd.probs[step][i]) {
 						t.Fatalf("%s u=%d step %d vertex %d: mass %v, reference %v", tc.name, u, step, wd.verts[step][i], wd.mass(step, i), rd.probs[step][i])
 					}

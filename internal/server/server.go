@@ -226,6 +226,11 @@ type CacheStatsJSON struct {
 	Entries     int   `json:"entries"`
 	BytesInUse  int64 `json:"bytes_in_use"`
 	BudgetBytes int64 `json:"budget_bytes"`
+	// Which builder answered the prolog cache's misses (absent from the
+	// tally cache's object, where they are always zero).
+	BuiltExact   int64 `json:"built_exact,omitempty"`
+	BuiltSampled int64 `json:"built_sampled,omitempty"`
+	BuiltEmpty   int64 `json:"built_empty,omitempty"`
 }
 
 func toCacheJSON(st simrank.CacheStats) *CacheStatsJSON {
@@ -237,6 +242,10 @@ func toCacheJSON(st simrank.CacheStats) *CacheStatsJSON {
 		Entries:     st.Entries,
 		BytesInUse:  st.BytesInUse,
 		BudgetBytes: st.BudgetBytes,
+
+		BuiltExact:   st.BuiltExact,
+		BuiltSampled: st.BuiltSampled,
+		BuiltEmpty:   st.BuiltEmpty,
 	}
 }
 

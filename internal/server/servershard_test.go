@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	simrank "repro"
@@ -190,6 +191,14 @@ func TestStatuszEndpoint(t *testing.T) {
 	}
 	if st.Cache == nil || st.Cache.Misses == 0 {
 		t.Fatalf("cache stats missing or empty: %+v", st.Cache)
+	}
+	// Every prolog miss names the builder that answered it; the tally
+	// cache's object carries no such fields.
+	if pr := st.Prolog; pr == nil || pr.Misses == 0 || pr.BuiltExact+pr.BuiltSampled+pr.BuiltEmpty != pr.Misses {
+		t.Fatalf("prolog stats = %+v", st.Prolog)
+	}
+	if strings.Count(string(body), `"built_`) == 0 || st.Cache.BuiltExact+st.Cache.BuiltSampled+st.Cache.BuiltEmpty != 0 {
+		t.Fatalf("built_* fields: %s", body)
 	}
 	if st.Shard.NumShards != 1 || st.Shard.Lo != 0 || st.Shard.Hi != st.Shard.Vertices {
 		t.Fatalf("shard manifest = %+v", st.Shard)

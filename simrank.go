@@ -36,9 +36,11 @@ type Options struct {
 	// index to the full distance-DMax ball (slower, higher recall).
 	Exhaustive bool
 	// ExactScores replaces Monte-Carlo candidate scores with a
-	// deterministic sparse series evaluation whenever walk supports stay
-	// small (they do on web-like graphs), eliminating sampling noise at
-	// some query-time cost. Falls back to sampling around hubs.
+	// deterministic sparse series evaluation wherever the exact push that
+	// builds the query side (BoundSamples/4 in-edge relaxations) reaches
+	// on the candidate side too — it does on web-like graphs — eliminating
+	// sampling noise at some query-time cost. Falls back to sampling
+	// around hubs.
 	ExactScores bool
 	// CacheBytes bounds the per-index cross-query tally cache: candidate
 	// walk tallies are pure functions of the index state, so queries
@@ -189,6 +191,13 @@ type CacheStats struct {
 	// stays within BudgetBytes at quiescence.
 	BytesInUse  int64
 	BudgetBytes int64
+	// BuiltExact, BuiltSampled and BuiltEmpty count the plans the prolog
+	// cache was offered by what built their query-side distribution: the
+	// exact push, the sampled walks it fell back to, or nothing at all
+	// for a vertex without candidates. Zero for the tally cache.
+	BuiltExact   int64
+	BuiltSampled int64
+	BuiltEmpty   int64
 }
 
 func toCacheStats(st core.CacheStats) CacheStats {
@@ -200,6 +209,10 @@ func toCacheStats(st core.CacheStats) CacheStats {
 		Entries:     st.Entries,
 		BytesInUse:  st.BytesInUse,
 		BudgetBytes: st.BudgetBytes,
+
+		BuiltExact:   st.BuiltExact,
+		BuiltSampled: st.BuiltSampled,
+		BuiltEmpty:   st.BuiltEmpty,
 	}
 }
 

@@ -230,6 +230,9 @@ func TestExactScoresOption(t *testing.T) {
 	g := GenerateCollaborationGraph(50, 5, 0.8, 13)
 	opts := DefaultOptions()
 	opts.ExactScores = true
+	// A push budget (a quarter of this) that the community graph, where
+	// every walk spreads over a clique, fits under on both sides.
+	opts.BoundSamples = 1 << 20
 	idx := BuildIndex(g, opts)
 	top, err := idx.TopK(0, 5)
 	if err != nil {
