@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench bench-json
+.PHONY: check fmt vet build test race lint loc bench bench-json
 
 check: fmt vet build test race lint
 
@@ -34,6 +34,11 @@ race:
 # a finding is fixed or carries an in-source directive with its reason.
 lint:
 	$(GO) run ./cmd/simlint -time-budget 10s ./...
+
+# Non-test Go lines per package and in total (benchmark/ and analyzer
+# fixtures excluded): the size figure ROADMAP quotes.
+loc:
+	@sh scripts/loc.sh
 
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
 # couple of minutes the first time). TopKWarm is TopK with the query

@@ -141,9 +141,7 @@ func (dx *DynamicIndex) TopKBatchCtx(ctx context.Context, us []int, k int) ([][]
 // CacheStats reports the current snapshot's tally-cache counters (zero
 // when the cache is disabled or no snapshot exists yet). Counters reset
 // at each refresh; entries untouched by the applied updates carry over.
-func (dx *DynamicIndex) CacheStats() CacheStats {
-	return toCacheStats(dx.d.CacheStats())
-}
+func (dx *DynamicIndex) CacheStats() CacheStats { return dx.d.CacheStats() }
 
 // SinglePair estimates the SimRank score between u and v from the
 // current snapshot (see the consistency contract on DynamicIndex).

@@ -67,27 +67,30 @@ type clockCache[P any] struct {
 	stripes   [cacheStripes]cacheStripe[P]
 }
 
-// CacheStats is a point-in-time snapshot of one cache's counters.
+// CacheStats is a point-in-time snapshot of one cache's lifetime counters
+// and footprint (all zero for a disabled cache) — the one definition: the
+// root package aliases it and the HTTP tiers serialize it as it is.
 type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 	// Rejected counts inserts refused because the entry could not fit the
 	// budget even with every ring empty. Anything but zero on a sanely
 	// sized cache means vertices are being recomputed on every query.
-	Rejected int64
-	Entries  int
+	Rejected int64 `json:"rejected"`
+	Entries  int   `json:"entries"`
 	// BytesInUse is the approximate heap footprint of the cached
 	// entries; it never exceeds BudgetBytes at quiescence.
-	BytesInUse  int64
-	BudgetBytes int64
+	BytesInUse  int64 `json:"bytes_in_use"`
+	BudgetBytes int64 `json:"budget_bytes"`
 	// BuiltExact, BuiltSampled and BuiltEmpty count the query plans built
 	// on a miss by what their distribution came from — the exact push, the
 	// sampled walks it fell back to, nothing at all for a vertex without
-	// candidates. Prolog cache only; they sum to the entries it was offered.
-	BuiltExact   int64
-	BuiltSampled int64
-	BuiltEmpty   int64
+	// candidates. Prolog cache only (they sum to the entries it was
+	// offered); always zero, and so absent from the JSON, for the tally cache.
+	BuiltExact   int64 `json:"built_exact,omitempty"`
+	BuiltSampled int64 `json:"built_sampled,omitempty"`
+	BuiltEmpty   int64 `json:"built_empty,omitempty"`
 }
 
 func newClockCache[P any](n int, maxBytes int64) *clockCache[P] {

@@ -110,19 +110,22 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	for j := range block {
 		block[j].v = uint32(2 + 5*j)
 	}
-	scores := make([]candScore, len(block))
+	scores := make([]ShardCand, len(block))
+	var stats QueryStats
 	for _, floor := range []float64{0, 2} {
 		check("scoreLanes", 20, func() {
 			for j := range pend {
 				pend[j] = int32(j)
+				scores[j] = ShardCand{V: block[j].v}
 			}
-			e.scoreLanes(s, &wd, block, scores, pend, floor)
-			sink += scores[0].rough
+			e.scoreLanes(s, &wd, scores, pend, floor)
+			sink += scores[0].Rough
 		})
 		// The dispatcher above it must add nothing on the one-worker path
 		// (a WaitGroup declared before the fork would).
 		check("scoreBlock", 20, func() {
-			sink += e.scoreBlock(s, block, &wd, floor, 1)[0].rough
+			e.scoreBlock(s, block, scores, &wd, floor, 1, &stats)
+			sink += scores[0].Rough
 		})
 	}
 	s.rng.Seed(e.candSeed(v))

@@ -35,27 +35,27 @@ func laneFit(T, cols, most int) int {
 	return max(1, min(most, lanePosBytes/(4*T*cols)))
 }
 
-// scoreBlock scores one block of a scan at a fixed pruning floor and
-// returns the outcomes, parallel to block (the slice aliases qs.scores).
-// With workers > 1 the block is dealt out in whole lane groups, round
-// robin — neighbours in bound order cost alike (the head of a block is
-// mostly refined, its tail mostly rough-pruned), so contiguous halves
-// would leave one worker waiting for the other. The caller scores its
-// share on qs while pooled scratches serve the others. Each candidate's
-// walks come from its own vertex-seeded stream (candSeed), so which
-// goroutine scores it — and next to which lane neighbours — cannot change
-// its score.
-func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, floor float64, workers int) []candScore {
-	if cap(qs.scores) < len(block) {
-		qs.scores = make([]candScore, len(block))
-	}
-	scores := qs.scores[:len(block)]
+// scoreBlock scores one block of a scan at a fixed pruning floor: out[j]
+// becomes the outcome of block[j] — vertex, bound (clamped, see ShardCand),
+// state and the estimates the state says are valid — and the tally cache's
+// part in it is added to stats. With workers > 1 the block is dealt out in
+// whole lane groups, round robin — neighbours in bound order cost alike
+// (the head of a block is mostly refined, its tail mostly rough-pruned), so
+// contiguous halves would leave one worker waiting for the other. The
+// caller scores its share on qs while pooled scratches serve the others.
+// Each candidate's walks come from its own vertex-seeded stream (candSeed),
+// so which goroutine scores it — and next to which lane neighbours — cannot
+// change its score.
+func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, workers int, stats *QueryStats) {
 	group := laneFit(e.p.T, e.p.RScore, graph.MaxWalkLanes)
 	shares := min(workers, (len(block)+group-1)/group)
 	if shares <= 1 || len(block) < minParallelScore {
-		e.scoreShare(qs, block, scores, wd, floor, 0, len(block), len(block))
-		return scores
+		e.scoreShare(qs, block, out, wd, floor, 0, len(block), len(block), stats)
+		return
 	}
+	// Each share counts its cache traffic on its own; the sums do not
+	// depend on which share met which candidate.
+	cache := make([]QueryStats, shares)
 	var wg sync.WaitGroup
 	for w := 1; w < shares; w++ {
 		wg.Add(1)
@@ -63,12 +63,14 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, fl
 			defer wg.Done()
 			s := e.getScratch()
 			defer e.putScratch(s)
-			e.scoreShare(s, block, scores, wd, floor, w*group, shares*group, group)
+			e.scoreShare(s, block, out, wd, floor, w*group, shares*group, group, &cache[w])
 		}()
 	}
-	e.scoreShare(qs, block, scores, wd, floor, 0, shares*group, group)
+	e.scoreShare(qs, block, out, wd, floor, 0, shares*group, group, &cache[0])
 	wg.Wait()
-	return scores
+	for _, c := range cache {
+		stats.AddCache(c)
+	}
 }
 
 // scoreShare scores one worker's share of a block — the runs of group
@@ -76,30 +78,30 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, wd *walkDist, fl
 // candidates the exact propagation or the tally cache can answer are
 // scored one by one (scoreCandidate), the rest are collected and go
 // through the lane kernel together.
-func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, scores []candScore, wd *walkDist, floor float64, first, stride, group int) {
+func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, first, stride, group int, stats *QueryStats) {
 	pend := s.pend[:0]
 	for lo := first; lo < len(block); lo += stride {
 		for j := lo; j < min(lo+group, len(block)); j++ {
-			var ok bool
-			if scores[j], ok = e.scoreCandidate(s, wd, block[j].v, floor); !ok {
+			out[j] = ShardCand{V: block[j].v, UB: clampUB(block[j].ub)}
+			if !e.scoreCandidate(s, wd, &out[j], floor, stats) {
 				pend = append(pend, int32(j))
 			}
 		}
 	}
 	s.pend = pend
 	if len(pend) > 0 {
-		e.scoreLanes(s, wd, block, scores, pend, floor)
+		e.scoreLanes(s, wd, out, pend, floor)
 	}
 }
 
-// scoreLanes fills scores[j] for every j in pend with the sampled,
-// uncached estimate of block[j].v: the rough RRough-walk estimate, the
-// 0.3×floor verdict on it (paper §7.2), and for survivors the full
-// RScore-walk estimate — the values the cached path computes from the
-// same streams (see dotPositions for why no bit differs).
+// scoreLanes completes out[j] for every j in pend with the sampled,
+// uncached estimate of out[j].V: the rough RRough-walk estimate, the
+// roughPruned verdict on it, and for survivors the full RScore-walk
+// estimate — the values the cached path computes from the same streams
+// (see dotPositions for why no bit differs).
 //
 //lint:hotpath uncached block scoring kernel: all candidate walks and their scoring
-func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, block []boundedCand, scores []candScore, pend []int32, floor float64) {
+func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []int32, floor float64) {
 	T, R, Rr := e.p.T, e.p.RScore, e.p.RRough
 	invR, invRr := 1/float64(R), 1/float64(Rr)
 	group := laneFit(T, R, graph.MaxWalkLanes)
@@ -119,10 +121,10 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, block []boundedCand, sco
 		sec := pend[:min(section, len(pend))]
 		pend = pend[len(sec):]
 		for i, j := range sec {
-			v := block[j].v
+			v := out[j].V
 			rough[i].Start = v
 			rough[i].Rng.Seed(e.candSeed(v))
-			scores[j] = candScore{state: candScoredNoRough}
+			out[j].State = ShardScoredNoRough
 		}
 		alive := len(sec)
 		if from > 0 {
@@ -136,11 +138,12 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, block []boundedCand, sco
 			alive = 0
 			for i, j := range sec {
 				est := e.dotPositions(s, wd, rough[i].Start, rough[i].Out, Rr, Rr, invRr)
-				if est < 0.3*floor {
-					scores[j] = candScore{rough: est, state: candRoughPruned}
+				out[j].Rough = est
+				if roughPruned(est, floor) {
+					out[j].State = ShardRoughPruned
 					continue
 				}
-				scores[j] = candScore{rough: est, state: candScored}
+				out[j].State = ShardScored
 				rough[alive], rough[i] = rough[i], rough[alive]
 				sec[alive] = j
 				alive++
@@ -159,7 +162,7 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, block []boundedCand, sco
 			}
 			e.wt.WalkLanes(full[:g], from, R, T-1, R)
 			for l := 0; l < g; l++ {
-				scores[sec[lo+l]].score = e.dotPositions(s, wd, full[l].Start, full[l].Out, R, R, invR)
+				out[sec[lo+l]].Score = e.dotPositions(s, wd, full[l].Start, full[l].Out, R, R, invR)
 			}
 		}
 	}

@@ -31,26 +31,34 @@ func refDistOf(wd *walkDist) *refDist {
 	return rd
 }
 
-func refCandScore(e *Snapshot, s *scratch, wd *walkDist, rd *refDist, v uint32, floor float64, exactU bool) candScore {
+func refCandScore(e *Snapshot, s *scratch, wd *walkDist, rd *refDist, v uint32, floor float64, exactU bool) ShardCand {
 	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
-		return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}
+		return ShardCand{Score: e.dotSeries(wd, &s.wd2), State: ShardScoredNoRough}
 	}
 	rough, full, _ := refScores(e, s, rd, v)
 	switch {
 	case e.p.DisableAdaptive:
-		return candScore{score: full, state: candScoredNoRough}
+		return ShardCand{Score: full, State: ShardScoredNoRough}
 	case rough < 0.3*floor:
-		return candScore{rough: rough, state: candRoughPruned}
+		return ShardCand{Rough: rough, State: ShardRoughPruned}
 	}
-	return candScore{score: full, rough: rough, state: candScored}
+	return ShardCand{Score: full, Rough: rough, State: ShardScored}
 }
 
-// sameOutcome compares what a query can observe of a candidate's outcome
-// (the cache bookkeeping is not part of it).
-func sameOutcome(a, b candScore) bool {
-	return a.state == b.state &&
-		math.Float64bits(a.score) == math.Float64bits(b.score) &&
-		math.Float64bits(a.rough) == math.Float64bits(b.rough)
+// sameOutcome compares what scoring found out about a candidate: state
+// and estimates (the reference does not fill in vertex and bound).
+func sameOutcome(a, b ShardCand) bool {
+	return a.State == b.State &&
+		math.Float64bits(a.Score) == math.Float64bits(b.Score) &&
+		math.Float64bits(a.Rough) == math.Float64bits(b.Rough)
+}
+
+// scoreBlockOf runs scoreBlock into a fresh outcome slice.
+func scoreBlockOf(e *Snapshot, qs *scratch, block []boundedCand, wd *walkDist, floor float64, workers int) []ShardCand {
+	var stats QueryStats
+	out := make([]ShardCand, len(block))
+	e.scoreBlock(qs, block, out, wd, floor, workers, &stats)
+	return out
 }
 
 // refQuery is one query's plan and reference query side. wd may alias
@@ -106,13 +114,13 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 		}
 		for _, b := range q.bs[i:end] {
 			cs := refCandScore(e, s, q.wd, q.rd, b.v, floor, q.exactU)
-			if cs.state == candRoughPruned {
+			if cs.State == ShardRoughPruned {
 				stats.PrunedByRough++
 				continue
 			}
 			stats.Refined++
-			if cs.score >= theta {
-				acc.add(Scored{b.v, cs.score})
+			if cs.Score >= theta {
+				acc.add(Scored{b.v, cs.Score})
 			}
 		}
 		i = end
@@ -181,11 +189,11 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 					}
 				}
 				// Shard fragments are scored at the fixed floor theta.
-				ref := map[uint32]candScore{}
+				ref := map[uint32]ShardCand{}
 				for _, b := range q.bs {
 					if b.ub >= theta {
 						ref[b.v] = refCandScore(e, qs, q.wd, q.rd, b.v, theta, q.exactU)
-						if q.exactU && ref[b.v].state != candScoredNoRough {
+						if q.exactU && ref[b.v].State != ShardScoredNoRough {
 							fellBack++
 						}
 					}
@@ -200,22 +208,14 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 						}
 						for _, c := range frags[i] {
 							want, scored := ref[c.V]
-							got := candScore{score: c.Score, rough: c.Rough}
-							switch c.State {
-							case ShardUnscored:
+							if c.State == ShardUnscored {
 								if scored {
 									t.Fatalf("%s shards=%d v=%d: unscored with bound above theta", label, shards, c.V)
 								}
 								continue
-							case ShardRoughPruned:
-								got.state = candRoughPruned
-							case ShardScored:
-								got.state = candScored
-							case ShardScoredNoRough:
-								got.state = candScoredNoRough
 							}
-							if !scored || !sameOutcome(got, want) {
-								t.Fatalf("%s shards=%d v=%d: fragment entry %+v, reference %+v", label, shards, c.V, got, want)
+							if !scored || !sameOutcome(c, want) {
+								t.Fatalf("%s shards=%d v=%d: fragment entry %+v, reference %+v", label, shards, c.V, c, want)
 							}
 						}
 					}
@@ -283,11 +283,11 @@ func TestScoreBlockShapes(t *testing.T) {
 			fewSurvivors = fewSurvivors || survivors > 0 && survivors < graph.MaxWalkLanes
 			raggedSurvivors = raggedSurvivors || survivors > graph.MaxWalkLanes && survivors%graph.MaxWalkLanes != 0
 			for _, workers := range []int{1, 2, 3, 5} {
-				got := e.scoreBlock(qs, q.bs[:L], q.wd, floor, workers)
+				got := scoreBlockOf(e, qs, q.bs[:L], q.wd, floor, workers)
 				for j := range got {
-					want := candScore{score: full[j], rough: rough[j], state: candScored}
+					want := ShardCand{Score: full[j], Rough: rough[j], State: ShardScored}
 					if rough[j] < 0.3*floor {
-						want = candScore{rough: rough[j], state: candRoughPruned}
+						want = ShardCand{Rough: rough[j], State: ShardRoughPruned}
 					}
 					if !sameOutcome(got[j], want) {
 						t.Fatalf("L=%d floor=%g workers=%d v=%d: %+v, reference %+v", L, floor, workers, q.bs[j].v, got[j], want)
@@ -347,14 +347,14 @@ func TestLaneBudget(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	q.bs = q.bs[:min(len(q.bs), 6)]
-	big := slices.Clone(e.scoreBlock(qs, q.bs, q.wd, 0, 1))
-	prefix := es.scoreBlock(ss, q.bs, q.wd, 0, 1)
+	big := scoreBlockOf(e, qs, q.bs, q.wd, 0, 1)
+	prefix := scoreBlockOf(es, ss, q.bs, q.wd, 0, 1)
 	positive := 0
 	for j := range big {
-		if big[j].state != candScored || math.Float64bits(big[j].rough) != math.Float64bits(prefix[j].score) {
-			t.Fatalf("v=%d: %+v at RScore=%d, rough-only run scored %x", q.bs[j].v, big[j], p.RScore, math.Float64bits(prefix[j].score))
+		if big[j].State != ShardScored || math.Float64bits(big[j].Rough) != math.Float64bits(prefix[j].Score) {
+			t.Fatalf("v=%d: %+v at RScore=%d, rough-only run scored %x", q.bs[j].v, big[j], p.RScore, math.Float64bits(prefix[j].Score))
 		}
-		if big[j].score > 0 {
+		if big[j].Score > 0 {
 			positive++
 		}
 	}

@@ -70,7 +70,7 @@ func f32view(data []byte, off, count uint64) []float32 {
 // engineFromMapped assembles an engine over a verified v3 image.
 func engineFromMapped(data []byte, p Params) (*Engine, error) {
 	p = p.normalized() // compare stored params against what New would use
-	hdr, dir, err := parseV3Container(data, p)
+	hdr, dir, err := parseV3Container(data, uint64(len(data)), p)
 	if err != nil {
 		return nil, err
 	}

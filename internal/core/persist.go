@@ -326,21 +326,6 @@ func (e *Snapshot) SaveIndex(w io.Writer) error {
 	return bw.Flush()
 }
 
-// checkHeaderParams verifies a persisted header against the graph and
-// params an index is being loaded for.
-func checkHeaderParams(n, T uint32, c float64, g *graph.Graph, p Params) error {
-	if int(n) != g.N() {
-		return fmt.Errorf("core: index built for n=%d, graph has n=%d", n, g.N())
-	}
-	if int(T) != p.T {
-		return fmt.Errorf("core: index built with T=%d, params use T=%d", T, p.T)
-	}
-	if math.Abs(c-p.C) > 1e-12 {
-		return fmt.Errorf("core: index built with c=%v, params use c=%v", c, p.C)
-	}
-	return nil
-}
-
 // validateIndexCSR checks one CSR offset/adjacency pair of the
 // candidate index: offsets monotone from 0 to len(adj), entries < n.
 // entryCheck is skipped by the mmap path (O(m) over the payload).
@@ -378,86 +363,52 @@ func (e *Engine) finishLoad() {
 }
 
 // LoadIndex reads an index saved by SaveIndex into a new engine over
-// the same graph. The stored n, T and c must match, every section is
+// the same graph. The stored n, m, T and c must match, every section is
 // verified against its directory CRC, and the embedded graph CSR must
 // be byte-identical to g's. Any version but the current one is
 // rejected.
 func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 	p = p.normalized() // compare stored params against what New would use
 	br := bufio.NewReader(r)
-	var pre [8]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
+	// The head — fixed header, directory, their CRC — goes through the one
+	// parser both loaders share. Its length is in the fixed header, which
+	// is read in two steps so that a foreign or retired format fails on its
+	// magic and version alone.
+	head := make([]byte, persistHeaderSize)
+	if _, err := io.ReadFull(br, head[:8]); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	magic := binary.LittleEndian.Uint32(pre[0:])
-	version := binary.LittleEndian.Uint32(pre[4:])
-	if magic != persistMagic {
-		return nil, fmt.Errorf("core: bad index magic %#x", magic)
+	if err := checkV3Magic(head); err != nil {
+		return nil, err
 	}
-	if version != persistVersion {
-		return nil, fmt.Errorf("core: unsupported index version %d", version)
-	}
-	return loadIndexV3(g, p, br, pre[:])
-}
-
-// loadIndexV3 stream-reads a sectioned v3 file (magic+version already
-// consumed, passed in pre).
-func loadIndexV3(g *graph.Graph, p Params, br *bufio.Reader, pre []byte) (*Engine, error) {
-	rest := make([]byte, persistHeaderSize-len(pre))
-	if _, err := io.ReadFull(br, rest); err != nil {
+	if _, err := io.ReadFull(br, head[8:]); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	hb := append(append([]byte{}, pre...), rest...)
-	var hdr persistHeader
-	if err := binary.Read(bytes.NewReader(hb), binary.LittleEndian, &hdr); err != nil {
+	headLen, err := v3HeadLen(head)
+	if err != nil {
 		return nil, err
 	}
-	if hdr.PageSize == 0 || hdr.PageSize&(hdr.PageSize-1) != 0 {
-		return nil, fmt.Errorf("core: corrupt index: page size %d", hdr.PageSize)
+	head = append(head, make([]byte, headLen-persistHeaderSize)...)
+	if _, err := io.ReadFull(br, head[persistHeaderSize:]); err != nil {
+		return nil, fmt.Errorf("core: reading section directory (truncated index file?): %w", err)
 	}
-	if hdr.SectionCount > 64 {
-		return nil, fmt.Errorf("core: corrupt index: %d sections", hdr.SectionCount)
-	}
-	dirBytes := make([]byte, persistSectionSize*int(hdr.SectionCount))
-	if _, err := io.ReadFull(br, dirBytes); err != nil {
-		return nil, fmt.Errorf("core: reading section directory: %w", err)
-	}
-	var stored uint32
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("core: reading header checksum (truncated index file?): %w", err)
-	}
-	hcrc := crc32.Checksum(hb, persistCRCTable)
-	hcrc = crc32.Update(hcrc, persistCRCTable, dirBytes)
-	if stored != hcrc {
-		return nil, fmt.Errorf("core: header checksum mismatch (stored %#08x, computed %#08x): corrupted index file", stored, hcrc)
-	}
-	dir := make([]persistSection, hdr.SectionCount)
-	if err := binary.Read(bytes.NewReader(dirBytes), binary.LittleEndian, dir); err != nil {
+	// A stream has no length to hold the sections against: a section that
+	// runs past the end fails its read.
+	hdr, dir, err := parseV3Container(head, math.MaxUint64, p)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkHeaderParams(hdr.N, hdr.T, hdr.C, g, p); err != nil {
-		return nil, err
+	if int(hdr.N) != g.N() {
+		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", hdr.N, g.N())
 	}
 	if int(hdr.M) != g.M() {
 		return nil, fmt.Errorf("core: index built for m=%d edges, graph has m=%d", hdr.M, g.M())
 	}
 
 	e := New(g, p)
-	pos := uint64(persistHeaderSize) + uint64(len(dirBytes)) + 4
+	pos := uint64(headLen)
 	sections := make(map[uint32][]uint32)
 	for _, d := range dir {
-		if d.ElemSize != 4 {
-			return nil, fmt.Errorf("core: section %d has element size %d", d.Kind, d.ElemSize)
-		}
-		if err := checkSectionCount(d, g.N(), p.T, g.M()); err != nil {
-			return nil, err
-		}
-		if d.Offset < pos {
-			return nil, fmt.Errorf("core: corrupt index: section %d overlaps (offset %d < %d)", d.Kind, d.Offset, pos)
-		}
-		if _, dup := sections[d.Kind]; dup || (d.Kind == secGamma && e.gamma != nil) {
-			return nil, fmt.Errorf("core: corrupt index: duplicate section %d", d.Kind)
-		}
 		if _, err := io.CopyN(io.Discard, br, int64(d.Offset-pos)); err != nil {
 			return nil, fmt.Errorf("core: seeking to section %d: %w", d.Kind, err)
 		}
@@ -569,35 +520,57 @@ func checkSectionCount(d persistSection, n, T, m int) error {
 	return nil
 }
 
-// parseV3Container parses and verifies the header and section directory
-// of an in-memory (typically mmapped) v3 index image: magic, version,
-// header CRC, parameter match, per-section element counts, ascending
-// page-aligned offsets, and that every section lies inside the image.
-// It never touches section payloads, so it stays O(directory) no matter
-// how large the file is.
-func parseV3Container(data []byte, p Params) (persistHeader, []persistSection, error) {
+// checkV3Magic checks the first eight bytes of an index file: the magic
+// and the one version that has a reader.
+func checkV3Magic(b []byte) error {
+	if magic := binary.LittleEndian.Uint32(b); magic != persistMagic {
+		return fmt.Errorf("core: bad index magic %#x", magic)
+	}
+	if version := binary.LittleEndian.Uint32(b[4:]); version != persistVersion {
+		return fmt.Errorf("core: unsupported index version %d", version)
+	}
+	return nil
+}
+
+// v3HeadLen returns the length of a v3 file's head — fixed header, section
+// directory and the CRC trailer over both — from its fixed header, bounding
+// the section count so nothing is sized from an implausible field.
+func v3HeadLen(fixed []byte) (int, error) {
+	count := binary.LittleEndian.Uint32(fixed[persistHeaderSize-4:])
+	if count > 64 {
+		return 0, fmt.Errorf("core: corrupt index: %d sections", count)
+	}
+	return persistHeaderSize + persistSectionSize*int(count) + 4, nil
+}
+
+// parseV3Container parses and verifies the head of a v3 index — data is
+// the whole image (typically mmapped) or at least its head, as LoadIndex
+// reads it off a stream: magic, version, header CRC, parameter match,
+// per-section element size and counts, no section kind twice, ascending
+// page-aligned offsets, and that every section ends within fileSize. It
+// never touches section payloads, so it stays O(directory) no matter how
+// large the file is. Both loaders run it and nothing else on the head.
+func parseV3Container(data []byte, fileSize uint64, p Params) (persistHeader, []persistSection, error) {
 	var hdr persistHeader
 	if len(data) < persistHeaderSize {
 		return hdr, nil, fmt.Errorf("core: index image too small (%d bytes)", len(data))
 	}
+	if err := checkV3Magic(data); err != nil {
+		return hdr, nil, err
+	}
+	headLen, err := v3HeadLen(data)
+	if err != nil {
+		return hdr, nil, err
+	}
+	if len(data) < headLen {
+		return hdr, nil, fmt.Errorf("core: index image truncated inside section directory")
+	}
+	dirEnd := headLen - 4
 	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, &hdr); err != nil {
 		return hdr, nil, err
 	}
-	if hdr.Magic != persistMagic {
-		return hdr, nil, fmt.Errorf("core: bad index magic %#x", hdr.Magic)
-	}
-	if hdr.Version != persistVersion {
-		return hdr, nil, fmt.Errorf("core: mmap load requires a version-%d index, file is version %d", persistVersion, hdr.Version)
-	}
 	if hdr.PageSize == 0 || hdr.PageSize&(hdr.PageSize-1) != 0 {
 		return hdr, nil, fmt.Errorf("core: corrupt index: page size %d", hdr.PageSize)
-	}
-	if hdr.SectionCount > 64 {
-		return hdr, nil, fmt.Errorf("core: corrupt index: %d sections", hdr.SectionCount)
-	}
-	dirEnd := persistHeaderSize + persistSectionSize*int(hdr.SectionCount)
-	if len(data) < dirEnd+4 {
-		return hdr, nil, fmt.Errorf("core: index image truncated inside section directory")
 	}
 	stored := binary.LittleEndian.Uint32(data[dirEnd:])
 	if crc := crc32.Checksum(data[:dirEnd], persistCRCTable); stored != crc {
@@ -613,7 +586,7 @@ func parseV3Container(data []byte, p Params) (persistHeader, []persistSection, e
 	if math.Abs(hdr.C-p.C) > 1e-12 {
 		return hdr, nil, fmt.Errorf("core: index built with c=%v, params use c=%v", hdr.C, p.C)
 	}
-	pos := uint64(dirEnd) + 4
+	pos := uint64(headLen)
 	seen := make(map[uint32]bool, len(dir))
 	for _, d := range dir {
 		if d.ElemSize != 4 {
@@ -630,7 +603,7 @@ func parseV3Container(data []byte, p Params) (persistHeader, []persistSection, e
 			return hdr, nil, fmt.Errorf("core: corrupt index: section %d at offset %d (cursor %d)", d.Kind, d.Offset, pos)
 		}
 		end := d.Offset + 4*d.Count
-		if end > uint64(len(data)) {
+		if end > fileSize {
 			return hdr, nil, fmt.Errorf("core: corrupt index: section %d extends past end of file", d.Kind)
 		}
 		pos = end

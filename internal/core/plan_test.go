@@ -74,7 +74,7 @@ func observePlan(t *testing.T, e *Snapshot, u uint32) planObs {
 		thr[i] = res
 		o.ThrStats = append(o.ThrStats, dropCache(st))
 	}
-	o.ThrMerged = MergeScored(0, thr)
+	o.ThrMerged = mergeScored(thr)
 	return o
 }
 

@@ -6,24 +6,35 @@ import (
 	"slices"
 )
 
-// QueryStats reports what the pruning machinery did during one query;
-// used by the ablation experiments and tests.
+// QueryStats reports what the pruning machinery did during one query. It
+// is the one definition of those counters: the root package aliases it,
+// the HTTP tiers serialize it as it is (the JSON keys below are the API's)
+// and the wire codec ships its fields in this order.
 type QueryStats struct {
 	// Candidates enumerated before pruning.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// PrunedByBound were cut by the L1/L2/distance upper bounds.
-	PrunedByBound int
+	PrunedByBound int `json:"pruned_by_bound"`
 	// PrunedByRough were cut after the rough adaptive estimate.
-	PrunedByRough int
+	PrunedByRough int `json:"pruned_by_rough"`
 	// Refined received the full RScore estimate.
-	Refined int
-	// CacheHits / CacheMisses count candidate tallies served from /
-	// inserted into the cross-query tally cache (both zero when the
-	// cache is disabled).
-	CacheHits   int
-	CacheMisses int
-	// CacheEvictions counts entries this query's inserts pushed out.
-	CacheEvictions int
+	Refined int `json:"refined"`
+	// The cross-query tally cache's part in this query, all zero when the
+	// cache is disabled: candidate tallies served from it, tallies inserted
+	// into it, and entries those inserts pushed out.
+	CacheHits      int `json:"cache_hits"`
+	CacheMisses    int `json:"cache_misses"`
+	CacheEvictions int `json:"cache_evictions"`
+}
+
+// AddCache adds o's tally-cache counters to st: how the scoring workers of
+// one block report theirs, and how a router sums its shards' — each shard
+// has a cache of its own, so those counters add up where the scan counters
+// are replayed.
+func (st *QueryStats) AddCache(o QueryStats) {
+	st.CacheHits += o.CacheHits
+	st.CacheMisses += o.CacheMisses
+	st.CacheEvictions += o.CacheEvictions
 }
 
 // boundedCand is a candidate with its upper bound, ready for sorting.
@@ -32,33 +43,14 @@ type boundedCand struct {
 	ub float64
 }
 
-// candScore is the outcome of scoring one candidate.
-type candScore struct {
-	score float64
-	// rough is the adaptive first-pass estimate, valid for candScored and
-	// candRoughPruned (the paths that ran a rough phase). The shard-serving
-	// tier ships it to the router so the rough-prune decision can be
-	// replayed against any floor (shard.go).
-	rough float64
-	state uint8
-	// cache records the tally-cache interaction (cacheNone when the
-	// cache is disabled or the exact path answered); evicted counts
-	// entries displaced by this candidate's insert.
-	cache   uint8
-	evicted uint16
+// roughPruned is the adaptive cut of the paper's §7.2: a candidate whose
+// rough RRough-walk estimate is "small" against the pruning floor is not
+// worth its RScore walks. Every place that takes the verdict — the lane
+// kernel, the tally-cache path, the scan re-taking it against a higher
+// floor — calls this, so they cannot disagree about a candidate.
+func roughPruned(rough, floor float64) bool {
+	return rough < 0.3*floor
 }
-
-const (
-	candScored        = uint8(iota) // full estimate in score, rough pass ran
-	candRoughPruned                 // cut by the rough adaptive estimate
-	candScoredNoRough               // full estimate in score, no rough pass (exact scoring or DisableAdaptive)
-)
-
-const (
-	cacheNone = uint8(iota)
-	cacheHit
-	cacheMiss
-)
 
 // scoreBlock is the number of bound-ordered candidates scored between two
 // re-evaluations of the pruning floor. It is a fixed constant — NOT a
@@ -141,68 +133,92 @@ func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float
 	qs := e.getScratch()
 	defer e.putScratch(qs)
 
-	// Candidates arrive bounded and in descending bound order, so the
-	// scan can stop at the first bound below the pruning floor.
 	pl := e.queryPlan(qs, u)
 	wd, bs := pl.wd, pl.cands
 	if lo > 0 || int(hi) < e.g.N() {
 		bs = pl.restrict(qs, lo, hi)
 	}
-	stats.Candidates = len(bs)
+	if cap(qs.scores) < scoreBlock {
+		qs.scores = make([]ShardCand, scoreBlock)
+	}
+	res, err := scanOrdered(k, theta, len(bs), &stats,
+		func(i int) float64 { return bs[i].ub },
+		func(i, end int, floor float64) ([]ShardCand, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			out := qs.scores[:end-i]
+			e.scoreBlock(qs, bs[i:end], out, wd, floor, workers, &stats)
+			return out, nil
+		})
+	return res, stats, err
+}
 
+// scanOrdered is Algorithm 5's scan, the one place a query's pruning
+// decisions are taken. n candidates stand in descending bound order
+// (sortBounds), bound(i) the i-th bound; they are taken a block at a time.
+// The pruning floor max(theta, k-th best so far) is re-evaluated once per
+// block, from fully merged results only — deterministic regardless of
+// workers. The scan stops at the first bound below it and trims the block's
+// tail below it, so nothing is scored that a sequential scan would have
+// bound-pruned at this floor; outcomes(i, end, floor) then says what
+// scoring candidates [i, end) gave. A single node scores them there and
+// then (scoreBlock); a router hands back what the shards shipped, scored
+// at the fixed floor theta, and the rough verdict is re-taken here against
+// the floor the single node would have used (shard.go has the argument).
+// Outcomes are merged in bound order, and a refined score enters the
+// result at theta. k == 0 means unlimited. Scan counters go to stats; an
+// error from outcomes ends the scan.
+func scanOrdered(k int, theta float64, n int, stats *QueryStats, bound func(i int) float64,
+	outcomes func(i, end int, floor float64) ([]ShardCand, error)) ([]Scored, error) {
+	stats.Candidates = n
 	acc := newTopKAcc(k)
 	if k == 0 {
-		acc = newTopKAcc(len(bs)) // unlimited: keep everything above theta
+		acc = newTopKAcc(n) // unlimited: keep everything above theta
 	}
-	for i := 0; i < len(bs); {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		// The pruning floor is re-evaluated once per block, from fully
-		// merged results only — deterministic regardless of workers.
+	for i := 0; i < n; {
 		floor := theta
 		if k > 0 && acc.kth() > floor {
 			floor = acc.kth()
 		}
-		if bs[i].ub < floor {
-			stats.PrunedByBound += len(bs) - i
+		if bound(i) < floor {
+			stats.PrunedByBound += n - i
 			break
 		}
-		end := i + scoreBlock
-		if end > len(bs) {
-			end = len(bs)
-		}
-		// Bounds are sorted descending: trim the block's tail below the
-		// floor now, so workers never score a candidate the sequential
-		// path would have bound-pruned at this floor.
-		for end > i && bs[end-1].ub < floor {
+		end := min(i+scoreBlock, n)
+		for end > i && bound(end-1) < floor {
 			end--
 		}
-		block := bs[i:end]
-		scores := e.scoreBlock(qs, block, wd, floor, workers)
-		// Merge sequentially in bound order, exactly as the sequential
-		// path would have.
-		for j, b := range block {
-			switch scores[j].cache {
-			case cacheHit:
-				stats.CacheHits++
-			case cacheMiss:
-				stats.CacheMisses++
-			}
-			stats.CacheEvictions += int(scores[j].evicted)
-			switch scores[j].state {
-			case candRoughPruned:
-				stats.PrunedByRough++
-			default:
-				stats.Refined++
-				if scores[j].score >= theta {
-					acc.add(Scored{b.v, scores[j].score})
-				}
+		block, err := outcomes(i, end, floor)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range block {
+			if stats.note(c, floor) && c.Score >= theta {
+				acc.add(Scored{c.V, c.Score})
 			}
 		}
 		i = end
 	}
-	return acc.result(), stats, nil
+	return acc.result(), nil
+}
+
+// note counts one scored candidate's outcome at a pruning floor and
+// reports whether it was refined, i.e. whether c.Score is an estimate.
+func (st *QueryStats) note(c ShardCand, floor float64) (refined bool) {
+	switch {
+	case c.State == ShardRoughPruned, c.State == ShardScored && roughPruned(c.Rough, floor):
+		st.PrunedByRough++
+	case c.State == ShardUnscored:
+		// Unreachable for a well-formed scan: an unscored entry has a bound
+		// below theta <= floor, so the cutoff or the tail trim excludes it.
+		// Counted as bound-pruned rather than invented as a score.
+		st.PrunedByBound++
+	default:
+		st.Refined++
+		return true
+	}
+	return false
 }
 
 // queryPlan is what a scan knows before it scores its first candidate:
@@ -379,11 +395,12 @@ func sortBounds(bs []boundedCand) {
 	})
 }
 
-// scoreCandidate scores candidate v without scheduling walks of its own
-// when it can: by exact propagation (under ExactScoring, when the query
-// side is exact and the same push reaches on v's side too) or through the
-// tally cache. ok is false when neither applies and the caller must hand
-// v to the lane kernel (scoreLanes).
+// scoreCandidate scores the candidate v = out.V into out without
+// scheduling walks of its own when it can: by exact propagation (under
+// ExactScoring, when the query side is exact and the same push reaches on
+// v's side too) or through the tally cache, whose part in it is counted in
+// stats. It reports false when neither applies and the caller must hand v
+// to the lane kernel (scoreLanes).
 //
 // The candidate's walks are seeded from v alone (candSeed), never shared,
 // so its score is a pure function of the engine state — and its tally is
@@ -391,19 +408,22 @@ func sortBounds(bs []boundedCand) {
 // cached and uncached paths evaluate the identical estimator over the
 // identical walk stream (tally.go, lanes.go), so enabling the cache
 // changes work, never values.
-func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor float64) (cs candScore, ok bool) {
+func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floor float64, stats *QueryStats) bool {
+	v := out.V
 	if e.p.ExactScoring && !wd.sampled && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
 		// Deterministic scoring: the candidate side propagates exactly too.
-		return candScore{score: e.dotSeries(wd, &s.wd2), state: candScoredNoRough}, true
+		out.State, out.Score = ShardScoredNoRough, e.dotSeries(wd, &s.wd2)
+		return true
 	}
 	c := e.cache
 	if c == nil {
-		return candScore{}, false
+		return false
 	}
 	R, Rr := e.p.RScore, e.p.RRough
-	cs = candScore{cache: cacheHit, state: candScoredNoRough}
 	ent := c.get(v)
-	if ent == nil {
+	if ent != nil {
+		stats.CacheHits++
+	} else {
 		// Miss: simulate the whole stream once and publish the tally. The
 		// query is then served from the new entry exactly as a hit would
 		// be — the rough estimate from the prefix counts — whether or not
@@ -412,22 +432,21 @@ func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, v uint32, floor floa
 		e.simulateCandWalks(s, v, R)
 		rsteps := e.buildFullTally(s, v, R, Rr, R)
 		ent = newTallyEntry(v, rsteps, s)
-		cs.cache = cacheMiss
-		cs.evicted = uint16(min(c.put(ent), maxTallyCount))
+		stats.CacheMisses++
+		stats.CacheEvictions += c.put(ent)
 	}
 	tl := &ent.val
+	out.State = ShardScoredNoRough
 	if !e.p.DisableAdaptive {
-		// "not small" (paper §7.2): keep the candidate when the rough
-		// estimate reaches 0.3x the pruning floor.
-		cs.rough = e.dotTally(wd, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
-		cs.state = candScored
-		if cs.rough < 0.3*floor {
-			cs.state = candRoughPruned
-			return cs, true
+		out.Rough = e.dotTally(wd, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
+		if roughPruned(out.Rough, floor) {
+			out.State = ShardRoughPruned
+			return true
 		}
+		out.State = ShardScored
 	}
-	cs.score = e.dotTally(wd, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
-	return cs, true
+	out.Score = e.dotTally(wd, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
+	return true
 }
 
 // collectCandidates enumerates candidate vertices for the query according

@@ -64,7 +64,7 @@ type scratch struct {
 	// Query working sets.
 	cands  []uint32
 	bounds []boundedCand
-	scores []candScore
+	scores []ShardCand
 
 	// Candidate tally kernel buffers (tally.go): tpos is the walk-major
 	// step×walk position matrix, and tallyOff/tallyV/tallyCnt/tallyRcnt

@@ -29,34 +29,35 @@ import (
 //     scan bound-prunes them no matter what.
 //   - Candidates at or above Theta are scored at the fixed floor Theta.
 //     The rough adaptive estimate is shipped alongside the refined score
-//     (ShardScored), so the rough-prune decision "rough < 0.3*floor" can
-//     be re-taken by the router against the true global floor. A
-//     candidate rough-pruned at Theta (ShardRoughPruned) is rough-pruned
-//     at every floor >= Theta — 0.3*floor only grows — so its refined
+//     (ShardScored), so the rough-prune decision (roughPruned) can be
+//     re-taken by the router against the true global floor. A candidate
+//     rough-pruned at Theta (ShardRoughPruned) is rough-pruned at every
+//     floor >= Theta — the cut only grows with the floor — so its refined
 //     score is never needed. Paths that run no rough pass (exact
 //     scoring, DisableAdaptive) return ShardScoredNoRough and are never
 //     rough-pruned, matching search() exactly.
 //
 // MergeShardTopK then reconstructs the global bound order — the
-// (ub desc, v asc) total order of sortBounds — by k-way merge and
-// replays search()'s block loop verbatim: recompute the floor per block,
-// stop at the first bound below it, trim the block tail, re-take every
-// rough-prune decision from the shipped estimates. Because each
-// candidate's score is a pure function of (snapshot, v) — candSeed is
-// per-vertex — the replayed scan observes exactly the values the
-// single-node scan would have computed, so results AND pruning counters
-// are byte-identical. Cache hit/miss counters are the one exception:
+// (ub desc, v asc) total order of sortBounds — by k-way merge and runs
+// the scan search() runs, scanOrdered itself, over it: the floor per
+// block, the stop at the first bound below it, the block tail trim and
+// the admission are that one function's, fed the shipped outcomes where
+// search() feeds it live ones. Because each candidate's score is a pure
+// function of (snapshot, v) — candSeed is per-vertex — the scan observes
+// exactly the values the single-node scan would have computed, so results
+// AND pruning counters are byte-identical. Cache hit/miss counters are the one exception:
 // they depend on which shard's cache served each candidate, so the
 // router sums the per-shard values instead (topology-dependent, still
 // deterministic for a fixed topology and query history).
 
-// ShardCand states. A fragment entry is one candidate's scoring outcome
-// on the shard that owns it.
+// ShardCand states: what scoring one candidate at one pruning floor came
+// to. The scoring kernels write them (lanes.go, scoreCandidate), the scan
+// reads them (scanOrdered), fragments carry them.
 const (
 	// ShardUnscored: upper bound below Theta; carries V and UB only.
 	ShardUnscored = uint8(iota)
-	// ShardRoughPruned: rough estimate fell below 0.3*Theta; carries
-	// Rough, no Score.
+	// ShardRoughPruned: the rough estimate was small against the floor
+	// (roughPruned); carries Rough, no Score.
 	ShardRoughPruned
 	// ShardScored: refined estimate in Score, rough pass ran (Rough
 	// valid) — the router re-takes the rough-prune decision.
@@ -66,16 +67,20 @@ const (
 	ShardScoredNoRough
 )
 
-// ShardCand is one candidate's outcome in a shard fragment, ordered by
-// (UB desc, V asc) within the fragment. UB is clamped to MaxFloat64 so
-// fragments survive JSON transport; all real bounds are <= 1, so the
-// clamp cannot reorder the merge.
+// ShardCand is one candidate's scoring outcome: what scoreBlock hands the
+// scan, and one entry of a shard fragment, ordered by (UB desc, V asc)
+// within the fragment. UB is clamped to MaxFloat64 so fragments survive
+// JSON transport; all real bounds are <= 1, so the clamp cannot reorder
+// the merge. The JSON keys are the /shard/* API's: short, because a
+// fragment carries every candidate of a query, with Rough and Score
+// omitted when zero — State says which of them are meaningful, and a true
+// zero round-trips as zero.
 type ShardCand struct {
-	V     uint32
-	UB    float64
-	State uint8
-	Rough float64
-	Score float64
+	V     uint32  `json:"v"`
+	UB    float64 `json:"ub"`
+	State uint8   `json:"st"`
+	Rough float64 `json:"r,omitempty"`
+	Score float64 `json:"sc,omitempty"`
 }
 
 // shardCandBefore is the fragment order: UB descending, ties by V
@@ -189,43 +194,17 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	for i := cut; i < len(bs); i++ {
 		out[i] = ShardCand{V: bs[i].v, UB: clampUB(bs[i].ub), State: ShardUnscored}
 	}
-
-	for i := 0; i < cut; {
+	// The rest is scored at the fixed floor Theta, straight into the
+	// fragment, and counted as the scan would count it at that floor.
+	for i := 0; i < cut; i += scoreBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		end := i + scoreBlock
-		if end > cut {
-			end = cut
+		end := min(i+scoreBlock, cut)
+		e.scoreBlock(qs, bs[i:end], out[i:end], wd, theta, workers, &stats)
+		for _, c := range out[i:end] {
+			stats.note(c, theta)
 		}
-		block := bs[i:end]
-		scores := e.scoreBlock(qs, block, wd, theta, workers)
-		for j, b := range block {
-			cs := scores[j]
-			switch cs.cache {
-			case cacheHit:
-				stats.CacheHits++
-			case cacheMiss:
-				stats.CacheMisses++
-			}
-			stats.CacheEvictions += int(cs.evicted)
-			sc := ShardCand{V: b.v, UB: clampUB(b.ub), Rough: cs.rough}
-			switch cs.state {
-			case candRoughPruned:
-				sc.State = ShardRoughPruned
-				stats.PrunedByRough++
-			case candScoredNoRough:
-				sc.State = ShardScoredNoRough
-				sc.Score = cs.score
-				stats.Refined++
-			default:
-				sc.State = ShardScored
-				sc.Score = cs.score
-				stats.Refined++
-			}
-			out[i+j] = sc
-		}
-		i = end
 	}
 	return out, stats, nil
 }
@@ -241,13 +220,13 @@ func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float6
 }
 
 // MergeShardTopK merges per-shard fragments (each sorted by UB desc, V
-// asc over a disjoint vertex range) and replays the single-node scan of
-// search() over the merged stream: per-block floor recomputation,
-// bound-prune cutoff, block tail trim, and re-taken rough-prune
-// decisions. k == 0 means unlimited (every candidate scoring >= theta).
-// The returned results and scan counters are byte-identical to
-// search()'s on the union of the fragments; cache counters are zero
-// here — the caller sums the per-shard stats for those.
+// asc over a disjoint vertex range) into the global bound order and runs
+// the single-node scan (scanOrdered) over the merged stream, with the
+// shipped outcomes standing in for live scoring. k == 0 means unlimited
+// (every candidate scoring >= theta). The returned results and scan
+// counters are byte-identical to search()'s on the union of the
+// fragments; cache counters are zero here — the caller sums the
+// per-shard stats for those (QueryStats.AddCache).
 func MergeShardTopK(k int, theta float64, frags [][]ShardCand) ([]Scored, QueryStats) {
 	return MergeShardTopKScratch(k, theta, frags, nil)
 }
@@ -263,13 +242,10 @@ type MergeScratch struct {
 // MergeShardTopKScratch is MergeShardTopK drawing its working memory
 // from ms (nil behaves like a fresh scratch).
 func MergeShardTopKScratch(k int, theta float64, frags [][]ShardCand, ms *MergeScratch) ([]Scored, QueryStats) {
-	var stats QueryStats
 	total := 0
 	for _, f := range frags {
 		total += len(f)
 	}
-	stats.Candidates = total
-
 	if ms == nil {
 		ms = &MergeScratch{}
 	}
@@ -296,78 +272,9 @@ func MergeShardTopKScratch(k int, theta float64, frags [][]ShardCand, ms *MergeS
 	}
 	ms.bs = bs
 
-	acc := newTopKAcc(k)
-	if k == 0 {
-		acc = newTopKAcc(len(bs))
-	}
-	for i := 0; i < len(bs); {
-		floor := theta
-		if k > 0 && acc.kth() > floor {
-			floor = acc.kth()
-		}
-		if bs[i].UB < floor {
-			stats.PrunedByBound += len(bs) - i
-			break
-		}
-		end := i + scoreBlock
-		if end > len(bs) {
-			end = len(bs)
-		}
-		for end > i && bs[end-1].UB < floor {
-			end--
-		}
-		for j := i; j < end; j++ {
-			c := bs[j]
-			switch {
-			case c.State == ShardRoughPruned,
-				c.State == ShardScored && c.Rough < 0.3*floor:
-				stats.PrunedByRough++
-			case c.State == ShardUnscored:
-				// Unreachable for well-formed fragments: an unscored entry
-				// has UB < theta <= floor, so the sorted scan breaks (or the
-				// tail trim excludes it) before reaching it. Counted as
-				// bound-pruned defensively rather than invented as a score.
-				stats.PrunedByBound++
-			default:
-				stats.Refined++
-				if c.Score >= theta {
-					acc.add(Scored{c.V, c.Score})
-				}
-			}
-		}
-		i = end
-	}
-	return acc.result(), stats
-}
-
-// MergeScored merges per-shard Threshold result lists (each sorted best
-// first by scoredLess) into the global best-first order. k == 0 keeps
-// everything. Exact for any fixed-floor query mode.
-func MergeScored(k int, frags [][]Scored) []Scored {
-	total := 0
-	for _, f := range frags {
-		total += len(f)
-	}
-	if k == 0 || k > total {
-		k = total
-	}
-	out := make([]Scored, 0, k)
-	heads := make([]int, len(frags))
-	for len(out) < k {
-		best := -1
-		for fi, f := range frags {
-			if heads[fi] >= len(f) {
-				continue
-			}
-			if best < 0 || scoredLess(frags[best][heads[best]], f[heads[fi]]) {
-				best = fi
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, frags[best][heads[best]])
-		heads[best]++
-	}
-	return out
+	var stats QueryStats
+	res, _ := scanOrdered(k, theta, len(bs), &stats,
+		func(i int) float64 { return bs[i].UB },
+		func(i, end int, _ float64) ([]ShardCand, error) { return bs[i:end], nil })
+	return res, stats
 }

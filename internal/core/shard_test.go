@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,6 +16,20 @@ import (
 func scanStats(s QueryStats) QueryStats {
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = 0, 0, 0
 	return s
+}
+
+// mergeScored merges per-shard Threshold result lists best first. The
+// lists cover disjoint vertex ranges under one total order, so the merge
+// is their union, sorted (the router's k-way merge is internal/shard's).
+func mergeScored(frags [][]Scored) []Scored {
+	out := slices.Concat(frags...)
+	slices.SortFunc(out, func(a, b Scored) int {
+		if scoredLess(a, b) {
+			return 1
+		}
+		return -1
+	})
+	return out
 }
 
 // shardConfigs are the parameter corners the replay proof has to cover:
@@ -176,7 +191,7 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 					t.Fatalf("theta=%g u=%d part=%d: stats sum %+v, want %+v",
 						theta, u, pi, sum, scanStats(wantStats))
 				}
-				got := MergeScored(0, frags)
+				got := mergeScored(frags)
 				if len(got) != len(want) {
 					t.Fatalf("theta=%g u=%d part=%d: %d results, want %d",
 						theta, u, pi, len(got), len(want))

@@ -2,8 +2,6 @@ package router
 
 import (
 	simrank "repro"
-	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -17,18 +15,18 @@ type reply struct {
 	// Decode targets, reused across queries: the parse shell for HTTP
 	// bodies (the TCP transport parses in its connection's shell), the
 	// wire messages that own backing arrays, and the reply-owned fragment
-	// rows — JSON conversions and the one-row answer of a topk.
+	// rows — what a JSON body decoded to, and the one-row answer of a topk.
 	frame    wire.Frame
 	batch    wire.BatchResp
 	similar  wire.SimilarResp
 	rows     [][]simrank.ShardCand
-	rowStats []wire.Stats
+	rowStats []simrank.QueryStats
 
 	// The view the merge reads: one fragment and one stats entry per
 	// query (a topk is a batch of one), or the ranked list of a similar.
 	frags  [][]simrank.ShardCand
-	stats  []wire.Stats
-	ranked []shard.Ranked
+	stats  []simrank.QueryStats
+	ranked []simrank.Result
 }
 
 // setRows sizes the reply-owned rows for q queries and points the merge
@@ -40,7 +38,7 @@ func (rp *reply) setRows(q int) {
 	}
 	rp.rows = rp.rows[:q]
 	if cap(rp.rowStats) < q {
-		rp.rowStats = make([]wire.Stats, q)
+		rp.rowStats = make([]simrank.QueryStats, q)
 	}
 	rp.rowStats = rp.rowStats[:q]
 	rp.frags, rp.stats = rp.rows, rp.rowStats
@@ -61,8 +59,7 @@ type gather struct {
 	errs    []error
 	replies []*reply
 	qfrags  [][]simrank.ShardCand // query qi's fragment of every shard
-	rfrags  [][]shard.Ranked      // every shard's ranked list (similar)
-	results []server.ResultJSON
+	rfrags  [][]simrank.Result    // every shard's ranked list (similar)
 	ms      simrank.MergeScratch
 }
 
@@ -72,7 +69,7 @@ func (g *gather) ensure(n int) {
 		g.errs = make([]error, n)
 		g.replies = make([]*reply, n)
 		g.qfrags = make([][]simrank.ShardCand, n)
-		g.rfrags = make([][]shard.Ranked, n)
+		g.rfrags = make([][]simrank.Result, n)
 	}
 	g.errs = g.errs[:n]
 	g.replies = g.replies[:n]
@@ -99,7 +96,7 @@ func (rt *Router) putGather(g *gather) {
 // fragment merge. The scan counters come out byte-identical to single
 // node; the cache counters are summed over the shards (cache state is
 // topology-dependent: each shard has its own tally cache).
-func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.Result, *server.QueryStatsJSON) {
+func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
 	for i, rp := range g.replies {
 		g.qfrags[i] = rp.frags[qi]
 	}
@@ -107,17 +104,8 @@ func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.
 	if !wantStats {
 		return res, nil
 	}
-	out := &server.QueryStatsJSON{
-		Candidates:    st.Candidates,
-		PrunedByBound: st.PrunedByBound,
-		PrunedByRough: st.PrunedByRough,
-		Refined:       st.Refined,
-	}
 	for _, rp := range g.replies {
-		s := rp.stats[qi]
-		out.CacheHits += int(s.CacheHits)
-		out.CacheMisses += int(s.CacheMisses)
-		out.CacheEvictions += int(s.CacheEvictions)
+		st.AddCache(rp.stats[qi])
 	}
-	return res, out
+	return res, &st
 }

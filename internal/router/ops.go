@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"strconv"
 
+	simrank "repro"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -33,20 +33,13 @@ func rangeQuery(lo, hi int) string {
 	return "&lo=" + strconv.Itoa(lo) + "&hi=" + strconv.Itoa(hi)
 }
 
-// statsFromJSON lowers the JSON stats shape (absent = all zero) to the
-// wire counters the merge view carries.
-func statsFromJSON(st *server.QueryStatsJSON) wire.Stats {
-	if st == nil {
-		return wire.Stats{}
-	}
-	return wire.Stats{
-		Candidates:     int64(st.Candidates),
-		PrunedByBound:  int64(st.PrunedByBound),
-		PrunedByRough:  int64(st.PrunedByRough),
-		Refined:        int64(st.Refined),
-		CacheHits:      int64(st.CacheHits),
-		CacheMisses:    int64(st.CacheMisses),
-		CacheEvictions: int64(st.CacheEvictions),
+// setJSONRow stores query qi's decoded JSON answer in rp's rows. The
+// fragment is the decoder's own allocation and stats absent from the body
+// are all zero.
+func (rp *reply) setJSONRow(qi int, r *server.ShardTopKResponse) {
+	rp.rows[qi], rp.rowStats[qi] = r.Frag, simrank.QueryStats{}
+	if r.Stats != nil {
+		rp.rowStats[qi] = *r.Stats
 	}
 }
 
@@ -77,7 +70,7 @@ func (o topkOp) decodeJSON(body []byte, rp *reply) error {
 		return err
 	}
 	rp.setRows(1)
-	rp.rows[0], rp.rowStats[0] = server.FromWire(rp.rows[0][:0], resp.Frag), statsFromJSON(resp.Stats)
+	rp.setJSONRow(0, &resp)
 	return nil
 }
 
@@ -121,8 +114,8 @@ func (o batchOp) decodeJSON(body []byte, rp *reply) error {
 		return err
 	}
 	rp.setRows(len(resp.Results))
-	for qi, r := range resp.Results {
-		rp.rows[qi], rp.rowStats[qi] = server.FromWire(rp.rows[qi][:0], r.Frag), statsFromJSON(r.Stats)
+	for qi := range resp.Results {
+		rp.setJSONRow(qi, &resp.Results[qi])
 	}
 	return o.checkRows(len(rp.frags))
 }
@@ -146,10 +139,7 @@ func (o similarOp) decodeFrame(f *wire.Frame, rp *reply) error {
 	if err := f.SimilarResp(&rp.similar); err != nil {
 		return err
 	}
-	rp.ranked = rp.ranked[:0]
-	for _, sn := range rp.similar.Ranked {
-		rp.ranked = append(rp.ranked, shard.Ranked{Node: int(sn.Node), Score: sn.Score})
-	}
+	rp.ranked = rp.similar.Ranked
 	return nil
 }
 
@@ -158,9 +148,6 @@ func (o similarOp) decodeJSON(body []byte, rp *reply) error {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return err
 	}
-	rp.ranked = rp.ranked[:0]
-	for _, res := range resp.Results {
-		rp.ranked = append(rp.ranked, shard.Ranked{Node: res.Node, Score: res.Score})
-	}
+	rp.ranked = resp.Results
 	return nil
 }

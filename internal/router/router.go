@@ -45,13 +45,11 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	simrank "repro"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -367,8 +365,9 @@ func (rt *Router) writeQueryError(w http.ResponseWriter, err error) {
 // vertexParam reads the query vertex "u" and checks it against the
 // topology's vertex count, so malformed queries never reach a shard.
 func (rt *Router) vertexParam(w http.ResponseWriter, q url.Values, t *topology) (int, bool) {
-	u, ok := intParam(w, q, "u", -1)
-	if !ok {
+	u, err := server.IntParam(q, "u", -1)
+	if err != nil {
+		writeBadRequest(w, err.Error())
 		return 0, false
 	}
 	if u < 0 || u >= t.vertices {
@@ -388,12 +387,9 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	k, ok := intParam(w, q, "k", 20)
-	if !ok {
-		return
-	}
-	if k <= 0 || k > rt.cfg.MaxK {
-		writeBadRequest(w, fmt.Sprintf("k must be in [1, %d]", rt.cfg.MaxK))
+	k, err := server.KParam(q, rt.cfg.MaxK)
+	if err != nil {
+		writeBadRequest(w, err.Error())
 		return
 	}
 	rt.queries.Add(1)
@@ -407,10 +403,9 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, st := g.mergeTopK(0, k, t.theta, q.Get("stats") == "1")
-	g.results = appendResults(g.results[:0], res)
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
-		Results:  g.results,
+		Results:  res,
 		Stats:    st,
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
@@ -426,24 +421,9 @@ func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, server.CodeBadRequest, "POST required")
 		return
 	}
-	var req server.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeBadRequest(w, "queries must be non-empty")
-		return
-	}
-	if len(req.Queries) > rt.cfg.MaxBatch {
-		writeBadRequest(w, fmt.Sprintf("batch size %d exceeds limit %d", len(req.Queries), rt.cfg.MaxBatch))
-		return
-	}
-	if req.K == 0 {
-		req.K = 20
-	}
-	if req.K < 0 || req.K > rt.cfg.MaxK {
-		writeBadRequest(w, fmt.Sprintf("k must be in [1, %d]", rt.cfg.MaxK))
+	req, err := server.DecodeBatchRequest(r.Body, rt.cfg.MaxBatch, rt.cfg.MaxK)
+	if err != nil {
+		writeBadRequest(w, err.Error())
 		return
 	}
 	// A fresh slice per request, never pooled: the op outlives the
@@ -475,7 +455,7 @@ func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 	resp := server.BatchResponse{K: req.K, Results: make([]server.TopKResponse, len(req.Queries))}
 	for qi, u := range req.Queries {
 		res, st := g.mergeTopK(qi, req.K, t.theta, req.Stats)
-		resp.Results[qi] = server.TopKResponse{Query: u, Results: appendResults(nil, res), Stats: st}
+		resp.Results[qi] = server.TopKResponse{Query: u, Results: res, Stats: st}
 	}
 	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
@@ -491,14 +471,10 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	theta := 0.01
-	if s := q.Get("theta"); s != "" {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil || !(f > 0 && f <= 1) {
-			writeBadRequest(w, "theta must be a float in (0, 1]")
-			return
-		}
-		theta = f
+	theta, err := server.ThetaParam(q, 0.01)
+	if err != nil {
+		writeBadRequest(w, err.Error())
+		return
 	}
 	rt.similar.Add(1)
 	ctx, cancel := rt.queryCtx(r)
@@ -513,14 +489,9 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	for i, rp := range g.replies {
 		g.rfrags[i] = rp.ranked
 	}
-	merged := shard.MergeTopK(0, g.rfrags)
-	out := make([]server.ResultJSON, len(merged))
-	for i, m := range merged {
-		out[i] = server.ResultJSON{Node: m.Node, Score: m.Score}
-	}
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
-		Results:  out,
+		Results:  shard.MergeTopK(0, g.rfrags),
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
@@ -635,19 +606,6 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// appendResults converts merged results into the JSON shape, reusing
-// dst's capacity; the result is never nil so an empty list encodes as
-// [] rather than null.
-func appendResults(dst []server.ResultJSON, res []simrank.Result) []server.ResultJSON {
-	if dst == nil {
-		dst = make([]server.ResultJSON, 0, len(res))
-	}
-	for _, r := range res {
-		dst = append(dst, server.ResultJSON{Node: r.Node, Score: r.Score})
-	}
-	return dst
-}
-
 func writeJSON(w http.ResponseWriter, status int, payload any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -656,23 +614,4 @@ func writeJSON(w http.ResponseWriter, status int, payload any) {
 
 func writeBadRequest(w http.ResponseWriter, msg string) {
 	server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, msg)
-}
-
-// intParam parses an integer query parameter from pre-parsed values
-// (the URL is parsed once per request); def < 0 means required.
-func intParam(w http.ResponseWriter, q url.Values, name string, def int) (int, bool) {
-	s := q.Get(name)
-	if s == "" {
-		if def >= 0 {
-			return def, true
-		}
-		writeBadRequest(w, fmt.Sprintf("missing required parameter %q", name))
-		return 0, false
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		writeBadRequest(w, fmt.Sprintf("parameter %q must be an integer", name))
-		return 0, false
-	}
-	return v, true
 }

@@ -159,7 +159,7 @@ func diffResults(got, want []server.ResultJSON) error {
 	return nil
 }
 
-func diffScanStats(got, want *server.QueryStatsJSON) error {
+func diffScanStats(got, want *simrank.QueryStats) error {
 	if got == nil || want == nil {
 		return fmt.Errorf("missing stats (got %v, want %v)", got, want)
 	}
@@ -177,7 +177,7 @@ func sameResults(tb testing.TB, label string, got, want []server.ResultJSON) {
 	}
 }
 
-func sameScanStats(tb testing.TB, label string, got, want *server.QueryStatsJSON) {
+func sameScanStats(tb testing.TB, label string, got, want *simrank.QueryStats) {
 	tb.Helper()
 	if err := diffScanStats(got, want); err != nil {
 		tb.Fatalf("%s: %v", label, err)

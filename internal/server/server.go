@@ -38,7 +38,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -176,77 +178,22 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// ResultJSON is one scored vertex in API responses.
-type ResultJSON struct {
-	Node  int     `json:"node"`
-	Score float64 `json:"score"`
-}
+// ResultJSON is one scored vertex in API responses: the index's own
+// result type, which carries the JSON keys. The payload types of this API
+// are defined where the data is produced — simrank.Result here,
+// QueryStats, CacheStats and ShardCand in internal/core (aliased by the
+// root package) — and every tier serializes them as they are.
+type ResultJSON = simrank.Result
 
 // TopKResponse is the payload of /topk and /similar.
 type TopKResponse struct {
-	Query    int          `json:"query"`
-	Results  []ResultJSON `json:"results"`
-	ElapsedM float64      `json:"elapsed_ms"`
+	Query    int              `json:"query"`
+	Results  []simrank.Result `json:"results"`
+	ElapsedM float64          `json:"elapsed_ms"`
 	// Stats is present on /topk?stats=1: pruning counters for the query.
-	Stats *QueryStatsJSON `json:"stats,omitempty"`
+	Stats *simrank.QueryStats `json:"stats,omitempty"`
 	// Cache is present on /topk?stats=1: index-wide tally-cache state.
-	Cache *CacheStatsJSON `json:"cache,omitempty"`
-}
-
-// QueryStatsJSON mirrors simrank.QueryStats for API responses.
-type QueryStatsJSON struct {
-	Candidates     int `json:"candidates"`
-	PrunedByBound  int `json:"pruned_by_bound"`
-	PrunedByRough  int `json:"pruned_by_rough"`
-	Refined        int `json:"refined"`
-	CacheHits      int `json:"cache_hits"`
-	CacheMisses    int `json:"cache_misses"`
-	CacheEvictions int `json:"cache_evictions"`
-}
-
-func toStatsJSON(st simrank.QueryStats) *QueryStatsJSON {
-	return &QueryStatsJSON{
-		Candidates:     st.Candidates,
-		PrunedByBound:  st.PrunedByBound,
-		PrunedByRough:  st.PrunedByRough,
-		Refined:        st.Refined,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-	}
-}
-
-// CacheStatsJSON reports the index-wide tally-cache state; all zero when
-// the cache is disabled.
-type CacheStatsJSON struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evictions   int64 `json:"evictions"`
-	Rejected    int64 `json:"rejected"`
-	Entries     int   `json:"entries"`
-	BytesInUse  int64 `json:"bytes_in_use"`
-	BudgetBytes int64 `json:"budget_bytes"`
-	// Which builder answered the prolog cache's misses (absent from the
-	// tally cache's object, where they are always zero).
-	BuiltExact   int64 `json:"built_exact,omitempty"`
-	BuiltSampled int64 `json:"built_sampled,omitempty"`
-	BuiltEmpty   int64 `json:"built_empty,omitempty"`
-}
-
-func toCacheJSON(st simrank.CacheStats) *CacheStatsJSON {
-	return &CacheStatsJSON{
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Evictions:   st.Evictions,
-		Rejected:    st.Rejected,
-		Entries:     st.Entries,
-		BytesInUse:  st.BytesInUse,
-		BudgetBytes: st.BudgetBytes,
-
-		BuiltExact:   st.BuiltExact,
-		BuiltSampled: st.BuiltSampled,
-		BuiltEmpty:   st.BuiltEmpty,
-	}
+	Cache *simrank.CacheStats `json:"cache,omitempty"`
 }
 
 // PairResponse is the payload of /pair.
@@ -274,42 +221,29 @@ type ErrorResponse struct {
 
 func (h *Handler) handleTopK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	u, err := intValue(q, "u", -1)
+	u, err := IntParam(q, "u", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	k, err := intValue(q, "k", 20)
+	k, err := KParam(q, h.MaxK)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if k <= 0 || k > h.MaxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", h.MaxK))
-		return
-	}
-	wantStats := q.Get("stats") == "1"
 	h.counters.queries.Add(1)
 	ctx, cancel := h.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	resp := TopKResponse{Query: u}
-	if wantStats {
-		res, st, err := h.idx.TopKWithStatsCtx(ctx, u, k)
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		resp.Results = toJSON(res)
-		resp.Stats = toStatsJSON(st)
-		resp.Cache = toCacheJSON(h.idx.CacheStats())
-	} else {
-		res, err := h.idx.TopKCtx(ctx, u, k)
-		if err != nil {
-			h.writeQueryError(w, err)
-			return
-		}
-		resp.Results = toJSON(res)
+	res, st, err := h.idx.TopKWithStatsCtx(ctx, u, k)
+	if err != nil {
+		h.writeQueryError(w, err)
+		return
+	}
+	resp := TopKResponse{Query: u, Results: res}
+	if q.Get("stats") == "1" {
+		stats, cache := st, h.idx.CacheStats()
+		resp.Stats, resp.Cache = &stats, &cache
 	}
 	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
@@ -327,10 +261,46 @@ type BatchRequest struct {
 // query, in request order, plus the index-wide cache state after the
 // batch.
 type BatchResponse struct {
-	K        int             `json:"k"`
-	Results  []TopKResponse  `json:"results"`
-	ElapsedM float64         `json:"elapsed_ms"`
-	Cache    *CacheStatsJSON `json:"cache,omitempty"`
+	K        int                 `json:"k"`
+	Results  []TopKResponse      `json:"results"`
+	ElapsedM float64             `json:"elapsed_ms"`
+	Cache    *simrank.CacheStats `json:"cache,omitempty"`
+}
+
+// DecodeBatchRequest reads the body of POST /topk/batch and applies the
+// limits both tiers share: a non-empty query list of at most maxBatch,
+// and k (20 when absent) within [1, maxK].
+//
+//lint:sanitized a nil error means the query count was checked against maxBatch and k against maxK
+func DecodeBatchRequest(body io.Reader, maxBatch, maxK int) (BatchRequest, error) {
+	var req BatchRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if err := checkBatchSize(len(req.Queries), maxBatch); err != nil {
+		return req, err
+	}
+	if req.K == 0 {
+		req.K = 20
+	}
+	return req, checkK(req.K, maxK)
+}
+
+func checkBatchSize(n, maxBatch int) error {
+	if n == 0 {
+		return errors.New("queries must be non-empty")
+	}
+	if n > maxBatch {
+		return fmt.Errorf("batch size %d exceeds limit %d", n, maxBatch)
+	}
+	return nil
+}
+
+func checkK(k, maxK int) error {
+	if k <= 0 || k > maxK {
+		return fmt.Errorf("k must be in [1, %d]", maxK)
+	}
+	return nil
 }
 
 // handleTopKBatch answers POST /topk/batch: a JSON body with a query
@@ -343,24 +313,9 @@ func (h *Handler) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "queries must be non-empty")
-		return
-	}
-	if len(req.Queries) > h.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch size %d exceeds limit %d", len(req.Queries), h.MaxBatch))
-		return
-	}
-	if req.K == 0 {
-		req.K = 20
-	}
-	if req.K < 0 || req.K > h.MaxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", h.MaxK))
+	req, err := DecodeBatchRequest(r.Body, h.MaxBatch, h.MaxK)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	h.counters.noteBatch(len(req.Queries))
@@ -377,26 +332,27 @@ func (h *Handler) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 		Results: make([]TopKResponse, len(res)),
 	}
 	for i := range res {
-		resp.Results[i] = TopKResponse{Query: req.Queries[i], Results: toJSON(res[i])}
+		resp.Results[i] = TopKResponse{Query: req.Queries[i], Results: res[i]}
 		if req.Stats {
-			resp.Results[i].Stats = toStatsJSON(sts[i])
+			resp.Results[i].Stats = &sts[i]
 		}
 	}
 	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
 	if req.Stats {
-		resp.Cache = toCacheJSON(h.idx.CacheStats())
+		cache := h.idx.CacheStats()
+		resp.Cache = &cache
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (h *Handler) handlePair(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	u, err := intValue(q, "u", -1)
+	u, err := IntParam(q, "u", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	v, err := intValue(q, "v", -1)
+	v, err := IntParam(q, "v", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -413,19 +369,15 @@ func (h *Handler) handlePair(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	u, err := intValue(r.URL.Query(), "u", -1)
+	u, err := IntParam(r.URL.Query(), "u", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	theta := 0.01
-	if s := r.URL.Query().Get("theta"); s != "" {
-		f, err := parseTheta(s)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		theta = f
+	theta, err := ThetaParam(r.URL.Query(), 0.01)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	h.counters.similar.Add(1)
 	ctx, cancel := h.queryCtx(r)
@@ -438,7 +390,7 @@ func (h *Handler) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, TopKResponse{
 		Query:    u,
-		Results:  toJSON(res),
+		Results:  res,
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
@@ -460,16 +412,12 @@ type JoinResponse struct {
 // handleJoin runs a similarity join: GET /join?theta=0.1&max=100.
 // The join queries every vertex, so MaxK also caps max here.
 func (h *Handler) handleJoin(w http.ResponseWriter, r *http.Request) {
-	theta := 0.1
-	if s := r.URL.Query().Get("theta"); s != "" {
-		f, err := parseTheta(s)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		theta = f
+	theta, err := ThetaParam(r.URL.Query(), 0.1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	max, err := intValue(r.URL.Query(), "max", 100)
+	max, err := IntParam(r.URL.Query(), "max", 100)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -513,21 +461,59 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// parseTheta validates a theta query parameter.
-func parseTheta(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f <= 0 || f > 1 {
-		return 0, errors.New("theta must be a float in (0, 1]")
+// IntParam parses an integer query parameter; def < 0 means required.
+// Exported, with KParam, ThetaParam and DecodeBatchRequest, so the router
+// validates a request with the code — and the messages — of the tier it
+// stands in front of.
+func IntParam(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		if def >= 0 {
+			return def, nil
+		}
+		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
-	return f, nil
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q must be an integer", name)
+	}
+	return v, nil
 }
 
-func toJSON(res []simrank.Result) []ResultJSON {
-	out := make([]ResultJSON, len(res))
-	for i, r := range res {
-		out[i] = ResultJSON{Node: r.Node, Score: r.Score}
+// KParam parses the k of a top-k query: 20 when absent, within [1, maxK].
+func KParam(q url.Values, maxK int) (int, error) {
+	k, err := IntParam(q, "k", 20)
+	if err != nil {
+		return 0, err
 	}
-	return out
+	return k, checkK(k, maxK)
+}
+
+var errTheta = errors.New("theta must be a float in (0, 1]")
+
+// checkTheta accepts a threshold inside (0, 1]. Written so that NaN fails
+// — it compares false with everything, and a scan against a NaN floor
+// prunes nothing — wherever the value came from: a query string, or raw
+// bits in a frame.
+func checkTheta(theta float64) error {
+	if !(theta > 0 && theta <= 1) {
+		return errTheta
+	}
+	return nil
+}
+
+// ThetaParam parses the theta of a threshold query, def when absent: the
+// one validator of /similar, /join and /shard/similar on both tiers.
+func ThetaParam(q url.Values, def float64) (float64, error) {
+	s := q.Get("theta")
+	if s == "" {
+		return def, nil
+	}
+	theta, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, errTheta
+	}
+	return theta, checkTheta(theta)
 }
 
 func writeJSON(w http.ResponseWriter, status int, payload any) {

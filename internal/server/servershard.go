@@ -3,12 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -70,10 +68,10 @@ type StatuszResponse struct {
 	// Cache is the index-wide tally-cache lifetime state (hits, misses,
 	// evictions, footprint) — the aggregate of every query's cache
 	// counters since the snapshot was built.
-	Cache *CacheStatsJSON `json:"cache"`
+	Cache *simrank.CacheStats `json:"cache"`
 	// Prolog is the query-prolog walk-distribution cache state (nil when
 	// the cache is disabled).
-	Prolog *CacheStatsJSON `json:"prolog,omitempty"`
+	Prolog *simrank.CacheStats `json:"prolog,omitempty"`
 	// Wire is the binary wire-protocol activity (nil-free; all zero when
 	// every request negotiated JSON).
 	Wire  WireCountersJSON `json:"wire"`
@@ -91,7 +89,8 @@ type WireCountersJSON struct {
 }
 
 func (h *Handler) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatuszResponse{
+	cache, prolog := h.idx.CacheStats(), h.idx.PrologStats()
+	resp := StatuszResponse{
 		QueriesTotal:      h.counters.queries.Load(),
 		BatchesTotal:      h.counters.batches.Load(),
 		BatchQueriesTotal: h.counters.batchQueries.Load(),
@@ -101,8 +100,7 @@ func (h *Handler) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		ShardQueriesTotal: h.counters.shardQueries.Load(),
 		ShardBatchesTotal: h.counters.shardBatches.Load(),
 		TimeoutsTotal:     h.counters.timeouts.Load(),
-		Cache:             toCacheJSON(h.idx.CacheStats()),
-		Prolog:            prologJSON(h.idx),
+		Cache:             &cache,
 		Wire: WireCountersJSON{
 			BinConnsTotal:    h.counters.binConns.Load(),
 			BinRequestsTotal: h.counters.binRequests.Load(),
@@ -112,16 +110,11 @@ func (h *Handler) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			DecodeNs:         h.counters.decodeNS.Load(),
 		},
 		Shard: h.manifestView(),
-	})
-}
-
-// prologJSON reports the prolog-cache state, nil when disabled.
-func prologJSON(idx *simrank.Index) *CacheStatsJSON {
-	st := idx.PrologStats()
-	if st.BudgetBytes == 0 {
-		return nil
 	}
-	return toCacheJSON(st)
+	if prolog.BudgetBytes != 0 { // a disabled prolog cache is left out
+		resp.Prolog = &prolog
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleShardInfo publishes the manifest: GET /shardinfo.
@@ -129,48 +122,20 @@ func (h *Handler) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.manifestView())
 }
 
-// ShardCandJSON is one fragment entry on the wire. Keys are short —
-// fragments carry every candidate of a query, typically thousands of
-// entries. Rough and Score are omitted when zero; the state field says
-// which of them are meaningful, and a true zero round-trips as zero.
-type ShardCandJSON struct {
-	V     uint32  `json:"v"`
-	UB    float64 `json:"ub"`
-	State uint8   `json:"st"`
-	Rough float64 `json:"r,omitempty"`
-	Score float64 `json:"sc,omitempty"`
-}
-
-// ToWire converts a fragment for transport. Exported (with FromWire)
-// so the router and the shard serialize identically.
-func ToWire(frag []simrank.ShardCand) []ShardCandJSON {
-	out := make([]ShardCandJSON, len(frag))
-	for i, c := range frag {
-		out[i] = ShardCandJSON{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score}
-	}
-	return out
-}
-
-// FromWire is the inverse of ToWire, appending to dst. Go's float64 JSON
-// round-trip is exact (shortest-representation encoding), so a decoded
-// fragment is bit-identical to the shard's — which the byte-identity
-// guarantee of the merge replay rests on.
-func FromWire(dst []simrank.ShardCand, frag []ShardCandJSON) []simrank.ShardCand {
-	for _, c := range frag {
-		dst = append(dst, simrank.ShardCand{V: c.V, UB: c.UB, State: c.State, Rough: c.Rough, Score: c.Score})
-	}
-	return dst
-}
-
 // ShardTopKResponse is the payload of /shard/topk: the scored fragment
 // for the owned vertex range, plus this shard's stats (cache counters
 // matter to the router; scan counters are recomputed by the merge).
+//
+// Both encodings of a fragment are exact: the binary codec ships raw
+// float64 bits and Go's JSON float64 round-trip is exact (shortest
+// representation), so a decoded fragment is bit-identical to the shard's —
+// which the byte-identity guarantee of the merge replay rests on.
 type ShardTopKResponse struct {
-	Query    int             `json:"query"`
-	Shard    int             `json:"shard"`
-	Frag     []ShardCandJSON `json:"frag"`
-	Stats    *QueryStatsJSON `json:"stats,omitempty"`
-	ElapsedM float64         `json:"elapsed_ms"`
+	Query    int                 `json:"query"`
+	Shard    int                 `json:"shard"`
+	Frag     []simrank.ShardCand `json:"frag"`
+	Stats    *simrank.QueryStats `json:"stats,omitempty"`
+	ElapsedM float64             `json:"elapsed_ms"`
 }
 
 // ShardBatchRequest is the JSON payload of POST /shard/topk/batch. Lo/Hi,
@@ -204,44 +169,24 @@ type shardReq struct {
 	queries []uint32 // batch only
 }
 
-var errTheta = errors.New("theta must be a float in (0, 1]")
-
-// intValue parses an integer query parameter; def < 0 means required.
-func intValue(q url.Values, name string, def int) (int, error) {
-	s := q.Get(name)
-	if s == "" {
-		if def >= 0 {
-			return def, nil
-		}
-		return 0, fmt.Errorf("missing required parameter %q", name)
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q must be an integer", name)
-	}
-	return v, nil
-}
-
 // shardReqFromURL decodes a GET shard request (topk or similar) from
 // its query string: u, optional lo/hi, and for similar optional theta.
 func (h *Handler) shardReqFromURL(kind uint8, q url.Values) (shardReq, error) {
 	req := shardReq{kind: kind, theta: 0.01}
 	var err error
-	if req.u, err = intValue(q, "u", -1); err != nil {
+	if req.u, err = IntParam(q, "u", -1); err != nil {
 		return req, err
 	}
-	if req.lo, err = intValue(q, "lo", h.manifest.Lo); err != nil {
+	if req.lo, err = IntParam(q, "lo", h.manifest.Lo); err != nil {
 		return req, err
 	}
-	if req.hi, err = intValue(q, "hi", h.manifest.Hi); err != nil {
+	if req.hi, err = IntParam(q, "hi", h.manifest.Hi); err != nil {
 		return req, err
 	}
-	if s := q.Get("theta"); s != "" && kind == wire.MsgSimilarReq {
-		if req.theta, err = strconv.ParseFloat(s, 64); err != nil {
-			return req, errTheta
-		}
+	if kind == wire.MsgSimilarReq {
+		req.theta, err = ThetaParam(q, req.theta)
 	}
-	return req, nil
+	return req, err
 }
 
 // shardReqFromJSON decodes the JSON body of POST /shard/topk/batch.
@@ -305,7 +250,7 @@ func (h *Handler) shardReqFromBody(kind uint8, body io.Reader, f *wire.Frame, br
 
 // checkShardReq is the one validator between the three decoders and the
 // scans: the vertex range and every vertex against the manifest, the
-// batch size against MaxBatch, theta inside (0, 1] (written so a NaN
+// batch size against MaxBatch, theta inside (0, 1] (checkTheta: a NaN
 // smuggled in as raw frame bits fails too).
 //
 //lint:sanitized a nil return means every field of req was range-checked against the manifest and the handler limits
@@ -315,11 +260,8 @@ func (h *Handler) checkShardReq(req *shardReq) error {
 		return fmt.Errorf("range [%d, %d) invalid for %d vertices", req.lo, req.hi, n)
 	}
 	if req.kind == wire.MsgBatchReq {
-		if len(req.queries) == 0 {
-			return errors.New("queries must be non-empty")
-		}
-		if len(req.queries) > h.MaxBatch {
-			return fmt.Errorf("batch size %d exceeds limit %d", len(req.queries), h.MaxBatch)
+		if err := checkBatchSize(len(req.queries), h.MaxBatch); err != nil {
+			return err
 		}
 		for _, u := range req.queries {
 			if int64(u) >= int64(n) {
@@ -331,8 +273,8 @@ func (h *Handler) checkShardReq(req *shardReq) error {
 	if req.u < 0 || req.u >= n {
 		return fmt.Errorf("vertex %d out of range [0, %d)", req.u, n)
 	}
-	if req.kind == wire.MsgSimilarReq && !(req.theta > 0 && req.theta <= 1) {
-		return errTheta
+	if req.kind == wire.MsgSimilarReq {
+		return checkTheta(req.theta)
 	}
 	return nil
 }
@@ -355,12 +297,7 @@ func (h *Handler) run(ctx context.Context, req *shardReq, ss *shardScratch) erro
 	default:
 		h.counters.shardQueries.Add(1)
 		ss.ensureBatch(1)
-		var res []simrank.Result
-		res, ss.sts[0], err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi)
-		ss.ranked = ss.ranked[:0]
-		for _, r := range res {
-			ss.ranked = append(ss.ranked, wire.ScoredNode{Node: uint32(r.Node), Score: r.Score})
-		}
+		ss.ranked, ss.sts[0], err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi)
 	}
 	return err
 }
@@ -372,16 +309,13 @@ func (h *Handler) encodeResp(buf *wire.Buf, req *shardReq, ss *shardScratch, ela
 	switch req.kind {
 	case wire.MsgTopKReq:
 		buf.B = wire.AppendTopKResp(buf.B[:0], &wire.TopKResp{
-			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: StatsToWire(ss.sts[0]), Frag: ss.frags[0]})
+			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: ss.sts[0], Frag: ss.frags[0]})
 	case wire.MsgBatchReq:
-		for i, st := range ss.sts {
-			ss.wireSts[i] = StatsToWire(st)
-		}
 		buf.B = wire.AppendBatchResp(buf.B[:0], &wire.BatchResp{
-			Shard: id, ElapsedUS: us, Queries: req.queries, Stats: ss.wireSts, Frags: ss.frags})
+			Shard: id, ElapsedUS: us, Queries: req.queries, Stats: ss.sts, Frags: ss.frags})
 	default:
 		buf.B = wire.AppendSimilarResp(buf.B[:0], &wire.SimilarResp{
-			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: StatsToWire(ss.sts[0]), Ranked: ss.ranked})
+			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: ss.sts[0], Ranked: ss.ranked})
 	}
 	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
 	h.counters.binRequests.Add(1)
@@ -391,7 +325,7 @@ func (h *Handler) encodeResp(buf *wire.Buf, req *shardReq, ss *shardScratch, ela
 func (h *Handler) jsonResp(req *shardReq, ss *shardScratch, elapsed time.Duration) any {
 	ms := float64(elapsed.Microseconds()) / 1000
 	one := func(u, i int) ShardTopKResponse {
-		return ShardTopKResponse{Query: u, Shard: h.manifest.Shard, Frag: ToWire(ss.frags[i]), Stats: toStatsJSON(ss.sts[i])}
+		return ShardTopKResponse{Query: u, Shard: h.manifest.Shard, Frag: ss.frags[i], Stats: &ss.sts[i]}
 	}
 	switch req.kind {
 	case wire.MsgTopKReq:
@@ -405,11 +339,7 @@ func (h *Handler) jsonResp(req *shardReq, ss *shardScratch, elapsed time.Duratio
 		}
 		return resp
 	default:
-		out := make([]ResultJSON, len(ss.ranked))
-		for i, sn := range ss.ranked {
-			out[i] = ResultJSON{Node: int(sn.Node), Score: sn.Score}
-		}
-		return TopKResponse{Query: req.u, Results: out, Stats: toStatsJSON(ss.sts[0]), ElapsedM: ms}
+		return TopKResponse{Query: req.u, Results: ss.ranked, Stats: &ss.sts[0], ElapsedM: ms}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestShardTopKMergesToSingleNode(t *testing.T) {
 			if resp.Shard != i {
 				t.Fatalf("fragment from shard %d claims shard %d", i, resp.Shard)
 			}
-			frags[i] = FromWire(nil, resp.Frag)
+			frags[i] = resp.Frag
 		}
 		res, st := simrank.MergeShardTopK(5, idx.Threshold(), frags)
 		if len(res) != len(want.Results) {
@@ -139,7 +139,7 @@ func TestShardSimilarMergesToSingleNode(t *testing.T) {
 		if err := json.Unmarshal(body, &want); err != nil {
 			t.Fatal(err)
 		}
-		frags := make([][]shard.Ranked, len(hs))
+		frags := make([][]simrank.Result, len(hs))
 		for i, h := range hs {
 			rec, body := get(t, h, fmt.Sprintf("/shard/similar?u=%d&theta=0.02", u))
 			if rec.Code != http.StatusOK {
@@ -149,9 +149,7 @@ func TestShardSimilarMergesToSingleNode(t *testing.T) {
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range resp.Results {
-				frags[i] = append(frags[i], shard.Ranked{Node: r.Node, Score: r.Score})
-			}
+			frags[i] = resp.Results
 		}
 		got := shard.MergeTopK(0, frags)
 		if len(got) != len(want.Results) {

@@ -29,20 +29,8 @@ type answer struct {
 	status int
 	code   string
 	frags  [][]simrank.ShardCand
-	stats  []wire.Stats
-	ranked []wire.ScoredNode
-}
-
-func statsFromJSON(st *QueryStatsJSON) wire.Stats {
-	return StatsToWire(simrank.QueryStats{
-		Candidates:     st.Candidates,
-		PrunedByBound:  st.PrunedByBound,
-		PrunedByRough:  st.PrunedByRough,
-		Refined:        st.Refined,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-	})
+	stats  []simrank.QueryStats
+	ranked []simrank.Result
 }
 
 // answerFromJSON lowers a JSON shard response (or error body).
@@ -62,24 +50,21 @@ func answerFromJSON(t *testing.T, kind uint8, status int, body []byte) answer {
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
 		}
-		a.frags, a.stats = [][]simrank.ShardCand{FromWire(nil, r.Frag)}, []wire.Stats{statsFromJSON(r.Stats)}
+		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{*r.Stats}
 	case wire.MsgBatchReq:
 		var r ShardBatchResponse
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range r.Results {
-			a.frags, a.stats = append(a.frags, FromWire(nil, q.Frag)), append(a.stats, statsFromJSON(q.Stats))
+			a.frags, a.stats = append(a.frags, q.Frag), append(a.stats, *q.Stats)
 		}
 	default:
 		var r TopKResponse
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
 		}
-		a.stats = []wire.Stats{statsFromJSON(r.Stats)}
-		for _, res := range r.Results {
-			a.ranked = append(a.ranked, wire.ScoredNode{Node: uint32(res.Node), Score: res.Score})
-		}
+		a.stats, a.ranked = []simrank.QueryStats{*r.Stats}, r.Results
 	}
 	return a
 }
@@ -103,7 +88,7 @@ func answerFromFrame(t *testing.T, kind uint8, data []byte) answer {
 	case kind == wire.MsgTopKReq:
 		var r wire.TopKResp
 		err = f.TopKResp(&r)
-		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []wire.Stats{r.Stats}
+		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{r.Stats}
 	case kind == wire.MsgBatchReq:
 		var r wire.BatchResp
 		err = f.BatchResp(&r)
@@ -111,7 +96,7 @@ func answerFromFrame(t *testing.T, kind uint8, data []byte) answer {
 	default:
 		var r wire.SimilarResp
 		err = f.SimilarResp(&r)
-		a.stats, a.ranked = []wire.Stats{r.Stats}, r.Ranked
+		a.stats, a.ranked = []simrank.QueryStats{r.Stats}, r.Ranked
 	}
 	if err != nil {
 		t.Fatalf("decode response frame: %v", err)

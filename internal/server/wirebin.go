@@ -36,18 +36,10 @@ func binBody(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Content-Type"), wire.ContentType)
 }
 
-// StatsToWire converts query stats for the binary codec.
-func StatsToWire(st simrank.QueryStats) wire.Stats {
-	return wire.Stats{
-		Candidates:     int64(st.Candidates),
-		PrunedByBound:  int64(st.PrunedByBound),
-		PrunedByRough:  int64(st.PrunedByRough),
-		Refined:        int64(st.Refined),
-		CacheHits:      int64(st.CacheHits),
-		CacheMisses:    int64(st.CacheMisses),
-		CacheEvictions: int64(st.CacheEvictions),
-	}
-}
+// StatsToWire is the identity: the binary codec carries QueryStats as it
+// is. Kept for its only caller, benchmark/layers.go, which may not be
+// edited.
+func StatsToWire(st simrank.QueryStats) simrank.QueryStats { return st }
 
 // shardScratch is the pooled working set of one shard request: fragment
 // and stats buffers the scans append into (one row per query), the
@@ -55,26 +47,26 @@ func StatsToWire(st simrank.QueryStats) wire.Stats {
 // Acquire with getShardScratch, release with putShardScratch on every
 // return path.
 type shardScratch struct {
-	frags   [][]simrank.ShardCand
-	sts     []simrank.QueryStats
-	wireSts []wire.Stats
-	ranked  []wire.ScoredNode
-	breq    wire.BatchReq
-	frame   wire.Frame
+	frags  [][]simrank.ShardCand
+	sts    []simrank.QueryStats
+	ranked []simrank.Result
+	breq   wire.BatchReq
+	frame  wire.Frame
 }
 
 // ensureBatch sizes the per-query slices for n queries, reusing each
-// fragment slot's capacity.
+// fragment slot's capacity. A slot starts out empty, not nil: the scans
+// append into it, and the JSON encoding of a fragment without candidates
+// is [], not null.
 func (ss *shardScratch) ensureBatch(n int) {
 	for len(ss.frags) < n {
-		ss.frags = append(ss.frags, nil)
+		ss.frags = append(ss.frags, []simrank.ShardCand{})
 	}
 	ss.frags = ss.frags[:n]
 	if cap(ss.sts) < n {
 		ss.sts = make([]simrank.QueryStats, n)
-		ss.wireSts = make([]wire.Stats, n)
 	}
-	ss.sts, ss.wireSts = ss.sts[:n], ss.wireSts[:n]
+	ss.sts = ss.sts[:n]
 }
 
 func (h *Handler) getShardScratch() *shardScratch {

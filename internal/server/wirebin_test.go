@@ -85,7 +85,7 @@ func TestBinTCPRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(jbody, &jr); err != nil {
 			t.Fatal(err)
 		}
-		jfrag := FromWire(nil, jr.Frag)
+		jfrag := jr.Frag
 		if len(resp.Frag) != len(jfrag) {
 			t.Fatalf("try %d: %d rows vs %d", try, len(resp.Frag), len(jfrag))
 		}

@@ -15,6 +15,8 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+
+	simrank "repro"
 )
 
 // Range returns the vertex range [lo, hi) owned by shard i of total
@@ -131,16 +133,10 @@ func ValidateTopology(ms []Manifest) ([]Manifest, error) {
 	return sorted, nil
 }
 
-// Ranked is one entry of a best-first result list: higher score first,
-// ties broken toward the smaller vertex id — the single-node heap's
-// output order (core.scoredLess, inverted).
-type Ranked struct {
-	Node  int
-	Score float64
-}
-
-// rankedBefore is the best-first order.
-func rankedBefore(a, b Ranked) bool {
+// rankedBefore is the best-first order of a result list: higher score
+// first, ties broken toward the smaller vertex id — the single-node
+// heap's output order (core.scoredLess, inverted).
+func rankedBefore(a, b simrank.Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
@@ -150,7 +146,7 @@ func rankedBefore(a, b Ranked) bool {
 // mergeHeap is a min-heap of fragment cursors keyed by the best-first
 // order of each fragment's head.
 type mergeHeap struct {
-	frags [][]Ranked
+	frags [][]simrank.Result
 	pos   []int
 	idx   []int // heap of fragment indexes
 }
@@ -175,7 +171,7 @@ func (h *mergeHeap) Pop() interface{} {
 // for fixed-floor query modes (Similar) the merged list is
 // byte-identical to the single-node output. Each fragment must itself
 // be best-first sorted (shards produce them that way).
-func MergeTopK(k int, frags [][]Ranked) []Ranked {
+func MergeTopK(k int, frags [][]simrank.Result) []simrank.Result {
 	total := 0
 	for _, f := range frags {
 		total += len(f)
@@ -190,7 +186,7 @@ func MergeTopK(k int, frags [][]Ranked) []Ranked {
 		}
 	}
 	heap.Init(h)
-	out := make([]Ranked, 0, k)
+	out := make([]simrank.Result, 0, k)
 	for len(out) < k && h.Len() > 0 {
 		fi := h.idx[0]
 		out = append(out, h.frags[fi][h.pos[fi]])

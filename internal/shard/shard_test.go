@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	simrank "repro"
 	"repro/internal/rng"
 )
 
@@ -85,20 +86,20 @@ func TestMergeTopKMatchesSort(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 50; trial++ {
 		n := int(r.Uint64()%200) + 1
-		all := make([]Ranked, n)
+		all := make([]simrank.Result, n)
 		for i := range all {
 			// A tiny score alphabet forces cross-fragment ties.
-			all[i] = Ranked{Node: i, Score: float64(r.Uint64()%8) / 10}
+			all[i] = simrank.Result{Node: i, Score: float64(r.Uint64()%8) / 10}
 		}
-		want := make([]Ranked, n)
+		want := make([]simrank.Result, n)
 		copy(want, all)
 		sort.Slice(want, func(i, j int) bool { return rankedBefore(want[i], want[j]) })
 
 		shards := int(r.Uint64()%5) + 1
-		frags := make([][]Ranked, shards)
+		frags := make([][]simrank.Result, shards)
 		for i := 0; i < shards; i++ {
 			lo, hi := Range(i, shards, n)
-			var f []Ranked
+			var f []simrank.Result
 			for _, x := range all {
 				if x.Node >= lo && x.Node < hi {
 					f = append(f, x)
@@ -129,7 +130,7 @@ func TestMergeTopKEmpty(t *testing.T) {
 	if got := MergeTopK(5, nil); len(got) != 0 {
 		t.Fatalf("merge of nothing returned %v", got)
 	}
-	if got := MergeTopK(5, [][]Ranked{nil, {}, nil}); len(got) != 0 {
+	if got := MergeTopK(5, [][]simrank.Result{nil, {}, nil}); len(got) != 0 {
 		t.Fatalf("merge of empties returned %v", got)
 	}
 }

@@ -20,7 +20,7 @@ func BenchmarkWireCodec(b *testing.B) {
 			Score: 0.9 / float64(i+1),
 		}
 	}
-	resp := TopKResp{Query: 42, Shard: 1, ElapsedUS: 900, Stats: Stats{Candidates: 256, Refined: 200}, Frag: frag}
+	resp := TopKResp{Query: 42, Shard: 1, ElapsedUS: 900, Stats: core.QueryStats{Candidates: 256, Refined: 200}, Frag: frag}
 
 	buf := GetBuf()
 	defer PutBuf(buf)

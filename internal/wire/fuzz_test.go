@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	simrank "repro"
 	"repro/internal/core"
 )
 
@@ -17,7 +18,7 @@ func FuzzWireDecode(f *testing.F) {
 		{V: 1, UB: 0.9, State: core.ShardScored, Rough: 0.5, Score: 0.42},
 		{V: 2, UB: 0.01, State: core.ShardUnscored},
 	}
-	stats := Stats{Candidates: 9, Refined: 4}
+	stats := core.QueryStats{Candidates: 9, Refined: 4}
 	seeds := [][]byte{
 		AppendTopKReq(nil, TopKReq{U: 42, Hi: 2000}),
 		AppendBatchReq(nil, &BatchReq{Lo: 1, Hi: 9, Queries: []uint32{3, 1, 4}}),
@@ -25,10 +26,10 @@ func FuzzWireDecode(f *testing.F) {
 		AppendTopKResp(nil, &TopKResp{Query: 42, Shard: 1, Stats: stats, Frag: frag}),
 		AppendBatchResp(nil, &BatchResp{
 			Queries: []uint32{42, 7},
-			Stats:   []Stats{stats, {}},
+			Stats:   []core.QueryStats{stats, {}},
 			Frags:   [][]core.ShardCand{frag, frag[:1]},
 		}),
-		AppendSimilarResp(nil, &SimilarResp{Query: 1, Stats: stats, Ranked: []ScoredNode{{Node: 2, Score: 0.5}}}),
+		AppendSimilarResp(nil, &SimilarResp{Query: 1, Stats: stats, Ranked: []simrank.Result{{Node: 2, Score: 0.5}}}),
 		AppendError(nil, 503, "not_ready", "warming up"),
 	}
 	for _, s := range seeds {

@@ -37,6 +37,7 @@ import (
 	"io"
 	"math"
 
+	simrank "repro"
 	"repro/internal/core"
 )
 
@@ -85,7 +86,8 @@ const (
 	candSize = 29
 	// scoredSize is one threshold-result row: node u32, score bits u64.
 	scoredSize = 12
-	// statsWords is the QueryStats counter count carried per query.
+	// statsWords is the QueryStats counter count carried per query
+	// (statsFields lists them).
 	statsWords = 7
 )
 
@@ -97,17 +99,6 @@ var ErrFrame = errors.New("wire: bad frame")
 
 func frameErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFrame, fmt.Sprintf(format, args...))
-}
-
-// Stats mirrors the QueryStats counters on the wire.
-type Stats struct {
-	Candidates     int64
-	PrunedByBound  int64
-	PrunedByRough  int64
-	Refined        int64
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
 }
 
 // TopKReq asks one shard for the fragment of query U over [Lo, Hi).
@@ -132,7 +123,7 @@ type TopKResp struct {
 	Query     uint32
 	Shard     int32
 	ElapsedUS int64
-	Stats     Stats
+	Stats     core.QueryStats
 	Frag      []core.ShardCand
 }
 
@@ -143,25 +134,19 @@ type BatchResp struct {
 	Shard     int32
 	ElapsedUS int64
 	Queries   []uint32
-	Stats     []Stats
+	Stats     []core.QueryStats
 	Frags     [][]core.ShardCand
 
 	cands []core.ShardCand // backing store for Frags
 }
 
-// ScoredNode is one threshold-query result row.
-type ScoredNode struct {
-	Node  uint32
-	Score float64
-}
-
-// SimilarResp is one shard's threshold-query answer.
+// SimilarResp is one shard's threshold-query answer, best first.
 type SimilarResp struct {
 	Query     uint32
 	Shard     int32
 	ElapsedUS int64
-	Stats     Stats
-	Ranked    []ScoredNode
+	Stats     core.QueryStats
+	Ranked    []simrank.Result
 }
 
 // Error is a query failure shipped as a frame: the HTTP-equivalent
@@ -414,7 +399,7 @@ func (f *Frame) BatchResp(dst *BatchResp) error {
 	dst.Shard, dst.ElapsedUS = int32(p[0]), int64(p[1])
 	dst.Queries = appendU32s(dst.Queries[:0], qs)
 	if cap(dst.Stats) < n {
-		dst.Stats = make([]Stats, n)
+		dst.Stats = make([]core.QueryStats, n)
 	}
 	dst.Stats = dst.Stats[:n]
 	for i := 0; i < n; i++ {
@@ -464,8 +449,8 @@ func (f *Frame) SimilarResp(dst *SimilarResp) error {
 	dst.Ranked = dst.Ranked[:0]
 	for i := 0; i < int(rs.count); i++ {
 		row := rs.payload[i*scoredSize:]
-		dst.Ranked = append(dst.Ranked, ScoredNode{
-			Node:  binary.LittleEndian.Uint32(row),
+		dst.Ranked = append(dst.Ranked, simrank.Result{
+			Node:  int(binary.LittleEndian.Uint32(row)),
 			Score: math.Float64frombits(binary.LittleEndian.Uint64(row[4:])),
 		})
 	}
@@ -492,16 +477,19 @@ func (f *Frame) Err() error {
 	return &Error{Status: int(p[0]), Code: string(code.payload), Msg: string(text.payload)}
 }
 
-func decodeStats(p []byte) Stats {
-	return Stats{
-		Candidates:     int64(binary.LittleEndian.Uint64(p)),
-		PrunedByBound:  int64(binary.LittleEndian.Uint64(p[8:])),
-		PrunedByRough:  int64(binary.LittleEndian.Uint64(p[16:])),
-		Refined:        int64(binary.LittleEndian.Uint64(p[24:])),
-		CacheHits:      int64(binary.LittleEndian.Uint64(p[32:])),
-		CacheMisses:    int64(binary.LittleEndian.Uint64(p[40:])),
-		CacheEvictions: int64(binary.LittleEndian.Uint64(p[48:])),
+// statsFields lists a QueryStats' counters in wire order. Both directions
+// of the codec walk this one list, so a counter added to core.QueryStats
+// is added to the protocol here and nowhere else.
+func statsFields(st *core.QueryStats) [statsWords]*int {
+	return [statsWords]*int{&st.Candidates, &st.PrunedByBound, &st.PrunedByRough, &st.Refined,
+		&st.CacheHits, &st.CacheMisses, &st.CacheEvictions}
+}
+
+func decodeStats(p []byte) (st core.QueryStats) {
+	for i, f := range statsFields(&st) {
+		*f = int(binary.LittleEndian.Uint64(p[i*8:]))
 	}
+	return st
 }
 
 func appendU32s(dst []uint32, s section) []uint32 {
@@ -574,14 +562,11 @@ func appendU32Sec(dst []byte, m *frameMark, kind uint8, vals []uint32) []byte {
 	return dst
 }
 
-func appendStatsPayload(dst []byte, st Stats) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Candidates))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.PrunedByBound))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.PrunedByRough))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Refined))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.CacheHits))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.CacheMisses))
-	return binary.LittleEndian.AppendUint64(dst, uint64(st.CacheEvictions))
+func appendStatsPayload(dst []byte, st core.QueryStats) []byte {
+	for _, f := range statsFields(&st) {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(*f))
+	}
+	return dst
 }
 
 func appendCandsPayload(dst []byte, frag []core.ShardCand) []byte {
@@ -659,7 +644,7 @@ func AppendSimilarResp(dst []byte, r *SimilarResp) []byte {
 	dst = appendStatsPayload(dst, r.Stats)
 	dst = appendSecHdr(dst, &m, kindScored, scoredSize, len(r.Ranked))
 	for _, s := range r.Ranked {
-		dst = binary.LittleEndian.AppendUint32(dst, s.Node)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Node))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Score))
 	}
 	return endFrame(dst, m)

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
+	simrank "repro"
 	"repro/internal/core"
 )
 
@@ -24,8 +26,8 @@ func sampleFrag() []core.ShardCand {
 	}
 }
 
-func sampleStats() Stats {
-	return Stats{Candidates: 120, PrunedByBound: 60, PrunedByRough: 10, Refined: 50, CacheHits: 3, CacheMisses: 47, CacheEvictions: 1}
+func sampleStats() core.QueryStats {
+	return core.QueryStats{Candidates: 120, PrunedByBound: 60, PrunedByRough: 10, Refined: 50, CacheHits: 3, CacheMisses: 47, CacheEvictions: 1}
 }
 
 func parse(t *testing.T, data []byte) *Frame {
@@ -111,7 +113,7 @@ func TestBatchRespRoundTrip(t *testing.T) {
 		Shard:     1,
 		ElapsedUS: 99,
 		Queries:   []uint32{42, 7, 42},
-		Stats:     []Stats{sampleStats(), {}, {Candidates: 1}},
+		Stats:     []core.QueryStats{sampleStats(), {}, {Candidates: 1}},
 		Frags:     [][]core.ShardCand{frag, nil, frag[:2]},
 	}
 	f := parse(t, AppendBatchResp(nil, &in))
@@ -144,7 +146,7 @@ func TestBatchRespRoundTrip(t *testing.T) {
 func TestSimilarRespRoundTrip(t *testing.T) {
 	in := SimilarResp{
 		Query: 5, Shard: 0, ElapsedUS: 7, Stats: sampleStats(),
-		Ranked: []ScoredNode{{Node: 9, Score: 0.5}, {Node: 3, Score: 0.30000000000000004}},
+		Ranked: []simrank.Result{{Node: 9, Score: 0.5}, {Node: 3, Score: 0.30000000000000004}},
 	}
 	f := parse(t, AppendSimilarResp(nil, &in))
 	var out SimilarResp
@@ -281,7 +283,7 @@ func TestDecoderRejectsWrongShape(t *testing.T) {
 	// candidate rows must be rejected, not mis-sliced.
 	in := BatchResp{
 		Queries: []uint32{1, 2},
-		Stats:   []Stats{{}, {}},
+		Stats:   []core.QueryStats{{}, {}},
 		Frags:   [][]core.ShardCand{sampleFrag(), nil},
 	}
 	data := AppendBatchResp(nil, &in)
@@ -366,4 +368,14 @@ func u32bytes(v []uint32) []byte {
 		out = binary.LittleEndian.AppendUint32(out, x)
 	}
 	return out
+}
+
+// TestStatsWordsCoversQueryStats: the frame carries statsWords counters
+// per query, listed by statsFields; a counter added to core.QueryStats
+// must be added to both (the round trip of every field is checked from
+// the router, which reads both encodings).
+func TestStatsWordsCoversQueryStats(t *testing.T) {
+	if n := reflect.TypeOf(core.QueryStats{}).NumField(); n != statsWords {
+		t.Fatalf("core.QueryStats has %d fields, the frame carries %d (statsWords, statsFields)", n, statsWords)
+	}
 }

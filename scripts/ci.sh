@@ -6,7 +6,8 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, a short fuzz of the walk-distribution
-# directories, the multi-shard smoke and the perf guards.
+# directories, the multi-shard smoke and the perf guards; the tree's size
+# (scripts/loc.sh) closes the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -144,5 +145,8 @@ else
 	go test -run - -bench 'RouterTopK$' -benchtime 50x ./internal/router | \
 		go run ./cmd/benchguard -baseline BENCH_core.json -name BenchmarkRouterTopK -max-ratio 2
 fi
+
+echo "==> non-test Go lines (make loc)"
+sh scripts/loc.sh
 
 echo "==> gate clean"

@@ -50,11 +50,7 @@ func (ix *Index) TopKShardCtx(ctx context.Context, u, lo, hi int) ([]ShardCand, 
 	if err := ix.checkRange(lo, hi); err != nil {
 		return nil, QueryStats{}, err
 	}
-	f, st, err := ix.e.TopKShardCtx(ctx, uint32(u), uint32(lo), uint32(hi))
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return f, toQueryStats(st), nil
+	return ix.e.TopKShardCtx(ctx, uint32(u), uint32(lo), uint32(hi))
 }
 
 // TopKShardAppendCtx is TopKShardCtx writing the fragment into dst
@@ -71,7 +67,7 @@ func (ix *Index) TopKShardAppendCtx(ctx context.Context, u, lo, hi int, dst []Sh
 	if err != nil {
 		return dst, QueryStats{}, err
 	}
-	return f, toQueryStats(st), nil
+	return f, st, nil
 }
 
 // TopKShardBatchAppendCtx answers many shard-restricted queries into
@@ -90,14 +86,7 @@ func (ix *Index) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, h
 			return err
 		}
 	}
-	coreSts := make([]core.QueryStats, len(us))
-	if err := ix.e.TopKShardBatchAppendCtx(ctx, us, uint32(lo), uint32(hi), frags, coreSts); err != nil {
-		return err
-	}
-	for i, st := range coreSts {
-		sts[i] = toQueryStats(st)
-	}
-	return nil
+	return ix.e.TopKShardBatchAppendCtx(ctx, us, uint32(lo), uint32(hi), frags, sts)
 }
 
 // TopKShardBatchCtx answers many shard-restricted queries, parallelized
@@ -113,20 +102,13 @@ func (ix *Index) TopKShardBatchCtx(ctx context.Context, us []int, lo, hi int) ([
 		}
 		qs[i] = uint32(u)
 	}
-	frags, sts, err := ix.e.TopKShardBatchCtx(ctx, qs, uint32(lo), uint32(hi))
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := make([]QueryStats, len(sts))
-	for i, st := range sts {
-		stats[i] = toQueryStats(st)
-	}
-	return frags, stats, nil
+	return ix.e.TopKShardBatchCtx(ctx, qs, uint32(lo), uint32(hi))
 }
 
 // SimilarShardCtx is the shard-restricted Similar query. Threshold
 // queries have a fixed pruning floor, so per-shard result lists merge
-// exactly with MergeResults — no replay needed.
+// exactly with a plain best-first merge (internal/shard.MergeTopK) — no
+// replay needed.
 func (ix *Index) SimilarShardCtx(ctx context.Context, u int, threshold float64, lo, hi int) ([]Result, QueryStats, error) {
 	if err := ix.g.checkVertex(u); err != nil {
 		return nil, QueryStats{}, err
@@ -138,7 +120,7 @@ func (ix *Index) SimilarShardCtx(ctx context.Context, u int, threshold float64, 
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	return toResults(res), toQueryStats(st), nil
+	return toResults(res), st, nil
 }
 
 // MergeShardTopK merges per-shard fragments covering disjoint vertex
@@ -149,8 +131,7 @@ func (ix *Index) SimilarShardCtx(ctx context.Context, u int, threshold float64, 
 // those. theta must be the serving Threshold of the index the fragments
 // came from (see Manifest.Theta in internal/shard).
 func MergeShardTopK(k int, theta float64, frags [][]ShardCand) ([]Result, QueryStats) {
-	res, st := core.MergeShardTopK(k, theta, frags)
-	return toResults(res), toQueryStats(st)
+	return MergeShardTopKScratch(k, theta, frags, nil)
 }
 
 // MergeScratch holds the reusable working memory of a fragment merge;
@@ -163,21 +144,7 @@ type MergeScratch = core.MergeScratch
 // fresh scratch).
 func MergeShardTopKScratch(k int, theta float64, frags [][]ShardCand, ms *MergeScratch) ([]Result, QueryStats) {
 	res, st := core.MergeShardTopKScratch(k, theta, frags, ms)
-	return toResults(res), toQueryStats(st)
-}
-
-// MergeResults merges per-shard best-first result lists (fixed-floor
-// query modes: Similar) into the global best-first order. k == 0 keeps
-// everything.
-func MergeResults(k int, frags [][]Result) []Result {
-	cs := make([][]core.Scored, len(frags))
-	for i, f := range frags {
-		cs[i] = make([]core.Scored, len(f))
-		for j, r := range f {
-			cs[i][j] = core.Scored{V: uint32(r.Node), Score: r.Score}
-		}
-	}
-	return toResults(core.MergeScored(k, cs))
+	return toResults(res), st
 }
 
 // ServingFingerprint digests everything that determines query results:

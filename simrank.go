@@ -96,10 +96,11 @@ func (o Options) toParams() core.Params {
 }
 
 // Result pairs a vertex with its estimated SimRank score, descending by
-// score in all query outputs.
+// score in all query outputs. The JSON keys are the HTTP API's: the
+// serving tiers send results as they are.
 type Result struct {
-	Node  int
-	Score float64
+	Node  int     `json:"node"`
+	Score float64 `json:"score"`
 }
 
 // Index is a preprocessed similarity-search index over one graph. The
@@ -159,69 +160,22 @@ func (ix *Index) TopKCtx(ctx context.Context, u, k int) ([]Result, error) {
 	return toResults(res), nil
 }
 
-// QueryStats reports what the pruning machinery did during one query.
-type QueryStats struct {
-	// Candidates enumerated before pruning.
-	Candidates int
-	// PrunedByBound were cut by the L1/L2/distance upper bounds.
-	PrunedByBound int
-	// PrunedByRough were cut after the rough adaptive estimate.
-	PrunedByRough int
-	// Refined received the full-sample estimate.
-	Refined int
-	// CacheHits / CacheMisses count candidate tallies served from /
-	// inserted into the cross-query cache (zero when disabled).
-	CacheHits   int
-	CacheMisses int
-	// CacheEvictions counts cache entries this query's inserts displaced.
-	CacheEvictions int
-}
+// QueryStats reports what the pruning machinery did during one query:
+// candidates enumerated, cut by the upper bounds, cut by the rough
+// estimate, refined, and the tally cache's part in it.
+type QueryStats = core.QueryStats
 
-// CacheStats reports the cross-query tally cache's lifetime counters and
-// current footprint. All fields are zero when Options.CacheBytes is 0.
-type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	// Rejected counts inserts refused because the entry could not fit
-	// the budget even with everything else evicted.
-	Rejected int64
-	Entries  int
-	// BytesInUse approximates the cached entries' heap footprint; it
-	// stays within BudgetBytes at quiescence.
-	BytesInUse  int64
-	BudgetBytes int64
-	// BuiltExact, BuiltSampled and BuiltEmpty count the plans the prolog
-	// cache was offered by what built their query-side distribution: the
-	// exact push, the sampled walks it fell back to, or nothing at all
-	// for a vertex without candidates. Zero for the tally cache.
-	BuiltExact   int64
-	BuiltSampled int64
-	BuiltEmpty   int64
-}
-
-func toCacheStats(st core.CacheStats) CacheStats {
-	return CacheStats{
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Evictions:   st.Evictions,
-		Rejected:    st.Rejected,
-		Entries:     st.Entries,
-		BytesInUse:  st.BytesInUse,
-		BudgetBytes: st.BudgetBytes,
-
-		BuiltExact:   st.BuiltExact,
-		BuiltSampled: st.BuiltSampled,
-		BuiltEmpty:   st.BuiltEmpty,
-	}
-}
+// CacheStats reports one cross-query cache's lifetime counters and current
+// footprint. All fields are zero for a disabled cache; the Built* plan
+// counters are the prolog cache's only.
+type CacheStats = core.CacheStats
 
 // CacheStats reports the index's tally-cache counters.
-func (ix *Index) CacheStats() CacheStats { return toCacheStats(ix.e.CacheStats()) }
+func (ix *Index) CacheStats() CacheStats { return ix.e.CacheStats() }
 
 // PrologStats reports the query-prolog-cache counters (same shape as
 // CacheStats); all zero when Options.PrologCacheBytes is negative.
-func (ix *Index) PrologStats() CacheStats { return toCacheStats(ix.e.PrologStats()) }
+func (ix *Index) PrologStats() CacheStats { return ix.e.PrologStats() }
 
 // TopKWithStats is TopK plus pruning statistics, for tuning and
 // observability.
@@ -238,19 +192,7 @@ func (ix *Index) TopKWithStatsCtx(ctx context.Context, u, k int) ([]Result, Quer
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	return toResults(res), toQueryStats(st), nil
-}
-
-func toQueryStats(st core.QueryStats) QueryStats {
-	return QueryStats{
-		Candidates:     st.Candidates,
-		PrunedByBound:  st.PrunedByBound,
-		PrunedByRough:  st.PrunedByRough,
-		Refined:        st.Refined,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-	}
+	return toResults(res), st, nil
 }
 
 // TopKBatch answers many top-k queries at once, fanning them over
@@ -287,11 +229,7 @@ func (ix *Index) TopKBatchWithStatsCtx(ctx context.Context, us []int, k int) ([]
 	for i, r := range res {
 		out[i] = toResults(r)
 	}
-	stats := make([]QueryStats, len(sts))
-	for i, st := range sts {
-		stats[i] = toQueryStats(st)
-	}
-	return out, stats, nil
+	return out, sts, nil
 }
 
 // Similar returns every vertex whose estimated SimRank score with u is at
