@@ -51,7 +51,7 @@ loc:
 # RouterTopK/RouterTopKBatch live in internal/router: routed queries over
 # a real 3-shard loopback topology (binary wire). WireCodec measures the
 # binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|GammaPreprocessPerVertex|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|GammaPreprocessPerVertex|PlanMiss|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
 
 bench:

@@ -238,6 +238,10 @@ func BenchmarkAblationQuery(b *testing.B) {
 		{"noL2", func(p core.Params) core.Params { p.DisableL2 = true; return p }},
 		{"noAdaptive", func(p core.Params) core.Params { p.DisableAdaptive = true; return p }},
 		{"ballCandidates", func(p core.Params) core.Params { p.Strategy = core.CandidatesBall; return p }},
+		{"ballNoL1", func(p core.Params) core.Params {
+			p.Strategy, p.DisableL1 = core.CandidatesBall, true
+			return p
+		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

@@ -215,8 +215,12 @@ func TestTable1Scaling(t *testing.T) {
 func TestAblation(t *testing.T) {
 	var buf bytes.Buffer
 	rows := Ablation(&buf, tinyConfig())
-	if len(rows) != 6 {
+	if len(rows) != 7 {
 		t.Fatalf("got %d ablation rows", len(rows))
+	}
+	// An index plan has no L1 table: dropping it changes no count.
+	if full, noL1 := rows[0], rows[1]; noL1.Candidates != full.Candidates || noL1.Refined != full.Refined || noL1.Recall != full.Recall {
+		t.Fatalf("index plans with and without L1 differ: %+v vs %+v", full, noL1)
 	}
 	for _, r := range rows {
 		if r.Recall < 0 || r.Recall > 1 {

@@ -14,7 +14,9 @@ import (
 // D_ww·P{u⁽ᵗ⁾=w} over vertices w at undirected distance d from u, and
 // β(u,d) = Σ_t cᵗ·max_{d−t ≤ d' ≤ d+t} α(u,d',t) dominates s⁽ᵀ⁾(u,v) for
 // every v at distance d (Proposition 4). Effective for low-degree queries
-// whose walk distributions stay sparse. Computed at query time.
+// whose walk distributions stay sparse. Computed at query time, in the plans
+// of the strategies that enumerate candidates from the ball (buildPlan): it
+// reads distances, and only they have them.
 //
 // L2 bound (Algorithm 3): γ(u,t) = ‖√D·Pᵗe_u‖, and by Cauchy–Schwarz
 // s⁽ᵀ⁾(u,v) ≤ Σ_t cᵗ·γ(u,t)·γ(v,t) (Proposition 6). Effective for
@@ -107,10 +109,10 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 //
 // A query builds one (queryDistInto) — exactly where that is cheap, from
 // the R = RAlpha walks the paper's Algorithm 2 already performs for the L1
-// bound where it is not — and uses it both for β and as the u-side of
-// every candidate's single-pair estimate, which removes the u-side
-// sampling noise from the scores (all of it, when the distribution is
-// exact).
+// bound where it is not — and uses it as the u-side of every candidate's
+// single-pair estimate, which removes the u-side sampling noise from the
+// scores (all of it, when the distribution is exact), and for β where the
+// plan has a ball.
 type walkDist struct {
 	T     int
 	verts [][]uint32
@@ -448,8 +450,8 @@ func (e *Snapshot) dotSeries(x, y *walkDist) float64 {
 
 // l1Table holds the per-query result of Algorithm 2.
 type l1Table struct {
-	dmax int
-	// beta[d] bounds s⁽ᵀ⁾(u, v) for every v at undirected distance d.
+	// beta[d] bounds s⁽ᵀ⁾(u, v) for every v at undirected distance d, for
+	// d = 0..DMax.
 	beta []float64
 }
 
@@ -486,7 +488,6 @@ func (e *Snapshot) computeL1From(s *scratch, wd *walkDist, dist []int32, explore
 	}
 	// β(u, d) = Σ_t cᵗ · max_{max(0,d−t) ≤ d' ≤ min(dmax,d+t)} α(u, d', t),
 	// where distances beyond exploredRadius use the overflow maximum.
-	s.l1.dmax = dmax
 	s.l1.beta = floatBuf(s.l1.beta, dmax+1)
 	for d := 0; d <= dmax; d++ {
 		sum := 0.0
@@ -518,7 +519,7 @@ func (e *Snapshot) computeL1From(s *scratch, wd *walkDist, dist []int32, explore
 
 // bound returns β(u, d) for distance d, or +Inf when d exceeds the table.
 func (l *l1Table) bound(d int) float64 {
-	if l == nil || d < 0 || d > l.dmax {
+	if l == nil || d < 0 || d >= len(l.beta) {
 		return math.Inf(1)
 	}
 	return l.beta[d]

@@ -160,7 +160,7 @@ func TestL1TableOutOfRange(t *testing.T) {
 	if !math.IsInf(tbl.bound(3), 1) {
 		t.Fatal("nil table must return +Inf")
 	}
-	tbl = &l1Table{dmax: 2, beta: []float64{1, 0.5, 0.25}}
+	tbl = &l1Table{beta: []float64{1, 0.5, 0.25}}
 	if !math.IsInf(tbl.bound(5), 1) || !math.IsInf(tbl.bound(-1), 1) {
 		t.Fatal("out-of-range distances must return +Inf")
 	}

@@ -42,6 +42,23 @@ func bigBenchEngine(b *testing.B) *Engine {
 	return benchEngine
 }
 
+// socialBenchEngine is the 100k-vertex preferential-attachment graph under
+// the defaults, as simserver builds it for the end-to-end social workload.
+var (
+	socialOnce   sync.Once
+	socialEngine *Engine
+)
+
+func socialBenchEngine(b *testing.B) *Engine {
+	b.Helper()
+	socialOnce.Do(func() {
+		p := DefaultParams()
+		p.Seed = 1
+		socialEngine = Build(graph.PreferentialAttachment(100000, 10, 0.4, 1), p)
+	})
+	return socialEngine
+}
+
 // BenchmarkTopK is the headline end-to-end query benchmark: top-20 search
 // on a 100k-vertex graph with the full pruning stack.
 func BenchmarkTopK(b *testing.B) {
@@ -104,13 +121,14 @@ func BenchmarkTopKWarm(b *testing.B) {
 func BenchmarkTopKSocial(b *testing.B) {
 	for _, n := range []int{20000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := DefaultParams()
-			p.Seed = 1
+			e := socialBenchEngine(b)
 			if n == 20000 {
+				p := DefaultParams()
+				p.Seed = 1
 				p.Workers = 1
 				p.PrologBytes = -1
+				e = Build(graph.PreferentialAttachment(n, 10, 0.4, 1), p)
 			}
-			e := Build(graph.PreferentialAttachment(n, 10, 0.4, 1), p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -361,6 +379,42 @@ func BenchmarkPushWalkDist(b *testing.B) {
 	b.ReportMetric(float64(served)/float64(b.N), "served")
 }
 
+// BenchmarkPlanMiss is what a prolog miss pays before it scores its first
+// candidate — enumeration from H, the query-side distribution, the bounds,
+// the sort — on the two 100k-vertex graphs of the end-to-end benchmark: the
+// prolog cache off, uniform vertices that have candidates.
+func BenchmarkPlanMiss(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		engine func(*testing.B) *Engine
+	}{{"web", bigBenchEngine}, {"social", socialBenchEngine}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := tc.engine(b).Snapshot
+			cache := e.prolog
+			e.prolog = nil
+			defer func() { e.prolog = cache }()
+			s := e.getScratch()
+			defer e.putScratch(s)
+			n := uint32(e.g.N())
+			var us []uint32
+			for i := 0; len(us) < 4096; i++ {
+				if u := uint32(i*7919+13) % n; len(e.collectCandidates(s, u, nil, nil)) > 0 {
+					us = append(us, u)
+				}
+			}
+			cands := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cands += len(e.queryPlan(s, us[i%len(us)]).cands)
+			}
+			b.ReportMetric(float64(cands)/float64(b.N), "cands")
+		})
+	}
+}
+
+// BenchmarkComputeL1 is Algorithm 2's table alone, over a whole ball: what
+// the strategies that enumerate from the ball pay for it per plan.
 func BenchmarkComputeL1(b *testing.B) {
 	e := coreBenchEngine(b)
 	r := rng.New(1)

@@ -59,8 +59,10 @@ type Params struct {
 	RScore int
 	// RRough is the number of walks for the rough adaptive pass. Paper: 10.
 	RRough int
-	// RAlpha is the number of walks used by Algorithm 2 for the α/β
-	// (L1) bound, computed at query time. Paper: 10000.
+	// RAlpha is the walk count of the query-side distribution, which
+	// scores every candidate and which Algorithm 2's α/β (L1) table is
+	// read from where a plan has one; RAlpha/4 is the in-edge budget of the
+	// exact push tried before those walks (bounds.go). Paper: 10000.
 	RAlpha int
 	// RGamma is the number of walks per vertex used by Algorithm 3 for
 	// the γ (L2) bound, computed in the preprocess. Paper: 100.
@@ -73,22 +75,29 @@ type Params struct {
 	// Theta is the score threshold below which the search is cut off.
 	// Paper: 0.01.
 	Theta float64
-	// DMax is the maximum distance considered by the L1 bound; vertices
+	// DMax is the radius of the undirected ball the strategies that
+	// enumerate from it (CandidatesBall, CandidatesHybrid) build around the
+	// query, and the maximum distance their L1 bound considers; vertices
 	// farther than DMax from the query are never top-k candidates in
-	// practice. Paper: DMax = T.
+	// practice. A CandidatesIndex plan builds no ball and does not read it.
+	// Paper: DMax = T.
 	DMax int
-	// BallBudget bounds the per-query local BFS, keeping query work local
-	// on high-expansion graphs: the search stops expanding once it has
+	// BallBudget bounds that BFS, keeping query work local on
+	// high-expansion graphs: the search stops expanding once it has
 	// visited this many vertices. The check precedes each expansion, not
 	// each visit, so the ball overshoots by the last vertex's neighbours
 	// (23 353 vertices at the default budget on the benchmark's web
 	// graph). Candidates beyond the explored region simply fall back to
 	// the L2 bound. 0 means the default (20000); negative means unlimited.
+	// Like DMax it applies to the ball strategies only.
 	BallBudget int
 	// Strategy selects the candidate enumeration method.
 	Strategy CandidateStrategy
 	// DisableL1, DisableL2, DisableAdaptive switch off individual
-	// pruning ingredients; used by the ablation benchmarks.
+	// pruning ingredients; used by the ablation benchmarks. DisableL1 drops
+	// Algorithm 2's table from the plans that have one, those of the ball
+	// strategies; under CandidatesIndex there is nothing for it to switch
+	// off and the plan is the same either way.
 	DisableL1       bool
 	DisableL2       bool
 	DisableAdaptive bool
@@ -201,7 +210,8 @@ func (p Params) normalized() Params {
 // results, so a router refuses to merge fragments across mismatched
 // fingerprints. CacheBytes, PrologBytes and Workers are deliberately
 // excluded — all three change where work happens, never what a query
-// returns (the determinism suite pins that invariant).
+// returns (the determinism suite pins that invariant). planDef is included:
+// two binaries that define a plan differently must not merge either.
 func (p Params) Fingerprint() uint64 {
 	p = p.normalized()
 	h := uint64(0x5370a2c03f1e9d4b) // arbitrary non-zero basis
@@ -230,8 +240,18 @@ func (p Params) Fingerprint() uint64 {
 		mix(math.Float64bits(d))
 	}
 	mix(p.Seed)
+	mix(planDef)
 	return h
 }
+
+// planDef numbers the definitions of a query plan (buildPlan) this code has
+// had, for Fingerprint: a shard ships each candidate's bound and the merge
+// replays sortBounds' order from them (shard.go), so shards whose binaries
+// bound a candidate differently would merge into an answer neither gives
+// alone although their parameters agree. 2: an index-strategy plan has no
+// ball and bounds by L2 alone (before: min(distance bound, β, L2)). The
+// fingerprint is not persisted, so saved indexes load as before.
+const planDef = 2
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

@@ -15,16 +15,18 @@ import (
 //     and otherwise RAlpha walks from u drawn from queryRNG(u), which is
 //     derived only from Params.Seed and u, tabulated per step; consumed
 //     strictly read-only either way;
-//   - the candidate list in bound order: the undirected ball around u to
-//     DMax under BallBudget (graph), Algorithm 2's α/β table over that
-//     ball and the distribution above, the candidates of
-//     Params.Strategy (H rows of u's right neighbours, the ball), each
-//     candidate's min(distance bound, β, L2 bound from γ(u,·)·γ(v,·)),
-//     and sortBounds' total order (buildPlan, query.go).
+//   - the candidate list in bound order (buildPlan, query.go). Under
+//     CandidatesIndex: the H rows of u's right neighbours, each candidate's
+//     L2 bound from γ(u,·)·γ(v,·), and sortBounds' total order. Under the
+//     strategies that enumerate from it, also the undirected ball around u
+//     to DMax under BallBudget (graph) and Algorithm 2's α/β table over
+//     that ball and the distribution above: their candidates are read off
+//     the ball and bounded by min(distance bound, β, L2).
 //
-// An entry holds both, immutable, so a hit touches no graph: it replaces a
-// BFS over tens of thousands of vertices, the α/β table, the candidate
-// join, the bounds and the sort by two slice loads. In the sharded
+// An entry holds both, immutable, so a hit touches no graph: it replaces
+// the candidate join, the bounds and the sort — and under the ball
+// strategies a BFS over tens of thousands of vertices and the α/β table —
+// by two slice loads. In the sharded
 // deployment every shard asks for the same plan and filters it to its
 // vertex range (the restriction of a total order is the order of the
 // restriction), so on a hit the duplicated per-query work is gone. An
@@ -154,9 +156,10 @@ func planBytes(plan []boundedCand) int64 { return planOverhead + 16*int64(cap(pl
 // affected set: the distribution is kept, the plan is dropped. The
 // distribution depends only on u's T-step walk neighbourhood — the
 // footprint of a candidate tally, which is what the affected set covers.
-// The plan depends on the undirected ball to DMax, on the H rows of u's
-// right neighbours and on γ of u and of every candidate; an edge far
-// outside u's walk neighbourhood can change any of those. The carried
+// The plan depends on the H rows of u's right neighbours and on γ of u and
+// of every candidate (under the ball strategies on the undirected ball to
+// DMax as well); an edge far outside u's walk neighbourhood can change any
+// of those. The carried
 // entry shares the distribution's backing arrays with the old one; the
 // first query to hit it derives the plan against the new snapshot and
 // publishes it (queryPlan). The entry of a vertex that had no candidate

@@ -238,10 +238,11 @@ type queryPlan struct {
 // it is there, derived on qs otherwise (and published). A miss is priced
 // by u's neighbourhood. Under CandidatesIndex the candidates need only H,
 // so they come first, and a vertex that has none publishes an empty plan
-// over a step-less distribution: no walks, no ball, no L1 table. Every
-// other vertex gets its distribution from queryDistInto — exact where a
-// bounded push reaches, the RAlpha sampled walks only where the support
-// explodes — and then the ball and the bounds (buildPlan).
+// over a step-less distribution: no walks. Every other vertex gets its
+// distribution from queryDistInto — exact where a bounded push reaches, the
+// RAlpha sampled walks only where the support explodes — and then its
+// candidates' bounds, which only the strategies that enumerate from the
+// ball pay a ball for (buildPlan).
 func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 	ent, plan := e.cachedPlan(u)
 	if plan != nil {
@@ -299,33 +300,39 @@ func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
 }
 
 // buildPlan derives the bound-sorted candidate list of a query at u whose
-// walk distribution is wd: the bounded BFS ball around u, the L1 table
-// over it, the candidates — which under CandidatesIndex the caller has
-// already enumerated into qs.cands, and which the other strategies read
-// off the ball here — their bounds, the sort. The result aliases
+// walk distribution is wd. The bounds that read distances ride on the
+// strategies that build the ball: CandidatesBall and CandidatesHybrid
+// enumerate from it, so they have it, and bound a candidate by
+// min(distance bound, β, L2). Under CandidatesIndex the caller has already
+// enumerated qs.cands from H and there is no ball: a candidate's bound is
+// its L2 bound. A BFS to BallBudget (23 353 vertices on the benchmark's web
+// graph) was the largest share of a miss, and what it bought cut 0.17 of
+// 14.7 web and 17 of 318 social candidates a query, which the rough pass
+// cuts anyway — while β, one value per distance, flattened the order L2
+// alone gives the scan (DESIGN.md §4 has the runs). The result aliases
 // qs.bounds.
 func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand {
-	// Local distances around the query, used by the L1 and distance
-	// bounds and by the ball candidate strategies. The ball budget keeps
-	// this BFS local on high-expansion graphs; truncation only weakens
-	// the L1/distance bounds (candidates fall back to L2), never
-	// correctness.
-	dist := qs.distBuf()
-	defer qs.resetDist()
-	var truncated bool
-	qs.ball, truncated = e.g.UndirectedBallInto(u, e.p.DMax, e.p.BallBudget, dist, qs.ball[:0])
-	exploredRadius := e.p.DMax
-	if truncated && len(qs.ball) > 0 {
-		// BFS visits vertices in nondecreasing distance order, so the last
-		// ball entry carries the deepest discovered level — which may be
-		// incomplete when the budget cut the search short.
-		exploredRadius = int(dist[qs.ball[len(qs.ball)-1]]) - 1
-	}
+	var dist []int32
 	var l1 *l1Table
-	if !e.p.DisableL1 {
-		l1 = e.computeL1From(qs, wd, dist, exploredRadius)
-	}
 	if e.p.Strategy != CandidatesIndex {
+		// Local distances around the query. The ball budget keeps this BFS
+		// local on high-expansion graphs; truncation only weakens the
+		// L1/distance bounds (candidates fall back to L2), never
+		// correctness.
+		dist = qs.distBuf()
+		defer qs.resetDist()
+		var truncated bool
+		qs.ball, truncated = e.g.UndirectedBallInto(u, e.p.DMax, e.p.BallBudget, dist, qs.ball[:0])
+		exploredRadius := e.p.DMax
+		if truncated && len(qs.ball) > 0 {
+			// BFS visits vertices in nondecreasing distance order, so the
+			// last ball entry carries the deepest discovered level — which
+			// may be incomplete when the budget cut the search short.
+			exploredRadius = int(dist[qs.ball[len(qs.ball)-1]]) - 1
+		}
+		if !e.p.DisableL1 {
+			l1 = e.computeL1From(qs, wd, dist, exploredRadius)
+		}
 		e.collectCandidates(qs, u, dist, qs.ball)
 	}
 	bs := qs.bounds[:0]
@@ -354,15 +361,17 @@ func (pl *queryPlan) restrict(qs *scratch, lo, hi uint32) []boundedCand {
 }
 
 // candBound is the tightest upper bound available for candidate v of a
-// query at u: the minimum of the distance, L1 (nil-safe when disabled),
-// and L2 bounds. +Inf when no bound applies.
+// query at u: the minimum of the distance and L1 bounds, where the plan has
+// a ball (dist is nil when it has none, l1 when the table is disabled), and
+// the L2 bound. +Inf when no bound applies.
 func (e *Snapshot) candBound(u, v uint32, dist []int32, l1 *l1Table) float64 {
 	ub := math.Inf(1)
-	if d := dist[v]; d >= 0 {
-		if b := e.DistanceBound(int(d)); b < ub {
+	if dist != nil && dist[v] >= 0 {
+		d := int(dist[v])
+		if b := e.DistanceBound(d); b < ub {
 			ub = b
 		}
-		if b := l1.bound(int(d)); b < ub {
+		if b := l1.bound(d); b < ub {
 			ub = b
 		}
 	}

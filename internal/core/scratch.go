@@ -47,8 +47,9 @@ type scratch struct {
 
 	// Dense undirected distances for the query-local ball. Entries are -1
 	// ("clean") outside a query; ball lists the vertices the last BFS
-	// touched so resetDist can clean up in O(ball). Lazily allocated:
-	// preprocess-only scratches never pay for it.
+	// touched so resetDist can clean up in O(ball). Lazily allocated, like
+	// the L1 storage below: only a plan of a ball strategy asks for them, so
+	// preprocess scratches and index-strategy queries never pay the 4n bytes.
 	dist []int32
 	ball []uint32
 

@@ -21,8 +21,12 @@ type Options struct {
 	Samples int
 	// RoughSamples is the adaptive first-pass sample count. Default 10.
 	RoughSamples int
-	// BoundSamples is the walk count for the per-query L1 bound.
-	// Default 10000.
+	// BoundSamples is the walk count of the query-side distribution, which
+	// scores every candidate: a query first tries to push that
+	// distribution exactly within BoundSamples/4 in-edge relaxations and
+	// samples this many walks only where the push does not fit (around
+	// hubs). The per-query L1 bound is read from the same distribution
+	// where a plan has one, i.e. under Exhaustive. Default 10000.
 	BoundSamples int
 	// IndexTrials (P) and IndexWalks (Q) control candidate-index
 	// construction. Defaults 10 and 5.
@@ -33,7 +37,9 @@ type Options struct {
 	// effectively disable pruning by score.
 	Threshold float64
 	// Exhaustive switches candidate enumeration from the random-walk
-	// index to the full distance-DMax ball (slower, higher recall).
+	// index to the full distance-DMax ball (slower, higher recall). Only
+	// then does a query walk that ball and bound candidates by distance
+	// and the L1 table as well; index candidates are bounded by L2 alone.
 	Exhaustive bool
 	// ExactScores replaces Monte-Carlo candidate scores with a
 	// deterministic sparse series evaluation wherever the exact push that
