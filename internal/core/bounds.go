@@ -112,7 +112,11 @@ func (e *Snapshot) L2Bound(u, v uint32) float64 {
 // bound where it is not — and uses it as the u-side of every candidate's
 // single-pair estimate, which removes the u-side sampling noise from the
 // scores (all of it, when the distribution is exact), and for β where the
-// plan has a ball.
+// plan has a ball. It stops at the query's horizon: queryDistInto empties
+// the trailing steps that horizon proves worth less than the series' first
+// omitted term, and every consumer stops at (or skips) a step with an empty
+// support. A trimmed distribution's horizon is its number of nonempty
+// steps, so it goes wherever the distribution is copied or carried.
 type walkDist struct {
 	T     int
 	verts [][]uint32
@@ -198,7 +202,12 @@ func (wd *walkDist) reset(T int, sampled bool) {
 	wd.dir = wd.dir[:T]
 	wd.shift = wd.shift[:T]
 	wd.massw = wd.massw[:T]
-	for t := 0; t < T; t++ {
+	wd.trim(0)
+}
+
+// trim empties steps t ≥ h, keeping their backing arrays.
+func (wd *walkDist) trim(h int) {
+	for t := h; t < wd.T; t++ {
 		wd.verts[t] = wd.verts[t][:0]
 		wd.dir[t] = wd.dir[t][:0]
 		wd.shift[t] = 0
@@ -319,12 +328,14 @@ func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 }
 
 // sampleWalkDistInto runs R walks from u and tabulates the per-step
-// empirical distributions into wd, using s for tallies. Zero allocations
-// after the backing arrays have warmed up.
+// empirical distributions into wd, using s for tallies, and leaves each
+// nonempty step's α*(u,t) = max_w D_ww·p̂_u,t(w) in s.peak (horizon). Zero
+// allocations after the backing arrays have warmed up.
 func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int, r *rng.Source) {
 	T := e.p.T
 	wd.reset(T, true)
 	wd.invR = 1.0 / float64(R)
+	s.peak = s.peak[:0]
 	pos := s.walkBuf(R)
 	lane := s.laneBuf(R)
 	resetWalks(pos, u)
@@ -336,9 +347,15 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 			break // all walks dead; remaining steps stay empty
 		}
 		wd.setSupport(t, s)
+		peak := 0.0
 		for _, w := range wd.verts[t] {
-			wd.massw[t] = append(wd.massw[t], uint32(s.cnt[w]))
+			c := uint32(s.cnt[w])
+			wd.massw[t] = append(wd.massw[t], c)
+			if a := e.p.dval(w) * (float64(c) * wd.invR); a > peak {
+				peak = a
+			}
 		}
+		s.peak = append(s.peak, peak)
 	}
 }
 
@@ -367,12 +384,14 @@ func (p *Params) pushBudget() int { return p.RAlpha / pushDiv }
 // every mass is the same sum in the same order wherever and however often
 // it is computed — a pure function of (graph, u). The accumulator is
 // compact (scratch.pushMass): it holds one float64 per vertex touched this
-// step, never more than budget.
+// step, never more than budget. Each nonempty step's α*(u,t) is left in
+// s.peak, as by the sampler.
 //
 //lint:hotpath exact query-side propagation: the whole distribution of most web misses
 func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget int) bool {
 	T := e.p.T
 	wd.reset(T, false)
+	s.peak = s.peak[:0]
 	for t := 0; t < T; t++ {
 		s.beginTally()
 		s.push = s.push[:0]
@@ -397,24 +416,71 @@ func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget 
 			break // no mass left; remaining steps stay empty
 		}
 		wd.setSupport(t, s)
+		peak := 0.0
 		for _, w := range wd.verts[t] {
-			b := math.Float64bits(s.push[s.cnt[w]])
+			m := s.push[s.cnt[w]]
+			b := math.Float64bits(m)
 			wd.massw[t] = append(wd.massw[t], uint32(b), uint32(b>>32))
+			if a := e.p.dval(w) * m; a > peak {
+				peak = a
+			}
 		}
+		s.peak = append(s.peak, peak)
 	}
 	return true
 }
 
-// queryDistInto builds the query-side distribution of u into wd: exact
+// walkDistInto builds all T steps of u's walk distribution into wd: exact
 // when the push fits the budget, and otherwise — around hubs, on graphs
 // whose supports explode — the empirical distribution of RAlpha walks
 // drawn from queryRNG(u), which feeds nothing else. Which of the two
 // depends on the graph and u alone, so every shard, worker and repeat of a
-// query agrees on it.
-func (e *Snapshot) queryDistInto(wd *walkDist, s *scratch, u uint32) {
+// query agrees on it. The T-term series is defined over this one; queries
+// score against its trimmed form (queryDistInto).
+func (e *Snapshot) walkDistInto(wd *walkDist, s *scratch, u uint32) {
 	if !e.exactWalkDistInto(wd, s, u, e.p.pushBudget()) {
 		e.sampleWalkDistInto(wd, s, u, e.p.RAlpha, e.queryRNG(u))
 	}
+}
+
+// queryDistInto builds the query-side distribution of u into wd, the one
+// every query plan stands on: walkDistInto's, emptied from the horizon h(u)
+// on, which it returns — a pure function of (snapshot, u) like the builder.
+func (e *Snapshot) queryDistInto(wd *walkDist, s *scratch, u uint32) int {
+	e.walkDistInto(wd, s, u)
+	h := e.horizon(s.peak)
+	wd.trim(h)
+	return h
+}
+
+// horizon returns the number of leading steps a query keeps of a
+// distribution whose per-step maxima α*(u,t) = max_w D_ww·p̂_u,t(w) —
+// Algorithm 2's α maximised over distance — the builder left in peak, one
+// for each nonempty step; peak is consumed. It is the smallest h ≥ 1 with
+//
+//	tail(h) = Σ_{t=h}^{T−1} cᵗ·α*(u,t) ≤ c^T·max_w D_ww = tailTol,
+//
+// the most the first term the series omits anyway could be worth. For
+// every candidate v, over the same walks on both sides, dropping the steps
+// t ≥ h lowers the estimate by no more than tail(h) and never raises it:
+// step t contributes cᵗ·Σ_w p̂_u,t(w)·D_ww·p̂_v,t(w), which is at least 0
+// and at most cᵗ·α*(u,t)·Σ_w p̂_v,t(w) ≤ cᵗ·α*(u,t) (Proposition 4's
+// argument). The rule reads C, T and D only — no parameter of its own. See
+// DESIGN.md §4 for what it keeps on the benchmark's graphs and why the
+// candidate walks still take their T−1 steps.
+func (e *Snapshot) horizon(peak []float64) int {
+	ct := 1.0
+	for t := range peak {
+		peak[t] *= ct
+		ct *= e.p.C
+	}
+	h, tail := len(peak), 0.0
+	for ; h > 1; h-- {
+		if tail += peak[h-1]; tail > e.tailTol {
+			break
+		}
+	}
+	return h
 }
 
 // dotSeries evaluates the truncated series deterministically from two
@@ -546,8 +612,9 @@ func (e *Snapshot) DistanceBound(d int) float64 {
 
 // newDistBounds evaluates DistanceBound's maxD/(1−c) factor and its values
 // for d = 0..DMax, so candBound neither rescans Params.D for its maximum
-// nor calls math.Pow per candidate.
-func newDistBounds(p *Params) (scale float64, table []float64) {
+// nor calls math.Pow per candidate, and from the same maximum horizon's
+// tolerance c^T·maxD.
+func newDistBounds(p *Params) (scale, tailTol float64, table []float64) {
 	maxD := 1 - p.C
 	if p.D != nil {
 		maxD = 0
@@ -563,19 +630,22 @@ func newDistBounds(p *Params) (scale float64, table []float64) {
 	for d := 1; d <= p.DMax; d++ {
 		table[d] = scale * math.Pow(p.C, float64((d+1)/2))
 	}
-	return scale, table
+	return scale, maxD * math.Pow(p.C, float64(p.T)), table
 }
 
 // L1Bound computes β(u, ·) for the query vertex u and returns the bound
 // evaluated at distance d(u,v). Exposed for tests and ablation studies;
-// the query phase shares one table across all candidates.
+// the query phase shares one table across all candidates. It reads all T
+// steps of u's distribution (walkDistInto) and so bounds the T-term series
+// s⁽ᵀ⁾; the β inside a ball-strategy plan reads the plan's trimmed
+// distribution and bounds the served score, which is never above it.
 func (e *Snapshot) L1Bound(u uint32, d int) float64 {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	dist := s.distBuf()
 	s.ball, _ = e.g.UndirectedBallInto(u, e.p.DMax, -1, dist, s.ball[:0])
 	defer s.resetDist()
-	e.queryDistInto(&s.wd, s, u)
+	e.walkDistInto(&s.wd, s, u)
 	tbl := e.computeL1From(s, &s.wd, dist, e.p.DMax)
 	return tbl.bound(d)
 }

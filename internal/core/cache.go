@@ -91,6 +91,10 @@ type CacheStats struct {
 	BuiltExact   int64 `json:"built_exact,omitempty"`
 	BuiltSampled int64 `json:"built_sampled,omitempty"`
 	BuiltEmpty   int64 `json:"built_empty,omitempty"`
+	// StepsKept sums the horizons of those plans, so StepsKept /
+	// (BuiltExact + BuiltSampled) is the mean number of steps a query-side
+	// distribution keeps of its T (bounds.go, horizon). Prolog cache only.
+	StepsKept int64 `json:"steps_kept,omitempty"`
 }
 
 func newClockCache[P any](n int, maxBytes int64) *clockCache[P] {

@@ -20,7 +20,7 @@ func TestTopKIdenticalAcrossWorkers(t *testing.T) {
 		return Build(g, p)
 	}
 	base := build(1)
-	queries := []uint32{0, 5, 17, 999, 2500, 4999}
+	queries := []uint32{0, 5, 17, 53, 999, 2500, 4999}
 	requireAllClasses(t, "workers", base.Snapshot, queries)
 	type result struct {
 		res   []Scored

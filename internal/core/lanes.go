@@ -53,9 +53,14 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand,
 		e.scoreShare(qs, block, out, wd, floor, 0, len(block), len(block), stats)
 		return
 	}
-	// Each share counts its cache traffic on its own; the sums do not
-	// depend on which share met which candidate.
-	cache := make([]QueryStats, shares)
+	// Each share counts its cache traffic on its own, in a row of the
+	// caller's scratch; the sums do not depend on which share met which
+	// candidate.
+	if cap(qs.shareStats) < shares {
+		qs.shareStats = make([]QueryStats, shares)
+	}
+	cache := qs.shareStats[:shares]
+	clear(cache)
 	var wg sync.WaitGroup
 	for w := 1; w < shares; w++ {
 		wg.Add(1)

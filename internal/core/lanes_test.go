@@ -73,7 +73,8 @@ type refQuery struct {
 // newRefQuery applies the query side's rule on its own: the distribution
 // is the exact one exactly when pushing it takes no more than the budget
 // (TestPushMatchesDenseReference holds the push itself to a dense
-// reference), and the reference sampler's otherwise.
+// reference), and the reference sampler's otherwise, cut at the plan's
+// horizon.
 func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
 	pl := e.queryPlan(qs, u)
 	wd, bs := pl.wd, slices.Clone(pl.cands)
@@ -89,7 +90,7 @@ func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
 	case exact:
 		q.rd = refDistOf(wd)
 	default:
-		q.rd = refSample(e, s, u)
+		q.rd = refSample(e, s, u).cut(keptSteps(wd))
 	}
 	return q
 }
@@ -151,8 +152,8 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 		{"adaptive", wide, []uint32{4999, 1234, 3100}, func(p *Params) {}},
 		{"noadapt", wide, []uint32{4999, 3777}, func(p *Params) { p.DisableAdaptive = true }},
 		// The three miss paths: an exact query side, a sampled one, and a
-		// hub H gives no candidate.
-		{"web", narrow, []uint32{35, 17, 0}, func(p *Params) {}},
+		// hub H gives no candidate; 81's push dies out before its horizon.
+		{"web", narrow, []uint32{35, 17, 0, 81}, func(p *Params) {}},
 		// The queries propagate exactly and most candidates do too; one or
 		// two of each query's are hubs the push budget sends to the walks.
 		{"exact-fallback", narrow, []uint32{26, 35, 39}, func(p *Params) { p.ExactScoring = true }},

@@ -249,9 +249,12 @@ func (p Params) Fingerprint() uint64 {
 // replays sortBounds' order from them (shard.go), so shards whose binaries
 // bound a candidate differently would merge into an answer neither gives
 // alone although their parameters agree. 2: an index-strategy plan has no
-// ball and bounds by L2 alone (before: min(distance bound, β, L2)). The
-// fingerprint is not persisted, so saved indexes load as before.
-const planDef = 2
+// ball and bounds by L2 alone (before: min(distance bound, β, L2)). 3: the
+// query-side distribution stops at its horizon (bounds.go), so a score is
+// up to c^T·max_w D_ww below what a plan of definition 2 serves and the
+// rough and k-th cuts may fall differently. The fingerprint is not
+// persisted, so saved indexes load as before.
+const planDef = 3
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

@@ -126,7 +126,7 @@ func planVariants() map[string]func(*Params) {
 // workers × tally cache off/on × the parameters a plan depends on.
 func TestPlanCacheInvisible(t *testing.T) {
 	g := graph.CopyingModel(900, 6, 0.3, 13)
-	us := []uint32{0, 5, 41, 41, 300, 450, 899, 5}
+	us := []uint32{0, 5, 41, 41, 300, 50, 899, 5}
 	for name, vary := range planVariants() {
 		t.Run(name, func(t *testing.T) {
 			build := func(prolog, tally int64, workers int) *Engine {
@@ -373,7 +373,7 @@ func TestPlanAcrossIncrementalRefresh(t *testing.T) {
 	}
 	gained := 0
 	for _, u := range noCands {
-		if planClass(next, u) != builtEmpty {
+		if b, _ := planClass(next, u); b != builtEmpty {
 			gained++
 		}
 	}
@@ -596,19 +596,25 @@ func refBuildPlanWithBall(e *Snapshot, qs *scratch, u uint32, wd *walkDist) []bo
 
 // planMoved names the fixture queries whose top-20 is not what the scan over
 // the reference plan returns, with the candidate that left it. The order
-// decides the floor a candidate's rough verdict is taken at: the reference
-// order meets this one while the floor is still θ, where its rough estimate
-// (0.00317) clears 0.3·θ and its refined score (0.01177) ranks 17th; L2's
-// order meets it three blocks later at a floor of 0.0112 and cuts it. One
-// top-20 entry in 1 500 queries; the list is checked both ways, so it can
-// neither hide a second query nor outlive this one.
-var planMoved = map[string]map[uint32]uint32{"pa": {2400: 3800}}
+// decides the floor a candidate's rough verdict is taken at. At 2400 the
+// reference order meets 3800 while the floor is still θ, where its rough
+// estimate (0.00310) clears 0.3·θ and its refined score (0.01171) ranks
+// 17th; L2's order meets it in the same block but at a floor of 0.01089 and
+// cuts it. At 3592 L2's order meets 5848 at a floor of 0.016749, whose 0.3
+// is 0.0050248 against a rough estimate of 0.0050207; the reference order
+// meets it four blocks later at a floor of 0.015805, refines it to 0.01697
+// and ranks it 19th. (The second joined the list when the query side got
+// its horizon: every estimate and floor sank by up to c^T·maxD, and this
+// rough estimate sat 4·10⁻⁶ from its cut.) Two top-20 entries in 1 500
+// queries; the list is checked both ways, so it can neither hide a third
+// query nor outlive these.
+var planMoved = map[string]map[uint32]uint32{"pa": {2400: 3800, 3592: 5848}}
 
 // The index plan against the plan it replaces (ball, α/β table, three-way
 // min), on web-, social- and collaboration-shaped graphs. No bound got
 // tighter, so each still dominates the exact series score as the L2 bound
 // alone does (Proposition 6). No answer moves, top-k or threshold, but the
-// one planMoved names: what the reference cut by bound the rough pass
+// two planMoved names: what the reference cut by bound the rough pass
 // cuts, or it is refined and lands below the floor. The scan refines fewer
 // candidates on the social shape, because β
 // is one value per distance and min(β, L2) flattens the order L2 gives; on
@@ -713,7 +719,9 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 		}
 		t.Logf("%s: %d queries; pruned by bound %d (reference %d), refined %d (reference %d), %d bounds against the exact series",
 			name, queries, pruned, refPruned, refined, refRefined, checked)
-		if moved != len(planMoved[name]) {
+		// (The race run's coarser stride passes over fewer of the listed
+		// queries; the full run must ask them all.)
+		if moved == 0 && len(planMoved[name]) > 0 || moved != len(planMoved[name]) && !raceEnabled {
 			t.Fatalf("%s: %d of the %d queries listed as moved were asked", name, moved, len(planMoved[name]))
 		}
 		if queries < minQueries || checked < minQueries {

@@ -13,8 +13,9 @@ import (
 //     exactly along in-edges in ascending vertex order when that takes no
 //     more than pushBudget relaxations — a function of the graph and u —
 //     and otherwise RAlpha walks from u drawn from queryRNG(u), which is
-//     derived only from Params.Seed and u, tabulated per step; consumed
-//     strictly read-only either way;
+//     derived only from Params.Seed and u, tabulated per step; either way
+//     cut at the horizon h(u), which reads that distribution and C, T and D
+//     (bounds.go), and consumed strictly read-only;
 //   - the candidate list in bound order (buildPlan, query.go). Under
 //     CandidatesIndex: the H rows of u's right neighbours, each candidate's
 //     L2 bound from γ(u,·)·γ(v,·), and sortBounds' total order. Under the
@@ -91,7 +92,8 @@ func builderOf(wd *walkDist) int {
 // immutable entry without a plan and charges what that allocates: one
 // array of 4-byte words — per step the directory, the vertices and the
 // mass words next to each other, because one lookup touches all three —
-// the 3·T slice headers over it and the shift bytes. A support vertex
+// the 3·T slice headers over it and the shift bytes. Steps from the query's
+// horizon on are empty in wd and cost their headers only. A support vertex
 // costs its id, its mass (4 bytes of walk count in a sampled distribution,
 // the 8 of a float64 in an exact one) and its share of the directory: a
 // sparse step has no more buckets than support vertices (bucketing) and
@@ -155,7 +157,9 @@ func planBytes(plan []boundedCand) int64 { return planOverhead + 16*int64(cap(pl
 // rebuild (clockCache.carryForward), for a vertex outside the rebuild's
 // affected set: the distribution is kept, the plan is dropped. The
 // distribution depends only on u's T-step walk neighbourhood — the
-// footprint of a candidate tally, which is what the affected set covers.
+// footprint of a candidate tally, which is what the affected set covers —
+// and it keeps its horizon, a function of the distribution alone (its
+// nonempty steps are the ones the old snapshot's query kept).
 // The plan depends on the H rows of u's right neighbours and on γ of u and
 // of every candidate (under the ball strategies on the undirected ball to
 // DMax as well); an edge far outside u's walk neighbourhood can change any

@@ -191,7 +191,7 @@ func TestPrologEntryAccounting(t *testing.T) {
 		p.Seed = 4
 		e := Build(tc.g, p)
 		u, n := tc.u, tc.g.N()
-		if got := planClass(e.Snapshot, u); got != tc.class {
+		if got, _ := planClass(e.Snapshot, u); got != tc.class {
 			t.Fatalf("%s: vertex %d takes miss path %d, want %d", tc.name, u, got, tc.class)
 		}
 		res, st := e.TopKStats(u, 10)
@@ -211,7 +211,10 @@ func TestPrologEntryAccounting(t *testing.T) {
 		// The source the entry was cloned from, built again.
 		s := e.getScratch()
 		if tc.class != builtEmpty {
-			e.queryDistInto(&s.wd, s, u)
+			// A trimmed source: the entry holds its horizon's steps, no more.
+			if h := e.queryDistInto(&s.wd, s, u); keptSteps(wd) != h || (tc.dense && h >= e.p.T) {
+				t.Fatalf("%s: entry keeps %d steps, the query side's horizon is %d of %d", tc.name, keptSteps(wd), h, e.p.T)
+			}
 		}
 		held := int64(0)
 		dense := 0
@@ -309,6 +312,35 @@ func TestPrologEntryAccounting(t *testing.T) {
 		t.Fatalf("heap grew %d bytes for %d charged: more than 5 %% apart", grown, charged)
 	}
 	runtime.KeepAlive(c)
+}
+
+// What the horizon saves, as counts a loaded two-core machine reads the
+// same as any other: on a social graph a fifth of the benchmark's size the
+// query-side distributions keep at most half their steps on average, and a
+// cache entry is charged at most a fifth of what the whole distribution
+// would be (TestPrologEntryAccounting holds the charge of a trimmed entry
+// to the heap).
+func TestHorizonCutsWork(t *testing.T) {
+	g := graph.PreferentialAttachment(20000, 10, 0.4, 1)
+	e := New(g, DefaultParams())
+	s := e.getScratch()
+	defer e.putScratch(s)
+	queries := 200
+	if raceEnabled {
+		queries = 40 // one goroutine; the counts are checked in full without -race
+	}
+	var steps int
+	var kept, whole int64
+	for _, u := range seq(50, uint32(g.N()), uint32(g.N()/queries))[:queries] {
+		e.walkDistInto(&s.wd, s, u)
+		whole += newPrologEntry(u, &s.wd).size
+		steps += e.queryDistInto(&s.wd, s, u)
+		kept += newPrologEntry(u, &s.wd).size
+	}
+	t.Logf("%d queries keep %.2f of %d steps, entries of %d bytes against %d", queries, float64(steps)/float64(queries), e.p.T, kept/int64(queries), whole/int64(queries))
+	if 2*steps > queries*e.p.T || 5*kept > whole {
+		t.Fatalf("%d queries keep %d steps of %d each and %d of %d bytes: want at most a half and a fifth", queries, steps, e.p.T, kept, whole)
+	}
 }
 
 // A cached distribution must answer exactly as the scratch original it

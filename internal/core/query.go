@@ -240,9 +240,9 @@ type queryPlan struct {
 // so they come first, and a vertex that has none publishes an empty plan
 // over a step-less distribution: no walks. Every other vertex gets its
 // distribution from queryDistInto — exact where a bounded push reaches, the
-// RAlpha sampled walks only where the support explodes — and then its
-// candidates' bounds, which only the strategies that enumerate from the
-// ball pay a ball for (buildPlan).
+// RAlpha sampled walks only where the support explodes, cut at the horizon
+// either way — and then its candidates' bounds, which only the strategies
+// that enumerate from the ball pay a ball for (buildPlan).
 func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 	ent, plan := e.cachedPlan(u)
 	if plan != nil {
@@ -253,7 +253,7 @@ func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 		e.collectCandidates(qs, u, nil, nil)
 	}
 	none := byIndex && len(qs.cands) == 0
-	wd := &qs.wd
+	wd, h := &qs.wd, 0
 	switch {
 	case ent != nil:
 		// Carried across an incremental rebuild without its plan: derive
@@ -262,7 +262,7 @@ func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 	case none:
 		wd = &noDist
 	default:
-		e.queryDistInto(wd, qs, u)
+		h = e.queryDistInto(wd, qs, u)
 	}
 	var bs []boundedCand
 	if !none {
@@ -274,6 +274,7 @@ func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 		ent = newPrologEntry(u, wd)
 		ent.size += ent.val.setPlan(bs)
 		e.built[builderOf(wd)].Add(1)
+		e.stepsKept.Add(int64(h))
 		e.prolog.put(ent)
 	default:
 		if n := ent.val.setPlan(bs); n > 0 {
@@ -303,14 +304,16 @@ func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
 // walk distribution is wd. The bounds that read distances ride on the
 // strategies that build the ball: CandidatesBall and CandidatesHybrid
 // enumerate from it, so they have it, and bound a candidate by
-// min(distance bound, β, L2). Under CandidatesIndex the caller has already
-// enumerated qs.cands from H and there is no ball: a candidate's bound is
-// its L2 bound. A BFS to BallBudget (23 353 vertices on the benchmark's web
-// graph) was the largest share of a miss, and what it bought cut 0.17 of
-// 14.7 web and 17 of 318 social candidates a query, which the rough pass
-// cuts anyway — while β, one value per distance, flattened the order L2
-// alone gives the scan (DESIGN.md §4 has the runs). The result aliases
-// qs.bounds.
+// min(distance bound, β, L2) — β read from wd as the plan has it, trimmed
+// at the horizon, so it bounds the score the scan will serve rather than
+// the T-term series (Snapshot.L1Bound is the one that bounds that). Under
+// CandidatesIndex the caller has already enumerated qs.cands from H and
+// there is no ball: a candidate's bound is its L2 bound. A BFS to
+// BallBudget (23 353 vertices on the benchmark's web graph) was the largest
+// share of a miss, and what it bought cut 0.17 of 14.7 web and 17 of 318
+// social candidates a query, which the rough pass cuts anyway — while β,
+// one value per distance, flattened the order L2 alone gives the scan
+// (DESIGN.md §4 has the runs). The result aliases qs.bounds.
 func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand {
 	var dist []int32
 	var l1 *l1Table

@@ -54,9 +54,12 @@ type scratch struct {
 	ball []uint32
 
 	// Walk distributions: wd holds the query-side distribution, wd2 the
-	// candidate-side one in exact-scoring mode.
-	wd  walkDist
-	wd2 walkDist
+	// candidate-side one in exact-scoring mode. peak[t] is α*(u,t) =
+	// max_w D_ww·p̂_u,t(w) for each nonempty step t of the distribution a
+	// builder last filled on this scratch, which horizon reads.
+	wd   walkDist
+	wd2  walkDist
+	peak []float64
 
 	// Per-candidate RNG, re-seeded for every candidate so scores do not
 	// depend on candidate evaluation order (and hence worker count).
@@ -66,6 +69,9 @@ type scratch struct {
 	cands  []uint32
 	bounds []boundedCand
 	scores []ShardCand
+	// shareStats holds one tally-cache counter set per scoring share of a
+	// parallel block (scoreBlock), summed into the query's when it ends.
+	shareStats []QueryStats
 
 	// Candidate tally kernel buffers (tally.go): tpos is the walk-major
 	// step×walk position matrix, and tallyOff/tallyV/tallyCnt/tallyRcnt

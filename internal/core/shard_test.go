@@ -81,7 +81,7 @@ func partitions(n uint32) [][][2]uint32 {
 func TestMergeShardTopKMatchesSearch(t *testing.T) {
 	g := graph.CopyingModel(2000, 5, 0.3, 21)
 	n := uint32(g.N())
-	queries := []uint32{0, 17, 999, 1999}
+	queries := []uint32{0, 16, 17, 999, 1999}
 	ctx := context.Background()
 	for name, p := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -163,8 +163,8 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	n := uint32(g.N())
 	ctx := context.Background()
 	// Three hubs of the communities, a leaf whose push is exact, a vertex
-	// without candidates.
-	us := []uint32{3, 400, 799, 1019, 46}
+	// without candidates, and one whose push dies out before its horizon.
+	us := []uint32{3, 400, 799, 1019, 46, 467}
 	requireBothKinds(t, "threshold shards", e.Snapshot, us)
 	requireAllClasses(t, "threshold shards", e.Snapshot, us)
 	for _, theta := range []float64{0.005, 0.05, 0.3} {
@@ -214,7 +214,7 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 11
 	e := Build(g, p)
-	us := []uint32{0, 7, 123, 499, 250, 72, 115}
+	us := []uint32{0, 7, 123, 499, 250, 72, 115, 211}
 	requireBothKinds(t, "shard batch", e.Snapshot, us)
 	requireAllClasses(t, "shard batch", e.Snapshot, us)
 	ctx := context.Background()

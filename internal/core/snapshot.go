@@ -30,9 +30,11 @@ type Snapshot struct {
 	// tables are degenerate and alias the graph's CSR directly).
 	wt *graph.WalkTable
 
-	// distBound[d] = DistanceBound(d) for d ≤ DMax and distScale its
-	// maxD/(1−c) factor; both depend on Params alone (bounds.go).
+	// distBound[d] = DistanceBound(d) for d ≤ DMax, distScale its
+	// maxD/(1−c) factor and tailTol = c^T·maxD the most a query's horizon
+	// may drop; all three depend on Params alone (bounds.go).
 	distScale float64
+	tailTol   float64
 	distBound []float64
 
 	// gamma[v*T + t] = γ(v, t) from Algorithm 3 (L2 bound), row-major.
@@ -54,9 +56,11 @@ type Snapshot struct {
 	// distribution and the bound-sorted candidate list (prolog.go); nil
 	// when Params.PrologBytes is negative. Like cache, it holds derived,
 	// deterministic data only. built counts the entries offered to it by
-	// the builder of their distribution (builtExact, …).
-	prolog *clockCache[prolog]
-	built  [3]atomic.Int64
+	// the builder of their distribution (builtExact, …) and stepsKept sums
+	// their horizons.
+	prolog    *clockCache[prolog]
+	built     [3]atomic.Int64
+	stepsKept atomic.Int64
 
 	// pool recycles query/preprocess scratch buffers (see scratch.go).
 	// poolGets/poolPuts count acquire/release round trips; they must be
@@ -83,7 +87,7 @@ type PreprocessStats struct {
 
 func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	sn := &Snapshot{g: g, p: p.normalized(), wt: g.BuildWalkTable()}
-	sn.distScale, sn.distBound = newDistBounds(&sn.p)
+	sn.distScale, sn.tailTol, sn.distBound = newDistBounds(&sn.p)
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
 	if sn.p.CacheBytes > 0 && sn.p.RScore <= maxTallyCount {
@@ -121,6 +125,7 @@ func (e *Snapshot) PrologStats() CacheStats {
 	st.BuiltExact = e.built[builtExact].Load()
 	st.BuiltSampled = e.built[builtSampled].Load()
 	st.BuiltEmpty = e.built[builtEmpty].Load()
+	st.StepsKept = e.stepsKept.Load()
 	return st
 }
 

@@ -190,32 +190,51 @@ func requireBothKinds(t *testing.T, label string, e *Snapshot, us []uint32) {
 	t.Fatalf("%s: no query of %v has both a dense and a sparse step", label, us)
 }
 
+// keptSteps counts wd's leading nonempty steps: the horizon, when wd is a
+// query's trimmed distribution.
+func keptSteps(wd *walkDist) int {
+	dense, sparse := countKinds(wd)
+	return dense + sparse
+}
+
 // planClass tells which of the three miss paths a query at u takes
-// (builtEmpty, builtExact or builtSampled), by the rule queryPlan applies.
-func planClass(e *Snapshot, u uint32) int {
+// (builtEmpty, builtExact or builtSampled), by the rule queryPlan applies,
+// and whether the horizon emptied a step the builder had filled.
+func planClass(e *Snapshot, u uint32) (builder int, trimmed bool) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	if e.p.Strategy == CandidatesIndex && len(e.collectCandidates(s, u, nil, nil)) == 0 {
-		return builtEmpty
+		return builtEmpty, false
 	}
-	e.queryDistInto(&s.wd, s, u)
-	return builderOf(&s.wd)
+	e.walkDistInto(&s.wd, s, u)
+	return builderOf(&s.wd), e.horizon(s.peak) < keptSteps(&s.wd)
 }
 
 // requireAllClasses fails the test unless the queries us take every miss
 // path between them: one whose distribution is pushed exactly, one that
 // falls back to the sampled walks and — under CandidatesIndex, where
-// candidates come first — one that has no candidate and builds nothing. A
-// byte-identity table that passes has then crossed both decisions.
+// candidates come first — one that has no candidate and builds nothing;
+// and unless the horizon cuts a distribution of either builder and leaves
+// one whole. A byte-identity table that passes has then crossed all three
+// decisions.
 func requireAllClasses(t *testing.T, label string, e *Snapshot, us []uint32) {
 	t.Helper()
 	var seen [3]bool
+	var trimmed [3]bool
+	untrimmed := false
 	for _, u := range us {
-		seen[planClass(e, u)] = true
+		b, cut := planClass(e, u)
+		seen[b] = true
+		trimmed[b] = trimmed[b] || cut
+		untrimmed = untrimmed || (b != builtEmpty && !cut)
 	}
 	if !seen[builtExact] || !seen[builtSampled] || (!seen[builtEmpty] && e.p.Strategy == CandidatesIndex) {
 		t.Fatalf("%s: queries %v take the miss paths exact=%v sampled=%v empty=%v, want all of them",
 			label, us, seen[builtExact], seen[builtSampled], seen[builtEmpty])
+	}
+	if !trimmed[builtExact] || !trimmed[builtSampled] || !untrimmed {
+		t.Fatalf("%s: queries %v have distributions trimmed-exact=%v trimmed-sampled=%v untrimmed=%v, want all of them",
+			label, us, trimmed[builtExact], trimmed[builtSampled], untrimmed)
 	}
 }
 
@@ -442,6 +461,17 @@ type refDist struct {
 
 func refSample(e *Snapshot, s *scratch, u uint32) *refDist {
 	return refSampleFrom(e, s, u, e.queryRNG(u))
+}
+
+// cut returns rd with the steps from h on emptied: the reference of a
+// query side whose horizon is h (TestHorizonTailBound holds h itself to
+// its definition).
+func (rd *refDist) cut(h int) *refDist {
+	out := &refDist{verts: slices.Clone(rd.verts), probs: slices.Clone(rd.probs)}
+	for t := h; t < len(out.verts); t++ {
+		out.verts[t], out.probs[t] = nil, nil
+	}
+	return out
 }
 
 // refSampleFrom is refSample drawing from r. It steps all R positions at
@@ -742,7 +772,10 @@ func TestWideSupportByteIdentity(t *testing.T) {
 		s := e.getScratch()
 		searched, widest, checked := false, 0, 0
 		for qi, u := range queries {
-			rd := refSample(e.Snapshot, s, u)
+			// The reference sampler's distribution, whole for the single-pair
+			// kernel and cut at the plan's horizon for the queries.
+			whole := refSample(e.Snapshot, s, u)
+			rd := whole.cut(keptSteps(e.queryPlan(s, u).wd))
 			for _, vs := range rd.verts {
 				widest = max(widest, len(vs))
 			}
@@ -783,7 +816,7 @@ func TestWideSupportByteIdentity(t *testing.T) {
 				s.rng.Seed(e.candSeed(v))
 				got := e.singlePairOneSided(s, &s.wd, v, e.p.RScore, &s.rng)
 				s.rng.Seed(e.candSeed(v))
-				ref := refOneSided(e.Snapshot, s, rd, v, e.p.RScore, &s.rng)
+				ref := refOneSided(e.Snapshot, s, whole, v, e.p.RScore, &s.rng)
 				if math.Float64bits(got) != math.Float64bits(ref) {
 					t.Fatalf("%s u=%d v=%d: one-sided %x, reference %x", label, u, v, math.Float64bits(got), math.Float64bits(ref))
 				}
@@ -792,6 +825,174 @@ func TestWideSupportByteIdentity(t *testing.T) {
 		e.putScratch(s)
 		if !searched || widest < 1600 || checked < 50 {
 			t.Fatalf("%s: widest support %d, search branch taken: %v, %d scores compared — the graph no longer reaches the wide regime", label, widest, searched, checked)
+		}
+	}
+}
+
+// tails evaluates tail(h) = Σ_{t=h}^{T−1} cᵗ·max_w D_ww·p_t(w) of wd for
+// h = 0..T as the definition reads, from the stored supports and masses.
+func tails(e *Snapshot, wd *walkDist) []float64 {
+	tail := make([]float64, wd.T+1)
+	ct := 1.0
+	for t := 0; t < wd.T; t++ {
+		wd.forEach(t, func(w uint32, pr float64) { tail[t] = max(tail[t], e.p.dval(w)*pr) })
+		tail[t] *= ct
+		ct *= e.p.C
+	}
+	for h := wd.T - 1; h >= 0; h-- {
+		tail[h] += tail[h+1]
+	}
+	return tail
+}
+
+// sameStep reports whether step t of a and b agree in every stored word.
+func sameStep(a, b *walkDist, t int) bool {
+	return slices.Equal(a.verts[t], b.verts[t]) && slices.Equal(a.dir[t], b.dir[t]) &&
+		slices.Equal(a.massw[t], b.massw[t]) && a.shift[t] == b.shift[t]
+}
+
+// The horizon, as a property. For distributions from both builders, under
+// the default D and a custom one: h is the smallest h ≥ 1 whose tail is
+// within c^T·maxD, the trimmed distribution is the builder's up to h and
+// empty from there, and trimming again changes nothing. And the promise
+// that rests on it: every candidate of every query, scored by the served
+// kernels over one set of walk positions against the query's distribution
+// and against the whole one, loses no more than tail(h) and gains nothing —
+// refined estimate and rough prefix alike.
+func TestHorizonTailBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds eight engines")
+	}
+	fixtures := planFixtures()
+	fixtures["pa-wide"] = graph.PreferentialAttachment(5000, 10, 0.4, 3)
+	minQueries := 300
+	if raceEnabled {
+		// One goroutine, nothing for the race detector to see.
+		minQueries = 12
+	}
+	for name, g := range fixtures {
+		for _, customD := range []bool{false, true} {
+			n := uint32(g.N())
+			p := DefaultParams()
+			p.Seed = 3
+			p.Workers = 1
+			p.PrologBytes = -1
+			maxD := 1 - p.C
+			if customD {
+				p.D = make([]float64, n)
+				for w := range p.D {
+					p.D[w] = (1 - p.C) * (0.6 + 0.1*float64(w%7))
+				}
+				maxD = slices.Max(p.D)
+			}
+			label := fmt.Sprintf("%s customD=%v", name, customD)
+			e := Build(g, p).Snapshot
+			if want := math.Pow(p.C, float64(p.T)) * maxD; math.Abs(e.tailTol-want) > 1e-15 {
+				t.Fatalf("%s: tolerance %v, want c^T·maxD = %v", label, e.tailTol, want)
+			}
+			qs, s := e.getScratch(), e.getScratch()
+			R, Rr := e.p.RScore, e.p.RRough
+			var whole walkDist
+			var queries, scored, cutBy [2]int
+			worst := 0.0
+			// horizonOf builds whole, checks its h against the definition and
+			// the trim of a copy against the original, and returns h with
+			// tail(h).
+			horizonOf := func(u uint32, build func(wd *walkDist)) (int, float64) {
+				build(&whole)
+				tail := tails(e, &whole)
+				h := e.horizon(slices.Clone(s.peak))
+				if h < 1 || tail[h] > e.tailTol || (h > 1 && tail[h-1] <= e.tailTol) {
+					t.Fatalf("%s u=%d: horizon %d, tails %v against %v", label, u, h, tail, e.tailTol)
+				}
+				cut := &newPrologEntry(u, &whole).val.wd
+				for pass := 0; pass < 2; pass++ {
+					cut.trim(h)
+					for step := 0; step < cut.T; step++ {
+						if step < h && !sameStep(cut, &whole, step) || step >= h && (cut.support(step) != 0 || len(cut.dir[step])+len(cut.massw[step]) != 0 || cut.dense(step)) {
+							t.Fatalf("%s u=%d: step %d of the distribution trimmed at %d (pass %d)", label, u, step, h, pass)
+						}
+					}
+				}
+				if keptSteps(cut) != h {
+					t.Fatalf("%s u=%d: %d steps kept at horizon %d", label, u, keptSteps(cut), h)
+				}
+				return h, tail[h]
+			}
+			for _, u := range seq(0, n, max(1, 2*n/uint32(3*minQueries))) {
+				if queries[0]+queries[1] == minQueries {
+					break
+				}
+				if len(e.collectCandidates(qs, u, nil, nil)) == 0 {
+					continue
+				}
+				// The query's own: the builder the budget picks, trimmed.
+				pl := e.queryPlan(qs, u)
+				b, h := builderOf(pl.wd), keptSteps(pl.wd)
+				// Both builders, the query's last so that whole stays its
+				// untrimmed distribution. The unbounded push of a vertex the
+				// budget sends to the walks relaxes every edge of a social
+				// graph at every step: every fourth of those.
+				sample := func(wd *walkDist) { e.sampleWalkDistInto(wd, s, u, e.p.RAlpha, e.queryRNG(u)) }
+				push := func(wd *walkDist) {
+					if !e.exactWalkDistInto(wd, s, u, math.MaxInt) {
+						t.Fatalf("%s u=%d: exact propagation refused", label, u)
+					}
+				}
+				first, last := sample, push
+				if b == builtSampled {
+					first, last = push, sample
+				}
+				if b == builtExact || queries[builtSampled]%4 == 0 {
+					horizonOf(u, first)
+				}
+				hq, bound := horizonOf(u, last)
+				if h != hq {
+					t.Fatalf("%s u=%d: plan keeps %d steps of builder %d, whose horizon is %d", label, u, h, b, hq)
+				}
+				for step := 0; step < h; step++ {
+					if !sameStep(pl.wd, &whole, step) {
+						t.Fatalf("%s u=%d: step %d of the plan's distribution is not the builder's", label, u, step)
+					}
+				}
+				queries[b]++
+				if h < keptSteps(&whole) {
+					cutBy[b]++
+				}
+				bound += 1e-15 // rounding of the two sums compared
+				for i, c := range pl.cands {
+					v := c.v
+					s.rng.Seed(e.candSeed(v))
+					e.simulateCandWalks(s, v, R)
+					served := e.dotPositions(s, pl.wd, v, s.tpos, R, R, 1/float64(R))
+					full := e.dotPositions(s, &whole, v, s.tpos, R, R, 1/float64(R))
+					rough := e.dotPositions(s, pl.wd, v, s.tpos, R, Rr, 1/float64(Rr))
+					roughFull := e.dotPositions(s, &whole, v, s.tpos, R, Rr, 1/float64(Rr))
+					if i%8 == 0 {
+						// The cached path's kernel over the tally of the same walks.
+						rsteps := e.buildFullTally(s, v, R, Rr, R)
+						st := e.dotTally(pl.wd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
+						rt := e.dotTally(pl.wd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
+						if math.Float64bits(st) != math.Float64bits(served) || math.Float64bits(rt) != math.Float64bits(rough) {
+							t.Fatalf("%s u=%d v=%d: tally kernel %v (rough %v), position kernel %v (rough %v)", label, u, v, st, rt, served, rough)
+						}
+					}
+					for _, d := range []float64{full - served, roughFull - rough} {
+						if d < 0 || d > bound {
+							t.Fatalf("%s u=%d v=%d: whole − served = %v (refined %v − %v, rough %v − %v), want within [0, %v]", label, u, v, d, full, served, roughFull, rough, bound)
+						}
+						worst = max(worst, d)
+					}
+					scored[b]++
+				}
+			}
+			e.putScratch(qs)
+			e.putScratch(s)
+			t.Logf("%s: %d exact and %d sampled queries (%d and %d cut), %d candidates, largest loss %.3g of %.3g",
+				label, queries[builtExact], queries[builtSampled], cutBy[builtExact], cutBy[builtSampled], scored[0]+scored[1], worst, e.tailTol)
+			if queries[0]+queries[1] < minQueries || cutBy[0]+cutBy[1] < minQueries/4 || scored[0]+scored[1] < 10*minQueries || worst == 0 {
+				t.Fatalf("%s: too few queries, cuts or candidates to mean anything", label)
+			}
 		}
 	}
 }

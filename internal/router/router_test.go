@@ -548,49 +548,57 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 	}
 }
 
-// planDef1ParamsFP is the params fingerprint the binaries before plan
-// definition 2 (core.Params.Fingerprint) publish for DefaultOptions: their
-// index-strategy shards bound a candidate by min(distance bound, β, L2),
-// today's by L2 alone, and the merge replays the scan order from the bounds
-// the shards ship.
-const planDef1ParamsFP = 0xa50eb6893a9430f1
+// The params fingerprints the binaries of earlier plan definitions
+// (core.Params.Fingerprint) publish for DefaultOptions. Before definition 2
+// an index-strategy shard bound a candidate by min(distance bound, β, L2),
+// since then by L2 alone, and the merge replays the scan order from the
+// bounds the shards ship. Before definition 3 a shard scored against all T
+// steps of the query-side distribution, since then up to its horizon: its
+// scores are up to c^T·maxD higher and its rough verdicts were taken on
+// them.
+const (
+	planDef1ParamsFP = 0xa50eb6893a9430f1
+	planDef2ParamsFP = 0x35b3c11a4138e135
+)
 
 // A shard still running such a binary and one running this one agree on
 // graph, seed and every parameter, and must still not form a topology.
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	if _, fp := idx.ServingFingerprint(); fp == planDef1ParamsFP {
-		t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
-	}
-	current := server.NewShard(idx, 1, 2)
-	inner := server.NewShard(idx, 0, 2)
-	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/shardinfo" {
-			inner.ServeHTTP(w, r)
-			return
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP} {
+		if _, fp := idx.ServingFingerprint(); fp == olderFP {
+			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		var m shard.Manifest
-		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-			t.Error(err)
+		current := server.NewShard(idx, 1, 2)
+		inner := server.NewShard(idx, 0, 2)
+		older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/shardinfo" {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			var m shard.Manifest
+			if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+				t.Error(err)
+			}
+			m.ParamsFP = olderFP
+			if err := json.NewEncoder(w).Encode(m); err != nil {
+				t.Error(err)
+			}
+		})
+		sa, sb := httptest.NewServer(older), httptest.NewServer(current)
+		t.Cleanup(sa.Close)
+		t.Cleanup(sb.Close)
+		rt := New(Config{Shards: []string{sa.URL, sb.URL}})
+		err := rt.Probe(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "params fingerprint mismatch") {
+			t.Fatalf("probe of a topology mixed with %#x: %v", olderFP, err)
 		}
-		m.ParamsFP = planDef1ParamsFP
-		if err := json.NewEncoder(w).Encode(m); err != nil {
-			t.Error(err)
+		if rec, _ := routerGet(t, rt, "/topk?u=5&k=5"); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("the refused topology serves /topk with status %d", rec.Code)
 		}
-	})
-	sa, sb := httptest.NewServer(older), httptest.NewServer(current)
-	defer sa.Close()
-	defer sb.Close()
-	rt := New(Config{Shards: []string{sa.URL, sb.URL}})
-	err := rt.Probe(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "params fingerprint mismatch") {
-		t.Fatalf("probe of a mixed-binary topology: %v", err)
-	}
-	if rec, _ := routerGet(t, rt, "/topk?u=5&k=5"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("the refused topology serves /topk with status %d", rec.Code)
 	}
 }
 

@@ -198,6 +198,12 @@ func TestStatuszEndpoint(t *testing.T) {
 	if strings.Count(string(body), `"built_`) == 0 || st.Cache.BuiltExact+st.Cache.BuiltSampled+st.Cache.BuiltEmpty != 0 {
 		t.Fatalf("built_* fields: %s", body)
 	}
+	// And sums the horizons of the distributions it built: between one step
+	// and all T = 11 for each, again in the prolog object only.
+	if dists, kept := st.Prolog.BuiltExact+st.Prolog.BuiltSampled, st.Prolog.StepsKept; dists == 0 || kept < dists || kept > 11*dists ||
+		strings.Count(string(body), `"steps_kept"`) != 1 || st.Cache.StepsKept != 0 {
+		t.Fatalf("steps_kept = %d for %d distributions: %s", kept, dists, body)
+	}
 	if st.Shard.NumShards != 1 || st.Shard.Lo != 0 || st.Shard.Hi != st.Shard.Vertices {
 		t.Fatalf("shard manifest = %+v", st.Shard)
 	}
