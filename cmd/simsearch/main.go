@@ -44,7 +44,7 @@ func main() {
 	exactCheck := flag.Bool("exact", false, "also print the deterministic-series ranking for comparison")
 	saveIndex := flag.String("save-index", "", "write the preprocess results to this file after building")
 	loadIndex := flag.String("load-index", "", "reuse preprocess results from this file instead of rebuilding")
-	useMmap := flag.Bool("mmap", false, "memory-map -load-index instead of streaming it; the graph is read from the index file (-graph ignored)")
+	useMmap := flag.Bool("mmap", false, "serve -load-index from a memory mapping (off unix: read whole and verified) instead of reading it over -graph; the graph is read from the index file (-graph ignored)")
 	interactive := flag.Bool("i", false, "interactive mode: read queries from stdin")
 	flag.Parse()
 

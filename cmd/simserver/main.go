@@ -56,7 +56,7 @@ func main() {
 
 	graphPath := flag.String("graph", "", "edge-list file (required unless -mmap)")
 	indexPath := flag.String("load-index", "", "optional pre-built index file (see simsearch -save-index)")
-	useMmap := flag.Bool("mmap", false, "memory-map -load-index instead of streaming it: zero-copy load, graph read from the index file itself")
+	useMmap := flag.Bool("mmap", false, "serve -load-index from a memory mapping (off unix: read whole and verified) instead of reading it over -graph: zero-copy load, graph read from the index file itself")
 	addr := flag.String("addr", ":8080", "listen address")
 	c := flag.Float64("c", 0.6, "decay factor")
 	theta := flag.Float64("theta", 0.01, "score threshold")

@@ -30,8 +30,9 @@ func LoadIndex(g *Graph, opts Options, r io.Reader) (*Index, error) {
 // reconstructed from the CSR sections embedded in the file, so no
 // separate edge list is needed and cold start is independent of index
 // size. The returned closer unmaps the file; it must not be called
-// while queries are in flight. Unix only — other platforms return an
-// error, and callers should fall back to LoadIndex.
+// while queries are in flight. Off unix there is no mapping: the file
+// is read whole and every section verified, as LoadIndex does, and the
+// closer releases nothing.
 func LoadIndexMmap(path string, opts Options) (*Index, func() error, error) {
 	e, closer, err := core.LoadIndexMmap(path, opts.toParams())
 	if err != nil {

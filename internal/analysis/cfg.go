@@ -10,9 +10,9 @@ import (
 // cfg.go builds an intraprocedural control-flow graph over one function
 // body. The CFG is the substrate for the dataflow analyzers (dataflow.go):
 // poolbalance and lockbalance need "is this resource held on every path to
-// this exit", ctxflow needs reaching definitions, and all of them need the
-// loop/branch structure that lexical walks (the pre-CFG poolbalance) can
-// only approximate.
+// this exit", ctxflow "may this context be underived here", and all of
+// them need the loop/branch structure that lexical walks (the pre-CFG
+// poolbalance) can only approximate.
 //
 // Design points:
 //

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 )
 
@@ -17,11 +18,11 @@ import (
 //  1. A function that receives a context.Context must pass a ctx-derived
 //     value to every callee parameter of type context.Context. Passing
 //     context.Background(), nil, or an unrelated context severs the
-//     cancellation chain. "ctx-derived" is decided with reaching
-//     definitions over the CFG: a local rebound from the parameter
-//     (ctx = context.WithValue(ctx, ...), tctx, cancel :=
+//     cancellation chain. "ctx-derived" is decided by a forward flow over
+//     the CFG: a local rebound from the parameter (ctx =
+//     context.WithValue(ctx, ...), tctx, cancel :=
 //     context.WithTimeout(ctx, d)) stays derived; one rebound from
-//     Background() does not.
+//     Background() does not, on every path it reaches.
 //  2. Such a function must not synthesize context.Background()/TODO() at
 //     all — the fallback belongs in the exported non-Ctx wrapper, which
 //     is the one place that legitimately has no caller ctx. (Functions
@@ -103,15 +104,12 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, inherite
 	// captured by attempt closures still carries the caller's
 	// cancellation, so closure call sites passing it are compliant.
 	var cfg *CFG
-	var rdEntry map[*CFGBlock]DefSet
-	var derivedVars map[*types.Var]bool
+	var derived map[*types.Var]bool
 	closureCtx := ctxVars
 	if len(ctxVars) > 0 {
 		cfg = BuildCFG(body)
-		var all []*Definition
-		rdEntry, all = ReachingDefs(cfg, info, ctxVars)
-		derivedVars = deriveCtxVars(info, ctxVars, all)
-		for v := range derivedVars {
+		derived = deriveCtxVars(info, ctxVars, cfg)
+		for v := range derived {
 			if !slices.Contains(closureCtx, v) {
 				closureCtx = append(closureCtx, v)
 			}
@@ -129,45 +127,91 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, inherite
 		return
 	}
 
-	sameFuncInspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// Rule 2: no synthesized root contexts here.
-		if isBackgroundCall(info, call) {
-			sel := call.Fun.(*ast.SelectorExpr)
-			pass.Reportf(call.Pos(),
-				"context.%s() synthesized in a function that already receives a context; "+
-					"thread the caller's ctx (keep the fallback in the non-ctx wrapper)", sel.Sel.Name)
-			return true
-		}
-		// Rule 1: every context.Context parameter of the callee gets a
-		// ctx-derived argument.
-		sig := callSignature(info, call)
-		if sig == nil {
-			return true
-		}
-		params := sig.Params()
-		for i := 0; i < params.Len() && i < len(call.Args); i++ {
-			if sig.Variadic() && i == params.Len()-1 {
-				break
+	// Rules 1 and 2 are judged by replaying each block's nodes against
+	// the converged flow, unreachable blocks included (with nothing
+	// underived): rule 2 holds wherever the call sits.
+	replay := func(b *CFGBlock, in underived, report bool) underived {
+		st := make(underived, len(in))
+		maps.Copy(st, in)
+		for _, n := range b.Nodes {
+			if report {
+				InspectShallow(n, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok {
+						checkCtxCall(pass, call, derived, st)
+					}
+					return true
+				})
 			}
-			if !isContextType(params.At(i).Type()) {
-				continue
-			}
-			arg := call.Args[i]
-			if isBackgroundCall(info, arg) {
-				continue // already reported by rule 2 at the same spot
-			}
-			if !ctxDerived(info, arg, ctxVars, derivedVars, cfg, rdEntry, call) {
-				pass.Reportf(arg.Pos(),
-					"callee accepts a context.Context but the argument does not derive from this function's ctx; "+
-						"pass ctx (or a context derived from it)")
-			}
+			// A node's own definitions apply after the calls in it: in
+			// x := f(x) the argument sees the previous x.
+			eachDef(info, n, func(v *types.Var, rhs ast.Expr) {
+				switch {
+				case !isContextType(v.Type()):
+				case derivesFrom(info, rhs, derived):
+					delete(st, v)
+				default:
+					st[v] = true
+				}
+			})
 		}
-		return true
-	})
+		return st
+	}
+	in := ForwardFlow(cfg, underived{}, joinUnderived, func(b *CFGBlock, st underived) underived { return replay(b, st, false) })
+	for _, b := range cfg.Blocks {
+		replay(b, in[b], true)
+	}
+}
+
+// underived is ctxflow's flow fact: the context variables that may hold
+// a value not derived from the caller's ctx at a program point. Paths
+// join by union.
+type underived map[*types.Var]bool
+
+func joinUnderived(cur, out underived) (underived, bool) {
+	if cur == nil {
+		cur = underived{}
+	}
+	n := len(cur)
+	maps.Copy(cur, out)
+	return cur, len(cur) != n
+}
+
+// checkCtxCall applies rules 2 and 1 to one call, given the context
+// variables that may be underived where it runs.
+func checkCtxCall(pass *Pass, call *ast.CallExpr, derived map[*types.Var]bool, st underived) {
+	info := pass.Pkg.Info
+	// Rule 2: no synthesized root contexts here.
+	if isBackgroundCall(info, call) {
+		sel := call.Fun.(*ast.SelectorExpr)
+		pass.Reportf(call.Pos(),
+			"context.%s() synthesized in a function that already receives a context; "+
+				"thread the caller's ctx (keep the fallback in the non-ctx wrapper)", sel.Sel.Name)
+		return
+	}
+	// Rule 1: every context.Context parameter of the callee gets a
+	// ctx-derived argument.
+	sig := callSignature(info, call)
+	if sig == nil {
+		return
+	}
+	params := sig.Params()
+	for i := 0; i < params.Len() && i < len(call.Args); i++ {
+		if sig.Variadic() && i == params.Len()-1 {
+			break
+		}
+		if !isContextType(params.At(i).Type()) {
+			continue
+		}
+		arg := call.Args[i]
+		if isBackgroundCall(info, arg) {
+			continue // already reported by rule 2 at the same spot
+		}
+		if !ctxDerived(info, arg, derived, st) {
+			pass.Reportf(arg.Pos(),
+				"callee accepts a context.Context but the argument does not derive from this function's ctx; "+
+					"pass ctx (or a context derived from it)")
+		}
+	}
 }
 
 // callSignature resolves the callee's signature when the callee is a
@@ -181,32 +225,55 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 	return sig
 }
 
-// deriveCtxVars computes, flow-insensitively, the set of context-typed
-// variables with at least one ctx-derived definition: the fixpoint of
-// "defined from an expression mentioning a derived variable". Used as the
-// optimistic seed; the flow-sensitive check below then consults reaching
-// definitions at the use site.
-func deriveCtxVars(info *types.Info, ctxVars []*types.Var, all []*Definition) map[*types.Var]bool {
+// deriveCtxVars computes, flow-insensitively, the variables with at least
+// one ctx-derived definition: the fixpoint of "defined from an expression
+// mentioning a derived variable", seeded with the ctx variables. Closures
+// inherit the set; at a call site the flow then says whether an
+// underived definition may reach instead.
+func deriveCtxVars(info *types.Info, ctxVars []*types.Var, cfg *CFG) map[*types.Var]bool {
 	derived := map[*types.Var]bool{}
 	for _, v := range ctxVars {
 		derived[v] = true
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, def := range all {
-			if def.Rhs == nil || derived[def.Var] {
-				continue
-			}
-			if isBackgroundCall(info, def.Rhs) {
-				continue
-			}
-			if mentionsAnyVar(info, def.Rhs, derived) {
-				derived[def.Var] = true
-				changed = true
+	grow := func(v *types.Var, rhs ast.Expr) {
+		if !derived[v] && derivesFrom(info, rhs, derived) {
+			derived[v] = true
+		}
+	}
+	for n := -1; n != len(derived); {
+		n = len(derived)
+		for _, b := range cfg.Blocks {
+			for _, node := range b.Nodes {
+				eachDef(info, node, grow)
 			}
 		}
 	}
 	return derived
+}
+
+// derivesFrom reports whether a definition's right-hand side is
+// ctx-derived: present, not Background()/TODO(), and mentioning a derived
+// variable.
+func derivesFrom(info *types.Info, rhs ast.Expr, derived map[*types.Var]bool) bool {
+	return rhs != nil && !isBackgroundCall(info, rhs) && mentionsAnyVar(info, rhs, derived)
+}
+
+// eachDef calls fn for every named local variable a shallow CFG node
+// defines, with the expression it receives: eachAssign's pairing, nil for
+// a range key or value.
+func eachDef(info *types.Info, n ast.Node, fn func(v *types.Var, rhs ast.Expr)) {
+	def := func(lhs, rhs ast.Expr) {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+			if v, ok := assignee(info, id).(*types.Var); ok {
+				fn(v, rhs)
+			}
+		}
+	}
+	eachAssign(n, def)
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		def(rs.Key, nil)
+		def(rs.Value, nil)
+	}
 }
 
 func mentionsAnyVar(info *types.Info, n ast.Node, vars map[*types.Var]bool) bool {
@@ -216,83 +283,23 @@ func mentionsAnyVar(info *types.Info, n ast.Node, vars map[*types.Var]bool) bool
 	})
 }
 
-// defDerived decides whether one reaching definition is ctx-derived.
-func defDerived(info *types.Info, def *Definition, ctxVars []*types.Var, derivedVars map[*types.Var]bool) bool {
-	if def.Node == nil {
-		// Parameter definition: derived iff it is one of the ctx params.
-		for _, v := range ctxVars {
-			if v == def.Var {
-				return true
-			}
-		}
-		return false
-	}
-	if def.Rhs == nil {
-		return false
-	}
-	if isBackgroundCall(info, def.Rhs) {
-		return false
-	}
-	return mentionsAnyVar(info, def.Rhs, derivedVars)
-}
-
 // ctxDerived reports whether the argument expression carries the caller's
-// cancellation: every context-typed variable it mentions must have only
-// ctx-derived reaching definitions at the call (a ctx parameter's initial
-// definition is derived; a rebind from Background() is not).
-func ctxDerived(info *types.Info, arg ast.Expr, ctxVars []*types.Var, derivedVars map[*types.Var]bool, cfg *CFG, rdEntry map[*CFGBlock]DefSet, call *ast.CallExpr) bool {
-	// Locate the block containing the call to get flow-sensitive defs.
-	var blk *CFGBlock
-	var defs DefSet
-	for _, b := range cfg.Blocks {
-		in, reachable := rdEntry[b]
-		if !reachable {
-			continue
-		}
-		for _, n := range b.Nodes {
-			if containsNode(n, call) {
-				blk = b
-				defs = DefsAt(b, in, info, call)
-				break
-			}
-		}
-		if blk != nil {
-			break
-		}
-	}
-	// Check every context-typed variable the argument mentions.
-	sawCtxVar := false
-	ok := true
+// cancellation: it mentions a context-typed variable, and every one it
+// mentions is derived and may not hold an underived value here. An
+// argument with none (a nil literal, a fresh value from some call) does
+// not carry the caller's ctx.
+func ctxDerived(info *types.Info, arg ast.Expr, derived map[*types.Var]bool, st underived) bool {
+	saw, ok := false, true
 	ast.Inspect(arg, func(x ast.Node) bool {
-		id, isIdent := x.(*ast.Ident)
-		if !isIdent {
-			return true
-		}
-		v, isVar := info.Uses[id].(*types.Var)
-		if !isVar || !isContextType(v.Type()) {
-			return true
-		}
-		sawCtxVar = true
-		if defs != nil {
-			if reaching, has := defs[v]; has {
-				for def := range reaching {
-					if !defDerived(info, def, ctxVars, derivedVars) {
-						ok = false
-					}
-				}
-				return true
+		if id, isIdent := x.(*ast.Ident); isIdent {
+			if v, isVar := info.Uses[id].(*types.Var); isVar && isContextType(v.Type()) {
+				saw = true
+				ok = ok && derived[v] && !st[v]
 			}
-		}
-		// No flow information (call in unreachable code, or var defined
-		// outside this function): fall back to the optimistic set.
-		if !derivedVars[v] {
-			ok = false
 		}
 		return true
 	})
-	// An argument with no context-typed variable at all (nil literal, a
-	// fresh value from some call) does not carry the caller's ctx.
-	return sawCtxVar && ok
+	return saw && ok
 }
 
 // checkServingLoops flags unconditional for-loops that do blocking work

@@ -3,14 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"maps"
 )
 
 // dataflow.go holds what runs over a CFG (cfg.go): the one forward
 // worklist solver every path-sensitive analyzer uses (the lifetime engine
-// in lifetime.go, the wiretaint reporter, reaching definitions below),
-// reaching definitions themselves (used by ctxflow to decide whether a
-// context variable still derives from the caller's ctx), and the
+// in lifetime.go, the wiretaint reporter, ctxflow's underived-context
+// flow), the assignment pairing the taint and ctx analyses share, and the
 // escape-to-goroutine fact (used by atomicfield to exempt unpublished
 // values under construction).
 
@@ -49,164 +47,6 @@ func EachReached[S any](c *CFG, in map[*CFGBlock]S, visit func(b *CFGBlock, st S
 			visit(b, st)
 		}
 	}
-}
-
-// A Definition is one point where a variable receives a value: an
-// assignment, a var declaration, a range clause, or (with Node nil) a
-// function parameter. Rhs is the defining expression when the form has a
-// one-to-one right-hand side, nil otherwise (parameters, ranges, x, y :=
-// f() forms).
-type Definition struct {
-	Var  *types.Var
-	Node ast.Node
-	Rhs  ast.Expr
-}
-
-// A DefSet maps each variable to the set of definitions that may reach a
-// program point.
-type DefSet map[*types.Var]map[*Definition]bool
-
-func (d DefSet) clone() DefSet {
-	out := make(DefSet, len(d))
-	for v, defs := range d {
-		out[v] = maps.Clone(defs)
-	}
-	return out
-}
-
-// kill replaces v's reaching definitions with the single def.
-func (d DefSet) kill(def *Definition) {
-	d[def.Var] = map[*Definition]bool{def: true}
-}
-
-// merge unions src into d, reporting whether d grew.
-func (d DefSet) merge(src DefSet) bool {
-	changed := false
-	for v, defs := range src {
-		dst, ok := d[v]
-		if !ok {
-			dst = make(map[*Definition]bool, len(defs))
-			d[v] = dst
-		}
-		for def := range defs {
-			if !dst[def] {
-				dst[def] = true
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// ReachingDefs computes, for every block reachable from c's entry, which
-// definitions of each variable may reach the block's start. params seed
-// the entry fact with parameter definitions (Node nil). The returned all
-// slice lists every definition discovered, in block/node order.
-func ReachingDefs(c *CFG, info *types.Info, params []*types.Var) (entry map[*CFGBlock]DefSet, all []*Definition) {
-	// Pre-compute each block's definitions in execution order.
-	blockDefs := make(map[*CFGBlock][]*Definition, len(c.Blocks))
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			defs := nodeDefs(info, n)
-			blockDefs[b] = append(blockDefs[b], defs...)
-			all = append(all, defs...)
-		}
-	}
-
-	seed := DefSet{}
-	for _, p := range params {
-		seed.kill(&Definition{Var: p})
-	}
-
-	entry = ForwardFlow(c, seed,
-		func(cur, out DefSet) (DefSet, bool) {
-			if cur == nil {
-				return out.clone(), true
-			}
-			return cur, cur.merge(out)
-		},
-		func(b *CFGBlock, in DefSet) DefSet {
-			out := in.clone()
-			for _, def := range blockDefs[b] {
-				out.kill(def)
-			}
-			return out
-		})
-	return entry, all
-}
-
-// DefsAt applies the definitions of b's nodes strictly before the node
-// containing `at` to the block-entry fact in, yielding the definitions
-// reaching `at`. (The containing node's own definitions are excluded:
-// in `x := f(x)` the argument sees the previous x.)
-func DefsAt(b *CFGBlock, in DefSet, info *types.Info, at ast.Node) DefSet {
-	out := in.clone()
-	for _, n := range b.Nodes {
-		if containsNode(n, at) {
-			break
-		}
-		for _, def := range nodeDefs(info, n) {
-			out.kill(def)
-		}
-	}
-	return out
-}
-
-// containsNode reports whether sub occurs in the subtree rooted at n.
-func containsNode(n, sub ast.Node) bool {
-	if n == sub {
-		return true
-	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found || m == nil {
-			return false
-		}
-		if m == sub {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// nodeDefs extracts the variable definitions a single shallow CFG node
-// performs, in evaluation order. Only named local variables are tracked;
-// blank and field/index targets contribute nothing.
-func nodeDefs(info *types.Info, n ast.Node) []*Definition {
-	var defs []*Definition
-	addIdent := func(id *ast.Ident, rhs ast.Expr) {
-		if id == nil || id.Name == "_" {
-			return
-		}
-		v, ok := assignee(info, id).(*types.Var)
-		if !ok {
-			return
-		}
-		defs = append(defs, &Definition{Var: v, Node: n, Rhs: rhs})
-	}
-	eachAssign(n, func(lhs, rhs ast.Expr) {
-		if id, ok := lhs.(*ast.Ident); ok {
-			addIdent(id, rhs)
-		}
-	})
-	switch n := n.(type) {
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-			addIdent(id, nil)
-		}
-	case *ast.RangeStmt:
-		if id, ok := ast.Unparen(n.Key).(*ast.Ident); ok && n.Key != nil {
-			addIdent(id, nil)
-		}
-		if n.Value != nil {
-			if id, ok := ast.Unparen(n.Value).(*ast.Ident); ok {
-				addIdent(id, nil)
-			}
-		}
-	}
-	return defs
 }
 
 // eachAssign calls fn for every target of an assignment or var

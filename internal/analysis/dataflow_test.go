@@ -49,78 +49,6 @@ func localVar(t *testing.T, pkg *Package, fd *ast.FuncDecl, name string) *types.
 	return nil
 }
 
-// stmtBlock finds the unique reachable block containing a node matching pred.
-func stmtBlock(t *testing.T, cfg *CFG, desc string, pred func(ast.Node) bool) (*CFGBlock, ast.Node) {
-	t.Helper()
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			if pred(n) {
-				return b, n
-			}
-		}
-	}
-	t.Fatalf("no block contains %s:\n%s", desc, cfg)
-	return nil, nil
-}
-
-func TestReachingDefsReassign(t *testing.T) {
-	pkg := loadFixture(t, "dataflow")
-	fd := fixtureFunc(t, pkg, "reassign")
-	cfg := BuildCFG(fd.Body)
-	entry, _ := ReachingDefs(cfg, pkg.Info, sigParams(t, pkg, fd))
-
-	retBlock, retStmt := stmtBlock(t, cfg, "return", func(n ast.Node) bool {
-		_, ok := n.(*ast.ReturnStmt)
-		return ok
-	})
-	defs := DefsAt(retBlock, entry[retBlock], pkg.Info, retStmt)
-
-	x := localVar(t, pkg, fd, "x")
-	if got := len(defs[x]); got != 2 {
-		t.Errorf("got %d reaching defs of x at the return, want 2 (x := 1 merged with x = 2)", got)
-	}
-
-	// The parameter is seeded as a synthetic definition with Node == nil.
-	cond := sigParams(t, pkg, fd)[0]
-	condDefs := defs[cond]
-	if len(condDefs) != 1 {
-		t.Fatalf("got %d reaching defs of param cond, want 1", len(condDefs))
-	}
-	for d := range condDefs {
-		if d.Node != nil {
-			t.Errorf("param def has Node %T, want nil (synthetic seed)", d.Node)
-		}
-	}
-}
-
-func TestReachingDefsMultiValue(t *testing.T) {
-	pkg := loadFixture(t, "dataflow")
-	fd := fixtureFunc(t, pkg, "multiValue")
-	cfg := BuildCFG(fd.Body)
-	entry, _ := ReachingDefs(cfg, pkg.Info, sigParams(t, pkg, fd))
-
-	retBlock, retStmt := stmtBlock(t, cfg, "return", func(n ast.Node) bool {
-		_, ok := n.(*ast.ReturnStmt)
-		return ok
-	})
-	defs := DefsAt(retBlock, entry[retBlock], pkg.Info, retStmt)
-
-	a := localVar(t, pkg, fd, "a")
-	b := localVar(t, pkg, fd, "b")
-	if got := len(defs[a]); got != 2 {
-		t.Errorf("got %d reaching defs of a, want 2 (a, b := pair() merged with a = 3)", got)
-	}
-	if got := len(defs[b]); got != 1 {
-		t.Fatalf("got %d reaching defs of b, want 1", len(defs[b]))
-	}
-	// a, b := pair() attributes the single multi-value Rhs to every LHS.
-	for d := range defs[b] {
-		if _, ok := d.Rhs.(*ast.CallExpr); !ok {
-			t.Errorf("b's def has Rhs %T, want the pair() CallExpr", d.Rhs)
-		}
-	}
-}
-
 func TestGoCaptured(t *testing.T) {
 	pkg := loadFixture(t, "dataflow")
 	fd := fixtureFunc(t, pkg, "capture")

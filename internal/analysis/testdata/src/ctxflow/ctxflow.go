@@ -106,6 +106,34 @@ func (ix *index) badUnderivedCapture(ctx context.Context, u int) int {
 	return f()
 }
 
+// okReboundBack: a rebind from ctx kills the earlier Background() value,
+// so only the synthesis itself is reported.
+func (ix *index) okReboundBack(ctx context.Context, u int) int {
+	c := context.Background() // want "synthesized in a function that already receives"
+	c = ctx
+	return ix.topKCtx(c, u)
+}
+
+// okMultiValue: both targets of a multi-value form derive from the one
+// call, so c carries ctx's cancellation.
+func (ix *index) okMultiValue(ctx context.Context, u int, d time.Duration) int {
+	c, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	return ix.topKCtx(c, u)
+}
+
+// badLoopRebind: the Background() rebind at the bottom of the body
+// reaches the call at its top over the back edge.
+func (ix *index) badLoopRebind(ctx context.Context, u, n int) int {
+	c := ctx
+	s := 0
+	for i := 0; i < n; i++ {
+		s += ix.topKCtx(c, u+i)  // want "does not derive"
+		c = context.Background() // want "synthesized in a function that already receives"
+	}
+	return s
+}
+
 // pump is an unstoppable serving loop: no ctx, no done channel.
 func pump(ch chan int) {
 	for { // want "never checks ctx.Err"

@@ -1,27 +1,9 @@
 // Package dataflowtest is not a lint fixture: it carries no // want
 // markers and is never passed to runFixture. It exists so the dataflow
 // unit tests can type-check real functions through the normal loader
-// and exercise ReachingDefs, DefsAt, and GoCaptured against go/types
-// objects rather than hand-built stand-ins.
+// and exercise GoCaptured against go/types objects rather than
+// hand-built stand-ins.
 package dataflowtest
-
-func reassign(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	}
-	return x
-}
-
-func multiValue(cond bool) (int, int) {
-	a, b := pair()
-	if cond {
-		a = 3
-	}
-	return a, b
-}
-
-func pair() (int, int) { return 1, 2 }
 
 func capture(n int) int {
 	m := n

@@ -2,22 +2,28 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// FuzzLoadIndex checks the persisted-index loader against corrupt input:
-// it must never panic or accept an index that breaks queries.
+// FuzzLoadIndex feeds corrupt index files — mutated headers, section
+// directories and payloads — to the one assembler under both of its
+// policies. As a read image (LoadIndex over the fixture graph, and over
+// the graph the file embeds, as LoadIndexMmap does off unix) any input
+// may be rejected, but whatever loads must answer queries. As a mapped
+// image (LoadIndexMmap over a page-aligned copy in a file) any input may
+// be rejected and none may panic; mapped payloads are not verified, by
+// design, so what loads is not queried. Its seeds are the fixture's own
+// four followed by FuzzSectionDirectory's three.
 func FuzzLoadIndex(f *testing.F) {
-	g := graph.CopyingModel(60, 4, 0.3, 1)
-	p := DefaultParams()
-	p.Workers = 1
-	p.RAlpha = 100
-	e := Build(g, p)
+	g, p := loaderFixture()
 	var valid bytes.Buffer
-	if err := e.SaveIndex(&valid); err != nil {
+	if err := Build(g, p).SaveIndex(&valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -28,23 +34,83 @@ func FuzzLoadIndex(f *testing.F) {
 		flipped[33] ^= 0xff
 	}
 	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, input []byte) {
-		e2, err := LoadIndex(g, p, bytes.NewReader(input))
-		if err != nil {
-			return
+	addDirectorySeeds(f)
+	f.Fuzz(func(t *testing.T, input []byte) { loadAtBothLevels(t, g, p, input) })
+}
+
+// FuzzSectionDirectory runs FuzzLoadIndex's body from the directory seeds
+// alone, so a -fuzz run mutates headers and section directories without
+// the fixture's payload seeds in its corpus.
+func FuzzSectionDirectory(f *testing.F) {
+	g, p := loaderFixture()
+	addDirectorySeeds(f)
+	f.Fuzz(func(t *testing.T, input []byte) { loadAtBothLevels(t, g, p, input) })
+}
+
+// loaderFixture is the graph and parameters the loader fuzz targets load
+// against.
+func loaderFixture() (*graph.Graph, Params) {
+	p := DefaultParams()
+	p.Workers = 1
+	p.RAlpha = 100
+	return graph.CopyingModel(60, 4, 0.3, 1), p
+}
+
+// addDirectorySeeds adds a second graph's file (rejected over the fixture
+// graph, loadable over its own), its header and first three directory
+// entries, and a retired version-2 header (rejected on the version field).
+func addDirectorySeeds(f *testing.F) {
+	p := DefaultParams()
+	p.Workers = 1
+	var other bytes.Buffer
+	if err := Build(graph.CopyingModel(40, 3, 0.3, 5), p).SaveIndex(&other); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(other.Bytes())
+	f.Add(other.Bytes()[:persistHeaderSize+3*persistSectionSize])
+	legacy := bytes.Clone(other.Bytes()[:persistHeaderSize])
+	binary.LittleEndian.PutUint32(legacy[4:], 2)
+	f.Add(legacy)
+}
+
+// loadAtBothLevels sends input through the assembler as a read image
+// (LoadIndex over g, and over the graph the file embeds) and as a mapped
+// image (LoadIndexMmap over a copy in a file).
+func loadAtBothLevels(t *testing.T, g *graph.Graph, p Params, input []byte) {
+	if e2, err := LoadIndex(g, p, bytes.NewReader(input)); err == nil {
+		answersQueries(t, e2)
+	}
+	if e2, err := assemble(nil, p, input, nil, nil); err == nil {
+		answersQueries(t, e2)
+	}
+	path := filepath.Join(t.TempDir(), "index.simr")
+	if err := os.WriteFile(path, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, closer, err := LoadIndexMmap(path, p); err == nil {
+		if err := closer(); err != nil {
+			t.Fatal(err)
 		}
-		// Whatever loads must answer queries without panicking and
-		// with well-formed results.
-		res := e2.TopK(3, 5)
-		if len(res) > 5 {
-			t.Fatalf("loaded index returned %d results", len(res))
+	}
+}
+
+// answersQueries checks that a loaded engine answers a query without
+// panicking and with well-formed results.
+func answersQueries(t *testing.T, e *Engine) {
+	t.Helper()
+	n := e.Graph().N()
+	if n == 0 {
+		return
+	}
+	res := e.TopK(uint32(min(3, n-1)), 5)
+	if len(res) > 5 {
+		t.Fatalf("loaded index returned %d results", len(res))
+	}
+	for i := 1; i < len(res); i++ {
+		if res[i].Score > res[i-1].Score {
+			t.Fatal("loaded index returned unsorted results")
 		}
-		for i := 1; i < len(res); i++ {
-			if res[i].Score > res[i-1].Score {
-				t.Fatal("loaded index returned unsorted results")
-			}
-		}
-	})
+	}
 }
 
 // FuzzWalkDistDirectory builds both directory kinds over one arbitrary id

@@ -2,10 +2,14 @@
 
 package core
 
-import "fmt"
-
-// LoadIndexMmap is unavailable off unix: the zero-copy load path needs
-// mmap. Callers should fall back to the streaming LoadIndex.
+// LoadIndexMmap has no mmap off unix: it reads the file and assembles it
+// as a read image over the graph the file embeds (loadIndexFile), so the
+// payload is verified like LoadIndex's input and callers need no
+// fallback. The closer has nothing to release.
 func LoadIndexMmap(path string, p Params) (*Engine, func() error, error) {
-	return nil, nil, fmt.Errorf("core: mmap index loading is not supported on this platform")
+	e, err := loadIndexFile(path, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, func() error { return nil }, nil
 }

@@ -1,5 +1,3 @@
-//go:build unix
-
 package core
 
 import (
@@ -55,25 +53,31 @@ func TestLoadIndexMmapMatchesStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
+	// The read path LoadIndexMmap takes off unix: the file read whole and
+	// verified, the graph taken from it.
+	ef, err := loadIndexFile(path, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if em.Graph().N() != g.N() || em.Graph().M() != g.M() {
 		t.Fatalf("mapped graph is %v, want n=%d m=%d", em.Graph(), g.N(), g.M())
 	}
 	// Every query must come back byte-identical across the original, the
-	// stream load, and the mmap load.
+	// stream load, the mmap load and the file read.
 	for u := uint32(0); u < 25; u++ {
-		ra, rb, rc := e.TopK(u, 5), es.TopK(u, 5), em.TopK(u, 5)
-		if len(ra) != len(rb) || len(ra) != len(rc) {
-			t.Fatalf("u=%d: result lengths differ (%d/%d/%d)", u, len(ra), len(rb), len(rc))
+		ra, rb, rc, rd := e.TopK(u, 5), es.TopK(u, 5), em.TopK(u, 5), ef.TopK(u, 5)
+		if len(ra) != len(rb) || len(ra) != len(rc) || len(ra) != len(rd) {
+			t.Fatalf("u=%d: result lengths differ (%d/%d/%d/%d)", u, len(ra), len(rb), len(rc), len(rd))
 		}
 		for i := range ra {
-			if ra[i] != rb[i] || ra[i] != rc[i] {
-				t.Fatalf("u=%d rank %d: %v / %v / %v", u, i, ra[i], rb[i], rc[i])
+			if ra[i] != rb[i] || ra[i] != rc[i] || ra[i] != rd[i] {
+				t.Fatalf("u=%d rank %d: %v / %v / %v / %v", u, i, ra[i], rb[i], rc[i], rd[i])
 			}
 		}
 		v := (u*17 + 3) % uint32(g.N())
-		if sa, sc := e.SinglePair(u, v), em.SinglePair(u, v); sa != sc {
-			t.Fatalf("SinglePair(%d,%d): %v via build, %v via mmap", u, v, sa, sc)
+		if sa, sc, sd := e.SinglePair(u, v), em.SinglePair(u, v), ef.SinglePair(u, v); sa != sc || sa != sd {
+			t.Fatalf("SinglePair(%d,%d): %v via build, %v via mmap, %v via file read", u, v, sa, sc, sd)
 		}
 	}
 	if em.Stats().IndexBytes <= 0 {
@@ -123,13 +127,7 @@ func TestLoadIndexMmapAliasSlots(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = 1
 	e := Build(g, p)
-	m := g.M()
-	prob := make([]uint32, m)
-	alias := make([]uint32, m)
-	for i := range prob {
-		prob[i] = ^uint32(0) - uint32(i)
-		alias[i] = uint32(i % 3)
-	}
+	prob, alias := testAliasSlots(g.M())
 	if err := e.wt.AdoptSlots(prob, alias); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/graph"
 )
@@ -21,8 +22,8 @@ import (
 // graph's in/out CSR, the γ table, the candidate index's four CSR
 // arrays, and the walk table's alias slots — is stored as a flat
 // little-endian section aligned to persistPageSize, so a loader may
-// either stream-read the sections or mmap the file and serve straight
-// from the mapping (see LoadIndexMmap). Layout:
+// either read the file into memory or mmap it and serve straight from
+// the mapping (see LoadIndexMmap). Layout:
 //
 //	header (48 bytes):
 //	  magic uint32 | version uint32 | n uint32 | T uint32
@@ -35,11 +36,15 @@ import (
 //	zero padding, then the sections at their stated offsets,
 //	ascending, each offset a multiple of pageSize.
 //
-// Stream loads verify every section against its directory CRC. Mmap
-// loads verify the header and directory CRC only — checksumming the
-// payload would make cold start O(file size), defeating the point —
-// plus O(n) structural checks on the offset arrays; payload corruption
-// is left to the filesystem, exactly like any other mmapped store.
+// Every loader hands the image to one assembler, which applies one of
+// two policies. A read image (LoadIndex; LoadIndexMmap off unix) has
+// every section verified against its directory CRC and every entry
+// range-checked, and its sections are copied out so the buffer can be
+// released. A mapped image (LoadIndexMmap on unix) has its header and
+// directory CRC verified only — checksumming the payload would make cold
+// start O(file size), defeating the point — plus O(n) structural checks
+// on the offset arrays, and is served in place; payload corruption is
+// left to the filesystem, exactly like any other mmapped store.
 //
 // Versions 1 and 2 were row-wise stream formats that did not embed the
 // graph; nothing has written them since v3 and their reader is gone.
@@ -66,6 +71,13 @@ const (
 	secAliasAlias
 )
 
+// sectionNames names the section kinds in load errors.
+var sectionNames = map[uint32]string{
+	secInStart: "in-offset", secInAdj: "in-adjacency", secOutStart: "out-offset", secOutAdj: "out-adjacency",
+	secRightStart: "right-offset", secRightAdj: "right-adjacency", secLeftStart: "left-offset", secLeftAdj: "left-adjacency",
+	secAliasAlias: "alias-redirect",
+}
+
 // persistHeader is the fixed 48-byte v3 header.
 type persistHeader struct {
 	Magic, Version uint32
@@ -87,6 +99,9 @@ type persistSection struct {
 	Reserved uint32
 }
 
+// in returns the section's payload within the image data.
+func (d persistSection) in(data []byte) []byte { return data[d.Offset : d.Offset+4*d.Count] }
+
 const (
 	persistHeaderSize  = 48
 	persistSectionSize = 32
@@ -96,158 +111,58 @@ const (
 var persistCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // wordChunk is the staging buffer size (in 4-byte elements) used when
-// encoding, decoding, and checksumming sections, so large arrays never
-// need a full-size transient copy.
+// encoding a section, so large arrays never need a full-size transient
+// copy.
 const wordChunk = 1024
-
-// crcWords returns the CRC-32C of data's little-endian encoding.
-func crcWords(data []uint32) uint32 {
-	var buf [wordChunk * 4]byte
-	crc := uint32(0)
-	for len(data) > 0 {
-		n := min(len(data), wordChunk)
-		for i, x := range data[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], x)
-		}
-		crc = crc32.Update(crc, persistCRCTable, buf[:n*4])
-		data = data[n:]
-	}
-	return crc
-}
-
-// crcFloats is crcWords for a float32 section (same bytes, IEEE-754
-// little endian).
-func crcFloats(data []float32) uint32 {
-	var buf [wordChunk * 4]byte
-	crc := uint32(0)
-	for len(data) > 0 {
-		n := min(len(data), wordChunk)
-		for i, x := range data[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(x))
-		}
-		crc = crc32.Update(crc, persistCRCTable, buf[:n*4])
-		data = data[n:]
-	}
-	return crc
-}
-
-// writeWords writes data little-endian in chunks.
-func writeWords(w io.Writer, data []uint32) error {
-	var buf [wordChunk * 4]byte
-	for len(data) > 0 {
-		n := min(len(data), wordChunk)
-		for i, x := range data[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], x)
-		}
-		if _, err := w.Write(buf[:n*4]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// writeFloats is writeWords for a float32 section.
-func writeFloats(w io.Writer, data []float32) error {
-	var buf [wordChunk * 4]byte
-	for len(data) > 0 {
-		n := min(len(data), wordChunk)
-		for i, x := range data[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(x))
-		}
-		if _, err := w.Write(buf[:n*4]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// readWords reads count little-endian uint32s, returning them and the
-// payload CRC-32C.
-func readWords(r io.Reader, count int) ([]uint32, uint32, error) {
-	var buf [wordChunk * 4]byte
-	out := make([]uint32, count)
-	crc := uint32(0)
-	for off := 0; off < count; {
-		n := min(count-off, wordChunk)
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return nil, 0, err
-		}
-		crc = crc32.Update(crc, persistCRCTable, buf[:n*4])
-		for i := 0; i < n; i++ {
-			out[off+i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-		off += n
-	}
-	return out, crc, nil
-}
-
-// readFloats is readWords for a float32 section.
-func readFloats(r io.Reader, count int) ([]float32, uint32, error) {
-	var buf [wordChunk * 4]byte
-	out := make([]float32, count)
-	crc := uint32(0)
-	for off := 0; off < count; {
-		n := min(count-off, wordChunk)
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return nil, 0, err
-		}
-		crc = crc32.Update(crc, persistCRCTable, buf[:n*4])
-		for i := 0; i < n; i++ {
-			out[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		off += n
-	}
-	return out, crc, nil
-}
 
 // alignPage rounds off up to the next persistPageSize multiple.
 func alignPage(off uint64) uint64 {
 	return (off + persistPageSize - 1) &^ uint64(persistPageSize-1)
 }
 
-// persistPlan describes one section to be written.
+// persistPlan describes one section to be written: its kind, its length
+// and its i-th stored word (γ stores IEEE-754 bits).
 type persistPlan struct {
-	kind   uint32
-	words  []uint32  // exactly one of words/floats is set
-	floats []float32 // (a nil-but-present words section stays valid: count 0)
-	isF    bool
+	kind  uint32
+	count int
+	word  func(i int) uint32
 }
 
-func (p *persistPlan) count() uint64 {
-	if p.isF {
-		return uint64(len(p.floats))
+// writeTo writes the section's little-endian payload to w wordChunk
+// words at a time. SaveIndex runs it once into the CRC and once into
+// the file.
+func (s *persistPlan) writeTo(w io.Writer) error {
+	var buf [wordChunk * 4]byte
+	for off := 0; off < s.count; off += wordChunk {
+		n := min(s.count-off, wordChunk)
+		for i := range n {
+			binary.LittleEndian.PutUint32(buf[i*4:], s.word(off+i))
+		}
+		if _, err := w.Write(buf[:n*4]); err != nil {
+			return err
+		}
 	}
-	return uint64(len(p.words))
+	return nil
 }
 
 // sectionPlan lists the snapshot's sections in file order.
 func (e *Snapshot) sectionPlan() []persistPlan {
+	words := func(kind uint32, ws []uint32) persistPlan {
+		return persistPlan{kind, len(ws), func(i int) uint32 { return ws[i] }}
+	}
 	inS, inA := e.g.InCSR()
 	outS, outA := e.g.OutCSR()
-	plan := []persistPlan{
-		{kind: secInStart, words: inS},
-		{kind: secInAdj, words: inA},
-		{kind: secOutStart, words: outS},
-		{kind: secOutAdj, words: outA},
-	}
+	plan := []persistPlan{words(secInStart, inS), words(secInAdj, inA), words(secOutStart, outS), words(secOutAdj, outA)}
 	if e.gamma != nil {
-		plan = append(plan, persistPlan{kind: secGamma, floats: e.gamma, isF: true})
+		plan = append(plan, persistPlan{secGamma, len(e.gamma), func(i int) uint32 { return math.Float32bits(e.gamma[i]) }})
 	}
 	if e.idx != nil {
 		plan = append(plan,
-			persistPlan{kind: secRightStart, words: e.idx.rightStart},
-			persistPlan{kind: secRightAdj, words: e.idx.rightAdj},
-			persistPlan{kind: secLeftStart, words: e.idx.leftStart},
-			persistPlan{kind: secLeftAdj, words: e.idx.leftAdj},
-		)
+			words(secRightStart, e.idx.rightStart), words(secRightAdj, e.idx.rightAdj),
+			words(secLeftStart, e.idx.leftStart), words(secLeftAdj, e.idx.leftAdj))
 	}
 	if prob, alias := e.wt.Slots(); prob != nil {
-		plan = append(plan,
-			persistPlan{kind: secAliasProb, words: prob},
-			persistPlan{kind: secAliasAlias, words: alias},
-		)
+		plan = append(plan, words(secAliasProb, prob), words(secAliasAlias, alias))
 	}
 	return plan
 }
@@ -262,21 +177,18 @@ func (e *Snapshot) SaveIndex(w io.Writer) error {
 	dir := make([]persistSection, len(plan))
 	off := alignPage(uint64(persistHeaderSize + persistSectionSize*len(plan) + 4))
 	for i := range plan {
-		p := &plan[i]
-		crc := uint32(0)
-		if p.isF {
-			crc = crcFloats(p.floats)
-		} else {
-			crc = crcWords(p.words)
+		crc := crc32.New(persistCRCTable)
+		if err := plan[i].writeTo(crc); err != nil {
+			return err
 		}
 		dir[i] = persistSection{
-			Kind:     p.kind,
+			Kind:     plan[i].kind,
 			ElemSize: 4,
 			Offset:   off,
-			Count:    p.count(),
-			CRC:      crc,
+			Count:    uint64(plan[i].count),
+			CRC:      crc.Sum32(),
 		}
-		off = alignPage(off + 4*p.count())
+		off = alignPage(off + 4*dir[i].Count)
 	}
 
 	// Header + directory are built in memory first: their own CRC
@@ -311,14 +223,7 @@ func (e *Snapshot) SaveIndex(w io.Writer) error {
 		if _, err := bw.Write(zeros[:pad]); err != nil {
 			return err
 		}
-		p := &plan[i]
-		var err error
-		if p.isF {
-			err = writeFloats(bw, p.floats)
-		} else {
-			err = writeWords(bw, p.words)
-		}
-		if err != nil {
+		if err := plan[i].writeTo(bw); err != nil {
 			return err
 		}
 		pos = dir[i].Offset + 4*dir[i].Count
@@ -327,8 +232,8 @@ func (e *Snapshot) SaveIndex(w io.Writer) error {
 }
 
 // validateIndexCSR checks one CSR offset/adjacency pair of the
-// candidate index: offsets monotone from 0 to len(adj), entries < n.
-// entryCheck is skipped by the mmap path (O(m) over the payload).
+// candidate index: offsets monotone from 0 to len(adj), and with
+// entryCheck (read images only: it is O(m) over the payload) entries < n.
 func validateIndexCSR(name string, n int, start, adj []uint32, entryCheck bool) error {
 	if len(start) != n+1 {
 		return fmt.Errorf("core: corrupt index: %s offsets have %d entries, want %d", name, len(start), n+1)
@@ -345,10 +250,16 @@ func validateIndexCSR(name string, n int, start, adj []uint32, entryCheck bool) 
 		return fmt.Errorf("core: corrupt index: %s offsets end at %d, want %d", name, start[n], len(adj))
 	}
 	if entryCheck {
-		for _, v := range adj {
-			if int(v) >= n {
-				return fmt.Errorf("core: corrupt index: %s entry %d out of range", name, v)
-			}
+		return entriesBelow(name, n, adj)
+	}
+	return nil
+}
+
+// entriesBelow checks that every adjacency entry names a vertex < n.
+func entriesBelow(name string, n int, adj []uint32) error {
+	for _, v := range adj {
+		if int(v) >= n {
+			return fmt.Errorf("core: corrupt index: %s entry %d out of range", name, v)
 		}
 	}
 	return nil
@@ -369,19 +280,19 @@ func (e *Engine) finishLoad() {
 // rejected.
 func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 	p = p.normalized() // compare stored params against what New would use
-	br := bufio.NewReader(r)
-	// The head — fixed header, directory, their CRC — goes through the one
-	// parser both loaders share. Its length is in the fixed header, which
-	// is read in two steps so that a foreign or retired format fails on its
-	// magic and version alone.
+	// The head — fixed header, directory, their CRC — is read first: its
+	// length is in the fixed header, which is read in two steps so that a
+	// foreign or retired format fails on its magic and version alone, and
+	// the image is sized only from a directory that has passed its CRC and
+	// the n and m of g.
 	head := make([]byte, persistHeaderSize)
-	if _, err := io.ReadFull(br, head[:8]); err != nil {
+	if _, err := io.ReadFull(r, head[:8]); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
 	if err := checkV3Magic(head); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(br, head[8:]); err != nil {
+	if _, err := io.ReadFull(r, head[8:]); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
 	headLen, err := v3HeadLen(head)
@@ -389,107 +300,164 @@ func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	head = append(head, make([]byte, headLen-persistHeaderSize)...)
-	if _, err := io.ReadFull(br, head[persistHeaderSize:]); err != nil {
+	if _, err := io.ReadFull(r, head[persistHeaderSize:]); err != nil {
 		return nil, fmt.Errorf("core: reading section directory (truncated index file?): %w", err)
 	}
 	// A stream has no length to hold the sections against: a section that
-	// runs past the end fails its read.
-	hdr, dir, err := parseV3Container(head, math.MaxUint64, p)
+	// runs past the end fails the read below.
+	_, dir, err := parseV3Container(head, math.MaxUint64, g, p)
 	if err != nil {
 		return nil, err
 	}
-	if int(hdr.N) != g.N() {
-		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", hdr.N, g.N())
+	size := uint64(headLen)
+	if len(dir) > 0 {
+		size = dir[len(dir)-1].Offset + 4*dir[len(dir)-1].Count
 	}
-	if int(hdr.M) != g.M() {
-		return nil, fmt.Errorf("core: index built for m=%d edges, graph has m=%d", hdr.M, g.M())
+	data := make([]byte, size)
+	copy(data, head)
+	if _, err := io.ReadFull(r, data[headLen:]); err != nil {
+		return nil, fmt.Errorf("core: reading index sections (truncated index file?): %w", err)
+	}
+	return assemble(g, p, data, nil, nil)
+}
+
+// loadIndexFile is LoadIndexMmap where there is no mmap (mmap_stub.go):
+// the file is read whole and assembled as a read image over the graph
+// it embeds.
+func loadIndexFile(path string, p Params) (*Engine, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(nil, p, data, nil, nil)
+}
+
+// assemble turns a v3 image into an engine; every loader ends here. g is
+// the graph the image must embed, or nil to serve the one it embeds. A
+// read image (words and floats nil) gets the read policy above, γ range
+// and, with g nil, graph adjacency entries included; a mapped image also
+// comes viewed in place as words and floats (mmap_unix.go), and its
+// sections are served from the view.
+func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []float32) (*Engine, error) {
+	p = p.normalized()
+	hdr, dir, err := parseV3Container(data, uint64(len(data)), g, p)
+	if err != nil {
+		return nil, err
+	}
+	read := words == nil
+	secs := make(map[uint32]persistSection, len(dir))
+	for _, d := range dir {
+		if read {
+			if crc := crc32.Checksum(d.in(data), persistCRCTable); crc != d.CRC {
+				return nil, fmt.Errorf("core: section %d checksum mismatch (stored %#08x, computed %#08x): corrupted index file", d.Kind, d.CRC, crc)
+			}
+		}
+		secs[d.Kind] = d
+	}
+	// The graph CSR is required, and each optional group comes whole.
+	need := []uint32{secInStart, secInAdj, secOutStart, secOutAdj}
+	if _, ok := secs[secRightStart]; ok {
+		need = append(need, secRightAdj, secLeftStart, secLeftAdj)
+	}
+	if _, ok := secs[secAliasProb]; ok {
+		need = append(need, secAliasAlias)
+	}
+	for _, kind := range need {
+		if _, ok := secs[kind]; !ok {
+			return nil, fmt.Errorf("core: corrupt index: missing %s section", sectionNames[kind])
+		}
+	}
+	// section serves one section's words: in place from a mapped image, a
+	// decoded copy from a read one.
+	section := func(kind uint32) []uint32 {
+		if d := secs[kind]; !read {
+			return words[d.Offset/4:][:d.Count]
+		}
+		return decodeWords(secs[kind].in(data))
+	}
+
+	n := int(hdr.N)
+	if g != nil {
+		// The embedded CSR must match the graph the index is loaded over —
+		// v3's defence against loading an index for the wrong graph.
+		inS, inA := g.InCSR()
+		outS, outA := g.OutCSR()
+		for i, want := range [][]uint32{inS, inA, outS, outA} {
+			if !sameWords(secs[need[i]].in(data), want) {
+				return nil, fmt.Errorf("core: index was built for a different graph (%s section differs)", sectionNames[need[i]])
+			}
+		}
+	} else {
+		inA, outA := section(secInAdj), section(secOutAdj)
+		if g, err = graph.FromCSR(n, section(secInStart), inA, section(secOutStart), outA); err != nil {
+			return nil, err
+		}
+		if read {
+			if err := entriesBelow("in-adjacency", n, inA); err != nil {
+				return nil, err
+			}
+			if err := entriesBelow("out-adjacency", n, outA); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	e := New(g, p)
-	pos := uint64(headLen)
-	sections := make(map[uint32][]uint32)
-	for _, d := range dir {
-		if _, err := io.CopyN(io.Discard, br, int64(d.Offset-pos)); err != nil {
-			return nil, fmt.Errorf("core: seeking to section %d: %w", d.Kind, err)
-		}
-		var crc uint32
-		if d.Kind == secGamma {
-			gamma, c, err := readFloats(br, int(d.Count))
-			if err != nil {
-				return nil, fmt.Errorf("core: reading gamma section: %w", err)
-			}
-			crc = c
-			e.gamma = gamma
-		} else {
-			words, c, err := readWords(br, int(d.Count))
-			if err != nil {
-				return nil, fmt.Errorf("core: reading section %d: %w", d.Kind, err)
-			}
-			crc = c
-			sections[d.Kind] = words
-		}
-		if crc != d.CRC {
-			return nil, fmt.Errorf("core: section %d checksum mismatch (stored %#08x, computed %#08x): corrupted index file", d.Kind, d.CRC, crc)
-		}
-		pos = d.Offset + 4*d.Count
-	}
-
-	// The embedded CSR must match the graph the index is loaded over —
-	// v3's defence against loading an index for the wrong graph.
-	inS, inA := g.InCSR()
-	outS, outA := g.OutCSR()
-	for _, ck := range []struct {
-		kind uint32
-		want []uint32
-		name string
-	}{
-		{secInStart, inS, "in-offset"}, {secInAdj, inA, "in-adjacency"},
-		{secOutStart, outS, "out-offset"}, {secOutAdj, outA, "out-adjacency"},
-	} {
-		got, ok := sections[ck.kind]
-		if !ok {
-			return nil, fmt.Errorf("core: corrupt index: missing %s section", ck.name)
-		}
-		if !wordsEqual(got, ck.want) {
-			return nil, fmt.Errorf("core: index was built for a different graph (%s section differs)", ck.name)
-		}
-	}
-
-	if e.gamma != nil {
-		if len(e.gamma) != g.N()*p.T {
-			return nil, fmt.Errorf("core: gamma section has %d entries, want %d", len(e.gamma), g.N()*p.T)
-		}
-		for _, v := range e.gamma {
+	if d, ok := secs[secGamma]; ok && !read {
+		e.gamma = floats[d.Offset/4:][:d.Count]
+	} else if ok {
+		b := d.in(data)
+		e.gamma = make([]float32, d.Count)
+		for i := range e.gamma {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 			if v < 0 || v > 1.0001 || math.IsNaN(float64(v)) {
 				return nil, fmt.Errorf("core: corrupt gamma table (entry %v)", v)
 			}
+			e.gamma[i] = v
 		}
 	}
-
-	if rs, ok := sections[secRightStart]; ok {
+	if _, ok := secs[secRightStart]; ok {
 		idx := &candidateIndex{
-			rightStart: rs,
-			rightAdj:   sections[secRightAdj],
-			leftStart:  sections[secLeftStart],
-			leftAdj:    sections[secLeftAdj],
+			rightStart: section(secRightStart), rightAdj: section(secRightAdj),
+			leftStart: section(secLeftStart), leftAdj: section(secLeftAdj),
 		}
-		if err := validateIndexCSR("right", g.N(), idx.rightStart, idx.rightAdj, true); err != nil {
+		if err := validateIndexCSR("right", n, idx.rightStart, idx.rightAdj, read); err != nil {
 			return nil, err
 		}
-		if err := validateIndexCSR("left", g.N(), idx.leftStart, idx.leftAdj, true); err != nil {
+		if err := validateIndexCSR("left", n, idx.leftStart, idx.leftAdj, read); err != nil {
 			return nil, err
 		}
 		e.idx = idx
 	}
-
-	if prob, ok := sections[secAliasProb]; ok {
-		if err := e.wt.AdoptSlots(prob, sections[secAliasAlias]); err != nil {
+	if _, ok := secs[secAliasProb]; ok {
+		if err := e.wt.AdoptSlots(section(secAliasProb), section(secAliasAlias)); err != nil {
 			return nil, fmt.Errorf("core: adopting alias slots: %w", err)
 		}
 	}
-
 	e.finishLoad()
 	return e, nil
+}
+
+// decodeWords copies a little-endian payload out into a fresh slice.
+func decodeWords(b []byte) []uint32 {
+	out := make([]uint32, len(b)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return out
+}
+
+// sameWords reports whether b is exactly want's little-endian encoding.
+func sameWords(b []byte, want []uint32) bool {
+	if len(b) != 4*len(want) {
+		return false
+	}
+	for i, x := range want {
+		if binary.LittleEndian.Uint32(b[4*i:]) != x {
+			return false
+		}
+	}
+	return true
 }
 
 // checkSectionCount validates a directory entry's element count against
@@ -544,13 +512,13 @@ func v3HeadLen(fixed []byte) (int, error) {
 }
 
 // parseV3Container parses and verifies the head of a v3 index — data is
-// the whole image (typically mmapped) or at least its head, as LoadIndex
-// reads it off a stream: magic, version, header CRC, parameter match,
-// per-section element size and counts, no section kind twice, ascending
-// page-aligned offsets, and that every section ends within fileSize. It
-// never touches section payloads, so it stays O(directory) no matter how
-// large the file is. Both loaders run it and nothing else on the head.
-func parseV3Container(data []byte, fileSize uint64, p Params) (persistHeader, []persistSection, error) {
+// the whole image or at least its head, as LoadIndex reads it off a
+// stream: magic, version, header CRC, parameter match, n and m against
+// g when one is given, per-section element size and counts, no section
+// kind twice, ascending offsets aligned to a page of at least one word,
+// and that every section ends within fileSize. It never touches section
+// payloads, so it stays O(directory) no matter how large the file is.
+func parseV3Container(data []byte, fileSize uint64, g *graph.Graph, p Params) (persistHeader, []persistSection, error) {
 	var hdr persistHeader
 	if len(data) < persistHeaderSize {
 		return hdr, nil, fmt.Errorf("core: index image too small (%d bytes)", len(data))
@@ -569,7 +537,9 @@ func parseV3Container(data []byte, fileSize uint64, p Params) (persistHeader, []
 	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, &hdr); err != nil {
 		return hdr, nil, err
 	}
-	if hdr.PageSize == 0 || hdr.PageSize&(hdr.PageSize-1) != 0 {
+	// Sections start on page boundaries, so a page of at least a word
+	// keeps every section word-aligned within the image.
+	if hdr.PageSize < 4 || hdr.PageSize&(hdr.PageSize-1) != 0 {
 		return hdr, nil, fmt.Errorf("core: corrupt index: page size %d", hdr.PageSize)
 	}
 	stored := binary.LittleEndian.Uint32(data[dirEnd:])
@@ -585,6 +555,12 @@ func parseV3Container(data []byte, fileSize uint64, p Params) (persistHeader, []
 	}
 	if math.Abs(hdr.C-p.C) > 1e-12 {
 		return hdr, nil, fmt.Errorf("core: index built with c=%v, params use c=%v", hdr.C, p.C)
+	}
+	if g != nil && int(hdr.N) != g.N() {
+		return hdr, nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", hdr.N, g.N())
+	}
+	if g != nil && int(hdr.M) != g.M() {
+		return hdr, nil, fmt.Errorf("core: index built for m=%d edges, graph has m=%d", hdr.M, g.M())
 	}
 	pos := uint64(headLen)
 	seen := make(map[uint32]bool, len(dir))
@@ -602,24 +578,11 @@ func parseV3Container(data []byte, fileSize uint64, p Params) (persistHeader, []
 		if d.Offset < pos || d.Offset%uint64(hdr.PageSize) != 0 {
 			return hdr, nil, fmt.Errorf("core: corrupt index: section %d at offset %d (cursor %d)", d.Kind, d.Offset, pos)
 		}
-		end := d.Offset + 4*d.Count
-		if end > fileSize {
+		// Compared as a quotient: 4*Count may not fit in 64 bits.
+		if d.Offset > fileSize || d.Count > (fileSize-d.Offset)/4 {
 			return hdr, nil, fmt.Errorf("core: corrupt index: section %d extends past end of file", d.Kind)
 		}
-		pos = end
+		pos = d.Offset + 4*d.Count
 	}
 	return hdr, dir, nil
-}
-
-// wordsEqual compares two uint32 slices.
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if x != b[i] {
-			return false
-		}
-	}
-	return true
 }

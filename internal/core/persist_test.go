@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -129,8 +132,13 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 	}
 	saved := buf.Bytes()
 
-	// A clean file loads.
+	// A clean file loads, by LoadIndex over g and as a read image over the
+	// graph it embeds (LoadIndexMmap off unix); every corruption below is
+	// rejected by both.
 	if _, err := LoadIndex(g, p, bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := assemble(nil, p, saved, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,10 +154,13 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 		if _, err := LoadIndex(g, p, bytes.NewReader(bad)); err == nil {
 			t.Fatalf("header/directory bit flip at offset %d loaded without error", off)
 		}
+		if _, err := assemble(nil, p, bad, nil, nil); err == nil {
+			t.Fatalf("header/directory bit flip at offset %d loaded as a read image without error", off)
+		}
 	}
 
 	// A flip inside any section payload must fail that section's CRC on
-	// the stream path. Probe the first, middle, and last byte of every
+	// both read paths. Probe the first, middle, and last byte of every
 	// non-empty section.
 	for _, d := range dir {
 		if d.Count == 0 {
@@ -163,6 +174,9 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 			if err == nil {
 				t.Fatalf("section %d bit flip at +%d loaded without error", d.Kind, rel)
 			}
+			if _, err := assemble(nil, p, bad, nil, nil); err == nil {
+				t.Fatalf("section %d bit flip at +%d loaded as a read image without error", d.Kind, rel)
+			}
 		}
 	}
 
@@ -171,7 +185,81 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 		if _, err := LoadIndex(g, p, bytes.NewReader(saved[:cut])); err == nil {
 			t.Fatalf("file truncated to %d bytes loaded without error", cut)
 		}
+		if _, err := assemble(nil, p, saved[:cut], nil, nil); err == nil {
+			t.Fatalf("file truncated to %d bytes loaded as a read image without error", cut)
+		}
 	}
+}
+
+// TestReadImageChecksAdjacencyEntries: a read image that brings its own
+// graph must keep every adjacency entry below n, even with consistent
+// CRCs — a walk would index past the vertex arrays otherwise.
+func TestReadImageChecksAdjacencyEntries(t *testing.T) {
+	g := graph.CopyingModel(150, 4, 0.3, 5)
+	p := DefaultParams()
+	p.Workers = 1
+	var buf bytes.Buffer
+	if err := Build(g, p).SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	hdr, dir := parseTestDirectory(t, bad)
+	for i, d := range dir {
+		if d.Kind == secInAdj {
+			binary.LittleEndian.PutUint32(bad[d.Offset+8:], hdr.N)
+			crc := crc32.Checksum(bad[d.Offset:d.Offset+4*d.Count], persistCRCTable)
+			binary.LittleEndian.PutUint32(bad[persistHeaderSize+i*persistSectionSize+24:], crc)
+		}
+	}
+	dirEnd := persistHeaderSize + len(dir)*persistSectionSize
+	binary.LittleEndian.PutUint32(bad[dirEnd:], crc32.Checksum(bad[:dirEnd], persistCRCTable))
+	if _, err := assemble(nil, p, bad, nil, nil); err == nil || !strings.Contains(err.Error(), "in-adjacency entry") {
+		t.Fatalf("err = %v, want an in-adjacency range rejection", err)
+	}
+}
+
+// TestReadImageReleasesBuffer: a read image's sections are copied out,
+// so the engine assembled from it keeps nothing of the buffer alive —
+// with the graph given (LoadIndex) or taken from the file.
+func TestReadImageReleasesBuffer(t *testing.T) {
+	g := graph.CopyingModel(150, 4, 0.3, 5)
+	p := DefaultParams()
+	p.Workers = 1
+	var saved bytes.Buffer
+	if err := Build(g, p).SaveIndex(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, over := range []*graph.Graph{g, nil} {
+		freed := make(chan struct{})
+		load := func() *Engine {
+			buf := bytes.Clone(saved.Bytes())
+			runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
+			e, err := assemble(over, p, buf, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := load()
+		if !collected(freed) {
+			t.Fatalf("graph given %v: the image buffer is still reachable from the engine", over != nil)
+		}
+		answersQueries(t, e) // also keeps e alive past the collections
+	}
+}
+
+// collected runs the collector until freed closes, for up to five
+// seconds.
+func collected(freed <-chan struct{}) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
 
 func TestLoadIndexV3RejectsWrongGraph(t *testing.T) {
@@ -216,13 +304,7 @@ func TestSaveLoadAliasSlots(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = 1
 	e := Build(g, p)
-	m := g.M()
-	prob := make([]uint32, m)
-	alias := make([]uint32, m)
-	for i := range prob {
-		prob[i] = ^uint32(0) - uint32(i)
-		alias[i] = uint32(i % 3)
-	}
+	prob, alias := testAliasSlots(g.M())
 	if err := e.wt.AdoptSlots(prob, alias); err != nil {
 		t.Fatal(err)
 	}
@@ -245,30 +327,36 @@ func TestSaveLoadAliasSlots(t *testing.T) {
 	}
 }
 
-// FuzzSectionDirectory feeds mutated index files — and in particular
-// mutated headers and section directories — through LoadIndex: any
-// input may be rejected, none may panic or over-allocate.
-func FuzzSectionDirectory(f *testing.F) {
-	g := graph.CopyingModel(40, 3, 0.3, 5)
+// testAliasSlots returns non-trivial walk-table slots (the weighted-walk
+// extension) for m in-edges.
+func testAliasSlots(m int) (prob, alias []uint32) {
+	prob, alias = make([]uint32, m), make([]uint32, m)
+	for i := range prob {
+		prob[i] = ^uint32(0) - uint32(i)
+		alias[i] = uint32(i % 3)
+	}
+	return prob, alias
+}
+
+// TestSaveIndexBytesPinned pins SaveIndex's output byte for byte: the
+// length and CRC-32C of a fixed engine's file with every section kind
+// present, recorded before the section encoders were folded into one.
+func TestSaveIndexBytesPinned(t *testing.T) {
+	g := graph.CopyingModel(150, 4, 0.3, 5)
 	p := DefaultParams()
 	p.Workers = 1
 	e := Build(g, p)
+	if err := e.wt.AdoptSlots(testAliasSlots(g.M())); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := e.SaveIndex(&buf); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:persistHeaderSize+3*persistSectionSize])
-	// A retired version-2 header: rejected on the version field.
-	legacy := bytes.Clone(buf.Bytes()[:persistHeaderSize])
-	binary.LittleEndian.PutUint32(legacy[4:], 2)
-	f.Add(legacy)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e2, err := LoadIndex(g, p, bytes.NewReader(data))
-		if err == nil && e2 == nil {
-			t.Fatal("nil engine without error")
-		}
-	})
+	const wantLen, wantCRC = 51116, 0xb38ae158
+	if got := crc32.Checksum(buf.Bytes(), persistCRCTable); buf.Len() != wantLen || got != wantCRC {
+		t.Fatalf("SaveIndex wrote %d bytes with CRC-32C %#08x, want %d bytes with %#08x", buf.Len(), got, wantLen, wantCRC)
+	}
 }
 
 // failingWriter errors after n bytes.

@@ -2,7 +2,7 @@
 # ci.sh — the full pre-merge gate, exactly as CI runs it. Exits nonzero
 # on the first failure, including any simlint diagnostic.
 #
-# Sequence: gofmt cleanliness, go vet, build, full shuffled test suite,
+# Sequence: gofmt cleanliness, go vet (host and windows), build, full shuffled test suite,
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, a short fuzz of the walk-distribution
@@ -22,6 +22,12 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+# The !unix files (LoadIndexMmap's read-image body) are never built on
+# the CI host; vetting for windows compiles them and their tests.
+# benchmark/ is linux-only by design (Setpgid, Pdeathsig, Getrusage).
+echo "==> GOOS=windows go vet (all but benchmark/)"
+GOOS=windows go vet $(go list ./... | grep -v '/benchmark$')
 
 echo "==> go build ./..."
 go build ./...
