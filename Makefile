@@ -50,9 +50,11 @@ loc:
 # and WalkDistLookup one probe of each directory kind, hit and miss.
 # RouterTopK/RouterTopKBatch live in internal/router: routed queries over
 # a real 3-shard loopback topology (binary wire). WireCodec measures the
-# binary codec round-trip alone.
-BENCH_RE := 'TopK$$|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|GammaPreprocessPerVertex|PlanMiss|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
-BENCH_PKGS := ./internal/core ./internal/router ./internal/wire
+# binary codec round-trip alone. BuildIndex (Algorithm 4 over a whole
+# n=20000 graph) and LoadEdgeList (internal/graph: the text parser on the
+# same graphs) are the set-up path, web and social.
+BENCH_RE := 'TopK$$|BuildIndex|LoadEdgeList|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|GammaPreprocessPerVertex|PlanMiss|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_PKGS := ./internal/core ./internal/graph ./internal/router ./internal/wire
 
 bench:
 	$(GO) test -bench $(BENCH_RE) -run - $(BENCH_PKGS)
@@ -62,4 +64,4 @@ bench:
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -bench $(BENCH_RE) -run - -cpu 1 $(BENCH_PKGS) | \
-		/tmp/benchjson -meta pkg=internal/core,internal/router,internal/wire -o BENCH_core.json
+		/tmp/benchjson -meta pkg=internal/core,internal/graph,internal/router,internal/wire -o BENCH_core.json

@@ -78,11 +78,13 @@ func main() {
 	var g *simrank.Graph
 	if *graphPath != "" {
 		var err error
+		start := time.Now()
 		g, err = simrank.LoadEdgeListFile(*graphPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("graph: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
+		log.Printf("graph: %d vertices, %d edges, loaded in %v", g.NumVertices(), g.NumEdges(),
+			time.Since(start).Round(time.Millisecond))
 	} else if !*useMmap {
 		// With -mmap the graph comes out of the index file itself.
 		log.Fatal("-graph is required")
@@ -149,8 +151,9 @@ func main() {
 			log.Printf("loaded index in %v", time.Since(start).Round(time.Millisecond))
 		} else {
 			idx = simrank.BuildIndex(g, opts)
-			log.Printf("preprocess in %v (%d KB)", time.Since(start).Round(time.Millisecond),
-				idx.Stats().IndexBytes/1024)
+			st := idx.Stats()
+			log.Printf("preprocess in %v: γ %v, index %v (%d KB)", time.Since(start).Round(time.Millisecond),
+				st.GammaTime.Round(time.Millisecond), st.IndexTime.Round(time.Millisecond), st.IndexBytes/1024)
 		}
 		h := server.NewShard(idx, shardIdx, numShards)
 		h.QueryTimeout = *queryTimeout

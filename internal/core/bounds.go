@@ -23,14 +23,16 @@ import (
 // high-degree queries whose walk distributions spread thin. Computed for
 // every vertex in the preprocess.
 
-// computeGammaAll fills e.gamma with Algorithm 3 estimates for every
-// vertex, in parallel.
-func (e *Engine) computeGammaAll() {
-	T := e.p.T
-	e.gamma = make([]float32, e.g.N()*T)
-	R := e.p.RGamma
-	e.parallelVertices(saltGamma, func(v uint32, r *rng.Source, s *scratch) {
-		e.computeGammaInto(v, R, r, s, e.gamma[int(v)*T:int(v)*T+T])
+// computeGammaRows fills the γ rows of the vertices vs (every vertex when
+// vs is nil) with Algorithm 3 estimates, in parallel; e.gamma must be
+// allocated.
+func (e *Engine) computeGammaRows(vs []uint32) {
+	T, R := e.p.T, e.p.RGamma
+	e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
+		for _, v := range chunk {
+			s.rng.Seed(e.vertexSeed(saltGamma, v))
+			e.computeGammaInto(v, R, &s.rng, s, e.gamma[int(v)*T:int(v)*T+T])
+		}
 	})
 }
 

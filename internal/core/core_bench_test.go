@@ -458,15 +458,25 @@ func BenchmarkGammaPreprocessPerVertex(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexEntryPerVertex(b *testing.B) {
-	g := graph.CopyingModel(5000, 8, 0.3, 2)
-	p := DefaultParams()
-	e := New(g, p)
-	r := rng.New(3)
-	s := newIndexScratch(p.T, p.Q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.buildIndexEntry(uint32(i%g.N()), r, s)
+// BenchmarkBuildIndex is Algorithm 4 over a whole n = 20 000 graph of each
+// family the end-to-end workloads serve: lane-group walks, chunk-claimed
+// by Params.Workers (one per -cpu) and the CSR assembly.
+func BenchmarkBuildIndex(b *testing.B) {
+	for _, fx := range []struct {
+		name string
+		gen  func() *graph.Graph
+	}{
+		{"web", func() *graph.Graph { return graph.CopyingModel(20000, 8, 0.3, 1) }},
+		{"social", func() *graph.Graph { return graph.PreferentialAttachment(20000, 10, 0.4, 1) }},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			e := New(fx.gen(), DefaultParams())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.buildIndex()
+			}
+		})
 	}
 }
 

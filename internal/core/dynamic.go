@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // DynamicEngine maintains a similarity-search engine over a mutable edge
@@ -339,25 +339,23 @@ func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[u
 
 	ne := New(g, d.p)
 	ne.gamma = cloneFloat32(old.gamma)
-	T := ne.p.T
-	// Expand the old CSR rows into a row view; untouched rows alias the
-	// old snapshot's storage (it is immutable) and only affected rows
-	// are rebuilt before re-flattening.
+	// The affected vertices go through the full preprocess's passes, in
+	// ascending order. Expand the old CSR rows into a row view; untouched
+	// rows alias the old snapshot's storage (it is immutable) and only
+	// affected rows are rebuilt before re-flattening.
+	vs := make([]uint32, 0, len(affected))
+	for v := range affected {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs)
+	if ne.gamma != nil {
+		ne.computeGammaRows(vs)
+	}
 	ri := make([][]uint32, d.n)
 	for v := range ri {
 		ri[v] = old.idx.rightRow(uint32(v))
 	}
-	r := rng.New(ne.p.Seed)
-	s := ne.getScratch()
-	for v := range affected {
-		if ne.gamma != nil {
-			r.Seed(ne.vertexSeed(saltGamma, v))
-			ne.computeGammaInto(v, ne.p.RGamma, r, s, ne.gamma[int(v)*T:int(v)*T+T])
-		}
-		r.Seed(ne.vertexSeed(saltIndex, v))
-		ri[v] = ne.buildIndexEntry(v, r, s.indexScratch(T, ne.p.Q))
-	}
-	ne.putScratch(s)
+	ne.indexRows(vs, ri)
 	idx := indexFromRows(ri)
 	ne.idx = idx
 	ne.stats = old.stats

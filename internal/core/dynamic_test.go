@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,49 +91,59 @@ func TestDynamicUpdateChangesScores(t *testing.T) {
 
 func TestDynamicMatchesFullRebuild(t *testing.T) {
 	// Incremental refresh must answer queries identically to an engine
-	// built from scratch on the same final graph with the same seed.
-	g := graph.CopyingModel(400, 4, 0.3, 9)
-	p := dynParams()
-	d := NewDynamicFrom(g, p)
-	defer d.Close()
-	if _, err := d.TopK(0, 5); err != nil { // force initial build
-		t.Fatal(err)
+	// built from scratch on the same final graph with the same seed. The
+	// social fixture's sparse reciprocity puts about 400 vertices in the
+	// affected set (more than one preprocess chunk, under half the graph).
+	fixtures := []struct {
+		name    string
+		g       *graph.Graph
+		updates func(d *DynamicEngine)
+	}{
+		{"copying", graph.CopyingModel(400, 4, 0.3, 9), func(d *DynamicEngine) {
+			d.AddEdge(17, 23)
+			d.AddEdge(301, 55)
+			d.RemoveEdge(1, 0)
+		}},
+		{"preferential", graph.PreferentialAttachment(1200, 4, 0.05, 9), func(d *DynamicEngine) {
+			d.AddEdge(1100, 50)
+			d.AddEdge(7, 900)
+		}},
 	}
-
-	// Apply a small batch of updates.
-	d.AddEdge(17, 23)
-	d.AddEdge(301, 55)
-	d.RemoveEdge(1, 0)
-	if err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	inc, full := d.Refreshes()
-	if inc != 1 || full != 1 {
-		t.Fatalf("refresh counts: inc=%d full=%d", inc, full)
-	}
-
-	eng, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := Build(eng.Graph(), p)
-	// γ rows must match for every vertex: affected ones were recomputed
-	// with the same per-vertex seed, unaffected ones were untouched and
-	// their walk distributions are unchanged by construction.
-	for i := range fresh.gamma {
-		if fresh.gamma[i] != eng.gamma[i] {
-			t.Fatalf("gamma[%d]: incremental %v vs fresh %v", i, eng.gamma[i], fresh.gamma[i])
-		}
-	}
-	for v := 0; v < fresh.g.N(); v++ {
-		a, b := fresh.idx.rightRow(uint32(v)), eng.idx.rightRow(uint32(v))
-		if len(a) != len(b) {
-			t.Fatalf("index entry %d: incremental %v vs fresh %v", v, b, a)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("index entry %d: incremental %v vs fresh %v", v, b, a)
-			}
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", fx.name, workers), func(t *testing.T) {
+				p := dynParams()
+				p.Workers = workers
+				d := NewDynamicFrom(fx.g, p)
+				defer d.Close()
+				if _, err := d.TopK(0, 5); err != nil { // force initial build
+					t.Fatal(err)
+				}
+				fx.updates(d)
+				if err := d.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				if inc, full := d.Refreshes(); inc != 1 || full != 1 {
+					t.Fatalf("refresh counts: inc=%d full=%d", inc, full)
+				}
+				eng, err := d.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := Build(eng.Graph(), p)
+				// γ rows must match for every vertex: affected ones were
+				// recomputed with the same per-vertex seed, unaffected ones
+				// were untouched and their walk distributions are unchanged
+				// by construction.
+				if !slices.Equal(fresh.gamma, eng.gamma) {
+					t.Fatal("incremental γ table differs from a fresh build's")
+				}
+				for v := 0; v < fresh.g.N(); v++ {
+					if a, b := fresh.idx.rightRow(uint32(v)), eng.idx.rightRow(uint32(v)); !slices.Equal(a, b) {
+						t.Fatalf("index entry %d: incremental %v vs fresh %v", v, b, a)
+					}
+				}
+			})
 		}
 	}
 }

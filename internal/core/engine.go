@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -45,7 +46,8 @@ func (e *Engine) Preprocess() {
 	}
 	start := time.Now()
 	if !e.p.DisableL2 {
-		e.computeGammaAll()
+		e.gamma = make([]float32, e.g.N()*e.p.T)
+		e.computeGammaRows(nil)
 	}
 	e.stats.GammaTime = time.Since(start)
 
@@ -106,43 +108,49 @@ func (e *Snapshot) candSeed(v uint32) uint64 {
 	return e.p.Seed ^ saltScore ^ rng.Mix(uint64(v))
 }
 
-// parallelVertices runs fn for every vertex, sharded over workers in
-// contiguous blocks so each worker scans a cache-local CSR range. The RNG
-// handed to fn is re-seeded per vertex (not per worker) and the scratch is
-// per worker, so results are independent of the worker count.
-func (e *Engine) parallelVertices(phase uint64, fn func(v uint32, r *rng.Source, s *scratch)) {
-	n := e.g.N()
-	workers := e.p.Workers
-	if workers > n {
-		workers = n
+// vertexChunk is how many vertices a preprocess worker claims at a time: a
+// multiple of graph.MaxWalkLanes, so only a list's last chunk has a ragged
+// lane group, and small enough that the costly neighbourhoods of a skewed
+// graph spread over every worker.
+const vertexChunk = 256
+
+// parallelVertices runs fn over the vertices vs — every vertex when vs is
+// nil — in chunks of vertexChunk consecutive entries. Params.Workers
+// goroutines claim the chunks from a shared cursor, each on its own
+// scratch, so a worker that drew cheap vertices takes on more of them.
+// Every preprocess pass seeds its streams per vertex (vertexSeed) and
+// writes per-vertex outputs, so results are independent of the worker
+// count and of which worker ran which chunk.
+func (e *Engine) parallelVertices(vs []uint32, fn func(chunk []uint32, s *scratch)) {
+	if vs == nil {
+		vs = make([]uint32, e.g.N())
+		for v := range vs {
+			vs[v] = uint32(v)
+		}
 	}
+	chunks := (len(vs) + vertexChunk - 1) / vertexChunk
+	claim := func(s *scratch, cursor *atomic.Int64) {
+		for c := int(cursor.Add(1) - 1); c < chunks; c = int(cursor.Add(1) - 1) {
+			fn(vs[c*vertexChunk:min((c+1)*vertexChunk, len(vs))], s)
+		}
+	}
+	var cursor atomic.Int64
+	workers := min(e.p.Workers, chunks)
 	if workers <= 1 {
-		r := rng.New(e.p.Seed)
 		s := e.getScratch()
 		defer e.putScratch(s)
-		for v := 0; v < n; v++ {
-			r.Seed(e.vertexSeed(phase, uint32(v)))
-			fn(uint32(v), r, s)
-		}
+		claim(s, &cursor)
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			r := rng.New(0)
 			s := e.getScratch()
 			defer e.putScratch(s)
-			for v := lo; v < hi; v++ {
-				r.Seed(e.vertexSeed(phase, uint32(v)))
-				fn(uint32(v), r, s)
-			}
-		}(lo, hi)
+			claim(s, &cursor)
+		}()
 	}
 	wg.Wait()
 }

@@ -35,7 +35,6 @@ var hotpathKernels = []string{
 	"core.scoreLanes",
 	"core.setRankSupport",
 	"core.simulateCandWalks",
-	"core.singleWalk",
 	"core.stepWalks",
 	"graph.StepWalks",
 	"graph.WalkLanes",
@@ -69,12 +68,6 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		for t := 1; t < T; t++ {
 			stepWalks(e.wt, &s.rng, pos, lane)
 		}
-	})
-
-	out := make([]uint32, T+1)
-	check("singleWalk", 50, func() {
-		s.rng.Seed(e.candSeed(u))
-		singleWalk(e.wt, &s.rng, u, T, out)
 	})
 
 	check("simulateCandWalks+buildFullTally", 20, func() {

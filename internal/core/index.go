@@ -3,7 +3,7 @@ package core
 import (
 	"slices"
 
-	"repro/internal/rng"
+	"repro/internal/graph"
 )
 
 // candidateIndex is the auxiliary bipartite graph H of Section 7.1: the
@@ -34,20 +34,84 @@ func (ci *candidateIndex) leftRow(w uint32) []uint32 {
 	return ci.leftAdj[ci.leftStart[w]:ci.leftStart[w+1]]
 }
 
-// buildIndex runs Algorithm 4 (INDEXING) for every vertex in parallel:
-// P trials per vertex, each performing one index walk W0 and Q collision
-// walks W1..WQ; whenever two collision walks coincide at step t (both
-// alive), the step-t vertex of W0 is added to the vertex's index.
+// buildIndex runs Algorithm 4 (INDEXING) for every vertex in parallel.
 func (e *Engine) buildIndex() {
-	n := e.g.N()
-	T, Q := e.p.T, e.p.Q
-	rows := make([][]uint32, n)
-
-	e.parallelVertices(saltIndex, func(u uint32, r *rng.Source, s *scratch) {
-		rows[u] = e.buildIndexEntry(u, r, s.indexScratch(T, Q))
-	})
-
+	rows := make([][]uint32, e.g.N())
+	e.indexRows(nil, rows)
 	e.idx = indexFromRows(rows)
+}
+
+// indexRows runs the per-vertex part of Algorithm 4 for the vertices vs
+// (every vertex when vs is nil) and sets rows[v] to v's sorted,
+// deduplicated index entry: P trials, each one index walk W0 and Q
+// collision walks W1..WQ; whenever two collision walks coincide at step t
+// (both alive), the step-t vertex of W0 joins the entry.
+//
+// The vertices of a chunk go through graph.WalkTable.WalkLanes a lane
+// group at a time, one lane per vertex on its own vertexSeed stream. A
+// lane's walk i is trial i/(1+Q)'s walk W_{i mod (1+Q)} — the order in
+// which one vertex at a time would draw them — so every position, and
+// every entry, is the same whichever vertices share the group. A chunk's
+// entries share one allocation.
+func (e *Engine) indexRows(vs []uint32, rows [][]uint32) {
+	T, P, Q := e.p.T, e.p.P, e.p.Q
+	cols := P * (1 + Q)
+	e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
+		if len(s.indexLanes) == 0 || len(s.indexLanes[0].Out) != (T+1)*cols {
+			s.indexLanes = newWalkLanes(graph.MaxWalkLanes, (T+1)*cols)
+		}
+		found := s.indexFound[:0]
+		var ends [vertexChunk]int
+		for lo := 0; lo < len(chunk); lo += graph.MaxWalkLanes {
+			group := chunk[lo:min(lo+graph.MaxWalkLanes, len(chunk))]
+			lanes := s.indexLanes[:len(group)]
+			for l, v := range group {
+				lanes[l].Start = v
+				lanes[l].Rng.Seed(e.vertexSeed(saltIndex, v))
+			}
+			e.wt.WalkLanes(lanes, 0, cols, T, cols)
+			for l := range lanes {
+				first := len(found)
+				for trial := 0; trial < P; trial++ {
+					base := trial * (1 + Q)
+					for t := 1; t <= T; t++ {
+						row := lanes[l].Out[t*cols+base : t*cols+base+1+Q]
+						if row[0] == Dead {
+							break
+						}
+						if collides(row[1:]) {
+							found = append(found, row[0])
+						}
+					}
+				}
+				slices.Sort(found[first:])
+				found = found[:first+len(slices.Compact(found[first:]))]
+				ends[lo+l] = len(found)
+			}
+		}
+		s.indexFound = found
+		entries := slices.Clone(found)
+		first := 0
+		for i, v := range chunk {
+			rows[v] = entries[first:ends[i]:ends[i]]
+			first = ends[i]
+		}
+	})
+}
+
+// collides reports whether two of the positions ws coincide, both alive.
+func collides(ws []uint32) bool {
+	for j, w := range ws {
+		if w == Dead {
+			continue
+		}
+		for _, x := range ws[j+1:] {
+			if x == w {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // indexFromRows flattens per-vertex right rows into the CSR form and
@@ -95,63 +159,6 @@ func (ci *candidateIndex) buildInverted() {
 			cursor[w]++
 		}
 	}
-}
-
-// indexScratch holds per-worker walk buffers for index construction.
-type indexScratch struct {
-	w0    []uint32
-	walks [][]uint32
-}
-
-func newIndexScratch(T, Q int) *indexScratch {
-	s := &indexScratch{w0: make([]uint32, T+1), walks: make([][]uint32, Q)}
-	for j := range s.walks {
-		s.walks[j] = make([]uint32, T+1)
-	}
-	return s
-}
-
-// buildIndexEntry runs the per-vertex part of Algorithm 4 and returns the
-// sorted, deduplicated index entry for u (nil when no collisions occur).
-func (e *Engine) buildIndexEntry(u uint32, r *rng.Source, s *indexScratch) []uint32 {
-	T, P, Q := e.p.T, e.p.P, e.p.Q
-	var set []uint32
-	for trial := 0; trial < P; trial++ {
-		singleWalk(e.wt, r, u, T, s.w0)
-		for j := 0; j < Q; j++ {
-			singleWalk(e.wt, r, u, T, s.walks[j])
-		}
-		for t := 1; t <= T; t++ {
-			if s.w0[t] == Dead {
-				break
-			}
-			if hasCollision(s.walks, t) {
-				set = append(set, s.w0[t])
-			}
-		}
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	slices.Sort(set)
-	return slices.Clone(slices.Compact(set))
-}
-
-// hasCollision reports whether at least two of the walks coincide (alive)
-// at step t.
-func hasCollision(walks [][]uint32, t int) bool {
-	for j := 0; j < len(walks); j++ {
-		wj := walks[j][t]
-		if wj == Dead {
-			continue
-		}
-		for k := j + 1; k < len(walks); k++ {
-			if walks[k][t] == wj {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // appendCandidates appends to out every left vertex sharing a right

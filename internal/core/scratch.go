@@ -99,8 +99,12 @@ type scratch struct {
 	overflow []float64
 	l1       l1Table
 
-	// Index-construction walk buffers (Algorithm 4).
-	iw *indexScratch
+	// Algorithm 4's buffers (index.go): the lanes of one vertex group,
+	// each with a (T+1)×P·(1+Q) position matrix (allocated on first use,
+	// so query scratches never pay for them), and the entries of the chunk
+	// being built.
+	indexLanes []graph.WalkLane
+	indexFound []uint32
 }
 
 func newScratch(n int) *scratch {
@@ -347,14 +351,6 @@ func (s *scratch) resetDist() {
 		s.dist[v] = -1
 	}
 	s.ball = s.ball[:0]
-}
-
-// indexScratch returns the reusable Algorithm 4 walk buffers.
-func (s *scratch) indexScratch(T, Q int) *indexScratch {
-	if s.iw == nil || len(s.iw.w0) != T+1 || len(s.iw.walks) != Q {
-		s.iw = newIndexScratch(T, Q)
-	}
-	return s.iw
 }
 
 // floatBuf grows buf to n entries, all zero.

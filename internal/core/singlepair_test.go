@@ -191,7 +191,7 @@ func TestWalkReset(t *testing.T) {
 func TestSingleWalkRecordsTrajectory(t *testing.T) {
 	g := graph.Cycle(5) // in-neighbour of v is v-1 mod 5
 	out := make([]uint32, 4)
-	singleWalk(g.BuildWalkTable(), rng.New(1), 3, 3, out)
+	g.BuildWalkTable().Walk(rng.New(1), 3, 3, out)
 	want := []uint32{3, 2, 1, 0}
 	for i := range want {
 		if out[i] != want[i] {
@@ -203,7 +203,7 @@ func TestSingleWalkRecordsTrajectory(t *testing.T) {
 func TestSingleWalkDeath(t *testing.T) {
 	g := graph.Path(3) // 0->1->2; vertex 0 has no in-links
 	out := make([]uint32, 5)
-	singleWalk(g.BuildWalkTable(), rng.New(1), 2, 4, out)
+	g.BuildWalkTable().Walk(rng.New(1), 2, 4, out)
 	want := []uint32{2, 1, 0, Dead, Dead}
 	for i := range want {
 		if out[i] != want[i] {

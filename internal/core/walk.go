@@ -30,11 +30,3 @@ func resetWalks(pos []uint32, u uint32) {
 func stepWalks(wt *graph.WalkTable, r *rng.Source, pos []uint32, lane []uint64) int {
 	return wt.StepWalks(r, pos, lane)
 }
-
-// singleWalk performs one walk of length T from u, recording the position
-// at every step into out (len T+1, out[0] = u; dead steps are Dead).
-//
-//lint:hotpath inner loop of query-time walk simulation
-func singleWalk(wt *graph.WalkTable, r *rng.Source, u uint32, T int, out []uint32) {
-	wt.Walk(r, u, T, out)
-}

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -139,11 +141,8 @@ func (b *Builder) N() int { return b.n }
 // but retains its edges; call Reset to clear.
 func (b *Builder) Build() *Graph {
 	// Sort by (U, V) to dedupe and produce sorted out-adjacency.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
+	slices.SortFunc(b.edges, func(x, y Edge) int {
+		return cmp.Compare(uint64(x.U)<<32|uint64(x.V), uint64(y.U)<<32|uint64(y.V))
 	})
 	dedup := b.edges[:0:len(b.edges)]
 	var last Edge

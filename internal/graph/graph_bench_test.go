@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func benchGraph(b *testing.B) *Graph {
 	b.Helper()
@@ -56,5 +59,32 @@ func BenchmarkSampleAverageDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SampleAverageDistance(g, 10, uint64(i))
+	}
+}
+
+// BenchmarkLoadEdgeList parses the text edge list of an n = 20 000 graph of
+// each family the end-to-end workloads serve, from memory, into its CSR.
+func BenchmarkLoadEdgeList(b *testing.B) {
+	for _, fx := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"web", CopyingModel(20000, 8, 0.3, 1)},
+		{"social", PreferentialAttachment(20000, 10, 0.4, 1)},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			var text bytes.Buffer
+			if err := WriteEdgeList(&text, fx.g); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(text.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadEdgeList(bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,8 +5,9 @@
 # Sequence: gofmt cleanliness, go vet (host and windows), build, full shuffled test suite,
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
-# benchmark smoke pass, a short fuzz of the walk-distribution
-# directories, the multi-shard smoke and the perf guards; the tree's size
+# benchmark smoke pass, short fuzzes of the walk-distribution
+# directories and of the edge-list parser, the multi-shard smoke and the
+# perf guards; the tree's size
 # (scripts/loc.sh) closes the log.
 set -eu
 
@@ -66,6 +67,11 @@ go test -run - -bench . -benchtime 1x ./...
 # corpus alone already runs in the test pass above.
 echo "==> fuzz smoke (FuzzWalkDistDirectory, 10s)"
 go test -run - -fuzz FuzzWalkDistDirectory -fuzztime 10s ./internal/core
+
+# Five seconds of the edge-list parser against the Scanner/Fields/ParseUint
+# parser it replaced: same verdict, same CSR.
+echo "==> fuzz smoke (FuzzReadEdgeList, 5s)"
+go test -run - -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and

@@ -121,9 +121,12 @@ type Index struct {
 	e *core.Snapshot
 }
 
-// IndexStats reports preprocess cost.
+// IndexStats reports preprocess cost. PreprocessTime is GammaTime (the
+// Algorithm 3 γ table) plus IndexTime (the Algorithm 4 candidate index).
 type IndexStats struct {
 	PreprocessTime time.Duration
+	GammaTime      time.Duration
+	IndexTime      time.Duration
 	IndexBytes     int64
 }
 
@@ -138,6 +141,8 @@ func (ix *Index) Stats() IndexStats {
 	s := ix.e.Stats()
 	return IndexStats{
 		PreprocessTime: s.GammaTime + s.IndexTime,
+		GammaTime:      s.GammaTime,
+		IndexTime:      s.IndexTime,
 		IndexBytes:     s.IndexBytes,
 	}
 }

@@ -309,7 +309,7 @@ func TestStatsAndGraphAccessors(t *testing.T) {
 		t.Fatal("Graph accessor broken")
 	}
 	st := idx.Stats()
-	if st.IndexBytes <= 0 {
+	if st.IndexBytes <= 0 || st.IndexTime <= 0 || st.PreprocessTime != st.GammaTime+st.IndexTime {
 		t.Fatalf("stats: %+v", st)
 	}
 }
