@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint loc bench bench-json
+.PHONY: check fmt vet build test race lint loc bench
 
 check: fmt vet build test race lint
 
@@ -27,7 +27,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# simlint: the thirteen determinism/concurrency rules of internal/analysis
+# simlint: the nine determinism/concurrency rules of internal/analysis
 # (DESIGN.md §7 has the table) over the whole module, in one load. Any
 # diagnostic fails the target — including a //lint:ignore directive that
 # is malformed or no longer suppresses anything. There is no debt file:
@@ -58,10 +58,3 @@ BENCH_PKGS := ./internal/core ./internal/graph ./internal/router ./internal/wire
 
 bench:
 	$(GO) test -bench $(BENCH_RE) -run - $(BENCH_PKGS)
-
-# Regenerate the committed benchmark snapshot (one proc, as every row of
-# it has been taken: the numbers are per-core costs, not scaling).
-bench-json:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench $(BENCH_RE) -run - -cpu 1 $(BENCH_PKGS) | \
-		/tmp/benchjson -meta pkg=internal/core,internal/graph,internal/router,internal/wire -o BENCH_core.json

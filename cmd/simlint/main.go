@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	simlint [-json] [-rules norand,seedmix,...] [-list] [-v] [-par N]
+//	simlint [-json] [-rules mapiter,gospawn,...] [-list] [-v] [-par N]
 //	        [-nosuppress] [-time-budget d] [packages]
 //
 // Packages are directories or "dir/..." patterns; the default is "./...".
@@ -181,7 +181,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 
 	opts := analysis.RunOptions{Mod: mod, NoSuppress: noSuppress}
 	if timing != nil {
-		opts.Now, opts.Observe = time.Now, timing.observe
+		opts.Observe = timing.observe
 	}
 	results := make([][]analysis.Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
@@ -214,9 +214,7 @@ func lintPattern(pat string, analyzers []*analysis.Analyzer, par int, verbose, n
 }
 
 // timingSink accumulates per-analyzer wall time across packages and
-// goroutines (-v only). The clock is injected into the analysis package
-// from here: internal/analysis sits inside its own norand scope and must
-// not call time.Now itself.
+// goroutines (-v only).
 type timingSink struct {
 	mu    sync.Mutex
 	total map[string]time.Duration

@@ -14,7 +14,7 @@ import (
 // to the DESIGN.md §7 inventory; this test makes that a build failure.
 func TestListRegistersAllAnalyzers(t *testing.T) {
 	want := analysis.Analyzers()
-	const expected = 13
+	const expected = 9
 	if len(want) != expected {
 		t.Fatalf("registry has %d analyzers, want %d; update this test alongside the registry", len(want), expected)
 	}
@@ -46,13 +46,14 @@ func TestListRegistersAllAnalyzers(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors pins the usage exits: a bad flag, an unknown rule,
-// and the retired baseline and audit flags all return 2 without running
-// any analysis.
+// TestRunFlagErrors pins the usage exits: a bad flag, an unknown rule
+// (a retired one included), and the retired baseline and audit flags all
+// return 2 without running any analysis.
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
 		{"-rules", "nosuchrule"},
+		{"-rules", "norand"},
 		{"-audit"},
 		{"-baseline", "x.json"},
 		{"-update-baseline"},

@@ -5,12 +5,11 @@
 //
 // The invariants exist because the engine promises byte-identical top-k
 // results for a given (graph, Params) across worker counts and runs.
-// That promise survives only if RNG streams are derived deterministically
-// (rng.Mix over structured ids, never raw xor/shift combinations), map
-// iteration order never leaks into results, scratch buffers always go
-// back to their pool, and goroutines are spawned only by the approved
-// bounded worker pools. Each rule is encoded as an Analyzer; cmd/simlint
-// is the driver and `make check` runs it over ./... as part of the gate.
+// That promise survives only if map iteration order never leaks into
+// results, scratch buffers always go back to their pool, and goroutines
+// are spawned only by the approved bounded worker pools. Each rule is
+// encoded as an Analyzer; cmd/simlint is the driver and `make check` runs
+// it over ./... as part of the gate.
 //
 // Diagnostics can be suppressed with an in-source directive on the same
 // line or the line directly above the flagged position:
@@ -86,12 +85,8 @@ type RunOptions struct {
 	// that lint whole modules should build one Module over every loaded
 	// package and share it.
 	Mod *Module
-	// Now and Observe form an optional per-analyzer timing hook: Observe
-	// is called once per analyzer with its wall-clock Run duration. The
-	// clock is injected by the caller (cmd/simlint passes time.Now)
-	// because this package sits inside its own norand scope and must not
-	// read the wall clock directly. Either may be nil to disable timing.
-	Now     func() time.Time
+	// Observe, when set, is called once per analyzer with its wall-clock
+	// Run duration.
 	Observe func(rule string, elapsed time.Duration)
 	// NoSuppress disables //lint:ignore and //lint:file-ignore
 	// processing: every raw diagnostic is returned and no directive is
@@ -120,13 +115,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnos
 			continue
 		}
 		pass := &Pass{Analyzer: a, Pkg: pkg, Mod: mod, diags: &diags}
-		var start time.Time
-		if opts.Now != nil && opts.Observe != nil {
-			start = opts.Now()
-		}
+		start := time.Now()
 		err := a.Run(pass)
-		if opts.Now != nil && opts.Observe != nil {
-			opts.Observe(a.Name, opts.Now().Sub(start))
+		if opts.Observe != nil {
+			opts.Observe(a.Name, time.Since(start))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)

@@ -11,15 +11,11 @@ import (
 // Analyzers returns the full simlint rule set in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoRand,
 		MapIter,
-		SeedMix,
 		PoolBalance,
 		GoSpawn,
-		AtomicField,
 		LockBalance,
 		CtxFlow,
-		SealWrite,
 		UnsafeConfine,
 		HotAlloc,
 		WireTaint,
@@ -52,12 +48,6 @@ func ByName(list string) ([]*Analyzer, string) {
 // testdata directory) are in every rule's scope, so rules can be
 // exercised outside the real package layout.
 var ruleScope = map[string][]string{
-	// Packages whose behaviour must be a pure function of (graph,
-	// Params): the root API package and the algorithmic internal
-	// packages. cmd/, examples/, internal/server and internal/bench
-	// exist to measure and present, so clocks are their business.
-	"norand": {"", "internal/analysis", "internal/batch", "internal/core", "internal/eval",
-		"internal/exact", "internal/fogaras", "internal/graph", "internal/rng", "internal/yu"},
 	// Every tier that owns a sync.Pool of working memory: the engine's
 	// scratches, the wire codec's frame buffers, the shard server's
 	// request scratch, the router's gathers, replies and connections.
@@ -74,8 +64,6 @@ var ruleScope = map[string][]string{
 	// engine, the HTTP layer and the scatter-gather tier (whose hedged
 	// helper must derive every attempt's context from the caller's).
 	"ctxflow": {"", "internal/core", "internal/server", "internal/router"},
-	// The package that declares Snapshot.
-	"sealwrite": {"internal/core"},
 	// The packages that handle untrusted wire input: the binary codec,
 	// the shard server (TCP listener and HTTP bodies) and the router
 	// (HTTP bodies and shard responses). Binary reads in trusted

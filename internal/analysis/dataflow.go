@@ -1,16 +1,11 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // dataflow.go holds what runs over a CFG (cfg.go): the one forward
 // worklist solver every path-sensitive analyzer uses (the lifetime engine
 // in lifetime.go, the wiretaint reporter, ctxflow's underived-context
-// flow), the assignment pairing the taint and ctx analyses share, and the
-// escape-to-goroutine fact (used by atomicfield to exempt unpublished
-// values under construction).
+// flow) and the assignment pairing the taint and ctx analyses share.
 
 // ForwardFlow solves a forward dataflow problem over the blocks of c
 // reachable from Entry and returns each visited block's entry fact.
@@ -82,29 +77,4 @@ func eachAssign(n ast.Node, fn func(lhs, rhs ast.Expr)) {
 			}
 		}
 	}
-}
-
-// GoCaptured returns every object referenced from inside a goroutine
-// spawned in body (the `go` call's arguments and, for function literals,
-// the literal's body). Anything in the set may be accessed concurrently
-// with the spawning function, so analyzers must not treat it as privately
-// owned.
-func GoCaptured(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	caps := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		ast.Inspect(gs.Call, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil {
-					caps[obj] = true
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return caps
 }

@@ -31,7 +31,7 @@ type ignoreDirective struct {
 // prefix is not followed by whitespace) return ok == false. Directives
 // return ok == true, with Malformed set when the text cannot be used:
 // fewer than two fields after the prefix, or an empty rule name in the
-// comma-separated list ("norand,," suppresses nothing cleanly).
+// comma-separated list ("gospawn,," suppresses nothing cleanly).
 func parseIgnoreDirective(text string) (d ignoreDirective, ok bool) {
 	text = strings.TrimSpace(text)
 	var rest string

@@ -10,7 +10,7 @@ import (
 // the whole file.
 func TestFileIgnore(t *testing.T) {
 	pkg := loadFixture(t, "fileignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
+	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestFileIgnore(t *testing.T) {
 // itself reported under the "lint" pseudo-rule.
 func TestMalformedDirective(t *testing.T) {
 	pkg := loadFixture(t, "malformed")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
+	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMalformedDirective(t *testing.T) {
 // as stale, at the directive's own position.
 func TestAuditStaleDirectives(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand, SeedMix}, RunOptions{})
+	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn, UnsafeConfine}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,29 +53,29 @@ func TestAuditStaleDirectives(t *testing.T) {
 			t.Fatalf("unexpected diagnostic: %v", d)
 		}
 	}
-	if !strings.Contains(diags[0].Message, "seedmix") || !strings.Contains(diags[0].Message, "file-ignore") {
-		t.Errorf("first diagnostic should be the stale file-wide seedmix directive: %v", diags[0])
+	if !strings.Contains(diags[0].Message, "unsafeconfine") || !strings.Contains(diags[0].Message, "file-ignore") {
+		t.Errorf("first diagnostic should be the stale file-wide unsafeconfine directive: %v", diags[0])
 	}
-	if !strings.Contains(diags[1].Message, "norand") || !strings.Contains(diags[1].Message, "next line") {
-		t.Errorf("second diagnostic should be the stale line norand directive: %v", diags[1])
+	if !strings.Contains(diags[1].Message, "gospawn") || !strings.Contains(diags[1].Message, "next line") {
+		t.Errorf("second diagnostic should be the stale line gospawn directive: %v", diags[1])
 	}
 }
 
 // TestAuditScopedToEnabledRules checks that a run with a rule subset only
-// judges directives for rules that ran: the stale file-wide seedmix
-// directive must not be reported when seedmix was not among the
-// analyzers, while the genuinely stale norand directive still is.
+// judges directives for rules that ran: the stale file-wide unsafeconfine
+// directive must not be reported when unsafeconfine was not among the
+// analyzers, while the genuinely stale gospawn directive still is.
 func TestAuditScopedToEnabledRules(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
+	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want only the stale norand directive: %v", len(diags), diags)
+		t.Fatalf("got %d diagnostics, want only the stale gospawn directive: %v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Message, "norand") {
-		t.Errorf("diagnostic should be the stale line norand directive: %v", diags[0])
+	if !strings.Contains(diags[0].Message, "gospawn") {
+		t.Errorf("diagnostic should be the stale line gospawn directive: %v", diags[0])
 	}
 }
 
@@ -83,7 +83,7 @@ func TestAuditScopedToEnabledRules(t *testing.T) {
 // whose only directive still suppresses a live finding.
 func TestAuditQuietWhenLive(t *testing.T) {
 	pkg := loadFixture(t, "fileignore")
-	diags, err := RunPackage(pkg, []*Analyzer{NoRand}, RunOptions{})
+	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,23 +96,23 @@ func TestAuditQuietWhenLive(t *testing.T) {
 // line and line-above suppress, two lines above does not.
 func TestIgnoreIndexPlacement(t *testing.T) {
 	idx := &ignoreIndex{directives: []placedDirective{{
-		ignoreDirective{Rules: []string{"norand"}},
+		ignoreDirective{Rules: []string{"gospawn"}},
 		token.Position{Filename: "f.go", Line: 10},
 	}}}
 	suppressed := func(line int, rule string) bool {
 		kept, _ := idx.filter([]Diagnostic{{Rule: rule, File: "f.go", Line: line}}, nil)
 		return len(kept) == 0
 	}
-	if !suppressed(10, "norand") {
+	if !suppressed(10, "gospawn") {
 		t.Error("same-line directive must suppress")
 	}
-	if !suppressed(11, "norand") {
+	if !suppressed(11, "gospawn") {
 		t.Error("line-above directive must suppress")
 	}
-	if suppressed(12, "norand") {
+	if suppressed(12, "gospawn") {
 		t.Error("directive two lines up must not suppress")
 	}
-	if suppressed(10, "seedmix") {
+	if suppressed(10, "mapiter") {
 		t.Error("other rules must not be suppressed")
 	}
 }

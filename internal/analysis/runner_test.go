@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -33,6 +34,20 @@ func loadFixtureModule(t *testing.T, name string) (*Package, *Loader) {
 		t.Fatalf("fixture %s has type errors: %v", name, te)
 	}
 	return pkg, loader
+}
+
+// fixtureFunc returns the named top-level function of a fixture package.
+func fixtureFunc(t *testing.T, pkg *Package, name string) *ast.FuncDecl {
+	t.Helper()
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
+				return fd
+			}
+		}
+	}
+	t.Fatalf("function %s not found in fixture", name)
+	return nil
 }
 
 var wantRE = regexp.MustCompile(`// want (".*")\s*$`)

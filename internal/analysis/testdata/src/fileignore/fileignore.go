@@ -2,10 +2,10 @@
 // covers every finding of one rule in the file.
 package fileignoretest
 
-//lint:file-ignore norand fixture: this whole file is timing-only
+//lint:file-ignore gospawn fixture: every goroutine in this file is a test shim
 
-import "time"
+func a() { go b() }
 
-func a() time.Time { return time.Now() }
-
-func b() time.Duration { return time.Since(time.Now()) }
+func b() {
+	go func() {}()
+}

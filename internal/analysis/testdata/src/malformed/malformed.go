@@ -2,5 +2,5 @@
 // no reason is itself a finding.
 package malformedtest
 
-//lint:ignore norand
+//lint:ignore gospawn
 func f() {}

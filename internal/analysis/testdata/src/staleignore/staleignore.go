@@ -4,16 +4,14 @@
 // directive for a rule with no finding anywhere in the file.
 package staleignore
 
-import "time"
+//lint:file-ignore unsafeconfine nothing in this file imports unsafe at all
 
-//lint:file-ignore seedmix nothing in this file derives seeds at all
-
-func live() time.Time {
-	//lint:ignore norand fixture keeps a live finding under suppression
-	return time.Now()
+func live() {
+	//lint:ignore gospawn fixture keeps a live finding under suppression
+	go live()
 }
 
 func quiet() int {
-	//lint:ignore norand this directive went stale when the time.Now call below was removed
+	//lint:ignore gospawn this directive went stale when the go statement below was removed
 	return 42
 }

@@ -127,8 +127,10 @@ type Params struct {
 	PrologBytes int64
 	// Seed makes every Monte-Carlo component deterministic.
 	Seed uint64
-	// Workers bounds preprocess and all-pairs parallelism.
-	// 0 means GOMAXPROCS.
+	// Workers bounds parallelism: the preprocess and all-pairs modes
+	// shard vertices over this many goroutines, and one query (TopK,
+	// Similar, a shard scan) fans its candidate scoring out over as many.
+	// Results are identical for any value. 0 means GOMAXPROCS.
 	Workers int
 }
 

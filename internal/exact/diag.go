@@ -2,6 +2,7 @@ package exact
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -77,33 +78,52 @@ func ExactDiagonalSparse(g *graph.Graph, c float64, opts DiagOptions) (d []float
 	// targets are too large to cache n·T sparse vectors).
 	md := make([]float64, n)    // M·d
 	mdiag := make([]float64, n) // M[u][u]
-	applyRow := func(u int, dVec []float64) (rowDot, diagCoef float64) {
+	// walk is one worker's dense step vectors: cur and next hold a walk
+	// distribution, curIDs its support in ascending vertex order, so every
+	// sum runs in one fixed order whatever the worker count. Masses are
+	// positive, so a zero entry of next is one not yet touched this step.
+	type walk struct {
+		cur, next       []float64
+		curIDs, nextIDs []uint32
+	}
+	newWalk := func() *walk { return &walk{cur: make([]float64, n), next: make([]float64, n)} }
+	applyRow := func(s *walk, u int, dVec []float64) (rowDot, diagCoef float64) {
 		// x₀ = e_u.
-		cur := map[uint32]float64{uint32(u): 1}
+		s.cur[u], s.curIDs = 1, append(s.curIDs[:0], uint32(u))
 		rowDot = dVec[u] // t = 0 term: x₀(u)² · d_u
 		diagCoef = 1
 		ct := 1.0
-		for t := 1; t < opts.T && len(cur) > 0; t++ {
+		for t := 1; t < opts.T && len(s.curIDs) > 0; t++ {
 			ct *= c
-			next := make(map[uint32]float64, len(cur)*2)
-			for w, mass := range cur {
+			s.nextIDs = s.nextIDs[:0]
+			for _, w := range s.curIDs {
+				mass := s.cur[w]
+				s.cur[w] = 0
 				in := g.In(w)
 				if len(in) == 0 {
 					continue
 				}
 				share := mass / float64(len(in))
 				for _, x := range in {
-					next[x] += share
+					if s.next[x] == 0 {
+						s.nextIDs = append(s.nextIDs, x)
+					}
+					s.next[x] += share
 				}
 			}
-			cur = next
-			for w, mass := range cur {
-				contrib := ct * mass * mass
+			slices.Sort(s.nextIDs)
+			s.cur, s.next = s.next, s.cur
+			s.curIDs, s.nextIDs = s.nextIDs, s.curIDs
+			for _, w := range s.curIDs {
+				contrib := ct * s.cur[w] * s.cur[w]
 				rowDot += contrib * dVec[w]
 				if int(w) == u {
 					diagCoef += contrib
 				}
 			}
+		}
+		for _, w := range s.curIDs {
+			s.cur[w] = 0
 		}
 		return rowDot, diagCoef
 	}
@@ -115,8 +135,9 @@ func ExactDiagonalSparse(g *graph.Graph, c float64, opts DiagOptions) (d []float
 			workers = n
 		}
 		if workers <= 1 {
+			s := newWalk()
 			for u := 0; u < n; u++ {
-				md[u], mdiag[u] = applyRow(u, dVec)
+				md[u], mdiag[u] = applyRow(s, u, dVec)
 			}
 			return
 		}
@@ -124,8 +145,9 @@ func ExactDiagonalSparse(g *graph.Graph, c float64, opts DiagOptions) (d []float
 			wg.Add(1)
 			go func(shard int) {
 				defer wg.Done()
+				s := newWalk()
 				for u := shard; u < n; u += workers {
-					md[u], mdiag[u] = applyRow(u, dVec)
+					md[u], mdiag[u] = applyRow(s, u, dVec)
 				}
 			}(w)
 		}

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -103,6 +104,35 @@ func TestExactDiagonalSparseDangling(t *testing.T) {
 	for v := 1; v < 5; v++ {
 		if math.Abs(sparse[v]-1) > 1e-9 {
 			t.Fatalf("leaf D[%d] = %v, want 1", v, sparse[v])
+		}
+	}
+}
+
+// TestExactOraclesReproducible: the exact oracles are reference values,
+// so a rerun reproduces them bit for bit, whatever the worker count.
+func TestExactOraclesReproducible(t *testing.T) {
+	g := graph.PreferentialAttachment(200, 3, 0.5, 7)
+	diag := func(workers int) []float64 {
+		d, _, _, err := ExactDiagonalSparse(g, 0.6, DiagOptions{T: 6, MaxIters: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	pairs := func() []float64 {
+		var s []float64
+		for v := uint32(1); v <= 12; v++ {
+			s = append(s, SinglePairSurfer(g, 0.6, 4, 0, v))
+		}
+		return s
+	}
+	wantD, wantS := diag(1), pairs()
+	for run := 0; run < 3; run++ {
+		if d := diag(1 + run%2); !slices.Equal(d, wantD) {
+			t.Fatalf("run %d: ExactDiagonalSparse differs from the first run", run)
+		}
+		if s := pairs(); !slices.Equal(s, wantS) {
+			t.Fatalf("run %d: SinglePairSurfer differs from the first run", run)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package exact
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // SinglePairSurfer computes the *converged* SimRank score s(u, v) for one
 // pair deterministically, by dynamic programming on the random
@@ -19,28 +23,34 @@ func SinglePairSurfer(g *graph.Graph, c float64, T int, u, v uint32) float64 {
 	if u == v {
 		return 1
 	}
-	type pair struct{ a, b uint32 }
-	// cur holds P{walks at (a,b) at step t, never met so far}.
-	cur := map[pair]float64{{u, v}: 1}
+	// cur holds P{walks at (a,b) at step t, never met so far}, keyed
+	// a<<32|b and walked in ascending key order, so every sum runs in one
+	// fixed order.
+	cur := map[uint64]float64{uint64(u)<<32 | uint64(v): 1}
 	score := 0.0
 	ct := 1.0
 	for t := 1; t <= T && len(cur) > 0; t++ {
 		ct *= c
-		next := make(map[pair]float64, len(cur))
-		for p, mass := range cur {
-			inA := g.In(p.a)
-			inB := g.In(p.b)
+		next := make(map[uint64]float64, len(cur))
+		keys := make([]uint64, 0, len(cur))
+		for p := range cur {
+			keys = append(keys, p)
+		}
+		slices.Sort(keys)
+		for _, p := range keys {
+			inA := g.In(uint32(p >> 32))
+			inB := g.In(uint32(p))
 			if len(inA) == 0 || len(inB) == 0 {
 				continue // one walk dies: the pair never meets
 			}
-			share := mass / float64(len(inA)*len(inB))
+			share := cur[p] / float64(len(inA)*len(inB))
 			for _, x := range inA {
 				for _, y := range inB {
 					if x == y {
 						score += ct * share // first meeting at step t
 						continue
 					}
-					next[pair{x, y}] += share
+					next[uint64(x)<<32|uint64(y)] += share
 				}
 			}
 		}

@@ -87,7 +87,6 @@ func Build(g *graph.Graph, p Params) (*Index, error) {
 	if p.MemoryBudget > 0 && need > p.MemoryBudget {
 		return nil, &ErrMemoryBudget{Need: need, Budget: p.MemoryBudget}
 	}
-	//lint:ignore norand PreprocessTime is a reported statistic, never an algorithm input
 	start := time.Now()
 	n := g.N()
 	idx := &Index{g: g, p: p, paths: make([]uint32, n*p.R*p.T)}
@@ -107,7 +106,6 @@ func Build(g *graph.Graph, p Params) (*Index, error) {
 		}
 	}
 	idx.buildGroups()
-	//lint:ignore norand see above: timing is reporting-only
 	idx.PreprocessTime = time.Since(start)
 	return idx, nil
 }

@@ -45,6 +45,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,6 +163,7 @@ func New(cfg Config) *Router {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
 	}
+	cfg.Shards = slices.Clone(cfg.Shards)
 	for i, a := range cfg.Shards {
 		cfg.Shards[i] = strings.TrimRight(a, "/")
 	}

@@ -753,3 +753,35 @@ func BenchmarkRouterTopKBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestRouterNewKeepsCallerShards: New trims trailing slashes off its own
+// copy of the shard list; the caller's Config.Shards is left as given.
+func TestRouterNewKeepsCallerShards(t *testing.T) {
+	shards := []string{"http://127.0.0.1:1/", "http://127.0.0.1:2//"}
+	New(Config{Shards: shards})
+	if shards[0] != "http://127.0.0.1:1/" || shards[1] != "http://127.0.0.1:2//" {
+		t.Fatalf("New rewrote the caller's shard list: %q", shards)
+	}
+}
+
+// TestRouterTopKAllocs bounds the heap allocations of one routed /topk
+// over the loopback 3-shard topology on the binary TCP wire: router,
+// wire codec and the in-process shards together, counted by the
+// allocator, so it gates on any machine however noisy its clock. The
+// bound is twice the 67 allocations measured when the test was written
+// (go1.24 linux/amd64, 2 vCPUs; 105 under -race).
+func TestRouterTopKAllocs(t *testing.T) {
+	rt, _ := loopback(t, buildIndex(t), 3, Config{})
+	req := httptest.NewRequest(http.MethodGet, "/topk?u=42&k=20", nil)
+	allocs := testing.AllocsPerRun(50, func() {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+	})
+	const bound = 2 * 67
+	if allocs > bound {
+		t.Fatalf("%.1f allocations per routed /topk, over the bound of %d", allocs, bound)
+	}
+}

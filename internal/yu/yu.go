@@ -61,10 +61,8 @@ func AllPairs(g *graph.Graph, p Params) (*Result, error) {
 	if p.MemoryBudget > 0 && need > p.MemoryBudget {
 		return nil, &ErrMemoryBudget{Need: need, Budget: p.MemoryBudget}
 	}
-	//lint:ignore norand Elapsed is a reported preprocess statistic, never an algorithm input
 	start := time.Now()
 	s := exact.PartialSumsAllPairs(g, p.C, p.T)
-	//lint:ignore norand see above: timing is reporting-only
 	return &Result{S: s, Bytes: need, Elapsed: time.Since(start)}, nil
 }
 

@@ -6,9 +6,8 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
-# directories and of the edge-list parser, the multi-shard smoke and the
-# perf guards; the tree's size
-# (scripts/loc.sh) closes the log.
+# directories and of the edge-list parser and the multi-shard smoke; the
+# tree's size (scripts/loc.sh) closes the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,10 +49,10 @@ go test -race -count=1 ./internal/router/... ./internal/wire/...
 # directive: a finding fails the gate, and so does a suppression that is
 # malformed or stale (its rule ran and it suppresses nothing — rot that
 # would silently excuse the next real violation on that line). The
-# wall-clock budget is benchguard-shaped, for the linter itself: 10s is
-# ~4x the measured ~2.3s (nearly all of it loading and type-checking the
-# module; every analyzer is under 10ms), so blowing it means a
-# fixed-point loop or the call-graph build regressed.
+# wall-clock budget is for the linter itself: 10s is ~4x the measured
+# ~2.3s (nearly all of it loading and type-checking the module; every
+# analyzer is under 10ms), so blowing it means a fixed-point loop or the
+# call-graph build regressed.
 echo "==> simlint ./..."
 go run ./cmd/simlint -time-budget 10s ./...
 
@@ -131,32 +130,6 @@ smoke_diff http://127.0.0.1:19484 "binary wire" bin "$smoketmp/router.log"
 smoke_diff http://127.0.0.1:19487 "forced JSON" json "$smoketmp/router-json.log"
 smoke_cleanup
 trap - EXIT
-
-# Walk-kernel perf guard: a short measured run of BenchmarkWalkStep must
-# stay within 2x of the committed BENCH_core.json snapshot, so losing
-# the alias-kernel optimizations (or reintroducing an allocation that
-# shows up as time) fails the gate. Skipped on small machines — below 4
-# CPUs, scheduler noise regularly exceeds the 2x signal.
-echo "==> walk-kernel perf guard"
-cpus="$(nproc 2>/dev/null || echo 1)"
-if [ "$cpus" -lt 4 ]; then
-	echo "skipped: $cpus CPU(s) < 4, too noisy to gate on"
-else
-	go test -run - -bench 'WalkStep$' -benchtime 100x ./internal/core | \
-		go run ./cmd/benchguard -baseline BENCH_core.json -name BenchmarkWalkStep -max-ratio 2
-fi
-
-# Serving-path perf guard: a routed /topk over the loopback topology must
-# stay within 2x of the committed snapshot, so regressing the binary wire
-# fast path (or reintroducing per-query allocation in the scatter-gather)
-# fails the gate. Same small-machine skip as above.
-echo "==> router perf guard"
-if [ "$cpus" -lt 4 ]; then
-	echo "skipped: $cpus CPU(s) < 4, too noisy to gate on"
-else
-	go test -run - -bench 'RouterTopK$' -benchtime 50x ./internal/router | \
-		go run ./cmd/benchguard -baseline BENCH_core.json -name BenchmarkRouterTopK -max-ratio 2
-fi
 
 echo "==> non-test Go lines (make loc)"
 sh scripts/loc.sh
