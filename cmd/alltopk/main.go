@@ -63,25 +63,18 @@ func main() {
 	eng := core.Build(g.Internal(), p)
 	log.Printf("preprocess: %v", time.Since(start).Round(time.Millisecond))
 
-	done := map[uint32]bool{}
+	var (
+		f    *os.File
+		done map[uint32]bool
+	)
 	if *resume {
-		if f, err := os.Open(*out); err == nil {
-			done, err = batch.ScanCompleted(f)
-			f.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
+		f, done, err = batch.Resume(*out)
+		if err == nil {
 			log.Printf("resuming: %d vertices already done", len(done))
 		}
-	}
-
-	flags := os.O_CREATE | os.O_WRONLY
-	if *resume {
-		flags |= os.O_APPEND
 	} else {
-		flags |= os.O_TRUNC
+		f, err = os.Create(*out)
 	}
-	f, err := os.OpenFile(*out, flags, 0o644)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,6 @@ func main() {
 	cols := flag.Int("cols", 100, "grid cols")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	out := flag.String("o", "", "output file (default stdout)")
-	format := flag.String("format", "text", "output format: text (edge list) or binary")
 	stats := flag.Bool("stats", false, "print structural statistics to stderr")
 	flag.Parse()
 
@@ -48,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, st)
 	}
 
-	if err := writeGraph(g, *out, *format); err != nil {
+	if err := writeGraph(g, *out); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {
@@ -82,25 +81,11 @@ func buildGraph(dataset string, scale float64, kind string, n, m, k int, p float
 	}
 }
 
-// writeGraph writes g to path (or stdout) in the requested format.
-func writeGraph(g *graph.Graph, path, format string) error {
-	var w *os.File
+// writeGraph writes g as an edge list to path, or to stdout when path is
+// empty.
+func writeGraph(g *graph.Graph, path string) error {
 	if path == "" {
-		w = os.Stdout
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+		return graph.WriteEdgeList(os.Stdout, g)
 	}
-	switch format {
-	case "text":
-		return graph.WriteEdgeList(w, g)
-	case "binary":
-		return graph.WriteBinary(w, g)
-	default:
-		return fmt.Errorf("unknown format %q (want text or binary)", format)
-	}
+	return graph.SaveEdgeListFile(path, g)
 }

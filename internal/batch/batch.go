@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -110,22 +111,25 @@ func writeLine(w *bufio.Writer, u uint32, res []core.Scored) error {
 }
 
 // ScanCompleted reads a previous (possibly truncated) output file and
-// returns the set of vertices it already covers, enabling resume. Only
-// newline-terminated lines count: the torn final line of a crashed run
-// lacks its terminator (and could otherwise still parse, e.g. a score cut
-// mid-digits). Unparseable terminated lines are also skipped.
-func ScanCompleted(r io.Reader) (map[uint32]bool, error) {
+// returns the set of vertices it already covers, enabling resume, and
+// the length of its newline-terminated prefix. Only terminated lines
+// count: the torn final line of a crashed run lacks its terminator (and
+// could otherwise still parse, e.g. a score cut mid-digits). Unparseable
+// terminated lines are also skipped.
+func ScanCompleted(r io.Reader) (map[uint32]bool, int64, error) {
 	done := make(map[uint32]bool)
+	var complete int64
 	br := bufio.NewReader(r)
 	for {
 		line, err := br.ReadString('\n')
 		if err == io.EOF {
 			// line holds a fragment with no terminator: torn, skip.
-			return done, nil
+			return done, complete, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("batch: scanning previous output: %w", err)
+			return nil, 0, fmt.Errorf("batch: scanning previous output: %w", err)
 		}
+		complete += int64(len(line))
 		line = strings.TrimSuffix(line, "\n")
 		if line == "" {
 			continue
@@ -140,6 +144,27 @@ func ScanCompleted(r io.Reader) (map[uint32]bool, error) {
 		}
 		done[uint32(v)] = true
 	}
+}
+
+// Resume opens the output at path to continue a job that stopped part
+// way: it returns the vertices already covered (ScanCompleted) and the
+// file, cut back to its last complete line and set to append, so the
+// first resumed line never continues a crashed run's torn last line. A
+// missing file is created and resumes from nothing.
+func Resume(path string) (*os.File, map[uint32]bool, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	done, complete, err := ScanCompleted(f)
+	if err == nil {
+		err = f.Truncate(complete)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, done, nil
 }
 
 // validEntries reports whether every tab-separated field parses as

@@ -2,6 +2,8 @@ package batch
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,12 +92,12 @@ func TestRunResume(t *testing.T) {
 	// Simulate a crash: keep the first 40 lines plus a torn 41st.
 	lines := strings.SplitAfter(first.String(), "\n")
 	partial := strings.Join(lines[:40], "") + lines[40][:len(lines[40])/2]
-	done, err := ScanCompleted(strings.NewReader(partial))
+	done, complete, err := ScanCompleted(strings.NewReader(partial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 40 {
-		t.Fatalf("scan found %d completed, want 40", len(done))
+	if len(done) != 40 || complete != int64(len(strings.Join(lines[:40], ""))) {
+		t.Fatalf("scan found %d completed in %d bytes, want 40 lines", len(done), complete)
 	}
 	var rest bytes.Buffer
 	processed, err := Run(Job{Engine: e, K: 5, Done: done}, &rest)
@@ -120,6 +122,52 @@ func TestRunResume(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("combined output covers %d of %d", len(seen), n)
+	}
+}
+
+// TestResumeTornOutput: resuming an output cut anywhere — mid-line
+// included, where the torn vertex id would otherwise prefix the first
+// resumed line — must leave exactly a fresh run's bytes, and a second
+// resume must find every vertex done.
+func TestResumeTornOutput(t *testing.T) {
+	e := batchEngine(t)
+	var fresh bytes.Buffer
+	if _, err := Run(Job{Engine: e, K: 5}, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(fresh.String(), "\n")
+	tenLines := len(strings.Join(lines[:10], ""))
+	for _, cut := range []int{0, 1, tenLines, tenLines + 1, tenLines + len(lines[10]) - 1, fresh.Len()} {
+		path := filepath.Join(t.TempDir(), "topk.tsv")
+		if err := os.WriteFile(path, fresh.Bytes()[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, done, err := Resume(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(Job{Engine: e, K: 5, Done: done}, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fresh.Bytes()) {
+			t.Fatalf("cut at byte %d: resumed output differs from a fresh run", cut)
+		}
+		f, done, err = Resume(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if len(done) != e.Graph().N() {
+			t.Fatalf("cut at byte %d: second resume finds %d of %d vertices done", cut, len(done), e.Graph().N())
+		}
 	}
 }
 
@@ -152,9 +200,12 @@ func TestProgressCallback(t *testing.T) {
 
 func TestScanCompletedGarbage(t *testing.T) {
 	in := "5\t1:0.5\nnot a line\n7\t2:0.25\t3:bad\n9\n"
-	done, err := ScanCompleted(strings.NewReader(in))
+	done, complete, err := ScanCompleted(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if complete != int64(len(in)) {
+		t.Fatalf("complete prefix %d bytes, want all %d", complete, len(in))
 	}
 	if !done[5] || !done[9] {
 		t.Fatalf("valid lines missed: %v", done)

@@ -45,7 +45,7 @@ func (e *Engine) computeGammaInto(v uint32, R int, r *rng.Source, s *scratch, ou
 	invR2 := 1.0 / (float64(R) * float64(R))
 	for t := 0; t < e.p.T; t++ {
 		if t > 0 {
-			stepWalks(e.wt, r, pos, lane)
+			e.wt.StepWalks(r, pos, lane)
 		}
 		pos = s.tallyLive(pos)
 		// Σ_w D_ww·c_w² accumulated in walk-slice order (each walk at w
@@ -343,7 +343,7 @@ func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int,
 	resetWalks(pos, u)
 	for t := 0; t < T; t++ {
 		if t > 0 {
-			stepWalks(e.wt, r, pos, lane)
+			e.wt.StepWalks(r, pos, lane)
 		}
 		if pos = s.tallyLive(pos); len(pos) == 0 {
 			break // all walks dead; remaining steps stay empty

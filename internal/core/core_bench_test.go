@@ -220,7 +220,7 @@ func BenchmarkWalkStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if stepWalks(e.wt, r, pos, lane) == 0 {
+		if e.wt.StepWalks(r, pos, lane) == 0 {
 			resetWalks(pos, 42)
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // image (LoadIndexMmap over a page-aligned copy in a file) any input may
 // be rejected and none may panic; mapped payloads are not verified, by
 // design, so what loads is not queried. Its seeds are the fixture's own
-// four followed by FuzzSectionDirectory's three.
+// four, the fixture re-laid with the retired alias-slot sections, and
+// FuzzSectionDirectory's three.
 func FuzzLoadIndex(f *testing.F) {
 	g, p := loaderFixture()
 	var valid bytes.Buffer
@@ -34,6 +35,7 @@ func FuzzLoadIndex(f *testing.F) {
 		flipped[33] ^= 0xff
 	}
 	f.Add(flipped)
+	f.Add(withRetiredAliasSections(f, valid.Bytes()))
 	addDirectorySeeds(f)
 	f.Fuzz(func(t *testing.T, input []byte) { loadAtBothLevels(t, g, p, input) })
 }

@@ -35,7 +35,6 @@ var hotpathKernels = []string{
 	"core.scoreLanes",
 	"core.setRankSupport",
 	"core.simulateCandWalks",
-	"core.stepWalks",
 	"graph.StepWalks",
 	"graph.WalkLanes",
 }
@@ -59,14 +58,13 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		}
 	}
 
-	// stepWalks covers graph.StepWalks (it is a thin wrapper over it).
 	pos := s.walkBuf(R)
 	lane := s.laneBuf(R)
-	check("stepWalks", 50, func() {
+	check("graph.StepWalks", 50, func() {
 		resetWalks(pos, u)
 		s.rng.Seed(e.candSeed(u))
 		for t := 1; t < T; t++ {
-			stepWalks(e.wt, &s.rng, pos, lane)
+			e.wt.StepWalks(&s.rng, pos, lane)
 		}
 	})
 

@@ -121,29 +121,3 @@ func TestLoadIndexMmapRejectsCorruption(t *testing.T) {
 		t.Fatal("mmap load succeeded with mismatched T")
 	}
 }
-
-func TestLoadIndexMmapAliasSlots(t *testing.T) {
-	g := graph.CopyingModel(80, 3, 0.3, 5)
-	p := DefaultParams()
-	p.Workers = 1
-	e := Build(g, p)
-	prob, alias := testAliasSlots(g.M())
-	if err := e.wt.AdoptSlots(prob, alias); err != nil {
-		t.Fatal(err)
-	}
-	path := writeIndexFile(t, e)
-	em, closer, err := LoadIndexMmap(path, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	p2, a2 := em.wt.Slots()
-	if p2 == nil {
-		t.Fatal("mapped walk table lost its alias slots")
-	}
-	for i := range prob {
-		if p2[i] != prob[i] || a2[i] != alias[i] {
-			t.Fatalf("slot %d: got (%#x,%d), want (%#x,%d)", i, p2[i], a2[i], prob[i], alias[i])
-		}
-	}
-}

@@ -11,8 +11,8 @@ import (
 )
 
 // LoadIndexMmap memory-maps a version-3 index file and serves the
-// snapshot's arrays — graph CSR, γ table, candidate index, alias
-// slots — directly from the mapping, with zero payload copies. The
+// snapshot's arrays — graph CSR, γ table, candidate index — directly
+// from the mapping, with zero payload copies. The
 // graph itself is reconstructed from the embedded CSR, so cold start is
 // O(header + n) regardless of file size: the header and directory CRC
 // are verified, the offset arrays get their structural scan, and the

@@ -19,11 +19,11 @@ import (
 //
 // Version 3 (current) is a sectioned, page-aligned container designed
 // for zero-copy loads: every array the snapshot serves from — the
-// graph's in/out CSR, the γ table, the candidate index's four CSR
-// arrays, and the walk table's alias slots — is stored as a flat
-// little-endian section aligned to persistPageSize, so a loader may
-// either read the file into memory or mmap it and serve straight from
-// the mapping (see LoadIndexMmap). Layout:
+// graph's in/out CSR, the γ table and the candidate index's four CSR
+// arrays — is stored as a flat little-endian section aligned to
+// persistPageSize, so a loader may either read the file into memory or
+// mmap it and serve straight from the mapping (see LoadIndexMmap).
+// Layout:
 //
 //	header (48 bytes):
 //	  magic uint32 | version uint32 | n uint32 | T uint32
@@ -67,15 +67,13 @@ const (
 	secRightAdj
 	secLeftStart
 	secLeftAdj
-	secAliasProb
-	secAliasAlias
+	// 10 and 11 held a weighted walk table's alias slots; never reuse them.
 )
 
 // sectionNames names the section kinds in load errors.
 var sectionNames = map[uint32]string{
 	secInStart: "in-offset", secInAdj: "in-adjacency", secOutStart: "out-offset", secOutAdj: "out-adjacency",
 	secRightStart: "right-offset", secRightAdj: "right-adjacency", secLeftStart: "left-offset", secLeftAdj: "left-adjacency",
-	secAliasAlias: "alias-redirect",
 }
 
 // persistHeader is the fixed 48-byte v3 header.
@@ -161,14 +159,11 @@ func (e *Snapshot) sectionPlan() []persistPlan {
 			words(secRightStart, e.idx.rightStart), words(secRightAdj, e.idx.rightAdj),
 			words(secLeftStart, e.idx.leftStart), words(secLeftAdj, e.idx.leftAdj))
 	}
-	if prob, alias := e.wt.Slots(); prob != nil {
-		plan = append(plan, words(secAliasProb, prob), words(secAliasAlias, alias))
-	}
 	return plan
 }
 
-// SaveIndex writes the snapshot — graph CSR, preprocess results, and
-// walk-table slots — as a version-3 sectioned index file.
+// SaveIndex writes the snapshot — graph CSR and preprocess results — as
+// a version-3 sectioned index file.
 func (e *Snapshot) SaveIndex(w io.Writer) error {
 	plan := e.sectionPlan()
 
@@ -359,9 +354,6 @@ func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []fl
 	if _, ok := secs[secRightStart]; ok {
 		need = append(need, secRightAdj, secLeftStart, secLeftAdj)
 	}
-	if _, ok := secs[secAliasProb]; ok {
-		need = append(need, secAliasAlias)
-	}
 	for _, kind := range need {
 		if _, ok := secs[kind]; !ok {
 			return nil, fmt.Errorf("core: corrupt index: missing %s section", sectionNames[kind])
@@ -429,11 +421,6 @@ func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []fl
 		}
 		e.idx = idx
 	}
-	if _, ok := secs[secAliasProb]; ok {
-		if err := e.wt.AdoptSlots(section(secAliasProb), section(secAliasAlias)); err != nil {
-			return nil, fmt.Errorf("core: adopting alias slots: %w", err)
-		}
-	}
 	e.finishLoad()
 	return e, nil
 }
@@ -468,7 +455,7 @@ func checkSectionCount(d persistSection, n, T, m int) error {
 	switch d.Kind {
 	case secInStart, secOutStart, secRightStart, secLeftStart:
 		want = uint64(n) + 1
-	case secInAdj, secOutAdj, secAliasProb, secAliasAlias:
+	case secInAdj, secOutAdj:
 		want = uint64(m)
 	case secGamma:
 		want = uint64(n) * uint64(T)

@@ -138,7 +138,7 @@ func (s *scratch) tallyCount(v uint32) {
 }
 
 // tallyLive starts a fresh tally of the live walks in pos and returns pos
-// compacted to them, order kept. A step batch (stepWalks) draws for live
+// compacted to them, order kept. A step batch (graph.StepWalks) draws for live
 // walks only, in slice order, so dropping the dead ones changes no draw
 // and no position — most web walks are dead after two or three steps, and
 // the later steps then neither gather nor test them.

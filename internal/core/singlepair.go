@@ -50,8 +50,8 @@ func (e *Snapshot) singlePairR(u, v uint32, R int, r *rng.Source, s *scratch) fl
 	aliveU, aliveV := R, R
 	for t := 0; t < e.p.T; t++ {
 		if t > 0 {
-			aliveU = stepWalks(e.wt, r, upos, lane)
-			aliveV = stepWalks(e.wt, r, vpos, lane)
+			aliveU = e.wt.StepWalks(r, upos, lane)
+			aliveV = e.wt.StepWalks(r, vpos, lane)
 			ct *= e.p.C
 		}
 		if aliveU == 0 || aliveV == 0 {

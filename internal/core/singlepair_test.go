@@ -162,10 +162,10 @@ func TestWalkDeath(t *testing.T) {
 	pos := make([]uint32, 10)
 	lane := make([]uint64, 2*len(pos))
 	resetWalks(pos, 0)
-	if alive := stepWalks(wt, r, pos, lane); alive != 10 { // hub -> some leaf
+	if alive := wt.StepWalks(r, pos, lane); alive != 10 { // hub -> some leaf
 		t.Fatalf("after 1 step alive = %d", alive)
 	}
-	if alive := stepWalks(wt, r, pos, lane); alive != 0 { // leaves have no in-links
+	if alive := wt.StepWalks(r, pos, lane); alive != 0 { // leaves have no in-links
 		t.Fatalf("after 2 steps alive = %d", alive)
 	}
 	for _, p := range pos {
@@ -179,7 +179,7 @@ func TestWalkReset(t *testing.T) {
 	g := graph.Cycle(5)
 	pos := make([]uint32, 4)
 	resetWalks(pos, 2)
-	stepWalks(g.BuildWalkTable(), rng.New(1), pos, make([]uint64, 2*len(pos)))
+	g.BuildWalkTable().StepWalks(rng.New(1), pos, make([]uint64, 2*len(pos)))
 	resetWalks(pos, 3)
 	for _, p := range pos {
 		if p != 3 {
@@ -191,7 +191,8 @@ func TestWalkReset(t *testing.T) {
 func TestSingleWalkRecordsTrajectory(t *testing.T) {
 	g := graph.Cycle(5) // in-neighbour of v is v-1 mod 5
 	out := make([]uint32, 4)
-	g.BuildWalkTable().Walk(rng.New(1), 3, 3, out)
+	out[0] = 3
+	g.BuildWalkTable().WalkStrided(rng.New(1), 3, 3, 1, out)
 	want := []uint32{3, 2, 1, 0}
 	for i := range want {
 		if out[i] != want[i] {
@@ -203,7 +204,8 @@ func TestSingleWalkRecordsTrajectory(t *testing.T) {
 func TestSingleWalkDeath(t *testing.T) {
 	g := graph.Path(3) // 0->1->2; vertex 0 has no in-links
 	out := make([]uint32, 5)
-	g.BuildWalkTable().Walk(rng.New(1), 2, 4, out)
+	out[0] = 2
+	g.BuildWalkTable().WalkStrided(rng.New(1), 2, 4, 1, out)
 	want := []uint32{2, 1, 0, Dead, Dead}
 	for i := range want {
 		if out[i] != want[i] {

@@ -25,9 +25,8 @@ type Snapshot struct {
 	g *graph.Graph
 	p Params
 
-	// wt is the alias walk table every walk kernel samples through —
-	// built once per snapshot (O(1) for SimRank's uniform walks, whose
-	// tables are degenerate and alias the graph's CSR directly).
+	// wt is the uniform walk table every walk kernel samples through —
+	// built once per snapshot in O(1): it aliases the graph's in-CSR.
 	wt *graph.WalkTable
 
 	// distBound[d] = DistanceBound(d) for d ≤ DMax, distScale its
@@ -102,7 +101,7 @@ func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 // Graph returns the snapshot's graph.
 func (e *Snapshot) Graph() *graph.Graph { return e.g }
 
-// WalkTable returns the snapshot's alias walk table.
+// WalkTable returns the snapshot's uniform walk table.
 func (e *Snapshot) WalkTable() *graph.WalkTable { return e.wt }
 
 // Params returns the snapshot's normalized parameters.

@@ -15,7 +15,7 @@ import (
 // which is what makes cache-on and cache-off results byte-identical.
 //
 // The simulation is walk-major (each walk advanced through all T steps
-// before the next starts), not step-synchronous like stepWalks. Dead
+// before the next starts), not step-synchronous like StepWalks. Dead
 // walks consume no randomness, so the positions of walks 0..RRough-1 are
 // the same whether or not walks RRough..R-1 follow — the rough adaptive
 // estimate is literally a prefix restriction of the full tally, and the

@@ -486,7 +486,7 @@ func refSampleFrom(e *Snapshot, s *scratch, u uint32, r *rng.Source) *refDist {
 	invR := 1.0 / float64(R)
 	for t := 0; t < T; t++ {
 		if t > 0 {
-			stepWalks(e.wt, r, pos, lane)
+			e.wt.StepWalks(r, pos, lane)
 		}
 		s.beginTally()
 		for _, w := range pos {
@@ -512,7 +512,7 @@ func refGammaInto(e *Snapshot, v uint32, R int, r *rng.Source, s *scratch, out [
 	invR2 := 1.0 / (float64(R) * float64(R))
 	for t := 0; t < e.p.T; t++ {
 		if t > 0 {
-			stepWalks(e.wt, r, pos, lane)
+			e.wt.StepWalks(r, pos, lane)
 		}
 		s.beginTally()
 		for _, w := range pos {
@@ -661,7 +661,7 @@ func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.S
 	sigma, ct, invR, alive := 0.0, 1.0, 1.0/float64(R), R
 	for t := 0; t < e.p.T; t++ {
 		if t > 0 {
-			alive = stepWalks(e.wt, r, vpos, lane)
+			alive = e.wt.StepWalks(r, vpos, lane)
 			ct *= e.p.C
 		}
 		if alive == 0 || len(rd.verts[t]) == 0 {
@@ -708,7 +708,7 @@ func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int,
 	alive := R
 	for t := 0; t < e.p.T; t++ {
 		if t > 0 {
-			alive = stepWalks(e.wt, r, vpos, lane)
+			alive = e.wt.StepWalks(r, vpos, lane)
 			ct *= e.p.C
 		}
 		if alive == 0 || t >= wd.T || wd.support(t) == 0 {

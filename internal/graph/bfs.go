@@ -4,18 +4,6 @@ package graph
 // from the BFS source.
 const Unreachable = int32(-1)
 
-// BFS computes directed distances (following out-edges) from src to every
-// vertex. dist[v] == Unreachable if v cannot be reached.
-func (g *Graph) BFS(src uint32) []int32 {
-	return g.bfs(src, g.Out, -1)
-}
-
-// BFSIn computes distances from src following in-edges, i.e. the number of
-// random-walk steps needed for a walk started at src to reach each vertex.
-func (g *Graph) BFSIn(src uint32) []int32 {
-	return g.bfs(src, g.In, -1)
-}
-
 // UndirectedDistances computes BFS distances from src treating every edge
 // as undirected, limited to maxDist hops (pass a negative maxDist for no
 // limit). This is the distance used by the L1 bound and the distance-decay
@@ -130,31 +118,6 @@ func (g *Graph) UndirectedBallInto(src uint32, maxDist, budget int, dist []int32
 		}
 	}
 	return ball, false
-}
-
-func (g *Graph) bfs(src uint32, adj func(uint32) []uint32, maxDist int32) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := make([]uint32, 0, 64)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		d := dist[v]
-		if maxDist >= 0 && d >= maxDist {
-			continue
-		}
-		for _, w := range adj(v) {
-			if dist[w] == Unreachable {
-				dist[w] = d + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }
 
 // ConnectedComponents returns, for each vertex, the ID of its weakly

@@ -7,33 +7,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestBFSPath(t *testing.T) {
-	g := Path(5)
-	d := g.BFS(0)
-	for i := 0; i < 5; i++ {
-		if d[i] != int32(i) {
-			t.Fatalf("dist[%d] = %d", i, d[i])
-		}
-	}
-	d = g.BFS(4)
-	for i := 0; i < 4; i++ {
-		if d[i] != Unreachable {
-			t.Fatalf("dist[%d] should be unreachable, got %d", i, d[i])
-		}
-	}
-}
-
-func TestBFSInFollowsInEdges(t *testing.T) {
-	g := Path(4) // 0->1->2->3
-	d := g.BFSIn(3)
-	want := []int32{3, 2, 1, 0}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("BFSIn dist[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-}
-
 func TestUndirectedDistances(t *testing.T) {
 	g := Path(5)
 	d := g.UndirectedDistances(4, -1)

@@ -53,38 +53,3 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary checks the binary loader against corrupt input.
-func FuzzReadBinary(f *testing.F) {
-	var valid bytes.Buffer
-	if err := WriteBinary(&valid, ErdosRenyi(20, 50, 1)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add([]byte{})
-	f.Add(valid.Bytes()[:8])
-	corrupted := append([]byte(nil), valid.Bytes()...)
-	if len(corrupted) > 20 {
-		corrupted[16] ^= 0xff
-	}
-	f.Add(corrupted)
-	f.Fuzz(func(t *testing.T, input []byte) {
-		g, err := ReadBinary(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		// Whatever loads must be internally consistent.
-		total := 0
-		for v := uint32(0); int(v) < g.N(); v++ {
-			total += g.OutDegree(v)
-			for _, w := range g.Out(v) {
-				if int(w) >= g.N() {
-					t.Fatalf("edge target %d out of range %d", w, g.N())
-				}
-			}
-		}
-		if total != g.M() {
-			t.Fatalf("degree sum %d != m %d", total, g.M())
-		}
-	})
-}

@@ -195,26 +195,3 @@ func FromEdges(n int, edges []Edge) *Graph {
 	}
 	return b.Build()
 }
-
-// Undirected builds a graph from the given edges with both directions
-// added for each edge, which is how SimRank treats undirected networks.
-func Undirected(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-		b.AddEdge(e.V, e.U)
-	}
-	return b.Build()
-}
-
-// Transpose returns the graph with all edges reversed.
-func (g *Graph) Transpose() *Graph {
-	t := &Graph{
-		n:        g.n,
-		inStart:  g.outStart,
-		inAdj:    g.outAdj,
-		outStart: g.inStart,
-		outAdj:   g.inAdj,
-	}
-	return t
-}

@@ -20,14 +20,6 @@ func BenchmarkBuilderBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkBFS(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BFS(uint32(i % g.N()))
-	}
-}
-
 func BenchmarkUndirectedBall(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()

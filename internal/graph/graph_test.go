@@ -70,31 +70,6 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	NewBuilder(2).AddEdge(0, 2)
 }
 
-func TestTranspose(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}, {0, 2}})
-	tr := g.Transpose()
-	if !tr.HasEdge(1, 0) || !tr.HasEdge(2, 1) || !tr.HasEdge(2, 0) {
-		t.Fatal("transpose missing edges")
-	}
-	if tr.M() != g.M() || tr.N() != g.N() {
-		t.Fatal("transpose changed size")
-	}
-	// In/out swap.
-	if tr.InDegree(0) != g.OutDegree(0) {
-		t.Fatal("transpose degree mismatch")
-	}
-}
-
-func TestUndirected(t *testing.T) {
-	g := Undirected(3, []Edge{{0, 1}, {1, 2}})
-	if g.M() != 4 {
-		t.Fatalf("undirected edge count = %d, want 4", g.M())
-	}
-	if !g.HasEdge(1, 0) || !g.HasEdge(2, 1) {
-		t.Fatal("missing reversed edges")
-	}
-}
-
 func TestEdgesIteration(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 1}, {1, 2}, {2, 0}})
 	var got []Edge

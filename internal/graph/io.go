@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -21,9 +20,8 @@ import (
 //
 // As a safeguard against hostile or corrupt files, vertex IDs are capped
 // at MaxEdgeListVertex: a single bogus line like "4294967295 1" would
-// otherwise force a multi-gigabyte CSR allocation. Larger graphs should
-// use the binary format with densely renumbered IDs. A line is capped at
-// maxEdgeListLine bytes.
+// otherwise force a multi-gigabyte CSR allocation; renumber the IDs of
+// such a graph densely. A line is capped at maxEdgeListLine bytes.
 //
 // Separators are ASCII white space. Lines are parsed in place in the
 // reader's buffer, so parsing allocates nothing but the edge array; only
@@ -177,71 +175,4 @@ func SaveEdgeListFile(path string, g *Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-// binaryMagic identifies the compact binary graph format.
-const binaryMagic = 0x53524B47 // "GKRS"
-
-// WriteBinary writes the graph in a compact little-endian binary format:
-// magic, n, m, then the out-edge CSR arrays. Much faster to reload than
-// text edge lists for large graphs.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{binaryMagic, uint32(g.n), uint32(g.M())}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outStart); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	n, m := int(hdr[1]), int(hdr[2])
-	// Guard the upcoming allocations against corrupt headers.
-	const maxDim = 1 << 28
-	if n > maxDim || m > maxDim {
-		return nil, fmt.Errorf("graph: header claims n=%d m=%d, beyond the %d limit", n, m, maxDim)
-	}
-	outStart := make([]uint32, n+1)
-	outAdj := make([]uint32, m)
-	if err := binary.Read(br, binary.LittleEndian, outStart); err != nil {
-		return nil, fmt.Errorf("graph: reading CSR offsets: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, outAdj); err != nil {
-		return nil, fmt.Errorf("graph: reading CSR adjacency: %w", err)
-	}
-	if int(outStart[n]) != m {
-		return nil, fmt.Errorf("graph: corrupt CSR: offsets end at %d, want %d", outStart[n], m)
-	}
-	// Validate and rebuild through the builder so the in-direction and
-	// all invariants (sortedness, range checks) are re-established.
-	b := NewBuilder(n)
-	b.KeepSelfLoops = true
-	for u := 0; u < n; u++ {
-		lo, hi := outStart[u], outStart[u+1]
-		if lo > hi || int(hi) > m {
-			return nil, fmt.Errorf("graph: corrupt CSR offsets at vertex %d", u)
-		}
-		for _, v := range outAdj[lo:hi] {
-			if int(v) >= n {
-				return nil, fmt.Errorf("graph: corrupt CSR: edge (%d,%d) out of range", u, v)
-			}
-			b.AddEdge(uint32(u), v)
-		}
-	}
-	return b.Build(), nil
 }

@@ -82,27 +82,6 @@ func TestReadEdgeListVertexCap(t *testing.T) {
 	}
 }
 
-func TestReadBinaryHeaderCap(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := []uint32{binaryMagic, 1 << 30, 5}
-	if err := writeHeader(&buf, hdr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("expected header cap error")
-	}
-}
-
-func writeHeader(buf *bytes.Buffer, hdr []uint32) error {
-	for _, v := range hdr {
-		b := []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-		if _, err := buf.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := ErdosRenyi(50, 200, 3)
 	var buf bytes.Buffer
@@ -122,45 +101,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := PreferentialAttachment(300, 3, 0.2, 11)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.N() != g.N() || g2.M() != g.M() {
-		t.Fatalf("binary round trip changed size: %v vs %v", g2, g)
-	}
-	g.Edges(func(u, v uint32) bool {
-		if !g2.HasEdge(u, v) {
-			t.Fatalf("binary round trip lost edge (%d,%d)", u, v)
-		}
-		return true
-	})
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 16))); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g := ErdosRenyi(20, 40, 1)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error for truncated input")
-	}
 }
 
 func TestFileRoundTrip(t *testing.T) {
@@ -205,15 +145,6 @@ func TestWriteEdgeListFailure(t *testing.T) {
 	g := ErdosRenyi(100, 400, 1)
 	for _, budget := range []int{0, 10, 100} {
 		if err := WriteEdgeList(&failingWriter{n: budget}, g); err == nil {
-			t.Fatalf("budget %d: expected write error", budget)
-		}
-	}
-}
-
-func TestWriteBinaryFailure(t *testing.T) {
-	g := ErdosRenyi(100, 400, 1)
-	for _, budget := range []int{0, 16, 600} {
-		if err := WriteBinary(&failingWriter{n: budget}, g); err == nil {
 			t.Fatalf("budget %d: expected write error", budget)
 		}
 	}

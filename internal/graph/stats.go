@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -120,33 +119,6 @@ func DegreeHistogram(g *Graph, in bool) []int {
 		counts[d]++
 	}
 	return counts
-}
-
-// TopByInDegree returns the k vertices with the highest in-degree,
-// descending. Useful for picking "hub" query vertices in experiments.
-func TopByInDegree(g *Graph, k int) []uint32 {
-	type vd struct {
-		v uint32
-		d int
-	}
-	all := make([]vd, g.N())
-	for v := uint32(0); int(v) < g.N(); v++ {
-		all[v] = vd{v, g.InDegree(v)}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
-		}
-		return all[i].v < all[j].v
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]uint32, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].v
-	}
-	return out
 }
 
 func (s Stats) String() string {

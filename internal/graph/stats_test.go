@@ -71,18 +71,6 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 }
 
-func TestTopByInDegree(t *testing.T) {
-	g := DirectedStar(6)
-	top := TopByInDegree(g, 2)
-	if len(top) != 2 || top[0] != 0 {
-		t.Fatalf("top by in-degree = %v", top)
-	}
-	all := TopByInDegree(g, 100)
-	if len(all) != 6 {
-		t.Fatalf("k clamp failed: %d", len(all))
-	}
-}
-
 func TestStatsStringNonEmpty(t *testing.T) {
 	st := ComputeStats(Star(4), 0, 0)
 	if st.String() == "" {

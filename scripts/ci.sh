@@ -6,7 +6,8 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
-# directories and of the edge-list parser and the multi-shard smoke; the
+# directories, the edge-list parser and the index loader, and the
+# multi-shard smoke; the
 # tree's size (scripts/loc.sh) closes the log.
 set -eu
 
@@ -71,6 +72,11 @@ go test -run - -fuzz FuzzWalkDistDirectory -fuzztime 10s ./internal/core
 # parser it replaced: same verdict, same CSR.
 echo "==> fuzz smoke (FuzzReadEdgeList, 5s)"
 go test -run - -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
+
+# Five seconds of corrupt index files through every loader policy: the
+# v3 index is the input this tree takes from outside besides edge lists.
+echo "==> fuzz smoke (FuzzLoadIndex, 5s)"
+go test -run - -fuzz '^FuzzLoadIndex$' -fuzztime 5s ./internal/core
 
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and
