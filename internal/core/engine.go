@@ -109,7 +109,7 @@ func (e *Snapshot) candSeed(v uint32) uint64 {
 }
 
 // vertexChunk is how many vertices a preprocess worker claims at a time: a
-// multiple of graph.MaxWalkLanes, so only a list's last chunk has a ragged
+// multiple of indexLanes, so only a list's last chunk has a ragged
 // lane group, and small enough that the costly neighbourhoods of a skewed
 // graph spread over every worker.
 const vertexChunk = 256

@@ -37,6 +37,12 @@ var hotpathKernels = []string{
 	"core.simulateCandWalks",
 	"graph.StepWalks",
 	"graph.WalkLanes",
+	"graph.drawLaneSlots",
+	"graph.drawSlots",
+	"graph.gatherLive",
+	"graph.loadSlots",
+	"graph.stepLockstep",
+	"graph.stepPhased",
 }
 
 func TestHotpathKernelsAllocFree(t *testing.T) {
@@ -60,6 +66,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 
 	pos := s.walkBuf(R)
 	lane := s.laneBuf(R)
+	// StepWalks covers its gather, draw and load passes (gatherLive,
+	// drawSlots, loadSlots).
 	check("graph.StepWalks", 50, func() {
 		resetWalks(pos, u)
 		s.rng.Seed(e.candSeed(u))
@@ -89,14 +97,30 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		})
 	}
 
+	// The index's lane groups take WalkLanes' lockstep loop; scoreLanes
+	// below takes its phased one.
+	idxLanes := newWalkLanes(indexLanes, T*R)
+	check("graph.WalkLanes (lockstep)", 20, func() {
+		for l := range idxLanes {
+			idxLanes[l].Start = uint32(2 + l)
+			idxLanes[l].Rng.Seed(uint64(l))
+		}
+		e.wt.WalkLanes(idxLanes, 0, R, T-1, R)
+	})
+
 	// The scoring kernels need a query-side distribution.
 	s.rng.Seed(e.candSeed(u))
 	e.sampleWalkDistInto(&wd, s, u, R, &s.rng)
 
-	// scoreLanes covers graph.WalkLanes and dotPositions: a block of more
-	// candidates than one lane group, a floor of zero so every one of them
-	// is refined, then a floor nothing reaches so none is.
-	block := make([]boundedCand, 3*graph.MaxWalkLanes-1)
+	// scoreLanes covers graph.WalkLanes' phased loop (stepPhased and its
+	// passes: gatherLive, drawLaneSlots, loadSlots) and dotPositions: a
+	// block of more candidates than one lane group, ending in a ragged
+	// one, and in a ragged run of shareGroup; a floor of zero so every one
+	// of them is refined, then a floor nothing reaches so none is.
+	block := make([]boundedCand, 2*graph.MaxWalkLanes-1)
+	if laneFit(T, R, graph.MaxWalkLanes) != graph.MaxWalkLanes || len(block)%shareGroup == 0 {
+		t.Fatalf("a block of %d is not ragged at the lane width and the share group", len(block))
+	}
 	pend := make([]int32, len(block))
 	for j := range block {
 		block[j].v = uint32(2 + 5*j)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/graph"
-)
+import "slices"
 
 // candidateIndex is the auxiliary bipartite graph H of Section 7.1: the
 // left vertices are queries, the right vertices are frequently-reached
@@ -34,6 +30,13 @@ func (ci *candidateIndex) leftRow(w uint32) []uint32 {
 	return ci.leftAdj[ci.leftStart[w]:ci.leftStart[w+1]]
 }
 
+// indexLanes is the lane width of the index walks, which keeps them on
+// WalkLanes' lockstep loop. An index lane walks P·(1+Q) columns, so a
+// group's output rows and generator state fill the cache sooner than a
+// candidate group's; at graph.MaxWalkLanes lanes BenchmarkBuildIndex was
+// level on web and ≈ 10 % slower on social (one core).
+const indexLanes = 8
+
 // buildIndex runs Algorithm 4 (INDEXING) for every vertex in parallel.
 func (e *Engine) buildIndex() {
 	rows := make([][]uint32, e.g.N())
@@ -47,8 +50,8 @@ func (e *Engine) buildIndex() {
 // collision walks W1..WQ; whenever two collision walks coincide at step t
 // (both alive), the step-t vertex of W0 joins the entry.
 //
-// The vertices of a chunk go through graph.WalkTable.WalkLanes a lane
-// group at a time, one lane per vertex on its own vertexSeed stream. A
+// The vertices of a chunk go through graph.WalkTable.WalkLanes
+// indexLanes at a time, one lane per vertex on its own vertexSeed stream. A
 // lane's walk i is trial i/(1+Q)'s walk W_{i mod (1+Q)} — the order in
 // which one vertex at a time would draw them — so every position, and
 // every entry, is the same whichever vertices share the group. A chunk's
@@ -58,12 +61,12 @@ func (e *Engine) indexRows(vs []uint32, rows [][]uint32) {
 	cols := P * (1 + Q)
 	e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
 		if len(s.indexLanes) == 0 || len(s.indexLanes[0].Out) != (T+1)*cols {
-			s.indexLanes = newWalkLanes(graph.MaxWalkLanes, (T+1)*cols)
+			s.indexLanes = newWalkLanes(indexLanes, (T+1)*cols)
 		}
 		found := s.indexFound[:0]
 		var ends [vertexChunk]int
-		for lo := 0; lo < len(chunk); lo += graph.MaxWalkLanes {
-			group := chunk[lo:min(lo+graph.MaxWalkLanes, len(chunk))]
+		for lo := 0; lo < len(chunk); lo += indexLanes {
+			group := chunk[lo:min(lo+indexLanes, len(chunk))]
 			lanes := s.indexLanes[:len(group)]
 			for l, v := range group {
 				lanes[l].Start = v

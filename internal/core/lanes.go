@@ -23,6 +23,13 @@ import (
 // whole section first; survivors are repacked into full lanes and
 // continue from their saved generator state and rough columns.
 
+// shareGroup is how many bound-ordered candidates a worker of a parallel
+// block takes at a time (scoreBlock). It is not the lane width: a share's
+// candidates still go through scoreLanes together, graph.MaxWalkLanes
+// lanes at a time. Dealt in runs of 32, a 64-candidate block would give
+// two workers one contiguous half each, the split round robin avoids.
+const shareGroup = 8
+
 // lanePosBytes bounds each of a scratch's two lane position buffers (the
 // rough columns of a section, and the full matrices of one lane group).
 // A matrix is T·R positions; when fewer than two fit, scoring falls to
@@ -39,15 +46,15 @@ func laneFit(T, cols, most int) int {
 // becomes the outcome of block[j] — vertex, bound (clamped, see ShardCand),
 // state and the estimates the state says are valid — and the tally cache's
 // part in it is added to stats. With workers > 1 the block is dealt out in
-// whole lane groups, round robin — neighbours in bound order cost alike
-// (the head of a block is mostly refined, its tail mostly rough-pruned), so
-// contiguous halves would leave one worker waiting for the other. The
-// caller scores its share on qs while pooled scratches serve the others.
-// Each candidate's walks come from its own vertex-seeded stream (candSeed),
-// so which goroutine scores it — and next to which lane neighbours — cannot
-// change its score.
+// runs of shareGroup candidates, round robin — neighbours in bound order
+// cost alike (the head of a block is mostly refined, its tail mostly
+// rough-pruned), so contiguous halves would leave one worker waiting for
+// the other. The caller scores its share on qs while pooled scratches
+// serve the others. Each candidate's walks come from its own vertex-seeded
+// stream (candSeed), so which goroutine scores it — and next to which lane
+// neighbours — cannot change its score.
 func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, workers int, stats *QueryStats) {
-	group := laneFit(e.p.T, e.p.RScore, graph.MaxWalkLanes)
+	group := laneFit(e.p.T, e.p.RScore, shareGroup)
 	shares := min(workers, (len(block)+group-1)/group)
 	if shares <= 1 || len(block) < minParallelScore {
 		e.scoreShare(qs, block, out, wd, floor, 0, len(block), len(block), stats)

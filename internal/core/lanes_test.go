@@ -236,8 +236,9 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 }
 
 // TestScoreBlockShapes scores blocks whose length is not a multiple of
-// the lane count, and floors that leave fewer survivors than one lane
-// group (or none, or all), at 1, 2, 3 and 5 workers.
+// the lane width or of the share group, and floors that leave fewer
+// survivors than one lane group (or none, or all), at 1, 2, 3 and 5
+// workers.
 func TestScoreBlockShapes(t *testing.T) {
 	g := graph.PreferentialAttachment(3000, 10, 0.4, 3)
 	p := DefaultParams()
@@ -265,8 +266,12 @@ func TestScoreBlockShapes(t *testing.T) {
 		slices.Reverse(r)
 		return (r[m-1] + r[m]) / 2 / 0.3
 	}
+	lanes := laneFit(e.p.T, e.p.RScore, graph.MaxWalkLanes)
+	if lanes != graph.MaxWalkLanes || lanes == shareGroup {
+		t.Fatalf("lane width %d, want %d and apart from the share group %d", lanes, graph.MaxWalkLanes, shareGroup)
+	}
 	fewSurvivors, raggedSurvivors := false, false
-	for _, L := range []int{1, 7, 8, 9, 15, 16, 17, 23, 41, 63, 64} {
+	for _, L := range []int{1, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 41, 63, 64} {
 		floors := []float64{0, e.p.Theta, 10}
 		if L > 3 {
 			floors = append(floors, floorLeaving(L, 3))
@@ -281,8 +286,8 @@ func TestScoreBlockShapes(t *testing.T) {
 					survivors++
 				}
 			}
-			fewSurvivors = fewSurvivors || survivors > 0 && survivors < graph.MaxWalkLanes
-			raggedSurvivors = raggedSurvivors || survivors > graph.MaxWalkLanes && survivors%graph.MaxWalkLanes != 0
+			fewSurvivors = fewSurvivors || survivors > 0 && survivors < lanes
+			raggedSurvivors = raggedSurvivors || survivors > lanes && survivors%lanes != 0
 			for _, workers := range []int{1, 2, 3, 5} {
 				got := scoreBlockOf(e, qs, q.bs[:L], q.wd, floor, workers)
 				for j := range got {
@@ -308,7 +313,10 @@ func TestScoreBlockShapes(t *testing.T) {
 // uint16 tally range now runs, through the same kernel.
 func TestLaneBudget(t *testing.T) {
 	for _, tc := range []struct{ T, cols, most, want int }{
-		{11, 100, graph.MaxWalkLanes, graph.MaxWalkLanes},
+		{11, 100, graph.MaxWalkLanes, graph.MaxWalkLanes}, // the defaults: 32 full candidate lanes
+		{11, 100, shareGroup, shareGroup},                 // a worker's run of a parallel block
+		{11, 400, graph.MaxWalkLanes, 29},                 // the budget, not the width, caps the group
+		{11, 400, shareGroup, shareGroup},
 		{11, 10, scoreBlock, scoreBlock},
 		{11, 5000, graph.MaxWalkLanes, 2},
 		{11, 70000, graph.MaxWalkLanes, 1},

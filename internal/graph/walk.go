@@ -76,14 +76,19 @@ const StepLane = 1024
 // of walks still alive. lane is caller-provided scratch of at least
 // 2 × min(len(pos), StepLane) entries.
 //
-// The loop is split into a gather pass (read each live walk's CSR row
-// offset and degree, compacting the live walks' lane indices — straight-
-// line code with no data-dependent branches, so dead walks cost a few
-// ALU ops instead of a branch misprediction, and the independent CSR
-// loads overlap their cache misses) and a draw pass (bounded draw +
-// neighbour pick over the live walks only, in walk order). Draw order is
-// identical to stepping the walks one by one: the gather pass consumes
-// no randomness and the compacted indices stay ascending.
+// A chunk of walks goes through three passes. The gather pass reads each
+// live walk's CSR row offset and degree and compacts the live walks' lane
+// indices: straight-line code with no data-dependent branches, so dead
+// walks cost a few ALU ops instead of a branch misprediction, and the
+// independent CSR loads overlap their cache misses. The draw pass runs
+// the generator over the live walks only, in walk order, and turns each
+// row into the adjacency slot its bounded draw picks. The load pass then
+// reads those slots: with no generator work between them, the loads are
+// independent and many misses are in flight at once, where a fused draw-
+// and-load loop keeps only the few the reorder window spans. Draw order
+// is identical to stepping the walks one by one: neither the gather nor
+// the load pass consumes randomness, and the compacted indices stay
+// ascending.
 //
 //lint:hotpath batched walk-step kernel, dominates preprocessing and query cost
 func (wt *WalkTable) StepWalks(r *rng.Source, pos []uint32, lane []uint64) int {
@@ -101,7 +106,7 @@ func (wt *WalkTable) StepWalks(r *rng.Source, pos []uint32, lane []uint64) int {
 
 // gatherLive packs each live walk's CSR row (offset<<32 | degree) into
 // desc, its lane index into idx — both compacted, ascending — parks
-// every position at NoVertex (the draw pass rewrites the live ones),
+// every position at NoVertex (the load pass rewrites the live ones),
 // and returns the live count. Dead walks are handled branch-free:
 // sign-extending NoVertex yields an all-ones mask (live vertex ids stay
 // below 2^31 — see the walkTableSize guard) that clamps the row index
@@ -110,7 +115,9 @@ func (wt *WalkTable) StepWalks(r *rng.Source, pos []uint32, lane []uint64) int {
 // live/dead mix is the branch predictor's worst case — the pattern
 // changes every step — so it must never reach a branch. Kept as a
 // standalone looping function (loops don't inline) so the tight body
-// gets its own register file instead of spilling inside stepChunk.
+// gets its own register file instead of spilling inside its caller.
+//
+//lint:hotpath gather pass of both walk kernels
 func gatherLive(start, pos []uint32, desc, idx []uint64) int {
 	desc = desc[:len(pos)]
 	idx = idx[:len(pos)]
@@ -130,11 +137,9 @@ func gatherLive(start, pos []uint32, desc, idx []uint64) int {
 	return live
 }
 
-// stepChunk is one gather+draw round over at most StepLane walks, built
-// from three minimal loops so each stays branch-free and register-
-// resident. The live/dead mix of a walk population is the branch
-// predictor's worst case (it changes every step), so dead walks must
-// cost straight-line ALU work, never a misprediction.
+// stepChunk is one gather, draw and load round over at most StepLane
+// walks, built from minimal loops so each stays branch-free and
+// register-resident.
 func (wt *WalkTable) stepChunk(r *rng.Source, pos []uint32, lane []uint64) int {
 	start := wt.start
 	if len(start) < 2 {
@@ -148,18 +153,20 @@ func (wt *WalkTable) stepChunk(r *rng.Source, pos []uint32, lane []uint64) int {
 	desc, idx := lane[:n], lane[n:2*n]
 	live := gatherLive(start, pos, desc, idx)
 	desc, idx = desc[:live], idx[:live]
-	drawUniform(r, desc, idx, pos, wt.adj)
+	drawSlots(r, desc)
+	loadSlots(desc, idx, pos, wt.adj)
 	return live
 }
 
-// drawUniform is the draw pass over the gathered live walks: one
+// drawSlots is StepWalks' draw pass over the gathered live walks: one
 // bounded draw each, in walk order — identical order and consumption to
-// stepping the walks one by one. Standalone looping function for the
-// same register-file reason as gatherLive; the rng state lives in
+// stepping the walks one by one — and each row descriptor is replaced by
+// the absolute adjacency slot the draw picks. The rng state lives in
 // scalars for the whole pass (a pointer-addressed Source round-trips
 // memory on every draw).
-func drawUniform(r *rng.Source, desc, idx []uint64, pos, adj []uint32) {
-	idx = idx[:len(desc)]
+//
+//lint:hotpath draw pass of StepWalks
+func drawSlots(r *rng.Source, desc []uint64) {
 	s0, s1, s2, s3 := r.State()
 	for j, e := range desc {
 		d := uint32(e)
@@ -175,9 +182,21 @@ func drawUniform(r *rng.Source, desc, idx []uint64, pos, adj []uint32) {
 				m = uint64(x) * uint64(d)
 			}
 		}
-		pos[idx[j]] = adj[uint32(e>>32)+uint32(m>>32)]
+		desc[j] = uint64(uint32(e>>32) + uint32(m>>32))
 	}
 	r.SetState(s0, s1, s2, s3)
+}
+
+// loadSlots is the load pass of both walk kernels: the live walk idx[j]
+// moves to adj[slots[j]]. Nothing in the loop depends on a load, so the
+// misses overlap.
+//
+//lint:hotpath load pass of both walk kernels
+func loadSlots(slots, idx []uint64, pos, adj []uint32) {
+	idx = idx[:len(slots)]
+	for j, e := range slots {
+		pos[idx[j]] = adj[uint32(e)]
+	}
 }
 
 // WalkStrided advances one walk from u for T steps, writing the
@@ -202,7 +221,7 @@ func (wt *WalkTable) WalkStrided(r *rng.Source, u uint32, T, stride int, out []u
 				s0, s1, s2, s3, x = xoshiroStep(s0, s1, s2, s3)
 				m := uint64(x) * uint64(d)
 				if uint32(m) < d {
-					for thresh := -d % d; uint32(m) < thresh; { // see drawUniform
+					for thresh := -d % d; uint32(m) < thresh; { // see drawSlots
 						s0, s1, s2, s3, x = xoshiroStep(s0, s1, s2, s3)
 						m = uint64(x) * uint64(d)
 					}
@@ -215,8 +234,16 @@ func (wt *WalkTable) WalkStrided(r *rng.Source, u uint32, T, stride int, out []u
 	r.SetState(s0, s1, s2, s3)
 }
 
-// MaxWalkLanes is the widest group WalkLanes advances in lockstep.
-const MaxWalkLanes = 8
+// MaxWalkLanes is the widest group WalkLanes advances in lockstep. The
+// width is the caller's: a wider group keeps more misses in flight but
+// walks more lanes' generator state and output rows through the cache.
+const MaxWalkLanes = 32
+
+// lockstepLanes is the widest group WalkLanes steps in one fused loop.
+// That many lanes' steps fit the reorder window, so their misses already
+// overlap; splitting the step into passes only adds loads and stores
+// (BenchmarkBuildIndex/social, 8 lanes, ran 15–25 % slower split).
+const lockstepLanes = 8
 
 // WalkLane is one stream of a lane-interleaved walk batch: its own
 // generator, the vertex its walks start from, and the step×walk position
@@ -228,11 +255,9 @@ type WalkLane struct {
 	Out   []uint32
 }
 
-// laneState is one lane's generator words and position while WalkLanes
-// runs.
-type laneState struct {
+// laneRng is one lane's generator words while stepPhased runs.
+type laneRng struct {
 	s0, s1, s2, s3 uint64
-	v              uint32
 }
 
 // WalkLanes runs walks [lo, hi) of every lane (at most MaxWalkLanes), T
@@ -247,19 +272,40 @@ type laneState struct {
 // but the lanes advance in lockstep, one step of one walk each in turn.
 // A single walk waits out two dependent cache misses a step (its CSR row,
 // then the adjacency slot); the lanes' chains are independent, so their
-// misses are in flight together.
+// misses are in flight together. Up to lockstepLanes lanes step in one
+// fused loop (stepLockstep); a wider group steps pass by pass
+// (stepPhased), which keeps all its lanes' misses in flight where a
+// fused loop of that length would outrun the reorder window.
 //
 //lint:hotpath lane-interleaved walk kernel, every step of every uncached candidate walk
 func (wt *WalkTable) WalkLanes(lanes []WalkLane, lo, hi, T, stride int) {
-	if len(lanes) == 1 {
+	switch {
+	case len(lanes) == 1:
 		// Nothing to interleave: keep the generator in registers.
 		ln := &lanes[0]
 		for i := lo; i < hi; i++ {
 			wt.WalkStrided(&ln.Rng, ln.Start, T, stride, ln.Out[i:])
 		}
-		return
+	case len(lanes) <= lockstepLanes:
+		wt.stepLockstep(lanes, lo, hi, T, stride)
+	default:
+		wt.stepPhased(lanes, lo, hi, T, stride)
 	}
-	var st [MaxWalkLanes]laneState
+}
+
+// laneState is one lane's generator words and position while
+// stepLockstep runs.
+type laneState struct {
+	s0, s1, s2, s3 uint64
+	v              uint32
+}
+
+// stepLockstep is WalkLanes for a narrow group: one step of each lane in
+// turn, row offset, draw and adjacency load in one loop body.
+//
+//lint:hotpath WalkLanes for up to lockstepLanes lanes, every index walk
+func (wt *WalkTable) stepLockstep(lanes []WalkLane, lo, hi, T, stride int) {
+	var st [lockstepLanes]laneState
 	for l := range lanes {
 		ln := &st[l]
 		ln.s0, ln.s1, ln.s2, ln.s3 = lanes[l].Rng.State()
@@ -283,7 +329,7 @@ func (wt *WalkTable) WalkLanes(lanes []WalkLane, lo, hi, T, stride int) {
 						s0, s1, s2, s3, x := xoshiroStep(ln.s0, ln.s1, ln.s2, ln.s3)
 						m := uint64(x) * uint64(d)
 						if uint32(m) < d {
-							for thresh := -d % d; uint32(m) < thresh; { // see drawUniform
+							for thresh := -d % d; uint32(m) < thresh; { // see drawSlots
 								s0, s1, s2, s3, x = xoshiroStep(s0, s1, s2, s3)
 								m = uint64(x) * uint64(d)
 							}
@@ -300,5 +346,80 @@ func (wt *WalkTable) WalkLanes(lanes []WalkLane, lo, hi, T, stride int) {
 	for l := range lanes {
 		ln := &st[l]
 		lanes[l].Rng.SetState(ln.s0, ln.s1, ln.s2, ln.s3)
+	}
+}
+
+// stepPhased is WalkLanes for a wide group: each step runs StepWalks'
+// three passes across the lanes — gather every lane's CSR row, draw every
+// live lane's slot from its own generator, load every slot — so the
+// lanes' misses of a kind are in flight together. Once every lane's
+// current walk is dead, the remaining rows of that walk are NoVertex and
+// no pass runs, so no draw is consumed.
+//
+//lint:hotpath WalkLanes for more than lockstepLanes lanes, every uncached candidate walk
+func (wt *WalkTable) stepPhased(lanes []WalkLane, lo, hi, T, stride int) {
+	var (
+		st        [MaxWalkLanes]laneRng
+		pos       [MaxWalkLanes]uint32
+		desc, idx [MaxWalkLanes]uint64
+	)
+	for l := range lanes {
+		ln := &st[l]
+		ln.s0, ln.s1, ln.s2, ln.s3 = lanes[l].Rng.State()
+	}
+	k := len(lanes)
+	start, adj := wt.start, wt.adj
+	for i := lo; i < hi; i++ {
+		for l := range lanes {
+			pos[l] = lanes[l].Start
+		}
+		t := 1
+		for ; t <= T; t++ {
+			live := gatherLive(start, pos[:k], desc[:k], idx[:k])
+			if live == 0 {
+				break
+			}
+			drawLaneSlots(&st, desc[:live], idx[:live])
+			loadSlots(desc[:live], idx[:live], pos[:k], adj)
+			at := t*stride + i
+			for l := range lanes {
+				lanes[l].Out[at] = pos[l]
+			}
+		}
+		for ; t <= T; t++ {
+			at := t*stride + i
+			for l := range lanes {
+				lanes[l].Out[at] = NoVertex
+			}
+		}
+	}
+	for l := range lanes {
+		ln := &st[l]
+		lanes[l].Rng.SetState(ln.s0, ln.s1, ln.s2, ln.s3)
+	}
+}
+
+// drawLaneSlots is stepPhased's draw pass: live lane idx[j] draws its
+// next step from its own generator, and its row descriptor desc[j] is
+// replaced by the absolute adjacency slot the draw picks, as in
+// drawSlots. (Lane indices are below MaxWalkLanes, a power of two; the
+// mask only lets the compiler drop the bounds check.)
+//
+//lint:hotpath draw pass of stepPhased
+func drawLaneSlots(st *[MaxWalkLanes]laneRng, desc, idx []uint64) {
+	idx = idx[:len(desc)]
+	for j, e := range desc {
+		ln := &st[idx[j]&(MaxWalkLanes-1)]
+		d := uint32(e)
+		s0, s1, s2, s3, x := xoshiroStep(ln.s0, ln.s1, ln.s2, ln.s3)
+		m := uint64(x) * uint64(d)
+		if uint32(m) < d {
+			for thresh := -d % d; uint32(m) < thresh; { // see drawSlots
+				s0, s1, s2, s3, x = xoshiroStep(s0, s1, s2, s3)
+				m = uint64(x) * uint64(d)
+			}
+		}
+		ln.s0, ln.s1, ln.s2, ln.s3 = s0, s1, s2, s3
+		desc[j] = uint64(uint32(e>>32) + uint32(m>>32))
 	}
 }

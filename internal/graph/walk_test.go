@@ -38,28 +38,42 @@ func TestWalkTableTrivialUniform(t *testing.T) {
 
 func TestStepWalksMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *Graph
+		name  string
+		g     *Graph
+		walks int
+		// redraws: the hub of in-degree 2²⁰+1 rejects about one draw
+		// in 4100 (see rejectionTable), so a batch this long must reach
+		// Lemire's redraw loop in the draw pass.
+		redraws bool
 	}{
-		{"erdosrenyi", ErdosRenyi(300, 3, 5)},
-		{"citation", CitationDAG(400, 4, 3)}, // dangling-heavy: many walks die
-		{"star", Star(64)},
+		{"erdosrenyi", ErdosRenyi(300, 3, 5), 2500, false}, // > StepLane so chunking is exercised
+		{"citation", CitationDAG(400, 4, 3), 2500, false},  // dangling-heavy: many walks die
+		{"star", Star(64), 2500, false},
+		{"redraw", Star(1<<20 + 2), 5000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			wt := g.BuildWalkTable()
-			const walks = 2500 // > StepLane so chunking is exercised
-			pos := make([]uint32, walks)
-			ref := make([]uint32, walks)
+			pos := make([]uint32, tc.walks)
+			ref := make([]uint32, tc.walks)
 			for i := range pos {
 				v := uint32(i % g.N())
+				if tc.redraws && i%2 == 0 {
+					v = 0 // the hub: every step has hub draws
+				}
 				pos[i], ref[i] = v, v
 			}
 			lane := make([]uint64, 2*StepLane)
 			ra, rb := rng.New(7), rng.New(7)
+			plain := *rng.New(7) // one draw per live walk step, no redraw
 			for step := 0; step < 12; step++ {
 				alive := wt.StepWalks(ra, pos, lane)
 				refAlive := 0
+				for _, v := range ref {
+					if v != NoVertex && len(g.In(v)) > 0 {
+						plain.Uint32()
+					}
+				}
 				for i, v := range ref {
 					if v == NoVertex {
 						continue
@@ -78,8 +92,11 @@ func TestStepWalksMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if ra.Uint64() != rb.Uint64() {
+			if *ra != *rb {
 				t.Fatal("batched kernel and reference consumed different draw counts")
+			}
+			if tc.redraws && *ra == plain {
+				t.Fatal("no draw was redrawn, the fixture no longer reaches the rejection loop")
 			}
 		})
 	}
@@ -173,13 +190,19 @@ func TestWalkStridedMatchesNextLoop(t *testing.T) {
 // laneFixture is a walk table, the vertices its lanes start from and the
 // batch shape to run on it.
 type laneFixture struct {
-	name     string
-	wt       *WalkTable
-	starts   []uint32
+	name string
+	wt   *WalkTable
+	// start is lane l's start vertex in a batch of k lanes: derived, not
+	// listed, so every width up to MaxWalkLanes — ragged ones too — gets
+	// a mix of starts.
+	start    func(k, l int) uint32
 	T, walks int
 	// rejects: no walk dies and the batch is long enough that some lane
 	// must hit the Lemire rejection loop.
 	rejects bool
+	// dieBy: every walk of every lane is dead after this many steps
+	// (< T), so WalkLanes must take its all-dead exit; 0 when not.
+	dieBy int
 }
 
 // rejectionTable is a four-vertex table built by hand: the hub's row has
@@ -196,14 +219,28 @@ func rejectionTable() *WalkTable {
 	return &WalkTable{start: []uint32{0, d, d + 1, d + 2, d + 3}, adj: adj}
 }
 
+// shallowGraph is a four-vertex DAG whose in-links all come from higher
+// ids: 0 ← {1, 2, 3}, 1 ← {2, 3}, 2 ← {3}, and 3 has none. A walk draws
+// against degrees 3, 2 and 1 on its way and is dead after at most four
+// steps, whatever it draws.
+func shallowGraph() *Graph {
+	return FromEdges(4, []Edge{{1, 0}, {2, 0}, {3, 0}, {2, 1}, {3, 1}, {3, 2}})
+}
+
 func laneFixtures(t *testing.T) []laneFixture {
 	dag := CitationDAG(300, 4, 17) // dangling-heavy: walks die; nobody cites the newest paper
 	if len(dag.In(299)) != 0 || len(dag.In(0)) == 0 {
 		t.Fatal("fixture: vertex 299 should have no in-links and vertex 0 some")
 	}
 	return []laneFixture{
-		{"trivial", dag.BuildWalkTable(), []uint32{0, 299, 150, 298, 7, 213, 64, 31}, 12, 9, false},
-		{"rejection", rejectionTable(), []uint32{0, 1, 2, 3, 0, 1, 2, 3}, 200, 90, true},
+		{"trivial", dag.BuildWalkTable(), func(k, l int) uint32 {
+			if l%3 == 1 {
+				return 299 // dead at once
+			}
+			return uint32(l*97+k*31) % 299
+		}, 12, 9, false, 0},
+		{"rejection", rejectionTable(), func(k, l int) uint32 { return uint32(k+l) % 4 }, 200, 90, true, 0},
+		{"all-dead", shallowGraph().BuildWalkTable(), func(k, l int) uint32 { return uint32(k*l) % 4 }, 9, 7, false, 4},
 	}
 }
 
@@ -221,7 +258,7 @@ func TestWalkLanesMatchesWalkStrided(t *testing.T) {
 			refs := make([][]uint32, k)
 			refRng := make([]rng.Source, k)
 			for l := range lanes {
-				lanes[l].Start = fx.starts[l]
+				lanes[l].Start = fx.start(k, l)
 				lanes[l].Rng.Seed(uint64(100*k + l))
 				lanes[l].Out = make([]uint32, (T+1)*stride)
 				refs[l] = make([]uint32, (T+1)*stride)
@@ -230,7 +267,7 @@ func TestWalkLanesMatchesWalkStrided(t *testing.T) {
 				}
 				refRng[l].Seed(uint64(100*k + l))
 				for i := 0; i < walks; i++ {
-					fx.wt.WalkStrided(&refRng[l], fx.starts[l], T, stride, refs[l][i:])
+					fx.wt.WalkStrided(&refRng[l], lanes[l].Start, T, stride, refs[l][i:])
 				}
 			}
 			fx.wt.WalkLanes(lanes, 0, split, T, stride)
@@ -262,13 +299,48 @@ func TestWalkLanesMatchesWalkStrided(t *testing.T) {
 	}
 }
 
+// TestWalkLanesAllDead: when every lane's walk dies before step T, the
+// rows after its death are NoVertex, the exit consumes no draw, and the
+// next walk of every lane starts from the generator state its walks so
+// far would leave alone — checked after each walk, one call a walk.
+func TestWalkLanesAllDead(t *testing.T) {
+	fx := laneFixtures(t)[2]
+	T, walks := fx.T, fx.walks
+	for _, k := range []int{2, 7, 8, 13, MaxWalkLanes} {
+		lanes := make([]WalkLane, k)
+		ref := make([]uint32, (T+1)*walks)
+		refRng := make([]rng.Source, k)
+		for l := range lanes {
+			lanes[l].Start = fx.start(k, l)
+			lanes[l].Rng.Seed(uint64(k + l))
+			lanes[l].Out = make([]uint32, (T+1)*walks)
+			refRng[l].Seed(uint64(k + l))
+		}
+		for i := 0; i < walks; i++ {
+			fx.wt.WalkLanes(lanes, i, i+1, T, walks)
+			for l := range lanes {
+				fx.wt.WalkStrided(&refRng[l], lanes[l].Start, T, walks, ref[i:])
+				if lanes[l].Rng != refRng[l] {
+					t.Fatalf("lanes=%d lane %d walk %d: generator state differs from the walk-alone stream", k, l, i)
+				}
+				for step := 1; step <= T; step++ {
+					got, want := lanes[l].Out[step*walks+i], ref[step*walks+i]
+					if got != want || step > fx.dieBy && got != NoVertex {
+						t.Fatalf("lanes=%d lane %d walk %d step %d at %d, alone at %d", k, l, i, step, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // A lane parked on a vertex without in-links dies at once and must not
 // consume a draw, whatever its neighbours do.
 func TestWalkLanesDeadConsumeNothing(t *testing.T) {
 	fx := laneFixtures(t)[0]
 	lanes := make([]WalkLane, 3)
-	for l := range lanes {
-		lanes[l].Start = fx.starts[l]
+	for l, v := range []uint32{0, 299, 150} {
+		lanes[l].Start = v
 		lanes[l].Rng.Seed(uint64(l))
 		lanes[l].Out = make([]uint32, 6*4)
 	}

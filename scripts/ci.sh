@@ -6,8 +6,8 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
-# directories, the edge-list parser and the index loader, and the
-# multi-shard smoke; the
+# directories, the edge-list parser, the walk kernels and the index
+# loader, and the multi-shard smoke; the
 # tree's size (scripts/loc.sh) closes the log.
 set -eu
 
@@ -72,6 +72,13 @@ go test -run - -fuzz FuzzWalkDistDirectory -fuzztime 10s ./internal/core
 # parser it replaced: same verdict, same CSR.
 echo "==> fuzz smoke (FuzzReadEdgeList, 5s)"
 go test -run - -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
+
+# Five seconds of the two batched walk kernels against the one-walk
+# reference on small random graphs: StepWalks against a loop of single
+# steps, WalkLanes at random widths and walk-range cuts against each
+# lane's walks alone — same positions, same final generator state.
+echo "==> fuzz smoke (FuzzWalkKernels, 5s)"
+go test -run - -fuzz '^FuzzWalkKernels$' -fuzztime 5s ./internal/graph
 
 # Five seconds of corrupt index files through every loader policy: the
 # v3 index is the input this tree takes from outside besides edge lists.
