@@ -203,7 +203,7 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 					frags := make([][]ShardCand, shards)
 					for i := range frags {
 						var err error
-						frags[i], _, err = e.shardScan(ctx, u, uint32(i)*n/shards, uint32(i+1)*n/shards, 1+(i+int(shards))%3, nil)
+						frags[i], _, err = e.shardScan(ctx, u, theta, uint32(i)*n/shards, uint32(i+1)*n/shards, 1+(i+int(shards))%3, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -220,7 +220,7 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					got, stats := MergeShardTopK(20, theta, frags)
+					got, stats := MergeShardTopKScratch(20, theta, frags, nil)
 					sameResults(t, fmt.Sprintf("%s shards=%d", label, shards), got, want)
 					if stats != wantStats {
 						t.Fatalf("%s shards=%d: merged stats %+v, reference %+v", label, shards, stats, wantStats)

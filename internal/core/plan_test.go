@@ -55,28 +55,28 @@ func observePlan(t *testing.T, e *Snapshot, u uint32) planObs {
 		frags := make([][]ShardCand, shards)
 		stats := make([]QueryStats, shards)
 		for i := uint32(0); i < shards; i++ {
-			f, st, err := e.TopKShardCtx(ctx, u, i*n/shards, (i+1)*n/shards)
+			f, st, err := e.ShardScanCtx(ctx, u, e.p.Theta, i*n/shards, (i+1)*n/shards, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			frags[i], stats[i] = f, dropCache(st)
 		}
-		res, st := MergeShardTopK(planK, e.p.Theta, frags)
+		res, st := MergeShardTopKScratch(planK, e.p.Theta, frags, nil)
 		o.Frags = append(o.Frags, frags)
 		o.FragStats = append(o.FragStats, stats)
 		o.Merged = append(o.Merged, res)
 		o.MergeStats = append(o.MergeStats, st)
 	}
-	thr := make([][]Scored, 2)
+	thr := make([][]ShardCand, 2)
 	for i := uint32(0); i < 2; i++ {
-		res, st, err := e.ThresholdShardCtx(ctx, u, planTheta, i*n/2, (i+1)*n/2)
+		f, st, err := e.ShardScanCtx(ctx, u, planTheta, i*n/2, (i+1)*n/2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		thr[i] = res
+		thr[i] = f
 		o.ThrStats = append(o.ThrStats, dropCache(st))
 	}
-	o.ThrMerged = mergeScored(thr)
+	o.ThrMerged, _ = MergeShardTopKScratch(0, planTheta, thr, nil)
 	return o
 }
 
@@ -235,11 +235,11 @@ func TestCachedPlanImmutable(t *testing.T) {
 		case 1:
 			e.Threshold(u, planTheta)
 		case 2:
-			if _, _, err := e.TopKShardCtx(ctx, u, lo, n); err != nil {
+			if _, _, err := e.ShardScanCtx(ctx, u, e.p.Theta, lo, n, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
-			if _, _, err := e.ThresholdShardCtx(ctx, u, planTheta, 0, lo); err != nil {
+			if _, _, err := e.ShardScanCtx(ctx, u, planTheta, 0, lo, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 4:
@@ -473,10 +473,10 @@ func TestIndexPlanReadsNoDistances(t *testing.T) {
 			_, st := e.TopKStats(u, planK)
 			cands += st.Candidates
 			e.Threshold(u, planTheta)
-			if _, _, err := e.TopKShardAppendCtx(ctx, u, n/3, n, nil); err != nil {
+			if _, _, err := e.ShardScanCtx(ctx, u, e.p.Theta, n/3, n, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := e.ThresholdShardCtx(ctx, u, planTheta, 0, n/2); err != nil {
+			if _, _, err := e.ShardScanCtx(ctx, u, planTheta, 0, n/2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

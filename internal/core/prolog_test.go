@@ -78,11 +78,11 @@ func TestPrologByteIdenticalShardScan(t *testing.T) {
 
 	for _, u := range []uint32{3, 700, 700, 1499} {
 		for _, r := range [][2]uint32{{0, 750}, {750, 1500}} {
-			wantFrag, wantStats, err := cold.TopKShardCtx(context.Background(), u, r[0], r[1])
+			wantFrag, wantStats, err := cold.ShardScanCtx(context.Background(), u, p.Theta, r[0], r[1], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotFrag, gotStats, err := off.TopKShardCtx(context.Background(), u, r[0], r[1])
+			gotFrag, gotStats, err := off.ShardScanCtx(context.Background(), u, p.Theta, r[0], r[1], nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,13 +119,6 @@ func (e *Snapshot) ThresholdCtx(ctx context.Context, u uint32, theta float64) ([
 // argument is untouched. All scratch buffers are released on every return
 // path (the deferred putScratch covers cancellation too).
 func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, workers int) ([]Scored, QueryStats, error) {
-	return e.searchRange(ctx, u, k, theta, workers, 0, uint32(e.g.N()))
-}
-
-// searchRange is search over the candidates in the vertex range [lo, hi):
-// the full range scans the plan's list as it is, a shard's range its
-// restriction (a copy, in the same order).
-func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float64, workers int, lo, hi uint32) ([]Scored, QueryStats, error) {
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -135,9 +128,6 @@ func (e *Snapshot) searchRange(ctx context.Context, u uint32, k int, theta float
 
 	pl := e.queryPlan(qs, u)
 	wd, bs := pl.wd, pl.cands
-	if lo > 0 || int(hi) < e.g.N() {
-		bs = pl.restrict(qs, lo, hi)
-	}
 	if cap(qs.scores) < scoreBlock {
 		qs.scores = make([]ShardCand, scoreBlock)
 	}

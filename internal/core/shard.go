@@ -37,7 +37,7 @@ import (
 //     scoring, DisableAdaptive) return ShardScoredNoRough and are never
 //     rough-pruned, matching search() exactly.
 //
-// MergeShardTopK then reconstructs the global bound order — the
+// MergeShardTopKScratch then reconstructs the global bound order — the
 // (ub desc, v asc) total order of sortBounds — by k-way merge and runs
 // the scan search() runs, scanOrdered itself, over it: the floor per
 // block, the stop at the first bound below it, the block tail trim and
@@ -49,6 +49,11 @@ import (
 // they depend on which shard's cache served each candidate, so the
 // router sums the per-shard values instead (topology-dependent, still
 // deterministic for a fixed topology and query history).
+//
+// A threshold query is the same exchange at its own floor: the shards scan
+// at the query's theta instead of the serving Theta, and the merge runs
+// with k = 0, where the scan's floor is theta in every block — so its rough
+// verdicts, admissions and order are exactly Threshold's.
 
 // ShardCand states: what scoring one candidate at one pruning floor came
 // to. The scoring kernels write them (lanes.go, scoreCandidate), the scan
@@ -96,65 +101,29 @@ func clampUB(ub float64) float64 {
 	return math.Min(ub, math.MaxFloat64)
 }
 
-// SortShardCands puts a fragment into the order TopKShardCtx produces
-// and MergeShardTopK requires. Fragments from TopKShardCtx are already
-// sorted; this is for callers assembling fragments by hand (tests) or
-// validating untrusted wire input.
-func SortShardCands(cs []ShardCand) {
-	slices.SortFunc(cs, func(a, b ShardCand) int {
-		if shardCandBefore(a, b) {
-			return -1
-		}
-		if shardCandBefore(b, a) {
-			return 1
-		}
-		return 0
-	})
+// ShardScanCtx scores the candidates of a query at u that fall in the
+// vertex range [lo, hi), at the fixed pruning floor theta, and writes the
+// fragment into dst (reusing its capacity, like append; its previous
+// contents are discarded). At the serving Theta it is a top-k query's
+// fragment, at any other theta a threshold query's: merged with k = 0 at
+// the same theta, fragments replay Threshold(u, theta) exactly, because at
+// k = 0 the scan's floor is theta in every block. The returned stats carry
+// the shard-local cache counters plus scan counters as observed at floor
+// theta (the router recomputes the global scan counters during the
+// merge). The full range [0, N) reproduces exactly the work of a
+// single-node query with a floor pinned at theta.
+func (e *Snapshot) ShardScanCtx(ctx context.Context, u uint32, theta float64, lo, hi uint32, dst []ShardCand) ([]ShardCand, QueryStats, error) {
+	return e.shardScan(ctx, u, theta, lo, hi, e.p.Workers, dst[:0])
 }
 
-// TopKShardCtx scores the candidates of a query at u that fall in the
-// vertex range [lo, hi), at the fixed pruning floor Theta, and returns
-// the fragment the router merges with MergeShardTopK. The returned
-// stats carry the shard-local cache counters plus scan counters as
-// observed at floor Theta (the router recomputes the global scan
-// counters during the merge). The full range [0, N) reproduces exactly
-// the work of a single-node query with a floor pinned at Theta.
-func (e *Snapshot) TopKShardCtx(ctx context.Context, u uint32, lo, hi uint32) ([]ShardCand, QueryStats, error) {
-	return e.shardScan(ctx, u, lo, hi, e.p.Workers, nil)
-}
-
-// TopKShardAppendCtx is TopKShardCtx writing the fragment into dst
-// (reusing its capacity, like append), for servers that recycle
-// fragment buffers across requests. The returned slice is dst grown as
-// needed; dst's previous contents are discarded.
-func (e *Snapshot) TopKShardAppendCtx(ctx context.Context, u uint32, lo, hi uint32, dst []ShardCand) ([]ShardCand, QueryStats, error) {
-	return e.shardScan(ctx, u, lo, hi, e.p.Workers, dst[:0])
-}
-
-// TopKShardBatchCtx answers many shard-restricted queries, parallelized
-// across queries (one worker per query, like TopKBatchCtx).
-func (e *Snapshot) TopKShardBatchCtx(ctx context.Context, us []uint32, lo, hi uint32) ([][]ShardCand, []QueryStats, error) {
-	res := make([][]ShardCand, len(us))
-	sts := make([]QueryStats, len(us))
-	if err := e.topKShardBatchInto(ctx, us, lo, hi, res, sts); err != nil {
-		return nil, nil, err
-	}
-	return res, sts, nil
-}
-
-// TopKShardBatchAppendCtx is TopKShardBatchCtx writing fragments and
-// stats into caller-supplied parallel slices (len(frags) and len(sts)
-// must equal len(us)); frags[i]'s capacity is reused per query.
+// TopKShardBatchAppendCtx answers many shard-restricted top-k queries at
+// the serving Theta, parallelized across queries (one worker per query,
+// like TopKBatchCtx), writing fragments and stats into caller-supplied
+// parallel slices (len(frags) and len(sts) must equal len(us));
+// frags[i]'s capacity is reused per query.
 func (e *Snapshot) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, hi uint32, frags [][]ShardCand, sts []QueryStats) error {
-	for i := range frags {
-		frags[i] = frags[i][:0]
-	}
-	return e.topKShardBatchInto(ctx, us, lo, hi, frags, sts)
-}
-
-func (e *Snapshot) topKShardBatchInto(ctx context.Context, us []uint32, lo, hi uint32, frags [][]ShardCand, sts []QueryStats) error {
 	return e.forEachIndexParallel(ctx, len(us), func(i int) {
-		f, st, err := e.shardScan(ctx, us[i], lo, hi, 1, frags[i])
+		f, st, err := e.shardScan(ctx, us[i], e.p.Theta, lo, hi, 1, frags[i][:0])
 		if err != nil {
 			return // the pool sees the cancelled ctx and reports it
 		}
@@ -165,7 +134,7 @@ func (e *Snapshot) topKShardBatchInto(ctx context.Context, us []uint32, lo, hi u
 
 // shardScan writes the fragment into dst (grown as needed; nil
 // allocates fresh). dst must arrive with length zero or nil.
-func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, workers int, dst []ShardCand) ([]ShardCand, QueryStats, error) {
+func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, hi uint32, workers int, dst []ShardCand) ([]ShardCand, QueryStats, error) {
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -179,9 +148,8 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	wd, bs := pl.wd, pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 
-	theta := e.p.Theta
 	out := slices.Grow(dst, len(bs))[:len(bs)]
-	// Everything below Theta is below every admissible floor: return it
+	// Everything below theta is below every admissible floor: return it
 	// unscored. Bounds are sorted descending, so this is a suffix.
 	cut := len(bs)
 	for i, b := range bs {
@@ -194,7 +162,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	for i := cut; i < len(bs); i++ {
 		out[i] = ShardCand{V: bs[i].v, UB: clampUB(bs[i].ub), State: ShardUnscored}
 	}
-	// The rest is scored at the fixed floor Theta, straight into the
+	// The rest is scored at the fixed floor theta, straight into the
 	// fragment, and counted as the scan would count it at that floor.
 	for i := 0; i < cut; i += scoreBlock {
 		if err := ctx.Err(); err != nil {
@@ -209,28 +177,6 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, lo, hi uint32, worke
 	return out, stats, nil
 }
 
-// ThresholdShardCtx is the shard-restricted Threshold query. Unlike
-// top-k, the threshold scan's floor is fixed at theta — there is no
-// adaptive component — so every pruning decision is local to the
-// candidate and a plain deterministic merge of the per-shard result
-// lists (score desc, ties by V asc: scoredLess) reproduces the
-// single-node output. Per-shard stats sum to the single-node stats.
-func (e *Snapshot) ThresholdShardCtx(ctx context.Context, u uint32, theta float64, lo, hi uint32) ([]Scored, QueryStats, error) {
-	return e.searchRange(ctx, u, 0, theta, e.p.Workers, lo, hi)
-}
-
-// MergeShardTopK merges per-shard fragments (each sorted by UB desc, V
-// asc over a disjoint vertex range) into the global bound order and runs
-// the single-node scan (scanOrdered) over the merged stream, with the
-// shipped outcomes standing in for live scoring. k == 0 means unlimited
-// (every candidate scoring >= theta). The returned results and scan
-// counters are byte-identical to search()'s on the union of the
-// fragments; cache counters are zero here — the caller sums the
-// per-shard stats for those (QueryStats.AddCache).
-func MergeShardTopK(k int, theta float64, frags [][]ShardCand) ([]Scored, QueryStats) {
-	return MergeShardTopKScratch(k, theta, frags, nil)
-}
-
 // MergeScratch holds the reusable buffers of a fragment merge, so a
 // router can run MergeShardTopKScratch per query without re-allocating
 // the merged candidate stream. The zero value is ready to use.
@@ -239,8 +185,16 @@ type MergeScratch struct {
 	heads []int
 }
 
-// MergeShardTopKScratch is MergeShardTopK drawing its working memory
-// from ms (nil behaves like a fresh scratch).
+// MergeShardTopKScratch merges per-shard fragments (each sorted by UB
+// desc, V asc over a disjoint vertex range) into the global bound order
+// and runs the single-node scan (scanOrdered) over the merged stream, with
+// the shipped outcomes standing in for live scoring. k == 0 means
+// unlimited (every candidate scoring >= theta): fragments scanned at theta
+// then replay Threshold(u, theta). The returned results and scan counters
+// are byte-identical to search()'s on the union of the fragments; cache
+// counters are zero here — the caller sums the per-shard stats for those
+// (QueryStats.AddCache). Working memory comes from ms (nil behaves like a
+// fresh scratch).
 func MergeShardTopKScratch(k int, theta float64, frags [][]ShardCand, ms *MergeScratch) ([]Scored, QueryStats) {
 	total := 0
 	for _, f := range frags {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -18,18 +19,46 @@ func scanStats(s QueryStats) QueryStats {
 	return s
 }
 
-// mergeScored merges per-shard Threshold result lists best first. The
-// lists cover disjoint vertex ranges under one total order, so the merge
-// is their union, sorted (the router's k-way merge is internal/shard's).
-func mergeScored(frags [][]Scored) []Scored {
-	out := slices.Concat(frags...)
-	slices.SortFunc(out, func(a, b Scored) int {
-		if scoredLess(a, b) {
+// sortShardCands puts a hand-assembled fragment into the order
+// ShardScanCtx produces and MergeShardTopKScratch requires.
+func sortShardCands(cs []ShardCand) {
+	slices.SortFunc(cs, func(a, b ShardCand) int {
+		if shardCandBefore(a, b) {
+			return -1
+		}
+		if shardCandBefore(b, a) {
 			return 1
 		}
-		return -1
+		return 0
 	})
-	return out
+}
+
+// shardFrags scans the candidates of u at floor theta on every range of
+// part, one fragment per range, with the per-shard stats.
+func shardFrags(t testing.TB, e *Snapshot, u uint32, theta float64, part [][2]uint32) ([][]ShardCand, []QueryStats) {
+	t.Helper()
+	frags := make([][]ShardCand, len(part))
+	sts := make([]QueryStats, len(part))
+	for si, r := range part {
+		var err error
+		frags[si], sts[si], err = e.ShardScanCtx(context.Background(), u, theta, r[0], r[1], nil)
+		if err != nil {
+			t.Fatalf("u=%d shard=%d: %v", u, si, err)
+		}
+	}
+	return frags, sts
+}
+
+// sameAnswer fails unless a merge replayed the single-node answer: the
+// same results in the same order and the same scan counters.
+func sameAnswer(t testing.TB, label string, res []Scored, stats QueryStats, want []Scored, wantStats QueryStats) {
+	t.Helper()
+	if stats != scanStats(wantStats) {
+		t.Fatalf("%s: stats %+v, want %+v", label, stats, scanStats(wantStats))
+	}
+	if !slices.Equal(res, want) {
+		t.Fatalf("%s: results %v, want %v", label, res, want)
+	}
 }
 
 // shardConfigs are the parameter corners the replay proof has to cover:
@@ -82,7 +111,6 @@ func TestMergeShardTopKMatchesSearch(t *testing.T) {
 	g := graph.CopyingModel(2000, 5, 0.3, 21)
 	n := uint32(g.N())
 	queries := []uint32{0, 16, 17, 999, 1999}
-	ctx := context.Background()
 	for name, p := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := Build(g, p)
@@ -92,29 +120,9 @@ func TestMergeShardTopKMatchesSearch(t *testing.T) {
 				for _, k := range []int{1, 20, 100000} {
 					wantRes, wantStats := e.TopKStats(u, k)
 					for pi, part := range partitions(n) {
-						frags := make([][]ShardCand, len(part))
-						for si, r := range part {
-							f, _, err := e.TopKShardCtx(ctx, u, r[0], r[1])
-							if err != nil {
-								t.Fatalf("u=%d part=%d shard=%d: %v", u, pi, si, err)
-							}
-							frags[si] = f
-						}
-						res, stats := MergeShardTopK(k, e.p.Theta, frags)
-						if stats != scanStats(wantStats) {
-							t.Fatalf("u=%d k=%d part=%d: stats %+v, want %+v",
-								u, k, pi, stats, scanStats(wantStats))
-						}
-						if len(res) != len(wantRes) {
-							t.Fatalf("u=%d k=%d part=%d: %d results, want %d",
-								u, k, pi, len(res), len(wantRes))
-						}
-						for j := range res {
-							if res[j] != wantRes[j] {
-								t.Fatalf("u=%d k=%d part=%d: result %d = %+v, want %+v",
-									u, k, pi, j, res[j], wantRes[j])
-							}
-						}
+						frags, _ := shardFrags(t, e.Snapshot, u, e.p.Theta, part)
+						res, stats := MergeShardTopKScratch(k, e.p.Theta, frags, nil)
+						sameAnswer(t, fmt.Sprintf("u=%d k=%d part=%d", u, k, pi), res, stats, wantRes, wantStats)
 					}
 				}
 			}
@@ -132,15 +140,11 @@ func TestShardScanCacheCountersSum(t *testing.T) {
 	p.Seed = 4
 	e := Build(g, p)
 	n := uint32(g.N())
-	ctx := context.Background()
 	for _, u := range []uint32{3, 400, 799} {
 		_, want := e.TopKStats(u, 20)
 		var cands int
-		for _, r := range [][2]uint32{{0, n / 3}, {n / 3, n / 2}, {n / 2, n}} {
-			_, st, err := e.TopKShardCtx(ctx, u, r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
+		_, sts := shardFrags(t, e.Snapshot, u, e.p.Theta, [][2]uint32{{0, n / 3}, {n / 3, n / 2}, {n / 2, n}})
+		for _, st := range sts {
 			cands += st.Candidates
 			if st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEvictions != 0 {
 				t.Fatalf("u=%d: cache counters nonzero with cache disabled: %+v", u, st)
@@ -152,9 +156,12 @@ func TestShardScanCacheCountersSum(t *testing.T) {
 	}
 }
 
-// TestThresholdShardMergeMatchesSearch: the fixed-floor query mode needs
-// no replay — a plain best-first merge of per-shard result lists is
-// exact, and per-shard scan stats sum to the single-node stats.
+// TestThresholdShardMergeMatchesSearch: a threshold query is the same
+// exchange at its own floor — fragments scanned at theta and merged with
+// k = 0 at theta reproduce search(u, k = 0, theta) exactly, results and
+// scan counters, for thetas below, at and above the serving one. At a
+// fixed floor every pruning decision is local to the candidate, so the
+// per-shard scan counters also sum to the single-node ones.
 func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	g := graph.Collaboration(800, 5, 0.8, 40, 7)
 	p := DefaultParams()
@@ -167,48 +174,34 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	us := []uint32{3, 400, 799, 1019, 46, 467}
 	requireBothKinds(t, "threshold shards", e.Snapshot, us)
 	requireAllClasses(t, "threshold shards", e.Snapshot, us)
-	for _, theta := range []float64{0.005, 0.05, 0.3} {
+	for _, theta := range []float64{0.005, p.Theta, 0.05, 0.3} {
 		for _, u := range us {
 			want, wantStats, err := e.search(ctx, u, 0, theta, e.p.Workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for pi, part := range partitions(n) {
-				frags := make([][]Scored, len(part))
+				label := fmt.Sprintf("theta=%g u=%d part=%d", theta, u, pi)
+				frags, sts := shardFrags(t, e.Snapshot, u, theta, part)
 				var sum QueryStats
-				for si, r := range part {
-					f, st, err := e.ThresholdShardCtx(ctx, u, theta, r[0], r[1])
-					if err != nil {
-						t.Fatalf("u=%d part=%d shard=%d: %v", u, pi, si, err)
-					}
-					frags[si] = f
+				for _, st := range sts {
 					sum.Candidates += st.Candidates
 					sum.PrunedByBound += st.PrunedByBound
 					sum.PrunedByRough += st.PrunedByRough
 					sum.Refined += st.Refined
 				}
 				if sum != scanStats(wantStats) {
-					t.Fatalf("theta=%g u=%d part=%d: stats sum %+v, want %+v",
-						theta, u, pi, sum, scanStats(wantStats))
+					t.Fatalf("%s: stats sum %+v, want %+v", label, sum, scanStats(wantStats))
 				}
-				got := mergeScored(frags)
-				if len(got) != len(want) {
-					t.Fatalf("theta=%g u=%d part=%d: %d results, want %d",
-						theta, u, pi, len(got), len(want))
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("theta=%g u=%d part=%d: result %d = %+v, want %+v",
-							theta, u, pi, j, got[j], want[j])
-					}
-				}
+				res, stats := MergeShardTopKScratch(0, theta, frags, nil)
+				sameAnswer(t, label, res, stats, want, wantStats)
 			}
 		}
 	}
 }
 
 // TestTopKShardBatchMatchesSingle: the batch shard entry point must be
-// query-wise identical to the single-query one.
+// query-wise identical to the single-query scan at the serving theta.
 func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	g := graph.Collaboration(500, 4, 0.8, 30, 9)
 	p := DefaultParams()
@@ -218,12 +211,13 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	requireBothKinds(t, "shard batch", e.Snapshot, us)
 	requireAllClasses(t, "shard batch", e.Snapshot, us)
 	ctx := context.Background()
-	frags, sts, err := e.TopKShardBatchCtx(ctx, us, 100, 400)
-	if err != nil {
+	frags := make([][]ShardCand, len(us))
+	sts := make([]QueryStats, len(us))
+	if err := e.TopKShardBatchAppendCtx(ctx, us, 100, 400, frags, sts); err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range us {
-		want, wantSt, err := e.TopKShardCtx(ctx, u, 100, 400)
+		want, wantSt, err := e.ShardScanCtx(ctx, u, e.p.Theta, 100, 400, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,12 +230,30 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// fuzzSnapshot is the small engine FuzzMergeShardTopK scans real
+// fragments from, built once per process, with the vertices whose
+// threshold query at the fuzz's lowest theta returns something.
+var fuzzSnapshot = sync.OnceValues(func() (*Snapshot, []uint32) {
+	p := DefaultParams()
+	p.Seed = 3
+	e := Build(graph.Collaboration(100, 4, 0.8, 20, 5), p).Snapshot
+	var us []uint32
+	for u := uint32(0); u < uint32(e.g.N()); u++ {
+		if len(e.Threshold(u, 1.0/512)) > 0 {
+			us = append(us, u)
+		}
+	}
+	return e, us
+})
+
 // FuzzMergeShardTopK checks partition invariance of the replay on
 // synthetic fragments: merging any contiguous-range split of a
 // well-formed candidate list must equal replaying the unsplit list.
 // This exercises tie ordering (bounds drawn from a tiny value set),
 // every candidate state, and k beyond the candidate count — free of
-// engine-build cost.
+// engine-build cost. Then, on a small engine, it checks the threshold
+// exchange at a θ drawn from the input: the fragments of the same split,
+// scanned at θ and merged with k = 0, must equal Threshold(u, θ).
 func FuzzMergeShardTopK(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(20), uint8(3))
 	f.Add([]byte{0xff, 0, 0xff, 0, 7}, uint8(0), uint8(1))
@@ -289,10 +301,10 @@ func FuzzMergeShardTopK(f *testing.F) {
 			}
 			cands[i] = c
 		}
-		SortShardCands(cands)
+		sortShardCands(cands)
 		k := int(kb)
 
-		wantRes, wantStats := MergeShardTopK(k, theta, [][]ShardCand{cands})
+		wantRes, wantStats := MergeShardTopKScratch(k, theta, [][]ShardCand{cands}, nil)
 
 		// Split by vertex-id ranges (candidates own v == their index).
 		s := int(shards)%5 + 1
@@ -307,7 +319,7 @@ func FuzzMergeShardTopK(f *testing.F) {
 			}
 			frags[si] = fr
 		}
-		res, stats := MergeShardTopK(k, theta, frags)
+		res, stats := MergeShardTopKScratch(k, theta, frags, nil)
 		if stats != wantStats {
 			t.Fatalf("stats %+v, want %+v", stats, wantStats)
 		}
@@ -320,5 +332,24 @@ func FuzzMergeShardTopK(f *testing.F) {
 					i, res[i], wantRes[i], binary.BigEndian.AppendUint16(nil, uint16(i)))
 			}
 		}
+
+		e, us := fuzzSnapshot()
+		en := uint32(e.g.N())
+		u := us[(len(data)*131+int(data[0]))%len(us)]
+		thr := float64(1+int(kb)) / 512 // 0.002 .. 0.5
+		part := make([][2]uint32, s)
+		for si := range part {
+			part[si] = [2]uint32{uint32(si) * en / uint32(s), uint32(si+1) * en / uint32(s)}
+		}
+		tfrags, _ := shardFrags(t, e, u, thr, part)
+		want, wantSt, err := e.search(context.Background(), u, 0, thr, e.p.Workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(want, e.Threshold(u, thr)) {
+			t.Fatalf("u=%d theta=%g: search at k = 0 is not Threshold", u, thr)
+		}
+		tres, tstats := MergeShardTopKScratch(0, thr, tfrags, nil)
+		sameAnswer(t, fmt.Sprintf("u=%d theta=%g shards=%d", u, thr, s), tres, tstats, want, wantSt)
 	})
 }

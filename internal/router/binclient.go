@@ -92,9 +92,10 @@ func ctxErr(ctx context.Context, err error) error {
 }
 
 // binCall runs one framed exchange of op against addr, decoding the
-// answer into rp. A MsgError answer comes back as *upstreamError (the
-// connection stays pooled — the stream is still aligned); every other
-// failure closes the connection.
+// answer into rp and checking it (reply.check). A MsgError answer comes
+// back as *upstreamError (the connection stays pooled — the stream is
+// still aligned); every other failure, a bad answer included, closes the
+// connection.
 func (rt *Router) binCall(ctx context.Context, addr string, op shardOp, lo, hi int, rp *reply, x *xfer) error {
 	p := rt.binPoolFor(addr)
 	bc, err := p.get(ctx, addr)
@@ -154,6 +155,9 @@ func (rt *Router) binCall(ctx context.Context, addr string, op shardOp, lo, hi i
 	}
 	err = op.decodeFrame(&bc.frame, rp)
 	x.decodeNS += time.Since(t1).Nanoseconds()
+	if err == nil {
+		err = rp.check(lo, hi)
+	}
 	if err != nil {
 		return err
 	}

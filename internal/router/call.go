@@ -92,7 +92,8 @@ func (rt *Router) attempt(ctx context.Context, addr, binAddr string, op shardOp,
 // httpCall runs one exchange over HTTP, negotiating a binary response
 // (and sending binary POST bodies) unless JSON is forced, and decodes
 // whichever encoding the server chose — an old server answers JSON to a
-// binary Accept, and JSON never begins with the frame magic.
+// binary Accept, and JSON never begins with the frame magic — and checks
+// the answer (reply.check).
 func (rt *Router) httpCall(ctx context.Context, addr string, op shardOp, lo, hi int, rp *reply, x *xfer) error {
 	bin := rt.binEnabled()
 	t0 := time.Now()
@@ -133,13 +134,17 @@ func (rt *Router) httpCall(ctx context.Context, addr string, op shardOp, lo, hi 
 		return asUpstreamError(resp.StatusCode, data)
 	}
 	if !wire.IsFrame(data) {
-		return op.decodeJSON(data, rp)
+		err = op.decodeJSON(data, rp)
+	} else {
+		t1 := time.Now()
+		err = rp.frame.Parse(data)
+		if err == nil {
+			err = op.decodeFrame(&rp.frame, rp)
+		}
+		x.decodeNS += time.Since(t1).Nanoseconds()
 	}
-	t1 := time.Now()
-	err = rp.frame.Parse(data)
-	if err == nil {
-		err = op.decodeFrame(&rp.frame, rp)
+	if err != nil {
+		return err
 	}
-	x.decodeNS += time.Since(t1).Nanoseconds()
-	return err
+	return rp.check(lo, hi)
 }

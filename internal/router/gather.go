@@ -1,6 +1,9 @@
 package router
 
 import (
+	"fmt"
+	"math"
+
 	simrank "repro"
 	"repro/internal/wire"
 )
@@ -14,19 +17,19 @@ import (
 type reply struct {
 	// Decode targets, reused across queries: the parse shell for HTTP
 	// bodies (the TCP transport parses in its connection's shell), the
-	// wire messages that own backing arrays, and the reply-owned fragment
-	// rows — what a JSON body decoded to, and the one-row answer of a topk.
+	// batch message that owns its backing arrays, and the reply-owned
+	// fragment rows — what a JSON body decoded to, and the one-row answer
+	// of a topk or a similar. seen is check's bitset over the range.
 	frame    wire.Frame
 	batch    wire.BatchResp
-	similar  wire.SimilarResp
 	rows     [][]simrank.ShardCand
 	rowStats []simrank.QueryStats
+	seen     []uint64
 
 	// The view the merge reads: one fragment and one stats entry per
-	// query (a topk is a batch of one), or the ranked list of a similar.
-	frags  [][]simrank.ShardCand
-	stats  []simrank.QueryStats
-	ranked []simrank.Result
+	// query (a topk or a similar is a batch of one).
+	frags [][]simrank.ShardCand
+	stats []simrank.QueryStats
 }
 
 // setRows sizes the reply-owned rows for q queries and points the merge
@@ -44,6 +47,51 @@ func (rp *reply) setRows(q int) {
 	rp.frags, rp.stats = rp.rows, rp.rowStats
 }
 
+// check holds every fragment of a decoded answer to what the merge
+// assumes of it: (UB desc, V asc) order, no vertex twice, every vertex in
+// the range [lo, hi) asked for, a known state and no NaN. A failed check
+// is a bad answer; a passing one allocates nothing.
+func (rp *reply) check(lo, hi int) error {
+	words := (hi - lo + 63) / 64
+	if cap(rp.seen) < words {
+		rp.seen = make([]uint64, words)
+	}
+	seen := rp.seen[:words]
+	for qi, f := range rp.frags {
+		n, err := checkFrag(f, lo, hi, seen)
+		for _, c := range f[:n] { // leave seen all zero for the next one
+			seen[(int(c.V)-lo)/64] = 0
+		}
+		if err != nil {
+			return badAnswer("fragment %d: %v", qi, err)
+		}
+	}
+	return nil
+}
+
+// checkFrag checks one fragment against seen, which it finds all zero,
+// and reports how many entries it marked there.
+func checkFrag(f []simrank.ShardCand, lo, hi int, seen []uint64) (int, error) {
+	for i, c := range f {
+		switch {
+		case int64(c.V) < int64(lo) || int64(c.V) >= int64(hi):
+			return i, fmt.Errorf("vertex %d outside the range [%d, %d) asked for", c.V, lo, hi)
+		case c.State > simrank.ShardScoredNoRough:
+			return i, fmt.Errorf("vertex %d in unknown state %d", c.V, c.State)
+		case math.IsNaN(c.UB) || math.IsNaN(c.Rough) || math.IsNaN(c.Score):
+			return i, fmt.Errorf("vertex %d carries a NaN", c.V)
+		case i > 0 && (f[i-1].UB < c.UB || f[i-1].UB == c.UB && f[i-1].V >= c.V):
+			return i, fmt.Errorf("vertex %d (bound %v) after vertex %d (bound %v)", c.V, c.UB, f[i-1].V, f[i-1].UB)
+		}
+		w, bit := (int(c.V)-lo)/64, uint64(1)<<((int(c.V)-lo)%64)
+		if seen[w]&bit != 0 {
+			return i, fmt.Errorf("vertex %d twice", c.V)
+		}
+		seen[w] |= bit
+	}
+	return len(f), nil
+}
+
 func (rt *Router) getReply() *reply {
 	return rt.replies.Get().(*reply)
 }
@@ -59,7 +107,6 @@ type gather struct {
 	errs    []error
 	replies []*reply
 	qfrags  [][]simrank.ShardCand // query qi's fragment of every shard
-	rfrags  [][]simrank.Result    // every shard's ranked list (similar)
 	ms      simrank.MergeScratch
 }
 
@@ -69,12 +116,10 @@ func (g *gather) ensure(n int) {
 		g.errs = make([]error, n)
 		g.replies = make([]*reply, n)
 		g.qfrags = make([][]simrank.ShardCand, n)
-		g.rfrags = make([][]simrank.Result, n)
 	}
 	g.errs = g.errs[:n]
 	g.replies = g.replies[:n]
 	g.qfrags = g.qfrags[:n]
-	g.rfrags = g.rfrags[:n]
 }
 
 func (rt *Router) getGather() *gather {
@@ -87,15 +132,16 @@ func (rt *Router) putGather(g *gather) {
 		if rp != nil {
 			rt.putReply(rp)
 		}
-		g.errs[i], g.replies[i], g.qfrags[i], g.rfrags[i] = nil, nil, nil, nil
+		g.errs[i], g.replies[i], g.qfrags[i] = nil, nil, nil
 	}
 	rt.gathers.Put(g)
 }
 
 // mergeTopK replays query qi of every shard's reply through the
-// fragment merge. The scan counters come out byte-identical to single
-// node; the cache counters are summed over the shards (cache state is
-// topology-dependent: each shard has its own tally cache).
+// fragment merge at floor theta: the serving one for a top-k, the query's
+// own with k = 0 for a similar. The scan counters come out byte-identical
+// to single node; the cache counters are summed over the shards (cache
+// state is topology-dependent: each shard has its own tally cache).
 func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
 	for i, rp := range g.replies {
 		g.qfrags[i] = rp.frags[qi]

@@ -3,6 +3,8 @@ package router
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"slices"
 	"strconv"
 
 	simrank "repro"
@@ -11,7 +13,8 @@ import (
 )
 
 // shardOp is one kind of shard request — topk, batch or similar —
-// reduced to the four things call cannot know generically. [lo, hi) is
+// reduced to the four things call cannot know generically. Every kind is
+// answered with fragments, one per query asked for. [lo, hi) is
 // the vertex range asked for: the shard's own range, whichever server
 // the attempt goes to. An op is read-only once built and must not alias
 // pooled memory: a losing attempt may still be encoding it after the
@@ -24,7 +27,8 @@ type shardOp interface {
 	// with its query string, and the POST body (nil means GET) — the
 	// binary frame when bin, the JSON shape otherwise.
 	httpReq(lo, hi int, bin bool) (path string, body []byte)
-	// decodeFrame and decodeJSON lower a 200 answer into rp's merge view.
+	// decodeFrame and decodeJSON lower a 200 answer into rp's merge view,
+	// failing it as a bad answer unless it echoes the queries asked for.
 	decodeFrame(f *wire.Frame, rp *reply) error
 	decodeJSON(body []byte, rp *reply) error
 }
@@ -41,6 +45,21 @@ func (rp *reply) setJSONRow(qi int, r *server.ShardTopKResponse) {
 	if r.Stats != nil {
 		rp.rowStats[qi] = *r.Stats
 	}
+}
+
+// badAnswer fails an attempt whose shard answered 200 with a body the
+// merge must not read: an upstream error, so the attempt neither falls
+// back to the same server's HTTP endpoint nor keeps its TCP connection.
+func badAnswer(format string, args ...any) error {
+	return &upstreamError{Status: http.StatusOK, Code: server.CodeUpstream, Msg: fmt.Sprintf(format, args...)}
+}
+
+// checkEcho fails an answer for query got where want was asked.
+func checkEcho(got, want int64) error {
+	if got != want {
+		return badAnswer("answered query %d, asked %d", got, want)
+	}
+	return nil
 }
 
 // topkOp fetches the fragment of one query; its reply is a batch of one.
@@ -61,7 +80,7 @@ func (o topkOp) decodeFrame(f *wire.Frame, rp *reply) error {
 		return err
 	}
 	rp.rows[0], rp.rowStats[0] = resp.Frag, resp.Stats
-	return nil
+	return checkEcho(int64(resp.Query), int64(o.u))
 }
 
 func (o topkOp) decodeJSON(body []byte, rp *reply) error {
@@ -71,7 +90,7 @@ func (o topkOp) decodeJSON(body []byte, rp *reply) error {
 	}
 	rp.setRows(1)
 	rp.setJSONRow(0, &resp)
-	return nil
+	return checkEcho(int64(resp.Query), int64(o.u))
 }
 
 // batchOp fetches one fragment per query, request order.
@@ -95,7 +114,7 @@ func (o batchOp) httpReq(lo, hi int, bin bool) (string, []byte) {
 // short reply fails the attempt instead of reaching the merge.
 func (o batchOp) checkRows(got int) error {
 	if got != len(o.queries) {
-		return fmt.Errorf("shard answered %d fragments for %d queries", got, len(o.queries))
+		return badAnswer("%d fragments for %d queries", got, len(o.queries))
 	}
 	return nil
 }
@@ -105,7 +124,10 @@ func (o batchOp) decodeFrame(f *wire.Frame, rp *reply) error {
 		return err
 	}
 	rp.frags, rp.stats = rp.batch.Frags, rp.batch.Stats
-	return o.checkRows(len(rp.frags))
+	if !slices.Equal(rp.batch.Queries, o.queries) {
+		return badAnswer("answered queries %v, asked %v", rp.batch.Queries, o.queries)
+	}
+	return nil
 }
 
 func (o batchOp) decodeJSON(body []byte, rp *reply) error {
@@ -113,16 +135,23 @@ func (o batchOp) decodeJSON(body []byte, rp *reply) error {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return err
 	}
+	if err := o.checkRows(len(resp.Results)); err != nil {
+		return err
+	}
 	rp.setRows(len(resp.Results))
 	for qi := range resp.Results {
 		rp.setJSONRow(qi, &resp.Results[qi])
+		if err := checkEcho(int64(resp.Results[qi].Query), int64(o.queries[qi])); err != nil {
+			return err
+		}
 	}
-	return o.checkRows(len(rp.frags))
+	return nil
 }
 
-// similarOp fetches the threshold query's best-first list for a range.
+// similarOp fetches the fragment of one threshold query, scanned at its
+// own theta; the answer is a topk's, so it decodes as one.
 type similarOp struct {
-	u     int
+	topkOp
 	theta float64
 }
 
@@ -133,21 +162,4 @@ func (o similarOp) appendReq(dst []byte, lo, hi int) []byte {
 func (o similarOp) httpReq(lo, hi int, bin bool) (string, []byte) {
 	return "/shard/similar" + "?u=" + strconv.Itoa(o.u) +
 		"&theta=" + strconv.FormatFloat(o.theta, 'g', -1, 64) + rangeQuery(lo, hi), nil
-}
-
-func (o similarOp) decodeFrame(f *wire.Frame, rp *reply) error {
-	if err := f.SimilarResp(&rp.similar); err != nil {
-		return err
-	}
-	rp.ranked = rp.similar.Ranked
-	return nil
-}
-
-func (o similarOp) decodeJSON(body []byte, rp *reply) error {
-	var resp server.TopKResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return err
-	}
-	rp.ranked = resp.Results
-	return nil
 }

@@ -5,26 +5,28 @@
 // pruning statistics — byte-identical to a single-node server over the
 // same index.
 //
-//	GET /topk?u=42&k=20[&stats=1]  -> merged via the fragment replay (MergeShardTopK)
+//	GET /topk?u=42&k=20[&stats=1]  -> merged via the fragment replay (MergeShardTopKScratch)
 //	POST /topk/batch               -> same contract as the single-node batch endpoint
-//	GET /similar?u=42&theta=0.05   -> merged best-first (fixed floor, plain k-way merge)
+//	GET /similar?u=42&theta=0.05   -> the same replay at k = 0 over fragments scanned at theta
 //	GET /statusz                   -> router counters + per-shard hedges/failures/health
 //	GET /healthz, /readyz          -> process up / topology probed and validated
 //
 // Membership is established by Probe: every configured address must
-// answer /readyz and publish a /shardinfo manifest, and the manifests
-// must form one coherent topology (shard.ValidateTopology) — same
-// graph and params fingerprints, same seed and theta, every range
-// present exactly once. Because each server holds the full snapshot
+// answer /readyz and publish a /shardinfo manifest of the router's own
+// wire version, and the manifests must form one coherent topology
+// (shard.ValidateTopology) — same graph and params fingerprints, same
+// seed and theta, every range present exactly once. Because each server holds the full snapshot
 // (the partition splits scoring work, not data), the router can ask any
 // server for any vertex range: a slow shard is hedged to the next
 // server after HedgeDelay, and a failed request fails over immediately,
 // both through the lo/hi range override on the /shard/* endpoints.
 //
 // Every shard request — topk, batch, similar — goes through one path:
-// a shardOp describes the request and how to decode its answer, and
-// call drives the attempts (failover, and hedging when HedgeDelay > 0),
-// picks each attempt's transport and keeps the per-shard counters.
+// a shardOp describes the request and how to decode its answer (a
+// fragment per query, checked before any merge reads it: reply.check),
+// and call drives the attempts (failover, and hedging when
+// HedgeDelay > 0), picks each attempt's transport and keeps the
+// per-shard counters.
 // Shard traffic prefers the binary wire codec (internal/wire): a shard
 // that advertises Manifest.BinAddr is reached over pooled persistent
 // TCP; otherwise the router negotiates binary over HTTP with
@@ -53,6 +55,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // Wire modes (Config.Wire).
@@ -285,7 +288,13 @@ func (rt *Router) probeOne(ctx context.Context, addr string, m *shard.Manifest) 
 	if status != http.StatusOK {
 		return fmt.Errorf("shardinfo: status %d", status)
 	}
-	return json.Unmarshal(body, m)
+	if err := json.Unmarshal(body, m); err != nil {
+		return err
+	}
+	if m.Version != wire.Version {
+		return fmt.Errorf("shard speaks wire version %d, this router %d", m.Version, wire.Version)
+	}
+	return nil
 }
 
 // get issues a plain GET under ctx and slurps the body: probe and
@@ -484,16 +493,14 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	g := rt.getGather()
 	defer rt.putGather(g)
-	if err := rt.scatter(ctx, t, similarOp{u: u, theta: theta}, g); err != nil {
+	if err := rt.scatter(ctx, t, similarOp{topkOp{u}, theta}, g); err != nil {
 		rt.writeQueryError(w, err)
 		return
 	}
-	for i, rp := range g.replies {
-		g.rfrags[i] = rp.ranked
-	}
+	res, _ := g.mergeTopK(0, 0, theta, false)
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
-		Results:  shard.MergeTopK(0, g.rfrags),
+		Results:  res,
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
 }

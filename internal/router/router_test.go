@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	simrank "repro"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // buildIndex builds the shared test index once per process; every
@@ -52,6 +54,9 @@ type topoOpts struct {
 	// response written on its binary listener wait that long first.
 	slowShard int
 	slowDelay time.Duration
+	// tamper, when set, rewrites every shard's answers on every transport
+	// (answers_test.go).
+	tamper tamper
 }
 
 // slowListener delays every response written on its connections.
@@ -101,6 +106,9 @@ func loopbackOpts(tb testing.TB, idx *simrank.Index, shards int, cfg Config, o t
 				sh.ServeHTTP(w, r)
 			})
 		}
+		if o.tamper != nil {
+			h = tamperHandler(h, o.tamper)
+		}
 		servers[i] = &shardServer{Server: httptest.NewServer(h)}
 		if !o.noBin {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -110,6 +118,9 @@ func loopbackOpts(tb testing.TB, idx *simrank.Index, shards int, cfg Config, o t
 			servers[i].stopBin = func() { ln.Close() }
 			if slow {
 				ln = slowListener{ln, o.slowDelay}
+			}
+			if o.tamper != nil {
+				ln = tamperListener{ln, o.tamper}
 			}
 			// ServeBin publishes the address before it accepts, and the
 			// probe below reads it from /shardinfo; wait for it.
@@ -244,25 +255,35 @@ func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestRouterSimilarMatchesSingleNode: routed /similar is byte-identical
+// to single-node /similar (elapsed_ms aside) on 1, 2 and 3 shards, over
+// the binary TCP wire and over forced JSON, at thetas below, at and above
+// the serving theta of 0.01 — a shard that scanned at its own theta
+// instead of the query's would differ below it.
 func TestRouterSimilarMatchesSingleNode(t *testing.T) {
 	idx := buildIndex(t)
-	rt, _ := loopback(t, idx, 3, Config{})
+	if idx.Threshold() != 0.01 {
+		t.Fatalf("serving theta %g, the theta set below is chosen around 0.01", idx.Threshold())
+	}
 	single := server.New(idx)
-	for _, u := range []int{0, 42} {
-		path := fmt.Sprintf("/similar?u=%d&theta=0.02", u)
-		rec, body := routerGet(t, rt, path)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, rec.Code, body)
+	for shards := 1; shards <= 3; shards++ {
+		for _, wf := range []string{WireBin, WireJSON} {
+			rt, _ := loopback(t, idx, shards, Config{Wire: wf})
+			for _, theta := range []string{"0.005", "0.01", "0.05", "1"} {
+				for _, u := range []int{0, 5, 42, 100} {
+					path := fmt.Sprintf("/similar?u=%d&theta=%s", u, theta)
+					rec, body := routerGet(t, rt, path)
+					if rec.Code != http.StatusOK {
+						t.Fatalf("%d shards %s %s: status %d: %s", shards, wf, path, rec.Code, body)
+					}
+					_, want := routerGet(t, single, path)
+					got, want := elapsedRE.ReplaceAll(body, nil), elapsedRE.ReplaceAll(want, nil)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%d shards %s %s:\n got  %s\n want %s", shards, wf, path, got, want)
+					}
+				}
+			}
 		}
-		var got, want server.TopKResponse
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatal(err)
-		}
-		_, sbody := routerGet(t, single, path)
-		if err := json.Unmarshal(sbody, &want); err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, fmt.Sprintf("u=%d", u), got.Results, want.Results)
 	}
 }
 
@@ -599,6 +620,36 @@ func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 		if rec, _ := routerGet(t, rt, "/topk?u=5&k=5"); rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("the refused topology serves /topk with status %d", rec.Code)
 		}
+	}
+}
+
+// TestRouterProbeRejectsOtherWireVersion: a shard advertising wire
+// version 1 answers /shard/similar with a ranked list, which this router
+// would read as an empty fragment; the probe refuses it and says why.
+func TestRouterProbeRejectsOtherWireVersion(t *testing.T) {
+	idx := buildIndex(t)
+	inner := server.NewShard(idx, 0, 2)
+	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/shardinfo" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		m := inner.Manifest()
+		m.Version = 1
+		if err := json.NewEncoder(w).Encode(m); err != nil {
+			t.Error(err)
+		}
+	})
+	sa, sb := httptest.NewServer(older), httptest.NewServer(server.NewShard(idx, 1, 2))
+	t.Cleanup(sa.Close)
+	t.Cleanup(sb.Close)
+	rt := New(Config{Shards: []string{sa.URL, sb.URL}})
+	err := rt.Probe(context.Background())
+	if want := fmt.Sprintf("wire version 1, this router %d", wire.Version); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("probe of a version-1 shard: %v", err)
+	}
+	if rec, _ := routerGet(t, rt, "/similar?u=5"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("the refused topology serves /similar with status %d", rec.Code)
 	}
 }
 

@@ -32,20 +32,18 @@ func fillDistinct(t *testing.T, p any) {
 }
 
 // TestPayloadFieldsSurviveBothEncodings is the guard on the one-definition
-// vocabulary: every field of QueryStats, ShardCand and Result, filled with
+// vocabulary: every field of QueryStats and ShardCand, filled with
 // distinct values, must reach the router's merge view unchanged through
 // both encodings a shard answers in — the JSON bodies of server's /shard/*
 // endpoints and the binary frames. JSON follows the struct by
 // construction; the frame codec lists fields by hand (wire.statsFields,
-// the candidate and result rows), so a field added to core and not to the
-// codec fails here.
+// the candidate rows), so a field added to core and not to the codec
+// fails here.
 func TestPayloadFieldsSurviveBothEncodings(t *testing.T) {
 	var stats simrank.QueryStats
 	var cand simrank.ShardCand
-	var res simrank.Result
 	fillDistinct(t, &stats)
 	fillDistinct(t, &cand)
-	fillDistinct(t, &res)
 	frag := []simrank.ShardCand{cand}
 
 	viaJSON := func(op shardOp, payload any) *reply {
@@ -72,26 +70,22 @@ func TestPayloadFieldsSurviveBothEncodings(t *testing.T) {
 		return rp
 	}
 	one := server.ShardTopKResponse{Query: 1, Frag: frag, Stats: &stats}
+	oneFrame := wire.AppendTopKResp(nil, &wire.TopKResp{Query: 1, Stats: stats, Frag: frag})
 	batch := batchOp{queries: []uint32{1}}
+	similar := similarOp{topkOp{u: 1}, 0.5}
 	for label, rp := range map[string]*reply{
-		"topk json":   viaJSON(topkOp{u: 1}, one),
-		"topk frame":  viaFrame(topkOp{u: 1}, wire.AppendTopKResp(nil, &wire.TopKResp{Query: 1, Stats: stats, Frag: frag})),
-		"batch json":  viaJSON(batch, server.ShardBatchResponse{Results: []server.ShardTopKResponse{one}}),
-		"batch frame": viaFrame(batch, wire.AppendBatchResp(nil, &wire.BatchResp{Queries: batch.queries, Stats: []simrank.QueryStats{stats}, Frags: [][]simrank.ShardCand{frag}})),
+		"topk json":     viaJSON(topkOp{u: 1}, one),
+		"topk frame":    viaFrame(topkOp{u: 1}, oneFrame),
+		"similar json":  viaJSON(similar, one),
+		"similar frame": viaFrame(similar, oneFrame),
+		"batch json":    viaJSON(batch, server.ShardBatchResponse{Results: []server.ShardTopKResponse{one}}),
+		"batch frame":   viaFrame(batch, wire.AppendBatchResp(nil, &wire.BatchResp{Queries: batch.queries, Stats: []simrank.QueryStats{stats}, Frags: [][]simrank.ShardCand{frag}})),
 	} {
 		if len(rp.frags) != 1 || len(rp.frags[0]) != 1 || rp.frags[0][0] != cand {
 			t.Errorf("%s: fragment %+v, want [[%+v]]", label, rp.frags, cand)
 		}
 		if len(rp.stats) != 1 || rp.stats[0] != stats {
 			t.Errorf("%s: stats %+v, want [%+v]", label, rp.stats, stats)
-		}
-	}
-	for label, rp := range map[string]*reply{
-		"similar json":  viaJSON(similarOp{u: 1}, server.TopKResponse{Query: 1, Results: []simrank.Result{res}, Stats: &stats}),
-		"similar frame": viaFrame(similarOp{u: 1}, wire.AppendSimilarResp(nil, &wire.SimilarResp{Query: 1, Stats: stats, Ranked: []simrank.Result{res}})),
-	} {
-		if len(rp.ranked) != 1 || rp.ranked[0] != res {
-			t.Errorf("%s: ranked %+v, want [%+v]", label, rp.ranked, res)
 		}
 	}
 }

@@ -19,10 +19,10 @@
 // merges per-shard fragments back into byte-identical single-node
 // answers:
 //
-//	GET /shardinfo               -> shard manifest (range, graph/params fingerprints)
+//	GET /shardinfo               -> shard manifest (range, graph/params fingerprints, wire version)
 //	GET /shard/topk?u=42         -> scored candidate fragment for the owned range
 //	POST /shard/topk/batch       -> {"queries":[...]} fragments for many queries
-//	GET /shard/similar?u=42&theta=0.05 -> owned-range threshold results
+//	GET /shard/similar?u=42&theta=0.05 -> the owned range's fragment scored at floor theta
 //
 // Errors carry a JSON body {"error": msg, "code": stable_code}; retryable
 // 503s (timeout, cancellation, not-ready) also set Retry-After.

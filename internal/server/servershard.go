@@ -122,9 +122,10 @@ func (h *Handler) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.manifestView())
 }
 
-// ShardTopKResponse is the payload of /shard/topk: the scored fragment
-// for the owned vertex range, plus this shard's stats (cache counters
-// matter to the router; scan counters are recomputed by the merge).
+// ShardTopKResponse is the payload of /shard/topk and /shard/similar: the
+// scored fragment for the owned vertex range, plus this shard's stats
+// (cache counters matter to the router; scan counters are recomputed by
+// the merge).
 //
 // Both encodings of a fragment are exact: the binary codec ships raw
 // float64 bits and Go's JSON float64 round-trip is exact (shortest
@@ -164,7 +165,7 @@ type ShardBatchResponse struct {
 type shardReq struct {
 	kind    uint8 // wire.MsgTopKReq, wire.MsgBatchReq or wire.MsgSimilarReq
 	u       int
-	theta   float64 // similar only
+	theta   float64 // the scan's floor: the manifest's for topk, the request's for similar
 	lo, hi  int
 	queries []uint32 // batch only
 }
@@ -172,7 +173,7 @@ type shardReq struct {
 // shardReqFromURL decodes a GET shard request (topk or similar) from
 // its query string: u, optional lo/hi, and for similar optional theta.
 func (h *Handler) shardReqFromURL(kind uint8, q url.Values) (shardReq, error) {
-	req := shardReq{kind: kind, theta: 0.01}
+	req := shardReq{kind: kind, theta: h.manifest.Theta}
 	var err error
 	if req.u, err = IntParam(q, "u", -1); err != nil {
 		return req, err
@@ -184,7 +185,7 @@ func (h *Handler) shardReqFromURL(kind uint8, q url.Values) (shardReq, error) {
 		return req, err
 	}
 	if kind == wire.MsgSimilarReq {
-		req.theta, err = ThetaParam(q, req.theta)
+		req.theta, err = ThetaParam(q, 0.01)
 	}
 	return req, err
 }
@@ -208,11 +209,11 @@ func (h *Handler) shardReqFromJSON(body io.Reader) (shardReq, error) {
 // shardReqFromFrame decodes a parsed request frame — one message on the
 // TCP listener, or the body of a binary HTTP POST. A batch's queries
 // are copied into breq, so the frame's bytes may be reused on return.
-func shardReqFromFrame(f *wire.Frame, breq *wire.BatchReq) (shardReq, error) {
+func (h *Handler) shardReqFromFrame(f *wire.Frame, breq *wire.BatchReq) (shardReq, error) {
 	switch f.Type {
 	case wire.MsgTopKReq:
 		r, err := f.TopKReq()
-		return shardReq{kind: f.Type, u: int(r.U), lo: int(r.Lo), hi: int(r.Hi)}, err
+		return shardReq{kind: f.Type, u: int(r.U), theta: h.manifest.Theta, lo: int(r.Lo), hi: int(r.Hi)}, err
 	case wire.MsgBatchReq:
 		err := f.BatchReq(breq)
 		return shardReq{kind: f.Type, lo: int(breq.Lo), hi: int(breq.Hi), queries: breq.Queries}, err
@@ -236,7 +237,7 @@ func (h *Handler) shardReqFromBody(kind uint8, body io.Reader, f *wire.Frame, br
 	t0 := time.Now()
 	var req shardReq
 	if err = f.Parse(data); err == nil {
-		req, err = shardReqFromFrame(f, breq)
+		req, err = h.shardReqFromFrame(f, breq)
 	}
 	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
 	if err == nil && req.kind != kind {
@@ -280,25 +281,18 @@ func (h *Handler) checkShardReq(req *shardReq) error {
 }
 
 // run executes a validated request into ss: fragments and stats per
-// query (a topk is a batch of one), or the ranked list of a similar.
-// Fixed-floor threshold results merge exactly with a plain best-first
-// k-way merge, so similar needs no fragment.
+// query. A topk or a similar is a batch of one, both the fragment scan at
+// req.theta; they differ only in where the floor came from.
 func (h *Handler) run(ctx context.Context, req *shardReq, ss *shardScratch) error {
-	var err error
-	switch req.kind {
-	case wire.MsgTopKReq:
-		h.counters.shardQueries.Add(1)
-		ss.ensureBatch(1)
-		ss.frags[0], ss.sts[0], err = h.idx.TopKShardAppendCtx(ctx, req.u, req.lo, req.hi, ss.frags[0])
-	case wire.MsgBatchReq:
+	if req.kind == wire.MsgBatchReq {
 		h.counters.shardBatches.Add(1)
 		ss.ensureBatch(len(req.queries))
-		err = h.idx.TopKShardBatchAppendCtx(ctx, req.queries, req.lo, req.hi, ss.frags, ss.sts)
-	default:
-		h.counters.shardQueries.Add(1)
-		ss.ensureBatch(1)
-		ss.ranked, ss.sts[0], err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi)
+		return h.idx.TopKShardBatchAppendCtx(ctx, req.queries, req.lo, req.hi, ss.frags, ss.sts)
 	}
+	h.counters.shardQueries.Add(1)
+	ss.ensureBatch(1)
+	var err error
+	ss.frags[0], ss.sts[0], err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi, ss.frags[0])
 	return err
 }
 
@@ -306,16 +300,12 @@ func (h *Handler) run(ctx context.Context, req *shardReq, ss *shardScratch) erro
 func (h *Handler) encodeResp(buf *wire.Buf, req *shardReq, ss *shardScratch, elapsed time.Duration) {
 	t0 := time.Now()
 	id, us := int32(h.manifest.Shard), elapsed.Microseconds()
-	switch req.kind {
-	case wire.MsgTopKReq:
-		buf.B = wire.AppendTopKResp(buf.B[:0], &wire.TopKResp{
-			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: ss.sts[0], Frag: ss.frags[0]})
-	case wire.MsgBatchReq:
+	if req.kind == wire.MsgBatchReq {
 		buf.B = wire.AppendBatchResp(buf.B[:0], &wire.BatchResp{
 			Shard: id, ElapsedUS: us, Queries: req.queries, Stats: ss.sts, Frags: ss.frags})
-	default:
-		buf.B = wire.AppendSimilarResp(buf.B[:0], &wire.SimilarResp{
-			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: ss.sts[0], Ranked: ss.ranked})
+	} else {
+		buf.B = wire.AppendTopKResp(buf.B[:0], &wire.TopKResp{
+			Query: uint32(req.u), Shard: id, ElapsedUS: us, Stats: ss.sts[0], Frag: ss.frags[0]})
 	}
 	h.counters.encodeNS.Add(time.Since(t0).Nanoseconds())
 	h.counters.binRequests.Add(1)
@@ -327,20 +317,16 @@ func (h *Handler) jsonResp(req *shardReq, ss *shardScratch, elapsed time.Duratio
 	one := func(u, i int) ShardTopKResponse {
 		return ShardTopKResponse{Query: u, Shard: h.manifest.Shard, Frag: ss.frags[i], Stats: &ss.sts[i]}
 	}
-	switch req.kind {
-	case wire.MsgTopKReq:
+	if req.kind != wire.MsgBatchReq {
 		resp := one(req.u, 0)
 		resp.ElapsedM = ms
 		return resp
-	case wire.MsgBatchReq:
-		resp := ShardBatchResponse{Shard: h.manifest.Shard, Results: make([]ShardTopKResponse, len(req.queries)), ElapsedM: ms}
-		for i, u := range req.queries {
-			resp.Results[i] = one(int(u), i)
-		}
-		return resp
-	default:
-		return TopKResponse{Query: req.u, Results: ss.ranked, Stats: &ss.sts[0], ElapsedM: ms}
 	}
+	resp := ShardBatchResponse{Shard: h.manifest.Shard, Results: make([]ShardTopKResponse, len(req.queries)), ElapsedM: ms}
+	for i, u := range req.queries {
+		resp.Results[i] = one(int(u), i)
+	}
+	return resp
 }
 
 // serveShard is the HTTP face of the shard endpoints: decode → check →
@@ -407,7 +393,9 @@ func (h *Handler) handleShardTopKBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardSimilar answers GET /shard/similar?u=42&theta=0.05: the
-// threshold query restricted to the owned range.
+// owned range's fragment scanned at the floor theta instead of the
+// serving one, in /shard/topk's answer shape; merged with k = 0 at theta
+// it is the threshold query's answer.
 func (h *Handler) handleShardSimilar(w http.ResponseWriter, r *http.Request) {
 	h.serveShard(w, r, wire.MsgSimilarReq)
 }

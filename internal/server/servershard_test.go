@@ -10,6 +10,7 @@ import (
 
 	simrank "repro"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // shardTopology builds one index and a handler per shard over it, the
@@ -38,7 +39,7 @@ func TestShardInfoEndpoint(t *testing.T) {
 		if err := json.Unmarshal(body, &m); err != nil {
 			t.Fatal(err)
 		}
-		if m.Shard != i || m.NumShards != 3 || m.Vertices != idx.Graph().NumVertices() {
+		if m.Shard != i || m.NumShards != 3 || m.Vertices != idx.Graph().NumVertices() || m.Version != wire.Version {
 			t.Fatalf("shard %d manifest = %+v", i, m)
 		}
 		ms = append(ms, m)
@@ -80,7 +81,7 @@ func TestShardTopKMergesToSingleNode(t *testing.T) {
 			}
 			frags[i] = resp.Frag
 		}
-		res, st := simrank.MergeShardTopK(5, idx.Threshold(), frags)
+		res, st := simrank.MergeShardTopKScratch(5, idx.Threshold(), frags, nil)
 		if len(res) != len(want.Results) {
 			t.Fatalf("u=%d: merged %d results, single node %d", u, len(res), len(want.Results))
 		}
@@ -130,34 +131,43 @@ func TestShardTopKBatchEndpoint(t *testing.T) {
 	_ = idx
 }
 
+// TestShardSimilarMergesToSingleNode: /shard/similar answers with the
+// fragment scanned at the request's theta, and the fragments of three
+// shards merged with k = 0 at that theta are the single-node /similar
+// answer — below the serving theta as well as above it.
 func TestShardSimilarMergesToSingleNode(t *testing.T) {
 	idx, hs := shardTopology(t, 3)
 	single := New(idx)
-	for _, u := range []int{0, 42} {
-		_, body := get(t, single, fmt.Sprintf("/similar?u=%d&theta=0.02", u))
-		var want TopKResponse
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatal(err)
-		}
-		frags := make([][]simrank.Result, len(hs))
-		for i, h := range hs {
-			rec, body := get(t, h, fmt.Sprintf("/shard/similar?u=%d&theta=0.02", u))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("shard %d: status %d: %s", i, rec.Code, body)
-			}
-			var resp TopKResponse
-			if err := json.Unmarshal(body, &resp); err != nil {
+	for _, theta := range []float64{0.005, 0.02} {
+		for _, u := range []int{0, 5, 42} {
+			_, body := get(t, single, fmt.Sprintf("/similar?u=%d&theta=%g", u, theta))
+			var want TopKResponse
+			if err := json.Unmarshal(body, &want); err != nil {
 				t.Fatal(err)
 			}
-			frags[i] = resp.Results
-		}
-		got := shard.MergeTopK(0, frags)
-		if len(got) != len(want.Results) {
-			t.Fatalf("u=%d: merged %d results, single node %d", u, len(got), len(want.Results))
-		}
-		for j, r := range got {
-			if r.Node != want.Results[j].Node || r.Score != want.Results[j].Score {
-				t.Fatalf("u=%d: merged result %d = %+v, single node %+v", u, j, r, want.Results[j])
+			frags := make([][]simrank.ShardCand, len(hs))
+			for i, h := range hs {
+				rec, body := get(t, h, fmt.Sprintf("/shard/similar?u=%d&theta=%g", u, theta))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("shard %d: status %d: %s", i, rec.Code, body)
+				}
+				var resp ShardTopKResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Query != u || resp.Shard != i {
+					t.Fatalf("shard %d answered query %d as shard %d", i, resp.Query, resp.Shard)
+				}
+				frags[i] = resp.Frag
+			}
+			got, _ := simrank.MergeShardTopKScratch(0, theta, frags, nil)
+			if len(got) != len(want.Results) {
+				t.Fatalf("theta=%g u=%d: merged %d results, single node %d", theta, u, len(got), len(want.Results))
+			}
+			for j, r := range got {
+				if r != want.Results[j] {
+					t.Fatalf("theta=%g u=%d: merged result %d = %+v, single node %+v", theta, u, j, r, want.Results[j])
+				}
 			}
 		}
 	}

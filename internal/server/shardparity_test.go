@@ -24,13 +24,12 @@ import (
 // answer is one transport's reply to a shard request, normalised so
 // replies from different transports compare with reflect.DeepEqual:
 // the error contract (status + stable code), or the payload the merge
-// would read — fragments and stats per query, or the ranked list.
+// would read — fragments and stats per query.
 type answer struct {
 	status int
 	code   string
 	frags  [][]simrank.ShardCand
 	stats  []simrank.QueryStats
-	ranked []simrank.Result
 }
 
 // answerFromJSON lowers a JSON shard response (or error body).
@@ -44,14 +43,7 @@ func answerFromJSON(t *testing.T, kind uint8, status int, body []byte) answer {
 		return answer{status: status, code: er.Code}
 	}
 	a := answer{status: status}
-	switch kind {
-	case wire.MsgTopKReq:
-		var r ShardTopKResponse
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatal(err)
-		}
-		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{*r.Stats}
-	case wire.MsgBatchReq:
+	if kind == wire.MsgBatchReq {
 		var r ShardBatchResponse
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
@@ -59,13 +51,13 @@ func answerFromJSON(t *testing.T, kind uint8, status int, body []byte) answer {
 		for _, q := range r.Results {
 			a.frags, a.stats = append(a.frags, q.Frag), append(a.stats, *q.Stats)
 		}
-	default:
-		var r TopKResponse
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatal(err)
-		}
-		a.stats, a.ranked = []simrank.QueryStats{*r.Stats}, r.Results
+		return a
 	}
+	var r ShardTopKResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{*r.Stats}
 	return a
 }
 
@@ -85,18 +77,14 @@ func answerFromFrame(t *testing.T, kind uint8, data []byte) answer {
 			t.Fatalf("bad error frame: %v", f.Err())
 		}
 		return answer{status: we.Status, code: we.Code}
-	case kind == wire.MsgTopKReq:
-		var r wire.TopKResp
-		err = f.TopKResp(&r)
-		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{r.Stats}
 	case kind == wire.MsgBatchReq:
 		var r wire.BatchResp
 		err = f.BatchResp(&r)
 		a.frags, a.stats = r.Frags, r.Stats
 	default:
-		var r wire.SimilarResp
-		err = f.SimilarResp(&r)
-		a.stats, a.ranked = []simrank.QueryStats{r.Stats}, r.Ranked
+		var r wire.TopKResp
+		err = f.TopKResp(&r)
+		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{r.Stats}
 	}
 	if err != nil {
 		t.Fatalf("decode response frame: %v", err)
@@ -110,9 +98,6 @@ func (a answer) normalise() answer {
 		if len(f) == 0 {
 			a.frags[i] = nil
 		}
-	}
-	if len(a.ranked) == 0 {
-		a.ranked = nil
 	}
 	return a
 }
@@ -244,7 +229,7 @@ func (c *tcpClient) exchange(t *testing.T, frame []byte) []byte {
 
 // TestShardTransportParity drives one table of shard requests through
 // every transport. Valid requests must come back bit-identical —
-// fragments, stats, ranked lists — and invalid ones with the same status
+// fragments and stats — and invalid ones with the same status
 // and stable code, because all transports decode into one shardReq and
 // share one validator, one scan call and one error mapping. All rows
 // share one TCP connection, so every MsgError row also proves the

@@ -42,16 +42,15 @@ func binBody(r *http.Request) bool {
 func StatsToWire(st simrank.QueryStats) simrank.QueryStats { return st }
 
 // shardScratch is the pooled working set of one shard request: fragment
-// and stats buffers the scans append into (one row per query), the
-// ranked list of a similar, and the decode shells for binary requests.
+// and stats buffers the scans append into (one row per query) and the
+// decode shells for binary requests.
 // Acquire with getShardScratch, release with putShardScratch on every
 // return path.
 type shardScratch struct {
-	frags  [][]simrank.ShardCand
-	sts    []simrank.QueryStats
-	ranked []simrank.Result
-	breq   wire.BatchReq
-	frame  wire.Frame
+	frags [][]simrank.ShardCand
+	sts   []simrank.QueryStats
+	breq  wire.BatchReq
+	frame wire.Frame
 }
 
 // ensureBatch sizes the per-query slices for n queries, reusing each
@@ -174,7 +173,7 @@ func (h *Handler) serveBinFrame(ctx context.Context, conn net.Conn, data []byte,
 		conn.Write(wbuf.B)
 		return false
 	}
-	req, err := shardReqFromFrame(&ss.frame, &ss.breq)
+	req, err := h.shardReqFromFrame(&ss.frame, &ss.breq)
 	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
 	if err == nil {
 		err = h.checkShardReq(&req)

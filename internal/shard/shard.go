@@ -1,8 +1,8 @@
 // Package shard owns the topology layer of the distributed serving
 // tier: the contiguous vertex-range partition function, shard manifests
 // (what a shard must prove about itself before a router will merge its
-// fragments), and the deterministic k-way heap merge of per-shard
-// best-first result lists.
+// fragments). The merge of the fragments is the root package's
+// MergeShardTopKScratch.
 //
 // The partition is the same contiguous-range scheme the in-process
 // worker pools use (parallelVertices, forEachIndexParallel): shard i of
@@ -12,11 +12,10 @@
 package shard
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
-	simrank "repro"
+	"repro/internal/wire"
 )
 
 // Range returns the vertex range [lo, hi) owned by shard i of total
@@ -58,6 +57,11 @@ type Manifest struct {
 	// fragments are scored at, which the router must feed back into the
 	// merge replay.
 	Theta float64 `json:"theta"`
+	// Version is the wire protocol version the shard speaks
+	// (wire.Version): what its /shard/* answers look like on every
+	// transport, JSON included. A router refuses a shard whose version is
+	// not its own.
+	Version int `json:"version"`
 	// BinAddr, when non-empty, is the host:port of the shard's binary
 	// wire listener (internal/wire over persistent TCP) — an optional
 	// transport hint, deliberately excluded from topology validation: a
@@ -81,6 +85,7 @@ func Build(i, total, vertices int, graphFP, paramsFP, seed uint64, theta float64
 		ParamsFP:  paramsFP,
 		Seed:      seed,
 		Theta:     theta,
+		Version:   wire.Version,
 	}
 }
 
@@ -131,71 +136,4 @@ func ValidateTopology(ms []Manifest) ([]Manifest, error) {
 		}
 	}
 	return sorted, nil
-}
-
-// rankedBefore is the best-first order of a result list: higher score
-// first, ties broken toward the smaller vertex id — the single-node
-// heap's output order (core.scoredLess, inverted).
-func rankedBefore(a, b simrank.Result) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Node < b.Node
-}
-
-// mergeHeap is a min-heap of fragment cursors keyed by the best-first
-// order of each fragment's head.
-type mergeHeap struct {
-	frags [][]simrank.Result
-	pos   []int
-	idx   []int // heap of fragment indexes
-}
-
-func (h *mergeHeap) Len() int { return len(h.idx) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	return rankedBefore(h.frags[a][h.pos[a]], h.frags[b][h.pos[b]])
-}
-func (h *mergeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *mergeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *mergeHeap) Pop() interface{} {
-	x := h.idx[len(h.idx)-1]
-	h.idx = h.idx[:len(h.idx)-1]
-	return x
-}
-
-// MergeTopK merges per-shard best-first result lists into the global
-// best-first order, keeping the k best (k == 0 keeps everything). The
-// merge is deterministic for any fragment order: ties across fragments
-// resolve by vertex id, exactly as the single-node top-k heap does, so
-// for fixed-floor query modes (Similar) the merged list is
-// byte-identical to the single-node output. Each fragment must itself
-// be best-first sorted (shards produce them that way).
-func MergeTopK(k int, frags [][]simrank.Result) []simrank.Result {
-	total := 0
-	for _, f := range frags {
-		total += len(f)
-	}
-	if k == 0 || k > total {
-		k = total
-	}
-	h := &mergeHeap{frags: frags, pos: make([]int, len(frags))}
-	for fi, f := range frags {
-		if len(f) > 0 {
-			h.idx = append(h.idx, fi)
-		}
-	}
-	heap.Init(h)
-	out := make([]simrank.Result, 0, k)
-	for len(out) < k && h.Len() > 0 {
-		fi := h.idx[0]
-		out = append(out, h.frags[fi][h.pos[fi]])
-		h.pos[fi]++
-		if h.pos[fi] >= len(h.frags[fi]) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-	}
-	return out
 }

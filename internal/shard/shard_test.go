@@ -1,12 +1,6 @@
 package shard
 
-import (
-	"sort"
-	"testing"
-
-	simrank "repro"
-	"repro/internal/rng"
-)
+import "testing"
 
 func TestRangePartition(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 1001} {
@@ -76,61 +70,5 @@ func TestValidateTopology(t *testing.T) {
 func TestValidateTopologySingle(t *testing.T) {
 	if _, err := ValidateTopology(topology(1)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMergeTopKMatchesSort: merging range-partitioned fragments of any
-// best-first list reproduces a global best-first sort — including score
-// ties resolved by vertex id — for every k.
-func TestMergeTopKMatchesSort(t *testing.T) {
-	r := rng.New(42)
-	for trial := 0; trial < 50; trial++ {
-		n := int(r.Uint64()%200) + 1
-		all := make([]simrank.Result, n)
-		for i := range all {
-			// A tiny score alphabet forces cross-fragment ties.
-			all[i] = simrank.Result{Node: i, Score: float64(r.Uint64()%8) / 10}
-		}
-		want := make([]simrank.Result, n)
-		copy(want, all)
-		sort.Slice(want, func(i, j int) bool { return rankedBefore(want[i], want[j]) })
-
-		shards := int(r.Uint64()%5) + 1
-		frags := make([][]simrank.Result, shards)
-		for i := 0; i < shards; i++ {
-			lo, hi := Range(i, shards, n)
-			var f []simrank.Result
-			for _, x := range all {
-				if x.Node >= lo && x.Node < hi {
-					f = append(f, x)
-				}
-			}
-			sort.Slice(f, func(a, b int) bool { return rankedBefore(f[a], f[b]) })
-			frags[i] = f
-		}
-		for _, k := range []int{0, 1, 5, n, n + 100} {
-			got := MergeTopK(k, frags)
-			wk := k
-			if wk == 0 || wk > n {
-				wk = n
-			}
-			if len(got) != wk {
-				t.Fatalf("trial %d k=%d: %d results, want %d", trial, k, len(got), wk)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d k=%d: result %d = %+v, want %+v", trial, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestMergeTopKEmpty(t *testing.T) {
-	if got := MergeTopK(5, nil); len(got) != 0 {
-		t.Fatalf("merge of nothing returned %v", got)
-	}
-	if got := MergeTopK(5, [][]simrank.Result{nil, {}, nil}); len(got) != 0 {
-		t.Fatalf("merge of empties returned %v", got)
 	}
 }

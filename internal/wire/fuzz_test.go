@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	simrank "repro"
 	"repro/internal/core"
 )
 
@@ -29,7 +28,12 @@ func FuzzWireDecode(f *testing.F) {
 			Stats:   []core.QueryStats{stats, {}},
 			Frags:   [][]core.ShardCand{frag, frag[:1]},
 		}),
-		AppendSimilarResp(nil, &SimilarResp{Query: 1, Stats: stats, Ranked: []simrank.Result{{Node: 2, Score: 0.5}}}),
+		// A similar's answer: a fragment scanned at the request's theta.
+		AppendTopKResp(nil, &TopKResp{Query: 5, Stats: stats, Frag: []core.ShardCand{
+			{V: 2, UB: 0.5, State: core.ShardScored, Rough: 0.3, Score: 0.07},
+			{V: 3, UB: 0.06, State: core.ShardRoughPruned, Rough: 0.001},
+			{V: 9, UB: 0.04, State: core.ShardUnscored},
+		}}),
 		AppendError(nil, 503, "not_ready", "warming up"),
 	}
 	for _, s := range seeds {
@@ -74,10 +78,6 @@ func FuzzWireDecode(f *testing.F) {
 			if total*candSize > len(data) {
 				t.Fatalf("BatchResp decoded %d rows from %d bytes", total, len(data))
 			}
-		}
-		var sresp SimilarResp
-		if err := fr.SimilarResp(&sresp); err == nil && len(sresp.Ranked)*scoredSize > len(data) {
-			t.Fatalf("SimilarResp decoded %d rows from %d bytes", len(sresp.Ranked), len(data))
 		}
 		_ = fr.Err()
 

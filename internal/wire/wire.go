@@ -10,7 +10,7 @@
 //
 //	off len
 //	0   4   magic "SRW1"
-//	4   1   version (1)
+//	4   1   version (Version)
 //	5   1   message type (Msg*)
 //	6   2   section count
 //	8   4   payload length (sections only)
@@ -37,16 +37,20 @@ import (
 	"io"
 	"math"
 
-	simrank "repro"
 	"repro/internal/core"
 )
 
 // ContentType is the negotiated media type for binary shard responses.
 const ContentType = "application/x-simrank-bin"
 
+// Version is the protocol version a frame header carries and a shard
+// manifest advertises. Version 2 answers a similar request with a
+// fragment (MsgTopKResp) where version 1 sent a ranked list; a router
+// refuses a shard of any other version at probe.
+const Version = 2
+
 const (
-	magic   = 0x31575253 // "SRW1"
-	version = 1
+	magic = 0x31575253 // "SRW1"
 
 	headerLen  = 12
 	trailerLen = 4
@@ -65,7 +69,6 @@ const (
 	MsgBatchReq
 	MsgBatchResp
 	MsgSimilarReq
-	MsgSimilarResp
 )
 
 // Section kinds.
@@ -75,7 +78,6 @@ const (
 	kindStats   = uint8(3) // uint64 array: statsWords per query
 	kindCands   = uint8(4) // candSize-byte ShardCand rows
 	kindCounts  = uint8(5) // uint32 array: per-query fragment lengths
-	kindScored  = uint8(6) // scoredSize-byte (node, score) rows
 	kindCode    = uint8(7) // bytes: stable machine-readable error code
 	kindText    = uint8(8) // bytes: human-readable error message
 )
@@ -84,8 +86,6 @@ const (
 	// candSize is one fragment row: v u32, state u8, then the UB, rough
 	// and refined estimates as raw float64 bits.
 	candSize = 29
-	// scoredSize is one threshold-result row: node u32, score bits u64.
-	scoredSize = 12
 	// statsWords is the QueryStats counter count carried per query
 	// (statsFields lists them).
 	statsWords = 7
@@ -118,7 +118,9 @@ type SimilarReq struct {
 	Theta     float64
 }
 
-// TopKResp is one shard's fragment plus its stats for a single query.
+// TopKResp is one shard's fragment plus its stats for a single query: the
+// answer to a TopKReq and to a SimilarReq alike, scanned at the serving
+// theta or at the request's.
 type TopKResp struct {
 	Query     uint32
 	Shard     int32
@@ -138,15 +140,6 @@ type BatchResp struct {
 	Frags     [][]core.ShardCand
 
 	cands []core.ShardCand // backing store for Frags
-}
-
-// SimilarResp is one shard's threshold-query answer, best first.
-type SimilarResp struct {
-	Query     uint32
-	Shard     int32
-	ElapsedUS int64
-	Stats     core.QueryStats
-	Ranked    []simrank.Result
 }
 
 // Error is a query failure shipped as a frame: the HTTP-equivalent
@@ -198,8 +191,8 @@ func (f *Frame) Parse(data []byte) error {
 	if got := binary.LittleEndian.Uint32(data); got != magic {
 		return frameErr("magic %08x, want %08x", got, magic)
 	}
-	if data[4] != version {
-		return frameErr("version %d, want %d", data[4], version)
+	if data[4] != Version {
+		return frameErr("version %d, want %d", data[4], Version)
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(data[8:]))
 	if payloadLen > MaxFrameLen {
@@ -423,40 +416,6 @@ func (f *Frame) BatchResp(dst *BatchResp) error {
 	return nil
 }
 
-// SimilarResp decodes a MsgSimilarResp frame into dst, reusing its
-// Ranked backing array.
-func (f *Frame) SimilarResp(dst *SimilarResp) error {
-	if err := f.expect(MsgSimilarResp); err != nil {
-		return err
-	}
-	p, err := f.params(3)
-	if err != nil {
-		return err
-	}
-	st, err := f.sec(kindStats, 8)
-	if err != nil {
-		return err
-	}
-	if st.count != statsWords {
-		return frameErr("stats: %d words, want %d", st.count, statsWords)
-	}
-	rs, err := f.sec(kindScored, scoredSize)
-	if err != nil {
-		return err
-	}
-	dst.Query, dst.Shard, dst.ElapsedUS = uint32(p[0]), int32(p[1]), int64(p[2])
-	dst.Stats = decodeStats(st.payload)
-	dst.Ranked = dst.Ranked[:0]
-	for i := 0; i < int(rs.count); i++ {
-		row := rs.payload[i*scoredSize:]
-		dst.Ranked = append(dst.Ranked, simrank.Result{
-			Node:  int(binary.LittleEndian.Uint32(row)),
-			Score: math.Float64frombits(binary.LittleEndian.Uint64(row[4:])),
-		})
-	}
-	return nil
-}
-
 // Err decodes a MsgError frame into an *Error.
 func (f *Frame) Err() error {
 	if err := f.expect(MsgError); err != nil {
@@ -525,7 +484,7 @@ func beginFrame(dst []byte, typ uint8) ([]byte, frameMark) {
 	m := frameMark{start: len(dst)}
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], magic)
-	hdr[4] = version
+	hdr[4] = Version
 	hdr[5] = typ
 	return append(dst, hdr[:]...), m
 }
@@ -636,20 +595,6 @@ func AppendBatchResp(dst []byte, r *BatchResp) []byte {
 	return endFrame(dst, m)
 }
 
-// AppendSimilarResp appends a MsgSimilarResp frame to dst.
-func AppendSimilarResp(dst []byte, r *SimilarResp) []byte {
-	dst, m := beginFrame(dst, MsgSimilarResp)
-	dst = appendParams(dst, &m, uint64(r.Query), uint64(r.Shard), uint64(r.ElapsedUS))
-	dst = appendSecHdr(dst, &m, kindStats, 8, statsWords)
-	dst = appendStatsPayload(dst, r.Stats)
-	dst = appendSecHdr(dst, &m, kindScored, scoredSize, len(r.Ranked))
-	for _, s := range r.Ranked {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Node))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Score))
-	}
-	return endFrame(dst, m)
-}
-
 // AppendError appends a MsgError frame to dst.
 func AppendError(dst []byte, status int, code, msg string) []byte {
 	dst, m := beginFrame(dst, MsgError)
@@ -675,8 +620,8 @@ func ReadFrame(r io.Reader, buf *Buf) ([]byte, error) {
 	if got := binary.LittleEndian.Uint32(b); got != magic {
 		return nil, frameErr("magic %08x, want %08x", got, magic)
 	}
-	if b[4] != version {
-		return nil, frameErr("version %d, want %d", b[4], version)
+	if b[4] != Version {
+		return nil, frameErr("version %d, want %d", b[4], Version)
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(b[8:]))
 	if payloadLen > MaxFrameLen {

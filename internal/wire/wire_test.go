@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	simrank "repro"
 	"repro/internal/core"
 )
 
@@ -143,30 +142,6 @@ func TestBatchRespRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSimilarRespRoundTrip(t *testing.T) {
-	in := SimilarResp{
-		Query: 5, Shard: 0, ElapsedUS: 7, Stats: sampleStats(),
-		Ranked: []simrank.Result{{Node: 9, Score: 0.5}, {Node: 3, Score: 0.30000000000000004}},
-	}
-	f := parse(t, AppendSimilarResp(nil, &in))
-	var out SimilarResp
-	if err := f.SimilarResp(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.Query != in.Query || out.Shard != in.Shard || out.Stats != in.Stats {
-		t.Fatalf("header: got %+v", out)
-	}
-	if len(out.Ranked) != len(in.Ranked) {
-		t.Fatalf("ranked length %d, want %d", len(out.Ranked), len(in.Ranked))
-	}
-	for i := range in.Ranked {
-		if out.Ranked[i].Node != in.Ranked[i].Node ||
-			math.Float64bits(out.Ranked[i].Score) != math.Float64bits(in.Ranked[i].Score) {
-			t.Fatalf("ranked[%d]: got %+v, want %+v", i, out.Ranked[i], in.Ranked[i])
-		}
-	}
-}
-
 func TestErrorRoundTrip(t *testing.T) {
 	f := parse(t, AppendError(nil, 503, "not_ready", "index still loading"))
 	err := f.Err()
@@ -240,6 +215,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 	}
 	corrupt("bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b })
 	corrupt("bad version", func(b []byte) []byte { b[4] = 99; return b })
+	corrupt("version 1", func(b []byte) []byte { b[4] = 1; return rechecksum(b) })
 	corrupt("payload bit flip", func(b []byte) []byte { b[headerLen+3] ^= 0x10; return b })
 	corrupt("crc bit flip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
 	corrupt("section count up", func(b []byte) []byte {

@@ -6,8 +6,8 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
-# directories, the edge-list parser, the walk kernels and the index
-# loader, and the multi-shard smoke; the
+# directories, the edge-list parser, the walk kernels, the index
+# loader and the wire decoder, and the multi-shard smoke; the
 # tree's size (scripts/loc.sh) closes the log.
 set -eu
 
@@ -84,6 +84,12 @@ go test -run - -fuzz '^FuzzWalkKernels$' -fuzztime 5s ./internal/graph
 # v3 index is the input this tree takes from outside besides edge lists.
 echo "==> fuzz smoke (FuzzLoadIndex, 5s)"
 go test -run - -fuzz '^FuzzLoadIndex$' -fuzztime 5s ./internal/core
+
+# Five seconds of arbitrary bytes through the frame parser and every
+# typed wire decoder: frames are what a router takes from its shards.
+# No panic, and no decode larger than the input that describes it.
+echo "==> fuzz smoke (FuzzWireDecode, 5s)"
+go test -run - -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/wire
 
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and

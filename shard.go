@@ -10,7 +10,7 @@ import (
 // Shard-serving API: the building blocks of the distributed tier. A
 // shard holds the full index (same graph, same seed) but scores only
 // the candidates in its assigned vertex range; a router merges the
-// per-shard fragments with MergeShardTopK and gets results — and
+// per-shard fragments with MergeShardTopKScratch and gets results — and
 // pruning statistics — byte-identical to a single-node query. See
 // internal/core/shard.go for the replay argument and internal/shard for
 // manifests and partitioning.
@@ -39,35 +39,13 @@ func (ix *Index) checkRange(lo, hi int) error {
 	return nil
 }
 
-// TopKShardCtx runs the shard-restricted scan for a top-k query at u:
-// candidates in [lo, hi) are scored at the fixed floor Threshold and
-// returned as a fragment for MergeShardTopK. The stats carry this
-// shard's cache counters; scan counters are recomputed by the merge.
-func (ix *Index) TopKShardCtx(ctx context.Context, u, lo, hi int) ([]ShardCand, QueryStats, error) {
-	if err := ix.g.checkVertex(u); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := ix.checkRange(lo, hi); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return ix.e.TopKShardCtx(ctx, uint32(u), uint32(lo), uint32(hi))
-}
-
-// TopKShardAppendCtx is TopKShardCtx writing the fragment into dst
-// (reusing its capacity, like append), for servers that recycle
-// fragment buffers across requests.
+// TopKShardAppendCtx runs the shard-restricted scan for a top-k query at
+// u: candidates in [lo, hi) are scored at the fixed floor Threshold and
+// written as a fragment into dst (reusing its capacity, like append), for
+// MergeShardTopKScratch. The stats carry this shard's cache counters;
+// scan counters are recomputed by the merge.
 func (ix *Index) TopKShardAppendCtx(ctx context.Context, u, lo, hi int, dst []ShardCand) ([]ShardCand, QueryStats, error) {
-	if err := ix.g.checkVertex(u); err != nil {
-		return dst, QueryStats{}, err
-	}
-	if err := ix.checkRange(lo, hi); err != nil {
-		return dst, QueryStats{}, err
-	}
-	f, st, err := ix.e.TopKShardAppendCtx(ctx, uint32(u), uint32(lo), uint32(hi), dst)
-	if err != nil {
-		return dst, QueryStats{}, err
-	}
-	return f, st, nil
+	return ix.SimilarShardCtx(ctx, u, ix.Threshold(), lo, hi, dst)
 }
 
 // TopKShardBatchAppendCtx answers many shard-restricted queries into
@@ -89,59 +67,39 @@ func (ix *Index) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, h
 	return ix.e.TopKShardBatchAppendCtx(ctx, us, uint32(lo), uint32(hi), frags, sts)
 }
 
-// TopKShardBatchCtx answers many shard-restricted queries, parallelized
-// across queries like TopKBatchCtx.
-func (ix *Index) TopKShardBatchCtx(ctx context.Context, us []int, lo, hi int) ([][]ShardCand, []QueryStats, error) {
-	if err := ix.checkRange(lo, hi); err != nil {
-		return nil, nil, err
-	}
-	qs := make([]uint32, len(us))
-	for i, u := range us {
-		if err := ix.g.checkVertex(u); err != nil {
-			return nil, nil, err
-		}
-		qs[i] = uint32(u)
-	}
-	return ix.e.TopKShardBatchCtx(ctx, qs, uint32(lo), uint32(hi))
-}
-
-// SimilarShardCtx is the shard-restricted Similar query. Threshold
-// queries have a fixed pruning floor, so per-shard result lists merge
-// exactly with a plain best-first merge (internal/shard.MergeTopK) — no
-// replay needed.
-func (ix *Index) SimilarShardCtx(ctx context.Context, u int, threshold float64, lo, hi int) ([]Result, QueryStats, error) {
+// SimilarShardCtx is the shard-restricted Similar query: the fragment
+// scan of TopKShardAppendCtx at the floor threshold instead of the
+// serving Threshold. Merged with k = 0 at the same threshold, the
+// fragments of a partition replay Similar(u, threshold) exactly.
+func (ix *Index) SimilarShardCtx(ctx context.Context, u int, threshold float64, lo, hi int, dst []ShardCand) ([]ShardCand, QueryStats, error) {
 	if err := ix.g.checkVertex(u); err != nil {
-		return nil, QueryStats{}, err
+		return dst, QueryStats{}, err
 	}
 	if err := ix.checkRange(lo, hi); err != nil {
-		return nil, QueryStats{}, err
+		return dst, QueryStats{}, err
 	}
-	res, st, err := ix.e.ThresholdShardCtx(ctx, uint32(u), threshold, uint32(lo), uint32(hi))
+	f, st, err := ix.e.ShardScanCtx(ctx, uint32(u), threshold, uint32(lo), uint32(hi), dst)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return dst, QueryStats{}, err
 	}
-	return toResults(res), st, nil
-}
-
-// MergeShardTopK merges per-shard fragments covering disjoint vertex
-// ranges and replays the single-node adaptive scan over the merged
-// stream. Results and scan statistics (Candidates, PrunedByBound,
-// PrunedByRough, Refined) are byte-identical to TopKWithStats on the
-// same index; cache counters are zero — sum the per-shard stats for
-// those. theta must be the serving Threshold of the index the fragments
-// came from (see Manifest.Theta in internal/shard).
-func MergeShardTopK(k int, theta float64, frags [][]ShardCand) ([]Result, QueryStats) {
-	return MergeShardTopKScratch(k, theta, frags, nil)
+	return f, st, nil
 }
 
 // MergeScratch holds the reusable working memory of a fragment merge;
 // see MergeShardTopKScratch. The zero value is ready to use.
 type MergeScratch = core.MergeScratch
 
-// MergeShardTopKScratch is MergeShardTopK drawing its merge buffers
-// from ms, so a router can merge every query through one scratch
-// without re-allocating the candidate stream (nil ms behaves like a
-// fresh scratch).
+// MergeShardTopKScratch merges per-shard fragments covering disjoint
+// vertex ranges and replays the single-node adaptive scan over the merged
+// stream. Results and scan statistics (Candidates, PrunedByBound,
+// PrunedByRough, Refined) are byte-identical to TopKWithStats on the same
+// index; cache counters are zero — sum the per-shard stats for those.
+// theta must be the floor the fragments were scanned at: the serving
+// Threshold for top-k fragments (see Manifest.Theta in internal/shard),
+// the query's own for SimilarShardCtx's, merged with k = 0. The merge
+// buffers come from ms, so a router can merge every query through one
+// scratch without re-allocating the candidate stream (nil ms behaves like
+// a fresh scratch).
 func MergeShardTopKScratch(k int, theta float64, frags [][]ShardCand, ms *MergeScratch) ([]Result, QueryStats) {
 	res, st := core.MergeShardTopKScratch(k, theta, frags, ms)
 	return toResults(res), st
@@ -159,7 +117,7 @@ func (ix *Index) ServingFingerprint() (graphFP, paramsFP uint64) {
 
 // Threshold returns the index's serving pruning threshold θ (the
 // normalized Options.Threshold), which routers must pass to
-// MergeShardTopK.
+// MergeShardTopKScratch for top-k fragments.
 func (ix *Index) Threshold() float64 { return ix.e.Params().Theta }
 
 // Seed returns the index's deterministic seed.
