@@ -234,8 +234,6 @@ func BenchmarkAblationQuery(b *testing.B) {
 		mod  func(p core.Params) core.Params
 	}{
 		{"full", func(p core.Params) core.Params { return p }},
-		{"noL1", func(p core.Params) core.Params { p.DisableL1 = true; return p }},
-		{"noL2", func(p core.Params) core.Params { p.DisableL2 = true; return p }},
 		{"noAdaptive", func(p core.Params) core.Params { p.DisableAdaptive = true; return p }},
 		{"ballCandidates", func(p core.Params) core.Params { p.Strategy = core.CandidatesBall; return p }},
 		{"ballNoL1", func(p core.Params) core.Params {

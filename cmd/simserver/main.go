@@ -152,8 +152,8 @@ func main() {
 		} else {
 			idx = simrank.BuildIndex(g, opts)
 			st := idx.Stats()
-			log.Printf("preprocess in %v: γ %v, index %v (%d KB)", time.Since(start).Round(time.Millisecond),
-				st.GammaTime.Round(time.Millisecond), st.IndexTime.Round(time.Millisecond), st.IndexBytes/1024)
+			log.Printf("preprocess in %v: index %v (%d KB)", time.Since(start).Round(time.Millisecond),
+				st.IndexTime.Round(time.Millisecond), st.IndexBytes/1024)
 		}
 		h := server.NewShard(idx, shardIdx, numShards)
 		h.QueryTimeout = *queryTimeout

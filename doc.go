@@ -22,11 +22,10 @@
 // matrix and D a diagonal correction (approximated by (1−c)·I, which
 // rescales but does not reorder top-k results). Single-pair scores are
 // then estimated by Monte-Carlo simulation over pairs of in-link walks
-// in O(T·R) time. A preprocess computes per-vertex L2 norms of the walk
-// distributions (the "γ" table) and a bipartite candidate index from
-// colliding random walks; queries enumerate candidates, prune them with
-// distance-dependent upper bounds, and refine survivors with adaptive
-// sampling.
+// in O(T·R) time. A preprocess builds a bipartite candidate index from
+// colliding random walks; queries enumerate candidates, order and prune
+// them by upper bounds on their scores, and refine survivors with
+// adaptive sampling.
 //
 // Deterministic exact references (the naive Jeh–Widom iteration and the
 // truncated-series single-source evaluation) are exposed through the

@@ -7,9 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// SaveIndex writes the index's preprocess results (the γ table and the
-// candidate index) so a later session can skip the preprocess with
-// LoadIndex.
+// SaveIndex writes the index's preprocess result (the candidate index) so
+// a later session can skip the preprocess with LoadIndex.
 func (ix *Index) SaveIndex(w io.Writer) error {
 	return ix.e.SaveIndex(w)
 }

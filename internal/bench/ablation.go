@@ -10,10 +10,10 @@ import (
 )
 
 // Ablation study (not a paper table, but DESIGN.md calls it out): measure
-// what each ingredient of the query phase buys — the L2 bound, adaptive
-// sampling, the candidate index, and the L1 bound where plans have one
-// (ball candidates) — in query time, refined-candidate count, and recall
-// against the exact series ranking.
+// what each ingredient of the query phase buys — adaptive sampling, the
+// candidate index, and the L1 bound where plans have one (ball candidates)
+// — in query time, refined-candidate count, and recall against the exact
+// series ranking.
 
 // AblationRow is the measurement for one configuration.
 type AblationRow struct {
@@ -45,18 +45,12 @@ func Ablation(w io.Writer, cfg Config) []AblationRow {
 		mod  func(p core.Params) core.Params
 	}{
 		{"full (paper)", func(p core.Params) core.Params { return p }},
-		// An index plan has no ball, so no L1 table to drop: this row is
-		// "full" by construction. L1 is measured on the ball rows below.
-		{"no L1 bound (= full: index plans have none)", func(p core.Params) core.Params { p.DisableL1 = true; return p }},
-		{"no L2 bound", func(p core.Params) core.Params { p.DisableL2 = true; return p }},
 		{"no adaptive sampling", func(p core.Params) core.Params { p.DisableAdaptive = true; return p }},
 		{"ball candidates (no index)", func(p core.Params) core.Params { p.Strategy = core.CandidatesBall; return p }},
+		// An index plan has no ball, so no L1 table to drop: L1 is
+		// measured on the ball rows alone.
 		{"ball candidates, no L1", func(p core.Params) core.Params {
 			p.Strategy, p.DisableL1 = core.CandidatesBall, true
-			return p
-		}},
-		{"no pruning at all", func(p core.Params) core.Params {
-			p.DisableL1, p.DisableL2, p.DisableAdaptive = true, true, true
 			return p
 		}},
 	}

@@ -8,7 +8,8 @@ import (
 	"repro/internal/rng"
 )
 
-// This file implements the two SimRank upper bounds of Section 6.
+// This file implements the SimRank upper bounds of Section 6 and the one
+// that replaces the paper's second.
 //
 // L1 bound (Algorithm 2): for a query u, α(u,d,t) is the largest
 // D_ww·P{u⁽ᵗ⁾=w} over vertices w at undirected distance d from u, and
@@ -18,66 +19,10 @@ import (
 // of the strategies that enumerate candidates from the ball (buildPlan): it
 // reads distances, and only they have them.
 //
-// L2 bound (Algorithm 3): γ(u,t) = ‖√D·Pᵗe_u‖, and by Cauchy–Schwarz
-// s⁽ᵀ⁾(u,v) ≤ Σ_t cᵗ·γ(u,t)·γ(v,t) (Proposition 6). Effective for
-// high-degree queries whose walk distributions spread thin. Computed for
-// every vertex in the preprocess.
-
-// computeGammaRows fills the γ rows of the vertices vs (every vertex when
-// vs is nil) with Algorithm 3 estimates, in parallel; e.gamma must be
-// allocated.
-func (e *Engine) computeGammaRows(vs []uint32) {
-	T, R := e.p.T, e.p.RGamma
-	e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
-		for _, v := range chunk {
-			s.rng.Seed(e.vertexSeed(saltGamma, v))
-			e.computeGammaInto(v, R, &s.rng, s, e.gamma[int(v)*T:int(v)*T+T])
-		}
-	})
-}
-
-// computeGammaInto runs Algorithm 3 for one vertex: R walks from v, and
-// for each step t, γ(v,t)² is estimated by Σ_w D_ww·(count_w/R)².
-func (e *Engine) computeGammaInto(v uint32, R int, r *rng.Source, s *scratch, out []float32) {
-	pos := s.walkBuf(R)
-	lane := s.laneBuf(R)
-	resetWalks(pos, v)
-	invR2 := 1.0 / (float64(R) * float64(R))
-	for t := 0; t < e.p.T; t++ {
-		if t > 0 {
-			e.wt.StepWalks(r, pos, lane)
-		}
-		pos = s.tallyLive(pos)
-		// Σ_w D_ww·c_w² accumulated in walk-slice order (each walk at w
-		// contributes D_ww·c_w once) so summation order is deterministic.
-		mu := 0.0
-		for _, w := range pos {
-			mu += e.p.dval(w) * float64(s.cnt[w]) * invR2
-		}
-		out[t] = float32(math.Sqrt(mu))
-	}
-}
-
-// Gamma returns the preprocessed γ(v, t). It panics if the preprocess has
-// not run or t is out of range.
-func (e *Snapshot) Gamma(v uint32, t int) float64 {
-	return float64(e.gamma[int(v)*e.p.T+t])
-}
-
-// L2Bound returns the Cauchy–Schwarz upper bound Σ_t cᵗ·γ(u,t)·γ(v,t) on
-// s⁽ᵀ⁾(u, v) (Proposition 6). It requires the preprocess.
-func (e *Snapshot) L2Bound(u, v uint32) float64 {
-	T := e.p.T
-	gu := e.gamma[int(u)*T : int(u)*T+T]
-	gv := e.gamma[int(v)*T : int(v)*T+T]
-	sum := 0.0
-	ct := 1.0
-	for t := 0; t < T; t++ {
-		sum += ct * float64(gu[t]) * float64(gv[t])
-		ct *= e.p.C
-	}
-	return sum
-}
+// Degree bound (DegreeBound), in place of the paper's L2 bound (Algorithm 3,
+// Proposition 6), which needed R walks per vertex in the preprocess and an
+// n·T table: B(v) = maxD·(c/indeg(v) + c²(1−c^(T−2))/(1−c)) dominates
+// s⁽ᵀ⁾(u,v) for every u ≠ v. It reads v's in-degree alone.
 
 // walkDist is the empirical (or exact) distribution of a vertex's walk
 // positions, P{u⁽ᵗ⁾ = w}, stored per step as an ascending support with a
@@ -612,11 +557,35 @@ func (e *Snapshot) DistanceBound(d int) float64 {
 	return e.distScale * math.Pow(e.p.C, float64((d+1)/2))
 }
 
-// newDistBounds evaluates DistanceBound's maxD/(1−c) factor and its values
-// for d = 0..DMax, so candBound neither rescans Params.D for its maximum
-// nor calls math.Pow per candidate, and from the same maximum horizon's
+// DegreeBound returns the in-degree upper bound on s⁽ᵀ⁾(u, v) for every
+// u ≠ v: B(v) = maxD·(c/indeg(v) + c²(1−c^(T−2))/(1−c)), and 0 when v has no
+// in-edge. The t = 0 term of the series vanishes for u ≠ v; the t = 1 term
+// is Σ_w P{u⁽¹⁾=w}·D_ww·P{v⁽¹⁾=w} ≤ maxD·max_w P{v⁽¹⁾=w} = maxD/indeg(v);
+// each later term is at most cᵗ·maxD. Between the candidates of one query it
+// orders as γ(v,1) = √((1−c)/indeg(v)) does, the only part of the L2 bound
+// that told them apart up to t = 1 (DESIGN.md §4).
+func (e *Snapshot) DegreeBound(v uint32) float64 {
+	k := e.g.InDegree(v)
+	if k == 0 {
+		return 0
+	}
+	return e.degScale/float64(k) + e.degTail
+}
+
+// distBounds holds what the bounds and the horizon read of Params alone,
+// evaluated once per snapshot (newDistBounds): DistanceBound's maxD/(1−c)
+// factor and its values for d = 0..DMax, so candBound neither rescans
+// Params.D for its maximum nor calls math.Pow per candidate; DegreeBound's
+// two constants maxD·c and maxD·c²(1−c^(T−2))/(1−c); and the horizon's
 // tolerance c^T·maxD.
-func newDistBounds(p *Params) (scale, tailTol float64, table []float64) {
+type distBounds struct {
+	distScale, tailTol float64
+	distBound          []float64
+	degScale, degTail  float64
+}
+
+// newDistBounds evaluates p's distBounds.
+func newDistBounds(p *Params) distBounds {
 	maxD := 1 - p.C
 	if p.D != nil {
 		maxD = 0
@@ -626,13 +595,21 @@ func newDistBounds(p *Params) (scale, tailTol float64, table []float64) {
 			}
 		}
 	}
-	scale = maxD / (1 - p.C)
-	table = make([]float64, p.DMax+1)
-	table[0] = 1
-	for d := 1; d <= p.DMax; d++ {
-		table[d] = scale * math.Pow(p.C, float64((d+1)/2))
+	c := p.C
+	b := distBounds{
+		distScale: maxD / (1 - c),
+		tailTol:   maxD * math.Pow(c, float64(p.T)),
+		distBound: make([]float64, p.DMax+1),
 	}
-	return scale, maxD * math.Pow(p.C, float64(p.T)), table
+	if p.T > 1 { // a one-term series has no t ≥ 1 term to bound
+		b.degScale = maxD * c
+		b.degTail = maxD * c * c * (1 - math.Pow(c, float64(p.T-2))) / (1 - c)
+	}
+	b.distBound[0] = 1
+	for d := 1; d <= p.DMax; d++ {
+		b.distBound[d] = b.distScale * math.Pow(c, float64((d+1)/2))
+	}
+	return b
 }
 
 // L1Bound computes β(u, ·) for the query vertex u and returns the bound

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // buildSmall builds a preprocessed engine over a small random graph.
@@ -21,30 +20,54 @@ func buildSmall(t *testing.T, n int, seed uint64) (*Engine, *graph.Graph) {
 	return Build(g, p), g
 }
 
-// Proposition 6: the L2 bound dominates the exact truncated score.
-// Monte-Carlo noise in γ can make the bound slightly loose or tight, so
-// the test allows a small additive slack and requires violations to be
-// rare and tiny.
-func TestL2BoundDominatesScore(t *testing.T) {
-	e, g := buildSmall(t, 80, 3)
-	d := exact.UniformDiagonal(g.N(), e.p.C)
-	r := rng.New(5)
-	violations := 0
-	for i := 0; i < 100; i++ {
-		u := uint32(r.Intn(g.N()))
-		v := uint32(r.Intn(g.N()))
-		if u == v {
-			continue
-		}
-		s := exact.SinglePair(g, d, e.p.C, e.p.T, u, v)
-		ub := e.L2Bound(u, v)
-		if s > ub+0.02 {
-			violations++
-			t.Logf("pair (%d,%d): score %v > L2 bound %v", u, v, s, ub)
-		}
+// The in-degree bound B(v) dominates the exact truncated score of every
+// ordered pair u ≠ v, with no slack: it reads only v's in-degree, C, T and
+// max D, so nothing in it is sampled. The citation DAG has dangling
+// vertices (B = 0), and the last case has a non-uniform D.
+func TestDegreeBoundDominatesScore(t *testing.T) {
+	const n = 70
+	custom := make([]float64, n)
+	for i := range custom {
+		custom[i] = 0.15 + 0.05*float64(i*7%11)
 	}
-	if violations > 3 {
-		t.Fatalf("%d/100 pairs violate the L2 bound beyond MC slack", violations)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		D    []float64
+	}{
+		{"copying", graph.CopyingModel(n, 4, 0.3, 3), nil},
+		{"prefattach", graph.PreferentialAttachment(n, 3, 0.3, 3), nil},
+		{"citation", graph.CitationDAG(n, 3, 3), nil},
+		{"prefattach/customD", graph.PreferentialAttachment(n, 3, 0.3, 4), custom},
+	} {
+		p := DefaultParams()
+		p.D = tc.D
+		e := New(tc.g, p)
+		d := tc.D
+		if d == nil {
+			d = exact.UniformDiagonal(n, e.p.C)
+		}
+		dangling := 0
+		for v := uint32(0); v < n; v++ {
+			ub := e.DegreeBound(v)
+			if tc.g.InDegree(v) == 0 {
+				dangling++
+				if ub != 0 {
+					t.Fatalf("%s v=%d: no in-edge, bound %v", tc.name, v, ub)
+				}
+			}
+			for u := uint32(0); u < n; u++ {
+				if u == v {
+					continue
+				}
+				if s := exact.SinglePair(tc.g, d, e.p.C, e.p.T, u, v); s > ub {
+					t.Fatalf("%s pair (%d,%d): score %v > degree bound %v (indeg %d)", tc.name, u, v, s, ub, tc.g.InDegree(v))
+				}
+			}
+		}
+		if tc.name == "citation" && dangling == 0 {
+			t.Fatal("citation DAG fixture has no dangling vertex")
+		}
 	}
 }
 
@@ -121,40 +144,6 @@ func TestDistanceBoundMonotone(t *testing.T) {
 	}
 }
 
-func TestGammaTableShape(t *testing.T) {
-	e, g := buildSmall(t, 50, 6)
-	if len(e.gamma) != g.N()*e.p.T {
-		t.Fatalf("gamma table length %d, want %d", len(e.gamma), g.N()*e.p.T)
-	}
-	// γ(v, 0) = sqrt(D_vv): walks have not moved at t = 0.
-	want := math.Sqrt(1 - e.p.C)
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if math.Abs(e.Gamma(v, 0)-want) > 1e-6 {
-			t.Fatalf("gamma(%d,0) = %v, want %v", v, e.Gamma(v, 0), want)
-		}
-	}
-}
-
-func TestGammaDanglingDecaysToZero(t *testing.T) {
-	// On a directed star, all walks die by step 2; gamma must be 0 there.
-	g := graph.DirectedStar(5)
-	p := DefaultParams()
-	p.Workers = 1
-	e := Build(g, p)
-	for v := uint32(0); v < 5; v++ {
-		if got := e.Gamma(v, 3); got != 0 {
-			t.Fatalf("gamma(%d,3) = %v, want 0", v, got)
-		}
-	}
-}
-
-func TestL2BoundSymmetricInputs(t *testing.T) {
-	e, _ := buildSmall(t, 40, 8)
-	if a, b := e.L2Bound(3, 9), e.L2Bound(9, 3); math.Abs(a-b) > 1e-12 {
-		t.Fatalf("L2 bound asymmetric: %v vs %v", a, b)
-	}
-}
-
 func TestL1TableOutOfRange(t *testing.T) {
 	var tbl *l1Table
 	if !math.IsInf(tbl.bound(3), 1) {
@@ -185,15 +174,14 @@ func TestCustomDiagonalChangesBounds(t *testing.T) {
 	for i := range p.D {
 		p.D[i] = 1.0 // max possible D
 	}
-	e := Build(g, p)
-	// gamma(v,0) = sqrt(1) = 1 now.
-	if math.Abs(e.Gamma(3, 0)-1) > 1e-6 {
-		t.Fatalf("gamma with custom D = %v, want 1", e.Gamma(3, 0))
-	}
-	// Distance bound scales by maxD/(1-c).
+	e := New(g, p)
+	// Both bounds scale by maxD/(1-c) = 1/0.4.
 	def := New(g, DefaultParams())
 	if e.DistanceBound(2) <= def.DistanceBound(2) {
 		t.Fatal("distance bound did not scale with larger D")
+	}
+	if got, want := e.DegreeBound(3), def.DegreeBound(3)/(1-def.p.C); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("degree bound with D = 1: %v, want %v", got, want)
 	}
 }
 

@@ -55,7 +55,7 @@ type cacheStripe[P any] struct {
 
 // clockCache is a per-Snapshot, memory-bounded cache of one value per
 // vertex. The slot array itself (8 bytes per graph vertex) is fixed
-// engine overhead, outside the budget, like the γ table.
+// engine overhead, outside the budget.
 type clockCache[P any] struct {
 	maxBytes  int64
 	bytes     atomic.Int64

@@ -120,52 +120,6 @@ func TestSinglePairConcentration(t *testing.T) {
 	}
 }
 
-func TestGammaEstimatorUnbiasedness(t *testing.T) {
-	// γ(v,t)² has an exact value computable from the sparse walk
-	// distribution; the Algorithm 3 estimator of γ² is biased upward by
-	// the multinomial variance term, which vanishes as R grows.
-	g := graph.CopyingModel(300, 4, 0.3, 5)
-	p := DefaultParams()
-	p.Workers = 1
-	e := New(g, p)
-
-	v := uint32(250)
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	var wd walkDist
-	if !e.exactWalkDistInto(&wd, sc, v, math.MaxInt) {
-		t.Fatal("push budget hit unexpectedly")
-	}
-	tt := 3
-	exactG2 := 0.0
-	wd.forEach(tt, func(w uint32, pr float64) {
-		exactG2 += e.p.dval(w) * pr * pr
-	})
-
-	estimate := func(R, trials int) float64 {
-		r := rng.New(7)
-		out := make([]float32, p.T)
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			e.computeGammaInto(v, R, r, sc, out)
-			sum += float64(out[tt]) * float64(out[tt])
-		}
-		return sum / float64(trials)
-	}
-	small := estimate(50, 200)
-	large := estimate(2000, 50)
-	// The large-R estimate must be much closer to the exact value.
-	errSmall := math.Abs(small - exactG2)
-	errLarge := math.Abs(large - exactG2)
-	if errLarge > errSmall && errLarge > 0.01 {
-		t.Fatalf("gamma^2 estimate not improving: R=50 err %v, R=2000 err %v (exact %v)",
-			errSmall, errLarge, exactG2)
-	}
-	if errLarge > 0.2*exactG2+1e-3 {
-		t.Fatalf("gamma^2 at R=2000 too far off: %v vs %v", large, exactG2)
-	}
-}
-
 func TestOneSidedVarianceReduction(t *testing.T) {
 	// The one-sided estimator (near-exact u-side) must have lower
 	// variance than two-sided Algorithm 1 at equal v-side R.

@@ -458,32 +458,6 @@ func BenchmarkComputeL1(b *testing.B) {
 	}
 }
 
-func BenchmarkL2Bound(b *testing.B) {
-	e := coreBenchEngine(b)
-	n := uint32(e.Graph().N())
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += e.L2Bound(uint32(i)%n, uint32(i*31+5)%n)
-	}
-	_ = sink
-}
-
-func BenchmarkGammaPreprocessPerVertex(b *testing.B) {
-	g := graph.CopyingModel(5000, 8, 0.3, 2)
-	p := DefaultParams()
-	e := New(g, p)
-	r := rng.New(3)
-	s := e.getScratch()
-	defer e.putScratch(s)
-	out := make([]float32, p.T)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.computeGammaInto(uint32(i%g.N()), p.RGamma, r, s, out)
-	}
-}
-
 // BenchmarkBuildIndex is Algorithm 4 over a whole n = 20 000 graph of each
 // family the end-to-end workloads serve: lane-group walks, chunk-claimed
 // by Params.Workers (one per -cpu) and the CSR assembly.

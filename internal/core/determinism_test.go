@@ -118,9 +118,8 @@ func TestCandSeedPerVertexDisjoint(t *testing.T) {
 		record(e.candSeed(v), fmt.Sprintf("candSeed(%d)", v))
 	}
 	// Phase-salt disjointness: the scoring stream of v must not collide
-	// with v's gamma or index preprocess streams.
+	// with v's index preprocess stream.
 	for v := uint32(0); v < 16; v++ {
-		record(e.vertexSeed(saltGamma, v), fmt.Sprintf("vertexSeed(gamma,%d)", v))
 		record(e.vertexSeed(saltIndex, v), fmt.Sprintf("vertexSeed(index,%d)", v))
 	}
 	// And pairSeed streams stay disjoint from every candidate stream.

@@ -12,9 +12,9 @@ import (
 
 // DynamicEngine maintains a similarity-search engine over a mutable edge
 // set. Edge insertions and deletions are buffered; refreshes rebuild the
-// preprocess artifacts (γ rows and candidate-index entries) only for the
-// vertices whose random-walk behaviour could have changed, and publish
-// the result as an immutable Snapshot through an atomic pointer.
+// candidate-index entries only for the vertices whose random-walk
+// behaviour could have changed, and publish the result as an immutable
+// Snapshot through an atomic pointer.
 //
 // Concurrency model:
 //
@@ -250,8 +250,8 @@ func (d *DynamicEngine) SinglePairCtx(ctx context.Context, u, v uint32) (float64
 
 // Snapshot returns the current immutable query state, materializing it
 // synchronously if no snapshot exists yet. The returned snapshot is
-// internally consistent (graph, γ table, and candidate index from one
-// refresh) and stays valid — though possibly stale — forever.
+// internally consistent (graph and candidate index from one refresh) and
+// stays valid — though possibly stale — forever.
 func (d *DynamicEngine) Snapshot() (*Snapshot, error) {
 	return d.snapshot(context.Background())
 }
@@ -317,8 +317,8 @@ func (d *DynamicEngine) refreshNow() {
 
 // buildSnapshot constructs the next snapshot off-lock. With no previous
 // snapshot, or when the affected set covers at least half the graph, it
-// runs the full preprocess; otherwise it recomputes γ rows and index
-// entries for affected vertices only, sharing the untouched artifacts of
+// runs the full preprocess; otherwise it recomputes the index entries
+// of the affected vertices only, sharing the untouched artifacts of
 // the previous snapshot by copy.
 func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[uint32]struct{}) (next *Snapshot, full bool) {
 	if old == nil {
@@ -338,8 +338,7 @@ func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[u
 	}
 
 	ne := New(g, d.p)
-	ne.gamma = cloneFloat32(old.gamma)
-	// The affected vertices go through the full preprocess's passes, in
+	// The affected vertices go through the full preprocess's pass, in
 	// ascending order. Expand the old CSR rows into a row view; untouched
 	// rows alias the old snapshot's storage (it is immutable) and only
 	// affected rows are rebuilt before re-flattening.
@@ -348,9 +347,6 @@ func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[u
 		vs = append(vs, v)
 	}
 	slices.Sort(vs)
-	if ne.gamma != nil {
-		ne.computeGammaRows(vs)
-	}
 	ri := make([][]uint32, d.n)
 	for v := range ri {
 		ri[v] = old.idx.rightRow(uint32(v))
@@ -359,7 +355,7 @@ func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[u
 	idx := indexFromRows(ri)
 	ne.idx = idx
 	ne.stats = old.stats
-	ne.stats.IndexBytes = int64(len(ne.gamma))*4 + idx.bytes()
+	ne.stats.IndexBytes = idx.bytes()
 	// `affected` is exactly the set of vertices whose T-step walks could
 	// see the delta (on either graph). Whatever a cache holds that was
 	// derived from another vertex's walks alone is still byte-exact for
@@ -422,13 +418,4 @@ func markOutReachable(g *graph.Graph, src uint32, depth int, into map[uint32]str
 			queue = append(queue, qe{w, cur.d + 1})
 		}
 	}
-}
-
-func cloneFloat32(xs []float32) []float32 {
-	if xs == nil {
-		return nil
-	}
-	out := make([]float32, len(xs))
-	copy(out, xs)
-	return out
 }

@@ -11,19 +11,18 @@ import (
 )
 
 // Engine is the builder side of the system: it wraps a Snapshot and runs
-// the preprocess passes (the γ table of Algorithm 3 and the candidate
-// index of Algorithm 4) that fill it. Every query method lives on the
-// embedded Snapshot, so an Engine answers queries directly; once the
-// preprocess results are final, Seal returns the Snapshot for read-only
-// publication (see DynamicEngine).
+// the preprocess (the candidate index of Algorithm 4) that fills it. Every
+// query method lives on the embedded Snapshot, so an Engine answers
+// queries directly; once the preprocess results are final, Seal returns
+// the Snapshot for read-only publication (see DynamicEngine).
 type Engine struct {
 	*Snapshot
 }
 
-// Build runs the full preprocess of Section 7.1 — the γ table of
-// Algorithm 3 and the candidate index of Algorithm 4 — and returns a
-// query-ready engine. Cost is O(n·(R+PQ)·T) walk steps, parallelized
-// over Params.Workers.
+// Build runs the preprocess of Section 7.1 — the candidate index of
+// Algorithm 4; Algorithm 3's γ table is not built (DegreeBound replaces its
+// bound) — and returns a query-ready engine. Cost is O(n·PQ·T) walk steps,
+// parallelized over Params.Workers.
 func Build(g *graph.Graph, p Params) *Engine {
 	e := New(g, p)
 	e.Preprocess()
@@ -32,35 +31,24 @@ func Build(g *graph.Graph, p Params) *Engine {
 
 // New returns an engine without running the preprocess. SinglePair works
 // immediately; TopK and Threshold queries require Preprocess first unless
-// Params.Strategy is CandidatesBall and the L2 bound is disabled.
+// Params.Strategy is CandidatesBall.
 func New(g *graph.Graph, p Params) *Engine {
 	return &Engine{Snapshot: newSnapshot(g, p)}
 }
 
-// Preprocess computes the γ table (Algorithm 3) and the candidate index
-// (Algorithm 4). It may be called again after parameter changes, but
-// never on a sealed (published) snapshot.
+// Preprocess builds the candidate index (Algorithm 4) unless the strategy
+// is CandidatesBall, which reads none. It may be called again after
+// parameter changes, but never on a sealed (published) snapshot.
 func (e *Engine) Preprocess() {
 	if e.sealed {
 		panic("core: Preprocess on a sealed snapshot")
 	}
 	start := time.Now()
-	if !e.p.DisableL2 {
-		e.gamma = make([]float32, e.g.N()*e.p.T)
-		e.computeGammaRows(nil)
-	}
-	e.stats.GammaTime = time.Since(start)
-
-	start = time.Now()
 	if e.p.Strategy != CandidatesBall {
 		e.buildIndex()
 	}
 	e.stats.IndexTime = time.Since(start)
-
-	e.stats.IndexBytes = int64(len(e.gamma)) * 4
-	if e.idx != nil {
-		e.stats.IndexBytes += e.idx.bytes()
-	}
+	e.stats.IndexBytes = e.idx.bytes()
 }
 
 // Seal marks the preprocess results final and returns the snapshot for
@@ -71,12 +59,11 @@ func (e *Engine) Seal() *Snapshot {
 	return e.Snapshot
 }
 
-// phase salts keep the RNG streams of the preprocess passes and the
+// phase salts keep the RNG streams of the preprocess pass and the
 // per-candidate scoring streams disjoint (and reproducible per vertex
 // regardless of worker count or whether a vertex is recomputed
 // incrementally).
 const (
-	saltGamma = 0x6a09e667f3bcc909
 	saltIndex = 0xbb67ae8584caa73b
 	saltScore = 0xa54ff53a5f1d36f1
 )
@@ -102,8 +89,8 @@ func (e *Snapshot) pairSeed(u, v uint32) uint64 {
 // pure function of the snapshot, which is what lets the tally cache
 // (cache.go) share one simulation across every query that scores v. The
 // seed stays independent of evaluation order and Params.Workers, and
-// saltScore keeps the stream disjoint from the preprocess phases
-// (saltGamma, saltIndex) and from pairSeed's unsalted streams.
+// saltScore keeps the stream disjoint from the index preprocess's
+// (saltIndex) and from pairSeed's unsalted streams.
 func (e *Snapshot) candSeed(v uint32) uint64 {
 	return e.p.Seed ^ saltScore ^ rng.Mix(uint64(v))
 }

@@ -144,28 +144,3 @@ func TestTopKWellFormedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: the γ table is finite and within [0, 1] for the default D.
-func TestGammaRangeProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 5 + r.Intn(40)
-		g := graph.ErdosRenyi(n, 3*n, seed)
-		p := DefaultParams()
-		p.Seed = seed
-		p.Workers = 1
-		e := Build(g, p)
-		for v := uint32(0); int(v) < n; v++ {
-			for tt := 0; tt < p.T; tt++ {
-				gm := e.Gamma(v, tt)
-				if gm < 0 || gm > 1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}

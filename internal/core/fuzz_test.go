@@ -19,8 +19,8 @@ import (
 // image (LoadIndexMmap over a page-aligned copy in a file) any input may
 // be rejected and none may panic; mapped payloads are not verified, by
 // design, so what loads is not queried. Its seeds are the fixture's own
-// four, the fixture re-laid with the retired alias-slot sections, and
-// FuzzSectionDirectory's three.
+// four, the fixture re-laid with the retired alias-slot sections and with
+// the retired γ section, and FuzzSectionDirectory's three.
 func FuzzLoadIndex(f *testing.F) {
 	g, p := loaderFixture()
 	var valid bytes.Buffer
@@ -36,6 +36,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	f.Add(flipped)
 	f.Add(withRetiredAliasSections(f, valid.Bytes()))
+	f.Add(withRetiredGammaSection(f, valid.Bytes()))
 	addDirectorySeeds(f)
 	f.Fuzz(func(t *testing.T, input []byte) { loadAtBothLevels(t, g, p, input) })
 }
@@ -82,7 +83,7 @@ func loadAtBothLevels(t *testing.T, g *graph.Graph, p Params, input []byte) {
 	if e2, err := LoadIndex(g, p, bytes.NewReader(input)); err == nil {
 		answersQueries(t, e2)
 	}
-	if e2, err := assemble(nil, p, input, nil, nil); err == nil {
+	if e2, err := assemble(nil, p, input, nil); err == nil {
 		answersQueries(t, e2)
 	}
 	path := filepath.Join(t.TempDir(), "index.simr")

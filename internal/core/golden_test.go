@@ -84,15 +84,14 @@ func goldenCorpus() []goldenRecord {
 	}
 
 	// Corpus C: preferential attachment (heavy-tailed in-degrees), ball
-	// strategy with no L2 preprocess — exercises the uniform kernel on
-	// high-degree vertices and the no-index query path.
+	// strategy — exercises the uniform kernel on high-degree vertices and
+	// the no-index query path.
 	{
 		g := graph.PreferentialAttachment(1500, 5, 0.3, 9)
 		p := DefaultParams()
 		p.Seed = 99
 		p.Workers = 1
 		p.Strategy = CandidatesBall
-		p.DisableL2 = true
 		p.RAlpha = 2000
 		e := Build(g, p)
 		for _, u := range []uint32{1, 10, 100} {

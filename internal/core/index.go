@@ -181,8 +181,11 @@ func (ci *candidateIndex) appendCandidates(u uint32, s *scratch, out []uint32) [
 	return out
 }
 
-// bytes approximates the index memory footprint.
+// bytes approximates the index memory footprint; 0 for no index.
 func (ci *candidateIndex) bytes() int64 {
+	if ci == nil {
+		return 0
+	}
 	return int64(len(ci.rightStart)+len(ci.rightAdj)+len(ci.leftStart)+len(ci.leftAdj)) * 4
 }
 

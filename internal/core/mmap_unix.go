@@ -11,13 +11,13 @@ import (
 )
 
 // LoadIndexMmap memory-maps a version-3 index file and serves the
-// snapshot's arrays — graph CSR, γ table, candidate index — directly
-// from the mapping, with zero payload copies. The
-// graph itself is reconstructed from the embedded CSR, so cold start is
-// O(header + n) regardless of file size: the header and directory CRC
-// are verified, the offset arrays get their structural scan, and the
-// page cache faults the rest in on demand. Off unix the same call reads
-// the file and verifies it like LoadIndex's input (mmap_stub.go).
+// snapshot's arrays — graph CSR, candidate index — directly from the
+// mapping, with zero payload copies. The graph itself is reconstructed
+// from the embedded CSR, so cold start is O(header + n) regardless of
+// file size: the header and directory CRC are verified, the offset arrays
+// get their structural scan, and the page cache faults the rest in on
+// demand. Off unix the same call reads the file and verifies it like
+// LoadIndex's input (mmap_stub.go).
 //
 // The returned closer unmaps the file; the engine and every query
 // served from it must be quiesced first. On an unmodified snapshot the
@@ -40,7 +40,7 @@ func LoadIndexMmap(path string, p Params) (*Engine, func() error, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: mmap %s: %w", path, err)
 	}
-	e, err := assemble(nil, p, data, view[uint32](data), view[float32](data))
+	e, err := assemble(nil, p, data, view(data))
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, nil, err
@@ -48,10 +48,10 @@ func LoadIndexMmap(path string, p Params) (*Engine, func() error, error) {
 	return e, func() error { return syscall.Munmap(data) }, nil
 }
 
-// view reinterprets the mapping as little-endian elements in place. The
+// view reinterprets the mapping as little-endian words in place. The
 // mapping base is page-aligned and every section starts on a page of at
 // least a word (parseV3Container), so each section is an aligned
 // subslice of the view.
-func view[T uint32 | float32](data []byte) []T {
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(data))), len(data)/4)
+func view(data []byte) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(data))), len(data)/4)
 }

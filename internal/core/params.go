@@ -5,7 +5,7 @@
 //
 //   - Algorithm 1 (Monte-Carlo single-pair SimRank)       -> singlepair.go
 //   - Algorithm 2 (α/β computation, the L1 bound)         -> bounds.go
-//   - Algorithm 3 (γ computation, the L2 bound)           -> bounds.go
+//   - in-degree bound (replaces Algorithm 3's L2 bound)   -> bounds.go
 //   - Algorithm 4 (preprocess: bipartite candidate index) -> index.go
 //   - Algorithm 5 (query: prune + adaptive sampling)      -> query.go
 //   - parallel all-vertices similarity search             -> allpairs.go
@@ -64,9 +64,6 @@ type Params struct {
 	// read from where a plan has one; RAlpha/4 is the in-edge budget of the
 	// exact push tried before those walks (bounds.go). Paper: 10000.
 	RAlpha int
-	// RGamma is the number of walks per vertex used by Algorithm 3 for
-	// the γ (L2) bound, computed in the preprocess. Paper: 100.
-	RGamma int
 	// P and Q control index construction (Algorithm 4): P independent
 	// trials per vertex, each with one index walk W0 and Q collision
 	// walks. Paper: P = 10, Q = 5.
@@ -88,18 +85,17 @@ type Params struct {
 	// each visit, so the ball overshoots by the last vertex's neighbours
 	// (23 353 vertices at the default budget on the benchmark's web
 	// graph). Candidates beyond the explored region simply fall back to
-	// the L2 bound. 0 means the default (20000); negative means unlimited.
-	// Like DMax it applies to the ball strategies only.
+	// the degree bound. 0 means the default (20000); negative means
+	// unlimited. Like DMax it applies to the ball strategies only.
 	BallBudget int
 	// Strategy selects the candidate enumeration method.
 	Strategy CandidateStrategy
-	// DisableL1, DisableL2, DisableAdaptive switch off individual
-	// pruning ingredients; used by the ablation benchmarks. DisableL1 drops
+	// DisableL1 and DisableAdaptive switch off individual pruning
+	// ingredients; used by the ablation benchmarks. DisableL1 drops
 	// Algorithm 2's table from the plans that have one, those of the ball
 	// strategies; under CandidatesIndex there is nothing for it to switch
 	// off and the plan is the same either way.
 	DisableL1       bool
-	DisableL2       bool
 	DisableAdaptive bool
 	// ExactScoring replaces Monte-Carlo candidate scores with a
 	// deterministic sparse evaluation of the truncated series wherever
@@ -143,7 +139,6 @@ func DefaultParams() Params {
 		RScore: 100,
 		RRough: 10,
 		RAlpha: 10000,
-		RGamma: 100,
 		P:      10,
 		Q:      5,
 		Theta:  0.01,
@@ -176,9 +171,6 @@ func (p Params) normalized() Params {
 	}
 	if p.RAlpha <= 0 {
 		p.RAlpha = def.RAlpha
-	}
-	if p.RGamma <= 0 {
-		p.RGamma = def.RGamma
 	}
 	if p.P <= 0 {
 		p.P = def.P
@@ -229,14 +221,13 @@ func (p Params) Fingerprint() uint64 {
 	mix(uint64(p.RScore))
 	mix(uint64(p.RRough))
 	mix(uint64(p.RAlpha))
-	mix(uint64(p.RGamma))
 	mix(uint64(p.P))
 	mix(uint64(p.Q))
 	mix(math.Float64bits(p.Theta))
 	mix(uint64(p.DMax))
 	mix(uint64(int64(p.BallBudget)))
 	mix(uint64(p.Strategy))
-	mix(bit(p.DisableL1)<<3 | bit(p.DisableL2)<<2 | bit(p.DisableAdaptive)<<1 | bit(p.ExactScoring))
+	mix(bit(p.DisableL1)<<2 | bit(p.DisableAdaptive)<<1 | bit(p.ExactScoring))
 	mix(uint64(len(p.D)))
 	for _, d := range p.D {
 		mix(math.Float64bits(d))
@@ -254,9 +245,12 @@ func (p Params) Fingerprint() uint64 {
 // ball and bounds by L2 alone (before: min(distance bound, β, L2)). 3: the
 // query-side distribution stops at its horizon (bounds.go), so a score is
 // up to c^T·max_w D_ww below what a plan of definition 2 serves and the
-// rough and k-th cuts may fall differently. The fingerprint is not
-// persisted, so saved indexes load as before.
-const planDef = 3
+// rough and k-th cuts may fall differently. 4: a candidate is bounded by
+// its in-degree (DegreeBound) where definition 3 used the L2 bound of
+// Algorithm 3's γ table, so the scan order may differ. The fingerprint is
+// not persisted; an index file saved with definition 3's γ section is
+// refused by every loader as an unknown section (persist.go).
+const planDef = 4
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

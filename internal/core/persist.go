@@ -13,17 +13,16 @@ import (
 	"repro/internal/graph"
 )
 
-// Index persistence: the preprocess results (the γ table of Algorithm 3
-// and the candidate index of Algorithm 4) can be saved after Build and
-// reloaded later, so the O(n) preprocess is a one-time job per graph.
+// Index persistence: the preprocess result (the candidate index of
+// Algorithm 4) can be saved after Build and reloaded later, so the O(n)
+// preprocess is a one-time job per graph.
 //
 // Version 3 (current) is a sectioned, page-aligned container designed
 // for zero-copy loads: every array the snapshot serves from — the
-// graph's in/out CSR, the γ table and the candidate index's four CSR
-// arrays — is stored as a flat little-endian section aligned to
-// persistPageSize, so a loader may either read the file into memory or
-// mmap it and serve straight from the mapping (see LoadIndexMmap).
-// Layout:
+// graph's in/out CSR and the candidate index's four CSR arrays — is
+// stored as a flat little-endian section aligned to persistPageSize, so a
+// loader may either read the file into memory or mmap it and serve
+// straight from the mapping (see LoadIndexMmap). Layout:
 //
 //	header (48 bytes):
 //	  magic uint32 | version uint32 | n uint32 | T uint32
@@ -62,7 +61,7 @@ const (
 	secInAdj
 	secOutStart
 	secOutAdj
-	secGamma
+	_ // 5 held the γ table; never reuse it.
 	secRightStart
 	secRightAdj
 	secLeftStart
@@ -119,7 +118,7 @@ func alignPage(off uint64) uint64 {
 }
 
 // persistPlan describes one section to be written: its kind, its length
-// and its i-th stored word (γ stores IEEE-754 bits).
+// and its i-th stored word.
 type persistPlan struct {
 	kind  uint32
 	count int
@@ -151,9 +150,6 @@ func (e *Snapshot) sectionPlan() []persistPlan {
 	inS, inA := e.g.InCSR()
 	outS, outA := e.g.OutCSR()
 	plan := []persistPlan{words(secInStart, inS), words(secInAdj, inA), words(secOutStart, outS), words(secOutAdj, outA)}
-	if e.gamma != nil {
-		plan = append(plan, persistPlan{secGamma, len(e.gamma), func(i int) uint32 { return math.Float32bits(e.gamma[i]) }})
-	}
 	if e.idx != nil {
 		plan = append(plan,
 			words(secRightStart, e.idx.rightStart), words(secRightAdj, e.idx.rightAdj),
@@ -260,14 +256,6 @@ func entriesBelow(name string, n int, adj []uint32) error {
 	return nil
 }
 
-// finishLoad installs loaded artifacts and recomputes size stats.
-func (e *Engine) finishLoad() {
-	e.stats.IndexBytes = int64(len(e.gamma)) * 4
-	if e.idx != nil {
-		e.stats.IndexBytes += e.idx.bytes()
-	}
-}
-
 // LoadIndex reads an index saved by SaveIndex into a new engine over
 // the same graph. The stored n, m, T and c must match, every section is
 // verified against its directory CRC, and the embedded graph CSR must
@@ -313,7 +301,7 @@ func LoadIndex(g *graph.Graph, p Params, r io.Reader) (*Engine, error) {
 	if _, err := io.ReadFull(r, data[headLen:]); err != nil {
 		return nil, fmt.Errorf("core: reading index sections (truncated index file?): %w", err)
 	}
-	return assemble(g, p, data, nil, nil)
+	return assemble(g, p, data, nil)
 }
 
 // loadIndexFile is LoadIndexMmap where there is no mmap (mmap_stub.go):
@@ -324,16 +312,16 @@ func loadIndexFile(path string, p Params) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(nil, p, data, nil, nil)
+	return assemble(nil, p, data, nil)
 }
 
 // assemble turns a v3 image into an engine; every loader ends here. g is
 // the graph the image must embed, or nil to serve the one it embeds. A
-// read image (words and floats nil) gets the read policy above, γ range
-// and, with g nil, graph adjacency entries included; a mapped image also
-// comes viewed in place as words and floats (mmap_unix.go), and its
-// sections are served from the view.
-func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []float32) (*Engine, error) {
+// read image (words nil) gets the read policy above, graph adjacency
+// entries included when g is nil; a mapped image also comes viewed in
+// place as words (mmap_unix.go), and its sections are served from the
+// view.
+func assemble(g *graph.Graph, p Params, data []byte, words []uint32) (*Engine, error) {
 	p = p.normalized()
 	hdr, dir, err := parseV3Container(data, uint64(len(data)), g, p)
 	if err != nil {
@@ -395,19 +383,6 @@ func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []fl
 	}
 
 	e := New(g, p)
-	if d, ok := secs[secGamma]; ok && !read {
-		e.gamma = floats[d.Offset/4:][:d.Count]
-	} else if ok {
-		b := d.in(data)
-		e.gamma = make([]float32, d.Count)
-		for i := range e.gamma {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-			if v < 0 || v > 1.0001 || math.IsNaN(float64(v)) {
-				return nil, fmt.Errorf("core: corrupt gamma table (entry %v)", v)
-			}
-			e.gamma[i] = v
-		}
-	}
 	if _, ok := secs[secRightStart]; ok {
 		idx := &candidateIndex{
 			rightStart: section(secRightStart), rightAdj: section(secRightAdj),
@@ -421,7 +396,7 @@ func assemble(g *graph.Graph, p Params, data []byte, words []uint32, floats []fl
 		}
 		e.idx = idx
 	}
-	e.finishLoad()
+	e.stats.IndexBytes = e.idx.bytes()
 	return e, nil
 }
 
@@ -450,15 +425,13 @@ func sameWords(b []byte, want []uint32) bool {
 // checkSectionCount validates a directory entry's element count against
 // the graph and params before any allocation is sized from it, so a
 // corrupt or adversarial directory cannot demand an absurd buffer.
-func checkSectionCount(d persistSection, n, T, m int) error {
+func checkSectionCount(d persistSection, n, m int) error {
 	var want uint64
 	switch d.Kind {
 	case secInStart, secOutStart, secRightStart, secLeftStart:
 		want = uint64(n) + 1
 	case secInAdj, secOutAdj:
 		want = uint64(m)
-	case secGamma:
-		want = uint64(n) * uint64(T)
 	case secRightAdj, secLeftAdj:
 		// Variable-length, but never more than one entry per vertex pair;
 		// the CSR offset validation pins the exact length afterwards.
@@ -555,7 +528,7 @@ func parseV3Container(data []byte, fileSize uint64, g *graph.Graph, p Params) (p
 		if d.ElemSize != 4 {
 			return hdr, nil, fmt.Errorf("core: section %d has element size %d", d.Kind, d.ElemSize)
 		}
-		if err := checkSectionCount(d, int(hdr.N), int(hdr.T), int(hdr.M)); err != nil {
+		if err := checkSectionCount(d, int(hdr.N), int(hdr.M)); err != nil {
 			return hdr, nil, err
 		}
 		if seen[d.Kind] {

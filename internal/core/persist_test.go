@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,15 +32,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Gamma tables identical.
-	if len(e2.gamma) != len(e.gamma) {
-		t.Fatalf("gamma length %d vs %d", len(e2.gamma), len(e.gamma))
-	}
-	for i := range e.gamma {
-		if e.gamma[i] != e2.gamma[i] {
-			t.Fatalf("gamma[%d] differs", i)
-		}
-	}
 	// Index entries identical.
 	for v := 0; v < e.g.N(); v++ {
 		a, b := e.idx.rightRow(uint32(v)), e2.idx.rightRow(uint32(v))
@@ -172,6 +164,16 @@ func withRetiredAliasSections(tb testing.TB, saved []byte) []byte {
 		persistPlan{11, m, func(i int) uint32 { return uint32(i % 3) }})
 }
 
+// withRetiredGammaSection returns saved as it was written while the
+// preprocess still built Algorithm 3's γ table, kind 5: n·T float32
+// values in [0, 1], valid CRCs.
+func withRetiredGammaSection(tb testing.TB, saved []byte) []byte {
+	tb.Helper()
+	hdr, _ := parseTestDirectory(tb, saved)
+	return relaySections(tb, saved,
+		persistPlan{5, int(hdr.N * hdr.T), func(i int) uint32 { return math.Float32bits(1 / float32(1+i%7)) }})
+}
+
 func TestLoadIndexV3Corruption(t *testing.T) {
 	g := graph.CopyingModel(150, 4, 0.3, 5)
 	p := DefaultParams()
@@ -189,7 +191,7 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 	if _, err := LoadIndex(g, p, bytes.NewReader(saved)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := assemble(nil, p, saved, nil, nil); err != nil {
+	if _, err := assemble(nil, p, saved, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +207,7 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 		if _, err := LoadIndex(g, p, bytes.NewReader(bad)); err == nil {
 			t.Fatalf("header/directory bit flip at offset %d loaded without error", off)
 		}
-		if _, err := assemble(nil, p, bad, nil, nil); err == nil {
+		if _, err := assemble(nil, p, bad, nil); err == nil {
 			t.Fatalf("header/directory bit flip at offset %d loaded as a read image without error", off)
 		}
 	}
@@ -225,7 +227,7 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 			if err == nil {
 				t.Fatalf("section %d bit flip at +%d loaded without error", d.Kind, rel)
 			}
-			if _, err := assemble(nil, p, bad, nil, nil); err == nil {
+			if _, err := assemble(nil, p, bad, nil); err == nil {
 				t.Fatalf("section %d bit flip at +%d loaded as a read image without error", d.Kind, rel)
 			}
 		}
@@ -236,31 +238,40 @@ func TestLoadIndexV3Corruption(t *testing.T) {
 		if _, err := LoadIndex(g, p, bytes.NewReader(saved[:cut])); err == nil {
 			t.Fatalf("file truncated to %d bytes loaded without error", cut)
 		}
-		if _, err := assemble(nil, p, saved[:cut], nil, nil); err == nil {
+		if _, err := assemble(nil, p, saved[:cut], nil); err == nil {
 			t.Fatalf("file truncated to %d bytes loaded as a read image without error", cut)
 		}
 	}
 
-	// The retired alias-slot sections, CRCs valid, are an unknown kind to
-	// every loader — and not the fault of the re-lay, which reproduces the
-	// saved file exactly.
+	// Retired sections, CRCs valid, are an unknown kind to every loader —
+	// and not the fault of the re-lay, which reproduces the saved file
+	// exactly.
 	if !bytes.Equal(relaySections(t, saved), saved) {
 		t.Fatal("re-laying the saved sections changed the file")
 	}
-	retired := withRetiredAliasSections(t, saved)
-	path := filepath.Join(t.TempDir(), "retired.simr")
-	if err := os.WriteFile(path, retired, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, errStream := LoadIndex(g, p, bytes.NewReader(retired))
-	_, errRead := assemble(nil, p, retired, nil, nil)
-	_, closer, errMmap := LoadIndexMmap(path, p)
-	if errMmap == nil {
-		closer()
-	}
-	for name, err := range map[string]error{"LoadIndex": errStream, "read image": errRead, "LoadIndexMmap": errMmap} {
-		if err == nil || !strings.Contains(err.Error(), "unknown section kind 10") {
-			t.Errorf("%s of a file with alias sections: err = %v, want unknown section kind 10", name, err)
+	for _, tc := range []struct {
+		what    string
+		retired []byte
+		kind    int
+	}{
+		{"γ section", withRetiredGammaSection(t, saved), 5},
+		{"alias sections", withRetiredAliasSections(t, saved), 10},
+	} {
+		path := filepath.Join(t.TempDir(), "retired.simr")
+		if err := os.WriteFile(path, tc.retired, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errStream := LoadIndex(g, p, bytes.NewReader(tc.retired))
+		_, errRead := assemble(nil, p, tc.retired, nil)
+		_, closer, errMmap := LoadIndexMmap(path, p)
+		if errMmap == nil {
+			closer()
+		}
+		want := fmt.Sprintf("unknown section kind %d", tc.kind)
+		for name, err := range map[string]error{"LoadIndex": errStream, "read image": errRead, "LoadIndexMmap": errMmap} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s of a file with %s: err = %v, want %s", name, tc.what, err, want)
+			}
 		}
 	}
 }
@@ -287,7 +298,7 @@ func TestReadImageChecksAdjacencyEntries(t *testing.T) {
 	}
 	dirEnd := persistHeaderSize + len(dir)*persistSectionSize
 	binary.LittleEndian.PutUint32(bad[dirEnd:], crc32.Checksum(bad[:dirEnd], persistCRCTable))
-	if _, err := assemble(nil, p, bad, nil, nil); err == nil || !strings.Contains(err.Error(), "in-adjacency entry") {
+	if _, err := assemble(nil, p, bad, nil); err == nil || !strings.Contains(err.Error(), "in-adjacency entry") {
 		t.Fatalf("err = %v, want an in-adjacency range rejection", err)
 	}
 }
@@ -308,7 +319,7 @@ func TestReadImageReleasesBuffer(t *testing.T) {
 		load := func() *Engine {
 			buf := bytes.Clone(saved.Bytes())
 			runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
-			e, err := assemble(over, p, buf, nil, nil)
+			e, err := assemble(over, p, buf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +384,8 @@ func TestLoadIndexRejectsLegacyVersions(t *testing.T) {
 
 // TestSaveIndexBytesPinned pins SaveIndex's output byte for byte: the
 // length and CRC-32C of a fixed engine's file with every section kind
-// present, recorded before the walk table's alias sections were retired.
+// present — the file written before the γ section was retired, with that
+// section taken out and the rest re-laid.
 func TestSaveIndexBytesPinned(t *testing.T) {
 	g := graph.CopyingModel(150, 4, 0.3, 5)
 	p := DefaultParams()
@@ -383,7 +395,7 @@ func TestSaveIndexBytesPinned(t *testing.T) {
 	if err := e.SaveIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	const wantLen, wantCRC = 42068, 0x7ff39154
+	const wantLen, wantCRC = 33876, 0x7385e3cd
 	if got := crc32.Checksum(buf.Bytes(), persistCRCTable); buf.Len() != wantLen || got != wantCRC {
 		t.Fatalf("SaveIndex wrote %d bytes with CRC-32C %#08x, want %d bytes with %#08x", buf.Len(), got, wantLen, wantCRC)
 	}
@@ -436,29 +448,7 @@ func TestSaveLoadUnpreprocessedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.gamma != nil || e2.idx != nil {
+	if e2.idx != nil {
 		t.Fatal("empty engine round-trip produced artifacts")
-	}
-}
-
-func TestSaveLoadWithoutGamma(t *testing.T) {
-	g := graph.CopyingModel(100, 4, 0.3, 5)
-	p := DefaultParams()
-	p.Workers = 1
-	p.DisableL2 = true // no gamma computed
-	e := Build(g, p)
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := LoadIndex(g, p, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.gamma != nil {
-		t.Fatal("gamma should be absent")
-	}
-	if e2.idx == nil {
-		t.Fatal("index should be present")
 	}
 }

@@ -18,11 +18,11 @@ import (
 //     (bounds.go), and consumed strictly read-only;
 //   - the candidate list in bound order (buildPlan, query.go). Under
 //     CandidatesIndex: the H rows of u's right neighbours, each candidate's
-//     L2 bound from γ(u,·)·γ(v,·), and sortBounds' total order. Under the
-//     strategies that enumerate from it, also the undirected ball around u
-//     to DMax under BallBudget (graph) and Algorithm 2's α/β table over
-//     that ball and the distribution above: their candidates are read off
-//     the ball and bounded by min(distance bound, β, L2).
+//     degree bound from its in-degree, and sortBounds' total order. Under
+//     the strategies that enumerate from it, also the undirected ball
+//     around u to DMax under BallBudget (graph) and Algorithm 2's α/β table
+//     over that ball and the distribution above: their candidates are read
+//     off the ball and bounded by min(distance bound, β, degree bound).
 //
 // An entry holds both, immutable, so a hit touches no graph: it replaces
 // the candidate join, the bounds and the sort — and under the ball
@@ -160,15 +160,15 @@ func planBytes(plan []boundedCand) int64 { return planOverhead + 16*int64(cap(pl
 // footprint of a candidate tally, which is what the affected set covers —
 // and it keeps its horizon, a function of the distribution alone (its
 // nonempty steps are the ones the old snapshot's query kept).
-// The plan depends on the H rows of u's right neighbours and on γ of u and
-// of every candidate (under the ball strategies on the undirected ball to
-// DMax as well); an edge far outside u's walk neighbourhood can change any
-// of those. The carried
-// entry shares the distribution's backing arrays with the old one; the
-// first query to hit it derives the plan against the new snapshot and
-// publishes it (queryPlan). The entry of a vertex that had no candidate
-// holds no distribution to carry — a candidate the rebuild gives it would
-// be scored against nothing — so it is dropped and built afresh.
+// The plan depends on the H rows of u's right neighbours and on the
+// candidates' in-degrees (under the ball strategies on the undirected ball
+// to DMax as well); an edge far outside u's walk neighbourhood can change
+// any of those. The carried entry shares the distribution's backing
+// arrays with the old one; the first query to hit it derives the plan
+// against the new snapshot and publishes it (queryPlan). The entry of a
+// vertex that had no candidate holds no distribution to carry — a
+// candidate the rebuild gives it would be scored against nothing — so it
+// is dropped and built afresh.
 func carryProlog(old *prologEntry) *prologEntry {
 	if old.val.wd.T == 0 {
 		return nil

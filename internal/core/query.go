@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
 )
 
@@ -13,7 +12,7 @@ import (
 type QueryStats struct {
 	// Candidates enumerated before pruning.
 	Candidates int `json:"candidates"`
-	// PrunedByBound were cut by the L1/L2/distance upper bounds.
+	// PrunedByBound were cut by the L1/degree/distance upper bounds.
 	PrunedByBound int `json:"pruned_by_bound"`
 	// PrunedByRough were cut after the rough adaptive estimate.
 	PrunedByRough int `json:"pruned_by_rough"`
@@ -294,24 +293,25 @@ func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
 // walk distribution is wd. The bounds that read distances ride on the
 // strategies that build the ball: CandidatesBall and CandidatesHybrid
 // enumerate from it, so they have it, and bound a candidate by
-// min(distance bound, β, L2) — β read from wd as the plan has it, trimmed
-// at the horizon, so it bounds the score the scan will serve rather than
-// the T-term series (Snapshot.L1Bound is the one that bounds that). Under
-// CandidatesIndex the caller has already enumerated qs.cands from H and
-// there is no ball: a candidate's bound is its L2 bound. A BFS to
+// min(distance bound, β, degree bound) — β read from wd as the plan has it,
+// trimmed at the horizon, so it bounds the score the scan will serve rather
+// than the T-term series (Snapshot.L1Bound is the one that bounds that).
+// Under CandidatesIndex the caller has already enumerated qs.cands from H
+// and there is no ball: a candidate's bound is its degree bound. A BFS to
 // BallBudget (23 353 vertices on the benchmark's web graph) was the largest
 // share of a miss, and what it bought cut 0.17 of 14.7 web and 17 of 318
 // social candidates a query, which the rough pass cuts anyway — while β,
-// one value per distance, flattened the order L2 alone gives the scan
-// (DESIGN.md §4 has the runs). The result aliases qs.bounds.
+// one value per distance, flattened the order the per-candidate bound
+// alone gives the scan (DESIGN.md §4 has the runs). The result aliases
+// qs.bounds.
 func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand {
 	var dist []int32
 	var l1 *l1Table
 	if e.p.Strategy != CandidatesIndex {
 		// Local distances around the query. The ball budget keeps this BFS
 		// local on high-expansion graphs; truncation only weakens the
-		// L1/distance bounds (candidates fall back to L2), never
-		// correctness.
+		// L1/distance bounds (candidates fall back to the degree bound),
+		// never correctness.
 		dist = qs.distBuf()
 		defer qs.resetDist()
 		var truncated bool
@@ -330,7 +330,7 @@ func (e *Snapshot) buildPlan(qs *scratch, u uint32, wd *walkDist) []boundedCand 
 	}
 	bs := qs.bounds[:0]
 	for _, v := range qs.cands {
-		bs = append(bs, boundedCand{v, e.candBound(u, v, dist, l1)})
+		bs = append(bs, boundedCand{v, e.candBound(v, dist, l1)})
 	}
 	qs.bounds = bs
 	sortBounds(bs)
@@ -354,24 +354,14 @@ func (pl *queryPlan) restrict(qs *scratch, lo, hi uint32) []boundedCand {
 }
 
 // candBound is the tightest upper bound available for candidate v of a
-// query at u: the minimum of the distance and L1 bounds, where the plan has
-// a ball (dist is nil when it has none, l1 when the table is disabled), and
-// the L2 bound. +Inf when no bound applies.
-func (e *Snapshot) candBound(u, v uint32, dist []int32, l1 *l1Table) float64 {
-	ub := math.Inf(1)
+// query: its degree bound and, where the plan has a ball (dist is nil when
+// it has none, l1 when the table is disabled), the distance and L1 bounds
+// of its distance from the query.
+func (e *Snapshot) candBound(v uint32, dist []int32, l1 *l1Table) float64 {
+	ub := e.DegreeBound(v)
 	if dist != nil && dist[v] >= 0 {
 		d := int(dist[v])
-		if b := e.DistanceBound(d); b < ub {
-			ub = b
-		}
-		if b := l1.bound(d); b < ub {
-			ub = b
-		}
-	}
-	if !e.p.DisableL2 && e.gamma != nil {
-		if b := e.L2Bound(u, v); b < ub {
-			ub = b
-		}
+		ub = min(ub, e.DistanceBound(d), l1.bound(d))
 	}
 	return ub
 }

@@ -167,7 +167,6 @@ func TestPruningDoesNotChangeHighScorers(t *testing.T) {
 
 	noPrune := base
 	noPrune.DisableL1 = true
-	noPrune.DisableL2 = true
 	noPrune.DisableAdaptive = true
 
 	e1 := Build(g, base)
@@ -220,11 +219,6 @@ func TestPreprocessIndependentOfWorkerCount(t *testing.T) {
 	p8.Workers = 8
 	e1 := Build(g, p1)
 	e8 := Build(g, p8)
-	for i := range e1.gamma {
-		if e1.gamma[i] != e8.gamma[i] {
-			t.Fatalf("gamma[%d] differs across worker counts", i)
-		}
-	}
 	for v := 0; v < e1.g.N(); v++ {
 		a, b := e1.idx.rightRow(uint32(v)), e8.idx.rightRow(uint32(v))
 		if len(a) != len(b) {
@@ -240,7 +234,7 @@ func TestPreprocessIndependentOfWorkerCount(t *testing.T) {
 
 func TestBallBudgetQueriesStillFindNeighbours(t *testing.T) {
 	// With a tiny ball budget, queries must not silently prune clearly
-	// similar vertices — the L2 bound and the index still cover them.
+	// similar vertices — the degree bound and the index still cover them.
 	g := graph.Collaboration(60, 5, 0.8, 20, 5)
 	p := DefaultParams()
 	p.Seed = 7

@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// Snapshot is the immutable query state of one engine: the graph, the γ
-// table of Algorithm 3, and the bipartite candidate index of Algorithm 4.
+// Snapshot is the immutable query state of one engine: the graph and the
+// bipartite candidate index of Algorithm 4.
 // A Snapshot answers every query mode (TopK, Threshold, SinglePair,
 // AllTopK, SimilarityJoin) without mutating itself, so any number of
 // goroutines may share one Snapshot with no coordination at all — the
@@ -29,15 +29,9 @@ type Snapshot struct {
 	// built once per snapshot in O(1): it aliases the graph's in-CSR.
 	wt *graph.WalkTable
 
-	// distBound[d] = DistanceBound(d) for d ≤ DMax, distScale its
-	// maxD/(1−c) factor and tailTol = c^T·maxD the most a query's horizon
-	// may drop; all three depend on Params alone (bounds.go).
-	distScale float64
-	tailTol   float64
-	distBound []float64
-
-	// gamma[v*T + t] = γ(v, t) from Algorithm 3 (L2 bound), row-major.
-	gamma []float32
+	// distBounds holds the constants of DistanceBound, DegreeBound and the
+	// horizon's tolerance; they depend on Params alone (bounds.go).
+	distBounds
 
 	// idx is the bipartite candidate index H from Algorithm 4:
 	// idx lists each left vertex's right-neighbours; inv is the
@@ -75,18 +69,20 @@ type Snapshot struct {
 	stats PreprocessStats
 }
 
-// PreprocessStats records the cost of each preprocess component.
+// PreprocessStats records the cost of the preprocess.
 type PreprocessStats struct {
+	// GammaTime is always 0: Algorithm 3's γ table is no longer built. It
+	// stays until the benchmark's core.gamma_ms layer, which reads it, is
+	// dropped.
 	GammaTime time.Duration
 	IndexTime time.Duration
-	// IndexBytes approximates the memory footprint of the preprocess
-	// results (γ table + candidate index).
+	// IndexBytes approximates the memory footprint of the candidate index.
 	IndexBytes int64
 }
 
 func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	sn := &Snapshot{g: g, p: p.normalized(), wt: g.BuildWalkTable()}
-	sn.distScale, sn.tailTol, sn.distBound = newDistBounds(&sn.p)
+	sn.distBounds = newDistBounds(&sn.p)
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
 	if sn.p.CacheBytes > 0 && sn.p.RScore <= maxTallyCount {

@@ -576,10 +576,13 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 // bounds the shards ship. Before definition 3 a shard scored against all T
 // steps of the query-side distribution, since then up to its horizon: its
 // scores are up to c^T·maxD higher and its rough verdicts were taken on
-// them.
+// them. Before definition 4 a shard bound a candidate by the L2 bound of
+// Algorithm 3's γ table, since then by its in-degree, and shipped those
+// bounds.
 const (
 	planDef1ParamsFP = 0xa50eb6893a9430f1
 	planDef2ParamsFP = 0x35b3c11a4138e135
+	planDef3ParamsFP = 0x684e490f8f7a97ea
 )
 
 // A shard still running such a binary and one running this one agree on
@@ -587,7 +590,7 @@ const (
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP} {
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP} {
 		if _, fp := idx.ServingFingerprint(); fp == olderFP {
 			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}

@@ -39,7 +39,8 @@ type Options struct {
 	// Exhaustive switches candidate enumeration from the random-walk
 	// index to the full distance-DMax ball (slower, higher recall). Only
 	// then does a query walk that ball and bound candidates by distance
-	// and the L1 table as well; index candidates are bounded by L2 alone.
+	// and the L1 table as well; index candidates are bounded by their
+	// in-degree alone.
 	Exhaustive bool
 	// ExactScores replaces Monte-Carlo candidate scores with a
 	// deterministic sparse series evaluation wherever the exact push that
@@ -121,17 +122,16 @@ type Index struct {
 	e *core.Snapshot
 }
 
-// IndexStats reports preprocess cost. PreprocessTime is GammaTime (the
-// Algorithm 3 γ table) plus IndexTime (the Algorithm 4 candidate index).
+// IndexStats reports preprocess cost. PreprocessTime is IndexTime, the
+// time of the Algorithm 4 candidate index, the preprocess's only pass.
 type IndexStats struct {
 	PreprocessTime time.Duration
-	GammaTime      time.Duration
 	IndexTime      time.Duration
 	IndexBytes     int64
 }
 
-// BuildIndex runs the O(n) preprocess (γ table + candidate index) and
-// returns a query-ready index.
+// BuildIndex runs the O(n) preprocess (the candidate index) and returns a
+// query-ready index.
 func BuildIndex(g *Graph, opts Options) *Index {
 	return &Index{g: g, e: core.Build(g.g, opts.toParams()).Seal()}
 }
@@ -140,8 +140,7 @@ func BuildIndex(g *Graph, opts Options) *Index {
 func (ix *Index) Stats() IndexStats {
 	s := ix.e.Stats()
 	return IndexStats{
-		PreprocessTime: s.GammaTime + s.IndexTime,
-		GammaTime:      s.GammaTime,
+		PreprocessTime: s.IndexTime,
 		IndexTime:      s.IndexTime,
 		IndexBytes:     s.IndexBytes,
 	}
