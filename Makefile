@@ -53,7 +53,7 @@ loc:
 # binary codec round-trip alone. BuildIndex (Algorithm 4 over a whole
 # n=20000 graph) and LoadEdgeList (internal/graph: the text parser on the
 # same graphs) are the set-up path, web and social.
-BENCH_RE := 'TopK$$|BuildIndex|LoadEdgeList|TopKWarm|TopKSocial|SinglePairOneSided|SampleWalkDist|PushWalkDist|PlanMiss|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
+BENCH_RE := 'TopK$$|BuildIndex|LoadEdgeList|TopKWarm|TopKSocial|SinglePairOneSided|QueryDist|PlanMiss|ComputeL1|WalkStep|CandWalks|WalkDistLookup|ColdStartLoad|TopKDuringRefresh|TopKZipfThroughput|RouterTopK$$|RouterTopKBatch$$|WireCodec'
 BENCH_PKGS := ./internal/core ./internal/graph ./internal/router ./internal/wire
 
 bench:

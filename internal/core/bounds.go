@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-
-	"repro/internal/rng"
 )
 
 // This file implements the SimRank upper bounds of Section 6 and the one
@@ -24,10 +22,10 @@ import (
 // n·T table: B(v) = maxD·(c/indeg(v) + c²(1−c^(T−2))/(1−c)) dominates
 // s⁽ᵀ⁾(u,v) for every u ≠ v. It reads v's in-degree alone.
 
-// walkDist is the empirical (or exact) distribution of a vertex's walk
-// positions, P{u⁽ᵗ⁾ = w}, stored per step as an ascending support with a
-// directory over it: verts[t] lists the vertices with nonzero mass
-// ascending and dir[t] answers "at which index, if any, is w" (lookup)
+// walkDist is the pushed distribution of a vertex's walk positions,
+// P{u⁽ᵗ⁾ = w}, stored per step as an ascending support with a directory
+// over it: verts[t] lists the vertices with nonzero mass ascending and
+// dir[t] answers "at which index, if any, is w" (lookup)
 // without a search. The directory comes in two kinds, chosen per step by
 // the support's density alone (denseSupport):
 //
@@ -45,21 +43,14 @@ import (
 // of building the directory — scratch.orderTouched for buckets, enumerating
 // the set bits for a rank bitset — not of a comparison sort.
 //
-// Masses come in two encodings behind one accessor (mass), both rows of
-// uint32 words so that a cached copy (prolog.go) is one flat array whatever
-// built it. A sampled distribution stores walk counts, one word a vertex:
-// massw[t][i] of the R walks are at verts[t][i], and mass is
-// float64(count)·invR — the expression the sampler used to evaluate
-// eagerly, so every score bit is unchanged. An exact distribution
-// (exactWalkDistInto) stores the float64 itself, two words a vertex, low
-// half first.
+// A mass is stored as its float64 bits in two uint32 words, low half
+// first, so that a cached copy (prolog.go) is one flat array of words.
 //
-// A query builds one (queryDistInto) — exactly where that is cheap, from
-// the R = RAlpha walks the paper's Algorithm 2 already performs for the L1
-// bound where it is not — and uses it as the u-side of every candidate's
-// single-pair estimate, which removes the u-side sampling noise from the
-// scores (all of it, when the distribution is exact), and for β where the
-// plan has a ball. It stops at the query's horizon: queryDistInto empties
+// A query builds one (queryDistInto) — by the thresholded push that
+// stands for the R = RAlpha walks of the paper's Algorithm 2 — and uses it
+// as the u-side of every candidate's single-pair estimate, which removes
+// the u-side sampling noise from the scores, and for β where the plan
+// has a ball. It stops at the query's horizon: queryDistInto empties
 // the trailing steps that horizon proves worth less than the series' first
 // omitted term, and every consumer stops at (or skips) a step with an empty
 // support. A trimmed distribution's horizon is its number of nonempty
@@ -69,11 +60,7 @@ type walkDist struct {
 	verts [][]uint32
 	dir   [][]uint32
 	shift []uint8
-	// sampled selects the encoding of massw: walk counts and invR when
-	// true, float64 bits when false.
-	sampled bool
-	invR    float64
-	massw   [][]uint32
+	massw [][]uint32
 }
 
 // noDist is the distribution of no steps a query plan without candidates
@@ -136,9 +123,8 @@ func rankIndex(bits32, rank []uint32, w uint32) int {
 }
 
 // reset prepares the distribution for T steps, keeping backing arrays.
-func (wd *walkDist) reset(T int, sampled bool) {
+func (wd *walkDist) reset(T int) {
 	wd.T = T
-	wd.sampled = sampled
 	for len(wd.verts) < T {
 		wd.verts = append(wd.verts, nil)
 		wd.dir = append(wd.dir, nil)
@@ -247,9 +233,6 @@ func (wd *walkDist) lookup(t int, w uint32) int {
 
 // mass returns the probability mass of step t's i-th support vertex.
 func (wd *walkDist) mass(t, i int) float64 {
-	if wd.sampled {
-		return float64(wd.massw[t][i]) * wd.invR
-	}
 	m := wd.massw[t][2*i : 2*i+2]
 	return math.Float64frombits(uint64(m[0]) | uint64(m[1])<<32)
 }
@@ -274,70 +257,25 @@ func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 	}
 }
 
-// sampleWalkDistInto runs R walks from u and tabulates the per-step
-// empirical distributions into wd, using s for tallies, and leaves each
-// nonempty step's α*(u,t) = max_w D_ww·p̂_u,t(w) in s.peak (horizon). Zero
-// allocations after the backing arrays have warmed up.
-func (e *Snapshot) sampleWalkDistInto(wd *walkDist, s *scratch, u uint32, R int, r *rng.Source) {
-	T := e.p.T
-	wd.reset(T, true)
-	wd.invR = 1.0 / float64(R)
-	s.peak = s.peak[:0]
-	pos := s.walkBuf(R)
-	lane := s.laneBuf(R)
-	resetWalks(pos, u)
-	for t := 0; t < T; t++ {
-		if t > 0 {
-			e.wt.StepWalks(r, pos, lane)
-		}
-		if pos = s.tallyLive(pos); len(pos) == 0 {
-			break // all walks dead; remaining steps stay empty
-		}
-		wd.setSupport(t, s)
-		peak := 0.0
-		for _, w := range wd.verts[t] {
-			c := uint32(s.cnt[w])
-			wd.massw[t] = append(wd.massw[t], c)
-			if a := e.p.dval(w) * (float64(c) * wd.invR); a > peak {
-				peak = a
-			}
-		}
-		s.peak = append(s.peak, peak)
-	}
-}
-
-// pushDiv sets the relaxation budget of the exact query side: propagating
-// Pᵗe_u may relax RAlpha/pushDiv in-edges over all its steps before the
-// query falls back to the RAlpha sampled walks it was trying to avoid. The
-// budget is stated through RAlpha because that is the work it competes
-// with — RAlpha walks of up to T steps, each a draw and a tally — and a
-// relaxation is a multiply-add next to one of those. See DESIGN.md §4 for
-// the sensitivity runs behind 4.
-const pushDiv = 4
-
-// pushBudget is the number of in-edges exactWalkDistInto may relax for one
-// distribution of a served query.
-func (p *Params) pushBudget() int { return p.RAlpha / pushDiv }
-
-// exactWalkDistInto computes the exact per-step walk distributions Pᵗe_u
-// by sparse push into wd: step t hands each support vertex's mass to its
-// in-neighbours in equal shares. It returns false as soon as the in-edges
-// relaxed, over all steps together, would number more than budget, and the
-// caller falls back to sampling (wd is then in an unspecified state); a
-// distribution that needs exactly budget relaxations succeeds. Work, not
-// support, is what is bounded: a step costs the in-degrees of its support,
-// which a hub makes large while the support is still one vertex. Vertices
-// are pushed in ascending order and a vertex's in-edges in CSR order, so
-// every mass is the same sum in the same order wherever and however often
-// it is computed — a pure function of (graph, u). The accumulator is
-// compact (scratch.pushMass): it holds one float64 per vertex touched this
-// step, never more than budget. Each nonempty step's α*(u,t) is left in
-// s.peak, as by the sampler.
+// pushWalkDistInto computes u's per-step walk distributions by sparse
+// push into wd: step t hands each support vertex's mass to its
+// in-neighbours in equal shares, but only a vertex whose share
+// mass/indeg is at least minShare; a vertex below it stays in its step's
+// support, where it is scored, and is not pushed further. A pushed w with
+// mass m relaxes indeg(w) ≤ m/minShare in-edges, so one step relaxes at
+// most (its mass)/minShare ≤ 1/minShare, and every cell is at or below the
+// exact Pᵗe_u[w] (minShare 0 pushes everything: the exact distribution).
+// Vertices are pushed in ascending order and a vertex's in-edges in CSR
+// order, so every mass is the same sum in the same order wherever and
+// however often it is computed — a pure function of (graph, u, minShare).
+// The accumulator is compact (scratch.pushMass): it holds one float64 per
+// vertex touched this step. Each nonempty step's α*(u,t) = max_w
+// D_ww·p_u,t(w) is left in s.peak (horizon).
 //
-//lint:hotpath exact query-side propagation: the whole distribution of most web misses
-func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget int) bool {
+//lint:hotpath query-side propagation: the whole distribution of every prolog miss
+func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare float64) {
 	T := e.p.T
-	wd.reset(T, false)
+	wd.reset(T)
 	s.peak = s.peak[:0]
 	for t := 0; t < T; t++ {
 		s.beginTally()
@@ -350,17 +288,17 @@ func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget 
 				if len(in) == 0 {
 					continue
 				}
-				if budget -= len(in); budget < 0 {
-					return false
-				}
 				share := wd.mass(t-1, i) / float64(len(in))
+				if share < minShare {
+					continue
+				}
 				for _, x := range in {
 					s.pushMass(x, share)
 				}
 			}
 		}
 		if len(s.touched) == 0 {
-			break // no mass left; remaining steps stay empty
+			break // no mass pushed on; remaining steps stay empty
 		}
 		wd.setSupport(t, s)
 		peak := 0.0
@@ -374,20 +312,17 @@ func (e *Snapshot) exactWalkDistInto(wd *walkDist, s *scratch, u uint32, budget 
 		}
 		s.peak = append(s.peak, peak)
 	}
-	return true
 }
 
-// walkDistInto builds all T steps of u's walk distribution into wd: exact
-// when the push fits the budget, and otherwise — around hubs, on graphs
-// whose supports explode — the empirical distribution of RAlpha walks
-// drawn from queryRNG(u), which feeds nothing else. Which of the two
-// depends on the graph and u alone, so every shard, worker and repeat of a
-// query agrees on it. The T-term series is defined over this one; queries
-// score against its trimmed form (queryDistInto).
+// walkDistInto builds all T steps of u's walk distribution into wd: the
+// push with a share floor of 1/RAlpha, the mass one of the paper's RAlpha
+// query walks carries, so a step costs at most the RAlpha relaxations of
+// the walks it stands for. It depends on the graph and u alone, so every
+// shard, worker and repeat of a query agrees on it. The T-term series is
+// defined over this one; queries score against its trimmed form
+// (queryDistInto).
 func (e *Snapshot) walkDistInto(wd *walkDist, s *scratch, u uint32) {
-	if !e.exactWalkDistInto(wd, s, u, e.p.pushBudget()) {
-		e.sampleWalkDistInto(wd, s, u, e.p.RAlpha, e.queryRNG(u))
-	}
+	e.pushWalkDistInto(wd, s, u, 1/float64(e.p.RAlpha))
 }
 
 // queryDistInto builds the query-side distribution of u into wd, the one
@@ -468,7 +403,7 @@ type l1Table struct {
 	beta []float64
 }
 
-// computeL1From evaluates Algorithm 2's α and β from a sampled walk
+// computeL1From evaluates Algorithm 2's α and β from the query's walk
 // distribution. dist is the dense undirected-distance array of the query's
 // local ball (-1 = not discovered). exploredRadius is the distance up to
 // which dist is complete: every vertex at distance ≤ exploredRadius has a

@@ -76,14 +76,13 @@ func TestDegreeBoundDominatesScore(t *testing.T) {
 func TestL1BoundDominatesScore(t *testing.T) {
 	e, g := buildSmall(t, 80, 4)
 	d := exact.UniformDiagonal(g.N(), e.p.C)
-	r := e.queryRNG(0)
 	violations, checked := 0, 0
 	s := e.getScratch()
 	defer e.putScratch(s)
 	for _, u := range []uint32{0, 11, 42} {
 		dist := s.distBuf()
 		s.ball, _ = g.UndirectedBallInto(u, e.p.DMax, -1, dist, s.ball[:0])
-		e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, r)
+		e.walkDistInto(&s.wd, s, u)
 		tbl := e.computeL1From(s, &s.wd, dist, e.p.DMax)
 		row := exact.SingleSource(g, d, e.p.C, e.p.T, u)
 		for _, v := range s.ball {

@@ -83,16 +83,15 @@ type CacheStats struct {
 	// entries; it never exceeds BudgetBytes at quiescence.
 	BytesInUse  int64 `json:"bytes_in_use"`
 	BudgetBytes int64 `json:"budget_bytes"`
-	// BuiltExact, BuiltSampled and BuiltEmpty count the query plans built
-	// on a miss by what their distribution came from — the exact push, the
-	// sampled walks it fell back to, nothing at all for a vertex without
-	// candidates. Prolog cache only (they sum to the entries it was
-	// offered); always zero, and so absent from the JSON, for the tally cache.
-	BuiltExact   int64 `json:"built_exact,omitempty"`
-	BuiltSampled int64 `json:"built_sampled,omitempty"`
-	BuiltEmpty   int64 `json:"built_empty,omitempty"`
+	// BuiltPushed and BuiltEmpty count the query plans built on a miss by
+	// what their distribution came from — the push, or nothing at all for
+	// a vertex without candidates. Prolog cache only (they sum to the
+	// entries it was offered); always zero, and so absent from the JSON,
+	// for the tally cache.
+	BuiltPushed int64 `json:"built_pushed,omitempty"`
+	BuiltEmpty  int64 `json:"built_empty,omitempty"`
 	// StepsKept sums the horizons of those plans, so StepsKept /
-	// (BuiltExact + BuiltSampled) is the mean number of steps a query-side
+	// BuiltPushed is the mean number of steps a query-side
 	// distribution keeps of its T (bounds.go, horizon). Prolog cache only.
 	StepsKept int64 `json:"steps_kept,omitempty"`
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/exact"
@@ -13,60 +14,67 @@ import (
 // the Monte-Carlo estimators are unbiased for the truncated series and
 // concentrate as R grows. The paper notes its Hoeffding constants are
 // loose in practice; these tests assert empirical behaviour, not the
-// stated constants — except the last, which holds the sampled query side
+// stated constants — except the first, which holds the candidate tallies
 // to the Hoeffding radius itself.
 
-// The estimator the exact push replaces wherever it is cheap, and the one
-// every hub still gets: a cell of the sampled distribution, count/R of R
-// independent walks, is a mean of R indicator variables with expectation
-// Pᵗe_u[w], so by Hoeffding (paper §4) it is farther than
-// ε = √(ln(2/δ)/2R) from it with probability at most δ. Over many seeds
-// and every (step, vertex) cell of the exact support — no walk can be
-// anywhere else — the share of cells beyond ε must stay within δ.
-func TestSampledWalkDistWithinHoeffdingRadius(t *testing.T) {
+// The candidate tallies are the one sampler left on the query path (the
+// query side is pushed, bounds.go): a cell of a tally, count/R of the
+// R = RScore walks from v, is a mean of R indicator variables with
+// expectation Pᵗe_v[w], so by Hoeffding (paper §4) it is farther than
+// ε = √(ln(2/δ)/2R) from it with probability at most δ. Over 40 seeds —
+// the candidate streams are seeded from Params.Seed and v alone
+// (candSeed) — and every (step, vertex) cell of the exact support, which
+// no walk can leave, the share of cells beyond ε must stay within δ.
+func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 	g := graph.CopyingModel(2000, 5, 0.3, 21)
-	e := New(g, DefaultParams())
-	s := e.getScratch()
-	defer e.putScratch(s)
 	const delta = 0.05
-	R := e.p.RAlpha
-	eps := math.Sqrt(math.Log(2/delta) / (2 * float64(R)))
-	var exact, sampled walkDist
+	var exact walkDist
 	cells, beyond, worst := 0, 0, 0.0
-	// Two hubs a query samples, two vertices it pushes, one whose walks die.
-	for _, u := range []uint32{5, 17, 35, 999, 1999} {
-		if !e.exactWalkDistInto(&exact, s, u, math.MaxInt) {
-			t.Fatal("unbounded push refused")
-		}
-		for seed := uint64(1); seed <= 40; seed++ {
-			e.sampleWalkDistInto(&sampled, s, u, R, rng.New(seed))
+	for seed := uint64(1); seed <= 40; seed++ {
+		p := DefaultParams()
+		p.Seed = seed
+		e := New(g, p)
+		s := e.getScratch()
+		R := e.p.RScore
+		eps := math.Sqrt(math.Log(2/delta) / (2 * float64(R)))
+		// Two hubs, two web vertices, one whose walks die.
+		for _, v := range []uint32{5, 17, 35, 999, 1999} {
+			e.pushWalkDistInto(&exact, s, v, 0)
+			s.rng.Seed(e.candSeed(v))
+			e.simulateCandWalks(s, v, R)
+			e.buildFullTally(s, v, R, e.p.RRough, R)
 			for step := 0; step < e.p.T; step++ {
-				cell := func(p, q float64) {
+				lo, hi := s.tallyOff[step], s.tallyOff[step+1]
+				verts, counts := s.tallyV[lo:hi], s.tallyCnt[lo:hi]
+				exact.forEach(step, func(w uint32, p float64) {
+					q := 0.0
+					if j, ok := slices.BinarySearch(verts, w); ok {
+						q = float64(counts[j]) / float64(R)
+					}
 					cells++
 					d := math.Abs(p - q)
 					worst = max(worst, d)
 					if d > eps {
 						beyond++
 					}
-				}
-				exact.forEach(step, func(w uint32, p float64) {
-					q, _ := sampled.prob(step, w)
-					cell(p, q)
 				})
-				sampled.forEach(step, func(w uint32, q float64) {
+				for _, w := range verts {
 					if _, ok := exact.prob(step, w); !ok {
-						t.Fatalf("u=%d seed %d step %d: a walk at vertex %d, where the exact mass is zero", u, seed, step, w)
+						t.Fatalf("seed %d v=%d step %d: a walk at vertex %d, where the exact mass is zero", seed, v, step, w)
 					}
-				})
+				}
 			}
 		}
+		e.putScratch(s)
+		if seed == 40 {
+			t.Logf("%d cells, %d beyond ε = %.5f (δ = %v), largest deviation %.5f", cells, beyond, eps, delta, worst)
+		}
 	}
-	t.Logf("%d cells, %d beyond ε = %.5f (δ = %v), largest deviation %.5f", cells, beyond, eps, delta, worst)
 	if cells < 100000 || worst == 0 {
 		t.Fatalf("%d cells with largest deviation %v: nothing was compared", cells, worst)
 	}
 	if float64(beyond) > delta*float64(cells) {
-		t.Fatalf("%d of %d cells are farther than ε = %v from the exact mass: more than δ = %v", beyond, cells, eps, delta)
+		t.Fatalf("%d of %d cells are farther than ε from the exact mass: more than δ = %v", beyond, cells, delta)
 	}
 }
 
@@ -146,9 +154,7 @@ func TestOneSidedVarianceReduction(t *testing.T) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	var wd walkDist
-	if !e.exactWalkDistInto(&wd, sc, u, math.MaxInt) {
-		t.Fatal("push budget hit")
-	}
+	e.pushWalkDistInto(&wd, sc, u, 0)
 	variance := func(f func() float64) float64 {
 		var sum, sumsq float64
 		for i := 0; i < trials; i++ {

@@ -162,7 +162,7 @@ func BenchmarkWalkDistLookup(b *testing.B) {
 		}
 	}
 	var wd walkDist
-	wd.reset(2, true)
+	wd.reset(2)
 	wd.setRankSupport(0, n, s.touched)
 	wd.setBucketSupport(1, s)
 	bits32, rank := wd.ranks(0)
@@ -199,7 +199,7 @@ func BenchmarkSinglePairOneSided(b *testing.B) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	r := rng.New(1)
-	e.sampleWalkDistInto(&s.wd, s, 42, e.p.RAlpha, r)
+	e.walkDistInto(&s.wd, s, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -209,10 +209,10 @@ func BenchmarkSinglePairOneSided(b *testing.B) {
 
 // BenchmarkWalkStep measures the raw Monte-Carlo workhorse, one op being
 // one StepWalks call: web advances RScore walks on the 100 000-vertex
-// copying graph until they all die; social is the query side of the
-// end-to-end social workload — RAlpha walks from one query vertex on
-// PA(100 000, 10, 0.4), restarted from the next vertex after T−1 steps,
-// as sampleWalkDistInto runs them.
+// copying graph until they all die; social advances RAlpha walks from one
+// vertex of the end-to-end social workload's PA(100 000, 10, 0.4),
+// restarted from the next vertex after T−1 steps — a batch too wide and a
+// graph too large for the cache.
 func BenchmarkWalkStep(b *testing.B) {
 	b.Run("web", func(b *testing.B) {
 		e := bigBenchEngine(b)
@@ -372,37 +372,35 @@ func BenchmarkSinglePairAlg1(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleWalkDist(b *testing.B) {
-	e := coreBenchEngine(b)
-	r := rng.New(1)
-	n := uint32(e.Graph().N())
-	s := e.getScratch()
-	defer e.putScratch(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.sampleWalkDistInto(&s.wd, s, uint32(i)%n, e.p.RAlpha, r)
+// BenchmarkQueryDist is the query-side distribution alone (walkDistInto)
+// from uniform vertices of the two 100 000-vertex graphs of the end-to-end
+// benchmark: what a prolog miss pays for it. It reports the cells — the
+// support summed over the steps — a distribution holds.
+func BenchmarkQueryDist(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		gen  func() *graph.Graph
+	}{
+		{"web", func() *graph.Graph { return graph.CopyingModel(100000, 8, 0.3, 1) }},
+		{"social", func() *graph.Graph { return graph.PreferentialAttachment(100000, 10, 0.4, 1) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := New(tc.gen(), DefaultParams())
+			n := uint32(e.g.N())
+			s := e.getScratch()
+			defer e.putScratch(s)
+			cells := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.walkDistInto(&s.wd, s, uint32(i*7919+13)%n)
+				for t := 0; t < s.wd.T; t++ {
+					cells += s.wd.support(t)
+				}
+			}
+			b.ReportMetric(float64(cells)/float64(b.N), "cells")
+		})
 	}
-}
-
-// BenchmarkPushWalkDist is the exact push over the vertices
-// BenchmarkSampleWalkDist samples, under the served budget: what a miss
-// pays first, whether the push completes (the reported share) or is cut
-// off and the sampling above follows.
-func BenchmarkPushWalkDist(b *testing.B) {
-	e := coreBenchEngine(b)
-	n := uint32(e.Graph().N())
-	s := e.getScratch()
-	defer e.putScratch(s)
-	served := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if e.exactWalkDistInto(&s.wd, s, uint32(i)%n, e.p.pushBudget()) {
-			served++
-		}
-	}
-	b.ReportMetric(float64(served)/float64(b.N), "served")
 }
 
 // BenchmarkPlanMiss is what a prolog miss pays before it scores its first
@@ -443,14 +441,13 @@ func BenchmarkPlanMiss(b *testing.B) {
 // the strategies that enumerate from the ball pay for it per plan.
 func BenchmarkComputeL1(b *testing.B) {
 	e := coreBenchEngine(b)
-	r := rng.New(1)
 	u := uint32(42)
 	s := e.getScratch()
 	defer e.putScratch(s)
 	dist := s.distBuf()
 	s.ball, _ = e.Graph().UndirectedBallInto(u, e.p.DMax, -1, dist, s.ball[:0])
 	defer s.resetDist()
-	e.sampleWalkDistInto(&s.wd, s, u, e.p.RAlpha, r)
+	e.walkDistInto(&s.wd, s, u)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

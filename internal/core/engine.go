@@ -142,11 +142,6 @@ func (e *Engine) parallelVertices(vs []uint32, fn func(chunk []uint32, s *scratc
 	wg.Wait()
 }
 
-// queryRNG returns the deterministic RNG stream for queries at vertex u.
-func (e *Snapshot) queryRNG(u uint32) *rng.Source {
-	return rng.New(e.p.Seed ^ 0xd1b54a32d192ed03 ^ (0xbf58476d1ce4e5b9 * uint64(u+1)))
-}
-
 func (e *Engine) String() string {
 	return fmt.Sprintf("core.Engine{%v, c=%.2f, T=%d}", e.g, e.p.C, e.p.T)
 }

@@ -30,7 +30,7 @@ func TestParamsNormalization(t *testing.T) {
 	if p.DMax != p.T {
 		t.Fatal("DMax should default to T")
 	}
-	if p.BallBudget != 20000 || p.pushBudget() != 2500 {
+	if p.BallBudget != 20000 || p.RAlpha != 10000 {
 		t.Fatalf("budget defaults wrong: %+v", p)
 	}
 	// Out-of-range values are replaced too.
@@ -91,18 +91,6 @@ func TestParallelVerticesVisitsAllOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestQueryRNGDistinctPerVertex(t *testing.T) {
-	e := New(graph.Cycle(10), DefaultParams())
-	a := e.queryRNG(1).Uint64()
-	b := e.queryRNG(2).Uint64()
-	if a == b {
-		t.Fatal("query RNG streams collide")
-	}
-	if e.queryRNG(1).Uint64() != a {
-		t.Fatal("query RNG not deterministic")
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -145,7 +146,7 @@ func FuzzWalkDistDirectory(f *testing.F) {
 		want := slices.Clone(s.touched)
 		slices.Sort(want)
 		var wd walkDist
-		wd.reset(2, true)
+		wd.reset(2)
 		wd.setRankSupport(0, n, s.touched)
 		wd.setBucketSupport(1, s)
 		for step, kind := range []string{"rank", "bucket"} {
@@ -162,5 +163,37 @@ func FuzzWalkDistDirectory(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzQueryPush holds the query-side push to its three properties on small
+// random graphs, from a random vertex under a random RAlpha: it is the
+// dense recurrence with the same share rule bit for bit (refPush), every
+// cell is at or below the unthresholded push, and step t relaxes at most
+// RAlpha times the mass of step t−1.
+func FuzzQueryPush(f *testing.F) {
+	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5, 5, 6, 1, 7, 1}, uint8(1), uint16(3))
+	f.Add(uint8(1), []byte{}, uint8(0), uint16(0))
+	f.Add(uint8(40), []byte("a dense enough edge list for a few dozen vertices"), uint8(7), uint16(10000))
+	f.Fuzz(func(t *testing.T, nv uint8, edges []byte, from uint8, r uint16) {
+		n := 1 + int(nv%48)
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			b.AddEdge(uint32(int(edges[i])%n), uint32(int(edges[i+1])%n))
+		}
+		g := b.Build()
+		p := DefaultParams()
+		p.RAlpha = 1 + int(r)
+		e := New(g, p)
+		s := e.getScratch()
+		defer e.putScratch(s)
+		u := uint32(int(from) % n)
+		var pushed, exact walkDist
+		e.walkDistInto(&pushed, s, u)
+		label := fmt.Sprintf("n=%d u=%d RAlpha=%d", n, u, p.RAlpha)
+		sameAsRef(t, label, &pushed, refPush(g, p.T, u, 1/float64(p.RAlpha)))
+		e.pushWalkDistInto(&exact, s, u, 0)
+		requireBelowExact(t, label, &pushed, &exact)
+		requireStepWork(t, label, e.Snapshot, &pushed, p.RAlpha)
 	})
 }

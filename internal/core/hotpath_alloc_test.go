@@ -30,8 +30,8 @@ var hotpathKernels = []string{
 	"core.cachedPlan",
 	"core.dotPositions",
 	"core.dotTally",
-	"core.exactWalkDistInto",
 	"core.get",
+	"core.pushWalkDistInto",
 	"core.scoreLanes",
 	"core.setRankSupport",
 	"core.simulateCandWalks",
@@ -82,19 +82,17 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		e.buildFullTally(s, v, R, Rr, R)
 	})
 
-	// The exact push, where it succeeds (vertex 500: a few hundred
-	// relaxations over ten steps) and where it gives up at the budget.
+	// The push, from a vertex it pushes whole (500: a few hundred
+	// relaxations over ten steps) and from a hub whose share floor holds
+	// mass back, and then without the floor.
 	var wd walkDist
 	for _, from := range []uint32{500, u} {
-		fits := pushWork(e.Snapshot, s, from) <= e.p.pushBudget()
-		if fits != (from == 500) {
-			t.Fatalf("push from %d fits the budget: %v", from, fits)
+		e.walkDistInto(&wd, s, from)
+		if held := heldBack(e.Snapshot, &wd, e.p.RAlpha); held != (from == u) {
+			t.Fatalf("push from %d holds mass back: %v", from, held)
 		}
-		check("exactWalkDistInto", 20, func() {
-			if e.exactWalkDistInto(&wd, s, from, e.p.pushBudget()) != fits {
-				t.Fatalf("push from %d changed its mind", from)
-			}
-		})
+		check("pushWalkDistInto", 20, func() { e.walkDistInto(&wd, s, from) })
+		check("pushWalkDistInto (no floor)", 20, func() { e.pushWalkDistInto(&wd, s, from, 0) })
 	}
 
 	// The index's lane groups take WalkLanes' lockstep loop; scoreLanes
@@ -109,8 +107,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	})
 
 	// The scoring kernels need a query-side distribution.
-	s.rng.Seed(e.candSeed(u))
-	e.sampleWalkDistInto(&wd, s, u, R, &s.rng)
+	e.walkDistInto(&wd, s, u)
 
 	// scoreLanes covers graph.WalkLanes' phased loop (stepPhased and its
 	// passes: gatherLive, drawLaneSlots, loadSlots) and dotPositions: a
@@ -168,7 +165,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	}
 	check("cachedPlan", 100, func() {
 		if ent, plan := e.cachedPlan(uq); plan != nil {
-			sink += float64(len(*plan)) + ent.val.wd.invR
+			sink += float64(len(*plan)) + float64(ent.val.wd.T)
 		}
 	})
 	// (Not under the race detector: there sync.Pool drops scratches at
@@ -182,17 +179,16 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	}
 
 	// Wide supports: a query whose steps carry both directory kinds.
-	// setRankSupport is covered by the sampler, both index kinds by
-	// dotPositions; the sampler's rows and the hit tally grow once, in
+	// setRankSupport is covered by the push, both index kinds by
+	// dotPositions; the push's rows and the hit tally grow once, in
 	// AllocsPerRun's warm-up call.
 	gw := graph.PreferentialAttachment(2000, 10, 0.4, 1)
 	ew := New(gw, p)
 	sw := ew.getScratch()
 	defer ew.putScratch(sw)
 	uw, vw := uint32(gw.N()-1), uint32(gw.N()-2)
-	check("sampleWalkDistInto (dense steps)", 10, func() {
-		sw.rng.Seed(ew.candSeed(uw))
-		ew.sampleWalkDistInto(&sw.wd, sw, uw, ew.p.RAlpha, &sw.rng)
+	check("pushWalkDistInto (dense steps)", 10, func() {
+		ew.walkDistInto(&sw.wd, sw, uw)
 	})
 	if dense, sparse := countKinds(&sw.wd); dense == 0 || sparse == 0 {
 		t.Fatalf("query %d: %d dense and %d sparse steps, want both kinds", uw, dense, sparse)

@@ -14,26 +14,34 @@ import (
 // reference is that path as the tests kept it: refScores walks one
 // candidate at a time, tabulates the sorted tally and evaluates it with
 // refDot, the two-branch dot product of walkdist_test.go. refCandScore
-// adds the exact-propagation shortcut and the rough verdict, refSearch
+// adds ExactScoring's pushed candidate side and the rough verdict, refSearch
 // the block scan around them — sequential, one candidate after another —
 // so results, rough estimates, states and pruning counts all have a
 // reference that shares no scheduling with the code under test.
 
-// refDistOf copies a query-side distribution into the reference layout.
-func refDistOf(wd *walkDist) *refDist {
-	rd := &refDist{verts: make([][]uint32, wd.T), probs: make([][]float64, wd.T)}
-	for t := 0; t < wd.T; t++ {
-		wd.forEach(t, func(w uint32, pr float64) {
-			rd.verts[t] = append(rd.verts[t], w)
-			rd.probs[t] = append(rd.probs[t], pr)
-		})
+// refSeries is dotSeries over two reference distributions: per step a
+// merge join of the ascending supports, summed in the same order.
+func refSeries(e *Snapshot, a, b *refDist) float64 {
+	sum, ct := 0.0, 1.0
+	for t := range a.verts {
+		if t > 0 {
+			ct *= e.p.C
+		}
+		if len(a.verts[t]) == 0 || len(b.verts[t]) == 0 {
+			break
+		}
+		for i, w := range a.verts[t] {
+			if j, ok := slices.BinarySearch(b.verts[t], w); ok {
+				sum += ct * e.p.dval(w) * a.probs[t][i] * b.probs[t][j]
+			}
+		}
 	}
-	return rd
+	return sum
 }
 
-func refCandScore(e *Snapshot, s *scratch, wd *walkDist, rd *refDist, v uint32, floor float64, exactU bool) ShardCand {
-	if exactU && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
-		return ShardCand{Score: e.dotSeries(wd, &s.wd2), State: ShardScoredNoRough}
+func refCandScore(e *Snapshot, s *scratch, rd *refDist, v uint32, floor float64) ShardCand {
+	if e.p.ExactScoring {
+		return ShardCand{Score: refSeries(e, rd, refQuerySide(e, v)), State: ShardScoredNoRough}
 	}
 	rough, full, _ := refScores(e, s, rd, v)
 	switch {
@@ -64,33 +72,19 @@ func scoreBlockOf(e *Snapshot, qs *scratch, block []boundedCand, wd *walkDist, f
 // refQuery is one query's plan and reference query side. wd may alias
 // qs, which the caller keeps checked out.
 type refQuery struct {
-	wd     *walkDist
-	rd     *refDist
-	exactU bool
-	bs     []boundedCand
+	wd *walkDist
+	rd *refDist
+	bs []boundedCand
 }
 
-// newRefQuery applies the query side's rule on its own: the distribution
-// is the exact one exactly when pushing it takes no more than the budget
-// (TestPushMatchesDenseReference holds the push itself to a dense
-// reference), and the reference sampler's otherwise, cut at the plan's
-// horizon.
+// newRefQuery builds the query side on its own: the dense reference push
+// (refPush, which TestPushMatchesDenseReference holds the push itself to)
+// cut at the plan's horizon.
 func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
 	pl := e.queryPlan(qs, u)
-	wd, bs := pl.wd, slices.Clone(pl.cands)
-	s := e.getScratch()
-	defer e.putScratch(s)
-	exact := pushWork(e, s, u) <= e.p.pushBudget()
-	q := refQuery{wd: wd, exactU: exact && e.p.ExactScoring, bs: bs}
-	switch {
-	case len(bs) == 0:
-		q.rd = &refDist{} // nothing is scored against it
-	case exact == wd.sampled:
-		panic(fmt.Sprintf("u=%d: push within budget: %v, plan sampled: %v", u, exact, wd.sampled))
-	case exact:
-		q.rd = refDistOf(wd)
-	default:
-		q.rd = refSample(e, s, u).cut(keptSteps(wd))
+	q := refQuery{wd: pl.wd, bs: slices.Clone(pl.cands), rd: &refDist{}}
+	if len(q.bs) > 0 { // otherwise nothing is scored against it
+		q.rd = refQuerySide(e, u).cut(keptSteps(pl.wd))
 	}
 	return q
 }
@@ -114,7 +108,7 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 			end--
 		}
 		for _, b := range q.bs[i:end] {
-			cs := refCandScore(e, s, q.wd, q.rd, b.v, floor, q.exactU)
+			cs := refCandScore(e, s, q.rd, b.v, floor)
 			if cs.State == ShardRoughPruned {
 				stats.PrunedByRough++
 				continue
@@ -130,10 +124,9 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 }
 
 // TestLaneKernelMatchesReference drives every way a block reaches the
-// lane kernel — adaptive, DisableAdaptive, sampled candidates against an
-// exact query side (float masses; the default on a web graph), and the
-// sampled fallback of ExactScoring's candidate side — through
-// search and the shard scan at 1, 2, 3 and 5 workers, cache off and on,
+// lane kernel — adaptive, DisableAdaptive, and a web graph's query sides,
+// pushed whole and held back — and ExactScoring, whose candidates never
+// reach it, through search and the shard scan at 1, 2, 3 and 5 workers, cache off and on,
 // and requires results, pruning counts and every fragment entry to carry
 // the reference's bits; 2- and 3-shard merges must replay to the same.
 func TestLaneKernelMatchesReference(t *testing.T) {
@@ -151,12 +144,12 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 	}{
 		{"adaptive", wide, []uint32{4999, 1234, 3100}, func(p *Params) {}},
 		{"noadapt", wide, []uint32{4999, 3777}, func(p *Params) { p.DisableAdaptive = true }},
-		// The three miss paths: an exact query side, a sampled one, and a
-		// hub H gives no candidate; 81's push dies out before its horizon.
+		// Both miss paths: a pushed query side, and a hub H gives no
+		// candidate; 17's share floor holds mass back, and 81's push dies
+		// out before its horizon.
 		{"web", narrow, []uint32{35, 17, 0, 81}, func(p *Params) {}},
-		// The queries propagate exactly and most candidates do too; one or
-		// two of each query's are hubs the push budget sends to the walks.
-		{"exact-fallback", narrow, []uint32{26, 35, 39}, func(p *Params) { p.ExactScoring = true }},
+		// Every candidate is pushed too, hubs among them.
+		{"exact", narrow, []uint32{26, 35, 39}, func(p *Params) { p.ExactScoring = true }},
 	} {
 		for _, cacheBytes := range []int64{0, 64 << 20} {
 			p := DefaultParams()
@@ -173,7 +166,6 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 				// Both directory kinds inside one query's distribution.
 				requireBothKinds(t, tc.name, e, tc.queries)
 			}
-			fellBack := 0
 			for _, u := range tc.queries {
 				label := fmt.Sprintf("%s cache=%d u=%d", tc.name, cacheBytes, u)
 				qs := e.getScratch()
@@ -193,10 +185,7 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 				ref := map[uint32]ShardCand{}
 				for _, b := range q.bs {
 					if b.ub >= theta {
-						ref[b.v] = refCandScore(e, qs, q.wd, q.rd, b.v, theta, q.exactU)
-						if q.exactU && ref[b.v].State != ShardScoredNoRough {
-							fellBack++
-						}
+						ref[b.v] = refCandScore(e, qs, q.rd, b.v, theta)
 					}
 				}
 				for shards := uint32(1); shards <= 3; shards++ {
@@ -227,9 +216,6 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 					}
 				}
 				e.putScratch(qs)
-			}
-			if tc.name == "exact-fallback" && fellBack < 3 {
-				t.Fatalf("%s: %d candidates fell back to walks — the graph no longer straddles the push budget", tc.name, fellBack)
 			}
 		}
 	}

@@ -59,10 +59,12 @@ type Params struct {
 	RScore int
 	// RRough is the number of walks for the rough adaptive pass. Paper: 10.
 	RRough int
-	// RAlpha is the walk count of the query-side distribution, which
-	// scores every candidate and which Algorithm 2's α/β (L1) table is
-	// read from where a plan has one; RAlpha/4 is the in-edge budget of the
-	// exact push tried before those walks (bounds.go). Paper: 10000.
+	// RAlpha is the walk count the query-side distribution stands for: the
+	// distribution that scores every candidate and that Algorithm 2's α/β
+	// (L1) table is read from where a plan has one. It is pushed rather
+	// than sampled, and a vertex is pushed on only while its share of the
+	// mass per in-edge is at least 1/RAlpha, the mass one of RAlpha walks
+	// would carry (bounds.go). Paper: 10000 walks.
 	RAlpha int
 	// P and Q control index construction (Algorithm 4): P independent
 	// trials per vertex, each with one index walk W0 and Q collision
@@ -98,12 +100,10 @@ type Params struct {
 	DisableL1       bool
 	DisableAdaptive bool
 	// ExactScoring replaces Monte-Carlo candidate scores with a
-	// deterministic sparse evaluation of the truncated series wherever
-	// the exact push that builds the query side (RAlpha/4 in-edge
-	// relaxations, bounds.go) reaches on the candidate side too, falling
-	// back to sampling where it does not, e.g. around social hubs.
-	// Eliminates sampling noise on locality-friendly graphs at some
-	// query-time cost.
+	// deterministic sparse evaluation of the truncated series: each
+	// candidate's distribution is built by the push that builds the query
+	// side (bounds.go), so no score samples. Eliminates sampling noise at
+	// some query-time cost, most of all on social graphs.
 	ExactScoring bool
 	// D, when non-nil, supplies a custom diagonal correction matrix
 	// (one entry per vertex). When nil the paper's approximation
@@ -249,8 +249,11 @@ func (p Params) Fingerprint() uint64 {
 // its in-degree (DegreeBound) where definition 3 used the L2 bound of
 // Algorithm 3's γ table, so the scan order may differ. The fingerprint is
 // not persisted; an index file saved with definition 3's γ section is
-// refused by every loader as an unknown section (persist.go).
-const planDef = 4
+// refused by every loader as an unknown section (persist.go). 5: the
+// query-side distribution is pushed wherever a vertex's share reaches
+// 1/RAlpha, where definition 4 pushed it exactly under a relaxation budget
+// and sampled RAlpha walks past it, so scores and the cuts may differ.
+const planDef = 5
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

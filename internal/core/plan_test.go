@@ -112,8 +112,8 @@ func planVariants() map[string]func(*Params) {
 		"ball":    func(p *Params) { p.Strategy = CandidatesBall; p.BallBudget = 300 },
 		"hybrid":  func(p *Params) { p.Strategy = CandidatesHybrid },
 		// ExactScoring reads and writes the same cached plans: with the
-		// default push budget, and with one of 40 relaxations (RAlpha/4),
-		// which sends vertex 41 to its 160 sampled walks as well.
+		// default share floor, and with one of 1/160, which holds back
+		// mass on both sides of most queries.
 		"exact":    func(p *Params) { p.ExactScoring = true },
 		"exact-40": func(p *Params) { p.ExactScoring = true; p.RAlpha = 160 },
 	}
@@ -159,7 +159,7 @@ func TestPlanCacheInvisible(t *testing.T) {
 					}
 					// Six distinct vertices, whatever builds their distribution.
 					ps := on.PrologStats()
-					if ps.Hits < 10*ps.Misses || ps.Evictions != 0 || ps.Rejected != 0 || ps.Misses != 6 || ps.BuiltExact+ps.BuiltSampled+ps.BuiltEmpty != 6 {
+					if ps.Hits < 10*ps.Misses || ps.Evictions != 0 || ps.Rejected != 0 || ps.Misses != 6 || ps.BuiltPushed+ps.BuiltEmpty != 6 {
 						t.Fatalf("%s: ample prolog cache %+v", label, ps)
 					}
 
@@ -371,7 +371,7 @@ func TestPlanAcrossIncrementalRefresh(t *testing.T) {
 	}
 	gained := 0
 	for _, u := range noCands {
-		if b, _ := planClass(next, u); b != builtEmpty {
+		if b, _, _ := planClass(next, u); b != builtEmpty {
 			gained++
 		}
 	}

@@ -10,11 +10,9 @@ import (
 // scores its first candidate is a pure function of (snapshot, u):
 //
 //   - the query-side walk distribution (queryDistInto): Pᵗe_u pushed
-//     exactly along in-edges in ascending vertex order when that takes no
-//     more than pushBudget relaxations — a function of the graph and u —
-//     and otherwise RAlpha walks from u drawn from queryRNG(u), which is
-//     derived only from Params.Seed and u, tabulated per step; either way
-//     cut at the horizon h(u), which reads that distribution and C, T and D
+//     along in-edges in ascending vertex order wherever a vertex's share
+//     reaches 1/RAlpha — a function of the graph and u — cut at the
+//     horizon h(u), which reads that distribution and C, T and D
 //     (bounds.go), and consumed strictly read-only;
 //   - the candidate list in bound order (buildPlan, query.go). Under
 //     CandidatesIndex: the H rows of u's right neighbours, each candidate's
@@ -30,11 +28,9 @@ import (
 // by two slice loads. In the sharded
 // deployment every shard asks for the same plan and filters it to its
 // vertex range (the restriction of a total order is the order of the
-// restriction), so on a hit the duplicated per-query work is gone. An
-// exact distribution is cached like a sampled one — ExactScoring reads
-// the same entries and decides from the encoding (scoreCandidate) — and a
-// vertex H gives no candidate is cached as an empty plan over no
-// distribution at all.
+// restriction), so on a hit the duplicated per-query work is gone.
+// ExactScoring reads the same entries, and a vertex H gives no candidate
+// is cached as an empty plan over no distribution at all.
 //
 // The two halves have different dependency footprints, which matters to
 // the incremental rebuild only (see carryProlog): the distribution
@@ -72,20 +68,16 @@ const (
 // The builders an entry's distribution can come from, as PrologStats
 // counts them.
 const (
-	builtExact = iota
-	builtSampled
+	builtPushed = iota
 	builtEmpty
 )
 
 // builderOf tells which builder produced wd.
 func builderOf(wd *walkDist) int {
-	switch {
-	case wd.T == 0:
+	if wd.T == 0 {
 		return builtEmpty
-	case wd.sampled:
-		return builtSampled
 	}
-	return builtExact
+	return builtPushed
 }
 
 // newPrologEntry deep-copies the distribution wd into a flat-backed
@@ -94,8 +86,7 @@ func builderOf(wd *walkDist) int {
 // mass words next to each other, because one lookup touches all three —
 // the 3·T slice headers over it and the shift bytes. Steps from the query's
 // horizon on are empty in wd and cost their headers only. A support vertex
-// costs its id, its mass (4 bytes of walk count in a sampled distribution,
-// the 8 of a float64 in an exact one) and its share of the directory: a
+// costs its id, its 8-byte mass and its share of the directory: a
 // sparse step has no more buckets than support vertices (bucketing) and
 // one closing offset, a dense step's rank bitset is 12 bytes per 64 graph
 // vertices and a step is dense only from n/denseDiv support vertices on
@@ -120,13 +111,11 @@ func newPrologEntry(u uint32, wd *walkDist) *prologEntry {
 	size := prologEntryOverhead + 4*int64(cap(back)) + 24*int64(cap(rows)) + int64(cap(shift))
 	ent := &prologEntry{key: u, size: size, val: prolog{
 		wd: walkDist{
-			T:       T,
-			verts:   rows[:T:T],
-			dir:     rows[T : 2*T : 2*T],
-			shift:   shift,
-			sampled: wd.sampled,
-			invR:    wd.invR,
-			massw:   rows[2*T:],
+			T:     T,
+			verts: rows[:T:T],
+			dir:   rows[T : 2*T : 2*T],
+			shift: shift,
+			massw: rows[2*T:],
 		},
 		wdBytes: size,
 	}}

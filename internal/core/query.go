@@ -388,9 +388,9 @@ func sortBounds(bs []boundedCand) {
 }
 
 // scoreCandidate scores the candidate v = out.V into out without
-// scheduling walks of its own when it can: by exact propagation (under
-// ExactScoring, when the query side is exact and the same push reaches on
-// v's side too) or through the tally cache, whose part in it is counted in
+// scheduling walks of its own when it can: by the push that builds the
+// query side, run from v as well (under ExactScoring), or through the
+// tally cache, whose part in it is counted in
 // stats. It reports false when neither applies and the caller must hand v
 // to the lane kernel (scoreLanes).
 //
@@ -402,8 +402,9 @@ func sortBounds(bs []boundedCand) {
 // changes work, never values.
 func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floor float64, stats *QueryStats) bool {
 	v := out.V
-	if e.p.ExactScoring && !wd.sampled && e.exactWalkDistInto(&s.wd2, s, v, e.p.pushBudget()) {
-		// Deterministic scoring: the candidate side propagates exactly too.
+	if e.p.ExactScoring {
+		// Deterministic scoring: the candidate side is pushed too.
+		e.walkDistInto(&s.wd2, s, v)
 		out.State, out.Score = ShardScoredNoRough, e.dotSeries(wd, &s.wd2)
 		return true
 	}

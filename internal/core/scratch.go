@@ -137,24 +137,6 @@ func (s *scratch) tallyCount(v uint32) {
 	s.cnt[v]++
 }
 
-// tallyLive starts a fresh tally of the live walks in pos and returns pos
-// compacted to them, order kept. A step batch (graph.StepWalks) draws for live
-// walks only, in slice order, so dropping the dead ones changes no draw
-// and no position — most web walks are dead after two or three steps, and
-// the later steps then neither gather nor test them.
-func (s *scratch) tallyLive(pos []uint32) []uint32 {
-	s.beginTally()
-	k := 0
-	for _, w := range pos {
-		if w != Dead {
-			s.tallyCount(w)
-			pos[k] = w
-			k++
-		}
-	}
-	return pos[:k]
-}
-
 // pushMass adds floating-point mass m at v to the current tally, whose
 // push buffer the caller emptied when it began.
 func (s *scratch) pushMass(v uint32, m float64) {

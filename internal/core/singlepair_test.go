@@ -56,7 +56,7 @@ func TestSinglePairClawLeaves(t *testing.T) {
 }
 
 func TestOneSidedEstimatorMatchesExact(t *testing.T) {
-	// The query path estimates scores with a near-exact u-side walk
+	// The query path estimates scores with a pushed u-side walk
 	// distribution and fresh v-side walks; it must agree with the
 	// deterministic truncated series.
 	g := graph.PreferentialAttachment(60, 3, 0.3, 8)
@@ -66,7 +66,7 @@ func TestOneSidedEstimatorMatchesExact(t *testing.T) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	for _, pr := range [][2]uint32{{1, 2}, {5, 10}, {20, 40}, {0, 59}} {
-		e.sampleWalkDistInto(&s.wd, s, pr[0], 20000, r)
+		e.pushWalkDistInto(&s.wd, s, pr[0], 1.0/20000)
 		got := e.singlePairOneSided(s, &s.wd, pr[1], 5000, r)
 		want := exact.SinglePair(g, d, e.p.C, e.p.T, pr[0], pr[1])
 		if math.Abs(got-want) > 0.02 {
@@ -83,7 +83,7 @@ func TestOneSidedDeadQuery(t *testing.T) {
 	r := rng.New(2)
 	s := e.getScratch()
 	defer e.putScratch(s)
-	e.sampleWalkDistInto(&s.wd, s, 1, 100, r) // leaf: walks die at t=1
+	e.pushWalkDistInto(&s.wd, s, 1, 1.0/100) // leaf: no mass past t=0
 	if got := e.singlePairOneSided(s, &s.wd, 2, 100, r); got != 0 {
 		t.Fatalf("dead-query score = %v", got)
 	}

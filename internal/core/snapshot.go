@@ -49,10 +49,10 @@ type Snapshot struct {
 	// distribution and the bound-sorted candidate list (prolog.go); nil
 	// when Params.PrologBytes is negative. Like cache, it holds derived,
 	// deterministic data only. built counts the entries offered to it by
-	// the builder of their distribution (builtExact, …) and stepsKept sums
+	// the builder of their distribution (builtPushed, builtEmpty) and stepsKept sums
 	// their horizons.
 	prolog    *clockCache[prolog]
-	built     [3]atomic.Int64
+	built     [2]atomic.Int64
 	stepsKept atomic.Int64
 
 	// pool recycles query/preprocess scratch buffers (see scratch.go).
@@ -117,8 +117,7 @@ func (e *Snapshot) CacheStats() CacheStats { return e.cache.stats() }
 // that cache is disabled.
 func (e *Snapshot) PrologStats() CacheStats {
 	st := e.prolog.stats()
-	st.BuiltExact = e.built[builtExact].Load()
-	st.BuiltSampled = e.built[builtSampled].Load()
+	st.BuiltPushed = e.built[builtPushed].Load()
 	st.BuiltEmpty = e.built[builtEmpty].Load()
 	st.StepsKept = e.stepsKept.Load()
 	return st

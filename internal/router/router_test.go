@@ -578,11 +578,14 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 // scores are up to c^T·maxD higher and its rough verdicts were taken on
 // them. Before definition 4 a shard bound a candidate by the L2 bound of
 // Algorithm 3's γ table, since then by its in-degree, and shipped those
-// bounds.
+// bounds. Before definition 5 a shard pushed the query side exactly under a
+// relaxation budget and sampled it past that budget, since then it pushes
+// wherever a vertex's share reaches 1/RAlpha: its scores differ.
 const (
 	planDef1ParamsFP = 0xa50eb6893a9430f1
 	planDef2ParamsFP = 0x35b3c11a4138e135
 	planDef3ParamsFP = 0x684e490f8f7a97ea
+	planDef4ParamsFP = 0x64f7835a90c7790c
 )
 
 // A shard still running such a binary and one running this one agree on
@@ -590,7 +593,7 @@ const (
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP} {
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP} {
 		if _, fp := idx.ServingFingerprint(); fp == olderFP {
 			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}

@@ -202,15 +202,15 @@ func TestStatuszEndpoint(t *testing.T) {
 	}
 	// Every prolog miss names the builder that answered it; the tally
 	// cache's object carries no such fields.
-	if pr := st.Prolog; pr == nil || pr.Misses == 0 || pr.BuiltExact+pr.BuiltSampled+pr.BuiltEmpty != pr.Misses {
+	if pr := st.Prolog; pr == nil || pr.Misses == 0 || pr.BuiltPushed+pr.BuiltEmpty != pr.Misses {
 		t.Fatalf("prolog stats = %+v", st.Prolog)
 	}
-	if strings.Count(string(body), `"built_`) == 0 || st.Cache.BuiltExact+st.Cache.BuiltSampled+st.Cache.BuiltEmpty != 0 {
+	if strings.Count(string(body), `"built_`) == 0 || st.Cache.BuiltPushed+st.Cache.BuiltEmpty != 0 {
 		t.Fatalf("built_* fields: %s", body)
 	}
 	// And sums the horizons of the distributions it built: between one step
 	// and all T = 11 for each, again in the prolog object only.
-	if dists, kept := st.Prolog.BuiltExact+st.Prolog.BuiltSampled, st.Prolog.StepsKept; dists == 0 || kept < dists || kept > 11*dists ||
+	if dists, kept := st.Prolog.BuiltPushed, st.Prolog.StepsKept; dists == 0 || kept < dists || kept > 11*dists ||
 		strings.Count(string(body), `"steps_kept"`) != 1 || st.Cache.StepsKept != 0 {
 		t.Fatalf("steps_kept = %d for %d distributions: %s", kept, dists, body)
 	}

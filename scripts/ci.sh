@@ -6,8 +6,9 @@
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
-# directories, the edge-list parser, the walk kernels, the index
-# loader and the wire decoder, and the multi-shard smoke; the
+# directories, the edge-list parser, the walk kernels, the query-side
+# push, the index loader and the wire decoder, and the multi-shard
+# smoke; the
 # tree's size (scripts/loc.sh) closes the log.
 set -eu
 
@@ -79,6 +80,13 @@ go test -run - -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 # lane's walks alone — same positions, same final generator state.
 echo "==> fuzz smoke (FuzzWalkKernels, 5s)"
 go test -run - -fuzz '^FuzzWalkKernels$' -fuzztime 5s ./internal/graph
+
+# Five seconds of the query-side push on small random graphs, from random
+# vertices under random RAlpha: the dense recurrence bit for bit, no cell
+# above the unthresholded push, no step relaxing more than RAlpha times
+# the mass it starts from.
+echo "==> fuzz smoke (FuzzQueryPush, 5s)"
+go test -run - -fuzz '^FuzzQueryPush$' -fuzztime 5s ./internal/core
 
 # Five seconds of corrupt index files through every loader policy: the
 # v3 index is the input this tree takes from outside besides edge lists.

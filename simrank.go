@@ -21,12 +21,14 @@ type Options struct {
 	Samples int
 	// RoughSamples is the adaptive first-pass sample count. Default 10.
 	RoughSamples int
-	// BoundSamples is the walk count of the query-side distribution, which
-	// scores every candidate: a query first tries to push that
-	// distribution exactly within BoundSamples/4 in-edge relaxations and
-	// samples this many walks only where the push does not fit (around
-	// hubs). The per-query L1 bound is read from the same distribution
-	// where a plan has one, i.e. under Exhaustive. Default 10000.
+	// BoundSamples sets the precision of the query-side distribution,
+	// which scores every candidate: it is pushed along in-edges, and a
+	// vertex is pushed on only while its share of the mass per in-edge is
+	// at least 1/BoundSamples, the mass one of the paper's BoundSamples
+	// walks would carry. A step then costs at most BoundSamples in-edge
+	// relaxations. The per-query L1 bound is read from the same
+	// distribution where a plan has one, i.e. under Exhaustive. Default
+	// 10000.
 	BoundSamples int
 	// IndexTrials (P) and IndexWalks (Q) control candidate-index
 	// construction. Defaults 10 and 5.
@@ -43,11 +45,10 @@ type Options struct {
 	// in-degree alone.
 	Exhaustive bool
 	// ExactScores replaces Monte-Carlo candidate scores with a
-	// deterministic sparse series evaluation wherever the exact push that
-	// builds the query side (BoundSamples/4 in-edge relaxations) reaches
-	// on the candidate side too — it does on web-like graphs — eliminating
-	// sampling noise at some query-time cost. Falls back to sampling
-	// around hubs.
+	// deterministic sparse series evaluation: each candidate's
+	// distribution is pushed as the query side is, so no score samples.
+	// More precise, and slower, most of all on social graphs, where a
+	// candidate's pushed distribution is wide: an order of magnitude there.
 	ExactScores bool
 	// CacheBytes bounds the per-index cross-query tally cache: candidate
 	// walk tallies are pure functions of the index state, so queries
@@ -56,7 +57,7 @@ type Options struct {
 	// cache on or off; only throughput changes.
 	CacheBytes int64
 	// PrologCacheBytes bounds the per-index cache of query plans: the
-	// sampled walk distribution of a query and its bound-sorted candidate
+	// pushed walk distribution of a query and its bound-sorted candidate
 	// list are pure functions of (index, query vertex), so repeat queries
 	// — and every shard of a distributed deployment answering the same
 	// query — skip everything a query does before it scores a candidate.
