@@ -151,6 +151,17 @@ func (wd *walkDist) trim(h int) {
 // support reports the number of vertices with nonzero mass at step t.
 func (wd *walkDist) support(t int) int { return len(wd.verts[t]) }
 
+// steps returns the number of leading nonempty steps: a query side's
+// horizon once trimmed (queryDistInto), and the most a score against it
+// reads — every consumer stops at the first empty step.
+func (wd *walkDist) steps() int {
+	h := 0
+	for h < wd.T && len(wd.verts[h]) > 0 {
+		h++
+	}
+	return h
+}
+
 // setSupport installs the current tally's touched list as step t's
 // support, ascending, with the directory kind its density calls for. The
 // row must be empty (reset).

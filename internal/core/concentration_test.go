@@ -40,7 +40,6 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 		// Two hubs, two web vertices, one whose walks die.
 		for _, v := range []uint32{5, 17, 35, 999, 1999} {
 			e.pushWalkDistInto(&exact, s, v, 0)
-			s.rng.Seed(e.candSeed(v))
 			e.simulateCandWalks(s, v, R)
 			e.buildFullTally(s, v, R, e.p.RRough, R)
 			for step := 0; step < e.p.T; step++ {

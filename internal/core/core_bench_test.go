@@ -252,31 +252,32 @@ func BenchmarkWalkStep(b *testing.B) {
 	})
 }
 
-// BenchmarkCandWalks measures candidate walk simulation alone, on the
-// graph of the end-to-end social workload (too large for the cache, so a
-// step is two dependent misses): one op is one candidate's RScore walks
-// of T−1 steps, from one stream at a time, from the index's 8 lanes and
-// from the graph.MaxWalkLanes lanes scoreLanes runs in lockstep.
+// BenchmarkCandWalks measures candidate walk simulation alone (candWalks),
+// on the graph of the end-to-end social workload (too large for the cache,
+// so a step is two dependent misses): one op is one candidate's RScore
+// walks, from one lane at a time and from the graph.MaxWalkLanes lanes
+// scoreLanes runs in lockstep, at 3 steps (the social workload's mean
+// horizon less one: how far the lane kernel walks) and at T−1 (how far
+// the tally cache walks).
 func BenchmarkCandWalks(b *testing.B) {
 	g := graph.PreferentialAttachment(100000, 10, 0.4, 1)
-	wt := g.BuildWalkTable()
-	p := DefaultParams()
-	T, R := p.T, p.RScore
+	e := New(g, DefaultParams())
+	T, R := e.p.T, e.p.RScore
 	n := uint32(g.N())
-	for _, k := range []int{1, indexLanes, graph.MaxWalkLanes} {
-		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
-			lanes := newWalkLanes(k, T*R)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += k {
-				for l := range lanes {
-					v := uint32((i+l)*7919+13) % n
-					lanes[l].Start = v
-					lanes[l].Rng.Seed(uint64(v))
+	for _, steps := range []int{3, T - 1} {
+		for _, k := range []int{1, graph.MaxWalkLanes} {
+			b.Run(fmt.Sprintf("steps=%d/lanes=%d", steps, k), func(b *testing.B) {
+				lanes := newWalkLanes(k, T*R)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += k {
+					for l := range lanes {
+						lanes[l].Start = uint32((i+l)*7919+13) % n
+					}
+					e.candWalks(lanes, 0, R, steps, R)
 				}
-				wt.WalkLanes(lanes, 0, R, T-1, R)
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -100,11 +100,12 @@ func TestPairSeedDistinctStreams(t *testing.T) {
 	}
 }
 
-// candSeed is per vertex (the cacheable candidate-stream seed): distinct
-// vertices must get distinct streams, and the stream of any vertex must
-// be disjoint from every preprocess phase (phase salts) and from every
-// pairSeed stream — a collision would correlate a candidate's cached
-// tally with an unrelated walk computation.
+// candSeed is per vertex (the cacheable candidate seed) and each of its
+// walks draws from a stream of its own (walkSeed): distinct vertices and
+// distinct walks must get distinct streams, disjoint from every preprocess
+// phase (phase salts) and from every pairSeed stream — a collision would
+// correlate a candidate's cached tally with an unrelated walk computation,
+// or two of its walks with each other.
 func TestCandSeedPerVertexDisjoint(t *testing.T) {
 	e := New(graph.Cycle(16), DefaultParams())
 	seeds := map[uint64]string{}
@@ -116,6 +117,9 @@ func TestCandSeedPerVertexDisjoint(t *testing.T) {
 	}
 	for v := uint32(0); v < 16; v++ {
 		record(e.candSeed(v), fmt.Sprintf("candSeed(%d)", v))
+		for i := 0; i < e.p.RScore; i++ {
+			record(walkSeed(e.candSeed(v), i), fmt.Sprintf("walkSeed(%d,%d)", v, i))
+		}
 	}
 	// Phase-salt disjointness: the scoring stream of v must not collide
 	// with v's index preprocess stream.
@@ -139,6 +143,9 @@ func TestCandSeedQueryIndependent(t *testing.T) {
 	want := e.p.Seed ^ saltScore ^ rng.Mix(uint64(5))
 	if got := e.candSeed(5); got != want {
 		t.Fatalf("candSeed(5) = %#x, want seed^saltScore^Mix(v) = %#x", got, want)
+	}
+	if got := walkSeed(want, 7); got != rng.Mix(want+7) {
+		t.Fatalf("walkSeed(candSeed(5), 7) = %#x, want Mix(candSeed(5)+7) = %#x", got, rng.Mix(want+7))
 	}
 }
 

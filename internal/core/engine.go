@@ -83,16 +83,26 @@ func (e *Snapshot) pairSeed(u, v uint32) uint64 {
 	return e.p.Seed ^ rng.Mix(uint64(u)<<32|uint64(v))
 }
 
-// candSeed derives the per-candidate scoring seed for candidate v.
-// Seeding per vertex (not per query or per (u,v) pair) makes the
-// candidate's walk stream — and therefore its step-t position tally — a
-// pure function of the snapshot, which is what lets the tally cache
-// (cache.go) share one simulation across every query that scores v. The
-// seed stays independent of evaluation order and Params.Workers, and
-// saltScore keeps the stream disjoint from the index preprocess's
-// (saltIndex) and from pairSeed's unsalted streams.
+// candSeed derives the per-candidate scoring seed for candidate v, from
+// which each of its walks gets a stream of its own (walkSeed). Seeding
+// per vertex (not per query or per (u,v) pair) makes the candidate's
+// walks — and therefore its step-t position tally — a pure function of
+// the snapshot, which is what lets the tally cache (cache.go) share one
+// simulation across every query that scores v. The seed stays
+// independent of evaluation order and Params.Workers, and saltScore keeps
+// the streams disjoint from the index preprocess's (saltIndex) and from
+// pairSeed's unsalted streams.
 func (e *Snapshot) candSeed(v uint32) uint64 {
 	return e.p.Seed ^ saltScore ^ rng.Mix(uint64(v))
+}
+
+// walkSeed is the seed of walk i of the candidate whose seed is cand
+// (candSeed). One stream per walk makes a walk's first s steps the same
+// however far it runs, so a query walks only the steps its horizon reads
+// (candWalks) and the tally cache's full-length walks still agree with
+// them position for position.
+func walkSeed(cand uint64, i int) uint64 {
+	return rng.Mix(cand + uint64(i))
 }
 
 // vertexChunk is how many vertices a preprocess worker claims at a time: a

@@ -197,3 +197,59 @@ func FuzzQueryPush(f *testing.F) {
 		requireStepWork(t, label, e.Snapshot, &pushed, p.RAlpha)
 	})
 }
+
+// FuzzCandWalks holds candWalks to the prefix property the lane kernel
+// stands on, on small random graphs whose in-degree-0 vertices kill walks:
+// for a random group of candidates, R and cut Rr, walks [0, Rr) and then
+// [Rr, R) run to a random steps ∈ [0, T−1] write rows 1..steps equal to a
+// full T−1 run of all R walks, and the full run equals refCandWalks' walks
+// drawn one at a time on their own generators. Row 0 and the rows past
+// steps are never written.
+func FuzzCandWalks(f *testing.F) {
+	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5, 5, 6, 1, 7, 1}, uint8(1), uint8(3), uint8(30), uint8(10), uint8(3))
+	f.Add(uint8(1), []byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(40), []byte("a dense enough edge list for a few dozen vertices"), uint8(7), uint8(31), uint8(99), uint8(10), uint8(10))
+	f.Fuzz(func(t *testing.T, nv uint8, edges []byte, from, width, r, rr, st uint8) {
+		n := 1 + int(nv%48)
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			b.AddEdge(uint32(int(edges[i])%n), uint32(int(edges[i+1])%n))
+		}
+		e := New(b.Build(), DefaultParams())
+		T := e.p.T
+		R := 1 + int(r)%120
+		Rr := int(rr) % (R + 1)
+		steps := int(st) % T
+		const unwritten = graph.NoVertex - 1
+		full := newWalkLanes(1+int(width)%graph.MaxWalkLanes, T*R)
+		part := newWalkLanes(len(full), T*R)
+		for l := range full {
+			v := uint32((int(from) + 7*l) % n)
+			full[l].Start, part[l].Start = v, v
+			for i := range part[l].Out {
+				part[l].Out[i] = unwritten
+			}
+		}
+		e.candWalks(full, 0, R, T-1, R)
+		e.candWalks(part, 0, Rr, steps, R)
+		e.candWalks(part, Rr, R, steps, R)
+		ref := make([]uint32, T*R)
+		for l := range full {
+			v := full[l].Start
+			refCandWalks(e.Snapshot, v, R, ref)
+			label := fmt.Sprintf("n=%d lane %d v=%d R=%d Rr=%d steps=%d", n, l, v, R, Rr, steps)
+			if !slices.Equal(full[l].Out[R:], ref[R:]) {
+				t.Fatalf("%s: the full run differs from the walks drawn one at a time", label)
+			}
+			for row := 0; row < T; row++ {
+				got, want := part[l].Out[row*R:(row+1)*R], full[l].Out[row*R:(row+1)*R]
+				if row >= 1 && row <= steps && !slices.Equal(got, want) {
+					t.Fatalf("%s: row %d is %v, the full run's %v", label, row, got, want)
+				}
+				if (row == 0 || row > steps) && slices.IndexFunc(got, func(w uint32) bool { return w != unwritten }) >= 0 {
+					t.Fatalf("%s: row %d was written: %v", label, row, got)
+				}
+			}
+		}
+	})
+}

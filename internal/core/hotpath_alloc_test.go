@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -28,6 +29,7 @@ import (
 var hotpathKernels = []string{
 	"core.buildFullTally",
 	"core.cachedPlan",
+	"core.candWalks",
 	"core.dotPositions",
 	"core.dotTally",
 	"core.get",
@@ -77,7 +79,6 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	})
 
 	check("simulateCandWalks+buildFullTally", 20, func() {
-		s.rng.Seed(e.candSeed(v))
 		e.simulateCandWalks(s, v, R)
 		e.buildFullTally(s, v, R, Rr, R)
 	})
@@ -106,14 +107,14 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		e.wt.WalkLanes(idxLanes, 0, R, T-1, R)
 	})
 
-	// The scoring kernels need a query-side distribution.
-	e.walkDistInto(&wd, s, u)
-
-	// scoreLanes covers graph.WalkLanes' phased loop (stepPhased and its
-	// passes: gatherLive, drawLaneSlots, loadSlots) and dotPositions: a
-	// block of more candidates than one lane group, ending in a ragged
-	// one, and in a ragged run of shareGroup; a floor of zero so every one
-	// of them is refined, then a floor nothing reaches so none is.
+	// scoreLanes covers candWalks, graph.WalkLanes' phased loop
+	// (stepPhased and its passes: gatherLive, drawLaneSlots, loadSlots)
+	// and dotPositions: a block of more candidates than one lane group,
+	// ending in a ragged one, and in a ragged run of shareGroup; a floor
+	// of zero so every one of them is refined, then a floor nothing
+	// reaches so none is. The walks stop at the query side's horizon h,
+	// so it runs at every length a walk takes: all T−1 steps (h = T),
+	// a few, and none (h = 1).
 	block := make([]boundedCand, 2*graph.MaxWalkLanes-1)
 	if laneFit(T, R, graph.MaxWalkLanes) != graph.MaxWalkLanes || len(block)%shareGroup == 0 {
 		t.Fatalf("a block of %d is not ragged at the lane width and the share group", len(block))
@@ -124,23 +125,31 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	}
 	scores := make([]ShardCand, len(block))
 	var stats QueryStats
-	for _, floor := range []float64{0, 2} {
-		check("scoreLanes", 20, func() {
-			for j := range pend {
-				pend[j] = int32(j)
-				scores[j] = ShardCand{V: block[j].v}
-			}
-			e.scoreLanes(s, &wd, scores, pend, floor)
-			sink += scores[0].Rough
-		})
-		// The dispatcher above it must add nothing on the one-worker path
-		// (a WaitGroup declared before the fork would).
-		check("scoreBlock", 20, func() {
-			e.scoreBlock(s, block, scores, &wd, floor, 1, &stats)
-			sink += scores[0].Rough
-		})
+	for _, h := range []int{T, 4, 1} {
+		e.pushWalkDistInto(&wd, s, u, 0)
+		wd.trim(h)
+		if wd.steps() != h {
+			t.Fatalf("query %d trimmed at %d keeps %d steps", u, h, wd.steps())
+		}
+		for _, floor := range []float64{0, 2} {
+			check(fmt.Sprintf("scoreLanes h=%d", h), 20, func() {
+				for j := range pend {
+					pend[j] = int32(j)
+					scores[j] = ShardCand{V: block[j].v}
+				}
+				e.scoreLanes(s, &wd, scores, pend, floor)
+				sink += scores[0].Rough
+			})
+			// The dispatcher above it must add nothing on the one-worker
+			// path (a WaitGroup declared before the fork would).
+			check(fmt.Sprintf("scoreBlock h=%d", h), 20, func() {
+				e.scoreBlock(s, block, scores, &wd, floor, 1, &stats)
+				sink += scores[0].Rough
+			})
+		}
 	}
-	s.rng.Seed(e.candSeed(v))
+	// The tally kernels score against the whole distribution.
+	e.walkDistInto(&wd, s, u)
 	e.simulateCandWalks(s, v, R)
 	rsteps := e.buildFullTally(s, v, R, Rr, R)
 	invR := 1 / float64(R)
@@ -193,7 +202,6 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	if dense, sparse := countKinds(&sw.wd); dense == 0 || sparse == 0 {
 		t.Fatalf("query %d: %d dense and %d sparse steps, want both kinds", uw, dense, sparse)
 	}
-	sw.rng.Seed(ew.candSeed(vw))
 	ew.simulateCandWalks(sw, vw, R)
 	check("dotPositions (dense steps)", 100, func() {
 		sink += ew.dotPositions(sw, &sw.wd, vw, sw.tpos, R, R, invR)

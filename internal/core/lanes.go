@@ -14,14 +14,14 @@ import (
 // Without the cache nobody needs the sorted per-step tally the cached
 // path builds (tally.go): a score is Σ_t cᵗ Σ_w p̂_u,t(w)·D_ww·count(w)/R,
 // and only positions inside the query-side support contribute. So
-// scoreLanes (1) advances up to graph.MaxWalkLanes candidates' walk
-// streams in lockstep — each candidate keeps its own candSeed stream and
-// consumes it walk-major, exactly as simulateCandWalks does, so every
-// position is unchanged while the lanes' cache misses overlap — and (2)
-// looks every position up in the query-side directory directly, counting
-// hits per support index (dotPositions). The rough pass runs for the
-// whole section first; survivors are repacked into full lanes and
-// continue from their saved generator state and rough columns.
+// scoreLanes (1) advances up to graph.MaxWalkLanes candidates' walks in
+// lockstep (candWalks) — each walk on its own stream, so every position
+// is the cached path's while the lanes' cache misses overlap — and only
+// up to the query's horizon, the last step a score reads; and (2) looks
+// every position up in the query-side directory directly, counting hits
+// per support index (dotPositions). The rough pass runs for the whole
+// section first; survivors are repacked into full lanes next to their
+// rough columns and walk the rest of their RScore walks.
 
 // shareGroup is how many bound-ordered candidates a worker of a parallel
 // block takes at a time (scoreBlock). It is not the lane width: a share's
@@ -51,7 +51,7 @@ func laneFit(T, cols, most int) int {
 // rough-pruned), so contiguous halves would leave one worker waiting for
 // the other. The caller scores its share on qs while pooled scratches
 // serve the others. Each candidate's walks come from its own vertex-seeded
-// stream (candSeed), so which goroutine scores it — and next to which lane
+// streams (candSeed), so which goroutine scores it — and next to which lane
 // neighbours — cannot change its score.
 func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, workers int, stats *QueryStats) {
 	group := laneFit(e.p.T, e.p.RScore, shareGroup)
@@ -109,13 +109,16 @@ func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, 
 // scoreLanes completes out[j] for every j in pend with the sampled,
 // uncached estimate of out[j].V: the rough RRough-walk estimate, the
 // roughPruned verdict on it, and for survivors the full RScore-walk
-// estimate — the values the cached path computes from the same streams
-// (see dotPositions for why no bit differs).
+// estimate — the values the cached path computes from the same walks
+// (see dotPositions for why no bit differs). The walks stop after h − 1
+// steps, h the query side's number of nonempty steps: dotPositions stops
+// at step h, and the rows past it are never read. At h = 1 nothing walks.
 //
 //lint:hotpath uncached block scoring kernel: all candidate walks and their scoring
 func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []int32, floor float64) {
 	T, R, Rr := e.p.T, e.p.RScore, e.p.RRough
 	invR, invRr := 1/float64(R), 1/float64(Rr)
+	steps := max(wd.steps(), 1) - 1
 	group := laneFit(T, R, graph.MaxWalkLanes)
 	section := laneFit(T, Rr, scoreBlock)
 	if s.fullLanes == nil {
@@ -123,8 +126,8 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []
 		s.roughLanes = newWalkLanes(section, T*Rr)
 	}
 	full, rough := s.fullLanes, s.roughLanes
-	// from is where the refine walks pick a stream up: after the rough
-	// prefix, or at its start when there is no rough pass.
+	// from is the first refine walk: the one after the rough walks, or
+	// walk 0 when there is no rough pass.
 	from := Rr
 	if e.p.DisableAdaptive {
 		from = 0
@@ -133,20 +136,17 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []
 		sec := pend[:min(section, len(pend))]
 		pend = pend[len(sec):]
 		for i, j := range sec {
-			v := out[j].V
-			rough[i].Start = v
-			rough[i].Rng.Seed(e.candSeed(v))
+			rough[i].Start = out[j].V
 			out[j].State = ShardScoredNoRough
 		}
 		alive := len(sec)
 		if from > 0 {
 			// Rough pass over the whole section: walks [0, Rr) of every
-			// stream, written into the candidate's own saved columns.
+			// candidate, written into its own saved columns.
 			for lo := 0; lo < len(sec); lo += group {
-				e.wt.WalkLanes(rough[lo:min(lo+group, len(sec))], 0, Rr, T-1, Rr)
+				e.candWalks(rough[lo:min(lo+group, len(sec))], 0, Rr, steps, Rr)
 			}
-			// Survivors move to the front, keeping their generator state
-			// (now positioned at walk Rr) and their columns.
+			// Survivors move to the front with their columns.
 			alive = 0
 			for i, j := range sec {
 				est := e.dotPositions(s, wd, rough[i].Start, rough[i].Out, Rr, Rr, invRr)
@@ -161,22 +161,49 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []
 				alive++
 			}
 		}
-		// Refine: walks [from, R) continue each survivor's stream next to
-		// its rough columns, a full lane group at a time.
+		// Refine: walks [from, R) of each survivor next to its rough
+		// columns, a full lane group at a time.
 		for lo := 0; lo < alive; lo += group {
 			g := min(group, alive-lo)
 			for l := 0; l < g; l++ {
 				src := &rough[lo+l]
-				full[l].Start, full[l].Rng = src.Start, src.Rng
-				for t := 1; t < T; t++ {
+				full[l].Start = src.Start
+				for t := 1; t <= steps; t++ {
 					copy(full[l].Out[t*R:t*R+from], src.Out[t*Rr:])
 				}
 			}
-			e.wt.WalkLanes(full[:g], from, R, T-1, R)
+			e.candWalks(full[:g], from, R, steps, R)
 			for l := 0; l < g; l++ {
 				out[sec[lo+l]].Score = e.dotPositions(s, wd, full[l].Start, full[l].Out, R, R, invR)
 			}
 		}
+	}
+}
+
+// candWalks runs walks [lo, hi) of every lane's candidate (at most
+// graph.MaxWalkLanes lanes), steps steps each, into the lanes' position
+// matrices (row t at Out[t*stride:], one column per walk; row 0 is not
+// written). Walk i of candidate v draws from a stream of its own, seeded
+// walkSeed(candSeed(v), i), so its first s steps are the same however
+// many it runs: the lane kernel stops at the query's horizon and the
+// tally cache walks all T−1 steps, over the same walks. Each lane is
+// re-seeded before each walk, and the walks of a group step in lockstep
+// (graph.WalkTable.WalkLanes).
+//
+//lint:hotpath candidate walks, every walk of every candidate scored by walking
+func (e *Snapshot) candWalks(lanes []graph.WalkLane, lo, hi, steps, stride int) {
+	if steps == 0 {
+		return
+	}
+	var cand [graph.MaxWalkLanes]uint64
+	for l := range lanes {
+		cand[l] = e.candSeed(lanes[l].Start)
+	}
+	for i := lo; i < hi; i++ {
+		for l := range lanes {
+			lanes[l].Rng.Seed(walkSeed(cand[l], i))
+		}
+		e.wt.WalkLanes(lanes, i, i+1, steps, stride)
 	}
 }
 

@@ -252,8 +252,11 @@ func (p Params) Fingerprint() uint64 {
 // refused by every loader as an unknown section (persist.go). 5: the
 // query-side distribution is pushed wherever a vertex's share reaches
 // 1/RAlpha, where definition 4 pushed it exactly under a relaxation budget
-// and sampled RAlpha walks past it, so scores and the cuts may differ.
-const planDef = 5
+// and sampled RAlpha walks past it, so scores and the cuts may differ. 6:
+// each candidate walk draws from a stream of its own (walkSeed), where
+// definition 5 ran a candidate's walks one after another on one stream:
+// the candidate walks are a new sample, so scores and the cuts differ.
+const planDef = 6
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

@@ -597,34 +597,19 @@ func refBuildPlanWithBall(e *Snapshot, qs *scratch, u uint32, wd *walkDist) []bo
 	return bs
 }
 
-// planMoved names the fixture queries whose top-20 is not what the scan over
-// the reference plan returns, with the candidate that left it. The order
-// decides the floor a candidate's rough verdict is taken at. At 2400 the
-// reference order meets 3800 while the floor is still θ, where its rough
-// estimate (0.00310) clears 0.3·θ and its refined score (0.01171) ranks
-// 17th; the degree bound's order meets it a block earlier but at a floor of
-// 0.010558 and cuts it. At 3592 the degree bound's order meets 5848 at a
-// floor of 0.016831, whose 0.3 is 0.0050493 against a rough estimate of
-// 0.0050207; the reference order meets it four blocks later at a floor of
-// 0.015805, refines it to 0.01697 and ranks it 19th. (Under the L2 bound
-// the same two moved, at floors of 0.01089 and 0.016749. The second joined
-// the list when the query side got its horizon: every estimate and floor
-// sank by up to c^T·maxD, and this rough estimate sat 4·10⁻⁶ from its
-// cut.) Two top-20 entries in 1 500 queries; the list is checked both ways,
-// so it can neither hide a third query nor outlive these.
-var planMoved = map[string]map[uint32]uint32{"pa": {2400: 3800, 3592: 5848}}
-
 // The index plan against the plan it replaces (ball, α/β table, three-way
 // min), on web-, social- and collaboration-shaped graphs. No bound got
 // tighter: each is the degree bound, which dominates the exact series score
-// with no slack. No answer moves, top-k or threshold, but the two planMoved
-// names: what the reference cut by bound the rough pass cuts, or it is
-// refined and lands below the floor. The scan refines fewer candidates on
-// the social shape, because β is one value per distance and min(β, B)
-// flattens the order the degree bound B gives; on the other two, at this
-// size, a few the table cut survive the rough pass (15 in 6 329 and 32 in
-// 25 805 measured), bounded here at 1 %. The ball strategies' plans are the
-// reference's, bit for bit.
+// with no slack. No answer moves, top-k or threshold: what the reference
+// cut by bound the rough pass cuts, or it is refined and lands below the
+// floor. (A different order meets a candidate at a different floor, so a
+// rough verdict within a hair of its cut could flip; on these fixtures and
+// walks none does, and one that did would fail here.) The scan refines
+// fewer candidates on the social shape, because β is one value per
+// distance and min(β, B) flattens the order the degree bound B gives; on
+// the other two, at this size, a few the table cut survive the rough pass
+// (18 in 6 324 and 43 in 25 784 measured), bounded here at 1 %. The ball
+// strategies' plans are the reference's, bit for bit.
 func TestIndexPlanAgainstBallReference(t *testing.T) {
 	const k = 20
 	// One goroutine, nothing for the race detector to see: a fifth of the
@@ -655,7 +640,7 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 		ctx := context.Background()
 		qs := e.getScratch()
 		d := exact.UniformDiagonal(g.N(), e.p.C)
-		var queries, checked, pruned, refPruned, refined, refRefined, moved int
+		var queries, checked, pruned, refPruned, refined, refRefined int
 		for _, u := range seq(0, uint32(g.N()), stride*uint32(g.N()/700)) {
 			if queries == minQueries {
 				break
@@ -700,14 +685,7 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 			}{{k, e.p.Theta}, {0, planTheta}} {
 				got, st, _ := e.search(ctx, u, q.k, q.theta, 1)
 				want, refSt, _ := planted.search(ctx, u, q.k, q.theta, 1)
-				if v, listed := planMoved[name][u]; listed && q.k > 0 {
-					// The reference's list without v is this one's head.
-					i := slices.IndexFunc(want, func(x Scored) bool { return x.V == v })
-					if i < 0 || !slices.Equal(slices.Delete(slices.Clone(want), i, i+1), got[:len(got)-1]) {
-						t.Errorf("%s u=%d: listed as moved by candidate %d alone\n got %v\nwant %v", name, u, v, got, want)
-					}
-					moved++
-				} else if !slices.Equal(got, want) {
+				if !slices.Equal(got, want) {
 					t.Errorf("%s u=%d k=%d theta=%v: answer differs from the scan over the reference plan\n got %v\nwant %v", name, u, q.k, q.theta, got, want)
 				}
 				pruned += st.PrunedByBound
@@ -722,11 +700,6 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 		}
 		t.Logf("%s: %d queries; pruned by bound %d (reference %d), refined %d (reference %d), %d bounds against the exact series",
 			name, queries, pruned, refPruned, refined, refRefined, checked)
-		// (The race run's coarser stride passes over fewer of the listed
-		// queries; the full run must ask them all.)
-		if moved == 0 && len(planMoved[name]) > 0 || moved != len(planMoved[name]) && !raceEnabled {
-			t.Fatalf("%s: %d of the %d queries listed as moved were asked", name, moved, len(planMoved[name]))
-		}
 		if queries < minQueries || checked < minQueries {
 			t.Fatalf("%s: only %d queries with candidates, %d bounds checked against the series", name, queries, checked)
 		}

@@ -394,12 +394,13 @@ func sortBounds(bs []boundedCand) {
 // stats. It reports false when neither applies and the caller must hand v
 // to the lane kernel (scoreLanes).
 //
-// The candidate's walks are seeded from v alone (candSeed), never shared,
-// so its score is a pure function of the engine state — and its tally is
-// reusable across queries, which the cross-query cache exploits. The
-// cached and uncached paths evaluate the identical estimator over the
-// identical walk stream (tally.go, lanes.go), so enabling the cache
-// changes work, never values.
+// The candidate's walks are seeded from v alone (candSeed, one stream a
+// walk), never shared, so its score is a pure function of the engine
+// state — and its tally is reusable across queries, which the cross-query
+// cache exploits. The cached and uncached paths evaluate the identical
+// estimator over the identical walks (tally.go, lanes.go) — the cache's
+// run to T−1 steps, the lane kernel's to the query's horizon — so
+// enabling the cache changes work, never values.
 func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floor float64, stats *QueryStats) bool {
 	v := out.V
 	if e.p.ExactScoring {
@@ -417,11 +418,10 @@ func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floo
 	if ent != nil {
 		stats.CacheHits++
 	} else {
-		// Miss: simulate the whole stream once and publish the tally. The
-		// query is then served from the new entry exactly as a hit would
-		// be — the rough estimate from the prefix counts — whether or not
-		// the insert landed.
-		s.rng.Seed(e.candSeed(v))
+		// Miss: simulate all R walks to T−1 steps once and publish the
+		// tally. The query is then served from the new entry exactly as a
+		// hit would be — the rough estimate from the prefix counts —
+		// whether or not the insert landed.
 		e.simulateCandWalks(s, v, R)
 		rsteps := e.buildFullTally(s, v, R, Rr, R)
 		ent = newTallyEntry(v, rsteps, s)

@@ -3,42 +3,37 @@ package core
 import (
 	"math"
 	"slices"
+
+	"repro/internal/graph"
 )
 
 // This file is the candidate-scoring tally kernel of the cached path. A
-// candidate v is scored by simulating R walks from v (seeded by candSeed,
-// so the stream is query-independent), tallying the positions per step
-// into a compact sorted view, and taking the dot product against the
-// query-side distribution. The sorted view is what a tallyEntry stores;
-// without the cache nobody needs it, and lanes.go evaluates the same sum
-// over the same walk stream straight from the positions — term for term,
-// which is what makes cache-on and cache-off results byte-identical.
+// candidate v is scored by simulating R walks from v (each on its own
+// stream, derived from candSeed, so the walks are query-independent),
+// tallying the positions per step into a compact sorted view, and taking
+// the dot product against the query-side distribution. The sorted view is
+// what a tallyEntry stores; without the cache nobody needs it, and
+// lanes.go evaluates the same sum over the same walks straight from the
+// positions — term for term, which is what makes cache-on and cache-off
+// results byte-identical.
 //
-// The simulation is walk-major (each walk advanced through all T steps
-// before the next starts), not step-synchronous like StepWalks. Dead
-// walks consume no randomness, so the positions of walks 0..RRough-1 are
-// the same whether or not walks RRough..R-1 follow — the rough adaptive
-// estimate is literally a prefix restriction of the full tally, and the
-// cached rcnt counts reproduce it exactly.
+// Walk i of v draws from the stream walkSeed(candSeed(v), i) alone. So the
+// positions of walks 0..RRough-1 do not depend on whether walks
+// RRough..R-1 follow — the rough adaptive estimate is literally a prefix
+// restriction of the full tally, and the cached rcnt counts reproduce it
+// exactly — and a walk's first s steps do not depend on how many more it
+// takes: the cache walks all T−1 steps, because its entries serve every
+// query, and the lane kernel stops at the query's horizon.
 
-// simulateCandWalks runs all R walks of candidate v's stream, writing
-// positions into s.tpos (row t holds step t's positions, one column per
-// walk; step 0 is implicit — every walk starts at v). s.rng must be
-// seeded with candSeed(v).
+// simulateCandWalks runs all R walks of candidate v, T−1 steps each,
+// writing positions into s.tpos (row t holds step t's positions, one
+// column per walk; step 0 is implicit — every walk starts at v).
 //
 //lint:hotpath per-candidate walk simulation, runs R times per cache miss
 func (e *Snapshot) simulateCandWalks(s *scratch, v uint32, R int) {
 	T := e.p.T
-	tp := s.tposBuf(T, R)
-	wt := e.wt
-	for i := 0; i < R; i++ {
-		// One strided trajectory per walk: row t of tp gets step t's
-		// position at column i. Walk-major draw order is part of the
-		// determinism contract (the rough estimate replays a prefix of
-		// the same stream), so walks batch internally — scalar rng
-		// state across the whole trajectory — but never across walks.
-		wt.WalkStrided(&s.rng, v, T-1, R, tp[i:])
-	}
+	lane := [1]graph.WalkLane{{Start: v, Out: s.tposBuf(T, R)}}
+	e.candWalks(lane[:], 0, R, T-1, R)
 }
 
 // buildFullTally tabulates all R walks into the scratch tally view: per
@@ -108,11 +103,10 @@ func (e *Snapshot) buildFullTally(s *scratch, v uint32, R, Rr, stride int) int {
 // a pure function of (snapshot, v): the cache stores that tally once and
 // every later query scoring v replaces its O(T·R) walk simulation with an
 // O(T·distinct) dot product against the query-side distribution. The
-// rough adaptive pass is served from the same entry — the walk-major
-// simulation order guarantees the first RRough walks of the full stream
-// are exactly the walks a rough-only simulation would have produced, so
-// per-step counts restricted to that prefix (rcnt) reproduce the rough
-// estimate bit for bit.
+// rough adaptive pass is served from the same entry — each walk has its
+// own stream, so the first RRough walks are exactly the walks a
+// rough-only simulation would have produced, and per-step counts
+// restricted to them (rcnt) reproduce the rough estimate bit for bit.
 
 // tally is one cached candidate tally: per-step sorted supports with
 // full-stream and rough-prefix counts, in the same flat layout the

@@ -772,11 +772,22 @@ func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int,
 	return sigma
 }
 
-// refScores returns the rough and full reference estimates of candidate v.
+// refCandWalks draws candidate v's walks [0, R), T−1 steps each, into pos
+// (row t at pos[t*R:], one column per walk): one walk at a time, each
+// from a generator of its own seeded walkSeed(candSeed(v), i) — the
+// definition of the candidate streams, with none of candWalks' lanes,
+// re-seeding or cuts.
+func refCandWalks(e *Snapshot, v uint32, R int, pos []uint32) {
+	for i := 0; i < R; i++ {
+		e.wt.WalkStrided(rng.New(walkSeed(e.candSeed(v), i)), v, e.p.T-1, R, pos[i:])
+	}
+}
+
+// refScores returns the rough and full reference estimates of candidate v,
+// over the walks refCandWalks draws.
 func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full float64, searched bool) {
 	R, Rr := e.p.RScore, e.p.RRough
-	s.rng.Seed(e.candSeed(v))
-	e.simulateCandWalks(s, v, R)
+	refCandWalks(e, v, R, s.tposBuf(e.p.T, R))
 	rsteps := e.buildFullTally(s, v, R, Rr, R)
 	rough, s1 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
 	full, s2 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
@@ -993,7 +1004,6 @@ func TestHorizonTailBound(t *testing.T) {
 				bound += 1e-15 // rounding of the two sums compared
 				for i, c := range pl.cands {
 					v := c.v
-					s.rng.Seed(e.candSeed(v))
 					e.simulateCandWalks(s, v, R)
 					served := e.dotPositions(s, pl.wd, v, s.tpos, R, R, 1/float64(R))
 					full := e.dotPositions(s, &whole, v, s.tpos, R, R, 1/float64(R))

@@ -580,12 +580,15 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 // Algorithm 3's γ table, since then by its in-degree, and shipped those
 // bounds. Before definition 5 a shard pushed the query side exactly under a
 // relaxation budget and sampled it past that budget, since then it pushes
-// wherever a vertex's share reaches 1/RAlpha: its scores differ.
+// wherever a vertex's share reaches 1/RAlpha: its scores differ. Before
+// definition 6 a shard ran each candidate's walks on one stream, since
+// then each walk on its own: its candidate walks are another sample.
 const (
 	planDef1ParamsFP = 0xa50eb6893a9430f1
 	planDef2ParamsFP = 0x35b3c11a4138e135
 	planDef3ParamsFP = 0x684e490f8f7a97ea
 	planDef4ParamsFP = 0x64f7835a90c7790c
+	planDef5ParamsFP = 0xed8639fa3541b9e0
 )
 
 // A shard still running such a binary and one running this one agree on
@@ -593,7 +596,7 @@ const (
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP} {
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP, planDef5ParamsFP} {
 		if _, fp := idx.ServingFingerprint(); fp == olderFP {
 			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}

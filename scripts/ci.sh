@@ -7,7 +7,8 @@
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
 # directories, the edge-list parser, the walk kernels, the query-side
-# push, the index loader and the wire decoder, and the multi-shard
+# push, the candidate walks, the index loader and the wire decoder, and
+# the multi-shard
 # smoke; the
 # tree's size (scripts/loc.sh) closes the log.
 set -eu
@@ -87,6 +88,13 @@ go test -run - -fuzz '^FuzzWalkKernels$' -fuzztime 5s ./internal/graph
 # the mass it starts from.
 echo "==> fuzz smoke (FuzzQueryPush, 5s)"
 go test -run - -fuzz '^FuzzQueryPush$' -fuzztime 5s ./internal/core
+
+# Five seconds of the candidate walks on small random graphs whose walks
+# die: walks cut at a random step and a random walk count write what a
+# full run writes up to that step and nothing past it, and the full run is
+# the walks drawn one at a time on their own generators.
+echo "==> fuzz smoke (FuzzCandWalks, 5s)"
+go test -run - -fuzz '^FuzzCandWalks$' -fuzztime 5s ./internal/core
 
 # Five seconds of corrupt index files through every loader policy: the
 # v3 index is the input this tree takes from outside besides edge lists.
