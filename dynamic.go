@@ -48,12 +48,12 @@ func LoadIndexMmap(path string, opts Options) (*Index, func() error, error) {
 // Consistency contract: AddEdge/RemoveEdge buffer the change and return
 // immediately; queries keep answering from the current snapshot until a
 // refresh absorbs the updates. A query that notices buffered updates
-// nudges a single background worker, which rebuilds the affected
-// preprocess state off the query path and atomically publishes the new
+// nudges a single background worker, which reruns the preprocess on the
+// current edge set off the query path and atomically publishes the new
 // snapshot — eventual consistency by default. Call Refresh to apply
 // buffered updates synchronously when read-your-writes is required.
-// Only vertices whose random-walk behaviour could have changed are
-// re-preprocessed; large batches fall back to a full rebuild.
+// Every refresh is a full rebuild, so a refreshed index answers exactly
+// as BuildIndex over the same edges and options does.
 type DynamicIndex struct {
 	d *core.DynamicEngine
 }
@@ -139,8 +139,9 @@ func (dx *DynamicIndex) TopKBatchCtx(ctx context.Context, us []int, k int) ([][]
 }
 
 // CacheStats reports the current snapshot's tally-cache counters (zero
-// when the cache is disabled or no snapshot exists yet). Counters reset
-// at each refresh; entries untouched by the applied updates carry over.
+// when the cache is disabled or no snapshot exists yet). Each refresh
+// publishes a snapshot with an empty cache, so counters and entries start
+// over.
 func (dx *DynamicIndex) CacheStats() CacheStats { return dx.d.CacheStats() }
 
 // SinglePair estimates the SimRank score between u and v from the

@@ -1,9 +1,9 @@
 // Command dynamic demonstrates similarity search over an evolving graph:
 // a stream of edge insertions (a growing web crawl) interleaved with
-// queries. The DynamicIndex re-preprocesses only the vertices whose
-// random-walk behaviour an update could have changed; queries serve a
-// published snapshot, so each batch is applied with an explicit Refresh
-// before re-querying (read-your-writes on demand).
+// queries. The DynamicIndex buffers updates and reruns the preprocess on
+// a refresh; queries serve a published snapshot, so each batch is applied
+// with an explicit Refresh before re-querying (read-your-writes on
+// demand).
 //
 // Run with:
 //
@@ -72,7 +72,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("applied 10 new edges (%d vertices pending re-preprocess)\n\n", dx.PendingUpdates())
+	fmt.Printf("buffered 10 new edges (%d vertices with in-links not yet applied)\n\n", dx.PendingUpdates())
 
 	// Queries would keep serving the pre-update snapshot until the
 	// background refresh lands; Refresh applies the batch synchronously.

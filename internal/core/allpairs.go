@@ -32,15 +32,6 @@ func (e *Snapshot) AllTopKCtx(ctx context.Context, k int) ([][]Scored, error) {
 	return out, nil
 }
 
-// AllTopKFunc streams per-vertex results to fn instead of materializing
-// them; fn may be called concurrently from multiple goroutines.
-func (e *Snapshot) AllTopKFunc(k int, fn func(u uint32, res []Scored)) {
-	e.forEachVertexParallel(context.Background(), func(u uint32) {
-		res, _, _ := e.search(context.Background(), u, k, e.p.Theta, 1)
-		fn(u, res)
-	})
-}
-
 // forEachVertexParallel runs fn for every vertex through the shared
 // atomic-cursor pool of forEachIndexParallel.
 func (e *Snapshot) forEachVertexParallel(ctx context.Context, fn func(u uint32)) error {

@@ -30,13 +30,11 @@ import (
 // of two so the stripe index is a mask of the mixed vertex id.
 const cacheStripes = 64
 
-// cacheEntry is one cached value with its CLOCK bookkeeping. val is
-// immutable once the entry is published unless P says otherwise.
+// cacheEntry is one cached value with its CLOCK bookkeeping. key, size
+// and val are immutable once the entry is published.
 type cacheEntry[P any] struct {
 	key uint32
-	// size is the byte budget the entry charges. Once the entry is
-	// published it is read and written (grow) only under its stripe's
-	// mutex.
+	// size is the byte budget the entry charges.
 	size int64
 	// ref is the CLOCK reference bit: set on hit, cleared as the
 	// eviction hand passes.
@@ -153,25 +151,6 @@ func (c *clockCache[P]) put(ent *cacheEntry[P]) int {
 	return evicted
 }
 
-// grow charges extra more bytes to ent, which has gained payload since it
-// was published (a carried prolog entry's plan), and evicts to fit. An
-// entry that has meanwhile been evicted is garbage already and charges
-// nothing.
-func (c *clockCache[P]) grow(ent *cacheEntry[P], extra int64) {
-	home := stripeOf(ent.key)
-	sh := &c.stripes[home]
-	sh.mu.Lock()
-	live := c.slots[ent.key].Load() == ent
-	if live {
-		ent.size += extra
-		c.bytes.Add(extra)
-	}
-	sh.mu.Unlock()
-	if live {
-		c.evict(home)
-	}
-}
-
 // reserve charges size bytes and makes the cache fit its budget again:
 // reserve-then-evict, so concurrent inserts can never overshoot together.
 // ok is false, and the charge rolled back, only when the entry alone
@@ -268,29 +247,4 @@ func (c *clockCache[P]) stats() CacheStats {
 		c.stripes[i].mu.Unlock()
 	}
 	return st
-}
-
-// carryForward seeds this cache with what carry makes of each entry of a
-// previous snapshot's cache: nil drops the entry, the entry itself shares
-// it by pointer (immutable payload), a fresh entry carries part of it.
-// The incremental-rebuild path keeps the vertices outside the affected
-// set, so queries against the new snapshot start warm for everything the
-// delta could not have changed. Vertices are visited in ascending order,
-// so the carried ring order — and therefore later eviction order — is
-// deterministic; an entry the remaining budget cannot hold is skipped.
-// The receiver is fresh and unpublished, so no locks are needed.
-func (c *clockCache[P]) carryForward(old *clockCache[P], carry func(*cacheEntry[P]) *cacheEntry[P]) {
-	for k := range old.slots {
-		ent := old.slots[k].Load()
-		if ent == nil {
-			continue
-		}
-		if ent = carry(ent); ent == nil || c.bytes.Load()+ent.size > c.maxBytes {
-			continue
-		}
-		c.bytes.Add(ent.size)
-		sh := &c.stripes[stripeOf(ent.key)]
-		sh.ring = append(sh.ring, ent)
-		c.slots[k].Store(ent)
-	}
 }

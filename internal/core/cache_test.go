@@ -250,85 +250,6 @@ func TestCacheDuringDynamicRefresh(t *testing.T) {
 	}
 }
 
-// An incremental refresh must carry cached tallies forward for vertices
-// untouched by the delta — and the carried entries must still produce
-// byte-identical answers on the updated graph.
-func TestCacheCarryForwardAcrossIncrementalRefresh(t *testing.T) {
-	const n = 1500
-	g := graph.CopyingModel(n, 5, 0.3, 21)
-	p := DefaultParams()
-	p.Seed = 11
-	p.Workers = 2
-	p.Strategy = CandidatesHybrid
-	p.CacheBytes = 1 << 26
-	d := NewDynamicFrom(g, p)
-	defer d.Close()
-	if err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := uint32(0); u < 30; u++ {
-		warm.TopKStats(u, 10)
-	}
-	if cs := warm.CacheStats(); cs.Entries == 0 {
-		t.Fatalf("warmup populated nothing: %+v", cs)
-	}
-
-	// One new edge: the affected set is a T-step out-neighbourhood, tiny
-	// compared to the graph, so the refresh is incremental and most of
-	// the cache survives.
-	if err := d.AddEdge(1200, 7); err != nil {
-		t.Fatal(err)
-	}
-	incBefore, fullBefore := d.Refreshes()
-	if err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	incAfter, fullAfter := d.Refreshes()
-	if incAfter != incBefore+1 || fullAfter != fullBefore {
-		t.Fatalf("expected one incremental refresh, got inc %d->%d full %d->%d",
-			incBefore, incAfter, fullBefore, fullAfter)
-	}
-
-	next, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next == warm {
-		t.Fatal("refresh did not publish a new snapshot")
-	}
-	carried := next.CacheStats()
-	if carried.Entries == 0 {
-		t.Fatalf("no entries carried forward: %+v", carried)
-	}
-	if carried.BytesInUse > carried.BudgetBytes {
-		t.Fatalf("carried bytes %d exceed budget %d", carried.BytesInUse, carried.BudgetBytes)
-	}
-
-	// Queries on the updated graph — served partly from carried entries —
-	// must match a cold cache-off engine built on the updated edge set.
-	var edges []graph.Edge
-	next.Graph().Edges(func(u, v uint32) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
-		return true
-	})
-	pp := p
-	pp.CacheBytes = 0
-	ref := Build(graph.FromEdges(n, edges), pp)
-	for u := uint32(0); u < 30; u++ {
-		want, wantSt := ref.TopKStats(u, 10)
-		got, gotSt := next.TopKStats(u, 10)
-		sameResults(t, "post-carry u="+itoa(int(u)), got, want)
-		if dropCache(gotSt) != wantSt {
-			t.Fatalf("post-carry u=%d: stats %+v, want %+v", u, dropCache(gotSt), wantSt)
-		}
-	}
-}
-
 // TopKBatch must agree with issuing the same queries one at a time:
 // identical results, identical stats up to cache attribution (concurrent
 // queries may race on who records a shared candidate's miss).
@@ -454,24 +375,6 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 	c.evict(home)
 	if st := c.stats(); st.Entries != 1 || st.BytesInUse != 100 {
 		t.Fatalf("shrunk to one entry: %+v", st)
-	}
-}
-
-// grow charges a published entry's new payload under the same budget, and
-// charges nothing for an entry that is already gone.
-func TestCacheGrow(t *testing.T) {
-	c := newClockCache[tally](1024, 1000)
-	a, b := &tallyEntry{key: 1, size: 400}, &tallyEntry{key: 2, size: 400}
-	c.put(a)
-	c.put(b)
-	a.ref.Store(false)
-	c.grow(b, 300) // 1100 > 1000: the unreferenced entry goes
-	if st := c.stats(); st.BytesInUse != 700 || st.Entries != 1 || c.slots[1].Load() != nil || b.size != 700 {
-		t.Fatalf("after growing b: %+v, b.size=%d", st, b.size)
-	}
-	c.grow(a, 300) // evicted: no charge
-	if st := c.stats(); st.BytesInUse != 700 || a.size != 400 {
-		t.Fatalf("growing an evicted entry charged the cache: %+v, a.size=%d", st, a.size)
 	}
 }
 

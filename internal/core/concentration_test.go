@@ -77,6 +77,70 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 	}
 }
 
+// The score a query serves is the mean, over the R = RScore walks from the
+// candidate v, of one walk's contribution Σ_{t<h} cᵗ·D_ww·p̂_u,t(w_t),
+// w_t the walk's step-t vertex and p̂_u the query side as the plan has it
+// (pushed, cut at its horizon h). A contribution lies in [0, B] with
+// B = Σ_{t<h} cᵗ·max_w D_ww·p̂_u,t(w), and its expectation μ is the series
+// of p̂_u against v's exact distribution, so by Hoeffding (paper §4) the
+// score is farther than B·√(ln(2/δ)/2R) from μ with probability at most
+// δ. DisableAdaptive scores every candidate on all R walks, so no
+// candidate is selected by its own walks. Over 40 engine seeds and every
+// candidate of every plan, the share of scores beyond the radius must stay
+// within δ. The seeds are spread with rng.Mix: walk i draws the stream
+// Mix(candSeed + i) (walkSeed), and consecutive seeds move candSeed by
+// about one, so seeds 1..40 would share most of their walks.
+func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
+	g := graph.CopyingModel(2000, 5, 0.3, 21)
+	const delta = 0.05
+	var exact walkDist
+	scores, beyond, worst := 0, 0, 0.0
+	for k := uint64(1); k <= 40; k++ {
+		p := DefaultParams()
+		p.Seed = rng.Mix(k)
+		p.DisableAdaptive = true
+		e := Build(g, p)
+		qs, s := e.getScratch(), e.getScratch()
+		R := e.p.RScore
+		for _, u := range []uint32{5, 17, 35, 999, 1999} {
+			plan := e.queryPlan(qs, u)
+			wd := plan.wd
+			B, ct := 0.0, 1.0
+			for step := 0; step < wd.steps(); step++ {
+				top := 0.0
+				wd.forEach(step, func(w uint32, pr float64) { top = max(top, e.p.dval(w)*pr) })
+				B += ct * top
+				ct *= e.p.C
+			}
+			radius := B * math.Sqrt(math.Log(2/delta)/(2*float64(R)))
+			out := make([]ShardCand, len(plan.cands))
+			var st QueryStats
+			e.scoreBlock(qs, plan.cands, out, wd, 0, 1, &st)
+			for _, c := range out {
+				if c.State != ShardScoredNoRough {
+					t.Fatalf("seed %d u=%d v=%d: candidate left in state %v", k, u, c.V, c.State)
+				}
+				e.pushWalkDistInto(&exact, s, c.V, 0)
+				d := math.Abs(c.Score - e.dotSeries(wd, &exact))
+				scores++
+				worst = max(worst, d/radius)
+				if d > radius {
+					beyond++
+				}
+			}
+		}
+		e.putScratch(s)
+		e.putScratch(qs)
+	}
+	t.Logf("%d scores, %d beyond the Hoeffding radius (δ = %v), largest deviation %.3f of the radius", scores, beyond, delta, worst)
+	if scores < 1000 || worst == 0 {
+		t.Fatalf("%d scores with largest deviation %v: nothing was compared", scores, worst)
+	}
+	if float64(beyond) > delta*float64(scores) {
+		t.Fatalf("%d of %d scores are farther than the radius from their expectation: more than δ = %v", beyond, scores, delta)
+	}
+}
+
 func TestSinglePairConcentration(t *testing.T) {
 	g := graph.Collaboration(60, 5, 0.8, 20, 3)
 	e := testEngine(g, 1)

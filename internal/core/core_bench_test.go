@@ -637,22 +637,26 @@ func BenchmarkTopKZipfThroughput(b *testing.B) {
 	e.cache = nil
 }
 
-func BenchmarkDynamicIncrementalRefresh(b *testing.B) {
+// BenchmarkDynamicSingleEdgeRefresh times one refresh after one edge
+// update: each iteration inserts an edge, or removes the one the previous
+// iteration inserted, and applies it with Refresh — a full rebuild.
+func BenchmarkDynamicSingleEdgeRefresh(b *testing.B) {
 	g := graph.CopyingModel(3000, 6, 0.3, 4)
 	p := DefaultParams()
 	p.Seed = 1
 	d := NewDynamicFrom(g, p)
+	defer d.Close()
 	if err := d.Refresh(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := uint32((i*17 + 11) % 2999)
-		d.AddEdge(u, u+1)
-		if err := d.Refresh(); err != nil {
-			b.Fatal(err)
+		u := uint32((i/2*17 + 11) % 2999)
+		if i%2 == 0 {
+			d.AddEdge(u, u+1)
+		} else {
+			d.RemoveEdge(u, u+1)
 		}
-		d.RemoveEdge(u, u+1)
 		if err := d.Refresh(); err != nil {
 			b.Fatal(err)
 		}

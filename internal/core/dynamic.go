@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,10 +10,9 @@ import (
 )
 
 // DynamicEngine maintains a similarity-search engine over a mutable edge
-// set. Edge insertions and deletions are buffered; refreshes rebuild the
-// candidate-index entries only for the vertices whose random-walk
-// behaviour could have changed, and publish the result as an immutable
-// Snapshot through an atomic pointer.
+// set. Edge insertions and deletions are buffered; a refresh runs the full
+// preprocess on the current edge set and publishes the result as an
+// immutable Snapshot through an atomic pointer.
 //
 // Concurrency model:
 //
@@ -31,26 +29,26 @@ import (
 //     builds are serialized by refreshMu, so at most one preprocess runs
 //     at a time regardless of how the refresh was triggered.
 //
-// An edge update (a, b) changes In(b), and a walk's behaviour changes
-// only at vertices whose walks can visit b — exactly the vertices
-// reachable from b via out-edges within T steps. The refresh recomputes
-// those; when the affected set exceeds half the graph it falls back to a
-// full rebuild.
+// Every refresh is a full rebuild, so a refreshed snapshot is the one
+// Build makes from the same edge set, and its caches start cold. An edge
+// update (a, b) changes the walks of every vertex that reaches b within T
+// steps along out-edges; on the benchmark's social graph that is 99.6 % of
+// the vertices for one edge, and on its web graph, where it is 1–4 %,
+// re-indexing only those vertices took half the time of a rebuild
+// (DESIGN.md §8 has the measurements).
 type DynamicEngine struct {
 	p Params
 	n int
 
-	// mu guards the edge set, the dirty set, and the refresh counters.
+	// mu guards the edge set, the dirty set, and the refresh counter.
 	// It is never held while building a snapshot.
 	mu    sync.Mutex
 	edges map[uint64]struct{}
 	// dirty holds edge targets whose in-lists changed since the last
 	// refresh.
 	dirty map[uint32]struct{}
-	// rebuilds and incrementals count refresh kinds, for tests and
-	// diagnostics.
-	rebuilds     int
-	incrementals int
+	// rebuilds counts refreshes, for tests and diagnostics.
+	rebuilds int
 
 	// snap is the published immutable query state; nil until the first
 	// refresh materializes it.
@@ -190,11 +188,11 @@ func (d *DynamicEngine) Pending() int {
 	return len(d.dirty)
 }
 
-// Refreshes reports how many incremental and full refreshes have run.
-func (d *DynamicEngine) Refreshes() (incremental, full int) {
+// Refreshes reports how many refreshes have built a snapshot.
+func (d *DynamicEngine) Refreshes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.incrementals, d.rebuilds
+	return d.rebuilds
 }
 
 // TopK answers a top-k query against the current snapshot.
@@ -224,9 +222,9 @@ func (d *DynamicEngine) TopKBatchCtx(ctx context.Context, us []uint32, k int) ([
 }
 
 // CacheStats reports the current snapshot's tally-cache counters (zero
-// when no snapshot is published yet or the cache is disabled). Counters
-// reset when a refresh publishes a new snapshot; carried-forward entries
-// keep their contents but not their hit history.
+// when no snapshot is published yet or the cache is disabled). A refresh
+// publishes a snapshot with empty caches, so counters and contents start
+// over.
 func (d *DynamicEngine) CacheStats() CacheStats {
 	if s := d.snap.Load(); s != nil {
 		return s.CacheStats()
@@ -285,7 +283,7 @@ func (d *DynamicEngine) Refresh() error {
 // refreshNow builds and publishes a snapshot absorbing all updates
 // buffered at the time it starts. refreshMu makes the read → build →
 // publish sequence atomic with respect to other refreshes; d.mu is held
-// only long enough to copy the edge set and steal the dirty set, so
+// only long enough to copy the edge set and clear the dirty set, so
 // updates keep flowing while the build runs.
 func (d *DynamicEngine) refreshNow() {
 	d.refreshMu.Lock()
@@ -297,89 +295,15 @@ func (d *DynamicEngine) refreshNow() {
 		return
 	}
 	g := d.buildGraphLocked()
-	dirty := d.dirty
 	d.dirty = make(map[uint32]struct{})
 	d.pending.Store(false)
 	d.mu.Unlock()
 
-	old := d.snap.Load()
-	next, full := d.buildSnapshot(old, g, dirty)
-	d.snap.Store(next)
+	d.snap.Store(Build(g, d.p).Seal())
 
 	d.mu.Lock()
-	if full {
-		d.rebuilds++
-	} else {
-		d.incrementals++
-	}
+	d.rebuilds++
 	d.mu.Unlock()
-}
-
-// buildSnapshot constructs the next snapshot off-lock. With no previous
-// snapshot, or when the affected set covers at least half the graph, it
-// runs the full preprocess; otherwise it recomputes the index entries
-// of the affected vertices only, sharing the untouched artifacts of
-// the previous snapshot by copy.
-func (d *DynamicEngine) buildSnapshot(old *Snapshot, g *graph.Graph, dirty map[uint32]struct{}) (next *Snapshot, full bool) {
-	if old == nil {
-		return Build(g, d.p).Seal(), true
-	}
-
-	// Affected vertices: out-BFS from each dirty target within T steps
-	// on the NEW graph, plus the same on the old graph (a removed edge
-	// changes walks that used to reach the target through it).
-	affected := make(map[uint32]struct{})
-	for b := range dirty {
-		markOutReachable(g, b, d.p.T, affected)
-		markOutReachable(old.g, b, d.p.T, affected)
-	}
-	if len(affected)*2 >= d.n {
-		return Build(g, d.p).Seal(), true
-	}
-
-	ne := New(g, d.p)
-	// The affected vertices go through the full preprocess's pass, in
-	// ascending order. Expand the old CSR rows into a row view; untouched
-	// rows alias the old snapshot's storage (it is immutable) and only
-	// affected rows are rebuilt before re-flattening.
-	vs := make([]uint32, 0, len(affected))
-	for v := range affected {
-		vs = append(vs, v)
-	}
-	slices.Sort(vs)
-	ri := make([][]uint32, d.n)
-	for v := range ri {
-		ri[v] = old.idx.rightRow(uint32(v))
-	}
-	ne.indexRows(vs, ri)
-	idx := indexFromRows(ri)
-	ne.idx = idx
-	ne.stats = old.stats
-	ne.stats.IndexBytes = idx.bytes()
-	// `affected` is exactly the set of vertices whose T-step walks could
-	// see the delta (on either graph). Whatever a cache holds that was
-	// derived from another vertex's walks alone is still byte-exact for
-	// the new snapshot, so the new caches start warm with it.
-	if old.cache != nil && ne.cache != nil {
-		// A candidate's tally is its walks and nothing else.
-		ne.cache.carryForward(old.cache, func(ent *tallyEntry) *tallyEntry {
-			if _, hit := affected[ent.key]; hit {
-				return nil
-			}
-			return ent
-		})
-	}
-	if old.prolog != nil && ne.prolog != nil {
-		// So is a prolog entry's walk distribution; its candidate list
-		// depends on much more and is left behind (carryProlog).
-		ne.prolog.carryForward(old.prolog, func(ent *prologEntry) *prologEntry {
-			if _, hit := affected[ent.key]; hit {
-				return nil
-			}
-			return carryProlog(ent)
-		})
-	}
-	return ne.Seal(), false
 }
 
 // buildGraphLocked materializes the current edge set as a CSR graph.
@@ -389,33 +313,4 @@ func (d *DynamicEngine) buildGraphLocked() *graph.Graph {
 		b.AddEdge(uint32(k>>32), uint32(k&0xffffffff))
 	}
 	return b.Build()
-}
-
-// markOutReachable adds every vertex reachable from src via out-edges in
-// at most depth steps to the set (including src itself).
-func markOutReachable(g *graph.Graph, src uint32, depth int, into map[uint32]struct{}) {
-	type qe struct {
-		v uint32
-		d int
-	}
-	if _, ok := into[src]; !ok {
-		into[src] = struct{}{}
-	}
-	queue := []qe{{src, 0}}
-	seen := map[uint32]struct{}{src: {}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.d >= depth {
-			continue
-		}
-		for _, w := range g.Out(cur.v) {
-			if _, ok := seen[w]; ok {
-				continue
-			}
-			seen[w] = struct{}{}
-			into[w] = struct{}{}
-			queue = append(queue, qe{w, cur.d + 1})
-		}
-	}
 }

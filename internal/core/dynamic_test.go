@@ -90,10 +90,8 @@ func TestDynamicUpdateChangesScores(t *testing.T) {
 }
 
 func TestDynamicMatchesFullRebuild(t *testing.T) {
-	// Incremental refresh must answer queries identically to an engine
-	// built from scratch on the same final graph with the same seed. The
-	// social fixture's sparse reciprocity puts about 400 vertices in the
-	// affected set (more than one preprocess chunk, under half the graph).
+	// A refresh must answer queries identically to an engine built from
+	// scratch on the same final graph with the same seed.
 	fixtures := []struct {
 		name    string
 		g       *graph.Graph
@@ -123,22 +121,21 @@ func TestDynamicMatchesFullRebuild(t *testing.T) {
 				if err := d.Refresh(); err != nil {
 					t.Fatal(err)
 				}
-				if inc, full := d.Refreshes(); inc != 1 || full != 1 {
-					t.Fatalf("refresh counts: inc=%d full=%d", inc, full)
+				if n := d.Refreshes(); n != 2 {
+					t.Fatalf("%d refreshes, want 2", n)
 				}
 				eng, err := d.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
 				fresh := Build(eng.Graph(), p)
-				// Index entries must match for every vertex: affected ones
-				// were recomputed with the same per-vertex seed, unaffected
-				// ones were untouched and their walks are unchanged by
-				// construction.
 				for v := 0; v < fresh.g.N(); v++ {
 					if a, b := fresh.idx.rightRow(uint32(v)), eng.idx.rightRow(uint32(v)); !slices.Equal(a, b) {
-						t.Fatalf("index entry %d: incremental %v vs fresh %v", v, b, a)
+						t.Fatalf("index entry %d: refreshed %v vs fresh %v", v, b, a)
 					}
+				}
+				for u := uint32(0); u < uint32(fresh.g.N()); u += 13 {
+					sameResults(t, fmt.Sprintf("u=%d", u), eng.TopK(u, 10), fresh.TopK(u, 10))
 				}
 			})
 		}
@@ -151,16 +148,15 @@ func TestDynamicLargeBatchFallsBackToRebuild(t *testing.T) {
 	if err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	// Touch in-lists of half the vertices: affected set exceeds n/2.
+	// Touch the in-lists of half the vertices: one refresh absorbs them.
 	for v := uint32(0); v < 100; v++ {
 		d.AddEdge(199, v)
 	}
 	if err := d.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	_, full := d.Refreshes()
-	if full != 2 {
-		t.Fatalf("expected full rebuild, got full=%d", full)
+	if n := d.Refreshes(); n != 2 || d.Pending() != 0 {
+		t.Fatalf("%d refreshes with %d vertices pending, want 2 and none", n, d.Pending())
 	}
 }
 
@@ -203,20 +199,5 @@ func TestDynamicPendingAccounting(t *testing.T) {
 	}
 	if d.Pending() != 0 {
 		t.Fatal("pending not cleared")
-	}
-}
-
-func TestMarkOutReachable(t *testing.T) {
-	g := graph.Path(5) // 0->1->2->3->4
-	set := map[uint32]struct{}{}
-	markOutReachable(g, 1, 2, set)
-	want := []uint32{1, 2, 3}
-	if len(set) != len(want) {
-		t.Fatalf("set = %v", set)
-	}
-	for _, v := range want {
-		if _, ok := set[v]; !ok {
-			t.Fatalf("missing %d in %v", v, set)
-		}
 	}
 }

@@ -61,8 +61,7 @@ func (e *Engine) Seal() *Snapshot {
 
 // phase salts keep the RNG streams of the preprocess pass and the
 // per-candidate scoring streams disjoint (and reproducible per vertex
-// regardless of worker count or whether a vertex is recomputed
-// incrementally).
+// regardless of worker count).
 const (
 	saltIndex = 0xbb67ae8584caa73b
 	saltScore = 0xa54ff53a5f1d36f1
@@ -111,19 +110,17 @@ func walkSeed(cand uint64, i int) uint64 {
 // graph spread over every worker.
 const vertexChunk = 256
 
-// parallelVertices runs fn over the vertices vs — every vertex when vs is
-// nil — in chunks of vertexChunk consecutive entries. Params.Workers
-// goroutines claim the chunks from a shared cursor, each on its own
-// scratch, so a worker that drew cheap vertices takes on more of them.
+// parallelVertices runs fn over every vertex in chunks of vertexChunk
+// consecutive ids. Params.Workers goroutines claim the chunks from a
+// shared cursor, each on its own scratch, so a worker that drew cheap
+// vertices takes on more of them.
 // Every preprocess pass seeds its streams per vertex (vertexSeed) and
 // writes per-vertex outputs, so results are independent of the worker
 // count and of which worker ran which chunk.
-func (e *Engine) parallelVertices(vs []uint32, fn func(chunk []uint32, s *scratch)) {
-	if vs == nil {
-		vs = make([]uint32, e.g.N())
-		for v := range vs {
-			vs[v] = uint32(v)
-		}
+func (e *Engine) parallelVertices(fn func(chunk []uint32, s *scratch)) {
+	vs := make([]uint32, e.g.N())
+	for v := range vs {
+		vs[v] = uint32(v)
 	}
 	chunks := (len(vs) + vertexChunk - 1) / vertexChunk
 	claim := func(s *scratch, cursor *atomic.Int64) {

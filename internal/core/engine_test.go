@@ -57,38 +57,28 @@ func TestCandidateStrategyString(t *testing.T) {
 func TestParallelVerticesVisitsAllOnce(t *testing.T) {
 	const n = 3*vertexChunk + 137
 	g := graph.Cycle(n)
-	odd := make([]uint32, 0, n/2)
-	for v := uint32(1); v < n; v += 2 {
-		odd = append(odd, v)
-	}
 	for _, workers := range []int{1, 4, 200} { // 200 > chunks exercises the clamp
-		for _, vs := range [][]uint32{nil, odd} {
-			p := DefaultParams()
-			p.Workers = workers
-			e := New(g, p)
-			var mu sync.Mutex
-			visits := make(map[uint32]int)
-			e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
-				if len(chunk) == 0 || len(chunk) > vertexChunk {
-					t.Errorf("workers=%d: chunk of %d vertices", workers, len(chunk))
-				}
-				mu.Lock()
-				for _, v := range chunk {
-					visits[v]++
-				}
-				mu.Unlock()
-			})
-			want := n
-			if vs != nil {
-				want = len(vs)
+		p := DefaultParams()
+		p.Workers = workers
+		e := New(g, p)
+		var mu sync.Mutex
+		visits := make(map[uint32]int)
+		e.parallelVertices(func(chunk []uint32, s *scratch) {
+			if len(chunk) == 0 || len(chunk) > vertexChunk {
+				t.Errorf("workers=%d: chunk of %d vertices", workers, len(chunk))
 			}
-			if len(visits) != want {
-				t.Fatalf("workers=%d: visited %d vertices, want %d", workers, len(visits), want)
+			mu.Lock()
+			for _, v := range chunk {
+				visits[v]++
 			}
-			for v, c := range visits {
-				if c != 1 || vs != nil && v%2 == 0 {
-					t.Fatalf("workers=%d: vertex %d visited %d times", workers, v, c)
-				}
+			mu.Unlock()
+		})
+		if len(visits) != n {
+			t.Fatalf("workers=%d: visited %d vertices, want %d", workers, len(visits), n)
+		}
+		for v, c := range visits {
+			if c != 1 {
+				t.Fatalf("workers=%d: vertex %d visited %d times", workers, v, c)
 			}
 		}
 	}

@@ -173,8 +173,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		t.Fatalf("query %d: %d results of %d candidates, want a vertex with something to scan", uq, len(res), st.Candidates)
 	}
 	check("cachedPlan", 100, func() {
-		if ent, plan := e.cachedPlan(uq); plan != nil {
-			sink += float64(len(*plan)) + float64(ent.val.wd.T)
+		if ent := e.cachedPlan(uq); ent != nil {
+			sink += float64(len(ent.val.plan)) + float64(ent.val.wd.T)
 		}
 	})
 	// (Not under the race detector: there sync.Pool drops scratches at

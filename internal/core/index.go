@@ -40,15 +40,14 @@ const indexLanes = 8
 // buildIndex runs Algorithm 4 (INDEXING) for every vertex in parallel.
 func (e *Engine) buildIndex() {
 	rows := make([][]uint32, e.g.N())
-	e.indexRows(nil, rows)
+	e.indexRows(rows)
 	e.idx = indexFromRows(rows)
 }
 
-// indexRows runs the per-vertex part of Algorithm 4 for the vertices vs
-// (every vertex when vs is nil) and sets rows[v] to v's sorted,
-// deduplicated index entry: P trials, each one index walk W0 and Q
-// collision walks W1..WQ; whenever two collision walks coincide at step t
-// (both alive), the step-t vertex of W0 joins the entry.
+// indexRows runs the per-vertex part of Algorithm 4 for every vertex and
+// sets rows[v] to v's sorted, deduplicated index entry: P trials, each one
+// index walk W0 and Q collision walks W1..WQ; whenever two collision walks
+// coincide at step t (both alive), the step-t vertex of W0 joins the entry.
 //
 // The vertices of a chunk go through graph.WalkTable.WalkLanes
 // indexLanes at a time, one lane per vertex on its own vertexSeed stream. A
@@ -56,10 +55,10 @@ func (e *Engine) buildIndex() {
 // which one vertex at a time would draw them — so every position, and
 // every entry, is the same whichever vertices share the group. A chunk's
 // entries share one allocation.
-func (e *Engine) indexRows(vs []uint32, rows [][]uint32) {
+func (e *Engine) indexRows(rows [][]uint32) {
 	T, P, Q := e.p.T, e.p.P, e.p.Q
 	cols := P * (1 + Q)
-	e.parallelVertices(vs, func(chunk []uint32, s *scratch) {
+	e.parallelVertices(func(chunk []uint32, s *scratch) {
 		if len(s.indexLanes) == 0 || len(s.indexLanes[0].Out) != (T+1)*cols {
 			s.indexLanes = newWalkLanes(indexLanes, (T+1)*cols)
 		}

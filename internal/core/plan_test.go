@@ -16,8 +16,8 @@ import (
 // candidate join, the bounds and the sort of every scan mode. These tests
 // hold it to the one thing it promises: nothing a caller can observe
 // changes — not a result, not a pruning counter, not a fragment entry —
-// whether the plan was just derived, came from the cache, was evicted and
-// derived again, or was carried across an incremental rebuild.
+// whether the plan was just derived, came from the cache, or was evicted
+// and derived again.
 
 // planObs is everything the scan modes return for one query vertex, cache
 // counters dropped (they say where work happened, not what came out).
@@ -194,10 +194,10 @@ func churnBudget(e *Snapshot) int64 {
 // cachedPlanOf returns a copy of the plan cached for u, or ok=false.
 func cachedPlanOf(e *Snapshot, u uint32) (plan []boundedCand, ok bool) {
 	ent := e.prolog.slots[u].Load()
-	if ent == nil || ent.val.plan.Load() == nil {
+	if ent == nil {
 		return nil, false
 	}
-	return slices.Clone(*ent.val.plan.Load()), true
+	return slices.Clone(ent.val.plan), true
 }
 
 // The cached candidate list is shared by every query that hits it, at any
@@ -302,122 +302,6 @@ func TestPlanConcurrentScanModes(t *testing.T) {
 	wg.Wait()
 	if ps := e.PrologStats(); ps.Hits == 0 || ps.Evictions == 0 || ps.BytesInUse > ps.BudgetBytes {
 		t.Fatalf("prolog cache did not churn under the load: %+v", ps)
-	}
-}
-
-// An incremental refresh carries the walk distributions of unaffected
-// vertices and leaves their plans behind: an edge outside u's walk
-// neighbourhood still moves u's ball and its candidates. A
-// vertex that had no candidate has no distribution to carry and is left
-// behind whole — the edge here gives two of them their first candidate.
-// Every answer on the refreshed snapshot must equal a fresh Build's — on
-// the first ask, which derives the plan from the carried distribution or
-// builds all of it, and on the second, which reads the plan the first one
-// published.
-func TestPlanAcrossIncrementalRefresh(t *testing.T) {
-	const n = 700
-	g := graph.CopyingModel(n, 5, 0.3, 21)
-	p := DefaultParams()
-	p.Seed = 11
-	p.Workers = 2
-	d := NewDynamicFrom(g, p)
-	defer d.Close()
-	if err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := seq(0, n, 1)
-	requireAllClasses(t, "before the refresh", warm, all)
-	oldPlans := make([][]boundedCand, n)
-	var noCands []uint32
-	for _, u := range all {
-		warm.TopK(u, planK)
-		oldPlans[u], _ = cachedPlanOf(warm, u)
-		if warm.prolog.slots[u].Load().val.wd.T == 0 {
-			noCands = append(noCands, u)
-		}
-	}
-
-	if err := d.AddEdge(3, 650); err != nil {
-		t.Fatal(err)
-	}
-	inc, _ := d.Refreshes()
-	if err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := d.Refreshes(); after != inc+1 {
-		t.Fatal("the refresh was not incremental")
-	}
-	next, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var carried []uint32
-	var carriedBytes int64
-	for _, u := range all {
-		if ent := next.prolog.slots[u].Load(); ent != nil {
-			if ent.val.plan.Load() != nil || ent.val.wd.T == 0 {
-				t.Fatalf("u=%d: plan or step-less distribution carried across the refresh", u)
-			}
-			carried = append(carried, u)
-			carriedBytes += ent.size
-		}
-	}
-	if ps := next.PrologStats(); len(carried) < (n-len(noCands))*3/4 || ps.Entries != len(carried) || ps.BytesInUse != carriedBytes {
-		t.Fatalf("%d of %d distributions carried, cache reports %+v for %d bytes", len(carried), n-len(noCands), ps, carriedBytes)
-	}
-	gained := 0
-	for _, u := range noCands {
-		if b, _, _ := planClass(next, u); b != builtEmpty {
-			gained++
-		}
-	}
-	if gained == 0 {
-		t.Fatal("no vertex got its first candidate; the edge no longer tests what is not carried")
-	}
-
-	var edges []graph.Edge
-	next.Graph().Edges(func(u, v uint32) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
-		return true
-	})
-	pp := p
-	pp.PrologBytes = -1
-	fresh := Build(graph.FromEdges(n, edges), pp)
-	stale := 0
-	for _, u := range all {
-		want := observePlan(t, fresh.Snapshot, u)
-		for _, ask := range []string{"first", "second"} {
-			if got := observePlan(t, next, u); !reflect.DeepEqual(got, want) {
-				t.Fatalf("u=%d, %s ask after the refresh:\n got %+v\nwant %+v", u, ask, got, want)
-			}
-		}
-		plan, ok := cachedPlanOf(next, u)
-		if !ok {
-			t.Fatalf("u=%d: the first ask published no plan", u)
-		}
-		if slices.Contains(carried, u) && !slices.Equal(plan, oldPlans[u]) {
-			stale++
-		}
-	}
-	if stale == 0 {
-		t.Fatal("no carried vertex's plan differs between the snapshots; the edge no longer tests the carry rule")
-	}
-	// Carried entries grew by their plans; everything else was a miss.
-	want := carriedBytes
-	for _, u := range all {
-		ent := next.prolog.slots[u].Load()
-		if slices.Contains(carried, u) {
-			want += planBytes(*ent.val.plan.Load())
-		} else {
-			want += ent.size
-		}
-	}
-	if ps := next.PrologStats(); ps.BytesInUse != want || ps.Misses != int64(n-len(carried)) {
-		t.Fatalf("after republishing %d plans (%d of them changed): %+v, want %d bytes and %d misses", len(carried), stale, ps, want, n-len(carried))
 	}
 }
 
@@ -656,9 +540,7 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 			if len(plan) != len(ref) {
 				t.Fatalf("%s u=%d: %d candidates, reference %d", name, u, len(plan), len(ref))
 			}
-			ent := newPrologEntry(u, wd)
-			ent.val.setPlan(ref)
-			planted.prolog.put(ent)
+			planted.prolog.put(newPrologEntry(u, wd, ref))
 			refUB := map[uint32]float64{}
 			for _, b := range ref {
 				refUB[b.v] = b.ub

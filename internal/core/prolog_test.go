@@ -197,10 +197,10 @@ func TestPrologEntryAccounting(t *testing.T) {
 		}
 		res, st := e.TopKStats(u, 10)
 		got := e.prolog.slots[u].Load()
-		if got == nil || got.val.plan.Load() == nil {
+		if got == nil {
 			t.Fatalf("%s: query at %d published no plan", tc.name, u)
 		}
-		plan := *got.val.plan.Load()
+		plan := got.val.plan
 		if len(plan) != st.Candidates || (len(plan) == 0) != (tc.class == builtEmpty) {
 			t.Fatalf("%s: plan of %d candidates, query saw %d (%d results)", tc.name, len(plan), st.Candidates, len(res))
 		}
@@ -247,19 +247,16 @@ func TestPrologEntryAccounting(t *testing.T) {
 		// The allocator rounds a request up to its size class — by a fifth
 		// at the very most, or to the next 8 or 16 bytes when it is small;
 		// the entry struct and its ring slot are the fixed part.
-		if lo, hi := held, held+held/5+32+prologEntryOverhead; got.val.wdBytes < lo || got.val.wdBytes > hi {
-			t.Fatalf("%s: distribution charged %d, holds %d, want within [%d, %d]", tc.name, got.val.wdBytes, held, lo, hi)
+		planHeld, planCharged := 16*int64(len(plan)), 16*int64(cap(plan))
+		if planCharged < planHeld || planCharged > planHeld+planHeld/5+16 {
+			t.Fatalf("%s: plan of %d candidates charged %d", tc.name, len(plan), planCharged)
 		}
-		if tc.class == builtEmpty && got.val.wdBytes != prologEntryOverhead {
-			t.Fatalf("%s: step-less distribution charged %d, want the entry's %d alone", tc.name, got.val.wdBytes, prologEntryOverhead)
+		distCharged := got.size - planCharged
+		if lo, hi := held, held+held/5+32+prologEntryOverhead; distCharged < lo || distCharged > hi {
+			t.Fatalf("%s: distribution charged %d, holds %d, want within [%d, %d]", tc.name, distCharged, held, lo, hi)
 		}
-		// Only a distribution that was built is carried to the next snapshot.
-		if c := carryProlog(got); (c == nil) != (tc.class == builtEmpty) || (c != nil && c.size != got.val.wdBytes) {
-			t.Fatalf("%s: carried as %+v", tc.name, c)
-		}
-		planHeld := 16 * int64(len(plan))
-		if c := got.size - got.val.wdBytes; c != planBytes(plan) || c < planHeld || c > planHeld+planHeld/5+planOverhead {
-			t.Fatalf("%s: plan of %d candidates charged %d", tc.name, len(plan), c)
+		if tc.class == builtEmpty && got.size != prologEntryOverhead {
+			t.Fatalf("%s: entry without candidates charged %d, want the entry's %d alone", tc.name, got.size, prologEntryOverhead)
 		}
 		if ps := e.PrologStats(); ps.BytesInUse != got.size || ps.Entries != 1 {
 			t.Fatalf("%s: cache holds %+v, want one entry of %d bytes", tc.name, ps, got.size)
@@ -294,8 +291,7 @@ func TestPrologEntryAccounting(t *testing.T) {
 				e.queryDistInto(wd, s, u)
 				bs = e.buildPlan(s, u, wd)
 			}
-			ent := newPrologEntry(u, wd)
-			ent.size += ent.val.setPlan(bs)
+			ent := newPrologEntry(u, wd, bs)
 			if pass == 1 {
 				built[builderOf(wd)]++
 				c.put(ent)
@@ -335,9 +331,9 @@ func TestHorizonCutsWork(t *testing.T) {
 	var kept, whole int64
 	for _, u := range seq(50, uint32(g.N()), uint32(g.N()/queries))[:queries] {
 		e.walkDistInto(&s.wd, s, u)
-		whole += newPrologEntry(u, &s.wd).size
+		whole += newPrologEntry(u, &s.wd, nil).size
 		steps += e.queryDistInto(&s.wd, s, u)
-		kept += newPrologEntry(u, &s.wd).size
+		kept += newPrologEntry(u, &s.wd, nil).size
 	}
 	t.Logf("%d queries keep %.2f of %d steps, entries of %d bytes against %d", queries, float64(steps)/float64(queries), e.p.T, kept/int64(queries), whole/int64(queries))
 	if 2*steps > queries*e.p.T || 5*kept > 3*whole {
@@ -347,9 +343,9 @@ func TestHorizonCutsWork(t *testing.T) {
 
 // A cached distribution must answer exactly as the scratch original it
 // was cloned from, for both directory kinds in one entry: the flat copy
-// newPrologEntry makes, and what carryProlog hands to the next snapshot,
-// agree with the original on lookup and mass for every vertex at every
-// step — and a query served from the entry returns what a fresh one does.
+// newPrologEntry makes agrees with the original on lookup and mass for
+// every vertex at every step — and a query served from the entry returns
+// what a fresh one does.
 func TestPrologEntryLookupMatchesOriginal(t *testing.T) {
 	g := graph.PreferentialAttachment(3000, 10, 0.4, 2)
 	p := DefaultParams()
@@ -360,29 +356,22 @@ func TestPrologEntryLookupMatchesOriginal(t *testing.T) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	e.walkDistInto(&s.wd, s, u)
-	cloned := newPrologEntry(u, &s.wd)
-	carried := carryProlog(cloned)
-	if carried.size != cloned.size || carried.val.plan.Load() != nil {
-		t.Fatalf("carried entry charges %d with plan %v, cloned %d", carried.size, carried.val.plan.Load(), cloned.size)
-	}
-	for name, ent := range map[string]*prologEntry{"cloned": cloned, "carried": carried} {
-		wd := &ent.val.wd
-		checkWalkDist(t, name, uint32(g.N()), wd)
-		for step := 0; step < s.wd.T; step++ {
-			if wd.support(step) != s.wd.support(step) || (wd.support(step) > 0 && wd.dense(step) != s.wd.dense(step)) {
-				t.Fatalf("%s step %d: support %d, original %d", name, step, wd.support(step), s.wd.support(step))
+	wd := &newPrologEntry(u, &s.wd, nil).val.wd
+	checkWalkDist(t, "cloned", uint32(g.N()), wd)
+	for step := 0; step < s.wd.T; step++ {
+		if wd.support(step) != s.wd.support(step) || (wd.support(step) > 0 && wd.dense(step) != s.wd.dense(step)) {
+			t.Fatalf("step %d: support %d, original %d", step, wd.support(step), s.wd.support(step))
+		}
+		if wd.support(step) == 0 {
+			continue
+		}
+		for w := uint32(0); w < uint32(g.N()); w++ {
+			i := s.wd.lookup(step, w)
+			if got := wd.lookup(step, w); got != i {
+				t.Fatalf("step %d: lookup(%d) = %d, original %d", step, w, got, i)
 			}
-			if wd.support(step) == 0 {
-				continue
-			}
-			for w := uint32(0); w < uint32(g.N()); w++ {
-				i := s.wd.lookup(step, w)
-				if got := wd.lookup(step, w); got != i {
-					t.Fatalf("%s step %d: lookup(%d) = %d, original %d", name, step, w, got, i)
-				}
-				if i >= 0 && wd.mass(step, i) != s.wd.mass(step, i) {
-					t.Fatalf("%s step %d vertex %d: mass %v, original %v", name, step, w, wd.mass(step, i), s.wd.mass(step, i))
-				}
+			if i >= 0 && wd.mass(step, i) != s.wd.mass(step, i) {
+				t.Fatalf("step %d vertex %d: mass %v, original %v", step, w, wd.mass(step, i), s.wd.mass(step, i))
 			}
 		}
 	}

@@ -228,65 +228,43 @@ type queryPlan struct {
 // by u's neighbourhood. Under CandidatesIndex the candidates need only H,
 // so they come first, and a vertex that has none publishes an empty plan
 // over a step-less distribution: no walks. Every other vertex gets its
-// distribution from queryDistInto — exact where a bounded push reaches, the
-// RAlpha sampled walks only where the support explodes, cut at the horizon
-// either way — and then its candidates' bounds, which only the strategies
-// that enumerate from the ball pay a ball for (buildPlan).
+// distribution from queryDistInto — Pᵗe_u pushed wherever a vertex's share
+// reaches 1/RAlpha, cut at the horizon — and then its candidates' bounds,
+// which only the strategies that enumerate from the ball pay a ball for
+// (buildPlan).
 func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
-	ent, plan := e.cachedPlan(u)
-	if plan != nil {
-		return queryPlan{wd: &ent.val.wd, cands: *plan}
+	if ent := e.cachedPlan(u); ent != nil {
+		return queryPlan{wd: &ent.val.wd, cands: ent.val.plan}
 	}
 	byIndex := e.p.Strategy == CandidatesIndex
 	if byIndex {
 		e.collectCandidates(qs, u, nil, nil)
 	}
-	none := byIndex && len(qs.cands) == 0
-	wd, h := &qs.wd, 0
-	switch {
-	case ent != nil:
-		// Carried across an incremental rebuild without its plan: derive
-		// it against this snapshot from the cached distribution.
-		wd = &ent.val.wd
-	case none:
-		wd = &noDist
-	default:
-		h = e.queryDistInto(wd, qs, u)
-	}
+	wd, h := &noDist, 0
 	var bs []boundedCand
-	if !none {
+	if !byIndex || len(qs.cands) > 0 {
+		wd = &qs.wd
+		h = e.queryDistInto(wd, qs, u)
 		bs = e.buildPlan(qs, u, wd)
 	}
-	switch {
-	case e.prolog == nil:
-	case ent == nil:
-		ent = newPrologEntry(u, wd)
-		ent.size += ent.val.setPlan(bs)
+	if e.prolog != nil {
 		e.built[builderOf(wd)].Add(1)
 		e.stepsKept.Add(int64(h))
-		e.prolog.put(ent)
-	default:
-		if n := ent.val.setPlan(bs); n > 0 {
-			e.prolog.grow(ent, n)
-		}
+		e.prolog.put(newPrologEntry(u, wd, bs))
 	}
 	return queryPlan{wd: wd, cands: bs}
 }
 
-// cachedPlan looks u up in the prolog cache: the entry (nil on a miss or
-// without a cache) and its plan (nil also on an entry carried without
-// one). With both in hand a scan touches no graph before it scores.
+// cachedPlan looks u up in the prolog cache: the entry, or nil on a miss
+// or without a cache. With it in hand a scan touches no graph before it
+// scores.
 //
 //lint:hotpath prolog cache hit path, the whole pre-scoring cost of a warm query
-func (e *Snapshot) cachedPlan(u uint32) (*prologEntry, *[]boundedCand) {
+func (e *Snapshot) cachedPlan(u uint32) *prologEntry {
 	if e.prolog == nil {
-		return nil, nil
+		return nil
 	}
-	ent := e.prolog.get(u)
-	if ent == nil {
-		return nil, nil
-	}
-	return ent, ent.val.plan.Load()
+	return e.prolog.get(u)
 }
 
 // buildPlan derives the bound-sorted candidate list of a query at u whose

@@ -386,24 +386,6 @@ func TestAllTopKMatchesPerVertex(t *testing.T) {
 	}
 }
 
-func TestAllTopKFuncVisitsAll(t *testing.T) {
-	g := graph.ErdosRenyi(50, 150, 2)
-	e := buildQueryEngine(g, 16, CandidatesIndex)
-	var visited [50]bool
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	e.AllTopKFunc(3, func(u uint32, res []Scored) {
-		<-mu
-		visited[u] = true
-		mu <- struct{}{}
-	})
-	for v, ok := range visited {
-		if !ok {
-			t.Fatalf("vertex %d not visited", v)
-		}
-	}
-}
-
 func TestAllTopKIndependentOfWorkerCount(t *testing.T) {
 	g := graph.CopyingModel(150, 4, 0.3, 8)
 	p := DefaultParams()

@@ -75,18 +75,3 @@ func (e *Snapshot) singlePairR(u, v uint32, R int, r *rng.Source, s *scratch) fl
 	}
 	return sigma
 }
-
-// SingleSourceMC estimates s⁽ᵀ⁾(u, v) for every v in targets by running
-// Algorithm 1 against each target with R walk pairs. Each target's walks
-// are seeded from the (u, v) pair, keeping estimates independent across
-// targets and stable under reordering.
-func (e *Snapshot) SingleSourceMC(u uint32, targets []uint32, R int) []float64 {
-	out := make([]float64, len(targets))
-	s := e.getScratch()
-	defer e.putScratch(s)
-	for i, v := range targets {
-		s.rng.Seed(e.pairSeed(u, v))
-		out[i] = e.singlePairR(u, v, R, &s.rng, s)
-	}
-	return out
-}

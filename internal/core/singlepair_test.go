@@ -141,20 +141,6 @@ func TestSinglePairNonNegativeBounded(t *testing.T) {
 	}
 }
 
-func TestSingleSourceMC(t *testing.T) {
-	g := graph.PreferentialAttachment(40, 3, 0.3, 6)
-	e := testEngine(g, 2)
-	targets := []uint32{1, 2, 3, 4, 5}
-	scores := e.SingleSourceMC(7, targets, 2000)
-	d := exact.UniformDiagonal(g.N(), e.p.C)
-	row := exact.SingleSource(g, d, e.p.C, e.p.T, 7)
-	for i, v := range targets {
-		if math.Abs(scores[i]-row[v]) > 0.05 {
-			t.Errorf("s(7,%d): MC %v vs exact %v", v, scores[i], row[v])
-		}
-	}
-}
-
 func TestWalkDeath(t *testing.T) {
 	g := graph.DirectedStar(4) // leaves dangle
 	wt := g.BuildWalkTable()

@@ -957,7 +957,7 @@ func TestHorizonTailBound(t *testing.T) {
 				if h < 1 || tail[h] > e.tailTol || (h > 1 && tail[h-1] <= e.tailTol) {
 					t.Fatalf("%s u=%d: horizon %d, tails %v against %v", label, u, h, tail, e.tailTol)
 				}
-				cut := &newPrologEntry(u, &whole).val.wd
+				cut := &newPrologEntry(u, &whole, nil).val.wd
 				for pass := 0; pass < 2; pass++ {
 					cut.trim(h)
 					for step := 0; step < cut.T; step++ {

@@ -7,10 +7,9 @@
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the walk-distribution
 # directories, the edge-list parser, the walk kernels, the query-side
-# push, the candidate walks, the index loader and the wire decoder, and
-# the multi-shard
-# smoke; the
-# tree's size (scripts/loc.sh) closes the log.
+# push, the candidate walks, the index loader and the wire decoder, a run
+# of each examples/ program, and the multi-shard smoke; the tree's size
+# (scripts/loc.sh) closes the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -106,6 +105,18 @@ go test -run - -fuzz '^FuzzLoadIndex$' -fuzztime 5s ./internal/core
 # No panic, and no decode larger than the input that describes it.
 echo "==> fuzz smoke (FuzzWireDecode, 5s)"
 go test -run - -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/wire
+
+# Each examples/ program once, end to end (about 1.5 s warm): the build
+# above only compiles them, and examples/dynamic is the one program that
+# drives a DynamicIndex refresh. A nonzero exit fails the gate.
+echo "==> examples smoke (each examples/ program once)"
+for ex in examples/*/; do
+	if ! out="$(go run "./$ex" 2>&1)"; then
+		echo "$ex failed:"
+		echo "$out"
+		exit 1
+	fi
+done
 
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and
