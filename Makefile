@@ -47,7 +47,7 @@ loc:
 # never reach — n=20000 with one worker and the caches off, n=100000 as
 # simserver builds it for the end-to-end social workload; CandWalks is
 # its walk kernel alone, one stream at a time against lane-interleaved,
-# and WalkDistLookup one probe of each directory kind, hit and miss.
+# and WalkDistLookup one probe of the scoring index, hit and miss.
 # RouterTopK/RouterTopKBatch live in internal/router: routed queries over
 # a real 3-shard loopback topology (binary wire). WireCodec measures the
 # binary codec round-trip alone. BuildIndex (Algorithm 4 over a whole

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -23,25 +23,13 @@ import (
 // s⁽ᵀ⁾(u,v) for every u ≠ v. It reads v's in-degree alone.
 
 // walkDist is the pushed distribution of a vertex's walk positions,
-// P{u⁽ᵗ⁾ = w}, stored per step as an ascending support with a directory
-// over it: verts[t] lists the vertices with nonzero mass ascending and
-// dir[t] answers "at which index, if any, is w" (lookup)
-// without a search. The directory comes in two kinds, chosen per step by
-// the support's density alone (denseSupport):
-//
-//   - sparse steps keep bucket offsets (bucketIndex): bucket b = w >> shift[t]
-//     occupies verts[t][dir[t][b]:dir[t][b+1]], with about one bucket per two
-//     support vertices (see bucketing) — two directory reads and a scan of
-//     a vertex or two;
-//   - dense steps (shift[t] == rankStep) keep a rank bitset (rankIndex): one
-//     bit per vertex of the graph and, per 64 vertices, the number of
-//     support vertices before them — one word load and a bit test on a
-//     miss, a second load and a popcount on a hit, and no loop.
-//
-// The ascending order every consumer relies on (dotSeries' merge join,
-// computeL1From, forEach, the index sweep of dotPositions) is a by-product
-// of building the directory — scratch.orderTouched for buckets, enumerating
-// the set bits for a rank bitset — not of a comparison sort.
+// P{u⁽ᵗ⁾ = w}, stored per step as an ascending support and its masses:
+// verts[t] lists the vertices with nonzero mass ascending, massw[t] their
+// masses. The ascending order every consumer relies on (dotSeries' merge
+// join, computeL1From, forEach, the index sweep of dotPositions) comes
+// from scratch.orderTouched, not from a comparison sort. A distribution
+// holds no directory: the scoring kernels probe it through a slotIndex,
+// which scoreBlock builds per scored block (DESIGN.md §4).
 //
 // A mass is stored as its float64 bits in two uint32 words, low half
 // first, so that a cached copy (prolog.go) is one flat array of words.
@@ -58,8 +46,6 @@ import (
 type walkDist struct {
 	T     int
 	verts [][]uint32
-	dir   [][]uint32
-	shift []uint8
 	massw [][]uint32
 }
 
@@ -67,73 +53,14 @@ type walkDist struct {
 // stands on; nothing writes to it.
 var noDist walkDist
 
-// denseDiv is the density at which a step's directory becomes a rank
-// bitset: a support of S vertices on an n-vertex graph is dense when
-// S ≥ n/denseDiv. A bitset costs 12 bytes per 64 vertices of the graph
-// whatever S is, so at the threshold it spends 6 bytes a support vertex
-// against the 2 to 4 of bucket offsets, and less than they do from about
-// n/16 on; below it the price per vertex grows without bound (a 30-vertex
-// support on a 100 000-vertex web graph would pay 625 bytes a vertex),
-// which is why sparse steps keep buckets. See DESIGN.md §4 for the
-// sensitivity runs behind 32.
-const denseDiv = 32
-
-// rankStep in shift[t] marks step t's directory as a rank bitset. A bucket
-// shift is at most 32.
-const rankStep = 0xff
-
-// denseSupport reports whether a support of S of n vertices gets a rank
-// bitset: a function of (n, S) and nothing else.
-func denseSupport(n, S int) bool { return S*denseDiv >= n }
-
-// rankWords is the number of 64-vertex words of a rank bitset over n
-// vertices; the directory holds three uint32 for each.
-func rankWords(n int) int { return (n + 63) >> 6 }
-
-// bucketIndex returns the position of w in a sparse step's support verts,
-// or -1: off and shift are the step's bucket directory, and w's bucket is
-// scanned up to the first vertex ≥ w. (The two index functions take the
-// step's slices as plain arguments: a struct of them is too large for the
-// compiler to keep in registers, which doubled the cost of a probe.)
-func bucketIndex(off, verts []uint32, shift uint8, w uint32) int {
-	b := w >> shift
-	for i, end := off[b], off[b+1]; i < end; i++ {
-		if x := verts[i]; x >= w {
-			if x == w {
-				return int(i)
-			}
-			break
-		}
-	}
-	return -1
-}
-
-// rankIndex returns the position of w in a dense step's support, or -1:
-// bits holds one bit per vertex, as the low and high half of each
-// 64-vertex word in turn, rank[k] counts the support vertices below 64k,
-// and w's rank among the set bits is its index because the support is
-// ascending.
-func rankIndex(bits32, rank []uint32, w uint32) int {
-	if bits32[w>>5]>>(w&31)&1 == 0 {
-		return -1
-	}
-	k := w >> 6
-	word := uint64(bits32[2*k]) | uint64(bits32[2*k+1])<<32
-	return int(rank[k]) + bits.OnesCount64(word&(1<<(w&63)-1))
-}
-
 // reset prepares the distribution for T steps, keeping backing arrays.
 func (wd *walkDist) reset(T int) {
 	wd.T = T
 	for len(wd.verts) < T {
 		wd.verts = append(wd.verts, nil)
-		wd.dir = append(wd.dir, nil)
-		wd.shift = append(wd.shift, 0)
 		wd.massw = append(wd.massw, nil)
 	}
 	wd.verts = wd.verts[:T]
-	wd.dir = wd.dir[:T]
-	wd.shift = wd.shift[:T]
 	wd.massw = wd.massw[:T]
 	wd.trim(0)
 }
@@ -142,8 +69,6 @@ func (wd *walkDist) reset(T int) {
 func (wd *walkDist) trim(h int) {
 	for t := h; t < wd.T; t++ {
 		wd.verts[t] = wd.verts[t][:0]
-		wd.dir[t] = wd.dir[t][:0]
-		wd.shift[t] = 0
 		wd.massw[t] = wd.massw[t][:0]
 	}
 }
@@ -162,84 +87,14 @@ func (wd *walkDist) steps() int {
 	return h
 }
 
-// setSupport installs the current tally's touched list as step t's
-// support, ascending, with the directory kind its density calls for. The
-// row must be empty (reset).
-func (wd *walkDist) setSupport(t int, s *scratch) {
-	if denseSupport(s.n, len(s.touched)) {
-		wd.setRankSupport(t, s.n, s.touched)
-	} else {
-		wd.setBucketSupport(t, s)
-	}
-}
-
-// setBucketSupport orders the tally's touched list by buckets and installs
-// it with its bucket offsets as step t's support.
-func (wd *walkDist) setBucketSupport(t int, s *scratch) {
-	dir, shift := s.orderTouched()
-	wd.verts[t] = append(wd.verts[t], s.touched...)
-	wd.dir[t] = append(wd.dir[t], dir...)
-	wd.shift[t] = shift
-}
-
-// setRankSupport builds step t's rank bitset from the unordered support
-// touched and reads the ascending support back out of it: one pass sets
-// the bits, one pass over the words writes each word's rank and lists its
-// set bits, so the order costs no counting, scatter or sort.
-//
-//lint:hotpath dense-step support ordering and directory build, up to T times per uncached prolog
-func (wd *walkDist) setRankSupport(t, n int, touched []uint32) {
-	nw := rankWords(n)
-	d, vs := wd.dir[t], wd.verts[t]
-	if cap(d) < 3*nw {
-		d = make([]uint32, 3*nw) //lint:ignore hotalloc amortized pooled growth; steady state reuses the row's capacity
-	}
-	if cap(vs) < len(touched) {
-		vs = make([]uint32, len(touched)) //lint:ignore hotalloc amortized pooled growth; steady state reuses the row's capacity
-	}
-	d, vs = d[:3*nw], vs[:len(touched)]
-	clear(d)
-	for _, w := range touched {
-		d[w>>5] |= 1 << (w & 31)
-	}
-	i := 0
-	for k := 0; k < nw; k++ {
-		d[2*nw+k] = uint32(i)
-		for b := uint64(d[2*k]) | uint64(d[2*k+1])<<32; b != 0; b &= b - 1 {
-			vs[i] = uint32(k<<6 + bits.TrailingZeros64(b))
-			i++
-		}
-	}
-	wd.verts[t], wd.dir[t], wd.shift[t] = vs, d, rankStep
-}
-
-// dense reports whether step t's directory is a rank bitset.
-func (wd *walkDist) dense(t int) bool { return wd.shift[t] == rankStep }
-
-// buckets returns step t's bucket directory, bucketIndex's arguments; the
-// step must be sparse.
-func (wd *walkDist) buckets(t int) (off, verts []uint32, shift uint8) {
-	return wd.dir[t], wd.verts[t], wd.shift[t]
-}
-
-// ranks returns step t's rank bitset, rankIndex's arguments; the step must
-// be dense.
-func (wd *walkDist) ranks(t int) (bits32, rank []uint32) {
-	d := wd.dir[t]
-	nw := len(d) / 3
-	return d[:2*nw], d[2*nw:]
-}
-
-// lookup returns the index of w in step t's support, or -1. Step t must
-// have a nonempty support. Loops over many vertices of one step pick the
-// directory kind once and call its index function directly.
+// lookup returns the index of w in step t's support, or -1: a binary
+// search, for the callers off the scoring path (the kernels probe a
+// slotIndex).
 func (wd *walkDist) lookup(t int, w uint32) int {
-	if wd.dense(t) {
-		bits32, rank := wd.ranks(t)
-		return rankIndex(bits32, rank, w)
+	if i, ok := slices.BinarySearch(wd.verts[t], w); ok {
+		return i
 	}
-	off, verts, shift := wd.buckets(t)
-	return bucketIndex(off, verts, shift, w)
+	return -1
 }
 
 // mass returns the probability mass of step t's i-th support vertex.
@@ -250,14 +105,10 @@ func (wd *walkDist) mass(t, i int) float64 {
 
 // prob returns P{u⁽ᵗ⁾ = w}.
 func (wd *walkDist) prob(t int, w uint32) (float64, bool) {
-	if wd.support(t) == 0 {
-		return 0, false
+	if i := wd.lookup(t, w); i >= 0 {
+		return wd.mass(t, i), true
 	}
-	i := wd.lookup(t, w)
-	if i < 0 {
-		return 0, false
-	}
-	return wd.mass(t, i), true
+	return 0, false
 }
 
 // forEach calls fn for every (vertex, mass) of step t in ascending vertex
@@ -266,6 +117,82 @@ func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 	for i, w := range wd.verts[t] {
 		fn(w, wd.mass(t, i))
 	}
+}
+
+// slotIndex is the scoring index of one query-side distribution: for
+// every step t it answers "at which index of verts[t], if any, is w" in
+// two loads and no loop. uid maps each vertex of the union of the
+// distribution's nonempty steps to a 1-based union id (0 for every other
+// vertex); row t of slots holds, for each union id, the vertex's 1-based
+// position in step t's support, and 0 where the vertex is not in it — so
+// row[0] is 0 and a probe row[uid[w]] − 1 is the index or −1, for every w.
+// Built per scored block (scoreBlock) on the scoring scratch, read by every
+// worker of the block as the distribution itself is, and cleared by
+// walking the union: the n-entry uid array is all zero between builds,
+// allocated on a scratch's first build, and never stored in a cache.
+type slotIndex struct {
+	wd     *walkDist
+	uid    []uint32
+	union  []uint32
+	slots  []uint32
+	stride int
+}
+
+// build indexes the nonempty steps of wd, a distribution over n vertices,
+// in O(Σ_t S_t) for the union and the rows' positions plus the rows' clear;
+// the index must be clear (clear).
+//
+//lint:hotpath scoring index build, once per scored block
+func (x *slotIndex) build(wd *walkDist, n int) {
+	if x.uid == nil {
+		x.uid = make([]uint32, n) //lint:ignore hotalloc once per scratch that scores, on its first block
+	}
+	uid, union := x.uid, x.union[:0]
+	h := wd.steps()
+	for t := 0; t < h; t++ {
+		for _, w := range wd.verts[t] {
+			if uid[w] == 0 {
+				union = append(union, w)
+				uid[w] = uint32(len(union))
+			}
+		}
+	}
+	stride := len(union) + 1
+	if cap(x.slots) < h*stride {
+		x.slots = make([]uint32, 2*h*stride) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+	}
+	slots := x.slots[:h*stride]
+	clear(slots)
+	for t := 0; t < h; t++ {
+		row := slots[t*stride : (t+1)*stride]
+		for i, w := range wd.verts[t] {
+			row[uid[w]] = uint32(i + 1)
+		}
+	}
+	x.wd, x.union, x.slots, x.stride = wd, union, slots, stride
+}
+
+// clear zeroes uid again, in O(union), and lets go of the distribution.
+//
+//lint:hotpath scoring index clear, once per scored block
+func (x *slotIndex) clear() {
+	for _, w := range x.union {
+		x.uid[w] = 0
+	}
+	x.union = x.union[:0]
+	x.wd = nil
+}
+
+// row returns step t's slot row, for t below the distribution's number of
+// leading nonempty steps. A loop over one step probes it as
+// int(row[uid[w]]) − 1; lookup is that probe alone.
+func (x *slotIndex) row(t int) []uint32 {
+	return x.slots[t*x.stride : (t+1)*x.stride]
+}
+
+// lookup returns the index of w in step t's support, or -1.
+func (x *slotIndex) lookup(t int, w uint32) int {
+	return int(x.row(t)[x.uid[w]]) - 1
 }
 
 // pushWalkDistInto computes u's per-step walk distributions by sparse
@@ -311,7 +238,8 @@ func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare
 		if len(s.touched) == 0 {
 			break // no mass pushed on; remaining steps stay empty
 		}
-		wd.setSupport(t, s)
+		s.orderTouched()
+		wd.verts[t] = append(wd.verts[t], s.touched...)
 		peak := 0.0
 		for _, w := range wd.verts[t] {
 			m := s.push[s.cnt[w]]

@@ -78,35 +78,53 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 }
 
 // The score a query serves is the mean, over the R = RScore walks from the
-// candidate v, of one walk's contribution Σ_{t<h} cᵗ·D_ww·p̂_u,t(w_t),
+// candidate v, of one walk's contribution X = Σ_{t<h} cᵗ·D_ww·p̂_u,t(w_t),
 // w_t the walk's step-t vertex and p̂_u the query side as the plan has it
-// (pushed, cut at its horizon h). A contribution lies in [0, B] with
+// (pushed, cut at its horizon h). X lies in [0, B] with
 // B = Σ_{t<h} cᵗ·max_w D_ww·p̂_u,t(w), and its expectation μ is the series
-// of p̂_u against v's exact distribution, so by Hoeffding (paper §4) the
-// score is farther than B·√(ln(2/δ)/2R) from μ with probability at most
-// δ. DisableAdaptive scores every candidate on all R walks, so no
-// candidate is selected by its own walks. Over 40 engine seeds and every
-// candidate of every plan, the share of scores beyond the radius must stay
-// within δ. The seeds are spread with rng.Mix: walk i draws the stream
+// of p̂_u against v's exact distribution. Two radii hold the score to μ,
+// each exceeded with probability at most δ:
+//
+//   - Hoeffding (paper §4): B·√(ln(2/δ)/2R), one per query;
+//   - empirical Bernstein (Maurer and Pontil, two-sided):
+//     √(2·V·ln(4/δ)/R) + 7B·ln(4/δ)/(3(R−1)), V the sample variance of the
+//     candidate's R contributions, recomputed here from its walks
+//     (refCandWalks) — whose mean must be the served score.
+//
+// Hoeffding's range B is loose: a contribution is mostly far below it, so
+// served scores doubled still pass it, and so they do the variance-aware
+// radius, whose range term 7B·ln(4/δ)/(3(R−1)) is 0.10·B at R = 100
+// against Hoeffding's 0.14·B. The test logs the share beyond each radius
+// with the served scores scaled up: the Bernstein check fails from ×3.5
+// on, Hoeffding's from ×4. DisableAdaptive scores every candidate on all R walks, so no candidate
+// is selected by its own walks. Over 40 engine seeds and every candidate
+// of every plan, the share of scores beyond either radius must stay within
+// δ. The seeds are spread with rng.Mix: walk i draws the stream
 // Mix(candSeed + i) (walkSeed), and consecutive seeds move candSeed by
 // about one, so seeds 1..40 would share most of their walks.
 func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 	g := graph.CopyingModel(2000, 5, 0.3, 21)
 	const delta = 0.05
+	scales := []float64{1, 2, 3, 3.5, 4}
 	var exact walkDist
-	scores, beyond, worst := 0, 0, 0.0
+	var pos []uint32
+	scores, worst, worstB := 0, 0.0, 0.0
+	beyond := make([][2]int, len(scales)) // per scale: Hoeffding, Bernstein
 	for k := uint64(1); k <= 40; k++ {
 		p := DefaultParams()
 		p.Seed = rng.Mix(k)
 		p.DisableAdaptive = true
 		e := Build(g, p)
 		qs, s := e.getScratch(), e.getScratch()
-		R := e.p.RScore
+		R, T := e.p.RScore, e.p.T
+		lnB := math.Log(4 / delta)
+		pos = slices.Grow(pos[:0], T*R)[:T*R]
 		for _, u := range []uint32{5, 17, 35, 999, 1999} {
 			plan := e.queryPlan(qs, u)
 			wd := plan.wd
+			h := wd.steps()
 			B, ct := 0.0, 1.0
-			for step := 0; step < wd.steps(); step++ {
+			for step := 0; step < h; step++ {
 				top := 0.0
 				wd.forEach(step, func(w uint32, pr float64) { top = max(top, e.p.dval(w)*pr) })
 				B += ct * top
@@ -120,24 +138,65 @@ func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 				if c.State != ShardScoredNoRough {
 					t.Fatalf("seed %d u=%d v=%d: candidate left in state %v", k, u, c.V, c.State)
 				}
+				// The R contributions, from the candidate's own walks.
+				refCandWalks(e.Snapshot, c.V, R, pos)
+				mean, sq := 0.0, 0.0
+				for i := 0; i < R; i++ {
+					x, ct := 0.0, 1.0
+					if pr, ok := wd.prob(0, c.V); ok && h > 0 {
+						x = e.p.dval(c.V) * pr
+					}
+					for step := 1; step < h; step++ {
+						ct *= e.p.C
+						w := pos[step*R+i]
+						if w == Dead {
+							break
+						}
+						if pr, ok := wd.prob(step, w); ok {
+							x += ct * e.p.dval(w) * pr
+						}
+					}
+					// Welford's update: the mean and the sum of squared deviations.
+					d := x - mean
+					mean += d / float64(i+1)
+					sq += d * (x - mean)
+				}
+				if math.Abs(mean-c.Score) > 1e-12 {
+					t.Fatalf("seed %d u=%d v=%d: served %v, the mean of its walks' contributions %v", k, u, c.V, c.Score, mean)
+				}
+				bern := math.Sqrt(2*sq/float64(R-1)*lnB/float64(R)) + 7*B*lnB/(3*float64(R-1))
 				e.pushWalkDistInto(&exact, s, c.V, 0)
-				d := math.Abs(c.Score - e.dotSeries(wd, &exact))
+				mu := e.dotSeries(wd, &exact)
 				scores++
-				worst = max(worst, d/radius)
-				if d > radius {
-					beyond++
+				worst = max(worst, math.Abs(c.Score-mu)/radius)
+				worstB = max(worstB, math.Abs(c.Score-mu)/bern)
+				for j, f := range scales {
+					d := math.Abs(f*c.Score - mu)
+					if d > radius {
+						beyond[j][0]++
+					}
+					if d > bern {
+						beyond[j][1]++
+					}
 				}
 			}
 		}
 		e.putScratch(s)
 		e.putScratch(qs)
 	}
-	t.Logf("%d scores, %d beyond the Hoeffding radius (δ = %v), largest deviation %.3f of the radius", scores, beyond, delta, worst)
 	if scores < 1000 || worst == 0 {
 		t.Fatalf("%d scores with largest deviation %v: nothing was compared", scores, worst)
 	}
-	if float64(beyond) > delta*float64(scores) {
-		t.Fatalf("%d of %d scores are farther than the radius from their expectation: more than δ = %v", beyond, scores, delta)
+	fails := func(j, check int) bool { return float64(beyond[j][check]) > delta*float64(scores) }
+	for j, f := range scales {
+		t.Logf("scores ×%v: %d of %d beyond the Hoeffding radius (fails: %v), %d beyond the empirical-Bernstein one (fails: %v)",
+			f, beyond[j][0], scores, fails(j, 0), beyond[j][1], fails(j, 1))
+	}
+	t.Logf("largest deviation %.3f of the Hoeffding radius, %.3f of the empirical-Bernstein one (δ = %v)", worst, worstB, delta)
+	for check, name := range []string{"Hoeffding", "empirical-Bernstein"} {
+		if fails(0, check) {
+			t.Fatalf("%d of %d scores are farther than the %s radius from their expectation: more than δ = %v", beyond[0][check], scores, name, delta)
+		}
 	}
 }
 

@@ -138,53 +138,47 @@ func BenchmarkTopKSocial(b *testing.B) {
 	}
 }
 
-// BenchmarkWalkDistLookup measures one directory probe of each kind over
-// the same support — 5 000 of 100 000 vertices, the width of a social
-// query's middle steps — for ids inside it and ids outside it, 65 536 of
-// each drawn at random so that the branch predictor cannot learn the
-// sequence (with a few thousand ids it does, and a bucket miss reads three
-// times faster than it is).
+// BenchmarkWalkDistLookup measures one probe of the scoring index
+// (slotIndex) over a support of 500 and of 5 000 of 100 000 vertices — a
+// social query's step-2 width and ten times it — for ids inside it and ids
+// outside it, 65 536 of each drawn at random so that the branch predictor
+// cannot learn the sequence.
 func BenchmarkWalkDistLookup(b *testing.B) {
-	const n, S, probes = 100000, 5000, 1 << 16
-	r := rng.New(1)
-	s := newScratch(n)
-	s.beginTally()
-	for len(s.touched) < S {
-		s.tallyCount(uint32(r.Intn(n)))
-	}
-	var hits, misses []uint32
-	for len(hits) < probes {
-		hits = append(hits, s.touched[r.Intn(S)])
-	}
-	for len(misses) < probes {
-		if w := uint32(r.Intn(n)); s.mark[w] != s.epoch {
-			misses = append(misses, w)
+	const n, probes = 100000, 1 << 16
+	for _, S := range []int{500, 5000} {
+		r := rng.New(1)
+		s := newScratch(n)
+		s.beginTally()
+		for len(s.touched) < S {
+			s.tallyCount(uint32(r.Intn(n)))
 		}
-	}
-	var wd walkDist
-	wd.reset(2)
-	wd.setRankSupport(0, n, s.touched)
-	wd.setBucketSupport(1, s)
-	bits32, rank := wd.ranks(0)
-	off, verts, shift := wd.buckets(1)
-	for _, kind := range []string{"bucket", "rank"} {
+		var hits, misses []uint32
+		for len(hits) < probes {
+			hits = append(hits, s.touched[r.Intn(S)])
+		}
+		for len(misses) < probes {
+			if w := uint32(r.Intn(n)); s.mark[w] != s.epoch {
+				misses = append(misses, w)
+			}
+		}
+		var wd walkDist
+		wd.reset(1)
+		s.orderTouched()
+		wd.verts[0] = s.touched
+		var x slotIndex
+		x.build(&wd, n)
+		uid, slot := x.uid, x.row(0)
 		for _, ids := range []struct {
 			name string
 			ws   []uint32
 		}{{"hit", hits}, {"miss", misses}} {
-			b.Run(kind+"/"+ids.name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("S=%d/%s", S, ids.name), func(b *testing.B) {
 				sum := 0
-				if kind == "rank" {
-					for i := 0; i < b.N; i++ {
-						sum += rankIndex(bits32, rank, ids.ws[i%probes])
-					}
-				} else {
-					for i := 0; i < b.N; i++ {
-						sum += bucketIndex(off, verts, shift, ids.ws[i%probes])
-					}
+				for i := 0; i < b.N; i++ {
+					sum += int(slot[uid[ids.ws[i%probes]]]) - 1
 				}
 				if (ids.name == "miss") != (sum < 0) && b.N >= probes {
-					b.Fatalf("%s lookups summed to %d", ids.name, sum)
+					b.Fatalf("%s probes summed to %d", ids.name, sum)
 				}
 			})
 		}

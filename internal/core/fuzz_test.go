@@ -117,51 +117,73 @@ func answersQueries(t *testing.T, e *Engine) {
 	}
 }
 
-// FuzzWalkDistDirectory builds both directory kinds over one arbitrary id
-// set below an arbitrary n and holds each to a binary search of the sorted
-// set on every id below n, hit or miss: the kind is chosen by density in
-// production, but either must be right for any support.
+// FuzzWalkDistDirectory holds the scoring index (slotIndex) to a binary
+// search: up to four steps over arbitrary, overlapping id sets below an
+// arbitrary n — three bytes an id, the first picking its step — each
+// ordered by orderTouched, and every id below n must probe to what
+// slices.BinarySearch finds at every step, hit or miss. One scratch serves
+// every input, so after each clear its n-entry union map must be all zero
+// again: a stale entry would answer for the next input's vertices.
 func FuzzWalkDistDirectory(f *testing.F) {
-	f.Add(uint16(0), []byte{0, 0})
-	f.Add(uint16(63), []byte{0, 0, 0, 62, 0, 63})
-	f.Add(uint16(64), []byte{0, 64, 0, 0, 0, 63, 0, 64})
-	f.Add(uint16(999), []byte{3, 231, 0, 0, 1, 0, 1, 1, 2, 0, 2, 0})
-	f.Add(uint16(4095), bytes.Repeat([]byte{7, 9, 15, 255, 0, 1, 8, 0}, 40))
-	f.Add(uint16(65535), []byte{255, 255, 128, 0, 0, 31, 0, 32, 0, 33})
-	dense := make([]byte, 0, 2*300)
-	for i := 0; i < 300; i++ { // every id below 300, highest first
-		dense = append(dense, byte((299-i)>>8), byte(299-i))
+	f.Add(uint16(0), []byte{0, 0, 0})
+	f.Add(uint16(63), []byte{0, 0, 0, 1, 0, 62, 1, 0, 63, 2, 0, 62})
+	f.Add(uint16(64), []byte{0, 0, 64, 1, 0, 0, 2, 0, 63, 3, 0, 64, 0, 0, 1})
+	f.Add(uint16(999), []byte{0, 3, 231, 0, 0, 0, 1, 1, 0, 1, 1, 1, 2, 2, 0, 3, 2, 0})
+	f.Add(uint16(4095), bytes.Repeat([]byte{7, 9, 15, 255, 0, 1, 8, 0, 3}, 40))
+	f.Add(uint16(65535), []byte{0, 255, 255, 1, 128, 0, 2, 0, 31, 3, 0, 32, 0, 0, 33})
+	dense := make([]byte, 0, 3*600)
+	for i := 0; i < 600; i++ { // every id below 300 at two steps, highest first
+		dense = append(dense, byte(i%2), byte((299-i/2)>>8), byte(299-i/2))
 	}
 	f.Add(uint16(299), dense)
-	f.Fuzz(func(t *testing.T, top uint16, ids []byte) {
-		n := int(top) + 1
-		s := newScratch(n)
-		s.beginTally()
-		for ; len(ids) >= 2; ids = ids[2:] {
-			s.tallyCount(uint32(int(ids[0])<<8|int(ids[1])) % uint32(n))
+	const top = 1 << 16
+	s := newScratch(top)
+	var wd walkDist
+	f.Fuzz(func(t *testing.T, last uint16, ids []byte) {
+		n := uint32(last) + 1
+		var sets [4][]uint32
+		for ; len(ids) >= 3; ids = ids[3:] {
+			k := ids[0] % 4
+			sets[k] = append(sets[k], (uint32(ids[1])<<8|uint32(ids[2]))%n)
 		}
-		if len(s.touched) == 0 {
-			return // a step without support has no directory
-		}
-		want := slices.Clone(s.touched)
-		slices.Sort(want)
-		var wd walkDist
-		wd.reset(2)
-		wd.setRankSupport(0, n, s.touched)
-		wd.setBucketSupport(1, s)
-		for step, kind := range []string{"rank", "bucket"} {
-			if !slices.Equal(wd.verts[step], want) || wd.dense(step) != (step == 0) {
-				t.Fatalf("n=%d %s: support %v, want %v", n, kind, wd.verts[step], want)
+		wd.reset(len(sets))
+		steps := 0
+		for _, set := range sets {
+			if len(set) == 0 {
+				continue // leading nonempty steps only: a distribution ends at its first empty one
 			}
-			for w := uint32(0); w < uint32(n); w++ {
-				i, found := slices.BinarySearch(want, w)
+			s.beginTally()
+			for _, w := range set {
+				s.tallyCount(w)
+			}
+			s.orderTouched()
+			slices.Sort(set)
+			want := slices.Compact(set)
+			if !slices.Equal(s.touched, want) {
+				t.Fatalf("n=%d step %d: ordered %v, want %v", n, steps, s.touched, want)
+			}
+			wd.verts[steps] = append(wd.verts[steps], s.touched...)
+			steps++
+		}
+		x := &s.slots
+		x.build(&wd, top)
+		if len(x.slots) != steps*x.stride {
+			t.Fatalf("n=%d: %d slot words for %d steps of stride %d", n, len(x.slots), steps, x.stride)
+		}
+		for step := 0; step < steps; step++ {
+			for w := uint32(0); w < n; w++ {
+				i, found := slices.BinarySearch(wd.verts[step], w)
 				if !found {
 					i = -1
 				}
-				if got := wd.lookup(step, w); got != i {
-					t.Fatalf("n=%d %s: lookup(%d) = %d, binary search = %d (support %v)", n, kind, w, got, i, want)
+				if got := x.lookup(step, w); got != i {
+					t.Fatalf("n=%d step %d: probe(%d) = %d, binary search = %d (support %v)", n, step, w, got, i, wd.verts[step])
 				}
 			}
+		}
+		x.clear()
+		if i := slices.IndexFunc(x.uid, func(id uint32) bool { return id != 0 }); i >= 0 || len(x.uid) != top {
+			t.Fatalf("n=%d: after the clear, vertex %d of %d keeps union id %d", n, i, len(x.uid), x.uid[max(i, 0)])
 		}
 	})
 }

@@ -27,15 +27,16 @@ import (
 // hotpathMarked lists every function carrying //lint:hotpath, keyed by
 // "file-package.name", and doubles as this test's work list.
 var hotpathKernels = []string{
+	"core.build",
 	"core.buildFullTally",
 	"core.cachedPlan",
 	"core.candWalks",
+	"core.clear",
 	"core.dotPositions",
 	"core.dotTally",
 	"core.get",
 	"core.pushWalkDistInto",
 	"core.scoreLanes",
-	"core.setRankSupport",
 	"core.simulateCandWalks",
 	"graph.StepWalks",
 	"graph.WalkLanes",
@@ -131,15 +132,21 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		if wd.steps() != h {
 			t.Fatalf("query %d trimmed at %d keeps %d steps", u, h, wd.steps())
 		}
+		check(fmt.Sprintf("slotIndex build+clear h=%d", h), 20, func() {
+			s.slots.build(&wd, s.n)
+			s.slots.clear()
+		})
 		for _, floor := range []float64{0, 2} {
+			s.slots.build(&wd, s.n)
 			check(fmt.Sprintf("scoreLanes h=%d", h), 20, func() {
 				for j := range pend {
 					pend[j] = int32(j)
 					scores[j] = ShardCand{V: block[j].v}
 				}
-				e.scoreLanes(s, &wd, scores, pend, floor)
+				e.scoreLanes(s, &s.slots, scores, pend, floor)
 				sink += scores[0].Rough
 			})
+			s.slots.clear()
 			// The dispatcher above it must add nothing on the one-worker
 			// path (a WaitGroup declared before the fork would).
 			check(fmt.Sprintf("scoreBlock h=%d", h), 20, func() {
@@ -153,9 +160,11 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	e.simulateCandWalks(s, v, R)
 	rsteps := e.buildFullTally(s, v, R, Rr, R)
 	invR := 1 / float64(R)
+	s.slots.build(&wd, s.n)
 	check("dotTally", 100, func() {
-		sink += e.dotTally(&wd, s.tallyOff, s.tallyV, s.tallyCnt, invR, T)
+		sink += e.dotTally(&s.slots, s.tallyOff, s.tallyV, s.tallyCnt, invR, T)
 	})
+	s.slots.clear()
 
 	// The cache hit path.
 	c := newClockCache[tally](g.N(), 1<<20)
@@ -187,25 +196,30 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)
 	}
 
-	// Wide supports: a query whose steps carry both directory kinds.
-	// setRankSupport is covered by the push, both index kinds by
-	// dotPositions; the push's rows and the hit tally grow once, in
-	// AllocsPerRun's warm-up call.
+	// Wide supports: a query whose middle steps hold hundreds of vertices
+	// and more. The push's rows, the index's rows and union and the hit
+	// tally grow once, in AllocsPerRun's warm-up call.
 	gw := graph.PreferentialAttachment(2000, 10, 0.4, 1)
 	ew := New(gw, p)
 	sw := ew.getScratch()
 	defer ew.putScratch(sw)
 	uw, vw := uint32(gw.N()-1), uint32(gw.N()-2)
-	check("pushWalkDistInto (dense steps)", 10, func() {
+	check("pushWalkDistInto (wide steps)", 10, func() {
 		ew.walkDistInto(&sw.wd, sw, uw)
 	})
-	if dense, sparse := countKinds(&sw.wd); dense == 0 || sparse == 0 {
-		t.Fatalf("query %d: %d dense and %d sparse steps, want both kinds", uw, dense, sparse)
+	if widest := widestStep(&sw.wd); widest < gw.N()/32 {
+		t.Fatalf("query %d: widest step %d of %d vertices, want a wide one", uw, widest, gw.N())
 	}
-	ew.simulateCandWalks(sw, vw, R)
-	check("dotPositions (dense steps)", 100, func() {
-		sink += ew.dotPositions(sw, &sw.wd, vw, sw.tpos, R, R, invR)
+	check("slotIndex build+clear (wide steps)", 10, func() {
+		sw.slots.build(&sw.wd, sw.n)
+		sw.slots.clear()
 	})
+	ew.simulateCandWalks(sw, vw, R)
+	sw.slots.build(&sw.wd, sw.n)
+	check("dotPositions (wide steps)", 100, func() {
+		sink += ew.dotPositions(sw, &sw.slots, vw, sw.tpos, R, R, invR)
+	})
+	sw.slots.clear()
 
 	if sink == 0 {
 		t.Log("scores summed to zero (fine; the sink only defeats dead-code elimination)")

@@ -18,8 +18,8 @@ import (
 // lockstep (candWalks) — each walk on its own stream, so every position
 // is the cached path's while the lanes' cache misses overlap — and only
 // up to the query's horizon, the last step a score reads; and (2) looks
-// every position up in the query-side directory directly, counting hits
-// per support index (dotPositions). The rough pass runs for the whole
+// every position up in the query side's slot index directly, counting
+// hits per support index (dotPositions). The rough pass runs for the whole
 // section first; survivors are repacked into full lanes next to their
 // rough columns and walk the rest of their RScore walks.
 
@@ -52,12 +52,16 @@ func laneFit(T, cols, most int) int {
 // the other. The caller scores its share on qs while pooled scratches
 // serve the others. Each candidate's walks come from its own vertex-seeded
 // streams (candSeed), so which goroutine scores it — and next to which lane
-// neighbours — cannot change its score.
+// neighbours — cannot change its score. Every share probes wd through one
+// slotIndex, built on qs before the block and cleared after it.
 func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, workers int, stats *QueryStats) {
+	x := &qs.slots
+	x.build(wd, qs.n)
+	defer x.clear()
 	group := laneFit(e.p.T, e.p.RScore, shareGroup)
 	shares := min(workers, (len(block)+group-1)/group)
 	if shares <= 1 || len(block) < minParallelScore {
-		e.scoreShare(qs, block, out, wd, floor, 0, len(block), len(block), stats)
+		e.scoreShare(qs, block, out, x, floor, 0, len(block), len(block), stats)
 		return
 	}
 	// Each share counts its cache traffic on its own, in a row of the
@@ -75,10 +79,10 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand,
 			defer wg.Done()
 			s := e.getScratch()
 			defer e.putScratch(s)
-			e.scoreShare(s, block, out, wd, floor, w*group, shares*group, group, &cache[w])
+			e.scoreShare(s, block, out, x, floor, w*group, shares*group, group, &cache[w])
 		}()
 	}
-	e.scoreShare(qs, block, out, wd, floor, 0, shares*group, group, &cache[0])
+	e.scoreShare(qs, block, out, x, floor, 0, shares*group, group, &cache[0])
 	wg.Wait()
 	for _, c := range cache {
 		stats.AddCache(c)
@@ -90,19 +94,19 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand,
 // candidates the exact propagation or the tally cache can answer are
 // scored one by one (scoreCandidate), the rest are collected and go
 // through the lane kernel together.
-func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, first, stride, group int, stats *QueryStats) {
+func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, first, stride, group int, stats *QueryStats) {
 	pend := s.pend[:0]
 	for lo := first; lo < len(block); lo += stride {
 		for j := lo; j < min(lo+group, len(block)); j++ {
 			out[j] = ShardCand{V: block[j].v, UB: clampUB(block[j].ub)}
-			if !e.scoreCandidate(s, wd, &out[j], floor, stats) {
+			if !e.scoreCandidate(s, x, &out[j], floor, stats) {
 				pend = append(pend, int32(j))
 			}
 		}
 	}
 	s.pend = pend
 	if len(pend) > 0 {
-		e.scoreLanes(s, wd, out, pend, floor)
+		e.scoreLanes(s, x, out, pend, floor)
 	}
 }
 
@@ -115,10 +119,10 @@ func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, 
 // at step h, and the rows past it are never read. At h = 1 nothing walks.
 //
 //lint:hotpath uncached block scoring kernel: all candidate walks and their scoring
-func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []int32, floor float64) {
+func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []int32, floor float64) {
 	T, R, Rr := e.p.T, e.p.RScore, e.p.RRough
 	invR, invRr := 1/float64(R), 1/float64(Rr)
-	steps := max(wd.steps(), 1) - 1
+	steps := max(x.wd.steps(), 1) - 1
 	group := laneFit(T, R, graph.MaxWalkLanes)
 	section := laneFit(T, Rr, scoreBlock)
 	if s.fullLanes == nil {
@@ -149,7 +153,7 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []
 			// Survivors move to the front with their columns.
 			alive = 0
 			for i, j := range sec {
-				est := e.dotPositions(s, wd, rough[i].Start, rough[i].Out, Rr, Rr, invRr)
+				est := e.dotPositions(s, x, rough[i].Start, rough[i].Out, Rr, Rr, invRr)
 				out[j].Rough = est
 				if roughPruned(est, floor) {
 					out[j].State = ShardRoughPruned
@@ -174,7 +178,7 @@ func (e *Snapshot) scoreLanes(s *scratch, wd *walkDist, out []ShardCand, pend []
 			}
 			e.candWalks(full[:g], from, R, steps, R)
 			for l := 0; l < g; l++ {
-				out[sec[lo+l]].Score = e.dotPositions(s, wd, full[l].Start, full[l].Out, R, R, invR)
+				out[sec[lo+l]].Score = e.dotPositions(s, x, full[l].Start, full[l].Out, R, R, invR)
 			}
 		}
 	}
@@ -208,15 +212,16 @@ func (e *Snapshot) candWalks(lanes []graph.WalkLane, lo, hi, steps, stride int) 
 }
 
 // dotPositions evaluates the truncated series of candidate v straight
-// from its walk positions: pos holds one row per step (row t at
-// pos[t*stride:], cols walks, Dead after a walk's death; row 0 is
-// implicit — every walk starts at v), and invR is 1/cols.
+// from its walk positions against the distribution x indexes: pos holds
+// one row per step (row t at pos[t*stride:], cols walks, Dead after a
+// walk's death; row 0 is implicit — every walk starts at v), and invR is
+// 1/cols.
 //
 // It returns bit for bit what dotTally returns for the sorted tally of
 // the same positions. dotTally walks each step's distinct positions in
 // ascending vertex order and adds ct·D_ww·mass·count·invR for those the
 // query-side support contains, skipping the rest. Here every position is
-// looked up, hits are counted per support index, and the indices are
+// probed in x, hits are counted per support index, and the indices are
 // swept in ascending order — which is ascending vertex order, because a
 // step's support is stored ascending — so the same terms, with the same
 // counts, are added in the same order by the same expression; a position
@@ -225,13 +230,14 @@ func (e *Snapshot) candWalks(lanes []graph.WalkLane, lo, hi, steps, stride int) 
 // Counts are uint32, so RScore is not bounded by the cache's uint16.
 //
 //lint:hotpath position-first scoring dot product, twice per surviving uncached candidate
-func (e *Snapshot) dotPositions(s *scratch, wd *walkDist, v uint32, pos []uint32, stride, cols int, invR float64) float64 {
+func (e *Snapshot) dotPositions(s *scratch, x *slotIndex, v uint32, pos []uint32, stride, cols int, invR float64) float64 {
+	wd, uid := x.wd, x.uid
 	if wd.support(0) == 0 {
 		return 0
 	}
 	sigma := 0.0
 	ct := 1.0
-	if i := wd.lookup(0, v); i >= 0 {
+	if i := x.lookup(0, v); i >= 0 {
 		sigma += ct * e.p.dval(v) * wd.mass(0, i) * float64(cols) * invR
 	}
 	for t := 1; t < e.p.T; t++ {
@@ -242,35 +248,15 @@ func (e *Snapshot) dotPositions(s *scratch, wd *walkDist, v uint32, pos []uint32
 		}
 		cnt, set := s.hitBufs(len(verts))
 		loW, hiW := len(set), -1
-		row := pos[t*stride : t*stride+cols]
+		row, slot := pos[t*stride:t*stride+cols], x.row(t)
 		live := false
-		// The directory kind is picked here, once a step, so that each
-		// position loop inlines the one index function it calls. One loop
-		// through wd.lookup, which holds both kinds and is past the inlining
-		// budget, costs 22 % here (10.6 to 12.9 µs a candidate on the 100 000
-		// vertex social graph) and 64 % in dotTally; one loop generic over
-		// the index function 4 % and 42 %.
-		if wd.dense(t) {
-			bits32, rank := wd.ranks(t)
-			for _, w := range row {
-				if w == Dead {
-					continue
-				}
-				live = true
-				if i := rankIndex(bits32, rank, w); i >= 0 {
-					loW, hiW = countHit(cnt, set, i, loW, hiW)
-				}
+		for _, w := range row {
+			if w == Dead {
+				continue
 			}
-		} else {
-			off, bverts, shift := wd.buckets(t)
-			for _, w := range row {
-				if w == Dead {
-					continue
-				}
-				live = true
-				if i := bucketIndex(off, bverts, shift, w); i >= 0 {
-					loW, hiW = countHit(cnt, set, i, loW, hiW)
-				}
+			live = true
+			if i := int(slot[uid[w]]) - 1; i >= 0 {
+				loW, hiW = countHit(cnt, set, i, loW, hiW)
 			}
 		}
 		if !live {

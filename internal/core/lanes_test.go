@@ -84,7 +84,7 @@ func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
 	pl := e.queryPlan(qs, u)
 	q := refQuery{wd: pl.wd, bs: slices.Clone(pl.cands), rd: &refDist{}}
 	if len(q.bs) > 0 { // otherwise nothing is scored against it
-		q.rd = refQuerySide(e, u).cut(keptSteps(pl.wd))
+		q.rd = refQuerySide(e, u).cut(pl.wd.steps())
 	}
 	return q
 }
@@ -163,8 +163,8 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 			case "web":
 				requireAllClasses(t, tc.name, e, tc.queries)
 			case "adaptive", "noadapt":
-				// Both directory kinds inside one query's distribution.
-				requireBothKinds(t, tc.name, e, tc.queries)
+				// A wide step inside one query's distribution.
+				requireWideStep(t, tc.name, e, tc.queries)
 			}
 			for _, u := range tc.queries {
 				label := fmt.Sprintf("%s cache=%d u=%d", tc.name, cacheBytes, u)

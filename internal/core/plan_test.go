@@ -135,7 +135,7 @@ func TestPlanCacheInvisible(t *testing.T) {
 				return Build(g, p)
 			}
 			ref := build(-1, 0, 1).Snapshot
-			requireBothKinds(t, name, ref, us)
+			requireWideStep(t, name, ref, us)
 			requireAllClasses(t, name, ref, us)
 			want, wantB, wantS := observeAll(t, ref, us)
 			scanned := 0

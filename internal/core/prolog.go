@@ -30,12 +30,12 @@ import "slices"
 // is cached as an empty plan over no distribution at all.
 
 // prolog is one cached query plan, immutable once published. wd is
-// flat-backed (one allocation holds every step's directory — bucket
-// offsets or rank bitset — vertices and mass words, another the per-step
-// slice headers); an entry built for a vertex without candidates has a wd
-// of no steps and neither allocation. plan is the bound-sorted candidate
-// list, shared read-only by every query that hits; it is empty for a
-// vertex with no candidates.
+// flat-backed (one allocation holds every step's vertices and mass words,
+// another the per-step slice headers); it holds no scoring index, which
+// every scored block builds for itself (slotIndex). An entry built for a
+// vertex without candidates has a wd of no steps and neither allocation.
+// plan is the bound-sorted candidate list, shared read-only by every query
+// that hits; it is empty for a vertex with no candidates.
 type prolog struct {
 	wd   walkDist
 	plan []boundedCand
@@ -44,10 +44,10 @@ type prolog struct {
 type prologEntry = cacheEntry[prolog]
 
 // prologEntryOverhead is the fixed footprint of an entry: the struct in
-// its 160-byte size class and its slot in a ring that grows by doubling.
+// its 112-byte size class and its slot in a ring that grows by doubling.
 // Everything else an entry holds is charged by the capacity the allocator
 // gave it (TestPrologEntryAccounting compares the charges with the heap).
-const prologEntryOverhead = 160 + 16
+const prologEntryOverhead = 112 + 16
 
 // The builders an entry's distribution can come from, as PrologStats
 // counts them.
@@ -68,21 +68,16 @@ func builderOf(wd *walkDist) int {
 // candidate list bs into an immutable entry and charges what that
 // allocates: for bs, 16 bytes (id, padding, bound) for each candidate its
 // array has room for; for wd, one array of 4-byte words — per step the
-// directory, the vertices and the mass words next to each other, because
-// one lookup touches all three — the 3·T slice headers over it and the
-// shift bytes. Steps from the query's horizon on are empty in wd and cost
-// their headers only. A support vertex costs its id, its 8-byte mass and
-// its share of the directory: a sparse step has no more buckets than
-// support vertices (bucketing) and one closing offset, a dense step's rank
-// bitset is 12 bytes per 64 graph vertices and a step is dense only from
-// n/denseDiv support vertices on (denseSupport), so at most 6 bytes a
-// vertex. A step-less distribution and an empty list copy nothing and cost
+// vertices and the mass words next to each other — and the 2·T slice
+// headers over it. A support vertex costs its id and its 8-byte mass.
+// Steps from the query's horizon on are empty in wd and cost their headers
+// only. A step-less distribution and an empty list copy nothing and cost
 // the entry alone.
 func newPrologEntry(u uint32, wd *walkDist, bs []boundedCand) *prologEntry {
 	T := wd.T
 	words := 0
 	for t := 0; t < T; t++ {
-		words += len(wd.dir[t]) + len(wd.verts[t]) + len(wd.massw[t])
+		words += len(wd.verts[t]) + len(wd.massw[t])
 	}
 	// Grow and Clone size a fresh array to the allocator's class, so the
 	// capacities below are what the entry really holds.
@@ -92,22 +87,18 @@ func newPrologEntry(u uint32, wd *walkDist, bs []boundedCand) *prologEntry {
 		back = append(back, xs...)
 		return back[lo:len(back):len(back)]
 	}
-	rows := slices.Grow([][]uint32(nil), 3*T)[:3*T]
-	shift := slices.Clone(wd.shift)
+	rows := slices.Grow([][]uint32(nil), 2*T)[:2*T]
 	plan := slices.Clone(bs)
-	size := prologEntryOverhead + 4*int64(cap(back)) + 24*int64(cap(rows)) + int64(cap(shift)) + 16*int64(cap(plan))
+	size := prologEntryOverhead + 4*int64(cap(back)) + 24*int64(cap(rows)) + 16*int64(cap(plan))
 	ent := &prologEntry{key: u, size: size, val: prolog{
 		wd: walkDist{
 			T:     T,
 			verts: rows[:T:T],
-			dir:   rows[T : 2*T : 2*T],
-			shift: shift,
-			massw: rows[2*T:],
+			massw: rows[T:],
 		},
 		plan: plan,
 	}}
 	for t := 0; t < T; t++ {
-		ent.val.wd.dir[t] = clone(wd.dir[t])
 		ent.val.wd.verts[t] = clone(wd.verts[t])
 		ent.val.wd.massw[t] = clone(wd.massw[t])
 	}

@@ -167,8 +167,8 @@ func TestPrologTinyBudget(t *testing.T) {
 }
 
 // An entry charges what it holds. Case by case — a distribution pushed
-// whole, one whose share floor held mass back with sparse steps, one with
-// dense steps, a vertex with no candidate — the charge covers the words, headers and candidates the
+// whole, one whose share floor held mass back with narrow steps, one with
+// wide steps, a vertex with no candidate — the charge covers the words, headers and candidates the
 // entry keeps and exceeds them by no more than the allocator's rounding;
 // and over a few thousand live entries of both classes the charges
 // add up to what the heap grew by.
@@ -180,11 +180,11 @@ func TestPrologEntryAccounting(t *testing.T) {
 		u     uint32
 		class int
 		held  bool
-		dense bool
+		wide  bool
 	}{
 		{"whole", web, 87, builtPushed, false, false},
 		{"held", web, 5, builtPushed, true, false},
-		{"held-dense", graph.PreferentialAttachment(4000, 10, 0.4, 2), 3999, builtPushed, true, true},
+		{"held-wide", graph.PreferentialAttachment(4000, 10, 0.4, 2), 3999, builtPushed, true, true},
 		{"empty", web, 0, builtEmpty, false, false}, // a hub: a push of 10 000 relaxations a step, for nothing
 		{"isolated", graph.NewBuilder(3).Build(), 2, builtEmpty, false, false},
 	} {
@@ -213,21 +213,14 @@ func TestPrologEntryAccounting(t *testing.T) {
 		s := e.getScratch()
 		if tc.class != builtEmpty {
 			// A trimmed source: the entry holds its horizon's steps, no more.
-			if h := e.queryDistInto(&s.wd, s, u); keptSteps(wd) != h || (tc.dense && h >= e.p.T) {
-				t.Fatalf("%s: entry keeps %d steps, the query side's horizon is %d of %d", tc.name, keptSteps(wd), h, e.p.T)
+			if h := e.queryDistInto(&s.wd, s, u); wd.steps() != h || (tc.wide && h >= e.p.T) {
+				t.Fatalf("%s: entry keeps %d steps, the query side's horizon is %d of %d", tc.name, wd.steps(), h, e.p.T)
 			}
 		}
 		held := int64(0)
-		dense := 0
 		for step := 0; step < wd.T; step++ {
 			S := len(wd.verts[step])
-			held += 4*int64(len(wd.dir[step])+S+len(wd.massw[step])) + 3*24 + 1 // headers, shift
-			if S > 0 && wd.dense(step) {
-				dense++
-				if len(wd.dir[step]) != 3*rankWords(n) {
-					t.Fatalf("%s step %d: rank bitset of %d words for %d vertices", tc.name, step, len(wd.dir[step]), n)
-				}
-			}
+			held += 4*int64(S+len(wd.massw[step])) + 2*24 // headers
 			if len(wd.massw[step]) != 2*S {
 				t.Fatalf("%s step %d: %d mass words for %d vertices", tc.name, step, len(wd.massw[step]), S)
 			}
@@ -241,8 +234,8 @@ func TestPrologEntryAccounting(t *testing.T) {
 			}
 		}
 		e.putScratch(s)
-		if tc.dense && dense == 0 {
-			t.Fatalf("%s: no dense step", tc.name)
+		if widest := widestStep(wd); tc.wide && 32*widest < n {
+			t.Fatalf("%s: widest step %d of %d vertices", tc.name, widest, n)
 		}
 		// The allocator rounds a request up to its size class — by a fifth
 		// at the very most, or to the next 8 or 16 bytes when it is small;
@@ -342,33 +335,36 @@ func TestHorizonCutsWork(t *testing.T) {
 }
 
 // A cached distribution must answer exactly as the scratch original it
-// was cloned from, for both directory kinds in one entry: the flat copy
-// newPrologEntry makes agrees with the original on lookup and mass for
-// every vertex at every step — and a query served from the entry returns
-// what a fresh one does.
+// was cloned from, for an entry with wide steps: the scoring index over
+// the flat copy newPrologEntry makes agrees with the one over the original
+// for every vertex at every step, and so do the masses — and a query
+// served from the entry returns what a fresh one does.
 func TestPrologEntryLookupMatchesOriginal(t *testing.T) {
 	g := graph.PreferentialAttachment(3000, 10, 0.4, 2)
 	p := DefaultParams()
 	p.Seed = 4
 	e := Build(g, p)
 	u := uint32(g.N() - 1)
-	requireBothKinds(t, "query", e.Snapshot, []uint32{u})
+	requireWideStep(t, "query", e.Snapshot, []uint32{u})
 	s := e.getScratch()
 	defer e.putScratch(s)
 	e.walkDistInto(&s.wd, s, u)
 	wd := &newPrologEntry(u, &s.wd, nil).val.wd
-	checkWalkDist(t, "cloned", uint32(g.N()), wd)
+	checkWalkDist(t, "cloned", uint32(g.N()), wd, &s.slots)
+	var cloned, orig slotIndex
+	cloned.build(wd, g.N())
+	orig.build(&s.wd, g.N())
 	for step := 0; step < s.wd.T; step++ {
-		if wd.support(step) != s.wd.support(step) || (wd.support(step) > 0 && wd.dense(step) != s.wd.dense(step)) {
+		if wd.support(step) != s.wd.support(step) {
 			t.Fatalf("step %d: support %d, original %d", step, wd.support(step), s.wd.support(step))
 		}
 		if wd.support(step) == 0 {
 			continue
 		}
 		for w := uint32(0); w < uint32(g.N()); w++ {
-			i := s.wd.lookup(step, w)
-			if got := wd.lookup(step, w); got != i {
-				t.Fatalf("step %d: lookup(%d) = %d, original %d", step, w, got, i)
+			i := orig.lookup(step, w)
+			if got := cloned.lookup(step, w); got != i {
+				t.Fatalf("step %d: probe(%d) = %d, original %d", step, w, got, i)
 			}
 			if i >= 0 && wd.mass(step, i) != s.wd.mass(step, i) {
 				t.Fatalf("step %d vertex %d: mass %v, original %v", step, w, wd.mass(step, i), s.wd.mass(step, i))

@@ -379,12 +379,12 @@ func sortBounds(bs []boundedCand) {
 // estimator over the identical walks (tally.go, lanes.go) — the cache's
 // run to T−1 steps, the lane kernel's to the query's horizon — so
 // enabling the cache changes work, never values.
-func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floor float64, stats *QueryStats) bool {
+func (e *Snapshot) scoreCandidate(s *scratch, x *slotIndex, out *ShardCand, floor float64, stats *QueryStats) bool {
 	v := out.V
 	if e.p.ExactScoring {
 		// Deterministic scoring: the candidate side is pushed too.
 		e.walkDistInto(&s.wd2, s, v)
-		out.State, out.Score = ShardScoredNoRough, e.dotSeries(wd, &s.wd2)
+		out.State, out.Score = ShardScoredNoRough, e.dotSeries(x.wd, &s.wd2)
 		return true
 	}
 	c := e.cache
@@ -409,14 +409,14 @@ func (e *Snapshot) scoreCandidate(s *scratch, wd *walkDist, out *ShardCand, floo
 	tl := &ent.val
 	out.State = ShardScoredNoRough
 	if !e.p.DisableAdaptive {
-		out.Rough = e.dotTally(wd, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
+		out.Rough = e.dotTally(x, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
 		if roughPruned(out.Rough, floor) {
 			out.State = ShardRoughPruned
 			return true
 		}
 		out.State = ShardScored
 	}
-	out.Score = e.dotTally(wd, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
+	out.Score = e.dotTally(x, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
 	return true
 }
 

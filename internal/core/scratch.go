@@ -33,10 +33,10 @@ type scratch struct {
 	touched []uint32
 	push    []float64
 
-	// orderTouched's scatter target (swapped with touched after each
-	// ordering pass) and its bucket-count / directory buffer.
+	// orderTouched's buffers: the scatter target (swapped with touched
+	// after each ordering pass) and the per-bucket counts and cursors.
 	ordered []uint32
-	dir     []uint32
+	bucket  []uint32
 
 	// Walk position buffers (one per side of a walk-pair estimate) and
 	// the batched step kernel's lane scratch (packed CSR row descriptors,
@@ -61,8 +61,13 @@ type scratch struct {
 	wd2  walkDist
 	peak []float64
 
-	// Per-candidate RNG, re-seeded for every candidate so scores do not
-	// depend on candidate evaluation order (and hence worker count).
+	// slots is the scoring index of the distribution a block is scored
+	// against (scoreBlock), built on the scratch of the query that scores
+	// it and read by the block's workers.
+	slots slotIndex
+
+	// The single-pair estimator's generator (singlepair.go), seeded per
+	// pair (pairSeed); the candidate walks draw from lane generators.
 	rng rng.Source
 
 	// Query working sets.
@@ -150,12 +155,12 @@ func (s *scratch) pushMass(v uint32, m float64) {
 	s.push[s.cnt[v]] += m
 }
 
-// singleBucketMax is the largest support kept in one bucket: below it a
-// plain insertion sort and a scan beat counting into buckets (a rough
-// tally of RRough = 10 walks never has more).
+// singleBucketMax is the largest support orderTouched keeps in one
+// bucket: below it a plain insertion sort beats counting into buckets (a
+// rough tally of RRough = 10 walks never has more).
 const singleBucketMax = 12
 
-// bucketing picks the bucket directory geometry for a support of S
+// bucketing picks orderTouched's bucket geometry for a support of S
 // distinct vertex ids below n: nb is the largest power of two below S
 // (1 when S ≤ singleBucketMax) and vertex w falls in bucket w >> shift.
 // Every id below n maps to a bucket below nb, a bucket spans 2^shift
@@ -170,29 +175,25 @@ func bucketing(n, S int) (nb int, shift uint8) {
 }
 
 // orderTouched sorts the current tally's touched list ascending in O(S)
-// expected time and returns the bucket directory of the sorted list:
-// bucket b = w >> shift occupies touched[dir[b]:dir[b+1]]. One counting
-// pass by bucket, a prefix sum, a scatter, and an insertion sort that
-// only ever moves a vertex inside its own bucket (buckets are already in
-// order relative to each other). Ids crowded into few buckets cost the
-// insertion sort more, never correctness. dir aliases scratch storage and
-// is valid until the next call; callers that only need the order ignore it.
-func (s *scratch) orderTouched() (dir []uint32, shift uint8) {
+// expected time: one counting pass by bucket (b = w >> shift, bucketing),
+// a prefix sum, a scatter, and an insertion sort that only ever moves a
+// vertex inside its own bucket (buckets are already in order relative to
+// each other). Ids crowded into few buckets cost the insertion sort more,
+// never correctness.
+func (s *scratch) orderTouched() {
 	src := s.touched
 	nb, shift := bucketing(s.n, len(src))
-	if cap(s.dir) < nb+2 {
-		s.dir = make([]uint32, 2*nb+2) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
-	}
-	cur := s.dir[:nb+2]
 	if nb == 1 {
 		// One bucket: nothing to count or scatter.
 		insertionSort(src)
-		cur[0], cur[1] = 0, uint32(len(src))
-		return cur[:2], shift
+		return
+	}
+	if cap(s.bucket) < nb+2 {
+		s.bucket = make([]uint32, 2*nb+2) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
 	}
 	// counts live two slots up so that after the prefix sum cur[b+1] is
-	// bucket b's start, the scatter advances it to bucket b's end — which
-	// is bucket b+1's start — and cur[:nb+1] is left holding the directory.
+	// bucket b's start, and the scatter advances it to bucket b's end.
+	cur := s.bucket[:nb+2]
 	clear(cur)
 	for _, w := range src {
 		cur[(w>>shift)+2]++
@@ -211,7 +212,6 @@ func (s *scratch) orderTouched() (dir []uint32, shift uint8) {
 	}
 	insertionSort(dst)
 	s.touched, s.ordered = dst, src
-	return cur[:nb+1], shift
 }
 
 // insertionSort sorts xs ascending; linear when every element is within a

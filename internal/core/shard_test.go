@@ -114,7 +114,7 @@ func TestMergeShardTopKMatchesSearch(t *testing.T) {
 	for name, p := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := Build(g, p)
-			requireBothKinds(t, name, e.Snapshot, queries)
+			requireWideStep(t, name, e.Snapshot, queries)
 			requireAllClasses(t, name, e.Snapshot, queries)
 			for _, u := range queries {
 				for _, k := range []int{1, 20, 100000} {
@@ -172,7 +172,7 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	// Three hubs of the communities, a leaf whose push is exact, a vertex
 	// without candidates, and one whose push dies out before its horizon.
 	us := []uint32{3, 400, 799, 1019, 46, 467}
-	requireBothKinds(t, "threshold shards", e.Snapshot, us)
+	requireWideStep(t, "threshold shards", e.Snapshot, us)
 	requireAllClasses(t, "threshold shards", e.Snapshot, us)
 	for _, theta := range []float64{0.005, p.Theta, 0.05, 0.3} {
 		for _, u := range us {
@@ -208,7 +208,7 @@ func TestTopKShardBatchMatchesSingle(t *testing.T) {
 	p.Seed = 11
 	e := Build(g, p)
 	us := []uint32{0, 7, 123, 499, 250, 72, 115, 211}
-	requireBothKinds(t, "shard batch", e.Snapshot, us)
+	requireWideStep(t, "shard batch", e.Snapshot, us)
 	requireAllClasses(t, "shard batch", e.Snapshot, us)
 	ctx := context.Background()
 	frags := make([][]ShardCand, len(us))

@@ -151,21 +151,22 @@ func newTallyEntry(v uint32, rsteps int, s *scratch) *tallyEntry {
 }
 
 // dotTally evaluates the truncated series from a tally view against the
-// query-side distribution:
+// query-side distribution x indexes:
 //
 //	ŝ = Σ_{t<maxStep} cᵗ Σ_w p̂_u,t(w)·D_ww·(counts[w]/R)
 //
 // The tally side defines the summation order — its supports are ascending
 // per step and zero counts are skipped — and each term finds its
-// query-side mass through wd's directory (walkDist.lookup), so for
-// any view representing the same walk multiset (scratch rough view,
-// scratch full view, or a cached entry truncated to its rough prefix)
-// the sequence of floating-point operations — and hence the result — is
-// identical. invR is 1/R for the counts' walk population; maxStep is
-// rsteps for rough estimates and T for full ones.
+// query-side mass through x's probe, so for any view representing the
+// same walk multiset (scratch rough view, scratch full view, or a cached
+// entry truncated to its rough prefix) the sequence of floating-point
+// operations — and hence the result — is identical. invR is 1/R for the
+// counts' walk population; maxStep is rsteps for rough estimates and T for
+// full ones.
 //
 //lint:hotpath scoring dot product, runs on every candidate (cached or not)
-func (e *Snapshot) dotTally(wd *walkDist, off []int32, verts []uint32, counts []uint16, invR float64, maxStep int) float64 {
+func (e *Snapshot) dotTally(x *slotIndex, off []int32, verts []uint32, counts []uint16, invR float64, maxStep int) float64 {
+	wd, uid := x.wd, x.uid
 	sigma := 0.0
 	ct := 1.0
 	for t := 0; t < maxStep; t++ {
@@ -176,27 +177,12 @@ func (e *Snapshot) dotTally(wd *walkDist, off []int32, verts []uint32, counts []
 		if lo == hi || wd.support(t) == 0 {
 			break
 		}
-		// The directory kind is picked once a step, so that the term loop
-		// inlines the one index function it calls (dotPositions has what a
-		// single loop costs).
-		if wd.dense(t) {
-			bits32, rank := wd.ranks(t)
-			for j := lo; j < hi; j++ {
-				if c := counts[j]; c != 0 {
-					w := verts[j]
-					if i := rankIndex(bits32, rank, w); i >= 0 {
-						sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
-					}
-				}
-			}
-		} else {
-			boff, bverts, shift := wd.buckets(t)
-			for j := lo; j < hi; j++ {
-				if c := counts[j]; c != 0 {
-					w := verts[j]
-					if i := bucketIndex(boff, bverts, shift, w); i >= 0 {
-						sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
-					}
+		slot := x.row(t)
+		for j := lo; j < hi; j++ {
+			if c := counts[j]; c != 0 {
+				w := verts[j]
+				if i := int(slot[uid[w]]) - 1; i >= 0 {
+					sigma += ct * e.p.dval(w) * wd.mass(t, i) * float64(c) * invR
 				}
 			}
 		}

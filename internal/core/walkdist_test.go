@@ -11,11 +11,8 @@ import (
 )
 
 // The linear-time ordering must produce exactly what a comparison sort
-// does, and the directory it returns must delimit the buckets of the
-// sorted list, for every shape of id set the bucket geometry
-// distinguishes. Enumerating a rank bitset's bits must produce the same
-// order from the same unordered list, with ranks that count the support
-// below each word.
+// does, for every shape of id set the bucket geometry distinguishes, and
+// the geometry must file every id below n under one of its buckets.
 func TestOrderTouchedMatchesSort(t *testing.T) {
 	r := rng.New(7)
 	for _, tc := range []struct {
@@ -45,37 +42,13 @@ func TestOrderTouchedMatchesSort(t *testing.T) {
 			}
 			want := slices.Clone(s.touched)
 			slices.Sort(want)
-			var wd walkDist
-			wd.reset(1)
-			wd.setRankSupport(0, tc.n, s.touched)
-			if !slices.Equal(wd.verts[0], want) || !wd.dense(0) {
-				t.Fatalf("%s: bit enumeration gave %v, want %v", tc.name, wd.verts[0], want)
-			}
-			bits32, rank := wd.ranks(0)
-			if len(rank) != rankWords(tc.n) || len(bits32) != 2*len(rank) {
-				t.Fatalf("%s: %d bit words, %d ranks for n=%d", tc.name, len(bits32), len(rank), tc.n)
-			}
-			for k, r := range rank {
-				if below, _ := slices.BinarySearch(want, uint32(k<<6)); int(r) != below {
-					t.Fatalf("%s: rank[%d] = %d, %d support vertices below %d", tc.name, k, r, below, k<<6)
-				}
-			}
-			dir, shift := s.orderTouched()
+			s.orderTouched()
 			if !slices.Equal(s.touched, want) {
 				t.Fatalf("%s: ordered %v, want %v", tc.name, s.touched, want)
 			}
-			if dir[0] != 0 || int(dir[len(dir)-1]) != len(want) {
-				t.Fatalf("%s: directory spans [%d, %d), want [0, %d)", tc.name, dir[0], dir[len(dir)-1], len(want))
-			}
-			if nb := len(dir) - 1; nb&(nb-1) != 0 || (tc.S <= singleBucketMax && nb != 1) || (tc.S > singleBucketMax && (2*nb < tc.S || nb >= tc.S)) || uint32(tc.n-1)>>shift >= uint32(nb) {
+			nb, shift := bucketing(tc.n, tc.S)
+			if nb&(nb-1) != 0 || (tc.S <= singleBucketMax && nb != 1) || (tc.S > singleBucketMax && (2*nb < tc.S || nb >= tc.S)) || uint32(tc.n-1)>>shift >= uint32(nb) {
 				t.Fatalf("%s: %d buckets, shift %d for S=%d n=%d", tc.name, nb, shift, tc.S, tc.n)
-			}
-			for b := 0; b+1 < len(dir); b++ {
-				for _, w := range want[dir[b]:dir[b+1]] {
-					if int(w>>shift) != b {
-						t.Fatalf("%s: vertex %d filed under bucket %d, shift %d", tc.name, w, b, shift)
-					}
-				}
 			}
 		}
 	}
@@ -104,28 +77,25 @@ func addFanIn(b *graph.Builder, n int, u uint32, fan []uint32) {
 }
 
 // checkWalkDist holds every step of wd to its contract: the support is
-// strictly ascending, the directory is of the kind the support's density
-// calls for, and lookup and prob agree with a binary search of the support
-// for every vertex id below n, in it or not — which is also what catches a
-// bit, rank or offset left over from the row's previous use.
-func checkWalkDist(t *testing.T, label string, n uint32, wd *walkDist) {
+// strictly ascending, prob agrees with a binary search of the support, and
+// the scoring index x builds over wd probes to the binary search's answer
+// for every vertex id below n, in the support or not, at every nonempty
+// step — which is also what catches an entry left over from x's previous
+// build. After the clear, x's union map must be all zero.
+func checkWalkDist(t *testing.T, label string, n uint32, wd *walkDist, x *slotIndex) {
 	t.Helper()
 	if wd.support(0) != 1 {
 		t.Fatalf("%s: step 0 support %d, want 1", label, wd.support(0))
 	}
+	x.build(wd, int(n))
+	defer x.clear()
 	for step := 0; step < wd.T; step++ {
 		vs := wd.verts[step]
 		if !slices.IsSorted(vs) || len(slices.Compact(slices.Clone(vs))) != len(vs) {
 			t.Fatalf("%s step %d: support not strictly ascending: %v", label, step, vs)
 		}
 		if len(vs) == 0 {
-			if wd.dense(step) {
-				t.Fatalf("%s step %d: empty step marked as a rank bitset", label, step)
-			}
 			continue
-		}
-		if dense := denseSupport(int(n), len(vs)); wd.dense(step) != dense {
-			t.Fatalf("%s step %d: support %d of %d vertices, rank bitset: %v, want %v", label, step, len(vs), n, wd.dense(step), dense)
 		}
 		total := 0.0
 		for w := uint32(0); w < n; w++ {
@@ -133,8 +103,8 @@ func checkWalkDist(t *testing.T, label string, n uint32, wd *walkDist) {
 			if !found {
 				want = -1
 			}
-			if got := wd.lookup(step, w); got != want {
-				t.Fatalf("%s step %d: lookup(%d) = %d, binary search = %d", label, step, w, got, want)
+			if got := x.lookup(step, w); got != want {
+				t.Fatalf("%s step %d: probe(%d) = %d, binary search = %d", label, step, w, got, want)
 			}
 			pr, ok := wd.prob(step, w)
 			if ok != found {
@@ -152,49 +122,38 @@ func checkWalkDist(t *testing.T, label string, n uint32, wd *walkDist) {
 			t.Fatalf("%s step %d: total mass %v", label, step, total)
 		}
 	}
-}
-
-// countKinds counts wd's nonempty steps by directory kind.
-func countKinds(wd *walkDist) (dense, sparse int) {
-	for t := 0; t < wd.T && wd.support(t) > 0; t++ {
-		if wd.dense(t) {
-			dense++
-		} else {
-			sparse++
-		}
+	x.clear()
+	if i := slices.IndexFunc(x.uid, func(id uint32) bool { return id != 0 }); i >= 0 {
+		t.Fatalf("%s: after the clear, vertex %d keeps union id %d", label, i, x.uid[i])
 	}
-	return dense, sparse
 }
 
-// stepKinds builds u's query-side distribution, as a query does, and
-// counts its steps by directory kind.
-func stepKinds(e *Snapshot, u uint32) (dense, sparse int) {
+// widestStep returns the largest support among wd's steps.
+func widestStep(wd *walkDist) int {
+	widest := 0
+	for t := 0; t < wd.T; t++ {
+		widest = max(widest, wd.support(t))
+	}
+	return widest
+}
+
+// requireWideStep fails the test unless one of the queries us has a step
+// of at least n/32 vertices in its query-side distribution, so a
+// byte-identity table that passes has scored against an index whose union
+// runs into the hundreds or thousands, not only the narrow steps of a web
+// query.
+func requireWideStep(t *testing.T, label string, e *Snapshot, us []uint32) {
+	t.Helper()
 	s := e.getScratch()
 	defer e.putScratch(s)
 	var wd walkDist
-	e.walkDistInto(&wd, s, u)
-	return countKinds(&wd)
-}
-
-// requireBothKinds fails the test unless at least one of the queries us
-// has a rank-bitset step and a bucket step in the same distribution, so a
-// byte-identity table that passes has crossed the density threshold inside
-// a query.
-func requireBothKinds(t *testing.T, label string, e *Snapshot, us []uint32) {
-	t.Helper()
 	for _, u := range us {
-		if dense, sparse := stepKinds(e, u); dense > 0 && sparse > 0 {
+		e.walkDistInto(&wd, s, u)
+		if 32*widestStep(&wd) >= e.g.N() {
 			return
 		}
 	}
-	t.Fatalf("%s: no query of %v has both a dense and a sparse step", label, us)
-}
-
-// keptSteps counts wd's leading nonempty steps: the horizon, when wd is a
-// query's trimmed distribution.
-func keptSteps(wd *walkDist) int {
-	dense, sparse := countKinds(wd)
-	return dense + sparse
+	t.Fatalf("%s: no query of %v has a step of %d vertices", label, us, e.g.N()/32)
 }
 
 // heldBack reports whether the push that built wd left a vertex with
@@ -222,7 +181,7 @@ func planClass(e *Snapshot, u uint32) (builder int, trimmed, held bool) {
 		return builtEmpty, false, false
 	}
 	e.walkDistInto(&s.wd, s, u)
-	return builderOf(&s.wd), e.horizon(s.peak) < keptSteps(&s.wd), heldBack(e, &s.wd, e.p.RAlpha)
+	return builderOf(&s.wd), e.horizon(s.peak) < s.wd.steps(), heldBack(e, &s.wd, e.p.RAlpha)
 }
 
 // requireAllClasses fails the test unless the queries us take every miss
@@ -306,20 +265,15 @@ func seq(lo, hi, stride uint32) []uint32 {
 	return out
 }
 
-// walkDist.lookup must agree with a binary search of the same support for
-// every vertex id, at every step, for distributions pushed with the
-// served share floor and without one — with supports on either side of the density threshold and at
-// it, on graphs whose size is not a multiple of the bitset's word.
+// The scoring index must agree with a binary search of the same support
+// for every vertex id, at every step, for distributions pushed with the
+// served share floor and without one — with step-1 supports from none to
+// the whole graph, on graphs whose size is not a multiple of 32 or 64.
 func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 	selfLoop := graph.NewBuilder(1)
 	selfLoop.KeepSelfLoops = true
 	selfLoop.AddEdge(0, 0)
-	// On 3210 vertices (50 words and a 10-bit tail) a support is dense from
-	// 101 vertices on.
 	const nThr, thr = 3210, 101
-	if denseSupport(nThr, thr-1) || !denseSupport(nThr, thr) {
-		t.Fatalf("density threshold on %d vertices is not %d", nThr, thr)
-	}
 	ends := graph.NewBuilder(nThr)
 	addFanIn(ends, nThr, 1600, append(seq(0, 21*150, 21), nThr-1))
 	full := graph.NewBuilder(130)
@@ -338,10 +292,10 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		{"single-bucket", fanInGraph(4096, seq(16, 32, 1)), 0, 16},
 		{"with-last-vertex", fanInGraph(1000, append(seq(3, 900, 31), 999)), 0, 30},
 		{"S=2", fanInGraph(777, []uint32{5, 776}), 0, 2},
-		{"threshold-1", fanInGraph(nThr, seq(5, 5+31*(thr-1), 31)), 0, thr - 1},
-		{"threshold", fanInGraph(nThr, seq(5, 5+31*thr, 31)), 0, thr},
-		{"threshold+1", fanInGraph(nThr, seq(5, 5+31*(thr+1), 31)), 0, thr + 1},
-		{"dense-with-0-and-last", ends.Build(), 1600, 151},
+		{"n/32-1", fanInGraph(nThr, seq(5, 5+31*(thr-1), 31)), 0, thr - 1},
+		{"n/32", fanInGraph(nThr, seq(5, 5+31*thr, 31)), 0, thr},
+		{"n/32+1", fanInGraph(nThr, seq(5, 5+31*(thr+1), 31)), 0, thr + 1},
+		{"wide-with-0-and-last", ends.Build(), 1600, 151},
 		{"full-graph", full.Build(), 0, 130},
 		{"S=0-after-step-0", graph.NewBuilder(50).Build(), 49, 0},
 		{"n=1", graph.NewBuilder(1).Build(), 0, 0},
@@ -355,7 +309,7 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		n := uint32(tc.g.N())
 		check := func(kind string, wd *walkDist) {
 			t.Helper()
-			checkWalkDist(t, tc.name+"/"+kind, n, wd)
+			checkWalkDist(t, tc.name+"/"+kind, n, wd, &s.slots)
 			if tc.s1 >= 0 && wd.support(1) != tc.s1 {
 				t.Fatalf("%s/%s: step 1 support %d, want %d", tc.name, kind, wd.support(1), tc.s1)
 			}
@@ -454,21 +408,19 @@ func TestPushMatchesDenseReference(t *testing.T) {
 		n, T := g.N(), e.p.T
 		s := e.getScratch()
 		var wd, again walkDist
-		kinds, held := [2]int{}, 0
+		widest, held := 0, 0
 		for u := uint32(0); u < uint32(n); u += 7 {
 			for _, minShare := range []float64{1 / float64(e.p.RAlpha), 0} {
 				label := fmt.Sprintf("%s u=%d floor %v", name, u, minShare)
 				e.pushWalkDistInto(&wd, s, u, minShare)
-				checkWalkDist(t, label, uint32(n), &wd)
+				checkWalkDist(t, label, uint32(n), &wd, &s.slots)
 				sameAsRef(t, label, &wd, refPush(g, T, u, minShare))
 				e.pushWalkDistInto(&again, s, u, minShare)
 				for step := 0; step < T; step++ {
 					if !sameStep(&again, &wd, step) {
 						t.Fatalf("%s step %d: a reused walkDist differs", label, step)
 					}
-					if wd.support(step) > 0 {
-						kinds[map[bool]int{false: 0, true: 1}[wd.dense(step)]]++
-					}
+					widest = max(widest, wd.support(step))
 				}
 				if minShare > 0 && heldBack(e.Snapshot, &wd, e.p.RAlpha) {
 					held++
@@ -476,8 +428,8 @@ func TestPushMatchesDenseReference(t *testing.T) {
 			}
 		}
 		e.putScratch(s)
-		if kinds[0] == 0 || kinds[1] == 0 || held == 0 {
-			t.Fatalf("%s: %d sparse and %d dense steps, %d vertices held back", name, kinds[0], kinds[1], held)
+		if 32*widest < n || held == 0 {
+			t.Fatalf("%s: widest step %d of %d vertices, %d vertices held back", name, widest, n, held)
 		}
 	}
 }
@@ -577,18 +529,19 @@ func TestPushDeficitWithinHoeffdingRadius(t *testing.T) {
 	}
 }
 
-// One walkDist is rebuilt query after query (scratch.wd). A step's row
-// that held a rank bitset must come back clean as bucket offsets and the
-// other way round, with the share floor and without: no stale bit, rank
-// or offset.
-func TestWalkDistReuseAcrossKinds(t *testing.T) {
+// One walkDist is rebuilt query after query (scratch.wd), and one scoring
+// index with it (scratch.slots). A step's row that held a wide support must
+// come back clean holding a narrow one and the other way round, with the
+// share floor and without, and so must the index: no stale vertex, mass or
+// union id.
+func TestWalkDistReuseAcrossWidths(t *testing.T) {
 	const n = 3210
 	b := graph.NewBuilder(n)
 	wide, narrow, source := uint32(0), uint32(1), uint32(3)
-	addFanIn(b, n, wide, seq(2, 2+300*10, 10)) // step 1: 300 vertices, dense
+	addFanIn(b, n, wide, seq(2, 2+300*10, 10)) // step 1: 300 vertices
 	addFanIn(b, n, narrow, seq(9, 9+20*150, 150))
 	// source has no in-neighbour: its step 1 is empty, and must not keep
-	// the kind the row had before.
+	// anything the row held before.
 	p := DefaultParams()
 	p.Seed = 3
 	p.RAlpha = 6000
@@ -609,20 +562,19 @@ func TestWalkDistReuseAcrossKinds(t *testing.T) {
 		} else {
 			e.pushWalkDistInto(&wd, s, st.u, 0)
 		}
-		if wd.dense(1) != (st.u == wide) {
-			t.Fatalf("round %d (u=%d): step 1 support %d, rank bitset: %v", i, st.u, wd.support(1), wd.dense(1))
+		if w := wd.support(1); (w >= 300) != (st.u == wide) || (w == 0) != (st.u == source) {
+			t.Fatalf("round %d (u=%d): step 1 support %d", i, st.u, w)
 		}
-		checkWalkDist(t, "round "+itoa(i), n, &wd)
+		checkWalkDist(t, "round "+itoa(i), n, &wd, &s.slots)
 	}
 }
 
-// refDist is the query-side distribution as the engine stored it before
-// the bucket directory: per step an ascending support and eagerly
-// evaluated float64 masses. refPush builds it from the dense recurrence,
-// refDot is the scoring dot product with its two branches, and
-// refOneSided the step-synchronous kernel — each looks a tally term up by
-// binary search (or merge join), so together they are the reference the
-// directory-indexed kernels must match bit for bit.
+// refDist is the query-side distribution as a reference holds it: per
+// step an ascending support and eagerly evaluated float64 masses. refPush
+// builds it from the dense recurrence, refDot is the scoring dot product
+// with its two branches, and refOneSided the step-synchronous kernel —
+// each looks a tally term up by binary search (or merge join), so together
+// they are the reference the slot-indexed kernels must match bit for bit.
 type refDist struct {
 	verts [][]uint32
 	probs [][]float64
@@ -734,7 +686,7 @@ func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.S
 // the walks funding p̂ were already performed for the L1 bound.
 //
 // The v-side positions are tallied through the scratch's epoch marks and
-// looked up once per distinct position through wd's directory
+// looked up once per distinct position by a binary search of wd's support
 // (walkDist.lookup). The engine itself scores candidates through
 // scoreLanes and the tally cache; this step-synchronous kernel remains as
 // the estimator the concentration, single-pair and byte-identity tests
@@ -820,14 +772,14 @@ func TestWideSupportByteIdentity(t *testing.T) {
 		}
 		e := Build(g, p)
 		label := "cache=" + itoa(int(cfg.cache)) + " workers=" + itoa(cfg.workers)
-		requireBothKinds(t, label, e.Snapshot, queries)
+		requireWideStep(t, label, e.Snapshot, queries)
 		s := e.getScratch()
 		searched, widest, checked := false, 0, 0
 		for qi, u := range queries {
 			// The reference push, whole for the single-pair kernel and cut at
 			// the plan's horizon for the queries.
 			whole := refQuerySide(e.Snapshot, u)
-			rd := whole.cut(keptSteps(e.queryPlan(s, u).wd))
+			rd := whole.cut(e.queryPlan(s, u).wd.steps())
 			for _, vs := range rd.verts {
 				widest = max(widest, len(vs))
 			}
@@ -899,8 +851,7 @@ func tails(e *Snapshot, wd *walkDist) []float64 {
 
 // sameStep reports whether step t of a and b agree in every stored word.
 func sameStep(a, b *walkDist, t int) bool {
-	return slices.Equal(a.verts[t], b.verts[t]) && slices.Equal(a.dir[t], b.dir[t]) &&
-		slices.Equal(a.massw[t], b.massw[t]) && a.shift[t] == b.shift[t]
+	return slices.Equal(a.verts[t], b.verts[t]) && slices.Equal(a.massw[t], b.massw[t])
 }
 
 // The horizon, as a property. For pushed distributions, with the served
@@ -945,6 +896,7 @@ func TestHorizonTailBound(t *testing.T) {
 			qs, s := e.getScratch(), e.getScratch()
 			R, Rr := e.p.RScore, e.p.RRough
 			var whole walkDist
+			var servedIx, wholeIx slotIndex
 			var queries, scored, cutBy int
 			worst := 0.0
 			// horizonOf builds whole, checks its h against the definition and
@@ -961,13 +913,13 @@ func TestHorizonTailBound(t *testing.T) {
 				for pass := 0; pass < 2; pass++ {
 					cut.trim(h)
 					for step := 0; step < cut.T; step++ {
-						if step < h && !sameStep(cut, &whole, step) || step >= h && (cut.support(step) != 0 || len(cut.dir[step])+len(cut.massw[step]) != 0 || cut.dense(step)) {
+						if step < h && !sameStep(cut, &whole, step) || step >= h && (cut.support(step) != 0 || len(cut.massw[step]) != 0) {
 							t.Fatalf("%s u=%d: step %d of the distribution trimmed at %d (pass %d)", label, u, step, h, pass)
 						}
 					}
 				}
-				if keptSteps(cut) != h {
-					t.Fatalf("%s u=%d: %d steps kept at horizon %d", label, u, keptSteps(cut), h)
+				if cut.steps() != h {
+					t.Fatalf("%s u=%d: %d steps kept at horizon %d", label, u, cut.steps(), h)
 				}
 				return h, tail[h]
 			}
@@ -980,7 +932,7 @@ func TestHorizonTailBound(t *testing.T) {
 				}
 				// The query's own distribution, trimmed.
 				pl := e.queryPlan(qs, u)
-				h := keptSteps(pl.wd)
+				h := pl.wd.steps()
 				// The push without a floor, then the query's so that whole
 				// stays its untrimmed distribution. The unthresholded push
 				// relaxes every edge of a social graph at every step: every
@@ -998,22 +950,24 @@ func TestHorizonTailBound(t *testing.T) {
 					}
 				}
 				queries++
-				if h < keptSteps(&whole) {
+				if h < whole.steps() {
 					cutBy++
 				}
 				bound += 1e-15 // rounding of the two sums compared
+				servedIx.build(pl.wd, int(n))
+				wholeIx.build(&whole, int(n))
 				for i, c := range pl.cands {
 					v := c.v
 					e.simulateCandWalks(s, v, R)
-					served := e.dotPositions(s, pl.wd, v, s.tpos, R, R, 1/float64(R))
-					full := e.dotPositions(s, &whole, v, s.tpos, R, R, 1/float64(R))
-					rough := e.dotPositions(s, pl.wd, v, s.tpos, R, Rr, 1/float64(Rr))
-					roughFull := e.dotPositions(s, &whole, v, s.tpos, R, Rr, 1/float64(Rr))
+					served := e.dotPositions(s, &servedIx, v, s.tpos, R, R, 1/float64(R))
+					full := e.dotPositions(s, &wholeIx, v, s.tpos, R, R, 1/float64(R))
+					rough := e.dotPositions(s, &servedIx, v, s.tpos, R, Rr, 1/float64(Rr))
+					roughFull := e.dotPositions(s, &wholeIx, v, s.tpos, R, Rr, 1/float64(Rr))
 					if i%8 == 0 {
 						// The cached path's kernel over the tally of the same walks.
 						rsteps := e.buildFullTally(s, v, R, Rr, R)
-						st := e.dotTally(pl.wd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
-						rt := e.dotTally(pl.wd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
+						st := e.dotTally(&servedIx, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
+						rt := e.dotTally(&servedIx, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
 						if math.Float64bits(st) != math.Float64bits(served) || math.Float64bits(rt) != math.Float64bits(rough) {
 							t.Fatalf("%s u=%d v=%d: tally kernel %v (rough %v), position kernel %v (rough %v)", label, u, v, st, rt, served, rough)
 						}
@@ -1026,6 +980,8 @@ func TestHorizonTailBound(t *testing.T) {
 					}
 					scored++
 				}
+				servedIx.clear()
+				wholeIx.clear()
 			}
 			e.putScratch(qs)
 			e.putScratch(s)

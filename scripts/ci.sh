@@ -5,11 +5,10 @@
 # Sequence: gofmt cleanliness, go vet (host and windows), build, full shuffled test suite,
 # race pass over every package, simlint over ./... (findings and stale or
 # malformed suppressions alike, in one module load), a one-iteration
-# benchmark smoke pass, short fuzzes of the walk-distribution
-# directories, the edge-list parser, the walk kernels, the query-side
-# push, the candidate walks, the index loader and the wire decoder, a run
-# of each examples/ program, and the multi-shard smoke; the tree's size
-# (scripts/loc.sh) closes the log.
+# benchmark smoke pass, short fuzzes of the scoring index, the edge-list
+# parser, the walk kernels, the query-side push, the candidate walks, the
+# index loader and the wire decoder, a run of each examples/ program, and
+# the multi-shard smoke; the tree's size (scripts/loc.sh) closes the log.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,11 +62,12 @@ go run ./cmd/simlint -time-budget 10s ./...
 echo "==> bench smoke (1 iteration each)"
 go test -run - -bench . -benchtime 1x ./...
 
-# Ten seconds of fuzzing over the two walk-distribution directory kinds
-# (arbitrary id sets below arbitrary n against a binary search); the seed
-# corpus alone already runs in the test pass above.
-echo "==> fuzz smoke (FuzzWalkDistDirectory, 10s)"
-go test -run - -fuzz FuzzWalkDistDirectory -fuzztime 10s ./internal/core
+# Ten seconds of fuzzing over the scoring index (slotIndex): several
+# steps of arbitrary, overlapping id sets below arbitrary n, every id
+# probed against a binary search, and the union map all zero after each
+# clear; the seed corpus alone already runs in the test pass above.
+echo "==> fuzz smoke (scoring index: FuzzWalkDistDirectory, 10s)"
+go test -run - -fuzz '^FuzzWalkDistDirectory$' -fuzztime 10s ./internal/core
 
 # Five seconds of the edge-list parser against the Scanner/Fields/ParseUint
 # parser it replaced: same verdict, same CSR.
