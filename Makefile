@@ -1,14 +1,13 @@
-# Tier-1 verification gate. `make check` is what CI and pre-merge runs:
-# formatting, vet, build, the full test suite (shuffled, so test-order
-# coupling can't hide), a race pass over every package, and the simlint
-# determinism/concurrency rules (cmd/simlint) over ./... .
-# scripts/ci.sh runs the same sequence standalone.
+# `make check` runs scripts/ci.sh, the pre-merge gate CI runs, so the gate
+# has one definition (ci.sh's header lists its steps). The other targets
+# run single steps of it.
 
 GO ?= go
 
 .PHONY: check fmt vet build test race lint loc bench
 
-check: fmt vet build test race lint
+check:
+	sh scripts/ci.sh
 
 # gofmt cleanliness, including analyzer fixtures under testdata/.
 fmt:

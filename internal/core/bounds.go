@@ -307,6 +307,8 @@ func (e *Snapshot) horizon(peak []float64) int {
 // dotSeries evaluates the truncated series deterministically from two
 // walk distributions: Σ_t cᵗ Σ_w xₜ(w)·D_ww·yₜ(w). Both supports are
 // sorted, so this is a per-step merge join with a fixed summation order.
+// No query path calls it: the concentration gate reads it as the exact
+// mean that a candidate's sampled score estimates.
 func (e *Snapshot) dotSeries(x, y *walkDist) float64 {
 	sum := 0.0
 	ct := 1.0

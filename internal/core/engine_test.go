@@ -40,6 +40,31 @@ func TestParamsNormalization(t *testing.T) {
 	}
 }
 
+// TestParamsFingerprintPinned pins Params.Fingerprint for the defaults and
+// four variants. A router refuses to merge shards whose fingerprints differ,
+// so a value that moves here strands every deployed shard: change one only
+// with planDef or a result-affecting parameter, never by refactoring.
+func TestParamsFingerprintPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Params)
+		want uint64
+	}{
+		{"default", func(*Params) {}, 0x84cfce2c6c2abf5b},
+		{"no-adaptive", func(p *Params) { p.DisableAdaptive = true }, 0xce60e466392ff214},
+		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0xc4ee97e1d1a7b2a5},
+		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0x9939e510bed3e5b4},
+		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0xcd93ce0628f7f1d3},
+	}
+	for _, c := range cases {
+		p := DefaultParams()
+		c.edit(&p)
+		if got := p.Fingerprint(); got != c.want {
+			t.Errorf("%s: Fingerprint() = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
 func TestCandidateStrategyString(t *testing.T) {
 	cases := map[CandidateStrategy]string{
 		CandidatesIndex:      "index",

@@ -91,9 +91,9 @@ func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand,
 
 // scoreShare scores one worker's share of a block — the runs of group
 // candidates starting at first, first+stride, … — on one scratch:
-// candidates the exact propagation or the tally cache can answer are
-// scored one by one (scoreCandidate), the rest are collected and go
-// through the lane kernel together.
+// candidates the tally cache can answer are scored one by one
+// (scoreCandidate), the rest are collected and go through the lane kernel
+// together.
 func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, first, stride, group int, stats *QueryStats) {
 	pend := s.pend[:0]
 	for lo := first; lo < len(block); lo += stride {

@@ -14,35 +14,12 @@ import (
 // reference is that path as the tests kept it: refScores walks one
 // candidate at a time, tabulates the sorted tally and evaluates it with
 // refDot, the two-branch dot product of walkdist_test.go. refCandScore
-// adds ExactScoring's pushed candidate side and the rough verdict, refSearch
-// the block scan around them — sequential, one candidate after another —
-// so results, rough estimates, states and pruning counts all have a
-// reference that shares no scheduling with the code under test.
-
-// refSeries is dotSeries over two reference distributions: per step a
-// merge join of the ascending supports, summed in the same order.
-func refSeries(e *Snapshot, a, b *refDist) float64 {
-	sum, ct := 0.0, 1.0
-	for t := range a.verts {
-		if t > 0 {
-			ct *= e.p.C
-		}
-		if len(a.verts[t]) == 0 || len(b.verts[t]) == 0 {
-			break
-		}
-		for i, w := range a.verts[t] {
-			if j, ok := slices.BinarySearch(b.verts[t], w); ok {
-				sum += ct * e.p.dval(w) * a.probs[t][i] * b.probs[t][j]
-			}
-		}
-	}
-	return sum
-}
+// adds the rough verdict, refSearch the block scan around it —
+// sequential, one candidate after another — so results, rough estimates,
+// states and pruning counts all have a reference that shares no
+// scheduling with the code under test.
 
 func refCandScore(e *Snapshot, s *scratch, rd *refDist, v uint32, floor float64) ShardCand {
-	if e.p.ExactScoring {
-		return ShardCand{Score: refSeries(e, rd, refQuerySide(e, v)), State: ShardScoredNoRough}
-	}
 	rough, full, _ := refScores(e, s, rd, v)
 	switch {
 	case e.p.DisableAdaptive:
@@ -125,13 +102,13 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 
 // TestLaneKernelMatchesReference drives every way a block reaches the
 // lane kernel — adaptive, DisableAdaptive, and a web graph's query sides,
-// pushed whole and held back — and ExactScoring, whose candidates never
-// reach it, through search and the shard scan at 1, 2, 3 and 5 workers, cache off and on,
+// pushed whole and held back — through search and the shard scan at 1, 2,
+// 3 and 5 workers, cache off and on,
 // and requires results, pruning counts and every fragment entry to carry
 // the reference's bits; 2- and 3-shard merges must replay to the same.
 func TestLaneKernelMatchesReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds eight engines")
+		t.Skip("builds six engines")
 	}
 	wide := graph.PreferentialAttachment(5000, 10, 0.4, 3)
 	narrow := graph.CopyingModel(2000, 5, 0.3, 21)
@@ -148,8 +125,6 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 		// candidate; 17's share floor holds mass back, and 81's push dies
 		// out before its horizon.
 		{"web", narrow, []uint32{35, 17, 0, 81}, func(p *Params) {}},
-		// Every candidate is pushed too, hubs among them.
-		{"exact", narrow, []uint32{26, 35, 39}, func(p *Params) { p.ExactScoring = true }},
 	} {
 		for _, cacheBytes := range []int64{0, 64 << 20} {
 			p := DefaultParams()

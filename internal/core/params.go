@@ -99,12 +99,6 @@ type Params struct {
 	// off and the plan is the same either way.
 	DisableL1       bool
 	DisableAdaptive bool
-	// ExactScoring replaces Monte-Carlo candidate scores with a
-	// deterministic sparse evaluation of the truncated series: each
-	// candidate's distribution is built by the push that builds the query
-	// side (bounds.go), so no score samples. Eliminates sampling noise at
-	// some query-time cost, most of all on social graphs.
-	ExactScoring bool
 	// D, when non-nil, supplies a custom diagonal correction matrix
 	// (one entry per vertex). When nil the paper's approximation
 	// D = (1−c)·I is used.
@@ -227,7 +221,10 @@ func (p Params) Fingerprint() uint64 {
 	mix(uint64(p.DMax))
 	mix(uint64(int64(p.BallBudget)))
 	mix(uint64(p.Strategy))
-	mix(bit(p.DisableL1)<<2 | bit(p.DisableAdaptive)<<1 | bit(p.ExactScoring))
+	// The flag word's layout is part of every fingerprint: bit 0 stays
+	// clear and the other flags keep their bits, or every deployed shard's
+	// fingerprint moves (TestParamsFingerprintPinned).
+	mix(bit(p.DisableL1)<<2 | bit(p.DisableAdaptive)<<1)
 	mix(uint64(len(p.D)))
 	for _, d := range p.D {
 		mix(math.Float64bits(d))

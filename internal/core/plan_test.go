@@ -111,11 +111,9 @@ func planVariants() map[string]func(*Params) {
 		"no-l1":   func(p *Params) { p.DisableL1 = true },
 		"ball":    func(p *Params) { p.Strategy = CandidatesBall; p.BallBudget = 300 },
 		"hybrid":  func(p *Params) { p.Strategy = CandidatesHybrid },
-		// ExactScoring reads and writes the same cached plans: with the
-		// default share floor, and with one of 1/160, which holds back
-		// mass on both sides of most queries.
-		"exact":    func(p *Params) { p.ExactScoring = true },
-		"exact-40": func(p *Params) { p.ExactScoring = true; p.RAlpha = 160 },
+		// A share floor of 1/160 in place of 1/10 000: the push holds
+		// mass back in more query sides.
+		"floor-160": func(p *Params) { p.RAlpha = 160 },
 	}
 }
 

@@ -26,8 +26,8 @@ import "slices"
 // deployment every shard asks for the same plan and filters it to its
 // vertex range (the restriction of a total order is the order of the
 // restriction), so on a hit the duplicated per-query work is gone.
-// ExactScoring reads the same entries, and a vertex H gives no candidate
-// is cached as an empty plan over no distribution at all.
+// A vertex H gives no candidate is cached as an empty plan over no
+// distribution at all.
 
 // prolog is one cached query plan, immutable once published. wd is
 // flat-backed (one allocation holds every step's vertices and mass words,

@@ -365,12 +365,10 @@ func sortBounds(bs []boundedCand) {
 	})
 }
 
-// scoreCandidate scores the candidate v = out.V into out without
-// scheduling walks of its own when it can: by the push that builds the
-// query side, run from v as well (under ExactScoring), or through the
-// tally cache, whose part in it is counted in
-// stats. It reports false when neither applies and the caller must hand v
-// to the lane kernel (scoreLanes).
+// scoreCandidate scores the candidate v = out.V into out through the
+// tally cache, whose part in it is counted in stats. It reports false
+// when the cache is off and the caller must hand v to the lane kernel
+// (scoreLanes).
 //
 // The candidate's walks are seeded from v alone (candSeed, one stream a
 // walk), never shared, so its score is a pure function of the engine
@@ -381,12 +379,6 @@ func sortBounds(bs []boundedCand) {
 // enabling the cache changes work, never values.
 func (e *Snapshot) scoreCandidate(s *scratch, x *slotIndex, out *ShardCand, floor float64, stats *QueryStats) bool {
 	v := out.V
-	if e.p.ExactScoring {
-		// Deterministic scoring: the candidate side is pushed too.
-		e.walkDistInto(&s.wd2, s, v)
-		out.State, out.Score = ShardScoredNoRough, e.dotSeries(x.wd, &s.wd2)
-		return true
-	}
 	c := e.cache
 	if c == nil {
 		return false

@@ -271,72 +271,6 @@ func TestBallBudgetQueriesStillFindNeighbours(t *testing.T) {
 	}
 }
 
-func TestExactScoringMatchesSeries(t *testing.T) {
-	// With ExactScoring on and a share floor of 1/RAlpha so low that it
-	// holds next to nothing back, query scores are the deterministic
-	// truncated-series values up to what the query side's horizon drops:
-	// at most c^T·maxD below, never above.
-	g := graph.Collaboration(60, 5, 0.8, 20, 11)
-	p := DefaultParams()
-	p.Seed = 6
-	p.Workers = 1
-	p.RAlpha = 1 << 20
-	p.ExactScoring = true
-	p.Strategy = CandidatesHybrid
-	e := Build(g, p)
-	d := exact.UniformDiagonal(g.N(), p.C)
-	for u := uint32(0); u < 10; u++ {
-		row := exact.SingleSource(g, d, p.C, p.T, u)
-		for _, s := range e.TopK(u, 5) {
-			if diff := row[s.V] - s.Score; diff > e.tailTol+1e-9 || diff < -1e-9 {
-				t.Fatalf("u=%d v=%d: exact-scored %v vs series %v", u, s.V, s.Score, row[s.V])
-			}
-		}
-	}
-}
-
-// ExactScoring never samples: every candidate is pushed as the query side
-// is — hubs too, whose share floor holds mass back — and scored by the
-// series, so the tally cache sees no traffic and, over the ball's
-// candidates, which no seed picks, the answers do not depend on
-// Params.Seed at all.
-func TestExactScoringNeverSamples(t *testing.T) {
-	g := graph.PreferentialAttachment(300, 5, 0.3, 13)
-	var want [][]Scored
-	for _, seed := range []uint64{9, 10} {
-		p := DefaultParams()
-		p.Seed = seed
-		p.Workers = 1
-		p.RAlpha = 500
-		p.ExactScoring = true
-		p.Strategy = CandidatesBall
-		p.CacheBytes = 1 << 20
-		e := Build(g, p)
-		held, refined := 0, 0
-		for u := uint32(0); u < 10; u++ {
-			res, st := e.TopKStats(u, 5)
-			if st.CacheHits+st.CacheMisses != 0 || st.PrunedByRough != 0 {
-				t.Fatalf("seed %d u=%d: a candidate was sampled: %+v", seed, u, st)
-			}
-			refined += st.Refined
-			if seed == 9 {
-				want = append(want, res)
-			} else {
-				sameResults(t, "u="+itoa(int(u)), res, want[u])
-			}
-			if _, _, h := planClass(e.Snapshot, u); h {
-				held++
-			}
-		}
-		if cs := e.CacheStats(); cs.Misses != 0 || cs.Entries != 0 {
-			t.Fatalf("seed %d: tally cache used: %+v", seed, cs)
-		}
-		if held == 0 || refined < 50 {
-			t.Fatalf("seed %d: %d queries held mass back, %d candidates scored", seed, held, refined)
-		}
-	}
-}
-
 func TestTopKDeterministic(t *testing.T) {
 	g := graph.CopyingModel(200, 4, 0.3, 5)
 	e1 := buildQueryEngine(g, 11, CandidatesIndex)

@@ -53,12 +53,10 @@ type scratch struct {
 	dist []int32
 	ball []uint32
 
-	// Walk distributions: wd holds the query-side distribution, wd2 the
-	// candidate-side one in exact-scoring mode. peak[t] is α*(u,t) =
+	// wd holds the query-side walk distribution. peak[t] is α*(u,t) =
 	// max_w D_ww·p̂_u,t(w) for each nonempty step t of the distribution a
 	// builder last filled on this scratch, which horizon reads.
 	wd   walkDist
-	wd2  walkDist
 	peak []float64
 
 	// slots is the scoring index of the distribution a block is scored
@@ -90,7 +88,7 @@ type scratch struct {
 	// Lane kernel buffers (lanes.go): the block positions still waiting
 	// for walks, the lanes of one full-R group and of one rough section
 	// (each lane owns a fixed T-row position matrix; allocated on first
-	// use, so cached and exact scoring never pay for them), and the
+	// use, so cached scoring never pays for them), and the
 	// index-space hit tally of dotPositions — counters and a bitset over
 	// one step's support, all zero between calls.
 	pend       []int32

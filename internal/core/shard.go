@@ -33,9 +33,9 @@ import (
 //     re-taken by the router against the true global floor. A candidate
 //     rough-pruned at Theta (ShardRoughPruned) is rough-pruned at every
 //     floor >= Theta — the cut only grows with the floor — so its refined
-//     score is never needed. Paths that run no rough pass (exact
-//     scoring, DisableAdaptive) return ShardScoredNoRough and are never
-//     rough-pruned, matching search() exactly.
+//     score is never needed. Under DisableAdaptive no rough pass runs:
+//     candidates return ShardScoredNoRough and are never rough-pruned,
+//     matching search() exactly.
 //
 // MergeShardTopKScratch then reconstructs the global bound order — the
 // (ub desc, v asc) total order of sortBounds — by k-way merge and runs
@@ -68,7 +68,7 @@ const (
 	// valid) — the router re-takes the rough-prune decision.
 	ShardScored
 	// ShardScoredNoRough: refined estimate in Score, no rough pass ran
-	// (exact scoring or DisableAdaptive); never rough-pruned.
+	// (DisableAdaptive); never rough-pruned.
 	ShardScoredNoRough
 )
 

@@ -62,15 +62,13 @@ func sameAnswer(t testing.TB, label string, res []Scored, stats QueryStats, want
 }
 
 // shardConfigs are the parameter corners the replay proof has to cover:
-// every scoring path (adaptive sampled, cached, exact, non-adaptive)
+// every scoring path (adaptive sampled, cached, non-adaptive)
 // plus a non-default candidate strategy.
 func shardConfigs() map[string]Params {
 	base := DefaultParams()
 	base.Seed = 17
 	cached := base
 	cached.CacheBytes = 1 << 20
-	exact := base
-	exact.ExactScoring = true
 	noadapt := base
 	noadapt.DisableAdaptive = true
 	hybrid := base
@@ -78,7 +76,6 @@ func shardConfigs() map[string]Params {
 	return map[string]Params{
 		"base":    base,
 		"cached":  cached,
-		"exact":   exact,
 		"noadapt": noadapt,
 		"hybrid":  hybrid,
 	}

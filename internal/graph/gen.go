@@ -337,12 +337,11 @@ func BipartiteUserItem(nUsers, nItems, ratingsPerUser int, seed uint64) *Graph {
 // GenSpec names a generator with its parameters, so dataset catalogs and
 // CLI tools can describe graphs declaratively.
 type GenSpec struct {
-	Kind string // "er", "ba", "copying", "collab", "citation", "bipartite", "rmat", "forestfire", "star", "cycle", "grid", "complete", "path"
+	Kind string // "er", "ba", "copying", "collab", "citation", "bipartite", "star", "cycle", "path", "grid", "complete"
 	N    int
-	M    int     // edge count (er, rmat)
-	K    int     // per-vertex edges (ba, copying, citation) / ratings (bipartite) / scale (rmat)
-	P    float64 // model probability (ba: pMutual; copying: beta; collab: pIn; forestfire: pFwd)
-	P2   float64 // secondary probability (forestfire: pBwd)
+	M    int     // edge count (er)
+	K    int     // per-vertex edges (ba, copying, citation) / ratings (bipartite)
+	P    float64 // model probability (ba: pMutual; copying: beta; collab: pIn)
 	Rows int     // grid
 	Cols int     // grid
 	N2   int     // bipartite: nItems
@@ -364,10 +363,6 @@ func Generate(s GenSpec) (*Graph, error) {
 		return CitationDAG(s.N, s.K, s.Seed), nil
 	case "bipartite":
 		return BipartiteUserItem(s.N, s.N2, s.K, s.Seed), nil
-	case "rmat":
-		return RMAT(s.K, s.M, 0.57, 0.19, 0.19, s.Seed), nil
-	case "forestfire":
-		return ForestFire(s.N, s.P, s.P2, s.Seed), nil
 	case "star":
 		return Star(s.N), nil
 	case "cycle":

@@ -40,12 +40,6 @@ func BenchmarkPreferentialAttachmentGen(b *testing.B) {
 	}
 }
 
-func BenchmarkRMATGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RMAT(13, 40000, 0.57, 0.19, 0.19, uint64(i))
-	}
-}
-
 func BenchmarkSampleAverageDistance(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()

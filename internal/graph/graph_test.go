@@ -296,8 +296,6 @@ func TestGenerateDispatch(t *testing.T) {
 		{Kind: "collab", N: 10, K: 3, P: 0.8, Seed: 1},
 		{Kind: "citation", N: 20, K: 2, Seed: 1},
 		{Kind: "bipartite", N: 10, N2: 5, K: 2, Seed: 1},
-		{Kind: "rmat", K: 6, M: 100, Seed: 1},
-		{Kind: "forestfire", N: 50, P: 0.3, P2: 0.2, Seed: 1},
 		{Kind: "star", N: 5},
 		{Kind: "cycle", N: 5},
 		{Kind: "path", N: 5},

@@ -44,12 +44,6 @@ type Options struct {
 	// and the L1 table as well; index candidates are bounded by their
 	// in-degree alone.
 	Exhaustive bool
-	// ExactScores replaces Monte-Carlo candidate scores with a
-	// deterministic sparse series evaluation: each candidate's
-	// distribution is pushed as the query side is, so no score samples.
-	// More precise, and slower, most of all on social graphs, where a
-	// candidate's pushed distribution is wide: an order of magnitude there.
-	ExactScores bool
 	// CacheBytes bounds the per-index cross-query tally cache: candidate
 	// walk tallies are pure functions of the index state, so queries
 	// that revisit a candidate reuse its simulation instead of redoing
@@ -99,7 +93,6 @@ func (o Options) toParams() core.Params {
 	if o.Exhaustive {
 		p.Strategy = core.CandidatesBall
 	}
-	p.ExactScoring = o.ExactScores
 	return p
 }
 

@@ -2,6 +2,7 @@ package simrank
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -226,32 +227,6 @@ func TestExhaustiveOption(t *testing.T) {
 	}
 }
 
-func TestExactScoresOption(t *testing.T) {
-	g := GenerateCollaborationGraph(50, 5, 0.8, 13)
-	opts := DefaultOptions()
-	opts.ExactScores = true
-	// A push budget (a quarter of this) that the community graph, where
-	// every walk spreads over a clique, fits under on both sides.
-	opts.BoundSamples = 1 << 20
-	idx := BuildIndex(g, opts)
-	top, err := idx.TopK(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) > 0 {
-		// Scores are deterministic series values less what the query side's
-		// horizon drops, at most c^T·(1−c); cross-check the best.
-		row, err := ExactSingleSource(g, opts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail := math.Pow(opts.DecayFactor, float64(opts.Steps)) * (1 - opts.DecayFactor)
-		if diff := row[top[0].Node] - top[0].Score; diff > tail+1e-9 || diff < -1e-9 {
-			t.Fatalf("exact-scored %v vs series %v", top[0].Score, row[top[0].Node])
-		}
-	}
-}
-
 func TestTopKWithStats(t *testing.T) {
 	g := GenerateWebGraph(200, 4, 0.3, 5)
 	idx := BuildIndex(g, DefaultOptions())
@@ -299,6 +274,33 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{Seed: 42, DecayFactor: 0.8}
 	if o.toParams().Seed != 42 {
 		t.Fatal("seed not propagated")
+	}
+}
+
+// TestEveryOptionReachesParams sets each field of Options on its own to a
+// non-default value and requires toParams to change: a public knob that
+// no longer reaches the engine would otherwise be a silent no-op.
+func TestEveryOptionReachesParams(t *testing.T) {
+	base := DefaultOptions().toParams()
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o Options
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			t.Fatalf("Options.%s: no non-default value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		if reflect.DeepEqual(o.toParams(), base) {
+			t.Errorf("Options.%s = %v leaves toParams unchanged", typ.Field(i).Name, f.Interface())
+		}
 	}
 }
 
