@@ -39,7 +39,7 @@ func main() {
 	c := flag.Float64("c", 0.6, "decay factor")
 	theta := flag.Float64("theta", 0.01, "score threshold")
 	seed := flag.Uint64("seed", 1, "Monte-Carlo seed")
-	workers := flag.Int("workers", 0, "parallelism for preprocess and per-query scoring (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallelism of the preprocess; a query always runs on one goroutine (0 = GOMAXPROCS)")
 	exhaustive := flag.Bool("exhaustive", false, "use exhaustive ball candidates (slower, higher recall)")
 	exactCheck := flag.Bool("exact", false, "also print the deterministic-series ranking for comparison")
 	saveIndex := flag.String("save-index", "", "write the preprocess results to this file after building")

@@ -5,11 +5,11 @@ import (
 )
 
 // GoSpawn restricts raw goroutine creation in internal/core and
-// internal/router to the approved bounded worker pools. Every
-// concurrency site in the engine is a fixed `for w := 0; w < workers;
-// w++` fan-out whose determinism has been argued once (per-vertex
-// reseeding, per-worker scratches, contiguous or cursor-based
-// sharding), and the router's scatter/hedge sites are the same shape
+// internal/router to the approved bounded worker pools. The engine has
+// one: a fixed `for w := 0; w < workers; w++` fan-out over a shared
+// cursor whose determinism has been argued once (per-vertex reseeding,
+// outputs per item, a query on one goroutine), plus the one background
+// refresher; the router's scatter/hedge sites are the same shape
 // with the shard count as the bound; a stray `go` elsewhere — and in
 // particular one goroutine per work item inside a range loop — is both
 // an unbounded-spawn hazard and a new ordering surface that the
@@ -26,9 +26,7 @@ var GoSpawn = &Analyzer{
 // the hedge attempt cap) from a plain counted loop or on-demand
 // launches under a fixed cap.
 var goSpawnAllow = map[string]bool{
-	"forEachIndexParallel": true, // allpairs.go: atomic-cursor work-item pool (AllTopK, TopKBatch, joins)
-	"parallelVertices":     true, // engine.go: contiguous block shards
-	"scoreBlock":           true, // lanes.go: lane-group shares of one candidate block
+	"forEachIndexParallel": true, // allpairs.go: the engine's one worker pool (preprocess chunks, AllTopK, TopKBatch, joins, shard batch)
 	"startRefresher":       true, // dynamic.go: the single background snapshot builder
 	"fanout":               true, // router/hedge.go: one goroutine per shard, counted scatter
 	"hedged":               true, // router/hedge.go: launch-on-demand attempts under a fixed cap
@@ -53,7 +51,7 @@ func runGoSpawn(pass *Pass) error {
 				switch {
 				case !goSpawnAllow[name]:
 					pass.Reportf(n.Pos(),
-						"go statement outside the approved worker pools (%s); route the work through parallelVertices or forEachIndexParallel",
+						"go statement outside the approved worker pools (%s); route the work through forEachIndexParallel",
 						name)
 				case rangeDepth > 0:
 					pass.Reportf(n.Pos(),

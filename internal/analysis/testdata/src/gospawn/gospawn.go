@@ -4,9 +4,9 @@ package gospawntest
 
 import "sync"
 
-// parallelVertices carries an approved name: a bounded counted fan-out
-// is the blessed concurrency shape.
-func parallelVertices(workers int, fn func(int)) {
+// forEachIndexParallel carries an approved name: a bounded counted
+// fan-out is the blessed concurrency shape.
+func forEachIndexParallel(workers int, fn func(int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -24,9 +24,11 @@ func fanOutPerItem(items []int, fn func(int)) {
 	}
 }
 
-// scoreBlock is an approved name, but per-item spawning inside a range
-// loop is still unbounded and still flagged.
-func scoreBlock(items []int, fn func(int)) {
+type shardSet struct{}
+
+// fanout is an approved name, here on a method, but per-item spawning
+// inside a range loop is still unbounded and still flagged.
+func (shardSet) fanout(items []int, fn func(int)) {
 	for _, it := range items {
 		go fn(it) // want "one goroutine per ranged item"
 	}

@@ -23,7 +23,7 @@ func (e *Snapshot) AllTopK(k int) [][]Scored {
 func (e *Snapshot) AllTopKCtx(ctx context.Context, k int) ([][]Scored, error) {
 	out := make([][]Scored, e.g.N())
 	err := e.forEachVertexParallel(ctx, func(u uint32) {
-		res, _, _ := e.search(ctx, u, k, e.p.Theta, 1)
+		res, _, _ := e.search(ctx, u, k, e.p.Theta)
 		out[u] = res
 	})
 	if err != nil {
@@ -43,8 +43,10 @@ func (e *Snapshot) forEachVertexParallel(ctx context.Context, fn func(u uint32))
 // striding. At most Params.Workers goroutines run; cancellation is
 // observed between items: a worker that sees a cancelled ctx stops
 // claiming new indices, and the call reports ctx.Err() after every
-// worker has drained. This is the one work-item fan-out of the query
-// side — AllTopK, SimilarityJoin, and TopKBatch all route through it.
+// worker has drained. This is the engine's one worker pool: the
+// preprocess chunks (parallelVertices), AllTopK, SimilarityJoin, TopKBatch
+// and the shard batch all route through it, and each item runs on the
+// goroutine that claimed it.
 func (e *Snapshot) forEachIndexParallel(ctx context.Context, n int, fn func(i int)) error {
 	workers := e.p.Workers
 	if workers > n {

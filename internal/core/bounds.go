@@ -126,10 +126,10 @@ func (wd *walkDist) forEach(t int, fn func(w uint32, pr float64)) {
 // vertex); row t of slots holds, for each union id, the vertex's 1-based
 // position in step t's support, and 0 where the vertex is not in it — so
 // row[0] is 0 and a probe row[uid[w]] − 1 is the index or −1, for every w.
-// Built per scored block (scoreBlock) on the scoring scratch, read by every
-// worker of the block as the distribution itself is, and cleared by
-// walking the union: the n-entry uid array is all zero between builds,
-// allocated on a scratch's first build, and never stored in a cache.
+// Built once per scan (search, shardScan) on the query's scratch, read by
+// every block it scores, and cleared by walking the union: the n-entry
+// uid array is all zero between builds, allocated on a scratch's first
+// build, and never stored in a cache.
 type slotIndex struct {
 	wd     *walkDist
 	uid    []uint32
@@ -142,10 +142,10 @@ type slotIndex struct {
 // in O(Σ_t S_t) for the union and the rows' positions plus the rows' clear;
 // the index must be clear (clear).
 //
-//lint:hotpath scoring index build, once per scored block
+//lint:hotpath scoring index build, once per scan that scores
 func (x *slotIndex) build(wd *walkDist, n int) {
 	if x.uid == nil {
-		x.uid = make([]uint32, n) //lint:ignore hotalloc once per scratch that scores, on its first block
+		x.uid = make([]uint32, n) //lint:ignore hotalloc once per scratch that scores, on its first scan
 	}
 	uid, union := x.uid, x.union[:0]
 	h := wd.steps()
@@ -174,7 +174,7 @@ func (x *slotIndex) build(wd *walkDist, n int) {
 
 // clear zeroes uid again, in O(union), and lets go of the distribution.
 //
-//lint:hotpath scoring index clear, once per scored block
+//lint:hotpath scoring index clear, once per scan that scores
 func (x *slotIndex) clear() {
 	for _, w := range x.union {
 		x.uid[w] = 0

@@ -133,7 +133,9 @@ func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 			radius := B * math.Sqrt(math.Log(2/delta)/(2*float64(R)))
 			out := make([]ShardCand, len(plan.cands))
 			var st QueryStats
-			e.scoreBlock(qs, plan.cands, out, wd, 0, 1, &st)
+			qs.slots.build(wd, qs.n)
+			e.scoreBlock(qs, plan.cands, out, &qs.slots, 0, &st)
+			qs.slots.clear()
 			for _, c := range out {
 				if c.State != ShardScoredNoRough {
 					t.Fatalf("seed %d u=%d v=%d: candidate left in state %v", k, u, c.V, c.State)

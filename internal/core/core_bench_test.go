@@ -594,7 +594,7 @@ func BenchmarkTopKZipfThroughput(b *testing.B) {
 			// arm, so measurements are taken at steady state.
 			e.cache = newClockCache[tally](e.Graph().N(), budget)
 			for _, u := range stream[:warmup] {
-				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta, 1); err != nil {
+				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -605,7 +605,7 @@ func BenchmarkTopKZipfThroughput(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				u := stream[(next.Add(1)-1)%uint64(len(stream))]
-				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta, 1); err != nil {
+				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta); err != nil {
 					b.Error(err)
 					return
 				}

@@ -8,9 +8,10 @@ import (
 	"repro/internal/rng"
 )
 
-// The parallel candidate-scoring path must be invisible in the output:
-// for a fixed seed, results AND stats are identical for any worker count.
-// This is what the block-synchronous floor + per-candidate seeding buys.
+// Params.Workers must be invisible in the output: it sizes the worker
+// pool the preprocess's chunks run in, and every vertex seeds its own
+// streams, so for a fixed seed results AND stats are identical for any
+// worker count.
 func TestTopKIdenticalAcrossWorkers(t *testing.T) {
 	g := graph.CopyingModel(5000, 6, 0.3, 21)
 	build := func(workers int) *Engine {

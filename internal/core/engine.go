@@ -1,9 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -111,9 +110,10 @@ func walkSeed(cand uint64, i int) uint64 {
 const vertexChunk = 256
 
 // parallelVertices runs fn over every vertex in chunks of vertexChunk
-// consecutive ids. Params.Workers goroutines claim the chunks from a
-// shared cursor, each on its own scratch, so a worker that drew cheap
-// vertices takes on more of them.
+// consecutive ids, each chunk on a pooled scratch. The chunks go through
+// the one worker pool (forEachIndexParallel): Params.Workers goroutines
+// claim them from a shared cursor, so a worker that drew cheap vertices
+// takes on more of them.
 // Every preprocess pass seeds its streams per vertex (vertexSeed) and
 // writes per-vertex outputs, so results are independent of the worker
 // count and of which worker ran which chunk.
@@ -123,30 +123,12 @@ func (e *Engine) parallelVertices(fn func(chunk []uint32, s *scratch)) {
 		vs[v] = uint32(v)
 	}
 	chunks := (len(vs) + vertexChunk - 1) / vertexChunk
-	claim := func(s *scratch, cursor *atomic.Int64) {
-		for c := int(cursor.Add(1) - 1); c < chunks; c = int(cursor.Add(1) - 1) {
-			fn(vs[c*vertexChunk:min((c+1)*vertexChunk, len(vs))], s)
-		}
-	}
-	var cursor atomic.Int64
-	workers := min(e.p.Workers, chunks)
-	if workers <= 1 {
+	// Without a context the pool cannot fail.
+	_ = e.forEachIndexParallel(context.Background(), chunks, func(c int) {
 		s := e.getScratch()
 		defer e.putScratch(s)
-		claim(s, &cursor)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.getScratch()
-			defer e.putScratch(s)
-			claim(s, &cursor)
-		}()
-	}
-	wg.Wait()
+		fn(vs[c*vertexChunk:min((c+1)*vertexChunk, len(vs))], s)
+	})
 }
 
 func (e *Engine) String() string {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -79,6 +80,10 @@ func TestCandidateStrategyString(t *testing.T) {
 	}
 }
 
+// TestParallelVerticesVisitsAllOnce holds the preprocess to the one worker
+// pool's contract: every vertex exactly once, in runs of at most
+// vertexChunk consecutive ids, each run on a scratch no other running
+// chunk holds, and never more chunks at once than Params.Workers.
 func TestParallelVerticesVisitsAllOnce(t *testing.T) {
 	const n = 3*vertexChunk + 137
 	g := graph.Cycle(n)
@@ -88,16 +93,37 @@ func TestParallelVerticesVisitsAllOnce(t *testing.T) {
 		e := New(g, p)
 		var mu sync.Mutex
 		visits := make(map[uint32]int)
+		inUse := make(map[*scratch]bool)
+		running, peak := 0, 0
 		e.parallelVertices(func(chunk []uint32, s *scratch) {
 			if len(chunk) == 0 || len(chunk) > vertexChunk {
 				t.Errorf("workers=%d: chunk of %d vertices", workers, len(chunk))
 			}
+			for i := 1; i < len(chunk); i++ {
+				if chunk[i] != chunk[i-1]+1 {
+					t.Errorf("workers=%d: chunk not consecutive at %d", workers, chunk[i])
+				}
+			}
 			mu.Lock()
+			if s == nil || s.n != n || inUse[s] {
+				t.Errorf("workers=%d: chunk at %d without a scratch of its own", workers, chunk[0])
+			}
+			inUse[s] = true
+			running++
+			peak = max(peak, running)
 			for _, v := range chunk {
 				visits[v]++
 			}
 			mu.Unlock()
+			runtime.Gosched()
+			mu.Lock()
+			delete(inUse, s)
+			running--
+			mu.Unlock()
 		})
+		if peak > workers {
+			t.Fatalf("workers=%d: %d chunks ran at once", workers, peak)
+		}
 		if len(visits) != n {
 			t.Fatalf("workers=%d: visited %d vertices, want %d", workers, len(visits), n)
 		}

@@ -111,14 +111,13 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	// scoreLanes covers candWalks, graph.WalkLanes' phased loop
 	// (stepPhased and its passes: gatherLive, drawLaneSlots, loadSlots)
 	// and dotPositions: a block of more candidates than one lane group,
-	// ending in a ragged one, and in a ragged run of shareGroup; a floor
-	// of zero so every one of them is refined, then a floor nothing
-	// reaches so none is. The walks stop at the query side's horizon h,
+	// ending in a ragged one; a floor of zero so every one of them is
+	// refined, then a floor nothing reaches so none is. The walks stop at the query side's horizon h,
 	// so it runs at every length a walk takes: all T−1 steps (h = T),
 	// a few, and none (h = 1).
 	block := make([]boundedCand, 2*graph.MaxWalkLanes-1)
-	if laneFit(T, R, graph.MaxWalkLanes) != graph.MaxWalkLanes || len(block)%shareGroup == 0 {
-		t.Fatalf("a block of %d is not ragged at the lane width and the share group", len(block))
+	if laneFit(T, R, graph.MaxWalkLanes) != graph.MaxWalkLanes {
+		t.Fatalf("a block of %d is not ragged at the lane width", len(block))
 	}
 	pend := make([]int32, len(block))
 	for j := range block {
@@ -146,13 +145,12 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 				e.scoreLanes(s, &s.slots, scores, pend, floor)
 				sink += scores[0].Rough
 			})
-			s.slots.clear()
-			// The dispatcher above it must add nothing on the one-worker
-			// path (a WaitGroup declared before the fork would).
+			// The dispatcher above it must add nothing.
 			check(fmt.Sprintf("scoreBlock h=%d", h), 20, func() {
-				e.scoreBlock(s, block, scores, &wd, floor, 1, &stats)
+				e.scoreBlock(s, block, scores, &s.slots, floor, &stats)
 				sink += scores[0].Rough
 			})
+			s.slots.clear()
 		}
 	}
 	// The tally kernels score against the whole distribution.
@@ -190,7 +188,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	// random, and a query that draws a fresh one allocates it.)
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(50, func() {
-		res, _, _ := e.search(ctx, uq, 1, e.p.Theta, 1)
+		res, _, _ := e.search(ctx, uq, 1, e.p.Theta)
 		sink += res[0].Score
 	}); allocs != 1 && !raceEnabled {
 		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)

@@ -32,9 +32,7 @@ func (e *Snapshot) SimilarityJoinCtx(ctx context.Context, theta float64, maxPair
 	seen := make(map[uint64]float64)
 
 	err := e.forEachVertexParallel(ctx, func(u uint32) {
-		// Workers are already saturated across query vertices; each inner
-		// query runs sequentially to avoid nested parallelism.
-		res, _, err := e.search(ctx, u, 0, theta, 1)
+		res, _, err := e.search(ctx, u, 0, theta)
 		if err != nil || len(res) == 0 {
 			return
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -23,13 +22,6 @@ import (
 // section first; survivors are repacked into full lanes next to their
 // rough columns and walk the rest of their RScore walks.
 
-// shareGroup is how many bound-ordered candidates a worker of a parallel
-// block takes at a time (scoreBlock). It is not the lane width: a share's
-// candidates still go through scoreLanes together, graph.MaxWalkLanes
-// lanes at a time. Dealt in runs of 32, a 64-candidate block would give
-// two workers one contiguous half each, the split round robin avoids.
-const shareGroup = 8
-
 // lanePosBytes bounds each of a scratch's two lane position buffers (the
 // rough columns of a section, and the full matrices of one lane group).
 // A matrix is T·R positions; when fewer than two fit, scoring falls to
@@ -42,66 +34,21 @@ func laneFit(T, cols, most int) int {
 	return max(1, min(most, lanePosBytes/(4*T*cols)))
 }
 
-// scoreBlock scores one block of a scan at a fixed pruning floor: out[j]
-// becomes the outcome of block[j] — vertex, bound (clamped, see ShardCand),
-// state and the estimates the state says are valid — and the tally cache's
-// part in it is added to stats. With workers > 1 the block is dealt out in
-// runs of shareGroup candidates, round robin — neighbours in bound order
-// cost alike (the head of a block is mostly refined, its tail mostly
-// rough-pruned), so contiguous halves would leave one worker waiting for
-// the other. The caller scores its share on qs while pooled scratches
-// serve the others. Each candidate's walks come from its own vertex-seeded
-// streams (candSeed), so which goroutine scores it — and next to which lane
-// neighbours — cannot change its score. Every share probes wd through one
-// slotIndex, built on qs before the block and cleared after it.
-func (e *Snapshot) scoreBlock(qs *scratch, block []boundedCand, out []ShardCand, wd *walkDist, floor float64, workers int, stats *QueryStats) {
-	x := &qs.slots
-	x.build(wd, qs.n)
-	defer x.clear()
-	group := laneFit(e.p.T, e.p.RScore, shareGroup)
-	shares := min(workers, (len(block)+group-1)/group)
-	if shares <= 1 || len(block) < minParallelScore {
-		e.scoreShare(qs, block, out, x, floor, 0, len(block), len(block), stats)
-		return
-	}
-	// Each share counts its cache traffic on its own, in a row of the
-	// caller's scratch; the sums do not depend on which share met which
-	// candidate.
-	if cap(qs.shareStats) < shares {
-		qs.shareStats = make([]QueryStats, shares)
-	}
-	cache := qs.shareStats[:shares]
-	clear(cache)
-	var wg sync.WaitGroup
-	for w := 1; w < shares; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.getScratch()
-			defer e.putScratch(s)
-			e.scoreShare(s, block, out, x, floor, w*group, shares*group, group, &cache[w])
-		}()
-	}
-	e.scoreShare(qs, block, out, x, floor, 0, shares*group, group, &cache[0])
-	wg.Wait()
-	for _, c := range cache {
-		stats.AddCache(c)
-	}
-}
-
-// scoreShare scores one worker's share of a block — the runs of group
-// candidates starting at first, first+stride, … — on one scratch:
-// candidates the tally cache can answer are scored one by one
-// (scoreCandidate), the rest are collected and go through the lane kernel
-// together.
-func (e *Snapshot) scoreShare(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, first, stride, group int, stats *QueryStats) {
+// scoreBlock scores one block of a scan at a fixed pruning floor against
+// the query side x indexes: out[j] becomes the outcome of block[j] —
+// vertex, bound (clamped, see ShardCand), state and the estimates the
+// state says are valid — and the tally cache's part in it is added to
+// stats. Candidates the tally cache can answer are scored one by one
+// (scoreCandidate); the rest are collected and go through the lane kernel
+// together. Each candidate's walks come from its own vertex-seeded streams
+// (candSeed), so its lane neighbours cannot change its score. The caller
+// builds x once for its whole scan (search, shardScan).
+func (e *Snapshot) scoreBlock(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, stats *QueryStats) {
 	pend := s.pend[:0]
-	for lo := first; lo < len(block); lo += stride {
-		for j := lo; j < min(lo+group, len(block)); j++ {
-			out[j] = ShardCand{V: block[j].v, UB: clampUB(block[j].ub)}
-			if !e.scoreCandidate(s, x, &out[j], floor, stats) {
-				pend = append(pend, int32(j))
-			}
+	for j, b := range block {
+		out[j] = ShardCand{V: b.v, UB: clampUB(b.ub)}
+		if !e.scoreCandidate(s, x, &out[j], floor, stats) {
+			pend = append(pend, int32(j))
 		}
 	}
 	s.pend = pend

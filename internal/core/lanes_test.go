@@ -38,11 +38,14 @@ func sameOutcome(a, b ShardCand) bool {
 		math.Float64bits(a.Rough) == math.Float64bits(b.Rough)
 }
 
-// scoreBlockOf runs scoreBlock into a fresh outcome slice.
-func scoreBlockOf(e *Snapshot, qs *scratch, block []boundedCand, wd *walkDist, floor float64, workers int) []ShardCand {
+// scoreBlockOf runs scoreBlock into a fresh outcome slice, against wd's
+// slot index built on qs.
+func scoreBlockOf(e *Snapshot, qs *scratch, block []boundedCand, wd *walkDist, floor float64) []ShardCand {
 	var stats QueryStats
 	out := make([]ShardCand, len(block))
-	e.scoreBlock(qs, block, out, wd, floor, workers, &stats)
+	qs.slots.build(wd, qs.n)
+	defer qs.slots.clear()
+	e.scoreBlock(qs, block, out, &qs.slots, floor, &stats)
 	return out
 }
 
@@ -102,10 +105,10 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 
 // TestLaneKernelMatchesReference drives every way a block reaches the
 // lane kernel — adaptive, DisableAdaptive, and a web graph's query sides,
-// pushed whole and held back — through search and the shard scan at 1, 2,
-// 3 and 5 workers, cache off and on,
-// and requires results, pruning counts and every fragment entry to carry
-// the reference's bits; 2- and 3-shard merges must replay to the same.
+// pushed whole and held back — through search and the shard scan, cache
+// off and on, and requires results, pruning counts and every fragment
+// entry to carry the reference's bits; 2- and 3-shard merges must replay
+// to the same.
 func TestLaneKernelMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds six engines")
@@ -146,15 +149,13 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 				qs := e.getScratch()
 				q := newRefQuery(e, qs, u)
 				want, wantStats := refSearch(e, qs, q, 20, theta)
-				for _, workers := range []int{1, 2, 3, 5} {
-					got, stats, err := e.search(ctx, u, 20, theta, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
-					if scanStats(stats) != wantStats {
-						t.Fatalf("%s workers=%d: stats %+v, reference %+v", label, workers, scanStats(stats), wantStats)
-					}
+				got, stats, err := e.search(ctx, u, 20, theta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, label, got, want)
+				if scanStats(stats) != wantStats {
+					t.Fatalf("%s: stats %+v, reference %+v", label, scanStats(stats), wantStats)
 				}
 				// Shard fragments are scored at the fixed floor theta.
 				ref := map[uint32]ShardCand{}
@@ -167,7 +168,7 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 					frags := make([][]ShardCand, shards)
 					for i := range frags {
 						var err error
-						frags[i], _, err = e.shardScan(ctx, u, theta, uint32(i)*n/shards, uint32(i+1)*n/shards, 1+(i+int(shards))%3, nil)
+						frags[i], _, err = e.shardScan(ctx, u, theta, uint32(i)*n/shards, uint32(i+1)*n/shards, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -197,9 +198,8 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 }
 
 // TestScoreBlockShapes scores blocks whose length is not a multiple of
-// the lane width or of the share group, and floors that leave fewer
-// survivors than one lane group (or none, or all), at 1, 2, 3 and 5
-// workers.
+// the lane width, and floors that leave fewer survivors than one lane
+// group (or none, or all).
 func TestScoreBlockShapes(t *testing.T) {
 	g := graph.PreferentialAttachment(3000, 10, 0.4, 3)
 	p := DefaultParams()
@@ -228,8 +228,8 @@ func TestScoreBlockShapes(t *testing.T) {
 		return (r[m-1] + r[m]) / 2 / 0.3
 	}
 	lanes := laneFit(e.p.T, e.p.RScore, graph.MaxWalkLanes)
-	if lanes != graph.MaxWalkLanes || lanes == shareGroup {
-		t.Fatalf("lane width %d, want %d and apart from the share group %d", lanes, graph.MaxWalkLanes, shareGroup)
+	if lanes != graph.MaxWalkLanes {
+		t.Fatalf("lane width %d, want %d", lanes, graph.MaxWalkLanes)
 	}
 	fewSurvivors, raggedSurvivors := false, false
 	for _, L := range []int{1, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 41, 63, 64} {
@@ -249,16 +249,14 @@ func TestScoreBlockShapes(t *testing.T) {
 			}
 			fewSurvivors = fewSurvivors || survivors > 0 && survivors < lanes
 			raggedSurvivors = raggedSurvivors || survivors > lanes && survivors%lanes != 0
-			for _, workers := range []int{1, 2, 3, 5} {
-				got := scoreBlockOf(e, qs, q.bs[:L], q.wd, floor, workers)
-				for j := range got {
-					want := ShardCand{Score: full[j], Rough: rough[j], State: ShardScored}
-					if rough[j] < 0.3*floor {
-						want = ShardCand{Rough: rough[j], State: ShardRoughPruned}
-					}
-					if !sameOutcome(got[j], want) {
-						t.Fatalf("L=%d floor=%g workers=%d v=%d: %+v, reference %+v", L, floor, workers, q.bs[j].v, got[j], want)
-					}
+			got := scoreBlockOf(e, qs, q.bs[:L], q.wd, floor)
+			for j := range got {
+				want := ShardCand{Score: full[j], Rough: rough[j], State: ShardScored}
+				if rough[j] < 0.3*floor {
+					want = ShardCand{Rough: rough[j], State: ShardRoughPruned}
+				}
+				if !sameOutcome(got[j], want) {
+					t.Fatalf("L=%d floor=%g v=%d: %+v, reference %+v", L, floor, q.bs[j].v, got[j], want)
 				}
 			}
 		}
@@ -275,9 +273,7 @@ func TestScoreBlockShapes(t *testing.T) {
 func TestLaneBudget(t *testing.T) {
 	for _, tc := range []struct{ T, cols, most, want int }{
 		{11, 100, graph.MaxWalkLanes, graph.MaxWalkLanes}, // the defaults: 32 full candidate lanes
-		{11, 100, shareGroup, shareGroup},                 // a worker's run of a parallel block
 		{11, 400, graph.MaxWalkLanes, 29},                 // the budget, not the width, caps the group
-		{11, 400, shareGroup, shareGroup},
 		{11, 10, scoreBlock, scoreBlock},
 		{11, 5000, graph.MaxWalkLanes, 2},
 		{11, 70000, graph.MaxWalkLanes, 1},
@@ -317,8 +313,8 @@ func TestLaneBudget(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	q.bs = q.bs[:min(len(q.bs), 6)]
-	big := scoreBlockOf(e, qs, q.bs, q.wd, 0, 1)
-	prefix := scoreBlockOf(es, ss, q.bs, q.wd, 0, 1)
+	big := scoreBlockOf(e, qs, q.bs, q.wd, 0)
+	prefix := scoreBlockOf(es, ss, q.bs, q.wd, 0)
 	positive := 0
 	for j := range big {
 		if big[j].State != ShardScored || math.Float64bits(big[j].Rough) != math.Float64bits(prefix[j].Score) {

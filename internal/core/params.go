@@ -117,10 +117,11 @@ type Params struct {
 	PrologBytes int64
 	// Seed makes every Monte-Carlo component deterministic.
 	Seed uint64
-	// Workers bounds parallelism: the preprocess and all-pairs modes
-	// shard vertices over this many goroutines, and one query (TopK,
-	// Similar, a shard scan) fans its candidate scoring out over as many.
-	// Results are identical for any value. 0 means GOMAXPROCS.
+	// Workers is how many items run at once in the engine's one worker
+	// pool: the preprocess's 256-vertex chunks, and the queries of
+	// AllTopK, SimilarityJoin, TopKBatch and the shard batch. One query
+	// (TopK, Threshold, a shard scan) always runs on its caller's
+	// goroutine. Results are identical for any value. 0 means GOMAXPROCS.
 	Workers int
 }
 

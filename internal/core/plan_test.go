@@ -563,8 +563,8 @@ func TestIndexPlanAgainstBallReference(t *testing.T) {
 				k     int
 				theta float64
 			}{{k, e.p.Theta}, {0, planTheta}} {
-				got, st, _ := e.search(ctx, u, q.k, q.theta, 1)
-				want, refSt, _ := planted.search(ctx, u, q.k, q.theta, 1)
+				got, st, _ := e.search(ctx, u, q.k, q.theta)
+				want, refSt, _ := planted.search(ctx, u, q.k, q.theta)
 				if !slices.Equal(got, want) {
 					t.Errorf("%s u=%d k=%d theta=%v: answer differs from the scan over the reference plan\n got %v\nwant %v", name, u, q.k, q.theta, got, want)
 				}

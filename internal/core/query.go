@@ -26,10 +26,9 @@ type QueryStats struct {
 	CacheEvictions int `json:"cache_evictions"`
 }
 
-// AddCache adds o's tally-cache counters to st: how the scoring workers of
-// one block report theirs, and how a router sums its shards' — each shard
-// has a cache of its own, so those counters add up where the scan counters
-// are replayed.
+// AddCache adds o's tally-cache counters to st: how a router sums its
+// shards' — each shard has a cache of its own, so those counters add up
+// where the scan counters are replayed.
 func (st *QueryStats) AddCache(o QueryStats) {
 	st.CacheHits += o.CacheHits
 	st.CacheMisses += o.CacheMisses
@@ -52,18 +51,13 @@ func roughPruned(rough, floor float64) bool {
 }
 
 // scoreBlock is the number of bound-ordered candidates scored between two
-// re-evaluations of the pruning floor. It is a fixed constant — NOT a
-// function of Params.Workers — which is what makes parallel scoring
-// deterministic: the floor each candidate observes depends only on the
-// candidates in earlier blocks, never on scheduling. A racy shared floor
-// would be tighter on average, but rough-prune decisions reading it would
-// differ run to run; with 64-candidate blocks the floor staleness costs a
-// few extra refinements per query while keeping results byte-identical
-// across worker counts.
+// re-evaluations of the pruning floor (Algorithm 5), and the unit the
+// shard merge replays. It is a fixed constant, so the floor each candidate
+// observes depends only on the candidates in earlier blocks — the same on
+// a single node as in a merge of shard fragments scored at a fixed floor.
+// With 64-candidate blocks the floor staleness costs a few extra
+// refinements per query.
 const scoreBlock = 64
-
-// minParallelScore is the smallest block worth fanning out to goroutines.
-const minParallelScore = 16
 
 // TopK answers Problem 1: the k vertices most similar to u, best first.
 // Requires a preprocessed engine (see Build).
@@ -78,46 +72,45 @@ func (e *Snapshot) TopK(u uint32, k int) []Scored {
 // budget. Results and statistics for an uncancelled context are
 // byte-identical to TopK.
 func (e *Snapshot) TopKCtx(ctx context.Context, u uint32, k int) ([]Scored, error) {
-	res, _, err := e.search(ctx, u, k, e.p.Theta, e.p.Workers)
+	res, _, err := e.search(ctx, u, k, e.p.Theta)
 	return res, err
 }
 
 // TopKStats is TopK plus pruning statistics.
 func (e *Snapshot) TopKStats(u uint32, k int) ([]Scored, QueryStats) {
-	res, stats, _ := e.search(context.Background(), u, k, e.p.Theta, e.p.Workers)
+	res, stats, _ := e.search(context.Background(), u, k, e.p.Theta)
 	return res, stats
 }
 
 // TopKStatsCtx is TopKStats with cancellation (see TopKCtx).
 func (e *Snapshot) TopKStatsCtx(ctx context.Context, u uint32, k int) ([]Scored, QueryStats, error) {
-	return e.search(ctx, u, k, e.p.Theta, e.p.Workers)
+	return e.search(ctx, u, k, e.p.Theta)
 }
 
 // Threshold returns every vertex whose estimated score is at least theta,
 // best first. This is the query mode used by the accuracy experiment
 // (Section 8.2), where the paper counts recovered "high score" vertices.
 func (e *Snapshot) Threshold(u uint32, theta float64) []Scored {
-	res, _, _ := e.search(context.Background(), u, 0, theta, e.p.Workers)
+	res, _, _ := e.search(context.Background(), u, 0, theta)
 	return res
 }
 
 // ThresholdCtx is Threshold with cancellation (see TopKCtx).
 func (e *Snapshot) ThresholdCtx(ctx context.Context, u uint32, theta float64) ([]Scored, error) {
-	res, _, err := e.search(ctx, u, 0, theta, e.p.Workers)
+	res, _, err := e.search(ctx, u, 0, theta)
 	return res, err
 }
 
-// search implements Algorithm 5 (QUERY). k == 0 means unlimited. workers
-// is the candidate-scoring fan-out; callers that already parallelize
-// across queries (AllTopK, SimilarityJoin, batch) pass 1 to avoid nested
-// parallelism.
+// search implements Algorithm 5 (QUERY) on the calling goroutine. k == 0
+// means unlimited. The query side's slot index is built once, before the
+// first block scored, and serves every block of the scan.
 //
 // Cancellation is checked once on entry and then between candidate-scoring
 // blocks (never inside one), so a cancelled query returns ctx.Err()
 // within one block's worth of work and the block-synchronous determinism
 // argument is untouched. All scratch buffers are released on every return
 // path (the deferred putScratch covers cancellation too).
-func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, workers int) ([]Scored, QueryStats, error) {
+func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64) ([]Scored, QueryStats, error) {
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -130,14 +123,19 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64, w
 	if cap(qs.scores) < scoreBlock {
 		qs.scores = make([]ShardCand, scoreBlock)
 	}
+	x := &qs.slots
+	defer x.clear()
 	res, err := scanOrdered(k, theta, len(bs), &stats,
 		func(i int) float64 { return bs[i].ub },
 		func(i, end int, floor float64) ([]ShardCand, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			if x.wd == nil {
+				x.build(wd, qs.n)
+			}
 			out := qs.scores[:end-i]
-			e.scoreBlock(qs, bs[i:end], out, wd, floor, workers, &stats)
+			e.scoreBlock(qs, bs[i:end], out, x, floor, &stats)
 			return out, nil
 		})
 	return res, stats, err

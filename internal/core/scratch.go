@@ -16,8 +16,7 @@ import (
 // Engines hand scratches out of a sync.Pool (getScratch / putScratch), so
 // after warm-up a query performs near-zero allocations: the only escaping
 // allocation is the result slice itself. A scratch is owned by exactly one
-// goroutine at a time; parallel candidate scoring gives each worker its
-// own pooled scratch.
+// goroutine at a time: a query's, or a preprocess chunk's.
 type scratch struct {
 	n int
 
@@ -59,9 +58,8 @@ type scratch struct {
 	wd   walkDist
 	peak []float64
 
-	// slots is the scoring index of the distribution a block is scored
-	// against (scoreBlock), built on the scratch of the query that scores
-	// it and read by the block's workers.
+	// slots is the scoring index of the distribution a scan scores
+	// against, built once per scan (search, shardScan).
 	slots slotIndex
 
 	// The single-pair estimator's generator (singlepair.go), seeded per
@@ -72,9 +70,6 @@ type scratch struct {
 	cands  []uint32
 	bounds []boundedCand
 	scores []ShardCand
-	// shareStats holds one tally-cache counter set per scoring share of a
-	// parallel block (scoreBlock), summed into the query's when it ends.
-	shareStats []QueryStats
 
 	// Candidate tally kernel buffers (tally.go): tpos is the walk-major
 	// step×walk position matrix, and tallyOff/tallyV/tallyCnt/tallyRcnt

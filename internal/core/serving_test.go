@@ -206,7 +206,7 @@ func (c *cancelAfter) Err() error {
 
 // TestQueryCancellation checks that a context cancelled mid-query makes
 // the search return ctx.Err() promptly and release every scratch buffer
-// back to the pool — including the ones held by parallel scoring workers.
+// back to the pool.
 func TestQueryCancellation(t *testing.T) {
 	g := graph.CopyingModel(2000, 8, 0.3, 3)
 	p := DefaultParams()

@@ -113,7 +113,7 @@ func clampUB(ub float64) float64 {
 // merge). The full range [0, N) reproduces exactly the work of a
 // single-node query with a floor pinned at theta.
 func (e *Snapshot) ShardScanCtx(ctx context.Context, u uint32, theta float64, lo, hi uint32, dst []ShardCand) ([]ShardCand, QueryStats, error) {
-	return e.shardScan(ctx, u, theta, lo, hi, e.p.Workers, dst[:0])
+	return e.shardScan(ctx, u, theta, lo, hi, dst[:0])
 }
 
 // TopKShardBatchAppendCtx answers many shard-restricted top-k queries at
@@ -123,7 +123,7 @@ func (e *Snapshot) ShardScanCtx(ctx context.Context, u uint32, theta float64, lo
 // frags[i]'s capacity is reused per query.
 func (e *Snapshot) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, hi uint32, frags [][]ShardCand, sts []QueryStats) error {
 	return e.forEachIndexParallel(ctx, len(us), func(i int) {
-		f, st, err := e.shardScan(ctx, us[i], e.p.Theta, lo, hi, 1, frags[i][:0])
+		f, st, err := e.shardScan(ctx, us[i], e.p.Theta, lo, hi, frags[i][:0])
 		if err != nil {
 			return // the pool sees the cancelled ctx and reports it
 		}
@@ -133,8 +133,10 @@ func (e *Snapshot) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo,
 }
 
 // shardScan writes the fragment into dst (grown as needed; nil
-// allocates fresh). dst must arrive with length zero or nil.
-func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, hi uint32, workers int, dst []ShardCand) ([]ShardCand, QueryStats, error) {
+// allocates fresh). dst must arrive with length zero or nil. Like search it
+// runs on the calling goroutine and builds the query side's slot index
+// once, for every block it scores.
+func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, hi uint32, dst []ShardCand) ([]ShardCand, QueryStats, error) {
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -164,12 +166,17 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, h
 	}
 	// The rest is scored at the fixed floor theta, straight into the
 	// fragment, and counted as the scan would count it at that floor.
+	x := &qs.slots
+	if cut > 0 {
+		x.build(wd, qs.n)
+		defer x.clear()
+	}
 	for i := 0; i < cut; i += scoreBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		end := min(i+scoreBlock, cut)
-		e.scoreBlock(qs, bs[i:end], out[i:end], wd, theta, workers, &stats)
+		e.scoreBlock(qs, bs[i:end], out[i:end], x, theta, &stats)
 		for _, c := range out[i:end] {
 			stats.note(c, theta)
 		}

@@ -173,7 +173,7 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	requireAllClasses(t, "threshold shards", e.Snapshot, us)
 	for _, theta := range []float64{0.005, p.Theta, 0.05, 0.3} {
 		for _, u := range us {
-			want, wantStats, err := e.search(ctx, u, 0, theta, e.p.Workers)
+			want, wantStats, err := e.search(ctx, u, 0, theta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func FuzzMergeShardTopK(f *testing.F) {
 			part[si] = [2]uint32{uint32(si) * en / uint32(s), uint32(si+1) * en / uint32(s)}
 		}
 		tfrags, _ := shardFrags(t, e, u, thr, part)
-		want, wantSt, err := e.search(context.Background(), u, 0, thr, e.p.Workers)
+		want, wantSt, err := e.search(context.Background(), u, 0, thr)
 		if err != nil {
 			t.Fatal(err)
 		}

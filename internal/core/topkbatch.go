@@ -3,11 +3,9 @@ package core
 import "context"
 
 // TopKBatch answers a slice of top-k queries, fanning them over
-// Params.Workers whole-query workers (each query scores its candidates
-// sequentially — for throughput work the workers are already saturated
-// across queries). All queries share the snapshot's tally cache, so a
-// batch with recurring or overlapping candidate sets warms the cache for
-// itself. Results are byte-identical to issuing the queries one at a
+// Params.Workers whole-query workers (a query runs on one goroutine).
+// All queries share the snapshot's tally cache, so a batch with recurring
+// or overlapping candidate sets warms the cache for itself. Results are byte-identical to issuing the queries one at a
 // time, and so are the per-query statistics except the cache counters:
 // when two concurrent queries race on the same cold candidate, which of
 // them records the miss depends on scheduling (the tally they compute is
@@ -24,7 +22,7 @@ func (e *Snapshot) TopKBatchCtx(ctx context.Context, us []uint32, k int) ([][]Sc
 	res := make([][]Scored, len(us))
 	sts := make([]QueryStats, len(us))
 	err := e.forEachIndexParallel(ctx, len(us), func(i int) {
-		r, st, err := e.search(ctx, us[i], k, e.p.Theta, 1)
+		r, st, err := e.search(ctx, us[i], k, e.p.Theta)
 		if err != nil {
 			return // the pool sees the cancelled ctx and reports it
 		}

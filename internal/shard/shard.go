@@ -4,11 +4,13 @@
 // fragments). The merge of the fragments is the root package's
 // MergeShardTopKScratch.
 //
-// The partition is the same contiguous-range scheme the in-process
-// worker pools use (parallelVertices, forEachIndexParallel): shard i of
-// S owns vertices [i*n/S, (i+1)*n/S). Contiguous ranges keep each
-// shard's candidate scoring cache-local in the CSR arrays and make the
-// ownership test two comparisons.
+// The partition is contiguous: shard i of S owns vertices
+// [i*n/S, (i+1)*n/S). Contiguous ranges keep each shard's candidate
+// scoring cache-local in the CSR arrays and make the ownership test two
+// comparisons. In process the engine has one worker pool
+// (core's forEachIndexParallel), which hands out items — the
+// preprocess's 256-vertex chunks, the queries of a batch — from a shared
+// cursor rather than by range, and runs each query on one goroutine.
 package shard
 
 import (

@@ -60,11 +60,12 @@ type Options struct {
 	PrologCacheBytes int64
 	// Seed makes all Monte-Carlo components deterministic. Default 1.
 	Seed uint64
-	// Workers bounds parallelism: the preprocess and all-pairs modes
-	// shard vertices across this many goroutines, and a single TopK /
-	// Similar query fans its candidate scoring out over them (results are
-	// identical for any worker count — every candidate's walks come from
-	// its own deterministic RNG stream). Default: GOMAXPROCS.
+	// Workers is how many items run at once: the preprocess's vertex
+	// chunks, and the queries of AllTopK, SimilarityJoin and TopKBatch.
+	// A single TopK / Similar query runs on the caller's goroutine.
+	// Results are identical for any worker count — every vertex's and
+	// every candidate's walks come from their own deterministic RNG
+	// streams. Default: GOMAXPROCS.
 	Workers int
 }
 
