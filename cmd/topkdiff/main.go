@@ -6,8 +6,11 @@
 //
 //	topkdiff -a http://localhost:8080 -b http://localhost:8090 -count 50 -k 20
 //
-// Both /topk (one request per corpus query, stats compared) and
-// /topk/batch (the whole corpus in one request) are exercised.
+// Three endpoints are exercised: /topk (one request per corpus query,
+// stats compared), /similar at theta 0.02 (one request per corpus query:
+// above the default serving theta 0.01, so a router's shards scan at the
+// request's floor and the merge replays it with k = 0) and /topk/batch
+// (the whole corpus in one request).
 //
 // When -a is a router, its /statusz is read after the corpus and the
 // transport every shard was reached over is checked for consistency —
@@ -47,6 +50,9 @@ type topKResponse struct {
 	Results []result `json:"results"`
 	Stats   *stats   `json:"stats"`
 }
+
+// similarTheta is the /similar threshold diffed over the corpus.
+const similarTheta = 0.02
 
 type batchResponse struct {
 	Results []topKResponse `json:"results"`
@@ -201,27 +207,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Per-query /topk with stats.
-	for u := 0; u < *count; u++ {
-		path := fmt.Sprintf("/topk?u=%d&k=%d&stats=1", u, *k)
-		ba, err := get(ua + path)
-		if err != nil {
-			log.Fatal(err)
+	// diffGet diffs both servers' answers to one GET.
+	diffGet := func(label, path string) {
+		var r [2]topKResponse
+		for i, base := range []string{ua, ub} {
+			body, err := get(base + path)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := json.Unmarshal(body, &r[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
-		bb, err := get(ub + path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var ra, rb topKResponse
-		if err := json.Unmarshal(ba, &ra); err != nil {
-			log.Fatal(err)
-		}
-		if err := json.Unmarshal(bb, &rb); err != nil {
-			log.Fatal(err)
-		}
-		if err := diffOne(fmt.Sprintf("u=%d", u), ra, rb); err != nil {
+		if err := diffOne(label, r[0], r[1]); err != nil {
 			fail(err)
 		}
+	}
+	// Per-query /topk with stats, and /similar.
+	for u := 0; u < *count; u++ {
+		diffGet(fmt.Sprintf("u=%d", u), fmt.Sprintf("/topk?u=%d&k=%d&stats=1", u, *k))
+		diffGet(fmt.Sprintf("similar u=%d", u), fmt.Sprintf("/similar?u=%d&theta=%g", u, similarTheta))
 	}
 
 	// The whole corpus as one batch.
@@ -259,7 +264,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "topkdiff: TRANSPORT:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("topkdiff: %d queries + 1 batch identical between %s and %s", *count, ua, ub)
+	fmt.Printf("topkdiff: %d queries, %d similar + 1 batch identical between %s and %s", *count, *count, ua, ub)
 	if format != "" {
 		fmt.Printf(" (shards reached over wire_format=%s)", format)
 	}

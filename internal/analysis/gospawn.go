@@ -22,13 +22,13 @@ var GoSpawn = &Analyzer{
 }
 
 // goSpawnAllow names the approved worker-pool functions: each spawns a
-// bounded number of goroutines (Params.Workers, the shard count, or
-// the hedge attempt cap) from a plain counted loop or on-demand
-// launches under a fixed cap.
+// bounded number of goroutines (Params.Workers, the shard count, a
+// routed batch's batchInFlight query workers, or the hedge attempt
+// cap) from a plain counted loop or on-demand launches under a fixed cap.
 var goSpawnAllow = map[string]bool{
-	"forEachIndexParallel": true, // allpairs.go: the engine's one worker pool (preprocess chunks, AllTopK, TopKBatch, joins, shard batch)
+	"forEachIndexParallel": true, // allpairs.go: the engine's one worker pool (preprocess chunks, AllTopK, TopKBatch, joins)
 	"startRefresher":       true, // dynamic.go: the single background snapshot builder
-	"fanout":               true, // router/hedge.go: one goroutine per shard, counted scatter
+	"fanout":               true, // router/hedge.go: counted scatter (one goroutine per shard) and batch workers
 	"hedged":               true, // router/hedge.go: launch-on-demand attempts under a fixed cap
 }
 

@@ -25,7 +25,7 @@ import (
 //     wire decoders (Frame.TopKReq and friends) earn this fact.
 //   - TaintsParams[i]: the function stores an untrusted value through
 //     its i-th parameter (a pointer or a field of it), e.g. the dst of
-//     Frame.BatchReq.
+//     Frame.TopKResp.
 //   - TaintSinkParams[i]: the i-th parameter reaches a size/index sink
 //     (make length, slice/array index, loop bound, io read limit)
 //     without ever being bounds-checked in the body, directly or by

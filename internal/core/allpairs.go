@@ -44,9 +44,9 @@ func (e *Snapshot) forEachVertexParallel(ctx context.Context, fn func(u uint32))
 // observed between items: a worker that sees a cancelled ctx stops
 // claiming new indices, and the call reports ctx.Err() after every
 // worker has drained. This is the engine's one worker pool: the
-// preprocess chunks (parallelVertices), AllTopK, SimilarityJoin, TopKBatch
-// and the shard batch all route through it, and each item runs on the
-// goroutine that claimed it.
+// preprocess chunks (parallelVertices), AllTopK, SimilarityJoin and
+// TopKBatch all route through it, and each item runs on the goroutine
+// that claimed it.
 func (e *Snapshot) forEachIndexParallel(ctx context.Context, n int, fn func(i int)) error {
 	workers := e.p.Workers
 	if workers > n {

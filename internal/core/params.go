@@ -119,8 +119,8 @@ type Params struct {
 	Seed uint64
 	// Workers is how many items run at once in the engine's one worker
 	// pool: the preprocess's 256-vertex chunks, and the queries of
-	// AllTopK, SimilarityJoin, TopKBatch and the shard batch. One query
-	// (TopK, Threshold, a shard scan) always runs on its caller's
+	// AllTopK, SimilarityJoin and TopKBatch. One query (TopK, Threshold,
+	// a shard scan) always runs on its caller's
 	// goroutine. Results are identical for any value. 0 means GOMAXPROCS.
 	Workers int
 }

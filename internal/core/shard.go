@@ -116,22 +116,6 @@ func (e *Snapshot) ShardScanCtx(ctx context.Context, u uint32, theta float64, lo
 	return e.shardScan(ctx, u, theta, lo, hi, dst[:0])
 }
 
-// TopKShardBatchAppendCtx answers many shard-restricted top-k queries at
-// the serving Theta, parallelized across queries (one worker per query,
-// like TopKBatchCtx), writing fragments and stats into caller-supplied
-// parallel slices (len(frags) and len(sts) must equal len(us));
-// frags[i]'s capacity is reused per query.
-func (e *Snapshot) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, hi uint32, frags [][]ShardCand, sts []QueryStats) error {
-	return e.forEachIndexParallel(ctx, len(us), func(i int) {
-		f, st, err := e.shardScan(ctx, us[i], e.p.Theta, lo, hi, frags[i][:0])
-		if err != nil {
-			return // the pool sees the cancelled ctx and reports it
-		}
-		frags[i] = f
-		sts[i] = st
-	})
-}
-
 // shardScan writes the fragment into dst (grown as needed; nil
 // allocates fresh). dst must arrive with length zero or nil. Like search it
 // runs on the calling goroutine and builds the query side's slot index

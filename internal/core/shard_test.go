@@ -197,36 +197,6 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestTopKShardBatchMatchesSingle: the batch shard entry point must be
-// query-wise identical to the single-query scan at the serving theta.
-func TestTopKShardBatchMatchesSingle(t *testing.T) {
-	g := graph.Collaboration(500, 4, 0.8, 30, 9)
-	p := DefaultParams()
-	p.Seed = 11
-	e := Build(g, p)
-	us := []uint32{0, 7, 123, 499, 250, 72, 115, 211}
-	requireWideStep(t, "shard batch", e.Snapshot, us)
-	requireAllClasses(t, "shard batch", e.Snapshot, us)
-	ctx := context.Background()
-	frags := make([][]ShardCand, len(us))
-	sts := make([]QueryStats, len(us))
-	if err := e.TopKShardBatchAppendCtx(ctx, us, 100, 400, frags, sts); err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range us {
-		want, wantSt, err := e.ShardScanCtx(ctx, u, e.p.Theta, 100, 400, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sts[i] != wantSt {
-			t.Fatalf("u=%d: stats %+v, want %+v", u, sts[i], wantSt)
-		}
-		if fmt.Sprint(frags[i]) != fmt.Sprint(want) {
-			t.Fatalf("u=%d: batch fragment differs from single", u)
-		}
-	}
-}
-
 // fuzzSnapshot is the small engine FuzzMergeShardTopK scans real
 // fragments from, built once per process, with the vertices whose
 // threshold query at the fuzz's lowest theta returns something.

@@ -1,12 +1,11 @@
 // Package eval provides ranking-quality metrics for comparing approximate
-// similarity rankings against exact ones: precision/recall at k, NDCG,
-// and Kendall rank correlation. The experiment harness uses these to
-// quantify how well the Monte-Carlo top-k reproduces the exact SimRank
-// ranking beyond the paper's single recall number.
+// similarity rankings against exact ones: precision at k and NDCG. The
+// experiment harness and the accuracy tests use these to quantify how
+// well the Monte-Carlo top-k reproduces the exact SimRank ranking beyond
+// the paper's single recall number.
 package eval
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -44,21 +43,6 @@ func PrecisionAtK(got, want Ranking, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// RecallOfSet returns |got ∩ want| / |want| where want is a target set
-// (e.g. all vertices above a score threshold).
-func RecallOfSet(got Ranking, want map[uint32]struct{}) float64 {
-	if len(want) == 0 {
-		return 1
-	}
-	hits := 0
-	for _, v := range got {
-		if _, ok := want[v]; ok {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(want))
-}
-
 // NDCGAtK computes the normalized discounted cumulative gain of the
 // approximate ranking `got` against graded relevances `rel` (typically
 // the exact SimRank scores), at cutoff k.
@@ -90,67 +74,6 @@ func NDCGAtK(got Ranking, rel map[uint32]float64, k int) float64 {
 		return 0
 	}
 	return dcg / idcg
-}
-
-// KendallTau computes the Kendall rank correlation between two rankings
-// over their common items. Returns an error when fewer than two items are
-// shared. Ties cannot occur since rankings are by position.
-func KendallTau(a, b Ranking) (float64, error) {
-	posB := make(map[uint32]int, len(b))
-	for i, v := range b {
-		posB[v] = i
-	}
-	// Common items in a's order, mapped to their positions in b.
-	var seq []int
-	for _, v := range a {
-		if p, ok := posB[v]; ok {
-			seq = append(seq, p)
-		}
-	}
-	n := len(seq)
-	if n < 2 {
-		return 0, fmt.Errorf("eval: need at least 2 common items, have %d", n)
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if seq[i] < seq[j] {
-				concordant++
-			} else {
-				discordant++
-			}
-		}
-	}
-	total := concordant + discordant
-	return float64(concordant-discordant) / float64(total), nil
-}
-
-// Overlap returns the Jaccard overlap |a ∩ b| / |a ∪ b| of two rankings
-// viewed as sets.
-func Overlap(a, b Ranking) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	setA := make(map[uint32]struct{}, len(a))
-	for _, v := range a {
-		setA[v] = struct{}{}
-	}
-	inter := 0
-	setB := make(map[uint32]struct{}, len(b))
-	for _, v := range b {
-		if _, dup := setB[v]; dup {
-			continue
-		}
-		setB[v] = struct{}{}
-		if _, ok := setA[v]; ok {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // Collect converts any best-first scored list into a Ranking using the

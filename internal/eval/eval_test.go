@@ -26,16 +26,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestRecallOfSet(t *testing.T) {
-	want := map[uint32]struct{}{1: {}, 2: {}, 3: {}}
-	if r := RecallOfSet(Ranking{1, 3, 9}, want); math.Abs(r-2.0/3) > 1e-12 {
-		t.Fatalf("recall = %v", r)
-	}
-	if r := RecallOfSet(Ranking{}, map[uint32]struct{}{}); r != 1 {
-		t.Fatalf("empty-want recall = %v", r)
-	}
-}
-
 func TestNDCGPerfectAndWorst(t *testing.T) {
 	rel := map[uint32]float64{1: 3, 2: 2, 3: 1}
 	if n := NDCGAtK(Ranking{1, 2, 3}, rel, 3); math.Abs(n-1) > 1e-12 {
@@ -50,40 +40,6 @@ func TestNDCGPerfectAndWorst(t *testing.T) {
 	}
 	if n := NDCGAtK(Ranking{1}, map[uint32]float64{}, 3); n != 0 {
 		t.Fatalf("empty rel NDCG = %v", n)
-	}
-}
-
-func TestKendallTau(t *testing.T) {
-	a := Ranking{1, 2, 3, 4}
-	if tau, err := KendallTau(a, a); err != nil || tau != 1 {
-		t.Fatalf("identical tau = %v err %v", tau, err)
-	}
-	rev := Ranking{4, 3, 2, 1}
-	if tau, err := KendallTau(a, rev); err != nil || tau != -1 {
-		t.Fatalf("reversed tau = %v err %v", tau, err)
-	}
-	// Partial overlap: common items {2,3} in same order.
-	if tau, err := KendallTau(Ranking{2, 3, 9}, Ranking{8, 2, 3}); err != nil || tau != 1 {
-		t.Fatalf("partial tau = %v err %v", tau, err)
-	}
-	if _, err := KendallTau(Ranking{1}, Ranking{2}); err == nil {
-		t.Fatal("expected error for <2 common items")
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	if o := Overlap(Ranking{1, 2}, Ranking{2, 3}); math.Abs(o-1.0/3) > 1e-12 {
-		t.Fatalf("overlap = %v", o)
-	}
-	if o := Overlap(Ranking{}, Ranking{}); o != 1 {
-		t.Fatalf("empty overlap = %v", o)
-	}
-	if o := Overlap(Ranking{1}, Ranking{1}); o != 1 {
-		t.Fatalf("identical overlap = %v", o)
-	}
-	// Duplicates in b are ignored.
-	if o := Overlap(Ranking{1, 2}, Ranking{1, 1, 2}); o != 1 {
-		t.Fatalf("dup overlap = %v", o)
 	}
 }
 

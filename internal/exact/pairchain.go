@@ -58,14 +58,3 @@ func SinglePairSurfer(g *graph.Graph, c float64, T int, u, v uint32) float64 {
 	}
 	return score
 }
-
-// SingleSourceSurfer computes converged SimRank from u to every vertex by
-// running the pair chain once per target. Quadratic in the worst case;
-// intended for validation on small graphs.
-func SingleSourceSurfer(g *graph.Graph, c float64, T int, u uint32) []float64 {
-	out := make([]float64, g.N())
-	for v := uint32(0); int(v) < g.N(); v++ {
-		out[v] = SinglePairSurfer(g, c, T, u, v)
-	}
-	return out
-}

@@ -38,18 +38,6 @@ func TestSinglePairSurferMatchesConvergedMatrix(t *testing.T) {
 	}
 }
 
-func TestSingleSourceSurfer(t *testing.T) {
-	g := graph.Collaboration(15, 4, 0.9, 5, 2)
-	truth := PartialSumsAllPairs(g, 0.6, 40)
-	u := uint32(3)
-	row := SingleSourceSurfer(g, 0.6, 40, u)
-	for v := 0; v < g.N(); v++ {
-		if math.Abs(row[v]-truth.At(int(u), v)) > 1e-8 {
-			t.Fatalf("s(%d,%d): %v vs %v", u, v, row[v], truth.At(int(u), v))
-		}
-	}
-}
-
 func TestSinglePairSurferDangling(t *testing.T) {
 	g := graph.DirectedStar(4)
 	if got := SinglePairSurfer(g, 0.6, 20, 1, 2); got != 0 {

@@ -104,23 +104,6 @@ func SampleAverageDistance(g *Graph, samples int, seed uint64) (avg float64, dia
 	return avg, diam90, sampled, reachable
 }
 
-// DegreeHistogram returns counts[d] = number of vertices with the given
-// in-degree (if in is true) or out-degree.
-func DegreeHistogram(g *Graph, in bool) []int {
-	var counts []int
-	for v := uint32(0); int(v) < g.N(); v++ {
-		d := g.OutDegree(v)
-		if in {
-			d = g.InDegree(v)
-		}
-		for d >= len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[d]++
-	}
-	return counts
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d avg_in_deg=%.2f max_in=%d dangling_in=%d comps=%d avg_dist=%.2f",
 		s.N, s.M, s.AvgInDegree, s.MaxInDegree, s.DanglingIn, s.Components, s.AvgDistance)

@@ -59,18 +59,6 @@ func TestSampleAverageDistanceDisconnected(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := DirectedStar(5) // hub in-degree 4, leaves 0
-	h := DegreeHistogram(g, true)
-	if h[0] != 4 || h[4] != 1 {
-		t.Fatalf("in-degree histogram wrong: %v", h)
-	}
-	ho := DegreeHistogram(g, false)
-	if ho[1] != 4 || ho[0] != 1 {
-		t.Fatalf("out-degree histogram wrong: %v", ho)
-	}
-}
-
 func TestStatsStringNonEmpty(t *testing.T) {
 	st := ComputeStats(Star(4), 0, 0)
 	if st.String() == "" {

@@ -167,57 +167,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, following the Fisher–Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Sample returns k distinct uniformly random integers from [0, n) in
-// unspecified order. It panics if k > n or k < 0.
-func (r *Source) Sample(n, k int) []int {
-	if k < 0 || k > n {
-		panic("rng: Sample with k out of range")
-	}
-	if k*4 >= n {
-		// Dense case: partial Fisher–Yates over an explicit index slice.
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		for i := 0; i < k; i++ {
-			j := i + r.Intn(n-i)
-			idx[i], idx[j] = idx[j], idx[i]
-		}
-		return idx[:k:k]
-	}
-	// Sparse case: rejection via a set.
-	seen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		v := r.Intn(n)
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
-}
-
-// NormFloat64 returns a standard normally distributed float64 using the
-// Marsaglia polar method. Used by generators that need Gaussian noise.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}

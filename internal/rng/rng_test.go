@@ -152,73 +152,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSampleDistinct(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw uint8) bool {
-		n := int(nRaw%200) + 1
-		k := int(kRaw) % (n + 1)
-		s := New(seed).Sample(n, k)
-		if len(s) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range s {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSamplePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for k > n")
-		}
-	}()
-	New(1).Sample(3, 4)
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(11)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, x := range xs {
-		sum2 += x
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed multiset: %v", xs)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(123)
-	const n = 100000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %f too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %f too far from 1", variance)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	simrank "repro"
 	"repro/internal/server"
@@ -20,54 +21,27 @@ import (
 // fragment.
 type tamper func(echo *uint32, frag *[]simrank.ShardCand)
 
-// tamperFrame applies tp to every query of a topk/similar or batch answer
-// frame and re-encodes it; any other frame passes through unchanged.
+// tamperFrame applies tp to a topk/similar answer frame and re-encodes
+// it; any other frame passes through unchanged.
 func tamperFrame(data []byte, tp tamper) []byte {
 	var f wire.Frame
-	if f.Parse(data) != nil {
+	var r wire.TopKResp
+	if f.Parse(data) != nil || f.TopKResp(&r) != nil {
 		return data
 	}
-	switch f.Type {
-	case wire.MsgTopKResp:
-		var r wire.TopKResp
-		if f.TopKResp(&r) == nil {
-			tp(&r.Query, &r.Frag)
-			return wire.AppendTopKResp(nil, &r)
-		}
-	case wire.MsgBatchResp:
-		var r wire.BatchResp
-		if f.BatchResp(&r) == nil {
-			for i := range r.Frags {
-				tp(&r.Queries[i], &r.Frags[i])
-			}
-			return wire.AppendBatchResp(nil, &r)
-		}
-	}
-	return data
+	tp(&r.Query, &r.Frag)
+	return wire.AppendTopKResp(nil, &r)
 }
 
 // tamperJSON is tamperFrame for a JSON answer.
-func tamperJSON(path string, body []byte, tp tamper) ([]byte, error) {
-	one := func(r *server.ShardTopKResponse) {
-		echo := uint32(r.Query)
-		tp(&echo, &r.Frag)
-		r.Query = int(echo)
-	}
-	if path == "/shard/topk/batch" {
-		var r server.ShardBatchResponse
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, err
-		}
-		for i := range r.Results {
-			one(&r.Results[i])
-		}
-		return json.Marshal(r)
-	}
+func tamperJSON(body []byte, tp tamper) ([]byte, error) {
 	var r server.ShardTopKResponse
 	if err := json.Unmarshal(body, &r); err != nil {
 		return nil, err
 	}
-	one(&r)
+	echo := uint32(r.Query)
+	tp(&echo, &r.Frag)
+	r.Query = int(echo)
 	return json.Marshal(r)
 }
 
@@ -82,7 +56,7 @@ func tamperHandler(h http.Handler, tp tamper) http.Handler {
 			var err error
 			if wire.IsFrame(body) {
 				body = tamperFrame(body, tp)
-			} else if body, err = tamperJSON(r.URL.Path, body, tp); err != nil {
+			} else if body, err = tamperJSON(body, tp); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
@@ -257,5 +231,32 @@ func TestRouterFailsOverBadShardAnswers(t *testing.T) {
 	}
 	if errs := st.Shards[1].AttemptErrsTotal; errs == 0 {
 		t.Fatal("the bad answers of shard 1 count no attempt errors")
+	}
+}
+
+// TestRouterBatchFailureCancelsInFlight: the first failed query of a
+// routed batch fails the batch at once. Every shard answers query 42
+// with the wrong echo straight away and holds every other answer for
+// two seconds, so the batch returns 502 quickly only if its failure
+// cancels query 7, which is still waiting on its shards.
+func TestRouterBatchFailureCancelsInFlight(t *testing.T) {
+	const hold = 2 * time.Second
+	idx := buildIndex(t)
+	rt, _ := loopbackOpts(t, idx, 2, Config{}, topoOpts{tamper: func(echo *uint32, _ *[]simrank.ShardCand) {
+		if *echo == 42 {
+			*echo = 43
+			return
+		}
+		time.Sleep(hold)
+	}})
+	start := time.Now()
+	rec, body := routerPost(t, rt, "/topk/batch", `{"queries":[7,42],"k":5}`)
+	took := time.Since(start)
+	var er server.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || rec.Code != http.StatusBadGateway || er.Code != server.CodeUpstream {
+		t.Fatalf("status %d body %s, want 502 %s", rec.Code, body, server.CodeUpstream)
+	}
+	if took >= hold/2 {
+		t.Fatalf("failed batch answered after %v: it waited for the query still in flight", took)
 	}
 }

@@ -80,7 +80,6 @@ func TestResponseBodiesPinned(t *testing.T) {
 	get("server", single, "/similar?u=5&theta=1") // nothing scores 1: "results":[]
 	get("shard", shard0, "/shard/topk?u=5")
 	get("shard", shard0, "/shard/topk?u=5&lo=0&hi=0") // an empty range: "frag":[]
-	post("shard", shard0, "/shard/topk/batch", `{"queries":[1,2]}`)
 	get("shard", shard0, "/shard/similar?u=5&theta=0.05")
 	get("server", single, "/statusz")
 	get("router", rt, "/topk?u=5&k=5&stats=1")

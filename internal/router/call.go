@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -89,37 +88,19 @@ func (rt *Router) attempt(ctx context.Context, addr, binAddr string, op shardOp,
 	return rt.httpCall(ctx, addr, op, lo, hi, rp, x)
 }
 
-// httpCall runs one exchange over HTTP, negotiating a binary response
-// (and sending binary POST bodies) unless JSON is forced, and decodes
-// whichever encoding the server chose — an old server answers JSON to a
-// binary Accept, and JSON never begins with the frame magic — and checks
-// the answer (reply.check).
+// httpCall runs one GET exchange over HTTP, negotiating a binary
+// response unless JSON is forced, and decodes whichever encoding the
+// server chose — an old server answers JSON to a binary Accept, and JSON
+// never begins with the frame magic — and checks the answer
+// (reply.check).
 func (rt *Router) httpCall(ctx context.Context, addr string, op shardOp, lo, hi int, rp *reply, x *xfer) error {
-	bin := rt.binEnabled()
-	t0 := time.Now()
-	path, payload := op.httpReq(lo, hi, bin)
-	method, body := http.MethodGet, io.Reader(nil)
-	if payload != nil {
-		method, body = http.MethodPost, bytes.NewReader(payload)
-		if bin {
-			x.encodeNS += time.Since(t0).Nanoseconds()
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, method, addr+path, body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+op.httpPath(lo, hi), nil)
 	if err != nil {
 		return err
 	}
-	if bin {
+	if rt.binEnabled() {
 		req.Header.Set("Accept", wire.ContentType)
 	}
-	if payload != nil {
-		ctype := "application/json"
-		if bin {
-			ctype = wire.ContentType
-		}
-		req.Header.Set("Content-Type", ctype)
-	}
-	x.sent += int64(len(payload))
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return err

@@ -16,39 +16,18 @@ import (
 // race was decided is dropped to the GC. Nothing else writes a reply.
 type reply struct {
 	// Decode targets, reused across queries: the parse shell for HTTP
-	// bodies (the TCP transport parses in its connection's shell), the
-	// batch message that owns its backing arrays, and the reply-owned
-	// fragment rows — what a JSON body decoded to, and the one-row answer
-	// of a topk or a similar. seen is check's bitset over the range.
-	frame    wire.Frame
-	batch    wire.BatchResp
-	rows     [][]simrank.ShardCand
-	rowStats []simrank.QueryStats
-	seen     []uint64
+	// bodies (the TCP transport parses in its connection's shell) and
+	// check's bitset over the range.
+	frame wire.Frame
+	seen  []uint64
 
-	// The view the merge reads: one fragment and one stats entry per
-	// query (a topk or a similar is a batch of one).
-	frags [][]simrank.ShardCand
-	stats []simrank.QueryStats
+	// The merge's input: the shard's fragment of the query and its stats.
+	frag  []simrank.ShardCand
+	stats simrank.QueryStats
 }
 
-// setRows sizes the reply-owned rows for q queries and points the merge
-// view at them. Every row is an independent allocation, so capacity
-// reuse never overlaps rows.
-func (rp *reply) setRows(q int) {
-	for len(rp.rows) < q {
-		rp.rows = append(rp.rows, nil)
-	}
-	rp.rows = rp.rows[:q]
-	if cap(rp.rowStats) < q {
-		rp.rowStats = make([]simrank.QueryStats, q)
-	}
-	rp.rowStats = rp.rowStats[:q]
-	rp.frags, rp.stats = rp.rows, rp.rowStats
-}
-
-// check holds every fragment of a decoded answer to what the merge
-// assumes of it: (UB desc, V asc) order, no vertex twice, every vertex in
+// check holds a decoded answer's fragment to what the merge assumes of
+// it: (UB desc, V asc) order, no vertex twice, every vertex in
 // the range [lo, hi) asked for, a known state and no NaN. A failed check
 // is a bad answer; a passing one allocates nothing.
 func (rp *reply) check(lo, hi int) error {
@@ -57,14 +36,12 @@ func (rp *reply) check(lo, hi int) error {
 		rp.seen = make([]uint64, words)
 	}
 	seen := rp.seen[:words]
-	for qi, f := range rp.frags {
-		n, err := checkFrag(f, lo, hi, seen)
-		for _, c := range f[:n] { // leave seen all zero for the next one
-			seen[(int(c.V)-lo)/64] = 0
-		}
-		if err != nil {
-			return badAnswer("fragment %d: %v", qi, err)
-		}
+	n, err := checkFrag(rp.frag, lo, hi, seen)
+	for _, c := range rp.frag[:n] { // leave seen all zero for the next answer
+		seen[(int(c.V)-lo)/64] = 0
+	}
+	if err != nil {
+		return badAnswer("fragment: %v", err)
 	}
 	return nil
 }
@@ -106,7 +83,7 @@ func (rt *Router) putReply(rp *reply) {
 type gather struct {
 	errs    []error
 	replies []*reply
-	qfrags  [][]simrank.ShardCand // query qi's fragment of every shard
+	frags   [][]simrank.ShardCand // every shard's fragment, for the merge
 	ms      simrank.MergeScratch
 }
 
@@ -115,11 +92,11 @@ func (g *gather) ensure(n int) {
 	if cap(g.errs) < n {
 		g.errs = make([]error, n)
 		g.replies = make([]*reply, n)
-		g.qfrags = make([][]simrank.ShardCand, n)
+		g.frags = make([][]simrank.ShardCand, n)
 	}
 	g.errs = g.errs[:n]
 	g.replies = g.replies[:n]
-	g.qfrags = g.qfrags[:n]
+	g.frags = g.frags[:n]
 }
 
 func (rt *Router) getGather() *gather {
@@ -132,26 +109,25 @@ func (rt *Router) putGather(g *gather) {
 		if rp != nil {
 			rt.putReply(rp)
 		}
-		g.errs[i], g.replies[i], g.qfrags[i] = nil, nil, nil
+		g.errs[i], g.replies[i], g.frags[i] = nil, nil, nil
 	}
 	rt.gathers.Put(g)
 }
 
-// mergeTopK replays query qi of every shard's reply through the
-// fragment merge at floor theta: the serving one for a top-k, the query's
+// mergeTopK replays every shard's reply through the fragment merge at floor theta: the serving one for a top-k, the query's
 // own with k = 0 for a similar. The scan counters come out byte-identical
 // to single node; the cache counters are summed over the shards (cache
 // state is topology-dependent: each shard has its own tally cache).
-func (g *gather) mergeTopK(qi, k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
+func (g *gather) mergeTopK(k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
 	for i, rp := range g.replies {
-		g.qfrags[i] = rp.frags[qi]
+		g.frags[i] = rp.frag
 	}
-	res, st := simrank.MergeShardTopKScratch(k, theta, g.qfrags, &g.ms)
+	res, st := simrank.MergeShardTopKScratch(k, theta, g.frags, &g.ms)
 	if !wantStats {
 		return res, nil
 	}
 	for _, rp := range g.replies {
-		st.AddCache(rp.stats[qi])
+		st.AddCache(rp.stats)
 	}
 	return res, &st
 }

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// fanout runs task(0) .. task(n-1) concurrently — the scatter half of
-// scatter-gather — and waits for all of them. One goroutine per shard
-// from a plain counted loop: topologies are small and the spawn count
-// is fixed up front, the shape simlint's gospawn analyzer approves.
+// fanout runs task(0) .. task(n-1) concurrently and waits for all of
+// them: the scatter half of scatter-gather (one goroutine per shard) and
+// a routed batch's query workers (at most batchInFlight). One goroutine
+// per task from a plain counted loop: n is small and fixed up front, the
+// shape simlint's gospawn analyzer approves.
 func fanout(n int, task func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)

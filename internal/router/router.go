@@ -6,7 +6,7 @@
 // same index.
 //
 //	GET /topk?u=42&k=20[&stats=1]  -> merged via the fragment replay (MergeShardTopKScratch)
-//	POST /topk/batch               -> same contract as the single-node batch endpoint
+//	POST /topk/batch               -> same contract as the single-node batch endpoint; each query is its own /topk scatter-gather
 //	GET /similar?u=42&theta=0.05   -> the same replay at k = 0 over fragments scanned at theta
 //	GET /statusz                   -> router counters + per-shard hedges/failures/health
 //	GET /healthz, /readyz          -> process up / topology probed and validated
@@ -21,9 +21,9 @@
 // server after HedgeDelay, and a failed request fails over immediately,
 // both through the lo/hi range override on the /shard/* endpoints.
 //
-// Every shard request — topk, batch, similar — goes through one path:
-// a shardOp describes the request and how to decode its answer (a
-// fragment per query, checked before any merge reads it: reply.check),
+// Every shard request — topk or similar, one query each — goes through
+// one path: a shardOp describes the request and how to decode its answer
+// (the query's fragment, checked before any merge reads it: reply.check),
 // and call drives the attempts (failover, and hedging when
 // HedgeDelay > 0), picks each attempt's transport and keeps the
 // per-shard counters.
@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	simrank "repro"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/wire"
@@ -67,6 +68,13 @@ const (
 	// WireJSON forces JSON over HTTP for every shard exchange.
 	WireJSON = "json"
 )
+
+// batchInFlight bounds how many of one /topk/batch's queries run at once.
+// It bounds the batch's own exchanges only (two per query when hedged,
+// plus whatever else the router serves); it equals maxIdleBinConns so
+// that a lone unhedged batch reuses each shard's idle binary connections
+// instead of dialing new ones.
+const batchInFlight = 16
 
 // Config configures a Router. Only Shards is required.
 type Config struct {
@@ -107,7 +115,7 @@ type shardCounters struct {
 	hedges      atomic.Int64 // extra attempts launched (slow or failed primary)
 	attemptErrs atomic.Int64 // individual attempts that errored
 	failures    atomic.Int64 // fetches that failed after every attempt
-	bytesSent   atomic.Int64 // request bytes shipped (TCP frames + HTTP payloads)
+	bytesSent   atomic.Int64 // request bytes shipped (TCP frames; an HTTP GET ships none)
 	bytesRecv   atomic.Int64 // response bytes received
 	encodeNS    atomic.Int64 // ns spent encoding binary requests
 	decodeNS    atomic.Int64 // ns spent parsing binary responses
@@ -407,19 +415,29 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	g := rt.getGather()
-	defer rt.putGather(g)
-	if err := rt.scatter(ctx, t, topkOp{u: u}, g); err != nil {
+	res, st, err := rt.topk(ctx, t, u, k, q.Get("stats") == "1")
+	if err != nil {
 		rt.writeQueryError(w, err)
 		return
 	}
-	res, st := g.mergeTopK(0, k, t.theta, q.Get("stats") == "1")
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
 		Results:  res,
 		Stats:    st,
 		ElapsedM: float64(time.Since(start).Microseconds()) / 1000,
 	})
+}
+
+// topk routes one top-k query: its scatter-gather over every shard,
+// merged at the serving theta.
+func (rt *Router) topk(ctx context.Context, t *topology, u, k int, wantStats bool) ([]simrank.Result, *simrank.QueryStats, error) {
+	g := rt.getGather()
+	defer rt.putGather(g)
+	if err := rt.scatter(ctx, t, topkOp{u: u}, g); err != nil {
+		return nil, nil, err
+	}
+	res, st := g.mergeTopK(k, t.theta, wantStats)
+	return res, st, nil
 }
 
 func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
@@ -437,36 +455,52 @@ func (rt *Router) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err.Error())
 		return
 	}
-	// A fresh slice per request, never pooled: the op outlives the
-	// request when a losing attempt is still encoding it.
-	queries := make([]uint32, len(req.Queries))
-	for i, u := range req.Queries {
+	n := len(req.Queries)
+	for _, u := range req.Queries {
 		if u < 0 || u >= t.vertices {
 			writeBadRequest(w, fmt.Sprintf("vertex %d out of range [0, %d)", u, t.vertices))
 			return
 		}
-		queries[i] = uint32(u)
 	}
 	rt.batches.Add(1)
-	rt.batchQs.Add(int64(len(req.Queries)))
-	for cur := rt.batchMax.Load(); int64(len(req.Queries)) > cur; cur = rt.batchMax.Load() {
-		if rt.batchMax.CompareAndSwap(cur, int64(len(req.Queries))) {
+	rt.batchQs.Add(int64(n))
+	for cur := rt.batchMax.Load(); int64(n) > cur; cur = rt.batchMax.Load() {
+		if rt.batchMax.CompareAndSwap(cur, int64(n)) {
 			break
 		}
 	}
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
+	ctx, cancelBatch := context.WithCancel(ctx)
+	defer cancelBatch()
 	start := time.Now()
-	g := rt.getGather()
-	defer rt.putGather(g)
-	if err := rt.scatter(ctx, t, batchOp{queries: queries}, g); err != nil {
+	// Each query runs as a routed /topk, at most batchInFlight at once;
+	// workers claim queries from a shared cursor. The first failure fails
+	// the batch: it stops further claims and cancels the queries still in
+	// flight.
+	resp := server.BatchResponse{K: req.K, Results: make([]server.TopKResponse, n)}
+	var next atomic.Int64
+	var errMu sync.Mutex
+	fanout(min(n, batchInFlight), func(int) {
+		for qi := int(next.Add(1)) - 1; qi < n; qi = int(next.Add(1)) - 1 {
+			u := req.Queries[qi]
+			res, st, qerr := rt.topk(ctx, t, u, req.K, req.Stats)
+			if qerr != nil {
+				errMu.Lock()
+				if err == nil {
+					err = qerr
+				}
+				errMu.Unlock()
+				next.Store(int64(n))
+				cancelBatch()
+				return
+			}
+			resp.Results[qi] = server.TopKResponse{Query: u, Results: res, Stats: st}
+		}
+	})
+	if err != nil {
 		rt.writeQueryError(w, err)
 		return
-	}
-	resp := server.BatchResponse{K: req.K, Results: make([]server.TopKResponse, len(req.Queries))}
-	for qi, u := range req.Queries {
-		res, st := g.mergeTopK(qi, req.K, t.theta, req.Stats)
-		resp.Results[qi] = server.TopKResponse{Query: u, Results: res, Stats: st}
 	}
 	resp.ElapsedM = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
@@ -497,7 +531,7 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		rt.writeQueryError(w, err)
 		return
 	}
-	res, _ := g.mergeTopK(0, 0, theta, false)
+	res, _ := g.mergeTopK(0, theta, false)
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
 		Results:  res,
@@ -520,7 +554,7 @@ type ShardStatus struct {
 	// "json".
 	WireFormat string `json:"wire_format"`
 	// BytesSent / BytesReceived / EncodeNs / DecodeNs are this shard's
-	// router-side wire activity (binary frames plus HTTP payloads).
+	// router-side wire activity (binary frames plus HTTP response bodies).
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
 	EncodeNs      int64 `json:"encode_ns"`

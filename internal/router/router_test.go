@@ -227,11 +227,24 @@ func TestRouterTopKMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestRouterBatchMatchesSingleNode: a routed batch answers every query
+// as the single node does, in request order. The batch holds more
+// queries than batchInFlight, one of them twice, so its workers claim
+// from the shared cursor more than once and each answer must land in its
+// own request slot.
 func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	idx := buildIndex(t)
 	rt, _ := loopback(t, idx, 3, Config{})
 	single := server.New(idx)
-	body := `{"queries":[0,7,42,59],"k":5,"stats":true}`
+	queries := []int{0, 7, 42, 59, 42}
+	for u := 1; len(queries) < 2*batchInFlight+3; u += 3 {
+		queries = append(queries, u%idx.Graph().NumVertices())
+	}
+	payload, err := json.Marshal(server.BatchRequest{Queries: queries, K: 5, Stats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(payload)
 	rec, rbody := routerPost(t, rt, "/topk/batch", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rbody)
@@ -250,6 +263,9 @@ func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	}
 	for i := range got.Results {
 		label := fmt.Sprintf("batch query %d", got.Results[i].Query)
+		if got.Results[i].Query != queries[i] {
+			t.Fatalf("result %d answers query %d, asked %d", i, got.Results[i].Query, queries[i])
+		}
 		sameResults(t, label, got.Results[i].Results, want.Results[i].Results)
 		sameScanStats(t, label, got.Results[i].Stats, want.Results[i].Stats)
 	}
@@ -634,31 +650,35 @@ func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 
 // TestRouterProbeRejectsOtherWireVersion: a shard advertising wire
 // version 1 answers /shard/similar with a ranked list, which this router
-// would read as an empty fragment; the probe refuses it and says why.
+// would read as an empty fragment, and a version 2 shard's frames carry
+// a version byte this router's Parse refuses; the probe refuses both and
+// says why.
 func TestRouterProbeRejectsOtherWireVersion(t *testing.T) {
 	idx := buildIndex(t)
-	inner := server.NewShard(idx, 0, 2)
-	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/shardinfo" {
-			inner.ServeHTTP(w, r)
-			return
+	for _, version := range []int{1, wire.Version - 1} {
+		inner := server.NewShard(idx, 0, 2)
+		older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/shardinfo" {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			m := inner.Manifest()
+			m.Version = version
+			if err := json.NewEncoder(w).Encode(m); err != nil {
+				t.Error(err)
+			}
+		})
+		sa, sb := httptest.NewServer(older), httptest.NewServer(server.NewShard(idx, 1, 2))
+		t.Cleanup(sa.Close)
+		t.Cleanup(sb.Close)
+		rt := New(Config{Shards: []string{sa.URL, sb.URL}})
+		err := rt.Probe(context.Background())
+		if want := fmt.Sprintf("wire version %d, this router %d", version, wire.Version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("probe of a version-%d shard: %v", version, err)
 		}
-		m := inner.Manifest()
-		m.Version = 1
-		if err := json.NewEncoder(w).Encode(m); err != nil {
-			t.Error(err)
+		if rec, _ := routerGet(t, rt, "/similar?u=5"); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("the version-%d topology serves /similar with status %d", version, rec.Code)
 		}
-	})
-	sa, sb := httptest.NewServer(older), httptest.NewServer(server.NewShard(idx, 1, 2))
-	t.Cleanup(sa.Close)
-	t.Cleanup(sb.Close)
-	rt := New(Config{Shards: []string{sa.URL, sb.URL}})
-	err := rt.Probe(context.Background())
-	if want := fmt.Sprintf("wire version 1, this router %d", wire.Version); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("probe of a version-1 shard: %v", err)
-	}
-	if rec, _ := routerGet(t, rt, "/similar?u=5"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("the refused topology serves /similar with status %d", rec.Code)
 	}
 }
 
@@ -796,7 +816,7 @@ func BenchmarkRouterTopK(b *testing.B) {
 }
 
 // BenchmarkRouterTopKBatch measures a routed 4-query batch over the
-// same topology — one scatter round-trip amortized across the batch.
+// same topology: four /topk scatter-gathers, all in flight at once.
 func BenchmarkRouterTopKBatch(b *testing.B) {
 	idx := buildIndex(b)
 	rt, _ := loopback(b, idx, 3, Config{})

@@ -71,21 +71,18 @@ func TestPayloadFieldsSurviveBothEncodings(t *testing.T) {
 	}
 	one := server.ShardTopKResponse{Query: 1, Frag: frag, Stats: &stats}
 	oneFrame := wire.AppendTopKResp(nil, &wire.TopKResp{Query: 1, Stats: stats, Frag: frag})
-	batch := batchOp{queries: []uint32{1}}
 	similar := similarOp{topkOp{u: 1}, 0.5}
 	for label, rp := range map[string]*reply{
 		"topk json":     viaJSON(topkOp{u: 1}, one),
 		"topk frame":    viaFrame(topkOp{u: 1}, oneFrame),
 		"similar json":  viaJSON(similar, one),
 		"similar frame": viaFrame(similar, oneFrame),
-		"batch json":    viaJSON(batch, server.ShardBatchResponse{Results: []server.ShardTopKResponse{one}}),
-		"batch frame":   viaFrame(batch, wire.AppendBatchResp(nil, &wire.BatchResp{Queries: batch.queries, Stats: []simrank.QueryStats{stats}, Frags: [][]simrank.ShardCand{frag}})),
 	} {
-		if len(rp.frags) != 1 || len(rp.frags[0]) != 1 || rp.frags[0][0] != cand {
-			t.Errorf("%s: fragment %+v, want [[%+v]]", label, rp.frags, cand)
+		if len(rp.frag) != 1 || rp.frag[0] != cand {
+			t.Errorf("%s: fragment %+v, want [%+v]", label, rp.frag, cand)
 		}
-		if len(rp.stats) != 1 || rp.stats[0] != stats {
-			t.Errorf("%s: stats %+v, want [%+v]", label, rp.stats, stats)
+		if rp.stats != stats {
+			t.Errorf("%s: stats %+v, want %+v", label, rp.stats, stats)
 		}
 	}
 }

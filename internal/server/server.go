@@ -21,8 +21,11 @@
 //
 //	GET /shardinfo               -> shard manifest (range, graph/params fingerprints, wire version)
 //	GET /shard/topk?u=42         -> scored candidate fragment for the owned range
-//	POST /shard/topk/batch       -> {"queries":[...]} fragments for many queries
 //	GET /shard/similar?u=42&theta=0.05 -> the owned range's fragment scored at floor theta
+//
+// Every shard request asks for one query — over HTTP as above, or as one
+// frame on the binary TCP listener (StartBin) — and a router answers its
+// own /topk/batch with one /shard/topk exchange per query.
 //
 // Errors carry a JSON body {"error": msg, "code": stable_code}; retryable
 // 503s (timeout, cancellation, not-ready) also set Retry-After.
@@ -62,8 +65,8 @@ type Handler struct {
 	mux      *http.ServeMux
 	manifest shard.Manifest
 	counters counters
-	// shardPool recycles shard-request working sets (fragment buffers,
-	// stats, wire message shells) across requests and connections.
+	// shardPool recycles shard-request working sets (fragment buffer,
+	// stats, frame shell) across requests and connections.
 	shardPool sync.Pool
 	// binAddr holds the bound address of the binary wire listener once
 	// ServeBin is up; advertised as Manifest.BinAddr on /shardinfo.
@@ -88,7 +91,10 @@ func New(idx *simrank.Index) *Handler {
 // numShards, n); /shard/* queries score only that range.
 func NewShard(idx *simrank.Index, shardIdx, numShards int) *Handler {
 	h := &Handler{idx: idx, MaxK: 1000, MaxBatch: 1024}
-	h.shardPool.New = func() any { return new(shardScratch) }
+	// A fragment buffer starts out empty, not nil: the scan appends into
+	// it, and the JSON encoding of a fragment without candidates is [], not
+	// null.
+	h.shardPool.New = func() any { return &shardScratch{frag: []simrank.ShardCand{}} }
 	gfp, pfp := idx.ServingFingerprint()
 	h.manifest = shard.Build(shardIdx, numShards, idx.Graph().NumVertices(),
 		gfp, pfp, idx.Seed(), idx.Threshold())
@@ -102,7 +108,6 @@ func NewShard(idx *simrank.Index, shardIdx, numShards int) *Handler {
 	mux.HandleFunc("/statusz", h.handleStatusz)
 	mux.HandleFunc("/shardinfo", h.handleShardInfo)
 	mux.HandleFunc("/shard/topk", h.handleShardTopK)
-	mux.HandleFunc("/shard/topk/batch", h.handleShardTopKBatch)
 	mux.HandleFunc("/shard/similar", h.handleShardSimilar)
 	mux.HandleFunc("/healthz", h.handleHealth)
 	mux.HandleFunc("/readyz", h.handleHealth)

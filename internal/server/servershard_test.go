@@ -99,38 +99,6 @@ func TestShardTopKMergesToSingleNode(t *testing.T) {
 	}
 }
 
-func TestShardTopKBatchEndpoint(t *testing.T) {
-	idx, hs := shardTopology(t, 2)
-	rec, body := postJSON(t, hs[0], "/shard/topk/batch", `{"queries":[0,7,42]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp ShardBatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Shard != 0 || len(resp.Results) != 3 {
-		t.Fatalf("resp shard=%d results=%d", resp.Shard, len(resp.Results))
-	}
-	// Each batch entry must equal the single-query fragment.
-	for i, q := range []int{0, 7, 42} {
-		_, sbody := get(t, hs[0], fmt.Sprintf("/shard/topk?u=%d", q))
-		var sresp ShardTopKResponse
-		if err := json.Unmarshal(sbody, &sresp); err != nil {
-			t.Fatal(err)
-		}
-		if len(sresp.Frag) != len(resp.Results[i].Frag) {
-			t.Fatalf("q=%d: batch fragment has %d entries, single %d", q, len(resp.Results[i].Frag), len(sresp.Frag))
-		}
-		for j := range sresp.Frag {
-			if sresp.Frag[j] != resp.Results[i].Frag[j] {
-				t.Fatalf("q=%d entry %d: batch %+v, single %+v", q, j, resp.Results[i].Frag[j], sresp.Frag[j])
-			}
-		}
-	}
-	_ = idx
-}
-
 // TestShardSimilarMergesToSingleNode: /shard/similar answers with the
 // fragment scanned at the request's theta, and the fragments of three
 // shards merged with k = 0 at that theta are the single-node /similar

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,16 +23,16 @@ import (
 // answer is one transport's reply to a shard request, normalised so
 // replies from different transports compare with reflect.DeepEqual:
 // the error contract (status + stable code), or the payload the merge
-// would read — fragments and stats per query.
+// would read — the fragment and its stats.
 type answer struct {
 	status int
 	code   string
-	frags  [][]simrank.ShardCand
-	stats  []simrank.QueryStats
+	frag   []simrank.ShardCand
+	stats  *simrank.QueryStats
 }
 
 // answerFromJSON lowers a JSON shard response (or error body).
-func answerFromJSON(t *testing.T, kind uint8, status int, body []byte) answer {
+func answerFromJSON(t *testing.T, status int, body []byte) answer {
 	t.Helper()
 	if status != http.StatusOK {
 		var er ErrorResponse
@@ -42,99 +41,56 @@ func answerFromJSON(t *testing.T, kind uint8, status int, body []byte) answer {
 		}
 		return answer{status: status, code: er.Code}
 	}
-	a := answer{status: status}
-	if kind == wire.MsgBatchReq {
-		var r ShardBatchResponse
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range r.Results {
-			a.frags, a.stats = append(a.frags, q.Frag), append(a.stats, *q.Stats)
-		}
-		return a
-	}
 	var r ShardTopKResponse
 	if err := json.Unmarshal(body, &r); err != nil {
 		t.Fatal(err)
 	}
-	a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{*r.Stats}
-	return a
+	return answer{status: status, frag: r.Frag, stats: r.Stats}
 }
 
 // answerFromFrame lowers a response frame (or MsgError frame).
-func answerFromFrame(t *testing.T, kind uint8, data []byte) answer {
+func answerFromFrame(t *testing.T, data []byte) answer {
 	t.Helper()
 	var f wire.Frame
 	if err := f.Parse(data); err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	a := answer{status: http.StatusOK}
-	var err error
-	switch {
-	case f.Type == wire.MsgError:
+	if f.Type == wire.MsgError {
 		var we *wire.Error
 		if !errors.As(f.Err(), &we) {
 			t.Fatalf("bad error frame: %v", f.Err())
 		}
 		return answer{status: we.Status, code: we.Code}
-	case kind == wire.MsgBatchReq:
-		var r wire.BatchResp
-		err = f.BatchResp(&r)
-		a.frags, a.stats = r.Frags, r.Stats
-	default:
-		var r wire.TopKResp
-		err = f.TopKResp(&r)
-		a.frags, a.stats = [][]simrank.ShardCand{r.Frag}, []simrank.QueryStats{r.Stats}
 	}
-	if err != nil {
+	var r wire.TopKResp
+	if err := f.TopKResp(&r); err != nil {
 		t.Fatalf("decode response frame: %v", err)
 	}
-	return a
+	return answer{status: http.StatusOK, frag: r.Frag, stats: &r.Stats}
 }
 
-// normalise makes empty and nil slices compare equal.
+// normalise makes an empty and a nil fragment compare equal.
 func (a answer) normalise() answer {
-	for i, f := range a.frags {
-		if len(f) == 0 {
-			a.frags[i] = nil
-		}
+	if len(a.frag) == 0 {
+		a.frag = nil
 	}
 	return a
 }
 
 func (r shardReq) frame() []byte {
-	switch r.kind {
-	case wire.MsgTopKReq:
+	if r.kind == wire.MsgTopKReq {
 		return wire.AppendTopKReq(nil, wire.TopKReq{U: uint32(r.u), Lo: uint32(r.lo), Hi: uint32(r.hi)})
-	case wire.MsgBatchReq:
-		return wire.AppendBatchReq(nil, &wire.BatchReq{Lo: uint32(r.lo), Hi: uint32(r.hi), Queries: r.queries})
 	}
 	return wire.AppendSimilarReq(nil, wire.SimilarReq{U: uint32(r.u), Lo: uint32(r.lo), Hi: uint32(r.hi), Theta: r.theta})
 }
 
-// httpRequest builds the HTTP form of r: query string for topk and
-// similar, a JSON or frame body for batch.
-func (r shardReq) httpRequest(binBody, binResp bool) *http.Request {
-	var req *http.Request
-	rng := fmt.Sprintf("&lo=%d&hi=%d", r.lo, r.hi)
-	switch {
-	case r.kind == wire.MsgTopKReq:
-		req = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/shard/topk?u=%d", r.u)+rng, nil)
-	case r.kind == wire.MsgSimilarReq:
-		theta := strconv.FormatFloat(r.theta, 'g', -1, 64)
-		req = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/shard/similar?u=%d&theta=%s", r.u, theta)+rng, nil)
-	case binBody:
-		req = httptest.NewRequest(http.MethodPost, "/shard/topk/batch", bytes.NewReader(r.frame()))
-		req.Header.Set("Content-Type", wire.ContentType)
-	default:
-		qs := r.queries
-		if qs == nil {
-			qs = []uint32{}
-		}
-		body, _ := json.Marshal(ShardBatchRequest{Queries: qs, Lo: &r.lo, Hi: &r.hi})
-		req = httptest.NewRequest(http.MethodPost, "/shard/topk/batch", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+// httpRequest builds the HTTP form of r: a GET with a query string.
+func (r shardReq) httpRequest(binResp bool) *http.Request {
+	path := fmt.Sprintf("/shard/topk?u=%d", r.u)
+	if r.kind == wire.MsgSimilarReq {
+		path = fmt.Sprintf("/shard/similar?u=%d&theta=%s", r.u, strconv.FormatFloat(r.theta, 'g', -1, 64))
 	}
+	req := httptest.NewRequest(http.MethodGet, path+fmt.Sprintf("&lo=%d&hi=%d", r.lo, r.hi), nil)
 	if binResp {
 		req.Header.Set("Accept", wire.ContentType)
 	}
@@ -150,19 +106,14 @@ var shardTransports = []struct {
 	do   func(t *testing.T, h *Handler, conn *tcpClient, ctx context.Context, r shardReq) answer
 }{
 	{"json-http", func(t *testing.T, h *Handler, _ *tcpClient, ctx context.Context, r shardReq) answer {
-		return doHTTP(t, h, ctx, r, false, false)
+		return doHTTP(t, h, ctx, r, false)
 	}},
 	{"bin-http", func(t *testing.T, h *Handler, _ *tcpClient, ctx context.Context, r shardReq) answer {
-		return doHTTP(t, h, ctx, r, true, true)
-	}},
-	// A frame body answered in JSON: what a router that cannot decode
-	// frames but can send them would see; only batch has a body.
-	{"bin-body-json-resp", func(t *testing.T, h *Handler, _ *tcpClient, ctx context.Context, r shardReq) answer {
-		return doHTTP(t, h, ctx, r, true, false)
+		return doHTTP(t, h, ctx, r, true)
 	}},
 	{"tcp", func(t *testing.T, h *Handler, conn *tcpClient, ctx context.Context, r shardReq) answer {
 		if ctx == nil {
-			return answerFromFrame(t, r.kind, conn.exchange(t, r.frame()))
+			return answerFromFrame(t, conn.exchange(t, r.frame()))
 		}
 		client, srv := net.Pipe()
 		defer client.Close()
@@ -177,13 +128,13 @@ var shardTransports = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return answerFromFrame(t, r.kind, data)
+		return answerFromFrame(t, data)
 	}},
 }
 
-func doHTTP(t *testing.T, h *Handler, ctx context.Context, r shardReq, binBody, binResp bool) answer {
+func doHTTP(t *testing.T, h *Handler, ctx context.Context, r shardReq, binResp bool) answer {
 	t.Helper()
-	req := r.httpRequest(binBody, binResp)
+	req := r.httpRequest(binResp)
 	if ctx != nil {
 		req = req.WithContext(ctx)
 	}
@@ -194,12 +145,12 @@ func doHTTP(t *testing.T, h *Handler, ctx context.Context, r shardReq, binBody, 
 		if ct := rec.Header().Get("Content-Type"); ct != wire.ContentType {
 			t.Fatalf("frame body with Content-Type %q", ct)
 		}
-		return answerFromFrame(t, r.kind, body)
+		return answerFromFrame(t, body)
 	}
 	if binResp && rec.Code == http.StatusOK {
 		t.Fatalf("asked for a frame, got %s", body)
 	}
-	return answerFromJSON(t, r.kind, rec.Code, body)
+	return answerFromJSON(t, rec.Code, body)
 }
 
 // tcpClient is one persistent connection to a handler's binary listener.
@@ -237,7 +188,6 @@ func (c *tcpClient) exchange(t *testing.T, frame []byte) []byte {
 func TestShardTransportParity(t *testing.T) {
 	_, hs := shardTopology(t, 2)
 	h := hs[0]
-	h.MaxBatch = 4
 	conn := dialBin(t, h)
 	m := h.Manifest()
 	n := m.Vertices
@@ -245,7 +195,7 @@ func TestShardTransportParity(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	const topk, batch, similar = wire.MsgTopKReq, wire.MsgBatchReq, wire.MsgSimilarReq
+	const topk, similar = wire.MsgTopKReq, wire.MsgSimilarReq
 	rows := []struct {
 		name   string
 		req    shardReq
@@ -256,8 +206,6 @@ func TestShardTransportParity(t *testing.T) {
 		{name: "topk", req: shardReq{kind: topk, u: 7, lo: m.Lo, hi: m.Hi}, status: 200},
 		{name: "topk range override", req: shardReq{kind: topk, u: 7, lo: other.Lo, hi: other.Hi}, status: 200},
 		{name: "topk empty range", req: shardReq{kind: topk, u: 7, lo: 5, hi: 5}, status: 200},
-		{name: "batch", req: shardReq{kind: batch, lo: m.Lo, hi: m.Hi, queries: []uint32{3, 9, 3}}, status: 200},
-		{name: "batch at the limit", req: shardReq{kind: batch, lo: 0, hi: n, queries: []uint32{0, 1, 2, 3}}, status: 200},
 		{name: "similar", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: other.Lo, hi: other.Hi}, status: 200},
 		{name: "similar theta 1", req: shardReq{kind: similar, u: 5, theta: 1, lo: 0, hi: n}, status: 200},
 
@@ -266,32 +214,24 @@ func TestShardTransportParity(t *testing.T) {
 		{name: "topk lo > hi", req: shardReq{kind: topk, u: 7, lo: 10, hi: 5}, status: 400, code: CodeBadRequest},
 		{name: "similar u >= n", req: shardReq{kind: similar, u: 1 << 20, theta: 0.02, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar lo > hi", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: 10, hi: 5}, status: 400, code: CodeBadRequest},
-		{name: "batch empty", req: shardReq{kind: batch, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
-		{name: "batch over MaxBatch", req: shardReq{kind: batch, lo: m.Lo, hi: m.Hi, queries: []uint32{1, 2, 3, 4, 5}}, status: 400, code: CodeBadRequest},
-		{name: "batch vertex >= n", req: shardReq{kind: batch, lo: m.Lo, hi: m.Hi, queries: []uint32{1, uint32(n)}}, status: 400, code: CodeBadRequest},
-		{name: "batch hi > n", req: shardReq{kind: batch, lo: 0, hi: n + 1, queries: []uint32{1}}, status: 400, code: CodeBadRequest},
 		{name: "similar theta 0", req: shardReq{kind: similar, u: 5, theta: 0, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar theta 7", req: shardReq{kind: similar, u: 5, theta: 7, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar theta NaN", req: shardReq{kind: similar, u: 5, theta: math.NaN(), lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 
 		{name: "topk cancelled", req: shardReq{kind: topk, u: 7, lo: m.Lo, hi: m.Hi}, ctx: cancelled, status: 503, code: CodeCancelled},
-		{name: "batch cancelled", req: shardReq{kind: batch, lo: m.Lo, hi: m.Hi, queries: []uint32{3, 9}}, ctx: cancelled, status: 503, code: CodeCancelled},
 		{name: "similar cancelled", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: m.Lo, hi: m.Hi}, ctx: cancelled, status: 503, code: CodeCancelled},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var first answer
 			for i, tr := range shardTransports {
-				if tr.name == "bin-body-json-resp" && row.req.kind != batch {
-					continue
-				}
 				got := tr.do(t, h, conn, row.ctx, row.req).normalise()
 				if got.status != row.status || got.code != row.code {
 					t.Fatalf("%s: status %d code %q, want %d %q", tr.name, got.status, got.code, row.status, row.code)
 				}
 				if i == 0 {
 					first = got
-					if row.status == 200 && len(got.stats) == 0 {
+					if row.status == 200 && got.stats == nil {
 						t.Fatalf("%s: valid request answered without stats", tr.name)
 					}
 					continue
@@ -318,13 +258,9 @@ func TestShardTimeoutCountsOncePerRequest(t *testing.T) {
 	m := h.Manifest()
 	for _, req := range []shardReq{
 		{kind: wire.MsgTopKReq, u: 7, lo: m.Lo, hi: m.Hi},
-		{kind: wire.MsgBatchReq, lo: m.Lo, hi: m.Hi, queries: []uint32{3, 9}},
 		{kind: wire.MsgSimilarReq, u: 5, theta: 0.02, lo: m.Lo, hi: m.Hi},
 	} {
 		for _, tr := range shardTransports {
-			if tr.name == "bin-body-json-resp" && req.kind != wire.MsgBatchReq {
-				continue
-			}
 			before := h.counters.timeouts.Load()
 			got := tr.do(t, h, conn, nil, req)
 			if got.status != http.StatusServiceUnavailable || got.code != CodeTimeout {
@@ -339,56 +275,71 @@ func TestShardTimeoutCountsOncePerRequest(t *testing.T) {
 
 // TestBinTCPPeerCloseCancelsScan: a router that gives up on a TCP
 // attempt (lost hedge, timeout) closes the socket; the shard must notice
-// and stop scoring, as it does over HTTP through r.Context(). A
-// MaxBatch-sized batch of distinct queries makes one prolog-cache lookup
-// per query, so the lookups count how far the scan got; left alone, the
-// batch below takes about 2 s.
+// and stop the scan in flight, as it does over HTTP through
+// r.Context(). One long scan stands in: a threshold request at a tiny
+// theta over the exhaustive candidate ball of a hub scores about 4 000
+// candidates (≈ 0.2 s alone on 2 vCPUs), and with the tally cache on each
+// scored candidate makes one cache lookup, so the lookups count how far
+// the scan got before the close stopped it.
 func TestBinTCPPeerCloseCancelsScan(t *testing.T) {
-	g := simrank.GenerateSocialGraph(4000, 10, 0.4, 3)
-	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
+	const n, u, theta = 4000, 0, 1e-9
+	g := simrank.GenerateSocialGraph(n, 10, 0.4, 3)
+	o := simrank.DefaultOptions()
+	o.Exhaustive = true
+	o.CacheBytes = 64 << 20
+	idx := simrank.BuildIndex(g, o)
 	h := NewShard(idx, 0, 1)
 	lookups := func() int64 {
-		st := idx.PrologStats()
+		st := idx.CacheStats()
 		return st.Hits + st.Misses
 	}
-	queries := make([]uint32, h.MaxBatch)
-	for i := range queries {
-		queries[i] = uint32(i)
-	}
-	frame := wire.AppendBatchReq(nil, &wire.BatchReq{Lo: 0, Hi: uint32(g.NumVertices()), Queries: queries})
 
 	// One served exchange first, so the connection's goroutines exist
 	// when the baseline is taken.
 	conn := dialBin(t, h)
-	answerFromFrame(t, wire.MsgTopKReq, conn.exchange(t, wire.AppendTopKReq(nil, wire.TopKReq{U: 1, Lo: 0, Hi: 10})))
+	answerFromFrame(t, conn.exchange(t, wire.AppendTopKReq(nil, wire.TopKReq{U: 1, Lo: 0, Hi: 10})))
 	goroutines, before := runtime.NumGoroutine(), lookups()
 
+	frame := wire.AppendSimilarReq(nil, wire.SimilarReq{U: u, Theta: theta, Lo: 0, Hi: n})
 	if _, err := conn.conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	// Close once the scan is scoring: the frame has left the reader,
+	// which is back in a socket read and must see the close there.
+	deadline := time.Now().Add(10 * time.Second)
+	for lookups() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("scan never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	conn.conn.Close()
 
 	// The connection's reader and serving goroutines exit only after the
 	// scan has returned and every scratch it held is back in its pool.
-	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines-2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("connection goroutines still running %v after the peer closed: %d goroutines, %d with the connection open",
-				10*time.Second, runtime.NumGoroutine(), goroutines)
+			t.Fatalf("connection goroutines still running after the peer closed: %d goroutines, %d with the connection open",
+				runtime.NumGoroutine(), goroutines)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	scanned := lookups() - before
-	if scanned >= int64(len(queries))/2 {
-		t.Fatalf("abandoned batch still scored %d of %d queries", scanned, len(queries))
-	}
 	time.Sleep(50 * time.Millisecond)
 	if again := lookups() - before; again != scanned {
 		t.Fatalf("scan still advancing after its connection ended: %d -> %d lookups", scanned, again)
 	}
 
-	// A batch too cheap for this test — one that finishes inside the 10 ms
-	// — scores every query and fails above; it cannot pass by accident.
-	t.Logf("abandoned batch scored %d of %d queries", scanned, len(queries))
+	// The same scan run to completion: how many lookups a scan the close
+	// did not stop makes. A scan too cheap for this test scores all of
+	// them before the close and fails here; it cannot pass by accident.
+	_, full, err := idx.SimilarShardCtx(context.Background(), u, theta, 0, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(full.CacheHits + full.CacheMisses)
+	if scanned >= total/2 {
+		t.Fatalf("abandoned scan still scored %d of %d candidates", scanned, total)
+	}
+	t.Logf("abandoned scan scored %d of %d candidates", scanned, total)
 }

@@ -15,10 +15,9 @@ import (
 
 // Binary wire serving. The /shard/* endpoints negotiate the binary
 // codec (internal/wire) via the Accept header — a router that sends
-// "Accept: application/x-simrank-bin" gets a frame instead of JSON, and
-// a binary Content-Type on POST /shard/topk/batch selects binary
-// request decoding — and the persistent TCP transport (ServeBin) speaks
-// frames only, with errors as MsgError frames. Both are transports for
+// "Accept: application/x-simrank-bin" gets a frame instead of JSON — and
+// the persistent TCP transport (ServeBin) speaks frames only, with errors
+// as MsgError frames. Both are transports for
 // the one shard-request path in servershard.go (shardReq → checkShardReq
 // → run → encodeResp/jsonResp).
 //
@@ -31,41 +30,20 @@ func wantBin(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wire.ContentType)
 }
 
-// binBody reports whether the request body is a binary frame.
-func binBody(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Content-Type"), wire.ContentType)
-}
-
 // StatsToWire is the identity: the binary codec carries QueryStats as it
 // is. Kept for its only caller, benchmark/layers.go, which may not be
 // edited.
 func StatsToWire(st simrank.QueryStats) simrank.QueryStats { return st }
 
-// shardScratch is the pooled working set of one shard request: fragment
-// and stats buffers the scans append into (one row per query) and the
-// decode shells for binary requests.
+// shardScratch is the pooled working set of one shard request: the
+// fragment the scan appends into, its stats, and the decode shell for
+// binary requests.
 // Acquire with getShardScratch, release with putShardScratch on every
 // return path.
 type shardScratch struct {
-	frags [][]simrank.ShardCand
-	sts   []simrank.QueryStats
-	breq  wire.BatchReq
+	frag  []simrank.ShardCand
+	st    simrank.QueryStats
 	frame wire.Frame
-}
-
-// ensureBatch sizes the per-query slices for n queries, reusing each
-// fragment slot's capacity. A slot starts out empty, not nil: the scans
-// append into it, and the JSON encoding of a fragment without candidates
-// is [], not null.
-func (ss *shardScratch) ensureBatch(n int) {
-	for len(ss.frags) < n {
-		ss.frags = append(ss.frags, []simrank.ShardCand{})
-	}
-	ss.frags = ss.frags[:n]
-	if cap(ss.sts) < n {
-		ss.sts = make([]simrank.QueryStats, n)
-	}
-	ss.sts = ss.sts[:n]
 }
 
 func (h *Handler) getShardScratch() *shardScratch {
@@ -173,7 +151,7 @@ func (h *Handler) serveBinFrame(ctx context.Context, conn net.Conn, data []byte,
 		conn.Write(wbuf.B)
 		return false
 	}
-	req, err := h.shardReqFromFrame(&ss.frame, &ss.breq)
+	req, err := h.shardReqFromFrame(&ss.frame)
 	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
 	if err == nil {
 		err = h.checkShardReq(&req)

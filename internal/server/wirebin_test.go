@@ -95,26 +95,6 @@ func TestBinTCPRoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	// A batch over the same connection.
-	out := wire.AppendBatchReq(nil, &wire.BatchReq{Lo: uint32(m.Lo), Hi: uint32(m.Hi), Queries: []uint32{1, 2}})
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := wire.ReadFrame(br, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Parse(data); err != nil {
-		t.Fatal(err)
-	}
-	var bresp wire.BatchResp
-	if err := f.BatchResp(&bresp); err != nil {
-		t.Fatal(err)
-	}
-	if len(bresp.Frags) != 2 || bresp.Queries[0] != 1 || bresp.Queries[1] != 2 {
-		t.Fatalf("batch response shape: %d frags, queries %v", len(bresp.Frags), bresp.Queries)
-	}
 }
 
 // TestBinTCPQueryErrorKeepsConn sends an out-of-range vertex, expects a

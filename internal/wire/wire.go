@@ -44,10 +44,11 @@ import (
 const ContentType = "application/x-simrank-bin"
 
 // Version is the protocol version a frame header carries and a shard
-// manifest advertises. Version 2 answers a similar request with a
-// fragment (MsgTopKResp) where version 1 sent a ranked list; a router
-// refuses a shard of any other version at probe.
-const Version = 2
+// manifest advertises. Version 3 carries one query per request (version
+// 2 also had a many-query batch message; version 1 answered a similar
+// request with a ranked list instead of a fragment); a router refuses a
+// shard of any other version at probe.
+const Version = 3
 
 const (
 	magic = 0x31575253 // "SRW1"
@@ -61,25 +62,22 @@ const (
 	MaxFrameLen = 64 << 20
 )
 
-// Message types.
+// Message types. Every request asks for one query, and a TopKReq and a
+// SimilarReq alike are answered with a MsgTopKResp (or a MsgError).
 const (
 	MsgError = uint8(iota)
 	MsgTopKReq
 	MsgTopKResp
-	MsgBatchReq
-	MsgBatchResp
 	MsgSimilarReq
 )
 
 // Section kinds.
 const (
-	kindParams  = uint8(1) // uint64 array: per-message scalars
-	kindQueries = uint8(2) // uint32 array: batch query vertices
-	kindStats   = uint8(3) // uint64 array: statsWords per query
-	kindCands   = uint8(4) // candSize-byte ShardCand rows
-	kindCounts  = uint8(5) // uint32 array: per-query fragment lengths
-	kindCode    = uint8(7) // bytes: stable machine-readable error code
-	kindText    = uint8(8) // bytes: human-readable error message
+	kindParams = uint8(1) // uint64 array: per-message scalars
+	kindStats  = uint8(3) // uint64 array: statsWords counters
+	kindCands  = uint8(4) // candSize-byte ShardCand rows
+	kindCode   = uint8(7) // bytes: stable machine-readable error code
+	kindText   = uint8(8) // bytes: human-readable error message
 )
 
 const (
@@ -106,12 +104,6 @@ type TopKReq struct {
 	U, Lo, Hi uint32
 }
 
-// BatchReq asks for fragments of many queries over one range.
-type BatchReq struct {
-	Lo, Hi  uint32
-	Queries []uint32
-}
-
 // SimilarReq asks for the threshold query at U over [Lo, Hi).
 type SimilarReq struct {
 	U, Lo, Hi uint32
@@ -127,19 +119,6 @@ type TopKResp struct {
 	ElapsedUS int64
 	Stats     core.QueryStats
 	Frag      []core.ShardCand
-}
-
-// BatchResp carries one fragment per query, request order. Frags are
-// subslices of one backing array, reused across decodes into the same
-// receiver.
-type BatchResp struct {
-	Shard     int32
-	ElapsedUS int64
-	Queries   []uint32
-	Stats     []core.QueryStats
-	Frags     [][]core.ShardCand
-
-	cands []core.ShardCand // backing store for Frags
 }
 
 // Error is a query failure shipped as a frame: the HTTP-equivalent
@@ -291,25 +270,6 @@ func (f *Frame) TopKReq() (TopKReq, error) {
 	return TopKReq{U: uint32(p[0]), Lo: uint32(p[1]), Hi: uint32(p[2])}, nil
 }
 
-// BatchReq decodes a MsgBatchReq frame into dst, reusing its Queries
-// backing array.
-func (f *Frame) BatchReq(dst *BatchReq) error {
-	if err := f.expect(MsgBatchReq); err != nil {
-		return err
-	}
-	p, err := f.params(2)
-	if err != nil {
-		return err
-	}
-	qs, err := f.sec(kindQueries, 4)
-	if err != nil {
-		return err
-	}
-	dst.Lo, dst.Hi = uint32(p[0]), uint32(p[1])
-	dst.Queries = appendU32s(dst.Queries[:0], qs)
-	return nil
-}
-
 // SimilarReq decodes a MsgSimilarReq frame.
 func (f *Frame) SimilarReq() (SimilarReq, error) {
 	if err := f.expect(MsgSimilarReq); err != nil {
@@ -349,73 +309,6 @@ func (f *Frame) TopKResp(dst *TopKResp) error {
 	return nil
 }
 
-// BatchResp decodes a MsgBatchResp frame into dst, reusing its Queries,
-// Stats, Frags and candidate backing arrays.
-func (f *Frame) BatchResp(dst *BatchResp) error {
-	if err := f.expect(MsgBatchResp); err != nil {
-		return err
-	}
-	p, err := f.params(2)
-	if err != nil {
-		return err
-	}
-	qs, err := f.sec(kindQueries, 4)
-	if err != nil {
-		return err
-	}
-	st, err := f.sec(kindStats, 8)
-	if err != nil {
-		return err
-	}
-	cn, err := f.sec(kindCounts, 4)
-	if err != nil {
-		return err
-	}
-	cs, err := f.sec(kindCands, candSize)
-	if err != nil {
-		return err
-	}
-	n := int(qs.count)
-	if int(st.count) != n*statsWords {
-		return frameErr("batch stats: %d words for %d queries", st.count, n)
-	}
-	if int(cn.count) != n {
-		return frameErr("batch counts: %d entries for %d queries", cn.count, n)
-	}
-	var total int64
-	for i := 0; i < n; i++ {
-		total += int64(binary.LittleEndian.Uint32(cn.payload[i*4:]))
-	}
-	if total != int64(cs.count) {
-		return frameErr("batch fragments: counts sum to %d, %d rows present", total, cs.count)
-	}
-	dst.Shard, dst.ElapsedUS = int32(p[0]), int64(p[1])
-	dst.Queries = appendU32s(dst.Queries[:0], qs)
-	if cap(dst.Stats) < n {
-		dst.Stats = make([]core.QueryStats, n)
-	}
-	dst.Stats = dst.Stats[:n]
-	for i := 0; i < n; i++ {
-		dst.Stats[i] = decodeStats(st.payload[i*statsWords*8:])
-	}
-	dst.cands = appendCands(dst.cands[:0], cs)
-	dst.Frags = dst.Frags[:0]
-	// The counts summed to cs.count above, so the fragments exactly tile
-	// dst.cands — but each slice bound is still checked locally against
-	// the rows remaining, so no single oversized count can reach a slice
-	// expression even if the sum check ever moves.
-	rows := dst.cands
-	for i := 0; i < n; i++ {
-		c := int(binary.LittleEndian.Uint32(cn.payload[i*4:]))
-		if c > len(rows) {
-			return frameErr("batch fragments: count %d with %d rows left", c, len(rows))
-		}
-		dst.Frags = append(dst.Frags, rows[:c:c])
-		rows = rows[c:]
-	}
-	return nil
-}
-
 // Err decodes a MsgError frame into an *Error.
 func (f *Frame) Err() error {
 	if err := f.expect(MsgError); err != nil {
@@ -449,13 +342,6 @@ func decodeStats(p []byte) (st core.QueryStats) {
 		*f = int(binary.LittleEndian.Uint64(p[i*8:]))
 	}
 	return st
-}
-
-func appendU32s(dst []uint32, s section) []uint32 {
-	for i := 0; i < int(s.count); i++ {
-		dst = append(dst, binary.LittleEndian.Uint32(s.payload[i*4:]))
-	}
-	return dst
 }
 
 func appendCands(dst []core.ShardCand, s section) []core.ShardCand {
@@ -513,14 +399,6 @@ func appendParams(dst []byte, m *frameMark, vals ...uint64) []byte {
 	return dst
 }
 
-func appendU32Sec(dst []byte, m *frameMark, kind uint8, vals []uint32) []byte {
-	dst = appendSecHdr(dst, m, kind, 4, len(vals))
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	return dst
-}
-
 func appendStatsPayload(dst []byte, st core.QueryStats) []byte {
 	for _, f := range statsFields(&st) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(*f))
@@ -546,14 +424,6 @@ func AppendTopKReq(dst []byte, r TopKReq) []byte {
 	return endFrame(dst, m)
 }
 
-// AppendBatchReq appends a MsgBatchReq frame to dst.
-func AppendBatchReq(dst []byte, r *BatchReq) []byte {
-	dst, m := beginFrame(dst, MsgBatchReq)
-	dst = appendParams(dst, &m, uint64(r.Lo), uint64(r.Hi))
-	dst = appendU32Sec(dst, &m, kindQueries, r.Queries)
-	return endFrame(dst, m)
-}
-
 // AppendSimilarReq appends a MsgSimilarReq frame to dst.
 func AppendSimilarReq(dst []byte, r SimilarReq) []byte {
 	dst, m := beginFrame(dst, MsgSimilarReq)
@@ -569,29 +439,6 @@ func AppendTopKResp(dst []byte, r *TopKResp) []byte {
 	dst = appendStatsPayload(dst, r.Stats)
 	dst = appendSecHdr(dst, &m, kindCands, candSize, len(r.Frag))
 	dst = appendCandsPayload(dst, r.Frag)
-	return endFrame(dst, m)
-}
-
-// AppendBatchResp appends a MsgBatchResp frame to dst. Queries, Stats
-// and Frags must be parallel (one entry per query).
-func AppendBatchResp(dst []byte, r *BatchResp) []byte {
-	dst, m := beginFrame(dst, MsgBatchResp)
-	dst = appendParams(dst, &m, uint64(r.Shard), uint64(r.ElapsedUS))
-	dst = appendU32Sec(dst, &m, kindQueries, r.Queries)
-	dst = appendSecHdr(dst, &m, kindStats, 8, len(r.Stats)*statsWords)
-	for _, st := range r.Stats {
-		dst = appendStatsPayload(dst, st)
-	}
-	total := 0
-	dst = appendSecHdr(dst, &m, kindCounts, 4, len(r.Frags))
-	for _, f := range r.Frags {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f)))
-		total += len(f)
-	}
-	dst = appendSecHdr(dst, &m, kindCands, candSize, total)
-	for _, f := range r.Frags {
-		dst = appendCandsPayload(dst, f)
-	}
 	return endFrame(dst, m)
 }
 

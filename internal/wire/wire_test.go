@@ -68,18 +68,6 @@ func TestTopKReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchReqRoundTrip(t *testing.T) {
-	in := BatchReq{Lo: 1000, Hi: 2000, Queries: []uint32{5, 1, 5, 1999}}
-	f := parse(t, AppendBatchReq(nil, &in))
-	var out BatchReq
-	if err := f.BatchReq(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.Lo != in.Lo || out.Hi != in.Hi || !bytes.Equal(u32bytes(out.Queries), u32bytes(in.Queries)) {
-		t.Fatalf("got %+v, want %+v", out, in)
-	}
-}
-
 func TestSimilarReqRoundTrip(t *testing.T) {
 	in := SimilarReq{U: 9, Lo: 3, Hi: 77, Theta: 0.01}
 	f := parse(t, AppendSimilarReq(nil, in))
@@ -104,42 +92,6 @@ func TestTopKRespRoundTrip(t *testing.T) {
 		t.Fatalf("header: got %+v, want %+v", out, in)
 	}
 	sameFrag(t, out.Frag, in.Frag)
-}
-
-func TestBatchRespRoundTrip(t *testing.T) {
-	frag := sampleFrag()
-	in := BatchResp{
-		Shard:     1,
-		ElapsedUS: 99,
-		Queries:   []uint32{42, 7, 42},
-		Stats:     []core.QueryStats{sampleStats(), {}, {Candidates: 1}},
-		Frags:     [][]core.ShardCand{frag, nil, frag[:2]},
-	}
-	f := parse(t, AppendBatchResp(nil, &in))
-	var out BatchResp
-	if err := f.BatchResp(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.Shard != in.Shard || out.ElapsedUS != in.ElapsedUS {
-		t.Fatalf("header: got %+v", out)
-	}
-	if !bytes.Equal(u32bytes(out.Queries), u32bytes(in.Queries)) {
-		t.Fatalf("queries: got %v, want %v", out.Queries, in.Queries)
-	}
-	if len(out.Stats) != len(in.Stats) {
-		t.Fatalf("stats length %d, want %d", len(out.Stats), len(in.Stats))
-	}
-	for i := range in.Stats {
-		if out.Stats[i] != in.Stats[i] {
-			t.Fatalf("stats[%d]: got %+v, want %+v", i, out.Stats[i], in.Stats[i])
-		}
-	}
-	if len(out.Frags) != len(in.Frags) {
-		t.Fatalf("frags length %d, want %d", len(out.Frags), len(in.Frags))
-	}
-	for i := range in.Frags {
-		sameFrag(t, out.Frags[i], in.Frags[i])
-	}
 }
 
 func TestErrorRoundTrip(t *testing.T) {
@@ -255,25 +207,17 @@ func TestDecoderRejectsWrongShape(t *testing.T) {
 		t.Fatal("SimilarReq decoded a TopKReq frame")
 	}
 
-	// A batch response whose per-query counts disagree with the shipped
-	// candidate rows must be rejected, not mis-sliced.
-	in := BatchResp{
-		Queries: []uint32{1, 2},
-		Stats:   []core.QueryStats{{}, {}},
-		Frags:   [][]core.ShardCand{sampleFrag(), nil},
+	// A topk answer whose stats section is not statsWords counters long
+	// must be rejected, not half-read.
+	dst, m := beginFrame(nil, MsgTopKResp)
+	dst = appendParams(dst, &m, 1, 0, 0)
+	dst = appendSecHdr(dst, &m, kindStats, 8, statsWords-1)
+	for i := 0; i < statsWords-1; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, 0)
 	}
-	data := AppendBatchResp(nil, &in)
-	// Locate the counts section payload and inflate the first count.
-	idx := bytes.LastIndex(data, []byte{kindCounts, 4})
-	if idx < 0 {
-		t.Fatal("counts section not found")
-	}
-	binary.LittleEndian.PutUint32(data[idx+secHdrLen:], 1000)
-	data = rechecksum(data)
-	f2 := parse(t, data)
-	var bout BatchResp
-	if err := f2.BatchResp(&bout); err == nil {
-		t.Fatal("BatchResp accepted counts/cands mismatch")
+	dst = appendSecHdr(dst, &m, kindCands, candSize, 0)
+	if err := parse(t, endFrame(dst, m)).TopKResp(&out); err == nil {
+		t.Fatalf("TopKResp accepted %d stats words", statsWords-1)
 	}
 }
 
@@ -336,14 +280,6 @@ func rechecksum(b []byte) []byte {
 	body := len(b) - trailerLen
 	binary.LittleEndian.PutUint32(b[body:], crc32.Checksum(b[:body], crcTable))
 	return b
-}
-
-func u32bytes(v []uint32) []byte {
-	out := make([]byte, 0, len(v)*4)
-	for _, x := range v {
-		out = binary.LittleEndian.AppendUint32(out, x)
-	}
-	return out
 }
 
 // TestStatsWordsCoversQueryStats: the frame carries statsWords counters

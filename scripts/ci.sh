@@ -121,7 +121,9 @@ done
 # Multi-shard smoke: two simserver shards behind simrouter on loopback
 # must answer a query corpus byte-identically — results, ordering, and
 # scan statistics — to a stand-alone simserver over the same graph and
-# seed. Run twice: once over the binary wire protocol (shards advertise
+# seed: /topk and /similar (theta 0.02, the threshold exchange) per
+# query, and the corpus as one /topk/batch, larger than the router's 16
+# queries in flight. Run twice: once over the binary wire protocol (shards advertise
 # TCP bin listeners, the router's default) and once with the router
 # forced to JSON, so both encodings of the scatter-gather are proven
 # identical end-to-end across real processes. topkdiff reads the

@@ -48,25 +48,6 @@ func (ix *Index) TopKShardAppendCtx(ctx context.Context, u, lo, hi int, dst []Sh
 	return ix.SimilarShardCtx(ctx, u, ix.Threshold(), lo, hi, dst)
 }
 
-// TopKShardBatchAppendCtx answers many shard-restricted queries into
-// caller-supplied parallel slices: len(frags) and len(sts) must equal
-// len(us), and each frags[i]'s capacity is reused.
-func (ix *Index) TopKShardBatchAppendCtx(ctx context.Context, us []uint32, lo, hi int, frags [][]ShardCand, sts []QueryStats) error {
-	if err := ix.checkRange(lo, hi); err != nil {
-		return err
-	}
-	if len(frags) != len(us) || len(sts) != len(us) {
-		return fmt.Errorf("simrank: batch append wants %d fragment and stats slots, got %d and %d",
-			len(us), len(frags), len(sts))
-	}
-	for _, u := range us {
-		if err := ix.g.checkVertex(int(u)); err != nil {
-			return err
-		}
-	}
-	return ix.e.TopKShardBatchAppendCtx(ctx, us, uint32(lo), uint32(hi), frags, sts)
-}
-
 // SimilarShardCtx is the shard-restricted Similar query: the fragment
 // scan of TopKShardAppendCtx at the floor threshold instead of the
 // serving Threshold. Merged with k = 0 at the same threshold, the
