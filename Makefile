@@ -26,11 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# simlint: the nine determinism/concurrency rules of internal/analysis
-# (DESIGN.md §7 has the table) over the whole module, in one load. Any
-# diagnostic fails the target — including a //lint:ignore directive that
-# is malformed or no longer suppresses anything. There is no debt file:
-# a finding is fixed or carries an in-source directive with its reason.
+# simlint: the two concurrency/confinement rules of internal/analysis
+# (DESIGN.md §7 has the table) over the whole module. Any diagnostic
+# fails the target — including a //lint:ignore directive that is
+# malformed, no longer suppresses anything, or names no rule. There is
+# no debt file: a finding is fixed or carries an in-source directive
+# with its reason.
 lint:
 	$(GO) run ./cmd/simlint -time-budget 10s ./...
 

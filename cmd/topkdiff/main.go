@@ -6,11 +6,15 @@
 //
 //	topkdiff -a http://localhost:8080 -b http://localhost:8090 -count 50 -k 20
 //
+// The corpus is count vertices strided evenly over [0, n), n read from
+// the -b server's /statusz (shard.vertices: -b is the stand-alone node).
 // Three endpoints are exercised: /topk (one request per corpus query,
 // stats compared), /similar at theta 0.02 (one request per corpus query:
 // above the default serving theta 0.01, so a router's shards scan at the
 // request's floor and the merge replays it with k = 0) and /topk/batch
-// (the whole corpus in one request).
+// (the whole corpus in one request). An identity over empty answers
+// proves little, so the run fails when fewer than 2 in 5 of the corpus
+// queries return a row on /topk, or on /similar; both counts are printed.
 //
 // When -a is a router, its /statusz is read after the corpus and the
 // transport every shard was reached over is checked for consistency —
@@ -53,6 +57,27 @@ type topKResponse struct {
 
 // similarTheta is the /similar threshold diffed over the corpus.
 const similarTheta = 0.02
+
+// vertexCount reads the graph's vertex count off a stand-alone server's
+// /statusz.
+func vertexCount(addr string) (int, error) {
+	body, err := get(addr + "/statusz")
+	if err != nil {
+		return 0, err
+	}
+	var st struct {
+		Shard struct {
+			Vertices int `json:"vertices"`
+		} `json:"shard"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		return 0, fmt.Errorf("%s/statusz: %v", addr, err)
+	}
+	if st.Shard.Vertices <= 0 {
+		return 0, fmt.Errorf("%s/statusz reports no shard.vertices: -b must be a stand-alone server", addr)
+	}
+	return st.Shard.Vertices, nil
+}
 
 type batchResponse struct {
 	Results []topKResponse `json:"results"`
@@ -189,7 +214,7 @@ func main() {
 
 	a := flag.String("a", "", "first server base URL (required)")
 	b := flag.String("b", "", "second server base URL (required)")
-	count := flag.Int("count", 50, "corpus size: queries 0..count-1")
+	count := flag.Int("count", 50, "corpus size: queries strided evenly over the graph's vertices")
 	k := flag.Int("k", 20, "k per query")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for both servers' /readyz")
 	flag.Parse()
@@ -207,8 +232,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	// diffGet diffs both servers' answers to one GET.
-	diffGet := func(label, path string) {
+	n, err := vertexCount(ub)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *count < 1 || *count > n {
+		log.Fatalf("-count %d outside [1, %d]", *count, n)
+	}
+	queries := make([]int, *count)
+	for i := range queries {
+		queries[i] = i * n / *count
+	}
+
+	// diffGet diffs both servers' answers to one GET and reports whether
+	// they carry any row.
+	diffGet := func(label, path string) bool {
 		var r [2]topKResponse
 		for i, base := range []string{ua, ub} {
 			body, err := get(base + path)
@@ -222,18 +260,20 @@ func main() {
 		if err := diffOne(label, r[0], r[1]); err != nil {
 			fail(err)
 		}
+		return len(r[0].Results) > 0
 	}
 	// Per-query /topk with stats, and /similar.
-	for u := 0; u < *count; u++ {
-		diffGet(fmt.Sprintf("u=%d", u), fmt.Sprintf("/topk?u=%d&k=%d&stats=1", u, *k))
-		diffGet(fmt.Sprintf("similar u=%d", u), fmt.Sprintf("/similar?u=%d&theta=%g", u, similarTheta))
+	var topkRows, similarRows int
+	for _, u := range queries {
+		if diffGet(fmt.Sprintf("u=%d", u), fmt.Sprintf("/topk?u=%d&k=%d&stats=1", u, *k)) {
+			topkRows++
+		}
+		if diffGet(fmt.Sprintf("similar u=%d", u), fmt.Sprintf("/similar?u=%d&theta=%g", u, similarTheta)) {
+			similarRows++
+		}
 	}
 
 	// The whole corpus as one batch.
-	queries := make([]int, *count)
-	for i := range queries {
-		queries[i] = i
-	}
 	payload, _ := json.Marshal(map[string]any{"queries": queries, "k": *k, "stats": true})
 	ba, err := post(ua+"/topk/batch", string(payload))
 	if err != nil {
@@ -269,4 +309,10 @@ func main() {
 		fmt.Printf(" (shards reached over wire_format=%s)", format)
 	}
 	fmt.Println()
+	fmt.Printf("topkdiff: non-empty answers over u = i*%d/%d: /topk %d of %d, /similar %d of %d\n",
+		n, *count, topkRows, *count, similarRows, *count)
+	if minRows := 2 * *count / 5; topkRows < minRows || similarRows < minRows {
+		fmt.Fprintf(os.Stderr, "topkdiff: CORPUS: fewer than %d of %d answers carry a row: the identity proves little\n", minRows, *count)
+		os.Exit(1)
+	}
 }

@@ -177,9 +177,8 @@ func errVertexRange(v, n int) error {
 	return fmt.Errorf("simrank: vertex %d out of range [0, %d)", v, n)
 }
 
-// checkVertex validates a vertex ID against the graph.
-//
-//lint:sanitized an error return rejects every out-of-range vertex
+// checkVertex validates a vertex ID against the graph: an error return
+// rejects every out-of-range vertex.
 func (g *Graph) checkVertex(v int) error {
 	if v < 0 || v >= g.g.N() {
 		return errVertexRange(v, g.g.N())

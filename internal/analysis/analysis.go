@@ -1,15 +1,15 @@
 // Package analysis is a small stdlib-only static-analysis framework
-// (go/parser + go/types + go/importer; no x/tools dependency) plus the
-// simlint analyzers that enforce this repository's determinism and
-// concurrency invariants.
+// (go/parser and go/ast; no x/tools dependency) plus the simlint
+// analyzers that enforce what no test of this repository pins.
 //
-// The invariants exist because the engine promises byte-identical top-k
-// results for a given (graph, Params) across worker counts and runs.
-// That promise survives only if map iteration order never leaks into
-// results, scratch buffers always go back to their pool, and goroutines
-// are spawned only by the approved bounded worker pools. Each rule is
-// encoded as an Analyzer; cmd/simlint is the driver and `make check` runs
-// it over ./... as part of the gate.
+// The engine promises byte-identical top-k results for a given (graph,
+// Params) across worker counts, caches and shard topologies. The golden,
+// identity, cancellation and race suites hold most of that promise; the
+// two rules here hold what they cannot see: goroutines are spawned only
+// by the approved bounded worker pools, and raw memory reinterpretation
+// stays in the mmap loader files. Each rule is encoded as an Analyzer;
+// cmd/simlint is the driver and `make check` runs it over ./... as part
+// of the gate.
 //
 // Diagnostics can be suppressed with an in-source directive on the same
 // line or the line directly above the flagged position:
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"time"
 )
 
 // An Analyzer is one named invariant check.
@@ -40,14 +39,10 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// A Pass carries one analyzer's view of one loaded package. Mod is the
-// module-wide interprocedural layer (call graph and summaries) shared by
-// every package of the same load; analyzers that only need the package
-// can ignore it.
+// A Pass carries one analyzer's view of one loaded package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Mod      *Module
 
 	diags *[]Diagnostic
 }
@@ -60,11 +55,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding, positioned in the original source.
 type Diagnostic struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 func newDiagnostic(rule string, pos token.Position, msg string) Diagnostic {
@@ -78,16 +73,6 @@ func (d Diagnostic) String() string {
 
 // RunOptions configures RunPackage.
 type RunOptions struct {
-	// Mod is the interprocedural layer shared across packages of one
-	// load. When nil, RunPackage builds a single-package module on the
-	// fly — sufficient for the intraprocedural analyzers, but
-	// cross-package call chains are invisible to that view, so drivers
-	// that lint whole modules should build one Module over every loaded
-	// package and share it.
-	Mod *Module
-	// Observe, when set, is called once per analyzer with its wall-clock
-	// Run duration.
-	Observe func(rule string, elapsed time.Duration)
 	// NoSuppress disables //lint:ignore and //lint:file-ignore
 	// processing: every raw diagnostic is returned and no directive is
 	// judged. It is the view to eyeball the suppression inventory with.
@@ -101,12 +86,10 @@ type RunOptions struct {
 // malformed //lint:ignore is reported, and so is a stale one — a
 // directive whose rule ran and suppresses no finding. A suppression whose
 // finding has been fixed is rot: it documents a violation that no longer
-// exists and silently excuses the next real one on that line.
+// exists and silently excuses the next real one on that line. On a run
+// of every rule, a directive naming a rule that does not exist is
+// reported too.
 func RunPackage(pkg *Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
-	mod := opts.Mod
-	if mod == nil {
-		mod = BuildModule([]*Package{pkg})
-	}
 	var diags []Diagnostic
 	ran := map[string]bool{}
 	for _, a := range analyzers {
@@ -114,13 +97,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnos
 		if !inScope(a.Name, pkg) {
 			continue
 		}
-		pass := &Pass{Analyzer: a, Pkg: pkg, Mod: mod, diags: &diags}
-		start := time.Now()
-		err := a.Run(pass)
-		if opts.Observe != nil {
-			opts.Observe(a.Name, time.Since(start))
-		}
-		if err != nil {
+		if err := a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags}); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
 		}
 	}

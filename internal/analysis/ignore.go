@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -132,11 +133,19 @@ func lintDiagnostic(pos token.Position, msg string) Diagnostic {
 //
 // Only directive rules present in ran (the analyzers of this run) are
 // judged: under a -rules subset the other rules produced no raw findings
-// by construction, so their directives would all read as rot.
+// by construction, so their directives would all read as rot. When every
+// rule ran, a directive rule that is none of them names no rule at all
+// (a typo, or a retired rule) and is reported as unknown.
 func (idx *ignoreIndex) filter(raw []Diagnostic, ran map[string]bool) (kept, stale []Diagnostic) {
+	full := !slices.ContainsFunc(Analyzers(), func(a *Analyzer) bool { return !ran[a.Name] })
 	suppressed := make([]bool, len(raw))
 	for _, pd := range idx.directives {
 		for _, rule := range pd.Rules {
+			if full && !ran[rule] {
+				stale = append(stale, lintDiagnostic(pd.pos,
+					fmt.Sprintf("unknown rule %q in an ignore directive (simlint -list names the rules)", rule)))
+				continue
+			}
 			live := false
 			for i, d := range raw {
 				if pd.covers(rule, d) {

@@ -36,35 +36,44 @@ func TestMalformedDirective(t *testing.T) {
 }
 
 // TestAuditStaleDirectives checks directive hygiene, part of every run:
-// a directive whose finding still fires is quiet (and suppresses it), while a line directive with nothing to suppress
-// and a file-wide directive for a rule that never fires are both reported
-// as stale, at the directive's own position.
+// a directive whose finding still fires is quiet (and suppresses it),
+// while a line directive with nothing to suppress and a file-wide
+// directive for a rule that never fires are both reported as stale, and
+// on a run of every rule a directive naming no rule is reported as
+// unknown — each at the directive's own position.
 func TestAuditStaleDirectives(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn, UnsafeConfine}, RunOptions{})
+	diags, err := RunPackage(pkg, Analyzers(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 stale directives: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 2 stale directives and 1 unknown rule: %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if d.Rule != "lint" || !strings.Contains(d.Message, "stale") {
+		if d.Rule != "lint" {
 			t.Fatalf("unexpected diagnostic: %v", d)
 		}
 	}
-	if !strings.Contains(diags[0].Message, "unsafeconfine") || !strings.Contains(diags[0].Message, "file-ignore") {
-		t.Errorf("first diagnostic should be the stale file-wide unsafeconfine directive: %v", diags[0])
-	}
-	if !strings.Contains(diags[1].Message, "gospawn") || !strings.Contains(diags[1].Message, "next line") {
-		t.Errorf("second diagnostic should be the stale line gospawn directive: %v", diags[1])
+	for i, want := range [][]string{
+		{"stale", "unsafeconfine", "file-ignore"},
+		{"stale", "gospawn", "next line"},
+		{"unknown rule", "mapitr"},
+	} {
+		for _, w := range want {
+			if !strings.Contains(diags[i].Message, w) {
+				t.Errorf("diagnostic %d should mention %q: %v", i, w, diags[i])
+			}
+		}
 	}
 }
 
 // TestAuditScopedToEnabledRules checks that a run with a rule subset only
 // judges directives for rules that ran: the stale file-wide unsafeconfine
 // directive must not be reported when unsafeconfine was not among the
-// analyzers, while the genuinely stale gospawn directive still is.
+// analyzers, nor the unknown rule (a subset cannot tell an unknown rule
+// from one left out), while the genuinely stale gospawn directive still
+// is.
 func TestAuditScopedToEnabledRules(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
 	diags, err := RunPackage(pkg, []*Analyzer{GoSpawn}, RunOptions{})
@@ -112,7 +121,7 @@ func TestIgnoreIndexPlacement(t *testing.T) {
 	if suppressed(12, "gospawn") {
 		t.Error("directive two lines up must not suppress")
 	}
-	if suppressed(10, "mapiter") {
+	if suppressed(10, "unsafeconfine") {
 		t.Error("other rules must not be suppressed")
 	}
 }

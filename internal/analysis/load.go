@@ -4,47 +4,29 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// A Package is one parsed and type-checked package, ready for analysis.
+// A Package is one parsed package, ready for analysis. Both rules read
+// syntax alone, so nothing is type-checked.
 type Package struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
-	// TypeErrors holds soft type-checking problems (for example an import
-	// the loader had to stub out). The build gate runs before lint, so
-	// these indicate loader limitations, not broken code; the driver
-	// surfaces them as warnings only.
-	TypeErrors []error
 }
 
-// A Loader parses and type-checks packages of one module from source.
-//
-// Imports inside the module are loaded recursively from source; all other
-// imports (the standard library) are resolved through the gc importer's
-// export data. An import that cannot be resolved degrades to an empty
-// stub package and a warning instead of failing the load, so analysis is
-// best-effort by construction.
+// A Loader parses the packages of one module from source.
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	fset  *token.FileSet
-	gc    types.Importer
-	byDir map[string]*Package
-	stubs []string
+	fset *token.FileSet
 }
 
 // NewLoader locates the enclosing module of dir (by walking up to go.mod)
@@ -69,13 +51,7 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Loader{
-		ModuleRoot: root,
-		ModulePath: modPath,
-		fset:       token.NewFileSet(),
-		gc:         importer.Default(),
-		byDir:      map[string]*Package{},
-	}, nil
+	return &Loader{ModuleRoot: root, ModulePath: modPath, fset: token.NewFileSet()}, nil
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -91,25 +67,6 @@ func modulePath(file string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("analysis: no module directive in %s", file)
-}
-
-// Stubs returns the import paths the loader could not resolve and
-// replaced with empty packages.
-func (l *Loader) Stubs() []string { return l.stubs }
-
-// Packages returns every package this loader has type-checked so far
-// (including ones pulled in as module-local imports of an explicitly
-// requested directory), sorted by import path. BuildModule over this
-// set gives the interprocedural layer the complete body inventory.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.byDir))
-	for _, pkg := range l.byDir {
-		if pkg != nil {
-			out = append(out, pkg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	return out
 }
 
 // LoadAll walks every package directory under root (skipping testdata,
@@ -165,9 +122,8 @@ func hasGoFiles(dir string) bool {
 
 // buildCtx decides which files belong to a package on the host
 // platform, exactly as `go build` would: //go:build constraint lines
-// and GOOS/GOARCH filename suffixes both count. Without this,
-// platform-gated pairs like mmap_unix.go/mmap_stub.go would land in
-// one package and type-check as duplicate declarations.
+// and GOOS/GOARCH filename suffixes both count, so a file is linted as
+// part of the build that compiles it.
 var buildCtx = build.Default
 
 func goSource(dir string, e os.DirEntry) bool {
@@ -180,30 +136,12 @@ func goSource(dir string, e os.DirEntry) bool {
 	return err == nil && ok
 }
 
-// LoadDir parses and type-checks the single package in dir (test files
-// excluded), reusing previously loaded results.
+// LoadDir parses the single package in dir (test files excluded).
 func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
+	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	if pkg, ok := l.byDir[abs]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("analysis: import cycle through %s", abs)
-		}
-		return pkg, nil
-	}
-	l.byDir[abs] = nil // cycle marker
-	pkg, err := l.loadDir(abs)
-	if err != nil {
-		delete(l.byDir, abs)
-		return nil, err
-	}
-	l.byDir[abs] = pkg
-	return pkg, nil
-}
-
-func (l *Loader) loadDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -222,41 +160,12 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	name := files[0].Name.Name
-	kept := files[:0]
-	for _, f := range files {
-		// A second package in one directory (stale experiments and the
-		// like) would make go/types refuse the whole load; keep the
-		// majority package named after the first file instead.
-		if f.Name.Name == name {
-			kept = append(kept, f)
-		}
-	}
-	files = kept
-
-	pkg := &Package{
+	return &Package{
 		Dir:        dir,
 		ImportPath: l.importPath(dir),
-		Name:       name,
 		Fset:       l.fset,
 		Files:      files,
-		Info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	conf := types.Config{
-		Importer: (*loaderImporter)(l),
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
-	}
-	// Soft errors are collected through conf.Error; the returned error
-	// duplicates the first of them, so it is deliberately dropped.
-	pkg.Types, _ = conf.Check(pkg.ImportPath, l.fset, files, pkg.Info)
-	return pkg, nil
+	}, nil
 }
 
 // importPath maps a directory to its import path within the module.
@@ -270,31 +179,4 @@ func (l *Loader) importPath(dir string) string {
 		return l.ModulePath
 	}
 	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-// loaderImporter adapts the Loader to types.Importer: module-local
-// packages come from source, everything else from gc export data, and
-// unresolvable imports become complete-but-empty stubs.
-type loaderImporter Loader
-
-func (li *loaderImporter) Import(path string) (*types.Package, error) {
-	l := (*Loader)(li)
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath)))
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	if pkg, err := l.gc.Import(path); err == nil {
-		return pkg, nil
-	}
-	l.stubs = append(l.stubs, path)
-	stub := types.NewPackage(path, filepath.Base(path))
-	stub.MarkComplete()
-	return stub, nil
 }

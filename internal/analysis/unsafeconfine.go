@@ -48,12 +48,18 @@ func runUnsafeConfine(pass *Pass) error {
 		if unsafeConfineAllowed(file) {
 			continue
 		}
+		syscallAs := "" // the file's name for package syscall
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
 			switch {
+			case path == "syscall":
+				syscallAs = path
+				if imp.Name != nil {
+					syscallAs = imp.Name.Name
+				}
 			case path == "unsafe":
 				pass.Reportf(imp.Pos(),
 					"import of unsafe outside an mmap loader file: byte reinterpretation is confined to *mmap*.go")
@@ -67,7 +73,7 @@ func runUnsafeConfine(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if mmapFamily[sel.Sel.Name] && pkgIdent(pass.Pkg.Info, sel.X, "syscall") {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == syscallAs && mmapFamily[sel.Sel.Name] {
 				pass.Reportf(sel.Pos(),
 					"syscall.%s outside an mmap loader file: mapping calls are confined to *mmap*.go", sel.Sel.Name)
 			}

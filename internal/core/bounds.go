@@ -145,7 +145,7 @@ type slotIndex struct {
 //lint:hotpath scoring index build, once per scan that scores
 func (x *slotIndex) build(wd *walkDist, n int) {
 	if x.uid == nil {
-		x.uid = make([]uint32, n) //lint:ignore hotalloc once per scratch that scores, on its first scan
+		x.uid = make([]uint32, n) // once per scratch that scores, on its first scan
 	}
 	uid, union := x.uid, x.union[:0]
 	h := wd.steps()
@@ -159,7 +159,7 @@ func (x *slotIndex) build(wd *walkDist, n int) {
 	}
 	stride := len(union) + 1
 	if cap(x.slots) < h*stride {
-		x.slots = make([]uint32, 2*h*stride) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		x.slots = make([]uint32, 2*h*stride) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	slots := x.slots[:h*stride]
 	clear(slots)

@@ -13,16 +13,14 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the dynamic half of the //lint:hotpath contract. The
-// static half is simlint's hotalloc analyzer, which proves at build time
-// that no allocation site is reachable from a marked kernel; here
-// testing.AllocsPerRun re-checks the same kernels at runtime, so the
-// static gate and the allocator must agree. AllocsPerRun's warm-up
-// invocation absorbs the amortized scratch growth (the two suppressed
-// make sites in scratch.go); the measured runs must then be exactly
-// zero. A marker-coverage scan at the bottom pins the marked set, so
-// adding //lint:hotpath to a new kernel without extending this test
-// fails loudly.
+// This file holds the //lint:hotpath contract: every marked kernel
+// allocates nothing. testing.AllocsPerRun runs each of them;
+// AllocsPerRun's warm-up invocation absorbs the amortized scratch growth
+// (the make sites in scratch.go and bounds.go that grow a pooled buffer
+// to its steady size); the measured runs must then be exactly zero. A
+// marker-coverage scan at the bottom pins the marked set, so adding
+// //lint:hotpath to a new kernel without extending this test fails
+// loudly.
 
 // hotpathMarked lists every function carrying //lint:hotpath, keyed by
 // "file-package.name", and doubles as this test's work list.
@@ -226,8 +224,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 
 // TestHotpathMarkerCoverage scans the hot-path source directories for
 // //lint:hotpath markers and requires the marked set to equal
-// hotpathKernels, so the static root set and the dynamic alloc test
-// above cannot drift apart silently.
+// hotpathKernels, so the markers and the alloc test above cannot drift
+// apart silently.
 func TestHotpathMarkerCoverage(t *testing.T) {
 	marked := map[string]bool{}
 	for _, dir := range []string{".", "../graph"} {

@@ -182,7 +182,7 @@ func (s *scratch) orderTouched() {
 		return
 	}
 	if cap(s.bucket) < nb+2 {
-		s.bucket = make([]uint32, 2*nb+2) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.bucket = make([]uint32, 2*nb+2) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	// counts live two slots up so that after the prefix sum cur[b+1] is
 	// bucket b's start, and the scatter advances it to bucket b's end.
@@ -195,7 +195,7 @@ func (s *scratch) orderTouched() {
 		cur[b] += cur[b-1]
 	}
 	if cap(s.ordered) < len(src) {
-		s.ordered = make([]uint32, len(src), 2*len(src)) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.ordered = make([]uint32, len(src), 2*len(src)) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	dst := s.ordered[:len(src)]
 	for _, w := range src {
@@ -268,7 +268,7 @@ func (s *scratch) walkBuf2(R int) []uint32 {
 func (s *scratch) tposBuf(T, stride int) []uint32 {
 	n := T * stride
 	if cap(s.tpos) < n {
-		s.tpos = make([]uint32, n) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.tpos = make([]uint32, n) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	s.tpos = s.tpos[:n]
 	return s.tpos
@@ -277,7 +277,7 @@ func (s *scratch) tposBuf(T, stride int) []uint32 {
 // tallyReset prepares the compact tally view for T steps.
 func (s *scratch) tallyReset(T int) {
 	if cap(s.tallyOff) < T+1 {
-		s.tallyOff = make([]int32, T+1) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.tallyOff = make([]int32, T+1) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	s.tallyOff = s.tallyOff[:T+1]
 	s.tallyOff[0] = 0
@@ -289,8 +289,8 @@ func (s *scratch) tallyReset(T int) {
 // newWalkLanes returns n lanes whose position matrices, size entries
 // each, are cut from one backing array.
 func newWalkLanes(n, size int) []graph.WalkLane {
-	pos := make([]uint32, n*size)      //lint:ignore hotalloc allocated once per pooled scratch, on its first uncached block
-	lanes := make([]graph.WalkLane, n) //lint:ignore hotalloc allocated once per pooled scratch, on its first uncached block
+	pos := make([]uint32, n*size)      // allocated once per pooled scratch, on its first uncached block
+	lanes := make([]graph.WalkLane, n) // allocated once per pooled scratch, on its first uncached block
 	for l := range lanes {
 		lanes[l].Out = pos[l*size : (l+1)*size]
 	}
@@ -302,8 +302,8 @@ func newWalkLanes(n, size int) []graph.WalkLane {
 func (s *scratch) hitBufs(S int) (cnt []uint32, set []uint64) {
 	if len(s.hitCnt) < S {
 		// The outgoing buffers are all zero, so nothing carries over.
-		s.hitCnt = make([]uint32, 2*S)         //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
-		s.hitSet = make([]uint64, (2*S+63)>>6) //lint:ignore hotalloc amortized pooled growth; steady state reuses the scratch capacity
+		s.hitCnt = make([]uint32, 2*S)         // amortized pooled growth; steady state reuses the scratch capacity
+		s.hitSet = make([]uint64, (2*S+63)>>6) // amortized pooled growth; steady state reuses the scratch capacity
 	}
 	return s.hitCnt[:S], s.hitSet[:(S+63)>>6]
 }

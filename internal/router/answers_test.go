@@ -238,7 +238,8 @@ func TestRouterFailsOverBadShardAnswers(t *testing.T) {
 // routed batch fails the batch at once. Every shard answers query 42
 // with the wrong echo straight away and holds every other answer for
 // two seconds, so the batch returns 502 quickly only if its failure
-// cancels query 7, which is still waiting on its shards.
+// cancels query 7, which is still waiting on its shards — and no byte of
+// query 7's held answers may reach the router afterwards.
 func TestRouterBatchFailureCancelsInFlight(t *testing.T) {
 	const hold = 2 * time.Second
 	idx := buildIndex(t)
@@ -259,4 +260,7 @@ func TestRouterBatchFailureCancelsInFlight(t *testing.T) {
 	if took >= hold/2 {
 		t.Fatalf("failed batch answered after %v: it waited for the query still in flight", took)
 	}
+	// Query 7's attempts are cancelled with the batch: they close their
+	// connections rather than read the answers the shards write later.
+	quietAfter(t, rt, hold-took+300*time.Millisecond)
 }

@@ -48,7 +48,7 @@ func (rt *Router) call(ctx context.Context, t *topology, si int, op shardOp) (*r
 	rp, hedges, errs, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
 		func(ctx context.Context, a int) (*reply, error) {
 			j := (si + a) % len(t.addrs)
-			//lint:ignore poolbalance a successful attempt hands its reply to hedged: the winner's reaches the gather and putGather releases it, a late loser's is dropped to the GC
+			// A successful attempt hands its reply to hedged: the winner's reaches the gather and putGather releases it, a late loser's is dropped to the GC
 			rp := rt.getReply()
 			var x xfer
 			err := rt.attempt(ctx, t.addrs[j], t.binAddrs[j], op, m.Lo, m.Hi, rp, &x)

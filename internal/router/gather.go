@@ -73,7 +73,10 @@ func (rt *Router) getReply() *reply {
 	return rt.replies.Get().(*reply)
 }
 
+// putReply empties rp's answer and returns it to the pool: a reply read
+// after its release reads no fragment and zero stats.
 func (rt *Router) putReply(rp *reply) {
+	rp.frag, rp.stats = rp.frag[:0], simrank.QueryStats{}
 	rt.replies.Put(rp)
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -412,7 +413,66 @@ func TestRouterSlowShardHedges(t *testing.T) {
 			if tcp := m.name == "tcp-bin"; (s2.EncodeNs > 0) != tcp {
 				t.Fatalf("encode_ns = %d, want > 0 exactly on tcp-bin: %+v", s2.EncodeNs, s2)
 			}
+			// The losing attempt, still waiting on the slow server, is
+			// cancelled when the hedge wins: it closes its connection
+			// instead of reading the answer, so no byte reaches the
+			// router once the slow server writes it.
+			quietAfter(t, rt, slowDelay+200*time.Millisecond)
 		})
+	}
+}
+
+// TestRouterClientCancelClosesShardExchange: a client that gives up on a
+// routed query ends the router's shard exchange with it, on every
+// transport. The one shard holds its answer for slowDelay and the client
+// cancels long before: the router answers at once, and the attempt
+// closes its connection instead of reading the answer written later.
+// One shard, so no other exchange can still be landing its bytes.
+func TestRouterClientCancelClosesShardExchange(t *testing.T) {
+	idx := buildIndex(t)
+	const slowDelay = 300 * time.Millisecond
+	for _, m := range []struct {
+		name  string
+		wire  string
+		noBin bool
+	}{{"tcp-bin", WireBin, false}, {"http-bin", WireBin, true}, {"json", WireJSON, false}} {
+		t.Run(m.name, func(t *testing.T) {
+			rt, _ := loopbackOpts(t, idx, 1, Config{QueryTimeout: 5 * time.Second, Wire: m.wire},
+				topoOpts{noBin: m.noBin, slowShard: 0, slowDelay: slowDelay})
+			ctx, cancel := context.WithTimeout(context.Background(), slowDelay/6)
+			defer cancel()
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/topk?u=7&k=5", nil).WithContext(ctx))
+			if took := time.Since(start); rec.Code == http.StatusOK || took >= slowDelay {
+				t.Fatalf("cancelled query: status %d after %v, want an error before the shard's %v", rec.Code, took, slowDelay)
+			}
+			quietAfter(t, rt, slowDelay+200*time.Millisecond)
+		})
+	}
+}
+
+// quietAfter fails t if any shard's received byte count on the router
+// moves within d: every attempt still in flight when it is called must
+// have given up its exchange rather than wait for the answer.
+func quietAfter(t *testing.T, rt *Router, d time.Duration) {
+	t.Helper()
+	recv := func() []int64 {
+		_, body := routerGet(t, rt, "/statusz")
+		var st RouterStatusz
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int64, len(st.Shards))
+		for i, s := range st.Shards {
+			out[i] = s.BytesReceived
+		}
+		return out
+	}
+	before := recv()
+	time.Sleep(d)
+	if after := recv(); !slices.Equal(after, before) {
+		t.Fatalf("bytes received per shard moved from %v to %v: a cancelled attempt read its answer", before, after)
 	}
 }
 

@@ -275,8 +275,6 @@ type BatchResponse struct {
 // DecodeBatchRequest reads the body of POST /topk/batch and applies the
 // limits both tiers share: a non-empty query list of at most maxBatch,
 // and k (20 when absent) within [1, maxK].
-//
-//lint:sanitized a nil error means the query count was checked against maxBatch and k against maxK
 func DecodeBatchRequest(body io.Reader, maxBatch, maxK int) (BatchRequest, error) {
 	var req BatchRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {

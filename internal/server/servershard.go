@@ -185,9 +185,7 @@ func (h *Handler) shardReqFromFrame(f *wire.Frame) (shardReq, error) {
 // checkShardReq is the one validator between the two decoders and the
 // scan: the vertex range and the query vertex against the manifest, theta
 // inside (0, 1] (checkTheta: a NaN smuggled in as raw frame bits fails
-// too).
-//
-//lint:sanitized a nil return means every field of req was range-checked against the manifest
+// too). A nil return means every field of req was range-checked.
 func (h *Handler) checkShardReq(req *shardReq) error {
 	n := h.manifest.Vertices
 	if req.lo < 0 || req.hi < req.lo || req.hi > n {

@@ -39,7 +39,8 @@ func StatsToWire(st simrank.QueryStats) simrank.QueryStats { return st }
 // fragment the scan appends into, its stats, and the decode shell for
 // binary requests.
 // Acquire with getShardScratch, release with putShardScratch on every
-// return path.
+// return path; the release empties the fragment and zeroes the stats, so
+// a scratch read after it is back in the pool reads an empty answer.
 type shardScratch struct {
 	frag  []simrank.ShardCand
 	st    simrank.QueryStats
@@ -51,6 +52,7 @@ func (h *Handler) getShardScratch() *shardScratch {
 }
 
 func (h *Handler) putShardScratch(ss *shardScratch) {
+	ss.frag, ss.st = ss.frag[:0], simrank.QueryStats{}
 	h.shardPool.Put(ss)
 }
 
@@ -76,7 +78,7 @@ func (h *Handler) StartBin(addr string) (string, func(), error) {
 // close the connection, query errors answer with MsgError and keep it.
 func (h *Handler) ServeBin(ln net.Listener) error {
 	h.binAddr.Store(ln.Addr().String())
-	//lint:ignore ctxflow accept loop lives for the listener; closing the listener unblocks Accept and ends it
+	// The accept loop lives for the listener; closing the listener unblocks Accept and ends it
 	for {
 		conn, err := ln.Accept()
 		if err != nil {

@@ -263,11 +263,18 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader([]byte("GET / HTTP/1.1\r\n")), buf); err == nil {
 		t.Fatal("accepted a non-frame stream")
 	}
-	// Valid header but hostile length: must fail before allocating.
+	// Valid header but hostile length: must fail on the prefix itself, as
+	// a frame error, before growing buf to the length it claims. Without
+	// the guard the read still fails (the stream ends), but only after
+	// allocating the claimed size.
 	hostile := AppendTopKReq(nil, TopKReq{})
 	binary.LittleEndian.PutUint32(hostile[8:], uint32(MaxFrameLen+1))
-	if _, err := ReadFrame(bytes.NewReader(hostile), buf); err == nil {
-		t.Fatal("accepted an oversized length prefix")
+	var hb Buf
+	if _, err := ReadFrame(bytes.NewReader(hostile), &hb); !errors.Is(err, ErrFrame) {
+		t.Fatalf("oversized length prefix: err %v, want ErrFrame", err)
+	}
+	if cap(hb.B) > len(hostile) {
+		t.Fatalf("oversized length prefix grew the buffer to %d bytes before failing", cap(hb.B))
 	}
 	// Truncated mid-payload: io error, not a hang or panic.
 	ok := AppendTopKReq(nil, TopKReq{U: 1})

@@ -1,6 +1,8 @@
 package simrank
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -262,6 +264,37 @@ func TestSimilarityJoinPublicAPI(t *testing.T) {
 		}
 		if i > 0 && pairs[i-1].Score < p.Score {
 			t.Fatal("unsorted pairs")
+		}
+	}
+}
+
+// TestCtxWrappersHonourCancellation: every public *Ctx method hands its
+// context to the engine, so a cancelled one ends the call with
+// context.Canceled instead of an answer. A wrapper that ran the engine on
+// a context of its own would answer here.
+func TestCtxWrappersHonourCancellation(t *testing.T) {
+	g := GenerateWebGraph(200, 4, 0.3, 5)
+	idx := BuildIndex(g, DefaultOptions())
+	dx := NewDynamicIndexFrom(g, DefaultOptions())
+	defer dx.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls := map[string]func() error{
+		"TopKCtx":               func() error { _, err := idx.TopKCtx(ctx, 3, 5); return err },
+		"TopKWithStatsCtx":      func() error { _, _, err := idx.TopKWithStatsCtx(ctx, 3, 5); return err },
+		"TopKBatchCtx":          func() error { _, err := idx.TopKBatchCtx(ctx, []int{3, 4}, 5); return err },
+		"SimilarCtx":            func() error { _, err := idx.SimilarCtx(ctx, 3, 0.05); return err },
+		"SinglePairCtx":         func() error { _, err := idx.SinglePairCtx(ctx, 3, 4); return err },
+		"SimilarityJoinCtx":     func() error { _, err := idx.SimilarityJoinCtx(ctx, 0.05, 10); return err },
+		"TopKShardAppendCtx":    func() error { _, _, err := idx.TopKShardAppendCtx(ctx, 3, 0, 200, nil); return err },
+		"SimilarShardCtx":       func() error { _, _, err := idx.SimilarShardCtx(ctx, 3, 0.05, 0, 200, nil); return err },
+		"Dynamic.TopKCtx":       func() error { _, err := dx.TopKCtx(ctx, 3, 5); return err },
+		"Dynamic.TopKBatchCtx":  func() error { _, err := dx.TopKBatchCtx(ctx, []int{3, 4}, 5); return err },
+		"Dynamic.SinglePairCtx": func() error { _, err := dx.SinglePairCtx(ctx, 3, 4); return err },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a cancelled context: err %v, want context.Canceled", name, err)
 		}
 	}
 }
