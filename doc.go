@@ -25,7 +25,13 @@
 // in O(T·R) time. A preprocess builds a bipartite candidate index from
 // colliding random walks; queries enumerate candidates, order and prune
 // them by upper bounds on their scores, and refine survivors with
-// adaptive sampling.
+// adaptive sampling (StrategyIndex, StrategyBall, StrategyHybrid).
+//
+// What the default options serve, StrategyLinear, is the authors'
+// linearization of the same series: a query's whole row computed
+// deterministically by one thresholded push along in-links and one
+// pruned backward pass along out-links, with no index to build and an
+// error that is one-sided and bounded per query.
 //
 // Deterministic exact references (the naive Jeh–Widom iteration and the
 // truncated-series single-source evaluation) are exposed through the

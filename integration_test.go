@@ -39,6 +39,10 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The default builds no candidate index: the file holds the graph alone.
+	if idx.Stats().IndexBytes != 0 || idx2.Stats().IndexBytes != 0 {
+		t.Fatalf("index bytes %d built, %d loaded; the default has none", idx.Stats().IndexBytes, idx2.Stats().IndexBytes)
+	}
 
 	// Query every vertex on both instances; compare against the exact
 	// reference ranking.

@@ -18,8 +18,18 @@ var accuracyFloors = map[string][2]float64{
 	"pa":      {0.5921, 0.7114},
 }
 
+// linearAccuracyFloors holds the same floors for the linear scorer, which
+// draws nothing, so one run is the value for every seed: its precision@20
+// and NDCG@20 less 0.01. Those were copying 1.0000 / 1.0000 and pa
+// 0.9539 / 0.9772.
+var linearAccuracyFloors = map[string][2]float64{
+	"copying": {0.99, 0.99},
+	"pa":      {0.9439, 0.9672},
+}
+
 // TestAccuracyOverSeeds holds the served top-20, averaged over engine
-// seeds, to floors against the truncated series with D = (1−c)I — the
+// seeds (the linear scorer's, which draws nothing, from one run), to floors
+// against the truncated series with D = (1−c)I — the
 // benchmark's oracle and measure: the exact top 20 cut at θ is the truth,
 // a query whose truth is empty is left out, and precision@20 and NDCG@20
 // are averaged over the rest. One seed's mean moves by several hundredths
@@ -75,20 +85,29 @@ func TestAccuracyOverSeeds(t *testing.T) {
 		if len(us) < queries {
 			t.Fatalf("%s: only %d query vertices with a truth", name, len(us))
 		}
-		var prec, ndcg float64
-		for i := 1; i <= seeds; i++ {
-			p.Seed = rng.Mix(uint64(i))
-			e := Build(g, p)
-			var sp, sn float64
+		// served scores e's top 20 for every query vertex.
+		served := func(e *Engine) (prec, ndcg float64) {
 			for j, u := range us {
 				var got eval.Ranking
 				for _, s := range e.TopK(u, k) {
 					got = append(got, s.V)
 				}
-				sp += eval.PrecisionAtK(got, want[j], k)
-				sn += eval.NDCGAtK(got, rel[j], k)
+				prec += eval.PrecisionAtK(got, want[j], k)
+				ndcg += eval.NDCGAtK(got, rel[j], k)
 			}
-			sp, sn = sp/float64(len(us)), sn/float64(len(us))
+			return prec / float64(len(us)), ndcg / float64(len(us))
+		}
+		lp := p
+		lp.Strategy = CandidatesLinear
+		lprec, lndcg := served(Build(g, lp))
+		t.Logf("%s linear: precision@%d %.4f, NDCG@%d %.4f", name, k, lprec, k, lndcg)
+		if f := linearAccuracyFloors[name]; lprec < f[0] || lndcg < f[1] {
+			t.Errorf("%s linear: precision@%d %.4f, NDCG@%d %.4f, below the floors %.4f and %.4f", name, k, lprec, k, lndcg, f[0], f[1])
+		}
+		var prec, ndcg float64
+		for i := 1; i <= seeds; i++ {
+			p.Seed = rng.Mix(uint64(i))
+			sp, sn := served(Build(g, p))
 			t.Logf("%s seed %#x: precision@%d %.4f, NDCG@%d %.4f", name, p.Seed, k, sp, k, sn)
 			prec, ndcg = prec+sp, ndcg+sn
 		}

@@ -47,6 +47,9 @@ type walkDist struct {
 	T     int
 	verts [][]uint32
 	massw [][]uint32
+	// back is the array a push cuts its steps' slices from (reset empties
+	// it, keeping its capacity); a cached copy has its own (prolog.go).
+	back []uint32
 }
 
 // noDist is the distribution of no steps a query plan without candidates
@@ -56,12 +59,13 @@ var noDist walkDist
 // reset prepares the distribution for T steps, keeping backing arrays.
 func (wd *walkDist) reset(T int) {
 	wd.T = T
-	for len(wd.verts) < T {
-		wd.verts = append(wd.verts, nil)
-		wd.massw = append(wd.massw, nil)
+	if cap(wd.verts) < T {
+		wd.verts = append(make([][]uint32, 0, T), wd.verts...)
+		wd.massw = append(make([][]uint32, 0, T), wd.massw...)
 	}
 	wd.verts = wd.verts[:T]
 	wd.massw = wd.massw[:T]
+	wd.back = wd.back[:0]
 	wd.trim(0)
 }
 
@@ -214,6 +218,9 @@ func (x *slotIndex) lookup(t int, w uint32) int {
 func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare float64) {
 	T := e.p.T
 	wd.reset(T)
+	if cap(s.peak) < T {
+		s.peak = make([]float64, 0, T) // once per scratch
+	}
 	s.peak = s.peak[:0]
 	for t := 0; t < T; t++ {
 		s.beginTally()
@@ -239,16 +246,24 @@ func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare
 			break // no mass pushed on; remaining steps stay empty
 		}
 		s.orderTouched()
-		wd.verts[t] = append(wd.verts[t], s.touched...)
+		// The step's vertices and then its mass words go to the end of
+		// back, grown once for both, so the appends stay in one array and
+		// the step's slices are cut from it.
+		S := len(s.touched)
+		wd.back = slices.Grow(wd.back, 3*S)
+		lo := len(wd.back)
+		wd.back = append(wd.back, s.touched...)
 		peak := 0.0
-		for _, w := range wd.verts[t] {
+		for _, w := range wd.back[lo : lo+S] {
 			m := s.push[s.cnt[w]]
 			b := math.Float64bits(m)
-			wd.massw[t] = append(wd.massw[t], uint32(b), uint32(b>>32))
+			wd.back = append(wd.back, uint32(b), uint32(b>>32))
 			if a := e.p.dval(w) * m; a > peak {
 				peak = a
 			}
 		}
+		wd.verts[t] = wd.back[lo : lo+S : lo+S]
+		wd.massw[t] = wd.back[lo+S : lo+3*S : lo+3*S]
 		s.peak = append(s.peak, peak)
 	}
 }
@@ -452,12 +467,14 @@ func (e *Snapshot) DegreeBound(v uint32) float64 {
 // evaluated once per snapshot (newDistBounds): DistanceBound's maxD/(1−c)
 // factor and its values for d = 0..DMax, so candBound neither rescans
 // Params.D for its maximum nor calls math.Pow per candidate; DegreeBound's
-// two constants maxD·c and maxD·c²(1−c^(T−2))/(1−c); and the horizon's
-// tolerance c^T·maxD.
+// two constants maxD·c and maxD·c²(1−c^(T−2))/(1−c); the horizon's
+// tolerance c^T·maxD; and cpow[t] = cᵗ for t = 0..T, the linear scorer's
+// prune weights (linear.go).
 type distBounds struct {
 	distScale, tailTol float64
 	distBound          []float64
 	degScale, degTail  float64
+	cpow               []float64
 }
 
 // newDistBounds evaluates p's distBounds.
@@ -476,6 +493,10 @@ func newDistBounds(p *Params) distBounds {
 		distScale: maxD / (1 - c),
 		tailTol:   maxD * math.Pow(c, float64(p.T)),
 		distBound: make([]float64, p.DMax+1),
+		cpow:      make([]float64, p.T+1),
+	}
+	for t := range b.cpow {
+		b.cpow[t] = math.Pow(c, float64(t))
 	}
 	if p.T > 1 { // a one-term series has no t ≥ 1 term to bound
 		b.degScale = maxD * c

@@ -71,6 +71,32 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKLinear is BenchmarkTopK's query stream under the linear
+// scorer, as simserver serves it, on the 100k-vertex web and social
+// graphs: one push forward and one pruned pass backward a query, no index
+// to build and no cache.
+func BenchmarkTopKLinear(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"web", graph.CopyingModel(100000, 8, 0.3, 1)},
+		{"social", graph.PreferentialAttachment(100000, 10, 0.4, 1)},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			p := DefaultParams()
+			p.Strategy = CandidatesLinear
+			e := Build(g.g, p)
+			n := uint32(g.g.N())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.TopK(uint32(i*7919+13)%n, 20)
+			}
+		})
+	}
+}
+
 // BenchmarkTopKWarm is BenchmarkTopK with the query plans in the prolog
 // cache: what a popular vertex costs. With the tally cache off a query
 // still walks its candidates; with it warm a query is two cache reads and
@@ -425,7 +451,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands += len(e.queryPlan(s, us[i%len(us)]).cands)
+				cands += len(e.queryPlan(s, us[i%len(us)], e.p.Theta, new(QueryStats)).cands)
 			}
 			b.ReportMetric(float64(cands)/float64(b.N), "cands")
 		})

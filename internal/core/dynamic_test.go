@@ -108,10 +108,19 @@ func TestDynamicMatchesFullRebuild(t *testing.T) {
 		}},
 	}
 	for _, fx := range fixtures {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", fx.name, workers), func(t *testing.T) {
+		for _, cfg := range []struct {
+			workers  int
+			strategy CandidateStrategy
+		}{{1, CandidatesIndex}, {2, CandidatesIndex}, {1, CandidatesLinear}, {2, CandidatesLinear}} {
+			workers := cfg.workers
+			name := fmt.Sprintf("%s/workers=%d", fx.name, workers)
+			if cfg.strategy != CandidatesIndex {
+				name = fmt.Sprintf("%s/%v/workers=%d", fx.name, cfg.strategy, workers)
+			}
+			t.Run(name, func(t *testing.T) {
 				p := dynParams()
 				p.Workers = workers
+				p.Strategy = cfg.strategy
 				d := NewDynamicFrom(fx.g, p)
 				defer d.Close()
 				if _, err := d.TopK(0, 5); err != nil { // force initial build
@@ -129,13 +138,21 @@ func TestDynamicMatchesFullRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				fresh := Build(eng.Graph(), p)
-				for v := 0; v < fresh.g.N(); v++ {
-					if a, b := fresh.idx.rightRow(uint32(v)), eng.idx.rightRow(uint32(v)); !slices.Equal(a, b) {
-						t.Fatalf("index entry %d: refreshed %v vs fresh %v", v, b, a)
+				if cfg.strategy == CandidatesLinear {
+					// A linear refresh republishes the graph: there is no H.
+					if eng.idx != nil || fresh.idx != nil {
+						t.Fatal("a linear snapshot holds a candidate index")
+					}
+				} else {
+					for v := 0; v < fresh.g.N(); v++ {
+						if a, b := fresh.idx.rightRow(uint32(v)), eng.idx.rightRow(uint32(v)); !slices.Equal(a, b) {
+							t.Fatalf("index entry %d: refreshed %v vs fresh %v", v, b, a)
+						}
 					}
 				}
 				for u := uint32(0); u < uint32(fresh.g.N()); u += 13 {
 					sameResults(t, fmt.Sprintf("u=%d", u), eng.TopK(u, 10), fresh.TopK(u, 10))
+					sameResults(t, fmt.Sprintf("u=%d θ=0.02", u), eng.Threshold(u, 0.02), fresh.Threshold(u, 0.02))
 				}
 			})
 		}

@@ -30,20 +30,20 @@ func Build(g *graph.Graph, p Params) *Engine {
 
 // New returns an engine without running the preprocess. SinglePair works
 // immediately; TopK and Threshold queries require Preprocess first unless
-// Params.Strategy is CandidatesBall.
+// Params.Strategy is CandidatesBall or CandidatesLinear.
 func New(g *graph.Graph, p Params) *Engine {
 	return &Engine{Snapshot: newSnapshot(g, p)}
 }
 
 // Preprocess builds the candidate index (Algorithm 4) unless the strategy
-// is CandidatesBall, which reads none. It may be called again after
-// parameter changes, but never on a sealed (published) snapshot.
+// reads none (CandidatesBall, CandidatesLinear). It may be called again
+// after parameter changes, but never on a sealed (published) snapshot.
 func (e *Engine) Preprocess() {
 	if e.sealed {
 		panic("core: Preprocess on a sealed snapshot")
 	}
 	start := time.Now()
-	if e.p.Strategy != CandidatesBall {
+	if e.p.Strategy.needsIndex() {
 		e.buildIndex()
 	}
 	e.stats.IndexTime = time.Since(start)

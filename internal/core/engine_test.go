@@ -42,7 +42,7 @@ func TestParamsNormalization(t *testing.T) {
 }
 
 // TestParamsFingerprintPinned pins Params.Fingerprint for the defaults and
-// four variants. A router refuses to merge shards whose fingerprints differ,
+// five variants. A router refuses to merge shards whose fingerprints differ,
 // so a value that moves here strands every deployed shard: change one only
 // with planDef or a result-affecting parameter, never by refactoring.
 func TestParamsFingerprintPinned(t *testing.T) {
@@ -56,6 +56,7 @@ func TestParamsFingerprintPinned(t *testing.T) {
 		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0xc4ee97e1d1a7b2a5},
 		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0x9939e510bed3e5b4},
 		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0xcd93ce0628f7f1d3},
+		{"linear", func(p *Params) { p.Strategy = CandidatesLinear }, 0x6816d4b1424e6ba6},
 	}
 	for _, c := range cases {
 		p := DefaultParams()
@@ -71,6 +72,7 @@ func TestCandidateStrategyString(t *testing.T) {
 		CandidatesIndex:      "index",
 		CandidatesBall:       "ball",
 		CandidatesHybrid:     "hybrid",
+		CandidatesLinear:     "linear",
 		CandidateStrategy(9): "unknown",
 	}
 	for s, want := range cases {

@@ -21,7 +21,8 @@ import (
 // be rejected and none may panic; mapped payloads are not verified, by
 // design, so what loads is not queried. Its seeds are the fixture's own
 // four, the fixture re-laid with the retired alias-slot sections and with
-// the retired γ section, and FuzzSectionDirectory's three.
+// the retired γ section, the fixture saved by a linear build (graph
+// sections alone, no H), and FuzzSectionDirectory's three.
 func FuzzLoadIndex(f *testing.F) {
 	g, p := loaderFixture()
 	var valid bytes.Buffer
@@ -38,6 +39,13 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(flipped)
 	f.Add(withRetiredAliasSections(f, valid.Bytes()))
 	f.Add(withRetiredGammaSection(f, valid.Bytes()))
+	lp := p
+	lp.Strategy = CandidatesLinear
+	var indexless bytes.Buffer
+	if err := Build(g, lp).SaveIndex(&indexless); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indexless.Bytes())
 	addDirectorySeeds(f)
 	f.Fuzz(func(t *testing.T, input []byte) { loadAtBothLevels(t, g, p, input) })
 }

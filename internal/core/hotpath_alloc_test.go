@@ -25,6 +25,7 @@ import (
 // hotpathMarked lists every function carrying //lint:hotpath, keyed by
 // "file-package.name", and doubles as this test's work list.
 var hotpathKernels = []string{
+	"core.backwardInto",
 	"core.build",
 	"core.buildFullTally",
 	"core.cachedPlan",
@@ -190,6 +191,32 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		sink += res[0].Score
 	}); allocs != 1 && !raceEnabled {
 		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)
+	}
+
+	// The linear scorer: the backward pass from a vertex whose pass prunes
+	// nothing at the serving θ's ε and from the hub (a few hundred
+	// relaxations), and around them a whole linear query, whose result slice
+	// is again its one allocation. The dense accumulators come with the
+	// scratch's first linear query, in the warm-up call.
+	el := New(g, linearParams())
+	sl := el.getScratch()
+	defer el.putScratch(sl)
+	for _, from := range []uint32{500, hub(g)} {
+		el.walkDistInto(&sl.wd, sl, from)
+		check(fmt.Sprintf("backwardInto from %d", from), 20, func() {
+			row, _, _ := el.backwardInto(sl, &sl.wd, el.p.Theta/linearEpsDiv)
+			for _, v := range row.touched {
+				sink += row.val[v]
+				row.val[v] = 0
+			}
+			row.touched = row.touched[:0]
+		})
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		res, _, _ := el.search(ctx, uq, 1, el.p.Theta)
+		sink += res[0].Score
+	}); allocs != 1 && !raceEnabled {
+		t.Errorf("linear search: %.1f allocs/op, want 1 (the result slice)", allocs)
 	}
 
 	// Wide supports: a query whose middle steps hold hundreds of vertices

@@ -42,8 +42,16 @@ func laneFit(T, cols, most int) int {
 // (scoreCandidate); the rest are collected and go through the lane kernel
 // together. Each candidate's walks come from its own vertex-seeded streams
 // (candSeed), so its lane neighbours cannot change its score. The caller
-// builds x once for its whole scan (search, shardScan).
+// builds x once for its whole scan (search, shardScan). A linear plan's
+// bound is its candidate's score, so its block is scored already: every
+// outcome is ShardScoredNoRough at Score = ub, and x is not read.
 func (e *Snapshot) scoreBlock(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, stats *QueryStats) {
+	if e.p.Strategy == CandidatesLinear {
+		for j, b := range block {
+			out[j] = ShardCand{V: b.v, UB: clampUB(b.ub), State: ShardScoredNoRough, Score: b.ub}
+		}
+		return
+	}
 	pend := s.pend[:0]
 	for j, b := range block {
 		out[j] = ShardCand{V: b.v, UB: clampUB(b.ub)}

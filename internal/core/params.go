@@ -32,7 +32,18 @@ const (
 	// CandidatesHybrid unions the index candidates with the distance-2
 	// ball, trading a little query time for recall.
 	CandidatesHybrid
+	// CandidatesLinear enumerates nothing: a query computes its whole row
+	// of the series deterministically, one thresholded push forward and one
+	// pruned pass backward (linear.go), and every vertex at or above the
+	// threshold is a candidate bounded by its own score. It reads no H and
+	// draws no walk; the preprocess builds nothing.
+	CandidatesLinear
 )
+
+// needsIndex reports whether the strategy reads the candidate index H.
+func (s CandidateStrategy) needsIndex() bool {
+	return s == CandidatesIndex || s == CandidatesHybrid
+}
 
 func (s CandidateStrategy) String() string {
 	switch s {
@@ -42,6 +53,8 @@ func (s CandidateStrategy) String() string {
 		return "ball"
 	case CandidatesHybrid:
 		return "hybrid"
+	case CandidatesLinear:
+		return "linear"
 	default:
 		return "unknown"
 	}
@@ -103,17 +116,23 @@ type Params struct {
 	// (one entry per vertex). When nil the paper's approximation
 	// D = (1−c)·I is used.
 	D []float64
-	// CacheBytes bounds the cross-query candidate tally cache per
-	// snapshot (tally.go); 0 disables it. Because candidate walks are
-	// seeded per vertex, enabling the cache changes which work is
-	// re-done, never the results: query output is byte-identical with
-	// the cache on or off.
+	// CacheBytes bounds the per-snapshot cross-query cache; 0 disables it.
+	// Under the Monte-Carlo strategies it holds candidate tallies keyed by
+	// candidate (tally.go): candidate walks are seeded per vertex, so a
+	// tally serves every query that scores its vertex. Under
+	// CandidatesLinear it holds query rows keyed by query vertex, each at
+	// the serving Theta (linear.go). Either way an entry is a pure function
+	// of the snapshot and its vertex, so the cache changes which work is
+	// re-done, never the results: query output is byte-identical with the
+	// cache on or off.
 	CacheBytes int64
 	// PrologBytes bounds the per-snapshot cache of query plans — query-side
 	// walk distribution plus bound-sorted candidate list (prolog.go).
 	// Both are pure functions of (snapshot, query vertex), so caching
 	// them changes where that work happens, never any result. 0 means
-	// the default (32 MiB); negative disables the cache.
+	// the default (32 MiB); negative disables the cache. CandidatesLinear
+	// neither allocates nor reads it: its plan is the row itself, which
+	// CacheBytes caches.
 	PrologBytes int64
 	// Seed makes every Monte-Carlo component deterministic.
 	Seed uint64

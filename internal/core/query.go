@@ -18,15 +18,16 @@ type QueryStats struct {
 	PrunedByRough int `json:"pruned_by_rough"`
 	// Refined received the full RScore estimate.
 	Refined int `json:"refined"`
-	// The cross-query tally cache's part in this query, all zero when the
-	// cache is disabled: candidate tallies served from it, tallies inserted
-	// into it, and entries those inserts pushed out.
+	// The cross-query cache's part in this query, all zero when the cache
+	// is disabled: entries served from it, entries inserted into it, and
+	// entries those inserts pushed out — candidate tallies, or under
+	// CandidatesLinear the query's row.
 	CacheHits      int `json:"cache_hits"`
 	CacheMisses    int `json:"cache_misses"`
 	CacheEvictions int `json:"cache_evictions"`
 }
 
-// AddCache adds o's tally-cache counters to st: how a router sums its
+// AddCache adds o's cache counters to st: how a router sums its
 // shards' — each shard has a cache of its own, so those counters add up
 // where the scan counters are replayed.
 func (st *QueryStats) AddCache(o QueryStats) {
@@ -118,7 +119,7 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64) (
 	qs := e.getScratch()
 	defer e.putScratch(qs)
 
-	pl := e.queryPlan(qs, u)
+	pl := e.queryPlan(qs, u, theta, &stats)
 	wd, bs := pl.wd, pl.cands
 	if cap(qs.scores) < scoreBlock {
 		qs.scores = make([]ShardCand, scoreBlock)
@@ -131,7 +132,7 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64) (
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if x.wd == nil {
+			if x.wd == nil && wd.T > 0 {
 				x.build(wd, qs.n)
 			}
 			out := qs.scores[:end-i]
@@ -212,7 +213,9 @@ func (st *QueryStats) note(c ShardCand, floor float64) (refined bool) {
 // the query-side walk distribution, and every candidate with its upper
 // bound in sortBounds order. Both are pure functions of (snapshot, u) —
 // prolog.go lists the inputs — so every scan mode takes them from here
-// and, when the prolog cache holds them, from there.
+// and, when the prolog cache holds them, from there. A linear plan is u's
+// row at the scan's threshold, each candidate bounded by its score, over
+// no distribution (wd of no steps): there is nothing left to score.
 type queryPlan struct {
 	wd *walkDist
 	// cands is read-only: on a cache hit it is the cached slice, shared
@@ -229,8 +232,13 @@ type queryPlan struct {
 // distribution from queryDistInto — Pᵗe_u pushed wherever a vertex's share
 // reaches 1/RAlpha, cut at the horizon — and then its candidates' bounds,
 // which only the strategies that enumerate from the ball pay a ball for
-// (buildPlan).
-func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
+// (buildPlan). Under CandidatesLinear the plan is the row at theta
+// (linearPlan), whose cache counters go to stats; every other plan is the
+// same at any theta.
+func (e *Snapshot) queryPlan(qs *scratch, u uint32, theta float64, stats *QueryStats) queryPlan {
+	if e.p.Strategy == CandidatesLinear {
+		return queryPlan{wd: &noDist, cands: e.linearPlan(qs, u, theta, stats)}
+	}
 	if ent := e.cachedPlan(u); ent != nil {
 		return queryPlan{wd: &ent.val.wd, cands: ent.val.plan}
 	}

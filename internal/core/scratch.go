@@ -62,6 +62,10 @@ type scratch struct {
 	// against, built once per scan (search, shardScan).
 	slots slotIndex
 
+	// lin holds the linear scorer's two backward levels (linear.go),
+	// allocated on the scratch's first linear query.
+	lin [2]rowAcc
+
 	// The single-pair estimator's generator (singlepair.go), seeded per
 	// pair (pairSeed); the candidate walks draw from lane generators.
 	rng rng.Source
@@ -105,11 +109,20 @@ type scratch struct {
 	indexFound []uint32
 }
 
+// scratchSupport is the support a new scratch's tally buffers start with
+// room for, so that a scratch the pool has just made does not grow them
+// a doubling at a time through its first query's steps.
+const scratchSupport = 1024
+
 func newScratch(n int) *scratch {
 	return &scratch{
-		n:    n,
-		mark: make([]uint32, n),
-		cnt:  make([]int32, n),
+		n:       n,
+		mark:    make([]uint32, n),
+		cnt:     make([]int32, n),
+		touched: make([]uint32, 0, scratchSupport),
+		push:    make([]float64, 0, scratchSupport),
+		ordered: make([]uint32, 0, scratchSupport),
+		bucket:  make([]uint32, 0, scratchSupport+2),
 	}
 }
 

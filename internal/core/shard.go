@@ -130,7 +130,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, h
 
 	// This shard's slice of the query plan: the global bound order
 	// restricted to [lo, hi), which is all the merge needs.
-	pl := e.queryPlan(qs, u)
+	pl := e.queryPlan(qs, u, theta, &stats)
 	wd, bs := pl.wd, pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 
@@ -151,7 +151,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, h
 	// The rest is scored at the fixed floor theta, straight into the
 	// fragment, and counted as the scan would count it at that floor.
 	x := &qs.slots
-	if cut > 0 {
+	if cut > 0 && wd.T > 0 {
 		x.build(wd, qs.n)
 		defer x.clear()
 	}

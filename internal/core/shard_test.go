@@ -73,11 +73,17 @@ func shardConfigs() map[string]Params {
 	noadapt.DisableAdaptive = true
 	hybrid := base
 	hybrid.Strategy = CandidatesHybrid
+	linear := base
+	linear.Strategy = CandidatesLinear
+	linearCached := linear
+	linearCached.CacheBytes = 1 << 20
 	return map[string]Params{
-		"base":    base,
-		"cached":  cached,
-		"noadapt": noadapt,
-		"hybrid":  hybrid,
+		"base":          base,
+		"cached":        cached,
+		"noadapt":       noadapt,
+		"hybrid":        hybrid,
+		"linear":        linear,
+		"linear-cached": linearCached,
 	}
 }
 
@@ -163,6 +169,16 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 	g := graph.Collaboration(800, 5, 0.8, 40, 7)
 	p := DefaultParams()
 	p.Seed = 4
+	lp := p
+	lp.Strategy = CandidatesLinear
+	lp.CacheBytes = 1 << 20
+	for _, p := range []Params{p, lp} {
+		thresholdShardMerge(t, g, p)
+	}
+}
+
+// thresholdShardMerge is TestThresholdShardMergeMatchesSearch under p.
+func thresholdShardMerge(t *testing.T, g *graph.Graph, p Params) {
 	e := Build(g, p)
 	n := uint32(g.N())
 	ctx := context.Background()
@@ -178,7 +194,7 @@ func TestThresholdShardMergeMatchesSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			for pi, part := range partitions(n) {
-				label := fmt.Sprintf("theta=%g u=%d part=%d", theta, u, pi)
+				label := fmt.Sprintf("%v theta=%g u=%d part=%d", p.Strategy, theta, u, pi)
 				frags, sts := shardFrags(t, e.Snapshot, u, theta, part)
 				var sum QueryStats
 				for _, st := range sts {

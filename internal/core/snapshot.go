@@ -45,6 +45,11 @@ type Snapshot struct {
 	// immutable.
 	cache *clockCache[tally]
 
+	// rows is the cache CacheBytes bounds under CandidatesLinear in place
+	// of cache: query rows at the serving Theta keyed by query vertex
+	// (linear.go). Derived, deterministic data only, like cache.
+	rows *clockCache[[]boundedCand]
+
 	// prolog caches the query plan per vertex — the query-side walk
 	// distribution and the bound-sorted candidate list (prolog.go); nil
 	// when Params.PrologBytes is negative. Like cache, it holds derived,
@@ -85,10 +90,15 @@ func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	sn.distBounds = newDistBounds(&sn.p)
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
-	if sn.p.CacheBytes > 0 && sn.p.RScore <= maxTallyCount {
+	linear := sn.p.Strategy == CandidatesLinear
+	switch {
+	case sn.p.CacheBytes <= 0:
+	case linear:
+		sn.rows = newClockCache[[]boundedCand](n, sn.p.CacheBytes)
+	case sn.p.RScore <= maxTallyCount:
 		sn.cache = newClockCache[tally](n, sn.p.CacheBytes)
 	}
-	if sn.p.PrologBytes > 0 {
+	if sn.p.PrologBytes > 0 && !linear {
 		sn.prolog = newClockCache[prolog](n, sn.p.PrologBytes)
 	}
 	return sn
@@ -109,9 +119,15 @@ func (e *Snapshot) Stats() PreprocessStats { return e.stats }
 // Sealed reports whether the snapshot has been sealed for publication.
 func (e *Snapshot) Sealed() bool { return e.sealed }
 
-// CacheStats reports the tally-cache counters; all zero when the cache
+// CacheStats reports the counters of the cache CacheBytes bounds — the
+// tally cache, or under CandidatesLinear the row cache; all zero when it
 // is disabled.
-func (e *Snapshot) CacheStats() CacheStats { return e.cache.stats() }
+func (e *Snapshot) CacheStats() CacheStats {
+	if e.rows != nil {
+		return e.rows.stats()
+	}
+	return e.cache.stats()
+}
 
 // PrologStats reports the query-prolog-cache counters; all zero when
 // that cache is disabled.

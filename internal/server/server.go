@@ -5,7 +5,7 @@
 //	GET /topk?u=42&k=20&stats=1  -> same, plus per-query pruning + cache statistics
 //	POST /topk/batch             -> {"queries":[1,2,...],"k":20,"stats":true} answers
 //	                                many queries against one snapshot, sharing the
-//	                                tally cache across the batch
+//	                                cross-query cache across the batch
 //	GET /pair?u=42&v=99          -> {"u":42,"v":99,"score":0.018}
 //	GET /similar?u=42&theta=0.05 -> same shape as /topk
 //	GET /stats                   -> graph and index statistics
@@ -197,7 +197,8 @@ type TopKResponse struct {
 	ElapsedM float64          `json:"elapsed_ms"`
 	// Stats is present on /topk?stats=1: pruning counters for the query.
 	Stats *simrank.QueryStats `json:"stats,omitempty"`
-	// Cache is present on /topk?stats=1: index-wide tally-cache state.
+	// Cache is present on /topk?stats=1: index-wide state of the cache
+	// -cache-bytes bounds (rows under the linear scorer, tallies otherwise).
 	Cache *simrank.CacheStats `json:"cache,omitempty"`
 }
 
@@ -308,7 +309,7 @@ func checkK(k, maxK int) error {
 
 // handleTopKBatch answers POST /topk/batch: a JSON body with a query
 // slice, fanned over the index's workers against one snapshot with the
-// shared tally cache. Per-query elapsed time is not reported (queries
+// shared cross-query cache. Per-query elapsed time is not reported (queries
 // run concurrently); ElapsedM is the wall-clock for the whole batch.
 func (h *Handler) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -186,7 +186,7 @@ func TestStatsAndHealth(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Vertices == 0 || st.Edges == 0 || st.IndexBytes == 0 {
+	if st.Vertices == 0 || st.Edges == 0 || st.IndexBytes != h.idx.Stats().IndexBytes {
 		t.Fatalf("stats = %+v", st)
 	}
 	rec, _ = get(t, h, "/healthz")
@@ -278,13 +278,21 @@ func postJSON(t *testing.T, h http.Handler, url, body string) (*httptest.Respons
 	return rec, rec.Body.Bytes()
 }
 
-// cachedHandler builds a handler over an index with the tally cache on,
-// so batch responses exercise the cache counters.
+// cachedHandler builds a handler over an index with the cross-query cache
+// on (the row cache, under the default strategy), so batch responses
+// exercise the cache counters.
 func cachedHandler(t *testing.T) *Handler {
+	t.Helper()
+	return cachedHandlerWith(t, simrank.StrategyLinear)
+}
+
+// cachedHandlerWith is cachedHandler under the given strategy.
+func cachedHandlerWith(t *testing.T, s simrank.Strategy) *Handler {
 	t.Helper()
 	g := simrank.GenerateCollaborationGraph(50, 4, 0.8, 7)
 	opts := simrank.DefaultOptions()
 	opts.CacheBytes = 1 << 22
+	opts.Strategy = s
 	return New(simrank.BuildIndex(g, opts))
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -61,9 +62,10 @@ type StatuszResponse struct {
 	PairsTotal        int64 `json:"pairs_total"`
 	ShardQueriesTotal int64 `json:"shard_queries_total"`
 	TimeoutsTotal     int64 `json:"timeouts_total"`
-	// Cache is the index-wide tally-cache lifetime state (hits, misses,
-	// evictions, footprint) — the aggregate of every query's cache
-	// counters since the snapshot was built.
+	// Cache is the index-wide lifetime state (hits, misses, evictions,
+	// footprint) of the cross-query cache — query rows under the linear
+	// scorer, candidate tallies otherwise: the aggregate of every query's
+	// cache counters since the snapshot was built.
 	Cache *simrank.CacheStats `json:"cache"`
 	// Prolog is the query-prolog walk-distribution cache state (nil when
 	// the cache is disabled).
@@ -176,37 +178,29 @@ func (h *Handler) shardReqFromFrame(f *wire.Frame) (shardReq, error) {
 		r, err := f.TopKReq()
 		return shardReq{kind: f.Type, u: int(r.U), theta: h.manifest.Theta, lo: int(r.Lo), hi: int(r.Hi)}, err
 	case wire.MsgSimilarReq:
+		// checkTheta is ThetaParam's check: a NaN smuggled in as raw frame
+		// bits fails it too.
 		r, err := f.SimilarReq()
+		if err == nil {
+			err = checkTheta(r.Theta)
+		}
 		return shardReq{kind: f.Type, u: int(r.U), theta: r.Theta, lo: int(r.Lo), hi: int(r.Hi)}, err
 	}
 	return shardReq{}, fmt.Errorf("unsupported message type %d", f.Type)
 }
 
-// checkShardReq is the one validator between the two decoders and the
-// scan: the vertex range and the query vertex against the manifest, theta
-// inside (0, 1] (checkTheta: a NaN smuggled in as raw frame bits fails
-// too). A nil return means every field of req was range-checked.
-func (h *Handler) checkShardReq(req *shardReq) error {
-	n := h.manifest.Vertices
-	if req.lo < 0 || req.hi < req.lo || req.hi > n {
-		return fmt.Errorf("range [%d, %d) invalid for %d vertices", req.lo, req.hi, n)
-	}
-	if req.u < 0 || req.u >= n {
-		return fmt.Errorf("vertex %d out of range [0, %d)", req.u, n)
-	}
-	if req.kind == wire.MsgSimilarReq {
-		return checkTheta(req.theta)
-	}
-	return nil
-}
-
-// run executes a validated request into ss: its fragment and stats. A
-// topk and a similar are both the fragment scan at req.theta; they differ
-// only in where the floor came from.
+// run executes a decoded request into ss: its fragment and stats. A topk
+// and a similar are both the fragment scan at req.theta; they differ only
+// in where the floor came from. The decoders have checked theta; the
+// query vertex and the range are SimilarShardCtx's to check, and a request
+// counts as a shard query once it has passed them — answered, or cut off
+// by its context.
 func (h *Handler) run(ctx context.Context, req *shardReq, ss *shardScratch) error {
-	h.counters.shardQueries.Add(1)
 	var err error
 	ss.frag, ss.st, err = h.idx.SimilarShardCtx(ctx, req.u, req.theta, req.lo, req.hi, ss.frag[:0])
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		h.counters.shardQueries.Add(1)
+	}
 	return err
 }
 
@@ -225,8 +219,8 @@ func (h *Handler) jsonResp(req *shardReq, ss *shardScratch, elapsed time.Duratio
 		ElapsedM: float64(elapsed.Microseconds()) / 1000}
 }
 
-// serveShard is the HTTP face of the shard endpoints: decode → check →
-// run → encode. The request arrives as a GET query string; the answer
+// serveShard is the HTTP face of the shard endpoints: decode → run →
+// encode. The request arrives as a GET query string; the answer
 // leaves as a frame iff the client negotiated one (Accept), as JSON
 // otherwise. Errors stay JSON on HTTP — status codes and the stable error
 // body are the contract there.
@@ -235,10 +229,6 @@ func (h *Handler) serveShard(w http.ResponseWriter, r *http.Request, kind uint8)
 	defer h.putShardScratch(ss)
 	req, err := h.shardReqFromURL(kind, r.URL.Query())
 	if err != nil {
-		h.writeQueryError(w, err)
-		return
-	}
-	if err := h.checkShardReq(&req); err != nil {
 		h.writeQueryError(w, err)
 		return
 	}

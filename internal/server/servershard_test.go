@@ -142,32 +142,44 @@ func TestShardSimilarMergesToSingleNode(t *testing.T) {
 }
 
 func TestStatuszEndpoint(t *testing.T) {
-	h := cachedHandler(t)
-	get(t, h, "/topk?u=0&k=5")
-	get(t, h, "/topk?u=1&k=5")
-	postJSON(t, h, "/topk/batch", `{"queries":[0,1,2],"k":5}`)
-	get(t, h, "/similar?u=0&theta=0.05")
-	get(t, h, "/pair?u=0&v=1")
-	get(t, h, "/topk?u=notanint&k=5") // rejected: must not count
+	statusz := func(h *Handler) (StatuszResponse, []byte) {
+		get(t, h, "/topk?u=0&k=5")
+		get(t, h, "/topk?u=1&k=5")
+		postJSON(t, h, "/topk/batch", `{"queries":[0,1,2],"k":5}`)
+		get(t, h, "/similar?u=0&theta=0.05")
+		get(t, h, "/pair?u=0&v=1")
+		get(t, h, "/topk?u=notanint&k=5") // rejected: must not count
 
-	rec, body := get(t, h, "/statusz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
+		rec, body := get(t, h, "/statusz")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		var st StatuszResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.QueriesTotal != 2 || st.BatchesTotal != 1 || st.BatchQueriesTotal != 3 ||
+			st.BatchSizeMax != 3 || st.SimilarTotal != 1 || st.PairsTotal != 1 {
+			t.Fatalf("counters = %+v", st)
+		}
+		if st.Cache == nil || st.Cache.Misses == 0 {
+			t.Fatalf("cache stats missing or empty: %+v", st.Cache)
+		}
+		return st, body
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type %q", ct)
+
+	// The default serves rows: the row cache answers u = 0 and 1 again
+	// inside the batch (the /similar at its own theta bypasses it), and
+	// there is no prolog cache to report.
+	st, body := statusz(cachedHandler(t))
+	if st.Cache.Hits != 2 || st.Cache.Misses != 3 || st.Prolog != nil || strings.Contains(string(body), `"prolog"`) {
+		t.Fatalf("linear cache = %+v, prolog = %+v", st.Cache, st.Prolog)
 	}
-	var st StatuszResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.QueriesTotal != 2 || st.BatchesTotal != 1 || st.BatchQueriesTotal != 3 ||
-		st.BatchSizeMax != 3 || st.SimilarTotal != 1 || st.PairsTotal != 1 {
-		t.Fatalf("counters = %+v", st)
-	}
-	if st.Cache == nil || st.Cache.Misses == 0 {
-		t.Fatalf("cache stats missing or empty: %+v", st.Cache)
-	}
+
+	st, body = statusz(cachedHandlerWith(t, simrank.StrategyIndex))
 	// Every prolog miss names the builder that answered it; the tally
 	// cache's object carries no such fields.
 	if pr := st.Prolog; pr == nil || pr.Misses == 0 || pr.BuiltPushed+pr.BuiltEmpty != pr.Misses {

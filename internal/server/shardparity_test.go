@@ -182,7 +182,8 @@ func (c *tcpClient) exchange(t *testing.T, frame []byte) []byte {
 // every transport. Valid requests must come back bit-identical —
 // fragments and stats — and invalid ones with the same status
 // and stable code, because all transports decode into one shardReq and
-// share one validator, one scan call and one error mapping. All rows
+// share one scan call, which validates the vertex and the range, and one
+// error mapping. All rows
 // share one TCP connection, so every MsgError row also proves the
 // connection survives a query error.
 func TestShardTransportParity(t *testing.T) {
@@ -210,10 +211,12 @@ func TestShardTransportParity(t *testing.T) {
 		{name: "similar theta 1", req: shardReq{kind: similar, u: 5, theta: 1, lo: 0, hi: n}, status: 200},
 
 		{name: "topk u >= n", req: shardReq{kind: topk, u: n, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
+		{name: "topk u < 0", req: shardReq{kind: topk, u: -1, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "topk hi > n", req: shardReq{kind: topk, u: 7, lo: 0, hi: n + 1}, status: 400, code: CodeBadRequest},
 		{name: "topk lo > hi", req: shardReq{kind: topk, u: 7, lo: 10, hi: 5}, status: 400, code: CodeBadRequest},
 		{name: "similar u >= n", req: shardReq{kind: similar, u: 1 << 20, theta: 0.02, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar lo > hi", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: 10, hi: 5}, status: 400, code: CodeBadRequest},
+		{name: "similar hi > n", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: 0, hi: n + 1}, status: 400, code: CodeBadRequest},
 		{name: "similar theta 0", req: shardReq{kind: similar, u: 5, theta: 0, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar theta 7", req: shardReq{kind: similar, u: 5, theta: 7, lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
 		{name: "similar theta NaN", req: shardReq{kind: similar, u: 5, theta: math.NaN(), lo: m.Lo, hi: m.Hi}, status: 400, code: CodeBadRequest},
@@ -221,7 +224,11 @@ func TestShardTransportParity(t *testing.T) {
 		{name: "topk cancelled", req: shardReq{kind: topk, u: 7, lo: m.Lo, hi: m.Hi}, ctx: cancelled, status: 503, code: CodeCancelled},
 		{name: "similar cancelled", req: shardReq{kind: similar, u: 5, theta: 0.02, lo: m.Lo, hi: m.Hi}, ctx: cancelled, status: 503, code: CodeCancelled},
 	}
+	accepted := int64(0)
 	for _, row := range rows {
+		if row.status != 400 {
+			accepted += int64(len(shardTransports))
+		}
 		t.Run(row.name, func(t *testing.T) {
 			var first answer
 			for i, tr := range shardTransports {
@@ -244,6 +251,11 @@ func TestShardTransportParity(t *testing.T) {
 	}
 	if conn := h.counters.binConns.Load(); conn != 1 {
 		t.Fatalf("%d TCP connections used, want the one every row shared", conn)
+	}
+	// A request counts once the scan has accepted its vertex and range:
+	// answered or cancelled, never refused.
+	if got := h.counters.shardQueries.Load(); got != accepted {
+		t.Fatalf("shard_queries_total %d, want %d (the rows not refused, on every transport)", got, accepted)
 	}
 }
 
@@ -285,7 +297,7 @@ func TestBinTCPPeerCloseCancelsScan(t *testing.T) {
 	const n, u, theta = 4000, 0, 1e-9
 	g := simrank.GenerateSocialGraph(n, 10, 0.4, 3)
 	o := simrank.DefaultOptions()
-	o.Exhaustive = true
+	o.Strategy = simrank.StrategyBall
 	o.CacheBytes = 64 << 20
 	idx := simrank.BuildIndex(g, o)
 	h := NewShard(idx, 0, 1)

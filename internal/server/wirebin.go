@@ -18,8 +18,8 @@ import (
 // "Accept: application/x-simrank-bin" gets a frame instead of JSON — and
 // the persistent TCP transport (ServeBin) speaks frames only, with errors
 // as MsgError frames. Both are transports for
-// the one shard-request path in servershard.go (shardReq → checkShardReq
-// → run → encodeResp/jsonResp).
+// the one shard-request path in servershard.go (shardReq → run →
+// encodeResp/jsonResp).
 //
 // All fragment, stats and encode buffers come from per-handler pools,
 // so the steady-state shard path allocates nothing per request beyond
@@ -144,7 +144,7 @@ func (h *Handler) serveBinConn(conn net.Conn) {
 // serveBinFrame answers one frame under ctx (the connection's, bounded
 // by QueryTimeout — there is no request context to inherit); false
 // means the connection must close (protocol breakdown or a dead peer).
-// A request that fails to decode, validate or run is answered with a
+// A request that fails to decode or run is answered with a
 // MsgError frame and keeps the connection: the stream is still aligned.
 func (h *Handler) serveBinFrame(ctx context.Context, conn net.Conn, data []byte, ss *shardScratch, wbuf *wire.Buf) bool {
 	t0 := time.Now()
@@ -155,9 +155,6 @@ func (h *Handler) serveBinFrame(ctx context.Context, conn net.Conn, data []byte,
 	}
 	req, err := h.shardReqFromFrame(&ss.frame)
 	h.counters.decodeNS.Add(time.Since(t0).Nanoseconds())
-	if err == nil {
-		err = h.checkShardReq(&req)
-	}
 	if err == nil {
 		cancel := func() {}
 		if h.QueryTimeout > 0 {

@@ -94,6 +94,13 @@ go test -run - -fuzz '^FuzzQueryPush$' -fuzztime 5s ./internal/core
 echo "==> fuzz smoke (FuzzCandWalks, 5s)"
 go test -run - -fuzz '^FuzzCandWalks$' -fuzztime 5s ./internal/core
 
+# Five seconds of the linear scorer on small random graphs, from random
+# vertices at random θ: no cell above the exact series nor more than the
+# query's Δ below it, the dense recurrence under the same prune rule to
+# 1e-12, and the same plan bit for bit on a second run.
+echo "==> fuzz smoke (FuzzLinearRow, 5s)"
+go test -run - -fuzz '^FuzzLinearRow$' -fuzztime 5s ./internal/core
+
 # Five seconds of corrupt index files through every loader policy: the
 # v3 index is the input this tree takes from outside besides edge lists.
 echo "==> fuzz smoke (FuzzLoadIndex, 5s)"

@@ -10,7 +10,7 @@ import (
 
 // Options tunes the similarity search. Zero fields take the paper's
 // defaults (Section 8): c = 0.6, T = 11, R = 100, P = 10, Q = 5,
-// θ = 0.01.
+// θ = 0.01; the zero Strategy is StrategyLinear.
 type Options struct {
 	// DecayFactor is SimRank's c in (0, 1). Default 0.6.
 	DecayFactor float64
@@ -22,40 +22,42 @@ type Options struct {
 	// RoughSamples is the adaptive first-pass sample count. Default 10.
 	RoughSamples int
 	// BoundSamples sets the precision of the query-side distribution,
-	// which scores every candidate: it is pushed along in-edges, and a
-	// vertex is pushed on only while its share of the mass per in-edge is
-	// at least 1/BoundSamples, the mass one of the paper's BoundSamples
-	// walks would carry. A step then costs at most BoundSamples in-edge
-	// relaxations. The per-query L1 bound is read from the same
-	// distribution where a plan has one, i.e. under Exhaustive. Default
-	// 10000.
+	// which every strategy scores against: it is pushed along in-edges,
+	// and a vertex is pushed on only while its share of the mass per
+	// in-edge is at least 1/BoundSamples, the mass one of the paper's
+	// BoundSamples walks would carry. A step then costs at most
+	// BoundSamples in-edge relaxations. The per-query L1 bound is read
+	// from the same distribution where a plan has one, i.e. under
+	// StrategyBall and StrategyHybrid. Default 10000.
 	BoundSamples int
 	// IndexTrials (P) and IndexWalks (Q) control candidate-index
-	// construction. Defaults 10 and 5.
+	// construction (StrategyIndex, StrategyHybrid). Defaults 10 and 5.
 	IndexTrials int
 	IndexWalks  int
 	// Threshold prunes vertices whose score upper bound falls below it.
 	// Default 0.01; pass a tiny positive value (e.g. 1e-12) to
 	// effectively disable pruning by score.
 	Threshold float64
-	// Exhaustive switches candidate enumeration from the random-walk
-	// index to the full distance-DMax ball (slower, higher recall). Only
-	// then does a query walk that ball and bound candidates by distance
-	// and the L1 table as well; index candidates are bounded by their
-	// in-degree alone.
-	Exhaustive bool
-	// CacheBytes bounds the per-index cross-query tally cache: candidate
-	// walk tallies are pure functions of the index state, so queries
-	// that revisit a candidate reuse its simulation instead of redoing
-	// it. 0 disables the cache. Results are byte-identical with the
-	// cache on or off; only throughput changes.
+	// Strategy selects how a query finds and scores its answers. The zero
+	// value, StrategyLinear, computes the query's row of the series
+	// deterministically and builds no candidate index; the others are the
+	// paper's Monte-Carlo search over different candidate sets.
+	Strategy Strategy
+	// CacheBytes bounds the per-index cross-query cache; 0 disables it.
+	// Under StrategyLinear it holds query rows at the serving Threshold,
+	// so a repeated query is a cache read. Under the Monte-Carlo
+	// strategies it holds candidate walk tallies, pure functions of the
+	// index state, so queries that revisit a candidate reuse its
+	// simulation instead of redoing it. Results are byte-identical with
+	// the cache on or off; only throughput changes.
 	CacheBytes int64
-	// PrologCacheBytes bounds the per-index cache of query plans: the
-	// pushed walk distribution of a query and its bound-sorted candidate
-	// list are pure functions of (index, query vertex), so repeat queries
-	// — and every shard of a distributed deployment answering the same
-	// query — skip everything a query does before it scores a candidate.
-	// 0 means the default (32 MiB); negative disables it. Results are
+	// PrologCacheBytes bounds the per-index cache of query plans under the
+	// Monte-Carlo strategies: the pushed walk distribution of a query and
+	// its bound-sorted candidate list are pure functions of (index, query
+	// vertex), so repeat queries — and every shard of a distributed
+	// deployment answering the same query — skip everything a query does
+	// before it scores a candidate. 0 means the default (32 MiB); negative
+	// disables it. StrategyLinear has no such cache. Results are
 	// byte-identical either way.
 	PrologCacheBytes int64
 	// Seed makes all Monte-Carlo components deterministic. Default 1.
@@ -69,7 +71,43 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the paper's experiment configuration.
+// Strategy selects how a query finds and scores its answers.
+type Strategy int
+
+const (
+	// StrategyLinear computes the query's row of the truncated series as
+	// one thresholded push forward and one pruned pass backward (the
+	// linearization of Maehara et al.): no index, no sampling, and an
+	// error that is one-sided and bounded per query. The default.
+	StrategyLinear Strategy = iota
+	// StrategyIndex is the paper's method: candidates from the random-walk
+	// index (Algorithm 4), scored by Monte-Carlo walks (Algorithm 5) and
+	// bounded by their in-degree.
+	StrategyIndex
+	// StrategyBall enumerates every vertex within distance Steps of the
+	// query and bounds candidates by distance and the L1 table as well
+	// (slower, higher recall than StrategyIndex).
+	StrategyBall
+	// StrategyHybrid unions the index candidates with the distance-2 ball.
+	StrategyHybrid
+)
+
+// core maps a Strategy onto the engine's; a value this package does not
+// define is the default, StrategyLinear.
+func (s Strategy) core() core.CandidateStrategy {
+	switch s {
+	case StrategyIndex:
+		return core.CandidatesIndex
+	case StrategyBall:
+		return core.CandidatesBall
+	case StrategyHybrid:
+		return core.CandidatesHybrid
+	}
+	return core.CandidatesLinear
+}
+
+// DefaultOptions returns the serving configuration: the paper's
+// parameters (Section 8) under StrategyLinear.
 func DefaultOptions() Options { return Options{} }
 
 // toParams maps Options onto the internal parameter set.
@@ -91,9 +129,7 @@ func (o Options) toParams() core.Params {
 	if o.Seed == 0 {
 		p.Seed = 1
 	}
-	if o.Exhaustive {
-		p.Strategy = core.CandidatesBall
-	}
+	p.Strategy = o.Strategy.core()
 	return p
 }
 
@@ -167,7 +203,7 @@ func (ix *Index) TopKCtx(ctx context.Context, u, k int) ([]Result, error) {
 
 // QueryStats reports what the pruning machinery did during one query:
 // candidates enumerated, cut by the upper bounds, cut by the rough
-// estimate, refined, and the tally cache's part in it.
+// estimate, refined, and the cross-query cache's part in it.
 type QueryStats = core.QueryStats
 
 // CacheStats reports one cross-query cache's lifetime counters and current
@@ -175,7 +211,8 @@ type QueryStats = core.QueryStats
 // counters are the prolog cache's only.
 type CacheStats = core.CacheStats
 
-// CacheStats reports the index's tally-cache counters.
+// CacheStats reports the counters of the cache Options.CacheBytes
+// bounds: the row cache under StrategyLinear, the tally cache otherwise.
 func (ix *Index) CacheStats() CacheStats { return ix.e.CacheStats() }
 
 // PrologStats reports the query-prolog-cache counters (same shape as
@@ -201,8 +238,8 @@ func (ix *Index) TopKWithStatsCtx(ctx context.Context, u, k int) ([]Result, Quer
 }
 
 // TopKBatch answers many top-k queries at once, fanning them over
-// Options.Workers whole-query workers that share the index's tally
-// cache. Results (and per-query statistics) are identical to issuing
+// Options.Workers whole-query workers that share the index's
+// cross-query cache. Results (and per-query statistics) are identical to issuing
 // each query individually; batching only changes throughput.
 func (ix *Index) TopKBatch(us []int, k int) ([][]Result, error) {
 	res, _, err := ix.TopKBatchWithStatsCtx(context.Background(), us, k)

@@ -216,7 +216,7 @@ func TestExactAllPairsSymmetric(t *testing.T) {
 func TestExhaustiveOption(t *testing.T) {
 	g := GenerateCollaborationGraph(40, 5, 0.8, 9)
 	opts := DefaultOptions()
-	opts.Exhaustive = true
+	opts.Strategy = StrategyBall
 	idx := BuildIndex(g, opts)
 	top, err := idx.TopK(0, 5)
 	if err != nil {
@@ -324,6 +324,9 @@ func TestEveryOptionReachesParams(t *testing.T) {
 			f.SetBool(true)
 		case reflect.Int, reflect.Int64:
 			f.SetInt(7)
+			if f.Type() == reflect.TypeOf(StrategyLinear) {
+				f.SetInt(int64(StrategyIndex)) // 7 names no strategy: it is the default's
+			}
 		case reflect.Uint64:
 			f.SetUint(7)
 		case reflect.Float64:
@@ -343,9 +346,15 @@ func TestStatsAndGraphAccessors(t *testing.T) {
 	if idx.Graph() != g {
 		t.Fatal("Graph accessor broken")
 	}
-	st := idx.Stats()
+	// The default strategy builds no candidate index; the paper's does.
+	if st := idx.Stats(); st.IndexBytes != 0 || st.PreprocessTime != st.IndexTime {
+		t.Fatalf("linear stats: %+v", st)
+	}
+	opts := DefaultOptions()
+	opts.Strategy = StrategyIndex
+	st := BuildIndex(g, opts).Stats()
 	if st.IndexBytes <= 0 || st.IndexTime <= 0 || st.PreprocessTime != st.IndexTime {
-		t.Fatalf("stats: %+v", st)
+		t.Fatalf("index stats: %+v", st)
 	}
 }
 
