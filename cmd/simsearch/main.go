@@ -33,7 +33,6 @@ var strategies = map[string]simrank.Strategy{
 	"linear": simrank.StrategyLinear,
 	"index":  simrank.StrategyIndex,
 	"ball":   simrank.StrategyBall,
-	"hybrid": simrank.StrategyHybrid,
 }
 
 func main() {
@@ -48,7 +47,7 @@ func main() {
 	theta := flag.Float64("theta", 0.01, "score threshold")
 	seed := flag.Uint64("seed", 1, "Monte-Carlo seed")
 	workers := flag.Int("workers", 0, "parallelism of the preprocess; a query always runs on one goroutine (0 = GOMAXPROCS)")
-	strategy := flag.String("strategy", "linear", "how a query finds its answers: linear (deterministic row, no index), index (the paper's Monte-Carlo search), ball (exhaustive ball candidates), hybrid (index plus the distance-2 ball)")
+	strategy := flag.String("strategy", "linear", "how a query finds its answers: linear (deterministic row, no index), index (the paper's Monte-Carlo search) or ball (exhaustive ball candidates)")
 	exactCheck := flag.Bool("exact", false, "also print the deterministic-series ranking for comparison")
 	saveIndex := flag.String("save-index", "", "write the preprocess results to this file after building")
 	loadIndex := flag.String("load-index", "", "reuse preprocess results from this file instead of rebuilding")
@@ -82,7 +81,7 @@ func main() {
 	opts.Workers = *workers
 	var ok bool
 	if opts.Strategy, ok = strategies[*strategy]; !ok {
-		log.Fatalf("-strategy %q: want linear, index, ball or hybrid", *strategy)
+		log.Fatalf("-strategy %q: want linear, index or ball", *strategy)
 	}
 
 	var idx *simrank.Index

@@ -25,7 +25,7 @@
 // in O(T·R) time. A preprocess builds a bipartite candidate index from
 // colliding random walks; queries enumerate candidates, order and prune
 // them by upper bounds on their scores, and refine survivors with
-// adaptive sampling (StrategyIndex, StrategyBall, StrategyHybrid).
+// adaptive sampling (StrategyIndex, StrategyBall).
 //
 // What the default options serve, StrategyLinear, is the authors'
 // linearization of the same series: a query's whole row computed

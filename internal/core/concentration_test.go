@@ -120,7 +120,7 @@ func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 		lnB := math.Log(4 / delta)
 		pos = slices.Grow(pos[:0], T*R)[:T*R]
 		for _, u := range []uint32{5, 17, 35, 999, 1999} {
-			plan := e.queryPlan(qs, u, e.p.Theta, new(QueryStats))
+			plan := e.queryPlan(qs, u)
 			wd := plan.wd
 			h := wd.steps()
 			B, ct := 0.0, 1.0

@@ -451,7 +451,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands += len(e.queryPlan(s, us[i%len(us)], e.p.Theta, new(QueryStats)).cands)
+				cands += len(e.queryPlan(s, us[i%len(us)]).cands)
 			}
 			b.ReportMetric(float64(cands)/float64(b.N), "cands")
 		})

@@ -204,12 +204,11 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	for _, from := range []uint32{500, hub(g)} {
 		el.walkDistInto(&sl.wd, sl, from)
 		check(fmt.Sprintf("backwardInto from %d", from), 20, func() {
-			row, _, _ := el.backwardInto(sl, &sl.wd, el.p.Theta/linearEpsDiv)
+			row, _, _, _ := el.backwardInto(ctx, sl, &sl.wd, el.p.Theta/linearEpsDiv)
 			for _, v := range row.touched {
 				sink += row.val[v]
-				row.val[v] = 0
 			}
-			row.touched = row.touched[:0]
+			row.clear()
 		})
 	}
 	if allocs := testing.AllocsPerRun(50, func() {

@@ -61,7 +61,7 @@ type refQuery struct {
 // (refPush, which TestPushMatchesDenseReference holds the push itself to)
 // cut at the plan's horizon.
 func newRefQuery(e *Snapshot, qs *scratch, u uint32) refQuery {
-	pl := e.queryPlan(qs, u, e.p.Theta, new(QueryStats))
+	pl := e.queryPlan(qs, u)
 	q := refQuery{wd: pl.wd, bs: slices.Clone(pl.cands), rd: &refDist{}}
 	if len(q.bs) > 0 { // otherwise nothing is scored against it
 		q.rd = refQuerySide(e, u).cut(pl.wd.steps())

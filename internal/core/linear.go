@@ -1,5 +1,10 @@
 package core
 
+import (
+	"context"
+	"sort"
+)
+
 // This file is the linear scorer (CandidatesLinear): the truncated series
 // of a query u against every vertex at once, computed deterministically as
 // one sparse forward pass and one sparse backward pass — the linearization
@@ -26,10 +31,10 @@ package core
 // pruned c^(t+1)·r(i) (the slack backwardInto returns) plus what the push
 // held back (DESIGN.md §4).
 //
-// A query at threshold θ prunes at ε = θ/linearEpsDiv, and every entry of
-// the row at or above θ is a candidate bounded by its own score: the plan
-// the scan, the shard fragments and the merge replay take unchanged, each
-// block's outcome ShardScoredNoRough with Score = ub (scoreBlock).
+// A query at threshold θ prunes at ε = min(θ, Theta)/linearEpsDiv, and every
+// entry of the row at or above θ is a candidate bounded by its own score: the
+// plan the scan, the shard fragments and the merge replay take unchanged,
+// each block's outcome ShardScoredNoRough with Score = ub (scoreBlock).
 
 // linearEpsDiv is the ratio θ/ε of the backward pass's prune threshold: at
 // θ/10 the benchmark's graphs serve precision@20 0.996 (web) and 0.926
@@ -53,6 +58,14 @@ func (a *rowAcc) add(v uint32, m float64) {
 		a.touched = append(a.touched, v)
 	}
 	a.val[v] += m
+}
+
+// clear zeroes a's entries and empties its touched list.
+func (a *rowAcc) clear() {
+	for _, v := range a.touched {
+		a.val[v] = 0
+	}
+	a.touched = a.touched[:0]
 }
 
 // rowAccs returns the scratch's two backward accumulators, allocating their
@@ -82,19 +95,25 @@ func (e *Snapshot) addDiag(a *rowAcc, wd *walkDist, t int) {
 // Σ_t max pruned c^(t+1)·r(i), and the number of relaxations (edges
 // scattered along). Sources scatter in their level's touched order and a
 // source's out-edges in CSR order, so every entry is the same sum in the
-// same order each time: a pure function of (graph, wd, eps).
+// same order each time: a pure function of (graph, wd, eps). ctx is checked
+// once per level; a cancelled pass leaves both accumulators clear and
+// returns ctx.Err().
 //
 //lint:hotpath backward pass: every relaxation of a linear query
-func (e *Snapshot) backwardInto(s *scratch, wd *walkDist, eps float64) (row *rowAcc, slack float64, relax int) {
+func (e *Snapshot) backwardInto(ctx context.Context, s *scratch, wd *walkDist, eps float64) (row *rowAcc, slack float64, relax int, err error) {
 	cur, nxt := s.rowAccs()
 	h := wd.steps()
 	if h == 0 {
-		return cur, 0, 0
+		return cur, 0, 0, nil
 	}
 	c := e.p.C
 	e.addDiag(cur, wd, h-1)
 	for t := h - 2; t >= 0; t-- {
-		// cur holds r_{t+1}; r_t builds up in nxt.
+		// cur holds r_{t+1} and nxt is clear; r_t builds up in nxt.
+		if err := ctx.Err(); err != nil {
+			cur.clear()
+			return nil, 0, relax, err
+		}
 		e.addDiag(nxt, wd, t)
 		ct := e.cpow[t+1]
 		pruned := 0.0
@@ -116,15 +135,18 @@ func (e *Snapshot) backwardInto(s *scratch, wd *walkDist, eps float64) (row *row
 		slack += pruned
 		cur, nxt = nxt, cur
 	}
-	return cur, slack, relax
+	return cur, slack, relax, nil
 }
 
-// linearRow returns u's row at threshold theta: every vertex but u whose
-// score ŝ is at least theta, bounded by its own score, in sortBounds order.
-// It aliases s.bounds and leaves both accumulators clear.
-func (e *Snapshot) linearRow(s *scratch, u uint32, theta float64) []boundedCand {
+// linearRow returns u's row pruned at theta/linearEpsDiv: every vertex but u
+// whose score ŝ is at least theta, bounded by its own score, in sortBounds
+// order. It aliases s.bounds and leaves both accumulators clear.
+func (e *Snapshot) linearRow(ctx context.Context, s *scratch, u uint32, theta float64) ([]boundedCand, error) {
 	e.walkDistInto(&s.wd, s, u)
-	row, _, _ := e.backwardInto(s, &s.wd, theta/linearEpsDiv)
+	row, _, _, err := e.backwardInto(ctx, s, &s.wd, theta/linearEpsDiv)
+	if err != nil {
+		return nil, err
+	}
 	bs := s.bounds[:0]
 	for _, v := range row.touched {
 		if sc := row.val[v]; sc >= theta && v != u {
@@ -135,27 +157,49 @@ func (e *Snapshot) linearRow(s *scratch, u uint32, theta float64) []boundedCand 
 	row.touched = row.touched[:0]
 	s.bounds = bs
 	sortBounds(bs)
-	return bs
+	return bs, nil
 }
 
-// linearPlan returns the candidates of a linear query at u and theta: from
-// the row cache at the serving Theta, where the cache's part in it goes to
-// stats, and computed on s otherwise (and at Theta published). A row is a
-// pure function of (snapshot, u, theta), so the cache changes where the
-// work happens, never a result. The returned slice is read-only: on a hit
-// it is the cached one.
-func (e *Snapshot) linearPlan(s *scratch, u uint32, theta float64, stats *QueryStats) []boundedCand {
-	if e.rows == nil || theta != e.p.Theta {
-		return e.linearRow(s, u, theta)
+// linearPlan returns the candidates of a linear query at u and theta. A
+// threshold at or above the serving Theta keeps the prefix at or above it of
+// the serving row: from the row cache, whose part in it goes to stats, or
+// computed on s (and published there). One below Theta needs a row of its
+// own, pruned at theta/linearEpsDiv, which bypasses the cache. So every
+// query prunes at min(theta, Theta)/linearEpsDiv: a lower threshold prunes
+// no more, and since pruned mass is non-negative no score falls as the
+// threshold does — a threshold answer holds every top-k entry at or above
+// its threshold. A row is a pure function of (snapshot, u, theta), so the
+// cache changes where the work happens, never a result. The returned slice
+// is read-only: on a hit it is the cached one.
+func (e *Snapshot) linearPlan(ctx context.Context, s *scratch, u uint32, theta float64, stats *QueryStats) ([]boundedCand, error) {
+	if theta < e.p.Theta {
+		return e.linearRow(ctx, s, u, theta)
+	}
+	bs, err := e.servingRow(ctx, s, u, stats)
+	if err != nil {
+		return nil, err
+	}
+	// bs is in descending bound order: its entries at or above theta lead.
+	return bs[:sort.Search(len(bs), func(i int) bool { return bs[i].ub < theta })], nil
+}
+
+// servingRow returns u's row at the serving Theta, from the row cache where
+// there is one.
+func (e *Snapshot) servingRow(ctx context.Context, s *scratch, u uint32, stats *QueryStats) ([]boundedCand, error) {
+	if e.rows == nil {
+		return e.linearRow(ctx, s, u, e.p.Theta)
 	}
 	if ent := e.rows.get(u); ent != nil {
 		stats.CacheHits++
-		return ent.val
+		return ent.val, nil
 	}
-	bs := e.linearRow(s, u, theta)
+	bs, err := e.linearRow(ctx, s, u, e.p.Theta)
+	if err != nil {
+		return nil, err
+	}
 	stats.CacheMisses++
 	stats.CacheEvictions += e.rows.put(newRowEntry(u, bs))
-	return bs
+	return bs, nil
 }
 
 // rowEntryOverhead is the fixed footprint of a row-cache entry: the struct

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -29,13 +30,12 @@ func linearDense(e *Snapshot, u uint32, eps float64) (row []float64, delta float
 	s := e.getScratch()
 	defer e.putScratch(s)
 	e.walkDistInto(&s.wd, s, u)
-	acc, slack, relax := e.backwardInto(s, &s.wd, eps)
+	acc, slack, relax, _ := e.backwardInto(context.Background(), s, &s.wd, eps)
 	row = make([]float64, e.g.N())
 	for _, v := range acc.touched {
 		row[v] = acc.val[v]
-		acc.val[v] = 0
 	}
-	acc.touched = acc.touched[:0]
+	acc.clear()
 	return row, slack + pushSlack(e, &s.wd), relax
 }
 
@@ -253,6 +253,114 @@ func TestLinearIdenticalAcrossCacheAndWorkers(t *testing.T) {
 	}
 }
 
+// TestLinearThresholdHoldsTopK holds threshold answers to the top-k answers
+// they overlap: at any θ', every top-k entry scoring at least θ' is in the
+// threshold answer, with its score when θ' is at or above the serving θ
+// (both read the one serving row) and with at least its score below it (a
+// row of its own, pruned less). A threshold at or above the serving θ reads
+// the row cache; one below it does not.
+func TestLinearThresholdHoldsTopK(t *testing.T) {
+	g := graph.PreferentialAttachment(2000, 10, 0.4, 3)
+	p := linearParams()
+	p.CacheBytes = 1 << 20
+	e := Build(g, p)
+	us := []uint32{hub(g), 0, 7, 999, 1999}
+	for _, x := range rng.New(4).Perm(g.N())[:20] {
+		us = append(us, uint32(x))
+	}
+	for _, theta := range []float64{p.Theta / 5, p.Theta / 2, p.Theta, 0.02, 0.05, 0.2} {
+		for _, u := range us {
+			top := e.TopK(u, g.N())
+			before := e.CacheStats()
+			thr := e.Threshold(u, theta)
+			after := e.CacheStats()
+			lookups := int64(0)
+			if theta >= p.Theta {
+				lookups = 1
+			}
+			if got := after.Hits + after.Misses - before.Hits - before.Misses; got != lookups {
+				t.Fatalf("θ=%g u=%d: %d row-cache lookups, want %d", theta, u, got, lookups)
+			}
+			got := make(map[uint32]float64, len(thr))
+			for _, r := range thr {
+				got[r.V] = r.Score
+			}
+			for _, r := range top {
+				if r.Score < theta {
+					continue
+				}
+				sc, ok := got[r.V]
+				switch {
+				case !ok:
+					t.Fatalf("θ=%g u=%d: top-k has %d at %.6g, the threshold answer lacks it", theta, u, r.V, r.Score)
+				case theta >= p.Theta && sc != r.Score, sc < r.Score:
+					t.Fatalf("θ=%g u=%d: %d scores %.17g, top-k %.17g", theta, u, r.V, sc, r.Score)
+				}
+			}
+		}
+	}
+}
+
+// countdownCtx is a context whose Err is nil for its first n calls and
+// context.Canceled from then on: a cancellation at a chosen check.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestLinearRowCancelsBetweenLevels holds the backward pass to one context
+// check per level: a full pass makes one per level after the first, and a
+// cancellation at any of them ends the pass there with ctx's error and
+// both accumulators clear, so the scratch serves the next query exactly.
+// θ = 1e-9 prunes nothing, the longest pass a query can ask for.
+func TestLinearRowCancelsBetweenLevels(t *testing.T) {
+	g := graph.PreferentialAttachment(2000, 10, 0.4, 3)
+	e := New(g, linearParams()).Snapshot
+	const theta = 1e-9
+	u := hub(g)
+	s := e.getScratch()
+	defer e.putScratch(s)
+	full := &countdownCtx{context.Background(), 1 << 30}
+	want, err := e.linearRow(full, s, u, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = slices.Clone(want)
+	levels := s.wd.steps() - 1
+	if checks := 1<<30 - full.n; checks != levels || levels < 2 {
+		t.Fatalf("a full pass made %d context checks over %d levels", checks, levels)
+	}
+	for stop := range levels {
+		if _, err := e.linearRow(&countdownCtx{context.Background(), stop}, s, u, theta); err != context.Canceled {
+			t.Fatalf("cancelled at check %d: %v", stop, err)
+		}
+		for i, a := range s.lin {
+			if len(a.touched) != 0 || slices.ContainsFunc(a.val, func(x float64) bool { return x != 0 }) {
+				t.Fatalf("cancelled at check %d: accumulator %d left %d touched", stop, i, len(a.touched))
+			}
+		}
+	}
+	if got, _ := e.linearRow(context.Background(), s, u, theta); !slices.Equal(got, want) {
+		t.Fatal("the row after cancelled passes differs from the first")
+	}
+	// The served entry points pass their context down: cancelled at the
+	// first level, a threshold query and a shard scan return its error.
+	if _, _, err := e.search(&countdownCtx{context.Background(), 1}, u, 0, theta); err != context.Canceled {
+		t.Fatalf("search: %v", err)
+	}
+	if _, _, err := e.shardScan(&countdownCtx{context.Background(), 1}, u, theta, 0, uint32(g.N()), nil); err != context.Canceled {
+		t.Fatalf("shard scan: %v", err)
+	}
+}
+
 // TestLinearSnapshotPersists round-trips an index-less snapshot: a linear
 // build saves the graph sections alone, and it loads — read or mapped —
 // into a snapshot that answers exactly as the build does. So does a file
@@ -337,8 +445,9 @@ func FuzzLinearRow(f *testing.F) {
 			}
 		}
 
-		first := slices.Clone(e.linearRow(s, u, theta))
-		if again := e.linearRow(s, u, theta); !slices.Equal(first, again) {
+		first, _ := e.linearRow(context.Background(), s, u, theta)
+		first = slices.Clone(first)
+		if again, _ := e.linearRow(context.Background(), s, u, theta); !slices.Equal(first, again) {
 			t.Fatalf("%s: second run %v, first %v", label, again, first)
 		}
 		var want []boundedCand

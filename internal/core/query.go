@@ -119,7 +119,10 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64) (
 	qs := e.getScratch()
 	defer e.putScratch(qs)
 
-	pl := e.queryPlan(qs, u, theta, &stats)
+	pl, err := e.plan(ctx, qs, u, theta, &stats)
+	if err != nil {
+		return nil, stats, err
+	}
 	wd, bs := pl.wd, pl.cands
 	if cap(qs.scores) < scoreBlock {
 		qs.scores = make([]ShardCand, scoreBlock)
@@ -215,7 +218,7 @@ func (st *QueryStats) note(c ShardCand, floor float64) (refined bool) {
 // prolog.go lists the inputs — so every scan mode takes them from here
 // and, when the prolog cache holds them, from there. A linear plan is u's
 // row at the scan's threshold, each candidate bounded by its score, over
-// no distribution (wd of no steps): there is nothing left to score.
+// no distribution (wd of no steps): there is nothing left to score (plan).
 type queryPlan struct {
 	wd *walkDist
 	// cands is read-only: on a cache hit it is the cached slice, shared
@@ -232,13 +235,8 @@ type queryPlan struct {
 // distribution from queryDistInto — Pᵗe_u pushed wherever a vertex's share
 // reaches 1/RAlpha, cut at the horizon — and then its candidates' bounds,
 // which only the strategies that enumerate from the ball pay a ball for
-// (buildPlan). Under CandidatesLinear the plan is the row at theta
-// (linearPlan), whose cache counters go to stats; every other plan is the
-// same at any theta.
-func (e *Snapshot) queryPlan(qs *scratch, u uint32, theta float64, stats *QueryStats) queryPlan {
-	if e.p.Strategy == CandidatesLinear {
-		return queryPlan{wd: &noDist, cands: e.linearPlan(qs, u, theta, stats)}
-	}
+// (buildPlan).
+func (e *Snapshot) queryPlan(qs *scratch, u uint32) queryPlan {
 	if ent := e.cachedPlan(u); ent != nil {
 		return queryPlan{wd: &ent.val.wd, cands: ent.val.plan}
 	}
@@ -259,6 +257,18 @@ func (e *Snapshot) queryPlan(qs *scratch, u uint32, theta float64, stats *QueryS
 		e.prolog.put(newPrologEntry(u, wd, bs))
 	}
 	return queryPlan{wd: wd, cands: bs}
+}
+
+// plan is the plan a scan at theta starts from. Under CandidatesLinear it is
+// u's row (linearPlan): its cache counters go to stats, and ctx cancels its
+// backward pass between levels. Every other strategy's is queryPlan, the
+// same at any theta.
+func (e *Snapshot) plan(ctx context.Context, qs *scratch, u uint32, theta float64, stats *QueryStats) (queryPlan, error) {
+	if e.p.Strategy != CandidatesLinear {
+		return e.queryPlan(qs, u), nil
+	}
+	cands, err := e.linearPlan(ctx, qs, u, theta, stats)
+	return queryPlan{wd: &noDist, cands: cands}, err
 }
 
 // cachedPlan looks u up in the prolog cache: the entry, or nil on a miss

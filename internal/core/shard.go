@@ -130,7 +130,10 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, h
 
 	// This shard's slice of the query plan: the global bound order
 	// restricted to [lo, hi), which is all the merge needs.
-	pl := e.queryPlan(qs, u, theta, &stats)
+	pl, err := e.plan(ctx, qs, u, theta, &stats)
+	if err != nil {
+		return nil, stats, err
+	}
 	wd, bs := pl.wd, pl.restrict(qs, lo, hi)
 	stats.Candidates = len(bs)
 

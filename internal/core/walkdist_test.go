@@ -779,7 +779,7 @@ func TestWideSupportByteIdentity(t *testing.T) {
 			// The reference push, whole for the single-pair kernel and cut at
 			// the plan's horizon for the queries.
 			whole := refQuerySide(e.Snapshot, u)
-			rd := whole.cut(e.queryPlan(s, u, e.p.Theta, new(QueryStats)).wd.steps())
+			rd := whole.cut(e.queryPlan(s, u).wd.steps())
 			for _, vs := range rd.verts {
 				widest = max(widest, len(vs))
 			}
@@ -801,7 +801,7 @@ func TestWideSupportByteIdentity(t *testing.T) {
 				// Threshold keeps the floor at theta, so the reference
 				// answer is a plain filter over the candidate set.
 				var ref []Scored
-				for _, b := range slices.Clone(e.queryPlan(s, u, e.p.Theta, new(QueryStats)).cands) {
+				for _, b := range slices.Clone(e.queryPlan(s, u).cands) {
 					if b.ub < theta {
 						continue
 					}
@@ -931,7 +931,7 @@ func TestHorizonTailBound(t *testing.T) {
 					continue
 				}
 				// The query's own distribution, trimmed.
-				pl := e.queryPlan(qs, u, e.p.Theta, new(QueryStats))
+				pl := e.queryPlan(qs, u)
 				h := pl.wd.steps()
 				// The push without a floor, then the query's so that whole
 				// stays its untrimmed distribution. The unthresholded push

@@ -58,6 +58,9 @@ type topoOpts struct {
 	// tamper, when set, rewrites every shard's answers on every transport
 	// (answers_test.go).
 	tamper tamper
+	// build, when set, gives every shard an index of its own, so no two
+	// shards share a cache.
+	build func() *simrank.Index
 }
 
 // slowListener delays every response written on its connections.
@@ -96,6 +99,9 @@ func loopbackOpts(tb testing.TB, idx *simrank.Index, shards int, cfg Config, o t
 	servers := make([]*shardServer, shards)
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
+		if o.build != nil {
+			idx = o.build()
+		}
 		sh := server.NewShard(idx, i, shards)
 		slow := o.slowDelay > 0 && i == o.slowShard
 		var h http.Handler = sh

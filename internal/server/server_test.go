@@ -246,6 +246,54 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
+// goneAfter is a request context whose client goes away after n checks:
+// Err is nil for its first n calls and context.Canceled from then on.
+type goneAfter struct {
+	context.Context
+	n int
+}
+
+func (c *goneAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestDisconnectStopsLinearRow: under the default scorer a query's work is
+// computing its row, and a client that goes away stops it between the
+// backward pass's levels, so the cancelled answer comes back well before
+// the row would have been done. θ = 1e-9 prunes nothing: the longest row a
+// /similar can ask for.
+func TestDisconnectStopsLinearRow(t *testing.T) {
+	g := simrank.GenerateSocialGraph(40000, 10, 0.4, 3)
+	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
+	h := New(idx)
+	row := func() time.Duration {
+		start := time.Now()
+		if _, err := idx.SimilarCtx(context.Background(), 0, 1e-9); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	full := min(row(), row())
+	// The client goes away once the query has passed its check on entry:
+	// the next check is the backward pass's first level.
+	req := httptest.NewRequest(http.MethodGet, "/similar?u=0&theta=1e-9", nil)
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	h.ServeHTTP(rec, req.WithContext(&goneAfter{context.Background(), 1}))
+	cut := time.Since(start)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), CodeCancelled) {
+		t.Fatalf("status %d, want 503 %s (%s)", rec.Code, CodeCancelled, rec.Body)
+	}
+	t.Logf("the row takes %v; the cancelled query answered after %v", full, cut)
+	if cut > full/2 {
+		t.Fatalf("cancelled query answered after %v, the whole row takes %v", cut, full)
+	}
+}
+
 func TestConcurrentRequests(t *testing.T) {
 	h := testHandler(t)
 	var wg sync.WaitGroup

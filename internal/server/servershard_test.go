@@ -172,10 +172,10 @@ func TestStatuszEndpoint(t *testing.T) {
 	}
 
 	// The default serves rows: the row cache answers u = 0 and 1 again
-	// inside the batch (the /similar at its own theta bypasses it), and
-	// there is no prolog cache to report.
+	// inside the batch, and u = 0 once more to the /similar above the
+	// serving theta, and there is no prolog cache to report.
 	st, body := statusz(cachedHandler(t))
-	if st.Cache.Hits != 2 || st.Cache.Misses != 3 || st.Prolog != nil || strings.Contains(string(body), `"prolog"`) {
+	if st.Cache.Hits != 3 || st.Cache.Misses != 3 || st.Prolog != nil || strings.Contains(string(body), `"prolog"`) {
 		t.Fatalf("linear cache = %+v, prolog = %+v", st.Cache, st.Prolog)
 	}
 

@@ -2,6 +2,7 @@ package simrank
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -28,10 +29,10 @@ type Options struct {
 	// BoundSamples walks would carry. A step then costs at most
 	// BoundSamples in-edge relaxations. The per-query L1 bound is read
 	// from the same distribution where a plan has one, i.e. under
-	// StrategyBall and StrategyHybrid. Default 10000.
+	// StrategyBall. Default 10000.
 	BoundSamples int
 	// IndexTrials (P) and IndexWalks (Q) control candidate-index
-	// construction (StrategyIndex, StrategyHybrid). Defaults 10 and 5.
+	// construction (StrategyIndex). Defaults 10 and 5.
 	IndexTrials int
 	IndexWalks  int
 	// Threshold prunes vertices whose score upper bound falls below it.
@@ -41,7 +42,8 @@ type Options struct {
 	// Strategy selects how a query finds and scores its answers. The zero
 	// value, StrategyLinear, computes the query's row of the series
 	// deterministically and builds no candidate index; the others are the
-	// paper's Monte-Carlo search over different candidate sets.
+	// paper's Monte-Carlo search over different candidate sets. A value
+	// not defined here panics.
 	Strategy Strategy
 	// CacheBytes bounds the per-index cross-query cache; 0 disables it.
 	// Under StrategyLinear it holds query rows at the serving Threshold,
@@ -88,22 +90,20 @@ const (
 	// query and bounds candidates by distance and the L1 table as well
 	// (slower, higher recall than StrategyIndex).
 	StrategyBall
-	// StrategyHybrid unions the index candidates with the distance-2 ball.
-	StrategyHybrid
 )
 
-// core maps a Strategy onto the engine's; a value this package does not
-// define is the default, StrategyLinear.
+// core maps a Strategy onto the engine's. A value this package does not
+// define is a programming error, not a request for the default: it panics.
 func (s Strategy) core() core.CandidateStrategy {
 	switch s {
+	case StrategyLinear:
+		return core.CandidatesLinear
 	case StrategyIndex:
 		return core.CandidatesIndex
 	case StrategyBall:
 		return core.CandidatesBall
-	case StrategyHybrid:
-		return core.CandidatesHybrid
 	}
-	return core.CandidatesLinear
+	panic(fmt.Sprintf("simrank: Options.Strategy %d is not a Strategy", int(s)))
 }
 
 // DefaultOptions returns the serving configuration: the paper's
@@ -146,7 +146,8 @@ type Result struct {
 // number of goroutines may query one Index concurrently with no locking.
 //
 // Every query has a context-aware *Ctx variant that observes
-// cancellation and deadlines between candidate-scoring blocks; the plain
+// cancellation and deadlines between the levels of a linear row's backward
+// pass and between candidate-scoring blocks; the plain
 // methods are wrappers over context.Background().
 type Index struct {
 	g *Graph
@@ -186,7 +187,8 @@ func (ix *Index) TopK(u, k int) ([]Result, error) {
 	return ix.TopKCtx(context.Background(), u, k)
 }
 
-// TopKCtx is TopK with cancellation: the query checks ctx between
+// TopKCtx is TopK with cancellation: the query checks ctx between the
+// levels of its row's backward pass (StrategyLinear) or between
 // candidate-scoring blocks and returns ctx.Err() promptly once it is
 // cancelled or past its deadline. Results for an uncancelled context are
 // byte-identical to TopK.

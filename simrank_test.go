@@ -325,7 +325,7 @@ func TestEveryOptionReachesParams(t *testing.T) {
 		case reflect.Int, reflect.Int64:
 			f.SetInt(7)
 			if f.Type() == reflect.TypeOf(StrategyLinear) {
-				f.SetInt(int64(StrategyIndex)) // 7 names no strategy: it is the default's
+				f.SetInt(int64(StrategyIndex)) // 7 names no strategy (TestUndefinedStrategyPanics)
 			}
 		case reflect.Uint64:
 			f.SetUint(7)
@@ -337,6 +337,21 @@ func TestEveryOptionReachesParams(t *testing.T) {
 		if reflect.DeepEqual(o.toParams(), base) {
 			t.Errorf("Options.%s = %v leaves toParams unchanged", typ.Field(i).Name, f.Interface())
 		}
+	}
+}
+
+// TestUndefinedStrategyPanics holds a Strategy value the package does not
+// define to an error: it must not be served silently by another algorithm.
+func TestUndefinedStrategyPanics(t *testing.T) {
+	for _, s := range []Strategy{StrategyBall + 1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Strategy %d: toParams did not panic", s)
+				}
+			}()
+			Options{Strategy: s}.toParams()
+		}()
 	}
 }
 
