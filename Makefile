@@ -41,8 +41,10 @@ loc:
 	@sh scripts/loc.sh
 
 # Query hot-path microbenchmarks (the 100k-vertex engine build takes a
-# couple of minutes the first time). TopKWarm is TopK with the query
-# plans cached (tally cache off and warm). TopKSocial is the wide-support
+# couple of minutes the first time). TopKWarm is TopK's graph with the
+# query plans cached (Monte-Carlo) or the rows cached (linear, as the
+# servers run); TopKZipfThroughput is the linear scorer under a Zipf
+# stream, row cache off and on. TopKSocial is the wide-support
 # regime (preferential attachment) that the copying-model benchmarks
 # never reach — n=20000 with one worker and the caches off, n=100000 as
 # simserver builds it for the end-to-end social workload; CandWalks is

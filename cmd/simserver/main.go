@@ -61,7 +61,7 @@ func main() {
 	c := flag.Float64("c", 0.6, "decay factor")
 	theta := flag.Float64("theta", 0.01, "score threshold")
 	seed := flag.Uint64("seed", 1, "Monte-Carlo seed")
-	cacheBytes := flag.Int64("cache-bytes", 0, "cross-query cache budget in bytes (0 = disabled): query rows under the default linear scorer, candidate walk tallies under the Monte-Carlo strategies; results are identical either way")
+	cacheBytes := flag.Int64("cache-bytes", 0, "row cache budget in bytes (0 = disabled): the query rows of the linear scorer; results are identical either way")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-query computation deadline (0 = unlimited)")
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 	shardSpec := flag.String("shard", "", "serve as shard i of n, written \"i/n\" (e.g. -shard 0/3); enables owned-range /shard/* queries for a simrouter tier")

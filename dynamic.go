@@ -118,7 +118,7 @@ func (dx *DynamicIndex) TopKCtx(ctx context.Context, u, k int) ([]Result, error)
 
 // TopKBatchCtx answers a slice of top-k queries against one consistent
 // snapshot: every query in the batch observes the same graph state, and
-// all of them share that snapshot's tally cache.
+// all of them share that snapshot's row cache.
 func (dx *DynamicIndex) TopKBatchCtx(ctx context.Context, us []int, k int) ([][]Result, error) {
 	qs := make([]uint32, len(us))
 	for i, u := range us {
@@ -138,7 +138,7 @@ func (dx *DynamicIndex) TopKBatchCtx(ctx context.Context, us []int, k int) ([][]
 	return out, nil
 }
 
-// CacheStats reports the current snapshot's tally-cache counters (zero
+// CacheStats reports the current snapshot's row-cache counters (zero
 // when the cache is disabled or no snapshot exists yet). Each refresh
 // publishes a snapshot with an empty cache, so counters and entries start
 // over.

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the one memory-bounded CLOCK cache behind both
-// per-snapshot caches: candidate walk tallies keyed by candidate vertex
-// (tally.go) and query plans keyed by query vertex (prolog.go). Both hold
+// per-snapshot caches: linear query rows keyed by query vertex (linear.go)
+// and query plans keyed by query vertex (prolog.go). Both hold
 // derived, deterministic data only — an entry is a pure function of
 // (snapshot, vertex) — so a lookup changes where work happens, never what
 // a query returns, and whether an insert lands is invisible in results.
@@ -85,7 +85,7 @@ type CacheStats struct {
 	// what their distribution came from — the push, or nothing at all for
 	// a vertex without candidates. Prolog cache only (they sum to the
 	// entries it was offered); always zero, and so absent from the JSON,
-	// for the tally cache.
+	// for the row cache.
 	BuiltPushed int64 `json:"built_pushed,omitempty"`
 	BuiltEmpty  int64 `json:"built_empty,omitempty"`
 	// StepsKept sums the horizons of those plans, so StepsKept /
@@ -108,7 +108,7 @@ func stripeOf(key uint32) int {
 // get returns the cached entry for key, or nil. Lock-free; counts a hit
 // or miss.
 //
-//lint:hotpath cache hit path: before every candidate simulation and at the top of every scan
+//lint:hotpath cache hit path: at the top of every scan
 func (c *clockCache[P]) get(key uint32) *cacheEntry[P] {
 	if ent := c.slots[key].Load(); ent != nil {
 		if !ent.ref.Load() {

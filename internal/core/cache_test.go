@@ -30,81 +30,6 @@ func sameResults(t *testing.T, label string, got, want []Scored) {
 	}
 }
 
-// The cache must be invisible in the output: for every query, results are
-// byte-identical with the cache on or off, for any worker count, on both
-// cold and warm passes. With an ample budget (no eviction) the full
-// per-query stats — cache counters included — are deterministic too.
-func TestCacheByteIdenticalTopK(t *testing.T) {
-	g := graph.CopyingModel(3000, 6, 0.3, 11)
-	build := func(cacheBytes int64, workers int) *Engine {
-		p := DefaultParams()
-		p.Seed = 17
-		p.Workers = workers
-		p.Strategy = CandidatesHybrid // wide candidate sets exercise the tally path
-		p.CacheBytes = cacheBytes
-		return Build(g, p)
-	}
-	queries := []uint32{0, 17, 999, 1500, 2999}
-
-	off := build(0, 1)
-	type ref struct {
-		res   []Scored
-		stats QueryStats
-	}
-	want := make([]ref, len(queries))
-	for i, u := range queries {
-		res, st := off.TopKStats(u, 20)
-		want[i] = ref{res, st}
-	}
-
-	var warmStats []QueryStats // cache counters of workers=1, compared across worker counts
-	for _, workers := range []int{1, 2, 8} {
-		on := build(1<<30, workers)
-		for pass := 0; pass < 2; pass++ {
-			anyHits := false
-			for i, u := range queries {
-				res, st := on.TopKStats(u, 20)
-				label := "workers=" + itoa(workers) + " pass=" + itoa(pass) + " u=" + itoa(int(u))
-				sameResults(t, label, res, want[i].res)
-				if dropCache(st) != want[i].stats {
-					t.Fatalf("%s: stats %+v, want %+v", label, dropCache(st), want[i].stats)
-				}
-				if st.CacheEvictions != 0 {
-					t.Fatalf("%s: evictions under an ample budget: %+v", label, st)
-				}
-				if pass == 1 {
-					anyHits = anyHits || st.CacheHits > 0
-					if workers == 1 {
-						warmStats = append(warmStats, st)
-					}
-				}
-			}
-			if pass == 1 && !anyHits {
-				t.Fatalf("workers=%d: warm pass recorded no cache hits", workers)
-			}
-		}
-		if cs := on.CacheStats(); cs.Hits == 0 || cs.Entries == 0 || cs.BytesInUse <= 0 {
-			t.Fatalf("workers=%d: implausible cache stats %+v", workers, cs)
-		} else if cs.BytesInUse > cs.BudgetBytes {
-			t.Fatalf("workers=%d: bytes in use %d exceed budget %d", workers, cs.BytesInUse, cs.BudgetBytes)
-		}
-	}
-
-	// Under an ample budget the warm-pass cache counters are themselves
-	// deterministic across worker counts (no eviction → no recompute
-	// races): re-run workers=8 warm queries and compare to workers=1.
-	on := build(1<<30, 8)
-	for _, u := range queries {
-		on.TopKStats(u, 20) // cold pass
-	}
-	for i, u := range queries {
-		_, st := on.TopKStats(u, 20)
-		if st != warmStats[i] {
-			t.Fatalf("u=%d: warm stats %+v (workers=8), want %+v (workers=1)", u, st, warmStats[i])
-		}
-	}
-}
-
 func itoa(v int) string {
 	if v == 0 {
 		return "0"
@@ -119,16 +44,15 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// Hammering a tiny cache must keep it inside its byte budget, actually
+// Hammering a tiny row cache must keep it inside its byte budget, actually
 // evict, and still answer byte-identically to an uncached engine.
 func TestCacheEvictionRespectsBudget(t *testing.T) {
 	g := graph.CopyingModel(2000, 6, 0.3, 5)
-	p := DefaultParams()
+	p := linearParams()
 	p.Seed = 3
 	p.Workers = 2
-	p.Strategy = CandidatesHybrid
 	off := Build(g, p)
-	p.CacheBytes = 32 << 10 // a handful of entries at most
+	p.CacheBytes = 2 << 10 // a handful of rows at most
 	on := Build(g, p)
 
 	// A skewed query stream: hot head plus a moving tail, so entries are
@@ -159,14 +83,14 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 	}
 }
 
-// Queries through the cache while the dynamic engine rebuilds snapshots
-// concurrently: no races (run under -race), no scratch leaks on any
-// snapshot a query touched, and the final state answers exactly like a
-// freshly built engine over the same edges.
+// Queries through the row cache while the dynamic engine rebuilds
+// snapshots concurrently: no races (run under -race), no scratch leaks on
+// any snapshot a query touched, and the final state answers exactly like a
+// freshly built cache-off engine over the same edges.
 func TestCacheDuringDynamicRefresh(t *testing.T) {
 	const n = 400
 	g := graph.CopyingModel(n, 4, 0.3, 9)
-	p := DefaultParams()
+	p := linearParams()
 	p.Seed = 5
 	p.Workers = 2
 	p.CacheBytes = 1 << 22
@@ -251,15 +175,13 @@ func TestCacheDuringDynamicRefresh(t *testing.T) {
 }
 
 // TopKBatch must agree with issuing the same queries one at a time:
-// identical results, identical stats up to cache attribution (concurrent
-// queries may race on who records a shared candidate's miss).
+// identical results and stats.
 func TestTopKBatchMatchesSequential(t *testing.T) {
 	g := graph.CopyingModel(2000, 6, 0.3, 13)
 	p := DefaultParams()
 	p.Seed = 23
 	p.Workers = 4
 	p.Strategy = CandidatesHybrid
-	p.CacheBytes = 1 << 26
 	e := Build(g, p)
 
 	us := []uint32{5, 42, 42, 300, 1999, 5, 777}
@@ -270,8 +192,8 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 	for i, u := range us {
 		want, wantSt := e.TopKStats(u, 15)
 		sameResults(t, "batch u="+itoa(int(u)), res[i], want)
-		if dropCache(sts[i]) != dropCache(wantSt) {
-			t.Fatalf("batch u=%d: stats %+v, want %+v", u, dropCache(sts[i]), dropCache(wantSt))
+		if sts[i] != wantSt {
+			t.Fatalf("batch u=%d: stats %+v, want %+v", u, sts[i], wantSt)
 		}
 	}
 
@@ -303,15 +225,15 @@ func TestCacheInsertNeverStarvedByOtherStripes(t *testing.T) {
 	const n = 1 << 14
 	const x = uint32(0)
 	home := stripeOf(x)
-	c := newClockCache[tally](n, 100*100)
+	c := newClockCache[[]boundedCand](n, 100*100)
 	others := keysOfStripe(n, home, false, 100)
 	for _, v := range others {
-		c.put(&tallyEntry{key: v, size: 100})
+		c.put(&rowEntry{key: v, size: 100})
 	}
 	if st := c.stats(); st.Entries != 100 || st.BytesInUse != st.BudgetBytes || len(c.stripes[home].ring) != 0 {
 		t.Fatalf("setup: %+v with %d entries in the home stripe, want a full budget held elsewhere", st, len(c.stripes[home].ring))
 	}
-	if evicted := c.put(&tallyEntry{key: x, size: 300}); evicted != 3 {
+	if evicted := c.put(&rowEntry{key: x, size: 300}); evicted != 3 {
 		t.Fatalf("put evicted %d entries, want 3", evicted)
 	}
 	st := c.stats()
@@ -321,7 +243,7 @@ func TestCacheInsertNeverStarvedByOtherStripes(t *testing.T) {
 
 	// Only an entry no amount of eviction can fit is refused, and it
 	// costs nobody their place.
-	if evicted := c.put(&tallyEntry{key: n - 1, size: 100*100 + 1}); evicted != 0 {
+	if evicted := c.put(&rowEntry{key: n - 1, size: 100*100 + 1}); evicted != 0 {
 		t.Fatalf("oversize put evicted %d entries", evicted)
 	}
 	if st := c.stats(); st.Rejected != 1 || st.Entries != 98 || c.slots[n-1].Load() != nil {
@@ -338,7 +260,7 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 	const x = uint32(0)
 	home := stripeOf(x)
 	next := (home + 1) & (cacheStripes - 1)
-	c := newClockCache[tally](n, 4*100)
+	c := newClockCache[[]boundedCand](n, 4*100)
 	hot := keysOfStripe(n, next, true, 2)
 	var cold []uint32
 	for _, v := range keysOfStripe(n, home, false, 64) {
@@ -347,7 +269,7 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 		}
 	}
 	for _, v := range append(append([]uint32{}, hot...), cold...) {
-		c.put(&tallyEntry{key: v, size: 100})
+		c.put(&rowEntry{key: v, size: 100})
 	}
 	for _, v := range cold {
 		c.slots[v].Load().ref.Store(false) // inserted referenced; never hit since
@@ -360,7 +282,7 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 
 	// The sweep starts at x's empty stripe and reaches the hot stripe
 	// first: it must pass over it and take a cold entry further on.
-	c.put(&tallyEntry{key: x, size: 100})
+	c.put(&rowEntry{key: x, size: 100})
 	for _, v := range hot {
 		if c.slots[v].Load() == nil {
 			t.Fatalf("hot entry %d evicted on the first round, with cold entries left", v)
@@ -379,9 +301,9 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 }
 
 // TestCacheStarvationReplica replays the benchmark's web-batch-cached
-// request stream in process — the web graph, Zipf(1.1) popularity spread
-// over the graph, TopKBatch of 16, the tally cache at 256 MiB, the prolog
-// cache at its default — for 400 000 queries. The prolog cache churns
+// request stream as the Monte-Carlo path served it, in process — the web
+// graph, Zipf(1.1) popularity spread over the graph, TopKBatch of 16, the
+// prolog cache at its default — for 400 000 queries. The prolog cache churns
 // the whole time (the Zipf tail overflows it), and the stream's most
 // popular vertex has by far the largest entry. With eviction confined to
 // the inserting stripe, that vertex's stripe was eventually swept empty
@@ -404,7 +326,6 @@ func TestCacheStarvationReplica(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 1
 	p.Workers = 1
-	p.CacheBytes = 256 << 20
 	e := Build(graph.CopyingModel(n, 8, 0.3, 1), p)
 	stream := zipfStream(n, total, 1.1, rng.Mix(3))
 
@@ -430,12 +351,11 @@ func TestCacheStarvationReplica(t *testing.T) {
 	allocPerQuery := func(a, b mark) float64 { return float64(b.alloc-a.alloc) / span }
 	early, late := hitRatio(marks[span], marks[2*span]), hitRatio(marks[3*span], marks[4*span])
 	earlyB, lateB := allocPerQuery(marks[span], marks[2*span]), allocPerQuery(marks[3*span], marks[4*span])
-	ps, cs := e.PrologStats(), e.CacheStats()
+	ps := e.PrologStats()
 	t.Logf("prolog %+v", ps)
-	t.Logf("tally  %+v", cs)
 	t.Logf("queries [100k,200k): prolog hit ratio %.4f, %.0f B allocated a query; [300k,400k): %.4f, %.0f B", early, earlyB, late, lateB)
-	if ps.Rejected != 0 || cs.Rejected != 0 {
-		t.Errorf("refused inserts: prolog %d, tally %d", ps.Rejected, cs.Rejected)
+	if ps.Rejected != 0 {
+		t.Errorf("refused inserts: prolog %d", ps.Rejected)
 	}
 	if ps.Evictions == 0 {
 		t.Errorf("the prolog cache never evicted; the replica no longer overflows it: %+v", ps)

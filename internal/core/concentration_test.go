@@ -17,14 +17,15 @@ import (
 // stated constants — except the first, which holds the candidate tallies
 // to the Hoeffding radius itself.
 
-// The candidate tallies are the one sampler left on the query path (the
-// query side is pushed, bounds.go): a cell of a tally, count/R of the
-// R = RScore walks from v, is a mean of R indicator variables with
-// expectation Pᵗe_v[w], so by Hoeffding (paper §4) it is farther than
-// ε = √(ln(2/δ)/2R) from it with probability at most δ. Over 40 seeds —
-// the candidate streams are seeded from Params.Seed and v alone
-// (candSeed) — and every (step, vertex) cell of the exact support, which
-// no walk can leave, the share of cells beyond ε must stay within δ.
+// The candidate walks are the one sampler left on the Monte-Carlo query
+// path (the query side is pushed, bounds.go): a cell of a candidate's tally, count/R
+// of the R = RScore walks from v at step t, is a mean of R indicator
+// variables with expectation Pᵗe_v[w], so by Hoeffding (paper §4) it is
+// farther than ε = √(ln(2/δ)/2R) from it with probability at most δ. The
+// tally counts the positions candWalks writes. Over 40 seeds — the
+// candidate streams are seeded from Params.Seed and v alone (candSeed) —
+// and every (step, vertex) cell of the exact support, which no walk can
+// leave, the share of cells beyond ε must stay within δ.
 func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 	g := graph.CopyingModel(2000, 5, 0.3, 21)
 	const delta = 0.05
@@ -35,20 +36,25 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 		p.Seed = seed
 		e := New(g, p)
 		s := e.getScratch()
-		R := e.p.RScore
+		R, T := e.p.RScore, e.p.T
 		eps := math.Sqrt(math.Log(2/delta) / (2 * float64(R)))
+		pos := make([]uint32, T*R)
 		// Two hubs, two web vertices, one whose walks die.
 		for _, v := range []uint32{5, 17, 35, 999, 1999} {
 			e.pushWalkDistInto(&exact, s, v, 0)
-			e.simulateCandWalks(s, v, R)
-			e.buildFullTally(s, v, R, e.p.RRough, R)
-			for step := 0; step < e.p.T; step++ {
-				lo, hi := s.tallyOff[step], s.tallyOff[step+1]
-				verts, counts := s.tallyV[lo:hi], s.tallyCnt[lo:hi]
+			resetWalks(pos[:R], v) // row 0: every walk starts at v
+			e.candWalks([]graph.WalkLane{{Start: v, Out: pos}}, 0, R, T-1, R)
+			for step := 0; step < T; step++ {
+				s.beginTally()
+				for _, w := range pos[step*R : (step+1)*R] {
+					if w != Dead {
+						s.tallyCount(w)
+					}
+				}
 				exact.forEach(step, func(w uint32, p float64) {
 					q := 0.0
-					if j, ok := slices.BinarySearch(verts, w); ok {
-						q = float64(counts[j]) / float64(R)
+					if s.mark[w] == s.epoch {
+						q = float64(s.cnt[w]) / float64(R)
 					}
 					cells++
 					d := math.Abs(p - q)
@@ -57,7 +63,7 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 						beyond++
 					}
 				})
-				for _, w := range verts {
+				for _, w := range s.touched {
 					if _, ok := exact.prob(step, w); !ok {
 						t.Fatalf("seed %d v=%d step %d: a walk at vertex %d, where the exact mass is zero", seed, v, step, w)
 					}
@@ -132,9 +138,8 @@ func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 			}
 			radius := B * math.Sqrt(math.Log(2/delta)/(2*float64(R)))
 			out := make([]ShardCand, len(plan.cands))
-			var st QueryStats
 			qs.slots.build(wd, qs.n)
-			e.scoreBlock(qs, plan.cands, out, &qs.slots, 0, &st)
+			e.scoreBlock(qs, plan.cands, out, &qs.slots, 0)
 			qs.slots.clear()
 			for _, c := range out {
 				if c.State != ShardScoredNoRough {

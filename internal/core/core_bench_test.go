@@ -97,10 +97,12 @@ func BenchmarkTopKLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKWarm is BenchmarkTopK with the query plans in the prolog
-// cache: what a popular vertex costs. With the tally cache off a query
-// still walks its candidates; with it warm a query is two cache reads and
-// a dot product per candidate.
+// BenchmarkTopKWarm is BenchmarkTopK's graph with the query's first step
+// cached: what a popular vertex costs. "prolog" is the Monte-Carlo path
+// with the query plans in the prolog cache, so a query still walks its
+// candidates; "rows" is the linear scorer with the rows in the row cache,
+// as simserver serves a repeated vertex, so a query is a cache read and a
+// top-k over the row.
 func BenchmarkTopKWarm(b *testing.B) {
 	e := bigBenchEngine(b)
 	n := uint32(e.Graph().N())
@@ -108,28 +110,28 @@ func BenchmarkTopKWarm(b *testing.B) {
 	for i := range us {
 		us[i] = uint32(i*7919+13) % n
 	}
-	defer func() { e.cache = nil }()
+	lp := DefaultParams()
+	lp.Strategy = CandidatesLinear
+	lp.CacheBytes = 64 << 20
+	rows := Build(e.Graph(), lp)
 	for _, tc := range []struct {
 		name  string
-		tally int64
-	}{{"tally=off", 0}, {"tally=warm", 64 << 20}} {
+		e     *Engine
+		stats func() CacheStats
+	}{{"prolog", e, e.PrologStats}, {"rows", rows, rows.CacheStats}} {
 		b.Run(tc.name, func(b *testing.B) {
-			e.cache = nil
-			if tc.tally > 0 {
-				e.cache = newClockCache[tally](int(n), tc.tally)
-			}
 			for _, u := range us {
-				e.TopK(u, 20)
+				tc.e.TopK(u, 20)
 			}
-			before := e.PrologStats()
+			before := tc.stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.TopK(us[i%len(us)], 20)
+				tc.e.TopK(us[i%len(us)], 20)
 			}
 			b.StopTimer()
-			if after := e.PrologStats(); after.Misses != before.Misses {
-				b.Fatalf("%d prolog misses during the warm loop", after.Misses-before.Misses)
+			if after := tc.stats(); after.Misses != before.Misses {
+				b.Fatalf("%d cache misses during the warm loop", after.Misses-before.Misses)
 			}
 		})
 	}
@@ -277,8 +279,8 @@ func BenchmarkWalkStep(b *testing.B) {
 // so a step is two dependent misses): one op is one candidate's RScore
 // walks, from one lane at a time and from the graph.MaxWalkLanes lanes
 // scoreLanes runs in lockstep, at 3 steps (the social workload's mean
-// horizon less one: how far the lane kernel walks) and at T−1 (how far
-// the tally cache walks).
+// horizon less one: how far the lane kernel walks) and at T−1 (a whole
+// walk).
 func BenchmarkCandWalks(b *testing.B) {
 	g := graph.PreferentialAttachment(100000, 10, 0.4, 1)
 	e := New(g, DefaultParams())
@@ -557,31 +559,6 @@ func BenchmarkTopKDuringRefresh(b *testing.B) {
 	churnDone.Wait()
 }
 
-// The serving-tuned engine: candidate scoring dominates the query (small
-// ball budget and a cheap u-side distribution), which is the regime batch
-// serving runs in and the one the tally cache targets. Per-query scoring
-// is sequential; concurrency comes from running whole queries in
-// parallel, as TopKBatch does.
-var (
-	servingOnce   sync.Once
-	servingEngine *Engine
-)
-
-func servingBenchEngine(b *testing.B) *Engine {
-	b.Helper()
-	servingOnce.Do(func() {
-		g := graph.CopyingModel(100000, 8, 0.3, 1)
-		p := DefaultParams()
-		p.Seed = 1
-		p.Workers = 4
-		p.Strategy = CandidatesHybrid
-		p.BallBudget = 2000
-		p.RAlpha = 2000
-		servingEngine = Build(g, p)
-	})
-	return servingEngine
-}
-
 // zipfStream returns a deterministic stream of count query vertices with
 // Zipf(s)-distributed popularity over n vertices. Popularity rank is
 // decorrelated from vertex id with a Fibonacci-hash permutation so hot
@@ -605,56 +582,52 @@ func zipfStream(n, count int, s float64, seed uint64) []uint32 {
 	return out
 }
 
-// BenchmarkTopKZipfThroughput measures batched serving throughput on a
-// Zipf(1.1) query stream, with and without the cross-query tally cache.
-// Both arms run the identical estimator on the identical engine (results
-// are byte-identical); the cache arm reports its steady-state hit rate.
+// BenchmarkTopKZipfThroughput measures the serving throughput of the
+// linear scorer, whole queries in parallel as TopKBatch runs them, on a
+// Zipf(1.1) stream over the 100k-vertex web graph, with and without the
+// row cache. Both arms return byte-identical results and are warmed once,
+// so they are measured at steady state; the cache arm reports its hit
+// rate.
 func BenchmarkTopKZipfThroughput(b *testing.B) {
-	e := servingBenchEngine(b)
-	stream := zipfStream(e.Graph().N(), 1<<14, 1.1, 42)
+	g := graph.CopyingModel(100000, 8, 0.3, 1)
+	stream := zipfStream(g.N(), 1<<14, 1.1, 42)
 	const warmup = 4096
-
-	run := func(b *testing.B, budget int64) {
-		if budget > 0 && e.cache == nil {
-			// The warm cache persists across benchmark invocations of this
-			// arm, so measurements are taken at steady state.
-			e.cache = newClockCache[tally](e.Graph().N(), budget)
-			for _, u := range stream[:warmup] {
-				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta); err != nil {
-					b.Fatal(err)
-				}
+	ctx := context.Background()
+	for _, budget := range []int64{0, 256 << 20} {
+		p := DefaultParams()
+		p.Strategy = CandidatesLinear
+		p.CacheBytes = budget
+		e := Build(g, p)
+		for _, u := range stream[:warmup] {
+			if _, _, err := e.search(ctx, u, 20, e.p.Theta); err != nil {
+				b.Fatal(err)
 			}
 		}
-		before := e.CacheStats()
-		var next atomic.Uint64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				u := stream[(next.Add(1)-1)%uint64(len(stream))]
-				if _, _, err := e.search(context.Background(), u, 20, e.p.Theta); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+		name := "cache=off"
 		if budget > 0 {
+			name = "cache=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			before := e.CacheStats()
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					u := stream[(next.Add(1)-1)%uint64(len(stream))]
+					if _, _, err := e.search(ctx, u, 20, e.p.Theta); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 			cs := e.CacheStats()
 			if tot := (cs.Hits - before.Hits) + (cs.Misses - before.Misses); tot > 0 {
 				b.ReportMetric(100*float64(cs.Hits-before.Hits)/float64(tot), "hit%")
 			}
-		}
+		})
 	}
-
-	b.Run("cache=off", func(b *testing.B) {
-		e.cache = nil
-		run(b, 0)
-	})
-	b.Run("cache=on", func(b *testing.B) {
-		run(b, 256<<20)
-	})
-	e.cache = nil
 }
 
 // BenchmarkDynamicSingleEdgeRefresh times one refresh after one edge

@@ -212,7 +212,7 @@ func (d *DynamicEngine) TopKCtx(ctx context.Context, u uint32, k int) ([]Scored,
 
 // TopKBatchCtx answers a slice of top-k queries against one consistent
 // snapshot (every query in the batch sees the same graph state), sharing
-// its tally cache across the batch.
+// its row cache across the batch.
 func (d *DynamicEngine) TopKBatchCtx(ctx context.Context, us []uint32, k int) ([][]Scored, []QueryStats, error) {
 	s, err := d.snapshot(ctx)
 	if err != nil {
@@ -221,7 +221,7 @@ func (d *DynamicEngine) TopKBatchCtx(ctx context.Context, us []uint32, k int) ([
 	return s.TopKBatchCtx(ctx, us, k)
 }
 
-// CacheStats reports the current snapshot's tally-cache counters (zero
+// CacheStats reports the current snapshot's row-cache counters (zero
 // when no snapshot is published yet or the cache is disabled). A refresh
 // publishes a snapshot with empty caches, so counters and contents start
 // over.

@@ -84,12 +84,11 @@ func (e *Snapshot) pairSeed(u, v uint32) uint64 {
 // candSeed derives the per-candidate scoring seed for candidate v, from
 // which each of its walks gets a stream of its own (walkSeed). Seeding
 // per vertex (not per query or per (u,v) pair) makes the candidate's
-// walks — and therefore its step-t position tally — a pure function of
-// the snapshot, which is what lets the tally cache (cache.go) share one
-// simulation across every query that scores v. The seed stays
-// independent of evaluation order and Params.Workers, and saltScore keeps
-// the streams disjoint from the index preprocess's (saltIndex) and from
-// pairSeed's unsalted streams.
+// walks — and therefore its score against a query side — a pure function
+// of the snapshot, whichever shard, lane or block scores it. The seed
+// stays independent of evaluation order and Params.Workers, and saltScore
+// keeps the streams disjoint from the index preprocess's (saltIndex) and
+// from pairSeed's unsalted streams.
 func (e *Snapshot) candSeed(v uint32) uint64 {
 	return e.p.Seed ^ saltScore ^ rng.Mix(uint64(v))
 }
@@ -97,8 +96,8 @@ func (e *Snapshot) candSeed(v uint32) uint64 {
 // walkSeed is the seed of walk i of the candidate whose seed is cand
 // (candSeed). One stream per walk makes a walk's first s steps the same
 // however far it runs, so a query walks only the steps its horizon reads
-// (candWalks) and the tally cache's full-length walks still agree with
-// them position for position.
+// (candWalks), and the rough pass's walks are the first RRough of the
+// refined estimate's.
 func walkSeed(cand uint64, i int) uint64 {
 	return rng.Mix(cand + uint64(i))
 }

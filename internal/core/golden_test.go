@@ -16,7 +16,7 @@ import (
 // deterministic draw schema: one bounded-uniform draw (Lemire
 // multiply-shift with bounded rejection) per live walk per step, consumed
 // identically on the alias fast path and the uniform fallback. Any change
-// to the walk kernel, the alias tables, the rng, or the tally pipeline
+// to the walk kernel, the alias tables, the rng, or the scoring pipeline
 // that shifts a single draw — or a single floating-point accumulation —
 // fails this test. Regenerate (deliberately!) with:
 //
@@ -34,7 +34,7 @@ type goldenRecord struct {
 	Verts  []uint32 `json:"verts,omitempty"`
 }
 
-func goldenCorpus() []goldenRecord {
+func goldenCorpus(t *testing.T) []goldenRecord {
 	var out []goldenRecord
 	add := func(name string, res []Scored) {
 		rec := goldenRecord{Case: name}
@@ -64,9 +64,9 @@ func goldenCorpus() []goldenRecord {
 		addVal("copying/pairR/2-0", e.SinglePairR(2, 0, 200))
 	}
 
-	// Corpus B: collaboration communities, hybrid candidates, tally cache
-	// enabled (cache on/off must be byte-identical, so these goldens also
-	// pin the cached path).
+	// Corpus B: collaboration communities, hybrid candidates, each query
+	// asked twice: the repeat takes its plan from the prolog cache, so
+	// these goldens also pin the cached plan.
 	{
 		g := graph.Collaboration(400, 5, 0.8, 40, 7)
 		p := DefaultParams()
@@ -74,12 +74,14 @@ func goldenCorpus() []goldenRecord {
 		p.Workers = 2
 		p.Strategy = CandidatesHybrid
 		p.RAlpha = 1000
-		p.CacheBytes = 4 << 20
 		e := Build(g, p)
 		for _, u := range []uint32{0, 3, 77, 500} {
 			add(fmt.Sprintf("collab/topk/u=%d", u), e.TopK(u, 10))
-			// Repeat: the second pass serves from the cache.
+			hits := e.PrologStats().Hits
 			add(fmt.Sprintf("collab/topk-cached/u=%d", u), e.TopK(u, 10))
+			if e.PrologStats().Hits != hits+1 {
+				t.Fatalf("collab u=%d: the repeat missed the prolog cache: %+v", u, e.PrologStats())
+			}
 		}
 	}
 
@@ -120,7 +122,7 @@ func TestGoldenQueryCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus builds several engines")
 	}
-	got := goldenCorpus()
+	got := goldenCorpus(t)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
 			t.Fatal(err)

@@ -27,16 +27,13 @@ import (
 var hotpathKernels = []string{
 	"core.backwardInto",
 	"core.build",
-	"core.buildFullTally",
 	"core.cachedPlan",
 	"core.candWalks",
 	"core.clear",
 	"core.dotPositions",
-	"core.dotTally",
 	"core.get",
 	"core.pushWalkDistInto",
 	"core.scoreLanes",
-	"core.simulateCandWalks",
 	"graph.StepWalks",
 	"graph.WalkLanes",
 	"graph.drawLaneSlots",
@@ -55,7 +52,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 
-	R, Rr, T := e.p.RScore, e.p.RRough, e.p.T
+	R, T := e.p.RScore, e.p.T
 	u, v := uint32(1), uint32(3)
 	var sink float64
 
@@ -76,11 +73,6 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		for t := 1; t < T; t++ {
 			e.wt.StepWalks(&s.rng, pos, lane)
 		}
-	})
-
-	check("simulateCandWalks+buildFullTally", 20, func() {
-		e.simulateCandWalks(s, v, R)
-		e.buildFullTally(s, v, R, Rr, R)
 	})
 
 	// The push, from a vertex it pushes whole (500: a few hundred
@@ -118,12 +110,10 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	if laneFit(T, R, graph.MaxWalkLanes) != graph.MaxWalkLanes {
 		t.Fatalf("a block of %d is not ragged at the lane width", len(block))
 	}
-	pend := make([]int32, len(block))
 	for j := range block {
 		block[j].v = uint32(2 + 5*j)
 	}
 	scores := make([]ShardCand, len(block))
-	var stats QueryStats
 	for _, h := range []int{T, 4, 1} {
 		e.pushWalkDistInto(&wd, s, u, 0)
 		wd.trim(h)
@@ -137,38 +127,26 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		for _, floor := range []float64{0, 2} {
 			s.slots.build(&wd, s.n)
 			check(fmt.Sprintf("scoreLanes h=%d", h), 20, func() {
-				for j := range pend {
-					pend[j] = int32(j)
+				for j := range scores {
 					scores[j] = ShardCand{V: block[j].v}
 				}
-				e.scoreLanes(s, &s.slots, scores, pend, floor)
+				e.scoreLanes(s, &s.slots, scores, floor)
 				sink += scores[0].Rough
 			})
 			// The dispatcher above it must add nothing.
 			check(fmt.Sprintf("scoreBlock h=%d", h), 20, func() {
-				e.scoreBlock(s, block, scores, &s.slots, floor, &stats)
+				e.scoreBlock(s, block, scores, &s.slots, floor)
 				sink += scores[0].Rough
 			})
 			s.slots.clear()
 		}
 	}
-	// The tally kernels score against the whole distribution.
-	e.walkDistInto(&wd, s, u)
-	e.simulateCandWalks(s, v, R)
-	rsteps := e.buildFullTally(s, v, R, Rr, R)
-	invR := 1 / float64(R)
-	s.slots.build(&wd, s.n)
-	check("dotTally", 100, func() {
-		sink += e.dotTally(&s.slots, s.tallyOff, s.tallyV, s.tallyCnt, invR, T)
-	})
-	s.slots.clear()
-
 	// The cache hit path.
-	c := newClockCache[tally](g.N(), 1<<20)
-	c.put(newTallyEntry(v, rsteps, s))
+	c := newClockCache[[]boundedCand](g.N(), 1<<20)
+	c.put(newRowEntry(v, block))
 	check("clockCache.get", 100, func() {
 		if ent := c.get(v); ent != nil {
-			sink += float64(ent.val.rsteps)
+			sink += ent.val[0].ub
 		}
 	})
 
@@ -236,10 +214,11 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		sw.slots.build(&sw.wd, sw.n)
 		sw.slots.clear()
 	})
-	ew.simulateCandWalks(sw, vw, R)
+	wpos := make([]uint32, T*R)
+	ew.candWalks([]graph.WalkLane{{Start: vw, Out: wpos}}, 0, R, T-1, R)
 	sw.slots.build(&sw.wd, sw.n)
 	check("dotPositions (wide steps)", 100, func() {
-		sink += ew.dotPositions(sw, &sw.slots, vw, sw.tpos, R, R, invR)
+		sink += ew.dotPositions(sw, &sw.slots, vw, wpos, R, R, 1/float64(R))
 	})
 	sw.slots.clear()
 

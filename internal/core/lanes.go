@@ -7,20 +7,18 @@ import (
 )
 
 // This file scores one block of bound-ordered candidates. scoreBlock is
-// the dispatcher every scan mode calls; scoreLanes is the kernel for
-// candidates that need walks and have no tally cache to publish them to.
+// the entry every scan mode calls; scoreLanes is the one kernel for
+// candidates that need walks.
 //
-// Without the cache nobody needs the sorted per-step tally the cached
-// path builds (tally.go): a score is Σ_t cᵗ Σ_w p̂_u,t(w)·D_ww·count(w)/R,
-// and only positions inside the query-side support contribute. So
-// scoreLanes (1) advances up to graph.MaxWalkLanes candidates' walks in
-// lockstep (candWalks) — each walk on its own stream, so every position
-// is the cached path's while the lanes' cache misses overlap — and only
-// up to the query's horizon, the last step a score reads; and (2) looks
-// every position up in the query side's slot index directly, counting
-// hits per support index (dotPositions). The rough pass runs for the whole
-// section first; survivors are repacked into full lanes next to their
-// rough columns and walk the rest of their RScore walks.
+// A score is Σ_t cᵗ Σ_w p̂_u,t(w)·D_ww·count(w)/R, and only positions
+// inside the query-side support contribute. So scoreLanes (1) advances up
+// to graph.MaxWalkLanes candidates' walks in lockstep (candWalks) — each
+// walk on its own stream, so lane neighbours cannot change a position —
+// and only up to the query's horizon, the last step a score reads; and
+// (2) looks every position up in the query side's slot index directly,
+// counting hits per support index (dotPositions). The rough pass runs for
+// the whole section first; survivors are repacked into full lanes next to
+// their rough columns and walk the rest of their RScore walks.
 
 // lanePosBytes bounds each of a scratch's two lane position buffers (the
 // rough columns of a section, and the full matrices of one lane group).
@@ -37,44 +35,32 @@ func laneFit(T, cols, most int) int {
 // scoreBlock scores one block of a scan at a fixed pruning floor against
 // the query side x indexes: out[j] becomes the outcome of block[j] —
 // vertex, bound (clamped, see ShardCand), state and the estimates the
-// state says are valid — and the tally cache's part in it is added to
-// stats. Candidates the tally cache can answer are scored one by one
-// (scoreCandidate); the rest are collected and go through the lane kernel
-// together. Each candidate's walks come from its own vertex-seeded streams
-// (candSeed), so its lane neighbours cannot change its score. The caller
-// builds x once for its whole scan (search, shardScan). A linear plan's
-// bound is its candidate's score, so its block is scored already: every
-// outcome is ShardScoredNoRough at Score = ub, and x is not read.
-func (e *Snapshot) scoreBlock(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64, stats *QueryStats) {
+// state says are valid. The caller builds x once for its whole scan
+// (search, shardScan). A linear plan's bound is its candidate's score, so
+// its block is scored already: every outcome is ShardScoredNoRough at
+// Score = ub, and x is not read. A Monte-Carlo block goes whole to the
+// lane kernel.
+func (e *Snapshot) scoreBlock(s *scratch, block []boundedCand, out []ShardCand, x *slotIndex, floor float64) {
 	if e.p.Strategy == CandidatesLinear {
 		for j, b := range block {
 			out[j] = ShardCand{V: b.v, UB: clampUB(b.ub), State: ShardScoredNoRough, Score: b.ub}
 		}
 		return
 	}
-	pend := s.pend[:0]
 	for j, b := range block {
 		out[j] = ShardCand{V: b.v, UB: clampUB(b.ub)}
-		if !e.scoreCandidate(s, x, &out[j], floor, stats) {
-			pend = append(pend, int32(j))
-		}
 	}
-	s.pend = pend
-	if len(pend) > 0 {
-		e.scoreLanes(s, x, out, pend, floor)
-	}
+	e.scoreLanes(s, x, out, floor)
 }
 
-// scoreLanes completes out[j] for every j in pend with the sampled,
-// uncached estimate of out[j].V: the rough RRough-walk estimate, the
-// roughPruned verdict on it, and for survivors the full RScore-walk
-// estimate — the values the cached path computes from the same walks
-// (see dotPositions for why no bit differs). The walks stop after h − 1
+// scoreLanes completes every out[j] with the sampled estimate of out[j].V:
+// the rough RRough-walk estimate, the roughPruned verdict on it, and for
+// survivors the full RScore-walk estimate. The walks stop after h − 1
 // steps, h the query side's number of nonempty steps: dotPositions stops
 // at step h, and the rows past it are never read. At h = 1 nothing walks.
 //
-//lint:hotpath uncached block scoring kernel: all candidate walks and their scoring
-func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []int32, floor float64) {
+//lint:hotpath block scoring kernel: all candidate walks and their scoring
+func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, floor float64) {
 	T, R, Rr := e.p.T, e.p.RScore, e.p.RRough
 	invR, invRr := 1/float64(R), 1/float64(Rr)
 	steps := max(x.wd.steps(), 1) - 1
@@ -91,12 +77,16 @@ func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []
 	if e.p.DisableAdaptive {
 		from = 0
 	}
-	for len(pend) > 0 {
-		sec := pend[:min(section, len(pend))]
-		pend = pend[len(sec):]
-		for i, j := range sec {
-			rough[i].Start = out[j].V
-			out[j].State = ShardScoredNoRough
+	// live lists the section's candidates still to refine, by index into
+	// sec, in the order of their lanes.
+	var live [scoreBlock]int
+	for len(out) > 0 {
+		sec := out[:min(section, len(out))]
+		out = out[len(sec):]
+		for i := range sec {
+			rough[i].Start = sec[i].V
+			sec[i].State = ShardScoredNoRough
+			live[i] = i
 		}
 		alive := len(sec)
 		if from > 0 {
@@ -107,16 +97,16 @@ func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []
 			}
 			// Survivors move to the front with their columns.
 			alive = 0
-			for i, j := range sec {
+			for i := range sec {
 				est := e.dotPositions(s, x, rough[i].Start, rough[i].Out, Rr, Rr, invRr)
-				out[j].Rough = est
+				sec[i].Rough = est
 				if roughPruned(est, floor) {
-					out[j].State = ShardRoughPruned
+					sec[i].State = ShardRoughPruned
 					continue
 				}
-				out[j].State = ShardScored
+				sec[i].State = ShardScored
 				rough[alive], rough[i] = rough[i], rough[alive]
-				sec[alive] = j
+				live[alive] = i
 				alive++
 			}
 		}
@@ -133,7 +123,7 @@ func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []
 			}
 			e.candWalks(full[:g], from, R, steps, R)
 			for l := 0; l < g; l++ {
-				out[sec[lo+l]].Score = e.dotPositions(s, x, full[l].Start, full[l].Out, R, R, invR)
+				sec[live[lo+l]].Score = e.dotPositions(s, x, full[l].Start, full[l].Out, R, R, invR)
 			}
 		}
 	}
@@ -144,8 +134,7 @@ func (e *Snapshot) scoreLanes(s *scratch, x *slotIndex, out []ShardCand, pend []
 // matrices (row t at Out[t*stride:], one column per walk; row 0 is not
 // written). Walk i of candidate v draws from a stream of its own, seeded
 // walkSeed(candSeed(v), i), so its first s steps are the same however
-// many it runs: the lane kernel stops at the query's horizon and the
-// tally cache walks all T−1 steps, over the same walks. Each lane is
+// many it runs: the lane kernel stops at the query's horizon. Each lane is
 // re-seeded before each walk, and the walks of a group step in lockstep
 // (graph.WalkTable.WalkLanes).
 //
@@ -172,19 +161,15 @@ func (e *Snapshot) candWalks(lanes []graph.WalkLane, lo, hi, steps, stride int) 
 // walk's death; row 0 is implicit — every walk starts at v), and invR is
 // 1/cols.
 //
-// It returns bit for bit what dotTally returns for the sorted tally of
-// the same positions. dotTally walks each step's distinct positions in
-// ascending vertex order and adds ct·D_ww·mass·count·invR for those the
-// query-side support contains, skipping the rest. Here every position is
-// probed in x, hits are counted per support index, and the indices are
-// swept in ascending order — which is ascending vertex order, because a
-// step's support is stored ascending — so the same terms, with the same
-// counts, are added in the same order by the same expression; a position
-// outside the support adds nothing in either. Both stop at the first
-// step where the query side or the candidate side has nothing left.
-// Counts are uint32, so RScore is not bounded by the cache's uint16.
+// Every position is probed in x, hits are counted per support index, and
+// the indices are swept in ascending order — which is ascending vertex
+// order, because a step's support is stored ascending — so each step adds
+// ct·D_ww·mass·count·invR over the support vertices the candidate's walks
+// reached, in vertex order; a position outside the support adds nothing.
+// The sum stops at the first step where the query side or the candidate
+// side has nothing left.
 //
-//lint:hotpath position-first scoring dot product, twice per surviving uncached candidate
+//lint:hotpath position-first scoring dot product, twice per surviving candidate
 func (e *Snapshot) dotPositions(s *scratch, x *slotIndex, v uint32, pos []uint32, stride, cols int, invR float64) float64 {
 	wd, uid := x.wd, x.uid
 	if wd.support(0) == 0 {

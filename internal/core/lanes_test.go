@@ -41,11 +41,10 @@ func sameOutcome(a, b ShardCand) bool {
 // scoreBlockOf runs scoreBlock into a fresh outcome slice, against wd's
 // slot index built on qs.
 func scoreBlockOf(e *Snapshot, qs *scratch, block []boundedCand, wd *walkDist, floor float64) []ShardCand {
-	var stats QueryStats
 	out := make([]ShardCand, len(block))
 	qs.slots.build(wd, qs.n)
 	defer qs.slots.clear()
-	e.scoreBlock(qs, block, out, &qs.slots, floor, &stats)
+	e.scoreBlock(qs, block, out, &qs.slots, floor)
 	return out
 }
 
@@ -105,13 +104,12 @@ func refSearch(e *Snapshot, s *scratch, q refQuery, k int, theta float64) ([]Sco
 
 // TestLaneKernelMatchesReference drives every way a block reaches the
 // lane kernel — adaptive, DisableAdaptive, and a web graph's query sides,
-// pushed whole and held back — through search and the shard scan, cache
-// off and on, and requires results, pruning counts and every fragment
-// entry to carry the reference's bits; 2- and 3-shard merges must replay
-// to the same.
+// pushed whole and held back — through search and the shard scan, and
+// requires results, pruning counts and every fragment entry to carry the
+// reference's bits; 2- and 3-shard merges must replay to the same.
 func TestLaneKernelMatchesReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds six engines")
+		t.Skip("builds three engines")
 	}
 	wide := graph.PreferentialAttachment(5000, 10, 0.4, 3)
 	narrow := graph.CopyingModel(2000, 5, 0.3, 21)
@@ -129,70 +127,67 @@ func TestLaneKernelMatchesReference(t *testing.T) {
 		// out before its horizon.
 		{"web", narrow, []uint32{35, 17, 0, 81}, func(p *Params) {}},
 	} {
-		for _, cacheBytes := range []int64{0, 64 << 20} {
-			p := DefaultParams()
-			p.Seed = 9
-			p.CacheBytes = cacheBytes
-			p.PrologBytes = -1
-			tc.tune(&p)
-			e := Build(tc.g, p).Snapshot
-			theta, n := e.p.Theta, uint32(tc.g.N())
-			switch tc.name {
-			case "web":
-				requireAllClasses(t, tc.name, e, tc.queries)
-			case "adaptive", "noadapt":
-				// A wide step inside one query's distribution.
-				requireWideStep(t, tc.name, e, tc.queries)
+		p := DefaultParams()
+		p.Seed = 9
+		p.PrologBytes = -1
+		tc.tune(&p)
+		e := Build(tc.g, p).Snapshot
+		theta, n := e.p.Theta, uint32(tc.g.N())
+		switch tc.name {
+		case "web":
+			requireAllClasses(t, tc.name, e, tc.queries)
+		case "adaptive", "noadapt":
+			// A wide step inside one query's distribution.
+			requireWideStep(t, tc.name, e, tc.queries)
+		}
+		for _, u := range tc.queries {
+			label := fmt.Sprintf("%s u=%d", tc.name, u)
+			qs := e.getScratch()
+			q := newRefQuery(e, qs, u)
+			want, wantStats := refSearch(e, qs, q, 20, theta)
+			got, stats, err := e.search(ctx, u, 20, theta)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, u := range tc.queries {
-				label := fmt.Sprintf("%s cache=%d u=%d", tc.name, cacheBytes, u)
-				qs := e.getScratch()
-				q := newRefQuery(e, qs, u)
-				want, wantStats := refSearch(e, qs, q, 20, theta)
-				got, stats, err := e.search(ctx, u, 20, theta)
-				if err != nil {
-					t.Fatal(err)
+			sameResults(t, label, got, want)
+			if scanStats(stats) != wantStats {
+				t.Fatalf("%s: stats %+v, reference %+v", label, scanStats(stats), wantStats)
+			}
+			// Shard fragments are scored at the fixed floor theta.
+			ref := map[uint32]ShardCand{}
+			for _, b := range q.bs {
+				if b.ub >= theta {
+					ref[b.v] = refCandScore(e, qs, q.rd, b.v, theta)
 				}
-				sameResults(t, label, got, want)
-				if scanStats(stats) != wantStats {
-					t.Fatalf("%s: stats %+v, reference %+v", label, scanStats(stats), wantStats)
-				}
-				// Shard fragments are scored at the fixed floor theta.
-				ref := map[uint32]ShardCand{}
-				for _, b := range q.bs {
-					if b.ub >= theta {
-						ref[b.v] = refCandScore(e, qs, q.rd, b.v, theta)
+			}
+			for shards := uint32(1); shards <= 3; shards++ {
+				frags := make([][]ShardCand, shards)
+				for i := range frags {
+					var err error
+					frags[i], _, err = e.shardScan(ctx, u, theta, uint32(i)*n/shards, uint32(i+1)*n/shards, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				for shards := uint32(1); shards <= 3; shards++ {
-					frags := make([][]ShardCand, shards)
-					for i := range frags {
-						var err error
-						frags[i], _, err = e.shardScan(ctx, u, theta, uint32(i)*n/shards, uint32(i+1)*n/shards, nil)
-						if err != nil {
-							t.Fatal(err)
+					for _, c := range frags[i] {
+						want, scored := ref[c.V]
+						if c.State == ShardUnscored {
+							if scored {
+								t.Fatalf("%s shards=%d v=%d: unscored with bound above theta", label, shards, c.V)
+							}
+							continue
 						}
-						for _, c := range frags[i] {
-							want, scored := ref[c.V]
-							if c.State == ShardUnscored {
-								if scored {
-									t.Fatalf("%s shards=%d v=%d: unscored with bound above theta", label, shards, c.V)
-								}
-								continue
-							}
-							if !scored || !sameOutcome(c, want) {
-								t.Fatalf("%s shards=%d v=%d: fragment entry %+v, reference %+v", label, shards, c.V, c, want)
-							}
+						if !scored || !sameOutcome(c, want) {
+							t.Fatalf("%s shards=%d v=%d: fragment entry %+v, reference %+v", label, shards, c.V, c, want)
 						}
 					}
-					got, stats := MergeShardTopKScratch(20, theta, frags, nil)
-					sameResults(t, fmt.Sprintf("%s shards=%d", label, shards), got, want)
-					if stats != wantStats {
-						t.Fatalf("%s shards=%d: merged stats %+v, reference %+v", label, shards, stats, wantStats)
-					}
 				}
-				e.putScratch(qs)
+				got, stats := MergeShardTopKScratch(20, theta, frags, nil)
+				sameResults(t, fmt.Sprintf("%s shards=%d", label, shards), got, want)
+				if stats != wantStats {
+					t.Fatalf("%s shards=%d: merged stats %+v, reference %+v", label, shards, stats, wantStats)
+				}
 			}
+			e.putScratch(qs)
 		}
 	}
 }
@@ -268,8 +263,7 @@ func TestScoreBlockShapes(t *testing.T) {
 
 // TestLaneBudget pins the lane memory bound: a scratch never holds more
 // than lanePosBytes of positions per buffer once a single matrix fits,
-// and exactly one matrix when it does not — where RScore beyond the
-// uint16 tally range now runs, through the same kernel.
+// and exactly one matrix when it does not.
 func TestLaneBudget(t *testing.T) {
 	for _, tc := range []struct{ T, cols, most, want int }{
 		{11, 100, graph.MaxWalkLanes, graph.MaxWalkLanes}, // the defaults: 32 full candidate lanes
@@ -286,48 +280,5 @@ func TestLaneBudget(t *testing.T) {
 		if got > 1 && got*4*tc.T*tc.cols > lanePosBytes {
 			t.Errorf("laneFit(%d, %d, %d) = %d lanes exceed the budget", tc.T, tc.cols, tc.most, got)
 		}
-	}
-
-	// RScore past 65535: one lane, uint32 hit counts, and the adaptive
-	// prefix property still holds — the rough estimate is the first
-	// RRough walks of the same stream.
-	g := graph.CopyingModel(300, 4, 0.3, 5)
-	p := DefaultParams()
-	p.Seed = 3
-	p.Workers = 1
-	p.RScore = maxTallyCount + 500
-	p.RAlpha = 500
-	p.CacheBytes = 1 << 20 // ignored: the tally cache counts in uint16
-	e := Build(g, p).Snapshot
-	if e.cache != nil {
-		t.Fatal("tally cache enabled beyond its uint16 range")
-	}
-	small := p
-	small.RScore = p.RRough
-	es := Build(g, small).Snapshot
-	qs, ss := e.getScratch(), es.getScratch()
-	defer e.putScratch(qs)
-	defer es.putScratch(ss)
-	q := newRefQuery(e, qs, 7)
-	if len(q.bs) == 0 {
-		t.Fatal("no candidates")
-	}
-	q.bs = q.bs[:min(len(q.bs), 6)]
-	big := scoreBlockOf(e, qs, q.bs, q.wd, 0)
-	prefix := scoreBlockOf(es, ss, q.bs, q.wd, 0)
-	positive := 0
-	for j := range big {
-		if big[j].State != ShardScored || math.Float64bits(big[j].Rough) != math.Float64bits(prefix[j].Score) {
-			t.Fatalf("v=%d: %+v at RScore=%d, rough-only run scored %x", q.bs[j].v, big[j], p.RScore, math.Float64bits(prefix[j].Score))
-		}
-		if big[j].Score > 0 {
-			positive++
-		}
-	}
-	if positive == 0 {
-		t.Fatal("every wide estimate is zero")
-	}
-	if len(qs.fullLanes) != 1 {
-		t.Fatalf("%d full lanes at RScore=%d, want 1", len(qs.fullLanes), p.RScore)
 	}
 }

@@ -116,15 +116,14 @@ type Params struct {
 	// (one entry per vertex). When nil the paper's approximation
 	// D = (1−c)·I is used.
 	D []float64
-	// CacheBytes bounds the per-snapshot cross-query cache; 0 disables it.
-	// Under the Monte-Carlo strategies it holds candidate tallies keyed by
-	// candidate (tally.go): candidate walks are seeded per vertex, so a
-	// tally serves every query that scores its vertex. Under
-	// CandidatesLinear it holds query rows keyed by query vertex, each at
-	// the serving Theta (linear.go). Either way an entry is a pure function
-	// of the snapshot and its vertex, so the cache changes which work is
-	// re-done, never the results: query output is byte-identical with the
-	// cache on or off.
+	// CacheBytes bounds the per-snapshot row cache of CandidatesLinear; 0
+	// disables it. It holds query rows keyed by query vertex, each at the
+	// serving Theta (linear.go). An entry is a pure function of the
+	// snapshot and its vertex, so the cache changes which work is re-done,
+	// never the results: query output is byte-identical with the cache on
+	// or off. The Monte-Carlo strategies have no such cache, and under them
+	// CacheBytes bounds nothing, as PrologBytes bounds nothing under
+	// CandidatesLinear.
 	CacheBytes int64
 	// PrologBytes bounds the per-snapshot cache of query plans — query-side
 	// walk distribution plus bound-sorted candidate list (prolog.go).
@@ -179,7 +178,7 @@ func (p Params) normalized() Params {
 	}
 	if p.RRough > p.RScore {
 		// The rough pass is served as a prefix of the refined walk
-		// stream (tally.go), so it can never use more walks than the
+		// stream (scoreLanes), so it can never use more walks than the
 		// refined estimate.
 		p.RRough = p.RScore
 	}

@@ -45,7 +45,6 @@ func observePlan(t *testing.T, e *Snapshot, u uint32) planObs {
 	n := uint32(e.g.N())
 	var o planObs
 	o.TopK, o.TopKStats = e.TopKStats(u, planK)
-	o.TopKStats = dropCache(o.TopKStats)
 	if got := e.TopK(u, planK); !slices.Equal(got, o.TopK) {
 		t.Fatalf("u=%d: TopK %v, TopKStats %v", u, got, o.TopK)
 	}
@@ -58,7 +57,7 @@ func observePlan(t *testing.T, e *Snapshot, u uint32) planObs {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frags[i], stats[i] = f, dropCache(st)
+			frags[i], stats[i] = f, st
 		}
 		res, st := MergeShardTopKScratch(planK, e.p.Theta, frags, nil)
 		o.Frags = append(o.Frags, frags)
@@ -73,7 +72,7 @@ func observePlan(t *testing.T, e *Snapshot, u uint32) planObs {
 			t.Fatal(err)
 		}
 		thr[i] = f
-		o.ThrStats = append(o.ThrStats, dropCache(st))
+		o.ThrStats = append(o.ThrStats, st)
 	}
 	o.ThrMerged, _ = MergeShardTopKScratch(0, planTheta, thr, nil)
 	return o
@@ -87,9 +86,6 @@ func observeAll(t *testing.T, e *Snapshot, us []uint32) ([]planObs, [][]Scored, 
 		obs[i] = observePlan(t, e, u)
 	}
 	res, sts := e.TopKBatch(us, planK)
-	for i := range sts {
-		sts[i] = dropCache(sts[i])
-	}
 	return obs, res, sts
 }
 
@@ -119,20 +115,20 @@ func planVariants() map[string]func(*Params) {
 
 // TestPlanCacheInvisible is the table: every scan mode × prolog cache
 // {off, cold, warm, churning under a budget of a few entries} × 1/2/3
-// workers × tally cache off/on × the parameters a plan depends on.
+// workers × the parameters a plan depends on.
 func TestPlanCacheInvisible(t *testing.T) {
 	g := graph.CopyingModel(900, 6, 0.3, 13)
 	us := []uint32{0, 5, 41, 41, 300, 50, 899, 5}
 	for name, vary := range planVariants() {
 		t.Run(name, func(t *testing.T) {
-			build := func(prolog, tally int64, workers int) *Engine {
+			build := func(prolog int64, workers int) *Engine {
 				p := DefaultParams()
 				p.Seed = 29
-				p.PrologBytes, p.CacheBytes, p.Workers = prolog, tally, workers
+				p.PrologBytes, p.Workers = prolog, workers
 				vary(&p)
 				return Build(g, p)
 			}
-			ref := build(-1, 0, 1).Snapshot
+			ref := build(-1, 1).Snapshot
 			requireWideStep(t, name, ref, us)
 			requireAllClasses(t, name, ref, us)
 			want, wantB, wantS := observeAll(t, ref, us)
@@ -144,33 +140,31 @@ func TestPlanCacheInvisible(t *testing.T) {
 				t.Fatalf("reference scans only %d candidates", scanned)
 			}
 			for _, workers := range []int{1, 2, 3} {
-				for _, tally := range []int64{0, 1 << 22} {
-					label := fmt.Sprintf("workers=%d tally=%d", workers, tally)
-					off := build(-1, tally, workers)
-					got, gotB, gotS := observeAll(t, off.Snapshot, us)
-					samePlanObs(t, label+" prolog off", us, got, want, gotB, wantB, gotS, wantS)
+				label := fmt.Sprintf("workers=%d", workers)
+				off := build(-1, workers)
+				got, gotB, gotS := observeAll(t, off.Snapshot, us)
+				samePlanObs(t, label+" prolog off", us, got, want, gotB, wantB, gotS, wantS)
 
-					on := build(1<<24, tally, workers)
-					for _, pass := range []string{"cold", "warm"} {
-						got, gotB, gotS = observeAll(t, on.Snapshot, us)
-						samePlanObs(t, label+" prolog "+pass, us, got, want, gotB, wantB, gotS, wantS)
-					}
-					// Six distinct vertices, whatever builds their distribution.
-					ps := on.PrologStats()
-					if ps.Hits < 10*ps.Misses || ps.Evictions != 0 || ps.Rejected != 0 || ps.Misses != 6 || ps.BuiltPushed+ps.BuiltEmpty != 6 {
-						t.Fatalf("%s: ample prolog cache %+v", label, ps)
-					}
+				on := build(1<<24, workers)
+				for _, pass := range []string{"cold", "warm"} {
+					got, gotB, gotS = observeAll(t, on.Snapshot, us)
+					samePlanObs(t, label+" prolog "+pass, us, got, want, gotB, wantB, gotS, wantS)
+				}
+				// Six distinct vertices, whatever builds their distribution.
+				ps := on.PrologStats()
+				if ps.Hits < 10*ps.Misses || ps.Evictions != 0 || ps.Rejected != 0 || ps.Misses != 6 || ps.BuiltPushed+ps.BuiltEmpty != 6 {
+					t.Fatalf("%s: ample prolog cache %+v", label, ps)
+				}
 
-					tiny := build(churnBudget(on.Snapshot), tally, workers)
-					for pass := 0; pass < 2; pass++ {
-						got, gotB, gotS = observeAll(t, tiny.Snapshot, us)
-						samePlanObs(t, label+" prolog churning", us, got, want, gotB, wantB, gotS, wantS)
-					}
-					// (Two of a batch's concurrent inserts may not fit this
-					// budget together; refusing one is the rule.)
-					if ps := tiny.PrologStats(); ps.Evictions == 0 || ps.BytesInUse > ps.BudgetBytes {
-						t.Fatalf("%s: tiny prolog cache never churned or overran: %+v", label, ps)
-					}
+				tiny := build(churnBudget(on.Snapshot), workers)
+				for pass := 0; pass < 2; pass++ {
+					got, gotB, gotS = observeAll(t, tiny.Snapshot, us)
+					samePlanObs(t, label+" prolog churning", us, got, want, gotB, wantB, gotS, wantS)
+				}
+				// (Two of a batch's concurrent inserts may not fit this
+				// budget together; refusing one is the rule.)
+				if ps := tiny.PrologStats(); ps.Evictions == 0 || ps.BytesInUse > ps.BudgetBytes {
+					t.Fatalf("%s: tiny prolog cache never churned or overran: %+v", label, ps)
 				}
 			}
 		})
@@ -207,7 +201,6 @@ func TestCachedPlanImmutable(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 29
 	p.Workers = 2
-	p.CacheBytes = 1 << 22
 	p.Strategy = CandidatesHybrid
 	e := Build(g, p)
 	ctx := context.Background()
@@ -268,7 +261,6 @@ func TestPlanConcurrentScanModes(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 29
 	p.Workers = 2
-	p.CacheBytes = 1 << 22
 	p.PrologBytes = -1
 	us := []uint32{41, 300, 450, 5}
 	ref := Build(g, p)

@@ -387,15 +387,15 @@ func TestPrologEntryLookupMatchesOriginal(t *testing.T) {
 // (over a megabyte for a wide prolog) reachable outside the byte budget.
 func TestEvictedEntriesUnreachableFromRings(t *testing.T) {
 	const n = 4096
-	c := newClockCache[tally](n, 1<<30)
+	c := newClockCache[[]boundedCand](n, 1<<30)
 	for v := uint32(0); v < n/2; v++ {
-		c.put(&tallyEntry{key: v, size: 100})
+		c.put(&rowEntry{key: v, size: 100})
 	}
 	// Shrink the budget to one entry: every further insert sweeps the
 	// rings until only itself fits.
 	c.maxBytes = 100
 	for v := uint32(n / 2); v < n; v++ {
-		c.put(&tallyEntry{key: v, size: 100})
+		c.put(&rowEntry{key: v, size: 100})
 	}
 	if st := c.stats(); st.Entries != 1 || st.BytesInUse != 100 || st.Evictions != n-1 || st.Rejected != 0 {
 		t.Fatalf("cache not swept down to the last insert: %+v", st)

@@ -18,10 +18,9 @@ type QueryStats struct {
 	PrunedByRough int `json:"pruned_by_rough"`
 	// Refined received the full RScore estimate.
 	Refined int `json:"refined"`
-	// The cross-query cache's part in this query, all zero when the cache
-	// is disabled: entries served from it, entries inserted into it, and
-	// entries those inserts pushed out — candidate tallies, or under
-	// CandidatesLinear the query's row.
+	// The row cache's part in this query, all zero when the cache is
+	// disabled (and under every strategy but CandidatesLinear): rows served
+	// from it, rows inserted into it, and entries those inserts pushed out.
 	CacheHits      int `json:"cache_hits"`
 	CacheMisses    int `json:"cache_misses"`
 	CacheEvictions int `json:"cache_evictions"`
@@ -44,9 +43,9 @@ type boundedCand struct {
 
 // roughPruned is the adaptive cut of the paper's §7.2: a candidate whose
 // rough RRough-walk estimate is "small" against the pruning floor is not
-// worth its RScore walks. Every place that takes the verdict — the lane
-// kernel, the tally-cache path, the scan re-taking it against a higher
-// floor — calls this, so they cannot disagree about a candidate.
+// worth its RScore walks. Both places that take the verdict — the lane
+// kernel, and the scan re-taking it against a higher floor — call this, so
+// they cannot disagree about a candidate.
 func roughPruned(rough, floor float64) bool {
 	return rough < 0.3*floor
 }
@@ -139,7 +138,7 @@ func (e *Snapshot) search(ctx context.Context, u uint32, k int, theta float64) (
 				x.build(wd, qs.n)
 			}
 			out := qs.scores[:end-i]
-			e.scoreBlock(qs, bs[i:end], out, x, floor, &stats)
+			e.scoreBlock(qs, bs[i:end], out, x, floor)
 			return out, nil
 		})
 	return res, stats, err
@@ -379,53 +378,6 @@ func sortBounds(bs []boundedCand) {
 		}
 		return 0
 	})
-}
-
-// scoreCandidate scores the candidate v = out.V into out through the
-// tally cache, whose part in it is counted in stats. It reports false
-// when the cache is off and the caller must hand v to the lane kernel
-// (scoreLanes).
-//
-// The candidate's walks are seeded from v alone (candSeed, one stream a
-// walk), never shared, so its score is a pure function of the engine
-// state — and its tally is reusable across queries, which the cross-query
-// cache exploits. The cached and uncached paths evaluate the identical
-// estimator over the identical walks (tally.go, lanes.go) — the cache's
-// run to T−1 steps, the lane kernel's to the query's horizon — so
-// enabling the cache changes work, never values.
-func (e *Snapshot) scoreCandidate(s *scratch, x *slotIndex, out *ShardCand, floor float64, stats *QueryStats) bool {
-	v := out.V
-	c := e.cache
-	if c == nil {
-		return false
-	}
-	R, Rr := e.p.RScore, e.p.RRough
-	ent := c.get(v)
-	if ent != nil {
-		stats.CacheHits++
-	} else {
-		// Miss: simulate all R walks to T−1 steps once and publish the
-		// tally. The query is then served from the new entry exactly as a
-		// hit would be — the rough estimate from the prefix counts —
-		// whether or not the insert landed.
-		e.simulateCandWalks(s, v, R)
-		rsteps := e.buildFullTally(s, v, R, Rr, R)
-		ent = newTallyEntry(v, rsteps, s)
-		stats.CacheMisses++
-		stats.CacheEvictions += c.put(ent)
-	}
-	tl := &ent.val
-	out.State = ShardScoredNoRough
-	if !e.p.DisableAdaptive {
-		out.Rough = e.dotTally(x, tl.off, tl.verts, tl.rcnt, 1/float64(Rr), int(tl.rsteps))
-		if roughPruned(out.Rough, floor) {
-			out.State = ShardRoughPruned
-			return true
-		}
-		out.State = ShardScored
-	}
-	out.Score = e.dotTally(x, tl.off, tl.verts, tl.cnt, 1/float64(R), e.p.T)
-	return true
 }
 
 // collectCandidates enumerates candidate vertices for the query according

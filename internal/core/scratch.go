@@ -75,22 +75,11 @@ type scratch struct {
 	bounds []boundedCand
 	scores []ShardCand
 
-	// Candidate tally kernel buffers (tally.go): tpos is the walk-major
-	// step×walk position matrix, and tallyOff/tallyV/tallyCnt/tallyRcnt
-	// hold the compact per-step sorted tally view built from it.
-	tpos      []uint32
-	tallyOff  []int32
-	tallyV    []uint32
-	tallyCnt  []uint16
-	tallyRcnt []uint16
-
-	// Lane kernel buffers (lanes.go): the block positions still waiting
-	// for walks, the lanes of one full-R group and of one rough section
-	// (each lane owns a fixed T-row position matrix; allocated on first
-	// use, so cached scoring never pays for them), and the
-	// index-space hit tally of dotPositions — counters and a bitset over
-	// one step's support, all zero between calls.
-	pend       []int32
+	// Lane kernel buffers (lanes.go): the lanes of one full-R group and of
+	// one rough section (each lane owns a fixed T-row position matrix;
+	// allocated on first use, so linear scratches never pay for them), and
+	// the index-space hit tally of dotPositions — counters and a bitset
+	// over one step's support, all zero between calls.
 	fullLanes  []graph.WalkLane
 	roughLanes []graph.WalkLane
 	hitCnt     []uint32
@@ -162,8 +151,7 @@ func (s *scratch) pushMass(v uint32, m float64) {
 }
 
 // singleBucketMax is the largest support orderTouched keeps in one
-// bucket: below it a plain insertion sort beats counting into buckets (a
-// rough tally of RRough = 10 walks never has more).
+// bucket: below it a plain insertion sort beats counting into buckets.
 const singleBucketMax = 12
 
 // bucketing picks orderTouched's bucket geometry for a support of S
@@ -275,35 +263,11 @@ func (s *scratch) walkBuf2(R int) []uint32 {
 	return s.pos2
 }
 
-// tposBuf returns the walk-major position matrix with T rows of length
-// stride. Contents are NOT cleared: the tally builders read exactly the
-// columns the current candidate's simulation wrote.
-func (s *scratch) tposBuf(T, stride int) []uint32 {
-	n := T * stride
-	if cap(s.tpos) < n {
-		s.tpos = make([]uint32, n) // amortized pooled growth; steady state reuses the scratch capacity
-	}
-	s.tpos = s.tpos[:n]
-	return s.tpos
-}
-
-// tallyReset prepares the compact tally view for T steps.
-func (s *scratch) tallyReset(T int) {
-	if cap(s.tallyOff) < T+1 {
-		s.tallyOff = make([]int32, T+1) // amortized pooled growth; steady state reuses the scratch capacity
-	}
-	s.tallyOff = s.tallyOff[:T+1]
-	s.tallyOff[0] = 0
-	s.tallyV = s.tallyV[:0]
-	s.tallyCnt = s.tallyCnt[:0]
-	s.tallyRcnt = s.tallyRcnt[:0]
-}
-
 // newWalkLanes returns n lanes whose position matrices, size entries
 // each, are cut from one backing array.
 func newWalkLanes(n, size int) []graph.WalkLane {
-	pos := make([]uint32, n*size)      // allocated once per pooled scratch, on its first uncached block
-	lanes := make([]graph.WalkLane, n) // allocated once per pooled scratch, on its first uncached block
+	pos := make([]uint32, n*size)      // allocated once per pooled scratch, on its first Monte-Carlo block
+	lanes := make([]graph.WalkLane, n) // allocated once per pooled scratch, on its first Monte-Carlo block
 	for l := range lanes {
 		lanes[l].Out = pos[l*size : (l+1)*size]
 	}

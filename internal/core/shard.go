@@ -45,8 +45,8 @@ import (
 // search() feeds it live ones. Because each candidate's score is a pure
 // function of (snapshot, v) — candSeed is per-vertex — the scan observes
 // exactly the values the single-node scan would have computed, so results
-// AND pruning counters are byte-identical. Cache hit/miss counters are the one exception:
-// they depend on which shard's cache served each candidate, so the
+// AND pruning counters are byte-identical. Cache hit/miss counters are the
+// one exception: each shard looks the row up in its own row cache, so the
 // router sums the per-shard values instead (topology-dependent, still
 // deterministic for a fixed topology and query history).
 //
@@ -56,8 +56,8 @@ import (
 // verdicts, admissions and order are exactly Threshold's.
 
 // ShardCand states: what scoring one candidate at one pruning floor came
-// to. The scoring kernels write them (lanes.go, scoreCandidate), the scan
-// reads them (scanOrdered), fragments carry them.
+// to. scoreBlock writes them (lanes.go), the scan reads them
+// (scanOrdered), fragments carry them.
 const (
 	// ShardUnscored: upper bound below Theta; carries V and UB only.
 	ShardUnscored = uint8(iota)
@@ -163,7 +163,7 @@ func (e *Snapshot) shardScan(ctx context.Context, u uint32, theta float64, lo, h
 			return nil, stats, err
 		}
 		end := min(i+scoreBlock, cut)
-		e.scoreBlock(qs, bs[i:end], out[i:end], x, theta, &stats)
+		e.scoreBlock(qs, bs[i:end], out[i:end], x, theta)
 		for _, c := range out[i:end] {
 			stats.note(c, theta)
 		}

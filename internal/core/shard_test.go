@@ -62,13 +62,11 @@ func sameAnswer(t testing.TB, label string, res []Scored, stats QueryStats, want
 }
 
 // shardConfigs are the parameter corners the replay proof has to cover:
-// every scoring path (adaptive sampled, cached, non-adaptive)
-// plus a non-default candidate strategy.
+// every scoring path (adaptive sampled, non-adaptive, linear with and
+// without its row cache) plus a non-default candidate strategy.
 func shardConfigs() map[string]Params {
 	base := DefaultParams()
 	base.Seed = 17
-	cached := base
-	cached.CacheBytes = 1 << 20
 	noadapt := base
 	noadapt.DisableAdaptive = true
 	hybrid := base
@@ -79,7 +77,6 @@ func shardConfigs() map[string]Params {
 	linearCached.CacheBytes = 1 << 20
 	return map[string]Params{
 		"base":          base,
-		"cached":        cached,
 		"noadapt":       noadapt,
 		"hybrid":        hybrid,
 		"linear":        linear,

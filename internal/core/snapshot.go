@@ -38,21 +38,16 @@ type Snapshot struct {
 	// inverted (right -> left) direction used for candidate joins.
 	idx *candidateIndex
 
-	// cache is the cross-query candidate tally cache (tally.go); nil
-	// when Params.CacheBytes is 0 or RScore exceeds the uint16 tally
-	// range. Shared by every query against this snapshot; it holds
-	// derived, deterministic data only, so the snapshot stays logically
-	// immutable.
-	cache *clockCache[tally]
-
-	// rows is the cache CacheBytes bounds under CandidatesLinear in place
-	// of cache: query rows at the serving Theta keyed by query vertex
-	// (linear.go). Derived, deterministic data only, like cache.
+	// rows is the cross-query row cache CacheBytes bounds: query rows at
+	// the serving Theta keyed by query vertex (linear.go); nil when
+	// CacheBytes is 0 or the strategy is not CandidatesLinear. Shared by
+	// every query against this snapshot; it holds derived, deterministic
+	// data only, so the snapshot stays logically immutable.
 	rows *clockCache[[]boundedCand]
 
 	// prolog caches the query plan per vertex — the query-side walk
 	// distribution and the bound-sorted candidate list (prolog.go); nil
-	// when Params.PrologBytes is negative. Like cache, it holds derived,
+	// when Params.PrologBytes is negative. Like rows, it holds derived,
 	// deterministic data only. built counts the entries offered to it by
 	// the builder of their distribution (builtPushed, builtEmpty) and stepsKept sums
 	// their horizons.
@@ -91,12 +86,8 @@ func newSnapshot(g *graph.Graph, p Params) *Snapshot {
 	n := g.N()
 	sn.pool.New = func() any { return newScratch(n) }
 	linear := sn.p.Strategy == CandidatesLinear
-	switch {
-	case sn.p.CacheBytes <= 0:
-	case linear:
+	if sn.p.CacheBytes > 0 && linear {
 		sn.rows = newClockCache[[]boundedCand](n, sn.p.CacheBytes)
-	case sn.p.RScore <= maxTallyCount:
-		sn.cache = newClockCache[tally](n, sn.p.CacheBytes)
 	}
 	if sn.p.PrologBytes > 0 && !linear {
 		sn.prolog = newClockCache[prolog](n, sn.p.PrologBytes)
@@ -119,15 +110,9 @@ func (e *Snapshot) Stats() PreprocessStats { return e.stats }
 // Sealed reports whether the snapshot has been sealed for publication.
 func (e *Snapshot) Sealed() bool { return e.sealed }
 
-// CacheStats reports the counters of the cache CacheBytes bounds — the
-// tally cache, or under CandidatesLinear the row cache; all zero when it
-// is disabled.
-func (e *Snapshot) CacheStats() CacheStats {
-	if e.rows != nil {
-		return e.rows.stats()
-	}
-	return e.cache.stats()
-}
+// CacheStats reports the row-cache counters; all zero when that cache is
+// disabled, as it is under every strategy but CandidatesLinear.
+func (e *Snapshot) CacheStats() CacheStats { return e.rows.stats() }
 
 // PrologStats reports the query-prolog-cache counters; all zero when
 // that cache is disabled.

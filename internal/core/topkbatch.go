@@ -4,9 +4,9 @@ import "context"
 
 // TopKBatch answers a slice of top-k queries, fanning them over
 // Params.Workers whole-query workers (a query runs on one goroutine).
-// All queries share the snapshot's cross-query cache, so a batch with
-// recurring queries or overlapping candidate sets warms the cache for
-// itself. Results are byte-identical to issuing the queries one at a
+// All queries share the snapshot's caches, so a batch with recurring
+// queries warms them for itself. Results are byte-identical to issuing
+// the queries one at a
 // time, and so are the per-query statistics except the cache counters:
 // when two concurrent queries race on the same cold entry, which of
 // them records the miss depends on scheduling (the entry they compute is

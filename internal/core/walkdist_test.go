@@ -688,7 +688,7 @@ func refOneSided(e *Snapshot, s *scratch, rd *refDist, v uint32, R int, r *rng.S
 // The v-side positions are tallied through the scratch's epoch marks and
 // looked up once per distinct position by a binary search of wd's support
 // (walkDist.lookup). The engine itself scores candidates through
-// scoreLanes and the tally cache; this step-synchronous kernel remains as
+// scoreLanes; this step-synchronous kernel remains as
 // the estimator the concentration, single-pair and byte-identity tests
 // reason about.
 func (e *Snapshot) singlePairOneSided(s *scratch, wd *walkDist, v uint32, R int, r *rng.Source) float64 {
@@ -735,14 +735,64 @@ func refCandWalks(e *Snapshot, v uint32, R int, pos []uint32) {
 	}
 }
 
+// refTallyView is the sorted per-step tally of one candidate's walks:
+// step t's distinct positions, ascending, are verts[off[t]:off[t+1]], with
+// their counts over all R walks (cnt) and over the first Rr (rcnt, 0 where
+// those never reach). rsteps is the first step at which the first Rr walks
+// are all dead, or T.
+type refTallyView struct {
+	off       []int32
+	verts     []uint32
+	cnt, rcnt []uint16
+	rsteps    int
+}
+
+// refTally tallies candidate v's walks pos (row t at pos[t*R:], one column
+// per walk; step 0 is v itself) by sorting each row.
+func refTally(T int, v uint32, pos []uint32, R, Rr int) refTallyView {
+	tv := refTallyView{off: []int32{0, 1}, verts: []uint32{v}, cnt: []uint16{uint16(R)}, rcnt: []uint16{uint16(Rr)}, rsteps: T}
+	for t := 1; t < T; t++ {
+		row := pos[t*R : (t+1)*R]
+		live := make([]uint32, 0, R)
+		for _, w := range row {
+			if w != Dead {
+				live = append(live, w)
+			}
+		}
+		slices.Sort(live)
+		for i := 0; i < len(live); {
+			w, j := live[i], i
+			for j < len(live) && live[j] == w {
+				j++
+			}
+			rc := 0
+			for _, x := range row[:Rr] {
+				if x == w {
+					rc++
+				}
+			}
+			tv.verts = append(tv.verts, w)
+			tv.cnt = append(tv.cnt, uint16(j-i))
+			tv.rcnt = append(tv.rcnt, uint16(rc))
+			i = j
+		}
+		tv.off = append(tv.off, int32(len(tv.verts)))
+		if tv.rsteps == T && slices.IndexFunc(row[:Rr], func(w uint32) bool { return w != Dead }) < 0 {
+			tv.rsteps = t
+		}
+	}
+	return tv
+}
+
 // refScores returns the rough and full reference estimates of candidate v,
 // over the walks refCandWalks draws.
 func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full float64, searched bool) {
 	R, Rr := e.p.RScore, e.p.RRough
-	refCandWalks(e, v, R, s.tposBuf(e.p.T, R))
-	rsteps := e.buildFullTally(s, v, R, Rr, R)
-	rough, s1 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
-	full, s2 := refDot(e, rd, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
+	pos := s.walkBuf(e.p.T * R)
+	refCandWalks(e, v, R, pos)
+	tv := refTally(e.p.T, v, pos, R, Rr)
+	rough, s1 := refDot(e, rd, tv.off, tv.verts, tv.rcnt, 1/float64(Rr), tv.rsteps)
+	full, s2 := refDot(e, rd, tv.off, tv.verts, tv.cnt, 1/float64(R), e.p.T)
 	return rough, full, s1 || s2
 }
 
@@ -750,28 +800,25 @@ func refScores(e *Snapshot, s *scratch, rd *refDist, v uint32) (rough, full floa
 // supports are far more than 16× a candidate tally — the regime the old
 // per-term binary search served. Every score TopK, Threshold and the
 // one-sided single-pair kernel produce there must carry the reference's
-// bits, cache on and off, at one and two workers.
+// bits, prolog cache off at one worker and on at two.
 func TestWideSupportByteIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four engines on a 5000-vertex graph")
+		t.Skip("builds two engines on a 5000-vertex graph")
 	}
 	g := graph.PreferentialAttachment(5000, 10, 0.4, 3)
 	queries := []uint32{4999, 1234, 3100, 3777, 600}
 	const theta = 0.02
 	var want [][]Scored // TopK per query, from the first configuration
 	for _, cfg := range []struct {
-		cache   int64
+		prolog  int64
 		workers int
-	}{{0, 1}, {0, 2}, {64 << 20, 1}, {64 << 20, 2}} {
+	}{{-1, 1}, {0, 2}} {
 		p := DefaultParams()
 		p.Seed = 9
 		p.Workers = cfg.workers
-		p.CacheBytes = cfg.cache
-		if cfg.cache == 0 {
-			p.PrologBytes = -1
-		}
+		p.PrologBytes = cfg.prolog
 		e := Build(g, p)
-		label := "cache=" + itoa(int(cfg.cache)) + " workers=" + itoa(cfg.workers)
+		label := fmt.Sprintf("prolog=%d workers=%d", cfg.prolog, cfg.workers)
 		requireWideStep(t, label, e.Snapshot, queries)
 		s := e.getScratch()
 		searched, widest, checked := false, 0, 0
@@ -895,6 +942,7 @@ func TestHorizonTailBound(t *testing.T) {
 			}
 			qs, s := e.getScratch(), e.getScratch()
 			R, Rr := e.p.RScore, e.p.RRough
+			pos := make([]uint32, e.p.T*R)
 			var whole walkDist
 			var servedIx, wholeIx slotIndex
 			var queries, scored, cutBy int
@@ -956,22 +1004,13 @@ func TestHorizonTailBound(t *testing.T) {
 				bound += 1e-15 // rounding of the two sums compared
 				servedIx.build(pl.wd, int(n))
 				wholeIx.build(&whole, int(n))
-				for i, c := range pl.cands {
+				for _, c := range pl.cands {
 					v := c.v
-					e.simulateCandWalks(s, v, R)
-					served := e.dotPositions(s, &servedIx, v, s.tpos, R, R, 1/float64(R))
-					full := e.dotPositions(s, &wholeIx, v, s.tpos, R, R, 1/float64(R))
-					rough := e.dotPositions(s, &servedIx, v, s.tpos, R, Rr, 1/float64(Rr))
-					roughFull := e.dotPositions(s, &wholeIx, v, s.tpos, R, Rr, 1/float64(Rr))
-					if i%8 == 0 {
-						// The cached path's kernel over the tally of the same walks.
-						rsteps := e.buildFullTally(s, v, R, Rr, R)
-						st := e.dotTally(&servedIx, s.tallyOff, s.tallyV, s.tallyCnt, 1/float64(R), e.p.T)
-						rt := e.dotTally(&servedIx, s.tallyOff, s.tallyV, s.tallyRcnt, 1/float64(Rr), rsteps)
-						if math.Float64bits(st) != math.Float64bits(served) || math.Float64bits(rt) != math.Float64bits(rough) {
-							t.Fatalf("%s u=%d v=%d: tally kernel %v (rough %v), position kernel %v (rough %v)", label, u, v, st, rt, served, rough)
-						}
-					}
+					refCandWalks(e, v, R, pos)
+					served := e.dotPositions(s, &servedIx, v, pos, R, R, 1/float64(R))
+					full := e.dotPositions(s, &wholeIx, v, pos, R, R, 1/float64(R))
+					rough := e.dotPositions(s, &servedIx, v, pos, R, Rr, 1/float64(Rr))
+					roughFull := e.dotPositions(s, &wholeIx, v, pos, R, Rr, 1/float64(Rr))
 					for _, d := range []float64{full - served, roughFull - rough} {
 						if d < 0 || d > bound {
 							t.Fatalf("%s u=%d v=%d: whole − served = %v (refined %v − %v, rough %v − %v), want within [0, %v]", label, u, v, d, full, served, roughFull, rough, bound)

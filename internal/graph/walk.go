@@ -203,9 +203,9 @@ func loadSlots(slots, idx []uint64, pos, adj []uint32) {
 // position after step t to out[t*stride] (out[0] is NOT written). Each
 // step is in[r.Uint32n(deg)], as in StepWalks; the rng state
 // lives in scalar locals for the whole trajectory, so per-step draws
-// never round-trip through memory. The strided output lets the
-// candidate tally kernel write walk-major columns of its step×walk
-// position matrix directly.
+// never round-trip through memory. The strided output writes one
+// walk-major column of a step×walk position matrix directly, as each
+// lane of WalkLanes' one-lane path does.
 func (wt *WalkTable) WalkStrided(r *rng.Source, u uint32, T, stride int, out []uint32) {
 	start, adj := wt.start, wt.adj
 	s0, s1, s2, s3 := r.State()

@@ -120,7 +120,7 @@ func (rt *Router) putGather(g *gather) {
 // mergeTopK replays every shard's reply through the fragment merge at floor theta: the serving one for a top-k, the query's
 // own with k = 0 for a similar. The scan counters come out byte-identical
 // to single node; the cache counters are summed over the shards (cache
-// state is topology-dependent: each shard has its own tally cache).
+// state is topology-dependent: each shard has its own row cache).
 func (g *gather) mergeTopK(k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
 	for i, rp := range g.replies {
 		g.frags[i] = rp.frag

@@ -197,8 +197,8 @@ type TopKResponse struct {
 	ElapsedM float64          `json:"elapsed_ms"`
 	// Stats is present on /topk?stats=1: pruning counters for the query.
 	Stats *simrank.QueryStats `json:"stats,omitempty"`
-	// Cache is present on /topk?stats=1: index-wide state of the cache
-	// -cache-bytes bounds (rows under the linear scorer, tallies otherwise).
+	// Cache is present on /topk?stats=1: index-wide state of the row cache
+	// -cache-bytes bounds (all zero under a Monte-Carlo strategy).
 	Cache *simrank.CacheStats `json:"cache,omitempty"`
 }
 

@@ -165,8 +165,8 @@ func TestStatuszEndpoint(t *testing.T) {
 			st.BatchSizeMax != 3 || st.SimilarTotal != 1 || st.PairsTotal != 1 {
 			t.Fatalf("counters = %+v", st)
 		}
-		if st.Cache == nil || st.Cache.Misses == 0 {
-			t.Fatalf("cache stats missing or empty: %+v", st.Cache)
+		if st.Cache == nil {
+			t.Fatalf("cache stats missing: %s", body)
 		}
 		return st, body
 	}
@@ -179,19 +179,24 @@ func TestStatuszEndpoint(t *testing.T) {
 		t.Fatalf("linear cache = %+v, prolog = %+v", st.Cache, st.Prolog)
 	}
 
+	// The index strategy has no cache for -cache-bytes to bound: its cache
+	// object reads all zero, budget included.
 	st, body = statusz(cachedHandlerWith(t, simrank.StrategyIndex))
-	// Every prolog miss names the builder that answered it; the tally
-	// cache's object carries no such fields.
+	if *st.Cache != (simrank.CacheStats{}) {
+		t.Fatalf("index-strategy cache = %+v, want all zero", st.Cache)
+	}
+	// Every prolog miss names the builder that answered it, in the prolog
+	// object only.
 	if pr := st.Prolog; pr == nil || pr.Misses == 0 || pr.BuiltPushed+pr.BuiltEmpty != pr.Misses {
 		t.Fatalf("prolog stats = %+v", st.Prolog)
 	}
-	if strings.Count(string(body), `"built_`) == 0 || st.Cache.BuiltPushed+st.Cache.BuiltEmpty != 0 {
+	if strings.Count(string(body), `"built_`) == 0 {
 		t.Fatalf("built_* fields: %s", body)
 	}
 	// And sums the horizons of the distributions it built: between one step
-	// and all T = 11 for each, again in the prolog object only.
+	// and all T = 11 for each.
 	if dists, kept := st.Prolog.BuiltPushed, st.Prolog.StepsKept; dists == 0 || kept < dists || kept > 11*dists ||
-		strings.Count(string(body), `"steps_kept"`) != 1 || st.Cache.StepsKept != 0 {
+		strings.Count(string(body), `"steps_kept"`) != 1 {
 		t.Fatalf("steps_kept = %d for %d distributions: %s", kept, dists, body)
 	}
 	if st.Shard.NumShards != 1 || st.Shard.Lo != 0 || st.Shard.Hi != st.Shard.Vertices {

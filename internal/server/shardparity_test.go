@@ -288,44 +288,53 @@ func TestShardTimeoutCountsOncePerRequest(t *testing.T) {
 // TestBinTCPPeerCloseCancelsScan: a router that gives up on a TCP
 // attempt (lost hedge, timeout) closes the socket; the shard must notice
 // and stop the scan in flight, as it does over HTTP through
-// r.Context(). One long scan stands in: a threshold request at a tiny
-// theta over the exhaustive candidate ball of a hub scores about 4 000
-// candidates (≈ 0.2 s alone on 2 vCPUs), and with the tally cache on each
-// scored candidate makes one cache lookup, so the lookups count how far
-// the scan got before the close stopped it.
+// r.Context(). One long scan stands in: a linear /shard/similar at θ 1e-9,
+// which prunes nothing, from the newest vertex of a social graph, whose
+// whole row takes at least 50 ms alone. The backward pass checks its context once per level, so
+// the connection's goroutines must be gone well before the row would have
+// been done, and the cut-off request still counts as a shard query.
 func TestBinTCPPeerCloseCancelsScan(t *testing.T) {
-	const n, u, theta = 4000, 0, 1e-9
+	const n = 80000
+	const u, theta = n - 1, 1e-9
 	g := simrank.GenerateSocialGraph(n, 10, 0.4, 3)
-	o := simrank.DefaultOptions()
-	o.Strategy = simrank.StrategyBall
-	o.CacheBytes = 64 << 20
-	idx := simrank.BuildIndex(g, o)
+	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
 	h := NewShard(idx, 0, 1)
-	lookups := func() int64 {
-		st := idx.CacheStats()
-		return st.Hits + st.Misses
+	row := func() time.Duration {
+		start := time.Now()
+		if _, _, err := idx.SimilarShardCtx(context.Background(), u, theta, 0, n, nil); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	// A row too cheap for this test ends before the close and cannot tell
+	// a stopped scan from a finished one: it fails here instead.
+	full := min(row(), row())
+	if full < 50*time.Millisecond {
+		t.Fatalf("the whole row takes %v; the test needs at least 50ms", full)
 	}
 
 	// One served exchange first, so the connection's goroutines exist
 	// when the baseline is taken.
 	conn := dialBin(t, h)
 	answerFromFrame(t, conn.exchange(t, wire.AppendTopKReq(nil, wire.TopKReq{U: 1, Lo: 0, Hi: 10})))
-	goroutines, before := runtime.NumGoroutine(), lookups()
+	goroutines, received := runtime.NumGoroutine(), h.counters.wireBytesIn.Load()
 
 	frame := wire.AppendSimilarReq(nil, wire.SimilarReq{U: u, Theta: theta, Lo: 0, Hi: n})
 	if _, err := conn.conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	// Close once the scan is scoring: the frame has left the reader,
-	// which is back in a socket read and must see the close there.
+	// Close once the frame has left the reader, which is back in a socket
+	// read and must see the close there; the serving goroutine is then
+	// computing the row.
 	deadline := time.Now().Add(10 * time.Second)
-	for lookups() == before {
+	for h.counters.wireBytesIn.Load() == received {
 		if time.Now().After(deadline) {
-			t.Fatal("scan never started")
+			t.Fatal("the request never reached the serving goroutine")
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
 	conn.conn.Close()
+	closed := time.Now()
 
 	// The connection's reader and serving goroutines exit only after the
 	// scan has returned and every scratch it held is back in its pool.
@@ -334,24 +343,14 @@ func TestBinTCPPeerCloseCancelsScan(t *testing.T) {
 			t.Fatalf("connection goroutines still running after the peer closed: %d goroutines, %d with the connection open",
 				runtime.NumGoroutine(), goroutines)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
-	scanned := lookups() - before
-	time.Sleep(50 * time.Millisecond)
-	if again := lookups() - before; again != scanned {
-		t.Fatalf("scan still advancing after its connection ended: %d -> %d lookups", scanned, again)
+	cut := time.Since(closed)
+	t.Logf("the row takes %v; the connection's goroutines exited %v after the close", full, cut)
+	if cut > full/2 {
+		t.Fatalf("connection goroutines exited %v after the close, the whole row takes %v", cut, full)
 	}
-
-	// The same scan run to completion: how many lookups a scan the close
-	// did not stop makes. A scan too cheap for this test scores all of
-	// them before the close and fails here; it cannot pass by accident.
-	_, full, err := idx.SimilarShardCtx(context.Background(), u, theta, 0, n, nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := h.counters.shardQueries.Load(); got != 2 {
+		t.Fatalf("shard_queries_total %d, want 2 (the served exchange and the cancelled one)", got)
 	}
-	total := int64(full.CacheHits + full.CacheMisses)
-	if scanned >= total/2 {
-		t.Fatalf("abandoned scan still scored %d of %d candidates", scanned, total)
-	}
-	t.Logf("abandoned scan scored %d of %d candidates", scanned, total)
 }

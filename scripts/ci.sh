@@ -7,8 +7,9 @@
 # malformed suppressions alike, in one module load), a one-iteration
 # benchmark smoke pass, short fuzzes of the scoring index, the edge-list
 # parser, the walk kernels, the query-side push, the candidate walks, the
-# index loader and the wire decoder, a run of each examples/ program, and
-# the multi-shard smoke; the tree's size (scripts/loc.sh) closes the log.
+# linear row, the index loader and the wire decoder, a run of each
+# examples/ program, and the multi-shard smoke; the tree's size
+# (scripts/loc.sh) closes the log.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -45,13 +45,12 @@ type Options struct {
 	// paper's Monte-Carlo search over different candidate sets. A value
 	// not defined here panics.
 	Strategy Strategy
-	// CacheBytes bounds the per-index cross-query cache; 0 disables it.
-	// Under StrategyLinear it holds query rows at the serving Threshold,
-	// so a repeated query is a cache read. Under the Monte-Carlo
-	// strategies it holds candidate walk tallies, pure functions of the
-	// index state, so queries that revisit a candidate reuse its
-	// simulation instead of redoing it. Results are byte-identical with
-	// the cache on or off; only throughput changes.
+	// CacheBytes bounds the per-index row cache under StrategyLinear; 0
+	// disables it. It holds query rows at the serving Threshold, pure
+	// functions of the index state, so a repeated query is a cache read.
+	// Results are byte-identical with the cache on or off; only throughput
+	// changes. The Monte-Carlo strategies have no such cache, and under
+	// them CacheBytes bounds nothing.
 	CacheBytes int64
 	// PrologCacheBytes bounds the per-index cache of query plans under the
 	// Monte-Carlo strategies: the pushed walk distribution of a query and
@@ -213,8 +212,9 @@ type QueryStats = core.QueryStats
 // counters are the prolog cache's only.
 type CacheStats = core.CacheStats
 
-// CacheStats reports the counters of the cache Options.CacheBytes
-// bounds: the row cache under StrategyLinear, the tally cache otherwise.
+// CacheStats reports the counters of the row cache Options.CacheBytes
+// bounds; all zero when it is disabled, as under every Monte-Carlo
+// strategy.
 func (ix *Index) CacheStats() CacheStats { return ix.e.CacheStats() }
 
 // PrologStats reports the query-prolog-cache counters (same shape as
