@@ -27,7 +27,9 @@ import (
 // verts[t] lists the vertices with nonzero mass ascending, massw[t] their
 // masses. The ascending order every consumer relies on (dotSeries' merge
 // join, computeL1From, forEach, the index sweep of dotPositions) comes
-// from scratch.orderTouched, not from a comparison sort. A distribution
+// from scratch.orderTouched, not from a comparison sort. The linear
+// scorer's forward (linearForwardInto) is the one distribution left in
+// first-touch order; nothing but its backward pass reads it. A distribution
 // holds no directory: the scoring kernels probe it through a slotIndex,
 // which scoreBlock builds per scored block (DESIGN.md §4).
 //
@@ -207,26 +209,29 @@ func (x *slotIndex) lookup(t int, w uint32) int {
 // mass m relaxes indeg(w) ≤ m/minShare in-edges, so one step relaxes at
 // most (its mass)/minShare ≤ 1/minShare, and every cell is at or below the
 // exact Pᵗe_u[w] (minShare 0 pushes everything: the exact distribution).
-// Vertices are pushed in ascending order and a vertex's in-edges in CSR
+// A step accumulates in the scratch's dense rowAcc, one random access a
+// relaxation, which is clear before and after it. With ordered, each step
+// is left ascending (orderTouched) before the next is pushed from it — the
+// order every Monte-Carlo consumer reads (walkDist); without, in
+// first-touch order, which only the linear scorer reads (linearForwardInto).
+// Vertices are pushed in their step's order and a vertex's in-edges in CSR
 // order, so every mass is the same sum in the same order wherever and
-// however often it is computed — a pure function of (graph, u, minShare).
-// The accumulator is compact (scratch.pushMass): it holds one float64 per
-// vertex touched this step. Each nonempty step's α*(u,t) = max_w
-// D_ww·p_u,t(w) is left in s.peak (horizon).
+// however often it is computed — a pure function of (graph, u, minShare,
+// ordered). Each nonempty step's α*(u,t) = max_w D_ww·p_u,t(w) is left in
+// s.peak (horizon).
 //
 //lint:hotpath query-side propagation: the whole distribution of every prolog miss
-func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare float64) {
+func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare float64, ordered bool) {
 	T := e.p.T
 	wd.reset(T)
 	if cap(s.peak) < T {
 		s.peak = make([]float64, 0, T) // once per scratch
 	}
 	s.peak = s.peak[:0]
+	acc := s.acc(0)
 	for t := 0; t < T; t++ {
-		s.beginTally()
-		s.push = s.push[:0]
 		if t == 0 {
-			s.pushMass(u, 1)
+			acc.add(u, 1)
 		} else {
 			for i, w := range wd.verts[t-1] {
 				in := e.g.In(w)
@@ -238,45 +243,51 @@ func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare
 					continue
 				}
 				for _, x := range in {
-					s.pushMass(x, share)
+					acc.add(x, share)
 				}
 			}
 		}
-		if len(s.touched) == 0 {
+		S := len(acc.touched)
+		if S == 0 {
 			break // no mass pushed on; remaining steps stay empty
 		}
-		s.orderTouched()
 		// The step's vertices and then its mass words go to the end of
 		// back, grown once for both, so the appends stay in one array and
 		// the step's slices are cut from it.
-		S := len(s.touched)
 		wd.back = slices.Grow(wd.back, 3*S)
 		lo := len(wd.back)
-		wd.back = append(wd.back, s.touched...)
+		wd.back = wd.back[:lo+S]
+		if ordered {
+			s.orderTouched(wd.back[lo:], acc.touched)
+		} else {
+			copy(wd.back[lo:], acc.touched)
+		}
 		peak := 0.0
 		for _, w := range wd.back[lo : lo+S] {
-			m := s.push[s.cnt[w]]
+			m := acc.val[w]
+			acc.val[w] = 0
 			b := math.Float64bits(m)
 			wd.back = append(wd.back, uint32(b), uint32(b>>32))
 			if a := e.p.dval(w) * m; a > peak {
 				peak = a
 			}
 		}
+		acc.touched = acc.touched[:0]
 		wd.verts[t] = wd.back[lo : lo+S : lo+S]
 		wd.massw[t] = wd.back[lo+S : lo+3*S : lo+3*S]
 		s.peak = append(s.peak, peak)
 	}
 }
 
-// walkDistInto builds all T steps of u's walk distribution into wd: the
-// push with a share floor of 1/RAlpha, the mass one of the paper's RAlpha
-// query walks carries, so a step costs at most the RAlpha relaxations of
-// the walks it stands for. It depends on the graph and u alone, so every
-// shard, worker and repeat of a query agrees on it. The T-term series is
-// defined over this one; queries score against its trimmed form
-// (queryDistInto).
+// walkDistInto builds all T steps of u's walk distribution into wd, each
+// step ascending: the push with a share floor of 1/RAlpha, the mass one of
+// the paper's RAlpha query walks carries, so a step costs at most the
+// RAlpha relaxations of the walks it stands for. It depends on the graph
+// and u alone, so every shard, worker and repeat of a query agrees on it.
+// The T-term series is defined over this one; queries score against its
+// trimmed form (queryDistInto).
 func (e *Snapshot) walkDistInto(wd *walkDist, s *scratch, u uint32) {
-	e.pushWalkDistInto(wd, s, u, 1/float64(e.p.RAlpha))
+	e.pushWalkDistInto(wd, s, u, 1/float64(e.p.RAlpha), true)
 }
 
 // queryDistInto builds the query-side distribution of u into wd, the one

@@ -302,27 +302,31 @@ func TestCacheHotEntrySurvivesForeignEviction(t *testing.T) {
 
 // TestCacheStarvationReplica replays the benchmark's web-batch-cached
 // request stream as the Monte-Carlo path served it, in process — the web
-// graph, Zipf(1.1) popularity spread over the graph, TopKBatch of 16, the
-// prolog cache at its default — for 400 000 queries. The prolog cache churns
-// the whole time (the Zipf tail overflows it), and the stream's most
-// popular vertex has by far the largest entry. With eviction confined to
+// graph, Zipf(1.1) popularity spread over the graph, the prolog cache at
+// its default — for 400 000 queries, each through its plan alone
+// (queryPlan: the prolog cache's lookup, and on a miss the build and
+// insert), since scoring the candidates touches no cache and nothing here
+// reads a score. The prolog cache churns the whole time (the Zipf tail
+// overflows it), and the stream's most popular vertex has by far the
+// largest entry. With eviction confined to
 // the inserting stripe, that vertex's stripe was eventually swept empty
 // while the others held the budget, and from then on every query at it —
 // the hottest vertex of the stream — resampled its distribution and threw
 // it away: hit ratio down, hundreds of kilobytes allocated per miss. So:
 // no insert refused, and the last quarter of the run must look like the
 // second (hit ratio not lower, allocation per query flat ±20 %). One
-// worker: starvation is a property of where eviction looks, not of
-// concurrency, and with two the order in which a batch's inserts reach
-// the CLOCK hand moves the late ratio from run to run by about the margin
-// below (0.830 to 0.842 over seven runs); with one the run repeats exactly
-// (recorded with the exact query side: 0.8427 then 0.8411, 735 then 736 B a
-// query; 64 % of its misses are pushed exactly, 31 % have no candidate).
+// goroutine: starvation is a property of where eviction looks, not of
+// concurrency, and with two batch workers the order in which a batch's
+// inserts reached the CLOCK hand moved the late ratio from run to run by
+// about the margin below (0.830 to 0.842 over seven runs); with one the
+// run repeats exactly (0.8874 then 0.8963, 177 then 164 B a query; 69 % of
+// its misses are pushed, 31 % have no candidate — the same prolog counters
+// as when each query was a TopKBatch query).
 func TestCacheStarvationReplica(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("400 000 queries on a 100 000-vertex graph")
 	}
-	const n, total, batch, span = 100000, 400000, 16, 100000
+	const n, total, span = 100000, 400000, 100000
 	p := DefaultParams()
 	p.Seed = 1
 	p.Workers = 1
@@ -335,13 +339,15 @@ func TestCacheStarvationReplica(t *testing.T) {
 	}
 	marks := map[int]mark{}
 	var ms runtime.MemStats
-	for q := 0; q <= total; q += batch {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	for q := 0; q <= total; q++ {
 		if q%span == 0 {
 			runtime.ReadMemStats(&ms)
 			marks[q] = mark{e.PrologStats(), ms.TotalAlloc}
 		}
 		if q < total {
-			e.TopKBatch(stream[q:q+batch], 20)
+			e.queryPlan(s, stream[q])
 		}
 	}
 	hitRatio := func(a, b mark) float64 {

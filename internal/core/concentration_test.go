@@ -41,7 +41,7 @@ func TestCandidateTallyWithinHoeffdingRadius(t *testing.T) {
 		pos := make([]uint32, T*R)
 		// Two hubs, two web vertices, one whose walks die.
 		for _, v := range []uint32{5, 17, 35, 999, 1999} {
-			e.pushWalkDistInto(&exact, s, v, 0)
+			e.pushWalkDistInto(&exact, s, v, 0, true)
 			resetWalks(pos[:R], v) // row 0: every walk starts at v
 			e.candWalks([]graph.WalkLane{{Start: v, Out: pos}}, 0, R, T-1, R)
 			for step := 0; step < T; step++ {
@@ -172,7 +172,7 @@ func TestServedScoreWithinHoeffdingRadius(t *testing.T) {
 					t.Fatalf("seed %d u=%d v=%d: served %v, the mean of its walks' contributions %v", k, u, c.V, c.Score, mean)
 				}
 				bern := math.Sqrt(2*sq/float64(R-1)*lnB/float64(R)) + 7*B*lnB/(3*float64(R-1))
-				e.pushWalkDistInto(&exact, s, c.V, 0)
+				e.pushWalkDistInto(&exact, s, c.V, 0, true)
 				mu := e.dotSeries(wd, &exact)
 				scores++
 				worst = max(worst, math.Abs(c.Score-mu)/radius)
@@ -283,7 +283,7 @@ func TestOneSidedVarianceReduction(t *testing.T) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	var wd walkDist
-	e.pushWalkDistInto(&wd, sc, u, 0)
+	e.pushWalkDistInto(&wd, sc, u, 0, true)
 	variance := func(f func() float64) float64 {
 		var sum, sumsq float64
 		for i := 0; i < trials; i++ {

@@ -74,7 +74,11 @@ func BenchmarkTopK(b *testing.B) {
 // BenchmarkTopKLinear is BenchmarkTopK's query stream under the linear
 // scorer, as simserver serves it, on the 100k-vertex web and social
 // graphs: one push forward and one pruned pass backward a query, no index
-// to build and no cache.
+// to build and no cache. Social splits a query by pass: /topk is the whole
+// query, /forward the first-touch push alone (linearForwardInto) and
+// /backward the backward pass alone (backwardInto and the accumulator's
+// clear), both over the stream's first 256 queries, whose forwards
+// /backward computes before it starts the clock.
 func BenchmarkTopKLinear(b *testing.B) {
 	for _, g := range []struct {
 		name string
@@ -88,11 +92,46 @@ func BenchmarkTopKLinear(b *testing.B) {
 			p.Strategy = CandidatesLinear
 			e := Build(g.g, p)
 			n := uint32(g.g.N())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.TopK(uint32(i*7919+13)%n, 20)
+			topk := func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.TopK(uint32(i*7919+13)%n, 20)
+				}
 			}
+			if g.name != "social" {
+				topk(b)
+				return
+			}
+			b.Run("topk", topk)
+			const cycle = 256
+			b.Run("forward", func(b *testing.B) {
+				s := e.getScratch()
+				defer e.putScratch(s)
+				e.linearForwardInto(&s.wd, s, 13) // the accumulator's first use allocates it
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.linearForwardInto(&s.wd, s, uint32((i%cycle)*7919+13)%n)
+				}
+			})
+			b.Run("backward", func(b *testing.B) {
+				s := e.getScratch()
+				defer e.putScratch(s)
+				fwd := make([]walkDist, cycle)
+				for j := range fwd {
+					e.linearForwardInto(&fwd[j], s, uint32(j*7919+13)%n)
+				}
+				ctx, eps := context.Background(), e.p.Theta/linearEpsDiv
+				row, _, _, _ := e.backwardInto(ctx, s, &fwd[0], eps) // the accumulators' first use allocates them
+				row.clear()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					row, _, _, _ := e.backwardInto(ctx, s, &fwd[i%len(fwd)], eps)
+					row.clear()
+				}
+			})
 		})
 	}
 }
@@ -191,8 +230,8 @@ func BenchmarkWalkDistLookup(b *testing.B) {
 		}
 		var wd walkDist
 		wd.reset(1)
-		s.orderTouched()
-		wd.verts[0] = s.touched
+		wd.verts[0] = make([]uint32, S)
+		s.orderTouched(wd.verts[0], s.touched)
 		var x slotIndex
 		x.build(&wd, n)
 		uid, slot := x.uid, x.row(0)

@@ -51,12 +51,12 @@ func TestParamsFingerprintPinned(t *testing.T) {
 		edit func(*Params)
 		want uint64
 	}{
-		{"default", func(*Params) {}, 0x84cfce2c6c2abf5b},
-		{"no-adaptive", func(p *Params) { p.DisableAdaptive = true }, 0xce60e466392ff214},
-		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0xc4ee97e1d1a7b2a5},
-		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0x9939e510bed3e5b4},
-		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0xcd93ce0628f7f1d3},
-		{"linear", func(p *Params) { p.Strategy = CandidatesLinear }, 0x6816d4b1424e6ba6},
+		{"default", func(*Params) {}, 0xb3e2a07fff1f7312},
+		{"no-adaptive", func(p *Params) { p.DisableAdaptive = true }, 0x88ce1190772d41f3},
+		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0x964307f601ff2625},
+		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0x654dc52075cc7894},
+		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0x5e8e32f6407df38c},
+		{"linear", func(p *Params) { p.Strategy = CandidatesLinear }, 0x8440a74ce8599383},
 	}
 	for _, c := range cases {
 		p := DefaultParams()

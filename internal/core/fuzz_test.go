@@ -164,13 +164,14 @@ func FuzzWalkDistDirectory(f *testing.F) {
 			for _, w := range set {
 				s.tallyCount(w)
 			}
-			s.orderTouched()
+			got := make([]uint32, len(s.touched))
+			s.orderTouched(got, s.touched)
 			slices.Sort(set)
 			want := slices.Compact(set)
-			if !slices.Equal(s.touched, want) {
-				t.Fatalf("n=%d step %d: ordered %v, want %v", n, steps, s.touched, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d step %d: ordered %v, want %v", n, steps, got, want)
 			}
-			wd.verts[steps] = append(wd.verts[steps], s.touched...)
+			wd.verts[steps] = append(wd.verts[steps], got...)
 			steps++
 		}
 		x := &s.slots
@@ -222,7 +223,7 @@ func FuzzQueryPush(f *testing.F) {
 		e.walkDistInto(&pushed, s, u)
 		label := fmt.Sprintf("n=%d u=%d RAlpha=%d", n, u, p.RAlpha)
 		sameAsRef(t, label, &pushed, refPush(g, p.T, u, 1/float64(p.RAlpha)))
-		e.pushWalkDistInto(&exact, s, u, 0)
+		e.pushWalkDistInto(&exact, s, u, 0, true)
 		requireBelowExact(t, label, &pushed, &exact)
 		requireStepWork(t, label, e.Snapshot, &pushed, p.RAlpha)
 	})

@@ -32,6 +32,7 @@ var hotpathKernels = []string{
 	"core.clear",
 	"core.dotPositions",
 	"core.get",
+	"core.linearForwardInto",
 	"core.pushWalkDistInto",
 	"core.scoreLanes",
 	"graph.StepWalks",
@@ -85,7 +86,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 			t.Fatalf("push from %d holds mass back: %v", from, held)
 		}
 		check("pushWalkDistInto", 20, func() { e.walkDistInto(&wd, s, from) })
-		check("pushWalkDistInto (no floor)", 20, func() { e.pushWalkDistInto(&wd, s, from, 0) })
+		check("pushWalkDistInto (no floor)", 20, func() { e.pushWalkDistInto(&wd, s, from, 0, true) })
 	}
 
 	// The index's lane groups take WalkLanes' lockstep loop; scoreLanes
@@ -115,7 +116,7 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	}
 	scores := make([]ShardCand, len(block))
 	for _, h := range []int{T, 4, 1} {
-		e.pushWalkDistInto(&wd, s, u, 0)
+		e.pushWalkDistInto(&wd, s, u, 0, true)
 		wd.trim(h)
 		if wd.steps() != h {
 			t.Fatalf("query %d trimmed at %d keeps %d steps", u, h, wd.steps())
@@ -171,16 +172,17 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		t.Errorf("warm search: %.1f allocs/op, want 1 (the result slice)", allocs)
 	}
 
-	// The linear scorer: the backward pass from a vertex whose pass prunes
-	// nothing at the serving θ's ε and from the hub (a few hundred
-	// relaxations), and around them a whole linear query, whose result slice
-	// is again its one allocation. The dense accumulators come with the
-	// scratch's first linear query, in the warm-up call.
+	// The linear scorer: its first-touch forward and the backward pass from
+	// a vertex whose pass prunes nothing at the serving θ's ε and from the
+	// hub (a few hundred relaxations), and around them a whole linear query,
+	// whose result slice is again its one allocation. The dense
+	// accumulators come with the scratch's first linear query, in the
+	// warm-up call.
 	el := New(g, linearParams())
 	sl := el.getScratch()
 	defer el.putScratch(sl)
 	for _, from := range []uint32{500, hub(g)} {
-		el.walkDistInto(&sl.wd, sl, from)
+		check(fmt.Sprintf("linearForwardInto from %d", from), 20, func() { el.linearForwardInto(&sl.wd, sl, from) })
 		check(fmt.Sprintf("backwardInto from %d", from), 20, func() {
 			row, _, _, _ := el.backwardInto(ctx, sl, &sl.wd, el.p.Theta/linearEpsDiv)
 			for _, v := range row.touched {

@@ -13,9 +13,13 @@ import (
 //
 //	s_u = Σ_{t<T} cᵗ (Pᵀ)ᵗ (d ⊙ xₜ),   xₜ = Pᵗ e_u
 //
-// The forward half is the query side every strategy builds, walkDistInto:
+// The forward half (linearForwardInto) is the push every strategy builds:
 // xₜ pushed along in-edges wherever a vertex's share reaches 1/RAlpha, all
-// T steps (no horizon trim). The backward half is Horner's rule from the
+// T steps (no horizon trim), into the dense accumulator the backward pass
+// uses too. Its steps stay in first-touch order: nothing here needs them
+// ascending, so no step is sorted (walkDistInto sorts each one for the
+// Monte-Carlo consumers); xₜ holds the same vertices and, up to the order
+// of each sum, the same masses. The backward half is Horner's rule from the
 // last nonempty step h−1 down to 0:
 //
 //	r_{h−1} = d ⊙ x_{h−1},   r_t = d ⊙ xₜ + c·Q r_{t+1},   ŝ = r_0
@@ -42,11 +46,11 @@ import (
 // twice the social work (DESIGN.md §4 has the table).
 const linearEpsDiv = 10
 
-// rowAcc is one level of the backward pass: a dense accumulator over every
-// vertex and the vertices it holds mass at, in first-touch order. Every
-// entry is zero between passes: a pass that reads a level clears what it
-// touched. Masses added are positive (zero ones are skipped), so a zero
-// entry is an untouched one.
+// rowAcc is one step of the forward push or one level of the backward
+// pass: a dense accumulator over every vertex and the vertices it holds
+// mass at, in first-touch order. Every entry is zero between passes: a pass
+// that reads a step or level clears what it touched. Masses added are
+// positive (zero ones are skipped), so a zero entry is an untouched one.
 type rowAcc struct {
 	val     []float64
 	touched []uint32
@@ -68,16 +72,24 @@ func (a *rowAcc) clear() {
 	a.touched = a.touched[:0]
 }
 
-// rowAccs returns the scratch's two backward accumulators, allocating their
-// dense arrays on the scratch's first linear query.
-func (s *scratch) rowAccs() (cur, nxt *rowAcc) {
-	for i := range s.lin {
-		if s.lin[i].val == nil {
-			s.lin[i].val = make([]float64, s.n)                  // once per scratch, on its first linear query
-			s.lin[i].touched = make([]uint32, 0, scratchSupport) // likewise
-		}
+// acc returns the scratch's accumulator i (0 or 1), allocating its dense
+// array on first use: the push takes 0 and the backward pass both.
+func (s *scratch) acc(i int) *rowAcc {
+	a := &s.lin[i]
+	if a.val == nil {
+		a.val = make([]float64, s.n)                  // once per scratch, on its first push or linear query
+		a.touched = make([]uint32, 0, scratchSupport) // likewise
 	}
-	return &s.lin[0], &s.lin[1]
+	return a
+}
+
+// linearForwardInto builds all T steps of u's walk distribution into wd as
+// walkDistInto does, but leaves each step in first-touch order: the linear
+// scorer's forward half.
+//
+//lint:hotpath linear forward: every step of every linear query
+func (e *Snapshot) linearForwardInto(wd *walkDist, s *scratch, u uint32) {
+	e.pushWalkDistInto(wd, s, u, 1/float64(e.p.RAlpha), false)
 }
 
 // addDiag adds d ⊙ xₜ, step t of wd, to a.
@@ -101,7 +113,7 @@ func (e *Snapshot) addDiag(a *rowAcc, wd *walkDist, t int) {
 //
 //lint:hotpath backward pass: every relaxation of a linear query
 func (e *Snapshot) backwardInto(ctx context.Context, s *scratch, wd *walkDist, eps float64) (row *rowAcc, slack float64, relax int, err error) {
-	cur, nxt := s.rowAccs()
+	cur, nxt := s.acc(0), s.acc(1)
 	h := wd.steps()
 	if h == 0 {
 		return cur, 0, 0, nil
@@ -142,7 +154,7 @@ func (e *Snapshot) backwardInto(ctx context.Context, s *scratch, wd *walkDist, e
 // whose score ŝ is at least theta, bounded by its own score, in sortBounds
 // order. It aliases s.bounds and leaves both accumulators clear.
 func (e *Snapshot) linearRow(ctx context.Context, s *scratch, u uint32, theta float64) ([]boundedCand, error) {
-	e.walkDistInto(&s.wd, s, u)
+	e.linearForwardInto(&s.wd, s, u)
 	row, _, _, err := e.backwardInto(ctx, s, &s.wd, theta/linearEpsDiv)
 	if err != nil {
 		return nil, err

@@ -23,13 +23,13 @@ func linearParams() Params {
 }
 
 // linearDense runs the forward and backward passes of a linear query at u
-// with prune threshold eps and returns the whole row dense, the bound Δ on
+// with prune threshold eps, as linearRow does, and returns the whole row dense, the bound Δ on
 // exact − ŝ (the backward pass's slack plus pushSlack), and the number of
 // relaxations the backward pass made.
 func linearDense(e *Snapshot, u uint32, eps float64) (row []float64, delta float64, relax int) {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	e.walkDistInto(&s.wd, s, u)
+	e.linearForwardInto(&s.wd, s, u)
 	acc, slack, relax, _ := e.backwardInto(context.Background(), s, &s.wd, eps)
 	row = make([]float64, e.g.N())
 	for _, v := range acc.touched {
@@ -146,6 +146,56 @@ func TestLinearErrorOneSidedAndBounded(t *testing.T) {
 			}
 		}
 		t.Logf("%s: largest error %.3g, largest Δ %.3g", name, worst, bound)
+	}
+}
+
+// TestLinearForwardMatchesPush holds the linear scorer's forward to the
+// Monte-Carlo query side it stands beside: from the hub and 64 spread
+// vertices of every fixture, each step of linearForwardInto holds the
+// vertices of walkDistInto's step, in first-touch order, with every mass
+// within 1e-14 relative (the two sum the same shares in another order).
+// Some step must be out of ascending order, or first-touch order would go
+// untested.
+func TestLinearForwardMatchesPush(t *testing.T) {
+	for name, g := range linearFixtures() {
+		e := New(g, linearParams()).Snapshot
+		s := e.getScratch()
+		us := []uint32{hub(g)}
+		for _, x := range rng.New(8).Perm(g.N())[:64] {
+			us = append(us, uint32(x))
+		}
+		var sorted, ft walkDist
+		unordered, worst := 0, 0.0
+		for _, u := range us {
+			e.walkDistInto(&sorted, s, u)
+			e.linearForwardInto(&ft, s, u)
+			if ft.steps() != sorted.steps() {
+				t.Fatalf("%s u=%d: %d steps, the push %d", name, u, ft.steps(), sorted.steps())
+			}
+			for step := range ft.steps() {
+				if !slices.IsSorted(ft.verts[step]) {
+					unordered++
+				}
+				vs := slices.Clone(ft.verts[step])
+				slices.Sort(vs)
+				if !slices.Equal(vs, sorted.verts[step]) {
+					t.Fatalf("%s u=%d step %d: vertices %v, the push %v", name, u, step, ft.verts[step], sorted.verts[step])
+				}
+				for i, w := range ft.verts[step] {
+					got, want := ft.mass(step, i), sorted.mass(step, sorted.lookup(step, w))
+					rel := math.Abs(got-want) / want
+					if rel > 1e-14 {
+						t.Fatalf("%s u=%d step %d: mass at %d %.17g, the push %.17g", name, u, step, w, got, want)
+					}
+					worst = max(worst, rel)
+				}
+			}
+		}
+		e.putScratch(s)
+		t.Logf("%s: %d steps out of ascending order, largest relative difference %.3g", name, unordered, worst)
+		if unordered == 0 {
+			t.Errorf("%s: every step of every query came out ascending", name)
+		}
 	}
 }
 
@@ -438,7 +488,7 @@ func FuzzLinearRow(f *testing.F) {
 		requireWithinDelta(t, label, row, exact.SingleSource(g, exact.UniformDiagonal(n, e.p.C), e.p.C, e.p.T, u), delta)
 		s := e.getScratch()
 		defer e.putScratch(s)
-		e.walkDistInto(&s.wd, s, u)
+		e.linearForwardInto(&s.wd, s, u)
 		for v, want := range refBackward(e, &s.wd, eps) {
 			if math.Abs(row[v]-want) > 1e-12 {
 				t.Fatalf("%s: ŝ(%d) = %.17g, the dense recurrence %.17g", label, v, row[v], want)

@@ -271,8 +271,12 @@ func (p Params) Fingerprint() uint64 {
 // and sampled RAlpha walks past it, so scores and the cuts may differ. 6:
 // each candidate walk draws from a stream of its own (walkSeed), where
 // definition 5 ran a candidate's walks one after another on one stream:
-// the candidate walks are a new sample, so scores and the cuts differ.
-const planDef = 6
+// the candidate walks are a new sample, so scores and the cuts differ. 7:
+// the linear scorer's forward leaves each step in first-touch order
+// (linearForwardInto), where definition 6 sorted it, so the backward pass
+// sums every score in another order and a linear score may differ from
+// definition 6's in its last bits.
+const planDef = 7
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

@@ -8,10 +8,11 @@ import (
 )
 
 // scratch bundles every reusable buffer of the query and preprocess hot
-// paths: walk position arrays, epoch-marked dense accumulators (the
-// allocation-free replacement for the old map[uint32]-based tallies),
-// dense BFS distances, walk distributions, and the per-query candidate /
-// bound / score working sets.
+// paths: walk position arrays, the dense accumulators of the push and the
+// linear scorer, an epoch-marked dense tally (the allocation-free
+// replacement for the old map[uint32]-based tallies), dense BFS distances,
+// walk distributions, and the per-query candidate / bound / score working
+// sets.
 //
 // Engines hand scratches out of a sync.Pool (getScratch / putScratch), so
 // after warm-up a query performs near-zero allocations: the only escaping
@@ -20,22 +21,20 @@ import (
 type scratch struct {
 	n int
 
-	// Epoch-marked dense tally. mark[v] == epoch means v is part of the
-	// current tally and cnt[v] is valid; bumping epoch clears the whole
-	// tally in O(1). touched lists the marked vertices, so results can be
-	// extracted (and sorted) in O(support), never O(n). A floating-point
-	// tally (pushMass) keeps its masses in push, in first-touch order, and
-	// cnt[v] is v's index there.
+	// Epoch-marked dense tally of candidate deduplication (collectCandidates)
+	// and the single-pair estimator. mark[v] == epoch means v is part of
+	// the current tally and cnt[v] is valid; bumping epoch clears the whole
+	// tally in O(1). touched lists the marked vertices that tallyCount
+	// counted, so results can be extracted in O(support), never O(n). mark
+	// and cnt are allocated by the first beginTally, so a linear scratch
+	// never pays their 8n bytes.
 	mark    []uint32
 	epoch   uint32
 	cnt     []int32
 	touched []uint32
-	push    []float64
 
-	// orderTouched's buffers: the scatter target (swapped with touched
-	// after each ordering pass) and the per-bucket counts and cursors.
-	ordered []uint32
-	bucket  []uint32
+	// orderTouched's per-bucket counts and cursors.
+	bucket []uint32
 
 	// Walk position buffers (one per side of a walk-pair estimate) and
 	// the batched step kernel's lane scratch (packed CSR row descriptors,
@@ -62,8 +61,9 @@ type scratch struct {
 	// against, built once per scan (search, shardScan).
 	slots slotIndex
 
-	// lin holds the linear scorer's two backward levels (linear.go),
-	// allocated on the scratch's first linear query.
+	// lin holds the push's step accumulator (lin[0], bounds.go) and the
+	// linear scorer's two backward levels (both, linear.go), each allocated
+	// on first use (acc).
 	lin [2]rowAcc
 
 	// The single-pair estimator's generator (singlepair.go), seeded per
@@ -98,25 +98,22 @@ type scratch struct {
 	indexFound []uint32
 }
 
-// scratchSupport is the support a new scratch's tally buffers start with
-// room for, so that a scratch the pool has just made does not grow them
+// scratchSupport is the support a new accumulator's touched list starts
+// with room for, so that a scratch the pool has just made does not grow it
 // a doubling at a time through its first query's steps.
 const scratchSupport = 1024
 
 func newScratch(n int) *scratch {
-	return &scratch{
-		n:       n,
-		mark:    make([]uint32, n),
-		cnt:     make([]int32, n),
-		touched: make([]uint32, 0, scratchSupport),
-		push:    make([]float64, 0, scratchSupport),
-		ordered: make([]uint32, 0, scratchSupport),
-		bucket:  make([]uint32, 0, scratchSupport+2),
-	}
+	return &scratch{n: n}
 }
 
 // beginTally starts a fresh tally: previous marks become stale in O(1).
+// The first one allocates the tally's dense arrays.
 func (s *scratch) beginTally() {
+	if s.mark == nil {
+		s.mark = make([]uint32, s.n) // once per scratch that tallies
+		s.cnt = make([]int32, s.n)   // likewise
+	}
 	s.epoch++
 	if s.epoch == 0 {
 		// uint32 wrap-around: stale marks from 4B tallies ago could alias
@@ -137,19 +134,6 @@ func (s *scratch) tallyCount(v uint32) {
 	s.cnt[v]++
 }
 
-// pushMass adds floating-point mass m at v to the current tally, whose
-// push buffer the caller emptied when it began.
-func (s *scratch) pushMass(v uint32, m float64) {
-	if s.mark[v] != s.epoch {
-		s.mark[v] = s.epoch
-		s.cnt[v] = int32(len(s.touched))
-		s.touched = append(s.touched, v)
-		s.push = append(s.push, m)
-		return
-	}
-	s.push[s.cnt[v]] += m
-}
-
 // singleBucketMax is the largest support orderTouched keeps in one
 // bucket: below it a plain insertion sort beats counting into buckets.
 const singleBucketMax = 12
@@ -168,18 +152,19 @@ func bucketing(n, S int) (nb int, shift uint8) {
 	return 1 << lg, uint8(bits.Len32(uint32(n-1)) - lg)
 }
 
-// orderTouched sorts the current tally's touched list ascending in O(S)
-// expected time: one counting pass by bucket (b = w >> shift, bucketing),
-// a prefix sum, a scatter, and an insertion sort that only ever moves a
-// vertex inside its own bucket (buckets are already in order relative to
-// each other). Ids crowded into few buckets cost the insertion sort more,
-// never correctness.
-func (s *scratch) orderTouched() {
-	src := s.touched
+// orderTouched writes the distinct vertex ids of src into dst, of the same
+// length, in ascending order, in O(S) expected time: one counting pass by
+// bucket (b = w >> shift, bucketing), a prefix sum, a scatter into dst, and
+// an insertion sort that only ever moves a vertex inside its own bucket
+// (buckets are already in order relative to each other). Ids crowded into
+// few buckets cost the insertion sort more, never correctness.
+func (s *scratch) orderTouched(dst, src []uint32) {
+	dst = dst[:len(src)]
 	nb, shift := bucketing(s.n, len(src))
 	if nb == 1 {
 		// One bucket: nothing to count or scatter.
-		insertionSort(src)
+		copy(dst, src)
+		insertionSort(dst)
 		return
 	}
 	if cap(s.bucket) < nb+2 {
@@ -195,17 +180,12 @@ func (s *scratch) orderTouched() {
 	for b := 2; b < len(cur); b++ {
 		cur[b] += cur[b-1]
 	}
-	if cap(s.ordered) < len(src) {
-		s.ordered = make([]uint32, len(src), 2*len(src)) // amortized pooled growth; steady state reuses the scratch capacity
-	}
-	dst := s.ordered[:len(src)]
 	for _, w := range src {
 		b := (w >> shift) + 1
 		dst[cur[b]] = w
 		cur[b]++
 	}
 	insertionSort(dst)
-	s.touched, s.ordered = dst, src
 }
 
 // insertionSort sorts xs ascending; linear when every element is within a

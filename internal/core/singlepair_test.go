@@ -66,7 +66,7 @@ func TestOneSidedEstimatorMatchesExact(t *testing.T) {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	for _, pr := range [][2]uint32{{1, 2}, {5, 10}, {20, 40}, {0, 59}} {
-		e.pushWalkDistInto(&s.wd, s, pr[0], 1.0/20000)
+		e.pushWalkDistInto(&s.wd, s, pr[0], 1.0/20000, true)
 		got := e.singlePairOneSided(s, &s.wd, pr[1], 5000, r)
 		want := exact.SinglePair(g, d, e.p.C, e.p.T, pr[0], pr[1])
 		if math.Abs(got-want) > 0.02 {
@@ -83,7 +83,7 @@ func TestOneSidedDeadQuery(t *testing.T) {
 	r := rng.New(2)
 	s := e.getScratch()
 	defer e.putScratch(s)
-	e.pushWalkDistInto(&s.wd, s, 1, 1.0/100) // leaf: no mass past t=0
+	e.pushWalkDistInto(&s.wd, s, 1, 1.0/100, true) // leaf: no mass past t=0
 	if got := e.singlePairOneSided(s, &s.wd, 2, 100, r); got != 0 {
 		t.Fatalf("dead-query score = %v", got)
 	}

@@ -42,9 +42,10 @@ func TestOrderTouchedMatchesSort(t *testing.T) {
 			}
 			want := slices.Clone(s.touched)
 			slices.Sort(want)
-			s.orderTouched()
-			if !slices.Equal(s.touched, want) {
-				t.Fatalf("%s: ordered %v, want %v", tc.name, s.touched, want)
+			got := make([]uint32, len(s.touched))
+			s.orderTouched(got, s.touched)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: ordered %v, want %v", tc.name, got, want)
 			}
 			nb, shift := bucketing(tc.n, tc.S)
 			if nb&(nb-1) != 0 || (tc.S <= singleBucketMax && nb != 1) || (tc.S > singleBucketMax && (2*nb < tc.S || nb >= tc.S)) || uint32(tc.n-1)>>shift >= uint32(nb) {
@@ -317,7 +318,7 @@ func TestWalkDistLookupMatchesBinarySearch(t *testing.T) {
 		var pushed, exact walkDist
 		e.walkDistInto(&pushed, s, tc.u)
 		check("pushed", &pushed)
-		e.pushWalkDistInto(&exact, s, tc.u, 0)
+		e.pushWalkDistInto(&exact, s, tc.u, 0, true)
 		check("exact", &exact)
 		// Reusing one walkDist across floors must not leak rows.
 		e.walkDistInto(&exact, s, tc.u)
@@ -412,10 +413,10 @@ func TestPushMatchesDenseReference(t *testing.T) {
 		for u := uint32(0); u < uint32(n); u += 7 {
 			for _, minShare := range []float64{1 / float64(e.p.RAlpha), 0} {
 				label := fmt.Sprintf("%s u=%d floor %v", name, u, minShare)
-				e.pushWalkDistInto(&wd, s, u, minShare)
+				e.pushWalkDistInto(&wd, s, u, minShare, true)
 				checkWalkDist(t, label, uint32(n), &wd, &s.slots)
 				sameAsRef(t, label, &wd, refPush(g, T, u, minShare))
-				e.pushWalkDistInto(&again, s, u, minShare)
+				e.pushWalkDistInto(&again, s, u, minShare, true)
 				for step := 0; step < T; step++ {
 					if !sameStep(&again, &wd, step) {
 						t.Fatalf("%s step %d: a reused walkDist differs", label, step)
@@ -446,7 +447,7 @@ func TestPushNeverAboveExact(t *testing.T) {
 		cells, below := 0, 0
 		for u := uint32(0); u < uint32(g.N()); u += 3 {
 			e.walkDistInto(&pushed, s, u)
-			e.pushWalkDistInto(&exact, s, u, 0)
+			e.pushWalkDistInto(&exact, s, u, 0, true)
 			c, b := requireBelowExact(t, fmt.Sprintf("%s u=%d", name, u), &pushed, &exact)
 			cells, below = cells+c, below+b
 		}
@@ -509,7 +510,7 @@ func TestPushDeficitWithinHoeffdingRadius(t *testing.T) {
 		worst, cells := 0.0, 0
 		for _, u := range tc.us {
 			e.walkDistInto(&pushed, s, u)
-			e.pushWalkDistInto(&exact, s, u, 0)
+			e.pushWalkDistInto(&exact, s, u, 0, true)
 			for step := 0; step < e.p.T; step++ {
 				exact.forEach(step, func(w uint32, p float64) {
 					q, _ := pushed.prob(step, w)
@@ -560,7 +561,7 @@ func TestWalkDistReuseAcrossWidths(t *testing.T) {
 		if st.floor {
 			e.walkDistInto(&wd, s, st.u)
 		} else {
-			e.pushWalkDistInto(&wd, s, st.u, 0)
+			e.pushWalkDistInto(&wd, s, st.u, 0, true)
 		}
 		if w := wd.support(1); (w >= 300) != (st.u == wide) || (w == 0) != (st.u == source) {
 			t.Fatalf("round %d (u=%d): step 1 support %d", i, st.u, w)
@@ -986,7 +987,7 @@ func TestHorizonTailBound(t *testing.T) {
 				// relaxes every edge of a social graph at every step: every
 				// fourth query.
 				if queries%4 == 0 {
-					horizonOf(u, func(wd *walkDist) { e.pushWalkDistInto(wd, s, u, 0) })
+					horizonOf(u, func(wd *walkDist) { e.pushWalkDistInto(wd, s, u, 0, true) })
 				}
 				hq, bound := horizonOf(u, func(wd *walkDist) { e.walkDistInto(wd, s, u) })
 				if h != hq {

@@ -665,12 +665,15 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 // wherever a vertex's share reaches 1/RAlpha: its scores differ. Before
 // definition 6 a shard ran each candidate's walks on one stream, since
 // then each walk on its own: its candidate walks are another sample.
+// Before definition 7 a linear shard summed its scores in the order of a
+// sorted forward, since then in first-touch order: its last bits differ.
 const (
 	planDef1ParamsFP = 0xa50eb6893a9430f1
 	planDef2ParamsFP = 0x35b3c11a4138e135
 	planDef3ParamsFP = 0x684e490f8f7a97ea
 	planDef4ParamsFP = 0x64f7835a90c7790c
 	planDef5ParamsFP = 0xed8639fa3541b9e0
+	planDef6ParamsFP = 0x6816d4b1424e6ba6
 )
 
 // A shard still running such a binary and one running this one agree on
@@ -678,7 +681,7 @@ const (
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP, planDef5ParamsFP} {
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP, planDef5ParamsFP, planDef6ParamsFP} {
 		if _, fp := idx.ServingFingerprint(); fp == olderFP {
 			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}
