@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/router"
+	"repro/internal/server"
 )
 
 func main() {
@@ -52,6 +53,7 @@ func main() {
 	probeRetry := flag.Duration("probe-retry", time.Second, "how long to wait between membership probe attempts")
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 	wireMode := flag.String("wire", router.WireBin, "shard transport encoding: bin (persistent TCP / negotiated HTTP) or json (force JSON)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address of its own (e.g. 127.0.0.1:6061); off when empty, never on -addr")
 	flag.Parse()
 
 	if *shards == "" {
@@ -70,6 +72,11 @@ func main() {
 	if *wireMode != router.WireBin && *wireMode != router.WireJSON {
 		log.Fatalf("-wire must be %q or %q, got %q", router.WireBin, router.WireJSON, *wireMode)
 	}
+	_, stopDebug, err := server.ServeDebug(*debugAddr)
+	if err != nil {
+		log.Fatalf("-debug-addr: %v", err)
+	}
+	defer stopDebug()
 	rt := router.New(router.Config{
 		Shards:       addrs,
 		HedgeDelay:   *hedgeDelay,

@@ -66,6 +66,7 @@ func main() {
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 	shardSpec := flag.String("shard", "", "serve as shard i of n, written \"i/n\" (e.g. -shard 0/3); enables owned-range /shard/* queries for a simrouter tier")
 	binAddr := flag.String("bin-addr", "", "also serve the binary shard wire protocol on this TCP address (e.g. :8180); advertised via /shardinfo for the simrouter fast path")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address of its own (e.g. 127.0.0.1:6060); off when empty, never on -addr")
 	flag.Parse()
 
 	if *useMmap && *indexPath == "" {
@@ -75,6 +76,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	_, stopDebug, err := server.ServeDebug(*debugAddr)
+	if err != nil {
+		log.Fatalf("-debug-addr: %v", err)
+	}
+	defer stopDebug()
 	var g *simrank.Graph
 	if *graphPath != "" {
 		var err error

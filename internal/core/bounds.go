@@ -228,7 +228,7 @@ func (e *Snapshot) pushWalkDistInto(wd *walkDist, s *scratch, u uint32, minShare
 		s.peak = make([]float64, 0, T) // once per scratch
 	}
 	s.peak = s.peak[:0]
-	acc := s.acc(0)
+	acc := s.acc()
 	for t := 0; t < T; t++ {
 		if t == 0 {
 			acc.add(u, 1)

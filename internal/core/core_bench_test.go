@@ -78,7 +78,8 @@ func BenchmarkTopK(b *testing.B) {
 // query, /forward the first-touch push alone (linearForwardInto) and
 // /backward the backward pass alone (backwardInto and the accumulator's
 // clear), both over the stream's first 256 queries, whose forwards
-// /backward computes before it starts the clock.
+// /backward computes before it starts the clock; /backward reports the
+// pass's relaxations a query as relax/op beside its time.
 func BenchmarkTopKLinear(b *testing.B) {
 	for _, g := range []struct {
 		name string
@@ -123,14 +124,17 @@ func BenchmarkTopKLinear(b *testing.B) {
 					e.linearForwardInto(&fwd[j], s, uint32(j*7919+13)%n)
 				}
 				ctx, eps := context.Background(), e.p.Theta/linearEpsDiv
-				row, _, _, _ := e.backwardInto(ctx, s, &fwd[0], eps) // the accumulators' first use allocates them
+				row, _, _, _ := e.backwardInto(ctx, s, &fwd[0], eps) // the first use grows the source list
 				row.clear()
 				b.ReportAllocs()
 				b.ResetTimer()
+				relax := 0
 				for i := 0; i < b.N; i++ {
-					row, _, _, _ := e.backwardInto(ctx, s, &fwd[i%len(fwd)], eps)
+					row, _, r, _ := e.backwardInto(ctx, s, &fwd[i%len(fwd)], eps)
 					row.clear()
+					relax += r
 				}
+				b.ReportMetric(float64(relax)/float64(b.N), "relax/op")
 			})
 		})
 	}

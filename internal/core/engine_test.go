@@ -51,12 +51,12 @@ func TestParamsFingerprintPinned(t *testing.T) {
 		edit func(*Params)
 		want uint64
 	}{
-		{"default", func(*Params) {}, 0xb3e2a07fff1f7312},
-		{"no-adaptive", func(p *Params) { p.DisableAdaptive = true }, 0x88ce1190772d41f3},
-		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0x964307f601ff2625},
-		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0x654dc52075cc7894},
-		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0x5e8e32f6407df38c},
-		{"linear", func(p *Params) { p.Strategy = CandidatesLinear }, 0x8440a74ce8599383},
+		{"default", func(*Params) {}, 0x4f95f0755ef4b2ed},
+		{"no-adaptive", func(p *Params) { p.DisableAdaptive = true }, 0xf09f5b9307643112},
+		{"ball-no-l1", func(p *Params) { p.Strategy = CandidatesBall; p.DisableL1 = true }, 0x351a0887e4ba86ad},
+		{"hybrid", func(p *Params) { p.Strategy = CandidatesHybrid }, 0xacb6f502d038b712},
+		{"custom-d", func(p *Params) { p.D = []float64{0.4, 0.5, 0.25} }, 0x9e11eb97c2c79529},
+		{"linear", func(p *Params) { p.Strategy = CandidatesLinear }, 0xf85a1623ebc0a674},
 	}
 	for _, c := range cases {
 		p := DefaultParams()

@@ -176,8 +176,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	// a vertex whose pass prunes nothing at the serving θ's ε and from the
 	// hub (a few hundred relaxations), and around them a whole linear query,
 	// whose result slice is again its one allocation. The dense
-	// accumulators come with the scratch's first linear query, in the
-	// warm-up call.
+	// accumulator comes with the scratch's first linear query, and the
+	// backward pass's source list grows to its size, in the warm-up call.
 	el := New(g, linearParams())
 	sl := el.getScratch()
 	defer el.putScratch(sl)

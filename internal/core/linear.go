@@ -25,15 +25,16 @@ import (
 //	r_{h−1} = d ⊙ x_{h−1},   r_t = d ⊙ xₜ + c·Q r_{t+1},   ŝ = r_0
 //
 // with (Q r)(j) = Σ_{i ∈ In(j)} r(i)/indeg(j), run as a scatter: a source i
-// of level t+1 hands c·r(i)/indeg(j) to each j ∈ Out(i). A source is pruned
-// before its scatter when c^(t+1)·r(i) < ε: what r(i) would still add to any
-// one vertex's score is c^(t+1)·(Q^(t+1))(v,i)·r(i) ≤ c^(t+1)·r(i), because
-// every row of Q^(t+1) sums to at most 1. Pruned mass is non-negative, so
-// ŝ never exceeds the series over the pushed xₜ, and that never exceeds the
-// exact series (the push holds mass back, it never invents any): the error
-// is one-sided. Per query it is at most Δ = Σ over levels of the largest
-// pruned c^(t+1)·r(i) (the slack backwardInto returns) plus what the push
-// held back (DESIGN.md §4).
+// of level t+1 hands c·r(i)/indeg(j) to each j ∈ Out(i), in the push's
+// one accumulator, and d ⊙ xₜ is added after the scatter (addDiag). A
+// source is pruned before its scatter when c^(t+1)·r(i) < ε: what r(i)
+// would still add to any one vertex's score is c^(t+1)·(Q^(t+1))(v,i)·r(i)
+// ≤ c^(t+1)·r(i), because every row of Q^(t+1) sums to at most 1. Pruned
+// mass is non-negative, so ŝ never exceeds the series over the pushed xₜ,
+// and that never exceeds the exact series (the push holds mass back, it
+// never invents any): the error is one-sided. Per query it is at most
+// Δ = Σ over levels of the largest pruned c^(t+1)·r(i) (the slack
+// backwardInto returns) plus what the push held back (DESIGN.md §4).
 //
 // A query at threshold θ prunes at ε = min(θ, Theta)/linearEpsDiv, and every
 // entry of the row at or above θ is a candidate bounded by its own score: the
@@ -72,15 +73,21 @@ func (a *rowAcc) clear() {
 	a.touched = a.touched[:0]
 }
 
-// acc returns the scratch's accumulator i (0 or 1), allocating its dense
-// array on first use: the push takes 0 and the backward pass both.
-func (s *scratch) acc(i int) *rowAcc {
-	a := &s.lin[i]
+// acc returns the scratch's accumulator, allocating its dense array on
+// first use: the push and the backward pass both run in it.
+func (s *scratch) acc() *rowAcc {
+	a := &s.lin
 	if a.val == nil {
 		a.val = make([]float64, s.n)                  // once per scratch, on its first push or linear query
 		a.touched = make([]uint32, 0, scratchSupport) // likewise
 	}
 	return a
+}
+
+// source is vertex v of a backward level and its c·r(v).
+type source struct {
+	v  uint32
+	cr float64
 }
 
 // linearForwardInto builds all T steps of u's walk distribution into wd as
@@ -92,67 +99,77 @@ func (e *Snapshot) linearForwardInto(wd *walkDist, s *scratch, u uint32) {
 	e.pushWalkDistInto(wd, s, u, 1/float64(e.p.RAlpha), false)
 }
 
-// addDiag adds d ⊙ xₜ, step t of wd, to a.
-func (e *Snapshot) addDiag(a *rowAcc, wd *walkDist, t int) {
+// addDiag adds d ⊙ xₜ, step t of wd, to a after level t's scatter. At t ≥ 1
+// it leaves out, and returns the largest weight of, each entry the scatter
+// did not reach whose weight cᵗ·d(w)·xₜ(w) the next level would prune.
+func (e *Snapshot) addDiag(a *rowAcc, wd *walkDist, t int, eps float64) (pruned float64) {
+	ct := e.cpow[t]
 	for i, w := range wd.verts[t] {
-		if m := e.p.dval(w) * wd.mass(t, i); m > 0 {
+		switch m := e.p.dval(w) * wd.mass(t, i); {
+		case m <= 0:
+		case t > 0 && a.val[w] == 0 && ct*m < eps:
+			pruned = max(pruned, ct*m)
+		default:
 			a.add(w, m)
 		}
 	}
+	return pruned
 }
 
 // backwardInto runs the pruned backward pass over the forward distribution
 // wd at prune threshold eps and returns the accumulator that holds ŝ = r_0
 // (the caller reads it and clears it, touched list and entries), the slack
 // Σ_t max pruned c^(t+1)·r(i), and the number of relaxations (edges
-// scattered along). Sources scatter in their level's touched order and a
-// source's out-edges in CSR order, so every entry is the same sum in the
-// same order each time: a pure function of (graph, wd, eps). ctx is checked
-// once per level; a cancelled pass leaves both accumulators clear and
-// returns ctx.Err().
+// scattered along). A level reads and clears r_{t+1}, lifting the sources
+// that survive the prune into s.srcs, and scatters them back into the same
+// accumulator in their level's touched order, a source's out-edges in CSR
+// order, so every entry is the same sum in the same order each time: a pure
+// function of (graph, wd, eps). ctx is checked once per level; a cancelled
+// pass leaves the accumulator clear and returns ctx.Err().
 //
 //lint:hotpath backward pass: every relaxation of a linear query
 func (e *Snapshot) backwardInto(ctx context.Context, s *scratch, wd *walkDist, eps float64) (row *rowAcc, slack float64, relax int, err error) {
-	cur, nxt := s.acc(0), s.acc(1)
+	a := s.acc()
 	h := wd.steps()
 	if h == 0 {
-		return cur, 0, 0, nil
+		return a, 0, 0, nil
 	}
-	c := e.p.C
-	e.addDiag(cur, wd, h-1)
+	pruned := e.addDiag(a, wd, h-1, eps)
 	for t := h - 2; t >= 0; t-- {
-		// cur holds r_{t+1} and nxt is clear; r_t builds up in nxt.
+		// a holds r_{t+1} but the entries already weighed into pruned.
 		if err := ctx.Err(); err != nil {
-			cur.clear()
+			a.clear()
 			return nil, 0, relax, err
 		}
-		e.addDiag(nxt, wd, t)
 		ct := e.cpow[t+1]
-		pruned := 0.0
-		for _, i := range cur.touched {
-			r := cur.val[i]
-			cur.val[i] = 0
+		srcs := s.srcs[:0]
+		for _, i := range a.touched {
+			r := a.val[i]
+			a.val[i] = 0
 			if w := ct * r; w < eps {
 				pruned = max(pruned, w)
 				continue
 			}
-			cr := c * r
-			out := e.g.Out(i)
+			srcs = append(srcs, source{i, e.p.C * r})
+		}
+		a.touched = a.touched[:0]
+		s.srcs = srcs
+		slack += pruned
+		for _, src := range srcs {
+			out := e.g.Out(src.v)
 			for _, j := range out {
-				nxt.add(j, cr/float64(e.g.InDegree(j)))
+				a.add(j, src.cr/float64(e.g.InDegree(j)))
 			}
 			relax += len(out)
 		}
-		cur.touched = cur.touched[:0]
-		slack += pruned
-		cur, nxt = nxt, cur
+		pruned = e.addDiag(a, wd, t, eps)
 	}
-	return cur, slack, relax, nil
+	return a, slack, relax, nil
 }
 
 // linearRow returns u's row pruned at theta/linearEpsDiv: every vertex but u
 // whose score ŝ is at least theta, bounded by its own score, in sortBounds
-// order. It aliases s.bounds and leaves both accumulators clear.
+// order. It aliases s.bounds and leaves the accumulator clear.
 func (e *Snapshot) linearRow(ctx context.Context, s *scratch, u uint32, theta float64) ([]boundedCand, error) {
 	e.linearForwardInto(&s.wd, s, u)
 	row, _, _, err := e.backwardInto(ctx, s, &s.wd, theta/linearEpsDiv)

@@ -62,10 +62,131 @@ func pushSlack(e *Snapshot, wd *walkDist) float64 {
 	return sum
 }
 
-// refBackward is the backward pass as a dense recurrence over every vertex,
+// refBackward is the backward pass as it ran in two accumulators before
+// the survivors were lifted out of one: r_t starts as d ⊙ xₜ in the second
+// and the sources of r_{t+1} scatter into it from the first, pruned by the
+// same rule. It returns r_0 dense, the vertices r_0 holds mass at, the
+// slack and the relaxations, which backwardInto must match
+// (TestBackwardMatchesTwoAccumulators).
+func refBackward(e *Snapshot, wd *walkDist, eps float64) (row []float64, verts []uint32, slack float64, relax int) {
+	n := e.g.N()
+	cur := &rowAcc{val: make([]float64, n)}
+	nxt := &rowAcc{val: make([]float64, n)}
+	h := wd.steps()
+	if h == 0 {
+		return cur.val, nil, 0, 0
+	}
+	diag := func(a *rowAcc, t int) {
+		for i, w := range wd.verts[t] {
+			if m := e.p.dval(w) * wd.mass(t, i); m > 0 {
+				a.add(w, m)
+			}
+		}
+	}
+	diag(cur, h-1)
+	for t := h - 2; t >= 0; t-- {
+		diag(nxt, t)
+		ct, pruned := e.cpow[t+1], 0.0
+		for _, i := range cur.touched {
+			r := cur.val[i]
+			cur.val[i] = 0
+			if w := ct * r; w < eps {
+				pruned = max(pruned, w)
+				continue
+			}
+			cr := e.p.C * r
+			out := e.g.Out(i)
+			for _, j := range out {
+				nxt.add(j, cr/float64(e.g.InDegree(j)))
+			}
+			relax += len(out)
+		}
+		cur.touched = cur.touched[:0]
+		slack += pruned
+		cur, nxt = nxt, cur
+	}
+	return cur.val, cur.touched, slack, relax
+}
+
+// requireMatchesRef runs backwardInto over s.wd at eps and fails unless it
+// matches refBackward: the same relaxations, the same row vertices, and
+// every score and the slack within 1e-12 relative. It returns the largest
+// relative difference and leaves the accumulator clear.
+func requireMatchesRef(t testing.TB, label string, e *Snapshot, s *scratch, eps float64) (worst float64) {
+	t.Helper()
+	want, wantVerts, wantSlack, wantRelax := refBackward(e, &s.wd, eps)
+	row, slack, relax, _ := e.backwardInto(context.Background(), s, &s.wd, eps)
+	defer row.clear()
+	if relax != wantRelax {
+		t.Fatalf("%s: %d relaxations, two accumulators %d", label, relax, wantRelax)
+	}
+	got, w := slices.Clone(row.touched), slices.Clone(wantVerts)
+	slices.Sort(got)
+	slices.Sort(w)
+	if !slices.Equal(got, w) {
+		t.Fatalf("%s: row holds %d vertices, two accumulators %d (or others)", label, len(got), len(w))
+	}
+	rel := func(got, want float64) float64 {
+		if got == want {
+			return 0
+		}
+		return math.Abs(got-want) / math.Abs(want)
+	}
+	for _, v := range row.touched {
+		if d := rel(row.val[v], want[v]); d > 1e-12 {
+			t.Fatalf("%s: ŝ(%d) = %.17g, two accumulators %.17g", label, v, row.val[v], want[v])
+		} else {
+			worst = max(worst, d)
+		}
+	}
+	if d := rel(slack, wantSlack); d > 1e-12 {
+		t.Fatalf("%s: slack %.17g, two accumulators %.17g", label, slack, wantSlack)
+	}
+	return worst
+}
+
+// TestBackwardMatchesTwoAccumulators holds the one-accumulator backward
+// pass to the two-accumulator kernel it replaced (refBackward), from the
+// hub and 64 spread vertices of every fixture at the serving θ's ε: the
+// survivors lifted out before the scatter and the diagonal added after it
+// scatter every source the old order did and sum every score the same,
+// up to the order of each sum. The citation DAG runs once more with
+// d(w) = 1e-5 at every even w: there level 0 holds an entry below ε that
+// no scatter reaches (nothing leads back to u), which addDiag must keep.
+func TestBackwardMatchesTwoAccumulators(t *testing.T) {
+	fixtures := linearFixtures()
+	dag := fixtures["golden-citation"]
+	tiny := linearParams()
+	tiny.D = make([]float64, dag.N())
+	for w := range tiny.D {
+		tiny.D[w] = []float64{1e-5, 1 - tiny.C}[w%2]
+	}
+	fixtures["citation-tiny-d"] = dag
+	for name, g := range fixtures {
+		p := linearParams()
+		if name == "citation-tiny-d" {
+			p = tiny
+		}
+		e := New(g, p).Snapshot
+		s := e.getScratch()
+		us := []uint32{hub(g)}
+		for _, x := range rng.New(6).Perm(g.N())[:64] {
+			us = append(us, uint32(x))
+		}
+		worst := 0.0
+		for _, u := range us {
+			e.linearForwardInto(&s.wd, s, u)
+			worst = max(worst, requireMatchesRef(t, fmt.Sprintf("%s u=%d", name, u), e, s, e.p.Theta/linearEpsDiv))
+		}
+		e.putScratch(s)
+		t.Logf("%s: largest relative score difference %.3g", name, worst)
+	}
+}
+
+// denseBackward is the backward pass as a dense recurrence over every vertex,
 // with the same prune rule: r_t = d ⊙ xₜ + c·Q r_{t+1}, where a source i of
 // level t+1 is left out when c^(t+1)·r(i) < eps.
-func refBackward(e *Snapshot, wd *walkDist, eps float64) []float64 {
+func denseBackward(e *Snapshot, wd *walkDist, eps float64) []float64 {
 	n := e.g.N()
 	r := make([]float64, n)
 	h := wd.steps()
@@ -369,7 +490,7 @@ func (c *countdownCtx) Err() error {
 // TestLinearRowCancelsBetweenLevels holds the backward pass to one context
 // check per level: a full pass makes one per level after the first, and a
 // cancellation at any of them ends the pass there with ctx's error and
-// both accumulators clear, so the scratch serves the next query exactly.
+// the accumulator clear, so the scratch serves the next query exactly.
 // θ = 1e-9 prunes nothing, the longest pass a query can ask for.
 func TestLinearRowCancelsBetweenLevels(t *testing.T) {
 	g := graph.PreferentialAttachment(2000, 10, 0.4, 3)
@@ -392,10 +513,8 @@ func TestLinearRowCancelsBetweenLevels(t *testing.T) {
 		if _, err := e.linearRow(&countdownCtx{context.Background(), stop}, s, u, theta); err != context.Canceled {
 			t.Fatalf("cancelled at check %d: %v", stop, err)
 		}
-		for i, a := range s.lin {
-			if len(a.touched) != 0 || slices.ContainsFunc(a.val, func(x float64) bool { return x != 0 }) {
-				t.Fatalf("cancelled at check %d: accumulator %d left %d touched", stop, i, len(a.touched))
-			}
+		if a := s.lin; len(a.touched) != 0 || slices.ContainsFunc(a.val, func(x float64) bool { return x != 0 }) {
+			t.Fatalf("cancelled at check %d: the accumulator left %d touched", stop, len(a.touched))
 		}
 	}
 	if got, _ := e.linearRow(context.Background(), s, u, theta); !slices.Equal(got, want) {
@@ -464,7 +583,8 @@ func TestLinearSnapshotPersists(t *testing.T) {
 // FuzzLinearRow holds the linear scorer to its properties on small random
 // graphs, from a random u at a random θ: every cell of the row is at most
 // the exact series and at most Δ below it, the row agrees to 1e-12 with
-// the dense recurrence under the same prune rule (refBackward), and the
+// the dense recurrence under the same prune rule (denseBackward) and with
+// the two-accumulator kernel (refBackward, requireMatchesRef), and the
 // query's plan is the row's cells at or above θ but u's, the same bit for
 // bit on a second run.
 func FuzzLinearRow(f *testing.F) {
@@ -489,11 +609,12 @@ func FuzzLinearRow(f *testing.F) {
 		s := e.getScratch()
 		defer e.putScratch(s)
 		e.linearForwardInto(&s.wd, s, u)
-		for v, want := range refBackward(e, &s.wd, eps) {
+		for v, want := range denseBackward(e, &s.wd, eps) {
 			if math.Abs(row[v]-want) > 1e-12 {
 				t.Fatalf("%s: ŝ(%d) = %.17g, the dense recurrence %.17g", label, v, row[v], want)
 			}
 		}
+		requireMatchesRef(t, label, e, s, eps)
 
 		first, _ := e.linearRow(context.Background(), s, u, theta)
 		first = slices.Clone(first)

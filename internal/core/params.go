@@ -275,8 +275,10 @@ func (p Params) Fingerprint() uint64 {
 // the linear scorer's forward leaves each step in first-touch order
 // (linearForwardInto), where definition 6 sorted it, so the backward pass
 // sums every score in another order and a linear score may differ from
-// definition 6's in its last bits.
-const planDef = 7
+// definition 6's in its last bits. 8: the linear backward pass adds d ⊙ xₜ
+// after each level's scatter (backwardInto), where definition 7 added it
+// before, so a linear score may differ from definition 7's in its last bits.
+const planDef = 8
 
 // dval returns the diagonal correction entry for vertex w.
 func (p *Params) dval(w uint32) float64 {

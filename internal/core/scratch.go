@@ -8,8 +8,8 @@ import (
 )
 
 // scratch bundles every reusable buffer of the query and preprocess hot
-// paths: walk position arrays, the dense accumulators of the push and the
-// linear scorer, an epoch-marked dense tally (the allocation-free
+// paths: walk position arrays, the dense accumulator the push and the
+// linear scorer share, an epoch-marked dense tally (the allocation-free
 // replacement for the old map[uint32]-based tallies), dense BFS distances,
 // walk distributions, and the per-query candidate / bound / score working
 // sets.
@@ -61,10 +61,11 @@ type scratch struct {
 	// against, built once per scan (search, shardScan).
 	slots slotIndex
 
-	// lin holds the push's step accumulator (lin[0], bounds.go) and the
-	// linear scorer's two backward levels (both, linear.go), each allocated
-	// on first use (acc).
-	lin [2]rowAcc
+	// lin is the dense accumulator of the push's steps and the backward
+	// levels, allocated on first use (acc); srcs holds one level's surviving
+	// sources, lifted out of lin before its scatter (backwardInto).
+	lin  rowAcc
+	srcs []source
 
 	// The single-pair estimator's generator (singlepair.go), seeded per
 	// pair (pairSeed); the candidate walks draw from lane generators.

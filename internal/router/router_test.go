@@ -667,6 +667,8 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 // then each walk on its own: its candidate walks are another sample.
 // Before definition 7 a linear shard summed its scores in the order of a
 // sorted forward, since then in first-touch order: its last bits differ.
+// Before definition 8 a linear shard added the diagonal of a backward level
+// before its scatter, since then after it: its last bits differ again.
 const (
 	planDef1ParamsFP = 0xa50eb6893a9430f1
 	planDef2ParamsFP = 0x35b3c11a4138e135
@@ -674,6 +676,7 @@ const (
 	planDef4ParamsFP = 0x64f7835a90c7790c
 	planDef5ParamsFP = 0xed8639fa3541b9e0
 	planDef6ParamsFP = 0x6816d4b1424e6ba6
+	planDef7ParamsFP = 0x8440a74ce8599383
 )
 
 // A shard still running such a binary and one running this one agree on
@@ -681,7 +684,7 @@ const (
 func TestRouterProbeRejectsOlderPlanDefinition(t *testing.T) {
 	g := simrank.GenerateCollaborationGraph(60, 4, 0.8, 7)
 	idx := simrank.BuildIndex(g, simrank.DefaultOptions())
-	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP, planDef5ParamsFP, planDef6ParamsFP} {
+	for _, olderFP := range []uint64{planDef1ParamsFP, planDef2ParamsFP, planDef3ParamsFP, planDef4ParamsFP, planDef5ParamsFP, planDef6ParamsFP, planDef7ParamsFP} {
 		if _, fp := idx.ServingFingerprint(); fp == olderFP {
 			t.Fatalf("the params fingerprint of DefaultOptions is still %#x", fp)
 		}
