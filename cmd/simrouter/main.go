@@ -1,15 +1,15 @@
-// Command simrouter fronts a set of shard simservers with deterministic
-// scatter-gather: each query fans out to every shard, the per-shard
-// fragments are merged with the single-node replay, and the answer —
-// results and pruning statistics — is byte-identical to one simserver
-// holding the whole query.
+// Command simrouter fronts a set of shard simservers: each query goes to
+// one of them, taken in rotation, which answers it over the whole vertex
+// range; its fragment is replayed through the single-node merge, and the
+// answer — results and pruning statistics — is byte-identical to one
+// simserver holding the whole query.
 //
 // The shard servers run simserver -shard i/n over the same graph, seed,
 // and parameters; the router probes /readyz and /shardinfo on every
 // address until the manifests form one coherent topology, then serves.
-// A slow shard is hedged to the next server after -hedge-delay and a
-// down shard fails over immediately (every server holds the full
-// snapshot, so any server can score any vertex range). Every attempt —
+// A slow server is hedged to the next server after -hedge-delay and a
+// down server fails over immediately (every server holds the full
+// snapshot and computes the same answer). Every attempt —
 // first, hedged or failed-over — picks its transport the same way:
 // the server's binary TCP listener (simserver -bin-addr) when it
 // advertises one, binary-negotiated HTTP otherwise, JSON with -wire json.
@@ -47,7 +47,7 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard server base URLs (required)")
 	addr := flag.String("addr", ":8080", "listen address")
 	hedgeDelay := flag.Duration("hedge-delay", 50*time.Millisecond, "delay before hedging a slow shard to the next server (0 disables hedging)")
-	maxAttempts := flag.Int("max-attempts", 2, "servers tried per shard range (failover + hedging)")
+	maxAttempts := flag.Int("max-attempts", 2, "servers tried per query (failover + hedging)")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-query deadline across all attempts (0 = unlimited)")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-address deadline when probing membership")
 	probeRetry := flag.Duration("probe-retry", time.Second, "how long to wait between membership probe attempts")

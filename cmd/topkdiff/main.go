@@ -16,12 +16,14 @@
 // proves little, so the run fails when fewer than 2 in 5 of the corpus
 // queries return a row on /topk, or on /similar; both counts are printed.
 //
-// When -a is a router, its /statusz is read after the corpus and the
-// transport every shard was reached over is checked for consistency —
-// wire_format "bin" must come with request frames encoded and TCP
-// connections accepted by the shard — and printed as wire_format=...,
-// so an identity run also says which encoding it was an identity run of
-// (scripts/ci.sh asserts the one it expects).
+// When -a is a router, its /statusz is read after the corpus: every
+// shard must have been primary for some query (requests_total > 0), so a
+// router that stopped rotating fails, and the transport every shard was
+// reached over is checked for consistency — wire_format "bin" must come
+// with request frames encoded and TCP connections accepted by the shard —
+// and printed as wire_format=..., so an identity run also says which
+// encoding it was an identity run of (scripts/ci.sh asserts the one it
+// expects).
 package main
 
 import (
@@ -87,10 +89,11 @@ type batchResponse struct {
 // reads; a stand-alone server's /statusz has no shards list.
 type routerStatusz struct {
 	Shards []struct {
-		Shard      int    `json:"shard"`
-		WireFormat string `json:"wire_format"`
-		EncodeNs   int64  `json:"encode_ns"`
-		Status     *struct {
+		Shard         int    `json:"shard"`
+		RequestsTotal int64  `json:"requests_total"`
+		WireFormat    string `json:"wire_format"`
+		EncodeNs      int64  `json:"encode_ns"`
+		Status        *struct {
 			Wire struct {
 				BinConnsTotal int64 `json:"bin_conns_total"`
 			} `json:"wire"`
@@ -99,8 +102,9 @@ type routerStatusz struct {
 }
 
 // wireFormat reports the transport addr's shards were reached over, ""
-// when addr is not a router. The shards must agree, and "bin" must be
-// backed by counters: frames encoded here, connections accepted there.
+// when addr is not a router. Every shard must have served as primary,
+// the shards must agree, and "bin" must be backed by counters: frames
+// encoded here, connections accepted there.
 func wireFormat(addr string) (string, error) {
 	body, err := get(addr + "/statusz")
 	if err != nil {
@@ -112,6 +116,9 @@ func wireFormat(addr string) (string, error) {
 	}
 	format := ""
 	for i, s := range st.Shards {
+		if s.RequestsTotal <= 0 {
+			return "", fmt.Errorf("shard %d: requests_total = %d: the router never made it a query's primary", s.Shard, s.RequestsTotal)
+		}
 		if i > 0 && s.WireFormat != format {
 			return "", fmt.Errorf("shard %d on wire_format %q, shard 0 on %q", s.Shard, s.WireFormat, format)
 		}
@@ -301,7 +308,7 @@ func main() {
 
 	format, err := wireFormat(ua)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "topkdiff: TRANSPORT:", err)
+		fmt.Fprintln(os.Stderr, "topkdiff: ROUTER:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("topkdiff: %d queries, %d similar + 1 batch identical between %s and %s", *count, *count, ua, ub)

@@ -9,8 +9,8 @@ import (
 // one: a fixed `for w := 0; w < workers; w++` fan-out over a shared
 // cursor whose determinism has been argued once (per-vertex reseeding,
 // outputs per item, a query on one goroutine), plus the one background
-// refresher; the router's scatter/hedge sites are the same shape
-// with the shard count as the bound; a stray `go` elsewhere — and in
+// refresher; the router's fan-out/hedge sites are the same shape
+// with the shard count or a fixed cap as the bound; a stray `go` elsewhere — and in
 // particular one goroutine per work item inside a range loop — is both
 // an unbounded-spawn hazard and a new ordering surface that the
 // determinism tests were never written to cover.
@@ -28,7 +28,7 @@ var GoSpawn = &Analyzer{
 var goSpawnAllow = map[string]bool{
 	"forEachIndexParallel": true, // allpairs.go: the engine's one worker pool (preprocess chunks, AllTopK, TopKBatch, joins)
 	"startRefresher":       true, // dynamic.go: the single background snapshot builder
-	"fanout":               true, // router/hedge.go: counted scatter (one goroutine per shard) and batch workers
+	"fanout":               true, // router/hedge.go: batch workers and /statusz probes (one goroutine per shard)
 	"hedged":               true, // router/hedge.go: launch-on-demand attempts under a fixed cap
 }
 

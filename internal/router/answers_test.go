@@ -199,29 +199,34 @@ func TestRouterRejectsBadShardAnswers(t *testing.T) {
 }
 
 // TestRouterFailsOverBadShardAnswers: one server answering badly is a
-// failed attempt like any other; the next server answers its range and
-// the routed answer is the single-node one.
+// failed attempt like any other; the next server answers the query and
+// the routed answer is the single-node one. Each query is sent S times,
+// so every server is primary for it once wherever the rotation starts.
 func TestRouterFailsOverBadShardAnswers(t *testing.T) {
+	const shards = 2
 	idx := buildIndex(t)
 	single := server.New(idx)
-	_, good := loopback(t, idx, 2, Config{})
-	_, bad := loopbackOpts(t, idx, 2, Config{}, topoOpts{tamper: badAnswers[0].tp})
+	_, good := loopback(t, idx, shards, Config{})
+	_, bad := loopbackOpts(t, idx, shards, Config{}, topoOpts{tamper: badAnswers[0].tp})
 	rt := New(Config{Shards: []string{good[0].URL, bad[1].URL}})
 	if err := rt.Probe(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{"/topk?u=42&k=5&stats=1", "/similar?u=42&theta=0.005"} {
-		rec, body := routerGet(t, rt, path)
 		_, sbody := routerGet(t, single, path)
-		var got, want server.TopKResponse
-		if err := json.Unmarshal(body, &got); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, rec.Code, body)
-		}
+		var want server.TopKResponse
 		if err := json.Unmarshal(sbody, &want); err != nil {
 			t.Fatal(err)
 		}
-		if err := diffAnswer(got, want); err != nil {
-			t.Fatalf("%s: %v", path, err)
+		for i := 0; i < shards; i++ {
+			rec, body := routerGet(t, rt, path)
+			var got server.TopKResponse
+			if err := json.Unmarshal(body, &got); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s query %d: status %d: %s", path, i, rec.Code, body)
+			}
+			if err := diffAnswer(got, want); err != nil {
+				t.Fatalf("%s query %d: %v", path, i, err)
+			}
 		}
 	}
 	var st RouterStatusz
@@ -229,8 +234,11 @@ func TestRouterFailsOverBadShardAnswers(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if errs := st.Shards[1].AttemptErrsTotal; errs == 0 {
-		t.Fatal("the bad answers of shard 1 count no attempt errors")
+	if s1 := st.Shards[1]; s1.AttemptErrsTotal != 2 || s1.HedgesFired != 2 {
+		t.Fatalf("the bad answers of shard 1: %d attempt errors and %d hedges, want 2 each: %+v", s1.AttemptErrsTotal, s1.HedgesFired, s1)
+	}
+	if s0 := st.Shards[0]; s0.AttemptErrsTotal != 0 || s0.HedgesFired != 0 {
+		t.Fatalf("the good shard 0 counts errors or hedges: %+v", s0)
 	}
 }
 

@@ -29,8 +29,9 @@ var (
 // answer to one query. A batch runs its queries side by side over one
 // cache, so which of them finds a shared entry cached is a race: there the
 // hit and miss counts are masked too. The router's loopback shards each
-// serve an index of their own, so its answers to one query sum two caches
-// that are asked in turn and pin their counts. /statusz carries timings,
+// serve an index of their own and a routed query is answered by one of
+// them, so its cache counts are that shard's, as the single node's are
+// its own, and are pinned. /statusz carries timings,
 // ports and counters that depend on how the two shards' lookups
 // interleave, so there every number is masked and what is pinned is the
 // keys and their order.

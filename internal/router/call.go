@@ -18,54 +18,50 @@ type xfer struct {
 	encodeNS, decodeNS int64
 }
 
-// scatter runs op against every shard concurrently, leaving each
-// shard's winning reply or error in g, and returns the first error.
-func (rt *Router) scatter(ctx context.Context, t *topology, op shardOp, g *gather) error {
+// call fetches op's answer over the whole vertex range [0, n) from one
+// server: the one shard-call path. Every server holds the full snapshot
+// and computes the same row, so any of them returns the same bytes and
+// the choice moves load, never an answer. The primary is taken in
+// rotation; attempt a goes to server (primary+a) mod S under the hedged
+// driver: the next attempt starts when the previous one fails (failover)
+// or, with HedgeDelay > 0, is still running after the delay (hedging).
+// Each attempt decodes into a pooled reply of its own; the winner's is
+// returned for the caller to merge and release (putReply), so no attempt
+// still running can write into anything the merge reads.
+//
+// Each attempt's wire counters and errors go to the server it was sent
+// to; the query itself, its hedges and its failure, to the primary.
+func (rt *Router) call(ctx context.Context, t *topology, op shardOp) (*reply, error) {
 	n := len(t.addrs)
-	g.ensure(n)
-	fanout(n, func(i int) {
-		g.replies[i], g.errs[i] = rt.call(ctx, t, i, op)
-	})
-	for _, err := range g.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// call fetches shard si's answer to op: the one shard-call path. Attempt
-// a goes to server (si+a) mod S — any server can score any range — under
-// the hedged driver: the next attempt starts when the previous one fails
-// (failover) or, with HedgeDelay > 0, is still running after the delay
-// (hedging). Each attempt decodes into a pooled reply of its own; the
-// winner's is returned (released later by putGather), so no attempt still
-// running can write into anything the merge reads.
-func (rt *Router) call(ctx context.Context, t *topology, si int, op shardOp) (*reply, error) {
-	sc := &rt.shards[si]
-	sc.requests.Add(1)
-	m := t.manifests[si]
-	rp, hedges, errs, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
+	primary := int(rt.next.Add(1) % uint64(n))
+	pc := &rt.shards[primary]
+	pc.requests.Add(1)
+	rp, hedges, err := hedged(ctx, rt.cfg.HedgeDelay, rt.cfg.MaxAttempts,
 		func(ctx context.Context, a int) (*reply, error) {
-			j := (si + a) % len(t.addrs)
-			// A successful attempt hands its reply to hedged: the winner's reaches the gather and putGather releases it, a late loser's is dropped to the GC
+			j := (primary + a) % n
+			sc := &rt.shards[j]
+			// A successful attempt hands its reply to hedged: the winner's reaches the caller, a late loser's is dropped to the GC
 			rp := rt.getReply()
 			var x xfer
-			err := rt.attempt(ctx, t.addrs[j], t.binAddrs[j], op, m.Lo, m.Hi, rp, &x)
+			err := rt.attempt(ctx, t.addrs[j], t.binAddrs[j], op, 0, t.vertices, rp, &x)
 			sc.bytesSent.Add(x.sent)
 			sc.bytesRecv.Add(x.recv)
 			sc.encodeNS.Add(x.encodeNS)
 			sc.decodeNS.Add(x.decodeNS)
 			if err != nil {
+				// An attempt cut short because the race was decided or
+				// the query gave up is no fault of its server.
+				if ctx.Err() == nil {
+					sc.attemptErrs.Add(1)
+				}
 				rt.putReply(rp)
 				return nil, err
 			}
 			return rp, nil
 		})
-	sc.hedges.Add(int64(hedges))
-	sc.attemptErrs.Add(int64(errs))
+	pc.hedges.Add(int64(hedges))
 	if err != nil {
-		sc.failures.Add(1)
+		pc.failures.Add(1)
 	}
 	return rp, err
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // fanout runs task(0) .. task(n-1) concurrently and waits for all of
-// them: the scatter half of scatter-gather (one goroutine per shard) and
-// a routed batch's query workers (at most batchInFlight). One goroutine
+// them: a routed batch's query workers (at most batchInFlight) and
+// /statusz's probes (one goroutine per shard). One goroutine
 // per task from a plain counted loop: n is small and fixed up front, the
 // shape simlint's gospawn analyzer approves.
 func fanout(n int, task func(i int)) {
@@ -31,11 +31,10 @@ func fanout(n int, task func(i int)) {
 // requests tear down promptly through the usual context plumbing.
 //
 // hedges reports how many extra attempts were launched beyond the
-// first; errs how many attempts failed before the outcome was decided.
-// Goroutines never leak: the results channel is buffered to attempts,
-// so a losing attempt can always deposit its outcome and exit.
+// first. Goroutines never leak: the results channel is buffered to
+// attempts, so a losing attempt can always deposit its outcome and exit.
 func hedged[T any](ctx context.Context, delay time.Duration, attempts int,
-	try func(ctx context.Context, attempt int) (T, error)) (val T, hedges, errs int, err error) {
+	try func(ctx context.Context, attempt int) (T, error)) (val T, hedges int, err error) {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -71,7 +70,7 @@ func hedged[T any](ctx context.Context, delay time.Duration, attempts int,
 				firstErr = hctx.Err()
 			}
 			var zero T
-			return zero, launched - 1, errs, firstErr
+			return zero, launched - 1, firstErr
 		case <-timerC:
 			timerC = nil
 			if launched < attempts {
@@ -81,9 +80,8 @@ func hedged[T any](ctx context.Context, delay time.Duration, attempts int,
 		case out := <-results:
 			pending--
 			if out.err == nil {
-				return out.val, launched - 1, errs, nil
+				return out.val, launched - 1, nil
 			}
-			errs++
 			if firstErr == nil {
 				firstErr = out.err
 			}
@@ -92,7 +90,7 @@ func hedged[T any](ctx context.Context, delay time.Duration, attempts int,
 				pending++
 			} else if pending == 0 {
 				var zero T
-				return zero, launched - 1, errs, firstErr
+				return zero, launched - 1, firstErr
 			}
 		}
 	}

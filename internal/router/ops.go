@@ -14,8 +14,8 @@ import (
 // shardOp is one kind of shard request — topk or similar — reduced to
 // the four things call cannot know generically. Every request asks for
 // one query and is answered with its fragment. [lo, hi) is the vertex
-// range asked for: the shard's own range, whichever server the attempt
-// goes to. An op is read-only once built and must not alias pooled
+// range asked for: call asks for all of [0, n), whichever server the
+// attempt goes to. An op is read-only once built and must not alias pooled
 // memory: a losing attempt may still be encoding it after the query that
 // built it has returned.
 type shardOp interface {

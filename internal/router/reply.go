@@ -9,11 +9,12 @@ import (
 )
 
 // reply is one attempt's decode target and, once the attempt has won,
-// one shard's input to the merge. Every attempt decodes into a reply of
-// its own (getReply), so racing attempts never share decode state; the
-// winner's reply is handed to the gather and released by putGather, a
-// failed attempt releases its own, and a loser that finishes after the
-// race was decided is dropped to the GC. Nothing else writes a reply.
+// the routed query's merge. Every attempt decodes into a reply of its
+// own (getReply), so racing attempts never share decode state; the
+// winner's reply is returned by call, merged and released by the query
+// (putReply), a failed attempt releases its own, and a loser that
+// finishes after the race was decided is dropped to the GC. Nothing else
+// writes a reply.
 type reply struct {
 	// Decode targets, reused across queries: the parse shell for HTTP
 	// bodies (the TCP transport parses in its connection's shell) and
@@ -21,9 +22,13 @@ type reply struct {
 	frame wire.Frame
 	seen  []uint64
 
-	// The merge's input: the shard's fragment of the query and its stats.
+	// The merge's input: the query's fragment and its stats.
 	frag  []simrank.ShardCand
 	stats simrank.QueryStats
+
+	// The merge's working memory: its one-fragment list and scratch.
+	frags [1][]simrank.ShardCand
+	ms    simrank.MergeScratch
 }
 
 // check holds a decoded answer's fragment to what the merge assumes of
@@ -80,57 +85,18 @@ func (rt *Router) putReply(rp *reply) {
 	rt.replies.Put(rp)
 }
 
-// gather is the pooled working set of one routed query: the winning
-// reply (or the error) of every shard, and the merge scratch. scatter
-// fills it; release it with putGather on every return path.
-type gather struct {
-	errs    []error
-	replies []*reply
-	frags   [][]simrank.ShardCand // every shard's fragment, for the merge
-	ms      simrank.MergeScratch
-}
-
-// ensure sizes every per-shard slice for n shards, keeping capacity.
-func (g *gather) ensure(n int) {
-	if cap(g.errs) < n {
-		g.errs = make([]error, n)
-		g.replies = make([]*reply, n)
-		g.frags = make([][]simrank.ShardCand, n)
-	}
-	g.errs = g.errs[:n]
-	g.replies = g.replies[:n]
-	g.frags = g.frags[:n]
-}
-
-func (rt *Router) getGather() *gather {
-	return rt.gathers.Get().(*gather)
-}
-
-// putGather releases the replies g holds, then g itself.
-func (rt *Router) putGather(g *gather) {
-	for i, rp := range g.replies {
-		if rp != nil {
-			rt.putReply(rp)
-		}
-		g.errs[i], g.replies[i], g.frags[i] = nil, nil, nil
-	}
-	rt.gathers.Put(g)
-}
-
-// mergeTopK replays every shard's reply through the fragment merge at floor theta: the serving one for a top-k, the query's
-// own with k = 0 for a similar. The scan counters come out byte-identical
-// to single node; the cache counters are summed over the shards (cache
-// state is topology-dependent: each shard has its own row cache).
-func (g *gather) mergeTopK(k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
-	for i, rp := range g.replies {
-		g.frags[i] = rp.frag
-	}
-	res, st := simrank.MergeShardTopKScratch(k, theta, g.frags, &g.ms)
+// merge replays rp's fragment — the whole vertex range, from the one
+// server that won — through the fragment merge at floor theta: the
+// serving one for a top-k, the query's own with k = 0 for a similar. A
+// one-fragment merge is the single-node scan, so results and scan
+// counters come out byte-identical to a single node; the cache counters
+// are that server's.
+func (rp *reply) merge(k int, theta float64, wantStats bool) ([]simrank.Result, *simrank.QueryStats) {
+	rp.frags[0] = rp.frag
+	res, st := simrank.MergeShardTopKScratch(k, theta, rp.frags[:], &rp.ms)
 	if !wantStats {
 		return res, nil
 	}
-	for _, rp := range g.replies {
-		st.AddCache(rp.stats)
-	}
+	st.AddCache(rp.stats)
 	return res, &st
 }

@@ -1,32 +1,35 @@
-// Package router implements the scatter-gather tier of the distributed
-// serving topology: it fans each query out to a set of shard servers
-// (internal/server handlers running with -shard i/n), merges the
-// per-shard fragments deterministically, and answers with results — and
-// pruning statistics — byte-identical to a single-node server over the
-// same index.
+// Package router implements the routing tier of the distributed serving
+// topology: it forwards each query to one of a set of shard servers
+// (internal/server handlers running with -shard i/n), asking it for the
+// whole vertex range, replays the one fragment that comes back through
+// the deterministic merge, and answers with results — and pruning
+// statistics — byte-identical to a single-node server over the same
+// index.
 //
 //	GET /topk?u=42&k=20[&stats=1]  -> merged via the fragment replay (MergeShardTopKScratch)
-//	POST /topk/batch               -> same contract as the single-node batch endpoint; each query is its own /topk scatter-gather
-//	GET /similar?u=42&theta=0.05   -> the same replay at k = 0 over fragments scanned at theta
-//	GET /statusz                   -> router counters + per-shard hedges/failures/health
+//	POST /topk/batch               -> same contract as the single-node batch endpoint; each query is its own routed /topk
+//	GET /similar?u=42&theta=0.05   -> the same replay at k = 0 over a fragment scanned at theta
+//	GET /statusz                   -> router counters + per-server hedges/failures/health
 //	GET /healthz, /readyz          -> process up / topology probed and validated
 //
 // Membership is established by Probe: every configured address must
 // answer /readyz and publish a /shardinfo manifest of the router's own
 // wire version, and the manifests must form one coherent topology
 // (shard.ValidateTopology) — same graph and params fingerprints, same
-// seed and theta, every range present exactly once. Because each server holds the full snapshot
-// (the partition splits scoring work, not data), the router can ask any
-// server for any vertex range: a slow shard is hedged to the next
-// server after HedgeDelay, and a failed request fails over immediately,
-// both through the lo/hi range override on the /shard/* endpoints.
+// seed and theta, every range present exactly once. Each server holds
+// the full snapshot, and the served scorer builds a query's whole row in
+// one pass whatever range is asked for, so the servers are replicas for
+// routing and a range is only a request parameter: the router asks one
+// server for [0, n), taking the servers in rotation. A slow server is
+// hedged to the next one after HedgeDelay, and a failed request fails
+// over immediately.
 //
 // Every shard request — topk or similar, one query each — goes through
 // one path: a shardOp describes the request and how to decode its answer
-// (the query's fragment, checked before any merge reads it: reply.check),
-// and call drives the attempts (failover, and hedging when
-// HedgeDelay > 0), picks each attempt's transport and keeps the
-// per-shard counters.
+// (the query's fragment, checked before the merge reads it: reply.check),
+// and call picks the server, drives the attempts (failover, and hedging
+// when HedgeDelay > 0), picks each attempt's transport and keeps the
+// per-server counters.
 // Shard traffic prefers the binary wire codec (internal/wire): a shard
 // that advertises Manifest.BinAddr is reached over pooled persistent
 // TCP; otherwise the router negotiates binary over HTTP with
@@ -70,10 +73,11 @@ const (
 )
 
 // batchInFlight bounds how many of one /topk/batch's queries run at once.
-// It bounds the batch's own exchanges only (two per query when hedged,
-// plus whatever else the router serves); it equals maxIdleBinConns so
-// that a lone unhedged batch reuses each shard's idle binary connections
-// instead of dialing new ones.
+// It bounds the batch's own exchanges only (one per query, two while a
+// hedge races, plus whatever else the router serves); it equals
+// maxIdleBinConns so that a lone unhedged batch reuses idle binary
+// connections instead of dialing new ones, even if all its queries in
+// flight land on one server.
 const batchInFlight = 16
 
 // Config configures a Router. Only Shards is required.
@@ -82,11 +86,11 @@ type Config struct {
 	// "http://127.0.0.1:8081"), one per shard, in any order — the probe
 	// maps addresses to shard indexes from the manifests.
 	Shards []string
-	// HedgeDelay is how long to wait on a shard before sending the same
-	// range request to the next server (0 disables hedging; failed
+	// HedgeDelay is how long to wait on a query's server before sending
+	// the same request to the next server (0 disables hedging; failed
 	// requests still fail over immediately).
 	HedgeDelay time.Duration
-	// MaxAttempts caps how many servers one range request may try,
+	// MaxAttempts caps how many servers one routed query may try,
 	// counting the first (default 2, capped at len(Shards)).
 	MaxAttempts int
 	// QueryTimeout bounds a whole routed query across all attempts
@@ -104,35 +108,37 @@ type Config struct {
 	Wire string
 	// Client is the HTTP client for shard requests (default: a client
 	// with a keep-alive transport whose idle pool is sized to the
-	// topology fan-out times the hedging attempts).
+	// server count times the hedging attempts).
 	Client *http.Client
 }
 
-// shardCounters tracks one shard's serving health as seen from the
-// router; /statusz reports them so operators can spot a degraded shard.
+// shardCounters tracks one server's serving health as seen from the
+// router; /statusz reports them so operators can spot a degraded server.
+// requests, hedges and failures count the queries the server was primary
+// for; the rest count the attempts sent to it, whichever query's primary
+// it was.
 type shardCounters struct {
-	requests    atomic.Int64 // range fetches routed for this shard
-	hedges      atomic.Int64 // extra attempts launched (slow or failed primary)
-	attemptErrs atomic.Int64 // individual attempts that errored
-	failures    atomic.Int64 // fetches that failed after every attempt
+	requests    atomic.Int64 // queries routed with this server as primary
+	hedges      atomic.Int64 // extra attempts launched for them (slow or failed primary)
+	attemptErrs atomic.Int64 // attempts sent here that errored
+	failures    atomic.Int64 // queries that failed after every attempt
 	bytesSent   atomic.Int64 // request bytes shipped (TCP frames; an HTTP GET ships none)
 	bytesRecv   atomic.Int64 // response bytes received
 	encodeNS    atomic.Int64 // ns spent encoding binary requests
 	decodeNS    atomic.Int64 // ns spent parsing binary responses
 }
 
-// Router is an http.Handler that scatter-gathers queries over a shard
-// topology. It serves 503 not_ready until Probe succeeds.
+// Router is an http.Handler that routes queries over a shard topology.
+// It serves 503 not_ready until Probe succeeds.
 type Router struct {
 	cfg    Config
 	client *http.Client
 	mux    *http.ServeMux
 	top    atomic.Pointer[topology]
 
-	// gathers pools per-query scatter/merge working sets and replies the
-	// per-attempt decode targets; binPools holds the persistent binary
+	// replies pools the per-attempt decode targets, which the winner's
+	// query also merges in; binPools holds the persistent binary
 	// connections per shard address.
-	gathers  sync.Pool
 	replies  sync.Pool
 	binMu    sync.Mutex
 	binPools map[string]*binPool
@@ -143,17 +149,17 @@ type Router struct {
 	batchMax atomic.Int64
 	similar  atomic.Int64
 	failures atomic.Int64
+	next     atomic.Uint64   // rotation cursor: picks each query's primary
 	shards   []shardCounters // indexed by shard id
 }
 
 // topology is the validated view of the shard set, swapped in
 // atomically by Probe.
 type topology struct {
-	manifests []shard.Manifest // sorted by shard index
-	addrs     []string         // addrs[i] natively serves shard i
-	binAddrs  []string         // resolved binary listener of addrs[i] ("" = none)
-	vertices  int
-	theta     float64
+	addrs    []string // addrs[i] natively serves shard i
+	binAddrs []string // resolved binary listener of addrs[i] ("" = none)
+	vertices int
+	theta    float64
 }
 
 // New returns a router for the given shard set. Call Probe before
@@ -182,12 +188,12 @@ func New(cfg Config) *Router {
 		shards:   make([]shardCounters, len(cfg.Shards)),
 		binPools: make(map[string]*binPool),
 	}
-	rt.gathers.New = func() any { return new(gather) }
 	rt.replies.New = func() any { return new(reply) }
 	if rt.client == nil {
-		// Any server can answer any range (failover/hedging), so one host
-		// may carry the whole fan-out times the attempt budget; size the
-		// idle pool to keep every such connection warm.
+		// A query goes to one server, and to the next when hedged or
+		// failed over; under concurrent queries one host may carry
+		// several of each, so keep S × MaxAttempts (at least 8)
+		// connections warm per host.
 		perHost := len(cfg.Shards) * cfg.MaxAttempts
 		if perHost < 8 {
 			perHost = 8
@@ -244,11 +250,10 @@ func (rt *Router) Probe(ctx context.Context) error {
 		return fmt.Errorf("router: %w", err)
 	}
 	t := &topology{
-		manifests: sorted,
-		addrs:     make([]string, len(sorted)),
-		binAddrs:  make([]string, len(sorted)),
-		vertices:  sorted[0].Vertices,
-		theta:     sorted[0].Theta,
+		addrs:    make([]string, len(sorted)),
+		binAddrs: make([]string, len(sorted)),
+		vertices: sorted[0].Vertices,
+		theta:    sorted[0].Theta,
 	}
 	for i, m := range ms {
 		t.addrs[m.Shard] = rt.cfg.Shards[i]
@@ -428,15 +433,15 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// topk routes one top-k query: its scatter-gather over every shard,
-// merged at the serving theta.
+// topk routes one top-k query to one server, merged at the serving
+// theta.
 func (rt *Router) topk(ctx context.Context, t *topology, u, k int, wantStats bool) ([]simrank.Result, *simrank.QueryStats, error) {
-	g := rt.getGather()
-	defer rt.putGather(g)
-	if err := rt.scatter(ctx, t, topkOp{u: u}, g); err != nil {
+	rp, err := rt.call(ctx, t, topkOp{u: u})
+	if err != nil {
 		return nil, nil, err
 	}
-	res, st := g.mergeTopK(k, t.theta, wantStats)
+	defer rt.putReply(rp)
+	res, st := rp.merge(k, t.theta, wantStats)
 	return res, st, nil
 }
 
@@ -525,13 +530,13 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	g := rt.getGather()
-	defer rt.putGather(g)
-	if err := rt.scatter(ctx, t, similarOp{topkOp{u}, theta}, g); err != nil {
+	rp, err := rt.call(ctx, t, similarOp{topkOp{u}, theta})
+	if err != nil {
 		rt.writeQueryError(w, err)
 		return
 	}
-	res, _ := g.mergeTopK(0, theta, false)
+	defer rt.putReply(rp)
+	res, _ := rp.merge(0, theta, false)
 	writeJSON(w, http.StatusOK, server.TopKResponse{
 		Query:    u,
 		Results:  res,
@@ -539,13 +544,16 @@ func (rt *Router) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ShardStatus is one shard's health as seen from the router.
+// ShardStatus is one server's health as seen from the router.
+// RequestsTotal, HedgesFired and FailuresTotal count the queries the
+// server was primary for; AttemptErrsTotal and the wire counters count
+// the attempts sent to it, whichever server was primary.
 type ShardStatus struct {
 	Shard         int    `json:"shard"`
 	Addr          string `json:"addr"`
 	RequestsTotal int64  `json:"requests_total"`
-	// HedgesFired counts extra attempts launched for this shard's
-	// ranges — nonzero means the primary was slow or down.
+	// HedgesFired counts extra attempts launched for the queries this
+	// server was primary for — nonzero means it was slow or down.
 	HedgesFired      int64 `json:"hedges_fired"`
 	AttemptErrsTotal int64 `json:"attempt_errors_total"`
 	FailuresTotal    int64 `json:"failures_total"`
@@ -553,8 +561,9 @@ type ShardStatus struct {
 	// "bin" (persistent TCP), "bin-http" (Accept-negotiated HTTP), or
 	// "json".
 	WireFormat string `json:"wire_format"`
-	// BytesSent / BytesReceived / EncodeNs / DecodeNs are this shard's
-	// router-side wire activity (binary frames plus HTTP response bodies).
+	// BytesSent / BytesReceived / EncodeNs / DecodeNs are the router-side
+	// wire activity of the attempts sent to this server (binary frames
+	// plus HTTP response bodies).
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
 	EncodeNs      int64 `json:"encode_ns"`
@@ -579,7 +588,7 @@ type RouterStatusz struct {
 }
 
 // handleStatusz reports the router's own counters plus a live view of
-// every shard: per-shard hedges/failures/wire activity since start and
+// every server: its hedges/failures/wire activity since start and
 // a reachability probe (each shard's /statusz fetched under
 // ProbeTimeout) — the place degradation shows up when a shard is slow
 // or down.

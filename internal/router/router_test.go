@@ -310,33 +310,39 @@ func TestRouterSimilarMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestRouterDownShardFailover kills one shard server outright: the
-// router must fail over its range to the next server (every server
-// holds the full snapshot) and still answer byte-identically, and
-// /statusz must report the degradation.
+// TestRouterDownShardFailover kills one shard server outright: every
+// query it is primary for must fail over to the next server (every
+// server holds the full snapshot) and still answer byte-identically, and
+// /statusz must report the degradation against the dead server and the
+// traffic against the one the failover reached. It sends S queries, so
+// every server is primary once wherever the rotation starts.
 func TestRouterDownShardFailover(t *testing.T) {
+	const shards = 3
 	idx := buildIndex(t)
-	rt, servers := loopback(t, idx, 3, Config{QueryTimeout: 10 * time.Second})
+	rt, servers := loopback(t, idx, shards, Config{QueryTimeout: 10 * time.Second})
 	single := server.New(idx)
 	servers[1].Close()
 
 	path := "/topk?u=42&k=5&stats=1"
-	rec, body := routerGet(t, rt, path)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d with shard 1 down: %s", rec.Code, body)
-	}
-	var got, want server.TopKResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
 	_, sbody := routerGet(t, single, path)
+	var want server.TopKResponse
 	if err := json.Unmarshal(sbody, &want); err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "failover", got.Results, want.Results)
-	sameScanStats(t, "failover", got.Stats, want.Stats)
+	for i := 0; i < shards; i++ {
+		rec, body := routerGet(t, rt, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %d: status %d with shard 1 down: %s", i, rec.Code, body)
+		}
+		var got server.TopKResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "failover", got.Results, want.Results)
+		sameScanStats(t, "failover", got.Stats, want.Stats)
+	}
 
-	rec, body = routerGet(t, rt, "/statusz")
+	rec, body := routerGet(t, rt, "/statusz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("statusz status %d", rec.Code)
 	}
@@ -344,21 +350,24 @@ func TestRouterDownShardFailover(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Ready || len(st.Shards) != 3 {
+	if !st.Ready || len(st.Shards) != shards {
 		t.Fatalf("statusz = %+v", st)
 	}
 	s1 := st.Shards[1]
-	if s1.HedgesFired == 0 || s1.AttemptErrsTotal == 0 {
+	if s1.RequestsTotal != 1 || s1.HedgesFired == 0 || s1.AttemptErrsTotal == 0 || s1.FailuresTotal != 0 {
 		t.Fatalf("down shard not visible in statusz: %+v", s1)
 	}
-	// The dead server never got a request frame (the dial failed) and an
-	// HTTP GET has no body, so encoded request bytes for shard 1 can only
-	// come from the failed-over attempt — and only if it went over TCP.
-	if s1.EncodeNs == 0 || s1.BytesSent == 0 {
-		t.Fatalf("failed-over attempt did not use the surviving server's TCP listener: %+v", s1)
+	// The dead server never got a request frame (the dial failed), so
+	// no byte and no encode time may be booked against it.
+	if s1.BytesSent != 0 || s1.BytesReceived != 0 || s1.EncodeNs != 0 {
+		t.Fatalf("wire activity booked against the dead server: %+v", s1)
 	}
 	if s1.Reachable {
 		t.Fatalf("closed shard reported reachable: %+v", s1)
+	}
+	// Its query failed over to server 2, over TCP.
+	if s2 := st.Shards[2]; s2.BytesSent == 0 || s2.EncodeNs == 0 || s2.AttemptErrsTotal != 0 {
+		t.Fatalf("failed-over attempt did not reach server 2's TCP listener: %+v", s2)
 	}
 	if !st.Shards[0].Reachable || !st.Shards[2].Reachable {
 		t.Fatalf("live shards reported unreachable: %+v", st.Shards)
@@ -368,52 +377,57 @@ func TestRouterDownShardFailover(t *testing.T) {
 // TestRouterSlowShardHedges makes one shard artificially slow on
 // whichever transport carries its requests: in every wire mode the hedge
 // to the next server must win within the query timeout, travel over the
-// same transport, and leave the answer byte-identical.
+// same transport, and leave the answer byte-identical. It sends S
+// queries, so every server is primary once wherever the rotation starts.
 func TestRouterSlowShardHedges(t *testing.T) {
+	const shards = 3
 	idx := buildIndex(t)
 	single := server.New(idx)
 	const slowDelay = 300 * time.Millisecond
+	path := "/topk?u=7&k=5&stats=1"
+	_, sbody := routerGet(t, single, path)
+	var want server.TopKResponse
+	if err := json.Unmarshal(sbody, &want); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []struct {
 		name  string
 		wire  string
 		noBin bool
 	}{{"tcp-bin", WireBin, false}, {"http-bin", WireBin, true}, {"json", WireJSON, false}} {
 		t.Run(m.name, func(t *testing.T) {
-			rt, _ := loopbackOpts(t, idx, 3, Config{
+			rt, _ := loopbackOpts(t, idx, shards, Config{
 				HedgeDelay:   5 * time.Millisecond,
 				QueryTimeout: 5 * time.Second,
 				Wire:         m.wire,
 			}, topoOpts{noBin: m.noBin, slowShard: 2, slowDelay: slowDelay})
 
-			path := "/topk?u=7&k=5&stats=1"
-			start := time.Now()
-			rec, body := routerGet(t, rt, path)
-			elapsed := time.Since(start)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", rec.Code, body)
-			}
-			var got, want server.TopKResponse
-			if err := json.Unmarshal(body, &got); err != nil {
-				t.Fatal(err)
-			}
-			_, sbody := routerGet(t, single, path)
-			if err := json.Unmarshal(sbody, &want); err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "hedged", got.Results, want.Results)
-			sameScanStats(t, "hedged", got.Stats, want.Stats)
-			if elapsed >= slowDelay {
-				t.Fatalf("hedge did not win: query took %v (slow shard waits %v)", elapsed, slowDelay)
+			for i := 0; i < shards; i++ {
+				start := time.Now()
+				rec, body := routerGet(t, rt, path)
+				elapsed := time.Since(start)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("query %d: status %d: %s", i, rec.Code, body)
+				}
+				var got server.TopKResponse
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, "hedged", got.Results, want.Results)
+				sameScanStats(t, "hedged", got.Stats, want.Stats)
+				if elapsed >= slowDelay {
+					t.Fatalf("query %d: hedge did not win: query took %v (slow shard waits %v)", i, elapsed, slowDelay)
+				}
 			}
 
-			_, body = routerGet(t, rt, "/statusz")
+			_, body := routerGet(t, rt, "/statusz")
 			var st RouterStatusz
 			if err := json.Unmarshal(body, &st); err != nil {
 				t.Fatal(err)
 			}
 			s2 := st.Shards[2]
-			if s2.HedgesFired == 0 {
-				t.Fatalf("no hedge recorded for the slow shard: %+v", s2)
+			if s2.RequestsTotal != 1 || s2.HedgesFired == 0 {
+				t.Fatalf("no hedge recorded for the slow shard's query: %+v", s2)
 			}
 			// Only the TCP transport encodes a request frame for a topk.
 			if tcp := m.name == "tcp-bin"; (s2.EncodeNs > 0) != tcp {
@@ -425,6 +439,49 @@ func TestRouterSlowShardHedges(t *testing.T) {
 			// router once the slow server writes it.
 			quietAfter(t, rt, slowDelay+200*time.Millisecond)
 		})
+	}
+}
+
+// TestRouterRotatesPrimary: on S = 3, 2S routed queries — /topk,
+// /similar and a batch — make every server primary exactly twice, and
+// every answer is the single node's byte for byte (elapsed_ms aside).
+func TestRouterRotatesPrimary(t *testing.T) {
+	const shards = 3
+	idx := buildIndex(t)
+	rt, _ := loopback(t, idx, shards, Config{})
+	single := server.New(idx)
+	for _, q := range []struct{ method, path, body string }{
+		{http.MethodGet, "/topk?u=42&k=5", ""},
+		{http.MethodGet, "/topk?u=7&k=20", ""},
+		{http.MethodGet, "/similar?u=42&theta=0.02", ""},
+		{http.MethodGet, "/similar?u=0&theta=0.005", ""},
+		{http.MethodPost, "/topk/batch", `{"queries":[59,150],"k":10}`},
+	} {
+		var rec *httptest.ResponseRecorder
+		var got, want []byte
+		if q.method == http.MethodGet {
+			rec, got = routerGet(t, rt, q.path)
+			_, want = routerGet(t, single, q.path)
+		} else {
+			rec, got = routerPost(t, rt, q.path, q.body)
+			_, want = routerPost(t, single, q.path, q.body)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", q.path, q.body, rec.Code, got)
+		}
+		if got, want := elapsedRE.ReplaceAll(got, nil), elapsedRE.ReplaceAll(want, nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s %s:\n got  %s\n want %s", q.path, q.body, got, want)
+		}
+	}
+	_, body := routerGet(t, rt, "/statusz")
+	var st RouterStatusz
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range st.Shards {
+		if s.RequestsTotal != 2 {
+			t.Fatalf("server %d was primary for %d of %d queries, want 2: %+v", s.Shard, s.RequestsTotal, 2*shards, st.Shards)
+		}
 	}
 }
 
@@ -871,7 +928,7 @@ func TestRouterWireModesIdentical(t *testing.T) {
 }
 
 // BenchmarkRouterTopK measures a routed /topk over a real 3-shard HTTP
-// loopback topology — scatter, shard-side scoring, gather, merge replay.
+// loopback topology — one exchange, shard-side scoring, merge replay.
 func BenchmarkRouterTopK(b *testing.B) {
 	idx := buildIndex(b)
 	rt, _ := loopback(b, idx, 3, Config{})
@@ -888,7 +945,7 @@ func BenchmarkRouterTopK(b *testing.B) {
 }
 
 // BenchmarkRouterTopKBatch measures a routed 4-query batch over the
-// same topology: four /topk scatter-gathers, all in flight at once.
+// same topology: four routed /topk, all in flight at once.
 func BenchmarkRouterTopKBatch(b *testing.B) {
 	idx := buildIndex(b)
 	rt, _ := loopback(b, idx, 3, Config{})
@@ -918,10 +975,10 @@ func TestRouterNewKeepsCallerShards(t *testing.T) {
 
 // TestRouterTopKAllocs bounds the heap allocations of one routed /topk
 // over the loopback 3-shard topology on the binary TCP wire: router,
-// wire codec and the in-process shards together, counted by the
+// wire codec and the in-process shard together, counted by the
 // allocator, so it gates on any machine however noisy its clock. The
-// bound is twice the 67 allocations measured when the test was written
-// (go1.24 linux/amd64, 2 vCPUs; 105 under -race).
+// bound is twice the 35 allocations measured since a routed query makes
+// one exchange (go1.24 linux/amd64, 2 vCPUs; 45–52 under -race).
 func TestRouterTopKAllocs(t *testing.T) {
 	rt, _ := loopback(t, buildIndex(t), 3, Config{})
 	req := httptest.NewRequest(http.MethodGet, "/topk?u=42&k=20", nil)
@@ -932,7 +989,7 @@ func TestRouterTopKAllocs(t *testing.T) {
 			t.Fatalf("status %d", rec.Code)
 		}
 	})
-	const bound = 2 * 67
+	const bound = 2 * 35
 	if allocs > bound {
 		t.Fatalf("%.1f allocations per routed /topk, over the bound of %d", allocs, bound)
 	}

@@ -130,15 +130,19 @@ done
 # scan statistics — to a stand-alone simserver over the same graph and
 # seed: /topk and /similar (theta 0.02, the threshold exchange) per
 # query, and the corpus as one /topk/batch, larger than the router's 16
-# queries in flight. Run twice: once over the binary wire protocol (shards advertise
-# TCP bin listeners, the router's default) and once with the router
-# forced to JSON, so both encodings of the scatter-gather are proven
-# identical end-to-end across real processes. topkdiff reads the
-# router's /statusz afterwards and prints the transport the shards were
-# reached over (wire_format bin only with request frames encoded and TCP
-# connections accepted); each run must name the one it claims to test —
-# the default router hedges, and until hedged attempts could travel over
-# TCP this smoke was diffing negotiated HTTP under the "binary" label.
+# queries in flight. The router sends each query to one shard, taken in
+# rotation, and asks it for the whole vertex range. Run twice: once over
+# the binary wire protocol (shards advertise TCP bin listeners, the
+# router's default) and once with the router forced to JSON, so both
+# encodings of the routed path are proven identical end-to-end across
+# real processes. topkdiff reads the router's /statusz afterwards: every
+# shard must have been some query's primary (requests_total > 0), so a
+# router that pins one server fails here, and it prints the transport
+# the shards were reached over (wire_format bin only with request frames
+# encoded and TCP connections accepted); each run must name the one it
+# claims to test — the default router hedges, and until hedged attempts
+# could travel over TCP this smoke was diffing negotiated HTTP under the
+# "binary" label.
 echo "==> multi-shard smoke (2 shards + router vs single node)"
 smoketmp="$(mktemp -d)"
 smoke_cleanup() {
